@@ -84,9 +84,14 @@ loadtest:
 # fence — stayed at zero. The gateway drill runs in -wire binary so the
 # failover happens under the framed codec: in-flight binary batches and
 # gateway-to-shard wire traffic must survive the kill the same as JSON.
+# The shard drill runs twice, once per codec: under -wire binary the
+# shards log each received payload verbatim, so kill -9 lands on those
+# records (and on the encoder's, under JSON) through real processes.
 crashtest:
 	$(GO) build -o bin/bmsd ./cmd/bmsd
 	$(GO) run ./cmd/loadgen -shards 3 -devices 12 -reports 60 -seed 7 \
 		-kill 40,80 -restart-gateway -bmsd bin/bmsd -fsync batch
+	$(GO) run ./cmd/loadgen -shards 3 -devices 12 -reports 60 -seed 7 \
+		-kill 40,80 -restart-gateway -bmsd bin/bmsd -fsync batch -wire binary
 	$(GO) run ./cmd/loadgen -shards 3 -devices 12 -reports 60 -seed 7 \
 		-kill-gateway 40,80 -bmsd bin/bmsd -fsync batch -wire binary

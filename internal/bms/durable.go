@@ -1,10 +1,10 @@
 // Durability: the BMS side of the write-ahead log. The store's WAL
 // carries opaque payloads; this file defines what those payloads are —
-// compact binary records for observation batches (the hot path), JSON
-// records for device installs/evicts, TTL expiries, model snapshots
-// and fingerprints — plus the compacting
-// snapshot of the server's full state and the boot-time recovery that
-// replays snapshot + log tail back through the normal mutation paths.
+// the received wire payload plus a rooms suffix for observation batches
+// (the hot path), JSON records for device installs/evicts, TTL
+// expiries, model snapshots and fingerprints — plus the boot-time
+// recovery that replays snapshot (snapshot.go) + log tail back through
+// the normal mutation paths.
 //
 // Every durable mutation is log-then-apply: the record reaches the WAL
 // (and, per fsync policy, the disk) before the in-memory state moves,
@@ -21,12 +21,9 @@
 package bms
 
 import (
-	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"io"
-	"math"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -38,6 +35,8 @@ import (
 	"occusim/internal/occupancy"
 	"occusim/internal/store"
 	"occusim/internal/svm"
+	"occusim/internal/transport"
+	"occusim/internal/wire"
 )
 
 // DefaultCompactThreshold triggers a background compaction once the
@@ -49,6 +48,10 @@ type durability struct {
 	wal              *store.WAL
 	compactThreshold int64
 	compacting       atomic.Bool
+
+	// snapBuf is the snapshot writer's buffer, kept between compactions
+	// (which the WAL serialises) so the steady state allocates none.
+	snapBuf []byte
 }
 
 // DurableConfig configures OpenDurableServer.
@@ -143,15 +146,17 @@ func (s *Server) maybeCompact() {
 	}
 	go func() {
 		defer d.compacting.Store(false)
+		// A failure keeps the old snapshot and the full log, is counted
+		// and flight-recorded by the WAL (wal_compact_errors_total), and
+		// the next append past the threshold tries again.
 		_ = d.wal.Compact(s.writeDurableSnapshot)
 	}()
 }
 
-// --- wire records -----------------------------------------------------
+// --- log records ------------------------------------------------------
 
-// Record type tags.
+// Record type tags of the JSON (cold) records.
 const (
-	recObs     = "obs"     // striped: an observation run (legacy JSON form; new records are binary)
 	recInstall = "install" // striped: a migrated device's state installed
 	recEvict   = "evict"   // striped: a device's state evicted (migration)
 	recExpire  = "expire"  // striped: TTL sweep expired these devices
@@ -160,17 +165,16 @@ const (
 	recLease   = "lease"   // meta: a gateway leadership epoch was granted
 )
 
-// walRecord is the JSON envelope of every WAL payload. Field presence
-// follows T.
+// walRecord is the JSON envelope of every cold WAL payload. Field
+// presence follows T.
 type walRecord struct {
-	T       string          `json:"t"`
-	Reports []obsRecJSON    `json:"reports,omitempty"`
-	State   *DeviceState    `json:"state,omitempty"`
-	Device  string          `json:"device,omitempty"`
-	Devices []string        `json:"devices,omitempty"`
-	Snap    *ModelSnapshot  `json:"snap,omitempty"`
-	FP      *fpRecJSON      `json:"fp,omitempty"`
-	Lease   *leaseRecJSON   `json:"lease,omitempty"`
+	T       string         `json:"t"`
+	State   *DeviceState   `json:"state,omitempty"`
+	Device  string         `json:"device,omitempty"`
+	Devices []string       `json:"devices,omitempty"`
+	Snap    *ModelSnapshot `json:"snap,omitempty"`
+	FP      *fpRecJSON     `json:"fp,omitempty"`
+	Lease   *leaseRecJSON  `json:"lease,omitempty"`
 }
 
 // leaseRecJSON is a gateway leadership grant on disk — the cold meta
@@ -181,230 +185,187 @@ type leaseRecJSON struct {
 	Holder string `json:"holder,omitempty"`
 }
 
-// obsRecJSON is one observation on disk: the store form plus the room
-// predicted at ingest time (absent inside snapshots, where observations
-// are retained telemetry, not tracker input). Times are exact integer
-// nanoseconds — recovery must be byte-identical, not approximately so.
-type obsRecJSON struct {
-	Device  string          `json:"d"`
-	AtNanos int64           `json:"at"`
-	Epoch   uint64          `json:"e,omitempty"`
-	Seq     uint64          `json:"s,omitempty"`
-	Room    string          `json:"r,omitempty"`
-	Beacons []beaconRecJSON `json:"b,omitempty"`
-}
-
-type beaconRecJSON struct {
-	ID       string  `json:"id"`
-	Distance float64 `json:"d"`
-	RSSI     float64 `json:"r,omitempty"`
-}
-
 type fpRecJSON struct {
 	Room      string             `json:"room"`
 	AtNanos   int64              `json:"atNanos"`
 	Distances map[string]float64 `json:"distances"`
 }
 
-func encodeObservation(o store.Observation, room string) obsRecJSON {
-	rec := obsRecJSON{
-		Device:  o.Device,
-		AtNanos: int64(o.At),
-		Epoch:   o.Epoch,
-		Seq:     o.Seq,
-		Room:    room,
-	}
-	for _, b := range o.Beacons {
-		rec.Beacons = append(rec.Beacons, beaconRecJSON{
-			ID: b.ID.String(), Distance: b.Distance, RSSI: b.RSSI,
-		})
-	}
-	return rec
-}
-
-func (s *Server) decodeObservation(rec obsRecJSON) (store.Observation, error) {
-	o := store.Observation{
-		Device: rec.Device,
-		At:     time.Duration(rec.AtNanos),
-		Epoch:  rec.Epoch,
-		Seq:    rec.Seq,
-	}
-	if len(rec.Beacons) > 0 {
-		o.Beacons = make([]store.BeaconDistance, 0, len(rec.Beacons))
-	}
-	for _, b := range rec.Beacons {
-		id, err := s.parseBeaconID(b.ID)
-		if err != nil {
-			return store.Observation{}, err
-		}
-		o.Beacons = append(o.Beacons, store.BeaconDistance{ID: id, Distance: b.Distance, RSSI: b.RSSI})
-	}
-	return o, nil
-}
-
-// logObservations appends one record per run of same-stripe
-// observations — the same grouping AddObservationBatch locks by, so a
-// batch costs one append (and under FsyncBatch one fsync) per touched
-// stripe, not per report. The caller holds the Begin guard.
-func (s *Server) logObservations(obs []store.Observation, rooms []string) error {
-	for i := 0; i < len(obs); {
-		idx := store.StripeFor(obs[i].Device)
-		j := i + 1
-		for j < len(obs) && store.StripeFor(obs[j].Device) == idx {
-			j++
-		}
-		if err := s.dur.wal.Append(idx, appendObsBinary(nil, obs[i:j], rooms[i:j])); err != nil {
-			return err
-		}
-		i = j
-	}
-	return nil
-}
-
-// --- binary observation records ---------------------------------------
-//
 // Observation records are the WAL's hot path — every ingested batch
 // writes one per touched stripe, and under FsyncBatch each such write
-// is also an fsync boundary — so unlike the cold record types they are
-// encoded in a compact binary form rather than JSON: no reflective
-// marshal, no float formatting, no beacon-ID stringification. The two
-// forms share the log: JSON records start with '{', binary observation
-// records with binObsTag, and replayRecord dispatches on the first
-// byte. Little-endian fixed-width for beacon identities and distances,
-// uvarint for lengths and counts.
+// is also an fsync boundary — so they are the batch's wire payload, not
+// a second encoding of it:
+//
+//	[recObsTag][u32 LE payload length][wire batch payload][rooms]
+//
+// A frame whose reports share a stripe (every single-device upload) is
+// logged with the very payload bytes the shard received and checked;
+// anything else goes through the same wire.AppendPayload the devices
+// use. The report clock therefore stays the float64 seconds the device
+// sent, and replay converts it with the same reportTime as ingest. The
+// rooms suffix carries the rooms predicted at ingest time, run-length
+// coded — (uvarint run, uvarint name length, name) until every report
+// is covered — because a device mostly stays where it is. JSON records
+// start with '{', so the tag can never open one.
+const recObsTag = 0x02
 
-// binObsTag is the first byte of a binary observation record. It can
-// never open a JSON record ('{').
-const binObsTag = 0x01
-
-// appendObsBinary encodes one observation run (with the rooms predicted
-// at ingest time) into the binary record form.
-func appendObsBinary(buf []byte, obs []store.Observation, rooms []string) []byte {
-	buf = append(buf, binObsTag)
-	buf = binary.AppendUvarint(buf, uint64(len(obs)))
-	for i := range obs {
-		o := &obs[i]
-		buf = binary.AppendUvarint(buf, uint64(len(o.Device)))
-		buf = append(buf, o.Device...)
-		buf = binary.AppendUvarint(buf, uint64(o.At))
-		buf = binary.AppendUvarint(buf, o.Epoch)
-		buf = binary.AppendUvarint(buf, o.Seq)
-		buf = binary.AppendUvarint(buf, uint64(len(rooms[i])))
-		buf = append(buf, rooms[i]...)
-		buf = binary.AppendUvarint(buf, uint64(len(o.Beacons)))
-		for _, b := range o.Beacons {
-			buf = append(buf, b.ID.UUID[:]...)
-			buf = binary.LittleEndian.AppendUint16(buf, b.ID.Major)
-			buf = binary.LittleEndian.AppendUint16(buf, b.ID.Minor)
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(b.Distance))
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(b.RSSI))
-		}
-	}
-	return buf
+// reportTime converts a report's clock (seconds on the building clock)
+// into the store's form. Ingest and replay both go through it, so a
+// replayed observation lands on exactly the time the live one did.
+func reportTime(seconds float64) time.Duration {
+	return time.Duration(seconds * float64(time.Second))
 }
 
-// errShortObsRecord reports a binary observation record whose declared
-// contents outrun the payload. The frame checksum already guards
-// against corruption, so this can only be an encoder/decoder bug — but
-// it must still surface as an error, never a panic.
-var errShortObsRecord = fmt.Errorf("bms: wal replay: truncated binary observation record")
-
-type binReader struct{ buf []byte }
-
-func (r *binReader) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(r.buf)
-	if n <= 0 {
-		return 0, errShortObsRecord
+// wireObservation builds report i of a decoded batch in store form.
+func wireObservation(b *wire.Batch, i int) store.Observation {
+	o := store.Observation{Device: b.Devices[i], At: reportTime(b.At[i]), Epoch: b.Epoch[i], Seq: b.Seq[i]}
+	if span := b.ReportBeacons(i); len(span) > 0 {
+		o.Beacons = make([]store.BeaconDistance, len(span))
+		for k, bc := range span {
+			o.Beacons[k] = store.BeaconDistance(bc)
+		}
 	}
-	r.buf = r.buf[n:]
-	return v, nil
+	return o
 }
 
-func (r *binReader) bytes(n int) ([]byte, error) {
-	if n < 0 || n > len(r.buf) {
-		return nil, errShortObsRecord
+// appendObsRecord encodes one observation record. payload, when
+// non-nil, is the already encoded form of b and is copied verbatim.
+func appendObsRecord(dst []byte, b *wire.Batch, payload []byte, rooms []string) []byte {
+	dst = append(dst, recObsTag, 0, 0, 0, 0)
+	head := len(dst)
+	if payload != nil {
+		dst = append(dst, payload...)
+	} else {
+		dst = wire.AppendPayload(dst, b)
 	}
-	b := r.buf[:n]
-	r.buf = r.buf[n:]
-	return b, nil
+	binary.LittleEndian.PutUint32(dst[head-4:], uint32(len(dst)-head))
+	for i := 0; i < len(rooms); {
+		j := i + 1
+		for j < len(rooms) && rooms[j] == rooms[i] {
+			j++
+		}
+		dst = binary.AppendUvarint(dst, uint64(j-i))
+		dst = binary.AppendUvarint(dst, uint64(len(rooms[i])))
+		dst = append(dst, rooms[i]...)
+		i = j
+	}
+	return dst
 }
 
-// decodeObsBinary parses a binary observation record back into the
-// observations and their ingest-time room predictions.
-func decodeObsBinary(payload []byte) ([]store.Observation, []string, error) {
-	r := &binReader{buf: payload[1:]} // caller checked the tag
-	n, err := r.uvarint()
-	if err != nil {
-		return nil, nil, err
+// errBadObsRecord reports an observation record whose parts disagree.
+// The frame checksum already guards against corruption, so this can
+// only be an encoder/decoder bug — but it must still surface as an
+// error, never a panic.
+var errBadObsRecord = fmt.Errorf("bms: wal replay: malformed observation record")
+
+// decodeObsRecord parses an observation record into b and returns the
+// ingest-time room per report, appended to rooms[:0]. names interns the
+// room strings, so a long replay allocates each distinct name once.
+func decodeObsRecord(rec []byte, b *wire.Batch, rooms []string, names interner) ([]string, error) {
+	if len(rec) == 0 || rec[0] != recObsTag {
+		return nil, errBadObsRecord
 	}
-	const maxObsPerRecord = 1 << 20 // guard the allocation below
-	if n > maxObsPerRecord {
-		return nil, nil, fmt.Errorf("bms: wal replay: observation record declares %d reports", n)
+	r := wire.Reader{Buf: rec[1:]}
+	payload := r.Bytes(uint64(r.U32()))
+	if r.Short {
+		return nil, errBadObsRecord
 	}
-	obs := make([]store.Observation, 0, n)
-	rooms := make([]string, 0, n)
-	for ; n > 0; n-- {
-		var o store.Observation
-		dn, err := r.uvarint()
-		if err != nil {
-			return nil, nil, err
+	if err := wire.DecodePayload(payload, b); err != nil {
+		return nil, fmt.Errorf("bms: wal replay: %w", err)
+	}
+	rooms = rooms[:0]
+	for len(rooms) < b.Len() {
+		run, room := r.Uvarint(), names.read(&r)
+		if r.Short || run == 0 || run > uint64(b.Len()-len(rooms)) {
+			return nil, errBadObsRecord
 		}
-		dev, err := r.bytes(int(dn))
-		if err != nil {
-			return nil, nil, err
+		for ; run > 0; run-- {
+			rooms = append(rooms, room)
 		}
-		o.Device = string(dev)
-		at, err := r.uvarint()
-		if err != nil {
-			return nil, nil, err
+	}
+	if len(r.Buf) != 0 {
+		return nil, errBadObsRecord
+	}
+	return rooms, nil
+}
+
+// interner canonicalises the short strings a log or snapshot repeats
+// (room and device names), so decoding allocates each distinct one once.
+type interner map[string]string
+
+func (in interner) get(raw []byte) string {
+	if s, ok := in[string(raw)]; ok {
+		return s
+	}
+	s := string(raw)
+	in[s] = s
+	return s
+}
+
+// read takes a uvarint-length string off r.
+func (in interner) read(r *wire.Reader) string { return in.get(r.Bytes(r.Uvarint())) }
+
+// logReports logs the JSON ingest faces' reports: the same record, from
+// the same encoder, as the binary face. obs[i] is reports[i] parsed;
+// the clock is taken from the report so the record keeps the float the
+// device sent. The caller holds the Begin guard.
+func (s *Server) logReports(reports []transport.Report, obs []store.Observation, rooms []string) error {
+	b := wire.GetBatch()
+	defer wire.PutBatch(b)
+	for i, r := range reports {
+		b.AddReport(r.Device, r.AtSeconds, r.Epoch, r.Seq)
+		for _, bd := range obs[i].Beacons {
+			b.AddBeacon(wire.Beacon(bd))
 		}
-		o.At = time.Duration(at)
-		if o.Epoch, err = r.uvarint(); err != nil {
-			return nil, nil, err
-		}
-		if o.Seq, err = r.uvarint(); err != nil {
-			return nil, nil, err
-		}
-		rn, err := r.uvarint()
-		if err != nil {
-			return nil, nil, err
-		}
-		room, err := r.bytes(int(rn))
-		if err != nil {
-			return nil, nil, err
-		}
-		bn, err := r.uvarint()
-		if err != nil {
-			return nil, nil, err
-		}
-		const beaconWire = 16 + 2 + 2 + 8 + 8
-		// Bound the count by the bytes actually present BEFORE any
-		// arithmetic on it: a huge declared count would overflow the
-		// int(bn)*beaconWire below (wrapping past the bytes check) and
-		// panic the make — a record must error, never crash replay.
-		if bn > uint64(len(r.buf))/beaconWire {
-			return nil, nil, errShortObsRecord
-		}
-		raw, err := r.bytes(int(bn) * beaconWire)
-		if err != nil {
-			return nil, nil, err
-		}
-		if bn > 0 {
-			o.Beacons = make([]store.BeaconDistance, bn)
-			for k := range o.Beacons {
-				w := raw[k*beaconWire:]
-				b := &o.Beacons[k]
-				copy(b.ID.UUID[:], w[:16])
-				b.ID.Major = binary.LittleEndian.Uint16(w[16:18])
-				b.ID.Minor = binary.LittleEndian.Uint16(w[18:20])
-				b.Distance = math.Float64frombits(binary.LittleEndian.Uint64(w[20:28]))
-				b.RSSI = math.Float64frombits(binary.LittleEndian.Uint64(w[28:36]))
+	}
+	return s.logObservations(b, nil, rooms)
+}
+
+// logObservations appends one record per touched stripe — so a batch
+// costs one append (and under FsyncBatch one fsync) per stripe, however
+// its devices interleave. payload, when non-nil, is the received wire
+// payload b was decoded from; a batch confined to one stripe logs it
+// verbatim. A batch spanning stripes is grouped stably, so each
+// device's reports keep their order. The caller holds the Begin guard.
+func (s *Server) logObservations(b *wire.Batch, payload []byte, rooms []string) error {
+	buf := wire.GetBuf()
+	defer wire.PutBuf(buf)
+	stripes := make([]uint8, 0, 64) // on the stack for ordinary batch sizes
+	spans := false
+	for _, device := range b.Devices {
+		idx := uint8(store.StripeFor(device))
+		spans = spans || (len(stripes) > 0 && idx != stripes[0])
+		stripes = append(stripes, idx)
+	}
+	if !spans {
+		*buf = appendObsRecord(*buf, b, payload, rooms)
+		return s.dur.wal.Append(int(stripes[0]), *buf)
+	}
+	sub := wire.GetBatch()
+	defer wire.PutBatch(sub)
+	subRooms := make([]string, 0, len(rooms))
+	for idx := 0; idx < store.ObsStripes; idx++ {
+		sub.Reset()
+		subRooms = subRooms[:0]
+		for i, at := range stripes {
+			if int(at) != idx {
+				continue
 			}
+			sub.AddReport(b.Devices[i], b.At[i], b.Epoch[i], b.Seq[i])
+			for _, bc := range b.ReportBeacons(i) {
+				sub.AddBeacon(bc)
+			}
+			subRooms = append(subRooms, rooms[i])
 		}
-		obs = append(obs, o)
-		rooms = append(rooms, string(room))
+		if sub.Len() == 0 {
+			continue
+		}
+		*buf = appendObsRecord((*buf)[:0], sub, nil, subRooms)
+		if err := s.dur.wal.Append(idx, *buf); err != nil {
+			return err
+		}
 	}
-	return obs, rooms, nil
+	return nil
 }
 
 // logStriped appends one non-observation striped record for a device.
@@ -440,41 +401,33 @@ func (s *Server) recover(w *store.WAL) error {
 			return err
 		}
 	}
-	return w.Replay(s.replayRecord, func(_ int, payload []byte) error {
-		return s.replayRecord(payload)
-	})
-}
-
-// replayRecord applies one recovered WAL record through the normal
-// mutation paths. Observation records decide freshness against the
-// recovered marks exactly as live ingest does, which is what makes a
-// log holding duplicates (every accepted report is logged, fresh or
-// not) replay to the committed state.
-func (s *Server) replayRecord(payload []byte) error {
-	if len(payload) > 0 && payload[0] == binObsTag {
-		obs, rooms, err := decodeObsBinary(payload)
-		if err != nil {
+	// One pooled batch, one rooms slice and one name table serve every
+	// observation record of the replay.
+	b := wire.GetBatch()
+	defer wire.PutBatch(b)
+	var rooms []string
+	names := interner{}
+	replay := func(payload []byte) error {
+		if len(payload) == 0 || payload[0] != recObsTag {
+			return s.replayCold(payload)
+		}
+		var err error
+		if rooms, err = decodeObsRecord(payload, b, rooms, names); err != nil {
 			return err
 		}
-		return s.applyObsReplay(obs, rooms)
+		return s.applyObsReplay(b, rooms)
 	}
+	return w.Replay(replay, func(_ int, payload []byte) error { return replay(payload) })
+}
+
+// replayCold applies one recovered JSON record through the normal
+// mutation paths.
+func (s *Server) replayCold(payload []byte) error {
 	var rec walRecord
 	if err := json.Unmarshal(payload, &rec); err != nil {
 		return fmt.Errorf("bms: wal decode: %w", err)
 	}
 	switch rec.T {
-	case recObs:
-		obs := make([]store.Observation, len(rec.Reports))
-		rooms := make([]string, len(rec.Reports))
-		for i, r := range rec.Reports {
-			o, err := s.decodeObservation(r)
-			if err != nil {
-				return fmt.Errorf("bms: wal replay: %w", err)
-			}
-			obs[i] = o
-			rooms[i] = r.Room
-		}
-		return s.applyObsReplay(obs, rooms)
 	case recInstall:
 		if rec.State == nil {
 			return fmt.Errorf("bms: wal replay: install record without state")
@@ -531,11 +484,17 @@ func (s *Server) replayRecord(payload []byte) error {
 	return nil
 }
 
-// applyObsReplay feeds a recovered observation run through the normal
-// ingest mutations: the store decides freshness against the recovered
-// (Epoch, Seq) marks exactly as live ingest would, and only fresh
-// observations reach the tracker with their recorded rooms.
-func (s *Server) applyObsReplay(obs []store.Observation, rooms []string) error {
+// applyObsReplay feeds a recovered observation record through the
+// normal ingest mutations: the store decides freshness against the
+// recovered (Epoch, Seq) marks exactly as live ingest would — which is
+// what makes a log holding duplicates (every accepted report is logged,
+// fresh or not) replay to the committed state — and only fresh
+// observations reach the tracker, with their recorded rooms.
+func (s *Server) applyObsReplay(b *wire.Batch, rooms []string) error {
+	obs := make([]store.Observation, b.Len())
+	for i := range obs {
+		obs[i] = wireObservation(b, i)
+	}
 	fresh, err := s.st.AddObservationBatch(obs)
 	if err != nil {
 		return fmt.Errorf("bms: wal replay: %w", err)
@@ -581,132 +540,6 @@ func (s *Server) restoreModel(snap ModelSnapshot) error {
 	s.sceneSVM = scene
 	s.classifier = scene
 	s.modelSnap = snap
-	return nil
-}
-
-// --- snapshot ---------------------------------------------------------
-
-// durableSnapJSON is the on-disk form of a server's full state: the
-// store's training snapshot (verbatim), the distributable model
-// snapshot (the training blob lacks the beacon feature order), every
-// device's observations, ingest mark and tracker slice, and the
-// committed event history.
-type durableSnapJSON struct {
-	Training  json.RawMessage  `json:"training"`
-	ModelSnap *ModelSnapshot   `json:"modelSnap,omitempty"`
-	Devices   []deviceSnapJSON `json:"devices,omitempty"`
-	Events    []eventRecJSON   `json:"events,omitempty"`
-	Lease     *leaseRecJSON    `json:"lease,omitempty"`
-}
-
-type deviceSnapJSON struct {
-	Device       string                 `json:"device"`
-	Epoch        uint64                 `json:"epoch,omitempty"`
-	Seq          uint64                 `json:"seq,omitempty"`
-	Tracker      *occupancy.DeviceState `json:"tracker,omitempty"`
-	Observations []obsRecJSON           `json:"obs,omitempty"`
-}
-
-type eventRecJSON struct {
-	AtNanos int64  `json:"at"`
-	Device  string `json:"d"`
-	Kind    int    `json:"k"`
-	Room    string `json:"r"`
-}
-
-// writeDurableSnapshot serialises the server's full state. It runs
-// under the WAL's exclusive compaction barrier, so no log-then-apply
-// operation is in flight: the state it reads includes every logged
-// record and nothing unlogged.
-func (s *Server) writeDurableSnapshot(w io.Writer) error {
-	var training bytes.Buffer
-	if err := s.st.WriteSnapshot(&training); err != nil {
-		return err
-	}
-	snap := durableSnapJSON{Training: json.RawMessage(bytes.TrimSpace(training.Bytes()))}
-	if ms, ok := s.ModelSnapshot(); ok {
-		snap.ModelSnap = &ms
-	}
-	devices := map[string]bool{}
-	for _, d := range s.st.KnownDevices() {
-		devices[d] = true
-	}
-	for _, d := range s.tracker.KnownDevices() {
-		devices[d] = true
-	}
-	names := make([]string, 0, len(devices))
-	for d := range devices {
-		names = append(names, d)
-	}
-	sort.Strings(names)
-	for _, device := range names {
-		ds := deviceSnapJSON{Device: device}
-		ds.Epoch, ds.Seq = s.st.SeqMark(device)
-		if tr, ok := s.tracker.Export(device); ok {
-			ds.Tracker = &tr
-		}
-		for _, o := range s.st.History(device) {
-			ds.Observations = append(ds.Observations, encodeObservation(o, ""))
-		}
-		snap.Devices = append(snap.Devices, ds)
-	}
-	for _, e := range s.tracker.Events() {
-		snap.Events = append(snap.Events, eventRecJSON{
-			AtNanos: int64(e.At), Device: e.Device, Kind: int(e.Kind), Room: e.Room,
-		})
-	}
-	if epoch, holder := s.GrantedLease(); epoch > 0 {
-		snap.Lease = &leaseRecJSON{Epoch: epoch, Holder: holder}
-	}
-	return json.NewEncoder(w).Encode(snap)
-}
-
-// restoreDurableSnapshot loads a snapshot into a fresh server.
-func (s *Server) restoreDurableSnapshot(r io.Reader) error {
-	var snap durableSnapJSON
-	if err := json.NewDecoder(r).Decode(&snap); err != nil {
-		return fmt.Errorf("bms: snapshot decode: %w", err)
-	}
-	if len(snap.Training) > 0 {
-		if err := s.st.ReadSnapshot(bytes.NewReader(snap.Training)); err != nil {
-			return err
-		}
-	}
-	if snap.ModelSnap != nil {
-		if err := s.restoreModel(*snap.ModelSnap); err != nil {
-			return err
-		}
-	}
-	for _, ds := range snap.Devices {
-		if len(ds.Observations) > 0 {
-			obs := make([]store.Observation, 0, len(ds.Observations))
-			for _, rec := range ds.Observations {
-				o, err := s.decodeObservation(rec)
-				if err != nil {
-					return fmt.Errorf("bms: snapshot: %w", err)
-				}
-				obs = append(obs, o)
-			}
-			s.st.RestoreObservations(ds.Device, obs)
-		}
-		s.st.InstallSeqMark(ds.Device, ds.Epoch, ds.Seq)
-		if ds.Tracker != nil {
-			s.tracker.Install(*ds.Tracker)
-		}
-	}
-	if len(snap.Events) > 0 {
-		events := make([]occupancy.Event, 0, len(snap.Events))
-		for _, e := range snap.Events {
-			events = append(events, occupancy.Event{
-				At: time.Duration(e.AtNanos), Device: e.Device,
-				Kind: occupancy.EventKind(e.Kind), Room: e.Room,
-			})
-		}
-		s.tracker.InstallEvents(events)
-	}
-	if snap.Lease != nil {
-		s.installLease(snap.Lease.Epoch, snap.Lease.Holder)
-	}
 	return nil
 }
 

@@ -1,15 +1,16 @@
 package bms
 
 import (
+	"bytes"
 	"encoding/json"
-	"math"
+	"reflect"
 	"testing"
 	"time"
 
 	"occusim/internal/building"
-	"occusim/internal/ibeacon"
 	"occusim/internal/store"
 	"occusim/internal/transport"
+	"occusim/internal/wire"
 )
 
 func openDurable(t *testing.T, dir string, policy store.FsyncPolicy) (*Server, *building.Building) {
@@ -201,60 +202,50 @@ func TestDurableGracefulClose(t *testing.T) {
 	}
 }
 
-// TestBinaryObsRecordRoundtrip pins the binary observation record
-// codec on its edge cases: empty beacon sets, empty rooms, zero
-// freshness marks, non-ASCII device names, and non-finite distances
-// (representable in binary, unlike JSON).
+// TestBinaryObsRecordRoundtrip pins the observation record codec on
+// its edge cases: empty beacon sets, empty rooms, zero freshness marks,
+// non-ASCII device names, non-finite distances and clocks — and that a
+// received payload is logged as the very bytes it arrived in.
 func TestBinaryObsRecordRoundtrip(t *testing.T) {
-	id := ibeacon.BeaconID{UUID: ibeacon.MustUUID("B9407F30-F5F8-466E-AFF9-25556B57FE6D"), Major: 1, Minor: 65535}
-	obs := []store.Observation{
-		{Device: "phone", At: 90 * time.Second, Epoch: 3, Seq: 12, Beacons: []store.BeaconDistance{
-			{ID: id, Distance: 1.25, RSSI: -62},
-			{ID: id, Distance: math.Inf(1), RSSI: math.NaN()},
-		}},
-		{Device: "téléphone-→", At: 0, Epoch: 0, Seq: 0},
-		{Device: "", At: 1, Seq: 7, Beacons: []store.BeaconDistance{{ID: id, Distance: 0}}},
+	b, rooms := obsRecordBatch()
+	payload := wire.AppendPayload(nil, b)
+	rec := appendObsRecord(nil, b, payload, rooms)
+	if rec[0] != recObsTag {
+		t.Fatalf("record starts with %#02x, want the observation tag", rec[0])
 	}
-	rooms := []string{"kitchen", "", "living room"}
-
-	payload := appendObsBinary(nil, obs, rooms)
-	if payload[0] != binObsTag {
-		t.Fatalf("record starts with %#02x, want the binary tag", payload[0])
+	if !bytes.Equal(rec[5:5+len(payload)], payload) {
+		t.Fatal("the received payload is not in the record verbatim")
 	}
-	got, gotRooms, err := decodeObsBinary(payload)
+	if encoded := appendObsRecord(nil, b, nil, rooms); !bytes.Equal(encoded, rec) {
+		t.Fatal("encoding the batch and copying its payload produce different records")
+	}
+	// "kitchen" twice is one run: 1 + 1 + 7 bytes, then the empty room's 2.
+	if suffix := len(rec) - 5 - len(payload); suffix != 11 {
+		t.Fatalf("rooms suffix is %d bytes, want 11 (run-length coded)", suffix)
+	}
+	got := &wire.Batch{}
+	gotRooms, err := decodeObsRecord(rec, got, nil, interner{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(obs) || len(gotRooms) != len(rooms) {
-		t.Fatalf("decoded %d obs / %d rooms, want %d / %d", len(got), len(gotRooms), len(obs), len(rooms))
+	if !reflect.DeepEqual(gotRooms, rooms) {
+		t.Fatalf("rooms %q, want %q", gotRooms, rooms)
 	}
-	for i := range obs {
-		if gotRooms[i] != rooms[i] {
-			t.Errorf("obs %d: room %q, want %q", i, gotRooms[i], rooms[i])
-		}
-		a, b := got[i], obs[i]
-		if a.Device != b.Device || a.At != b.At || a.Epoch != b.Epoch || a.Seq != b.Seq || len(a.Beacons) != len(b.Beacons) {
-			t.Errorf("obs %d: decoded %+v, want %+v", i, a, b)
-			continue
-		}
-		for k := range b.Beacons {
-			x, y := a.Beacons[k], b.Beacons[k]
-			same := x.ID == y.ID &&
-				math.Float64bits(x.Distance) == math.Float64bits(y.Distance) &&
-				math.Float64bits(x.RSSI) == math.Float64bits(y.RSSI)
-			if !same {
-				t.Errorf("obs %d beacon %d: decoded %+v, want %+v", i, k, x, y)
-			}
-		}
+	if !bytes.Equal(wire.AppendPayload(nil, got), payload) {
+		t.Fatal("decoded batch differs from the logged one")
+	}
+	// Replay puts the observation on exactly the time ingest did.
+	if at, want := wireObservation(got, 1).At, reportTime(b.At[1]); at != want {
+		t.Fatalf("replayed At = %d, ingest computed %d", at, want)
 	}
 
 	// Every truncation of a valid record must error, never panic.
-	for cut := 1; cut < len(payload); cut++ {
-		if _, _, err := decodeObsBinary(payload[:cut]); err == nil && cut < len(payload) {
-			// Some cuts can land on a valid shorter record only if the
-			// leading count were smaller; with a fixed count they must
-			// all fail.
-			t.Fatalf("truncated record (%d of %d bytes) decoded without error", cut, len(payload))
+	for cut := 0; cut < len(rec); cut++ {
+		if _, err := decodeObsRecord(rec[:cut], got, nil, interner{}); err == nil {
+			t.Fatalf("truncated record (%d of %d bytes) decoded without error", cut, len(rec))
 		}
+	}
+	if _, err := decodeObsRecord(append(rec, 0), got, nil, interner{}); err == nil {
+		t.Fatal("a record with a trailing byte decoded without error")
 	}
 }

@@ -152,7 +152,7 @@ func (s *Server) buildObservation(r transport.Report, dists map[ibeacon.BeaconID
 	if r.Device == "" {
 		return store.Observation{}, fingerprint.Sample{}, fmt.Errorf("bms: report without device")
 	}
-	at := time.Duration(r.AtSeconds * float64(time.Second))
+	at := reportTime(r.AtSeconds)
 	obs := store.Observation{Device: r.Device, At: at, Epoch: r.Epoch, Seq: r.Seq}
 	if len(r.Beacons) > 0 {
 		obs.Beacons = make([]store.BeaconDistance, 0, len(r.Beacons))
@@ -205,7 +205,7 @@ func (s *Server) Ingest(r transport.Report) (string, error) {
 	if s.dur != nil {
 		end := s.dur.wal.Begin()
 		defer end()
-		if err := s.logObservations([]store.Observation{obs}, []string{room}); err != nil {
+		if err := s.logReports([]transport.Report{r}, []store.Observation{obs}, []string{room}); err != nil {
 			return "", err
 		}
 		defer s.maybeCompact()
@@ -279,7 +279,7 @@ func (s *Server) IngestBatch(reports []transport.Report) ([]string, error) {
 		// compaction cannot snapshot between the append and the apply.
 		end := s.dur.wal.Begin()
 		defer end()
-		if err := s.logObservations(obs, rooms); err != nil {
+		if err := s.logReports(reports, obs, rooms); err != nil {
 			return nil, err
 		}
 		defer s.maybeCompact()

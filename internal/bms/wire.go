@@ -25,6 +25,13 @@ import (
 // report ordering contract matches IngestBatch: one device's reports
 // ordered by time, devices interleaving freely. b is not retained.
 func (s *Server) IngestWireBatch(b *wire.Batch) ([]string, error) {
+	return s.ingestWire(b, nil)
+}
+
+// ingestWire is IngestWireBatch with the wire payload b was decoded
+// from (nil when there is none): a durable server logs those received,
+// already checksummed bytes instead of encoding b again.
+func (s *Server) ingestWire(b *wire.Batch, payload []byte) ([]string, error) {
 	n := b.Len()
 	if n == 0 {
 		return nil, nil
@@ -49,25 +56,19 @@ func (s *Server) IngestWireBatch(b *wire.Batch) ([]string, error) {
 		if b.Devices[i] == "" {
 			return nil, fmt.Errorf("bms: batch report %d: bms: report without device", i)
 		}
-		at := time.Duration(b.At[i] * float64(time.Second))
-		o := store.Observation{Device: b.Devices[i], At: at, Epoch: b.Epoch[i], Seq: b.Seq[i]}
-		span := b.ReportBeacons(i)
-		if len(span) > 0 {
-			o.Beacons = make([]store.BeaconDistance, 0, len(span))
-		}
+		o := wireObservation(b, i)
 		clear(dists)
-		for _, bc := range span {
-			o.Beacons = append(o.Beacons, store.BeaconDistance{ID: bc.ID, Distance: bc.Distance, RSSI: bc.RSSI})
-			dists[bc.ID] = bc.Distance
+		for _, bd := range o.Beacons {
+			dists[bd.ID] = bd.Distance
 		}
 		obs[i] = o
-		rooms[i] = cls.Predict(fingerprint.Sample{At: at, Distances: dists})
-		track[i] = occupancy.Classification{At: at, Device: o.Device, Room: rooms[i]}
+		rooms[i] = cls.Predict(fingerprint.Sample{At: o.At, Distances: dists})
+		track[i] = occupancy.Classification{At: o.At, Device: o.Device, Room: rooms[i]}
 	}
 	if s.dur != nil {
 		end := s.dur.wal.Begin()
 		defer end()
-		if err := s.logObservations(obs, rooms); err != nil {
+		if err := s.logObservations(b, payload, rooms); err != nil {
 			return nil, err
 		}
 		defer s.maybeCompact()
@@ -92,12 +93,22 @@ func (s *Server) IngestWireBatch(b *wire.Batch) ([]string, error) {
 	return rooms, nil
 }
 
-// IngestWireBatchFenced is IngestWireBatch behind the leadership fence.
-func (s *Server) IngestWireBatchFenced(gwEpoch uint64, b *wire.Batch) ([]string, error) {
+// IngestWireFrameFenced decodes one whole wire frame into a pooled
+// batch and ingests it behind the leadership fence — the shard end of
+// the framed path, in process or over HTTP. The frame's payload is what
+// a durable server logs, so the bytes a device checksummed reach the
+// WAL without being encoded again.
+func (s *Server) IngestWireFrameFenced(gwEpoch uint64, frame []byte) ([]string, error) {
+	b := wire.GetBatch()
+	defer wire.PutBatch(b)
+	payload, err := wire.DecodeFramePayload(frame, b)
+	if err != nil {
+		return nil, fmt.Errorf("decode frame: %w", err)
+	}
 	if err := s.admitEpoch(gwEpoch); err != nil {
 		return nil, err
 	}
-	return s.IngestWireBatch(b)
+	return s.ingestWire(b, payload)
 }
 
 // handleWireObservationBatch serves the binary branch of
@@ -111,13 +122,7 @@ func (s *Server) handleWireObservationBatch(w http.ResponseWriter, r *http.Reque
 		writeError(w, http.StatusBadRequest, fmt.Errorf("read body: %w", err))
 		return
 	}
-	b := wire.GetBatch()
-	defer wire.PutBatch(b)
-	if err := wire.DecodeFrame(body, b); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decode frame: %w", err))
-		return
-	}
-	rooms, err := s.IngestWireBatchFenced(gatewayEpochFrom(r), b)
+	rooms, err := s.IngestWireFrameFenced(gatewayEpochFrom(r), body)
 	if err != nil {
 		writeIngestError(w, err)
 		return

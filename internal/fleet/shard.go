@@ -12,7 +12,6 @@ import (
 	"occusim/internal/occupancy"
 	"occusim/internal/store"
 	"occusim/internal/transport"
-	"occusim/internal/wire"
 )
 
 // Shard is one BMS ingest server as the gateway sees it: the report
@@ -104,17 +103,12 @@ func (l *LocalShard) IngestBatch(reports []transport.Report) ([]string, error) {
 	return l.srv.IngestBatchFenced(l.epoch.Load(), reports)
 }
 
-// IngestFrame implements FrameIngester: decode the forwarded frame
-// into a pooled batch and run the server's binary ingest path under
-// the stamped epoch — the in-process analogue of a shard receiving the
-// device's bytes verbatim.
+// IngestFrame implements FrameIngester: the server decodes the
+// forwarded frame and runs its binary ingest path under the stamped
+// epoch — the in-process analogue of a shard receiving the device's
+// bytes verbatim (a durable server logs them as received).
 func (l *LocalShard) IngestFrame(frame []byte, reports int) ([]string, error) {
-	b := wire.GetBatch()
-	defer wire.PutBatch(b)
-	if err := wire.DecodeFrame(frame, b); err != nil {
-		return nil, err
-	}
-	return l.srv.IngestWireBatchFenced(l.epoch.Load(), b)
+	return l.srv.IngestWireFrameFenced(l.epoch.Load(), frame)
 }
 
 // InstallModel implements Shard.

@@ -28,16 +28,17 @@ func (e Event) At() time.Time { return time.Unix(0, e.AtNanos) }
 // fleet's control-plane vocabulary in one place so dashboards and
 // tests never drift on spelling.
 const (
-	EventLeaseClaim   = "lease_claim"   // a shard granted a NEW leadership epoch
-	EventLeaseReject  = "lease_reject"  // a claim lost to a higher/foreign grant
-	EventFencedWrite  = "fenced_write"  // a stale-epoch write was rejected
-	EventLeaseAdvance = "lease_advance" // a fenced write carried a newer epoch; grant advanced
-	EventBreakerTrip  = "breaker_trip"  // a shard breaker opened
-	EventBreakerClose = "breaker_close" // a shard breaker re-closed after probe success
-	EventMigration    = "migration"     // device state moved between shards
-	EventWALRepair    = "wal_repair"    // a torn WAL tail was truncated at recovery
-	EventShardDown    = "shard_down"    // dispatch marked a shard down
-	EventShardUp      = "shard_up"      // a health probe brought a shard back
+	EventLeaseClaim   = "lease_claim"       // a shard granted a NEW leadership epoch
+	EventLeaseReject  = "lease_reject"      // a claim lost to a higher/foreign grant
+	EventFencedWrite  = "fenced_write"      // a stale-epoch write was rejected
+	EventLeaseAdvance = "lease_advance"     // a fenced write carried a newer epoch; grant advanced
+	EventBreakerTrip  = "breaker_trip"      // a shard breaker opened
+	EventBreakerClose = "breaker_close"     // a shard breaker re-closed after probe success
+	EventMigration    = "migration"         // device state moved between shards
+	EventWALRepair    = "wal_repair"        // a torn WAL tail was truncated at recovery
+	EventCompactError = "wal_compact_error" // a WAL compaction failed; the log was kept
+	EventShardDown    = "shard_down"        // dispatch marked a shard down
+	EventShardUp      = "shard_up"          // a health probe brought a shard back
 )
 
 // Recorder is the bounded ring. A nil *Recorder drops every Record —

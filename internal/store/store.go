@@ -291,6 +291,18 @@ func (s *Store) History(device string) []Observation {
 	return append([]Observation(nil), sh.observations[device]...)
 }
 
+// VisitHistory calls fn with the device's retained observations in
+// arrival order — the slice the store itself holds, under the stripe's
+// read lock, so a snapshot writer serialises a long history without
+// History's copy. fn must not retain or mutate the slice, nor call back
+// into the store.
+func (s *Store) VisitHistory(device string, fn func([]Observation)) {
+	sh := s.shardFor(device)
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	fn(sh.observations[device])
+}
+
 // Devices returns all device names, sorted.
 func (s *Store) Devices() []string {
 	var out []string

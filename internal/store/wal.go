@@ -11,15 +11,16 @@
 // to the owner (internal/bms), which writes records before mutating
 // in-memory state and replays them through Replay at boot.
 //
-// Frame format, little-endian:
+// Frames are the wire package's log frames (wire.AppendLogFrame):
 //
-//	[u32 payload length][u32 CRC32-C of gen+payload][u64 generation][payload]
+//	[version 0x02][u32 payload length][u32 CRC32-C of gen+payload][u64 generation][payload]
 //
-// Each frame is written with a single Write call, so a killed process
-// (SIGKILL, OOM) can never tear a record — the kernel completes the
-// write it accepted. Torn frames can still appear after a power or
-// kernel crash; recovery tolerates a torn or truncated FINAL frame
-// (the tail is discarded and the file repaired), while a
+// so one scanner (wire.Scan), one checksum and one tail contract serve
+// uploads and logs. Each frame is written with a single Write call, so
+// a killed process (SIGKILL, OOM) can never tear a record — the kernel
+// completes the write it accepted. Torn frames can still appear after
+// a power or kernel crash; recovery tolerates a torn or truncated FINAL
+// frame (the tail is discarded and the file repaired), while a
 // checksum-corrupted frame with valid data after it is silent damage
 // in the middle of committed history and fails loudly.
 //
@@ -34,9 +35,7 @@
 package store
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -47,6 +46,7 @@ import (
 
 	"occusim/internal/obs"
 	"occusim/internal/stripe"
+	"occusim/internal/wire"
 )
 
 // walMetrics bundles the WAL's instrumentation handles. The WAL holds
@@ -57,31 +57,42 @@ type walMetrics struct {
 	appendLatency  *obs.Histogram // frame framed-to-durable, per policy
 	fsyncLatency   *obs.Histogram // the fsync syscall alone
 	groupCommit    *obs.Histogram // frames committed per leader fsync
-	compactions    *obs.Counter
+	compactions    *obs.Counter   // successful compactions only
+	compactErrors  *obs.Counter
 	compactLatency *obs.Histogram
 	tornRepairs    *obs.Counter
+	size           *obs.Gauge // summed over every WAL on the registry
 	rec            *obs.Recorder
 }
 
 // Instrument registers the WAL's series on m and starts feeding them.
-// Torn-tail repairs found during a later Replay also land in m's
-// flight recorder. Safe to call while appends are in flight.
+// Torn-tail repairs found during a later Replay and failed compactions
+// also land in m's flight recorder. Every WAL instrumented on one
+// registry feeds the same series — wal_size_bytes is their sum — so an
+// in-process shard pool reads as one log. Safe to call while appends
+// are in flight: it takes the compaction barrier for the hand-over.
 func (w *WAL) Instrument(m *obs.Metrics) {
 	if w == nil || m == nil {
 		return
 	}
-	w.met.Store(&walMetrics{
+	w.appendMu.Lock()
+	defer w.appendMu.Unlock()
+	if prev := w.met.Load(); prev != nil {
+		prev.size.Add(-w.size.Load())
+	}
+	wm := &walMetrics{
 		appendLatency:  m.Timing("wal_append_seconds", "WAL frame append latency, including the fsync under the batch policy"),
 		fsyncLatency:   m.Timing("wal_fsync_seconds", "WAL fsync syscall latency"),
 		groupCommit:    m.Sizes("wal_group_commit_frames", "frames committed per leader fsync under the batch policy"),
 		compactions:    m.Counter("wal_compactions_total", "snapshot-and-truncate compactions completed"),
+		compactErrors:  m.Counter("wal_compact_errors_total", "compactions that failed before the snapshot landed (the log is kept)"),
 		compactLatency: m.Timing("wal_compact_seconds", "snapshot-and-truncate compaction duration"),
 		tornRepairs:    m.Counter("wal_torn_tail_repairs_total", "torn or truncated final frames discarded during replay"),
+		size:           m.Gauge("wal_size_bytes", "frame bytes appended since the last compaction, summed over this registry's logs"),
 		rec:            m.Recorder(),
-	})
-	m.GaugeFunc("wal_size_bytes", "frame bytes appended since the last compaction", func() float64 {
-		return float64(w.Size())
-	})
+	}
+	wm.size.Add(w.size.Load())
+	w.met.Store(wm)
 }
 
 // FsyncPolicy selects how eagerly WAL appends reach stable storage.
@@ -136,16 +147,6 @@ const ObsStripes = obsShards
 // StripeFor maps a device name onto its observation stripe — the same
 // mapping AddObservationBatch coalesces runs with.
 func StripeFor(device string) int { return stripe.Index(device, obsShards) }
-
-// frameHeaderLen is the fixed frame prefix: length + checksum + generation.
-const frameHeaderLen = 4 + 4 + 8
-
-// maxFrameLen rejects absurd length prefixes while scanning (a
-// corrupted length would otherwise drive a huge allocation).
-const maxFrameLen = 64 << 20
-
-// crcTable is CRC32-Castagnoli, hardware-accelerated on amd64/arm64.
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // walFile is one append-only log file behind its own mutex.
 type walFile struct {
@@ -225,10 +226,9 @@ type WAL struct {
 	// hold).
 	gen uint64
 
-	// sizeMu guards size, the total frame bytes appended since the last
-	// compaction — the owner's compaction trigger.
-	sizeMu sync.Mutex
-	size   int64
+	// size is the total frame bytes appended since the last compaction
+	// — the owner's compaction trigger.
+	size atomic.Int64
 
 	// met holds the telemetry handles once Instrument ran; a nil load
 	// keeps the append path at one branch.
@@ -382,11 +382,10 @@ func (w *WAL) append(wf *walFile, payload []byte) error {
 	if wm != nil {
 		start = time.Now()
 	}
-	frame := make([]byte, frameHeaderLen+len(payload))
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint64(frame[8:16], w.gen)
-	copy(frame[16:], payload)
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(frame[8:], crcTable))
+	buf := wire.GetBuf()
+	defer wire.PutBuf(buf)
+	*buf = wire.AppendLogFrame(*buf, w.gen, payload)
+	frame := *buf
 
 	wf.mu.Lock()
 	_, err := wf.f.Write(frame)
@@ -403,22 +402,17 @@ func (w *WAL) append(wf *walFile, payload []byte) error {
 	if err != nil {
 		return fmt.Errorf("store: wal append: %w", err)
 	}
+	w.size.Add(int64(len(frame)))
 	if wm != nil {
+		wm.size.Add(int64(len(frame)))
 		wm.appendLatency.Since(start)
 	}
-	w.sizeMu.Lock()
-	w.size += int64(len(frame))
-	w.sizeMu.Unlock()
 	return nil
 }
 
 // Size returns the frame bytes appended since the last compaction —
 // the owner's compaction trigger.
-func (w *WAL) Size() int64 {
-	w.sizeMu.Lock()
-	defer w.sizeMu.Unlock()
-	return w.size
-}
+func (w *WAL) Size() int64 { return w.size.Load() }
 
 // Replay scans the logs and hands every live frame's payload to the
 // callbacks: meta frames first (in append order), then each stripe in
@@ -455,7 +449,7 @@ func replayFile(wf *walFile, barrier uint64, apply func([]byte) error, wm *walMe
 	if err != nil {
 		return fmt.Errorf("store: wal replay %s: %w", wf.path, err)
 	}
-	off, err := scanFrames(data, barrier, apply)
+	off, err := scanLive(data, barrier, apply)
 	if err != nil {
 		return fmt.Errorf("store: wal %s: %w", wf.path, err)
 	}
@@ -479,70 +473,18 @@ func replayFile(wf *walFile, barrier uint64, apply func([]byte) error, wm *walMe
 	return nil
 }
 
-// scanFrames walks the frame sequence in data, invoking apply with the
-// payload of every live frame (generation at or above barrier), and
-// returns the byte length of the valid prefix. It is a pure function
-// over the in-memory image — the fuzzable core of recovery. A returned
-// valid below len(data) means the remainder is a torn tail the caller
-// should truncate away; an error means corruption INSIDE committed
-// history (a bad frame with real data after it), which recovery must
-// refuse to skip. An apply error aborts the scan.
-func scanFrames(data []byte, barrier uint64, apply func([]byte) error) (valid int, err error) {
-	off := 0
-	for off < len(data) {
-		rest := data[off:]
-		if len(rest) < frameHeaderLen {
-			break // truncated header: torn tail
+// scanLive is wire.Scan behind the compaction barrier: apply sees the
+// payload of every frame logged at or above the barrier generation (the
+// newest snapshot already contains the rest). It returns the byte
+// length of the valid prefix; an error means damage inside committed
+// history, or apply's own.
+func scanLive(data []byte, barrier uint64, apply func([]byte) error) (valid int, err error) {
+	return wire.Scan(data, func(gen uint64, payload []byte) error {
+		if gen < barrier {
+			return nil
 		}
-		n := int(binary.LittleEndian.Uint32(rest[0:4]))
-		if n > maxFrameLen {
-			// A length this absurd is either a torn tail or corruption;
-			// decide exactly as for a bad checksum below.
-			if looksLikeTail(rest[frameHeaderLen:]) {
-				break
-			}
-			return off, fmt.Errorf("corrupt frame length %d at offset %d", n, off)
-		}
-		if len(rest) < frameHeaderLen+n {
-			break // truncated payload: torn tail
-		}
-		sum := binary.LittleEndian.Uint32(rest[4:8])
-		body := rest[8 : frameHeaderLen+n] // gen + payload
-		if crc32.Checksum(body, crcTable) != sum {
-			// The full declared extent is present but the checksum
-			// disagrees. If nothing but zero padding follows, treat it
-			// as a torn tail (filesystems can expose preallocated zero
-			// blocks after a crash); any non-zero data after a bad
-			// frame means committed history was damaged — fail loudly
-			// rather than silently dropping records.
-			if looksLikeTail(rest[frameHeaderLen+n:]) && !anyNonZero(body) {
-				break
-			}
-			return off, fmt.Errorf("checksum mismatch at offset %d (committed history is damaged; refusing to recover past it)", off)
-		}
-		gen := binary.LittleEndian.Uint64(rest[8:16])
-		if gen >= barrier {
-			if err := apply(rest[16 : frameHeaderLen+n]); err != nil {
-				return off, fmt.Errorf("apply record at offset %d: %w", off, err)
-			}
-		}
-		off += frameHeaderLen + n
-	}
-	return off, nil
-}
-
-// looksLikeTail reports whether the bytes after a bad frame are all
-// zero — consistent with a torn final write over preallocated blocks,
-// not with damaged committed history.
-func looksLikeTail(rest []byte) bool { return !anyNonZero(rest) }
-
-func anyNonZero(b []byte) bool {
-	for _, x := range b {
-		if x != 0 {
-			return true
-		}
-	}
-	return false
+		return apply(payload)
+	})
 }
 
 // Compact writes a new snapshot and truncates the logs. writeSnapshot
@@ -557,16 +499,16 @@ func anyNonZero(b []byte) bool {
 func (w *WAL) Compact(writeSnapshot func(io.Writer) error) error {
 	w.appendMu.Lock()
 	defer w.appendMu.Unlock()
-	if wm := w.met.Load(); wm != nil {
-		start := time.Now()
-		defer func() {
-			wm.compactions.Inc()
-			wm.compactLatency.Since(start)
-		}()
-	}
+	wm := w.met.Load()
+	start := time.Now()
 	next := w.gen + 1
 	path := filepath.Join(w.dir, snapshotName(next))
 	if err := WriteFileAtomic(path, writeSnapshot); err != nil {
+		// Nothing moved: the old snapshot and the full log still recover.
+		if wm != nil {
+			wm.compactErrors.Inc()
+			wm.rec.Record(obs.EventCompactError, map[string]any{"error": err.Error()})
+		}
 		return fmt.Errorf("store: wal compact: %w", err)
 	}
 	w.gen = next
@@ -587,9 +529,9 @@ func (w *WAL) Compact(writeSnapshot func(io.Writer) error) error {
 		truncate(&w.stripes[i])
 	}
 	truncate(&w.meta)
-	w.sizeMu.Lock()
-	w.size = 0
-	w.sizeMu.Unlock()
+	if reclaimed := w.size.Swap(0); wm != nil {
+		wm.size.Add(-reclaimed)
+	}
 	// Sweep superseded snapshots (best effort).
 	entries, err := os.ReadDir(w.dir)
 	if err == nil {
@@ -599,6 +541,10 @@ func (w *WAL) Compact(writeSnapshot func(io.Writer) error) error {
 				_ = os.Remove(filepath.Join(w.dir, name))
 			}
 		}
+	}
+	if wm != nil {
+		wm.compactions.Inc()
+		wm.compactLatency.Since(start)
 	}
 	return nil
 }

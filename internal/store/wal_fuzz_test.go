@@ -3,47 +3,45 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
-	"hash/crc32"
 	"testing"
+
+	"occusim/internal/wire"
 )
 
-// fuzzFrame builds one well-formed WAL frame — the same framing
-// WAL.append writes — so the corpus starts from real log images
-// instead of random bytes.
-func fuzzFrame(gen uint64, payload []byte) []byte {
-	frame := make([]byte, frameHeaderLen+len(payload))
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint64(frame[8:16], gen)
-	copy(frame[16:], payload)
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(frame[8:], crcTable))
-	return frame
-}
-
-// FuzzWALScan throws arbitrary log images at the recovery scanner and
-// holds it to its contract: never panic, never read past the image,
-// and classify every image into a valid prefix plus either a torn tail
-// (recoverable, truncate) or in-history corruption (loud error). The
-// prefix it blesses must itself be a clean log: re-scanning it yields
-// the same records, and a fresh append after the repair point must be
-// recoverable — the invariants crash recovery stands on.
+// FuzzWALScan throws arbitrary log images at recovery's scanner — the
+// wire package's frame scanner behind the compaction barrier, exactly
+// as replay runs it — and holds it to its contract: never panic, never
+// read past the image, and classify every image into a valid prefix
+// plus either a torn tail (recoverable, truncate) or in-history
+// corruption (loud error). The prefix it blesses must itself be a clean
+// log: re-scanning it yields the same records, and a fresh append after
+// the repair point must be recoverable — the invariants crash recovery
+// stands on.
 func FuzzWALScan(f *testing.F) {
-	one := fuzzFrame(1, []byte(`{"t":"obs","device":"phone"}`))
-	two := append(append([]byte{}, one...), fuzzFrame(2, []byte("second"))...)
+	frame := func(gen uint64, payload []byte) []byte { return wire.AppendLogFrame(nil, gen, payload) }
+	one := frame(1, []byte(`{"t":"evict","device":"phone"}`))
+	two := append(append([]byte{}, one...), frame(2, []byte("second"))...)
 	f.Add([]byte{}, uint64(0))
 	f.Add(one, uint64(0))
-	f.Add(two, uint64(2))                                // barrier skips gen 1
-	f.Add(two[:len(two)-3], uint64(0))                   // torn final frame
-	f.Add(append(one, 0, 0, 0, 0, 0, 0), uint64(0))      // zero-padded tail
-	f.Add(append(one, fuzzFrame(1, nil)...), uint64(0))  // empty payload
+	f.Add(two, uint64(2))                           // barrier skips gen 1
+	f.Add(two[:len(two)-3], uint64(0))              // torn final frame
+	f.Add(append(one, 0, 0, 0, 0, 0, 0), uint64(0)) // zero-padded tail
+	f.Add(append(one, frame(1, nil)...), uint64(0)) // empty payload
 	corrupt := append([]byte{}, two...)
 	corrupt[len(one)+20] ^= 0xff // flip a byte inside the second frame's payload
 	f.Add(corrupt, uint64(0))
 	bad := append([]byte{}, one...)
-	bad[4] ^= 0xff // break the first checksum with live data after it
+	bad[5] ^= 0xff // break the first checksum with live data after it
 	f.Add(append(bad, one...), uint64(0))
-	huge := make([]byte, frameHeaderLen)
-	binary.LittleEndian.PutUint32(huge[0:4], uint32(maxFrameLen+1))
+	huge := make([]byte, wire.LogFrameHeaderLen)
+	huge[0] = wire.LogVersion
+	binary.LittleEndian.PutUint32(huge[1:5], uint32(wire.MaxFramePayload+1))
 	f.Add(append(huge, 0xab), uint64(0))
+	torn := frame(3, []byte("only the header landed"))
+	for i := 9; i < len(torn); i++ {
+		torn[i] = 0
+	}
+	f.Add(append(append([]byte{}, one...), torn...), uint64(0)) // header over preallocated zeros
 
 	f.Fuzz(func(t *testing.T, data []byte, barrier uint64) {
 		var payloads [][]byte
@@ -51,7 +49,7 @@ func FuzzWALScan(f *testing.F) {
 			payloads = append(payloads, append([]byte(nil), p...))
 			return nil
 		}
-		valid, err := scanFrames(data, barrier, collect)
+		valid, err := scanLive(data, barrier, collect)
 		if valid < 0 || valid > len(data) {
 			t.Fatalf("valid prefix %d outside [0, %d]", valid, len(data))
 		}
@@ -60,7 +58,7 @@ func FuzzWALScan(f *testing.F) {
 		// same records and no tail at all. This is what the repair
 		// truncation relies on.
 		var again [][]byte
-		revalid, reerr := scanFrames(data[:valid], barrier, func(p []byte) error {
+		revalid, reerr := scanLive(data[:valid], barrier, func(p []byte) error {
 			again = append(again, append([]byte(nil), p...))
 			return nil
 		})
@@ -79,10 +77,10 @@ func FuzzWALScan(f *testing.F) {
 		// After the repair point, the log must accept new frames: a
 		// fresh live frame appended to the prefix is found by recovery.
 		if err == nil {
-			appended := append(append([]byte(nil), data[:valid]...), fuzzFrame(barrier, []byte("post-repair"))...)
+			appended := append(append([]byte(nil), data[:valid]...), frame(barrier, []byte("post-repair"))...)
 			n := 0
 			last := []byte(nil)
-			av, aerr := scanFrames(appended, barrier, func(p []byte) error {
+			av, aerr := scanLive(appended, barrier, func(p []byte) error {
 				n++
 				last = append([]byte(nil), p...)
 				return nil

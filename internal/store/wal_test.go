@@ -9,6 +9,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"occusim/internal/obs"
+	"occusim/internal/wire"
 )
 
 // openTestWAL opens a 2-stripe WAL with no explicit syncing — the
@@ -71,6 +74,9 @@ func TestWALEmptyReplay(t *testing.T) {
 	}
 }
 
+// frameHeaderLen is the log frame's fixed prefix.
+const frameHeaderLen = wire.LogFrameHeaderLen
+
 // frameLen is the on-disk size of one frame carrying payload p.
 func frameLen(p string) int { return frameHeaderLen + len(p) }
 
@@ -79,10 +85,10 @@ func frameLen(p string) int { return frameHeaderLen + len(p) }
 // short — and requires recovery to keep the full prefix, drop the torn
 // tail, repair the file, and accept appends afterwards.
 func TestWALTornFinalRecord(t *testing.T) {
-	payloads := []string{"alpha", "bravo-bravo", "charlie"}
+	payloads := []string{"alpha", "bravo-br", "charlie"}
 	prefix := frameLen(payloads[0]) + frameLen(payloads[1])
 	cuts := []int{
-		prefix + 2,                         // inside the length/crc header
+		prefix + 3,                         // inside the length/crc header
 		prefix + frameHeaderLen,            // header complete, payload absent
 		prefix + frameHeaderLen + 3,        // mid-payload
 		prefix + frameLen(payloads[2]) - 1, // one byte short
@@ -102,7 +108,7 @@ func TestWALTornFinalRecord(t *testing.T) {
 			w2 := openTestWAL(t, dir)
 			defer w2.Close()
 			_, stripes := replayAll(t, w2)
-			want := []string{"alpha", "bravo-bravo"}
+			want := payloads[:2:2]
 			if got := stripes[0]; strings.Join(got, ",") != strings.Join(want, ",") {
 				t.Fatalf("recovered %v, want %v", got, want)
 			}
@@ -269,5 +275,115 @@ func TestWALRandomCrashPointReplay(t *testing.T) {
 			t.Fatalf("cut=%d: recovered %d records %v, want prefix of %d", cut, len(got), got, wantN)
 		}
 		wc.Close()
+	}
+}
+
+// gaugeValue reads a scalar series off the registry's snapshot.
+func gaugeValue(t *testing.T, m *obs.Metrics, name string) float64 {
+	t.Helper()
+	snap := m.TakeSnapshot()
+	if v, ok := snap.Gauges[name]; ok {
+		return v
+	}
+	if v, ok := snap.Counters[name]; ok {
+		return v
+	}
+	t.Fatalf("series %s not registered", name)
+	return 0
+}
+
+// TestWALCompactFailureIsCountedAndHarmless: a snapshot write that
+// fails must not count as a compaction, must be counted and
+// flight-recorded as an error, and must leave the old snapshot and the
+// full log recovering exactly what they held.
+func TestWALCompactFailureIsCountedAndHarmless(t *testing.T) {
+	dir := t.TempDir()
+	w := openTestWAL(t, dir)
+	m := obs.New()
+	w.Instrument(m)
+	appendAll(t, w, 0, "pre-1")
+	if err := w.Compact(func(out io.Writer) error {
+		_, err := out.Write([]byte("GOOD"))
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	appendAll(t, w, 0, "post-1", "post-2")
+	appendAll(t, w, 1, "other")
+	sizeBefore := w.Size()
+
+	boom := fmt.Errorf("disk full (injected)")
+	err := w.Compact(func(out io.Writer) error {
+		_, _ = out.Write([]byte("HALF-WRITTEN"))
+		return boom
+	})
+	if err == nil || !strings.Contains(err.Error(), boom.Error()) {
+		t.Fatalf("failed snapshot write returned %v", err)
+	}
+	if got := gaugeValue(t, m, "wal_compactions_total"); got != 1 {
+		t.Fatalf("wal_compactions_total = %v after one success and one failure, want 1", got)
+	}
+	if got := gaugeValue(t, m, "wal_compact_errors_total"); got != 1 {
+		t.Fatalf("wal_compact_errors_total = %v, want 1", got)
+	}
+	var recorded bool
+	for _, e := range m.Recorder().Snapshot() {
+		if e.Kind == obs.EventCompactError && e.Fields["error"] == boom.Error() {
+			recorded = true
+		}
+	}
+	if !recorded {
+		t.Fatalf("no %s event carrying the error text in %v", obs.EventCompactError, m.Recorder().Snapshot())
+	}
+	if w.Size() != sizeBefore {
+		t.Fatalf("failed compaction moved the log size: %d → %d", sizeBefore, w.Size())
+	}
+	// Abandon w (no Close: the crash) and recover from the directory.
+	w2 := openTestWAL(t, dir)
+	defer w2.Close()
+	r, ok, err := w2.Snapshot()
+	if err != nil || !ok {
+		t.Fatalf("old snapshot gone (ok=%v err=%v)", ok, err)
+	}
+	blob, _ := io.ReadAll(r)
+	r.Close()
+	if string(blob) != "GOOD" {
+		t.Fatalf("snapshot is %q, want the last successful one", blob)
+	}
+	_, stripes := replayAll(t, w2)
+	if got := strings.Join(stripes[0], ",") + "|" + strings.Join(stripes[1], ","); got != "post-1,post-2|other" {
+		t.Fatalf("recovered %q, want the full log since the good snapshot", got)
+	}
+	if leftovers, _ := filepath.Glob(filepath.Join(dir, "*.tmp-*")); len(leftovers) != 0 {
+		t.Fatalf("failed compaction left temp files: %v", leftovers)
+	}
+}
+
+// TestWALSizeGaugeSumsLogs: every WAL instrumented on one registry
+// feeds the same wal_size_bytes series, so an in-process shard pool
+// reads as the sum of its logs, not as whichever registered first.
+func TestWALSizeGaugeSumsLogs(t *testing.T) {
+	m := obs.New()
+	a := openTestWAL(t, t.TempDir())
+	defer a.Close()
+	b := openTestWAL(t, t.TempDir())
+	defer b.Close()
+	appendAll(t, a, 0, "logged before Instrument")
+	a.Instrument(m)
+	b.Instrument(m)
+	appendAll(t, a, 1, "alpha")
+	appendAll(t, b, 0, "bravo", "charlie-charlie")
+	if a.Size() == 0 || b.Size() == 0 || a.Size() == b.Size() {
+		t.Fatalf("want two distinct nonzero sizes, got %d and %d", a.Size(), b.Size())
+	}
+	if got, want := gaugeValue(t, m, "wal_size_bytes"), float64(a.Size()+b.Size()); got != want {
+		t.Fatalf("wal_size_bytes = %v, want the sum %v", got, want)
+	}
+	a.Instrument(m) // re-instrumenting must not count a's bytes twice
+	if err := a.Compact(func(io.Writer) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := gaugeValue(t, m, "wal_size_bytes"), float64(b.Size()); got != want {
+		t.Fatalf("wal_size_bytes = %v after compacting one log, want the other's %v", got, want)
 	}
 }

@@ -6,12 +6,16 @@
 //
 //	[0]    version byte (Version)
 //	[1:5]  u32 LE payload length
-//	[5:9]  u32 CRC32-C of the payload
+//	[5:9]  u32 CRC32-C of the rest of the frame
 //	[9:…]  payload
 //
-// The payload is one batch record in the same style as the store WAL's
-// binary observation records (PR 6): a u32 LE report count, then per
-// report a uvarint-length device name, the 8 raw bits of the float64
+// A write-ahead-log frame (LogVersion) is the same header followed by
+// a u64 LE compaction generation, then the payload; the checksum covers
+// both. One scanner, one checksum and one tail contract serve uploads,
+// the store's logs and its snapshot sections.
+//
+// The batch payload is a u32 LE report count, then per report a
+// uvarint-length device name, the 8 raw bits of the float64
 // report time (NaN/Inf-safe — no text round-trip), uvarint epoch and
 // sequence stamps, a uvarint beacon count, and per beacon a fixed
 // 36-byte record: 16-byte UUID, u16 LE major, u16 LE minor, and the
@@ -25,11 +29,13 @@
 // interned per Batch so a steady-state decode of a chatty fleet
 // allocates nothing.
 //
-// The frame scanner follows the WAL scanner's recovery contract: a
-// stream is a valid prefix of whole frames, then either a torn tail
-// (truncated mid-frame: not an error, the prefix stands) or corruption
-// (bad version, oversized length, CRC mismatch: a loud error). HTTP
-// faces additionally require the valid prefix to cover the whole body.
+// The frame scanner is the WAL's recovery scanner: a stream is a valid
+// prefix of whole frames, then either a torn tail (truncated mid-frame,
+// or a damaged frame with nothing but preallocated zeros behind its
+// header: not an error, the prefix stands) or corruption (bad version,
+// oversized length, CRC mismatch with real data after it: a loud
+// error). HTTP faces additionally require the valid prefix to cover
+// the whole body.
 //
 // Pre-split uploads concatenate sections, each a uvarint-length shard
 // name followed by one frame, so a gateway whose ring digest matches
@@ -41,16 +47,22 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math"
 	"sync"
 
 	"occusim/internal/ibeacon"
 )
 
-// Version is the frame format version this package speaks. A decoder
-// rejects frames with any other version byte, which is how the format
-// evolves: bump the byte, teach the decoder both.
+// Version is the upload frame's version byte. A decoder rejects frames
+// with an unknown version byte, which is how the format evolves: bump
+// the byte, teach the decoder both.
 const Version = 0x01
+
+// LogVersion is the write-ahead-log frame's version byte: its header
+// carries the compaction generation between the checksum and the
+// payload (see AppendLogFrame).
+const LogVersion = 0x02
 
 // ContentType negotiates the binary codec over HTTP. A server that
 // does not speak it answers 415 and the client downgrades to JSON.
@@ -69,9 +81,13 @@ const MaxFramePayload = 1 << 26
 // frameHeaderLen is version + length + CRC.
 const frameHeaderLen = 1 + 4 + 4
 
-// beaconWire is the fixed per-beacon encoding: UUID + major + minor +
+// LogFrameHeaderLen is a log frame's fixed prefix: the upload header
+// plus the generation word.
+const LogFrameHeaderLen = frameHeaderLen + 8
+
+// BeaconLen is the fixed per-beacon encoding: UUID + major + minor +
 // distance bits + RSSI bits.
-const beaconWire = 16 + 2 + 2 + 8 + 8
+const BeaconLen = 16 + 2 + 2 + 8 + 8
 
 // minReportWire is the smallest possible per-report encoding (empty
 // device name, zero stamps, no beacons); the count guard divides by it.
@@ -183,69 +199,121 @@ func AppendPayload(dst []byte, b *Batch) []byte {
 		span := b.ReportBeacons(i)
 		dst = binary.AppendUvarint(dst, uint64(len(span)))
 		for _, bc := range span {
-			dst = append(dst, bc.ID.UUID[:]...)
-			dst = binary.LittleEndian.AppendUint16(dst, bc.ID.Major)
-			dst = binary.LittleEndian.AppendUint16(dst, bc.ID.Minor)
-			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(bc.Distance))
-			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(bc.RSSI))
+			dst = AppendBeacon(dst, bc)
 		}
 	}
 	return dst
+}
+
+// AppendBeacon appends one beacon's fixed 36-byte encoding.
+func AppendBeacon(dst []byte, bc Beacon) []byte {
+	dst = append(dst, bc.ID.UUID[:]...)
+	dst = binary.LittleEndian.AppendUint16(dst, bc.ID.Major)
+	dst = binary.LittleEndian.AppendUint16(dst, bc.ID.Minor)
+	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(bc.Distance))
+	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(bc.RSSI))
+}
+
+// BeaconAt decodes the beacon encoded in raw[:BeaconLen].
+func BeaconAt(raw []byte) (bc Beacon) {
+	copy(bc.ID.UUID[:], raw[:16])
+	bc.ID.Major = binary.LittleEndian.Uint16(raw[16:18])
+	bc.ID.Minor = binary.LittleEndian.Uint16(raw[18:20])
+	bc.Distance = math.Float64frombits(binary.LittleEndian.Uint64(raw[20:28]))
+	bc.RSSI = math.Float64frombits(binary.LittleEndian.Uint64(raw[28:36]))
+	return bc
 }
 
 // AppendFrame appends one complete frame (header + batch payload).
 func AppendFrame(dst []byte, b *Batch) []byte {
 	head := len(dst)
-	dst = append(dst, Version, 0, 0, 0, 0, 0, 0, 0, 0)
-	dst = AppendPayload(dst, b)
-	payload := dst[head+frameHeaderLen:]
-	binary.LittleEndian.PutUint32(dst[head+1:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(dst[head+5:], crc32.Checksum(payload, crcTable))
+	dst = AppendPayload(BeginFrame(dst), b)
+	EndFrame(dst, head)
 	return dst
 }
 
-// frameAt validates the frame starting data[0] and returns its payload
-// and total size. A truncated frame returns ErrShortFrame; a corrupt
-// one (wrong version, oversized length, CRC mismatch) a loud error.
-func frameAt(data []byte) (payload []byte, size int, err error) {
+// BeginFrame appends an upload frame header with its length and
+// checksum still open; the caller appends the payload and closes the
+// frame with EndFrame. The pair frames content that is produced
+// incrementally (a snapshot section) without a second copy.
+func BeginFrame(dst []byte) []byte {
+	return append(dst, Version, 0, 0, 0, 0, 0, 0, 0, 0)
+}
+
+// EndFrame closes the frame BeginFrame opened at dst[head]: everything
+// appended since is its payload.
+func EndFrame(dst []byte, head int) {
+	payload := dst[head+frameHeaderLen:]
+	binary.LittleEndian.PutUint32(dst[head+1:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(dst[head+5:], crc32.Checksum(payload, crcTable))
+}
+
+// AppendLogFrame appends one write-ahead-log frame: the payload under
+// the generation it was logged in, both covered by the checksum.
+func AppendLogFrame(dst []byte, gen uint64, payload []byte) []byte {
+	head := len(dst)
+	dst = append(dst, LogVersion, 0, 0, 0, 0, 0, 0, 0, 0)
+	dst = binary.LittleEndian.AppendUint64(dst, gen)
+	dst = append(dst, payload...)
+	binary.LittleEndian.PutUint32(dst[head+1:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(dst[head+5:], crc32.Checksum(dst[head+frameHeaderLen:], crcTable))
+	return dst
+}
+
+// frameAt validates the frame starting data[0] and returns its
+// generation (0 for an upload frame), payload and total size. A
+// truncated frame returns ErrShortFrame; a corrupt one (wrong version,
+// oversized length, CRC mismatch) a loud error.
+func frameAt(data []byte) (gen uint64, payload []byte, size int, err error) {
 	if len(data) < frameHeaderLen {
-		return nil, 0, ErrShortFrame
+		return 0, nil, 0, ErrShortFrame
 	}
-	if data[0] != Version {
-		return nil, 0, fmt.Errorf("wire: unknown frame version 0x%02x", data[0])
+	hdr := frameHeaderLen
+	switch data[0] {
+	case Version:
+	case LogVersion:
+		hdr = LogFrameHeaderLen
+	default:
+		return 0, nil, 0, fmt.Errorf("wire: unknown frame version 0x%02x", data[0])
 	}
 	n := binary.LittleEndian.Uint32(data[1:5])
 	if n > MaxFramePayload {
-		return nil, 0, fmt.Errorf("wire: frame payload %d exceeds limit %d", n, MaxFramePayload)
+		return 0, nil, 0, fmt.Errorf("wire: frame payload %d exceeds limit %d", n, MaxFramePayload)
 	}
-	size = frameHeaderLen + int(n)
+	size = hdr + int(n)
 	if len(data) < size {
-		return nil, 0, ErrShortFrame
+		return 0, nil, 0, ErrShortFrame
 	}
-	payload = data[frameHeaderLen:size]
-	if got, want := crc32.Checksum(payload, crcTable), binary.LittleEndian.Uint32(data[5:9]); got != want {
-		return nil, 0, fmt.Errorf("wire: frame checksum mismatch (got %08x want %08x)", got, want)
+	if got, want := crc32.Checksum(data[frameHeaderLen:size], crcTable), binary.LittleEndian.Uint32(data[5:9]); got != want {
+		return 0, nil, 0, fmt.Errorf("wire: frame checksum mismatch (got %08x want %08x)", got, want)
 	}
-	return payload, size, nil
+	if hdr == LogFrameHeaderLen {
+		gen = binary.LittleEndian.Uint64(data[frameHeaderLen:])
+	}
+	return gen, data[hdr:size], size, nil
 }
 
 // Scan walks a stream of concatenated frames, calling fn with each
-// validated payload, and returns the length of the valid prefix. The
-// contract mirrors the WAL scanner's: a torn final frame (the stream
-// ends mid-frame) is not an error — valid stops before it; corruption
-// inside the stream (bad version, oversized length, checksum mismatch)
-// is an error with valid marking the last good boundary. fn errors
-// abort the scan and are returned verbatim.
-func Scan(data []byte, fn func(payload []byte) error) (valid int, err error) {
+// validated frame's generation and payload, and returns the length of
+// the valid prefix — the pure, fuzzable core of WAL recovery. A torn
+// final frame is not an error, valid stops before it: the stream ends
+// mid-frame, or the frame is damaged and nothing but zeros follows its
+// header (filesystems can expose preallocated zero blocks after a
+// crash). Damage with real data after it — bad version, oversized
+// length, checksum mismatch — means committed history was hit, and is
+// an error with valid marking the last good boundary: recovery must
+// refuse rather than silently drop records. fn errors abort the scan
+// and are returned verbatim.
+func Scan(data []byte, fn func(gen uint64, payload []byte) error) (valid int, err error) {
 	for valid < len(data) {
-		payload, size, err := frameAt(data[valid:])
-		if err == ErrShortFrame {
+		gen, payload, size, err := frameAt(data[valid:])
+		if err == ErrShortFrame || (err != nil && zeroTail(data[valid:])) {
 			return valid, nil
 		}
 		if err != nil {
-			return valid, err
+			return valid, fmt.Errorf("%w at offset %d", err, valid)
 		}
-		if err := fn(payload); err != nil {
+		if err := fn(gen, payload); err != nil {
 			return valid, err
 		}
 		valid += size
@@ -253,80 +321,95 @@ func Scan(data []byte, fn func(payload []byte) error) (valid int, err error) {
 	return valid, nil
 }
 
+// zeroTail reports whether a damaged frame is all zeros past its
+// version, length and checksum — a torn final write over preallocated
+// blocks, not damaged history. An unknown version byte gets no such
+// allowance: it must itself be zero. frame holds a whole header
+// (frameAt reports anything shorter as ErrShortFrame).
+func zeroTail(frame []byte) bool {
+	skip := 0
+	if frame[0] == Version || frame[0] == LogVersion {
+		skip = frameHeaderLen
+	}
+	for _, x := range frame[skip:] {
+		if x != 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // DecodePayload decodes one batch record into b (which is Reset
 // first). Decoded device names are interned per Batch.
 func DecodePayload(payload []byte, b *Batch) error {
 	b.Reset()
-	r := payloadReader{buf: payload}
-	count, err := r.u32()
+	r := Reader{Buf: payload}
+	count, err := r.reportCount()
 	if err != nil {
 		return err
 	}
-	// A corrupt count must not drive allocation: every report costs at
-	// least minReportWire bytes of payload.
-	if uint64(count) > uint64(len(payload))/minReportWire+1 {
-		return fmt.Errorf("wire: report count %d exceeds payload", count)
-	}
 	for i := uint32(0); i < count; i++ {
-		dn, err := r.uvarint()
+		dev, at, epoch, seq, beacons, err := r.reportHead()
 		if err != nil {
 			return err
 		}
-		dev, err := r.bytes(dn)
-		if err != nil {
-			return err
-		}
-		atBits, err := r.u64()
-		if err != nil {
-			return err
-		}
-		epoch, err := r.uvarint()
-		if err != nil {
-			return err
-		}
-		seq, err := r.uvarint()
-		if err != nil {
-			return err
-		}
-		bn, err := r.uvarint()
-		if err != nil {
-			return err
-		}
-		if bn > uint64(len(r.buf))/beaconWire {
-			return fmt.Errorf("wire: beacon count %d exceeds payload", bn)
-		}
-		b.AddReport(b.internDevice(dev), math.Float64frombits(atBits), epoch, seq)
-		for k := uint64(0); k < bn; k++ {
-			raw, err := r.bytes(beaconWire)
-			if err != nil {
-				return err
-			}
-			var bc Beacon
-			copy(bc.ID.UUID[:], raw[:16])
-			bc.ID.Major = binary.LittleEndian.Uint16(raw[16:18])
-			bc.ID.Minor = binary.LittleEndian.Uint16(raw[18:20])
-			bc.Distance = math.Float64frombits(binary.LittleEndian.Uint64(raw[20:28]))
-			bc.RSSI = math.Float64frombits(binary.LittleEndian.Uint64(raw[28:36]))
-			b.AddBeacon(bc)
+		b.AddReport(b.internDevice(dev), at, epoch, seq)
+		for raw := r.Bytes(beacons * BeaconLen); len(raw) > 0; raw = raw[BeaconLen:] {
+			b.AddBeacon(BeaconAt(raw))
 		}
 	}
-	if len(r.buf) != 0 {
-		return fmt.Errorf("wire: %d trailing bytes after batch record", len(r.buf))
-	}
-	return nil
+	return r.end()
 }
 
 // DecodeFrame validates and decodes the single frame that must span
 // exactly data — the shape HTTP request bodies arrive in.
 func DecodeFrame(data []byte, b *Batch) error {
-	payload, size, err := frameAt(data)
+	_, err := DecodeFramePayload(data, b)
+	return err
+}
+
+// DecodeFramePayload is DecodeFrame that also returns the validated
+// payload (a view into data) — what a durable shard logs verbatim.
+func DecodeFramePayload(data []byte, b *Batch) (payload []byte, err error) {
+	_, payload, size, err := frameAt(data)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if size != len(data) {
-		return fmt.Errorf("wire: %d trailing bytes after frame", len(data)-size)
+		return nil, fmt.Errorf("wire: %d trailing bytes after frame", len(data)-size)
 	}
-	return DecodePayload(payload, b)
+	return payload, DecodePayload(payload, b)
+}
+
+// ReadFrame reads one upload-version frame from r into *buf (grown as
+// needed) and returns its validated payload, a view into *buf that the
+// next call overwrites — the streaming twin of Scan for readers that
+// must not hold the whole stream. A stream that ends on a frame
+// boundary returns io.EOF; one that ends mid-frame, or fails its
+// checksum, is an error: a streamed reader has no tail to forgive.
+func ReadFrame(r io.Reader, buf *[]byte) ([]byte, error) {
+	var hdr [frameHeaderLen]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return nil, err
+	}
+	n := binary.LittleEndian.Uint32(hdr[1:5])
+	if hdr[0] != Version || n > MaxFramePayload {
+		return nil, fmt.Errorf("wire: bad frame header (version 0x%02x, payload %d)", hdr[0], n)
+	}
+	if uint32(cap(*buf)) < n {
+		*buf = make([]byte, n)
+	}
+	payload := (*buf)[:n]
+	if _, err := io.ReadFull(r, payload); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return nil, err
+	}
+	if got, want := crc32.Checksum(payload, crcTable), binary.LittleEndian.Uint32(hdr[5:9]); got != want {
+		return nil, fmt.Errorf("wire: frame checksum mismatch (got %08x want %08x)", got, want)
+	}
+	return payload, nil
 }
 
 // ScanReports walks a batch payload's per-report metadata — device,
@@ -335,53 +418,22 @@ func DecodeFrame(data []byte, b *Batch) error {
 // and fencing need names and times, never beacon contents. The device
 // slice is a view into payload, valid only during fn.
 func ScanReports(payload []byte, fn func(device []byte, at float64, epoch, seq uint64) error) (int, error) {
-	r := payloadReader{buf: payload}
-	count, err := r.u32()
+	r := Reader{Buf: payload}
+	count, err := r.reportCount()
 	if err != nil {
 		return 0, err
 	}
-	if uint64(count) > uint64(len(payload))/minReportWire+1 {
-		return 0, fmt.Errorf("wire: report count %d exceeds payload", count)
-	}
 	for i := uint32(0); i < count; i++ {
-		dn, err := r.uvarint()
+		dev, at, epoch, seq, beacons, err := r.reportHead()
 		if err != nil {
 			return 0, err
 		}
-		dev, err := r.bytes(dn)
-		if err != nil {
-			return 0, err
-		}
-		atBits, err := r.u64()
-		if err != nil {
-			return 0, err
-		}
-		epoch, err := r.uvarint()
-		if err != nil {
-			return 0, err
-		}
-		seq, err := r.uvarint()
-		if err != nil {
-			return 0, err
-		}
-		bn, err := r.uvarint()
-		if err != nil {
-			return 0, err
-		}
-		if bn > uint64(len(r.buf))/beaconWire {
-			return 0, fmt.Errorf("wire: beacon count %d exceeds payload", bn)
-		}
-		if _, err := r.bytes(bn * beaconWire); err != nil {
-			return 0, err
-		}
-		if err := fn(dev, math.Float64frombits(atBits), epoch, seq); err != nil {
+		r.Bytes(beacons * BeaconLen)
+		if err := fn(dev, at, epoch, seq); err != nil {
 			return 0, err
 		}
 	}
-	if len(r.buf) != 0 {
-		return 0, fmt.Errorf("wire: %d trailing bytes after batch record", len(r.buf))
-	}
-	return int(count), nil
+	return int(count), r.end()
 }
 
 // AppendSection appends one pre-split section header (uvarint-length
@@ -407,7 +459,7 @@ func ScanSections(data []byte, fn func(shard []byte, frame, payload []byte) erro
 		off += sz
 		shard := data[off : off+int(n)]
 		off += int(n)
-		payload, size, err := frameAt(data[off:])
+		_, payload, size, err := frameAt(data[off:])
 		if err != nil {
 			return err
 		}
@@ -453,41 +505,93 @@ func PutBuf(b *[]byte) {
 	}
 }
 
-// payloadReader is a bounds-checked cursor over one payload.
-type payloadReader struct{ buf []byte }
-
-func (r *payloadReader) u32() (uint32, error) {
-	if len(r.buf) < 4 {
-		return 0, ErrShortFrame
-	}
-	v := binary.LittleEndian.Uint32(r.buf)
-	r.buf = r.buf[4:]
-	return v, nil
+// Reader is a bounds-checked cursor over one payload: the batch
+// decoder's, and the one the shard's snapshot sections are read with. A
+// read past the end sets Short and yields zeros from then on, so a
+// decode loop checks once per item instead of once per field.
+type Reader struct {
+	Buf   []byte // what is left
+	Short bool
 }
 
-func (r *payloadReader) u64() (uint64, error) {
-	if len(r.buf) < 8 {
-		return 0, ErrShortFrame
+// Bytes takes the next n bytes (a view into the payload).
+func (r *Reader) Bytes(n uint64) []byte {
+	if r.Short || n > uint64(len(r.Buf)) {
+		r.Short = true
+		return nil
 	}
-	v := binary.LittleEndian.Uint64(r.buf)
-	r.buf = r.buf[8:]
-	return v, nil
+	b := r.Buf[:n]
+	r.Buf = r.Buf[n:]
+	return b
 }
 
-func (r *payloadReader) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(r.buf)
-	if n <= 0 {
-		return 0, ErrShortFrame
+// U32 takes a little-endian u32.
+func (r *Reader) U32() uint32 {
+	if r.Short || len(r.Buf) < 4 {
+		r.Short = true
+		return 0
 	}
-	r.buf = r.buf[n:]
-	return v, nil
+	v := binary.LittleEndian.Uint32(r.Buf)
+	r.Buf = r.Buf[4:]
+	return v
 }
 
-func (r *payloadReader) bytes(n uint64) ([]byte, error) {
-	if n > uint64(len(r.buf)) {
-		return nil, ErrShortFrame
+// U64 takes a little-endian u64.
+func (r *Reader) U64() uint64 {
+	if r.Short || len(r.Buf) < 8 {
+		r.Short = true
+		return 0
 	}
-	b := r.buf[:n]
-	r.buf = r.buf[n:]
-	return b, nil
+	v := binary.LittleEndian.Uint64(r.Buf)
+	r.Buf = r.Buf[8:]
+	return v
+}
+
+// Uvarint takes a uvarint.
+func (r *Reader) Uvarint() uint64 {
+	v, n := binary.Uvarint(r.Buf)
+	if r.Short || n <= 0 {
+		r.Short = true
+		return 0
+	}
+	r.Buf = r.Buf[n:]
+	return v
+}
+
+// reportCount reads a batch record's report count. A corrupt count must
+// not drive allocation: every report costs at least minReportWire bytes
+// of payload.
+func (r *Reader) reportCount() (uint32, error) {
+	size := uint64(len(r.Buf))
+	count := r.U32()
+	if r.Short {
+		return 0, ErrShortFrame
+	}
+	if uint64(count) > size/minReportWire+1 {
+		return 0, fmt.Errorf("wire: report count %d exceeds payload", count)
+	}
+	return count, nil
+}
+
+// reportHead reads one report up to its beacons, and checks that the
+// beacons it announces are there.
+func (r *Reader) reportHead() (device []byte, at float64, epoch, seq, beacons uint64, err error) {
+	device = r.Bytes(r.Uvarint())
+	at = math.Float64frombits(r.U64())
+	epoch, seq, beacons = r.Uvarint(), r.Uvarint(), r.Uvarint()
+	switch {
+	case r.Short:
+		err = ErrShortFrame
+	case beacons > uint64(len(r.Buf))/BeaconLen:
+		err = fmt.Errorf("wire: beacon count %d exceeds payload", beacons)
+	}
+	return device, at, epoch, seq, beacons, err
+}
+
+// end checks that the batch record used the payload up.
+func (r *Reader) end() error {
+	if len(r.Buf) != 0 {
+		return fmt.Errorf("wire: %d trailing bytes after batch record", len(r.Buf))
+	}
+	return nil
 }

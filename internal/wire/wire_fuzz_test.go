@@ -8,10 +8,10 @@ import (
 )
 
 // FuzzWireFrame throws arbitrary byte streams at the frame scanner and
-// holds it to the WAL scanner's recovery contract: never panic, never
-// read past the image, and classify every stream into a valid prefix
-// of whole frames plus either a torn tail (not an error) or corruption
-// (a loud error). The blessed prefix must itself be a clean stream —
+// holds it to the recovery contract the WAL stands on: never panic,
+// never read past the image, and classify every stream into a valid
+// prefix of whole frames plus either a torn tail (not an error) or
+// corruption (a loud error). The blessed prefix must itself be a clean stream —
 // re-scanning it yields the same frames — and every payload the
 // scanner hands out must decode.
 func FuzzWireFrame(f *testing.F) {
@@ -34,10 +34,13 @@ func FuzzWireFrame(f *testing.F) {
 	huge[0] = Version
 	binary.LittleEndian.PutUint32(huge[1:5], uint32(MaxFramePayload+1))
 	f.Add(append(huge, 0xab))
+	logged := AppendLogFrame(append([]byte(nil), one...), 9, []byte("log record"))
+	f.Add(logged)
+	f.Add(append(logged, make([]byte, 24)...)) // preallocated zero tail
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var payloads [][]byte
-		valid, err := Scan(data, func(p []byte) error {
+		valid, err := Scan(data, func(_ uint64, p []byte) error {
 			payloads = append(payloads, append([]byte(nil), p...))
 			return nil
 		})
@@ -46,12 +49,17 @@ func FuzzWireFrame(f *testing.F) {
 		}
 		if err == nil && valid < len(data) {
 			// A clean stop short of the end must be a torn tail: the
-			// remainder is too short to hold another whole frame.
+			// remainder is too short to hold the frame it announces, or
+			// is all zeros behind that frame's header.
 			rest := data[valid:]
-			if len(rest) >= frameHeaderLen {
+			if len(rest) >= frameHeaderLen && !zeroTail(rest) {
+				hdr := frameHeaderLen
+				if rest[0] == LogVersion {
+					hdr = LogFrameHeaderLen
+				}
 				n := binary.LittleEndian.Uint32(rest[1:5])
-				if rest[0] == Version && n <= MaxFramePayload && len(rest) >= frameHeaderLen+int(n) {
-					t.Fatalf("scanner stopped at %d with a whole decodable frame remaining", valid)
+				if (rest[0] != Version && rest[0] != LogVersion) || n > MaxFramePayload || len(rest) >= hdr+int(n) {
+					t.Fatalf("scanner stopped at %d without an error, with a whole or damaged frame and live data remaining", valid)
 				}
 			}
 		}
@@ -59,7 +67,7 @@ func FuzzWireFrame(f *testing.F) {
 		// The blessed prefix is a clean stream: scanning it again finds
 		// the same frames and no tail at all.
 		var again [][]byte
-		revalid, reerr := Scan(data[:valid], func(p []byte) error {
+		revalid, reerr := Scan(data[:valid], func(_ uint64, p []byte) error {
 			again = append(again, append([]byte(nil), p...))
 			return nil
 		})
@@ -88,7 +96,7 @@ func FuzzWireFrame(f *testing.F) {
 		next.AddReport("appended", 2, 3, 4)
 		extended := AppendFrame(append([]byte(nil), data[:valid]...), next)
 		n := 0
-		exvalid, exerr := Scan(extended, func([]byte) error { n++; return nil })
+		exvalid, exerr := Scan(extended, func(uint64, []byte) error { n++; return nil })
 		if exerr != nil || exvalid != len(extended) || n != len(payloads)+1 {
 			t.Fatalf("append after repair: valid=%d/%d frames=%d err=%v, want %d frames",
 				exvalid, len(extended), n, exerr, len(payloads)+1)

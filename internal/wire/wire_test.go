@@ -1,6 +1,8 @@
 package wire
 
 import (
+	"bytes"
+	"io"
 	"math"
 	"strings"
 	"testing"
@@ -154,7 +156,7 @@ func TestScanWholeStream(t *testing.T) {
 		want++
 	}
 	seen := 0
-	valid, err := Scan(stream, func(payload []byte) error {
+	valid, err := Scan(stream, func(_ uint64, payload []byte) error {
 		seen++
 		return DecodePayload(payload, &Batch{})
 	})
@@ -172,7 +174,7 @@ func TestScanTornTail(t *testing.T) {
 	whole := AppendFrame(nil, sampleBatch())
 	stream := append(append([]byte(nil), whole...), whole[:len(whole)-3]...)
 	frames := 0
-	valid, err := Scan(stream, func([]byte) error { frames++; return nil })
+	valid, err := Scan(stream, func(uint64, []byte) error { frames++; return nil })
 	if err != nil {
 		t.Fatalf("torn tail must not error, got %v", err)
 	}
@@ -198,7 +200,7 @@ func TestScanCorruption(t *testing.T) {
 		stream := append(append([]byte(nil), whole...), whole...)
 		stream = corrupt(stream)
 		frames := 0
-		valid, err := Scan(stream, func([]byte) error { frames++; return nil })
+		valid, err := Scan(stream, func(uint64, []byte) error { frames++; return nil })
 		if err == nil {
 			t.Fatalf("%s: corruption must error", name)
 		}
@@ -207,6 +209,117 @@ func TestScanCorruption(t *testing.T) {
 				name, valid, frames, len(whole))
 		}
 	}
+}
+
+// TestScanLogFrames pins the write-ahead-log frame: generation and
+// payload round-trip, log and upload frames share one stream, and the
+// checksum covers the generation word.
+func TestScanLogFrames(t *testing.T) {
+	stream := AppendLogFrame(nil, 7, []byte("seven"))
+	stream = AppendFrame(stream, sampleBatch())
+	stream = AppendLogFrame(stream, 1<<60, nil)
+	type rec struct {
+		gen     uint64
+		payload string
+	}
+	var got []rec
+	valid, err := Scan(stream, func(gen uint64, p []byte) error {
+		got = append(got, rec{gen, string(p)})
+		return nil
+	})
+	if err != nil || valid != len(stream) {
+		t.Fatalf("Scan: valid=%d/%d err=%v", valid, len(stream), err)
+	}
+	want := []rec{{7, "seven"}, {0, string(AppendPayload(nil, sampleBatch()))}, {1 << 60, ""}}
+	if len(got) != len(want) {
+		t.Fatalf("scanned %d frames, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("frame %d = (%d, %q), want (%d, %q)", i, got[i].gen, got[i].payload, want[i].gen, want[i].payload)
+		}
+	}
+	stream[frameHeaderLen] ^= 0x01 // the first frame's generation
+	if valid, err := Scan(stream, func(uint64, []byte) error { return nil }); err == nil || valid != 0 {
+		t.Fatalf("a flipped generation bit scanned clean: valid=%d err=%v", valid, err)
+	}
+}
+
+// TestScanZeroTail pins the WAL half of the tail contract: a damaged
+// frame with nothing but zeros behind its header is a torn final write
+// over preallocated blocks (valid prefix, no error); the same damage
+// with one real byte after it is corrupted history.
+func TestScanZeroTail(t *testing.T) {
+	whole := AppendLogFrame(nil, 3, []byte("committed"))
+	torn := AppendLogFrame(nil, 3, []byte("torn-write"))
+	for i := frameHeaderLen; i < len(torn); i++ {
+		torn[i] = 0 // only the version, length and checksum landed
+	}
+	cases := map[string][]byte{
+		"preallocated zeros":   make([]byte, 64),
+		"header then zeros":    torn,
+		"header, zeros, zeros": append(append([]byte(nil), torn...), make([]byte, 32)...),
+		"oversized then zeros": append([]byte{LogVersion, 0xff, 0xff, 0xff, 0xff}, make([]byte, 40)...),
+	}
+	for name, tail := range cases {
+		stream := append(append([]byte(nil), whole...), tail...)
+		frames := 0
+		valid, err := Scan(stream, func(uint64, []byte) error { frames++; return nil })
+		if err != nil || valid != len(whole) || frames != 1 {
+			t.Fatalf("%s: valid=%d frames=%d err=%v, want the clean prefix (%d bytes, 1 frame)", name, valid, frames, err, len(whole))
+		}
+		stream = append(stream, 0x5a) // real data after the damage
+		if valid, err := Scan(stream, func(uint64, []byte) error { return nil }); err == nil || valid != len(whole) {
+			t.Fatalf("%s + live byte: valid=%d err=%v, want a loud error at %d", name, valid, err, len(whole))
+		}
+	}
+}
+
+// TestReadFrameStream reads sections back one at a time, reusing one
+// buffer, and refuses a flipped byte, a stream cut mid-frame and a log
+// frame.
+func TestReadFrameStream(t *testing.T) {
+	var stream []byte
+	var want []string
+	for _, p := range []string{"header", "", strings.Repeat("x", 5000), "tail"} {
+		head := len(stream)
+		stream = append(BeginFrame(stream), p...)
+		EndFrame(stream, head)
+		want = append(want, p)
+	}
+	var buf []byte
+	r := bytes.NewReader(stream)
+	for i, w := range want {
+		got, err := ReadFrame(r, &buf)
+		if err != nil || string(got) != w {
+			t.Fatalf("frame %d: %q, %v; want %q", i, got, err, w)
+		}
+	}
+	if _, err := ReadFrame(r, &buf); err != io.EOF {
+		t.Fatalf("clean end of stream: %v, want io.EOF", err)
+	}
+	for name, bad := range map[string][]byte{
+		"cut mid-payload": stream[:len(stream)-2],
+		"cut mid-header":  stream[:len(stream)-len("tail")-3],
+		"flipped payload": flipped(stream, frameHeaderLen+2),
+		"flipped crc":     flipped(stream, 6),
+		"log frame":       AppendLogFrame(nil, 1, []byte("x")),
+	} {
+		r := bytes.NewReader(bad)
+		var err error
+		for err == nil {
+			_, err = ReadFrame(r, &buf)
+		}
+		if err == io.EOF {
+			t.Fatalf("%s: stream read to a clean EOF", name)
+		}
+	}
+}
+
+func flipped(data []byte, at int) []byte {
+	out := append([]byte(nil), data...)
+	out[at] ^= 0x40
+	return out
 }
 
 func TestScanReportsMatchesDecode(t *testing.T) {
