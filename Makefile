@@ -6,7 +6,7 @@ PR ?= 10
 # DIFF_BASE is the previous snapshot bench-diff compares against.
 DIFF_BASE ?= BENCH_PR9.json
 
-.PHONY: all build vet test test-short test-race bench bench-smoke bench-diff loadtest crashtest
+.PHONY: all build vet test test-short test-race allocs bench bench-smoke bench-diff loadtest crashtest
 
 all: vet build test
 
@@ -26,6 +26,17 @@ test-short:
 # the concurrent ingest pipeline surface here.
 test-race:
 	$(GO) test -race ./...
+
+# allocs runs the allocation-budget pins of the binary report path
+# (PERF.md "What changed (PR 13)"): identity parse, device encode, one
+# HTTP exchange, the gateway's forward, the shard's wire ingest, span
+# prediction, frame decode. The counts are deterministic on any box, so
+# a regression fails a PR here instead of hiding in timing noise. Never
+# under -race: the pins skip there, the detector allocates on its own
+# account.
+allocs:
+	$(GO) test -count=1 -run 'TestAllocBudget|TestPredictSpanAllocatesNothing|TestSteadyStateDecodeAllocs|FuzzParseBeaconID' \
+		./internal/ibeacon/ ./internal/wire/ ./internal/classify/ ./internal/transport/ ./internal/bms/ ./internal/fleet/
 
 # bench writes BENCH_PR$(PR).json — the per-PR performance snapshot of
 # every figure-regeneration benchmark (ns/op plus the custom metrics).

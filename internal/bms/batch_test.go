@@ -152,42 +152,6 @@ func mustJSON(t *testing.T, v any) []byte {
 	return data
 }
 
-// TestIDCacheEvictsSingleVictims churns ids far past the intern-cache
-// bound and checks that eviction is incremental: the cache stays exactly
-// at its bound (a full reset would empty it) and keeps answering
-// correctly for fresh and evicted ids alike.
-func TestIDCacheEvictsSingleVictims(t *testing.T) {
-	s, _ := newTestServer(t)
-	total := idCacheMaxEntries + 500
-	for i := 0; i < total; i++ {
-		raw := fmt.Sprintf("2f234454-cf6d-4a0f-adf2-f4911ba9ffa6/%d/%d", i/65536, i%65536)
-		id, err := s.parseBeaconID(raw)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if int(id.Major)*65536+int(id.Minor) != i {
-			t.Fatalf("id %d parsed as %v", i, id)
-		}
-	}
-	s.idMu.RLock()
-	size := len(s.idCache)
-	s.idMu.RUnlock()
-	if size != idCacheMaxEntries {
-		t.Fatalf("cache size after churn = %d, want exactly %d (incremental eviction)", size, idCacheMaxEntries)
-	}
-	// Oldest ids were evicted but still parse (uncached path).
-	if _, err := s.parseBeaconID("2f234454-cf6d-4a0f-adf2-f4911ba9ffa6/0/0"); err != nil {
-		t.Fatal(err)
-	}
-	// Cache stays at the bound after the reinsert.
-	s.idMu.RLock()
-	size = len(s.idCache)
-	s.idMu.RUnlock()
-	if size != idCacheMaxEntries {
-		t.Fatalf("cache size after reinsert = %d, want %d", size, idCacheMaxEntries)
-	}
-}
-
 // TestConcurrentIngest exercises the striped report path from many
 // goroutines (run under -race in CI): per-device report streams ingest
 // concurrently, single and batched, while readers poll occupancy.

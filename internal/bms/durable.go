@@ -216,16 +216,31 @@ func reportTime(seconds float64) time.Duration {
 	return time.Duration(seconds * float64(time.Second))
 }
 
-// wireObservation builds report i of a decoded batch in store form.
-func wireObservation(b *wire.Batch, i int) store.Observation {
-	o := store.Observation{Device: b.Devices[i], At: reportTime(b.At[i]), Epoch: b.Epoch[i], Seq: b.Seq[i]}
-	if span := b.ReportBeacons(i); len(span) > 0 {
-		o.Beacons = make([]store.BeaconDistance, len(span))
-		for k, bc := range span {
-			o.Beacons[k] = store.BeaconDistance(bc)
+// wireObservations renders a decoded batch in store form into obs
+// (len b.Len()). One slab holds the beacons of a run of one device's
+// consecutive reports, each observation capped to its own part of it.
+// Per run, not per batch: the store retains observations per device,
+// and a relay batch of 64 devices must not pin 64 devices' retention to
+// one array.
+func wireObservations(b *wire.Batch, obs []store.Observation) {
+	for i := 0; i < len(obs); {
+		j, beacons := i+1, len(b.ReportBeacons(i))
+		for j < len(obs) && b.Devices[j] == b.Devices[i] {
+			beacons += len(b.ReportBeacons(j))
+			j++
+		}
+		var slab []store.BeaconDistance
+		if beacons > 0 {
+			slab = make([]store.BeaconDistance, 0, beacons)
+		}
+		for ; i < j; i++ {
+			obs[i] = store.Observation{Device: b.Devices[i], At: reportTime(b.At[i]), Epoch: b.Epoch[i], Seq: b.Seq[i]}
+			if span := b.ReportBeacons(i); len(span) > 0 {
+				slab = append(slab, span...)
+				obs[i].Beacons = slab[len(slab)-len(span) : len(slab) : len(slab)]
+			}
 		}
 	}
-	return o
 }
 
 // appendObsRecord encodes one observation record. payload, when
@@ -239,17 +254,7 @@ func appendObsRecord(dst []byte, b *wire.Batch, payload []byte, rooms []string) 
 		dst = wire.AppendPayload(dst, b)
 	}
 	binary.LittleEndian.PutUint32(dst[head-4:], uint32(len(dst)-head))
-	for i := 0; i < len(rooms); {
-		j := i + 1
-		for j < len(rooms) && rooms[j] == rooms[i] {
-			j++
-		}
-		dst = binary.AppendUvarint(dst, uint64(j-i))
-		dst = binary.AppendUvarint(dst, uint64(len(rooms[i])))
-		dst = append(dst, rooms[i]...)
-		i = j
-	}
-	return dst
+	return wire.AppendRooms(dst, rooms)
 }
 
 // errBadObsRecord reports an observation record whose parts disagree.
@@ -259,9 +264,9 @@ func appendObsRecord(dst []byte, b *wire.Batch, payload []byte, rooms []string) 
 var errBadObsRecord = fmt.Errorf("bms: wal replay: malformed observation record")
 
 // decodeObsRecord parses an observation record into b and returns the
-// ingest-time room per report, appended to rooms[:0]. names interns the
-// room strings, so a long replay allocates each distinct name once.
-func decodeObsRecord(rec []byte, b *wire.Batch, rooms []string, names interner) ([]string, error) {
+// ingest-time room per report, in rooms[:0]. names interns the room
+// strings, so a long replay allocates each distinct name once.
+func decodeObsRecord(rec []byte, b *wire.Batch, rooms []string, names wire.Interner) ([]string, error) {
 	if len(rec) == 0 || rec[0] != recObsTag {
 		return nil, errBadObsRecord
 	}
@@ -273,37 +278,12 @@ func decodeObsRecord(rec []byte, b *wire.Batch, rooms []string, names interner) 
 	if err := wire.DecodePayload(payload, b); err != nil {
 		return nil, fmt.Errorf("bms: wal replay: %w", err)
 	}
-	rooms = rooms[:0]
-	for len(rooms) < b.Len() {
-		run, room := r.Uvarint(), names.read(&r)
-		if r.Short || run == 0 || run > uint64(b.Len()-len(rooms)) {
-			return nil, errBadObsRecord
-		}
-		for ; run > 0; run-- {
-			rooms = append(rooms, room)
-		}
-	}
-	if len(r.Buf) != 0 {
+	rooms = r.Rooms(b.Len(), rooms, names)
+	if r.Short || len(rooms) != b.Len() {
 		return nil, errBadObsRecord
 	}
 	return rooms, nil
 }
-
-// interner canonicalises the short strings a log or snapshot repeats
-// (room and device names), so decoding allocates each distinct one once.
-type interner map[string]string
-
-func (in interner) get(raw []byte) string {
-	if s, ok := in[string(raw)]; ok {
-		return s
-	}
-	s := string(raw)
-	in[s] = s
-	return s
-}
-
-// read takes a uvarint-length string off r.
-func (in interner) read(r *wire.Reader) string { return in.get(r.Bytes(r.Uvarint())) }
 
 // logReports logs the JSON ingest faces' reports: the same record, from
 // the same encoder, as the binary face. obs[i] is reports[i] parsed;
@@ -406,7 +386,7 @@ func (s *Server) recover(w *store.WAL) error {
 	b := wire.GetBatch()
 	defer wire.PutBatch(b)
 	var rooms []string
-	names := interner{}
+	names := wire.Interner{}
 	replay := func(payload []byte) error {
 		if len(payload) == 0 || payload[0] != recObsTag {
 			return s.replayCold(payload)
@@ -469,7 +449,7 @@ func (s *Server) replayCold(payload []byte) error {
 			Distances: map[ibeacon.BeaconID]float64{},
 		}
 		for raw, d := range rec.FP.Distances {
-			id, err := s.parseBeaconID(raw)
+			id, err := ibeacon.ParseBeaconID(raw)
 			if err != nil {
 				return fmt.Errorf("bms: wal replay: %w", err)
 			}
@@ -491,18 +471,18 @@ func (s *Server) replayCold(payload []byte) error {
 // fresh or not) replay to the committed state — and only fresh
 // observations reach the tracker, with their recorded rooms.
 func (s *Server) applyObsReplay(b *wire.Batch, rooms []string) error {
-	obs := make([]store.Observation, b.Len())
-	for i := range obs {
-		obs[i] = wireObservation(b, i)
-	}
-	fresh, err := s.st.AddObservationBatch(obs)
+	sc := getScratch()
+	defer sc.release()
+	sc.size(b.Len())
+	wireObservations(b, sc.obs)
+	fresh, err := s.st.AddObservationBatch(sc.obs)
 	if err != nil {
 		return fmt.Errorf("bms: wal replay: %w", err)
 	}
-	live := make([]occupancy.Classification, 0, len(obs))
-	for i := range obs {
+	live := sc.track[:0]
+	for i, o := range sc.obs {
 		if fresh[i] {
-			live = append(live, occupancy.Classification{At: obs[i].At, Device: obs[i].Device, Room: rooms[i]})
+			live = append(live, occupancy.Classification{At: o.At, Device: o.Device, Room: rooms[i]})
 		}
 	}
 	s.tracker.ObserveBatch(live)

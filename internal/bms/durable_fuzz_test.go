@@ -57,7 +57,7 @@ func FuzzObsRecord(f *testing.F) {
 		}
 		// The replay dispatcher only routes tagged payloads here.
 		data[0] = recObsTag
-		got, names := &wire.Batch{}, interner{}
+		got, names := &wire.Batch{}, wire.Interner{}
 		rooms, err := decodeObsRecord(data, got, nil, names)
 		if err != nil {
 			return

@@ -224,7 +224,7 @@ func TestBinaryObsRecordRoundtrip(t *testing.T) {
 		t.Fatalf("rooms suffix is %d bytes, want 11 (run-length coded)", suffix)
 	}
 	got := &wire.Batch{}
-	gotRooms, err := decodeObsRecord(rec, got, nil, interner{})
+	gotRooms, err := decodeObsRecord(rec, got, nil, wire.Interner{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,17 +235,19 @@ func TestBinaryObsRecordRoundtrip(t *testing.T) {
 		t.Fatal("decoded batch differs from the logged one")
 	}
 	// Replay puts the observation on exactly the time ingest did.
-	if at, want := wireObservation(got, 1).At, reportTime(b.At[1]); at != want {
+	replayed := make([]store.Observation, got.Len())
+	wireObservations(got, replayed)
+	if at, want := replayed[1].At, reportTime(b.At[1]); at != want {
 		t.Fatalf("replayed At = %d, ingest computed %d", at, want)
 	}
 
 	// Every truncation of a valid record must error, never panic.
 	for cut := 0; cut < len(rec); cut++ {
-		if _, err := decodeObsRecord(rec[:cut], got, nil, interner{}); err == nil {
+		if _, err := decodeObsRecord(rec[:cut], got, nil, wire.Interner{}); err == nil {
 			t.Fatalf("truncated record (%d of %d bytes) decoded without error", cut, len(rec))
 		}
 	}
-	if _, err := decodeObsRecord(append(rec, 0), got, nil, interner{}); err == nil {
+	if _, err := decodeObsRecord(append(rec, 0), got, nil, wire.Interner{}); err == nil {
 		t.Fatal("a record with a trailing byte decoded without error")
 	}
 }

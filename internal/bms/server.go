@@ -77,21 +77,7 @@ type Server struct {
 	// its holder. Writes stamped with a lower epoch are fenced; see
 	// lease.go.
 	lease leaseState
-
-	// idCache interns parsed beacon identities. A deployment sees the
-	// same handful of beacon-id strings on every report, so ingest pays
-	// the UUID/major/minor parse once per distinct string rather than
-	// once per report line. Bounded FIFO: a client sending ever-fresh
-	// ids evicts the oldest entry instead of growing the cache (or
-	// dumping the hot entries wholesale).
-	idMu    sync.RWMutex
-	idCache map[string]ibeacon.BeaconID
-	idRing  []string
-	idHead  int
 }
-
-// idCacheMaxEntries bounds the beacon-id intern cache.
-const idCacheMaxEntries = 4096
 
 // NewServer builds a BMS for the given building. Until a model is
 // trained, observations are classified with the proximity technique, as
@@ -145,32 +131,66 @@ func (s *Server) classifierSnapshot() classify.Classifier {
 	return s.classifier
 }
 
-// buildObservation converts one wire report into the store form plus the
-// classification sample. dists becomes the sample's distance map; pass a
-// cleared scratch map to avoid the per-report allocation on batch paths.
-func (s *Server) buildObservation(r transport.Report, dists map[ibeacon.BeaconID]float64) (store.Observation, fingerprint.Sample, error) {
+// ingestScratch is the working memory of one ingest call, whichever
+// face it came in by: the classifier's rows, and the per-report columns
+// — store form, predicted room, tracker input — the faces fill in one
+// pass and apply in another. Pooled, and cleared on the way back so an
+// idle entry pins no device name, beacon slab or room.
+type ingestScratch struct {
+	cls   classify.Scratch
+	obs   []store.Observation
+	rooms []string
+	track []occupancy.Classification
+}
+
+// pooledScratchMax keeps the columns of a one-off giant batch out of
+// the pool.
+const pooledScratchMax = 4096
+
+var scratchPool = sync.Pool{New: func() any { return new(ingestScratch) }}
+
+func getScratch() *ingestScratch { return scratchPool.Get().(*ingestScratch) }
+
+// size sets the columns to n reports.
+func (sc *ingestScratch) size(n int) {
+	if cap(sc.obs) < n {
+		sc.obs = make([]store.Observation, n)
+		sc.rooms = make([]string, n)
+		sc.track = make([]occupancy.Classification, n)
+	}
+	sc.obs, sc.rooms, sc.track = sc.obs[:n], sc.rooms[:n], sc.track[:n]
+}
+
+// release returns the scratch to the pool. Nothing handed out of an
+// ingest call may alias it: the store and the tracker copy what they
+// keep, and a caller-facing rooms slice is copied out first.
+func (sc *ingestScratch) release() {
+	if cap(sc.obs) > pooledScratchMax {
+		return
+	}
+	clear(sc.obs)
+	clear(sc.rooms)
+	clear(sc.track)
+	scratchPool.Put(sc)
+}
+
+// buildObservation converts one JSON-face report into the store form.
+func buildObservation(r transport.Report) (store.Observation, error) {
 	if r.Device == "" {
-		return store.Observation{}, fingerprint.Sample{}, fmt.Errorf("bms: report without device")
+		return store.Observation{}, fmt.Errorf("bms: report without device")
 	}
-	at := reportTime(r.AtSeconds)
-	obs := store.Observation{Device: r.Device, At: at, Epoch: r.Epoch, Seq: r.Seq}
+	obs := store.Observation{Device: r.Device, At: reportTime(r.AtSeconds), Epoch: r.Epoch, Seq: r.Seq}
 	if len(r.Beacons) > 0 {
-		obs.Beacons = make([]store.BeaconDistance, 0, len(r.Beacons))
+		obs.Beacons = make([]store.BeaconDistance, len(r.Beacons))
 	}
-	for _, b := range r.Beacons {
-		id, err := s.parseBeaconID(b.ID)
+	for k, b := range r.Beacons {
+		id, err := ibeacon.ParseBeaconID(b.ID)
 		if err != nil {
-			return store.Observation{}, fingerprint.Sample{}, fmt.Errorf("bms: %w", err)
+			return store.Observation{}, fmt.Errorf("bms: %w", err)
 		}
-		obs.Beacons = append(obs.Beacons, store.BeaconDistance{ID: id, Distance: b.Distance, RSSI: b.RSSI})
-		dists[id] = b.Distance
+		obs.Beacons[k] = store.BeaconDistance{ID: id, Distance: b.Distance, RSSI: b.RSSI}
 	}
-	sample := fingerprint.Sample{
-		Room:      "", // unknown; this is what we predict
-		At:        at,
-		Distances: dists,
-	}
-	return obs, sample, nil
+	return obs, nil
 }
 
 // Ingest processes one report exactly as the POST /api/v1/observations
@@ -195,17 +215,21 @@ func (s *Server) Ingest(r transport.Report) (string, error) {
 		return "", err
 	}
 	defer release()
-	obs, sample, err := s.buildObservation(r, make(map[ibeacon.BeaconID]float64, len(r.Beacons)))
+	obs, err := buildObservation(r)
 	if err != nil {
 		return "", err
 	}
+	sc := getScratch()
+	defer sc.release()
+	sc.size(1)
 	// Predict before storing: prediction is pure, and a durable server
 	// must log the report with its room before any state moves.
-	room := s.classifierSnapshot().Predict(sample)
+	room := s.classifierSnapshot().PredictSpan(obs.Beacons, &sc.cls)
 	if s.dur != nil {
 		end := s.dur.wal.Begin()
 		defer end()
-		if err := s.logReports([]transport.Report{r}, []store.Observation{obs}, []string{room}); err != nil {
+		sc.obs[0], sc.rooms[0] = obs, room
+		if err := s.logReports([]transport.Report{r}, sc.obs, sc.rooms); err != nil {
 			return "", err
 		}
 		defer s.maybeCompact()
@@ -254,24 +278,29 @@ func (s *Server) IngestBatch(reports []transport.Report) ([]string, error) {
 		return nil, err
 	}
 	defer release()
-	obs := make([]store.Observation, len(reports))
-	// One scratch distance map serves the whole batch: each sample is
-	// classified before the map is cleared for the next report.
-	dists := make(map[ibeacon.BeaconID]float64, 8)
+	sc := getScratch()
+	defer sc.release()
+	sc.size(len(reports))
 	cls := s.classifierSnapshot()
-	rooms := make([]string, len(reports))
-	track := make([]occupancy.Classification, len(reports))
-
 	for i, r := range reports {
-		clear(dists)
-		o, sample, err := s.buildObservation(r, dists)
+		o, err := buildObservation(r)
 		if err != nil {
 			return nil, fmt.Errorf("bms: batch report %d: %w", i, err)
 		}
-		obs[i] = o
-		rooms[i] = cls.Predict(sample)
-		track[i] = occupancy.Classification{At: o.At, Device: o.Device, Room: rooms[i]}
+		sc.obs[i], sc.rooms[i] = o, cls.PredictSpan(o.Beacons, &sc.cls)
+		sc.track[i] = occupancy.Classification{At: o.At, Device: o.Device, Room: sc.rooms[i]}
 	}
+	if err := s.commit(sc, sm, start, func() error { return s.logReports(reports, sc.obs, sc.rooms) }); err != nil {
+		return nil, err
+	}
+	return append([]string(nil), sc.rooms...), nil
+}
+
+// commit is the tail every batch face shares once its columns are
+// filled: log, apply to the store, feed what was fresh to the tracker,
+// count. log appends the batch to the WAL in the face's own form; it
+// runs only on a durable server, under the Begin guard.
+func (s *Server) commit(sc *ingestScratch, sm *serverMetrics, start time.Time, log func() error) error {
 	if s.dur != nil {
 		// Log-then-apply: the whole batch (dups included — replay
 		// re-deduplicates against the recovered marks) reaches the WAL
@@ -279,32 +308,33 @@ func (s *Server) IngestBatch(reports []transport.Report) ([]string, error) {
 		// compaction cannot snapshot between the append and the apply.
 		end := s.dur.wal.Begin()
 		defer end()
-		if err := s.logReports(reports, obs, rooms); err != nil {
-			return nil, err
+		if err := log(); err != nil {
+			return err
 		}
 		defer s.maybeCompact()
 	}
 	// The store decides freshness against each device's high-water mark;
 	// stale retransmissions keep their predicted room in the response
 	// (positional contract) but advance neither store nor tracker.
-	fresh, err := s.st.AddObservationBatch(obs)
+	fresh, err := s.st.AddObservationBatch(sc.obs)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	live := track[:0]
-	for i := range track {
+	live := sc.track[:0]
+	for i := range sc.track {
 		if fresh[i] {
-			live = append(live, track[i])
+			live = append(live, sc.track[i])
 		}
 	}
 	s.tracker.ObserveBatch(live)
 	if sm != nil {
-		sm.reports.Add(uint64(len(reports)))
-		sm.batchSize.Observe(int64(len(reports)))
-		sm.dedupDrops.Add(uint64(len(reports) - len(live)))
+		n := len(sc.obs)
+		sm.reports.Add(uint64(n))
+		sm.batchSize.Observe(int64(n))
+		sm.dedupDrops.Add(uint64(n - len(live)))
 		sm.ingestLatency.Since(start)
 	}
-	return rooms, nil
+	return nil
 }
 
 // DirectUplink delivers reports straight into an in-process Server,
@@ -327,38 +357,6 @@ func (u DirectUplink) Send(r transport.Report) error {
 func (u DirectUplink) SendBatch(reports []transport.Report) error {
 	_, err := u.Server.IngestBatch(reports)
 	return err
-}
-
-// parseBeaconID is ibeacon.ParseBeaconID behind the intern cache.
-func (s *Server) parseBeaconID(raw string) (ibeacon.BeaconID, error) {
-	s.idMu.RLock()
-	id, ok := s.idCache[raw]
-	s.idMu.RUnlock()
-	if ok {
-		return id, nil
-	}
-	id, err := ibeacon.ParseBeaconID(raw)
-	if err != nil {
-		return id, err
-	}
-	s.idMu.Lock()
-	if s.idCache == nil {
-		s.idCache = make(map[string]ibeacon.BeaconID)
-	}
-	if _, present := s.idCache[raw]; !present {
-		if len(s.idCache) >= idCacheMaxEntries {
-			// Evict the oldest interned id; the ring slot is about to be
-			// reused for the newcomer.
-			delete(s.idCache, s.idRing[s.idHead])
-			s.idRing[s.idHead] = raw
-			s.idHead = (s.idHead + 1) % idCacheMaxEntries
-		} else {
-			s.idRing = append(s.idRing, raw)
-		}
-		s.idCache[raw] = id
-	}
-	s.idMu.Unlock()
-	return id, nil
 }
 
 // AddFingerprint stores one labelled sample (the collection phase).
@@ -805,8 +803,8 @@ func (s *Server) handleEnergy(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleObservation(w http.ResponseWriter, r *http.Request) {
 	var rep transport.Report
-	if err := decodeJSON(r.Body, &rep); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decode: %w", err))
+	if err := decodeJSON(http.MaxBytesReader(w, r.Body, wire.MaxBodyBytes), &rep); err != nil {
+		writeUploadError(w, "decode", err)
 		return
 	}
 	room, err := s.IngestFenced(gatewayEpochFrom(r), rep)
@@ -840,6 +838,18 @@ func writeIngestError(w http.ResponseWriter, err error) {
 	writeError(w, http.StatusBadRequest, err)
 }
 
+// writeUploadError answers an upload that could not be taken in (what
+// names the step that failed): 413 past the size limit — the wire
+// face's own, or the JSON face's MaxBytesReader — and 400 otherwise.
+func writeUploadError(w http.ResponseWriter, what string, err error) {
+	code := http.StatusBadRequest
+	var tooLarge *http.MaxBytesError
+	if errors.Is(err, wire.ErrBodyTooLarge) || errors.As(err, &tooLarge) {
+		code = http.StatusRequestEntityTooLarge
+	}
+	writeError(w, code, fmt.Errorf("%s: %w", what, err))
+}
+
 // handleObservationBatch ingests a batch of reports in one pass and
 // returns the predicted room per report, in order. JSON is the
 // compatibility encoding; a body under the wire content type takes the
@@ -851,8 +861,8 @@ func (s *Server) handleObservationBatch(w http.ResponseWriter, r *http.Request) 
 		return
 	}
 	var reports []transport.Report
-	if err := decodeJSON(r.Body, &reports); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decode: %w", err))
+	if err := decodeJSON(http.MaxBytesReader(w, r.Body, wire.MaxBodyBytes), &reports); err != nil {
+		writeUploadError(w, "decode", err)
 		return
 	}
 	rooms, err := s.IngestBatchFenced(gatewayEpochFrom(r), reports)

@@ -249,7 +249,7 @@ func (s *Server) restoreDurableSnapshot(r io.Reader) error {
 		}
 	}
 
-	names := interner{}
+	names := wire.Interner{}
 	var events []occupancy.Event
 	var device string               // whose observations pending holds
 	var pending []store.Observation // one device's sections, gathered
@@ -273,7 +273,7 @@ func (s *Server) restoreDurableSnapshot(r io.Reader) error {
 		rd := wire.Reader{Buf: payload[1:]}
 		switch payload[0] {
 		case secDevice:
-			if name := names.read(&rd); name != device {
+			if name := rd.String(names); name != device {
 				restore()
 				device = name
 			}
@@ -299,9 +299,9 @@ func (s *Server) restoreDurableSnapshot(r io.Reader) error {
 		case secEvents:
 			for len(rd.Buf) > 0 && !rd.Short {
 				e := occupancy.Event{At: time.Duration(rd.U64())}
-				e.Device = names.read(&rd)
+				e.Device = rd.String(names)
 				e.Kind = occupancy.EventKind(rd.Uvarint())
-				e.Room = names.read(&rd)
+				e.Room = rd.String(names)
 				events = append(events, e)
 			}
 		default:

@@ -9,14 +9,11 @@ package bms
 
 import (
 	"fmt"
-	"io"
 	"net/http"
+	"slices"
 	"time"
 
-	"occusim/internal/fingerprint"
-	"occusim/internal/ibeacon"
 	"occusim/internal/occupancy"
-	"occusim/internal/store"
 	"occusim/internal/wire"
 )
 
@@ -25,13 +22,17 @@ import (
 // report ordering contract matches IngestBatch: one device's reports
 // ordered by time, devices interleaving freely. b is not retained.
 func (s *Server) IngestWireBatch(b *wire.Batch) ([]string, error) {
-	return s.ingestWire(b, nil)
+	sc := getScratch()
+	defer sc.release()
+	rooms, err := s.ingestWire(b, nil, sc)
+	return slices.Clone(rooms), err
 }
 
-// ingestWire is IngestWireBatch with the wire payload b was decoded
-// from (nil when there is none): a durable server logs those received,
-// already checksummed bytes instead of encoding b again.
-func (s *Server) ingestWire(b *wire.Batch, payload []byte) ([]string, error) {
+// ingestWire is IngestWireBatch on the caller's scratch, with the wire
+// payload b was decoded from (nil when there is none): a durable server
+// logs those received, already checksummed bytes instead of encoding b
+// again. The returned rooms are sc's column, valid until its release.
+func (s *Server) ingestWire(b *wire.Batch, payload []byte, sc *ingestScratch) ([]string, error) {
 	n := b.Len()
 	if n == 0 {
 		return nil, nil
@@ -46,59 +47,30 @@ func (s *Server) ingestWire(b *wire.Batch, payload []byte) ([]string, error) {
 		return nil, err
 	}
 	defer release()
-	obs := make([]store.Observation, n)
-	dists := make(map[ibeacon.BeaconID]float64, 8)
-	cls := s.classifierSnapshot()
-	rooms := make([]string, n)
-	track := make([]occupancy.Classification, n)
-
-	for i := 0; i < n; i++ {
-		if b.Devices[i] == "" {
+	for i, device := range b.Devices {
+		if device == "" {
 			return nil, fmt.Errorf("bms: batch report %d: bms: report without device", i)
 		}
-		o := wireObservation(b, i)
-		clear(dists)
-		for _, bd := range o.Beacons {
-			dists[bd.ID] = bd.Distance
-		}
-		obs[i] = o
-		rooms[i] = cls.Predict(fingerprint.Sample{At: o.At, Distances: dists})
-		track[i] = occupancy.Classification{At: o.At, Device: o.Device, Room: rooms[i]}
 	}
-	if s.dur != nil {
-		end := s.dur.wal.Begin()
-		defer end()
-		if err := s.logObservations(b, payload, rooms); err != nil {
-			return nil, err
-		}
-		defer s.maybeCompact()
+	sc.size(n)
+	wireObservations(b, sc.obs)
+	cls := s.classifierSnapshot()
+	for i := range sc.obs {
+		o := &sc.obs[i]
+		sc.rooms[i] = cls.PredictSpan(o.Beacons, &sc.cls)
+		sc.track[i] = occupancy.Classification{At: o.At, Device: o.Device, Room: sc.rooms[i]}
 	}
-	fresh, err := s.st.AddObservationBatch(obs)
-	if err != nil {
+	if err := s.commit(sc, sm, start, func() error { return s.logObservations(b, payload, sc.rooms) }); err != nil {
 		return nil, err
 	}
-	live := track[:0]
-	for i := range track {
-		if fresh[i] {
-			live = append(live, track[i])
-		}
-	}
-	s.tracker.ObserveBatch(live)
-	if sm != nil {
-		sm.reports.Add(uint64(n))
-		sm.batchSize.Observe(int64(n))
-		sm.dedupDrops.Add(uint64(n - len(live)))
-		sm.ingestLatency.Since(start)
-	}
-	return rooms, nil
+	return sc.rooms, nil
 }
 
-// IngestWireFrameFenced decodes one whole wire frame into a pooled
-// batch and ingests it behind the leadership fence — the shard end of
-// the framed path, in process or over HTTP. The frame's payload is what
-// a durable server logs, so the bytes a device checksummed reach the
-// WAL without being encoded again.
-func (s *Server) IngestWireFrameFenced(gwEpoch uint64, frame []byte) ([]string, error) {
+// ingestWireFrame decodes one whole wire frame into a pooled batch and
+// ingests it behind the leadership fence, on the caller's scratch. The
+// frame's payload is what a durable server logs, so the bytes a device
+// checksummed reach the WAL without being encoded again.
+func (s *Server) ingestWireFrame(gwEpoch uint64, frame []byte, sc *ingestScratch) ([]string, error) {
 	b := wire.GetBatch()
 	defer wire.PutBatch(b)
 	payload, err := wire.DecodeFramePayload(frame, b)
@@ -108,47 +80,45 @@ func (s *Server) IngestWireFrameFenced(gwEpoch uint64, frame []byte) ([]string, 
 	if err := s.admitEpoch(gwEpoch); err != nil {
 		return nil, err
 	}
-	return s.ingestWire(b, payload)
+	return s.ingestWire(b, payload, sc)
 }
 
+// IngestWireFrameFenced is the shard end of the framed path in process:
+// one verbatim frame in, the predicted room per report out.
+func (s *Server) IngestWireFrameFenced(gwEpoch uint64, frame []byte) ([]string, error) {
+	sc := getScratch()
+	defer sc.release()
+	rooms, err := s.ingestWireFrame(gwEpoch, frame, sc)
+	return slices.Clone(rooms), err
+}
+
+// wireAckType is the ack's Content-Type header value, shared by every
+// response: net/http reads header values, it never writes to them.
+var wireAckType = []string{wire.ContentType}
+
 // handleWireObservationBatch serves the binary branch of
-// POST /api/v1/observations:batch: one wire frame, decoded into a
-// pooled batch and ingested with zero intermediate report slice.
+// POST /api/v1/observations:batch: one wire frame in, decoded into a
+// pooled batch and ingested with no intermediate report slice; the
+// run-length rooms column out (wire.AppendRooms) — a wire request gets a
+// wire ack. Errors keep their JSON bodies.
 func (s *Server) handleWireObservationBatch(w http.ResponseWriter, r *http.Request) {
 	buf := wire.GetBuf()
 	defer wire.PutBuf(buf)
-	body, err := readWireBody(r, buf)
+	body, err := wire.ReadBody(r.Body, r.ContentLength, wire.MaxBodyBytes, buf)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("read body: %w", err))
+		writeUploadError(w, "read body", err)
 		return
 	}
-	rooms, err := s.IngestWireFrameFenced(gatewayEpochFrom(r), body)
+	sc := getScratch()
+	defer sc.release()
+	rooms, err := s.ingestWireFrame(gatewayEpochFrom(r), body, sc)
 	if err != nil {
 		writeIngestError(w, err)
 		return
 	}
-	if rooms == nil {
-		rooms = []string{}
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"rooms": rooms})
-}
-
-// readWireBody drains the request body into the pooled buffer.
-func readWireBody(r *http.Request, dst *[]byte) ([]byte, error) {
-	b := (*dst)[:0]
-	for {
-		if len(b) == cap(b) {
-			b = append(b, 0)[:len(b)]
-		}
-		n, err := r.Body.Read(b[len(b):cap(b)])
-		b = b[:len(b)+n]
-		if err == io.EOF {
-			*dst = b
-			return b, nil
-		}
-		if err != nil {
-			*dst = b
-			return nil, err
-		}
-	}
+	// The frame is applied (and logged, by copy): its buffer carries the
+	// ack back.
+	*buf = wire.AppendRooms((*buf)[:0], rooms)
+	w.Header()["Content-Type"] = wireAckType
+	_, _ = w.Write(*buf)
 }

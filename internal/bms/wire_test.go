@@ -1,0 +1,250 @@
+package bms
+
+import (
+	"bytes"
+	"encoding/json"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"reflect"
+	"strings"
+	"testing"
+	"unsafe"
+
+	"occusim/internal/building"
+	"occusim/internal/raceflag"
+	"occusim/internal/transport"
+	"occusim/internal/wire"
+)
+
+// deviceBatch is the paper's upload — 11 reports of one device, every
+// beacon of the house ranged — as reports and as the wire frame of them.
+// The device moves to the next beacon every dwell reports.
+func deviceBatch(t testing.TB, b *building.Building, device string, firstSeq uint64, dwell int) ([]transport.Report, []byte) {
+	t.Helper()
+	reports := make([]transport.Report, 11)
+	for i := range reports {
+		reports[i] = reportNear(b, device, (i/dwell)%len(b.Beacons), float64(2*(int(firstSeq)+i)))
+		reports[i].Epoch, reports[i].Seq = 1, firstSeq+uint64(i)
+	}
+	wb := new(wire.Batch)
+	if err := transport.EncodeReports(wb, reports); err != nil {
+		t.Fatal(err)
+	}
+	return reports, wire.AppendFrame(nil, wb)
+}
+
+func postBatch(h http.Handler, contentType string, body io.Reader) *httptest.ResponseRecorder {
+	req := httptest.NewRequest(http.MethodPost, "/api/v1/observations:batch", body)
+	req.Header.Set("Content-Type", contentType)
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	return rec
+}
+
+// TestWireRequestGetsWireAck: the 200 body of a wire-codec upload is the
+// run-length rooms column, report for report what the same reports get
+// as JSON; a JSON upload is still answered in JSON, and an error keeps
+// its JSON body whatever the request's codec.
+func TestWireRequestGetsWireAck(t *testing.T) {
+	s, b := newTestServer(t)
+	twin, _ := newTestServer(t)
+	h := s.Handler()
+	reports, frame := deviceBatch(t, b, "phone-1", 1, 4)
+
+	rec := postBatch(h, wire.ContentType, bytes.NewReader(frame))
+	if rec.Code != http.StatusOK || rec.Header().Get("Content-Type") != wire.ContentType {
+		t.Fatalf("wire upload answered %d as %q: %s", rec.Code, rec.Header().Get("Content-Type"), rec.Body)
+	}
+	rd := wire.Reader{Buf: rec.Body.Bytes()}
+	got := rd.Rooms(len(reports), nil, wire.Interner{})
+	if rd.Short {
+		t.Fatalf("malformed ack % x", rec.Body.Bytes())
+	}
+
+	rec = postBatch(twin.Handler(), "application/json", bytes.NewReader(mustJSON(t, reports)))
+	var want struct {
+		Rooms []string `json:"rooms"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &want); rec.Code != http.StatusOK || err != nil {
+		t.Fatalf("JSON upload answered %d (%v): %s", rec.Code, err, rec.Body)
+	}
+	if !reflect.DeepEqual(got, want.Rooms) || len(got) != len(reports) {
+		t.Fatalf("wire ack %q, JSON ack %q", got, want.Rooms)
+	}
+	frame[len(frame)-1] ^= 0xff // break the checksum
+	rec = postBatch(h, wire.ContentType, bytes.NewReader(frame))
+	var fail struct {
+		Error string `json:"error"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &fail); rec.Code != http.StatusBadRequest || err != nil || fail.Error == "" {
+		t.Fatalf("damaged frame answered %d %q (%v)", rec.Code, rec.Body, err)
+	}
+}
+
+// zeroBody is an endless body of zeros that counts what was read of it.
+type zeroBody struct{ read int64 }
+
+func (z *zeroBody) Read(p []byte) (int, error) {
+	clear(p)
+	z.read += int64(len(p))
+	return len(p), nil
+}
+
+// TestOversizedUploadIs413: no ingest face buffers a body past
+// wire.MaxBodyBytes. An announced length over the limit is refused
+// unread; an unannounced (chunked) one is cut off at the limit. Nothing
+// is ingested, and the buffer pool is left holding nothing that large.
+func TestOversizedUploadIs413(t *testing.T) {
+	s, _ := newTestServer(t)
+	h := s.Handler()
+	for name, tc := range map[string]struct {
+		contentType string
+		announced   bool
+	}{
+		"wire, announced":   {wire.ContentType, true},
+		"wire, chunked":     {wire.ContentType, false},
+		"json, chunked":     {"application/json", false},
+		"json, announced":   {"application/json", true},
+		"single, announced": {"", true},
+	} {
+		body := &zeroBody{}
+		req := httptest.NewRequest(http.MethodPost, "/api/v1/observations:batch", io.LimitReader(body, wire.MaxBodyBytes+4096))
+		if tc.contentType == "" {
+			req = httptest.NewRequest(http.MethodPost, "/api/v1/observations", io.LimitReader(body, wire.MaxBodyBytes+4096))
+		} else {
+			req.Header.Set("Content-Type", tc.contentType)
+		}
+		req.ContentLength = -1
+		if tc.announced {
+			req.ContentLength = wire.MaxBodyBytes + 4096
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: answered %d, want 413: %s", name, rec.Code, rec.Body)
+		}
+		if !strings.Contains(rec.Body.String(), "error") {
+			t.Errorf("%s: the 413 has no JSON error body: %s", name, rec.Body)
+		}
+		if tc.announced && tc.contentType == wire.ContentType && body.read != 0 {
+			t.Errorf("%s: read %d bytes of a body announced over the limit", name, body.read)
+		}
+		if body.read > wire.MaxBodyBytes+4096 {
+			t.Errorf("%s: read %d bytes, past the limit", name, body.read)
+		}
+	}
+	if occ := s.Occupancy(); len(occ.Devices) != 0 {
+		t.Fatalf("an oversized upload ingested devices %v", occ.Devices)
+	}
+	for i := 0; i < 8; i++ {
+		if buf := wire.GetBuf(); cap(*buf) > 1<<20 {
+			t.Fatalf("the buffer pool holds a %d-byte buffer after the oversized uploads", cap(*buf))
+		}
+		if jb := getBuf(); jb.Cap() > pooledBufMax {
+			t.Fatalf("the JSON buffer pool holds a %d-byte buffer after the oversized uploads", jb.Cap())
+		}
+	}
+}
+
+// TestIngestWireSlabIsPerDeviceRun pins what the store is handed: the
+// beacons of one device's consecutive reports share an array, another
+// device's do not, and no observation can append into its neighbour.
+func TestIngestWireSlabIsPerDeviceRun(t *testing.T) {
+	_, b := newTestServer(t)
+	wb := new(wire.Batch)
+	var all []transport.Report
+	for _, device := range []string{"a", "a", "b", "a"} {
+		all = append(all, reportNear(b, device, 0, float64(len(all))))
+	}
+	all = append(all, transport.Report{Device: "a", AtSeconds: 9}) // no beacons
+	if err := transport.EncodeReports(wb, all); err != nil {
+		t.Fatal(err)
+	}
+	sc := getScratch()
+	defer sc.release()
+	sc.size(wb.Len())
+	wireObservations(wb, sc.obs)
+	for i, o := range sc.obs {
+		if want := len(all[i].Beacons); len(o.Beacons) != want || cap(o.Beacons) != want {
+			t.Fatalf("observation %d: len %d cap %d, want both %d", i, len(o.Beacons), cap(o.Beacons), want)
+		}
+		for k, bd := range o.Beacons {
+			if bd != wb.ReportBeacons(i)[k] {
+				t.Fatalf("observation %d beacon %d = %v, the frame says %v", i, k, bd, wb.ReportBeacons(i)[k])
+			}
+		}
+	}
+	n := len(all[0].Beacons)
+	end := unsafe.Add(unsafe.Pointer(&sc.obs[0].Beacons[0]), n*int(unsafe.Sizeof(wire.Beacon{})))
+	if end != unsafe.Pointer(&sc.obs[1].Beacons[0]) {
+		t.Fatal("two consecutive reports of one device are not carved from one slab")
+	}
+	// One slab per run — a·a, b, a·a — not one per batch: a device's
+	// retention must not pin another's.
+	if !raceflag.Enabled {
+		if slabs := testing.AllocsPerRun(10, func() { wireObservations(wb, sc.obs) }); slabs != 3 {
+			t.Fatalf("wireObservations made %v slabs for 3 device runs", slabs)
+		}
+	}
+	if sc.obs[4].Beacons != nil {
+		t.Fatalf("a beacon-less report got %v", sc.obs[4].Beacons)
+	}
+}
+
+// The allocation budget of the shard (PERF.md "What changed (PR 13)");
+// `make allocs` runs these.
+
+func TestAllocBudgetIngestWire(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are pinned without the race detector")
+	}
+	s, b := newTestServer(t)
+	trainServer(t, s, b)
+	h := s.Handler()
+
+	// Fresh reports every run (a retransmission would be deduplicated and
+	// skip the store), all built before the measured calls.
+	const runs = 60
+	var frames [][]byte
+	var batches []*wire.Batch
+	for i := 0; i < 2*(runs+1); i++ {
+		_, frame := deviceBatch(t, b, "phone-1", uint64(1+11*i), 1<<20) // stays put, as devices mostly do
+		wb := new(wire.Batch)
+		if err := wire.DecodeFrame(frame, wb); err != nil {
+			t.Fatal(err)
+		}
+		frames, batches = append(frames, frame), append(batches, wb)
+	}
+	next := 0
+
+	// ingestWire on the caller's scratch: the beacon slab, the store's
+	// fresh column, and the amortised growth of what store and tracker
+	// keep.
+	sc := getScratch()
+	defer sc.release()
+	ingest := testing.AllocsPerRun(runs, func() {
+		if _, err := s.ingestWire(batches[next], nil, sc); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	})
+	if ingest > 4 {
+		t.Errorf("ingestWire allocates %v times per 11-report batch, budget 4", ingest)
+	}
+
+	// The whole handler, above what the harness itself costs: the
+	// request, the recorder, and a handler that only drains the body.
+	drain := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { _, _ = io.Copy(io.Discard, r.Body) })
+	harness := testing.AllocsPerRun(runs, func() { postBatch(drain, wire.ContentType, bytes.NewReader(frames[0])) })
+	handler := testing.AllocsPerRun(runs, func() {
+		if rec := postBatch(h, wire.ContentType, bytes.NewReader(frames[next])); rec.Code != http.StatusOK {
+			t.Fatalf("handler answered %d: %s", rec.Code, rec.Body)
+		}
+		next++
+	})
+	t.Logf("per 11-report batch: ingestWire %v, wire handler %v above a harness of %v", ingest, handler-harness, harness)
+	if handler-harness > 9 {
+		t.Errorf("the wire handler allocates %v times per 11-report batch (harness %v), ceiling 9", handler-harness, harness)
+	}
+}

@@ -24,14 +24,66 @@ import (
 	"occusim/internal/ibeacon"
 	"occusim/internal/knn"
 	"occusim/internal/svm"
+	"occusim/internal/wire"
 )
 
-// Classifier predicts a room label from one fingerprint sample.
+// Classifier predicts a room label from one report's ranged beacons.
 type Classifier interface {
-	// Predict returns a room name or building.Outside.
+	// PredictSpan returns a room name or building.Outside for one
+	// report's beacon span, in the order the device listed it. A beacon
+	// listed twice counts once, with its last distance (what building a
+	// map from the span would keep). sc is the caller's working memory:
+	// an ingest loop keeps one and predicts without allocating.
+	PredictSpan(span []wire.Beacon, sc *Scratch) string
+	// Predict is PredictSpan for a sample held as a map.
 	Predict(s fingerprint.Sample) string
 	// Name identifies the classifier in reports.
 	Name() string
+}
+
+// Scratch is the working memory of PredictSpan: the feature row and the
+// model's scaled row and votes. The zero value is ready; it grows to the
+// model's size on first use. Not safe for concurrent use.
+type Scratch struct {
+	row []float64
+	svm svm.Scratch
+}
+
+// sampleSpanStack is how many beacons of a sample's map the Predict
+// adapters render on their own stack; a larger sample spills to the heap.
+const sampleSpanStack = 16
+
+// sampleSpan renders a sample's distance map as a span appended to dst.
+// Map order is arbitrary, which is harmless: a map holds each beacon
+// once, and the predictions below depend on span order only through
+// duplicates.
+func sampleSpan(s fingerprint.Sample, dst []wire.Beacon) []wire.Beacon {
+	for id, d := range s.Distances {
+		dst = append(dst, wire.Beacon{ID: id, Distance: d})
+	}
+	return dst
+}
+
+// features fills sc.row with the fixed-width vector of
+// fingerprint.Dataset.Features — the distance per model beacon,
+// MissingDistance when the span does not list it, beacons outside the
+// model ignored — straight from the span. The scan is columns × span
+// (6 × 6 in the paper's house), cheaper at that size than hashing every
+// identity into a map and exact where a beacon repeats on either side.
+func features(beacons []ibeacon.BeaconID, span []wire.Beacon, sc *Scratch) []float64 {
+	if cap(sc.row) < len(beacons) {
+		sc.row = make([]float64, len(beacons))
+	}
+	row := sc.row[:len(beacons)]
+	for i, id := range beacons {
+		row[i] = fingerprint.MissingDistance
+		for k := range span {
+			if span[k].ID == id {
+				row[i] = span[k].Distance
+			}
+		}
+	}
+	return row
 }
 
 // Proximity implements the proximity technique: the room of the nearest
@@ -59,18 +111,31 @@ func (p *Proximity) Name() string { return "proximity" }
 
 // Predict implements Classifier.
 func (p *Proximity) Predict(s fingerprint.Sample) string {
+	var buf [sampleSpanStack]wire.Beacon
+	return p.PredictSpan(sampleSpan(s, buf[:0]), nil)
+}
+
+// PredictSpan implements Classifier. Equally near beacons of different
+// rooms resolve to the one listed first.
+func (p *Proximity) PredictSpan(span []wire.Beacon, _ *Scratch) string {
 	bestRoom := building.Outside
 	bestDist := p.MaxDistance
 	if bestDist <= 0 {
 		bestDist = fingerprint.MissingDistance
 	}
-	for id, d := range s.Distances {
-		room, known := p.BeaconRoom[id]
+next:
+	for i := range span {
+		room, known := p.BeaconRoom[span[i].ID]
 		if !known {
 			continue
 		}
-		if d < bestDist {
-			bestDist = d
+		for k := i + 1; k < len(span); k++ {
+			if span[k].ID == span[i].ID {
+				continue next // listed again later: that distance counts
+			}
+		}
+		if span[i].Distance < bestDist {
+			bestDist = span[i].Distance
 			bestRoom = room
 		}
 	}
@@ -116,8 +181,14 @@ func (s *SceneSVM) Beacons() []ibeacon.BeaconID {
 
 // Predict implements Classifier.
 func (s *SceneSVM) Predict(sample fingerprint.Sample) string {
-	tmp := fingerprint.Dataset{Beacons: s.beacons}
-	return s.model.Predict(tmp.Features(sample))
+	var sc Scratch
+	var buf [sampleSpanStack]wire.Beacon
+	return s.PredictSpan(sampleSpan(sample, buf[:0]), &sc)
+}
+
+// PredictSpan implements Classifier.
+func (s *SceneSVM) PredictSpan(span []wire.Beacon, sc *Scratch) string {
+	return s.model.PredictScratch(features(s.beacons, span, sc), &sc.svm)
 }
 
 // SceneKNN is the k-NN scene-analysis alternative.
@@ -141,8 +212,14 @@ func (s *SceneKNN) Name() string { return fmt.Sprintf("scene-knn(k=%d)", s.model
 
 // Predict implements Classifier.
 func (s *SceneKNN) Predict(sample fingerprint.Sample) string {
-	tmp := fingerprint.Dataset{Beacons: s.beacons}
-	return s.model.Predict(tmp.Features(sample))
+	var sc Scratch
+	var buf [sampleSpanStack]wire.Beacon
+	return s.PredictSpan(sampleSpan(sample, buf[:0]), &sc)
+}
+
+// PredictSpan implements Classifier.
+func (s *SceneKNN) PredictSpan(span []wire.Beacon, sc *Scratch) string {
+	return s.model.Predict(features(s.beacons, span, sc))
 }
 
 // ConfusionMatrix counts predictions against ground truth over a fixed

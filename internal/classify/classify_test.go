@@ -8,8 +8,10 @@ import (
 	"occusim/internal/building"
 	"occusim/internal/fingerprint"
 	"occusim/internal/ibeacon"
+	"occusim/internal/raceflag"
 	"occusim/internal/rng"
 	"occusim/internal/svm"
+	"occusim/internal/wire"
 )
 
 // houseIDs returns the paper house and its beacon identities.
@@ -252,5 +254,112 @@ func TestEvaluateUnknownLabelFails(t *testing.T) {
 	d.Add(fingerprint.Sample{Room: "atlantis"})
 	if _, err := Evaluate(p, d, h.ClassLabels(), building.Outside); err == nil {
 		t.Fatal("unknown truth label should fail evaluation")
+	}
+}
+
+// proximityByMap is the proximity rule as it was written over a
+// sample's map — the reference PredictSpan must agree with.
+func proximityByMap(p *Proximity, dists map[ibeacon.BeaconID]float64) string {
+	bestRoom, bestDist := building.Outside, p.MaxDistance
+	if bestDist <= 0 {
+		bestDist = fingerprint.MissingDistance
+	}
+	for id, d := range dists {
+		if room, known := p.BeaconRoom[id]; known && d < bestDist {
+			bestDist, bestRoom = d, room
+		}
+	}
+	return bestRoom
+}
+
+// TestPredictSpanMatchesMapPrediction is the span entry point's
+// contract: for every classifier, predicting from a report's beacon
+// span — on one scratch shared by all of them and never reset — gives
+// the room that building the sample's map and taking the map-keyed
+// feature row (fingerprint.Dataset.Features) gave. The spans list model
+// beacons in any order, leave some out, repeat some (the map keeps the
+// last) and mix in beacons no model knows.
+func TestPredictSpanMatchesMapPrediction(t *testing.T) {
+	h, train := syntheticDataset(12, 0.8, 5)
+	scene, err := TrainSceneSVM(train, svm.TrainConfig{C: 10, Kernel: svm.RBF{Gamma: 0.1}, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	knn, err := TrainSceneKNN(train, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prox, near := NewProximity(h, 0), NewProximity(h, 3)
+	layout := fingerprint.Dataset{Beacons: train.Beacons}
+
+	ids := append([]ibeacon.BeaconID(nil), train.Beacons...)
+	for k := uint16(0); k < 3; k++ { // strangers: right UUID, unknown minor
+		ids = append(ids, ibeacon.BeaconID{UUID: ids[0].UUID, Major: 9, Minor: 900 + k})
+	}
+	src := rng.New(77)
+	var sc Scratch
+	rooms := map[string]int{}
+	for trial := 0; trial < 2000; trial++ {
+		span := make([]wire.Beacon, src.Intn(2*len(ids)))
+		dists := map[ibeacon.BeaconID]float64{}
+		for i := range span {
+			span[i] = wire.Beacon{ID: ids[src.Intn(len(ids))], Distance: 0.2 + 12*src.Float64(), RSSI: -60}
+			dists[span[i].ID] = span[i].Distance
+		}
+		sample := fingerprint.Sample{Distances: dists}
+		row := layout.Features(sample)
+		for _, tc := range []struct {
+			c    Classifier
+			want string
+		}{
+			{scene, scene.model.Predict(row)},
+			{knn, knn.model.Predict(row)},
+			{prox, proximityByMap(prox, dists)},
+			{near, proximityByMap(near, dists)},
+		} {
+			if got := tc.c.PredictSpan(span, &sc); got != tc.want {
+				t.Fatalf("trial %d, %s: PredictSpan(%v) = %q, the map gives %q", trial, tc.c.Name(), span, got, tc.want)
+			}
+			if got := tc.c.Predict(sample); got != tc.want {
+				t.Fatalf("trial %d, %s: Predict = %q, the map gives %q", trial, tc.c.Name(), got, tc.want)
+			}
+		}
+		rooms[scene.model.Predict(row)]++
+	}
+	if len(rooms) < 3 {
+		t.Fatalf("the trials reached only rooms %v: the property was barely exercised", rooms)
+	}
+}
+
+// TestPredictSpanAllocatesNothing pins the point of the scratch: once
+// it has grown to the model, a prediction allocates nothing.
+func TestPredictSpanAllocatesNothing(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are pinned without the race detector")
+	}
+	h, train := syntheticDataset(8, 0.5, 3)
+	scene, err := TrainSceneSVM(train, svm.TrainConfig{C: 10, Kernel: svm.RBF{Gamma: 0.1}, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	span := make([]wire.Beacon, len(h.Beacons))
+	for i, b := range h.Beacons {
+		span[i] = wire.Beacon{ID: b.ID, Distance: float64(2 + i)}
+	}
+	var sc Scratch
+	for _, c := range []Classifier{scene, NewProximity(h, 0)} {
+		c.PredictSpan(span, &sc)
+		if n := testing.AllocsPerRun(100, func() { c.PredictSpan(span, &sc) }); n != 0 {
+			t.Errorf("%s: PredictSpan allocates %v times per report, want 0", c.Name(), n)
+		}
+	}
+	// The map adapter pays for fresh scratch (row, scaled row, votes) and
+	// nothing else: a sample of ordinary size is rendered on the stack.
+	sample := fingerprint.Sample{Distances: map[ibeacon.BeaconID]float64{}}
+	for _, bc := range span {
+		sample.Distances[bc.ID] = bc.Distance
+	}
+	if n := testing.AllocsPerRun(100, func() { scene.Predict(sample) }); n > 3 {
+		t.Errorf("%s: Predict(Sample) allocates %v times, want ≤ 3", scene.Name(), n)
 	}
 }

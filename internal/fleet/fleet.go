@@ -139,7 +139,7 @@ type Gateway struct {
 	migrateMu sync.Mutex
 	sweepMu   sync.Mutex
 	devMu     sync.Mutex
-	known     map[string]struct{}
+	known     map[string]string // name → itself: the canonical string
 	maxAt     float64
 	lastSweep time.Duration
 	// flight counts in-flight shard deliveries per device (devMu);
@@ -212,7 +212,7 @@ func New(shards []Shard, cfg Config) (*Gateway, error) {
 		replicas:   cfg.Replicas,
 		probeEvery: cfg.ProbeInterval,
 		ttl:        cfg.ResidueTTL,
-		known:      map[string]struct{}{},
+		known:      map[string]string{},
 		fenced:     map[string]*fence{},
 		flight:     map[string]int{},
 		down:       make([]bool, len(shards)),
@@ -361,7 +361,7 @@ func (g *Gateway) acquire(reports []transport.Report) (shardOf []int32, release 
 		// stay visible to rebalance migration.
 		g.devMu.Lock()
 		for i := range reports {
-			g.known[reports[i].Device] = struct{}{}
+			g.known[reports[i].Device] = reports[i].Device
 			if reports[i].AtSeconds > g.maxAt {
 				g.maxAt = reports[i].AtSeconds
 			}
@@ -1172,7 +1172,7 @@ func (g *Gateway) RebuildRegistry() (devices int, err error) {
 	g.devMu.Lock()
 	for _, devs := range perShard {
 		for _, d := range devs {
-			g.known[d] = struct{}{}
+			g.known[d] = d
 		}
 	}
 	devices = len(g.known)

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/url"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -35,9 +36,23 @@ type HTTPShard struct {
 	codec    transport.Codec
 	jsonOnly atomic.Bool
 
-	// epoch is the gateway leadership stamp this client attaches to
-	// every write (X-Gateway-Epoch); see Shard.StampEpoch.
-	epoch atomic.Uint64
+	// stamped is what every write is sent under: the request header sets
+	// carrying the gateway leadership epoch (X-Gateway-Epoch; see
+	// Shard.StampEpoch) and the batch route prepared under them. Built
+	// at construction and again on each StampEpoch — a lease change, not
+	// a request — so the ingest path builds no header and parses no URL.
+	stamped atomic.Pointer[stampedWrites]
+
+	// ackMu guards rooms, which canonicalises the room names the shard's
+	// wire acks repeat.
+	ackMu sync.Mutex
+	rooms wire.Interner
+}
+
+// stampedWrites is one leadership epoch's prepared write headers.
+type stampedWrites struct {
+	json, wire http.Header
+	batchWire  transport.Target
 }
 
 // NewHTTPShard points a shard client at a bms server root, e.g.
@@ -47,7 +62,11 @@ func NewHTTPShard(baseURL string, client *http.Client, retry transport.RetryPoli
 	if baseURL == "" {
 		return nil, fmt.Errorf("fleet: http shard needs a base URL")
 	}
-	return &HTTPShard{base: baseURL, client: client, retry: retry}, nil
+	h := &HTTPShard{base: baseURL, client: client, retry: retry, rooms: wire.Interner{}}
+	if err := h.stampWrites(0); err != nil {
+		return nil, fmt.Errorf("fleet: http shard: %w", err)
+	}
+	return h, nil
 }
 
 // Name implements Shard: the base URL is the stable ring identity.
@@ -58,23 +77,36 @@ func (h *HTTPShard) Name() string { return h.base }
 func (h *HTTPShard) SetCodec(c transport.Codec) { h.codec = c }
 
 // StampEpoch implements Shard.
-func (h *HTTPShard) StampEpoch(epoch uint64) { h.epoch.Store(epoch) }
+func (h *HTTPShard) StampEpoch(epoch uint64) {
+	// The base URL parsed at construction; a new stamp cannot unparse it.
+	_ = h.stampWrites(epoch)
+}
 
-// stamp builds the write headers: the leadership epoch when one is
-// set, nil (no extra headers) for unfenced clients.
-func (h *HTTPShard) stamp() map[string]string {
-	epoch := h.epoch.Load()
-	if epoch == 0 {
-		return nil
+// stampWrites prepares the write headers for a leadership epoch: the
+// stamp when one is set, no extra header for unfenced clients.
+func (h *HTTPShard) stampWrites(epoch uint64) error {
+	w := &stampedWrites{
+		json: http.Header{"Content-Type": {"application/json"}},
+		wire: http.Header{"Content-Type": {wire.ContentType}},
 	}
-	return map[string]string{transport.HeaderGatewayEpoch: strconv.FormatUint(epoch, 10)}
+	if epoch != 0 {
+		stamp := strconv.FormatUint(epoch, 10)
+		w.json.Set(transport.HeaderGatewayEpoch, stamp)
+		w.wire.Set(transport.HeaderGatewayEpoch, stamp)
+	}
+	var err error
+	if w.batchWire, err = transport.NewTarget(http.MethodPost, h.base+transport.BatchPath, w.wire); err != nil {
+		return err
+	}
+	h.stamped.Store(w)
+	return nil
 }
 
 // postWrite posts a fenced write: the leadership stamp rides the
 // request headers, and a 409 stale-leader answer comes back as the
 // same typed error the in-process arbiter returns.
 func (h *HTTPShard) postWrite(path string, body []byte) ([]byte, error) {
-	payload, err := transport.DoJSONHeaders(h.client, http.MethodPost, h.base+path, body, h.stamp(), h.retry)
+	payload, err := transport.DoJSONHeaders(h.client, http.MethodPost, h.base+path, body, h.stamped.Load().json, h.retry)
 	if err != nil {
 		return nil, staleLeaderFrom(err)
 	}
@@ -137,11 +169,18 @@ func (h *HTTPShard) IngestBatch(reports []transport.Report) ([]string, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fleet: marshal batch: %w", err)
 	}
-	payload, err := h.postWrite("/api/v1/observations:batch", body)
+	payload, err := h.postWrite(transport.BatchPath, body)
 	if err != nil {
 		return nil, err
 	}
-	return decodeRooms(payload)
+	// A JSON request gets the JSON ack.
+	var resp struct {
+		Rooms []string `json:"rooms"`
+	}
+	if err := json.Unmarshal(payload, &resp); err != nil {
+		return nil, fmt.Errorf("%w: decode batch response: %v", ErrShardMisbehaved, err)
+	}
+	return resp.Rooms, nil
 }
 
 // ingestBatchBinary posts the batch as one wire frame. encoded is
@@ -156,42 +195,29 @@ func (h *HTTPShard) ingestBatchBinary(reports []transport.Report) (rooms []strin
 	buf := wire.GetBuf()
 	defer wire.PutBuf(buf)
 	*buf = wire.AppendFrame(*buf, b)
-	payload, err := h.postFrame(*buf)
-	if err != nil {
-		return nil, err, true
-	}
-	rooms, err = decodeRooms(payload)
+	rooms, err = h.postFrame(*buf, len(reports))
 	return rooms, err, true
 }
 
-// postFrame posts one wire body (frame or pre-split sections) to the
-// batch endpoint under the leadership stamp, with extra headers merged.
-func (h *HTTPShard) postFrame(body []byte, extra ...map[string]string) ([]byte, error) {
-	hdr := map[string]string{"Content-Type": wire.ContentType}
-	for k, v := range h.stamp() {
-		hdr[k] = v
-	}
-	for _, m := range extra {
-		for k, v := range m {
-			hdr[k] = v
-		}
-	}
-	payload, err := transport.DoJSONHeaders(h.client, http.MethodPost, h.base+"/api/v1/observations:batch", body, hdr, h.retry)
+// postFrame posts one wire frame to the batch endpoint under the
+// leadership stamp and decodes the wire ack — the run-length rooms
+// column of wire.AppendRooms — into interned strings. The ack is read
+// through a pooled buffer; only the rooms slice itself is allocated.
+func (h *HTTPShard) postFrame(frame []byte, reports int) ([]string, error) {
+	ack := wire.GetBuf()
+	defer wire.PutBuf(ack)
+	payload, err := h.stamped.Load().batchWire.Do(h.client, frame, h.retry, ack)
 	if err != nil {
 		return nil, staleLeaderFrom(err)
 	}
-	return payload, nil
-}
-
-// decodeRooms parses the batch response shared by both codecs.
-func decodeRooms(payload []byte) ([]string, error) {
-	var resp struct {
-		Rooms []string `json:"rooms"`
+	rd := wire.Reader{Buf: payload}
+	h.ackMu.Lock()
+	rooms := rd.Rooms(reports, make([]string, 0, reports), h.rooms)
+	h.ackMu.Unlock()
+	if rd.Short {
+		return nil, fmt.Errorf("%w: malformed rooms ack for %d reports", ErrShardMisbehaved, reports)
 	}
-	if err := json.Unmarshal(payload, &resp); err != nil {
-		return nil, fmt.Errorf("%w: decode batch response: %v", ErrShardMisbehaved, err)
-	}
-	return resp.Rooms, nil
+	return rooms, nil
 }
 
 // IngestFrame implements FrameIngester: the pre-split forward path
@@ -202,9 +228,9 @@ func decodeRooms(payload []byte) ([]string, error) {
 // fast path.
 func (h *HTTPShard) IngestFrame(frame []byte, reports int) ([]string, error) {
 	if !h.jsonOnly.Load() {
-		payload, err := h.postFrame(frame)
+		rooms, err := h.postFrame(frame, reports)
 		if err == nil {
-			return decodeRooms(payload)
+			return rooms, nil
 		}
 		if code, ok := transport.StatusCode(err); !ok || code != http.StatusUnsupportedMediaType {
 			return nil, err
@@ -474,8 +500,8 @@ func Handler(g *Gateway, opts HandlerOptions) http.Handler {
 	})
 	mux.HandleFunc("POST /api/v1/observations", func(w http.ResponseWriter, r *http.Request) {
 		var rep transport.Report
-		if err := json.NewDecoder(r.Body).Decode(&rep); err != nil {
-			fleetError(w, http.StatusBadRequest, fmt.Errorf("decode: %w", err))
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, wire.MaxBodyBytes)).Decode(&rep); err != nil {
+			fleetUploadError(w, "decode", err)
 			return
 		}
 		if opts.Lease != nil && !opts.Lease.Active() {
@@ -498,15 +524,15 @@ func Handler(g *Gateway, opts HandlerOptions) http.Handler {
 			return
 		}
 		var reports []transport.Report
-		if err := json.NewDecoder(r.Body).Decode(&reports); err != nil {
-			fleetError(w, http.StatusBadRequest, fmt.Errorf("decode: %w", err))
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, wire.MaxBodyBytes)).Decode(&reports); err != nil {
+			fleetUploadError(w, "decode", err)
 			return
 		}
 		if opts.Lease != nil && !opts.Lease.Active() {
 			fleetStandbyError(w, opts.Lease)
 			return
 		}
-		serveIngestBatch(g, opts, w, reports)
+		serveIngestBatch(g, opts, w, reports, false)
 	})
 	mux.HandleFunc("GET /api/v1/ring", func(w http.ResponseWriter, r *http.Request) {
 		fleetJSON(w, http.StatusOK, g.RingInfo())

@@ -8,7 +8,6 @@ package fleet
 import (
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strings"
 
@@ -23,26 +22,6 @@ func isWireContent(r *http.Request) bool {
 	return ct == wire.ContentType || strings.HasPrefix(ct, wire.ContentType+";")
 }
 
-// readBody drains the request body into the pooled buffer.
-func readBody(r io.Reader, dst *[]byte) ([]byte, error) {
-	b := (*dst)[:0]
-	for {
-		if len(b) == cap(b) {
-			b = append(b, 0)[:len(b)]
-		}
-		n, err := r.Read(b[len(b):cap(b)])
-		b = b[:len(b)+n]
-		if err == io.EOF {
-			*dst = b
-			return b, nil
-		}
-		if err != nil {
-			*dst = b
-			return nil, err
-		}
-	}
-}
-
 // notePresplitMiss counts a pre-split upload re-split server-side.
 func (g *Gateway) notePresplitMiss() {
 	if gm := g.met; gm != nil {
@@ -54,14 +33,15 @@ func (g *Gateway) notePresplitMiss() {
 // binary codec: a plain frame decodes and takes the ordinary batch
 // path; sections under a matching ring digest forward verbatim, and
 // under a stale one decode in section order and re-split server-side —
-// the response is the same rooms array either way, so the device never
-// learns (or cares) which path ran.
+// the response is the same rooms column either way (a wire request gets
+// a wire ack: wire.AppendRooms), so the device never learns (or cares)
+// which path ran.
 func handleWireBatch(g *Gateway, opts HandlerOptions, w http.ResponseWriter, r *http.Request) {
 	buf := wire.GetBuf()
 	defer wire.PutBuf(buf)
-	body, err := readBody(r.Body, buf)
+	body, err := wire.ReadBody(r.Body, r.ContentLength, wire.MaxBodyBytes, buf)
 	if err != nil {
-		fleetError(w, http.StatusBadRequest, fmt.Errorf("read body: %w", err))
+		fleetUploadError(w, "read body", err)
 		return
 	}
 	if opts.Lease != nil && !opts.Lease.Active() {
@@ -78,24 +58,34 @@ func handleWireBatch(g *Gateway, opts HandlerOptions, w http.ResponseWriter, r *
 			fleetError(w, http.StatusBadRequest, fmt.Errorf("decode frame: %w", err))
 			return
 		}
-		serveIngestBatch(g, opts, w, transport.DecodeReports(b, nil))
+		serveIngestBatch(g, opts, w, transport.DecodeReports(b, nil), true)
 		return
 	}
-	var secs []PresplitSection
+	sc := getForwardScratch()
+	defer sc.release()
 	if err := wire.ScanSections(body, func(shard, frame, payload []byte) error {
-		secs = append(secs, PresplitSection{Shard: string(shard), Frame: frame, Payload: payload})
+		// A shard the gateway routes to resolves to the gateway's own
+		// name for it; an unknown one is copied, and rejected below.
+		var name string
+		if idx, ok := g.byName[string(shard)]; ok {
+			name = g.shards[idx].Name()
+		} else {
+			name = string(shard)
+		}
+		sc.secs = append(sc.secs, PresplitSection{Shard: name, Frame: frame, Payload: payload})
 		return nil
 	}); err != nil {
 		fleetError(w, http.StatusBadRequest, fmt.Errorf("decode sections: %w", err))
 		return
 	}
-	rooms, err := g.IngestPresplit(digest, secs)
+	rooms, err := g.forward(digest, sc.secs, sc)
 	if err == nil {
-		out := []string{}
 		for _, sub := range rooms {
-			out = append(out, sub...)
+			sc.flat = append(sc.flat, sub...)
 		}
-		fleetJSON(w, http.StatusOK, map[string]any{"rooms": out})
+		// The frames are forwarded: the body's buffer carries the ack.
+		*buf = wire.AppendRooms((*buf)[:0], sc.flat)
+		writeWireAck(w, *buf)
 		return
 	}
 	if !errors.Is(err, ErrPresplitMismatch) {
@@ -108,31 +98,61 @@ func handleWireBatch(g *Gateway, opts HandlerOptions, w http.ResponseWriter, r *
 	// Stale digest (or a shard that cannot take frames): re-split
 	// server-side from the decoded sections. Report order is section
 	// order, which is how the device assembled the upload, so the rooms
-	// array still answers report-for-report.
+	// column still answers report-for-report.
 	g.notePresplitMiss()
 	b := wire.GetBatch()
 	defer wire.PutBatch(b)
 	var reports []transport.Report
-	for k := range secs {
+	for k := range sc.secs {
 		b.Reset()
-		if err := wire.DecodePayload(secs[k].Payload, b); err != nil {
-			fleetError(w, http.StatusBadRequest, fmt.Errorf("decode section %q: %w", secs[k].Shard, err))
+		if err := wire.DecodePayload(sc.secs[k].Payload, b); err != nil {
+			fleetError(w, http.StatusBadRequest, fmt.Errorf("decode section %q: %w", sc.secs[k].Shard, err))
 			return
 		}
 		reports = transport.DecodeReports(b, reports)
 	}
-	serveIngestBatch(g, opts, w, reports)
+	serveIngestBatch(g, opts, w, reports, true)
 }
 
-// serveIngestBatch runs the decoded batch path and writes the answer —
-// shared by the JSON route and every wire fallback.
-func serveIngestBatch(g *Gateway, opts HandlerOptions, w http.ResponseWriter, reports []transport.Report) {
+// wireAckType is the ack's Content-Type header value, shared by every
+// response: net/http reads header values, it never writes to them.
+var wireAckType = []string{wire.ContentType}
+
+// writeWireAck answers 200 with an encoded rooms column.
+func writeWireAck(w http.ResponseWriter, ack []byte) {
+	w.Header()["Content-Type"] = wireAckType
+	_, _ = w.Write(ack)
+}
+
+// fleetUploadError answers an upload that could not be taken in (what
+// names the step that failed): 413 past the size limit — the wire
+// face's own, or the JSON face's MaxBytesReader — and 400 otherwise.
+func fleetUploadError(w http.ResponseWriter, what string, err error) {
+	code := http.StatusBadRequest
+	var tooLarge *http.MaxBytesError
+	if errors.Is(err, wire.ErrBodyTooLarge) || errors.As(err, &tooLarge) {
+		code = http.StatusRequestEntityTooLarge
+	}
+	fleetError(w, code, fmt.Errorf("%s: %w", what, err))
+}
+
+// serveIngestBatch runs the decoded batch path and writes the answer in
+// the request's codec — shared by the JSON route and every wire
+// fallback.
+func serveIngestBatch(g *Gateway, opts HandlerOptions, w http.ResponseWriter, reports []transport.Report, wireAck bool) {
 	rooms, err := g.IngestBatch(reports)
 	if err != nil {
 		if opts.Lease != nil {
 			opts.Lease.ObserveStale(err)
 		}
 		fleetIngestError(w, err)
+		return
+	}
+	if wireAck {
+		buf := wire.GetBuf()
+		defer wire.PutBuf(buf)
+		*buf = wire.AppendRooms(*buf, rooms)
+		writeWireAck(w, *buf)
 		return
 	}
 	if rooms == nil {

@@ -21,7 +21,6 @@ package ibeacon
 
 import (
 	"encoding/binary"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"math"
@@ -41,20 +40,55 @@ var prefix = [9]byte{0x02, 0x01, 0x06, 0x1A, 0xFF, 0x4C, 0x00, 0x02, 0x15}
 // one organisation/region.
 type UUID [16]byte
 
-// ParseUUID parses the canonical hyphenated form
-// ("B9407F30-F5F8-466E-AFF9-25556B57FE6D") or 32 plain hex digits.
+// ParseUUID parses the canonical 8-4-4-4-12 hyphenated form
+// ("B9407F30-F5F8-466E-AFF9-25556B57FE6D", either case) or 32 plain hex
+// digits — exactly those two shapes, so a string with hyphens anywhere
+// else cannot alias a canonical one. It decodes in place: identities are
+// parsed once per beacon per report on the device's encode path, and the
+// accept path allocates nothing.
 func ParseUUID(s string) (UUID, error) {
-	var u UUID
-	clean := strings.ReplaceAll(s, "-", "")
-	if len(clean) != 32 {
-		return u, fmt.Errorf("ibeacon: UUID %q must contain 32 hex digits", s)
+	u, ok := parseUUID(s)
+	if !ok {
+		return u, fmt.Errorf("ibeacon: UUID %q must be 32 hex digits, plain or grouped 8-4-4-4-12", s)
 	}
-	b, err := hex.DecodeString(clean)
-	if err != nil {
-		return u, fmt.Errorf("ibeacon: UUID %q: %w", s, err)
-	}
-	copy(u[:], b)
 	return u, nil
+}
+
+func parseUUID(s string) (u UUID, ok bool) {
+	grouped := len(s) == 36
+	if grouped {
+		if s[8] != '-' || s[13] != '-' || s[18] != '-' || s[23] != '-' {
+			return u, false
+		}
+	} else if len(s) != 32 {
+		return u, false
+	}
+	j := 0
+	for i := range u {
+		if grouped && (j == 8 || j == 13 || j == 18 || j == 23) {
+			j++
+		}
+		hi, lo := unhex(s[j]), unhex(s[j+1])
+		if hi > 15 || lo > 15 {
+			return u, false
+		}
+		u[i] = hi<<4 | lo
+		j += 2
+	}
+	return u, true
+}
+
+// unhex returns the value of one hex digit, or 0xff for anything else.
+func unhex(c byte) byte {
+	switch {
+	case '0' <= c && c <= '9':
+		return c - '0'
+	case 'a' <= c && c <= 'f':
+		return c - 'a' + 10
+	case 'A' <= c && c <= 'F':
+		return c - 'A' + 10
+	}
+	return 0xff
 }
 
 // MustUUID is ParseUUID that panics on error, for test fixtures and
@@ -200,37 +234,53 @@ func (id BeaconID) Compare(other BeaconID) int {
 
 // ParseBeaconID parses the "UUID/major/minor" form produced by
 // BeaconID.String; it is the wire representation used by the REST API and
-// the dataset files.
+// the dataset files. The UUID is the grouped 36-character form; major and
+// minor are unsigned decimals up to 65535 (no sign, no blanks), so "+5"
+// or "-0" cannot alias a canonical identity. Like ParseUUID it allocates
+// nothing on the accept path.
 func ParseBeaconID(s string) (BeaconID, error) {
-	var id BeaconID
-	if len(s) < 36+4 { // canonical UUID plus "/M/m"
-		return id, fmt.Errorf("ibeacon: bad beacon id %q", s)
+	id, ok := parseBeaconID(s)
+	if !ok {
+		return id, fmt.Errorf("ibeacon: bad beacon id %q (want UUID/major/minor, fields 0..65535)", s)
 	}
-	u, err := ParseUUID(s[:36])
-	if err != nil {
-		return id, fmt.Errorf("ibeacon: bad beacon id %q: %w", s, err)
+	return id, nil
+}
+
+func parseBeaconID(s string) (id BeaconID, ok bool) {
+	if len(s) < 36+4 || s[36] != '/' { // grouped UUID plus "/M/m"
+		return id, false
 	}
-	rest := s[36:]
-	if len(rest) == 0 || rest[0] != '/' {
-		return id, fmt.Errorf("ibeacon: bad beacon id %q", s)
+	if id.UUID, ok = parseUUID(s[:36]); !ok {
+		return id, false
 	}
-	rest = rest[1:]
+	rest := s[37:]
 	slash := strings.IndexByte(rest, '/')
 	if slash < 0 {
-		return id, fmt.Errorf("ibeacon: bad beacon id %q", s)
+		return id, false
 	}
-	major, err := strconv.Atoi(rest[:slash])
-	if err != nil {
-		return id, fmt.Errorf("ibeacon: bad beacon id %q: %w", s, err)
+	if id.Major, ok = parseField(rest[:slash]); !ok {
+		return id, false
 	}
-	minor, err := strconv.Atoi(rest[slash+1:])
-	if err != nil {
-		return id, fmt.Errorf("ibeacon: bad beacon id %q: %w", s, err)
+	id.Minor, ok = parseField(rest[slash+1:])
+	return id, ok
+}
+
+// parseField parses one unsigned decimal major/minor field.
+func parseField(s string) (uint16, bool) {
+	if len(s) == 0 {
+		return 0, false
 	}
-	if major < 0 || major > math.MaxUint16 || minor < 0 || minor > math.MaxUint16 {
-		return id, fmt.Errorf("ibeacon: beacon id %q fields out of range", s)
+	v := 0
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if c < '0' || c > '9' {
+			return 0, false
+		}
+		if v = v*10 + int(c-'0'); v > math.MaxUint16 {
+			return 0, false
+		}
 	}
-	return BeaconID{UUID: u, Major: uint16(major), Minor: uint16(minor)}, nil
+	return uint16(v), true
 }
 
 // Hash64 folds the identity into 64 bits; the radio model uses it to give

@@ -37,7 +37,17 @@ func TestParseUUID(t *testing.T) {
 }
 
 func TestParseUUIDErrors(t *testing.T) {
-	bad := []string{"", "1234", exampleUUID + "00", "ZZ407F30-F5F8-466E-AFF9-25556B57FE6D"}
+	plain := strings.ReplaceAll(exampleUUID, "-", "")
+	bad := []string{
+		"", "1234", exampleUUID + "00", "ZZ407F30-F5F8-466E-AFF9-25556B57FE6D",
+		// Hyphens count only at the four canonical positions: these all
+		// held 32 hex digits and used to parse to exampleUUID.
+		plain + "----",
+		"-B-9-4-07F30F5F8466EAFF925556B57FE6D",
+		"B9407F30F-5F8-466E-AFF9-25556B57FE6D",
+		"B9407F30-F5F8-466E-AFF9-25556B57FE6-",
+		plain[:31], plain + "0",
+	}
 	for _, s := range bad {
 		if _, err := ParseUUID(s); err == nil {
 			t.Errorf("ParseUUID(%q) should fail", s)
@@ -256,4 +266,65 @@ func TestQuickUUIDRoundTrip(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+func TestParseBeaconID(t *testing.T) {
+	want := BeaconID{UUID: MustUUID(exampleUUID), Major: 7, Minor: 65535}
+	for _, s := range []string{
+		exampleUUID + "/7/65535",
+		strings.ToLower(exampleUUID) + "/7/65535",
+	} {
+		got, err := ParseBeaconID(s)
+		if err != nil || got != want {
+			t.Errorf("ParseBeaconID(%q) = %v, %v; want %v", s, got, err, want)
+		}
+	}
+	if got, err := ParseBeaconID(want.String()); err != nil || got != want {
+		t.Errorf("String round trip = %v, %v", got, err)
+	}
+	bad := []string{
+		"", exampleUUID, exampleUUID + "/1", exampleUUID + "/1/", exampleUUID + "//1",
+		exampleUUID + "/65536/1", exampleUUID + "/1/65536", exampleUUID + "/1/99999999999999999999",
+		// Signs and blanks: strconv.Atoi took these, aliasing /5/0.
+		exampleUUID + "/+5/0", exampleUUID + "/5/-0", exampleUUID + "/ 5/0", exampleUUID + "/5/0 ",
+		exampleUUID + "/1/2/3", exampleUUID + "/0x1/2",
+		// The UUID part must be the grouped form.
+		strings.ReplaceAll(exampleUUID, "-", "") + "----/1/2",
+		exampleUUID[:35] + "/1/2/",
+	}
+	for _, s := range bad {
+		if id, err := ParseBeaconID(s); err == nil {
+			t.Errorf("ParseBeaconID(%q) = %v, should fail", s, id)
+		}
+	}
+}
+
+// FuzzParseBeaconID holds the identity parser to its contract: whatever
+// it accepts round-trips through the canonical rendering, and accepting
+// allocates nothing (the device's encode path parses every beacon of
+// every report).
+func FuzzParseBeaconID(f *testing.F) {
+	f.Add(exampleUUID + "/1/2")
+	f.Add(strings.ToLower(exampleUUID) + "/65535/0")
+	f.Add(exampleUUID + "/+5/-0")
+	f.Add(strings.ReplaceAll(exampleUUID, "-", "") + "----/1/2")
+	f.Add("-B-9-4-07F30F5F8466EAFF925556B57FE6D/1/2")
+	f.Add(exampleUUID + "/007/00000000000000000001")
+	f.Add("")
+	f.Fuzz(func(t *testing.T, s string) {
+		id, err := ParseBeaconID(s)
+		if err != nil {
+			return
+		}
+		again, err := ParseBeaconID(id.String())
+		if err != nil || again != id {
+			t.Fatalf("ParseBeaconID(%q) = %v, but its rendering %q parses to %v, %v", s, id, id.String(), again, err)
+		}
+		if !strings.EqualFold(s[:36], id.UUID.String()) {
+			t.Fatalf("ParseBeaconID(%q) took a UUID that is not its first 36 bytes: %v", s, id)
+		}
+		if n := testing.AllocsPerRun(10, func() { _, _ = ParseBeaconID(s) }); n != 0 {
+			t.Fatalf("ParseBeaconID(%q) allocates %v times on the accept path", s, n)
+		}
+	})
 }

@@ -145,8 +145,8 @@ type Scanner struct {
 	// stack resolves each buffer once and every later reception is a
 	// pointer-compare scan of this small array, with no map hashing on
 	// the hot path. The slice holds at most payloadCacheMaxEntries
-	// entries, evicting the oldest first (FIFO single victim, like the
-	// bms id intern cache) so a workload churning fresh payload buffers
+	// entries, evicting the oldest first (FIFO, a single victim) so a
+	// workload churning fresh payload buffers
 	// cannot grow it without bound; an evicted payload merely pays the
 	// parse again on its next reception. Slot references keep cached
 	// buffers alive, so a payload address can never be reused while its

@@ -19,14 +19,13 @@ import (
 	"occusim/internal/fingerprint"
 	"occusim/internal/ibeacon"
 	"occusim/internal/stripe"
+	"occusim/internal/wire"
 )
 
-// BeaconDistance is one ranged beacon inside an observation.
-type BeaconDistance struct {
-	ID       ibeacon.BeaconID
-	Distance float64
-	RSSI     float64
-}
+// BeaconDistance is one ranged beacon inside an observation — the wire
+// codec's beacon, under its store name: a decoded report's span is
+// stored and classified as it is, never converted element by element.
+type BeaconDistance = wire.Beacon
 
 // Observation is one report from a device: the beacons it currently
 // ranges and their estimated distances. Epoch and Seq mirror the wire

@@ -123,14 +123,37 @@ func (m *Model) NumSupportVectors() int {
 // Predict returns the majority-vote class for x. Vote ties break towards
 // the lexicographically smaller class label, deterministically.
 func (m *Model) Predict(x []float64) string {
-	return m.predictScaled(m.scaler.Transform(x))
+	var sc Scratch
+	return m.PredictScratch(x, &sc)
+}
+
+// Scratch is the working memory of one prediction: the standardised
+// row and the vote tally. A caller that predicts in a loop keeps one and
+// passes it to PredictScratch, which then allocates nothing once the
+// slices have grown to the model's size. Not safe for concurrent use.
+type Scratch struct {
+	scaled []float64
+	votes  []int
+}
+
+// PredictScratch is Predict on caller-owned scratch — the same
+// arithmetic in the same order, so the two agree bit for bit.
+func (m *Model) PredictScratch(x []float64, sc *Scratch) string {
+	if cap(sc.scaled) < len(x) {
+		sc.scaled = make([]float64, len(x))
+	}
+	if cap(sc.votes) < len(m.classes) {
+		sc.votes = make([]int, len(m.classes))
+	}
+	return m.predictScaled(m.scaler.transformInto(sc.scaled, x), sc.votes[:len(m.classes)])
 }
 
 // predictScaled is Predict for rows already standardised with the
 // model's scaler (the grid search pre-scales each fold's test rows
-// once).
-func (m *Model) predictScaled(xs []float64) string {
-	votes := make([]int, len(m.classes))
+// once). votes is scratch of len(m.classes); its contents are
+// overwritten.
+func (m *Model) predictScaled(xs []float64, votes []int) string {
+	clear(votes)
 	for _, p := range m.pairs {
 		if p.m.decision(xs) >= 0 {
 			votes[p.a]++
@@ -316,8 +339,9 @@ func GridSearch(X [][]float64, labels []string, cs, gammas []float64, folds int,
 			if err != nil {
 				return err
 			}
+			votes := make([]int, len(m.classes))
 			for j, x := range fd.teX {
-				if m.predictScaled(x) == fd.teY[j] {
+				if m.predictScaled(x, votes) == fd.teY[j] {
 					correct++
 				}
 				total++

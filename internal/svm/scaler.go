@@ -54,11 +54,16 @@ func FitScaler(X [][]float64) (*Scaler, error) {
 
 // Transform returns the standardised copy of x.
 func (s *Scaler) Transform(x []float64) []float64 {
-	out := make([]float64, len(x))
+	return s.transformInto(make([]float64, len(x)), x)
+}
+
+// transformInto standardises x into dst[:len(x)] and returns it.
+func (s *Scaler) transformInto(dst, x []float64) []float64 {
+	dst = dst[:len(x)]
 	for j, v := range x {
-		out[j] = (v - s.Mean[j]) / s.Std[j]
+		dst[j] = (v - s.Mean[j]) / s.Std[j]
 	}
-	return out
+	return dst
 }
 
 // TransformAll standardises every row of X into a new matrix.

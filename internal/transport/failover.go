@@ -161,8 +161,7 @@ func (u *FailoverUplink) postNegotiated(path string, frame []byte, jsonBody func
 			_, err = PostJSON(u.Client, base+path, body, u.Retry)
 			return err
 		}
-		hdr := map[string]string{"Content-Type": wire.ContentType}
-		_, err := DoJSONHeaders(u.Client, http.MethodPost, base+path, frame, hdr, u.Retry)
+		_, err := DoJSONHeaders(u.Client, http.MethodPost, base+path, frame, wireHeader, u.Retry)
 		if isUnsupportedMedia(err) {
 			// Old frontend: downgrade THIS target for good and resend
 			// the same batch as JSON before giving up on it.

@@ -19,7 +19,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -28,6 +30,7 @@ import (
 
 	"occusim/internal/obs"
 	"occusim/internal/rng"
+	"occusim/internal/wire"
 )
 
 // transportMetrics is the package's telemetry: retry counts, the
@@ -357,13 +360,57 @@ func (e *statusError) Error() string {
 // between them, leaving the last attempt born dead). The fleet layer's
 // HTTP shard client shares this path with HTTPUplink, so both see
 // identical retry and error semantics.
-func DoJSON(client *http.Client, method, url string, body []byte, policy RetryPolicy) ([]byte, error) {
-	return DoJSONHeaders(client, method, url, body, nil, policy)
+func DoJSON(client *http.Client, method, rawURL string, body []byte, policy RetryPolicy) ([]byte, error) {
+	return DoJSONHeaders(client, method, rawURL, body, nil, policy)
 }
 
-// DoJSONHeaders is DoJSON with extra request headers on every attempt —
-// the fleet's shard client uses it to stamp writes with the gateway
-// leadership epoch.
+// DoJSONHeaders is DoJSON under the caller's complete request header
+// set (nil means plain JSON) — a wire Content-Type, the gateway
+// leadership stamp. hdr is only read and may be shared between calls.
+// Callers with a fixed endpoint prepare a Target once instead.
+func DoJSONHeaders(client *http.Client, method, rawURL string, body []byte, hdr http.Header, policy RetryPolicy) ([]byte, error) {
+	t, err := NewTarget(method, rawURL, hdr)
+	if err != nil {
+		return nil, err
+	}
+	return t.Do(client, body, policy, nil)
+}
+
+// jsonHeader is the request header set of a plain JSON exchange.
+var jsonHeader = http.Header{"Content-Type": {"application/json"}}
+
+// Target is one prepared exchange endpoint: the method, the URL parsed
+// once, and the complete request header set built once — an uplink or a
+// shard client keeps one per endpoint it posts to, so an exchange
+// constructs nothing but its request. Read-only after NewTarget, and
+// safe for concurrent use: net/http reads a request's URL and header
+// values, it never writes to them (a client with a cookie jar would; no
+// caller installs one).
+type Target struct {
+	method string
+	url    *url.URL
+	hdr    http.Header
+}
+
+// NewTarget prepares an endpoint; nil hdr means plain JSON. A URL that
+// does not parse fails here, once, before any exchange could burn
+// backoff on it.
+func NewTarget(method, rawURL string, hdr http.Header) (Target, error) {
+	u, err := url.Parse(rawURL)
+	if err != nil {
+		return Target{}, fmt.Errorf("transport: request: %w", err)
+	}
+	if hdr == nil {
+		hdr = jsonHeader
+	}
+	return Target{method: method, url: u, hdr: hdr}, nil
+}
+
+// Do performs one exchange with the target under the retry policy and
+// returns the response payload. The payload is read into *dst (reused,
+// grown as needed) and returned as a view of it, for callers that decode
+// or discard it before reusing the buffer; a nil dst gets a fresh buffer
+// sized for the announced length, which the caller owns.
 //
 // A 409 stale-leader rejection is permanent for THIS target but
 // immediately redirectable: like every non-429 4xx it fails on the
@@ -371,7 +418,7 @@ func DoJSON(client *http.Client, method, url string, body []byte, policy RetryPo
 // error carries the shard's leader hint (LeaderHint/LeaderEpoch) so a
 // FailoverUplink can switch to the real leader at once instead of
 // burning backoff against a deposed gateway.
-func DoJSONHeaders(client *http.Client, method, url string, body []byte, hdr map[string]string, policy RetryPolicy) ([]byte, error) {
+func (t Target) Do(client *http.Client, body []byte, policy RetryPolicy, dst *[]byte) ([]byte, error) {
 	var attemptTimeout time.Duration
 	if client == nil {
 		// The shared pooled client, not a throwaway: a fresh Client per
@@ -381,10 +428,8 @@ func DoJSONHeaders(client *http.Client, method, url string, body []byte, hdr map
 		client = pooledClient
 		attemptTimeout = nilClientAttemptTimeout
 	}
-	// A request that cannot even be constructed (malformed URL) fails
-	// identically on every attempt; surface it without burning backoff.
-	if _, err := http.NewRequest(method, url, nil); err != nil {
-		return nil, fmt.Errorf("transport: request: %w", err)
+	if dst == nil {
+		dst = new([]byte)
 	}
 	var lastErr error
 	var spent time.Duration
@@ -411,7 +456,7 @@ func DoJSONHeaders(client *http.Client, method, url string, body []byte, hdr map
 			}
 			policy.sleep(d)
 		}
-		payload, err := doOnce(client, method, url, body, hdr, attemptTimeout)
+		payload, err := t.doOnce(client, body, attemptTimeout, dst)
 		if err == nil {
 			return payload, nil
 		}
@@ -429,35 +474,49 @@ func DoJSONHeaders(client *http.Client, method, url string, body []byte, hdr map
 // window without waiting out real 5-second timeouts.
 var nilClientAttemptTimeout = 5 * time.Second
 
+// attempt is one exchange attempt's request and body reader in a single
+// allocation. Every attempt gets a fresh one over the same bytes, so a
+// retry resends the whole payload.
+type attempt struct {
+	req     http.Request
+	rd      bytes.Reader
+	payload []byte
+}
+
+// rewind is the request's GetBody: net/http needs it to resend a POST
+// over a fresh connection when a kept-alive one died under the write.
+func (a *attempt) rewind() (io.ReadCloser, error) {
+	return io.NopCloser(bytes.NewReader(a.payload)), nil
+}
+
 // doOnce is a single exchange attempt; timeout > 0 bounds just this
 // attempt via the request context.
-func doOnce(client *http.Client, method, url string, body []byte, hdr map[string]string, timeout time.Duration) ([]byte, error) {
-	var rd io.Reader
+func (t Target) doOnce(client *http.Client, body []byte, timeout time.Duration, dst *[]byte) ([]byte, error) {
+	a := &attempt{payload: body, req: http.Request{
+		Method: t.method, URL: t.url, Host: t.url.Host, Header: t.hdr,
+		Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1,
+	}}
+	req := &a.req
 	if body != nil {
-		rd = bytes.NewReader(body)
+		// A NopCloser over a *bytes.Reader is what net/http recognises as
+		// an in-memory body: it then writes headers and body in one go
+		// instead of flushing the headers first.
+		a.rd.Reset(body)
+		req.Body, req.GetBody, req.ContentLength = io.NopCloser(&a.rd), a.rewind, int64(len(body))
 	}
-	ctx := context.Background()
 	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
+		ctx, cancel := context.WithTimeout(context.Background(), timeout)
 		defer cancel()
-	}
-	req, err := http.NewRequestWithContext(ctx, method, url, rd)
-	if err != nil {
-		return nil, fmt.Errorf("transport: request: %w", err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	for k, v := range hdr {
-		req.Header.Set(k, v)
+		req = req.WithContext(ctx)
 	}
 	resp, err := client.Do(req)
 	if err != nil {
-		return nil, fmt.Errorf("transport: %s: %w", strings.ToLower(method), err)
+		return nil, fmt.Errorf("transport: %s: %w", strings.ToLower(t.method), err)
 	}
 	defer resp.Body.Close()
-	payload, err := io.ReadAll(resp.Body)
+	payload, err := wire.ReadBody(resp.Body, resp.ContentLength, math.MaxInt64, dst)
 	if resp.StatusCode/100 != 2 {
-		snippet := strings.TrimSpace(string(payload))
+		snippet := strings.TrimSpace(string(*dst))
 		if len(snippet) > 200 {
 			snippet = snippet[:200] + "…"
 		}
@@ -529,13 +588,13 @@ func LeaderEpoch(err error) (uint64, bool) {
 }
 
 // PostJSON posts body and returns the response payload under the policy.
-func PostJSON(client *http.Client, url string, body []byte, policy RetryPolicy) ([]byte, error) {
-	return DoJSON(client, http.MethodPost, url, body, policy)
+func PostJSON(client *http.Client, rawURL string, body []byte, policy RetryPolicy) ([]byte, error) {
+	return DoJSON(client, http.MethodPost, rawURL, body, policy)
 }
 
 // GetJSON fetches url and returns the response payload under the policy.
-func GetJSON(client *http.Client, url string, policy RetryPolicy) ([]byte, error) {
-	return DoJSON(client, http.MethodGet, url, nil, policy)
+func GetJSON(client *http.Client, rawURL string, policy RetryPolicy) ([]byte, error) {
+	return DoJSON(client, http.MethodGet, rawURL, nil, policy)
 }
 
 // HTTPUplink posts reports to the BMS observations endpoint — the Wi-Fi
@@ -558,6 +617,8 @@ type HTTPUplink struct {
 	// binary codec, and asking again on every batch would waste a
 	// round trip per flush. Sticky for the uplink's lifetime.
 	jsonOnly atomic.Bool
+
+	batch batchEndpoint
 }
 
 // Name implements Uplink.

@@ -135,30 +135,63 @@ func isUnsupportedMedia(err error) bool {
 	return ok && code == http.StatusUnsupportedMediaType
 }
 
+// BatchPath is the batch ingest route every server face shares.
+const BatchPath = "/api/v1/observations:batch"
+
+// wireHeader is the request header set of a plain binary upload.
+var wireHeader = http.Header{"Content-Type": {wire.ContentType}}
+
+// batchEndpoint is one server's batch route prepared under both codecs,
+// on first use (the uplinks are configured by struct literal, so there
+// is no constructor to do it in) and then for the uplink's lifetime.
+type batchEndpoint struct {
+	once       sync.Once
+	wire, json Target
+	err        error
+}
+
+func (e *batchEndpoint) prepare(base string) error {
+	e.once.Do(func() {
+		if e.wire, e.err = NewTarget(http.MethodPost, base+BatchPath, wireHeader); e.err == nil {
+			e.json, e.err = NewTarget(http.MethodPost, base+BatchPath, nil)
+		}
+	})
+	return e.err
+}
+
 // postWireBatch encodes reports as one binary frame and posts it. The
-// frame buffer is pooled; the call never burns retry budget on a 415 —
-// DoJSON treats non-429 4xx as permanent, so a 415 comes back after
+// frame buffer is pooled, and so is the one the ack is read into: the
+// device side has no use for the rooms. The call never burns retry
+// budget on a 415 — non-429 4xx are permanent, so a 415 comes back after
 // exactly one attempt and the caller downgrades.
-func postWireBatch(client *http.Client, url string, reports []Report, hdr map[string]string, policy RetryPolicy) ([]byte, error) {
+func postWireBatch(client *http.Client, t Target, reports []Report, policy RetryPolicy) error {
 	b := wire.GetBatch()
 	defer wire.PutBatch(b)
 	if err := EncodeReports(b, reports); err != nil {
-		return nil, err
+		return err
 	}
 	buf := wire.GetBuf()
 	defer wire.PutBuf(buf)
 	*buf = wire.AppendFrame(*buf, b)
-	h := map[string]string{"Content-Type": wire.ContentType}
-	for k, v := range hdr {
-		h[k] = v
-	}
-	return DoJSONHeaders(client, http.MethodPost, url, *buf, h, policy)
+	return postDiscard(client, t, *buf, policy)
+}
+
+// postDiscard posts body and drops the ack, read through a pooled
+// buffer.
+func postDiscard(client *http.Client, t Target, body []byte, policy RetryPolicy) error {
+	ack := wire.GetBuf()
+	defer wire.PutBuf(ack)
+	_, err := t.Do(client, body, policy, ack)
+	return err
 }
 
 // sendBatchBinary is the binary half of HTTPUplink.SendBatch: one
 // frame to the batch endpoint, downgrading stickily on 415.
 func (u *HTTPUplink) sendBatchBinary(reports []Report) error {
-	_, err := postWireBatch(u.Client, u.BaseURL+"/api/v1/observations:batch", reports, nil, u.Retry)
+	if err := u.batch.prepare(u.BaseURL); err != nil {
+		return err
+	}
+	err := postWireBatch(u.Client, u.batch.wire, reports, u.Retry)
 	if err == nil {
 		wireCount("binary")
 		return nil
@@ -175,12 +208,19 @@ func (u *HTTPUplink) sendBatchBinary(reports []Report) error {
 
 // sendBatchJSON is the historical JSON batch POST.
 func (u *HTTPUplink) sendBatchJSON(reports []Report) error {
+	if err := u.batch.prepare(u.BaseURL); err != nil {
+		return err
+	}
+	return postJSONBatch(u.Client, u.batch.json, reports, u.Retry)
+}
+
+// postJSONBatch posts reports as the JSON array every server accepts.
+func postJSONBatch(client *http.Client, t Target, reports []Report, policy RetryPolicy) error {
 	body, err := json.Marshal(reports)
 	if err != nil {
 		return fmt.Errorf("transport: marshal batch: %w", err)
 	}
-	_, err = PostJSON(u.Client, u.BaseURL+"/api/v1/observations:batch", body, u.Retry)
-	if err == nil {
+	if err = postDiscard(client, t, body, policy); err == nil {
 		wireCount("json")
 	}
 	return err
@@ -208,10 +248,15 @@ type ShardSplitter struct {
 	// Refresh is the ring re-fetch interval (default 2 s).
 	Refresh time.Duration
 
+	// batch is the gateway's batch route, plain; presplit is the same
+	// route under the current ring digest, prepared whenever a refresh
+	// brings a new one.
+	batch batchEndpoint
+
 	mu        sync.Mutex
 	ring      *ring.Ring
 	down      []bool
-	digest    string
+	presplit  Target
 	fetchedAt time.Time
 	jsonOnly  bool
 }
@@ -238,31 +283,31 @@ func (s *ShardSplitter) refreshInterval() time.Duration {
 	return 2 * time.Second
 }
 
-// ringView returns the current (ring, down, digest), refreshing from
-// the gateway when the view is older than the refresh interval. A
-// fetch failure (or a 404 from a non-gateway) leaves the splitter
-// ringless until the next interval: uploads then go as plain binary
-// frames, which every wire-speaking server ingests directly.
-func (s *ShardSplitter) ringView() (*ring.Ring, []bool, string) {
+// ringView returns the current ring, down set and pre-split target (the
+// batch route under the ring's digest), refreshing from the gateway when
+// the view is older than the refresh interval. A fetch failure (or a 404
+// from a non-gateway) leaves the splitter ringless until the next
+// interval: uploads then go as plain binary frames, which every
+// wire-speaking server ingests directly.
+func (s *ShardSplitter) ringView() (*ring.Ring, []bool, Target) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if time.Since(s.fetchedAt) >= s.refreshInterval() {
 		s.fetchedAt = time.Now()
+		s.ring, s.down = nil, nil
+		var resp ringResponse
 		payload, err := GetJSON(s.Client, s.BaseURL+"/api/v1/ring", s.Retry)
-		if err != nil {
-			s.ring, s.down, s.digest = nil, nil, ""
-		} else {
-			var resp ringResponse
-			if jerr := json.Unmarshal(payload, &resp); jerr != nil || len(resp.Shards) == 0 {
-				s.ring, s.down, s.digest = nil, nil, ""
-			} else if r, rerr := ring.New(resp.Shards, resp.Replicas); rerr != nil {
-				s.ring, s.down, s.digest = nil, nil, ""
-			} else {
-				s.ring, s.down, s.digest = r, resp.Down, resp.Digest
+		if err == nil && json.Unmarshal(payload, &resp) == nil && len(resp.Shards) > 0 {
+			if r, err := ring.New(resp.Shards, resp.Replicas); err == nil {
+				hdr := http.Header{"Content-Type": {wire.ContentType}}
+				hdr.Set(wire.HeaderRingDigest, resp.Digest)
+				if s.presplit, err = NewTarget(http.MethodPost, s.BaseURL+BatchPath, hdr); err == nil {
+					s.ring, s.down = r, resp.Down
+				}
 			}
 		}
 	}
-	return s.ring, s.down, s.digest
+	return s.ring, s.down, s.presplit
 }
 
 // SendBatch implements BatchSender: pre-split binary sections when the
@@ -272,22 +317,25 @@ func (s *ShardSplitter) SendBatch(reports []Report) error {
 	if len(reports) == 0 {
 		return nil
 	}
+	if err := s.batch.prepare(s.BaseURL); err != nil {
+		return err
+	}
 	s.mu.Lock()
 	jsonOnly := s.jsonOnly
 	s.mu.Unlock()
 	if jsonOnly {
-		return s.sendJSON(reports)
+		return postJSONBatch(s.Client, s.batch.json, reports, s.Retry)
 	}
-	r, down, digest := s.ringView()
+	r, down, presplit := s.ringView()
 	var err error
 	if r == nil {
-		_, err = postWireBatch(s.Client, s.BaseURL+"/api/v1/observations:batch", reports, nil, s.Retry)
+		err = postWireBatch(s.Client, s.batch.wire, reports, s.Retry)
 		if err == nil {
 			wireCount("binary")
 			return nil
 		}
 	} else {
-		err = s.sendPresplit(r, down, digest, reports)
+		err = s.sendPresplit(r, down, presplit, reports)
 		if err == nil {
 			return nil
 		}
@@ -297,16 +345,16 @@ func (s *ShardSplitter) SendBatch(reports []Report) error {
 		s.jsonOnly = true
 		s.mu.Unlock()
 		noteDowngrade()
-		return s.sendJSON(reports)
+		return postJSONBatch(s.Client, s.batch.json, reports, s.Retry)
 	}
 	return err
 }
 
 // sendPresplit splits the batch by ring owner and uploads the sections
-// under the digest header. Section order is shard-first-appearance,
+// to the digest-stamped target. Section order is shard-first-appearance,
 // and each device's reports keep their order inside its section — the
 // same stable split the gateway itself performs.
-func (s *ShardSplitter) sendPresplit(r *ring.Ring, down []bool, digest string, reports []Report) error {
+func (s *ShardSplitter) sendPresplit(r *ring.Ring, down []bool, t Target, reports []Report) error {
 	members := r.Members()
 	per := make([]*wire.Batch, members)
 	order := make([]int, 0, members)
@@ -339,23 +387,9 @@ func (s *ShardSplitter) sendPresplit(r *ring.Ring, down []bool, digest string, r
 		*buf = wire.AppendSection(*buf, names[owner])
 		*buf = wire.AppendFrame(*buf, per[owner])
 	}
-	_, err := DoJSONHeaders(s.Client, http.MethodPost, s.BaseURL+"/api/v1/observations:batch", *buf,
-		map[string]string{"Content-Type": wire.ContentType, wire.HeaderRingDigest: digest}, s.Retry)
+	err := postDiscard(s.Client, t, *buf, s.Retry)
 	if err == nil {
 		wireCount("presplit")
-	}
-	return err
-}
-
-// sendJSON is the sticky downgrade path.
-func (s *ShardSplitter) sendJSON(reports []Report) error {
-	body, err := json.Marshal(reports)
-	if err != nil {
-		return fmt.Errorf("transport: marshal batch: %w", err)
-	}
-	_, err = PostJSON(s.Client, s.BaseURL+"/api/v1/observations:batch", body, s.Retry)
-	if err == nil {
-		wireCount("json")
 	}
 	return err
 }

@@ -45,6 +45,7 @@ package wire
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -122,14 +123,11 @@ type Batch struct {
 	// span ends at beaconOff[i+1] (or len(Beacons) for the last).
 	beaconOff []int32
 
-	// intern maps decoded device names to their canonical string, so
-	// steady-state decodes of a recurring device population allocate no
-	// name strings. Bounded; survives Reset on purpose.
-	intern map[string]string
+	// intern canonicalises decoded device names, so steady-state decodes
+	// of a recurring device population allocate no name strings. Survives
+	// Reset on purpose.
+	intern Interner
 }
-
-// maxInterned bounds the per-Batch device-name intern table.
-const maxInterned = 4096
 
 // Len returns the report count.
 func (b *Batch) Len() int { return len(b.Devices) }
@@ -169,19 +167,25 @@ func (b *Batch) ReportBeacons(i int) []Beacon {
 	return b.Beacons[start:end]
 }
 
-// internDevice canonicalizes a decoded device name. The map lookup
-// with a string conversion in the index expression is allocation-free
-// on a hit; only genuinely new names (bounded by maxInterned) allocate.
-func (b *Batch) internDevice(raw []byte) string {
-	if s, ok := b.intern[string(raw)]; ok {
+// Interner canonicalises the short strings a stream repeats — device
+// names in a Batch, room names in an ack or a log, both in a snapshot —
+// so decoding allocates each distinct one once. The map lookup with a
+// string conversion in the index expression is allocation-free on a hit.
+// Bounded: past maxInterned names it stops learning, so a hostile
+// stream cannot grow it. Not safe for concurrent use.
+type Interner map[string]string
+
+// maxInterned bounds an Interner.
+const maxInterned = 4096
+
+// Get returns the canonical string for raw.
+func (in Interner) Get(raw []byte) string {
+	if s, ok := in[string(raw)]; ok {
 		return s
 	}
 	s := string(raw)
-	if b.intern == nil {
-		b.intern = make(map[string]string, 64)
-	}
-	if len(b.intern) < maxInterned {
-		b.intern[s] = s
+	if len(in) < maxInterned {
+		in[s] = s
 	}
 	return s
 }
@@ -343,6 +347,9 @@ func zeroTail(frame []byte) bool {
 // first). Decoded device names are interned per Batch.
 func DecodePayload(payload []byte, b *Batch) error {
 	b.Reset()
+	if b.intern == nil {
+		b.intern = make(Interner, 64)
+	}
 	r := Reader{Buf: payload}
 	count, err := r.reportCount()
 	if err != nil {
@@ -353,7 +360,7 @@ func DecodePayload(payload []byte, b *Batch) error {
 		if err != nil {
 			return err
 		}
-		b.AddReport(b.internDevice(dev), at, epoch, seq)
+		b.AddReport(b.intern.Get(dev), at, epoch, seq)
 		for raw := r.Bytes(beacons * BeaconLen); len(raw) > 0; raw = raw[BeaconLen:] {
 			b.AddBeacon(BeaconAt(raw))
 		}
@@ -471,6 +478,25 @@ func ScanSections(data []byte, fn func(shard []byte, frame, payload []byte) erro
 	return nil
 }
 
+// AppendRooms appends a rooms column — the predicted room per report —
+// in run-length form: (uvarint run, uvarint name length, name) until
+// every report is covered, because a device mostly stays where it is.
+// It is the 200 body of every wire-codec ingest exchange (a wire request
+// gets a wire ack) and the suffix of the shard's observation log record.
+func AppendRooms(dst []byte, rooms []string) []byte {
+	for i := 0; i < len(rooms); {
+		j := i + 1
+		for j < len(rooms) && rooms[j] == rooms[i] {
+			j++
+		}
+		dst = binary.AppendUvarint(dst, uint64(j-i))
+		dst = binary.AppendUvarint(dst, uint64(len(rooms[i])))
+		dst = append(dst, rooms[i]...)
+		i = j
+	}
+	return dst
+}
+
 // --- pools ------------------------------------------------------------
 
 var batchPool = sync.Pool{New: func() any { return new(Batch) }}
@@ -502,6 +528,55 @@ func GetBuf() *[]byte {
 func PutBuf(b *[]byte) {
 	if cap(*b) <= pooledBufMax {
 		bufPool.Put(b)
+	}
+}
+
+// MaxBodyBytes bounds one upload body on the ingest faces: one maximal
+// frame payload plus room for frame headers and section names. Past it
+// a face answers 413 without buffering further — MaxFramePayload alone
+// is consulted only once the whole body is in memory.
+const MaxBodyBytes = MaxFramePayload + 1<<12
+
+// ErrBodyTooLarge reports a body longer than the caller's limit.
+var ErrBodyTooLarge = errors.New("wire: body exceeds size limit")
+
+// ReadBody drains r — an upload body on the server side, an ack on the
+// client side — into *dst, which is reused, grown as needed and returned
+// resliced. size is the announced Content-Length (negative when unknown):
+// a buffer too small for it is replaced once, sized for it, instead of
+// doubling its way up. A body longer than limit, announced or actual,
+// fails with ErrBodyTooLarge before it is buffered.
+func ReadBody(r io.Reader, size, limit int64, dst *[]byte) ([]byte, error) {
+	if size > limit {
+		return nil, ErrBodyTooLarge
+	}
+	b := (*dst)[:0]
+	switch {
+	case size == 0:
+		return b, nil
+	case size >= int64(cap(b)):
+		// One spare byte: a reader may deliver its io.EOF on a read of
+		// its own, and that read needs somewhere to go.
+		b = make([]byte, 0, size+1)
+	case cap(b) == 0:
+		b = make([]byte, 0, 512)
+	}
+	for {
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+		n, err := r.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		*dst = b
+		if int64(len(b)) > limit {
+			return nil, ErrBodyTooLarge
+		}
+		if err == io.EOF {
+			return b, nil
+		}
+		if err != nil {
+			return nil, err
+		}
 	}
 }
 
@@ -556,6 +631,34 @@ func (r *Reader) Uvarint() uint64 {
 	}
 	r.Buf = r.Buf[n:]
 	return v
+}
+
+// String takes a uvarint-length string, canonicalised through in.
+func (r *Reader) String(in Interner) string {
+	raw := r.Bytes(r.Uvarint())
+	if r.Short {
+		return ""
+	}
+	return in.Get(raw)
+}
+
+// Rooms reads the rest of the payload as an AppendRooms column of at
+// most limit rooms, into dst[:0]. A zero run, a run past limit or a
+// truncated name sets Short: the run lengths come off the wire, and
+// limit is what keeps a corrupt one from driving the append.
+func (r *Reader) Rooms(limit int, dst []string, in Interner) []string {
+	dst = dst[:0]
+	for len(r.Buf) > 0 {
+		run, room := r.Uvarint(), r.String(in)
+		if r.Short || run == 0 || run > uint64(limit-len(dst)) {
+			r.Short = true
+			return dst
+		}
+		for ; run > 0; run-- {
+			dst = append(dst, room)
+		}
+	}
+	return dst
 }
 
 // reportCount reads a batch record's report count. A corrupt count must
