@@ -30,7 +30,9 @@ test-race:
 # allocs runs the allocation-budget pins of the binary report path
 # (PERF.md "What changed (PR 13)"): identity parse, device encode, one
 # HTTP exchange, the gateway's forward, the shard's wire ingest, span
-# prediction, frame decode. The counts are deterministic on any box, so
+# prediction, frame decode — and of the federated rollup, whose count
+# must not move with the event history's length (PR 14). The counts are
+# deterministic on any box, so
 # a regression fails a PR here instead of hiding in timing noise. Never
 # under -race: the pins skip there, the detector allocates on its own
 # account.
@@ -85,7 +87,7 @@ loadtest:
 # the standby claims the next leadership epoch through the shard
 # quorum and takes over, the dead gateway respawns as the new standby —
 # and at t=80s the NEW active is killed too, failing leadership back.
-# Both runs exit nonzero unless the final fleet occupancy/events/dwell
+# Both runs exit nonzero unless the final fleet occupancy/events/dwell/rollup
 # are byte-identical to a clean single server fed the same streams
 # once, so kill -9 of any layer loses nothing and lands nothing twice.
 # The gateway drill additionally asserts the failover story from the

@@ -9,7 +9,7 @@
 // device id, occupancy queries answer from the federated merge, and
 // training (on the shard-0 store) distributes the model snapshot to
 // every shard. The API shape is identical either way, plus the
-// fleet-only /api/v1/rollup and /api/v1/shards views.
+// fleet-only /api/v1/shards view.
 //
 // Endpoints:
 //
@@ -25,7 +25,8 @@
 //	PUT  /api/v1/model          install/distribute a model snapshot
 //	GET  /api/v1/dwell          per-room dwell rollup
 //	GET  /api/v1/devices/{id}   latest report and room (single-server)
-//	GET  /api/v1/rollup         federated occupancy rollup (fleet)
+//	GET  /api/v1/rollup         per-room occupancy rollup (a single server adds
+//	                            the device names and integer-ns dwell a gateway merges)
 //	GET  /api/v1/shards         shard health and routing (fleet)
 //	GET  /metrics               Prometheus text exposition
 //	GET  /api/v1/telemetry      JSON metrics + flight-recorder events

@@ -169,24 +169,32 @@ func stageP99s(snap obs.Snapshot) []string {
 		}
 		cells = append(cells, fmt.Sprintf("%s %s", st.label, fmtNanos(h.P99)))
 	}
-	// Per-shard send timings carry a shard label; collect them in name
-	// order so the row is stable.
-	var sendKeys []string
+	cells = append(cells, labelledP99s(snap, "fleet_send_seconds", "shard", "send")...)
+	cells = append(cells, labelledP99s(snap, "fleet_read_seconds", "view", "read")...)
+	return cells
+}
+
+// labelledP99s lists one labelled histogram family's series that saw
+// traffic as "cell[label value] p99", in name order so the row is
+// stable: the per-shard send timings, the per-view federated reads.
+func labelledP99s(snap obs.Snapshot, family, label, cell string) []string {
+	var keys []string
 	for k := range snap.Histograms {
-		if strings.HasPrefix(k, "fleet_send_seconds") && snap.Histograms[k].Count > 0 {
-			sendKeys = append(sendKeys, k)
+		if strings.HasPrefix(k, family) && snap.Histograms[k].Count > 0 {
+			keys = append(keys, k)
 		}
 	}
-	sort.Strings(sendKeys)
-	for _, k := range sendKeys {
-		label := "send"
-		if i := strings.Index(k, `shard="`); i >= 0 {
-			rest := k[i+len(`shard="`):]
+	sort.Strings(keys)
+	cells := make([]string, 0, len(keys))
+	for _, k := range keys {
+		name := cell
+		if i := strings.Index(k, label+`="`); i >= 0 {
+			rest := k[i+len(label)+2:]
 			if j := strings.IndexByte(rest, '"'); j > 0 {
-				label = "send[" + rest[:j] + "]"
+				name = cell + "[" + rest[:j] + "]"
 			}
 		}
-		cells = append(cells, fmt.Sprintf("%s %s", label, fmtNanos(snap.Histograms[k].P99)))
+		cells = append(cells, fmt.Sprintf("%s %s", name, fmtNanos(snap.Histograms[k].P99)))
 	}
 	return cells
 }

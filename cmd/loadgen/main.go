@@ -25,7 +25,7 @@
 // lost-response case — and the devices' uplinks retransmit until
 // acknowledged. Every report carries a per-device sequence number, so
 // the shards deduplicate the retransmissions; after the run loadgen
-// asserts the federated occupancy, events and dwell are byte-identical
+// asserts the federated occupancy, events, dwell and rollup are byte-identical
 // to a clean single server fed the same streams exactly once (the
 // synthetic ground truth) and exits nonzero otherwise.
 //
@@ -480,6 +480,11 @@ func run(target string, shards int, plan string, devices, reports int, rate floa
 		}
 		return nil
 	}
+	if gw != nil {
+		// Before the final mark: the rollup's federated read is then a
+		// row of the dashboard's stage table.
+		printRollup(gw)
+	}
 	dash.mark("end of run")
 	dash.print()
 	if len(scrapeTargets) > 0 {
@@ -491,9 +496,7 @@ func run(target string, shards int, plan string, devices, reports int, rate floa
 			return err
 		}
 	}
-	if gw != nil {
-		printRollup(gw)
-	} else {
+	if gw == nil {
 		printRemoteOccupancy(target)
 	}
 	if flaky > 0 {
@@ -651,8 +654,8 @@ func runScenario(name string, storm, shards, devices, reports int, seed, epoch u
 
 // verifyGroundTruth replays the same streams — exactly once, no
 // faults — into a single reference server trained identically, and
-// requires the flaky fleet's federated occupancy, events and dwell to
-// be byte-identical, with every device accounted for. This is the
+// requires the flaky fleet's federated occupancy, events, dwell and
+// rollup to be byte-identical, with every device accounted for. This is the
 // exactly-once contract made an executable assertion; the heavy
 // lifting lives in internal/scenario so the adversarial matrix and the
 // crash drill share one oracle.

@@ -28,7 +28,8 @@ func openDurable(t *testing.T, dir string, policy store.FsyncPolicy) (*Server, *
 }
 
 // viewsJSON serialises every externally observable view the crashtest
-// compares: occupancy, events, dwell, known devices, model version.
+// compares: occupancy, events, dwell, the shard rollup read, known
+// devices, model version.
 func viewsJSON(t *testing.T, s *Server) string {
 	t.Helper()
 	_, version := s.st.Model()
@@ -36,6 +37,7 @@ func viewsJSON(t *testing.T, s *Server) string {
 		"occupancy": s.Occupancy(),
 		"events":    s.Events(),
 		"dwell":     s.DwellTotals(),
+		"rollup":    NewShardRollup(s.Summary()),
 		"devices":   s.KnownDevices(),
 		"version":   version,
 	})

@@ -1,0 +1,102 @@
+package bms
+
+import (
+	"net/http"
+	"time"
+
+	"occusim/internal/occupancy"
+)
+
+// RoomRollup is one room's slice of the occupancy rollup.
+type RoomRollup struct {
+	// Occupants is the current head count.
+	Occupants int `json:"occupants"`
+	// Enters and Exits count committed transitions over the building's
+	// lifetime.
+	Enters int `json:"enters"`
+	Exits  int `json:"exits"`
+	// DwellSeconds is the total time devices have spent in the room.
+	DwellSeconds float64 `json:"dwellSeconds"`
+}
+
+// Rollup is the live building-level occupancy view the smart-building
+// controllers consume: who-is-where collapsed to per-room aggregates.
+// One server and a fleet gateway both answer GET /api/v1/rollup with
+// these fields, rendered by RenderRollup.
+type Rollup struct {
+	// Devices is the tracked device count.
+	Devices int `json:"devices"`
+	// Events is the committed event count.
+	Events int `json:"events"`
+	// Rooms maps room name to its aggregates.
+	Rooms map[string]RoomRollup `json:"rooms"`
+}
+
+// RenderRollup is the one renderer of the public rollup, shared by the
+// single-server route and the fleet gateway so the two faces cannot
+// drift.
+func RenderRollup(sum occupancy.Summary) Rollup {
+	out := Rollup{Devices: len(sum.Devices), Events: sum.Events, Rooms: make(map[string]RoomRollup, len(sum.Rooms))}
+	for room, r := range sum.Rooms {
+		out.Rooms[room] = RoomRollup{
+			Occupants:    r.Occupants,
+			Enters:       r.Enters,
+			Exits:        r.Exits,
+			DwellSeconds: r.Dwell.Seconds(),
+		}
+	}
+	return out
+}
+
+// ShardRollup is the GET /api/v1/rollup payload of one server: the
+// public rollup plus what a federating gateway needs to merge shards
+// exactly — the device names (so a device two shards both still track
+// counts once) and dwell as integer nanoseconds (so summing shards
+// rounds nothing). Its size follows rooms + devices, whatever the
+// event history's length.
+type ShardRollup struct {
+	Rollup
+	DeviceRooms map[string]string        `json:"deviceRooms"`
+	DwellNanos  map[string]time.Duration `json:"dwellNanos"`
+}
+
+// NewShardRollup renders a summary into its wire form.
+func NewShardRollup(sum occupancy.Summary) ShardRollup {
+	out := ShardRollup{
+		Rollup:      RenderRollup(sum),
+		DeviceRooms: sum.Devices,
+		DwellNanos:  make(map[string]time.Duration, len(sum.Rooms)),
+	}
+	for room, r := range sum.Rooms {
+		out.DwellNanos[room] = r.Dwell
+	}
+	return out
+}
+
+// Summary recovers the summary a ShardRollup was rendered from.
+func (sr ShardRollup) Summary() occupancy.Summary {
+	sum := occupancy.Summary{
+		Devices: sr.DeviceRooms,
+		Events:  sr.Events,
+		Rooms:   make(map[string]occupancy.RoomSummary, len(sr.Rooms)),
+	}
+	for room, r := range sr.Rooms {
+		sum.Rooms[room] = occupancy.RoomSummary{
+			Occupants: r.Occupants,
+			Tally:     occupancy.Tally{Enters: r.Enters, Exits: r.Exits},
+			Dwell:     sr.DwellNanos[room],
+		}
+	}
+	return sum
+}
+
+// Summary returns the server's rollup state from one pass over the
+// tracker: device rooms, head counts, event count, per-room transition
+// tallies and dwell.
+func (s *Server) Summary() occupancy.Summary {
+	return s.tracker.Summary()
+}
+
+func (s *Server) handleRollup(w http.ResponseWriter, r *http.Request) {
+	writeJSON(w, http.StatusOK, NewShardRollup(s.Summary()))
+}

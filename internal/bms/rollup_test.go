@@ -1,0 +1,137 @@
+package bms
+
+import (
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"reflect"
+	"testing"
+	"time"
+
+	"occusim/internal/occupancy"
+	"occusim/internal/store"
+)
+
+// rollupFromViews renders a server's rollup the way the gateway used to
+// — by walking its whole event log — as the reference the one-pass
+// summary is checked against.
+func rollupFromViews(s *Server) Rollup {
+	occ, events := s.Occupancy(), s.Events()
+	out := Rollup{Devices: len(occ.Devices), Events: len(events), Rooms: map[string]RoomRollup{}}
+	for room, n := range occ.Rooms {
+		r := out.Rooms[room]
+		r.Occupants = n
+		out.Rooms[room] = r
+	}
+	for _, e := range events {
+		r := out.Rooms[e.Room]
+		if e.Kind == occupancy.Enter {
+			r.Enters++
+		} else {
+			r.Exits++
+		}
+		out.Rooms[e.Room] = r
+	}
+	for room, d := range s.DwellTotals() {
+		r := out.Rooms[room]
+		r.DwellSeconds = d.Seconds()
+		out.Rooms[room] = r
+	}
+	return out
+}
+
+// TestDurableRollupSurvivesKillAcrossCompaction: the transition tallies
+// have no field of their own on disk — recovery rebuilds them from the
+// snapshot's events and the log's observations. Devices move, one is
+// evicted and one swept (so the tallies hold history no tracked device
+// accounts for), a compaction lands mid-run, the server is abandoned
+// without Close; the reopened server's shard rollup read must equal the
+// pre-crash one, and both must equal the event-log walk.
+func TestDurableRollupSurvivesKillAcrossCompaction(t *testing.T) {
+	dir := t.TempDir()
+	s1, b := openDurable(t, dir, store.FsyncOff)
+	trainServer(t, s1, b)
+	seq := uint64(0)
+	walk := func(from, to int) {
+		for i := from; i < to; i++ {
+			for d, dev := range []string{"p0", "p1", "p2", "p3"} {
+				seq++
+				// Two reports per beacon: the debounce of 2 commits each move.
+				if _, err := s1.Ingest(sequenced(reportNear(b, dev, (d+i/2)%len(b.Beacons), float64(10*i+d)), seq)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	walk(0, 12)
+	if _, ok := s1.EvictDevice("p1"); !ok {
+		t.Fatal("evict found no state for p1")
+	}
+	if err := s1.CompactWAL(); err != nil {
+		t.Fatal(err)
+	}
+	walk(12, 20)
+	if _, ok := s1.EvictDevice("p2"); !ok {
+		t.Fatal("evict found no state for p2")
+	}
+	walk(20, 24)
+	if got := s1.ExpireBefore(time.Duration(10*23+1) * time.Second); len(got) == 0 {
+		t.Fatal("the sweep expired nothing")
+	}
+	want := NewShardRollup(s1.Summary())
+	if !reflect.DeepEqual(want.Rollup, rollupFromViews(s1)) {
+		t.Fatalf("one-pass rollup diverges from the event-log walk\n got: %+v\nwant: %+v", want.Rollup, rollupFromViews(s1))
+	}
+	enters := 0
+	for _, r := range want.Rooms {
+		enters += r.Enters
+	}
+	if enters <= want.Devices || want.Events < 40 {
+		t.Fatalf("vacuous: %d enters for %d tracked devices over %d events", enters, want.Devices, want.Events)
+	}
+
+	// No Close: this is the crash.
+	s2, _ := openDurable(t, dir, store.FsyncOff)
+	defer s2.Close()
+	got := NewShardRollup(s2.Summary())
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("recovered shard rollup diverges\n got: %+v\nwant: %+v", got, want)
+	}
+	if !reflect.DeepEqual(got.Rollup, rollupFromViews(s2)) {
+		t.Fatalf("recovered rollup diverges from the recovered event log")
+	}
+}
+
+// TestRollupRouteRoundTrips: GET /api/v1/rollup carries the summary
+// exactly — what the gateway's shard client rebuilds from the reply is
+// what the server read — and its public fields are the one renderer's.
+func TestRollupRouteRoundTrips(t *testing.T) {
+	s, b := newTestServer(t)
+	for i := 0; i < 9; i++ {
+		for d, dev := range []string{"a", "b", "c"} {
+			if _, err := s.Ingest(reportNear(b, dev, (d+i/3)%len(b.Beacons), float64(i)+0.1*float64(d))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	s.EvictDevice("c") // history without state
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/api/v1/rollup", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("GET /api/v1/rollup answered %d: %s", rec.Code, rec.Body)
+	}
+	var reply ShardRollup
+	if err := json.Unmarshal(rec.Body.Bytes(), &reply); err != nil {
+		t.Fatal(err)
+	}
+	sum := s.Summary()
+	if got := reply.Summary(); !reflect.DeepEqual(got, sum) {
+		t.Fatalf("summary rebuilt from the reply diverges\n got: %+v\nwant: %+v", got, sum)
+	}
+	if want := rollupFromViews(s); !reflect.DeepEqual(reply.Rollup, want) {
+		t.Fatalf("public rollup fields\n got: %+v\nwant: %+v", reply.Rollup, want)
+	}
+	if reply.Devices != 2 || reply.Events <= reply.Devices {
+		t.Fatalf("vacuous: %d devices, %d events", reply.Devices, reply.Events)
+	}
+}

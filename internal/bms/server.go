@@ -699,6 +699,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /api/v1/model", s.handleModel)
 	mux.HandleFunc("PUT /api/v1/model", s.handleModelInstall)
 	mux.HandleFunc("GET /api/v1/dwell", s.handleDwell)
+	mux.HandleFunc("GET /api/v1/rollup", s.handleRollup)
 	mux.HandleFunc("GET /api/v1/devices", func(w http.ResponseWriter, r *http.Request) {
 		devices := s.KnownDevices()
 		if devices == nil {

@@ -217,10 +217,7 @@ func TestFleetFailBackNoStaleResidue(t *testing.T) {
 	feed(stream[2*third:])
 
 	// Each device is counted exactly once fleet-wide...
-	rollup, err := gw.Rollup()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rollup := assertRollupMatchesViews(t, gw)
 	occupants := 0
 	for _, r := range rollup.Rooms {
 		occupants += r.Occupants

@@ -706,18 +706,81 @@ func (g *Gateway) expireBefore(cutoff time.Duration) (expired []string, complete
 	return out, complete
 }
 
+// readView names a federated read for its timing histogram.
+type readView int
+
+const (
+	viewOccupancy readView = iota
+	viewEvents
+	viewDwell
+	viewRollup
+)
+
+var readViewNames = [...]string{"occupancy", "events", "dwell", "rollup"}
+
+// gather is the one round every federated read makes: it asks each
+// healthy shard concurrently, so a read costs the slowest shard's
+// latency rather than the sum of them, and returns the answers in
+// shard-index order, so every merge over them is deterministic. Any
+// shard's failure fails the read, reported as the first by shard order.
+func gather[T any](g *Gateway, view readView, read func(Shard) (T, error)) ([]T, error) {
+	healthy := g.healthyShards()
+	gm := g.met
+	var start time.Time
+	if gm != nil {
+		start = time.Now()
+	}
+	out := make([]T, len(healthy))
+	errs := make([]error, len(healthy))
+	ask := func(k int) { out[k], errs[k] = read(g.shards[healthy[k]]) }
+	// The caller's goroutine takes the last shard itself: a one-shard
+	// fleet reads inline.
+	last := len(healthy) - 1
+	var wg sync.WaitGroup
+	for k := 0; k < last; k++ {
+		wg.Add(1)
+		go func(k int) {
+			defer wg.Done()
+			ask(k)
+		}(k)
+	}
+	if last >= 0 {
+		ask(last)
+	}
+	wg.Wait()
+	var first error
+	for k, err := range errs {
+		if err == nil {
+			continue
+		}
+		if gm != nil {
+			gm.readErrors[healthy[k]].Inc()
+		}
+		if first == nil {
+			first = fmt.Errorf("fleet: shard %s: %w", g.shards[healthy[k]].Name(), err)
+		}
+	}
+	if gm != nil {
+		gm.readTime[view].Since(start)
+	}
+	if first != nil {
+		return nil, first
+	}
+	return out, nil
+}
+
 // Occupancy merges the healthy shards' head counts and device rooms
 // into one building-level snapshot. Device partitions are disjoint, so
 // the merge is a union; a down shard's devices are simply absent until
 // it recovers or its keys report through their new owner.
 func (g *Gateway) Occupancy() (bms.OccupancySnapshot, error) {
 	g.maybeSweep()
+	snaps, err := gather(g, viewOccupancy, Shard.Occupancy)
+	if err != nil {
+		return bms.OccupancySnapshot{}, err
+	}
 	out := bms.OccupancySnapshot{Rooms: map[string]int{}, Devices: map[string]string{}}
-	for _, i := range g.healthyShards() {
-		snap, err := g.shards[i].Occupancy()
-		if err != nil {
-			return bms.OccupancySnapshot{}, fmt.Errorf("fleet: shard %s: %w", g.shards[i].Name(), err)
-		}
+	for _, snap := range snaps {
 		for room, n := range snap.Rooms {
 			out.Rooms[room] += n
 		}
@@ -733,12 +796,12 @@ func (g *Gateway) Occupancy() (bms.OccupancySnapshot, error) {
 // merges its stripes: nondecreasing time, ties broken by device name,
 // one device's same-instant exit/enter pair keeping its in-shard order.
 func (g *Gateway) Events() ([]occupancy.Event, error) {
+	streams, err := gather(g, viewEvents, Shard.Events)
+	if err != nil {
+		return nil, err
+	}
 	var all []occupancy.Event
-	for _, i := range g.healthyShards() {
-		evs, err := g.shards[i].Events()
-		if err != nil {
-			return nil, fmt.Errorf("fleet: shard %s: %w", g.shards[i].Name(), err)
-		}
+	for _, evs := range streams {
 		all = append(all, evs...)
 	}
 	sort.SliceStable(all, func(i, j int) bool {
@@ -753,78 +816,44 @@ func (g *Gateway) Events() ([]occupancy.Event, error) {
 // DwellTotals sums the healthy shards' per-room dwell rollups.
 func (g *Gateway) DwellTotals() (map[string]time.Duration, error) {
 	g.maybeSweep()
+	totals, err := gather(g, viewDwell, Shard.DwellTotals)
+	if err != nil {
+		return nil, err
+	}
 	out := map[string]time.Duration{}
-	for _, i := range g.healthyShards() {
-		totals, err := g.shards[i].DwellTotals()
-		if err != nil {
-			return nil, fmt.Errorf("fleet: shard %s: %w", g.shards[i].Name(), err)
-		}
-		for room, d := range totals {
+	for _, shard := range totals {
+		for room, d := range shard {
 			out[room] += d
 		}
 	}
 	return out, nil
 }
 
-// RoomRollup is one room's slice of the fleet-wide occupancy rollup.
-type RoomRollup struct {
-	// Occupants is the current head count.
-	Occupants int `json:"occupants"`
-	// Enters and Exits count committed transitions over the fleet's
-	// lifetime.
-	Enters int `json:"enters"`
-	Exits  int `json:"exits"`
-	// DwellSeconds is the total time devices have spent in the room.
-	DwellSeconds float64 `json:"dwellSeconds"`
-}
-
-// Rollup is the live building-level occupancy view the smart-building
-// controllers consume: who-is-where collapsed to per-room aggregates.
-type Rollup struct {
-	// Devices is the fleet-wide tracked device count.
-	Devices int `json:"devices"`
-	// Events is the fleet-wide committed event count.
-	Events int `json:"events"`
-	// Rooms maps room name to its aggregates.
-	Rooms map[string]RoomRollup `json:"rooms"`
-}
+// Rollup and RoomRollup are the building-level view and its per-room
+// slice; one server answers the same route with the same fields (see
+// bms.RenderRollup).
+type (
+	Rollup     = bms.Rollup
+	RoomRollup = bms.RoomRollup
+)
 
 // Rollup federates head counts, transition totals and dwell into one
-// building-level view.
+// building-level view from one summary read per shard. Its cost follows
+// the fleet's current state — rooms and devices — not the length of the
+// event history. Devices is the union of the shards' device names, so a
+// stale copy a recovered shard still holds does not count twice; every
+// other field is a sum.
 func (g *Gateway) Rollup() (Rollup, error) {
-	snap, err := g.Occupancy()
+	g.maybeSweep()
+	sums, err := gather(g, viewRollup, Shard.Summary)
 	if err != nil {
 		return Rollup{}, err
 	}
-	events, err := g.Events()
-	if err != nil {
-		return Rollup{}, err
+	merged := occupancy.NewSummary()
+	for _, sum := range sums {
+		merged.Merge(sum)
 	}
-	dwell, err := g.DwellTotals()
-	if err != nil {
-		return Rollup{}, err
-	}
-	out := Rollup{Devices: len(snap.Devices), Events: len(events), Rooms: map[string]RoomRollup{}}
-	for room, n := range snap.Rooms {
-		r := out.Rooms[room]
-		r.Occupants = n
-		out.Rooms[room] = r
-	}
-	for _, e := range events {
-		r := out.Rooms[e.Room]
-		if e.Kind == occupancy.Enter {
-			r.Enters++
-		} else {
-			r.Exits++
-		}
-		out.Rooms[e.Room] = r
-	}
-	for room, d := range dwell {
-		r := out.Rooms[room]
-		r.DwellSeconds = d.Seconds()
-		out.Rooms[room] = r
-	}
-	return out, nil
+	return bms.RenderRollup(merged), nil
 }
 
 // ShardStatus is one shard's state from the gateway's point of view.

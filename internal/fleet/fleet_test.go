@@ -221,10 +221,11 @@ func TestFleetMatchesSingleServer(t *testing.T) {
 		t.Fatalf("federated dwell differs:\n%s\nvs single:\n%s", got, want)
 	}
 
-	// The rollup is internally consistent with the merged views.
-	rollup, err := gw.Rollup()
-	if err != nil {
-		t.Fatal(err)
+	// The rollup is the one the merged views render, and the one the
+	// single server renders of itself.
+	rollup := assertRollupMatchesViews(t, gw)
+	if got, want := mustJSON(t, rollup), mustJSON(t, bms.RenderRollup(single.Summary())); !bytes.Equal(got, want) {
+		t.Fatalf("federated rollup differs:\n%s\nvs single:\n%s", got, want)
 	}
 	if rollup.Devices != 24 {
 		t.Fatalf("rollup devices = %d, want 24", rollup.Devices)

@@ -329,6 +329,21 @@ func (h *HTTPShard) DwellTotals() (map[string]time.Duration, error) {
 	return out, nil
 }
 
+// Summary implements Shard via GET /api/v1/rollup: one exchange whose
+// reply carries dwell as integer nanoseconds, so nothing is rounded on
+// the way to the gateway's sum.
+func (h *HTTPShard) Summary() (occupancy.Summary, error) {
+	payload, err := transport.GetJSON(h.client, h.base+"/api/v1/rollup", h.retry)
+	if err != nil {
+		return occupancy.Summary{}, err
+	}
+	var reply bms.ShardRollup
+	if err := json.Unmarshal(payload, &reply); err != nil {
+		return occupancy.Summary{}, fmt.Errorf("fleet: decode rollup: %w", err)
+	}
+	return reply.Summary(), nil
+}
+
 // EvictDevice implements Shard via POST /api/v1/devices:evict. A 404 —
 // the shard holds no state for the device — is (zero, false, nil), not
 // an error: rebalance treats it as nothing to migrate. Note the retry
@@ -451,7 +466,7 @@ type HandlerOptions struct {
 }
 
 // Handler exposes the gateway over HTTP with the same API shape as one
-// bms.Server, plus the fleet-only rollup and shard views, so clients
+// bms.Server, plus the fleet-only shard and ring views, so clients
 // (and cmd/loadgen) cannot tell a fleet from a single box:
 //
 //	GET  /api/v1/health             aggregate shard health (live probe)
@@ -460,7 +475,8 @@ type HandlerOptions struct {
 //	GET  /api/v1/occupancy          federated head counts
 //	GET  /api/v1/events             federated enter/exit stream
 //	GET  /api/v1/dwell              federated dwell rollup
-//	GET  /api/v1/rollup             per-room occupancy rollup
+//	GET  /api/v1/rollup             per-room occupancy rollup (bms.Rollup's fields,
+//	                                as one server answers it)
 //	GET  /api/v1/shards             routing and health per shard
 //	GET  /api/v1/ring               routing table for pre-split devices
 //	PUT  /api/v1/model              distribute a model snapshot

@@ -1,0 +1,496 @@
+package fleet_test
+
+import (
+	"bytes"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"occusim/internal/bms"
+	"occusim/internal/building"
+	"occusim/internal/fleet"
+	"occusim/internal/obs"
+	"occusim/internal/occupancy"
+	"occusim/internal/raceflag"
+	"occusim/internal/transport"
+)
+
+// rollupFromViews renders the rollup the way Gateway.Rollup did before
+// the shards kept tallies: from the three federated views, counting
+// enters and exits by walking the whole merged event history. It is the
+// reference the summary-based rollup must stay byte-identical to.
+func rollupFromViews(t *testing.T, gw *fleet.Gateway) fleet.Rollup {
+	t.Helper()
+	snap, err := gw.Occupancy()
+	if err != nil {
+		t.Fatal(err)
+	}
+	events, err := gw.Events()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dwell, err := gw.DwellTotals()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := fleet.Rollup{Devices: len(snap.Devices), Events: len(events), Rooms: map[string]fleet.RoomRollup{}}
+	for room, n := range snap.Rooms {
+		r := out.Rooms[room]
+		r.Occupants = n
+		out.Rooms[room] = r
+	}
+	for _, e := range events {
+		r := out.Rooms[e.Room]
+		if e.Kind == occupancy.Enter {
+			r.Enters++
+		} else {
+			r.Exits++
+		}
+		out.Rooms[e.Room] = r
+	}
+	for room, d := range dwell {
+		r := out.Rooms[room]
+		r.DwellSeconds = d.Seconds()
+		out.Rooms[room] = r
+	}
+	return out
+}
+
+// assertRollupMatchesViews requires a quiescent fleet's rollup to be the
+// bytes the event-walking renderer produces for the same state.
+func assertRollupMatchesViews(t *testing.T, gw *fleet.Gateway) fleet.Rollup {
+	t.Helper()
+	rollup, err := gw.Rollup()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := mustJSON(t, rollup), mustJSON(t, rollupFromViews(t, gw)); !bytes.Equal(got, want) {
+		t.Fatalf("rollup differs from the one walked out of the event history:\n%s\nvs walked:\n%s", got, want)
+	}
+	return rollup
+}
+
+// hopReport places the device beside one beacon; alternating the beacon
+// between two rooms moves the device on every report.
+func hopReport(b *building.Building, dev string, beacon int, at float64, seq uint64) transport.Report {
+	rep := transport.Report{Device: dev, AtSeconds: at, Epoch: 1, Seq: seq}
+	for i, bc := range b.Beacons {
+		d := 12.0
+		if i == beacon {
+			d = 1.0
+		}
+		rep.Beacons = append(rep.Beacons, transport.BeaconReport{ID: bc.ID.String(), Distance: d, RSSI: -60 - d})
+	}
+	return rep
+}
+
+// hopBeacons picks two beacons in different rooms.
+func hopBeacons(t testing.TB, b *building.Building) (int, int) {
+	t.Helper()
+	for i, bc := range b.Beacons {
+		if bc.Room != b.Beacons[0].Room {
+			return 0, i
+		}
+	}
+	t.Fatal("the building has all its beacons in one room")
+	return 0, 0
+}
+
+// hopLaps feeds the gateway laps in which every device changes room on
+// every report (debounce 1): 2 events a report once a device is placed.
+func hopLaps(t testing.TB, gw *fleet.Gateway, b *building.Building, devices []string, from, to int) {
+	t.Helper()
+	near, far := hopBeacons(t, b)
+	batch := make([]transport.Report, 0, len(devices))
+	for lap := from; lap < to; lap++ {
+		batch = batch[:0]
+		for d, dev := range devices {
+			beacon := near
+			if (lap+d)%2 == 1 {
+				beacon = far
+			}
+			batch = append(batch, hopReport(b, dev, beacon, float64(2*lap), uint64(lap+1)))
+		}
+		if _, err := gw.IngestBatch(batch); err != nil {
+			t.Error(err)
+			return
+		}
+	}
+}
+
+func deviceNames(prefix string, n int) []string {
+	out := make([]string, n)
+	for i := range out {
+		out[i] = fmt.Sprintf("%s-%03d", prefix, i)
+	}
+	return out
+}
+
+// TestRollupNeverTorn: a rollup read beside live ingest must never show
+// a device in a room it has no enter event for. With no TTL and no
+// migration every room satisfies occupants = enters − exits at every
+// instant; a rollup assembled from separate occupancy and events reads
+// breaks it whenever a device moves between the two. One summary read
+// per shard takes each stripe's occupants and tallies under one lock, so
+// every reply holds the identity.
+func TestRollupNeverTorn(t *testing.T) {
+	b := building.PaperHouse()
+	pool, err := fleet.NewLocalPool(b, 4, 1, 50)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gw, err := fleet.New(pool.Shards, fleet.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const writers, laps = 4, 400
+	var wg sync.WaitGroup
+	var running atomic.Int32
+	running.Store(writers)
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			defer running.Add(-1)
+			hopLaps(t, gw, b, deviceNames(fmt.Sprintf("w%d", w), 8), 0, laps)
+		}(w)
+	}
+	polls, beside, firstEvents, lastEvents := 0, 0, -1, 0
+	for live := true; live; polls++ {
+		live = running.Load() > 0
+		rollup, err := gw.Rollup()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for room, r := range rollup.Rooms {
+			if r.Occupants != r.Enters-r.Exits {
+				t.Fatalf("poll %d: torn rollup: %q holds %d occupants but %d enters − %d exits", polls, room, r.Occupants, r.Enters, r.Exits)
+			}
+		}
+		if firstEvents < 0 {
+			firstEvents = rollup.Events
+		}
+		if live {
+			beside++
+		}
+		lastEvents = rollup.Events
+	}
+	wg.Wait()
+	if beside < 10 || lastEvents <= firstEvents {
+		t.Fatalf("vacuous: %d polls beside ingest, events %d → %d", beside, firstEvents, lastEvents)
+	}
+	if want := 2*writers*8*laps - writers*8; lastEvents != want {
+		t.Fatalf("the run committed %d events, want %d", lastEvents, want)
+	}
+}
+
+// TestRollupCountsResidueOnce: while one device is tracked on two shards
+// — a recovered owner's stale copy — Rollup.Devices stays the union of
+// the shards' device names (12) while the occupants stay their sum (13),
+// exactly as the event-walking rollup had it.
+func TestRollupCountsResidueOnce(t *testing.T) {
+	b := building.PaperHouse()
+	pool, err := fleet.NewLocalPool(b, 3, 2, 200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gw, err := fleet.New(pool.Shards, fleet.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := gw.DistributeModel(trainSnapshot(t, b, 42)); err != nil {
+		t.Fatal(err)
+	}
+	stream := synthStream(b, 12, 90, 3)
+	stampStream(stream, 1)
+	if _, err := gw.IngestBatch(stream); err != nil {
+		t.Fatal(err)
+	}
+	victim := stream[0].Device
+	owner, err := gw.ShardFor(victim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pool.Servers[(owner+1)%3].InstallDevice(bms.DeviceState{
+		DeviceState: occupancy.DeviceState{
+			Device: victim, Room: "bedroom-1", Seen: true, LastAt: 80 * time.Second,
+			Dwell: map[string]time.Duration{"bedroom-1": 2 * time.Second},
+		},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	rollup := assertRollupMatchesViews(t, gw)
+	occupants := 0
+	for _, r := range rollup.Rooms {
+		occupants += r.Occupants
+	}
+	if rollup.Devices != 12 || occupants != 13 {
+		t.Fatalf("rollup counts %d devices and %d occupants, want the union 12 and the sum 13", rollup.Devices, occupants)
+	}
+}
+
+// barrierShard parks every summary read until all of the fleet's shards
+// are inside theirs.
+type barrierShard struct {
+	fleet.Shard
+	arrived *sync.WaitGroup
+	fail    error
+}
+
+func (s *barrierShard) Summary() (occupancy.Summary, error) {
+	s.arrived.Done()
+	done := make(chan struct{})
+	go func() { s.arrived.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		return occupancy.Summary{}, errors.New("the other shards' reads never started: the round is sequential")
+	}
+	if s.fail != nil {
+		return occupancy.Summary{}, s.fail
+	}
+	return s.Shard.Summary()
+}
+
+// TestFederatedReadIsOneConcurrentRound: every shard's read is in flight
+// at once — a read costs the slowest shard, not the sum — and when
+// several shards fail, the error reported is the first by shard order.
+func TestFederatedReadIsOneConcurrentRound(t *testing.T) {
+	b := building.PaperHouse()
+	pool, err := fleet.NewLocalPool(b, 4, 2, 50)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var arrived sync.WaitGroup
+	barriers := make([]*barrierShard, len(pool.Shards))
+	ring := make([]fleet.Shard, len(pool.Shards))
+	for i, s := range pool.Shards {
+		barriers[i] = &barrierShard{Shard: s, arrived: &arrived}
+		ring[i] = barriers[i]
+	}
+	gw, err := fleet.New(ring, fleet.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	arrived.Add(len(ring))
+	if _, err := gw.Rollup(); err != nil {
+		t.Fatal(err)
+	}
+
+	barriers[3].fail = errors.New("disk on fire")
+	barriers[1].fail = errors.New("cable unplugged")
+	arrived.Add(len(ring))
+	_, err = gw.Rollup()
+	if err == nil || !strings.Contains(err.Error(), "shard-1") || !strings.Contains(err.Error(), "cable unplugged") {
+		t.Fatalf("rollup over two failing shards reported %v, want shard-1's failure", err)
+	}
+}
+
+// TestAllocBudgetRollup pins the rollup's complexity, not a time: what
+// Gateway.Rollup allocates, and what a shard's rollup reply weighs, are
+// set by the fleet's current state and do not move when its event
+// history is a hundred times longer. `make allocs` runs it.
+func TestAllocBudgetRollup(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are pinned without the race detector")
+	}
+	b := building.PaperHouse()
+	devices := deviceNames("dev", 16)
+	// 16 devices, 2 events a report: ≈ 1 k and ≈ 100 k events a shard
+	// over 2 shards. Both lap counts are even, so both fleets end with
+	// every device in the same room.
+	const shortLaps, longLaps = 64, 6400
+	grow := func(laps int) (*fleet.Gateway, *fleet.LocalPool) {
+		pool, err := fleet.NewLocalPool(b, 2, 1, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gw, err := fleet.New(pool.Shards, fleet.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		hopLaps(t, gw, b, devices, 0, laps)
+		return gw, pool
+	}
+	short, shortPool := grow(shortLaps)
+	long, longPool := grow(longLaps)
+
+	measure := func(gw *fleet.Gateway) (float64, fleet.Rollup) {
+		var rollup fleet.Rollup
+		allocs := testing.AllocsPerRun(50, func() {
+			var err error
+			if rollup, err = gw.Rollup(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		return allocs, rollup
+	}
+	shortAllocs, shortRollup := measure(short)
+	longAllocs, longRollup := measure(long)
+	if shortRollup.Events < 2000 || longRollup.Events < 50*shortRollup.Events || shortRollup.Devices != longRollup.Devices {
+		t.Fatalf("vacuous: %d events over %d devices against %d over %d", shortRollup.Events, shortRollup.Devices, longRollup.Events, longRollup.Devices)
+	}
+	t.Logf("Gateway.Rollup: %v allocations with %d committed events, %v with %d", shortAllocs, shortRollup.Events, longAllocs, longRollup.Events)
+	if shortAllocs != longAllocs {
+		t.Errorf("Gateway.Rollup allocates %v times over %d events and %v over %d: its cost follows the history", shortAllocs, shortRollup.Events, longAllocs, longRollup.Events)
+	}
+
+	// The same two histories behind real HTTP: the reply may differ only
+	// in the digits of its counters and dwell.
+	reply := func(pool *fleet.LocalPool) (int, occupancy.Summary) {
+		ts := httptest.NewServer(pool.Servers[0].Handler())
+		defer ts.Close()
+		resp, err := http.Get(ts.URL + "/api/v1/rollup")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET /api/v1/rollup: %s, %v", resp.Status, err)
+		}
+		hs, err := fleet.NewHTTPShard(ts.URL, nil, transport.RetryPolicy{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum, err := hs.Summary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(body), sum
+	}
+	shortLen, shortSum := reply(shortPool)
+	longLen, longSum := reply(longPool)
+	t.Logf("shard rollup reply: %d bytes with %d committed events, %d bytes with %d", shortLen, shortSum.Events, longLen, longSum.Events)
+	if slack := 16 * (1 + len(longSum.Rooms)); longLen-shortLen > slack || longSum.Events < 50*shortSum.Events {
+		t.Errorf("the shard rollup reply grew %d → %d bytes (allowed: %d bytes of digits) as the history grew %d → %d events", shortLen, longLen, slack, shortSum.Events, longSum.Events)
+	}
+	if want := longPool.Servers[0].Summary(); !bytes.Equal(mustJSON(t, longSum), mustJSON(t, want)) {
+		t.Errorf("the summary an HTTPShard reads differs from the server's own:\n%+v\nvs\n%+v", longSum, want)
+	}
+}
+
+// TestRollupSingleBoxParity: a client cannot tell a fleet from a single
+// box on GET /api/v1/rollup — one server and a one-shard gateway over it
+// answer the public fields identically.
+func TestRollupSingleBoxParity(t *testing.T) {
+	b := building.PaperHouse()
+	srv := newServer(t, b)
+	shard, err := fleet.NewLocalShard("only", srv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gw, err := fleet.New([]fleet.Shard{shard}, fleet.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := gw.DistributeModel(trainSnapshot(t, b, 42)); err != nil {
+		t.Fatal(err)
+	}
+	stream := synthStream(b, 8, 90, 5)
+	stampStream(stream, 1)
+	if _, err := gw.IngestBatch(stream); err != nil {
+		t.Fatal(err)
+	}
+	get := func(h http.Handler) map[string]json.RawMessage {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/api/v1/rollup", nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("GET /api/v1/rollup answered %d: %s", rec.Code, rec.Body)
+		}
+		var fields map[string]json.RawMessage
+		if err := json.Unmarshal(rec.Body.Bytes(), &fields); err != nil {
+			t.Fatal(err)
+		}
+		return fields
+	}
+	box, face := get(srv.Handler()), get(fleet.Handler(gw, fleet.HandlerOptions{}))
+	if len(face) != 3 {
+		t.Fatalf("the gateway's rollup has fields %v, want devices, events, rooms", face)
+	}
+	for name, want := range face {
+		if got, ok := box[name]; !ok || !bytes.Equal(got, want) {
+			t.Errorf("field %q: the single server answers %s, the gateway %s", name, got, want)
+		}
+	}
+	var rollup fleet.Rollup
+	if err := json.Unmarshal(mustJSON(t, face), &rollup); err != nil {
+		t.Fatal(err)
+	}
+	if rollup.Devices != 8 || rollup.Events == 0 {
+		t.Fatalf("vacuous: %+v", rollup)
+	}
+}
+
+// TestFederatedReadTelemetry: every federated view records its gather
+// round in fleet_read_seconds{view=…}, a shard that fails a read is
+// counted under its own name, and the exposition stays well-formed.
+func TestFederatedReadTelemetry(t *testing.T) {
+	b := building.PaperHouse()
+	pool, err := fleet.NewLocalPool(b, 2, 2, 50)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var arrived sync.WaitGroup
+	broken := &barrierShard{Shard: pool.Shards[1], arrived: &arrived}
+	gw, err := fleet.New([]fleet.Shard{pool.Shards[0], broken}, fleet.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	met := obs.New()
+	gw.Instrument(met)
+	if _, err := gw.Occupancy(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := gw.Events(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := gw.DwellTotals(); err != nil {
+		t.Fatal(err)
+	}
+	arrived.Add(1)
+	if _, err := gw.Rollup(); err != nil {
+		t.Fatal(err)
+	}
+	broken.fail = errors.New("unreachable")
+	arrived.Add(1)
+	if _, err := gw.Rollup(); err == nil {
+		t.Fatal("a rollup over a failing shard succeeded")
+	}
+
+	snap := met.TakeSnapshot()
+	for view, want := range map[string]uint64{"occupancy": 1, "events": 1, "dwell": 1, "rollup": 2} {
+		if got := snap.Histograms[`fleet_read_seconds{view="`+view+`"}`].Count; got != want {
+			t.Errorf("fleet_read_seconds{view=%q} recorded %d rounds, want %d", view, got, want)
+		}
+	}
+	if got := snap.Counters[`fleet_read_errors_total{shard="shard-1"}`]; got != 1 {
+		t.Errorf("fleet_read_errors_total{shard=shard-1} = %v, want 1", got)
+	}
+	if got := snap.Counters[`fleet_read_errors_total{shard="shard-0"}`]; got != 0 {
+		t.Errorf("fleet_read_errors_total{shard=shard-0} = %v, want 0", got)
+	}
+	rec := httptest.NewRecorder()
+	fleet.Handler(gw, fleet.HandlerOptions{}).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	if err := obs.ValidateExposition(rec.Body.Bytes()); err != nil {
+		t.Fatalf("the gateway's exposition is malformed: %v", err)
+	}
+	for _, want := range []string{
+		"# TYPE fleet_read_seconds histogram",
+		`fleet_read_seconds_count{view="rollup"} 2`,
+		"# TYPE fleet_read_errors_total counter",
+		`fleet_read_errors_total{shard="shard-1"} 1`,
+	} {
+		if !strings.Contains(rec.Body.String(), want) {
+			t.Errorf("exposition is missing %q", want)
+		}
+	}
+}

@@ -36,6 +36,10 @@ type Shard interface {
 	Events() ([]occupancy.Event, error)
 	// DwellTotals returns the shard's per-room dwell rollup.
 	DwellTotals() (map[string]time.Duration, error)
+	// Summary returns everything a rollup needs of the shard in one
+	// read — device rooms, event count, per-room head counts, transition
+	// tallies and dwell — sized by its current state, not its history.
+	Summary() (occupancy.Summary, error)
 	// EvictDevice removes and returns the shard's migratable state for
 	// the device (ok=false when the shard holds none) — the sending
 	// half of rebalance state migration.
@@ -127,6 +131,9 @@ func (l *LocalShard) Events() ([]occupancy.Event, error) { return l.srv.Events()
 func (l *LocalShard) DwellTotals() (map[string]time.Duration, error) {
 	return l.srv.DwellTotals(), nil
 }
+
+// Summary implements Shard.
+func (l *LocalShard) Summary() (occupancy.Summary, error) { return l.srv.Summary(), nil }
 
 // EvictDevice implements Shard.
 func (l *LocalShard) EvictDevice(device string) (bms.DeviceState, bool, error) {

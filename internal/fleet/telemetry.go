@@ -22,7 +22,10 @@ type gatewayMetrics struct {
 	migrations  *obs.Counter     // devices migrated across routing changes
 	migrateTime *obs.Histogram   // one fenced handover, drain to resume
 
-	presplitForwarded *obs.Counter // device-split uploads forwarded verbatim
+	readTime   [len(readViewNames)]*obs.Histogram // per view: one gather round
+	readErrors []*obs.Counter                     // per shard: failed federated reads
+
+	presplitForwarded  *obs.Counter // device-split uploads forwarded verbatim
 	presplitDigestMiss *obs.Counter // pre-split uploads re-split server-side
 
 	rec *obs.Recorder
@@ -48,10 +51,15 @@ func (g *Gateway) Instrument(m *obs.Metrics) {
 			"pre-split uploads whose ring digest was stale, re-split server-side"),
 		rec: m.Recorder(),
 	}
+	for view, name := range readViewNames {
+		gm.readTime[view] = m.Timing("fleet_read_seconds", "one federated read round across the healthy shards", obs.L("view", name))
+	}
 	gm.sendLatency = make([]*obs.Histogram, len(g.shards))
+	gm.readErrors = make([]*obs.Counter, len(g.shards))
 	for i, s := range g.shards {
 		i, name := i, s.Name()
 		gm.sendLatency[i] = m.Timing("fleet_send_seconds", "one sub-batch delivery to the shard", obs.L("shard", name))
+		gm.readErrors[i] = m.Counter("fleet_read_errors_total", "federated reads the shard failed", obs.L("shard", name))
 		m.CounterFunc("fleet_routed_total", "reports delivered to the shard", func() float64 {
 			g.routedMu.Lock()
 			defer g.routedMu.Unlock()

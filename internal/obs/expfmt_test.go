@@ -17,6 +17,9 @@ func registryForTest() *Metrics {
 	h.Observe(1500)
 	h.Observe(3000)
 	m.Sizes("bms_ingest_batch_size", "reports per batch").Observe(64)
+	m.Timing("fleet_read_seconds", "federated read round", L("view", "occupancy")).Observe(900)
+	m.Timing("fleet_read_seconds", "federated read round", L("view", "rollup")).Observe(1200)
+	m.Counter("fleet_read_errors_total", "federated reads the shard failed", L("shard", "s1")).Inc()
 	m.GaugeFunc("bms_gate_inflight", "admissions in flight", func() float64 { return 2 })
 	m.Recorder().Record(EventLeaseClaim, map[string]any{"epoch": 3})
 	return m
@@ -42,6 +45,9 @@ func TestExpositionRoundTrip(t *testing.T) {
 		`bms_ingest_seconds_bucket{le="+Inf"} 2`,
 		"bms_ingest_seconds_count 2",
 		"bms_gate_inflight 2",
+		`fleet_read_seconds_bucket{view="rollup",le="+Inf"} 1`,
+		`fleet_read_seconds_count{view="occupancy"} 1`,
+		`fleet_read_errors_total{shard="s1"} 1`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("exposition missing %q:\n%s", want, out)
@@ -49,7 +55,7 @@ func TestExpositionRoundTrip(t *testing.T) {
 	}
 	// Histogram buckets must be cumulative: the +Inf bucket equals the
 	// count, and each TYPE appears exactly once.
-	if strings.Count(out, "# TYPE fleet_routed_total counter") != 1 {
+	if strings.Count(out, "# TYPE fleet_routed_total counter") != 1 || strings.Count(out, "# TYPE fleet_read_seconds histogram") != 1 {
 		t.Fatal("label variants must share one TYPE header")
 	}
 }

@@ -54,6 +54,14 @@ type Tracker struct {
 	lastAt  map[string]time.Duration
 	dwell   map[string]map[string]time.Duration // device → room → time
 	events  []Event
+	// tallies counts the events per room, kept in step with events so a
+	// rollup reads them instead of walking the log.
+	tallies map[string]Tally
+}
+
+// Tally is one room's committed transition counts.
+type Tally struct {
+	Enters, Exits int
 }
 
 type pendingState struct {
@@ -74,6 +82,7 @@ func NewTracker(debounce int) (*Tracker, error) {
 		pending:  map[string]*pendingState{},
 		lastAt:   map[string]time.Duration{},
 		dwell:    map[string]map[string]time.Duration{},
+		tallies:  map[string]Tally{},
 	}, nil
 }
 
@@ -118,8 +127,25 @@ func (t *Tracker) Observe(at time.Duration, device, room string) []Event {
 	}
 	t.current[device] = room
 	events = append(events, Event{At: at, Device: device, Kind: Enter, Room: room})
-	t.events = append(t.events, events...)
+	t.record(events)
 	return events
+}
+
+// record appends committed events to the log and counts them into the
+// per-room tallies — the one place both grow, so they cannot disagree.
+// Anything that is not an enter counts as an exit, as every reader of
+// Event.Kind treats it.
+func (t *Tracker) record(events []Event) {
+	t.events = append(t.events, events...)
+	for i := range events {
+		tally := t.tallies[events[i].Room]
+		if events[i].Kind == Enter {
+			tally.Enters++
+		} else {
+			tally.Exits++
+		}
+		t.tallies[events[i].Room] = tally
+	}
 }
 
 // RoomOf returns the committed room of the device ("" when unknown).
@@ -171,6 +197,83 @@ func (t *Tracker) DwellTotals() map[string]time.Duration {
 	return out
 }
 
+// RoomSummary is one room's slice of a Summary.
+type RoomSummary struct {
+	// Occupants is the current head count.
+	Occupants int
+	// Tally counts the room's committed transitions over the tracker's
+	// lifetime.
+	Tally
+	// Dwell is the time the currently tracked devices have spent there.
+	Dwell time.Duration
+}
+
+// Summary is everything a building-level rollup is rendered from, at a
+// cost set by the current state — devices and rooms — not by how long
+// the event log has grown.
+type Summary struct {
+	// Devices maps each committed device to its room. Federation merges
+	// it as a union: a device two shards both still track counts once.
+	Devices map[string]string
+	// Events is the committed event count.
+	Events int
+	// Rooms maps room name to its aggregates.
+	Rooms map[string]RoomSummary
+}
+
+// NewSummary returns an empty summary ready to merge into.
+func NewSummary() Summary {
+	return Summary{Devices: map[string]string{}, Rooms: map[string]RoomSummary{}}
+}
+
+// Merge folds o into s: devices by union (o wins a shared name), event
+// counts and per-room aggregates by sum.
+func (s *Summary) Merge(o Summary) {
+	for dev, room := range o.Devices {
+		s.Devices[dev] = room
+	}
+	s.Events += o.Events
+	for room, r := range o.Rooms {
+		sum := s.Rooms[room]
+		sum.Occupants += r.Occupants
+		sum.Enters += r.Enters
+		sum.Exits += r.Exits
+		sum.Dwell += r.Dwell
+		s.Rooms[room] = sum
+	}
+}
+
+// Summary returns the tracker's rollup state.
+func (t *Tracker) Summary() Summary {
+	sum := NewSummary()
+	t.addTo(&sum)
+	return sum
+}
+
+// addTo folds the tracker's state into sum in one pass.
+func (t *Tracker) addTo(sum *Summary) {
+	for dev, room := range t.current {
+		sum.Devices[dev] = room
+		r := sum.Rooms[room]
+		r.Occupants++
+		sum.Rooms[room] = r
+	}
+	sum.Events += len(t.events)
+	for room, tally := range t.tallies {
+		r := sum.Rooms[room]
+		r.Enters += tally.Enters
+		r.Exits += tally.Exits
+		sum.Rooms[room] = r
+	}
+	for _, rooms := range t.dwell {
+		for room, d := range rooms {
+			r := sum.Rooms[room]
+			r.Dwell += d
+			sum.Rooms[room] = r
+		}
+	}
+}
+
 // Devices returns all known devices, sorted.
 func (t *Tracker) Devices() []string {
 	out := make([]string, 0, len(t.current))
@@ -208,9 +311,10 @@ func (t *Tracker) KnownDevices() []string {
 // InstallEvents appends recovered committed events — the
 // snapshot-restore path. Events are history, not per-device state, so
 // Install does not carry them; a recovered tracker replays them here
-// before observing anything new.
+// before observing anything new. The per-room tallies are rebuilt from
+// the same events, so they need no field of their own on disk.
 func (t *Tracker) InstallEvents(events []Event) {
-	t.events = append(t.events, events...)
+	t.record(events)
 }
 
 // DeviceState is the migratable slice of one device's tracker state:

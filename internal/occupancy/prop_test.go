@@ -188,3 +188,113 @@ func TestExplicitPartitionMergeMatchesSingleTracker(t *testing.T) {
 		}
 	}
 }
+
+// summaryFromViews is the reference a Summary is checked against: the
+// same state rebuilt the slow way, by walking the event log and the
+// per-view reads.
+func summaryFromViews(events []Event, counts map[string]int, dwell map[string]time.Duration, rooms func(device string) string, devices []string) Summary {
+	want := NewSummary()
+	for _, d := range devices {
+		want.Devices[d] = rooms(d)
+	}
+	want.Events = len(events)
+	for room, n := range counts {
+		r := want.Rooms[room]
+		r.Occupants = n
+		want.Rooms[room] = r
+	}
+	for _, e := range events {
+		r := want.Rooms[e.Room]
+		if e.Kind == Enter {
+			r.Enters++
+		} else {
+			r.Exits++
+		}
+		want.Rooms[e.Room] = r
+	}
+	for room, d := range dwell {
+		r := want.Rooms[room]
+		r.Dwell = d
+		want.Rooms[room] = r
+	}
+	return want
+}
+
+// TestSummaryMatchesEventLog: tallies are history, kept in step with the
+// event log and left alone by everything that moves per-device state.
+// Random Observe / Evict / Install / ExpireBefore / InstallEvents
+// sequences, on a single Tracker and on a Sharded one, must leave the
+// one-pass Summary equal to the state rebuilt from Events(), Counts()
+// and DwellTotals() after every step.
+func TestSummaryMatchesEventLog(t *testing.T) {
+	rooms := []string{"kitchen", "living", "study", "bedroom"}
+	for trial := 0; trial < 20; trial++ {
+		seed := uint64(9000 + trial*17)
+		src := rng.New(seed)
+		devices := 3 + src.Intn(10)
+		debounce := 1 + src.Intn(2)
+		stream := genInterleaving(src, devices, 20+src.Intn(40), rooms)
+
+		single, err := NewTracker(debounce)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sharded, err := NewSharded(debounce)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check := func(step int, op string) {
+			t.Helper()
+			want := summaryFromViews(single.Events(), single.Counts(), single.DwellTotals(), single.RoomOf, single.Devices())
+			if got := single.Summary(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d (seed %d) step %d after %s: Tracker.Summary\n got %+v\nwant %+v", trial, seed, step, op, got, want)
+			}
+			want = summaryFromViews(sharded.Events(), sharded.Counts(), sharded.DwellTotals(), sharded.RoomOf, sharded.Devices())
+			if got := sharded.Summary(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d (seed %d) step %d after %s: Sharded.Summary\n got %+v\nwant %+v", trial, seed, step, op, got, want)
+			}
+		}
+		var parked []DeviceState // evicted states waiting to be installed back
+		for step, c := range stream {
+			single.Observe(c.At, c.Device, c.Room)
+			sharded.Observe(c.At, c.Device, c.Room)
+			op := "Observe"
+			switch src.Intn(12) {
+			case 0:
+				op = "Evict"
+				st, ok := single.Evict(c.Device)
+				if _, ok2 := sharded.Evict(c.Device); ok != ok2 {
+					t.Fatalf("trial %d step %d: Evict(%s) ok=%v on the tracker, %v sharded", trial, step, c.Device, ok, ok2)
+				}
+				if ok {
+					parked = append(parked, st)
+				}
+			case 1:
+				if len(parked) > 0 {
+					op = "Install"
+					st := parked[len(parked)-1]
+					parked = parked[:len(parked)-1]
+					single.Install(st)
+					sharded.Install(st)
+				}
+			case 2:
+				op = "ExpireBefore"
+				cutoff := c.At - time.Duration(src.Intn(20))*time.Second
+				single.ExpireBefore(cutoff)
+				sharded.ExpireBefore(cutoff)
+			case 3:
+				// A recovered snapshot's events: another device's history,
+				// canonical order, arriving in one call.
+				op = "InstallEvents"
+				ghost := fmt.Sprintf("ghost-%d", step)
+				recovered := []Event{
+					{At: c.At, Device: ghost, Kind: Enter, Room: rooms[src.Intn(len(rooms))]},
+					{At: c.At + time.Second, Device: ghost, Kind: Exit, Room: rooms[src.Intn(len(rooms))]},
+				}
+				single.InstallEvents(recovered)
+				sharded.InstallEvents(recovered)
+			}
+			check(step, op)
+		}
+	}
+}

@@ -164,6 +164,21 @@ func (s *Sharded) DwellTotals() map[string]time.Duration {
 	return out
 }
 
+// Summary returns the rollup state across all shards in one pass: each
+// stripe's occupants, tallies and dwell are read under that stripe's
+// lock once, so a device never shows in a room its enter event has not
+// been counted for.
+func (s *Sharded) Summary() Summary {
+	sum := NewSummary()
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.mu.Lock()
+		sh.tr.addTo(&sum)
+		sh.mu.Unlock()
+	}
+	return sum
+}
+
 // Counts returns the head count per room across all shards.
 func (s *Sharded) Counts() map[string]int {
 	out := map[string]int{}

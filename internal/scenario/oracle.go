@@ -83,11 +83,14 @@ func verify(sc Scenario, b *building.Building, gw *fleet.Gateway, tr *Traffic, c
 	}
 }
 
-// VerifyExact requires the fleet's federated occupancy, events and
-// dwell to be byte-identical JSON to the reference server's, with
+// VerifyExact requires the fleet's federated occupancy, events, dwell
+// and rollup to be byte-identical JSON to the reference server's, with
 // every device accounted for. This is the exactly-once contract made
 // an executable assertion; cmd/loadgen's ground-truth check is this
-// function.
+// function. The rollup is rendered from per-room tallies the shards
+// keep, not from the events compared above, so it is checked on its
+// own: against the reference's own summary read, after whatever
+// eviction, install and expiry the run put the shards through.
 func VerifyExact(gw *fleet.Gateway, ref *bms.Server) error {
 	occ, err := gw.Occupancy()
 	if err != nil {
@@ -125,7 +128,14 @@ func VerifyExact(gw *fleet.Gateway, ref *bms.Server) error {
 	if err != nil {
 		return err
 	}
-	return compareJSON("dwell", dwell, ref.DwellTotals())
+	if err := compareJSON("dwell", dwell, ref.DwellTotals()); err != nil {
+		return err
+	}
+	rollup, err := gw.Rollup()
+	if err != nil {
+		return err
+	}
+	return compareJSON("rollup", rollup, bms.RenderRollup(ref.Summary()))
 }
 
 // verifyExplained is the set-based oracle for timeline-rewriting
