@@ -29,13 +29,15 @@ test-race:
 
 # allocs runs the allocation-budget pins of the binary report path
 # (PERF.md "What changed (PR 13)"): identity parse, device encode, one
-# HTTP exchange, the gateway's forward, the shard's wire ingest, span
-# prediction, frame decode — and of the federated rollup, whose count
-# must not move with the event history's length (PR 14). The counts are
-# deterministic on any box, so
-# a regression fails a PR here instead of hiding in timing noise. Never
-# under -race: the pins skip there, the detector allocates on its own
-# account.
+# HTTP exchange, the gateway's forward, the shard's ingest core, span
+# prediction, frame decode — of the federated rollup, whose count must
+# not move with the event history's length (PR 14) — and of the JSON
+# ingest door, which must cost what the wire door costs at any batch
+# size (PR 15: TestAllocBudgetIngestBatchJSON, so the JSON face cannot
+# quietly grow its own path again). The counts are deterministic on any
+# box, so a regression fails a PR here instead of hiding in timing
+# noise. Never under -race: the pins skip there, the detector allocates
+# on its own account.
 allocs:
 	$(GO) test -count=1 -run 'TestAllocBudget|TestPredictSpanAllocatesNothing|TestSteadyStateDecodeAllocs|FuzzParseBeaconID' \
 		./internal/ibeacon/ ./internal/wire/ ./internal/classify/ ./internal/transport/ ./internal/bms/ ./internal/fleet/

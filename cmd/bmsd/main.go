@@ -126,7 +126,7 @@ func main() {
 	standby := flag.Bool("standby", false, "gateway-HA mode: start as warm standby instead of claiming leadership")
 	leaseTTL := flag.Duration("lease-ttl", 3*time.Second, "gateway-HA mode: leadership lease TTL (renew and probe at TTL/3)")
 	debugAddr := flag.String("debug-addr", "", "separate listen address serving net/http/pprof (empty: no debug server)")
-	wireCodec := flag.String("wire", "json", "gateway-HA mode: batch encoding toward the remote shards, json or binary (shards that answer 415 downgrade stickily)")
+	wireCodec := flag.String("wire", "json", "gateway-HA mode: batch encoding toward the remote shards, json or binary (configured, not negotiated: a shard that answers 415 is a fault, 502)")
 	flag.Parse()
 
 	codec, err := transport.ParseCodec(*wireCodec)

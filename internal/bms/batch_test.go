@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"occusim/internal/building"
+	"occusim/internal/obs"
 	"occusim/internal/transport"
 )
 
@@ -196,5 +197,35 @@ func TestConcurrentIngest(t *testing.T) {
 	snap := s.Occupancy()
 	if len(snap.Devices) != devices {
 		t.Fatalf("tracked %d devices, want %d", len(snap.Devices), devices)
+	}
+}
+
+// TestIngestTelemetryCountsSingleReportsAsBatches: every door is the one
+// core, so bms_ingest_batch_size sees a single report as a batch of 1.
+func TestIngestTelemetryCountsSingleReportsAsBatches(t *testing.T) {
+	s, b := newTestServer(t)
+	m := obs.New()
+	s.Instrument(m)
+	for i := 0; i < 3; i++ {
+		if _, err := s.Ingest(reportNear(b, "phone", 0, float64(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/api/v1/observations",
+		bytes.NewReader(mustJSON(t, reportNear(b, "phone", 0, 3)))))
+	if rec.Code != 200 {
+		t.Fatalf("single-report route answered %d: %s", rec.Code, rec.Body)
+	}
+	batch := []transport.Report{reportNear(b, "phone", 0, 4), reportNear(b, "tablet", 1, 4), reportNear(b, "phone", 0, 5)}
+	if _, err := s.IngestBatch(batch); err != nil {
+		t.Fatal(err)
+	}
+	snap := m.TakeSnapshot()
+	if h := snap.Histograms["bms_ingest_batch_size"]; h.Count != 5 || h.Sum != 7 {
+		t.Errorf("bms_ingest_batch_size saw %d batches of %d reports in all, want 5 of 7", h.Count, h.Sum)
+	}
+	if h := snap.Histograms["bms_ingest_seconds"]; h.Count != 5 {
+		t.Errorf("bms_ingest_seconds timed %d ingests, want 5", h.Count)
 	}
 }

@@ -35,7 +35,6 @@ import (
 	"occusim/internal/occupancy"
 	"occusim/internal/store"
 	"occusim/internal/svm"
-	"occusim/internal/transport"
 	"occusim/internal/wire"
 )
 
@@ -283,22 +282,6 @@ func decodeObsRecord(rec []byte, b *wire.Batch, rooms []string, names wire.Inter
 		return nil, errBadObsRecord
 	}
 	return rooms, nil
-}
-
-// logReports logs the JSON ingest faces' reports: the same record, from
-// the same encoder, as the binary face. obs[i] is reports[i] parsed;
-// the clock is taken from the report so the record keeps the float the
-// device sent. The caller holds the Begin guard.
-func (s *Server) logReports(reports []transport.Report, obs []store.Observation, rooms []string) error {
-	b := wire.GetBatch()
-	defer wire.PutBatch(b)
-	for i, r := range reports {
-		b.AddReport(r.Device, r.AtSeconds, r.Epoch, r.Seq)
-		for _, bd := range obs[i].Beacons {
-			b.AddBeacon(wire.Beacon(bd))
-		}
-	}
-	return s.logObservations(b, nil, rooms)
 }
 
 // logObservations appends one record per touched stripe — so a batch

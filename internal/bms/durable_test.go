@@ -3,7 +3,11 @@ package bms
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -251,5 +255,81 @@ func TestBinaryObsRecordRoundtrip(t *testing.T) {
 	}
 	if _, err := decodeObsRecord(append(rec, 0), got, nil, wire.Interner{}); err == nil {
 		t.Fatal("a record with a trailing byte decoded without error")
+	}
+}
+
+// TestDurableRecordSameThroughEveryDoor: the WAL does not remember which
+// face a report came in by. The same reports through the JSON doors
+// (Ingest, IngestBatch) and as wire frames (IngestWireFrameFenced) leave
+// byte-identical stripe logs — single-device uploads, whose received
+// payload is logged verbatim, and stripe-spanning ones, which are
+// regrouped, alike.
+func TestDurableRecordSameThroughEveryDoor(t *testing.T) {
+	jsonDir, wireDir := t.TempDir(), t.TempDir()
+	viaJSON := openDurableRetain(t, jsonDir, 100, store.FsyncOff)
+	viaWire := openDurableRetain(t, wireDir, 100, store.FsyncOff)
+	b := building.PaperHouse()
+
+	var uploads [][]transport.Report
+	for i := 0; i < 4; i++ {
+		reports, _ := deviceBatch(t, b, fmt.Sprintf("phone-%d", i%2), uint64(1+11*i), 3)
+		uploads = append(uploads, reports)
+	}
+	var relay []transport.Report
+	stripes := map[int]bool{}
+	for d := 0; d < 24; d++ {
+		device := fmt.Sprintf("relay-%02d", d)
+		stripes[store.StripeFor(device)] = true
+		relay = append(relay, sequenced(reportNear(b, device, d%len(b.Beacons), 1.1+float64(d)/7), 1))
+	}
+	if len(stripes) < 4 {
+		t.Fatalf("vacuous: the relay batch touches %d stripes", len(stripes))
+	}
+	uploads = append(uploads, relay, []transport.Report{sequenced(reportNear(b, "loner", 0, 0.3), 1)})
+
+	for n, reports := range uploads {
+		var want []string
+		var err error
+		if len(reports) == 1 {
+			var room string
+			room, err = viaJSON.Ingest(reports[0])
+			want = []string{room}
+		} else {
+			want, err = viaJSON.IngestBatch(reports)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		wb := new(wire.Batch)
+		if err := transport.EncodeReports(wb, reports); err != nil {
+			t.Fatal(err)
+		}
+		got, err := viaWire.IngestWireFrameFenced(0, wire.AppendFrame(nil, wb))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("upload %d: the wire door answered %q, the JSON door %q", n, got, want)
+		}
+	}
+
+	logged := 0
+	for i := 0; i < store.ObsStripes; i++ {
+		name := fmt.Sprintf("stripe-%02d.wal", i)
+		j, err := os.ReadFile(filepath.Join(jsonDir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := os.ReadFile(filepath.Join(wireDir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(j, w) {
+			t.Errorf("%s: %d bytes logged through the JSON doors differ from %d through the wire door", name, len(j), len(w))
+		}
+		logged += len(j)
+	}
+	if logged == 0 {
+		t.Fatal("vacuous: nothing reached the stripe logs")
 	}
 }

@@ -210,23 +210,8 @@ func (s *Server) installLease(epoch uint64, holder string) {
 //
 // The fleet's shard clients stamp every write with their gateway's
 // leadership epoch; these variants check the fence first and then run
-// the unfenced path. Epoch zero degenerates to the plain methods.
-
-// IngestFenced is Ingest behind the leadership fence.
-func (s *Server) IngestFenced(gwEpoch uint64, r transport.Report) (string, error) {
-	if err := s.admitEpoch(gwEpoch); err != nil {
-		return "", err
-	}
-	return s.Ingest(r)
-}
-
-// IngestBatchFenced is IngestBatch behind the leadership fence.
-func (s *Server) IngestBatchFenced(gwEpoch uint64, reports []transport.Report) ([]string, error) {
-	if err := s.admitEpoch(gwEpoch); err != nil {
-		return nil, err
-	}
-	return s.IngestBatch(reports)
-}
+// the unfenced path. Epoch zero degenerates to the plain methods. (The
+// ingest core takes the epoch as an argument; see Server.ingest.)
 
 // EvictDeviceFenced is EvictDevice behind the leadership fence — a
 // deposed gateway must not be able to rip device state out of a shard
@@ -294,7 +279,7 @@ type leaseClaimRequest struct {
 // or 409 with the winning epoch and holder.
 func (s *Server) handleLeaseClaim(w http.ResponseWriter, r *http.Request) {
 	var req leaseClaimRequest
-	if err := decodeJSON(r.Body, &req); err != nil {
+	if err := DecodeJSON(r.Body, &req); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("decode: %w", err))
 		return
 	}

@@ -54,6 +54,11 @@ func TestGrantLeaseRules(t *testing.T) {
 	}
 }
 
+// ingestFenced sends one report as the fenced batch of one it is.
+func ingestFenced(s *Server, gwEpoch uint64, r transport.Report) ([]string, error) {
+	return s.IngestBatchFenced(gwEpoch, []transport.Report{r})
+}
+
 func TestFencedWritesRejectStaleEpoch(t *testing.T) {
 	s, b := newTestServer(t)
 	if _, _, err := s.GrantLease(2, "gwB"); err != nil {
@@ -61,7 +66,7 @@ func TestFencedWritesRejectStaleEpoch(t *testing.T) {
 	}
 
 	rep := reportNear(b, "phone", 0, 1)
-	if _, err := s.IngestFenced(1, rep); !errors.Is(err, ErrStaleLeader) {
+	if _, err := ingestFenced(s, 1, rep); !errors.Is(err, ErrStaleLeader) {
 		t.Fatalf("stale ingest: err=%v", err)
 	}
 	if _, _, err := s.EvictDeviceFenced(1, "phone"); !errors.Is(err, ErrStaleLeader) {
@@ -82,23 +87,23 @@ func TestFencedWritesRejectStaleEpoch(t *testing.T) {
 
 	// Epoch 0 stays unfenced (legacy single-server clients), and the
 	// granted epoch itself is admitted.
-	if _, err := s.IngestFenced(0, rep); err != nil {
+	if _, err := ingestFenced(s, 0, rep); err != nil {
 		t.Fatalf("unfenced ingest: %v", err)
 	}
-	if _, err := s.IngestFenced(2, reportNear(b, "phone", 1, 2)); err != nil {
+	if _, err := ingestFenced(s, 2, reportNear(b, "phone", 1, 2)); err != nil {
 		t.Fatalf("current-epoch ingest: %v", err)
 	}
 
 	// A write above the grant is proof of newer leadership: the grant
 	// advances (fencing is monotone on every shard, not just the claim
 	// quorum), with the holder unknown until an explicit claim.
-	if _, err := s.IngestFenced(5, reportNear(b, "phone", 2, 3)); err != nil {
+	if _, err := ingestFenced(s, 5, reportNear(b, "phone", 2, 3)); err != nil {
 		t.Fatalf("higher-epoch ingest: %v", err)
 	}
 	if epoch, holder := s.GrantedLease(); epoch != 5 || holder != "" {
 		t.Fatalf("grant after write-implied advance = %d/%q", epoch, holder)
 	}
-	if _, err := s.IngestFenced(2, rep); !errors.Is(err, ErrStaleLeader) {
+	if _, err := ingestFenced(s, 2, rep); !errors.Is(err, ErrStaleLeader) {
 		t.Fatal("old epoch must be fenced after write-implied advance")
 	}
 }
@@ -118,13 +123,13 @@ func TestLeaseSurvivesKillAndCompaction(t *testing.T) {
 	if epoch, holder := s2.GrantedLease(); epoch != 7 || holder != "http://gwA" {
 		t.Fatalf("grant after kill = %d/%q", epoch, holder)
 	}
-	if _, err := s2.IngestFenced(6, reportNear(b, "phone", 0, 1)); !errors.Is(err, ErrStaleLeader) {
+	if _, err := ingestFenced(s2, 6, reportNear(b, "phone", 0, 1)); !errors.Is(err, ErrStaleLeader) {
 		t.Fatal("recovered shard must still fence deposed epochs")
 	}
 
 	// Write-implied advance, then compaction: the grant must ride the
 	// snapshot, not just the (now truncated) log.
-	if _, err := s2.IngestFenced(9, reportNear(b, "phone", 0, 2)); err != nil {
+	if _, err := ingestFenced(s2, 9, reportNear(b, "phone", 0, 2)); err != nil {
 		t.Fatal(err)
 	}
 	if err := s2.Close(); err != nil {

@@ -21,8 +21,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -174,98 +174,32 @@ func (sc *ingestScratch) release() {
 	scratchPool.Put(sc)
 }
 
-// buildObservation converts one JSON-face report into the store form.
-func buildObservation(r transport.Report) (store.Observation, error) {
-	if r.Device == "" {
-		return store.Observation{}, fmt.Errorf("bms: report without device")
-	}
-	obs := store.Observation{Device: r.Device, At: reportTime(r.AtSeconds), Epoch: r.Epoch, Seq: r.Seq}
-	if len(r.Beacons) > 0 {
-		obs.Beacons = make([]store.BeaconDistance, len(r.Beacons))
-	}
-	for k, b := range r.Beacons {
-		id, err := ibeacon.ParseBeaconID(b.ID)
-		if err != nil {
-			return store.Observation{}, fmt.Errorf("bms: %w", err)
-		}
-		obs.Beacons[k] = store.BeaconDistance{ID: id, Distance: b.Distance, RSSI: b.RSSI}
-	}
-	return obs, nil
-}
-
-// Ingest processes one report exactly as the POST /api/v1/observations
-// endpoint does: store, classify, update occupancy. It returns the
-// predicted room. Exposed for in-process (non-HTTP) wiring in the
-// simulator.
-//
-// A sequenced report at or below the device's high-water mark (a
-// retransmission of something already committed) is acknowledged as a
-// no-op: the room is still predicted and returned — prediction is a
-// pure function of the immutable model, so the answer matches the
-// original delivery — but neither store nor tracker advance, which is
-// what makes retrying transports exactly-once.
-func (s *Server) Ingest(r transport.Report) (string, error) {
-	sm := s.met
-	var start time.Time
-	if sm != nil {
-		start = time.Now()
-	}
-	release, err := s.gate.Acquire()
-	if err != nil {
-		return "", err
-	}
-	defer release()
-	obs, err := buildObservation(r)
-	if err != nil {
-		return "", err
-	}
-	sc := getScratch()
-	defer sc.release()
-	sc.size(1)
-	// Predict before storing: prediction is pure, and a durable server
-	// must log the report with its room before any state moves.
-	room := s.classifierSnapshot().PredictSpan(obs.Beacons, &sc.cls)
-	if s.dur != nil {
-		end := s.dur.wal.Begin()
-		defer end()
-		sc.obs[0], sc.rooms[0] = obs, room
-		if err := s.logReports([]transport.Report{r}, sc.obs, sc.rooms); err != nil {
-			return "", err
-		}
-		defer s.maybeCompact()
-	}
-	fresh, err := s.st.AddObservation(obs)
-	if err != nil {
-		return "", err
-	}
-	if fresh {
-		s.tracker.Observe(obs.At, r.Device, room)
-	}
-	if sm != nil {
-		sm.reports.Inc()
-		if !fresh {
-			sm.dedupDrops.Inc()
-		}
-		sm.ingestLatency.Since(start)
-	}
-	return room, nil
-}
-
-// IngestBatch processes many reports in one pass: the whole batch is
-// validated and parsed first (a malformed report rejects the batch
-// before anything is stored), observations land in the store with one
-// stripe-lock acquisition per run of same-device reports, every sample
-// is classified against one immutable model snapshot, and tracker
-// transitions apply shard by shard. It returns the predicted room per
-// report, in order.
+// ingest is the one way reports enter the server, whichever face they
+// came in by: fence → admission gate → validate → store form → classify
+// → log → store → tracker → count. gwEpoch is the gateway leadership
+// stamp (0 = unfenced, see admitEpoch). payload, when non-nil, is the
+// wire payload b was decoded from: a durable server logs those received,
+// already checksummed bytes instead of encoding b again. b is not
+// retained. The returned rooms — one per report, in batch order — are
+// sc's column, valid until its release.
 //
 // Reports of one device must be ordered by time within the batch (the
 // coalescing uplink preserves send order); different devices may
-// interleave freely. Sequenced reports the store has already committed
-// are deduplicated (see Ingest), so a whole-batch retransmission after
-// a partial failure re-applies only the part that never landed.
-func (s *Server) IngestBatch(reports []transport.Report) ([]string, error) {
-	if len(reports) == 0 {
+// interleave freely. A malformed report rejects the batch before
+// anything is stored. A sequenced report at or below its device's
+// high-water mark (a retransmission of something already committed) is
+// acknowledged as a no-op: its room is still predicted and returned —
+// prediction is a pure function of the immutable model, so the answer
+// matches the original delivery — but neither store nor tracker advance,
+// which is what makes retrying transports exactly-once, and a
+// whole-batch retransmission after a partial failure re-apply only the
+// part that never landed.
+func (s *Server) ingest(gwEpoch uint64, b *wire.Batch, payload []byte, sc *ingestScratch) ([]string, error) {
+	if err := s.admitEpoch(gwEpoch); err != nil {
+		return nil, err
+	}
+	n := b.Len()
+	if n == 0 {
 		return nil, nil
 	}
 	sm := s.met
@@ -278,29 +212,22 @@ func (s *Server) IngestBatch(reports []transport.Report) ([]string, error) {
 		return nil, err
 	}
 	defer release()
-	sc := getScratch()
-	defer sc.release()
-	sc.size(len(reports))
-	cls := s.classifierSnapshot()
-	for i, r := range reports {
-		o, err := buildObservation(r)
-		if err != nil {
-			return nil, fmt.Errorf("bms: batch report %d: %w", i, err)
+	for i, device := range b.Devices {
+		if device == "" {
+			return nil, fmt.Errorf("bms: batch report %d: report without device", i)
 		}
-		sc.obs[i], sc.rooms[i] = o, cls.PredictSpan(o.Beacons, &sc.cls)
+	}
+	sc.size(n)
+	wireObservations(b, sc.obs)
+	// Predict before storing: prediction is pure, every sample sees one
+	// immutable model snapshot, and a durable server must log each report
+	// with its room before any state moves.
+	cls := s.classifierSnapshot()
+	for i := range sc.obs {
+		o := &sc.obs[i]
+		sc.rooms[i] = cls.PredictSpan(o.Beacons, &sc.cls)
 		sc.track[i] = occupancy.Classification{At: o.At, Device: o.Device, Room: sc.rooms[i]}
 	}
-	if err := s.commit(sc, sm, start, func() error { return s.logReports(reports, sc.obs, sc.rooms) }); err != nil {
-		return nil, err
-	}
-	return append([]string(nil), sc.rooms...), nil
-}
-
-// commit is the tail every batch face shares once its columns are
-// filled: log, apply to the store, feed what was fresh to the tracker,
-// count. log appends the batch to the WAL in the face's own form; it
-// runs only on a durable server, under the Begin guard.
-func (s *Server) commit(sc *ingestScratch, sm *serverMetrics, start time.Time, log func() error) error {
 	if s.dur != nil {
 		// Log-then-apply: the whole batch (dups included — replay
 		// re-deduplicates against the recovered marks) reaches the WAL
@@ -308,8 +235,8 @@ func (s *Server) commit(sc *ingestScratch, sm *serverMetrics, start time.Time, l
 		// compaction cannot snapshot between the append and the apply.
 		end := s.dur.wal.Begin()
 		defer end()
-		if err := log(); err != nil {
-			return err
+		if err := s.logObservations(b, payload, sc.rooms); err != nil {
+			return nil, err
 		}
 		defer s.maybeCompact()
 	}
@@ -318,7 +245,7 @@ func (s *Server) commit(sc *ingestScratch, sm *serverMetrics, start time.Time, l
 	// (positional contract) but advance neither store nor tracker.
 	fresh, err := s.st.AddObservationBatch(sc.obs)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	live := sc.track[:0]
 	for i := range sc.track {
@@ -328,13 +255,50 @@ func (s *Server) commit(sc *ingestScratch, sm *serverMetrics, start time.Time, l
 	}
 	s.tracker.ObserveBatch(live)
 	if sm != nil {
-		n := len(sc.obs)
 		sm.reports.Add(uint64(n))
 		sm.batchSize.Observe(int64(n))
 		sm.dedupDrops.Add(uint64(n - len(live)))
 		sm.ingestLatency.Since(start)
 	}
-	return nil
+	return sc.rooms, nil
+}
+
+// ingestOwned runs the core on a pooled scratch and hands the rooms out
+// as the caller's own slice.
+func (s *Server) ingestOwned(gwEpoch uint64, b *wire.Batch, payload []byte) ([]string, error) {
+	sc := getScratch()
+	defer sc.release()
+	rooms, err := s.ingest(gwEpoch, b, payload, sc)
+	return slices.Clone(rooms), err
+}
+
+// Ingest processes one report — a batch of one — and returns the
+// predicted room. Exposed for in-process (non-HTTP) wiring in the
+// simulator.
+func (s *Server) Ingest(r transport.Report) (string, error) {
+	rooms, err := s.IngestBatch([]transport.Report{r})
+	if err != nil {
+		return "", err
+	}
+	return rooms[0], nil
+}
+
+// IngestBatch processes many reports in one pass (see ingest) and
+// returns the predicted room per report, in order.
+func (s *Server) IngestBatch(reports []transport.Report) ([]string, error) {
+	return s.IngestBatchFenced(0, reports)
+}
+
+// IngestBatchFenced is IngestBatch behind the leadership fence — the
+// JSON door: the reports are rendered into a pooled wire.Batch (the
+// strict identity parse every face shares) and take the core.
+func (s *Server) IngestBatchFenced(gwEpoch uint64, reports []transport.Report) ([]string, error) {
+	b := wire.GetBatch()
+	defer wire.PutBatch(b)
+	if err := transport.EncodeReports(b, reports); err != nil {
+		return nil, fmt.Errorf("bms: batch: %w", err)
+	}
+	return s.ingestOwned(gwEpoch, b, nil)
 }
 
 // DirectUplink delivers reports straight into an in-process Server,
@@ -804,16 +768,16 @@ func (s *Server) handleEnergy(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleObservation(w http.ResponseWriter, r *http.Request) {
 	var rep transport.Report
-	if err := decodeJSON(http.MaxBytesReader(w, r.Body, wire.MaxBodyBytes), &rep); err != nil {
-		writeUploadError(w, "decode", err)
+	if err := DecodeJSON(http.MaxBytesReader(w, r.Body, wire.MaxBodyBytes), &rep); err != nil {
+		WriteUploadError(w, "decode", err)
 		return
 	}
-	room, err := s.IngestFenced(gatewayEpochFrom(r), rep)
+	rooms, err := s.IngestBatchFenced(gatewayEpochFrom(r), []transport.Report{rep})
 	if err != nil {
 		writeIngestError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"room": room})
+	writeJSON(w, http.StatusOK, map[string]string{"room": rooms[0]})
 }
 
 // writeIngestError maps an ingest failure to its HTTP face: a shed
@@ -839,10 +803,11 @@ func writeIngestError(w http.ResponseWriter, err error) {
 	writeError(w, http.StatusBadRequest, err)
 }
 
-// writeUploadError answers an upload that could not be taken in (what
+// WriteUploadError answers an upload that could not be taken in (what
 // names the step that failed): 413 past the size limit — the wire
 // face's own, or the JSON face's MaxBytesReader — and 400 otherwise.
-func writeUploadError(w http.ResponseWriter, what string, err error) {
+// The fleet gateway's ingest routes answer through it too.
+func WriteUploadError(w http.ResponseWriter, what string, err error) {
 	code := http.StatusBadRequest
 	var tooLarge *http.MaxBytesError
 	if errors.Is(err, wire.ErrBodyTooLarge) || errors.As(err, &tooLarge) {
@@ -856,14 +821,13 @@ func writeUploadError(w http.ResponseWriter, what string, err error) {
 // compatibility encoding; a body under the wire content type takes the
 // binary zero-intermediate path (see wire.go).
 func (s *Server) handleObservationBatch(w http.ResponseWriter, r *http.Request) {
-	if ct := r.Header.Get("Content-Type"); ct == wire.ContentType ||
-		strings.HasPrefix(ct, wire.ContentType+";") {
+	if wire.IsContentType(r.Header.Get("Content-Type")) {
 		s.handleWireObservationBatch(w, r)
 		return
 	}
 	var reports []transport.Report
-	if err := decodeJSON(http.MaxBytesReader(w, r.Body, wire.MaxBodyBytes), &reports); err != nil {
-		writeUploadError(w, "decode", err)
+	if err := DecodeJSON(http.MaxBytesReader(w, r.Body, wire.MaxBodyBytes), &reports); err != nil {
+		WriteUploadError(w, "decode", err)
 		return
 	}
 	rooms, err := s.IngestBatchFenced(gatewayEpochFrom(r), reports)
@@ -886,7 +850,7 @@ type fingerprintRequest struct {
 
 func (s *Server) handleFingerprint(w http.ResponseWriter, r *http.Request) {
 	var req fingerprintRequest
-	if err := decodeJSON(r.Body, &req); err != nil {
+	if err := DecodeJSON(r.Body, &req); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("decode: %w", err))
 		return
 	}
@@ -920,7 +884,7 @@ type trainRequest struct {
 func (s *Server) handleTrain(w http.ResponseWriter, r *http.Request) {
 	var req trainRequest
 	if r.ContentLength != 0 {
-		if err := decodeJSON(r.Body, &req); err != nil {
+		if err := DecodeJSON(r.Body, &req); err != nil {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("decode: %w", err))
 			return
 		}
@@ -949,7 +913,7 @@ func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 // face of InstallModel, used by the fleet gateway against remote shards.
 func (s *Server) handleModelInstall(w http.ResponseWriter, r *http.Request) {
 	var snap ModelSnapshot
-	if err := decodeJSON(r.Body, &snap); err != nil {
+	if err := DecodeJSON(r.Body, &snap); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("decode: %w", err))
 		return
 	}
@@ -990,7 +954,7 @@ func (s *Server) handleDeviceEvict(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Device string `json:"device"`
 	}
-	if err := decodeJSON(r.Body, &req); err != nil {
+	if err := DecodeJSON(r.Body, &req); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("decode: %w", err))
 		return
 	}
@@ -1025,7 +989,7 @@ func writeMigrationError(w http.ResponseWriter, err error) {
 // receiving half of fleet device migration over HTTP.
 func (s *Server) handleDeviceInstall(w http.ResponseWriter, r *http.Request) {
 	var st DeviceState
-	if err := decodeJSON(r.Body, &st); err != nil {
+	if err := DecodeJSON(r.Body, &st); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("decode: %w", err))
 		return
 	}
@@ -1042,7 +1006,7 @@ func (s *Server) handleDeviceExpire(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		BeforeNanos int64 `json:"beforeNanos"`
 	}
-	if err := decodeJSON(r.Body, &req); err != nil {
+	if err := DecodeJSON(r.Body, &req); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("decode: %w", err))
 		return
 	}
@@ -1100,9 +1064,11 @@ func putBuf(b *bytes.Buffer) {
 	}
 }
 
-// decodeJSON reads the whole body through a pooled buffer and
-// unmarshals it into v.
-func decodeJSON(body io.Reader, v any) error {
+// DecodeJSON reads the whole body through a pooled buffer and
+// unmarshals it into v, so anything after the first value is an error.
+// Every JSON request body of this face and of the fleet gateway's ingest
+// routes is decoded here: the two cannot disagree on what parses.
+func DecodeJSON(body io.Reader, v any) error {
 	buf := getBuf()
 	defer putBuf(buf)
 	if _, err := buf.ReadFrom(body); err != nil {

@@ -1,19 +1,13 @@
-// Binary ingest face: the wire-codec batch path. A decoded wire.Batch
-// carries beacon identities in their binary form already, so ingest
-// skips both the []transport.Report materialization and the per-beacon
-// string parse — observations are built straight from the
-// struct-of-arrays batch. Semantics are identical to IngestBatch: same
-// validation, same WAL log-then-apply, same (Epoch, Seq) dedup, same
-// metrics.
+// Binary ingest face: the wire-codec doors of the ingest core. A
+// decoded wire.Batch is what the core takes, so this face adds only the
+// frame decode — no []transport.Report, no per-beacon string parse.
 package bms
 
 import (
 	"fmt"
 	"net/http"
 	"slices"
-	"time"
 
-	"occusim/internal/occupancy"
 	"occusim/internal/wire"
 )
 
@@ -22,48 +16,7 @@ import (
 // report ordering contract matches IngestBatch: one device's reports
 // ordered by time, devices interleaving freely. b is not retained.
 func (s *Server) IngestWireBatch(b *wire.Batch) ([]string, error) {
-	sc := getScratch()
-	defer sc.release()
-	rooms, err := s.ingestWire(b, nil, sc)
-	return slices.Clone(rooms), err
-}
-
-// ingestWire is IngestWireBatch on the caller's scratch, with the wire
-// payload b was decoded from (nil when there is none): a durable server
-// logs those received, already checksummed bytes instead of encoding b
-// again. The returned rooms are sc's column, valid until its release.
-func (s *Server) ingestWire(b *wire.Batch, payload []byte, sc *ingestScratch) ([]string, error) {
-	n := b.Len()
-	if n == 0 {
-		return nil, nil
-	}
-	sm := s.met
-	var start time.Time
-	if sm != nil {
-		start = time.Now()
-	}
-	release, err := s.gate.Acquire()
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	for i, device := range b.Devices {
-		if device == "" {
-			return nil, fmt.Errorf("bms: batch report %d: bms: report without device", i)
-		}
-	}
-	sc.size(n)
-	wireObservations(b, sc.obs)
-	cls := s.classifierSnapshot()
-	for i := range sc.obs {
-		o := &sc.obs[i]
-		sc.rooms[i] = cls.PredictSpan(o.Beacons, &sc.cls)
-		sc.track[i] = occupancy.Classification{At: o.At, Device: o.Device, Room: sc.rooms[i]}
-	}
-	if err := s.commit(sc, sm, start, func() error { return s.logObservations(b, payload, sc.rooms) }); err != nil {
-		return nil, err
-	}
-	return sc.rooms, nil
+	return s.ingestOwned(0, b, nil)
 }
 
 // ingestWireFrame decodes one whole wire frame into a pooled batch and
@@ -77,10 +30,7 @@ func (s *Server) ingestWireFrame(gwEpoch uint64, frame []byte, sc *ingestScratch
 	if err != nil {
 		return nil, fmt.Errorf("decode frame: %w", err)
 	}
-	if err := s.admitEpoch(gwEpoch); err != nil {
-		return nil, err
-	}
-	return s.ingestWire(b, payload, sc)
+	return s.ingest(gwEpoch, b, payload, sc)
 }
 
 // IngestWireFrameFenced is the shard end of the framed path in process:
@@ -92,10 +42,6 @@ func (s *Server) IngestWireFrameFenced(gwEpoch uint64, frame []byte) ([]string, 
 	return slices.Clone(rooms), err
 }
 
-// wireAckType is the ack's Content-Type header value, shared by every
-// response: net/http reads header values, it never writes to them.
-var wireAckType = []string{wire.ContentType}
-
 // handleWireObservationBatch serves the binary branch of
 // POST /api/v1/observations:batch: one wire frame in, decoded into a
 // pooled batch and ingested with no intermediate report slice; the
@@ -106,7 +52,7 @@ func (s *Server) handleWireObservationBatch(w http.ResponseWriter, r *http.Reque
 	defer wire.PutBuf(buf)
 	body, err := wire.ReadBody(r.Body, r.ContentLength, wire.MaxBodyBytes, buf)
 	if err != nil {
-		writeUploadError(w, "read body", err)
+		WriteUploadError(w, "read body", err)
 		return
 	}
 	sc := getScratch()
@@ -119,6 +65,6 @@ func (s *Server) handleWireObservationBatch(w http.ResponseWriter, r *http.Reque
 	// The frame is applied (and logged, by copy): its buffer carries the
 	// ack back.
 	*buf = wire.AppendRooms((*buf)[:0], rooms)
-	w.Header()["Content-Type"] = wireAckType
+	w.Header()["Content-Type"] = wire.AckContentType
 	_, _ = w.Write(*buf)
 }

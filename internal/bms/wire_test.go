@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"unsafe"
@@ -218,19 +219,19 @@ func TestAllocBudgetIngestWire(t *testing.T) {
 	}
 	next := 0
 
-	// ingestWire on the caller's scratch: the beacon slab, the store's
+	// The core on the caller's scratch: the beacon slab, the store's
 	// fresh column, and the amortised growth of what store and tracker
 	// keep.
 	sc := getScratch()
 	defer sc.release()
 	ingest := testing.AllocsPerRun(runs, func() {
-		if _, err := s.ingestWire(batches[next], nil, sc); err != nil {
+		if _, err := s.ingest(0, batches[next], nil, sc); err != nil {
 			t.Fatal(err)
 		}
 		next++
 	})
 	if ingest > 4 {
-		t.Errorf("ingestWire allocates %v times per 11-report batch, budget 4", ingest)
+		t.Errorf("ingest allocates %v times per 11-report batch, budget 4", ingest)
 	}
 
 	// The whole handler, above what the harness itself costs: the
@@ -243,8 +244,59 @@ func TestAllocBudgetIngestWire(t *testing.T) {
 		}
 		next++
 	})
-	t.Logf("per 11-report batch: ingestWire %v, wire handler %v above a harness of %v", ingest, handler-harness, harness)
+	t.Logf("per 11-report batch: ingest %v, wire handler %v above a harness of %v", ingest, handler-harness, harness)
 	if handler-harness > 9 {
 		t.Errorf("the wire handler allocates %v times per 11-report batch (harness %v), ceiling 9", handler-harness, harness)
+	}
+}
+
+// TestAllocBudgetIngestBatchJSON: the JSON door is the core plus a
+// pooled re-encode, so it costs what the wire door costs — the same
+// caller-facing rooms copy included — whatever the batch size. A gap
+// that opens, or grows with the batch, is the JSON door growing its own
+// path again.
+func TestAllocBudgetIngestBatchJSON(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are pinned without the race detector")
+	}
+	s, b := newTestServer(t)
+	trainServer(t, s, b)
+	const runs = 40
+	gap := func(size int) float64 {
+		// One device that stays put; fresh sequence numbers every call (a
+		// retransmission would be deduplicated and skip the store).
+		var reports [][]transport.Report
+		var batches []*wire.Batch
+		for i := 0; i < 2*(runs+1); i++ {
+			batch := make([]transport.Report, size)
+			for k := range batch {
+				seq := uint64(1 + i*size + k)
+				batch[k] = sequenced(reportNear(b, "phone-"+strconv.Itoa(size), 0, float64(2*seq)), seq)
+			}
+			wb := new(wire.Batch)
+			if err := transport.EncodeReports(wb, batch); err != nil {
+				t.Fatal(err)
+			}
+			reports, batches = append(reports, batch), append(batches, wb)
+		}
+		next := 0
+		viaWire := testing.AllocsPerRun(runs, func() {
+			if _, err := s.IngestWireBatch(batches[next]); err != nil {
+				t.Fatal(err)
+			}
+			next++
+		})
+		viaJSON := testing.AllocsPerRun(runs, func() {
+			if _, err := s.IngestBatch(reports[next]); err != nil {
+				t.Fatal(err)
+			}
+			next++
+		})
+		t.Logf("%d-report batch: IngestBatch %v allocations, IngestWireBatch %v", size, viaJSON, viaWire)
+		return viaJSON - viaWire
+	}
+	small, large := gap(1), gap(64)
+	if small > 1 || large > 1 {
+		t.Errorf("IngestBatch allocates %v (1 report) and %v (64 reports) times above IngestWireBatch, budget 1", small, large)
 	}
 }

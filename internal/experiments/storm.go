@@ -62,11 +62,6 @@ type delayedShard struct {
 	delay time.Duration
 }
 
-func (s *delayedShard) Ingest(r transport.Report) (string, error) {
-	time.Sleep(s.delay)
-	return s.Shard.Ingest(r)
-}
-
 func (s *delayedShard) IngestBatch(reports []transport.Report) ([]string, error) {
 	time.Sleep(s.delay)
 	return s.Shard.IngestBatch(reports)

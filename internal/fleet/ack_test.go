@@ -3,6 +3,7 @@ package fleet_test
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -10,6 +11,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"occusim/internal/bms"
 	"occusim/internal/building"
 	"occusim/internal/fleet"
 	"occusim/internal/raceflag"
@@ -82,46 +84,25 @@ func ackRooms(t testing.TB, rec *httptest.ResponseRecorder, n int) []string {
 	return rooms
 }
 
-// TestStickyJSONShardBehindBinaryGateway is the mixed fleet: one shard
-// is an old build that answers 415 to the wire codec, its neighbour
-// speaks it. Devices pre-split in binary throughout; the gateway's
-// client for the old shard downgrades once, stickily, decodes each
-// forwarded frame and delivers JSON — and the device's wire ack still
-// answers report for report what one clean server predicts, on every
-// gateway path: verbatim forward, stale-digest re-split, plain frame.
-func TestStickyJSONShardBehindBinaryGateway(t *testing.T) {
-	b := building.PaperHouse()
-	snap := trainSnapshot(t, b, 42)
-	single := newServer(t, b)
-	if _, err := single.InstallModel(snap); err != nil {
-		t.Fatal(err)
-	}
-
-	var wireToOld, jsonToOld, wireToNew atomic.Int64
-	shards := make([]fleet.Shard, 2)
-	for i := range shards {
+// httpFleet fronts one fresh server per codec with an HTTPShard speaking
+// that codec, behind one gateway running snap. wrap, when non-nil, sits
+// in front of shard i's handler.
+func httpFleet(t *testing.T, b *building.Building, snap bms.ModelSnapshot, codecs []transport.Codec,
+	wrap func(i int, next http.Handler) http.Handler) *fleet.Gateway {
+	t.Helper()
+	shards := make([]fleet.Shard, len(codecs))
+	for i, codec := range codecs {
 		h := newServer(t, b).Handler()
-		old := i == 0
-		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			isWire := r.Header.Get("Content-Type") == wire.ContentType
-			switch {
-			case old && isWire:
-				wireToOld.Add(1)
-				http.Error(w, `{"error":"unsupported media type"}`, http.StatusUnsupportedMediaType)
-				return
-			case old && r.URL.Path == batchRoute:
-				jsonToOld.Add(1)
-			case isWire:
-				wireToNew.Add(1)
-			}
-			h.ServeHTTP(w, r)
-		}))
+		if wrap != nil {
+			h = wrap(i, h)
+		}
+		ts := httptest.NewServer(h)
 		t.Cleanup(ts.Close)
 		hs, err := fleet.NewHTTPShard(ts.URL, nil, transport.RetryPolicy{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		hs.SetCodec(transport.CodecBinary)
+		hs.SetCodec(codec)
 		shards[i] = hs
 	}
 	gw, err := fleet.New(shards, fleet.Config{})
@@ -131,6 +112,138 @@ func TestStickyJSONShardBehindBinaryGateway(t *testing.T) {
 	if err := gw.DistributeModel(snap); err != nil {
 		t.Fatal(err)
 	}
+	return gw
+}
+
+// uploadPath renders batch as upload n's wire body: device pre-split
+// under the live digest, pre-split under a stale one (re-split
+// server-side, in section order), or one plain frame (upload order).
+// order maps the body's report positions to indices in batch.
+func uploadPath(t *testing.T, gw *fleet.Gateway, batch []transport.Report, n int) (body []byte, digest string, order []int) {
+	t.Helper()
+	body, order = presplitBody(t, gw, batch)
+	digest = gw.RingDigest()
+	switch n % 3 {
+	case 1:
+		digest = "stale-" + digest
+	case 2:
+		wb := new(wire.Batch)
+		if err := transport.EncodeReports(wb, batch); err != nil {
+			t.Fatal(err)
+		}
+		body, digest = wire.AppendFrame(nil, wb), ""
+		for k := range order {
+			order[k] = k
+		}
+	}
+	return body, digest, order
+}
+
+// TestShard415IsAFaultNotADowngrade: the gateway-to-shard leg speaks the
+// codec it was configured with. A shard that answers 415 to it is a
+// deployment fault: every gateway path — verbatim forward, stale-digest
+// re-split, plain frame — answers 502 (ErrShardMisbehaved), and the
+// shard is never quietly re-sent the batch as JSON.
+func TestShard415IsAFaultNotADowngrade(t *testing.T) {
+	b := building.PaperHouse()
+	var wireOffers, jsonBatches atomic.Int64
+	gw := httpFleet(t, b, trainSnapshot(t, b, 42), []transport.Codec{transport.CodecBinary, transport.CodecBinary},
+		func(_ int, next http.Handler) http.Handler {
+			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				switch {
+				case r.Header.Get("Content-Type") == wire.ContentType:
+					wireOffers.Add(1)
+					http.Error(w, `{"error":"unsupported media type"}`, http.StatusUnsupportedMediaType)
+					return
+				case r.URL.Path == batchRoute:
+					jsonBatches.Add(1)
+				}
+				next.ServeHTTP(w, r)
+			})
+		})
+	face := fleet.Handler(gw, fleet.HandlerOptions{})
+
+	stream := synthStream(b, 12, 6, 9)
+	stampStream(stream, 1)
+	if _, err := gw.IngestBatch(stream); !errors.Is(err, fleet.ErrShardMisbehaved) {
+		t.Fatalf("IngestBatch over a 415 shard: %v, want ErrShardMisbehaved", err)
+	}
+	for n := 0; n < 3; n++ {
+		body, digest, _ := uploadPath(t, gw, stream, n)
+		offered := wireOffers.Load()
+		rec := postWire(t, face, body, digest)
+		if rec.Code != http.StatusBadGateway {
+			t.Fatalf("path %d answered %d, want 502: %s", n, rec.Code, rec.Body)
+		}
+		if wireOffers.Load() == offered {
+			t.Fatalf("path %d: vacuous, no shard was offered the wire codec", n)
+		}
+	}
+	if jsonBatches.Load() != 0 {
+		t.Fatalf("a shard that refused the wire codec was re-sent %d JSON batches", jsonBatches.Load())
+	}
+	if occ, err := gw.Occupancy(); err != nil || len(occ.Devices) != 0 {
+		t.Fatalf("refused uploads left state behind: %v, %v", occ.Devices, err)
+	}
+}
+
+// TestUnencodableReportIsAClientError: a beacon identity the binary leg
+// cannot carry is one the shard's JSON face rejects with the same
+// parser, so the gateway answers what one server answers — 400 — under
+// either codec, without an exchange on the binary leg.
+func TestUnencodableReportIsAClientError(t *testing.T) {
+	b := building.PaperHouse()
+	var batches atomic.Int64
+	gw := httpFleet(t, b, trainSnapshot(t, b, 42), []transport.Codec{transport.CodecBinary},
+		func(_ int, next http.Handler) http.Handler {
+			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if r.URL.Path == batchRoute {
+					batches.Add(1)
+				}
+				next.ServeHTTP(w, r)
+			})
+		})
+	body := `[{"device":"d1","atSeconds":1,"beacons":[{"id":"not-a-beacon","distance":1}]}]`
+	for name, h := range map[string]http.Handler{
+		"one server":  newServer(t, b).Handler(),
+		"the gateway": fleet.Handler(gw, fleet.HandlerOptions{}),
+	} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, batchRoute, strings.NewReader(body)))
+		if rec.Code != http.StatusBadRequest {
+			t.Errorf("%s answered %d to an unparseable beacon identity, want 400: %s", name, rec.Code, rec.Body)
+		}
+	}
+	if batches.Load() != 0 {
+		t.Errorf("the binary leg made %d exchanges for a batch it cannot encode", batches.Load())
+	}
+}
+
+// TestMixedCodecShardsByteIdentity: the codec is per shard client, so a
+// fleet may run one JSON leg beside one binary leg. Devices upload in
+// binary on every gateway path, and the federated state — and each ack,
+// report for report — is what one clean server produces.
+func TestMixedCodecShardsByteIdentity(t *testing.T) {
+	b := building.PaperHouse()
+	snap := trainSnapshot(t, b, 42)
+	single := newServer(t, b)
+	if _, err := single.InstallModel(snap); err != nil {
+		t.Fatal(err)
+	}
+	var wireTo, jsonTo [2]atomic.Int64
+	gw := httpFleet(t, b, snap, []transport.Codec{transport.CodecJSON, transport.CodecBinary},
+		func(i int, next http.Handler) http.Handler {
+			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if r.URL.Path == batchRoute {
+					if r.Header.Get("Content-Type") == wire.ContentType {
+						wireTo[i].Add(1)
+					} else {
+						jsonTo[i].Add(1)
+					}
+				}
+				next.ServeHTTP(w, r)
+			})
+		})
 	face := fleet.Handler(gw, fleet.HandlerOptions{})
 
 	stream := synthStream(b, 12, 40, 9)
@@ -142,21 +255,7 @@ func TestStickyJSONShardBehindBinaryGateway(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		body, order := presplitBody(t, gw, batch)
-		digest := gw.RingDigest()
-		switch n % 3 {
-		case 1:
-			digest = "stale-" + digest // re-split server-side, in section order
-		case 2:
-			wb := new(wire.Batch) // one plain frame, in upload order
-			if err := transport.EncodeReports(wb, batch); err != nil {
-				t.Fatal(err)
-			}
-			body, digest = wire.AppendFrame(nil, wb), ""
-			for k := range order {
-				order[k] = k
-			}
-		}
+		body, digest, order := uploadPath(t, gw, batch, n)
 		got := ackRooms(t, postWire(t, face, body, digest), len(batch))
 		for k, i := range order {
 			if got[k] != want[i] {
@@ -164,16 +263,16 @@ func TestStickyJSONShardBehindBinaryGateway(t *testing.T) {
 			}
 		}
 	}
-	if wireToOld.Load() != 1 {
-		t.Fatalf("the old shard was offered the wire codec %d times, want once (sticky downgrade)", wireToOld.Load())
-	}
-	if jsonToOld.Load() == 0 || wireToNew.Load() == 0 {
-		t.Fatalf("vacuous: old shard took %d JSON batches, new shard %d wire ones", jsonToOld.Load(), wireToNew.Load())
+	// Pre-split sections are forwarded as the frames they are, whatever
+	// the leg's codec; the server-side split speaks the configured one.
+	if jsonTo[0].Load() == 0 || wireTo[1].Load() == 0 || jsonTo[1].Load() != 0 {
+		t.Fatalf("vacuous: JSON shard took %d JSON / %d wire batches, binary shard %d / %d",
+			jsonTo[0].Load(), wireTo[0].Load(), jsonTo[1].Load(), wireTo[1].Load())
 	}
 	occ, events, dwell := fleetViews(t, gw)
 	if !bytes.Equal(occ, mustJSON(t, single.Occupancy())) || !bytes.Equal(events, mustJSON(t, single.Events())) ||
 		!bytes.Equal(dwell, mustJSON(t, single.DwellTotals())) {
-		t.Fatal("the mixed fleet's federated state differs from one clean server's")
+		t.Fatal("the mixed-codec fleet's federated state differs from one clean server's")
 	}
 }
 

@@ -38,10 +38,6 @@ type Config struct {
 	// ring (default 64). More replicas smooth the key distribution at
 	// the cost of a larger ring.
 	Replicas int
-	// SerialDispatch processes a split batch shard by shard instead of
-	// concurrently. Measurement harnesses use it to attribute work to
-	// shards exactly; deployments leave it off.
-	SerialDispatch bool
 	// ProbeInterval rate-limits CheckHealth: calls within the interval
 	// of the last probe return the cached statuses instead of fanning a
 	// fresh probe to every shard. Gateways that expose CheckHealth on a
@@ -105,7 +101,6 @@ type Gateway struct {
 	shards   []Shard
 	ring     *ring.Ring // shared routing function; see internal/ring
 	byName   map[string]int
-	serial   bool
 	replicas int
 
 	// mu guards down, pinned, fenced and digest; routing takes it shared
@@ -208,7 +203,6 @@ func New(shards []Shard, cfg Config) (*Gateway, error) {
 	}
 	g := &Gateway{
 		shards:     shards,
-		serial:     cfg.SerialDispatch,
 		replicas:   cfg.Replicas,
 		probeEvery: cfg.ProbeInterval,
 		ttl:        cfg.ResidueTTL,
@@ -245,10 +239,6 @@ func New(shards []Shard, cfg Config) (*Gateway, error) {
 	return g, nil
 }
 
-// hash64 is the shared routing hash (see ring.Hash64, a frozen wire
-// contract: pre-split devices must compute identical values).
-func hash64(key string) uint64 { return ring.Hash64(key) }
-
 // Shards returns the pool size.
 func (g *Gateway) Shards() int { return len(g.shards) }
 
@@ -256,19 +246,14 @@ func (g *Gateway) Shards() int { return len(g.shards) }
 func (g *Gateway) ShardFor(device string) (int, error) {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	return g.ownerLocked(hash64(device))
+	return g.ownerWith(g.down, ring.Hash64(device))
 }
 
-// ownerLocked walks the ring clockwise from the device's hash to the
-// first virtual node of a healthy shard; callers hold g.mu.
-func (g *Gateway) ownerLocked(h uint64) (int, error) {
-	return g.ownerWith(g.down, h)
-}
-
-// ownerWith resolves the device hash against an explicit down set —
-// the routing function as a pure function of (ring, down), which the
-// rebalance migration uses to diff ownership before and after a
-// routing change.
+// ownerWith walks the ring clockwise from the device's hash to the
+// first virtual node of a shard outside the down set — the routing
+// function as a pure function of (ring, down), which the rebalance
+// migration uses to diff ownership before and after a routing change.
+// Callers passing g.down hold g.mu.
 func (g *Gateway) ownerWith(down []bool, h uint64) (int, error) {
 	idx, err := g.ring.OwnerHash(h, down)
 	if err != nil {
@@ -316,23 +301,32 @@ type fence struct {
 	done chan struct{}
 }
 
-// acquire resolves routing for a batch under one consistent view:
-// fence check, owner resolution, registration and in-flight accounting
-// happen in a single critical section against the routing flip
-// (applyRoutingChange holds mu exclusively for the flip AND the fence
-// raise, so a report either resolves fully under the old table — and
-// is then drained before the move — or waits on the fence and resolves
-// under the new one; no report can thread between). Reports whose
-// device is mid-migration block until the fence lifts — the "pause"
-// half of pause → drain → move → resume. The returned release must be
-// called once the shard deliveries finish, success or not.
-func (g *Gateway) acquire(reports []transport.Report) (shardOf []int32, release func(), err error) {
+// acquire admits an upload's devices to delivery under one consistent
+// routing view: fence check, the caller's routing check, registration
+// and in-flight accounting happen in a single critical section against
+// the routing flip (applyRoutingChange holds mu exclusively for the flip
+// AND the fence raise, so a report either routes fully under the old
+// table — and is then drained before the move — or waits on the fence
+// and routes under the new one; no report can thread between). An upload
+// with a device mid-migration blocks until the fence lifts — the "pause"
+// half of pause → drain → move → resume — and starts over.
+//
+// devices are the upload's devices (repeats allowed), counts the reports
+// each entry stands for, maxAt the upload's newest report time. check
+// runs under the shared routing hold once no device is fenced: a
+// server-side split resolves its owners there, a pre-split upload
+// compares its digest (a fence wait implies a routing change, which
+// implies a digest change, so a pre-split upload that waited always
+// comes back ErrPresplitMismatch rather than forwarding against the new
+// table). A nil error must be paired with release once the shard
+// deliveries finish, success or not.
+func (g *Gateway) acquire(devices []string, counts []int, maxAt float64, check func() error) error {
 	for {
 		g.mu.RLock()
 		if len(g.fenced) > 0 {
 			var wait chan struct{}
-			for i := range reports {
-				if f, ok := g.fenced[reports[i].Device]; ok {
+			for _, d := range devices {
+				if f, ok := g.fenced[d]; ok {
 					wait = f.done
 					break
 				}
@@ -343,14 +337,9 @@ func (g *Gateway) acquire(reports []transport.Report) (shardOf []int32, release 
 				continue
 			}
 		}
-		shardOf = make([]int32, len(reports))
-		for i := range reports {
-			idx, err := g.ownerLocked(hash64(reports[i].Device))
-			if err != nil {
-				g.mu.RUnlock()
-				return nil, nil, err
-			}
-			shardOf[i] = int32(idx)
+		if err := check(); err != nil {
+			g.mu.RUnlock()
+			return err
 		}
 		// Register and count in-flight under the same routing view: a
 		// migration that flips after this section sees these devices in
@@ -360,74 +349,127 @@ func (g *Gateway) acquire(reports []transport.Report) (shardOf []int32, release 
 		// response still committed on the shard, and the device must
 		// stay visible to rebalance migration.
 		g.devMu.Lock()
-		for i := range reports {
-			g.known[reports[i].Device] = reports[i].Device
-			if reports[i].AtSeconds > g.maxAt {
-				g.maxAt = reports[i].AtSeconds
-			}
-			g.flight[reports[i].Device]++
+		for i, d := range devices {
+			g.known[d] = d
+			g.flight[d] += counts[i]
+		}
+		if maxAt > g.maxAt {
+			g.maxAt = maxAt
 		}
 		g.devMu.Unlock()
 		g.mu.RUnlock()
-		return shardOf, func() {
-			g.devMu.Lock()
-			for i := range reports {
-				d := reports[i].Device
-				if g.flight[d]--; g.flight[d] <= 0 {
-					delete(g.flight, d)
-				}
-			}
-			g.devMu.Unlock()
-			g.flightCond.Broadcast()
-		}, nil
+		return nil
 	}
 }
 
-// Ingest routes one report to its owning shard and returns the
-// predicted room. With Admission configured the call may shed (an
-// overload error the HTTP face maps to 429 + Retry-After); with a
-// breaker armed and the owner's circuit open it fails fast with
-// ErrShardTripped.
-func (g *Gateway) Ingest(r transport.Report) (string, error) {
-	admit, err := g.gate.Acquire()
-	if err != nil {
-		return "", err
+// release returns the in-flight counts acquire took.
+func (g *Gateway) release(devices []string, counts []int) {
+	g.devMu.Lock()
+	for i, d := range devices {
+		if g.flight[d] -= counts[i]; g.flight[d] <= 0 {
+			delete(g.flight, d)
+		}
 	}
-	defer admit()
-	batch := g.skew.correct([]transport.Report{r})
-	shardOf, release, err := g.acquire(batch)
-	if err != nil {
-		return "", err
-	}
-	defer release()
-	idx := int(shardOf[0])
-	if err := g.breakerAllow(idx); err != nil {
-		return "", err
+	g.devMu.Unlock()
+	g.flightCond.Broadcast()
+}
+
+// delivery is one shard's share of an upload, however it was split: a
+// frame the device encoded, forwarded verbatim, or the sub-batch a
+// server-side split produced. deliver fills rooms or err.
+type delivery struct {
+	idx, n  int // shard index, report count
+	frame   []byte
+	reports []transport.Report
+	rooms   []string
+	err     error
+}
+
+// deliver sends one shard its share and checks the answer: breaker
+// allow → timed send → breaker observe → rooms-length check → note.
+func (g *Gateway) deliver(d *delivery) {
+	shard := g.shards[d.idx]
+	if d.err = g.breakerAllow(d.idx); d.err != nil {
+		return
 	}
 	gm := g.met
 	var sendStart time.Time
 	if gm != nil {
 		sendStart = time.Now()
 	}
-	room, err := g.shards[idx].Ingest(batch[0])
+	var out []string
+	var err error
+	if d.frame != nil {
+		out, err = shard.(FrameIngester).IngestFrame(d.frame, d.n)
+	} else {
+		out, err = shard.IngestBatch(d.reports)
+	}
 	if gm != nil {
-		gm.sendLatency[idx].Since(sendStart)
+		gm.sendLatency[d.idx].Since(sendStart)
 	}
-	g.breakerObserve(idx, err)
+	g.breakerObserve(d.idx, err)
 	if err != nil {
-		return "", fmt.Errorf("fleet: shard %s: %w", g.shards[idx].Name(), err)
+		d.err = fmt.Errorf("fleet: shard %s: %w", shard.Name(), err)
+		return
 	}
-	g.note(idx, 1)
-	return room, nil
+	if len(out) != d.n {
+		// A version-skewed or misbehaving shard (an HTTP shard answering
+		// 2xx with the wrong shape decodes to a short slice) must fail the
+		// upload, not panic the reassembly.
+		d.err = fmt.Errorf("%w: shard %s returned %d rooms for %d reports",
+			ErrShardMisbehaved, shard.Name(), len(out), d.n)
+		return
+	}
+	d.rooms = out
+	g.note(d.idx, int64(d.n))
+}
+
+// dispatch delivers every share of the upload concurrently — the
+// caller's goroutine takes the last slot itself, so a one-shard upload
+// runs inline — and returns the first failure by slot order. A shard
+// failure fails the call and the caller's retry policy
+// (transport.RetryPolicy upstream) decides what happens next.
+func (g *Gateway) dispatch(sc *uploadScratch) error {
+	for k := range sc.out {
+		d := &sc.out[k]
+		switch {
+		case d.frame == nil && len(d.reports) == 0: // a shard the split sent nothing
+		case k == len(sc.out)-1:
+			g.deliver(d)
+		default:
+			sc.wg.Add(1)
+			go func() {
+				defer sc.wg.Done()
+				g.deliver(d)
+			}()
+		}
+	}
+	sc.wg.Wait()
+	for k := range sc.out {
+		if err := sc.out[k].err; err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Ingest routes one report — a batch of one — to its owning shard and
+// returns the predicted room.
+func (g *Gateway) Ingest(r transport.Report) (string, error) {
+	rooms, err := g.IngestBatch([]transport.Report{r})
+	if err != nil {
+		return "", err
+	}
+	return rooms[0], nil
 }
 
 // IngestBatch splits a mixed-device batch into per-shard sub-batches
 // (stable split, so each device's reports keep their order), delivers
-// them — concurrently unless SerialDispatch — and reassembles the
-// predicted rooms into input order. The whole batch is routed against
-// one consistent view of shard health; a shard failure fails the call
-// and the caller's retry policy (transport.RetryPolicy upstream)
-// decides what happens next.
+// them concurrently and reassembles the predicted rooms into input
+// order. The whole batch is routed against one consistent view of shard
+// health. With Admission configured the call may shed (an overload error
+// the HTTP face maps to 429 + Retry-After); with a breaker armed and an
+// owner's circuit open it fails fast with ErrShardTripped.
 func (g *Gateway) IngestBatch(reports []transport.Report) ([]string, error) {
 	if len(reports) == 0 {
 		return nil, nil
@@ -444,93 +486,56 @@ func (g *Gateway) IngestBatch(reports []transport.Report) ([]string, error) {
 		gm.batchSize.Observe(int64(len(reports)))
 	}
 	reports = g.skew.correct(reports)
-	shardOf, release, err := g.acquire(reports)
+	sc := getUploadScratch()
+	defer sc.release()
+	// One entry per report: a device that repeats is registered and
+	// counted once per report, which is what its in-flight count means.
+	for i := range reports {
+		sc.devices = append(sc.devices, reports[i].Device)
+		sc.counts = append(sc.counts, 1)
+		sc.maxAt = max(sc.maxAt, reports[i].AtSeconds)
+	}
+	shardOf := make([]int32, len(reports))
+	err = g.acquire(sc.devices, sc.counts, sc.maxAt, func() error {
+		for i, d := range sc.devices {
+			idx, err := g.ownerWith(g.down, ring.Hash64(d))
+			if err != nil {
+				return err
+			}
+			shardOf[i] = int32(idx)
+		}
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	defer release()
-	perShard := make([][]transport.Report, len(g.shards))
+	defer g.release(sc.devices, sc.counts)
+	sc.out = sized(sc.out, len(g.shards))
 	posOf := make([]int32, len(reports))
 	for i := range reports {
-		idx := shardOf[i]
-		posOf[i] = int32(len(perShard[idx]))
-		perShard[idx] = append(perShard[idx], reports[i])
+		d := &sc.out[shardOf[i]]
+		posOf[i] = int32(d.n)
+		d.idx, d.n, d.reports = int(shardOf[i]), d.n+1, append(d.reports, reports[i])
 	}
 	if gm != nil {
 		gm.splitTime.Since(splitStart)
 	}
-
-	rooms := make([][]string, len(g.shards))
-	errs := make([]error, len(g.shards))
-	dispatch := func(idx int) {
-		sub := perShard[idx]
-		if len(sub) == 0 {
-			return
-		}
-		if err := g.breakerAllow(idx); err != nil {
-			errs[idx] = err
-			return
-		}
-		var sendStart time.Time
-		if gm != nil {
-			sendStart = time.Now()
-		}
-		out, err := g.shards[idx].IngestBatch(sub)
-		if gm != nil {
-			gm.sendLatency[idx].Since(sendStart)
-		}
-		g.breakerObserve(idx, err)
-		if err != nil {
-			errs[idx] = fmt.Errorf("fleet: shard %s: %w", g.shards[idx].Name(), err)
-			return
-		}
-		if len(out) != len(sub) {
-			// A version-skewed or misbehaving shard (an HTTP shard
-			// answering 2xx with the wrong shape decodes to a short
-			// slice) must fail the batch, not panic the reassembly.
-			errs[idx] = fmt.Errorf("%w: shard %s returned %d rooms for %d reports",
-				ErrShardMisbehaved, g.shards[idx].Name(), len(out), len(sub))
-			return
-		}
-		rooms[idx] = out
-		g.note(idx, int64(len(sub)))
-	}
-	if g.serial || len(g.shards) == 1 {
-		for idx := range g.shards {
-			dispatch(idx)
-		}
-	} else {
-		var wg sync.WaitGroup
-		for idx := range g.shards {
-			if len(perShard[idx]) == 0 {
-				continue
-			}
-			wg.Add(1)
-			go func(idx int) {
-				defer wg.Done()
-				dispatch(idx)
-			}(idx)
-		}
-		wg.Wait()
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	if err := g.dispatch(sc); err != nil {
+		return nil, err
 	}
 
 	var asmStart time.Time
 	if gm != nil {
 		asmStart = time.Now()
 	}
-	out := make([]string, len(reports))
+	rooms := make([]string, len(reports))
 	for i := range reports {
-		out[i] = rooms[shardOf[i]][posOf[i]]
+		rooms[i] = sc.out[shardOf[i]].rooms[posOf[i]]
 	}
 	if gm != nil {
 		gm.reassembly.Since(asmStart)
 	}
-	return out, nil
+	return rooms, nil
 }
 
 // AdmissionStats returns lifetime (admitted, shed) ingest counts of the
@@ -1063,7 +1068,7 @@ func (g *Gateway) applyRoutingChange(change func()) []bool {
 	sort.Strings(devices)
 	var moves []move
 	for _, dev := range devices {
-		h := hash64(dev)
+		h := ring.Hash64(dev)
 		from, errFrom := g.ownerWith(oldDown, h)
 		to, errTo := g.ownerWith(newDown, h)
 		if errFrom != nil || errTo != nil || from == to {

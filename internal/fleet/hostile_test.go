@@ -22,11 +22,6 @@ type slowShard struct {
 	gate chan struct{} // each ingest receives once before proceeding
 }
 
-func (s *slowShard) Ingest(r transport.Report) (string, error) {
-	<-s.gate
-	return s.Shard.Ingest(r)
-}
-
 func (s *slowShard) IngestBatch(reports []transport.Report) ([]string, error) {
 	<-s.gate
 	return s.Shard.IngestBatch(reports)
@@ -61,14 +56,6 @@ func (s *faultyShard) IngestBatch(reports []transport.Report) ([]string, error) 
 		return nil, errors.New("simulated shard timeout")
 	}
 	return s.Shard.IngestBatch(reports)
-}
-
-func (s *faultyShard) Ingest(r transport.Report) (string, error) {
-	out, err := s.IngestBatch([]transport.Report{r})
-	if err != nil {
-		return "", err
-	}
-	return out[0], nil
 }
 
 // TestGatewayAdmissionSheds429 pins the gateway-level shed contract:

@@ -30,11 +30,10 @@ type HTTPShard struct {
 	client *http.Client
 	retry  transport.RetryPolicy
 
-	// codec picks the batch encoding toward the shard (SetCodec);
-	// jsonOnly latches after a 415 — the shard does not speak binary
-	// and never will mid-run, so the client downgrades once, stickily.
-	codec    transport.Codec
-	jsonOnly atomic.Bool
+	// codec is the batch encoding toward the shard (SetCodec). Both ends
+	// of this leg are this repo, so it is configured, not negotiated: a
+	// shard that answers 415 to it is at fault (see IngestFrame).
+	codec transport.Codec
 
 	// stamped is what every write is sent under: the request header sets
 	// carrying the gateway leadership epoch (X-Gateway-Epoch; see
@@ -126,44 +125,27 @@ func staleLeaderFrom(err error) error {
 	return err
 }
 
-// Ingest implements Shard.
-func (h *HTTPShard) Ingest(r transport.Report) (string, error) {
-	body, err := json.Marshal(r)
-	if err != nil {
-		return "", fmt.Errorf("fleet: marshal report: %w", err)
-	}
-	payload, err := h.postWrite("/api/v1/observations", body)
-	if err != nil {
-		return "", err
-	}
-	var resp struct {
-		Room string `json:"room"`
-	}
-	if err := json.Unmarshal(payload, &resp); err != nil {
-		return "", fmt.Errorf("%w: decode ingest response: %v", ErrShardMisbehaved, err)
-	}
-	return resp.Room, nil
-}
+// errReportRejected marks a batch this client refused before any
+// exchange: the reporting device's fault, so it must not count against
+// the shard's circuit (see breakerFailure).
+var errReportRejected = errors.New("fleet: report rejected")
 
-// IngestBatch implements Shard. Retries retransmit the identical
-// payload, so the shard never sees a reordered batch. Under the binary
-// codec the batch goes as one wire frame; a 415 answer downgrades this
-// shard client to JSON stickily and resends the same batch.
+// IngestBatch implements Shard, in the configured codec. Retries
+// retransmit the identical payload, so the shard never sees a reordered
+// batch. An identity the binary codec cannot carry is one the shard's
+// JSON face rejects with the same parser, so it comes back as the client
+// error it is, without an exchange.
 func (h *HTTPShard) IngestBatch(reports []transport.Report) ([]string, error) {
-	if h.codec == transport.CodecBinary && !h.jsonOnly.Load() {
-		rooms, err, encoded := h.ingestBatchBinary(reports)
-		if encoded {
-			if err == nil {
-				return rooms, nil
-			}
-			if code, ok := transport.StatusCode(err); ok && code == http.StatusUnsupportedMediaType {
-				h.jsonOnly.Store(true) // fall through to JSON below
-			} else {
-				return nil, err
-			}
+	if h.codec == transport.CodecBinary {
+		b := wire.GetBatch()
+		defer wire.PutBatch(b)
+		if err := transport.EncodeReports(b, reports); err != nil {
+			return nil, fmt.Errorf("%w: %v", errReportRejected, err)
 		}
-		// encode failure (a non-canonical beacon identity): JSON carries
-		// anything, without latching the downgrade.
+		buf := wire.GetBuf()
+		defer wire.PutBuf(buf)
+		*buf = wire.AppendFrame(*buf, b)
+		return h.IngestFrame(*buf, len(reports))
 	}
 	body, err := json.Marshal(reports)
 	if err != nil {
@@ -183,31 +165,22 @@ func (h *HTTPShard) IngestBatch(reports []transport.Report) ([]string, error) {
 	return resp.Rooms, nil
 }
 
-// ingestBatchBinary posts the batch as one wire frame. encoded is
-// false when the reports could not be rendered binary at all (the
-// caller then sends JSON without treating it as a negotiation miss).
-func (h *HTTPShard) ingestBatchBinary(reports []transport.Report) (rooms []string, err error, encoded bool) {
-	b := wire.GetBatch()
-	defer wire.PutBatch(b)
-	if err := transport.EncodeReports(b, reports); err != nil {
-		return nil, err, false
-	}
-	buf := wire.GetBuf()
-	defer wire.PutBuf(buf)
-	*buf = wire.AppendFrame(*buf, b)
-	rooms, err = h.postFrame(*buf, len(reports))
-	return rooms, err, true
-}
-
-// postFrame posts one wire frame to the batch endpoint under the
-// leadership stamp and decodes the wire ack — the run-length rooms
-// column of wire.AppendRooms — into interned strings. The ack is read
-// through a pooled buffer; only the rooms slice itself is allocated.
-func (h *HTTPShard) postFrame(frame []byte, reports int) ([]string, error) {
+// IngestFrame implements FrameIngester: it posts one wire frame — the
+// pre-split forward path's verbatim device bytes, or IngestBatch's own
+// encoding — to the batch endpoint under the leadership stamp and decodes
+// the wire ack — the run-length rooms column of wire.AppendRooms — into
+// interned strings. The ack is read through a pooled buffer; only the
+// rooms slice itself is allocated. A 415 is a shard that does not speak
+// the codec it was configured for — a deployment fault, reported as one
+// instead of being papered over with a slower encoding.
+func (h *HTTPShard) IngestFrame(frame []byte, reports int) ([]string, error) {
 	ack := wire.GetBuf()
 	defer wire.PutBuf(ack)
 	payload, err := h.stamped.Load().batchWire.Do(h.client, frame, h.retry, ack)
 	if err != nil {
+		if code, ok := transport.StatusCode(err); ok && code == http.StatusUnsupportedMediaType {
+			return nil, fmt.Errorf("%w: the shard refuses the wire codec it is configured for: %v", ErrShardMisbehaved, err)
+		}
 		return nil, staleLeaderFrom(err)
 	}
 	rd := wire.Reader{Buf: payload}
@@ -218,31 +191,6 @@ func (h *HTTPShard) postFrame(frame []byte, reports int) ([]string, error) {
 		return nil, fmt.Errorf("%w: malformed rooms ack for %d reports", ErrShardMisbehaved, reports)
 	}
 	return rooms, nil
-}
-
-// IngestFrame implements FrameIngester: the pre-split forward path
-// relays the device's frame to the shard verbatim — no decode, no
-// re-encode. A shard that answers 415 downgrades this client stickily;
-// the frame is then decoded once and delivered as JSON, so a mixed
-// fleet (one old shard) stays correct at the cost of that shard's
-// fast path.
-func (h *HTTPShard) IngestFrame(frame []byte, reports int) ([]string, error) {
-	if !h.jsonOnly.Load() {
-		rooms, err := h.postFrame(frame, reports)
-		if err == nil {
-			return rooms, nil
-		}
-		if code, ok := transport.StatusCode(err); !ok || code != http.StatusUnsupportedMediaType {
-			return nil, err
-		}
-		h.jsonOnly.Store(true)
-	}
-	b := wire.GetBatch()
-	defer wire.PutBatch(b)
-	if err := wire.DecodeFrame(frame, b); err != nil {
-		return nil, err
-	}
-	return h.IngestBatch(transport.DecodeReports(b, nil))
 }
 
 // InstallModel implements Shard via PUT /api/v1/model.
@@ -516,8 +464,8 @@ func Handler(g *Gateway, opts HandlerOptions) http.Handler {
 	})
 	mux.HandleFunc("POST /api/v1/observations", func(w http.ResponseWriter, r *http.Request) {
 		var rep transport.Report
-		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, wire.MaxBodyBytes)).Decode(&rep); err != nil {
-			fleetUploadError(w, "decode", err)
+		if err := bms.DecodeJSON(http.MaxBytesReader(w, r.Body, wire.MaxBodyBytes), &rep); err != nil {
+			bms.WriteUploadError(w, "decode", err)
 			return
 		}
 		if opts.Lease != nil && !opts.Lease.Active() {
@@ -535,13 +483,13 @@ func Handler(g *Gateway, opts HandlerOptions) http.Handler {
 		fleetJSON(w, http.StatusOK, map[string]string{"room": room})
 	})
 	mux.HandleFunc("POST /api/v1/observations:batch", func(w http.ResponseWriter, r *http.Request) {
-		if isWireContent(r) {
+		if wire.IsContentType(r.Header.Get("Content-Type")) {
 			handleWireBatch(g, opts, w, r)
 			return
 		}
 		var reports []transport.Report
-		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, wire.MaxBodyBytes)).Decode(&reports); err != nil {
-			fleetUploadError(w, "decode", err)
+		if err := bms.DecodeJSON(http.MaxBytesReader(w, r.Body, wire.MaxBodyBytes), &reports); err != nil {
+			bms.WriteUploadError(w, "decode", err)
 			return
 		}
 		if opts.Lease != nil && !opts.Lease.Active() {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -279,6 +280,29 @@ func TestFleetHandlerStatusParity(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("invalid report returned %s, want 400", resp.Status)
+	}
+
+	// A body with anything after its JSON value is rejected whole by one
+	// server; the gateway must not ingest the value and ignore the rest.
+	one := httptest.NewServer(newServer(t, b).Handler())
+	defer one.Close()
+	for route, body := range map[string]string{
+		"/api/v1/observations":       `{"device":"d1","atSeconds":1,"beacons":[]} trailing-garbage`,
+		"/api/v1/observations:batch": `[{"device":"d1","atSeconds":1,"beacons":[]}] trailing-garbage`,
+	} {
+		for face, base := range map[string]string{"one server": one.URL, "the gateway": ts.URL} {
+			resp, err := http.Post(base+route, "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("%s answered %s to trailing garbage on %s, want 400", face, resp.Status, route)
+			}
+		}
+	}
+	if occ, err := gw.Occupancy(); err != nil || len(occ.Devices) != 0 {
+		t.Fatalf("a rejected body was ingested: %v, %v", occ.Devices, err)
 	}
 
 	gw.MarkDown(0)

@@ -9,25 +9,11 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"strings"
 
+	"occusim/internal/bms"
 	"occusim/internal/transport"
 	"occusim/internal/wire"
 )
-
-// isWireContent reports whether the request body is a wire frame (or
-// pre-split sections of them).
-func isWireContent(r *http.Request) bool {
-	ct := r.Header.Get("Content-Type")
-	return ct == wire.ContentType || strings.HasPrefix(ct, wire.ContentType+";")
-}
-
-// notePresplitMiss counts a pre-split upload re-split server-side.
-func (g *Gateway) notePresplitMiss() {
-	if gm := g.met; gm != nil {
-		gm.presplitDigestMiss.Inc()
-	}
-}
 
 // handleWireBatch serves POST /api/v1/observations:batch for the
 // binary codec: a plain frame decodes and takes the ordinary batch
@@ -41,7 +27,7 @@ func handleWireBatch(g *Gateway, opts HandlerOptions, w http.ResponseWriter, r *
 	defer wire.PutBuf(buf)
 	body, err := wire.ReadBody(r.Body, r.ContentLength, wire.MaxBodyBytes, buf)
 	if err != nil {
-		fleetUploadError(w, "read body", err)
+		bms.WriteUploadError(w, "read body", err)
 		return
 	}
 	if opts.Lease != nil && !opts.Lease.Active() {
@@ -61,7 +47,7 @@ func handleWireBatch(g *Gateway, opts HandlerOptions, w http.ResponseWriter, r *
 		serveIngestBatch(g, opts, w, transport.DecodeReports(b, nil), true)
 		return
 	}
-	sc := getForwardScratch()
+	sc := getUploadScratch()
 	defer sc.release()
 	if err := wire.ScanSections(body, func(shard, frame, payload []byte) error {
 		// A shard the gateway routes to resolves to the gateway's own
@@ -78,10 +64,10 @@ func handleWireBatch(g *Gateway, opts HandlerOptions, w http.ResponseWriter, r *
 		fleetError(w, http.StatusBadRequest, fmt.Errorf("decode sections: %w", err))
 		return
 	}
-	rooms, err := g.forward(digest, sc.secs, sc)
+	err = g.forward(digest, sc.secs, sc)
 	if err == nil {
-		for _, sub := range rooms {
-			sc.flat = append(sc.flat, sub...)
+		for k := range sc.out {
+			sc.flat = append(sc.flat, sc.out[k].rooms...)
 		}
 		// The frames are forwarded: the body's buffer carries the ack.
 		*buf = wire.AppendRooms((*buf)[:0], sc.flat)
@@ -99,7 +85,9 @@ func handleWireBatch(g *Gateway, opts HandlerOptions, w http.ResponseWriter, r *
 	// server-side from the decoded sections. Report order is section
 	// order, which is how the device assembled the upload, so the rooms
 	// column still answers report-for-report.
-	g.notePresplitMiss()
+	if gm := g.met; gm != nil {
+		gm.presplitDigestMiss.Inc()
+	}
 	b := wire.GetBatch()
 	defer wire.PutBatch(b)
 	var reports []transport.Report
@@ -114,26 +102,10 @@ func handleWireBatch(g *Gateway, opts HandlerOptions, w http.ResponseWriter, r *
 	serveIngestBatch(g, opts, w, reports, true)
 }
 
-// wireAckType is the ack's Content-Type header value, shared by every
-// response: net/http reads header values, it never writes to them.
-var wireAckType = []string{wire.ContentType}
-
 // writeWireAck answers 200 with an encoded rooms column.
 func writeWireAck(w http.ResponseWriter, ack []byte) {
-	w.Header()["Content-Type"] = wireAckType
+	w.Header()["Content-Type"] = wire.AckContentType
 	_, _ = w.Write(ack)
-}
-
-// fleetUploadError answers an upload that could not be taken in (what
-// names the step that failed): 413 past the size limit — the wire
-// face's own, or the JSON face's MaxBytesReader — and 400 otherwise.
-func fleetUploadError(w http.ResponseWriter, what string, err error) {
-	code := http.StatusBadRequest
-	var tooLarge *http.MaxBytesError
-	if errors.Is(err, wire.ErrBodyTooLarge) || errors.As(err, &tooLarge) {
-		code = http.StatusRequestEntityTooLarge
-	}
-	fleetError(w, code, fmt.Errorf("%s: %w", what, err))
 }
 
 // serveIngestBatch runs the decoded batch path and writes the answer in

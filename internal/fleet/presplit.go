@@ -18,7 +18,6 @@ package fleet
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 	"time"
 
@@ -53,44 +52,47 @@ type PresplitSection struct {
 // ordinary IngestBatch path — the upload is never lost.
 var ErrPresplitMismatch = errors.New("fleet: pre-split upload does not match routing")
 
-// forwardScratch is the working memory of one pre-split forward: the
-// sections the HTTP face scanned out of the body, what the metadata pass
-// learns about them, and the per-section results. Pooled; release drops
+// uploadScratch is the working memory of one gateway ingest call,
+// whichever way the upload was split: the sections the HTTP face scanned
+// out of a pre-split body, what the metadata pass learns about the
+// upload's devices, and the per-shard deliveries. Pooled; release drops
 // every string and slice it points at.
-type forwardScratch struct {
-	secs    []PresplitSection
-	idxOf   []int // section → shard index
-	nOf     []int // section → report count
-	rooms   [][]string
-	errs    []error
-	devices []string // distinct devices of the upload, first-seen order
-	counts  []int    // reports per device
+type uploadScratch struct {
+	secs []PresplitSection
+	out  []delivery
+	// devices are the upload's devices — distinct, in first-seen order,
+	// for a pre-split scan (seen indexes them); one entry per report for
+	// a server-side split — and counts the reports each entry stands for.
+	devices []string
+	counts  []int
 	seen    map[string]int
 	maxAt   float64
 	flat    []string // the HTTP face's ack: rooms in section order
+	// wg waits for dispatch's concurrent deliveries; kept here so a
+	// one-section upload allocates nothing for it.
+	wg sync.WaitGroup
 }
 
-var forwardPool = sync.Pool{New: func() any { return &forwardScratch{seen: map[string]int{}} }}
+var uploadPool = sync.Pool{New: func() any { return &uploadScratch{seen: map[string]int{}} }}
 
-func getForwardScratch() *forwardScratch { return forwardPool.Get().(*forwardScratch) }
+func getUploadScratch() *uploadScratch { return uploadPool.Get().(*uploadScratch) }
 
-// pooledForwardMax keeps the scratch of a one-off giant upload (and its
+// pooledUploadMax keeps the scratch of a one-off giant upload (and its
 // grown seen map) out of the pool.
-const pooledForwardMax = 4096
+const pooledUploadMax = 4096
 
-func (sc *forwardScratch) release() {
-	if len(sc.devices) > pooledForwardMax || len(sc.flat) > pooledForwardMax {
+func (sc *uploadScratch) release() {
+	if len(sc.devices) > pooledUploadMax || len(sc.flat) > pooledUploadMax {
 		return
 	}
 	clear(sc.secs)
-	clear(sc.rooms)
-	clear(sc.errs)
+	clear(sc.out)
 	clear(sc.devices)
 	clear(sc.seen)
 	clear(sc.flat)
-	sc.secs, sc.devices, sc.counts, sc.flat = sc.secs[:0], sc.devices[:0], sc.counts[:0], sc.flat[:0]
+	sc.secs, sc.out, sc.devices, sc.counts, sc.flat = sc.secs[:0], sc.out[:0], sc.devices[:0], sc.counts[:0], sc.flat[:0]
 	sc.maxAt = 0
-	forwardPool.Put(sc)
+	uploadPool.Put(sc)
 }
 
 // sized returns s at length n, zeroed.
@@ -108,37 +110,43 @@ func sized[T any](s []T, n int) []T {
 // (section order, report order within). Admission, fences, device
 // registration, breakers and telemetry behave exactly as IngestBatch.
 func (g *Gateway) IngestPresplit(digest string, sections []PresplitSection) ([][]string, error) {
-	sc := getForwardScratch()
+	sc := getUploadScratch()
 	defer sc.release()
-	rooms, err := g.forward(digest, sections, sc)
-	return slices.Clone(rooms), err
+	if err := g.forward(digest, sections, sc); err != nil || len(sections) == 0 {
+		return nil, err
+	}
+	rooms := make([][]string, len(sc.out))
+	for k := range sc.out {
+		rooms[k] = sc.out[k].rooms
+	}
+	return rooms, nil
 }
 
-// forward is IngestPresplit on the caller's scratch; the returned outer
-// slice is sc's, valid until its release.
-func (g *Gateway) forward(digest string, sections []PresplitSection, sc *forwardScratch) ([][]string, error) {
+// forward is IngestPresplit on the caller's scratch: on success
+// sc.out[k].rooms answers section k.
+func (g *Gateway) forward(digest string, sections []PresplitSection, sc *uploadScratch) error {
 	if len(sections) == 0 {
-		return nil, nil
+		return nil
 	}
 	if g.skew != nil {
 		// Skew correction rewrites timestamps before routing; a verbatim
 		// forward would bypass it. Fall back to the decoded path.
-		return nil, ErrPresplitMismatch
+		return ErrPresplitMismatch
 	}
-	sc.idxOf = sized(sc.idxOf, len(sections))
+	sc.out = sized(sc.out, len(sections))
 	for k := range sections {
 		idx, ok := g.byName[sections[k].Shard]
 		if !ok {
-			return nil, ErrPresplitMismatch
+			return ErrPresplitMismatch
 		}
 		if _, ok := g.shards[idx].(FrameIngester); !ok {
-			return nil, ErrPresplitMismatch
+			return ErrPresplitMismatch
 		}
-		sc.idxOf[k] = idx
+		sc.out[k].idx, sc.out[k].frame = idx, sections[k].Frame
 	}
 	admit, err := g.gate.Acquire()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer admit()
 
@@ -148,18 +156,16 @@ func (g *Gateway) forward(digest string, sections []PresplitSection, sc *forward
 		splitStart = time.Now()
 	}
 	// One metadata pass per section: device names, per-device in-flight
-	// counts and the report-clock high-water mark — everything acquire()
-	// learns from decoded reports, read from the frame headers without
-	// touching the beacon payloads. The registry is held across the pass
-	// so a device it already knows resolves to the registry's own string.
-	sc.nOf = sized(sc.nOf, len(sections))
+	// counts and the report-clock high-water mark — everything a
+	// server-side split learns from decoded reports, read from the frame
+	// headers without touching the beacon payloads. The registry is held
+	// across the pass so a device it already knows resolves to the
+	// registry's own string.
 	total := 0
 	g.devMu.Lock()
 	for k := range sections {
 		n, err := wire.ScanReports(sections[k].Payload, func(device []byte, at float64, _, _ uint64) error {
-			if at > sc.maxAt {
-				sc.maxAt = at
-			}
+			sc.maxAt = max(sc.maxAt, at)
 			if i, ok := sc.seen[string(device)]; ok {
 				sc.counts[i]++
 				return nil
@@ -175,131 +181,33 @@ func (g *Gateway) forward(digest string, sections []PresplitSection, sc *forward
 		})
 		if err != nil {
 			g.devMu.Unlock()
-			return nil, fmt.Errorf("fleet: pre-split section %q: %w", sections[k].Shard, err)
+			return fmt.Errorf("fleet: pre-split section %q: %w", sections[k].Shard, err)
 		}
-		sc.nOf[k] = n
+		sc.out[k].n = n
 		total += n
 	}
 	g.devMu.Unlock()
 	if gm != nil {
 		gm.batchSize.Observe(int64(total))
 	}
-	if err := g.acquireNamed(digest, sc.devices, sc.counts, sc.maxAt); err != nil {
-		return nil, err
+	err = g.acquire(sc.devices, sc.counts, sc.maxAt, func() error {
+		if g.digest != digest {
+			return ErrPresplitMismatch
+		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
-	defer g.releaseNamed(sc.devices, sc.counts)
+	defer g.release(sc.devices, sc.counts)
 	if gm != nil {
 		gm.splitTime.Since(splitStart)
 	}
-
-	sc.rooms = sized(sc.rooms, len(sections))
-	sc.errs = sized(sc.errs, len(sections))
-	if g.serial || len(sections) == 1 {
-		for k := range sections {
-			g.forwardSection(sections, sc, k)
-		}
-	} else {
-		done := make(chan int, len(sections))
-		for k := range sections {
-			go func(k int) { g.forwardSection(sections, sc, k); done <- k }(k)
-		}
-		for range sections {
-			<-done
-		}
-	}
-	for _, err := range sc.errs {
-		if err != nil {
-			return nil, err
-		}
+	if err := g.dispatch(sc); err != nil {
+		return err
 	}
 	if gm != nil {
 		gm.presplitForwarded.Inc()
 	}
-	return sc.rooms, nil
-}
-
-// forwardSection delivers section k's frame to its shard verbatim and
-// records the rooms or the error in sc's slot k.
-func (g *Gateway) forwardSection(sections []PresplitSection, sc *forwardScratch, k int) {
-	idx, n := sc.idxOf[k], sc.nOf[k]
-	if err := g.breakerAllow(idx); err != nil {
-		sc.errs[k] = err
-		return
-	}
-	gm := g.met
-	var sendStart time.Time
-	if gm != nil {
-		sendStart = time.Now()
-	}
-	out, err := g.shards[idx].(FrameIngester).IngestFrame(sections[k].Frame, n)
-	if gm != nil {
-		gm.sendLatency[idx].Since(sendStart)
-	}
-	g.breakerObserve(idx, err)
-	if err != nil {
-		sc.errs[k] = fmt.Errorf("fleet: shard %s: %w", g.shards[idx].Name(), err)
-		return
-	}
-	if len(out) != n {
-		sc.errs[k] = fmt.Errorf("%w: shard %s returned %d rooms for %d reports",
-			ErrShardMisbehaved, g.shards[idx].Name(), len(out), n)
-		return
-	}
-	sc.rooms[k] = out
-	g.note(idx, int64(n))
-}
-
-// acquireNamed is acquire() for a pre-split upload: the same critical
-// section — fence check, registration, in-flight accounting under one
-// shared hold of the routing lock — except that instead of resolving
-// owners it verifies the caller's digest against the gateway's. A
-// fence wait implies a routing change, which implies a digest change,
-// so the retry loop always exits with ErrPresplitMismatch after a
-// migration rather than forwarding against the new table. A nil error
-// must be paired with releaseNamed once the deliveries finish.
-func (g *Gateway) acquireNamed(digest string, devices []string, counts []int, maxAt float64) error {
-	for {
-		g.mu.RLock()
-		if g.digest != digest {
-			g.mu.RUnlock()
-			return ErrPresplitMismatch
-		}
-		if len(g.fenced) > 0 {
-			var wait chan struct{}
-			for _, d := range devices {
-				if f, ok := g.fenced[d]; ok {
-					wait = f.done
-					break
-				}
-			}
-			if wait != nil {
-				g.mu.RUnlock()
-				<-wait
-				continue
-			}
-		}
-		g.devMu.Lock()
-		for i, d := range devices {
-			g.known[d] = d
-			g.flight[d] += counts[i]
-		}
-		if maxAt > g.maxAt {
-			g.maxAt = maxAt
-		}
-		g.devMu.Unlock()
-		g.mu.RUnlock()
-		return nil
-	}
-}
-
-// releaseNamed returns the in-flight counts acquireNamed took.
-func (g *Gateway) releaseNamed(devices []string, counts []int) {
-	g.devMu.Lock()
-	for i, d := range devices {
-		if g.flight[d] -= counts[i]; g.flight[d] <= 0 {
-			delete(g.flight, d)
-		}
-	}
-	g.devMu.Unlock()
-	g.flightCond.Broadcast()
+	return nil
 }

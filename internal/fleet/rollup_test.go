@@ -494,3 +494,34 @@ func TestFederatedReadTelemetry(t *testing.T) {
 		}
 	}
 }
+
+// TestIngestTelemetryCountsSingleReportsAsBatches: Gateway.Ingest is a
+// batch of one, on the gateway's histogram and on the owning shard's.
+func TestIngestTelemetryCountsSingleReportsAsBatches(t *testing.T) {
+	b := building.PaperHouse()
+	pool, err := fleet.NewLocalPool(b, 1, 2, 50)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gw, err := fleet.New(pool.Shards, fleet.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gwMet, shardMet := obs.New(), obs.New()
+	gw.Instrument(gwMet)
+	pool.Servers[0].Instrument(shardMet)
+	stream := synthStream(b, 3, 4, 9)
+	for _, r := range stream[:3] {
+		if _, err := gw.Ingest(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := gw.IngestBatch(stream[3:]); err != nil {
+		t.Fatal(err)
+	}
+	for name, snap := range map[string]obs.Snapshot{"fleet_ingest_batch_size": gwMet.TakeSnapshot(), "bms_ingest_batch_size": shardMet.TakeSnapshot()} {
+		if h := snap.Histograms[name]; h.Count != 4 || h.Sum != int64(len(stream)) {
+			t.Errorf("%s saw %d batches of %d reports in all, want 4 of %d", name, h.Count, h.Sum, len(stream))
+		}
+	}
+}

@@ -22,8 +22,6 @@ type Shard interface {
 	// Name identifies the shard; it seeds the shard's virtual nodes on
 	// the hash ring, so it must be unique and stable across restarts.
 	Name() string
-	// Ingest processes one report and returns the predicted room.
-	Ingest(transport.Report) (string, error)
 	// IngestBatch processes many reports (per-device order preserved)
 	// and returns the predicted room per report, in order.
 	IngestBatch([]transport.Report) ([]string, error)
@@ -96,11 +94,6 @@ func (l *LocalShard) Server() *bms.Server { return l.srv }
 
 // Name implements Shard.
 func (l *LocalShard) Name() string { return l.name }
-
-// Ingest implements Shard.
-func (l *LocalShard) Ingest(r transport.Report) (string, error) {
-	return l.srv.IngestFenced(l.epoch.Load(), r)
-}
 
 // IngestBatch implements Shard.
 func (l *LocalShard) IngestBatch(reports []transport.Report) ([]string, error) {

@@ -273,11 +273,6 @@ type slowedShard struct {
 	delay time.Duration
 }
 
-func (s *slowedShard) Ingest(r transport.Report) (string, error) {
-	time.Sleep(s.delay)
-	return s.Shard.Ingest(r)
-}
-
 func (s *slowedShard) IngestBatch(reports []transport.Report) ([]string, error) {
 	time.Sleep(s.delay)
 	return s.Shard.IngestBatch(reports)

@@ -50,6 +50,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"strings"
 	"sync"
 
 	"occusim/internal/ibeacon"
@@ -68,6 +69,16 @@ const LogVersion = 0x02
 // ContentType negotiates the binary codec over HTTP. A server that
 // does not speak it answers 415 and the client downgrades to JSON.
 const ContentType = "application/x-occusim-wire"
+
+// AckContentType is ContentType as a ready header value, shared by every
+// wire ack: net/http reads header values, it never writes to them.
+var AckContentType = []string{ContentType}
+
+// IsContentType reports whether a Content-Type header value names the
+// binary codec (a wire frame, or pre-split sections of them).
+func IsContentType(header string) bool {
+	return header == ContentType || strings.HasPrefix(header, ContentType+";")
+}
 
 // HeaderRingDigest carries the ring digest a device pre-split against
 // (request) and the digest the gateway is currently routing with
