@@ -30,7 +30,9 @@ test-race:
 # allocs runs the allocation-budget pins of the binary report path
 # (PERF.md "What changed (PR 13)"): identity parse, device encode, one
 # HTTP exchange, the gateway's forward, the shard's ingest core, span
-# prediction, frame decode — of the federated rollup, whose count must
+# prediction, frame decode — of the gateway → shard stream (PR 16: one
+# warm exchange costs the gateway ≤ 2 allocations and the shard's stream
+# loop none above ingestWireFrame) — of the federated rollup, whose count must
 # not move with the event history's length (PR 14) — and of the JSON
 # ingest door, which must cost what the wire door costs at any batch
 # size (PR 15: TestAllocBudgetIngestBatchJSON, so the JSON face cannot
@@ -68,8 +70,11 @@ bench-diff:
 # nonzero on oracle divergence or a vacuous drill. The two final runs
 # drive live bmsd subprocesses with no faults — once per wire codec —
 # and curl each shard's /metrics, failing on any malformed exposition
-# line; the binary run proves the framed codec and device-side
-# pre-split land byte-identical state through real processes.
+# line; the binary run proves the framed codec and the gateway → shard
+# streams land byte-identical state through real processes. Both assert
+# from telemetry that no stream was reset (and, under -wire json, that
+# none was opened), and from each shard's log that the SIGTERM drain
+# stopped its streams — 0 left open — before compacting.
 loadtest:
 	$(GO) run ./cmd/loadgen -shards 2 -devices 12 -reports 60 -seed 7
 	$(GO) run ./cmd/loadgen -shards 3 -devices 12 -reports 60 -seed 7 -flaky 0.2
@@ -101,12 +106,18 @@ loadtest:
 # gateway-to-shard wire traffic must survive the kill the same as JSON.
 # The shard drill runs twice, once per codec: under -wire binary the
 # shards log each received payload verbatim, so kill -9 lands on those
-# records (and on the encoder's, under JSON) through real processes.
+# records (and on the encoder's, under JSON) through real processes —
+# and mid-exchange on the gateway → shard streams, where the drill
+# asserts from telemetry that every kill cost the killed shard's leg at
+# least one stream reset and one redial, and no other shard's any. The
+# shard drills are paced (-rate 400: ≈ 1.8 s of traffic) so both kills
+# land with traffic on either side of them; unpaced, the whole trace is
+# sent in less time than one shard takes to restart.
 crashtest:
 	$(GO) build -o bin/bmsd ./cmd/bmsd
-	$(GO) run ./cmd/loadgen -shards 3 -devices 12 -reports 60 -seed 7 \
+	$(GO) run ./cmd/loadgen -shards 3 -devices 12 -reports 60 -seed 7 -rate 400 \
 		-kill 40,80 -restart-gateway -bmsd bin/bmsd -fsync batch
-	$(GO) run ./cmd/loadgen -shards 3 -devices 12 -reports 60 -seed 7 \
+	$(GO) run ./cmd/loadgen -shards 3 -devices 12 -reports 60 -seed 7 -rate 400 \
 		-kill 40,80 -restart-gateway -bmsd bin/bmsd -fsync batch -wire binary
 	$(GO) run ./cmd/loadgen -shards 3 -devices 12 -reports 60 -seed 7 \
 		-kill-gateway 40,80 -bmsd bin/bmsd -fsync batch -wire binary

@@ -36,8 +36,10 @@
 //
 // On SIGINT/SIGTERM the server drains: the listener closes first so
 // loadgen runs see connection-refused rather than mid-flight resets,
-// in-flight ingest requests run to completion (bounded by -drain), and
-// only then is training state snapshotted and the process exits.
+// in-flight ingest requests run to completion (bounded by -drain), the
+// upgraded gateway streams — which http.Server.Shutdown does not wait
+// for — are stopped between frames, and only then is training state
+// snapshotted, the durable state compacted, and the process exits.
 //
 // With -snapshot, training state (fingerprints and the fitted model) is
 // restored at boot and persisted after the drain, so a restarted server
@@ -84,6 +86,7 @@ import (
 	"occusim/internal/overload"
 	"occusim/internal/store"
 	"occusim/internal/transport"
+	"occusim/internal/wire"
 )
 
 // startDebugServer serves net/http/pprof on its own listener when addr
@@ -126,7 +129,7 @@ func main() {
 	standby := flag.Bool("standby", false, "gateway-HA mode: start as warm standby instead of claiming leadership")
 	leaseTTL := flag.Duration("lease-ttl", 3*time.Second, "gateway-HA mode: leadership lease TTL (renew and probe at TTL/3)")
 	debugAddr := flag.String("debug-addr", "", "separate listen address serving net/http/pprof (empty: no debug server)")
-	wireCodec := flag.String("wire", "json", "gateway-HA mode: batch encoding toward the remote shards, json or binary (configured, not negotiated: a shard that answers 415 is a fault, 502)")
+	wireCodec := flag.String("wire", "json", "gateway-HA mode: batch encoding toward the remote shards, json or binary (configured, not negotiated; wire frames travel over an upgraded stream, and a shard that refuses the upgrade is a fault, 502)")
 	flag.Parse()
 
 	codec, err := transport.ParseCodec(*wireCodec)
@@ -278,13 +281,24 @@ func main() {
 	}
 
 	// inflight counts requests between accept and handler return, so the
-	// drain log shows what Shutdown is actually waiting for.
+	// drain log shows what Shutdown is actually waiting for. An upgraded
+	// gateway stream is not one of them: its handler returns when the
+	// stream ends, Shutdown does not wait for it, and the drain below
+	// stops it by name.
 	var inflight atomic.Int64
 	counted := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		inflight.Add(1)
-		defer inflight.Add(-1)
+		if r.URL.Path != wire.StreamPath {
+			inflight.Add(1)
+			defer inflight.Add(-1)
+		}
 		handler.ServeHTTP(w, r)
 	})
+	openStreams := func() (n int) {
+		for _, srv := range pool.Servers {
+			n += srv.OpenStreams()
+		}
+		return n
+	}
 	httpServer := &http.Server{Addr: *addr, Handler: counted}
 
 	serveErr := make(chan error, 1)
@@ -308,7 +322,7 @@ func main() {
 		}
 		return
 	case s := <-sig:
-		log.Printf("bmsd: %v — draining %d in-flight request(s), closing listener", s, inflight.Load())
+		log.Printf("bmsd: %v — draining %d in-flight request(s) and %d open stream(s), closing listener", s, inflight.Load(), openStreams())
 	}
 
 	// Shutdown closes the listener immediately, then waits for in-flight
@@ -332,6 +346,14 @@ func main() {
 		log.Print("bmsd: drained cleanly")
 	}
 	cancel()
+
+	// The streams next: each finishes the frame it is in, acknowledges it
+	// and hangs up, so nothing is acknowledged once the state below is
+	// cut. The loadgen drills read this line.
+	for _, srv := range pool.Servers {
+		srv.StopStreams()
+	}
+	log.Printf("bmsd: streams stopped between frames: %d open stream(s)", openStreams())
 
 	// Persist training state only after the drain, so nothing lands in
 	// the store once the snapshot is cut.

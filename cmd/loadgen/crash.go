@@ -10,7 +10,9 @@ package main
 // uplinks' retransmissions across the outage exactly-once.
 
 import (
+	"bytes"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -26,6 +28,7 @@ import (
 	"occusim/internal/building"
 	"occusim/internal/experiments"
 	"occusim/internal/fleet"
+	"occusim/internal/obs"
 	"occusim/internal/transport"
 )
 
@@ -56,8 +59,10 @@ type shardProc struct {
 	addr string
 	dir  string
 
-	mu  sync.Mutex
-	cmd *exec.Cmd
+	mu    sync.Mutex
+	cmd   *exec.Cmd
+	kills int           // SIGKILLs this shard has taken
+	log   *bytes.Buffer // the current incarnation's stderr; read only after cmd.Wait, which ends its one writer
 }
 
 // crashFleet is the subprocess pool plus the (swappable) gateway over
@@ -72,6 +77,10 @@ type crashFleet struct {
 	codec    transport.Codec
 	procs    []*shardProc
 	gw       atomic.Pointer[fleet.Gateway]
+	// met is the registry every gateway built over the pool reports into:
+	// a rebuilt gateway keeps counting on the same series, so the stream
+	// counters span the whole run.
+	met *obs.Metrics
 
 	// clock is the crash scheduler's view of run progress: the max
 	// AtSeconds of any report that has entered the funnel (stored as
@@ -100,7 +109,7 @@ func startCrashFleet(b *building.Building, plan string, shards int, bmsdPath, da
 		}
 		dataRoot = dir
 	}
-	c := &crashFleet{plan: plan, fsync: fsync, bmsdPath: bmsdPath, codec: codec}
+	c := &crashFleet{plan: plan, fsync: fsync, bmsdPath: bmsdPath, codec: codec, met: obs.New()}
 	for i := 0; i < shards; i++ {
 		port, err := freePort()
 		if err != nil {
@@ -154,7 +163,12 @@ func (c *crashFleet) newGateway() (*fleet.Gateway, error) {
 		hs.SetCodec(c.codec)
 		ring[i] = hs
 	}
-	return fleet.New(ring, fleet.Config{})
+	gw, err := fleet.New(ring, fleet.Config{})
+	if err != nil {
+		return nil, err
+	}
+	gw.Instrument(c.met)
+	return gw, nil
 }
 
 // spawn starts (or restarts) one bmsd over its data directory.
@@ -168,13 +182,14 @@ func (c *crashFleet) spawn(p *shardProc) error {
 		"-data-dir", p.dir,
 		"-fsync", c.fsync,
 	)
+	captured := new(bytes.Buffer)
 	cmd.Stdout = os.Stderr
-	cmd.Stderr = os.Stderr
+	cmd.Stderr = io.MultiWriter(os.Stderr, captured)
 	if err := cmd.Start(); err != nil {
 		return fmt.Errorf("spawn %s: %w", p.name, err)
 	}
 	p.mu.Lock()
-	p.cmd = cmd
+	p.cmd, p.log = cmd, captured
 	p.mu.Unlock()
 	return nil
 }
@@ -190,6 +205,9 @@ func (c *crashFleet) kill(p *shardProc) error {
 	}
 	_ = cmd.Wait()
 	c.kills.Add(1)
+	p.mu.Lock()
+	p.kills++
+	p.mu.Unlock()
 	if err := c.spawn(p); err != nil {
 		return err
 	}
@@ -222,6 +240,68 @@ func (c *crashFleet) stop() {
 		}(cmd)
 	}
 	wg.Wait()
+}
+
+// drain stops the pool gracefully and holds every shard to its drain
+// order: the log must say the streams were stopped — 0 left open — before
+// it says the durable state was compacted, or an acknowledgement could
+// have raced the final snapshot.
+func (c *crashFleet) drain() error {
+	c.stop()
+	for _, p := range c.procs {
+		p.mu.Lock()
+		out := p.log.String()
+		p.mu.Unlock()
+		stopped := strings.Index(out, "streams stopped between frames: 0 open stream(s)")
+		compacted := strings.Index(out, "durable state compacted")
+		if stopped < 0 || compacted < 0 || stopped > compacted {
+			return fmt.Errorf("%s did not drain in order (streams stopped at byte %d of its log, state compacted at %d)", p.name, stopped, compacted)
+		}
+	}
+	fmt.Printf("drain assertions: every shard stopped its streams (0 left open) before compacting its durable state\n")
+	return nil
+}
+
+// assertStreamTelemetry holds the gateway → shard streams to their story,
+// from the gateway's registry and each shard's /api/v1/telemetry. A clean
+// run resets no stream; every SIGKILL of a shard costs the gateway at
+// least one reset and one redial of that shard. Only wire frames travel
+// by stream, so under -wire json the leg is idle and must stay so.
+func (c *crashFleet) assertStreamTelemetry() error {
+	for _, p := range c.procs {
+		snap, err := httpSource("http://" + p.addr)()
+		if err != nil {
+			return fmt.Errorf("%s telemetry: %w", p.name, err)
+		}
+		frames := snap.Counters["bms_stream_frames_total"]
+		dials, resets := c.streamCounter("fleet_stream_dials_total", p), c.streamCounter("fleet_stream_resets_total", p)
+		p.mu.Lock()
+		kills := float64(p.kills)
+		p.mu.Unlock()
+		switch {
+		case c.codec != transport.CodecBinary:
+			if frames+dials+resets != 0 {
+				return fmt.Errorf("%s: -wire json moved %.0f frames over %.0f streams (%.0f resets); JSON batches travel by POST", p.name, frames, dials, resets)
+			}
+		case frames == 0 || dials == 0:
+			return fmt.Errorf("%s took %.0f frames over %.0f streams — the binary leg never ran", p.name, frames, dials)
+		case resets < kills || dials < kills+1:
+			return fmt.Errorf("%s was killed %.0f time(s) but the gateway counted %.0f stream resets and %.0f dials — a kill went unnoticed on the stream", p.name, kills, resets, dials)
+		case kills == 0 && resets != 0:
+			return fmt.Errorf("%s was never killed, yet %.0f of its streams were reset", p.name, resets)
+		}
+	}
+	if c.codec != transport.CodecBinary {
+		fmt.Printf("stream assertions (-wire %s): no stream was opened — JSON batches travel by POST\n", c.codec)
+		return nil
+	}
+	fmt.Printf("stream assertions (-wire %s): %d kill(s), each cost its shard's gateway leg at least a reset and a redial; no other stream was reset\n", c.codec, c.kills.Load())
+	return nil
+}
+
+// streamCounter reads one of the gateway's per-shard stream counters.
+func (c *crashFleet) streamCounter(family string, p *shardProc) float64 {
+	return c.met.TakeSnapshot().Counters[fmt.Sprintf("%s{shard=%q}", family, "http://"+p.addr)]
 }
 
 // advanceClock folds a batch's report times into the scheduler clock.
@@ -262,11 +342,30 @@ func (c *crashFleet) runKiller(schedule []float64, restartGateway bool, done <-c
 		}
 		p := c.procs[n%len(c.procs)]
 		fmt.Printf("crash: t=%.0fs SIGKILL %s (restart over %s)\n", t, p.name, p.dir)
+		resets := c.streamCounter("fleet_stream_resets_total", p)
 		if err := c.kill(p); err != nil {
 			errs <- err
 			return
 		}
 		if restartGateway {
+			// The gateway restart belongs after the old gateway has run into
+			// the dead shard on a stream it held — otherwise the drill would
+			// swap out the very streams the kill severed before anything
+			// touched them, and the reset path would go unexercised.
+			if c.codec == transport.CodecBinary {
+				deadline := time.Now().Add(10 * time.Second)
+				for c.streamCounter("fleet_stream_resets_total", p) == resets {
+					if time.Now().After(deadline) {
+						errs <- fmt.Errorf("no stream to %s was reset within 10s of its SIGKILL — no traffic ran into the kill; pace the run with -rate", p.name)
+						return
+					}
+					select {
+					case <-done:
+						return
+					case <-time.After(5 * time.Millisecond):
+					}
+				}
+			}
 			gw, err := c.newGateway()
 			if err != nil {
 				errs <- err

@@ -286,6 +286,7 @@ func run(target string, shards int, plan string, devices, reports int, rate floa
 			scrapeTargets[g.name] = g.self
 		}
 	case crashPool != nil:
+		sources = append(sources, registrySource(crashPool.met))
 		for _, p := range crashPool.procs {
 			scrapeTargets[p.name] = "http://" + p.addr
 			sources = append(sources, httpSource("http://"+p.addr))
@@ -467,9 +468,15 @@ func run(target string, shards int, plan string, devices, reports int, rate floa
 		if err := validateLiveMetrics(scrapeTargets); err != nil {
 			return err
 		}
+		if err := crashPool.assertStreamTelemetry(); err != nil {
+			return err
+		}
 		cgw := crashPool.gw.Load()
 		printRollup(cgw)
 		if err := verifyGroundTruth(b, cgw, streams, seed); err != nil {
+			return err
+		}
+		if err := crashPool.drain(); err != nil {
 			return err
 		}
 		if len(killSchedule) > 0 {

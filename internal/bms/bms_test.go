@@ -18,7 +18,7 @@ import (
 	"occusim/internal/transport"
 )
 
-func newTestServer(t *testing.T) (*Server, *building.Building) {
+func newTestServer(t testing.TB) (*Server, *building.Building) {
 	t.Helper()
 	b := building.PaperHouse()
 	st, err := store.New(100)

@@ -2,14 +2,18 @@ package bms
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"occusim/internal/occupancy"
 	"occusim/internal/store"
+	"occusim/internal/transport"
 )
 
 // rollupFromViews renders a server's rollup the way the gateway used to
@@ -133,5 +137,65 @@ func TestRollupRouteRoundTrips(t *testing.T) {
 	}
 	if reply.Devices != 2 || reply.Events <= reply.Devices {
 		t.Fatalf("vacuous: %d devices, %d events", reply.Devices, reply.Events)
+	}
+}
+
+// TestOccupancyNeverTorn: an occupancy read beside live ingest must count
+// every device in the room it lists it in. A snapshot assembled from
+// separate head-count and device passes breaks that whenever a device
+// moves between them; one summary pass reads each stripe's devices and
+// counts under one lock.
+func TestOccupancyNeverTorn(t *testing.T) {
+	s, b := newTestServer(t) // debounce 1: a device moves on every report
+	other := 0
+	for i, bc := range b.Beacons {
+		if bc.Room != b.Beacons[0].Room {
+			other = i
+			break
+		}
+	}
+	const writers, devices, laps = 4, 8, 400
+	var wg sync.WaitGroup
+	var running atomic.Int32
+	running.Store(writers)
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			defer running.Add(-1)
+			batch := make([]transport.Report, devices)
+			for lap := 0; lap < laps; lap++ {
+				for d := range batch {
+					beacon := 0
+					if (lap+d)%2 == 1 {
+						beacon = other
+					}
+					batch[d] = reportNear(b, fmt.Sprintf("w%d-%03d", w, d), beacon, float64(2*lap))
+				}
+				if _, err := s.IngestBatch(batch); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	polls, beside := 0, 0
+	for live := true; live; polls++ {
+		live = running.Load() > 0
+		snap := s.Occupancy()
+		listed := map[string]int{}
+		for _, room := range snap.Devices {
+			listed[room]++
+		}
+		if !reflect.DeepEqual(snap.Rooms, listed) {
+			t.Fatalf("poll %d: torn occupancy: head counts %v, but the device list places %v", polls, snap.Rooms, listed)
+		}
+		if live {
+			beside++
+		}
+	}
+	wg.Wait()
+	if snap := s.Occupancy(); beside < 10 || len(snap.Devices) != writers*devices || len(snap.Rooms) != 2 {
+		t.Fatalf("vacuous: %d polls beside ingest, %d devices in %d rooms at the end", beside, len(snap.Devices), len(snap.Rooms))
 	}
 }

@@ -77,6 +77,10 @@ type Server struct {
 	// its holder. Writes stamped with a lower epoch are fenced; see
 	// lease.go.
 	lease leaseState
+
+	// streams are the upgraded gateway connections being served; see
+	// stream.go.
+	streams streamSet
 }
 
 // NewServer builds a BMS for the given building. Until a model is
@@ -632,11 +636,17 @@ type OccupancySnapshot struct {
 	Devices map[string]string `json:"devices"`
 }
 
-// Occupancy returns the current per-room head counts and device rooms.
+// Occupancy returns the current per-room head counts and device rooms,
+// both out of one summary pass — each tracker stripe read once under its
+// lock — so a device that moves during the read is counted in the room
+// it is listed in. Rooms nobody is in are absent.
 func (s *Server) Occupancy() OccupancySnapshot {
-	snap := OccupancySnapshot{Rooms: s.tracker.Counts(), Devices: map[string]string{}}
-	for _, d := range s.tracker.Devices() {
-		snap.Devices[d] = s.tracker.RoomOf(d)
+	sum := s.tracker.Summary()
+	snap := OccupancySnapshot{Rooms: make(map[string]int, len(sum.Rooms)), Devices: sum.Devices}
+	for room, r := range sum.Rooms {
+		if r.Occupants > 0 {
+			snap.Rooms[room] = r.Occupants
+		}
 	}
 	return snap
 }
@@ -655,6 +665,7 @@ func (s *Server) Handler() http.Handler {
 	})
 	mux.HandleFunc("POST /api/v1/observations", s.handleObservation)
 	mux.HandleFunc("POST /api/v1/observations:batch", s.handleObservationBatch)
+	mux.HandleFunc("GET "+wire.StreamPath, s.handleStream)
 	mux.HandleFunc("POST /api/v1/fingerprints", s.handleFingerprint)
 	mux.HandleFunc("POST /api/v1/train", s.handleTrain)
 	mux.HandleFunc("GET /api/v1/occupancy", func(w http.ResponseWriter, r *http.Request) {

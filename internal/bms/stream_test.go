@@ -1,0 +1,336 @@
+package bms
+
+import (
+	"bufio"
+	"bytes"
+	"encoding/binary"
+	"encoding/json"
+	"io"
+	"net"
+	"net/http"
+	"net/http/httptest"
+	"reflect"
+	"runtime"
+	"testing"
+	"time"
+
+	"occusim/internal/overload"
+	"occusim/internal/raceflag"
+	"occusim/internal/wire"
+)
+
+// streamReplies splits what a stream loop wrote into (status, body)
+// replies; anything that is not a whole reply fails the test.
+func streamReplies(t testing.TB, out []byte) (statuses []byte, bodies [][]byte) {
+	t.Helper()
+	br := bufio.NewReader(bytes.NewReader(out))
+	for {
+		var buf []byte
+		status, body, err := wire.ReadStreamReply(br, wire.MaxBodyBytes, &buf)
+		if err == io.EOF {
+			return statuses, bodies
+		}
+		if err != nil {
+			t.Fatalf("the shard wrote %d bytes that are not replies: %v", len(out), err)
+		}
+		statuses, bodies = append(statuses, status), append(bodies, body)
+	}
+}
+
+// FuzzShardStream is the shard end under a hostile gateway: arbitrary
+// bytes where request envelopes belong. The loop must never panic, never
+// allocate from an announced length, answer every envelope it takes with
+// exactly one reply, and apply a frame if and only if it answered ok —
+// the state afterwards is what a twin reaches by ingesting, through the
+// in-process door, just the frames that were acknowledged.
+func FuzzShardStream(f *testing.F) {
+	_, b := newTestServer(f)
+	_, frame := deviceBatch(f, b, "phone-1", 1, 4)
+	_, later := deviceBatch(f, b, "phone-2", 1, 2)
+	good := wire.AppendStreamRequest(nil, 0, frame)
+	f.Add(good)
+	f.Add(wire.AppendStreamRequest(good, 3, later)) // two exchanges, the second stamped
+	f.Add(wire.AppendStreamRequest(wire.AppendStreamRequest(nil, 5, frame), 4, later))
+	f.Add(good[:len(good)/2])                               // truncated mid-frame
+	f.Add(append(good[:len(good):len(good)], "garbage"...)) // garbage after a valid frame
+	f.Add(append([]byte{wire.StreamVersion + 1}, good[1:]...))
+	f.Add(binary.LittleEndian.AppendUint32([]byte{wire.StreamVersion}, wire.MaxBodyBytes+1)) // over the limit
+	f.Add(binary.LittleEndian.AppendUint32([]byte{wire.StreamVersion}, wire.MaxBodyBytes))   // announces 64 MiB, sends none
+	f.Add(binary.LittleEndian.AppendUint32([]byte{wire.StreamVersion}, 3))                   // no room for the epoch
+	flipped := bytes.Clone(good)
+	flipped[len(flipped)-1] ^= 0xff // fails the frame checksum
+	f.Add(flipped)
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, _ := newTestServer(t)
+		twin, _ := newTestServer(t)
+		var out bytes.Buffer
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		s.serveStream(&out, bufio.NewReader(bytes.NewReader(data)))
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20+64*uint64(len(data)) {
+			t.Fatalf("%d input bytes made the stream loop allocate %d", len(data), grew)
+		}
+
+		statuses, bodies := streamReplies(t, out.Bytes())
+		br := bufio.NewReader(bytes.NewReader(data))
+		var buf []byte
+		hungUp := false // on an announcement over the limit, whatever follows it
+		for i, status := range statuses {
+			epoch, frame, err := wire.ReadStreamRequest(br, &buf)
+			if status == wire.StreamTooLarge {
+				if err != wire.ErrBodyTooLarge || i != len(statuses)-1 {
+					t.Fatalf("reply %d of %d is too-large, the envelope read gives %v", i, len(statuses), err)
+				}
+				hungUp = true
+				break
+			}
+			if err != nil {
+				t.Fatalf("reply %d answers an envelope that does not read: %v", i, err)
+			}
+			rooms, err := twin.IngestWireFrameFenced(epoch, frame)
+			if (status == wire.StreamOK) != (err == nil) {
+				t.Fatalf("reply %d has status %d; the in-process door says %v", i, status, err)
+			}
+			if err == nil && !bytes.Equal(bodies[i], wire.AppendRooms(nil, rooms)) {
+				t.Fatalf("reply %d acks % x, the in-process door answers %q", i, bodies[i], rooms)
+			}
+		}
+		if _, _, err := wire.ReadStreamRequest(br, &buf); err == nil && !hungUp {
+			t.Fatalf("the loop stopped after %d replies with a whole envelope unread", len(statuses))
+		}
+		if got, want := s.Occupancy(), twin.Occupancy(); !reflect.DeepEqual(got, want) || !reflect.DeepEqual(s.Events(), twin.Events()) {
+			t.Fatalf("state after the stream differs from the acknowledged frames' alone:\n%v\nvs\n%v", got, want)
+		}
+	})
+}
+
+// upgradeStream dials ts and upgrades the connection by hand.
+func upgradeStream(t *testing.T, ts *httptest.Server) (net.Conn, *bufio.Reader, *http.Response) {
+	t.Helper()
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	req, _ := http.NewRequest(http.MethodGet, ts.URL+wire.StreamPath, nil)
+	req.Header.Set("Connection", "Upgrade")
+	req.Header.Set("Upgrade", wire.StreamProtocol)
+	if err := req.Write(conn); err != nil {
+		t.Fatal(err)
+	}
+	br := bufio.NewReader(conn)
+	resp, err := http.ReadResponse(br, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return conn, br, resp
+}
+
+// TestStreamDoorStatuses: every way the POST door refuses a frame has its
+// stream status, carrying what the status code and headers carried.
+func TestStreamDoorStatuses(t *testing.T) {
+	s, b := newTestServer(t)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	defer s.Close()
+	if _, _, err := s.GrantLease(9, "http://gw-b"); err != nil {
+		t.Fatal(err)
+	}
+	conn, br, resp := upgradeStream(t, ts)
+	if resp.StatusCode != http.StatusSwitchingProtocols || resp.Header.Get("Upgrade") != wire.StreamProtocol {
+		t.Fatalf("upgrade answered %s (Upgrade: %q)", resp.Status, resp.Header.Get("Upgrade"))
+	}
+	exchange := func(epoch uint64, frame []byte) (byte, []byte) {
+		t.Helper()
+		if _, err := conn.Write(wire.AppendStreamRequest(nil, epoch, frame)); err != nil {
+			t.Fatal(err)
+		}
+		var buf []byte
+		status, body, err := wire.ReadStreamReply(br, wire.MaxBodyBytes, &buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return status, body
+	}
+	reports, frame := deviceBatch(t, b, "phone-1", 1, 4)
+
+	status, body := exchange(4, frame)
+	if status != wire.StreamStale || binary.LittleEndian.Uint64(body) != 9 || string(body[8:]) != "http://gw-b" {
+		t.Fatalf("a deposed epoch got status %d % x, want stale with grant 9 and the holder", status, body)
+	}
+	status, body = exchange(9, frame[:len(frame)-1])
+	if status != wire.StreamRejected || len(body) == 0 {
+		t.Fatalf("a damaged frame got status %d %q, want rejected with a reason", status, body)
+	}
+	s.SetAdmission(overload.Config{MaxInflight: 1, MaxQueue: 1, RetryAfter: 1500 * time.Millisecond})
+	hold, err := s.gate.Acquire()
+	if err != nil {
+		t.Fatal(err)
+	}
+	queued := make(chan struct{})
+	go func() { // fills the queue, so the stream's frame is shed
+		defer close(queued)
+		if release, err := s.gate.Acquire(); err == nil {
+			release()
+		}
+	}()
+	for _, waiting := s.gate.Load(); waiting == 0; _, waiting = s.gate.Load() {
+		time.Sleep(time.Millisecond)
+	}
+	status, body = exchange(9, frame)
+	if status != wire.StreamOverload || time.Duration(binary.LittleEndian.Uint64(body)) != 1500*time.Millisecond {
+		t.Fatalf("a shed frame got status %d % x, want overload with the 1.5 s hint", status, body)
+	}
+	hold()
+	<-queued
+	if occ := s.Occupancy(); len(occ.Devices) != 0 {
+		t.Fatalf("refused frames left state behind: %v", occ.Devices)
+	}
+	status, body = exchange(9, frame)
+	twin, _ := newTestServer(t)
+	want, err := twin.IngestBatch(reports)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if status != wire.StreamOK || !bytes.Equal(body, wire.AppendRooms(nil, want)) {
+		t.Fatalf("the frame got status %d % x, want the rooms ack of %q", status, body, want)
+	}
+
+	// Over the limit: answered before a byte of it is read, then hung up on.
+	if _, err := conn.Write(binary.LittleEndian.AppendUint32([]byte{wire.StreamVersion}, wire.MaxBodyBytes+1)); err != nil {
+		t.Fatal(err)
+	}
+	var buf []byte
+	status, _, err = wire.ReadStreamReply(br, wire.MaxBodyBytes, &buf)
+	if err != nil || status != wire.StreamTooLarge {
+		t.Fatalf("an oversized announcement got status %d, %v, want too-large", status, err)
+	}
+	if _, err := br.ReadByte(); err != io.EOF {
+		t.Fatalf("the shard kept the stream open after too-large: %v", err)
+	}
+}
+
+// TestStreamRouteRefusesPlainHTTP: the route speaks one protocol; anything
+// else is told so over HTTP and the connection stays an HTTP connection.
+func TestStreamRouteRefusesPlainHTTP(t *testing.T) {
+	s, _ := newTestServer(t)
+	h := s.Handler()
+	for name, hdr := range map[string][2]string{
+		"no upgrade":     {"", ""},
+		"other protocol": {"Upgrade", "websocket"},
+	} {
+		req := httptest.NewRequest(http.MethodGet, wire.StreamPath, nil)
+		if hdr[0] != "" {
+			req.Header.Set("Connection", hdr[0])
+			req.Header.Set("Upgrade", hdr[1])
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		var body map[string]string
+		if rec.Code != http.StatusUpgradeRequired || rec.Header().Get("Upgrade") != wire.StreamProtocol ||
+			json.Unmarshal(rec.Body.Bytes(), &body) != nil || body["error"] == "" {
+			t.Errorf("%s: answered %d (Upgrade: %q) %s", name, rec.Code, rec.Header().Get("Upgrade"), rec.Body)
+		}
+	}
+	if s.OpenStreams() != 0 {
+		t.Fatalf("%d streams open after refusals", s.OpenStreams())
+	}
+}
+
+// TestStopStreamsBetweenFrames: a drain wakes idle streams, returns only
+// once every loop has exited, and leaves the route refusing new streams —
+// so nothing can be acknowledged after it.
+func TestStopStreamsBetweenFrames(t *testing.T) {
+	s, b := newTestServer(t)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	_, frame := deviceBatch(t, b, "phone-1", 1, 4)
+	var conns []net.Conn
+	var readers []*bufio.Reader
+	for i := 0; i < 3; i++ {
+		conn, br, resp := upgradeStream(t, ts)
+		if resp.StatusCode != http.StatusSwitchingProtocols {
+			t.Fatalf("upgrade %d answered %s", i, resp.Status)
+		}
+		conns, readers = append(conns, conn), append(readers, br)
+	}
+	// One frame through the first, so it is a used stream that went idle.
+	if _, err := conns[0].Write(wire.AppendStreamRequest(nil, 0, frame)); err != nil {
+		t.Fatal(err)
+	}
+	var buf []byte
+	if status, _, err := wire.ReadStreamReply(readers[0], wire.MaxBodyBytes, &buf); err != nil || status != wire.StreamOK {
+		t.Fatalf("status %d, %v", status, err)
+	}
+	if s.OpenStreams() != 3 {
+		t.Fatalf("%d streams open, want 3", s.OpenStreams())
+	}
+	stopped := make(chan struct{})
+	go func() { defer close(stopped); s.StopStreams() }()
+	select {
+	case <-stopped:
+	case <-time.After(5 * time.Second):
+		t.Fatal("StopStreams did not return with every stream idle")
+	}
+	if s.OpenStreams() != 0 {
+		t.Fatalf("%d streams open after the drain", s.OpenStreams())
+	}
+	for i, br := range readers {
+		if _, err := br.ReadByte(); err != io.EOF {
+			t.Errorf("stream %d is not hung up after the drain: %v", i, err)
+		}
+	}
+	if _, _, resp := upgradeStream(t, ts); resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("an upgrade after the drain answered %s, want 503", resp.Status)
+	}
+}
+
+// TestAllocBudgetStreamLoop: one exchange over an in-memory pipe costs
+// the shard what ingestWireFrame costs and nothing more — the envelope is
+// read into, and the reply built in, buffers the connection keeps.
+func TestAllocBudgetStreamLoop(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are pinned without the race detector")
+	}
+	s, b := newTestServer(t)
+	trainServer(t, s, b)
+	const runs = 60
+	var frames, envelopes [][]byte
+	for i := 0; i < 2*(runs+1); i++ {
+		_, frame := deviceBatch(t, b, "phone-1", uint64(1+11*i), 1<<20)
+		frames, envelopes = append(frames, frame), append(envelopes, wire.AppendStreamRequest(nil, 0, frame))
+	}
+	next := 0
+	sc := getScratch()
+	defer sc.release()
+	ingest := testing.AllocsPerRun(runs, func() {
+		if _, err := s.ingestWireFrame(0, frames[next], sc); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	})
+
+	gw, shard := net.Pipe()
+	defer gw.Close()
+	go func() {
+		defer shard.Close()
+		s.serveStream(shard, bufio.NewReaderSize(shard, 4096))
+	}()
+	br := bufio.NewReaderSize(gw, 4096)
+	var reply []byte
+	exchange := testing.AllocsPerRun(runs, func() {
+		if _, err := gw.Write(envelopes[next]); err != nil {
+			t.Fatal(err)
+		}
+		if status, _, err := wire.ReadStreamReply(br, wire.MaxBodyBytes, &reply); err != nil || status != wire.StreamOK {
+			t.Fatalf("status %d, %v", status, err)
+		}
+		next++
+	})
+	t.Logf("per 11-report frame: ingestWireFrame %v, one stream exchange %v", ingest, exchange)
+	if exchange > ingest {
+		t.Errorf("the stream loop allocates %v times per frame, ingestWireFrame alone %v: budget 0 above it", exchange, ingest)
+	}
+}

@@ -17,6 +17,7 @@ type serverMetrics struct {
 	batchSize     *obs.Histogram // reports per ingested batch
 	reports       *obs.Counter   // reports accepted (dups included)
 	dedupDrops    *obs.Counter   // retransmitted reports the seq marks absorbed
+	streamFrames  *obs.Counter   // frames taken off gateway streams
 
 	leaseClaims   *obs.Counter // new-epoch grants (bootstrap + failovers)
 	leaseRenewals *obs.Counter // same-epoch heartbeats
@@ -41,6 +42,7 @@ func (s *Server) Instrument(m *obs.Metrics) {
 		batchSize:     m.Sizes("bms_ingest_batch_size", "reports per ingested batch"),
 		reports:       m.Counter("bms_ingest_reports_total", "observation reports accepted (retransmissions included)"),
 		dedupDrops:    m.Counter("bms_ingest_dedup_drops_total", "retransmitted reports absorbed by per-device seq marks"),
+		streamFrames:  m.Counter("bms_stream_frames_total", "frames taken off upgraded gateway streams"),
 		leaseClaims:   m.Counter("bms_lease_claims_total", "gateway leadership grants at a new epoch"),
 		leaseRenewals: m.Counter("bms_lease_renewals_total", "same-epoch lease heartbeats from the holder"),
 		leaseRejects:  m.Counter("bms_lease_rejects_total", "lease claims rejected (stale or already-won epoch)"),
@@ -51,6 +53,9 @@ func (s *Server) Instrument(m *obs.Metrics) {
 	m.GaugeFunc("bms_lease_epoch", "highest gateway leadership epoch this shard has granted", func() float64 {
 		epoch, _ := s.GrantedLease()
 		return float64(epoch)
+	})
+	m.GaugeFunc("bms_stream_open", "upgraded gateway streams being served", func() float64 {
+		return float64(s.OpenStreams())
 	})
 	s.gate.Instrument(m, "bms_gate")
 	if s.dur != nil {

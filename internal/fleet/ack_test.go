@@ -1,19 +1,23 @@
 package fleet_test
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"occusim/internal/bms"
 	"occusim/internal/building"
 	"occusim/internal/fleet"
+	"occusim/internal/obs"
 	"occusim/internal/raceflag"
 	"occusim/internal/ring"
 	"occusim/internal/transport"
@@ -84,15 +88,19 @@ func ackRooms(t testing.TB, rec *httptest.ResponseRecorder, n int) []string {
 	return rooms
 }
 
-// httpFleet fronts one fresh server per codec with an HTTPShard speaking
-// that codec, behind one gateway running snap. wrap, when non-nil, sits
-// in front of shard i's handler.
+// httpFleet fronts one fresh server per codec — each on its own
+// registry — with an HTTPShard speaking that codec, behind one gateway
+// running snap. wrap, when non-nil, sits in front of shard i's handler.
 func httpFleet(t *testing.T, b *building.Building, snap bms.ModelSnapshot, codecs []transport.Codec,
-	wrap func(i int, next http.Handler) http.Handler) *fleet.Gateway {
+	wrap func(i int, next http.Handler) http.Handler) (*fleet.Gateway, []*bms.Server) {
 	t.Helper()
 	shards := make([]fleet.Shard, len(codecs))
+	servers := make([]*bms.Server, len(codecs))
 	for i, codec := range codecs {
-		h := newServer(t, b).Handler()
+		servers[i] = newServer(t, b)
+		servers[i].Instrument(obs.New())
+		t.Cleanup(func() { servers[i].Close() })
+		h := servers[i].Handler()
 		if wrap != nil {
 			h = wrap(i, h)
 		}
@@ -112,7 +120,13 @@ func httpFleet(t *testing.T, b *building.Building, snap bms.ModelSnapshot, codec
 	if err := gw.DistributeModel(snap); err != nil {
 		t.Fatal(err)
 	}
-	return gw
+	return gw, servers
+}
+
+// streamFrames is how many frames the server has taken off gateway
+// streams.
+func streamFrames(srv *bms.Server) float64 {
+	return srv.Metrics().TakeSnapshot().Counters["bms_stream_frames_total"]
 }
 
 // uploadPath renders batch as upload n's wire body: device pre-split
@@ -139,24 +153,25 @@ func uploadPath(t *testing.T, gw *fleet.Gateway, batch []transport.Report, n int
 	return body, digest, order
 }
 
-// TestShard415IsAFaultNotADowngrade: the gateway-to-shard leg speaks the
-// codec it was configured with. A shard that answers 415 to it is a
-// deployment fault: every gateway path — verbatim forward, stale-digest
-// re-split, plain frame — answers 502 (ErrShardMisbehaved), and the
-// shard is never quietly re-sent the batch as JSON.
-func TestShard415IsAFaultNotADowngrade(t *testing.T) {
+// TestRefusedUpgradeIsAFaultNotADowngrade: wire frames reach a shard over
+// its stream and no other way. A shard that refuses the upgrade — one
+// that predates the route, say — is a deployment fault: every gateway
+// path — verbatim forward, stale-digest re-split, plain frame — answers
+// 502 (ErrShardMisbehaved), and the shard is never quietly sent the batch
+// by POST instead, in either codec.
+func TestRefusedUpgradeIsAFaultNotADowngrade(t *testing.T) {
 	b := building.PaperHouse()
-	var wireOffers, jsonBatches atomic.Int64
-	gw := httpFleet(t, b, trainSnapshot(t, b, 42), []transport.Codec{transport.CodecBinary, transport.CodecBinary},
+	var upgradeOffers, batchPosts atomic.Int64
+	gw, _ := httpFleet(t, b, trainSnapshot(t, b, 42), []transport.Codec{transport.CodecBinary, transport.CodecBinary},
 		func(_ int, next http.Handler) http.Handler {
 			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-				switch {
-				case r.Header.Get("Content-Type") == wire.ContentType:
-					wireOffers.Add(1)
-					http.Error(w, `{"error":"unsupported media type"}`, http.StatusUnsupportedMediaType)
+				switch r.URL.Path {
+				case wire.StreamPath:
+					upgradeOffers.Add(1)
+					http.Error(w, `{"error":"no such route"}`, http.StatusNotFound)
 					return
-				case r.URL.Path == batchRoute:
-					jsonBatches.Add(1)
+				case batchRoute:
+					batchPosts.Add(1)
 				}
 				next.ServeHTTP(w, r)
 			})
@@ -166,21 +181,21 @@ func TestShard415IsAFaultNotADowngrade(t *testing.T) {
 	stream := synthStream(b, 12, 6, 9)
 	stampStream(stream, 1)
 	if _, err := gw.IngestBatch(stream); !errors.Is(err, fleet.ErrShardMisbehaved) {
-		t.Fatalf("IngestBatch over a 415 shard: %v, want ErrShardMisbehaved", err)
+		t.Fatalf("IngestBatch over a shard that refuses the upgrade: %v, want ErrShardMisbehaved", err)
 	}
 	for n := 0; n < 3; n++ {
 		body, digest, _ := uploadPath(t, gw, stream, n)
-		offered := wireOffers.Load()
+		offered := upgradeOffers.Load()
 		rec := postWire(t, face, body, digest)
 		if rec.Code != http.StatusBadGateway {
 			t.Fatalf("path %d answered %d, want 502: %s", n, rec.Code, rec.Body)
 		}
-		if wireOffers.Load() == offered {
-			t.Fatalf("path %d: vacuous, no shard was offered the wire codec", n)
+		if upgradeOffers.Load() == offered {
+			t.Fatalf("path %d: vacuous, no shard was asked to upgrade", n)
 		}
 	}
-	if jsonBatches.Load() != 0 {
-		t.Fatalf("a shard that refused the wire codec was re-sent %d JSON batches", jsonBatches.Load())
+	if batchPosts.Load() != 0 {
+		t.Fatalf("a shard that refused the stream was sent %d batches by POST", batchPosts.Load())
 	}
 	if occ, err := gw.Occupancy(); err != nil || len(occ.Devices) != 0 {
 		t.Fatalf("refused uploads left state behind: %v, %v", occ.Devices, err)
@@ -194,10 +209,10 @@ func TestShard415IsAFaultNotADowngrade(t *testing.T) {
 func TestUnencodableReportIsAClientError(t *testing.T) {
 	b := building.PaperHouse()
 	var batches atomic.Int64
-	gw := httpFleet(t, b, trainSnapshot(t, b, 42), []transport.Codec{transport.CodecBinary},
+	gw, _ := httpFleet(t, b, trainSnapshot(t, b, 42), []transport.Codec{transport.CodecBinary},
 		func(_ int, next http.Handler) http.Handler {
 			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-				if r.URL.Path == batchRoute {
+				if r.URL.Path == batchRoute || r.URL.Path == wire.StreamPath {
 					batches.Add(1)
 				}
 				next.ServeHTTP(w, r)
@@ -230,15 +245,15 @@ func TestMixedCodecShardsByteIdentity(t *testing.T) {
 	if _, err := single.InstallModel(snap); err != nil {
 		t.Fatal(err)
 	}
-	var wireTo, jsonTo [2]atomic.Int64
-	gw := httpFleet(t, b, snap, []transport.Codec{transport.CodecJSON, transport.CodecBinary},
+	var wirePosts, jsonPosts [2]atomic.Int64
+	gw, servers := httpFleet(t, b, snap, []transport.Codec{transport.CodecJSON, transport.CodecBinary},
 		func(i int, next http.Handler) http.Handler {
 			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 				if r.URL.Path == batchRoute {
 					if r.Header.Get("Content-Type") == wire.ContentType {
-						wireTo[i].Add(1)
+						wirePosts[i].Add(1)
 					} else {
-						jsonTo[i].Add(1)
+						jsonPosts[i].Add(1)
 					}
 				}
 				next.ServeHTTP(w, r)
@@ -263,11 +278,15 @@ func TestMixedCodecShardsByteIdentity(t *testing.T) {
 			}
 		}
 	}
-	// Pre-split sections are forwarded as the frames they are, whatever
-	// the leg's codec; the server-side split speaks the configured one.
-	if jsonTo[0].Load() == 0 || wireTo[1].Load() == 0 || jsonTo[1].Load() != 0 {
-		t.Fatalf("vacuous: JSON shard took %d JSON / %d wire batches, binary shard %d / %d",
-			jsonTo[0].Load(), wireTo[0].Load(), jsonTo[1].Load(), wireTo[1].Load())
+	// Pre-split sections are forwarded as the frames they are — over the
+	// stream — whatever the leg's codec; the server-side split speaks the
+	// configured one: JSON by POST, binary over the stream. No wire frame
+	// travels by POST any more.
+	if jsonPosts[0].Load() == 0 || streamFrames(servers[0]) == 0 || streamFrames(servers[1]) == 0 ||
+		jsonPosts[1].Load() != 0 || wirePosts[0].Load()+wirePosts[1].Load() != 0 {
+		t.Fatalf("vacuous: JSON shard took %d JSON posts / %v stream frames / %d wire posts, binary shard %d / %v / %d",
+			jsonPosts[0].Load(), streamFrames(servers[0]), wirePosts[0].Load(),
+			jsonPosts[1].Load(), streamFrames(servers[1]), wirePosts[1].Load())
 	}
 	occ, events, dwell := fleetViews(t, gw)
 	if !bytes.Equal(occ, mustJSON(t, single.Occupancy())) || !bytes.Equal(events, mustJSON(t, single.Events())) ||
@@ -452,29 +471,40 @@ func TestAllocBudgetForward(t *testing.T) {
 	}
 }
 
-// ackRT answers every request with one preallocated 200 wire ack, so a
-// pin over it counts the caller's allocations, not a server's.
-type ackRT struct {
-	ack  []byte
-	rd   bytes.Reader
-	resp http.Response
+// stubShardRT upgrades every dial onto an in-memory pipe whose far end
+// answers each envelope with one canned ok reply, allocating nothing —
+// so a pin over it counts the gateway's allocations, not a shard's.
+type stubShardRT struct {
+	t     testing.TB
+	reply []byte
 }
 
-func (rt *ackRT) RoundTrip(req *http.Request) (*http.Response, error) {
-	if req.Body != nil {
-		_, _ = io.Copy(io.Discard, req.Body)
-		req.Body.Close()
-	}
-	rt.rd.Reset(rt.ack)
-	rt.resp = http.Response{StatusCode: http.StatusOK, Status: "200 OK", Body: io.NopCloser(&rt.rd),
-		ContentLength: int64(len(rt.ack)), Request: req}
-	return &rt.resp, nil
+func (rt *stubShardRT) RoundTrip(req *http.Request) (*http.Response, error) {
+	gw, shard := net.Pipe()
+	rt.t.Cleanup(func() { gw.Close() })
+	go func() {
+		defer shard.Close()
+		br := bufio.NewReaderSize(shard, 4096)
+		var buf []byte
+		for {
+			if _, _, err := wire.ReadStreamRequest(br, &buf); err != nil {
+				return
+			}
+			if _, err := shard.Write(rt.reply); err != nil {
+				return
+			}
+		}
+	}()
+	return &http.Response{
+		StatusCode: http.StatusSwitchingProtocols, Status: "101 Switching Protocols",
+		Header: http.Header{"Upgrade": {wire.StreamProtocol}}, Body: gw, Request: req,
+	}, nil
 }
 
-// TestAllocBudgetHTTPShardIngestFrame: the gateway's half of the shard
-// exchange is the request (3, pinned in transport) plus the rooms slice
-// it hands back — the ack is read through a pooled buffer into interned
-// names.
+// TestAllocBudgetHTTPShardIngestFrame: one warm exchange costs the
+// gateway the rooms slice it hands back and at most one allocation more —
+// the envelope is built in, and the reply read through, buffers the
+// stream keeps; the deadline is a timer re-armed, not made.
 func TestAllocBudgetHTTPShardIngestFrame(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation counts are pinned without the race detector")
@@ -483,38 +513,27 @@ func TestAllocBudgetHTTPShardIngestFrame(t *testing.T) {
 	for i := range stay {
 		stay[i] = "kitchen"
 	}
-	rt := &ackRT{ack: wire.AppendRooms(nil, stay)}
-	client := &http.Client{Transport: rt}
-	hs, err := fleet.NewHTTPShard("http://shard-0.test", client, transport.RetryPolicy{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hs.StampEpoch(7)
+	reply := wire.AppendRooms(wire.BeginStreamReply(nil, wire.StreamOK), stay)
+	wire.EndStreamReply(reply)
 	frame := bytes.Repeat([]byte{0xab}, 2600) // the stub does not decode it
-
-	var rd bytes.Reader
-	req, err := http.NewRequest(http.MethodPost, "http://shard-0.test"+batchRoute, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("Content-Type", wire.ContentType)
-	req.Header.Set(transport.HeaderGatewayEpoch, "7")
-	req.Body, req.ContentLength = io.NopCloser(&rd), int64(len(frame))
-	clientDo := testing.AllocsPerRun(100, func() {
-		rd.Reset(frame)
-		resp, err := client.Do(req)
+	for name, client := range map[string]*http.Client{
+		"no deadline":      {Transport: &stubShardRT{t: t, reply: reply}},
+		"attempt deadline": {Transport: &stubShardRT{t: t, reply: reply}, Timeout: time.Minute},
+	} {
+		hs, err := fleet.NewHTTPShard("http://shard-0.test", client, transport.RetryPolicy{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp.Body.Close()
-	})
-	ingest := testing.AllocsPerRun(100, func() {
-		rooms, err := hs.IngestFrame(frame, len(stay))
-		if err != nil || len(rooms) != len(stay) || rooms[10] != "kitchen" {
-			t.Fatalf("IngestFrame = %q, %v", rooms, err)
+		hs.StampEpoch(7)
+		ingest := testing.AllocsPerRun(100, func() {
+			rooms, err := hs.IngestFrame(frame, len(stay))
+			if err != nil || len(rooms) != len(stay) || rooms[10] != "kitchen" {
+				t.Fatalf("IngestFrame = %q, %v", rooms, err)
+			}
+		})
+		t.Logf("%s: %v allocations per warm exchange", name, ingest)
+		if ingest > 2 {
+			t.Errorf("%s: HTTPShard.IngestFrame allocates %v times per warm exchange, budget 2", name, ingest)
 		}
-	})
-	if ours := ingest - clientDo; ours > 4 {
-		t.Errorf("HTTPShard.IngestFrame allocates %v times outside Client.Do (%v with it), budget 4", ours, ingest)
 	}
 }

@@ -20,27 +20,32 @@ import (
 )
 
 // HTTPShard drives one remote bms.Server over its REST API — the shard
-// client real deployments put behind the gateway. All exchanges go
-// through transport's retrying JSON helpers, so shard traffic gets the
-// same capped-backoff behaviour as device uplinks; health probes are
-// deliberately one-shot so a dead shard is detected on the first probe
-// rather than after a retry budget.
+// client real deployments put behind the gateway. Wire frames travel
+// over upgraded streams (stream.go); every other exchange goes through
+// transport's retrying JSON helpers. Both run under one retry policy,
+// so shard traffic gets the same capped-backoff behaviour as device
+// uplinks; health probes are deliberately one-shot so a dead shard is
+// detected on the first probe rather than after a retry budget.
 type HTTPShard struct {
 	base   string
 	client *http.Client
 	retry  transport.RetryPolicy
 
 	// codec is the batch encoding toward the shard (SetCodec). Both ends
-	// of this leg are this repo, so it is configured, not negotiated: a
-	// shard that answers 415 to it is at fault (see IngestFrame).
+	// of this leg are this repo, so it is configured, not negotiated.
 	codec transport.Codec
 
-	// stamped is what every write is sent under: the request header sets
-	// carrying the gateway leadership epoch (X-Gateway-Epoch; see
-	// Shard.StampEpoch) and the batch route prepared under them. Built
-	// at construction and again on each StampEpoch — a lease change, not
-	// a request — so the ingest path builds no header and parses no URL.
+	// stamped is what every write is sent under: the gateway leadership
+	// epoch (see Shard.StampEpoch) as the stream envelope carries it and
+	// as the JSON writes' X-Gateway-Epoch header set. Built at
+	// construction and again on each StampEpoch — a lease change, not a
+	// request — so the ingest path builds no header.
 	stamped atomic.Pointer[stampedWrites]
+
+	// streams carries every wire frame to the shard (stream.go);
+	// streamURL is where one is dialled.
+	streams   streamPool
+	streamURL string
 
 	// ackMu guards rooms, which canonicalises the room names the shard's
 	// wire acks repeat.
@@ -48,10 +53,10 @@ type HTTPShard struct {
 	rooms wire.Interner
 }
 
-// stampedWrites is one leadership epoch's prepared write headers.
+// stampedWrites is one leadership epoch's prepared stamp.
 type stampedWrites struct {
-	json, wire http.Header
-	batchWire  transport.Target
+	epoch uint64
+	json  http.Header
 }
 
 // NewHTTPShard points a shard client at a bms server root, e.g.
@@ -61,10 +66,12 @@ func NewHTTPShard(baseURL string, client *http.Client, retry transport.RetryPoli
 	if baseURL == "" {
 		return nil, fmt.Errorf("fleet: http shard needs a base URL")
 	}
-	h := &HTTPShard{base: baseURL, client: client, retry: retry, rooms: wire.Interner{}}
-	if err := h.stampWrites(0); err != nil {
+	streamURL := baseURL + wire.StreamPath
+	if _, err := url.Parse(streamURL); err != nil {
 		return nil, fmt.Errorf("fleet: http shard: %w", err)
 	}
+	h := &HTTPShard{base: baseURL, client: client, retry: retry, streamURL: streamURL, rooms: wire.Interner{}}
+	h.StampEpoch(0)
 	return h, nil
 }
 
@@ -75,30 +82,14 @@ func (h *HTTPShard) Name() string { return h.base }
 // time, before traffic.
 func (h *HTTPShard) SetCodec(c transport.Codec) { h.codec = c }
 
-// StampEpoch implements Shard.
+// StampEpoch implements Shard: the stamp when one is set, no extra header
+// for unfenced clients.
 func (h *HTTPShard) StampEpoch(epoch uint64) {
-	// The base URL parsed at construction; a new stamp cannot unparse it.
-	_ = h.stampWrites(epoch)
-}
-
-// stampWrites prepares the write headers for a leadership epoch: the
-// stamp when one is set, no extra header for unfenced clients.
-func (h *HTTPShard) stampWrites(epoch uint64) error {
-	w := &stampedWrites{
-		json: http.Header{"Content-Type": {"application/json"}},
-		wire: http.Header{"Content-Type": {wire.ContentType}},
-	}
+	w := &stampedWrites{epoch: epoch, json: http.Header{"Content-Type": {"application/json"}}}
 	if epoch != 0 {
-		stamp := strconv.FormatUint(epoch, 10)
-		w.json.Set(transport.HeaderGatewayEpoch, stamp)
-		w.wire.Set(transport.HeaderGatewayEpoch, stamp)
-	}
-	var err error
-	if w.batchWire, err = transport.NewTarget(http.MethodPost, h.base+transport.BatchPath, w.wire); err != nil {
-		return err
+		w.json.Set(transport.HeaderGatewayEpoch, strconv.FormatUint(epoch, 10))
 	}
 	h.stamped.Store(w)
-	return nil
 }
 
 // postWrite posts a fenced write: the leadership stamp rides the
@@ -165,32 +156,31 @@ func (h *HTTPShard) IngestBatch(reports []transport.Report) ([]string, error) {
 	return resp.Rooms, nil
 }
 
-// IngestFrame implements FrameIngester: it posts one wire frame — the
+// IngestFrame implements FrameIngester: it sends one wire frame — the
 // pre-split forward path's verbatim device bytes, or IngestBatch's own
-// encoding — to the batch endpoint under the leadership stamp and decodes
-// the wire ack — the run-length rooms column of wire.AppendRooms — into
-// interned strings. The ack is read through a pooled buffer; only the
-// rooms slice itself is allocated. A 415 is a shard that does not speak
-// the codec it was configured for — a deployment fault, reported as one
-// instead of being papered over with a slower encoding.
+// encoding — over a shard stream under the leadership stamp, and decodes
+// the ack — the run-length rooms column of wire.AppendRooms — into
+// interned strings; only the rooms slice itself is allocated. The
+// exchange runs under the retry policy as a POST did: a shed admission
+// waits out the shard's hint, a connection that failed backs off, and
+// anything the shard answered on purpose — a fence, a rejection, a reply
+// that is not one — is final.
 func (h *HTTPShard) IngestFrame(frame []byte, reports int) ([]string, error) {
-	ack := wire.GetBuf()
-	defer wire.PutBuf(ack)
-	payload, err := h.stamped.Load().batchWire.Do(h.client, frame, h.retry, ack)
-	if err != nil {
-		if code, ok := transport.StatusCode(err); ok && code == http.StatusUnsupportedMediaType {
-			return nil, fmt.Errorf("%w: the shard refuses the wire codec it is configured for: %v", ErrShardMisbehaved, err)
+	epoch := h.stamped.Load().epoch
+	for backoff := h.retry.Start(); ; {
+		rooms, err := h.exchange(epoch, frame, reports)
+		if err == nil {
+			return rooms, nil
 		}
-		return nil, staleLeaderFrom(err)
+		hint, shed := overload.IsOverload(err)
+		var down *url.Error
+		if !shed && !errors.As(err, &down) {
+			return nil, err
+		}
+		if err = backoff.Wait(err, hint, shed); err != nil {
+			return nil, err
+		}
 	}
-	rd := wire.Reader{Buf: payload}
-	h.ackMu.Lock()
-	rooms := rd.Rooms(reports, make([]string, 0, reports), h.rooms)
-	h.ackMu.Unlock()
-	if rd.Short {
-		return nil, fmt.Errorf("%w: malformed rooms ack for %d reports", ErrShardMisbehaved, reports)
-	}
-	return rooms, nil
 }
 
 // InstallModel implements Shard via PUT /api/v1/model.

@@ -84,9 +84,15 @@ func handleWireBatch(g *Gateway, opts HandlerOptions, w http.ResponseWriter, r *
 	// Stale digest (or a shard that cannot take frames): re-split
 	// server-side from the decoded sections. Report order is section
 	// order, which is how the device assembled the upload, so the rooms
-	// column still answers report-for-report.
+	// column still answers report-for-report. Under skew correction
+	// forward refuses every upload before it looks at the digest, which
+	// is no digest miss.
 	if gm := g.met; gm != nil {
-		gm.presplitDigestMiss.Inc()
+		if g.skew != nil {
+			gm.presplitSkew.Inc()
+		} else {
+			gm.presplitDigestMiss.Inc()
+		}
 	}
 	b := wire.GetBatch()
 	defer wire.PutBatch(b)

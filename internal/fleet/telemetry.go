@@ -26,7 +26,8 @@ type gatewayMetrics struct {
 	readErrors []*obs.Counter                     // per shard: failed federated reads
 
 	presplitForwarded  *obs.Counter // device-split uploads forwarded verbatim
-	presplitDigestMiss *obs.Counter // pre-split uploads re-split server-side
+	presplitDigestMiss *obs.Counter // pre-split uploads re-split server-side on a stale digest
+	presplitSkew       *obs.Counter // pre-split uploads re-split because skew correction is on
 
 	rec *obs.Recorder
 }
@@ -49,7 +50,16 @@ func (g *Gateway) Instrument(m *obs.Metrics) {
 			"device-split uploads forwarded frame-verbatim to their shards"),
 		presplitDigestMiss: m.Counter("fleet_presplit_digest_miss_total",
 			"pre-split uploads whose ring digest was stale, re-split server-side"),
+		presplitSkew: m.Counter("fleet_presplit_skew_fallback_total",
+			"pre-split uploads re-split server-side because skew correction must see every timestamp"),
 		rec: m.Recorder(),
+	}
+	if g.skew != nil {
+		// The two features do not compose (see forward); say so once, where
+		// an operator reading the telemetry will find it.
+		gm.rec.Record(obs.EventPresplitOff, map[string]any{
+			"reason": "skew correction rewrites timestamps before routing", "skewWindowSeconds": g.skew.window,
+		})
 	}
 	for view, name := range readViewNames {
 		gm.readTime[view] = m.Timing("fleet_read_seconds", "one federated read round across the healthy shards", obs.L("view", name))
@@ -60,6 +70,11 @@ func (g *Gateway) Instrument(m *obs.Metrics) {
 		i, name := i, s.Name()
 		gm.sendLatency[i] = m.Timing("fleet_send_seconds", "one sub-batch delivery to the shard", obs.L("shard", name))
 		gm.readErrors[i] = m.Counter("fleet_read_errors_total", "federated reads the shard failed", obs.L("shard", name))
+		if hs, ok := s.(*HTTPShard); ok {
+			hs.streams.dials = m.Counter("fleet_stream_dials_total", "shard streams upgraded", obs.L("shard", name))
+			hs.streams.resets = m.Counter("fleet_stream_resets_total", "shard streams closed on an error or deadline", obs.L("shard", name))
+			hs.streams.rec = m.Recorder()
+		}
 		m.CounterFunc("fleet_routed_total", "reports delivered to the shard", func() float64 {
 			g.routedMu.Lock()
 			defer g.routedMu.Unlock()

@@ -24,11 +24,16 @@ type wireStack struct {
 
 func newWireStack(t *testing.T, b *building.Building, shards int, snapSeed uint64) *wireStack {
 	t.Helper()
+	return newWireStackConfig(t, b, shards, snapSeed, fleet.Config{})
+}
+
+func newWireStackConfig(t *testing.T, b *building.Building, shards int, snapSeed uint64, cfg fleet.Config) *wireStack {
+	t.Helper()
 	pool, err := fleet.NewLocalPool(b, shards, 2, 200)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gw, err := fleet.New(pool.Shards, fleet.Config{})
+	gw, err := fleet.New(pool.Shards, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,5 +251,48 @@ func TestFleetPresplitStaleRingFallback(t *testing.T) {
 	}
 	if want := mustJSON(t, single.DwellTotals()); !bytes.Equal(dwell, want) {
 		t.Fatalf("dwell after stale pre-splits differs:\n%s\nvs single:\n%s", dwell, want)
+	}
+}
+
+// TestSkewPresplitFallbackIsCounted: skew correction and the verbatim
+// forward do not compose — the gateway must see every timestamp before
+// routing — so under -skew-window every pre-split upload is re-split
+// server-side. That is not a digest miss and must not read as one: it
+// has its own counter, and the telemetry says once, up front, that the
+// forward is off. The state is what one clean server holds either way.
+func TestSkewPresplitFallbackIsCounted(t *testing.T) {
+	b := building.PaperHouse()
+	single := newServer(t, b)
+	if _, err := single.InstallModel(trainSnapshot(t, b, 42)); err != nil {
+		t.Fatal(err)
+	}
+	s := newWireStackConfig(t, b, 3, 42, fleet.Config{SkewWindow: time.Hour})
+	stream := synthStream(b, 12, 30, 9)
+	stampStream(stream, 1)
+	if _, err := single.IngestBatch(stream); err != nil {
+		t.Fatal(err)
+	}
+	sendChunks(t, &transport.ShardSplitter{BaseURL: s.ts.URL, Retry: transport.DefaultRetry()}, stream, 48)
+
+	uploads := float64((len(stream) + 47) / 48)
+	if got := s.counter("fleet_presplit_skew_fallback_total"); got != uploads {
+		t.Errorf("fleet_presplit_skew_fallback_total = %v after %v pre-split uploads under a skew window", got, uploads)
+	}
+	if miss, fwd := s.counter("fleet_presplit_digest_miss_total"), s.counter("fleet_presplit_forwarded_total"); miss != 0 || fwd != 0 {
+		t.Errorf("digest misses %v, forwards %v: the skew fallback is neither", miss, fwd)
+	}
+	announced := 0
+	for _, e := range s.met.TakeSnapshot().Events {
+		if e.Kind == obs.EventPresplitOff {
+			announced++
+		}
+	}
+	if announced != 1 {
+		t.Errorf("%d %s events recorded, want the one from wiring", announced, obs.EventPresplitOff)
+	}
+	occ, events, dwell := fleetViews(t, s.gw)
+	if !bytes.Equal(occ, mustJSON(t, single.Occupancy())) || !bytes.Equal(events, mustJSON(t, single.Events())) ||
+		!bytes.Equal(dwell, mustJSON(t, single.DwellTotals())) {
+		t.Fatal("the skew-window fleet's state differs from one clean server's")
 	}
 }

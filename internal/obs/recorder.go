@@ -39,6 +39,8 @@ const (
 	EventCompactError = "wal_compact_error" // a WAL compaction failed; the log was kept
 	EventShardDown    = "shard_down"        // dispatch marked a shard down
 	EventShardUp      = "shard_up"          // a health probe brought a shard back
+	EventStreamReset  = "stream_reset"      // a gateway → shard stream was closed on an error or deadline
+	EventPresplitOff  = "presplit_off"      // the gateway will re-split every pre-split upload (skew correction is on)
 )
 
 // Recorder is the bounded ring. A nil *Recorder drops every Record —

@@ -431,48 +431,84 @@ func (t Target) Do(client *http.Client, body []byte, policy RetryPolicy, dst *[]
 	if dst == nil {
 		dst = new([]byte)
 	}
-	var lastErr error
-	var spent time.Duration
-	for attempt := 0; attempt < policy.attempts(); attempt++ {
-		if attempt > 0 {
-			d := policy.backoff(attempt - 1)
-			if hint, ok := RetryAfter(lastErr); ok {
-				d = policy.shedDelay(hint)
-			}
-			if policy.Budget > 0 && spent+d > policy.Budget {
-				if tm := pkgMet.Load(); tm != nil {
-					tm.budgetExhausted.Inc()
-				}
-				// The cumulative wait is part of the diagnosis: a budget
-				// blown in 2 attempts of long sheds reads differently from
-				// one nibbled away by many short 5xx retries.
-				return nil, fmt.Errorf("transport: retry budget %v exhausted after %d attempts (waited %v): %w",
-					policy.Budget, attempt, spent, lastErr)
-			}
-			spent += d
-			if tm := pkgMet.Load(); tm != nil {
-				tm.retries.Inc()
-				tm.backoffWait.ObserveDuration(d)
-			}
-			policy.sleep(d)
-		}
+	for backoff := policy.Start(); ; {
 		payload, err := t.doOnce(client, body, attemptTimeout, dst)
 		if err == nil {
 			return payload, nil
 		}
-		lastErr = err
 		var se *statusError
 		if errors.As(err, &se) && se.code/100 != 5 && se.code != http.StatusTooManyRequests {
 			return nil, err // permanent rejection: do not retry 4xx (429 sheds excepted)
 		}
+		hint, shed := RetryAfter(err)
+		if err = backoff.Wait(err, hint, shed); err != nil {
+			return nil, err
+		}
 	}
-	return nil, lastErr
+}
+
+// Backoff is one exchange's progress through its RetryPolicy: attempts
+// made and backoff slept. Every retrying exchange — Target.Do, the
+// fleet's shard stream — loops "try; on a retryable failure, Wait", so
+// attempts, delays, the budget and the retry counters mean one thing.
+type Backoff struct {
+	policy  RetryPolicy
+	retries int
+	spent   time.Duration
+}
+
+// Start begins an exchange under the policy.
+func (p RetryPolicy) Start() Backoff { return Backoff{policy: p} }
+
+// Wait follows a failed attempt that may be retried. It sleeps the delay
+// before the next attempt — the capped exponential backoff, or, when the
+// server shed the attempt with a retry hint, that hint — and returns nil;
+// or it returns the error the exchange ends with: lastErr once the
+// attempts are spent, lastErr wrapped once the next sleep would pass the
+// budget.
+func (b *Backoff) Wait(lastErr error, hint time.Duration, shed bool) error {
+	p := b.policy
+	if b.retries+1 >= p.attempts() {
+		return lastErr
+	}
+	d := p.backoff(b.retries)
+	if shed {
+		d = p.shedDelay(hint)
+	}
+	b.retries++
+	if p.Budget > 0 && b.spent+d > p.Budget {
+		if tm := pkgMet.Load(); tm != nil {
+			tm.budgetExhausted.Inc()
+		}
+		// The cumulative wait is part of the diagnosis: a budget blown in
+		// 2 attempts of long sheds reads differently from one nibbled
+		// away by many short 5xx retries.
+		return fmt.Errorf("transport: retry budget %v exhausted after %d attempts (waited %v): %w",
+			p.Budget, b.retries, b.spent, lastErr)
+	}
+	b.spent += d
+	if tm := pkgMet.Load(); tm != nil {
+		tm.retries.Inc()
+		tm.backoffWait.ObserveDuration(d)
+	}
+	p.sleep(d)
+	return nil
 }
 
 // nilClientAttemptTimeout is the deadline DoJSON applies to EACH
 // attempt when handed a nil client. A var so tests can shrink the
 // window without waiting out real 5-second timeouts.
 var nilClientAttemptTimeout = 5 * time.Second
+
+// AttemptTimeout is the deadline one attempt of an exchange through
+// client runs under: the client's own Timeout, or the nil client's
+// per-attempt default.
+func AttemptTimeout(client *http.Client) time.Duration {
+	if client == nil {
+		return nilClientAttemptTimeout
+	}
+	return client.Timeout
+}
 
 // attempt is one exchange attempt's request and body reader in a single
 // allocation. Every attempt gets a fresh one over the same bytes, so a
@@ -541,6 +577,14 @@ func (t Target) doOnce(client *http.Client, body []byte, timeout time.Duration, 
 		return nil, fmt.Errorf("transport: read response: %w", err)
 	}
 	return payload, nil
+}
+
+// StatusError is the rejection a server answering code would have
+// produced, for a leg that carries its statuses some other way than an
+// HTTP response (the fleet's shard stream): StatusCode and everything
+// that classifies by it read it as they read the real thing.
+func StatusError(code int, reason string) error {
+	return &statusError{code: code, status: strconv.Itoa(code) + " " + http.StatusText(code), body: reason}
 }
 
 // StatusCode extracts the HTTP status of a server rejection from err

@@ -1,0 +1,160 @@
+// The shard stream envelope: the gateway → shard leg after its HTTP
+// Upgrade (GET StreamPath, "Upgrade: occusim-shard/1") is one long-lived
+// connection carrying one exchange at a time, little-endian like the
+// frames inside it:
+//
+//	request  [version u8][length u32][gateway epoch u64][wire frame, verbatim]
+//	reply    [length u32][status u8][body]
+//
+// A request's length counts the epoch and the frame, a reply's the status
+// and the body. Neither side can resynchronise after a bad envelope, so
+// whoever reads one closes the connection. The version byte is where a
+// batch id goes when one exists.
+package wire
+
+import (
+	"bufio"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"io"
+)
+
+// ErrBadEnvelope reports bytes that are not an envelope — as opposed to a
+// connection that failed while carrying one.
+var ErrBadEnvelope = errors.New("wire: malformed stream envelope")
+
+const (
+	// StreamPath is the route a shard upgrades on.
+	StreamPath = "/api/v1/shard:stream"
+	// StreamProtocol is the Upgrade token both ends must name.
+	StreamProtocol = "occusim-shard/1"
+	// StreamVersion leads every request envelope.
+	StreamVersion = 0x01
+)
+
+// Reply statuses. What the HTTP door said with a status code and headers,
+// the stream says with one byte and a body.
+const (
+	// StreamOK carries the rooms ack of AppendRooms.
+	StreamOK byte = iota
+	// StreamStale is the leadership fence (the POST door's 409): u64
+	// granted epoch, then the leader hint to the end of the body.
+	StreamStale
+	// StreamOverload is a shed admission (429): u64 retry-after
+	// nanoseconds.
+	StreamOverload
+	// StreamRejected is a frame the shard would not apply (400): the
+	// reason as text.
+	StreamRejected
+	// StreamTooLarge is a request announcing more than MaxBodyBytes
+	// (413), refused before it is buffered; the shard then closes.
+	StreamTooLarge
+)
+
+// AppendStreamRequest appends one request envelope, so the caller sends
+// it in a single Write.
+func AppendStreamRequest(dst []byte, epoch uint64, frame []byte) []byte {
+	dst = append(dst, StreamVersion)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(8+len(frame)))
+	dst = binary.LittleEndian.AppendUint64(dst, epoch)
+	return append(dst, frame...)
+}
+
+// ReadStreamRequest reads one request envelope into *buf (reused, grown
+// as bytes arrive) and returns the epoch and the frame, a view of *buf
+// the next call overwrites. io.EOF means the peer hung up between
+// envelopes; an announced length past MaxBodyBytes is ErrBodyTooLarge,
+// refused before any of it is buffered; anything else that is not an
+// envelope is ErrBadEnvelope.
+func ReadStreamRequest(br *bufio.Reader, buf *[]byte) (epoch uint64, frame []byte, err error) {
+	head, err := readHead(br, 1+4)
+	if err != nil {
+		return 0, nil, err
+	}
+	version, n := head[0], binary.LittleEndian.Uint32(head[1:])
+	switch {
+	case version != StreamVersion:
+		return 0, nil, fmt.Errorf("%w: request version 0x%02x", ErrBadEnvelope, version)
+	case n > MaxBodyBytes:
+		return 0, nil, ErrBodyTooLarge
+	case n < 8:
+		return 0, nil, fmt.Errorf("%w: request of %d bytes has no epoch", ErrBadEnvelope, n)
+	}
+	body, err := readExact(br, int(n), buf)
+	if err != nil {
+		return 0, nil, err
+	}
+	return binary.LittleEndian.Uint64(body), body[8:], nil
+}
+
+// BeginStreamReply starts a reply envelope in dst: the caller appends the
+// body and calls EndStreamReply, then sends dst in a single Write.
+func BeginStreamReply(dst []byte, status byte) []byte {
+	return append(dst, 0, 0, 0, 0, status)
+}
+
+// EndStreamReply patches the length of the reply BeginStreamReply started
+// at dst[0].
+func EndStreamReply(dst []byte) {
+	binary.LittleEndian.PutUint32(dst, uint32(len(dst)-4))
+}
+
+// ReadStreamReply reads one reply envelope into *buf and returns its
+// status and body, a view of *buf the next call overwrites. A reply whose
+// body is longer than limit is refused before it is buffered.
+func ReadStreamReply(br *bufio.Reader, limit int, buf *[]byte) (status byte, body []byte, err error) {
+	head, err := readHead(br, 4)
+	if err != nil {
+		return 0, nil, err
+	}
+	n := binary.LittleEndian.Uint32(head)
+	switch {
+	case n == 0:
+		return 0, nil, fmt.Errorf("%w: reply without a status", ErrBadEnvelope)
+	case int64(n) > int64(limit)+1:
+		return 0, nil, fmt.Errorf("%w: reply of %d bytes, limit %d", ErrBadEnvelope, n-1, limit)
+	}
+	reply, err := readExact(br, int(n), buf)
+	if err != nil {
+		return 0, nil, err
+	}
+	return reply[0], reply[1:], nil
+}
+
+// readHead takes an envelope's fixed-size head off br, as a view of br's
+// own buffer (the caller decodes it before reading on): io.EOF when the
+// stream ended on an envelope boundary.
+func readHead(br *bufio.Reader, n int) ([]byte, error) {
+	head, err := br.Peek(n)
+	if err != nil {
+		if err == io.EOF && len(head) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
+		return nil, err
+	}
+	_, _ = br.Discard(n) // cannot fail: the bytes are buffered
+	return head, nil
+}
+
+// readExact reads exactly n bytes into *buf. The buffer grows as the
+// bytes arrive, not to the announced n: a peer that announces much and
+// sends little costs what it sent.
+func readExact(br *bufio.Reader, n int, buf *[]byte) ([]byte, error) {
+	b := (*buf)[:0]
+	for len(b) < n {
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+		m, err := br.Read(b[len(b):min(cap(b), n)])
+		b = b[:len(b)+m]
+		*buf = b
+		if err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
+		}
+	}
+	return b, nil
+}
