@@ -22,8 +22,9 @@ test:
 test-short:
 	$(GO) test -short ./...
 
-# test-race mirrors the CI race job: striping/batching regressions in
-# the concurrent ingest pipeline surface here.
+# test-race mirrors the CI race job: regressions in the concurrent
+# ingest pipeline — the store's and tracker's per-device lock stripes,
+# the one log's leader/follower group commit — surface here.
 test-race:
 	$(GO) test -race ./...
 
@@ -73,8 +74,12 @@ bench-diff:
 # line; the binary run proves the framed codec and the gateway → shard
 # streams land byte-identical state through real processes. Both assert
 # from telemetry that no stream was reset (and, under -wire json, that
-# none was opened), and from each shard's log that the SIGTERM drain
-# stopped its streams — 0 left open — before compacting.
+# none was opened) and that every acknowledged WAL append was covered by
+# exactly one completed fsync with no append failing
+# (wal_group_commit_frames sums to wal_append_seconds' count), from each
+# shard's log that the SIGTERM drain stopped its streams — 0 left open —
+# before compacting, and from its data directory that the drain left
+# exactly wal.log and one snapshot.
 loadtest:
 	$(GO) run ./cmd/loadgen -shards 2 -devices 12 -reports 60 -seed 7
 	$(GO) run ./cmd/loadgen -shards 3 -devices 12 -reports 60 -seed 7 -flaky 0.2
@@ -109,7 +114,10 @@ loadtest:
 # records (and on the encoder's, under JSON) through real processes —
 # and mid-exchange on the gateway → shard streams, where the drill
 # asserts from telemetry that every kill cost the killed shard's leg at
-# least one stream reset and one redial, and no other shard's any. The
+# least one stream reset and one redial, and no other shard's any. Both
+# shard drills also make the loadtest's WAL assertions: one fsync covers
+# each acknowledged append (a restarted shard counts from its restart),
+# no append failed, and the drain leaves wal.log and one snapshot. The
 # shard drills are paced (-rate 400: ≈ 1.8 s of traffic) so both kills
 # land with traffic on either side of them; unpaced, the whole trace is
 # sent in less time than one shard takes to restart.

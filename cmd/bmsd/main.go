@@ -53,14 +53,14 @@
 // breaker on consecutive infrastructure failures so a black-holed shard
 // fails fast instead of eating a timeout per request.
 //
-// With -data-dir, every shard opens a per-stripe write-ahead log under
+// With -data-dir, every shard opens a write-ahead log under
 // <data-dir>/shard-<i>/ and recovers its full state — observations,
 // occupancy, dedup marks, model — at boot, so even a kill -9 loses
 // nothing that reached the log (see internal/store WAL docs). -fsync
 // picks the sync policy: "batch" syncs every append, "interval" syncs
 // on a 100ms ticker, "off" leaves flushing to the kernel (process
 // crashes still lose nothing; power loss can). A graceful shutdown
-// additionally compacts: state is snapshotted and the logs truncate,
+// additionally compacts: state is snapshotted and the log truncated,
 // so the next boot replays the snapshot alone. In fleet mode the
 // gateway itself persists nothing — at boot it rebuilds its device
 // registry by asking each recovered shard for its device set.
@@ -365,7 +365,7 @@ func main() {
 		}
 	}
 	// Durable shards drain through a final compaction: snapshot the full
-	// state, truncate the logs, close the files. The next boot replays
+	// state, truncate the log, close the file. The next boot replays
 	// the snapshot alone.
 	if *dataDir != "" {
 		if err := pool.Close(); err != nil {

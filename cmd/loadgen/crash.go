@@ -17,6 +17,7 @@ import (
 	"net/http"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
@@ -245,7 +246,8 @@ func (c *crashFleet) stop() {
 // drain stops the pool gracefully and holds every shard to its drain
 // order: the log must say the streams were stopped — 0 left open — before
 // it says the durable state was compacted, or an acknowledgement could
-// have raced the final snapshot.
+// have raced the final snapshot. What the drain leaves on disk is one
+// log and the one snapshot it was compacted into, nothing else.
 func (c *crashFleet) drain() error {
 	c.stop()
 	for _, p := range c.procs {
@@ -257,8 +259,52 @@ func (c *crashFleet) drain() error {
 		if stopped < 0 || compacted < 0 || stopped > compacted {
 			return fmt.Errorf("%s did not drain in order (streams stopped at byte %d of its log, state compacted at %d)", p.name, stopped, compacted)
 		}
+		// bmsd -shards 1 keeps its one shard's WAL under <data-dir>/shard-0.
+		entries, err := os.ReadDir(filepath.Join(p.dir, "shard-0"))
+		if err != nil {
+			return fmt.Errorf("%s data directory: %w", p.name, err)
+		}
+		var names []string
+		for _, e := range entries {
+			names = append(names, e.Name())
+		}
+		// ReadDir sorts by name: the snapshot, then the log.
+		if len(names) != 2 || !strings.HasPrefix(names[0], "snapshot-") || filepath.Ext(names[0]) != ".snap" || names[1] != "wal.log" {
+			return fmt.Errorf("%s drained to %q, want exactly one snapshot-*.snap and wal.log", p.name, names)
+		}
 	}
-	fmt.Printf("drain assertions: every shard stopped its streams (0 left open) before compacting its durable state\n")
+	fmt.Printf("drain assertions: every shard stopped its streams (0 left open) before compacting its durable state into one snapshot beside one wal.log\n")
+	return nil
+}
+
+// assertWALTelemetry holds each shard's log to the group-commit contract
+// from its own /api/v1/telemetry, once the fleet is quiet: under -fsync
+// batch every acknowledged append was covered by exactly one completed
+// fsync — the group sizes sum to the append count, whoever led — and no
+// append failed. A restarted shard counts from its restart.
+func (c *crashFleet) assertWALTelemetry() error {
+	if c.fsync != "batch" {
+		return nil
+	}
+	var appends, fsyncs uint64
+	for _, p := range c.procs {
+		snap, err := httpSource("http://" + p.addr)()
+		if err != nil {
+			return fmt.Errorf("%s telemetry: %w", p.name, err)
+		}
+		groups, appended := snap.Histograms["wal_group_commit_frames"], snap.Histograms["wal_append_seconds"]
+		if groups.Sum != int64(appended.Count) {
+			return fmt.Errorf("%s acknowledged %d appends but its %d fsyncs covered %d frames — a frame was acknowledged unsynced, or synced twice", p.name, appended.Count, groups.Count, groups.Sum)
+		}
+		if failed := snap.Counters["wal_append_errors_total"]; failed != 0 {
+			return fmt.Errorf("%s failed %.0f WAL appends", p.name, failed)
+		}
+		appends, fsyncs = appends+appended.Count, fsyncs+groups.Count
+	}
+	if appends == 0 {
+		return fmt.Errorf("no shard appended to its WAL — the assertion was vacuous")
+	}
+	fmt.Printf("wal assertions: %d acknowledged appends, each covered by exactly one of %d fsyncs; 0 append errors\n", appends, fsyncs)
 	return nil
 }
 

@@ -471,6 +471,9 @@ func run(target string, shards int, plan string, devices, reports int, rate floa
 		if err := crashPool.assertStreamTelemetry(); err != nil {
 			return err
 		}
+		if err := crashPool.assertWALTelemetry(); err != nil {
+			return err
+		}
 		cgw := crashPool.gw.Load()
 		printRollup(cgw)
 		if err := verifyGroundTruth(b, cgw, streams, seed); err != nil {

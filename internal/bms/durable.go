@@ -112,7 +112,7 @@ func (s *Server) WALSize() int64 {
 
 // Close drains the server: it stops the gateway streams between frames
 // and then, on a durable server, compacts the WAL (one final snapshot,
-// logs truncated) and closes it — in that order, so no stream
+// log truncated) and closes it — in that order, so no stream
 // acknowledges a frame the closed log cannot hold. Close is the graceful
 // path; a killed process simply recovers from snapshot + log at the next
 // OpenDurableServer.
@@ -159,12 +159,12 @@ func (s *Server) maybeCompact() {
 
 // Record type tags of the JSON (cold) records.
 const (
-	recInstall = "install" // striped: a migrated device's state installed
-	recEvict   = "evict"   // striped: a device's state evicted (migration)
-	recExpire  = "expire"  // striped: TTL sweep expired these devices
-	recModel   = "model"   // meta: a model snapshot went live
-	recFP      = "fp"      // meta: a fingerprint sample was stored
-	recLease   = "lease"   // meta: a gateway leadership epoch was granted
+	recInstall = "install" // a migrated device's state installed
+	recEvict   = "evict"   // a device's state evicted (migration)
+	recExpire  = "expire"  // TTL sweep expired these devices
+	recModel   = "model"   // a model snapshot went live
+	recFP      = "fp"      // a fingerprint sample was stored
+	recLease   = "lease"   // a gateway leadership epoch was granted
 )
 
 // walRecord is the JSON envelope of every cold WAL payload. Field
@@ -179,7 +179,7 @@ type walRecord struct {
 	Lease   *leaseRecJSON  `json:"lease,omitempty"`
 }
 
-// leaseRecJSON is a gateway leadership grant on disk — the cold meta
+// leaseRecJSON is a gateway leadership grant on disk — the cold
 // record (and snapshot field) that makes write fencing survive a shard
 // restart: a crashed arbiter must never re-grant a deposed epoch.
 type leaseRecJSON struct {
@@ -194,20 +194,19 @@ type fpRecJSON struct {
 }
 
 // Observation records are the WAL's hot path — every ingested batch
-// writes one per touched stripe, and under FsyncBatch each such write
-// is also an fsync boundary — so they are the batch's wire payload, not
-// a second encoding of it:
+// writes one, and under FsyncBatch that write is also an fsync boundary
+// — so they are the batch's wire payload, not a second encoding of it:
 //
 //	[recObsTag][u32 LE payload length][wire batch payload][rooms]
 //
-// A frame whose reports share a stripe (every single-device upload) is
-// logged with the very payload bytes the shard received and checked;
-// anything else goes through the same wire.AppendPayload the devices
-// use. The report clock therefore stays the float64 seconds the device
-// sent, and replay converts it with the same reportTime as ingest. The
-// rooms suffix carries the rooms predicted at ingest time, run-length
-// coded — (uvarint run, uvarint name length, name) until every report
-// is covered — because a device mostly stays where it is. JSON records
+// A batch that arrived as a wire frame is logged with the very payload
+// bytes the shard received and checked; one from the JSON door goes
+// through the same wire.AppendPayload the devices use. The report clock
+// therefore stays the float64 seconds the device sent, and replay
+// converts it with the same reportTime as ingest. The rooms suffix
+// carries the rooms predicted at ingest time, run-length coded —
+// (uvarint run, uvarint name length, name) until every report is
+// covered — because a device mostly stays where it is. JSON records
 // start with '{', so the tag can never open one.
 const recObsTag = 0x02
 
@@ -287,66 +286,20 @@ func decodeObsRecord(rec []byte, b *wire.Batch, rooms []string, names wire.Inter
 	return rooms, nil
 }
 
-// logObservations appends one record per touched stripe — so a batch
-// costs one append (and under FsyncBatch one fsync) per stripe, however
-// its devices interleave. payload, when non-nil, is the received wire
-// payload b was decoded from; a batch confined to one stripe logs it
-// verbatim. A batch spanning stripes is grouped stably, so each
-// device's reports keep their order. The caller holds the Begin guard.
+// logObservations appends the batch as one record — one append, and
+// under FsyncBatch one fsync, however many devices it interleaves, and
+// all of it or none of it on disk after a crash. payload, when non-nil,
+// is the received wire payload b was decoded from and is logged
+// verbatim. The caller holds the Begin guard.
 func (s *Server) logObservations(b *wire.Batch, payload []byte, rooms []string) error {
 	buf := wire.GetBuf()
 	defer wire.PutBuf(buf)
-	stripes := make([]uint8, 0, 64) // on the stack for ordinary batch sizes
-	spans := false
-	for _, device := range b.Devices {
-		idx := uint8(store.StripeFor(device))
-		spans = spans || (len(stripes) > 0 && idx != stripes[0])
-		stripes = append(stripes, idx)
-	}
-	if !spans {
-		*buf = appendObsRecord(*buf, b, payload, rooms)
-		return s.dur.wal.Append(int(stripes[0]), *buf)
-	}
-	sub := wire.GetBatch()
-	defer wire.PutBatch(sub)
-	subRooms := make([]string, 0, len(rooms))
-	for idx := 0; idx < store.ObsStripes; idx++ {
-		sub.Reset()
-		subRooms = subRooms[:0]
-		for i, at := range stripes {
-			if int(at) != idx {
-				continue
-			}
-			sub.AddReport(b.Devices[i], b.At[i], b.Epoch[i], b.Seq[i])
-			for _, bc := range b.ReportBeacons(i) {
-				sub.AddBeacon(bc)
-			}
-			subRooms = append(subRooms, rooms[i])
-		}
-		if sub.Len() == 0 {
-			continue
-		}
-		*buf = appendObsRecord((*buf)[:0], sub, nil, subRooms)
-		if err := s.dur.wal.Append(idx, *buf); err != nil {
-			return err
-		}
-	}
-	return nil
+	*buf = appendObsRecord(*buf, b, payload, rooms)
+	return s.dur.wal.AppendMeta(*buf)
 }
 
-// logStriped appends one non-observation striped record for a device.
-// The caller holds the Begin guard.
-func (s *Server) logStriped(device string, rec walRecord) error {
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("bms: wal encode: %w", err)
-	}
-	return s.dur.wal.Append(store.StripeFor(device), payload)
-}
-
-// logMeta appends an unstriped record. The caller holds the Begin
-// guard.
-func (s *Server) logMeta(rec walRecord) error {
+// logRecord appends one cold record. The caller holds the Begin guard.
+func (s *Server) logRecord(rec walRecord) error {
 	payload, err := json.Marshal(rec)
 	if err != nil {
 		return fmt.Errorf("bms: wal encode: %w", err)
@@ -383,7 +336,7 @@ func (s *Server) recover(w *store.WAL) error {
 		}
 		return s.applyObsReplay(b, rooms)
 	}
-	return w.Replay(replay, func(_ int, payload []byte) error { return replay(payload) })
+	return w.Replay(replay, nil)
 }
 
 // replayCold applies one recovered JSON record through the normal

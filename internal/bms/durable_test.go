@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"occusim/internal/building"
+	"occusim/internal/obs"
 	"occusim/internal/store"
 	"occusim/internal/transport"
 	"occusim/internal/wire"
@@ -58,7 +59,7 @@ func sequenced(r transport.Report, seq uint64) transport.Report {
 }
 
 // TestDurableRecoverAfterKill simulates kill -9: the first server is
-// abandoned without Close (its WAL files keep every logged record) and
+// abandoned without Close (its log file keeps every logged record) and
 // a second server recovers from the same directory. Every view must be
 // byte-identical.
 func TestDurableRecoverAfterKill(t *testing.T) {
@@ -149,9 +150,9 @@ func TestDurableCompactionPreservesState(t *testing.T) {
 	}
 }
 
-// TestDurableDeviceLifecycleReplays covers the striped non-observation
+// TestDurableDeviceLifecycleReplays covers the device-lifecycle
 // records: evict, install and expire must land in the log and replay
-// in per-device order.
+// in the order they happened.
 func TestDurableDeviceLifecycleReplays(t *testing.T) {
 	dir := t.TempDir()
 	s1, b := openDurable(t, dir, store.FsyncOff)
@@ -261,9 +262,9 @@ func TestBinaryObsRecordRoundtrip(t *testing.T) {
 // TestDurableRecordSameThroughEveryDoor: the WAL does not remember which
 // face a report came in by. The same reports through the JSON doors
 // (Ingest, IngestBatch) and as wire frames (IngestWireFrameFenced) leave
-// byte-identical stripe logs — single-device uploads, whose received
-// payload is logged verbatim, and stripe-spanning ones, which are
-// regrouped, alike.
+// byte-identical logs, one record an upload — single-device uploads and
+// a 24-device relay batch alike — and what the wire door logged is the
+// payload of the frame it received, verbatim.
 func TestDurableRecordSameThroughEveryDoor(t *testing.T) {
 	jsonDir, wireDir := t.TempDir(), t.TempDir()
 	viaJSON := openDurableRetain(t, jsonDir, 100, store.FsyncOff)
@@ -276,17 +277,12 @@ func TestDurableRecordSameThroughEveryDoor(t *testing.T) {
 		uploads = append(uploads, reports)
 	}
 	var relay []transport.Report
-	stripes := map[int]bool{}
 	for d := 0; d < 24; d++ {
-		device := fmt.Sprintf("relay-%02d", d)
-		stripes[store.StripeFor(device)] = true
-		relay = append(relay, sequenced(reportNear(b, device, d%len(b.Beacons), 1.1+float64(d)/7), 1))
-	}
-	if len(stripes) < 4 {
-		t.Fatalf("vacuous: the relay batch touches %d stripes", len(stripes))
+		relay = append(relay, sequenced(reportNear(b, fmt.Sprintf("relay-%02d", d), d%len(b.Beacons), 1.1+float64(d)/7), 1))
 	}
 	uploads = append(uploads, relay, []transport.Report{sequenced(reportNear(b, "loner", 0, 0.3), 1)})
 
+	var frames [][]byte
 	for n, reports := range uploads {
 		var want []string
 		var err error
@@ -304,7 +300,8 @@ func TestDurableRecordSameThroughEveryDoor(t *testing.T) {
 		if err := transport.EncodeReports(wb, reports); err != nil {
 			t.Fatal(err)
 		}
-		got, err := viaWire.IngestWireFrameFenced(0, wire.AppendFrame(nil, wb))
+		frames = append(frames, wire.AppendFrame(nil, wb))
+		got, err := viaWire.IngestWireFrameFenced(0, frames[n])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -313,23 +310,156 @@ func TestDurableRecordSameThroughEveryDoor(t *testing.T) {
 		}
 	}
 
-	logged := 0
-	for i := 0; i < store.ObsStripes; i++ {
-		name := fmt.Sprintf("stripe-%02d.wal", i)
-		j, err := os.ReadFile(filepath.Join(jsonDir, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		w, err := os.ReadFile(filepath.Join(wireDir, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(j, w) {
-			t.Errorf("%s: %d bytes logged through the JSON doors differ from %d through the wire door", name, len(j), len(w))
-		}
-		logged += len(j)
+	j, err := os.ReadFile(filepath.Join(jsonDir, "wal.log"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if logged == 0 {
-		t.Fatal("vacuous: nothing reached the stripe logs")
+	w, err := os.ReadFile(filepath.Join(wireDir, "wal.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(j, w) {
+		t.Errorf("%d bytes logged through the JSON doors differ from %d through the wire door", len(j), len(w))
+	}
+	n := 0
+	if _, err := wire.Scan(w, func(_ uint64, rec []byte) error {
+		if n < len(frames) {
+			payload, err := wire.DecodeFramePayload(frames[n], new(wire.Batch))
+			if err != nil {
+				return err
+			}
+			if len(rec) < 5+len(payload) || !bytes.Equal(rec[5:5+len(payload)], payload) {
+				t.Errorf("record %d does not carry upload %d's received payload verbatim", n, n)
+			}
+		}
+		n++
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if n != len(uploads) {
+		t.Fatalf("%d records for %d uploads, want one each", n, len(uploads))
+	}
+}
+
+// TestDurableBatchIsAtomicInTheLog cuts wal.log at every byte inside a
+// relay batch's frame — the torn write of a power loss mid-batch.
+// Recovery must keep everything before the batch and none of the batch:
+// no device of it is known, whichever device's bytes the cut fell in.
+func TestDurableBatchIsAtomicInTheLog(t *testing.T) {
+	src := t.TempDir()
+	s1 := openDurableRetain(t, src, 100, store.FsyncOff)
+	b := building.PaperHouse()
+	before, _ := deviceBatch(t, b, "settled", 1, 3)
+	if _, err := s1.IngestBatch(before); err != nil {
+		t.Fatal(err)
+	}
+	want := viewsJSON(t, s1)
+	prefix := int(s1.WALSize())
+	var relay []transport.Report
+	for d := 0; d < 12; d++ {
+		relay = append(relay, sequenced(reportNear(b, fmt.Sprintf("relay-%02d", d), d%len(b.Beacons), 40+float64(d)/7), 1))
+	}
+	if _, err := s1.IngestBatch(relay); err != nil {
+		t.Fatal(err)
+	}
+	full, err := os.ReadFile(filepath.Join(src, "wal.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(full) != int(s1.WALSize()) || len(full)-prefix < 12*20 {
+		t.Fatalf("vacuous: log is %d bytes after a %d-byte prefix (the WAL counts %d)", len(full), prefix, s1.WALSize())
+	}
+	for cut := prefix; cut < len(full); cut++ {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "wal.log"), full[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s2 := openDurableRetain(t, dir, 100, store.FsyncOff)
+		if got := viewsJSON(t, s2); got != want {
+			t.Fatalf("cut at byte %d of %d: recovered views\n got: %s\nwant: %s", cut, len(full), got, want)
+		}
+		if fi, err := os.Stat(filepath.Join(dir, "wal.log")); err != nil || fi.Size() != int64(prefix) {
+			t.Fatalf("cut at byte %d: log not repaired to the %d-byte prefix (%v)", cut, prefix, err)
+		}
+		_ = s2.dur.wal.Close()
+	}
+}
+
+// TestDurableAppendFailureIsCounted: the TTL sweep applies, then logs,
+// and treats a failed log append as survivable — but not as invisible.
+// Against a closed log file the append fails: wal_append_errors_total
+// says so, and ExpireBefore still returns what it expired.
+func TestDurableAppendFailureIsCounted(t *testing.T) {
+	s := openDurableRetain(t, t.TempDir(), 100, store.FsyncOff)
+	m := obs.New()
+	s.Instrument(m)
+	b := building.PaperHouse()
+	for _, device := range []string{"early", "late"} {
+		if _, err := s.Ingest(sequenced(reportNear(b, device, 0, 1), 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := m.TakeSnapshot().Counters["wal_append_errors_total"]; got != 0 {
+		t.Fatalf("wal_append_errors_total = %v before any failure", got)
+	}
+	if err := s.dur.wal.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.ExpireBefore(100 * time.Second); !slices.Equal(got, []string{"early", "late"}) {
+		t.Fatalf("expired %v with the log closed, want both devices", got)
+	}
+	if got := m.TakeSnapshot().Counters["wal_append_errors_total"]; got != 1 {
+		t.Fatalf("wal_append_errors_total = %v after one failed append, want 1", got)
+	}
+	if _, err := s.Ingest(sequenced(reportNear(b, "early", 0, 200), 2)); err == nil {
+		t.Fatal("an ingest whose log append failed was acknowledged")
+	}
+	if got := m.TakeSnapshot().Counters["wal_append_errors_total"]; got != 2 {
+		t.Fatalf("wal_append_errors_total = %v after two failed appends, want 2", got)
+	}
+}
+
+// TestDurableOpensDrainedStripedDirectory: what a graceful stop of a
+// build from before the one-file log leaves — a snapshot beside
+// truncated stripe-NN.wal and meta.wal files — opens as is: the empty
+// leftovers go, the snapshot's state comes back.
+func TestDurableOpensDrainedStripedDirectory(t *testing.T) {
+	dir := t.TempDir()
+	s1, b := openDurable(t, dir, store.FsyncOff)
+	trainServer(t, s1, b)
+	for i := 0; i < 5; i++ {
+		if _, err := s1.Ingest(sequenced(reportNear(b, "phone", i%len(b.Beacons), float64(i)), uint64(i+1))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := viewsJSON(t, s1)
+	if err := s1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// The snapshot format did not change; dress the directory as the
+	// older layout left it.
+	if err := os.Remove(filepath.Join(dir, "wal.log")); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 16; i++ {
+		if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("stripe-%02d.wal", i)), nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.WriteFile(filepath.Join(dir, "meta.wal"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s2, _ := openDurable(t, dir, store.FsyncOff)
+	defer s2.Close()
+	if got := viewsJSON(t, s2); got != want {
+		t.Fatalf("views recovered from the drained directory diverge\n got: %s\nwant: %s", got, want)
+	}
+	names, err := filepath.Glob(filepath.Join(dir, "*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(names) != 2 || filepath.Base(names[1]) != "wal.log" || filepath.Ext(names[0]) != ".snap" {
+		t.Fatalf("the directory holds %v, want one snapshot and wal.log", names)
 	}
 }

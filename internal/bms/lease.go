@@ -183,7 +183,7 @@ func (s *Server) admitEpoch(epoch uint64) error {
 	return nil
 }
 
-// logLease appends the grant record to the meta log. The caller holds
+// logLease appends the grant record to the log. The caller holds
 // s.lease.mu; the record must be durable before the grant is
 // acknowledged, or a crashed shard could re-grant a deposed epoch.
 func (s *Server) logLease(epoch uint64, holder string) error {
@@ -192,7 +192,7 @@ func (s *Server) logLease(epoch uint64, holder string) error {
 	}
 	end := s.dur.wal.Begin()
 	defer end()
-	return s.logMeta(walRecord{T: recLease, Lease: &leaseRecJSON{Epoch: epoch, Holder: holder}})
+	return s.logRecord(walRecord{T: recLease, Lease: &leaseRecJSON{Epoch: epoch, Holder: holder}})
 }
 
 // installLease applies a recovered grant (WAL replay or snapshot

@@ -345,7 +345,7 @@ func (s *Server) AddFingerprint(sample fingerprint.Sample) error {
 		for id, d := range sample.Distances {
 			fp.Distances[id.String()] = d
 		}
-		if err := s.logMeta(walRecord{T: recFP, FP: &fp}); err != nil {
+		if err := s.logRecord(walRecord{T: recFP, FP: &fp}); err != nil {
 			return err
 		}
 	}
@@ -412,7 +412,7 @@ func (s *Server) Train(c, gamma float64, seed uint64) (TrainResult, error) {
 		// fingerprints that produced it are already logged; retraining
 		// is deterministic given the same seed). The Begin guard still
 		// spans both halves, so compaction cannot split them.
-		if err := s.logMeta(walRecord{T: recModel, Snap: &snap}); err != nil {
+		if err := s.logRecord(walRecord{T: recModel, Snap: &snap}); err != nil {
 			return TrainResult{}, err
 		}
 	}
@@ -500,7 +500,7 @@ func (s *Server) InstallModel(snap ModelSnapshot) (int, error) {
 	if s.dur != nil {
 		// Logged only when accepted (a crash in the gap is healed by the
 		// gateway retrying the distribution).
-		if err := s.logMeta(walRecord{T: recModel, Snap: &snap}); err != nil {
+		if err := s.logRecord(walRecord{T: recModel, Snap: &snap}); err != nil {
 			return 0, err
 		}
 	}
@@ -560,7 +560,7 @@ func (s *Server) EvictDevice(device string) (DeviceState, bool) {
 		defer end()
 		// Logged unconditionally — evicting an unknown device replays as
 		// the same no-op it is live.
-		if err := s.logStriped(device, walRecord{T: recEvict, Device: device}); err != nil {
+		if err := s.logRecord(walRecord{T: recEvict, Device: device}); err != nil {
 			return DeviceState{}, false
 		}
 	}
@@ -579,7 +579,7 @@ func (s *Server) InstallDevice(st DeviceState) error {
 	if s.dur != nil {
 		end := s.dur.wal.Begin()
 		defer end()
-		if err := s.logStriped(st.Device, walRecord{T: recInstall, State: &st}); err != nil {
+		if err := s.logRecord(walRecord{T: recInstall, State: &st}); err != nil {
 			return err
 		}
 	}
@@ -613,19 +613,11 @@ func (s *Server) ExpireBefore(cutoff time.Duration) []string {
 	}
 	if s.dur != nil && len(expired) > 0 {
 		// Apply-then-log: the sweep resolves the cutoff into concrete
-		// device names, and those are what must replay (each in its own
-		// stripe, at this point in that stripe's record order). A crash
-		// in the gap merely resurrects residue the next sweep re-expires.
-		byStripe := map[int][]string{}
-		for _, device := range expired {
-			idx := store.StripeFor(device)
-			byStripe[idx] = append(byStripe[idx], device)
-		}
-		for _, devices := range byStripe {
-			if err := s.logStriped(devices[0], walRecord{T: recExpire, Devices: devices}); err != nil {
-				break
-			}
-		}
+		// device names, and those are what must replay, at this point in
+		// the log. A crash in the gap — or a failed append, which the WAL
+		// counts (wal_append_errors_total) — merely resurrects residue the
+		// next sweep re-expires.
+		_ = s.logRecord(walRecord{T: recExpire, Devices: expired})
 	}
 	return expired
 }

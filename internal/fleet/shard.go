@@ -202,7 +202,7 @@ func NewLocalPool(b *building.Building, n, debounce, retain int) (*LocalPool, er
 }
 
 // NewDurableLocalPool builds the pool as NewLocalPool does, but every
-// server opens a per-stripe WAL under dataDir/shard-<i>/ — the durable
+// server opens a WAL under dataDir/shard-<i>/ — the durable
 // substrate bmsd -shards and the crashtest harness run on. Recovery is
 // implicit: a pool opened over a directory a previous (possibly
 // killed) pool wrote replays each shard back to its pre-crash state.

@@ -1,9 +1,11 @@
 // Write-ahead log: the store's crash-safety layer. A WAL is a data
-// directory holding one append-only log file per observation stripe
-// (so concurrent ingest appends do not serialise on one file mutex, in
-// the same way the in-memory store is lock-striped), one meta log for
-// unstriped records (model snapshots, fingerprints), and a compacting
-// snapshot.
+// directory holding one append-only log file, wal.log, and a compacting
+// snapshot. One file, not one per in-memory lock stripe: the write into
+// the page cache that a file mutex serialises takes microseconds, the
+// fsync a fraction of a millisecond, so concurrent appenders should meet
+// in one file where one fsync commits all of them (syncUpTo). Replay
+// order is append order, every kind of record interleaved as it
+// happened.
 //
 // The WAL carries opaque payloads: framing, checksums, fsync policy,
 // compaction and torn-tail recovery live here; record semantics (what
@@ -26,17 +28,19 @@
 //
 // The generation is the compaction barrier. Compact writes the
 // snapshot to snapshot-<gen+1> (atomically: temp file, fsync, rename),
-// bumps the generation, then truncates the logs. Replay skips frames
+// bumps the generation, then truncates the log. Replay skips frames
 // whose generation is below the newest snapshot's, so a crash between
-// the snapshot rename and the truncation — when the logs still carry
+// the snapshot rename and the truncation — when the log still carries
 // records the snapshot already contains — cannot double-apply or, for
 // destructive records (evictions), re-apply stale mutations over the
 // newer snapshot state.
 package store
 
 import (
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -56,9 +60,10 @@ import (
 type walMetrics struct {
 	appendLatency  *obs.Histogram // frame framed-to-durable, per policy
 	fsyncLatency   *obs.Histogram // the fsync syscall alone
-	groupCommit    *obs.Histogram // frames committed per leader fsync
+	groupCommit    *obs.Histogram // frames newly covered per fsync
 	compactions    *obs.Counter   // successful compactions only
 	compactErrors  *obs.Counter
+	appendErrors   *obs.Counter // failed writes and failed batch fsyncs
 	compactLatency *obs.Histogram
 	tornRepairs    *obs.Counter
 	size           *obs.Gauge // summed over every WAL on the registry
@@ -83,9 +88,10 @@ func (w *WAL) Instrument(m *obs.Metrics) {
 	wm := &walMetrics{
 		appendLatency:  m.Timing("wal_append_seconds", "WAL frame append latency, including the fsync under the batch policy"),
 		fsyncLatency:   m.Timing("wal_fsync_seconds", "WAL fsync syscall latency"),
-		groupCommit:    m.Sizes("wal_group_commit_frames", "frames committed per leader fsync under the batch policy"),
+		groupCommit:    m.Sizes("wal_group_commit_frames", "frames newly covered per completed fsync (one leader commits its followers' frames)"),
 		compactions:    m.Counter("wal_compactions_total", "snapshot-and-truncate compactions completed"),
 		compactErrors:  m.Counter("wal_compact_errors_total", "compactions that failed before the snapshot landed (the log is kept)"),
+		appendErrors:   m.Counter("wal_append_errors_total", "appends that failed at the write or, under the batch policy, the fsync"),
 		compactLatency: m.Timing("wal_compact_seconds", "snapshot-and-truncate compaction duration"),
 		tornRepairs:    m.Counter("wal_torn_tail_repairs_total", "torn or truncated final frames discarded during replay"),
 		size:           m.Gauge("wal_size_bytes", "frame bytes appended since the last compaction, summed over this registry's logs"),
@@ -139,76 +145,23 @@ func (p FsyncPolicy) String() string {
 	}
 }
 
-// ObsStripes is the store's observation lock-stripe count, exported so
-// the WAL's owner can group records by the same device → stripe map the
-// in-memory store uses.
+// ObsStripes is the store's observation lock-stripe count.
 const ObsStripes = obsShards
 
 // StripeFor maps a device name onto its observation stripe — the same
 // mapping AddObservationBatch coalesces runs with.
 func StripeFor(device string) int { return stripe.Index(device, obsShards) }
 
-// walFile is one append-only log file behind its own mutex.
-type walFile struct {
-	mu   sync.Mutex
-	f    *os.File
-	path string
-	// dirty marks bytes written since the last sync (interval policy
-	// skips clean files).
-	dirty bool
+// logName is the one log file of a data directory.
+const logName = "wal.log"
 
-	// Group commit (FsyncBatch): writeSeq counts frames written (under
-	// mu); synced holds the highest writeSeq a completed fsync covered.
-	// Concurrent appenders whose frame was already on disk when an
-	// earlier leader's fsync returned skip their own — one fsync
-	// commits every frame written before it started.
-	writeSeq uint64
-	syncMu   sync.Mutex
-	synced   atomic.Uint64
-}
-
-// syncUpTo blocks until a completed fsync covers frame seq. The caller
-// either finds it already covered, or becomes the next leader: it reads
-// the current write frontier, fsyncs, and publishes the frontier so the
-// followers queued on syncMu return without syncing.
-func (wf *walFile) syncUpTo(seq uint64, wm *walMetrics) error {
-	if wf.synced.Load() >= seq {
-		return nil
-	}
-	wf.syncMu.Lock()
-	defer wf.syncMu.Unlock()
-	prev := wf.synced.Load()
-	if prev >= seq {
-		return nil
-	}
-	wf.mu.Lock()
-	covered := wf.writeSeq
-	wf.mu.Unlock()
-	var start time.Time
-	if wm != nil {
-		start = time.Now()
-	}
-	if err := syncFile(wf.f); err != nil {
-		return err
-	}
-	if wm != nil {
-		wm.fsyncLatency.Since(start)
-		wm.groupCommit.Observe(int64(covered - prev))
-	}
-	wf.synced.Store(covered)
-	wf.mu.Lock()
-	if wf.writeSeq == covered {
-		wf.dirty = false
-	}
-	wf.mu.Unlock()
-	return nil
-}
-
-// WAL is a striped write-ahead log in a data directory. Safe for
-// concurrent use.
+// WAL is a write-ahead log in a data directory. Safe for concurrent
+// use.
 type WAL struct {
 	dir    string
 	policy FsyncPolicy
+	// stripes is the index range Append still checks; see Append.
+	stripes int
 
 	// appendMu is the compaction barrier. Owners hold it shared (Begin)
 	// across one WHOLE log-then-apply operation — append plus the
@@ -218,8 +171,19 @@ type WAL struct {
 	// g+1 snapshot would otherwise be skipped at replay and lost.
 	appendMu sync.RWMutex
 
-	stripes []walFile
-	meta    walFile
+	// mu orders writes to the log file and guards writeSeq.
+	mu   sync.Mutex
+	f    *os.File
+	path string
+
+	// Group commit: writeSeq counts frames written (under mu); synced
+	// holds the highest writeSeq a completed fsync covered. Concurrent
+	// appenders whose frame was already on disk when an earlier leader's
+	// fsync returned skip their own — one fsync commits every frame
+	// written before it started.
+	writeSeq uint64
+	syncMu   sync.Mutex
+	synced   atomic.Uint64
 
 	// gen is the current compaction generation, stamped into every
 	// frame; guarded by appendMu (written only under the exclusive
@@ -241,15 +205,49 @@ type WAL struct {
 	closeOnce sync.Once
 }
 
+// syncUpTo blocks until a completed fsync covers frame seq. The caller
+// either finds it already covered, or becomes the next leader: it reads
+// the current write frontier, fsyncs, and publishes the frontier so the
+// followers queued on syncMu return without syncing. mu is not held
+// across the fsync, so appenders keep writing behind it.
+func (w *WAL) syncUpTo(seq uint64) error {
+	if w.synced.Load() >= seq {
+		return nil
+	}
+	w.syncMu.Lock()
+	defer w.syncMu.Unlock()
+	prev := w.synced.Load()
+	if prev >= seq {
+		return nil
+	}
+	w.mu.Lock()
+	covered := w.writeSeq
+	w.mu.Unlock()
+	wm := w.met.Load()
+	var start time.Time
+	if wm != nil {
+		start = time.Now()
+	}
+	if err := syncFile(w.f); err != nil {
+		return err
+	}
+	if wm != nil {
+		wm.fsyncLatency.Since(start)
+		wm.groupCommit.Observe(int64(covered - prev))
+	}
+	w.synced.Store(covered)
+	return nil
+}
+
 // DefaultFsyncInterval spaces background syncs under FsyncInterval.
 const DefaultFsyncInterval = 100 * time.Millisecond
 
-// OpenWAL opens (creating if needed) the striped log in dir. stripes
-// must match the store's stripe count (use ObsStripes); interval
-// configures the FsyncInterval ticker (0 takes DefaultFsyncInterval).
-// The returned WAL has NOT been replayed: the owner restores the
-// newest snapshot (Snapshot), replays the tail (Replay), and only then
-// starts appending.
+// OpenWAL opens (creating if needed) the log in dir. stripes bounds the
+// index Append accepts (use ObsStripes); interval configures the
+// FsyncInterval ticker (0 takes DefaultFsyncInterval). The returned WAL
+// has NOT been replayed: the owner restores the newest snapshot
+// (Snapshot), replays the tail (Replay), and only then starts
+// appending.
 func OpenWAL(dir string, stripes int, policy FsyncPolicy, interval time.Duration) (*WAL, error) {
 	if stripes < 1 {
 		return nil, fmt.Errorf("store: wal needs at least 1 stripe")
@@ -257,35 +255,25 @@ func OpenWAL(dir string, stripes int, policy FsyncPolicy, interval time.Duration
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: wal dir: %w", err)
 	}
+	if err := clearStripedLayout(dir); err != nil {
+		return nil, err
+	}
 	w := &WAL{
 		dir:     dir,
 		policy:  policy,
-		stripes: make([]walFile, stripes),
+		stripes: stripes,
+		path:    filepath.Join(dir, logName),
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
 	}
-	open := func(wf *walFile, name string) error {
-		wf.path = filepath.Join(dir, name)
-		f, err := os.OpenFile(wf.path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
-		if err != nil {
-			return err
-		}
-		wf.f = f
-		return nil
-	}
-	for i := range w.stripes {
-		if err := open(&w.stripes[i], fmt.Sprintf("stripe-%02d.wal", i)); err != nil {
-			w.closeFiles()
-			return nil, fmt.Errorf("store: wal: %w", err)
-		}
-	}
-	if err := open(&w.meta, "meta.wal"); err != nil {
-		w.closeFiles()
+	f, err := os.OpenFile(w.path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
+	if err != nil {
 		return nil, fmt.Errorf("store: wal: %w", err)
 	}
+	w.f = f
 	gen, _, err := w.newestSnapshot()
 	if err != nil {
-		w.closeFiles()
+		_ = f.Close()
 		return nil, err
 	}
 	w.gen = gen
@@ -298,6 +286,37 @@ func OpenWAL(dir string, stripes int, policy FsyncPolicy, interval time.Duration
 		close(w.done)
 	}
 	return w, nil
+}
+
+// clearStripedLayout deals with what a build from before the one-file
+// log left in dir: stripe-NN.wal files and meta.wal. A graceful stop
+// compacted them to empty, and empty leftovers are removed. A non-empty
+// one holds committed records this build has no reader for, so opening
+// refuses — before touching anything — rather than silently drop them.
+func clearStripedLayout(dir string) error {
+	old, err := filepath.Glob(filepath.Join(dir, "stripe-[0-9][0-9].wal"))
+	if err != nil {
+		return fmt.Errorf("store: wal: %w", err)
+	}
+	old = append(old, filepath.Join(dir, "meta.wal"))
+	for _, path := range old {
+		fi, err := os.Stat(path)
+		if errors.Is(err, fs.ErrNotExist) {
+			continue
+		}
+		if err != nil {
+			return fmt.Errorf("store: wal: %w", err)
+		}
+		if fi.Size() > 0 {
+			return fmt.Errorf("store: wal: %s holds %d bytes of records in the striped layout this build does not read: stop the shard gracefully with the build that wrote it (the drain compacts the logs into the snapshot), then start this one", path, fi.Size())
+		}
+	}
+	for _, path := range old {
+		if err := os.Remove(path); err != nil && !errors.Is(err, fs.ErrNotExist) {
+			return fmt.Errorf("store: wal: %w", err)
+		}
+	}
+	return nil
 }
 
 // Dir returns the WAL's data directory.
@@ -359,24 +378,23 @@ func (w *WAL) Begin() (end func()) {
 	return w.appendMu.RUnlock
 }
 
-// Append frames payload and appends it to the stripe's log, syncing
-// per policy. It returns once the frame is written to the kernel (and,
-// under FsyncBatch, to stable storage): the caller may then apply the
-// mutation to in-memory state. The caller must hold a Begin guard.
+// Append is AppendMeta behind a range check on stripeIdx. The index is
+// inert — there is one log, and nothing records it — and goes, with
+// Replay's second callback, when ROADMAP item 3 lets benchmark/ (the
+// one caller of both) change.
 func (w *WAL) Append(stripeIdx int, payload []byte) error {
-	if stripeIdx < 0 || stripeIdx >= len(w.stripes) {
+	if stripeIdx < 0 || stripeIdx >= w.stripes {
 		return fmt.Errorf("store: wal: stripe %d out of range", stripeIdx)
 	}
-	return w.append(&w.stripes[stripeIdx], payload)
+	return w.AppendMeta(payload)
 }
 
-// AppendMeta appends an unstriped record (model snapshots,
-// fingerprints) to the meta log. The caller must hold a Begin guard.
+// AppendMeta frames payload and appends it to the log — any record,
+// whatever its kind — syncing per policy. It returns once the frame is
+// written to the kernel (and, under FsyncBatch, to stable storage): the
+// caller may then apply the mutation to in-memory state. The caller
+// must hold a Begin guard.
 func (w *WAL) AppendMeta(payload []byte) error {
-	return w.append(&w.meta, payload)
-}
-
-func (w *WAL) append(wf *walFile, payload []byte) error {
 	wm := w.met.Load()
 	var start time.Time
 	if wm != nil {
@@ -387,19 +405,21 @@ func (w *WAL) append(wf *walFile, payload []byte) error {
 	*buf = wire.AppendLogFrame(*buf, w.gen, payload)
 	frame := *buf
 
-	wf.mu.Lock()
-	_, err := wf.f.Write(frame)
+	w.mu.Lock()
+	_, err := w.f.Write(frame)
 	var seq uint64
 	if err == nil {
-		wf.dirty = true
-		wf.writeSeq++
-		seq = wf.writeSeq
+		w.writeSeq++
+		seq = w.writeSeq
 	}
-	wf.mu.Unlock()
+	w.mu.Unlock()
 	if err == nil && w.policy == FsyncBatch {
-		err = wf.syncUpTo(seq, wm)
+		err = w.syncUpTo(seq)
 	}
 	if err != nil {
+		if wm != nil {
+			wm.appendErrors.Inc()
+		}
 		return fmt.Errorf("store: wal append: %w", err)
 	}
 	w.size.Add(int64(len(frame)))
@@ -414,58 +434,38 @@ func (w *WAL) append(wf *walFile, payload []byte) error {
 // the owner's compaction trigger.
 func (w *WAL) Size() int64 { return w.size.Load() }
 
-// Replay scans the logs and hands every live frame's payload to the
-// callbacks: meta frames first (in append order), then each stripe in
-// index order (records of one device always share a stripe, so
-// per-device order is exactly append order; cross-stripe order is not
-// reconstructed — device partitions are disjoint). Frames below the
-// newest snapshot's generation are skipped: the snapshot already
-// contains them. A torn or truncated final frame is discarded and the
-// file truncated to its valid prefix; corruption before valid data
-// fails loudly.
-func (w *WAL) Replay(meta func(payload []byte) error, strip func(idx int, payload []byte) error) error {
+// Replay scans the log and hands every live frame's payload to apply,
+// in the order the records were appended. Frames below the newest
+// snapshot's generation are skipped: the snapshot already contains
+// them. A torn or truncated final frame is discarded and the file
+// truncated to its valid prefix; corruption before valid data fails
+// loudly. The second callback is never called (see Append).
+func (w *WAL) Replay(apply func(payload []byte) error, _ func(idx int, payload []byte) error) error {
 	w.appendMu.Lock()
 	defer w.appendMu.Unlock()
-	barrier := w.gen
-	wm := w.met.Load()
-	if err := replayFile(&w.meta, barrier, meta, wm); err != nil {
-		return err
-	}
-	for i := range w.stripes {
-		cb := func(p []byte) error { return strip(i, p) }
-		if err := replayFile(&w.stripes[i], barrier, cb, wm); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// replayFile scans one log, invoking apply per live frame, and repairs
-// a torn tail by truncating to the valid prefix.
-func replayFile(wf *walFile, barrier uint64, apply func([]byte) error, wm *walMetrics) error {
-	wf.mu.Lock()
-	defer wf.mu.Unlock()
-	data, err := os.ReadFile(wf.path)
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	data, err := os.ReadFile(w.path)
 	if err != nil {
-		return fmt.Errorf("store: wal replay %s: %w", wf.path, err)
+		return fmt.Errorf("store: wal replay %s: %w", w.path, err)
 	}
-	off, err := scanLive(data, barrier, apply)
+	off, err := scanLive(data, w.gen, apply)
 	if err != nil {
-		return fmt.Errorf("store: wal %s: %w", wf.path, err)
+		return fmt.Errorf("store: wal %s: %w", w.path, err)
 	}
 	if off < len(data) {
 		// Discard the torn tail so future appends continue from a clean
 		// frame boundary.
-		if err := wf.f.Truncate(int64(off)); err != nil {
-			return fmt.Errorf("store: wal %s: truncate torn tail: %w", wf.path, err)
+		if err := w.f.Truncate(int64(off)); err != nil {
+			return fmt.Errorf("store: wal %s: truncate torn tail: %w", w.path, err)
 		}
-		if _, err := wf.f.Seek(int64(off), io.SeekStart); err != nil {
-			return fmt.Errorf("store: wal %s: %w", wf.path, err)
+		if _, err := w.f.Seek(int64(off), io.SeekStart); err != nil {
+			return fmt.Errorf("store: wal %s: %w", w.path, err)
 		}
-		if wm != nil {
+		if wm := w.met.Load(); wm != nil {
 			wm.tornRepairs.Inc()
 			wm.rec.Record(obs.EventWALRepair, map[string]any{
-				"file":          filepath.Base(wf.path),
+				"file":          logName,
 				"dropped_bytes": len(data) - off,
 			})
 		}
@@ -487,7 +487,7 @@ func scanLive(data []byte, barrier uint64, apply func([]byte) error) (valid int,
 	})
 }
 
-// Compact writes a new snapshot and truncates the logs. writeSnapshot
+// Compact writes a new snapshot and truncates the log. writeSnapshot
 // must serialise the owner's full durable state; it runs with all
 // appenders blocked, so the snapshot observes every record the log
 // holds (owners apply mutations only after their append returns). The
@@ -514,21 +514,14 @@ func (w *WAL) Compact(writeSnapshot func(io.Writer) error) error {
 	w.gen = next
 	// The snapshot is durable and the barrier moved: everything below
 	// is space reclaim, not correctness.
-	truncate := func(wf *walFile) {
-		wf.mu.Lock()
-		defer wf.mu.Unlock()
-		if err := wf.f.Truncate(0); err == nil {
-			_, _ = wf.f.Seek(0, io.SeekStart)
-			if w.policy != FsyncOff {
-				_ = syncFile(wf.f)
-			}
+	w.mu.Lock()
+	if err := w.f.Truncate(0); err == nil {
+		_, _ = w.f.Seek(0, io.SeekStart)
+		if w.policy != FsyncOff {
+			_ = syncFile(w.f)
 		}
-		wf.dirty = false
 	}
-	for i := range w.stripes {
-		truncate(&w.stripes[i])
-	}
-	truncate(&w.meta)
+	w.mu.Unlock()
 	if reclaimed := w.size.Swap(0); wm != nil {
 		wm.size.Add(-reclaimed)
 	}
@@ -549,33 +542,14 @@ func (w *WAL) Compact(writeSnapshot func(io.Writer) error) error {
 	return nil
 }
 
-// Sync flushes every log file to stable storage.
+// Sync flushes every frame written so far to stable storage, down the
+// same leader/follower path as a FsyncBatch append: a frontier some
+// fsync already covered costs nothing.
 func (w *WAL) Sync() error {
-	var first error
-	wm := w.met.Load()
-	sync := func(wf *walFile) {
-		wf.mu.Lock()
-		defer wf.mu.Unlock()
-		if !wf.dirty {
-			return
-		}
-		var start time.Time
-		if wm != nil {
-			start = time.Now()
-		}
-		if err := syncFile(wf.f); err != nil && first == nil {
-			first = err
-		}
-		if wm != nil {
-			wm.fsyncLatency.Since(start)
-		}
-		wf.dirty = false
-	}
-	for i := range w.stripes {
-		sync(&w.stripes[i])
-	}
-	sync(&w.meta)
-	return first
+	w.mu.Lock()
+	seq := w.writeSeq
+	w.mu.Unlock()
+	return w.syncUpTo(seq)
 }
 
 // syncLoop is the FsyncInterval background syncer.
@@ -594,7 +568,7 @@ func (w *WAL) syncLoop(interval time.Duration) {
 }
 
 // Close stops the background syncer, syncs once more, and closes the
-// log files. The owner snapshots (Compact) before Close on a graceful
+// log file. The owner snapshots (Compact) before Close on a graceful
 // drain; Close alone is the crash-adjacent path.
 func (w *WAL) Close() error {
 	var err error
@@ -604,20 +578,9 @@ func (w *WAL) Close() error {
 		if w.policy != FsyncOff {
 			err = w.Sync()
 		}
-		w.closeFiles()
+		_ = w.f.Close()
 	})
 	return err
-}
-
-func (w *WAL) closeFiles() {
-	for i := range w.stripes {
-		if w.stripes[i].f != nil {
-			_ = w.stripes[i].f.Close()
-		}
-	}
-	if w.meta.f != nil {
-		_ = w.meta.f.Close()
-	}
 }
 
 // WriteFileAtomic writes a file so that a crash at any point leaves

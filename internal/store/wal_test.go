@@ -8,15 +8,17 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"occusim/internal/obs"
 	"occusim/internal/wire"
 )
 
-// openTestWAL opens a 2-stripe WAL with no explicit syncing — the
-// policy under which recovery guarantees are weakest, so every pass
-// here holds a fortiori for batch and interval.
+// openTestWAL opens a WAL (accepting Append indices 0 and 1) with no
+// explicit syncing — the policy under which recovery guarantees are
+// weakest, so every pass here holds a fortiori for batch and interval.
 func openTestWAL(t *testing.T, dir string) *WAL {
 	t.Helper()
 	w, err := OpenWAL(dir, 2, FsyncOff, 0)
@@ -26,7 +28,8 @@ func openTestWAL(t *testing.T, dir string) *WAL {
 	return w
 }
 
-// appendAll logs each payload to the stripe under its own Begin guard.
+// appendAll logs each payload, through Append's index door, under its
+// own Begin guard.
 func appendAll(t *testing.T, w *WAL, stripe int, payloads ...string) {
 	t.Helper()
 	for _, p := range payloads {
@@ -39,26 +42,29 @@ func appendAll(t *testing.T, w *WAL, stripe int, payloads ...string) {
 	}
 }
 
-// replayAll collects every live record per stripe (and the meta log).
-func replayAll(t *testing.T, w *WAL) (metas []string, stripes map[int][]string) {
+// replayAll collects every live record, in replay order, joined by
+// commas. Everything arrives through the first callback.
+func replayAll(t *testing.T, w *WAL) string {
 	t.Helper()
-	stripes = map[int][]string{}
+	var got []string
 	err := w.Replay(
-		func(p []byte) error { metas = append(metas, string(p)); return nil },
-		func(i int, p []byte) error { stripes[i] = append(stripes[i], string(p)); return nil },
+		func(p []byte) error { got = append(got, string(p)); return nil },
+		func(i int, p []byte) error {
+			t.Errorf("record %q replayed through the index callback (%d)", p, i)
+			return nil
+		},
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return metas, stripes
+	return strings.Join(got, ",")
 }
 
 func TestWALEmptyReplay(t *testing.T) {
 	dir := t.TempDir()
 	w := openTestWAL(t, dir)
-	metas, stripes := replayAll(t, w)
-	if len(metas) != 0 || len(stripes[0]) != 0 || len(stripes[1]) != 0 {
-		t.Fatalf("fresh WAL replayed records: meta=%v stripes=%v", metas, stripes)
+	if got := replayAll(t, w); got != "" {
+		t.Fatalf("fresh WAL replayed records: %s", got)
 	}
 	if _, ok, err := w.Snapshot(); ok || err != nil {
 		t.Fatalf("fresh WAL has a snapshot (ok=%v err=%v)", ok, err)
@@ -66,11 +72,11 @@ func TestWALEmptyReplay(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Reopen over the same (still empty) files.
+	// Reopen over the same (still empty) file.
 	w2 := openTestWAL(t, dir)
 	defer w2.Close()
-	if metas, stripes := replayAll(t, w2); len(metas) != 0 || len(stripes[0]) != 0 {
-		t.Fatalf("reopened empty WAL replayed records")
+	if got := replayAll(t, w2); got != "" {
+		t.Fatalf("reopened empty WAL replayed records: %s", got)
 	}
 }
 
@@ -80,7 +86,7 @@ const frameHeaderLen = wire.LogFrameHeaderLen
 // frameLen is the on-disk size of one frame carrying payload p.
 func frameLen(p string) int { return frameHeaderLen + len(p) }
 
-// TestWALTornFinalRecord cuts the stripe file at every interesting
+// TestWALTornFinalRecord cuts the log file at every interesting
 // point inside the final frame — mid-header, mid-payload, one byte
 // short — and requires recovery to keep the full prefix, drop the torn
 // tail, repair the file, and accept appends afterwards.
@@ -101,15 +107,14 @@ func TestWALTornFinalRecord(t *testing.T) {
 			if err := w.Close(); err != nil {
 				t.Fatal(err)
 			}
-			path := filepath.Join(dir, "stripe-00.wal")
+			path := filepath.Join(dir, logName)
 			if err := os.Truncate(path, int64(cut)); err != nil {
 				t.Fatal(err)
 			}
 			w2 := openTestWAL(t, dir)
 			defer w2.Close()
-			_, stripes := replayAll(t, w2)
-			want := payloads[:2:2]
-			if got := stripes[0]; strings.Join(got, ",") != strings.Join(want, ",") {
+			want := strings.Join(payloads[:2], ",")
+			if got := replayAll(t, w2); got != want {
 				t.Fatalf("recovered %v, want %v", got, want)
 			}
 			// The torn tail must be gone from disk…
@@ -118,10 +123,8 @@ func TestWALTornFinalRecord(t *testing.T) {
 			}
 			// …and appends must continue from the clean boundary.
 			appendAll(t, w2, 0, "delta")
-			_, stripes = replayAll(t, w2)
-			want = append(want, "delta")
-			if got := stripes[0]; strings.Join(got, ",") != strings.Join(want, ",") {
-				t.Fatalf("after repair+append recovered %v, want %v", got, want)
+			if got := replayAll(t, w2); got != want+",delta" {
+				t.Fatalf("after repair+append recovered %v, want %v,delta", got, want)
 			}
 		})
 	}
@@ -137,7 +140,7 @@ func TestWALCorruptMiddleRecordFailsLoud(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(dir, "stripe-00.wal")
+	path := filepath.Join(dir, logName)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -186,8 +189,7 @@ func TestWALSnapshotBarrier(t *testing.T) {
 	if !bytes.Equal(blob, []byte("SNAPSHOT")) {
 		t.Fatalf("snapshot content %q", blob)
 	}
-	_, stripes := replayAll(t, w2)
-	if got := strings.Join(stripes[0], ","); got != "post-1" {
+	if got := replayAll(t, w2); got != "post-1" {
 		t.Fatalf("replay after compact returned %q, want only the tail", got)
 	}
 	if err := w2.Close(); err != nil {
@@ -195,7 +197,7 @@ func TestWALSnapshotBarrier(t *testing.T) {
 	}
 
 	// Crash window: a snapshot newer than every log record, with the
-	// logs never truncated. Simulate by writing a higher-generation
+	// log never truncated. Simulate by writing a higher-generation
 	// snapshot next to a log full of old-generation records.
 	dir2 := t.TempDir()
 	w3 := openTestWAL(t, dir2)
@@ -211,9 +213,8 @@ func TestWALSnapshotBarrier(t *testing.T) {
 	}
 	w4 := openTestWAL(t, dir2)
 	defer w4.Close()
-	_, stripes = replayAll(t, w4)
-	if len(stripes[0]) != 0 {
-		t.Fatalf("records below the snapshot generation replayed: %v", stripes[0])
+	if got := replayAll(t, w4); got != "" {
+		t.Fatalf("records below the snapshot generation replayed: %v", got)
 	}
 }
 
@@ -240,7 +241,7 @@ func TestWALRandomCrashPointReplay(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	full, err := os.ReadFile(filepath.Join(src, "stripe-00.wal"))
+	full, err := os.ReadFile(filepath.Join(src, logName))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,23 +257,15 @@ func TestWALRandomCrashPointReplay(t *testing.T) {
 			wantN++
 		}
 		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, "stripe-00.wal"), full[:cut], 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, logName), full[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
 		wc, err := OpenWAL(dir, 1, FsyncOff, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var got []string
-		err = wc.Replay(
-			func([]byte) error { return nil },
-			func(_ int, p []byte) error { got = append(got, string(p)); return nil },
-		)
-		if err != nil {
-			t.Fatalf("cut=%d: replay failed: %v", cut, err)
-		}
-		if strings.Join(got, ",") != strings.Join(payloads[:wantN], ",") {
-			t.Fatalf("cut=%d: recovered %d records %v, want prefix of %d", cut, len(got), got, wantN)
+		if got := replayAll(t, wc); got != strings.Join(payloads[:wantN], ",") {
+			t.Fatalf("cut=%d: recovered %v, want prefix of %d", cut, got, wantN)
 		}
 		wc.Close()
 	}
@@ -308,8 +301,9 @@ func TestWALCompactFailureIsCountedAndHarmless(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	appendAll(t, w, 0, "post-1", "post-2")
+	appendAll(t, w, 0, "post-1")
 	appendAll(t, w, 1, "other")
+	appendAll(t, w, 0, "post-2")
 	sizeBefore := w.Size()
 
 	boom := fmt.Errorf("disk full (injected)")
@@ -350,8 +344,7 @@ func TestWALCompactFailureIsCountedAndHarmless(t *testing.T) {
 	if string(blob) != "GOOD" {
 		t.Fatalf("snapshot is %q, want the last successful one", blob)
 	}
-	_, stripes := replayAll(t, w2)
-	if got := strings.Join(stripes[0], ",") + "|" + strings.Join(stripes[1], ","); got != "post-1,post-2|other" {
+	if got := replayAll(t, w2); got != "post-1,other,post-2" {
 		t.Fatalf("recovered %q, want the full log since the good snapshot", got)
 	}
 	if leftovers, _ := filepath.Glob(filepath.Join(dir, "*.tmp-*")); len(leftovers) != 0 {
@@ -386,4 +379,215 @@ func TestWALSizeGaugeSumsLogs(t *testing.T) {
 	if got, want := gaugeValue(t, m, "wal_size_bytes"), float64(b.Size()); got != want {
 		t.Fatalf("wal_size_bytes = %v after compacting one log, want the other's %v", got, want)
 	}
+}
+
+// TestWALReplayIsAppendOrder: one log, so replay is the order records
+// were appended — AppendMeta and Append at any index interleaved as
+// they happened — including after a crash (no Close).
+func TestWALReplayIsAppendOrder(t *testing.T) {
+	dir := t.TempDir()
+	w, err := OpenWAL(dir, 4, FsyncOff, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for i := 0; i < 12; i++ {
+		p := fmt.Sprintf("rec-%02d", i)
+		want = append(want, p)
+		if i%3 == 0 {
+			end := w.Begin()
+			err := w.AppendMeta([]byte(p))
+			end()
+			if err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		appendAll(t, w, (7*i)%4, p)
+	}
+	end := w.Begin()
+	err = w.Append(4, []byte("beyond the range OpenWAL was given"))
+	end()
+	if err == nil {
+		t.Fatal("Append accepted an index outside the range")
+	}
+	// Abandon w: the crash.
+	w2, err := OpenWAL(dir, 4, FsyncOff, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w2.Close()
+	if got := replayAll(t, w2); got != strings.Join(want, ",") {
+		t.Fatalf("replayed %s\nwant the append sequence %s", got, strings.Join(want, ","))
+	}
+}
+
+// TestWALGroupCommitCoversEveryFrame drives FsyncBatch from several
+// goroutines at once, so leaders do commit followers' frames: every
+// acknowledged frame must be covered by exactly one completed fsync
+// (the group sizes sum to the appends), no append may cost more than
+// one fsync, and all of it must be on disk.
+func TestWALGroupCommitCoversEveryFrame(t *testing.T) {
+	const writers, each = 8, 40
+	dir := t.TempDir()
+	w, err := OpenWAL(dir, ObsStripes, FsyncBatch, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := obs.New()
+	w.Instrument(m)
+	var wg sync.WaitGroup
+	for g := 0; g < writers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				end := w.Begin()
+				err := w.Append(g, []byte(fmt.Sprintf("writer-%d-frame-%02d", g, i)))
+				end()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	hists := m.TakeSnapshot().Histograms
+	groups, fsyncs := hists["wal_group_commit_frames"], hists["wal_fsync_seconds"]
+	if appends := hists["wal_append_seconds"].Count; appends != writers*each {
+		t.Fatalf("%d appends acknowledged, want %d", appends, writers*each)
+	}
+	if groups.Sum != writers*each {
+		t.Fatalf("fsyncs covered %v frames in %d groups, want exactly the %d appended", groups.Sum, groups.Count, writers*each)
+	}
+	if fsyncs.Count != groups.Count || fsyncs.Count > writers*each {
+		t.Fatalf("%d fsyncs for %d groups and %d appends", fsyncs.Count, groups.Count, writers*each)
+	}
+	if got := gaugeValue(t, m, "wal_append_errors_total"); got != 0 {
+		t.Fatalf("wal_append_errors_total = %v", got)
+	}
+	t.Logf("%d frames in %d fsyncs", writers*each, fsyncs.Count)
+
+	// Abandon w; per-writer order is append order, so each writer's
+	// frames must come back complete and ascending.
+	w2, err := OpenWAL(dir, ObsStripes, FsyncBatch, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w2.Close()
+	next := make([]int, writers)
+	for _, rec := range strings.Split(replayAll(t, w2), ",") {
+		var g, i int
+		if _, err := fmt.Sscanf(rec, "writer-%d-frame-%d", &g, &i); err != nil || i != next[g] {
+			t.Fatalf("replayed %q where writer %d's frame %d was due (%v)", rec, g, next[g], err)
+		}
+		next[g]++
+	}
+	for g, n := range next {
+		if n != each {
+			t.Fatalf("writer %d replayed %d of %d frames", g, n, each)
+		}
+	}
+}
+
+// TestWALSyncSharesTheGroupCommitPath: Sync — the interval ticker's and
+// Close's flush — is a syncUpTo of the current frontier. A frontier
+// already covered costs no fsync, one fsync covers every frame written
+// since the last, and the ticker itself gets there unprompted.
+func TestWALSyncSharesTheGroupCommitPath(t *testing.T) {
+	fsyncs := func(m *obs.Metrics) (count uint64, frames int64) {
+		hists := m.TakeSnapshot().Histograms
+		return hists["wal_fsync_seconds"].Count, hists["wal_group_commit_frames"].Sum
+	}
+	w, err := OpenWAL(t.TempDir(), 1, FsyncInterval, time.Hour) // the ticker never fires
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := obs.New()
+	w.Instrument(m)
+	if err := w.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if n, _ := fsyncs(m); n != 0 {
+		t.Fatalf("%d fsyncs of a log nothing was written to", n)
+	}
+	appendAll(t, w, 0, "a", "b", "c")
+	for i := 0; i < 2; i++ { // the second finds the frontier covered
+		if err := w.Sync(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n, frames := fsyncs(m); n != 1 || frames != 3 {
+		t.Fatalf("%d fsyncs covering %d frames after 3 appends and 2 Syncs, want 1 covering 3", n, frames)
+	}
+	appendAll(t, w, 0, "d", "e")
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n, frames := fsyncs(m); n != 2 || frames != 5 {
+		t.Fatalf("%d fsyncs covering %d frames after Close, want 2 covering 5", n, frames)
+	}
+
+	ticked, err := OpenWAL(t.TempDir(), 1, FsyncInterval, time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ticked.Close()
+	tm := obs.New()
+	ticked.Instrument(tm)
+	appendAll(t, ticked, 0, "f")
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		if n, frames := fsyncs(tm); n == 1 && frames == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the interval ticker never synced the appended frame")
+		}
+	}
+}
+
+// TestOpenWALRefusesStripedLayout: a directory a killed pre-one-log
+// process left holds committed records in files this build does not
+// read. Opening must say which file and change nothing — no wal.log
+// beside it, no leftover removed.
+func TestOpenWALRefusesStripedLayout(t *testing.T) {
+	dir := t.TempDir()
+	for name, content := range map[string]string{
+		"stripe-00.wal": "",
+		"stripe-03.wal": "committed frames of the old layout",
+		"meta.wal":      "",
+	} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w, err := OpenWAL(dir, ObsStripes, FsyncOff, 0)
+	if err == nil {
+		w.Close()
+		t.Fatal("opened a directory holding a non-empty stripe-03.wal")
+	}
+	if !strings.Contains(err.Error(), filepath.Join(dir, "stripe-03.wal")) {
+		t.Fatalf("the refusal does not name the file: %v", err)
+	}
+	if got := strings.Join(listDir(t, dir), ","); got != "meta.wal,stripe-00.wal,stripe-03.wal" {
+		t.Fatalf("the refused open left %s", got)
+	}
+	if blob, err := os.ReadFile(filepath.Join(dir, "stripe-03.wal")); err != nil || string(blob) != "committed frames of the old layout" {
+		t.Fatalf("stripe-03.wal now reads %q (%v)", blob, err)
+	}
+}
+
+// listDir returns the sorted names in dir.
+func listDir(t *testing.T, dir string) []string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	return names
 }
