@@ -60,8 +60,8 @@
 // picks the sync policy: "batch" syncs every append, "interval" syncs
 // on a 100ms ticker, "off" leaves flushing to the kernel (process
 // crashes still lose nothing; power loss can). A graceful shutdown
-// additionally compacts: state is snapshotted and the log truncated,
-// so the next boot replays the snapshot alone. In fleet mode the
+// additionally compacts: state is snapshotted and the log behind the
+// snapshot reclaimed, so the next boot replays the snapshot alone. In fleet mode the
 // gateway itself persists nothing — at boot it rebuilds its device
 // registry by asking each recovered shard for its device set.
 package main
@@ -365,13 +365,17 @@ func main() {
 		}
 	}
 	// Durable shards drain through a final compaction: snapshot the full
-	// state, truncate the log, close the file. The next boot replays
-	// the snapshot alone.
+	// state, reclaim the log behind it, close the file. The next boot
+	// replays the snapshot alone.
 	if *dataDir != "" {
 		if err := pool.Close(); err != nil {
 			log.Printf("bmsd: WAL close failed: %v", err)
 		} else {
-			log.Printf("bmsd: durable state compacted to %s", *dataDir)
+			for i, srv := range pool.Servers {
+				c := srv.LastCompaction()
+				log.Printf("bmsd: durable state compacted to %s/shard-%d: stall_ms=%.3f snapshot_bytes=%d log_bytes_sealed=%d",
+					*dataDir, i, float64(c.Stall)/float64(time.Millisecond), c.SnapshotBytes, c.LogBytesSealed)
+			}
 		}
 	}
 	<-serveErr

@@ -24,6 +24,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"io"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -38,19 +39,44 @@ import (
 	"occusim/internal/wire"
 )
 
-// DefaultCompactThreshold triggers a background compaction once the
-// log grows past this many bytes since the last snapshot.
+// DefaultCompactThreshold is the least log growth since the last cut
+// that triggers a background compaction under the default configuration
+// (see durability.threshold).
 const DefaultCompactThreshold = 8 << 20
 
 // durability is the WAL attachment of a durable Server.
 type durability struct {
-	wal              *store.WAL
+	wal *store.WAL
+	// compactThreshold is DurableConfig.CompactThreshold as given.
 	compactThreshold int64
 	compacting       atomic.Bool
+	// landing is set from a background compaction's cut until it returns,
+	// and closed then: what an appender waits on when the log outruns it
+	// (maybeCompact).
+	landing atomic.Pointer[chan struct{}]
+	// retryAt holds the next attempt off after a failed compaction: the
+	// log size it must first reach (0 after a success).
+	retryAt atomic.Int64
 
 	// snapBuf is the snapshot writer's buffer, kept between compactions
 	// (which the WAL serialises) so the steady state allocates none.
 	snapBuf []byte
+}
+
+// threshold is the log growth since the last cut that triggers a
+// background compaction; negative disables it. An explicit threshold is
+// what the caller said. The default amortises: a compaction rewrites
+// the whole retained state, so it waits until the log has grown by as
+// much as the newest snapshot weighs (never less than
+// DefaultCompactThreshold). Bytes rewritten per byte logged are then at
+// most one however large the state, the log a restart replays is at most
+// max(DefaultCompactThreshold, snapshot), and the directory transiently
+// holds about two snapshots and two such logs.
+func (d *durability) threshold() int64 {
+	if d.compactThreshold != 0 {
+		return d.compactThreshold
+	}
+	return max(DefaultCompactThreshold, d.wal.LastCompaction().SnapshotBytes)
 }
 
 // DurableConfig configures OpenDurableServer.
@@ -62,8 +88,10 @@ type DurableConfig struct {
 	// FsyncInterval spaces background syncs under FsyncInterval
 	// (0 takes the store default).
 	FsyncInterval time.Duration
-	// CompactThreshold overrides DefaultCompactThreshold (0 keeps it;
-	// negative disables automatic compaction).
+	// CompactThreshold is the log growth that triggers a background
+	// compaction: 0 takes the default rule (DefaultCompactThreshold, or
+	// the newest snapshot's size once that is larger), a positive value
+	// is used as given, a negative one disables automatic compaction.
 	CompactThreshold int64
 }
 
@@ -72,7 +100,7 @@ type DurableConfig struct {
 // snapshot, replays the log tail, and returns a server that logs every
 // mutation before applying it. st must be fresh — recovered state is
 // restored into it. Callers should Close the server on a graceful
-// drain (snapshot + truncate); after a crash the next OpenDurableServer
+// drain (one last compaction); after a crash the next OpenDurableServer
 // recovers instead.
 func OpenDurableServer(b *building.Building, st *store.Store, debounce int, cfg DurableConfig) (*Server, error) {
 	if cfg.Dir == "" {
@@ -90,18 +118,14 @@ func OpenDurableServer(b *building.Building, st *store.Store, debounce int, cfg 
 		_ = w.Close()
 		return nil, err
 	}
-	threshold := cfg.CompactThreshold
-	if threshold == 0 {
-		threshold = DefaultCompactThreshold
-	}
-	s.dur = &durability{wal: w, compactThreshold: threshold}
+	s.dur = &durability{wal: w, compactThreshold: cfg.CompactThreshold}
 	return s, nil
 }
 
 // Durable reports whether the server runs over a WAL.
 func (s *Server) Durable() bool { return s.dur != nil }
 
-// WALSize returns the log bytes appended since the last compaction
+// WALSize returns the log bytes appended since the last compaction cut
 // (0 for a volatile server).
 func (s *Server) WALSize() int64 {
 	if s.dur == nil {
@@ -111,8 +135,8 @@ func (s *Server) WALSize() int64 {
 }
 
 // Close drains the server: it stops the gateway streams between frames
-// and then, on a durable server, compacts the WAL (one final snapshot,
-// log truncated) and closes it — in that order, so no stream
+// and then, on a durable server, compacts the WAL (one final snapshot
+// beside an empty log) and closes it — in that order, so no stream
 // acknowledges a frame the closed log cannot hold. Close is the graceful
 // path; a killed process simply recovers from snapshot + log at the next
 // OpenDurableServer.
@@ -128,30 +152,67 @@ func (s *Server) Close() error {
 	return s.dur.wal.Close()
 }
 
-// CompactWAL snapshots the server's full state and truncates the log.
+// CompactWAL moves the server's full state into a new snapshot and
+// returns once it has landed and the log behind it is reclaimed. Ingest
+// is held off only while the state is cut in memory (store.WAL.Compact).
 func (s *Server) CompactWAL() error {
 	if s.dur == nil {
 		return fmt.Errorf("bms: server is not durable")
 	}
-	return s.dur.wal.Compact(s.writeDurableSnapshot)
+	return s.dur.wal.Compact(s.cutDurableSnapshot)
+}
+
+// LastCompaction describes the newest snapshot of a durable server (the
+// zero value for a volatile one).
+func (s *Server) LastCompaction() store.Compaction {
+	if s.dur == nil {
+		return store.Compaction{}
+	}
+	return s.dur.wal.LastCompaction()
 }
 
 // maybeCompact starts a background compaction when the log has
-// outgrown the threshold. At most one runs at a time.
+// outgrown the threshold. At most one runs at a time. The caller holds
+// no WAL guard: it may wait here for a compaction whose cut waits for
+// the guards.
 func (s *Server) maybeCompact() {
 	d := s.dur
-	if d.compactThreshold < 0 || d.wal.Size() < d.compactThreshold {
+	threshold := d.threshold()
+	if threshold < 0 || d.wal.Size() < max(threshold, d.retryAt.Load()) {
 		return
 	}
 	if !d.compacting.CompareAndSwap(false, true) {
+		// One is in flight. Before its cut, this log is what it is about
+		// to seal: carry on. Behind its cut, a whole threshold has been
+		// logged while its snapshot was landing: wait for the landing, so
+		// the log cannot outrun the compactions that bound it — a
+		// threshold sealed and a threshold live, at most. Under the
+		// default threshold that takes a snapshot slower to write than
+		// the same bytes take to log frame by frame.
+		if landing := d.landing.Load(); landing != nil {
+			<-*landing
+		}
 		return
 	}
 	go func() {
 		defer d.compacting.Store(false)
-		// A failure keeps the old snapshot and the full log, is counted
-		// and flight-recorded by the WAL (wal_compact_errors_total), and
-		// the next append past the threshold tries again.
-		_ = d.wal.Compact(s.writeDurableSnapshot)
+		landing := make(chan struct{})
+		defer close(landing)
+		defer d.landing.Store(nil)
+		err := d.wal.Compact(func() func(io.Writer) error {
+			d.landing.Store(&landing)
+			return s.cutDurableSnapshot()
+		})
+		// A failure loses nothing — the old snapshot and every log file
+		// still recover — and is counted and flight-recorded by the WAL
+		// (wal_compact_errors_total). The next attempt waits for the log
+		// to grow by another threshold: under a persistent fault (a full
+		// disk) every upload would otherwise write a whole snapshot.
+		if err != nil {
+			d.retryAt.Store(d.wal.Size() + threshold)
+		} else {
+			d.retryAt.Store(0)
+		}
 	}()
 }
 

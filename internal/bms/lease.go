@@ -84,6 +84,7 @@ func (s *Server) GrantLease(epoch uint64, holder string) (uint64, string, error)
 		return 0, "", fmt.Errorf("bms: lease claim at epoch 0 (epoch 0 means unfenced)")
 	}
 	sm := s.met
+	defer s.beginLease()()
 	s.lease.mu.Lock()
 	defer s.lease.mu.Unlock()
 	switch {
@@ -152,6 +153,13 @@ func (s *Server) admitEpoch(epoch uint64) error {
 	}
 	sm := s.met
 	s.lease.mu.Lock()
+	if epoch > s.lease.epoch {
+		// The grant is about to advance: take the guard first, then the
+		// lease again — the checks below run on what is found then.
+		s.lease.mu.Unlock()
+		defer s.beginLease()()
+		s.lease.mu.Lock()
+	}
 	defer s.lease.mu.Unlock()
 	if epoch < s.lease.epoch {
 		if sm != nil {
@@ -183,15 +191,28 @@ func (s *Server) admitEpoch(epoch uint64) error {
 	return nil
 }
 
-// logLease appends the grant record to the log. The caller holds
-// s.lease.mu; the record must be durable before the grant is
-// acknowledged, or a crashed shard could re-grant a deposed epoch.
+// beginLease opens the WAL guard a grant is logged and applied under (a
+// no-op on a volatile server) and returns its end. The guard comes
+// before s.lease.mu, the order a compaction's cut takes them in
+// (exclusive hold, then GrantedLease): the other way round, a grant
+// holding the lease and waiting for the guard would deadlock with a cut
+// holding the guard and waiting for the lease. Spanning the apply as
+// well keeps a cut from falling between a grant's record and its effect.
+func (s *Server) beginLease() (end func()) {
+	if s.dur == nil {
+		return func() {}
+	}
+	return s.dur.wal.Begin()
+}
+
+// logLease appends the grant record to the log. The caller holds the
+// beginLease guard and s.lease.mu; the record must be durable before
+// the grant is acknowledged, or a crashed shard could re-grant a
+// deposed epoch.
 func (s *Server) logLease(epoch uint64, holder string) error {
 	if s.dur == nil {
 		return nil
 	}
-	end := s.dur.wal.Begin()
-	defer end()
 	return s.logRecord(walRecord{T: recLease, Lease: &leaseRecJSON{Epoch: epoch, Holder: holder}})
 }
 

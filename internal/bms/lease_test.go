@@ -128,7 +128,7 @@ func TestLeaseSurvivesKillAndCompaction(t *testing.T) {
 	}
 
 	// Write-implied advance, then compaction: the grant must ride the
-	// snapshot, not just the (now truncated) log.
+	// snapshot, not just the (now reclaimed) log.
 	if _, err := ingestFenced(s2, 9, reportNear(b, "phone", 0, 2)); err != nil {
 		t.Fatal(err)
 	}

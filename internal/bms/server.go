@@ -238,11 +238,11 @@ func (s *Server) ingest(gwEpoch uint64, b *wire.Batch, payload []byte, sc *inges
 		// before any state moves, under one Begin guard so a concurrent
 		// compaction cannot snapshot between the append and the apply.
 		end := s.dur.wal.Begin()
+		defer s.maybeCompact() // after end(): it may wait for a compaction
 		defer end()
 		if err := s.logObservations(b, payload, sc.rooms); err != nil {
 			return nil, err
 		}
-		defer s.maybeCompact()
 	}
 	// The store decides freshness against each device's high-water mark;
 	// stale retransmissions keep their predicted room in the response

@@ -1,6 +1,6 @@
-// The compacting snapshot of a durable server's full state, written
-// under the WAL's exclusive barrier and restored at boot before the log
-// tail replays (durable.go).
+// The compacting snapshot of a durable server's full state: cut in
+// memory under the WAL's exclusive hold, written beside live appends,
+// and restored at boot before the log tail replays (durable.go).
 //
 // A snapshot is a stream of checksummed sections, each one wire frame
 // (wire.BeginFrame/EndFrame, read back with wire.ReadFrame) whose
@@ -32,6 +32,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"sort"
 	"time"
 
 	"occusim/internal/occupancy"
@@ -106,8 +107,7 @@ func (sw *sectionWriter) flush(min int) error {
 	return err
 }
 
-// device frames one device's retained observations. No I/O: it runs
-// under the store's stripe lock.
+// device frames one device's retained observations.
 func (sw *sectionWriter) device(name string, obs []store.Observation) {
 	for len(obs) > 0 {
 		sw.begin(secDevice)
@@ -142,34 +142,56 @@ func (sw *sectionWriter) events(events []occupancy.Event) {
 	}
 }
 
-// writeDurableSnapshot serialises the server's full state. It runs
-// under the WAL's exclusive compaction barrier, so no log-then-apply
-// operation is in flight: the state it reads includes every logged
-// record and nothing unlogged.
-func (s *Server) writeDurableSnapshot(w io.Writer) error {
-	var training bytes.Buffer
-	if err := s.st.WriteSnapshot(&training); err != nil {
-		return err
-	}
-	hdr := snapHeaderJSON{Training: json.RawMessage(bytes.TrimSpace(training.Bytes()))}
+// cutDurableSnapshot captures the server's full durable state and
+// returns the function that serialises the capture. The capture runs
+// under the WAL's exclusive hold, so no log-then-apply operation is in
+// flight: it includes every logged record and nothing unlogged. It is
+// views and small copies only — store.Cut and occupancy.Cut say why the
+// views stay valid — so the hold is short; sorting, encoding and I/O all
+// happen in the returned function, while ingest runs again.
+func (s *Server) cutDurableSnapshot() func(io.Writer) error {
+	st := s.st.Cut()
+	tr := s.tracker.Cut()
+	var hdr snapHeaderJSON
 	if ms, ok := s.ModelSnapshot(); ok {
 		hdr.ModelSnap = &ms
 	}
 	if epoch, holder := s.GrantedLease(); epoch > 0 {
 		hdr.Lease = &leaseRecJSON{Epoch: epoch, Holder: holder}
 	}
-	devices := s.KnownDevices()
-	hdr.Devices = make([]snapDeviceJSON, len(devices))
-	for i, device := range devices {
-		ds := &hdr.Devices[i]
-		ds.Device = device
-		ds.Epoch, ds.Seq = s.st.SeqMark(device)
-		if tr, ok := s.tracker.Export(device); ok {
-			ds.Tracker = &tr
-		}
-		s.st.VisitHistory(device, func(obs []store.Observation) { ds.Obs = len(obs) })
+	return func(w io.Writer) error { return s.writeDurableSnapshot(w, hdr, st, tr) }
+}
+
+// writeDurableSnapshot serialises a cut. Compactions are serialised by
+// the WAL, so one runs at a time and may keep the buffer.
+func (s *Server) writeDurableSnapshot(w io.Writer, hdr snapHeaderJSON, st *store.Cut, tr *occupancy.Cut) error {
+	var training bytes.Buffer
+	if err := st.WriteTraining(&training); err != nil {
+		return err
 	}
-	events := s.tracker.Events()
+	hdr.Training = json.RawMessage(bytes.TrimSpace(training.Bytes()))
+
+	// The known devices are the store's and the tracker's, by name.
+	tracked := make(map[string]*occupancy.DeviceState, len(tr.Devices))
+	for i := range tr.Devices {
+		tracked[tr.Devices[i].Device] = &tr.Devices[i]
+	}
+	devices := st.Devices
+	stored := make(map[string]bool, len(devices))
+	for _, d := range devices {
+		stored[d.Device] = true
+	}
+	for name := range tracked {
+		if !stored[name] {
+			devices = append(devices, store.DeviceCut{Device: name})
+		}
+	}
+	sort.Slice(devices, func(i, j int) bool { return devices[i].Device < devices[j].Device })
+	hdr.Devices = make([]snapDeviceJSON, len(devices))
+	for i, d := range devices {
+		hdr.Devices[i] = snapDeviceJSON{Device: d.Device, Epoch: d.Epoch, Seq: d.Seq, Tracker: tracked[d.Device], Obs: len(d.History)}
+	}
+	events := tr.Events()
 	hdr.Events = len(events)
 	blob, err := json.Marshal(hdr)
 	if err != nil {
@@ -187,19 +209,11 @@ func (s *Server) writeDurableSnapshot(w io.Writer) error {
 	sw.begin(secHeader)
 	sw.buf = append(sw.buf, blob...)
 	sw.end()
-	for i := range hdr.Devices {
-		ds := &hdr.Devices[i]
-		if ds.Obs == 0 {
+	for _, d := range devices {
+		if len(d.History) == 0 {
 			continue
 		}
-		wrote := 0
-		s.st.VisitHistory(ds.Device, func(obs []store.Observation) {
-			wrote = len(obs)
-			sw.device(ds.Device, obs)
-		})
-		if wrote != ds.Obs {
-			return fmt.Errorf("bms: snapshot: %s retained %d observations, then %d: the store moved under the compaction barrier", ds.Device, ds.Obs, wrote)
-		}
+		sw.device(d.Device, d.History)
 		if err := sw.flush(snapFlushBytes); err != nil {
 			return err
 		}

@@ -16,6 +16,7 @@ import (
 	"occusim/internal/building"
 	"occusim/internal/ibeacon"
 	"occusim/internal/obs"
+	"occusim/internal/occupancy"
 	"occusim/internal/store"
 	"occusim/internal/transport"
 	"occusim/internal/wire"
@@ -72,39 +73,81 @@ func sameObservations(a, b []store.Observation) bool {
 	return true
 }
 
-// requireSameState compares every view recovery must reproduce.
-func requireSameState(t *testing.T, got, want *Server) {
+// serverState is a copy of every view recovery must reproduce, taken
+// at one moment so it can be compared after the server has moved on.
+type serverState struct {
+	occupancy   OccupancySnapshot
+	events      []occupancy.Event
+	dwell       map[string]time.Duration
+	devices     []string
+	exports     map[string]DeviceState
+	histories   map[string][]store.Observation
+	leaseEpoch  uint64
+	leaseHolder string
+	beacons     []ibeacon.BeaconID
+	classifier  string
+}
+
+func stateOf(s *Server) serverState {
+	st := serverState{
+		occupancy:  s.Occupancy(),
+		events:     s.Events(),
+		dwell:      s.DwellTotals(),
+		devices:    s.KnownDevices(),
+		exports:    map[string]DeviceState{},
+		histories:  map[string][]store.Observation{},
+		beacons:    s.st.Beacons(),
+		classifier: s.Classifier(),
+	}
+	for _, device := range st.devices {
+		if ds, ok := s.ExportDevice(device); ok {
+			st.exports[device] = ds
+		}
+		st.histories[device] = s.st.History(device)
+	}
+	st.leaseEpoch, st.leaseHolder = s.GrantedLease()
+	return st
+}
+
+// requireState compares two captures view by view.
+func requireState(t *testing.T, got, want serverState) {
 	t.Helper()
-	if !reflect.DeepEqual(got.Occupancy(), want.Occupancy()) {
-		t.Fatalf("occupancy\n got: %+v\nwant: %+v", got.Occupancy(), want.Occupancy())
+	if !reflect.DeepEqual(got.occupancy, want.occupancy) {
+		t.Fatalf("occupancy\n got: %+v\nwant: %+v", got.occupancy, want.occupancy)
 	}
-	if !reflect.DeepEqual(got.Events(), want.Events()) {
-		t.Fatalf("events\n got: %+v\nwant: %+v", got.Events(), want.Events())
+	for i := 0; i < len(got.events) || i < len(want.events); i++ {
+		if i >= len(got.events) || i >= len(want.events) || got.events[i] != want.events[i] {
+			t.Fatalf("events diverge at %d of %d (want %d)\n got: %+v\nwant: %+v", i, len(got.events), len(want.events), got.events[min(i, len(got.events)):min(i+3, len(got.events))], want.events[min(i, len(want.events)):min(i+3, len(want.events))])
+		}
 	}
-	if !reflect.DeepEqual(got.DwellTotals(), want.DwellTotals()) {
-		t.Fatalf("dwell\n got: %+v\nwant: %+v", got.DwellTotals(), want.DwellTotals())
+	if !reflect.DeepEqual(got.dwell, want.dwell) {
+		t.Fatalf("dwell\n got: %+v\nwant: %+v", got.dwell, want.dwell)
 	}
-	if !reflect.DeepEqual(got.KnownDevices(), want.KnownDevices()) {
-		t.Fatalf("devices\n got: %v\nwant: %v", got.KnownDevices(), want.KnownDevices())
+	if !reflect.DeepEqual(got.devices, want.devices) {
+		t.Fatalf("devices\n got: %v\nwant: %v", got.devices, want.devices)
 	}
-	for _, device := range want.KnownDevices() {
-		g, gok := got.ExportDevice(device)
-		w, wok := want.ExportDevice(device)
+	for _, device := range want.devices {
+		g, gok := got.exports[device]
+		w, wok := want.exports[device]
 		if gok != wok || !reflect.DeepEqual(g, w) {
 			t.Fatalf("device %s state\n got: %+v (%v)\nwant: %+v (%v)", device, g, gok, w, wok)
 		}
-		if !sameObservations(got.st.History(device), want.st.History(device)) {
-			t.Fatalf("device %s history\n got: %+v\nwant: %+v", device, got.st.History(device), want.st.History(device))
+		if !sameObservations(got.histories[device], want.histories[device]) {
+			t.Fatalf("device %s history\n got: %+v\nwant: %+v", device, got.histories[device], want.histories[device])
 		}
 	}
-	ge, gh := got.GrantedLease()
-	we, wh := want.GrantedLease()
-	if ge != we || gh != wh {
-		t.Fatalf("lease (%d, %q), want (%d, %q)", ge, gh, we, wh)
+	if got.leaseEpoch != want.leaseEpoch || got.leaseHolder != want.leaseHolder {
+		t.Fatalf("lease (%d, %q), want (%d, %q)", got.leaseEpoch, got.leaseHolder, want.leaseEpoch, want.leaseHolder)
 	}
-	if !reflect.DeepEqual(got.st.Beacons(), want.st.Beacons()) || got.Classifier() != want.Classifier() {
-		t.Fatalf("training state diverged: %s / %d beacons, want %s / %d", got.Classifier(), len(got.st.Beacons()), want.Classifier(), len(want.st.Beacons()))
+	if !reflect.DeepEqual(got.beacons, want.beacons) || got.classifier != want.classifier {
+		t.Fatalf("training state diverged: %s / %d beacons, want %s / %d", got.classifier, len(got.beacons), want.classifier, len(want.beacons))
 	}
+}
+
+// requireSameState compares every view recovery must reproduce.
+func requireSameState(t *testing.T, got, want *Server) {
+	t.Helper()
+	requireState(t, stateOf(got), stateOf(want))
 }
 
 // randomState drives a durable server into a state with every shape the
@@ -370,7 +413,7 @@ func TestCompactionCostPins(t *testing.T) {
 		t.Fatalf("CompactWAL of the steady state allocates %.0f objects, want ≤ 4096", allocs)
 	}
 	var cw countingWriter
-	if err := s.writeDurableSnapshot(&cw); err != nil {
+	if err := s.cutDurableSnapshot()(&cw); err != nil {
 		t.Fatal(err)
 	}
 	if cw.writes > 64 {

@@ -246,7 +246,7 @@ func NewDurableLocalPool(b *building.Building, n, debounce, retain int, dataDir 
 }
 
 // Close drains every server in the pool: each takes a final snapshot
-// and truncates its log (volatile servers no-op). Errors are joined;
+// and reclaims the log behind it (volatile servers no-op). Errors are joined;
 // all servers are attempted regardless.
 func (p *LocalPool) Close() error {
 	var errs []error

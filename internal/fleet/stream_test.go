@@ -262,6 +262,12 @@ func TestStreamsSurviveResetsUnderRace(t *testing.T) {
 	for epoch := uint64(1); running.Load() > 0; epoch++ {
 		hs.StampEpoch(epoch)
 		resets += cut.reset()
+		if resets == 0 {
+			// No stream was open yet. Do not sleep through the whole run
+			// (a few ms) before the first cut: look again at once.
+			runtime.Gosched()
+			continue
+		}
 		time.Sleep(500 * time.Microsecond)
 	}
 	wg.Wait()

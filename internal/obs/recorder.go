@@ -37,6 +37,7 @@ const (
 	EventMigration    = "migration"         // device state moved between shards
 	EventWALRepair    = "wal_repair"        // a torn WAL tail was truncated at recovery
 	EventCompactError = "wal_compact_error" // a WAL compaction failed; the log was kept
+	EventCompact      = "compact"           // a WAL compaction landed its snapshot
 	EventShardDown    = "shard_down"        // dispatch marked a shard down
 	EventShardUp      = "shard_up"          // a health probe brought a shard back
 	EventStreamReset  = "stream_reset"      // a gateway → shard stream was closed on an error or deadline

@@ -374,6 +374,30 @@ func (t *Tracker) Export(device string) (DeviceState, bool) {
 	return st, true
 }
 
+// exportAll appends the state of every device the tracker knows (in
+// KnownDevices' wide sense) to dst, in no particular order.
+func (t *Tracker) exportAll(dst []DeviceState) []DeviceState {
+	export := func(device string) {
+		st, _ := t.Export(device)
+		dst = append(dst, st)
+	}
+	for device := range t.lastAt {
+		export(device)
+	}
+	for device := range t.current {
+		if _, ok := t.lastAt[device]; !ok {
+			export(device)
+		}
+	}
+	for device := range t.pending {
+		_, seen := t.lastAt[device]
+		if _, committed := t.current[device]; !seen && !committed {
+			export(device)
+		}
+	}
+	return dst
+}
+
 // Evict exports the device's state and removes every trace of it —
 // committed room, pending debounce progress, observation clock and
 // dwell accounting — so the shard no longer reports the device in any

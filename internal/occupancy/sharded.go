@@ -256,12 +256,28 @@ func (s *Sharded) Occupants(room string) []string {
 // Events with equal timestamps order by device name; one device's
 // exit/enter pair at the same instant keeps its in-shard order.
 func (s *Sharded) Events() []Event {
-	var all []Event
+	var views [trackerShards][]Event
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		all = append(all, sh.tr.Events()...)
+		views[i] = sh.tr.events // append-only (Tracker.record): a stable view
 		sh.mu.Unlock()
+	}
+	return mergeEvents(&views)
+}
+
+// mergeEvents copies the stripes' logs into one list in Events' order.
+func mergeEvents(views *[trackerShards][]Event) []Event {
+	n := 0
+	for _, v := range views {
+		n += len(v)
+	}
+	if n == 0 {
+		return nil
+	}
+	all := make([]Event, 0, n)
+	for _, v := range views {
+		all = append(all, v...)
 	}
 	sort.SliceStable(all, func(i, j int) bool {
 		if all[i].At != all[j].At {
@@ -271,3 +287,32 @@ func (s *Sharded) Events() []Event {
 	})
 	return all
 }
+
+// Cut is the tracker's durable state at one instant: every known
+// device's state, in no particular order, and the event history. Taking
+// it costs a walk over the devices and sixteen slice headers — the
+// events are neither copied nor sorted until Events is called — so a
+// snapshot writer takes it while ingest is briefly excluded and
+// serialises it while ingest runs again. As with store.Cut, the stripes
+// are visited one after another: the caller holds mutations off.
+type Cut struct {
+	Devices []DeviceState
+	events  [trackerShards][]Event
+}
+
+// Cut captures the tracker's durable state (see Cut).
+func (s *Sharded) Cut() *Cut {
+	c := &Cut{}
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.mu.Lock()
+		c.Devices = sh.tr.exportAll(c.Devices)
+		c.events[i] = sh.tr.events
+		sh.mu.Unlock()
+	}
+	return c
+}
+
+// Events returns the event history as of the cut, in Sharded.Events'
+// order.
+func (c *Cut) Events() []Event { return mergeEvents(&c.events) }

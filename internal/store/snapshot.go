@@ -28,13 +28,32 @@ type fpJSON struct {
 
 // WriteSnapshot persists the store's training state.
 func (s *Store) WriteSnapshot(w io.Writer) error {
+	return s.cutTraining().write(w)
+}
+
+// trainingCut is the training state at one instant, as views: the
+// fingerprint list and the beacon order only ever grow by append, and a
+// model blob is replaced by a fresh copy, never rewritten, so the
+// captured slices stay valid and unchanging without s.mu.
+type trainingCut struct {
+	beacons      []ibeacon.BeaconID
+	fingerprints []fingerprint.Sample
+	model        []byte
+	modelVersion int
+}
+
+func (s *Store) cutTraining() trainingCut {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	snap := snapshotJSON{ModelVersion: s.modelVersion}
-	for _, id := range s.beaconOrder {
+	return trainingCut{beacons: s.beaconOrder, fingerprints: s.fingerprints, model: s.model, modelVersion: s.modelVersion}
+}
+
+func (t trainingCut) write(w io.Writer) error {
+	snap := snapshotJSON{ModelVersion: t.modelVersion}
+	for _, id := range t.beacons {
 		snap.Beacons = append(snap.Beacons, id.String())
 	}
-	for _, sample := range s.fingerprints {
+	for _, sample := range t.fingerprints {
 		fj := fpJSON{
 			Room:      sample.Room,
 			AtSeconds: sample.At.Seconds(),
@@ -45,8 +64,8 @@ func (s *Store) WriteSnapshot(w io.Writer) error {
 		}
 		snap.Fingerprints = append(snap.Fingerprints, fj)
 	}
-	if s.model != nil {
-		snap.Model = json.RawMessage(s.model)
+	if t.model != nil {
+		snap.Model = json.RawMessage(t.model)
 	}
 	return json.NewEncoder(w).Encode(snap)
 }

@@ -12,6 +12,7 @@ package store
 
 import (
 	"fmt"
+	"io"
 	"sort"
 	"sync"
 	"time"
@@ -290,16 +291,56 @@ func (s *Store) History(device string) []Observation {
 	return append([]Observation(nil), sh.observations[device]...)
 }
 
-// VisitHistory calls fn with the device's retained observations in
-// arrival order — the slice the store itself holds, under the stripe's
-// read lock, so a snapshot writer serialises a long history without
-// History's copy. fn must not retain or mutate the slice, nor call back
-// into the store.
-func (s *Store) VisitHistory(device string, fn func([]Observation)) {
-	sh := s.shardFor(device)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	fn(sh.observations[device])
+// DeviceCut is one device's share of a Cut: its ingest high-water mark
+// and its retained observations as they stood when the cut was taken.
+type DeviceCut struct {
+	Device     string
+	Epoch, Seq uint64
+	// History is a view, not a copy. It stays valid and unchanging
+	// while ingest continues, because the store only ever appends to a
+	// device's history and re-slices it forward (appendLocked), replaces
+	// it wholesale with a fresh array (RestoreObservations) or drops it
+	// (ExpireDevice, EvictDevice): no element below a captured length is
+	// written again, so later appends land past the view's end or in a
+	// new array. Any new mutation of retained observations must keep that
+	// true. Callers must not write through the view.
+	History []Observation
+}
+
+// Cut is the store's durable state at one instant: every device it
+// holds a mark or observations for, in no particular order, and the
+// training state. Taking it costs one map walk per stripe — nothing is
+// copied or encoded — so a snapshot writer can take it while ingest is
+// briefly excluded and serialise it while ingest runs again. The cut is
+// only as consistent as its caller makes it: the stripes are visited
+// one after another, so mutations must be held off for its duration
+// (the WAL's exclusive hold does that for a durable server).
+type Cut struct {
+	Devices  []DeviceCut
+	training trainingCut
+}
+
+// WriteTraining serialises the training state as of the cut, in
+// WriteSnapshot's form.
+func (c *Cut) WriteTraining(w io.Writer) error { return c.training.write(w) }
+
+// Cut captures the store's durable state (see Cut).
+func (s *Store) Cut() *Cut {
+	c := &Cut{training: s.cutTraining()}
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.mu.RLock()
+		for device, m := range sh.marks {
+			c.Devices = append(c.Devices, DeviceCut{Device: device, Epoch: m.epoch, Seq: m.seq, History: sh.observations[device]})
+		}
+		for device, obs := range sh.observations {
+			if _, marked := sh.marks[device]; !marked {
+				c.Devices = append(c.Devices, DeviceCut{Device: device, History: obs})
+			}
+		}
+		sh.mu.RUnlock()
+	}
+	return c
 }
 
 // Devices returns all device names, sorted.
@@ -461,31 +502,4 @@ func (s *Store) Model() ([]byte, int) {
 		return nil, 0
 	}
 	return append([]byte(nil), s.model...), s.modelVersion
-}
-
-// PruneBefore drops observations older than cutoff. It returns the
-// number removed.
-func (s *Store) PruneBefore(cutoff time.Duration) int {
-	removed := 0
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		for dev, obs := range sh.observations {
-			keep := obs[:0]
-			for _, o := range obs {
-				if o.At >= cutoff {
-					keep = append(keep, o)
-				} else {
-					removed++
-				}
-			}
-			if len(keep) == 0 {
-				delete(sh.observations, dev)
-			} else {
-				sh.observations[dev] = append([]Observation(nil), keep...)
-			}
-		}
-		sh.mu.Unlock()
-	}
-	return removed
 }

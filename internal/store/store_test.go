@@ -1,6 +1,7 @@
 package store
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -130,24 +131,6 @@ func TestModelVersioning(t *testing.T) {
 	}
 }
 
-func TestPruneBefore(t *testing.T) {
-	s, _ := New(10)
-	for i := 1; i <= 5; i++ {
-		_, _ = s.AddObservation(mkObs("p", time.Duration(i)*time.Second))
-	}
-	_, _ = s.AddObservation(mkObs("old", time.Second))
-	removed := s.PruneBefore(3 * time.Second)
-	if removed != 3 { // p@1s, p@2s, old@1s
-		t.Fatalf("removed = %d", removed)
-	}
-	if len(s.History("p")) != 3 {
-		t.Fatalf("p history = %d", len(s.History("p")))
-	}
-	if _, ok := s.Latest("old"); ok {
-		t.Fatal("old device should be gone")
-	}
-}
-
 func TestConcurrentAccess(t *testing.T) {
 	s, _ := New(100)
 	var wg sync.WaitGroup
@@ -216,5 +199,67 @@ func TestInstallModelVersionMonotonic(t *testing.T) {
 	}
 	if v, ok := s.InstallModel([]byte(`{"m":10}`), 0); !ok || v != 6 {
 		t.Fatalf("unversioned install = (%d, %v), want (6, true)", v, ok)
+	}
+}
+
+// TestCutHistoryViewsAreUnchanging: the history a Cut hands out is the
+// store's own array, not a copy, and must read as it stood at the cut
+// while ingest appends behind it, slides the retention window forward
+// and reallocates — and after the device is expired or evicted.
+func TestCutHistoryViewsAreUnchanging(t *testing.T) {
+	const retain = 8
+	s, _ := New(retain)
+	devices := []string{"a", "b", "c", "expired", "evicted", "marked-only"}
+	add := func(dev string, i int) {
+		o := mkObs(dev, time.Duration(i)*time.Second, idA)
+		o.Epoch, o.Seq = 1, uint64(i+1)
+		if fresh, err := s.AddObservation(o); err != nil || !fresh {
+			t.Errorf("observation %d of %s: fresh=%v err=%v", i, dev, fresh, err)
+		}
+	}
+	for k, dev := range devices[:5] {
+		for i := 0; i < 3+2*k; i++ { // below, at and past the bound
+			add(dev, i)
+		}
+	}
+	s.InstallSeqMark("marked-only", 2, 7)
+
+	// Nothing is mutating: this is the hold.
+	cut := s.Cut()
+	want := map[string][]Observation{}
+	for _, dev := range devices {
+		want[dev] = s.History(dev)
+	}
+	if len(cut.Devices) != len(devices) {
+		t.Fatalf("the cut holds %d devices, want %d", len(cut.Devices), len(devices))
+	}
+
+	var wg sync.WaitGroup
+	for k, dev := range devices[:3] {
+		wg.Add(1)
+		go func(dev string, from int) {
+			defer wg.Done()
+			for i := from; i < from+5*retain; i++ {
+				add(dev, i)
+			}
+		}(dev, 3+2*k)
+	}
+	s.ExpireDevice("expired")
+	s.EvictDevice("evicted")
+	check := func() {
+		for _, d := range cut.Devices {
+			if !reflect.DeepEqual(append([]Observation(nil), d.History...), want[d.Device]) {
+				t.Fatalf("%s's view changed behind the cut:\n got %+v\nwant %+v", d.Device, d.History, want[d.Device])
+			}
+			if epoch, seq := uint64(1), uint64(len(want[d.Device])); d.Device != "marked-only" && (d.Epoch != epoch || d.Seq < seq) {
+				t.Fatalf("%s's mark in the cut is (%d, %d)", d.Device, d.Epoch, d.Seq)
+			}
+		}
+	}
+	check()
+	wg.Wait()
+	check()
+	if got := s.History("a"); reflect.DeepEqual(got, want["a"]) || len(s.History("expired"))+len(s.History("evicted")) != 0 {
+		t.Fatal("vacuous: the store did not move behind the cut")
 	}
 }

@@ -26,13 +26,19 @@
 // checksum-corrupted frame with valid data after it is silent damage
 // in the middle of committed history and fails loudly.
 //
-// The generation is the compaction barrier. Compact writes the
-// snapshot to snapshot-<gen+1> (atomically: temp file, fsync, rename),
-// bumps the generation, then truncates the log. Replay skips frames
-// whose generation is below the newest snapshot's, so a crash between
-// the snapshot rename and the truncation — when the log still carries
-// records the snapshot already contains — cannot double-apply or, for
-// destructive records (evictions), re-apply stale mutations over the
+// The generation is the compaction barrier. A compaction is cut, land,
+// reclaim (Compact): under a brief exclusive hold the owner captures its
+// state, wal.log is synced whole and renamed to a generation-stamped
+// sealed file, a fresh wal.log opens and the generation moves on; the
+// snapshot is then written to snapshot-<gen+1> (atomically: temp file,
+// fsync, rename) beside live appends; once it has landed, the sealed
+// files and snapshots it covers are deleted. Replay reads the newest
+// snapshot's generation G, then every sealed file in generation order,
+// then wal.log, skipping frames stamped below G — so a crash at any
+// point recovers exactly: before the snapshot lands, from the old
+// snapshot and every frame in append order; after it, from the new
+// snapshot with the sealed frames skipped, reclaimed or not, which is
+// what keeps destructive records (evictions) from re-applying over
 // newer snapshot state.
 package store
 
@@ -63,8 +69,9 @@ type walMetrics struct {
 	groupCommit    *obs.Histogram // frames newly covered per fsync
 	compactions    *obs.Counter   // successful compactions only
 	compactErrors  *obs.Counter
-	appendErrors   *obs.Counter // failed writes and failed batch fsyncs
-	compactLatency *obs.Histogram
+	appendErrors   *obs.Counter   // failed writes and failed batch fsyncs
+	compactLatency *obs.Histogram // a whole compaction: cut, land and reclaim
+	compactStall   *obs.Histogram // the cut alone: how long appenders were excluded
 	tornRepairs    *obs.Counter
 	size           *obs.Gauge // summed over every WAL on the registry
 	rec            *obs.Recorder
@@ -89,12 +96,13 @@ func (w *WAL) Instrument(m *obs.Metrics) {
 		appendLatency:  m.Timing("wal_append_seconds", "WAL frame append latency, including the fsync under the batch policy"),
 		fsyncLatency:   m.Timing("wal_fsync_seconds", "WAL fsync syscall latency"),
 		groupCommit:    m.Sizes("wal_group_commit_frames", "frames newly covered per completed fsync (one leader commits its followers' frames)"),
-		compactions:    m.Counter("wal_compactions_total", "snapshot-and-truncate compactions completed"),
-		compactErrors:  m.Counter("wal_compact_errors_total", "compactions that failed before the snapshot landed (the log is kept)"),
+		compactions:    m.Counter("wal_compactions_total", "compactions completed: snapshots landed"),
+		compactErrors:  m.Counter("wal_compact_errors_total", "compactions that failed before the snapshot landed (every log file is kept)"),
 		appendErrors:   m.Counter("wal_append_errors_total", "appends that failed at the write or, under the batch policy, the fsync"),
-		compactLatency: m.Timing("wal_compact_seconds", "snapshot-and-truncate compaction duration"),
+		compactLatency: m.Timing("wal_compact_seconds", "duration of a whole compaction: cut, snapshot write, reclaim"),
+		compactStall:   m.Timing("wal_compact_stall_seconds", "the part of a compaction that excludes appenders: the in-memory cut and the log seal"),
 		tornRepairs:    m.Counter("wal_torn_tail_repairs_total", "torn or truncated final frames discarded during replay"),
-		size:           m.Gauge("wal_size_bytes", "frame bytes appended since the last compaction, summed over this registry's logs"),
+		size:           m.Gauge("wal_size_bytes", "frame bytes appended since the last compaction cut, summed over this registry's logs"),
 		rec:            m.Recorder(),
 	}
 	wm.size.Add(w.size.Load())
@@ -163,15 +171,23 @@ type WAL struct {
 	// stripes is the index range Append still checks; see Append.
 	stripes int
 
+	// compactMu serialises compactions (and Replay) among themselves, so
+	// a snapshot being written never meets a second cut. Taken before
+	// appendMu, never while holding it.
+	compactMu sync.Mutex
+	closed    bool // guarded by compactMu: a closed log takes no compaction
+
 	// appendMu is the compaction barrier. Owners hold it shared (Begin)
 	// across one WHOLE log-then-apply operation — append plus the
-	// in-memory mutation — so Compact (exclusive) only ever observes
-	// quiesced owner state that includes every appended record. A
-	// record appended under generation g whose apply raced past the
-	// g+1 snapshot would otherwise be skipped at replay and lost.
+	// in-memory mutation — so a compaction's cut (exclusive) only ever
+	// observes quiesced owner state that includes every appended record.
+	// A record appended under generation g whose apply raced past the
+	// g+1 cut would otherwise be skipped at replay and lost.
 	appendMu sync.RWMutex
 
-	// mu orders writes to the log file and guards writeSeq.
+	// mu orders writes to the log file and guards writeSeq. f is wal.log;
+	// a cut replaces it (under appendMu, syncMu and mu, all three), so
+	// readers hold any one of them.
 	mu   sync.Mutex
 	f    *os.File
 	path string
@@ -190,9 +206,13 @@ type WAL struct {
 	// hold).
 	gen uint64
 
-	// size is the total frame bytes appended since the last compaction
-	// — the owner's compaction trigger.
+	// size is the total frame bytes appended since the last cut — the
+	// owner's compaction trigger.
 	size atomic.Int64
+
+	// last describes the newest snapshot: its size (from Stat at open),
+	// and for one this process landed, what the compaction cost.
+	last atomic.Pointer[Compaction]
 
 	// met holds the telemetry handles once Instrument ran; a nil load
 	// keeps the append path at one branch.
@@ -266,17 +286,44 @@ func OpenWAL(dir string, stripes int, policy FsyncPolicy, interval time.Duration
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
 	}
-	f, err := os.OpenFile(w.path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
+	// A process killed while it wrote a snapshot left the temp file; no
+	// other writer can exist, so nothing still wants it.
+	tmps, err := filepath.Glob(filepath.Join(dir, "snapshot-*.tmp-*"))
 	if err != nil {
 		return nil, fmt.Errorf("store: wal: %w", err)
 	}
-	w.f = f
-	gen, _, err := w.newestSnapshot()
+	for _, tmp := range tmps {
+		if err := os.Remove(tmp); err != nil {
+			return nil, fmt.Errorf("store: wal: %w", err)
+		}
+	}
+	gen, snapPath, err := w.newestSnapshot()
 	if err != nil {
-		_ = f.Close()
 		return nil, err
 	}
+	sealed, err := w.sealedLogs()
+	if err != nil {
+		return nil, err
+	}
+	// The cut that sealed a file under generation g moved the log on to
+	// g+1, whether or not its snapshot landed. Sealing under that name
+	// again would overwrite the file.
+	if n := len(sealed); n > 0 && sealed[n-1] >= gen {
+		gen = sealed[n-1] + 1
+	}
 	w.gen = gen
+	last := &Compaction{}
+	if snapPath != "" {
+		fi, err := os.Stat(snapPath)
+		if err != nil {
+			return nil, fmt.Errorf("store: wal: %w", err)
+		}
+		last.SnapshotBytes = fi.Size()
+	}
+	w.last.Store(last)
+	if w.f, err = openLog(w.path); err != nil {
+		return nil, err
+	}
 	if policy == FsyncInterval {
 		if interval <= 0 {
 			interval = DefaultFsyncInterval
@@ -325,10 +372,42 @@ func (w *WAL) Dir() string { return w.dir }
 // snapshotName formats the generation-stamped snapshot filename.
 func snapshotName(gen uint64) string { return fmt.Sprintf("snapshot-%016d.snap", gen) }
 
+// openLog opens (creating if needed) a log file for appending.
+func openLog(path string) (*os.File, error) {
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
+	if err != nil {
+		return nil, fmt.Errorf("store: wal: %w", err)
+	}
+	return f, nil
+}
+
+// sealedName formats the name wal.log takes when a cut seals it under
+// generation gen: every frame in it is stamped gen or lower.
+func sealedName(gen uint64) string { return fmt.Sprintf("wal-%016d.sealed", gen) }
+
+// sealedLogs lists the generations of the directory's sealed log files,
+// ascending.
+func (w *WAL) sealedLogs() ([]uint64, error) {
+	names, err := filepath.Glob(filepath.Join(w.dir, "wal-*.sealed"))
+	if err != nil {
+		return nil, fmt.Errorf("store: wal: %w", err)
+	}
+	gens := make([]uint64, 0, len(names))
+	for _, name := range names {
+		var gen uint64
+		if _, err := fmt.Sscanf(filepath.Base(name), "wal-%d.sealed", &gen); err != nil || filepath.Base(name) != sealedName(gen) {
+			return nil, fmt.Errorf("store: wal: malformed sealed log name %q", name)
+		}
+		gens = append(gens, gen)
+	}
+	sort.Slice(gens, func(i, j int) bool { return gens[i] < gens[j] })
+	return gens, nil
+}
+
 // newestSnapshot locates the highest-generation snapshot file in the
-// directory (gen 0 and ok=false when none exists). Lower-generation
-// leftovers — a crash between rename and cleanup — are ignored here
-// and removed by the next Compact.
+// directory (gen 0 and an empty path when none exists).
+// Lower-generation leftovers — a crash between rename and reclaim — are
+// ignored here and removed by the next compaction.
 func (w *WAL) newestSnapshot() (gen uint64, path string, err error) {
 	entries, err := os.ReadDir(w.dir)
 	if err != nil {
@@ -430,28 +509,64 @@ func (w *WAL) AppendMeta(payload []byte) error {
 	return nil
 }
 
-// Size returns the frame bytes appended since the last compaction —
-// the owner's compaction trigger.
+// Size returns the frame bytes appended since the last cut — the
+// owner's compaction trigger.
 func (w *WAL) Size() int64 { return w.size.Load() }
 
-// Replay scans the log and hands every live frame's payload to apply,
-// in the order the records were appended. Frames below the newest
-// snapshot's generation are skipped: the snapshot already contains
-// them. A torn or truncated final frame is discarded and the file
-// truncated to its valid prefix; corruption before valid data fails
-// loudly. The second callback is never called (see Append).
+// Replay hands every live frame's payload to apply, in the order the
+// records were appended: the sealed files a compaction has not
+// reclaimed yet, in generation order, then wal.log. Frames stamped below
+// the newest snapshot's generation are skipped: the snapshot already
+// contains them. A torn or truncated final frame of wal.log is
+// discarded and the file truncated to its valid prefix; any other
+// damage — corruption before valid data, or a sealed file that does not
+// end on a frame boundary (it was synced whole before it was sealed) —
+// sits inside committed history and fails loudly. Replay leaves the
+// generation at the highest stamp it met, so new frames are never
+// stamped below frames already in the log. The second callback is never
+// called (see Append).
 func (w *WAL) Replay(apply func(payload []byte) error, _ func(idx int, payload []byte) error) error {
+	w.compactMu.Lock()
+	defer w.compactMu.Unlock()
 	w.appendMu.Lock()
 	defer w.appendMu.Unlock()
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	data, err := os.ReadFile(w.path)
+	barrier, _, err := w.newestSnapshot()
 	if err != nil {
-		return fmt.Errorf("store: wal replay %s: %w", w.path, err)
+		return err
 	}
-	off, err := scanLive(data, w.gen, apply)
+	sealed, err := w.sealedLogs()
 	if err != nil {
-		return fmt.Errorf("store: wal %s: %w", w.path, err)
+		return err
+	}
+	scan := func(path string) (data []byte, valid int, err error) {
+		if data, err = os.ReadFile(path); err != nil {
+			return nil, 0, fmt.Errorf("store: wal replay %s: %w", path, err)
+		}
+		valid, top, err := scanLive(data, barrier, apply)
+		if err != nil {
+			return nil, 0, fmt.Errorf("store: wal %s: %w", path, err)
+		}
+		w.gen = max(w.gen, top)
+		return data, valid, nil
+	}
+	for _, gen := range sealed {
+		if gen < barrier {
+			continue // wholly covered; the next compaction reclaims it
+		}
+		path := filepath.Join(w.dir, sealedName(gen))
+		data, valid, err := scan(path)
+		if err != nil {
+			return err
+		}
+		if valid < len(data) {
+			return fmt.Errorf("store: wal %s: %d bytes after the last whole frame of a sealed log", path, len(data)-valid)
+		}
+	}
+	data, off, err := scan(w.path)
+	if err != nil {
+		return err
 	}
 	if off < len(data) {
 		// Discard the torn tail so future appends continue from a clean
@@ -476,70 +591,202 @@ func (w *WAL) Replay(apply func(payload []byte) error, _ func(idx int, payload [
 // scanLive is wire.Scan behind the compaction barrier: apply sees the
 // payload of every frame logged at or above the barrier generation (the
 // newest snapshot already contains the rest). It returns the byte
-// length of the valid prefix; an error means damage inside committed
-// history, or apply's own.
-func scanLive(data []byte, barrier uint64, apply func([]byte) error) (valid int, err error) {
-	return wire.Scan(data, func(gen uint64, payload []byte) error {
+// length of the valid prefix and the highest generation stamped on a
+// frame in it; an error means damage inside committed history, or
+// apply's own.
+func scanLive(data []byte, barrier uint64, apply func([]byte) error) (valid int, top uint64, err error) {
+	valid, err = wire.Scan(data, func(gen uint64, payload []byte) error {
+		top = max(top, gen)
 		if gen < barrier {
 			return nil
 		}
 		return apply(payload)
 	})
+	return valid, top, err
 }
 
-// Compact writes a new snapshot and truncates the log. writeSnapshot
-// must serialise the owner's full durable state; it runs with all
-// appenders blocked, so the snapshot observes every record the log
-// holds (owners apply mutations only after their append returns). The
-// snapshot lands atomically — temp file, fsync, rename — under the
-// next generation; the generation bump is what makes a crash anywhere
-// in Compact safe: before the rename, recovery uses the old snapshot
-// and the full log; after it, recovery uses the new snapshot and skips
-// every frame of the old generation, truncated or not.
-func (w *WAL) Compact(writeSnapshot func(io.Writer) error) error {
-	w.appendMu.Lock()
-	defer w.appendMu.Unlock()
-	wm := w.met.Load()
+// Compaction describes the newest snapshot and what landing it cost.
+type Compaction struct {
+	// Stall is how long the cut excluded appenders: from asking for the
+	// exclusive hold to releasing it.
+	Stall time.Duration
+	// SnapshotBytes is the size of the snapshot file.
+	SnapshotBytes int64
+	// LogBytesSealed is the frame bytes the cut sealed behind it.
+	LogBytesSealed int64
+}
+
+// LastCompaction describes the newest snapshot. For one found at open
+// only its size is known.
+func (w *WAL) LastCompaction() Compaction { return *w.last.Load() }
+
+// Compact moves the owner's state into a new snapshot and reclaims the
+// log behind it, in three steps of which only the first excludes
+// appenders.
+//
+// Cut: with the log synced, under the exclusive hold, cut captures the
+// owner's full durable state in memory — it must do no I/O and nothing
+// proportional to the history — and returns the function that will
+// serialise what it captured. Every log-then-apply operation is
+// quiesced, so the capture includes every record the log holds and
+// nothing unlogged. Under the same hold wal.log is sealed: renamed to
+// its generation's sealed name, a fresh wal.log opened, the generation
+// bumped. Appends continue under the new generation.
+//
+// Land: the snapshot is written to snapshot-<new generation> atomically
+// (temp file, fsync, rename) while appends run.
+//
+// Reclaim: the sealed files and snapshots the new one covers are
+// deleted (best effort: leftovers are skipped by Replay and go with the
+// next compaction).
+//
+// A crash anywhere recovers exactly (see the package comment). A failed
+// landing keeps the old snapshot, the sealed file and the live log,
+// which replay in append order; the next compaction seals again and its
+// snapshot covers both.
+func (w *WAL) Compact(cut func() (write func(io.Writer) error)) error {
+	w.compactMu.Lock()
+	defer w.compactMu.Unlock()
 	start := time.Now()
-	next := w.gen + 1
-	path := filepath.Join(w.dir, snapshotName(next))
-	if err := WriteFileAtomic(path, writeSnapshot); err != nil {
-		// Nothing moved: the old snapshot and the full log still recover.
+	done, err := w.compact(cut)
+	wm := w.met.Load()
+	if err != nil {
 		if wm != nil {
 			wm.compactErrors.Inc()
 			wm.rec.Record(obs.EventCompactError, map[string]any{"error": err.Error()})
 		}
 		return fmt.Errorf("store: wal compact: %w", err)
 	}
-	w.gen = next
-	// The snapshot is durable and the barrier moved: everything below
-	// is space reclaim, not correctness.
-	w.mu.Lock()
-	if err := w.f.Truncate(0); err == nil {
-		_, _ = w.f.Seek(0, io.SeekStart)
-		if w.policy != FsyncOff {
-			_ = syncFile(w.f)
-		}
-	}
-	w.mu.Unlock()
-	if reclaimed := w.size.Swap(0); wm != nil {
-		wm.size.Add(-reclaimed)
-	}
-	// Sweep superseded snapshots (best effort).
-	entries, err := os.ReadDir(w.dir)
-	if err == nil {
-		for _, e := range entries {
-			name := e.Name()
-			if filepath.Ext(name) == ".snap" && name < snapshotName(next) {
-				_ = os.Remove(filepath.Join(w.dir, name))
-			}
-		}
-	}
+	w.last.Store(&done)
 	if wm != nil {
 		wm.compactions.Inc()
 		wm.compactLatency.Since(start)
+		wm.compactStall.ObserveDuration(done.Stall)
+		wm.rec.Record(obs.EventCompact, map[string]any{
+			"stall_ms":         float64(done.Stall) / float64(time.Millisecond),
+			"snapshot_bytes":   done.SnapshotBytes,
+			"log_bytes_sealed": done.LogBytesSealed,
+		})
 	}
 	return nil
+}
+
+// compact is Compact's three steps; the caller holds compactMu.
+func (w *WAL) compact(cut func() func(io.Writer) error) (done Compaction, err error) {
+	if w.closed {
+		return done, errors.New("the log is closed")
+	}
+	// Sync before the hold, so the sync under it covers only the frames
+	// that arrived in between (under FsyncBatch, none). Every policy
+	// syncs here: a sealed file must never be torn.
+	if err := w.Sync(); err != nil {
+		return done, err
+	}
+	// New appenders wait from the moment the exclusive lock is asked
+	// for, so that is where their stall starts.
+	asked := time.Now()
+	w.appendMu.Lock()
+	write, next, err := w.cutAndSeal(cut)
+	if err == nil {
+		done.LogBytesSealed = w.size.Swap(0)
+	}
+	w.appendMu.Unlock()
+	done.Stall = time.Since(asked)
+	if err != nil {
+		return done, err
+	}
+	if wm := w.met.Load(); wm != nil {
+		wm.size.Add(-done.LogBytesSealed)
+	}
+
+	counted := func(out io.Writer) error {
+		cw := countingWriter{w: out}
+		err := write(&cw)
+		done.SnapshotBytes = cw.n
+		return err
+	}
+	if err := WriteFileAtomic(filepath.Join(w.dir, snapshotName(next)), counted); err != nil {
+		return done, err
+	}
+
+	// The snapshot is durable and the barrier moved: everything below is
+	// space reclaim, not correctness.
+	if entries, err := os.ReadDir(w.dir); err == nil {
+		for _, e := range entries {
+			name := e.Name()
+			switch filepath.Ext(name) {
+			case ".snap":
+				if name < snapshotName(next) {
+					_ = os.Remove(filepath.Join(w.dir, name))
+				}
+			case ".sealed":
+				if name < sealedName(next) {
+					_ = os.Remove(filepath.Join(w.dir, name))
+				}
+			}
+		}
+	}
+	return done, nil
+}
+
+// cutAndSeal is the part of a compaction that runs under the exclusive
+// hold (the caller's): the owner's cut, then the file switch. It returns
+// the snapshot writer and the generation the snapshot lands under.
+func (w *WAL) cutAndSeal(cut func() func(io.Writer) error) (write func(io.Writer) error, next uint64, err error) {
+	write = cut()
+	// The frames that arrived since Compact's first sync.
+	if err := w.Sync(); err != nil {
+		return nil, 0, err
+	}
+	fresh, err := w.seal()
+	if err != nil {
+		return nil, 0, err
+	}
+	// No appender is in flight and syncMu keeps the interval ticker's
+	// fsync off the descriptor while it is swapped and closed. writeSeq
+	// and synced carry over: they count frames, not bytes of one file.
+	w.syncMu.Lock()
+	w.mu.Lock()
+	old := w.f
+	w.f = fresh
+	w.mu.Unlock()
+	w.syncMu.Unlock()
+	_ = old.Close() // synced above; nothing is left to lose
+	w.gen++
+	return write, w.gen, nil
+}
+
+// seal renames the synced wal.log to its generation's sealed name and
+// opens a fresh wal.log, making both directory changes durable when the
+// policy promises durability: a frame acknowledged into the fresh file
+// must not lose its directory entry to a power cut.
+func (w *WAL) seal() (fresh *os.File, err error) {
+	sealed := filepath.Join(w.dir, sealedName(w.gen))
+	if err := os.Rename(w.path, sealed); err != nil {
+		return nil, err
+	}
+	if fresh, err = openLog(w.path); err != nil {
+		// Appends go on into the descriptor still open: give the file its
+		// name back, so the next attempt finds it.
+		_ = os.Rename(sealed, w.path)
+		return nil, err
+	}
+	if w.policy != FsyncOff {
+		syncDir(w.dir)
+	}
+	return fresh, nil
+}
+
+// countingWriter counts the bytes written through it.
+type countingWriter struct {
+	w io.Writer
+	n int64
+}
+
+func (c *countingWriter) Write(p []byte) (int, error) {
+	n, err := c.w.Write(p)
+	c.n += int64(n)
+	return n, err
 }
 
 // Sync flushes every frame written so far to stable storage, down the
@@ -567,14 +814,17 @@ func (w *WAL) syncLoop(interval time.Duration) {
 	}
 }
 
-// Close stops the background syncer, syncs once more, and closes the
-// log file. The owner snapshots (Compact) before Close on a graceful
-// drain; Close alone is the crash-adjacent path.
+// Close stops the background syncer, waits out a compaction in flight,
+// syncs once more, and closes the log file. The owner compacts before
+// Close on a graceful drain; Close alone is the crash-adjacent path.
 func (w *WAL) Close() error {
 	var err error
 	w.closeOnce.Do(func() {
 		close(w.stop)
 		<-w.done
+		w.compactMu.Lock()
+		defer w.compactMu.Unlock()
+		w.closed = true
 		if w.policy != FsyncOff {
 			err = w.Sync()
 		}
@@ -615,11 +865,15 @@ func WriteFileAtomic(path string, write func(io.Writer) error) error {
 		return err
 	}
 	tmpName = ""
-	// Persist the rename itself: fsync the directory (best effort on
-	// filesystems that do not support it).
+	syncDir(dir)
+	return nil
+}
+
+// syncDir persists renames and creations in dir by fsyncing the
+// directory itself (best effort on filesystems that do not support it).
+func syncDir(dir string) {
 	if d, err := os.Open(dir); err == nil {
 		_ = d.Sync()
 		_ = d.Close()
 	}
-	return nil
 }

@@ -49,7 +49,7 @@ func FuzzWALScan(f *testing.F) {
 			payloads = append(payloads, append([]byte(nil), p...))
 			return nil
 		}
-		valid, err := scanLive(data, barrier, collect)
+		valid, top, err := scanLive(data, barrier, collect)
 		if valid < 0 || valid > len(data) {
 			t.Fatalf("valid prefix %d outside [0, %d]", valid, len(data))
 		}
@@ -58,12 +58,12 @@ func FuzzWALScan(f *testing.F) {
 		// same records and no tail at all. This is what the repair
 		// truncation relies on.
 		var again [][]byte
-		revalid, reerr := scanLive(data[:valid], barrier, func(p []byte) error {
+		revalid, retop, reerr := scanLive(data[:valid], barrier, func(p []byte) error {
 			again = append(again, append([]byte(nil), p...))
 			return nil
 		})
-		if reerr != nil || revalid != valid {
-			t.Fatalf("re-scan of the valid prefix: valid=%d err=%v (first pass said %d)", revalid, reerr, valid)
+		if reerr != nil || revalid != valid || retop != top {
+			t.Fatalf("re-scan of the valid prefix: valid=%d top=%d err=%v (first pass said %d, %d)", revalid, retop, reerr, valid, top)
 		}
 		if len(again) != len(payloads) {
 			t.Fatalf("re-scan found %d records, first pass %d", len(again), len(payloads))
@@ -80,13 +80,18 @@ func FuzzWALScan(f *testing.F) {
 			appended := append(append([]byte(nil), data[:valid]...), frame(barrier, []byte("post-repair"))...)
 			n := 0
 			last := []byte(nil)
-			av, aerr := scanLive(appended, barrier, func(p []byte) error {
+			av, atop, aerr := scanLive(appended, barrier, func(p []byte) error {
 				n++
 				last = append([]byte(nil), p...)
 				return nil
 			})
 			if aerr != nil || av != len(appended) {
 				t.Fatalf("append after repair not recoverable: valid=%d/%d err=%v", av, len(appended), aerr)
+			}
+			// The highest stamp is what the log's generation restarts
+			// from: it must see the skipped frames and the new one alike.
+			if atop != max(top, barrier) {
+				t.Fatalf("highest stamp %d after appending a frame at %d over a prefix whose highest was %d", atop, barrier, top)
 			}
 			if n != len(payloads)+1 || !bytes.Equal(last, []byte("post-repair")) {
 				t.Fatalf("append after repair: %d records, last %q", n, last)

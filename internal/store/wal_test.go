@@ -1,7 +1,6 @@
 package store
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"math/rand"
@@ -58,6 +57,52 @@ func replayAll(t *testing.T, w *WAL) string {
 		t.Fatal(err)
 	}
 	return strings.Join(got, ",")
+}
+
+// snapshotOf is a Compact cut whose snapshot is the given content.
+func snapshotOf(content string) func() func(io.Writer) error {
+	return func() func(io.Writer) error {
+		return func(out io.Writer) error {
+			_, err := io.WriteString(out, content)
+			return err
+		}
+	}
+}
+
+// readSnapshot returns the content of the newest snapshot ("" when the
+// log has never been compacted).
+func readSnapshot(t *testing.T, w *WAL) string {
+	t.Helper()
+	r, ok, err := w.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !ok {
+		return ""
+	}
+	defer r.Close()
+	blob, err := io.ReadAll(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(blob)
+}
+
+// copyDir copies a data directory as a crash would leave it: every file
+// as it stands, in name order.
+func copyDir(t *testing.T, src string) string {
+	t.Helper()
+	dst := t.TempDir()
+	for _, name := range listDir(t, src) {
+		data, err := os.ReadFile(filepath.Join(src, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dst, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dst
 }
 
 func TestWALEmptyReplay(t *testing.T) {
@@ -162,17 +207,18 @@ func TestWALCorruptMiddleRecordFailsLoud(t *testing.T) {
 
 // TestWALSnapshotBarrier: records appended before a compaction carry
 // the old generation and must be skipped once the snapshot exists —
-// including when the post-snapshot truncation never happened (the
-// crash-between-rename-and-truncate window).
+// including when the log holding them was never reclaimed (the crash
+// between the snapshot's rename and the reclaim, or a directory the
+// truncate-in-place build left in its own such window).
 func TestWALSnapshotBarrier(t *testing.T) {
 	dir := t.TempDir()
 	w := openTestWAL(t, dir)
 	appendAll(t, w, 0, "pre-1", "pre-2")
-	if err := w.Compact(func(out io.Writer) error {
-		_, err := out.Write([]byte("SNAPSHOT"))
-		return err
-	}); err != nil {
+	if err := w.Compact(snapshotOf("SNAPSHOT")); err != nil {
 		t.Fatal(err)
+	}
+	if got := strings.Join(listDir(t, dir), ","); got != snapshotName(1)+","+logName {
+		t.Fatalf("a compaction left %s, want one snapshot beside one log", got)
 	}
 	appendAll(t, w, 0, "post-1")
 	if err := w.Close(); err != nil {
@@ -180,13 +226,7 @@ func TestWALSnapshotBarrier(t *testing.T) {
 	}
 
 	w2 := openTestWAL(t, dir)
-	r, ok, err := w2.Snapshot()
-	if err != nil || !ok {
-		t.Fatalf("snapshot missing after compact (ok=%v err=%v)", ok, err)
-	}
-	blob, _ := io.ReadAll(r)
-	r.Close()
-	if !bytes.Equal(blob, []byte("SNAPSHOT")) {
+	if blob := readSnapshot(t, w2); blob != "SNAPSHOT" {
 		t.Fatalf("snapshot content %q", blob)
 	}
 	if got := replayAll(t, w2); got != "post-1" {
@@ -197,7 +237,7 @@ func TestWALSnapshotBarrier(t *testing.T) {
 	}
 
 	// Crash window: a snapshot newer than every log record, with the
-	// log never truncated. Simulate by writing a higher-generation
+	// log never reclaimed. Simulate by writing a higher-generation
 	// snapshot next to a log full of old-generation records.
 	dir2 := t.TempDir()
 	w3 := openTestWAL(t, dir2)
@@ -287,68 +327,96 @@ func gaugeValue(t *testing.T, m *obs.Metrics, name string) float64 {
 
 // TestWALCompactFailureIsCountedAndHarmless: a snapshot write that
 // fails must not count as a compaction, must be counted and
-// flight-recorded as an error, and must leave the old snapshot and the
-// full log recovering exactly what they held.
+// flight-recorded as an error, and must lose nothing. The failed
+// attempt has already cut, so the directory holds the old snapshot, the
+// file the cut sealed and the live log, which recover — in append order —
+// exactly what was acknowledged; a second failure seals a second file
+// and the same holds; the attempt that finally lands covers all of it.
 func TestWALCompactFailureIsCountedAndHarmless(t *testing.T) {
 	dir := t.TempDir()
 	w := openTestWAL(t, dir)
 	m := obs.New()
 	w.Instrument(m)
 	appendAll(t, w, 0, "pre-1")
-	if err := w.Compact(func(out io.Writer) error {
-		_, err := out.Write([]byte("GOOD"))
-		return err
-	}); err != nil {
+	if err := w.Compact(snapshotOf("GOOD")); err != nil {
 		t.Fatal(err)
 	}
 	appendAll(t, w, 0, "post-1")
 	appendAll(t, w, 1, "other")
 	appendAll(t, w, 0, "post-2")
-	sizeBefore := w.Size()
 
 	boom := fmt.Errorf("disk full (injected)")
-	err := w.Compact(func(out io.Writer) error {
-		_, _ = out.Write([]byte("HALF-WRITTEN"))
-		return boom
-	})
-	if err == nil || !strings.Contains(err.Error(), boom.Error()) {
-		t.Fatalf("failed snapshot write returned %v", err)
-	}
-	if got := gaugeValue(t, m, "wal_compactions_total"); got != 1 {
-		t.Fatalf("wal_compactions_total = %v after one success and one failure, want 1", got)
-	}
-	if got := gaugeValue(t, m, "wal_compact_errors_total"); got != 1 {
-		t.Fatalf("wal_compact_errors_total = %v, want 1", got)
-	}
-	var recorded bool
-	for _, e := range m.Recorder().Snapshot() {
-		if e.Kind == obs.EventCompactError && e.Fields["error"] == boom.Error() {
-			recorded = true
+	failing := func() func(io.Writer) error {
+		return func(out io.Writer) error {
+			_, _ = out.Write([]byte("HALF-WRITTEN"))
+			return boom
 		}
 	}
-	if !recorded {
-		t.Fatalf("no %s event carrying the error text in %v", obs.EventCompactError, m.Recorder().Snapshot())
+	// recovered opens a copy of the directory — the crash — and returns
+	// what it holds.
+	recovered := func() (snapshot, records string) {
+		t.Helper()
+		wc := openTestWAL(t, copyDir(t, dir))
+		defer wc.Close()
+		return readSnapshot(t, wc), replayAll(t, wc)
 	}
-	if w.Size() != sizeBefore {
-		t.Fatalf("failed compaction moved the log size: %d → %d", sizeBefore, w.Size())
+	want := "post-1,other,post-2"
+	for attempt := 1; attempt <= 2; attempt++ {
+		err := w.Compact(failing)
+		if err == nil || !strings.Contains(err.Error(), boom.Error()) {
+			t.Fatalf("failed snapshot write %d returned %v", attempt, err)
+		}
+		if got := gaugeValue(t, m, "wal_compactions_total"); got != 1 {
+			t.Fatalf("wal_compactions_total = %v after one success and %d failures, want 1", got, attempt)
+		}
+		if got := gaugeValue(t, m, "wal_compact_errors_total"); got != float64(attempt) {
+			t.Fatalf("wal_compact_errors_total = %v after %d failures", got, attempt)
+		}
+		if w.Size() != 0 || gaugeValue(t, m, "wal_size_bytes") != 0 {
+			t.Fatalf("the log size is %d (gauge %v) right after a cut, want 0", w.Size(), gaugeValue(t, m, "wal_size_bytes"))
+		}
+		files := []string{snapshotName(1), sealedName(1), sealedName(2)}[:1+attempt]
+		if got := strings.Join(listDir(t, dir), ","); got != strings.Join(append(files, logName), ",") {
+			t.Fatalf("after %d failed attempts the directory holds %s", attempt, got)
+		}
+		if snap, records := recovered(); snap != "GOOD" || records != want {
+			t.Fatalf("after %d failed attempts recovered snapshot %q and %q, want GOOD and %q", attempt, snap, records, want)
+		}
+		next := fmt.Sprintf("post-%d", attempt+2)
+		appendAll(t, w, 0, next)
+		want += "," + next
+		if snap, records := recovered(); snap != "GOOD" || records != want {
+			t.Fatalf("after %d failed attempts and an append recovered snapshot %q and %q, want GOOD and %q", attempt, snap, records, want)
+		}
 	}
-	// Abandon w (no Close: the crash) and recover from the directory.
+	errors := 0
+	for _, e := range m.Recorder().Snapshot() {
+		if e.Kind == obs.EventCompactError && strings.Contains(fmt.Sprint(e.Fields["error"]), boom.Error()) {
+			errors++
+		}
+	}
+	if errors != 2 {
+		t.Fatalf("%d %s events carrying the error text in %v, want 2", errors, obs.EventCompactError, m.Recorder().Snapshot())
+	}
+
+	// Abandon w (no Close: the crash) and recover from the directory
+	// itself. The reopened log must stamp above every frame it holds, so
+	// its next compaction covers both sealed files and the tail.
 	w2 := openTestWAL(t, dir)
 	defer w2.Close()
-	r, ok, err := w2.Snapshot()
-	if err != nil || !ok {
-		t.Fatalf("old snapshot gone (ok=%v err=%v)", ok, err)
+	if snap, records := readSnapshot(t, w2), replayAll(t, w2); snap != "GOOD" || records != want {
+		t.Fatalf("recovered snapshot %q and %q, want GOOD and %q", snap, records, want)
 	}
-	blob, _ := io.ReadAll(r)
-	r.Close()
-	if string(blob) != "GOOD" {
-		t.Fatalf("snapshot is %q, want the last successful one", blob)
+	appendAll(t, w2, 0, "post-5")
+	if err := w2.Compact(snapshotOf("ALL")); err != nil {
+		t.Fatal(err)
 	}
-	if got := replayAll(t, w2); got != "post-1,other,post-2" {
-		t.Fatalf("recovered %q, want the full log since the good snapshot", got)
+	appendAll(t, w2, 0, "post-6")
+	if got := strings.Join(listDir(t, dir), ","); got != snapshotName(4)+","+logName {
+		t.Fatalf("the compaction that landed left %s, want one snapshot beside one log", got)
 	}
-	if leftovers, _ := filepath.Glob(filepath.Join(dir, "*.tmp-*")); len(leftovers) != 0 {
-		t.Fatalf("failed compaction left temp files: %v", leftovers)
+	if snap, records := recovered(); snap != "ALL" || records != "post-6" {
+		t.Fatalf("after the landed compaction recovered snapshot %q and %q", snap, records)
 	}
 }
 
@@ -373,7 +441,7 @@ func TestWALSizeGaugeSumsLogs(t *testing.T) {
 		t.Fatalf("wal_size_bytes = %v, want the sum %v", got, want)
 	}
 	a.Instrument(m) // re-instrumenting must not count a's bytes twice
-	if err := a.Compact(func(io.Writer) error { return nil }); err != nil {
+	if err := a.Compact(snapshotOf("")); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := gaugeValue(t, m, "wal_size_bytes"), float64(b.Size()); got != want {
