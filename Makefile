@@ -34,10 +34,14 @@ test-race:
 # prediction, frame decode — of the gateway → shard stream (PR 16: one
 # warm exchange costs the gateway ≤ 2 allocations and the shard's stream
 # loop none above ingestWireFrame) — of the federated rollup, whose count must
-# not move with the event history's length (PR 14) — and of the JSON
+# not move with the event history's length (PR 14) — of the JSON
 # ingest door, which must cost what the wire door costs at any batch
 # size (PR 15: TestAllocBudgetIngestBatchJSON, so the JSON face cannot
-# quietly grow its own path again). The counts are deterministic on any
+# quietly grow its own path again) — and of the gateway's server-side
+# split (PR 19: TestAllocBudgetGatewaySplit, the same count for 8 and for
+# 64 reports, so nothing is allocated per report; and
+# TestAllocBudgetResplitDoor, a plain frame re-split without one beacon
+# identity rendered back into a string). The counts are deterministic on any
 # box, so a regression fails a PR here instead of hiding in timing
 # noise. Never under -race: the pins skip there, the detector allocates
 # on its own account.
@@ -68,13 +72,13 @@ bench-diff:
 # devices with clocks hours wrong (re-anchored, set-equivalent); and
 # diurnal runs the campus arrive/dwell/depart wave (departures swept by
 # TTL to exactly the reference's expired state). Every run exits
-# nonzero on oracle divergence or a vacuous drill. The two final runs
-# drive live bmsd subprocesses with no faults — once per wire codec —
-# and curl each shard's /metrics, failing on any malformed exposition
-# line; the binary run proves the framed codec and the gateway → shard
-# streams land byte-identical state through real processes. Both assert
-# from telemetry that no stream was reset (and, under -wire json, that
-# none was opened) and that every acknowledged WAL append was covered by
+# nonzero on oracle divergence or a vacuous drill. The final run
+# drives live bmsd subprocesses with no faults and curls each shard's
+# /metrics, failing on any malformed exposition line; it proves the
+# server-side split's frames and the gateway → shard streams land
+# byte-identical state through real processes. It asserts
+# from telemetry that every shard took frames over a stream and no stream
+# was reset, and that every acknowledged WAL append was covered by
 # exactly one completed fsync with no append failing
 # (wal_group_commit_frames sums to wal_append_seconds' count), from each
 # shard's log that the SIGTERM drain stopped its streams — 0 left open —
@@ -88,7 +92,6 @@ loadtest:
 	$(GO) run ./cmd/loadgen -scenario diurnal -shards 2 -devices 12 -reports 60 -seed 7
 	$(GO) build -o bin/bmsd ./cmd/bmsd
 	$(GO) run ./cmd/loadgen -shards 2 -devices 12 -reports 60 -seed 7 -bmsd bin/bmsd -fsync batch
-	$(GO) run ./cmd/loadgen -shards 2 -devices 12 -reports 60 -seed 7 -bmsd bin/bmsd -fsync batch -wire binary
 
 # crashtest is the durability pin, two drills over real bmsd
 # subprocesses with write-ahead logs. First the shard drill: two shards
@@ -106,26 +109,26 @@ loadtest:
 # shards' own telemetry (/api/v1/telemetry): every kill produced
 # exactly one successful lease claim on every shard, and the
 # stale-admit tripwire — a deposed gateway's write admitted past the
-# fence — stayed at zero. The gateway drill runs in -wire binary so the
-# failover happens under the framed codec: in-flight binary batches and
-# gateway-to-shard wire traffic must survive the kill the same as JSON.
-# The shard drill runs twice, once per codec: under -wire binary the
-# shards log each received payload verbatim, so kill -9 lands on those
-# records (and on the encoder's, under JSON) through real processes —
+# fence — stayed at zero. The gateway drill's devices upload in -wire
+# binary, so the failover happens under the framed codec on the device
+# leg too: in-flight binary batches must survive the kill the same as
+# JSON. (loadgen's -wire chooses the device leg's codec only; the
+# gateway → shard leg carries wire frames whatever the devices speak,
+# and the shard drill's devices are in process, so it runs once.) In the
+# shard drill the shards log each received frame's payload verbatim, so
+# kill -9 lands on those records through real processes —
 # and mid-exchange on the gateway → shard streams, where the drill
 # asserts from telemetry that every kill cost the killed shard's leg at
-# least one stream reset and one redial, and no other shard's any. Both
-# shard drills also make the loadtest's WAL assertions: one fsync covers
+# least one stream reset and one redial, and no other shard's any. The
+# shard drill also makes the loadtest's WAL assertions: one fsync covers
 # each acknowledged append (a restarted shard counts from its restart),
 # no append failed, and the drain leaves wal.log and one snapshot. The
-# shard drills are paced (-rate 400: ≈ 1.8 s of traffic) so both kills
+# shard drill is paced (-rate 400: ≈ 1.8 s of traffic) so both kills
 # land with traffic on either side of them; unpaced, the whole trace is
 # sent in less time than one shard takes to restart.
 crashtest:
 	$(GO) build -o bin/bmsd ./cmd/bmsd
 	$(GO) run ./cmd/loadgen -shards 3 -devices 12 -reports 60 -seed 7 -rate 400 \
 		-kill 40,80 -restart-gateway -bmsd bin/bmsd -fsync batch
-	$(GO) run ./cmd/loadgen -shards 3 -devices 12 -reports 60 -seed 7 -rate 400 \
-		-kill 40,80 -restart-gateway -bmsd bin/bmsd -fsync batch -wire binary
 	$(GO) run ./cmd/loadgen -shards 3 -devices 12 -reports 60 -seed 7 \
 		-kill-gateway 40,80 -bmsd bin/bmsd -fsync batch -wire binary

@@ -43,7 +43,6 @@ type gatewayHAConfig struct {
 	standby   bool
 	leaseTTL  time.Duration
 	drain     time.Duration
-	wireCodec transport.Codec
 
 	residueTTL      time.Duration
 	admission       overload.Config
@@ -74,7 +73,6 @@ func runGatewayHA(cfg gatewayHAConfig) {
 		if err != nil {
 			log.Fatal(err)
 		}
-		sh.SetCodec(cfg.wireCodec)
 		shards[i] = sh
 	}
 	gateway, err := fleet.New(shards, fleet.Config{

@@ -129,14 +129,7 @@ func main() {
 	standby := flag.Bool("standby", false, "gateway-HA mode: start as warm standby instead of claiming leadership")
 	leaseTTL := flag.Duration("lease-ttl", 3*time.Second, "gateway-HA mode: leadership lease TTL (renew and probe at TTL/3)")
 	debugAddr := flag.String("debug-addr", "", "separate listen address serving net/http/pprof (empty: no debug server)")
-	wireCodec := flag.String("wire", "json", "gateway-HA mode: batch encoding toward the remote shards, json or binary (configured, not negotiated; wire frames travel over an upgraded stream, and a shard that refuses the upgrade is a fault, 502)")
 	flag.Parse()
-
-	codec, err := transport.ParseCodec(*wireCodec)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "bmsd:", err)
-		os.Exit(2)
-	}
 
 	startDebugServer(*debugAddr)
 
@@ -160,7 +153,6 @@ func main() {
 			skewWindow:      *skewWindow,
 			breakerTrips:    *breakerTrips,
 			breakerCooldown: *breakerCooldown,
-			wireCodec:       codec,
 		})
 		return
 	}

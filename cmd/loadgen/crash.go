@@ -75,7 +75,6 @@ type crashFleet struct {
 	plan     string
 	fsync    string
 	bmsdPath string
-	codec    transport.Codec
 	procs    []*shardProc
 	gw       atomic.Pointer[fleet.Gateway]
 	// met is the registry every gateway built over the pool reports into:
@@ -99,7 +98,7 @@ type crashFleet struct {
 // startCrashFleet spawns one single-shard durable bmsd per shard,
 // waits for each to answer health, fronts them with a gateway of
 // HTTPShards, and trains + distributes the crowd model.
-func startCrashFleet(b *building.Building, plan string, shards int, bmsdPath, dataRoot, fsync string, seed uint64, codec transport.Codec) (*crashFleet, error) {
+func startCrashFleet(b *building.Building, plan string, shards int, bmsdPath, dataRoot, fsync string, seed uint64) (*crashFleet, error) {
 	if bmsdPath == "" {
 		return nil, fmt.Errorf("-kill needs -bmsd pointing at a built bmsd binary (make crashtest builds one)")
 	}
@@ -110,7 +109,7 @@ func startCrashFleet(b *building.Building, plan string, shards int, bmsdPath, da
 		}
 		dataRoot = dir
 	}
-	c := &crashFleet{plan: plan, fsync: fsync, bmsdPath: bmsdPath, codec: codec, met: obs.New()}
+	c := &crashFleet{plan: plan, fsync: fsync, bmsdPath: bmsdPath, met: obs.New()}
 	for i := 0; i < shards; i++ {
 		port, err := freePort()
 		if err != nil {
@@ -161,7 +160,6 @@ func (c *crashFleet) newGateway() (*fleet.Gateway, error) {
 		if err != nil {
 			return nil, err
 		}
-		hs.SetCodec(c.codec)
 		ring[i] = hs
 	}
 	gw, err := fleet.New(ring, fleet.Config{})
@@ -311,8 +309,8 @@ func (c *crashFleet) assertWALTelemetry() error {
 // assertStreamTelemetry holds the gateway → shard streams to their story,
 // from the gateway's registry and each shard's /api/v1/telemetry. A clean
 // run resets no stream; every SIGKILL of a shard costs the gateway at
-// least one reset and one redial of that shard. Only wire frames travel
-// by stream, so under -wire json the leg is idle and must stay so.
+// least one reset and one redial of that shard. Every delivery is a frame
+// on a stream, whatever the devices speak, so both drills assert this.
 func (c *crashFleet) assertStreamTelemetry() error {
 	for _, p := range c.procs {
 		snap, err := httpSource("http://" + p.addr)()
@@ -325,23 +323,15 @@ func (c *crashFleet) assertStreamTelemetry() error {
 		kills := float64(p.kills)
 		p.mu.Unlock()
 		switch {
-		case c.codec != transport.CodecBinary:
-			if frames+dials+resets != 0 {
-				return fmt.Errorf("%s: -wire json moved %.0f frames over %.0f streams (%.0f resets); JSON batches travel by POST", p.name, frames, dials, resets)
-			}
 		case frames == 0 || dials == 0:
-			return fmt.Errorf("%s took %.0f frames over %.0f streams — the binary leg never ran", p.name, frames, dials)
+			return fmt.Errorf("%s took %.0f frames over %.0f streams — the leg never ran", p.name, frames, dials)
 		case resets < kills || dials < kills+1:
 			return fmt.Errorf("%s was killed %.0f time(s) but the gateway counted %.0f stream resets and %.0f dials — a kill went unnoticed on the stream", p.name, kills, resets, dials)
 		case kills == 0 && resets != 0:
 			return fmt.Errorf("%s was never killed, yet %.0f of its streams were reset", p.name, resets)
 		}
 	}
-	if c.codec != transport.CodecBinary {
-		fmt.Printf("stream assertions (-wire %s): no stream was opened — JSON batches travel by POST\n", c.codec)
-		return nil
-	}
-	fmt.Printf("stream assertions (-wire %s): %d kill(s), each cost its shard's gateway leg at least a reset and a redial; no other stream was reset\n", c.codec, c.kills.Load())
+	fmt.Printf("stream assertions: every shard took its frames over streams; %d kill(s), each cost its shard's gateway leg at least a reset and a redial; no other stream was reset\n", c.kills.Load())
 	return nil
 }
 
@@ -398,18 +388,16 @@ func (c *crashFleet) runKiller(schedule []float64, restartGateway bool, done <-c
 			// the dead shard on a stream it held — otherwise the drill would
 			// swap out the very streams the kill severed before anything
 			// touched them, and the reset path would go unexercised.
-			if c.codec == transport.CodecBinary {
-				deadline := time.Now().Add(10 * time.Second)
-				for c.streamCounter("fleet_stream_resets_total", p) == resets {
-					if time.Now().After(deadline) {
-						errs <- fmt.Errorf("no stream to %s was reset within 10s of its SIGKILL — no traffic ran into the kill; pace the run with -rate", p.name)
-						return
-					}
-					select {
-					case <-done:
-						return
-					case <-time.After(5 * time.Millisecond):
-					}
+			deadline := time.Now().Add(10 * time.Second)
+			for c.streamCounter("fleet_stream_resets_total", p) == resets {
+				if time.Now().After(deadline) {
+					errs <- fmt.Errorf("no stream to %s was reset within 10s of its SIGKILL — no traffic ran into the kill; pace the run with -rate", p.name)
+					return
+				}
+				select {
+				case <-done:
+					return
+				case <-time.After(5 * time.Millisecond):
 				}
 			}
 			gw, err := c.newGateway()

@@ -61,8 +61,8 @@ type gatewayDrill struct {
 // model (through the in-process gateway, before any lease exists, so
 // the writes are unfenced), spawns the HA pair, and waits until the
 // shards agree the active holds epoch 1.
-func startGatewayDrill(b *building.Building, plan string, shards int, bmsdPath, dataRoot, fsync string, seed uint64, codec transport.Codec) (*gatewayDrill, error) {
-	c, err := startCrashFleet(b, plan, shards, bmsdPath, dataRoot, fsync, seed, codec)
+func startGatewayDrill(b *building.Building, plan string, shards int, bmsdPath, dataRoot, fsync string, seed uint64) (*gatewayDrill, error) {
+	c, err := startCrashFleet(b, plan, shards, bmsdPath, dataRoot, fsync, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -111,7 +111,6 @@ func (d *gatewayDrill) spawnGateway(g, peer *gatewayProc, standby bool) error {
 		"-self", g.self,
 		"-peer", peer.self,
 		"-lease-ttl", drillLeaseTTL.String(),
-		"-wire", d.fleet.codec.String(),
 	}
 	if standby {
 		args = append(args, "-standby")

@@ -94,7 +94,7 @@ func main() {
 	restartGateway := flag.Bool("restart-gateway", false, "with -kill: also discard and rebuild the gateway at each crash, proving a gateway restart is invisible")
 	scenarioName := flag.String("scenario", "", "run a named adversarial scenario from internal/scenario against its ground-truth oracle (see -scenario list)")
 	storm := flag.Int("storm", 0, "shorthand for -scenario storm with each batch retransmitted k times")
-	wireFlag := flag.String("wire", "json", "batch encoding for HTTP sinks: json, or binary (wire frames with device-side pre-split against the gateway ring; JSON-only servers downgrade us via 415)")
+	wireFlag := flag.String("wire", "json", "batch encoding of the device leg, for HTTP sinks: json, or binary (wire frames with device-side pre-split against the gateway ring; JSON-only servers downgrade us via 415); the gateway → shard leg carries wire frames either way")
 	flag.Parse()
 	codec, err := transport.ParseCodec(*wireFlag)
 	if err != nil {
@@ -207,7 +207,7 @@ func run(target string, shards int, plan string, devices, reports int, rate floa
 	var drill *gatewayDrill
 	var failover *transport.FailoverUplink
 	if len(gwSchedule) > 0 {
-		drill, err = startGatewayDrill(b, plan, shards, crash.BmsdPath, crash.DataRoot, crash.Fsync, seed, codec)
+		drill, err = startGatewayDrill(b, plan, shards, crash.BmsdPath, crash.DataRoot, crash.Fsync, seed)
 		if err != nil {
 			return err
 		}
@@ -222,14 +222,14 @@ func run(target string, shards int, plan string, devices, reports int, rate floa
 		fmt.Printf("loadgen: %d devices, %d reports → active/standby HA gateway pair over %d bmsd shard(s), SIGKILL the active at trace t=%v (fsync=%s, wire=%s)\n",
 			devices, total, shards, gwSchedule, crash.Fsync, codec)
 	} else if len(killSchedule) > 0 {
-		crashPool, err = startCrashFleet(b, plan, shards, crash.BmsdPath, crash.DataRoot, crash.Fsync, seed, codec)
+		crashPool, err = startCrashFleet(b, plan, shards, crash.BmsdPath, crash.DataRoot, crash.Fsync, seed)
 		if err != nil {
 			return err
 		}
 		defer crashPool.stop()
 		sink = crashUplink{c: crashPool}
-		fmt.Printf("loadgen: %d devices, %d reports → %d bmsd subprocess shard(s), SIGKILL at trace t=%v (fsync=%s, wire=%s)\n",
-			devices, total, shards, killSchedule, crash.Fsync, codec)
+		fmt.Printf("loadgen: %d devices, %d reports → %d bmsd subprocess shard(s), SIGKILL at trace t=%v (fsync=%s)\n",
+			devices, total, shards, killSchedule, crash.Fsync)
 	} else if target != "" {
 		if codec == transport.CodecBinary {
 			// Binary mode pre-splits against the target's published ring
@@ -245,14 +245,14 @@ func run(target string, shards int, plan string, devices, reports int, rate floa
 		// faults — the CI loadtest face. The run drives the real binary
 		// end to end, scrapes its telemetry for the dashboard, and
 		// fails if any shard's /metrics exposition is malformed.
-		crashPool, err = startCrashFleet(b, plan, shards, crash.BmsdPath, crash.DataRoot, crash.Fsync, seed, codec)
+		crashPool, err = startCrashFleet(b, plan, shards, crash.BmsdPath, crash.DataRoot, crash.Fsync, seed)
 		if err != nil {
 			return err
 		}
 		defer crashPool.stop()
 		sink = crashUplink{c: crashPool}
-		fmt.Printf("loadgen: %d devices, %d reports → %d live bmsd subprocess shard(s), no faults (fsync=%s, wire=%s)\n",
-			devices, total, shards, crash.Fsync, codec)
+		fmt.Printf("loadgen: %d devices, %d reports → %d live bmsd subprocess shard(s), no faults (fsync=%s)\n",
+			devices, total, shards, crash.Fsync)
 	} else {
 		gw, flakies, err = inProcessFleet(b, shards, seed, flaky)
 		if err != nil {

@@ -18,10 +18,11 @@ import (
 // CrowdFleetHTTPResult measures the networked ingest path end to end:
 // the crowd streams through real loopback HTTP — device uplinks into a
 // fleet.Handler gateway, the gateway into per-shard bms servers over
-// HTTPShard clients — in one wire codec. Unlike CrowdFleet (which
+// HTTPShard clients' streams — in one device codec. Unlike CrowdFleet (which
 // isolates per-shard compute), this harness times the whole stack:
 // encode, HTTP exchange, gateway split or pre-split forward, shard
-// ingest. The JSON/binary pair prices the wire protocol itself.
+// ingest. The JSON/binary pair prices the device leg's protocol; the
+// internal leg carries wire frames either way.
 type CrowdFleetHTTPResult struct {
 	// Devices, Shards and Reports mirror CrowdFleetResult.
 	Devices, Shards, Reports int
@@ -60,9 +61,9 @@ func serveLoopback(h http.Handler) (string, func(), error) {
 }
 
 // CrowdFleetHTTP replays the synthetic crowd through the full
-// networked stack in the given codec: N bms shard servers each behind
-// a real HTTP listener, a gateway of HTTPShard clients (speaking the
-// same codec shard-ward) behind fleet.Handler on its own listener, and
+// networked stack in the given device codec: N bms shard servers each
+// behind a real HTTP listener, a gateway of HTTPShard clients behind
+// fleet.Handler on its own listener, and
 // the device crowd uploading coalesced batches — plain JSON uplinks,
 // or pre-splitting binary splitters against the gateway's published
 // ring. devices defaults to 64, shards to 4.
@@ -96,7 +97,6 @@ func CrowdFleetHTTP(devices, shards int, seed uint64, codec transport.Codec) (*C
 		if err != nil {
 			return nil, err
 		}
-		hs.SetCodec(codec)
 		ringShards[i] = hs
 	}
 	gw, err := fleet.New(ringShards, fleet.Config{})

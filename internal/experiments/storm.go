@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -9,6 +10,7 @@ import (
 
 	"occusim/internal/building"
 	"occusim/internal/fleet"
+	"occusim/internal/fleet/fleettest"
 	"occusim/internal/overload"
 	"occusim/internal/stats"
 	"occusim/internal/transport"
@@ -56,17 +58,6 @@ func (r *CrowdFleetStormResult) Render() string {
 // touch a deployed shard pays.
 const stormShardDelay = 200 * time.Microsecond
 
-// delayedShard stretches every ingest call by a fixed cost.
-type delayedShard struct {
-	fleet.Shard
-	delay time.Duration
-}
-
-func (s *delayedShard) IngestBatch(reports []transport.Report) ([]string, error) {
-	time.Sleep(s.delay)
-	return s.Shard.IngestBatch(reports)
-}
-
 // CrowdFleetStorm drives the retransmit storm. devices defaults to 32,
 // shards to 4, repeat to 3. With shed, the gateway admits at most 2
 // concurrent ingests (+2 queued) and the devices honour the 429s'
@@ -87,8 +78,10 @@ func CrowdFleetStorm(devices, shards int, seed uint64, repeat int, shed bool) (*
 		return nil, err
 	}
 	ring := make([]fleet.Shard, len(pool.Shards))
+	delayed := make([]*fleettest.SlowShard, len(pool.Shards))
 	for i, s := range pool.Shards {
-		ring[i] = &delayedShard{Shard: s, delay: stormShardDelay}
+		delayed[i] = &fleettest.SlowShard{Shard: s, Delay: stormShardDelay}
+		ring[i] = delayed[i]
 	}
 	var cfg fleet.Config
 	if shed {
@@ -186,6 +179,9 @@ func CrowdFleetStorm(devices, shards int, seed uint64, repeat int, shed bool) (*
 		return nil, err
 	}
 	res.DevicesTracked = len(snap.Devices)
+	if !slices.ContainsFunc(delayed, func(s *fleettest.SlowShard) bool { return s.Slept() > 0 }) {
+		return nil, fmt.Errorf("experiments: storm priced no shard call — no delivery went through the delayed shards")
+	}
 	if shed && res.Shed == 0 {
 		return nil, fmt.Errorf("experiments: storm shed nothing — the admission gate never engaged")
 	}

@@ -26,40 +26,60 @@ import (
 
 const batchRoute = "/api/v1/observations:batch"
 
-// presplitBody splits reports by ring owner the way a ShardSplitter
-// does (sections in shard-first-appearance order, a device's reports in
-// order inside its section) and returns the upload body plus, per
-// report of the body's order, its index in reports.
-func presplitBody(t testing.TB, gw *fleet.Gateway, reports []transport.Report) (body []byte, order []int) {
+// section is one shard's share of a pre-split upload: the name the
+// section carries and the indices of its reports, in order.
+type section struct {
+	shard   string
+	reports []int
+}
+
+// ringSections splits reports by ring owner the way a ShardSplitter does:
+// sections in shard-first-appearance order, a device's reports in order
+// inside its section.
+func ringSections(t testing.TB, gw *fleet.Gateway, reports []transport.Report) []section {
 	t.Helper()
 	info := gw.RingInfo()
 	r, err := ring.New(info.Shards, info.Replicas)
 	if err != nil {
 		t.Fatal(err)
 	}
-	per := make([][]int, len(info.Shards))
-	var shards []int
+	at := make([]int, len(info.Shards)) // 1 + the owner's section index
+	var secs []section
 	for i := range reports {
 		owner, err := r.Owner(reports[i].Device, info.Down)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if per[owner] == nil {
-			shards = append(shards, owner)
+		if at[owner] == 0 {
+			secs = append(secs, section{shard: info.Shards[owner]})
+			at[owner] = len(secs)
 		}
-		per[owner] = append(per[owner], i)
+		secs[at[owner]-1].reports = append(secs[at[owner]-1].reports, i)
 	}
-	for _, owner := range shards {
+	return secs
+}
+
+// sectionsBody renders the sections as an upload body and returns, per
+// report of the body's order, its index in reports.
+func sectionsBody(t testing.TB, reports []transport.Report, secs []section) (body []byte, order []int) {
+	t.Helper()
+	for _, sec := range secs {
 		wb := new(wire.Batch)
-		for _, i := range per[owner] {
+		for _, i := range sec.reports {
 			if err := transport.EncodeReports(wb, reports[i:i+1]); err != nil {
 				t.Fatal(err)
 			}
 		}
-		body = wire.AppendFrame(wire.AppendSection(body, info.Shards[owner]), wb)
-		order = append(order, per[owner]...)
+		body = wire.AppendFrame(wire.AppendSection(body, sec.shard), wb)
+		order = append(order, sec.reports...)
 	}
 	return body, order
+}
+
+// presplitBody is the upload an honest ShardSplitter sends for reports.
+func presplitBody(t testing.TB, gw *fleet.Gateway, reports []transport.Report) (body []byte, order []int) {
+	t.Helper()
+	return sectionsBody(t, reports, ringSections(t, gw, reports))
 }
 
 func postWire(t testing.TB, h http.Handler, body []byte, digest string) *httptest.ResponseRecorder {
@@ -88,15 +108,15 @@ func ackRooms(t testing.TB, rec *httptest.ResponseRecorder, n int) []string {
 	return rooms
 }
 
-// httpFleet fronts one fresh server per codec — each on its own
-// registry — with an HTTPShard speaking that codec, behind one gateway
-// running snap. wrap, when non-nil, sits in front of shard i's handler.
-func httpFleet(t *testing.T, b *building.Building, snap bms.ModelSnapshot, codecs []transport.Codec,
+// httpFleet fronts n fresh servers — each on its own registry — with an
+// HTTPShard each, behind one gateway running snap. wrap, when non-nil,
+// sits in front of shard i's handler.
+func httpFleet(t *testing.T, b *building.Building, snap bms.ModelSnapshot, n int,
 	wrap func(i int, next http.Handler) http.Handler) (*fleet.Gateway, []*bms.Server) {
 	t.Helper()
-	shards := make([]fleet.Shard, len(codecs))
-	servers := make([]*bms.Server, len(codecs))
-	for i, codec := range codecs {
+	shards := make([]fleet.Shard, n)
+	servers := make([]*bms.Server, n)
+	for i := range shards {
 		servers[i] = newServer(t, b)
 		servers[i].Instrument(obs.New())
 		t.Cleanup(func() { servers[i].Close() })
@@ -110,7 +130,6 @@ func httpFleet(t *testing.T, b *building.Building, snap bms.ModelSnapshot, codec
 		if err != nil {
 			t.Fatal(err)
 		}
-		hs.SetCodec(codec)
 		shards[i] = hs
 	}
 	gw, err := fleet.New(shards, fleet.Config{})
@@ -133,7 +152,7 @@ func streamFrames(srv *bms.Server) float64 {
 // under the live digest, pre-split under a stale one (re-split
 // server-side, in section order), or one plain frame (upload order).
 // order maps the body's report positions to indices in batch.
-func uploadPath(t *testing.T, gw *fleet.Gateway, batch []transport.Report, n int) (body []byte, digest string, order []int) {
+func uploadPath(t testing.TB, gw *fleet.Gateway, batch []transport.Report, n int) (body []byte, digest string, order []int) {
 	t.Helper()
 	body, order = presplitBody(t, gw, batch)
 	digest = gw.RingDigest()
@@ -141,11 +160,7 @@ func uploadPath(t *testing.T, gw *fleet.Gateway, batch []transport.Report, n int
 	case 1:
 		digest = "stale-" + digest
 	case 2:
-		wb := new(wire.Batch)
-		if err := transport.EncodeReports(wb, batch); err != nil {
-			t.Fatal(err)
-		}
-		body, digest = wire.AppendFrame(nil, wb), ""
+		body, digest = plainFrame(t, batch), ""
 		for k := range order {
 			order[k] = k
 		}
@@ -156,13 +171,13 @@ func uploadPath(t *testing.T, gw *fleet.Gateway, batch []transport.Report, n int
 // TestRefusedUpgradeIsAFaultNotADowngrade: wire frames reach a shard over
 // its stream and no other way. A shard that refuses the upgrade — one
 // that predates the route, say — is a deployment fault: every gateway
-// path — verbatim forward, stale-digest re-split, plain frame — answers
-// 502 (ErrShardMisbehaved), and the shard is never quietly sent the batch
-// by POST instead, in either codec.
+// path — verbatim forward, stale-digest re-split, plain frame, JSON batch
+// — answers 502 (ErrShardMisbehaved), and the shard is never quietly sent
+// the batch by POST instead.
 func TestRefusedUpgradeIsAFaultNotADowngrade(t *testing.T) {
 	b := building.PaperHouse()
 	var upgradeOffers, batchPosts atomic.Int64
-	gw, _ := httpFleet(t, b, trainSnapshot(t, b, 42), []transport.Codec{transport.CodecBinary, transport.CodecBinary},
+	gw, _ := httpFleet(t, b, trainSnapshot(t, b, 42), 2,
 		func(_ int, next http.Handler) http.Handler {
 			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 				switch r.URL.Path {
@@ -194,6 +209,9 @@ func TestRefusedUpgradeIsAFaultNotADowngrade(t *testing.T) {
 			t.Fatalf("path %d: vacuous, no shard was asked to upgrade", n)
 		}
 	}
+	if rec := postJSONBatch(t, face, stream); rec.Code != http.StatusBadGateway {
+		t.Fatalf("the JSON door answered %d, want 502: %s", rec.Code, rec.Body)
+	}
 	if batchPosts.Load() != 0 {
 		t.Fatalf("a shard that refused the stream was sent %d batches by POST", batchPosts.Load())
 	}
@@ -202,14 +220,14 @@ func TestRefusedUpgradeIsAFaultNotADowngrade(t *testing.T) {
 	}
 }
 
-// TestUnencodableReportIsAClientError: a beacon identity the binary leg
-// cannot carry is one the shard's JSON face rejects with the same
-// parser, so the gateway answers what one server answers — 400 — under
-// either codec, without an exchange on the binary leg.
+// TestUnencodableReportIsAClientError: a beacon identity a frame cannot
+// carry is one a single server's JSON face rejects with the same parser,
+// so the gateway answers what one server answers — 400 — without an
+// exchange on the internal leg.
 func TestUnencodableReportIsAClientError(t *testing.T) {
 	b := building.PaperHouse()
 	var batches atomic.Int64
-	gw, _ := httpFleet(t, b, trainSnapshot(t, b, 42), []transport.Codec{transport.CodecBinary},
+	gw, _ := httpFleet(t, b, trainSnapshot(t, b, 42), 1,
 		func(_ int, next http.Handler) http.Handler {
 			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 				if r.URL.Path == batchRoute || r.URL.Path == wire.StreamPath {
@@ -230,14 +248,16 @@ func TestUnencodableReportIsAClientError(t *testing.T) {
 		}
 	}
 	if batches.Load() != 0 {
-		t.Errorf("the binary leg made %d exchanges for a batch it cannot encode", batches.Load())
+		t.Errorf("the internal leg made %d exchanges for a batch no frame can carry", batches.Load())
 	}
 }
 
-// TestMixedCodecShardsByteIdentity: the codec is per shard client, so a
-// fleet may run one JSON leg beside one binary leg. Devices upload in
-// binary on every gateway path, and the federated state — and each ack,
-// report for report — is what one clean server produces.
+// TestMixedCodecShardsByteIdentity: the device leg's codec is per upload
+// and the internal leg has none to choose — a crowd that mixes JSON
+// batches, plain frames, pre-split sections and stale pre-split sections
+// against a fleet of remote shards reaches every shard as frames on its
+// stream and by no POST, and the federated state — and each ack, report
+// for report — is what one clean server produces.
 func TestMixedCodecShardsByteIdentity(t *testing.T) {
 	b := building.PaperHouse()
 	snap := trainSnapshot(t, b, 42)
@@ -245,20 +265,15 @@ func TestMixedCodecShardsByteIdentity(t *testing.T) {
 	if _, err := single.InstallModel(snap); err != nil {
 		t.Fatal(err)
 	}
-	var wirePosts, jsonPosts [2]atomic.Int64
-	gw, servers := httpFleet(t, b, snap, []transport.Codec{transport.CodecJSON, transport.CodecBinary},
-		func(i int, next http.Handler) http.Handler {
-			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-				if r.URL.Path == batchRoute {
-					if r.Header.Get("Content-Type") == wire.ContentType {
-						wirePosts[i].Add(1)
-					} else {
-						jsonPosts[i].Add(1)
-					}
-				}
-				next.ServeHTTP(w, r)
-			})
+	var batchPosts atomic.Int64
+	gw, servers := httpFleet(t, b, snap, 2, func(i int, next http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == batchRoute {
+				batchPosts.Add(1)
+			}
+			next.ServeHTTP(w, r)
 		})
+	})
 	face := fleet.Handler(gw, fleet.HandlerOptions{})
 
 	stream := synthStream(b, 12, 40, 9)
@@ -270,28 +285,43 @@ func TestMixedCodecShardsByteIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		body, digest, order := uploadPath(t, gw, batch, n)
-		got := ackRooms(t, postWire(t, face, body, digest), len(batch))
+		var got []string
+		order := make([]int, len(batch))
+		for k := range order {
+			order[k] = k
+		}
+		if n%4 == 3 {
+			rec := postJSONBatch(t, face, batch)
+			var ack struct {
+				Rooms []string `json:"rooms"`
+			}
+			if err := json.Unmarshal(rec.Body.Bytes(), &ack); err != nil || rec.Code != http.StatusOK {
+				t.Fatalf("upload %d (JSON) answered %d: %s (%v)", n, rec.Code, rec.Body, err)
+			}
+			got = ack.Rooms
+		} else {
+			var body []byte
+			var digest string
+			body, digest, order = uploadPath(t, gw, batch, n%4)
+			got = ackRooms(t, postWire(t, face, body, digest), len(batch))
+		}
+		if len(got) != len(batch) {
+			t.Fatalf("upload %d (path %d): %d rooms for %d reports", n, n%4, len(got), len(batch))
+		}
 		for k, i := range order {
 			if got[k] != want[i] {
-				t.Fatalf("upload %d (path %d): ack room %d is %q, one clean server predicts %q for report %d", n, n%3, k, got[k], want[i], i)
+				t.Fatalf("upload %d (path %d): ack room %d is %q, one clean server predicts %q for report %d", n, n%4, k, got[k], want[i], i)
 			}
 		}
 	}
-	// Pre-split sections are forwarded as the frames they are — over the
-	// stream — whatever the leg's codec; the server-side split speaks the
-	// configured one: JSON by POST, binary over the stream. No wire frame
-	// travels by POST any more.
-	if jsonPosts[0].Load() == 0 || streamFrames(servers[0]) == 0 || streamFrames(servers[1]) == 0 ||
-		jsonPosts[1].Load() != 0 || wirePosts[0].Load()+wirePosts[1].Load() != 0 {
-		t.Fatalf("vacuous: JSON shard took %d JSON posts / %v stream frames / %d wire posts, binary shard %d / %v / %d",
-			jsonPosts[0].Load(), streamFrames(servers[0]), wirePosts[0].Load(),
-			jsonPosts[1].Load(), streamFrames(servers[1]), wirePosts[1].Load())
+	if streamFrames(servers[0]) == 0 || streamFrames(servers[1]) == 0 || batchPosts.Load() != 0 {
+		t.Fatalf("vacuous: the shards took %v and %v stream frames and %d batch POSTs",
+			streamFrames(servers[0]), streamFrames(servers[1]), batchPosts.Load())
 	}
 	occ, events, dwell := fleetViews(t, gw)
 	if !bytes.Equal(occ, mustJSON(t, single.Occupancy())) || !bytes.Equal(events, mustJSON(t, single.Events())) ||
 		!bytes.Equal(dwell, mustJSON(t, single.DwellTotals())) {
-		t.Fatal("the mixed-codec fleet's federated state differs from one clean server's")
+		t.Fatal("the mixed-codec crowd's federated state differs from one clean server's")
 	}
 }
 

@@ -151,10 +151,7 @@ func breakerFailure(err error) bool {
 	if code, ok := transport.StatusCode(err); ok {
 		return code/100 == 5
 	}
-	if errors.Is(err, ErrShardTripped) || errors.Is(err, errReportRejected) {
-		return false
-	}
-	return true
+	return !errors.Is(err, ErrShardTripped)
 }
 
 // breakerAllow fails fast with ErrShardTripped when the shard's circuit

@@ -106,9 +106,6 @@ func TestBreakerFailureClassification(t *testing.T) {
 	if breakerFailure(fmt.Errorf("wrap: %w", ErrShardTripped)) {
 		t.Fatal("a tripped-circuit error must not feed back into the breaker")
 	}
-	if breakerFailure(fmt.Errorf("fleet: shard x: %w: bad beacon id", errReportRejected)) {
-		t.Fatal("a report the shard client refused to encode counted against the shard")
-	}
 
 	// Status-coded errors via a real exchange: 5xx is a failure,
 	// 429/4xx is not.

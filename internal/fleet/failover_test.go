@@ -26,9 +26,9 @@ import (
 type pauseShard struct {
 	fleet.Shard
 	mu      sync.Mutex
-	gate    chan struct{} // non-nil: next IngestBatch blocks on it
+	gate    chan struct{} // non-nil: next IngestFrame blocks on it
 	entered chan struct{} // closed when that call is inside
-	done    atomic.Int64  // completed inner IngestBatch calls
+	done    atomic.Int64  // completed inner IngestFrame calls
 }
 
 func (p *pauseShard) arm() <-chan struct{} {
@@ -49,7 +49,7 @@ func (p *pauseShard) resume() {
 	}
 }
 
-func (p *pauseShard) IngestBatch(reports []transport.Report) ([]string, error) {
+func (p *pauseShard) IngestFrame(frame []byte, reports int) ([]string, error) {
 	p.mu.Lock()
 	gate, entered := p.gate, p.entered
 	p.entered = nil // signal only the first arrival; the gate stays up
@@ -60,7 +60,7 @@ func (p *pauseShard) IngestBatch(reports []transport.Report) ([]string, error) {
 		}
 		<-gate
 	}
-	out, err := p.Shard.IngestBatch(reports)
+	out, err := p.Shard.IngestFrame(frame, reports)
 	if err == nil {
 		p.done.Add(1)
 	}
@@ -198,7 +198,11 @@ func TestZombieGatewayFencedExactlyOnce(t *testing.T) {
 	entered := paused[victim].arm()
 	sent := make(chan error, 1)
 	go func() { sent <- uplink.SendBatch(zombie) }()
-	<-entered // A's dispatch is now held inside shard-victim's write
+	select {
+	case <-entered: // A's dispatch is now held inside shard-victim's write
+	case <-time.After(10 * time.Second):
+		t.Fatal("vacuous: the zombie's delivery never entered the paused shard — the gateway delivers past the double")
+	}
 
 	// Wait for at least one OTHER sub-batch to commit at epoch 1 —
 	// otherwise the "paused mid-batch" scenario is vacuous.

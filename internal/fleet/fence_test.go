@@ -12,7 +12,7 @@ import (
 
 // hookShard wraps a shard with gates on the calls the fenced-handover
 // protocol must order: a migration's EvictDevice and an in-flight
-// IngestBatch can each be held open so the test can assert what is —
+// IngestFrame can each be held open so the test can assert what is —
 // and is not — allowed to proceed meanwhile.
 type hookShard struct {
 	fleet.Shard
@@ -30,12 +30,12 @@ func (h *hookShard) EvictDevice(dev string) (bms.DeviceState, bool, error) {
 	return h.Shard.EvictDevice(dev)
 }
 
-func (h *hookShard) IngestBatch(reports []transport.Report) ([]string, error) {
+func (h *hookShard) IngestFrame(frame []byte, reports int) ([]string, error) {
 	if h.batchEntered != nil {
-		h.batchEntered <- len(reports)
+		h.batchEntered <- reports
 		<-h.batchGate
 	}
-	return h.Shard.IngestBatch(reports)
+	return h.Shard.IngestFrame(frame, reports)
 }
 
 // seqReport fabricates a sequenced single-beacon report.

@@ -19,6 +19,7 @@ package fleet
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -30,6 +31,7 @@ import (
 	"occusim/internal/overload"
 	"occusim/internal/ring"
 	"occusim/internal/transport"
+	"occusim/internal/wire"
 )
 
 // Config parameterises a Gateway; zero fields take defaults.
@@ -374,18 +376,18 @@ func (g *Gateway) release(devices []string, counts []int) {
 	g.flightCond.Broadcast()
 }
 
-// delivery is one shard's share of an upload, however it was split: a
-// frame the device encoded, forwarded verbatim, or the sub-batch a
-// server-side split produced. deliver fills rooms or err.
+// delivery is one shard's share of an upload, however it was split: one
+// wire frame — the bytes a pre-splitting device encoded, forwarded
+// verbatim, or the frame the server-side split cut — and its report
+// count. deliver fills rooms or err.
 type delivery struct {
-	idx, n  int // shard index, report count
-	frame   []byte
-	reports []transport.Report
-	rooms   []string
-	err     error
+	idx, n int // shard index, report count
+	frame  []byte
+	rooms  []string
+	err    error
 }
 
-// deliver sends one shard its share and checks the answer: breaker
+// deliver sends one shard its frame and checks the answer: breaker
 // allow → timed send → breaker observe → rooms-length check → note.
 func (g *Gateway) deliver(d *delivery) {
 	shard := g.shards[d.idx]
@@ -397,13 +399,7 @@ func (g *Gateway) deliver(d *delivery) {
 	if gm != nil {
 		sendStart = time.Now()
 	}
-	var out []string
-	var err error
-	if d.frame != nil {
-		out, err = shard.(FrameIngester).IngestFrame(d.frame, d.n)
-	} else {
-		out, err = shard.IngestBatch(d.reports)
-	}
+	out, err := shard.IngestFrame(d.frame, d.n)
 	if gm != nil {
 		gm.sendLatency[d.idx].Since(sendStart)
 	}
@@ -413,9 +409,8 @@ func (g *Gateway) deliver(d *delivery) {
 		return
 	}
 	if len(out) != d.n {
-		// A version-skewed or misbehaving shard (an HTTP shard answering
-		// 2xx with the wrong shape decodes to a short slice) must fail the
-		// upload, not panic the reassembly.
+		// A version-skewed or misbehaving shard must fail the upload, not
+		// panic the reassembly.
 		d.err = fmt.Errorf("%w: shard %s returned %d rooms for %d reports",
 			ErrShardMisbehaved, shard.Name(), len(out), d.n)
 		return
@@ -433,7 +428,7 @@ func (g *Gateway) dispatch(sc *uploadScratch) error {
 	for k := range sc.out {
 		d := &sc.out[k]
 		switch {
-		case d.frame == nil && len(d.reports) == 0: // a shard the split sent nothing
+		case d.frame == nil: // a shard the split sent nothing
 		case k == len(sc.out)-1:
 			g.deliver(d)
 		default:
@@ -463,79 +458,109 @@ func (g *Gateway) Ingest(r transport.Report) (string, error) {
 	return rooms[0], nil
 }
 
-// IngestBatch splits a mixed-device batch into per-shard sub-batches
-// (stable split, so each device's reports keep their order), delivers
-// them concurrently and reassembles the predicted rooms into input
-// order. The whole batch is routed against one consistent view of shard
-// health. With Admission configured the call may shed (an overload error
-// the HTTP face maps to 429 + Retry-After); with a breaker armed and an
-// owner's circuit open it fails fast with ErrShardTripped.
+// IngestBatch splits a mixed-device batch into one wire frame per owning
+// shard (stable split, so each device's reports keep their order),
+// delivers the frames concurrently and reassembles the predicted rooms
+// into input order. The whole batch is validated before any shard hears
+// of it and routed against one consistent view of shard health. With
+// Admission configured the call may shed (an overload error the HTTP
+// face maps to 429 + Retry-After); with a breaker armed and an owner's
+// circuit open it fails fast with ErrShardTripped. reports is not
+// retained or written to.
 func (g *Gateway) IngestBatch(reports []transport.Report) ([]string, error) {
 	if len(reports) == 0 {
 		return nil, nil
 	}
+	b := wire.GetBatch()
+	defer wire.PutBatch(b)
+	if err := transport.EncodeReports(b, reports); err != nil {
+		return nil, fmt.Errorf("fleet: batch: %w", err)
+	}
+	sc := getUploadScratch()
+	defer sc.release()
+	if err := g.split(b, sc); err != nil {
+		return nil, err
+	}
+	return slices.Clone(sc.flat), nil
+}
+
+// split is the server-side split, the one every upload the gateway must
+// cut itself goes through — a JSON batch, a plain wire frame, a
+// pre-split upload it could not forward: b is the whole upload, rendered
+// or decoded into the caller's pooled batch, and on success sc.flat
+// holds the predicted room per report in b's order. Reports are checked
+// before anything is sent, so an upload one clean server would reject
+// whole leaves no shard with a part of it; then each report's bytes are
+// appended to its ring owner's frame, the frames go out through dispatch
+// and the rooms come back through the map the cut kept. b's report
+// times are corrected in place when skew correction is on. sc may be
+// what a refused forward left behind: everything split reads of it, it
+// sets first.
+func (g *Gateway) split(b *wire.Batch, sc *uploadScratch) error {
+	n := b.Len()
+	sc.flat = sc.flat[:0]
+	if n == 0 {
+		return nil
+	}
 	admit, err := g.gate.Acquire()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer admit()
 	gm := g.met
 	var splitStart time.Time
 	if gm != nil {
 		splitStart = time.Now()
-		gm.batchSize.Observe(int64(len(reports)))
+		gm.batchSize.Observe(int64(n))
 	}
-	reports = g.skew.correct(reports)
-	sc := getUploadScratch()
-	defer sc.release()
+	for i, device := range b.Devices {
+		if device == "" {
+			return fmt.Errorf("fleet: batch report %d: report without device", i)
+		}
+	}
+	g.skew.correct(b)
 	// One entry per report: a device that repeats is registered and
 	// counted once per report, which is what its in-flight count means.
-	for i := range reports {
-		sc.devices = append(sc.devices, reports[i].Device)
-		sc.counts = append(sc.counts, 1)
-		sc.maxAt = max(sc.maxAt, reports[i].AtSeconds)
+	sc.counts = sized(sc.counts, n)
+	sc.maxAt = 0
+	for i, at := range b.At {
+		sc.counts[i] = 1
+		sc.maxAt = max(sc.maxAt, at)
 	}
-	shardOf := make([]int32, len(reports))
-	err = g.acquire(sc.devices, sc.counts, sc.maxAt, func() error {
-		for i, d := range sc.devices {
+	sc.shardOf = sized(sc.shardOf, n)
+	err = g.acquire(b.Devices, sc.counts, sc.maxAt, func() error {
+		for i, d := range b.Devices {
 			idx, err := g.ownerWith(g.down, ring.Hash64(d))
 			if err != nil {
 				return err
 			}
-			shardOf[i] = int32(idx)
+			sc.shardOf[i] = int32(idx)
 		}
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
-	defer g.release(sc.devices, sc.counts)
-	sc.out = sized(sc.out, len(g.shards))
-	posOf := make([]int32, len(reports))
-	for i := range reports {
-		d := &sc.out[shardOf[i]]
-		posOf[i] = int32(d.n)
-		d.idx, d.n, d.reports = int(shardOf[i]), d.n+1, append(d.reports, reports[i])
-	}
+	defer g.release(b.Devices, sc.counts)
+	sc.cut(b, len(g.shards))
 	if gm != nil {
 		gm.splitTime.Since(splitStart)
 	}
 	if err := g.dispatch(sc); err != nil {
-		return nil, err
+		return err
 	}
 
 	var asmStart time.Time
 	if gm != nil {
 		asmStart = time.Now()
 	}
-	rooms := make([]string, len(reports))
-	for i := range reports {
-		rooms[i] = sc.out[shardOf[i]].rooms[posOf[i]]
+	for i, s := range sc.shardOf {
+		sc.flat = append(sc.flat, sc.out[s].rooms[sc.posOf[i]])
 	}
 	if gm != nil {
 		gm.reassembly.Since(asmStart)
 	}
-	return rooms, nil
+	return nil
 }
 
 // AdmissionStats returns lifetime (admitted, shed) ingest counts of the

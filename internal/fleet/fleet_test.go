@@ -112,7 +112,7 @@ func synthStream(b *building.Building, devices, steps int, seed uint64) []transp
 }
 
 // mustJSON marshals for byte-level comparison (Go sorts map keys).
-func mustJSON(t *testing.T, v any) []byte {
+func mustJSON(t testing.TB, v any) []byte {
 	t.Helper()
 	data, err := json.Marshal(v)
 	if err != nil {

@@ -5,13 +5,18 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"occusim/internal/building"
+	"occusim/internal/experiments"
 	"occusim/internal/fleet"
+	"occusim/internal/obs"
 	"occusim/internal/overload"
+	"occusim/internal/scenario"
 	"occusim/internal/transport"
 )
 
@@ -19,12 +24,14 @@ import (
 // tests can hold the gateway's admission slots occupied.
 type slowShard struct {
 	fleet.Shard
-	gate chan struct{} // each ingest receives once before proceeding
+	gate   chan struct{} // each ingest receives once before proceeding
+	parked atomic.Int64  // ingests that have reached the gate
 }
 
-func (s *slowShard) IngestBatch(reports []transport.Report) ([]string, error) {
+func (s *slowShard) IngestFrame(frame []byte, reports int) ([]string, error) {
+	s.parked.Add(1)
 	<-s.gate
-	return s.Shard.IngestBatch(reports)
+	return s.Shard.IngestFrame(frame, reports)
 }
 
 // faultyShard wraps a Shard, failing ingest while broken.
@@ -47,7 +54,7 @@ func (s *faultyShard) ingestCalls() int {
 	return s.calls
 }
 
-func (s *faultyShard) IngestBatch(reports []transport.Report) ([]string, error) {
+func (s *faultyShard) IngestFrame(frame []byte, reports int) ([]string, error) {
 	s.mu.Lock()
 	s.calls++
 	broken := s.broken
@@ -55,7 +62,7 @@ func (s *faultyShard) IngestBatch(reports []transport.Report) ([]string, error) 
 	if broken {
 		return nil, errors.New("simulated shard timeout")
 	}
-	return s.Shard.IngestBatch(reports)
+	return s.Shard.IngestFrame(frame, reports)
 }
 
 // TestGatewayAdmissionSheds429 pins the gateway-level shed contract:
@@ -97,6 +104,9 @@ func TestGatewayAdmissionSheds429(t *testing.T) {
 		}()
 	}
 	waitAdmission(t, gw, 1)
+	if slow.parked.Load() == 0 {
+		t.Fatal("vacuous: no ingest is parked inside the shard — the gateway delivers past the double")
+	}
 
 	// Third entry sheds, typed.
 	if _, err := gw.IngestBatch(stream); err == nil {
@@ -178,6 +188,9 @@ func TestGatewayBreakerTripsAndRecovers(t *testing.T) {
 		}
 	}
 	calls := faulty.ingestCalls()
+	if calls != 3 {
+		t.Fatalf("vacuous: the broken shard was asked %d times in 3 ingests — the failures are not the double's", calls)
+	}
 	// Circuit open: fails fast, shard untouched.
 	if _, err := gw.IngestBatch(stream); !errors.Is(err, fleet.ErrShardTripped) {
 		t.Fatalf("post-threshold err = %v, want ErrShardTripped", err)
@@ -296,6 +309,123 @@ func TestGatewaySkewMatchesReferenceServer(t *testing.T) {
 	}
 	if gw.SkewAdjusted() == 0 {
 		t.Fatal("no reports were skew-corrected — the scenario is vacuous")
+	}
+}
+
+// TestPresplitSectionsAreChecked: a fresh digest says the device split
+// against the gateway's routing table, not that it split honestly. A
+// section is forwarded only where the gateway's own ring puts every
+// device in it; an upload that names the wrong owner, names one shard
+// twice, or files one device under two sections is refused to the
+// server-side split — counted as a misroute, not as a digest miss — and
+// lands where it belongs: honest and hostile uploads of one stream,
+// interleaved, leave the fleet exactly as one clean server, and no shard
+// with a device it does not own. (Until PR 19 the sections went wherever
+// the device said.)
+func TestPresplitSectionsAreChecked(t *testing.T) {
+	const seed = 42
+	b := building.PaperHouse()
+	stream := synthStream(b, 12, 20, 9)
+	stampStream(stream, 1)
+	ref, err := scenario.Reference(b, [][]transport.Report{stream}, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	hostile := map[string]func(t *testing.T, gw *fleet.Gateway, secs []section) []section{
+		// Every section under the next section's shard (or, alone, under
+		// any shard but its own).
+		"wrong owner": func(t *testing.T, gw *fleet.Gateway, secs []section) []section {
+			names := gw.RingInfo().Shards
+			out := slices.Clone(secs)
+			for k := range out {
+				out[k].shard = secs[(k+1)%len(secs)].shard
+				if len(secs) == 1 {
+					out[k].shard = names[(slices.Index(names, secs[k].shard)+1)%len(names)]
+				}
+			}
+			return out
+		},
+		// The first section's reports under two sections of its shard, one
+		// report in the second.
+		"duplicate shard": func(t *testing.T, gw *fleet.Gateway, secs []section) []section {
+			first, n := secs[0], len(secs[0].reports)
+			if n < 2 {
+				t.Fatalf("the first section has %d report(s); the test needs two to part", n)
+			}
+			return append([]section{{first.shard, first.reports[:n-1]}, {first.shard, first.reports[n-1:]}}, secs[1:]...)
+		},
+		// The first section's last report filed, beside its own reports,
+		// under the second section: every device's FIRST section is its
+		// owner's, so only the two-sections check can see it.
+		"split device": func(t *testing.T, gw *fleet.Gateway, secs []section) []section {
+			if len(secs) < 2 {
+				t.Fatalf("the upload has %d section(s); the test needs two", len(secs))
+			}
+			first, n := secs[0], len(secs[0].reports)
+			if n < 2 {
+				t.Fatalf("the first section has %d report(s); the test needs two to part", n)
+			}
+			out := slices.Clone(secs)
+			out[0] = section{first.shard, first.reports[:n-1]}
+			out[1] = section{secs[1].shard, append(slices.Clone(secs[1].reports), first.reports[n-1])}
+			return out
+		},
+	}
+	for name, forge := range hostile {
+		t.Run(name, func(t *testing.T) {
+			pool, err := fleet.NewLocalPool(b, 4, 2, 1000)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gw, err := fleet.New(pool.Shards, fleet.Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			met := obs.New()
+			gw.Instrument(met)
+			if err := experiments.TrainAndDistribute(gw, b, seed); err != nil {
+				t.Fatal(err)
+			}
+			face := fleet.Handler(gw, fleet.HandlerOptions{})
+
+			// Two reports per device an upload, so a device's reports
+			// alternate between honest and forged uploads.
+			const chunk = 24
+			honest, forged := 0.0, 0.0
+			for n, i := 0, 0; i < len(stream); n, i = n+1, i+chunk {
+				batch := stream[i : i+chunk]
+				secs := ringSections(t, gw, batch)
+				if n%2 == 1 {
+					secs = forge(t, gw, secs)
+					forged++
+				} else {
+					honest++
+				}
+				body, order := sectionsBody(t, batch, secs)
+				rooms := ackRooms(t, postWire(t, face, body, gw.RingDigest()), len(batch))
+				if len(order) != len(batch) || len(rooms) != len(batch) {
+					t.Fatalf("upload %d: %d rooms for %d reports in %d positions", n, len(rooms), len(batch), len(order))
+				}
+			}
+			counters := met.TakeSnapshot().Counters
+			if got := counters["fleet_presplit_misroute_total"]; got != forged {
+				t.Errorf("fleet_presplit_misroute_total = %v after %v forged uploads", got, forged)
+			}
+			if miss, fwd := counters["fleet_presplit_digest_miss_total"], counters["fleet_presplit_forwarded_total"]; miss != 0 || fwd != honest {
+				t.Errorf("%v digest misses (the digest was fresh), %v forwards of %v honest uploads", miss, fwd, honest)
+			}
+			for i, srv := range pool.Servers {
+				for _, dev := range srv.KnownDevices() {
+					if owner, err := gw.ShardFor(dev); err != nil || owner != i {
+						t.Errorf("shard %d holds state for %s, which shard %d owns (%v)", i, dev, owner, err)
+					}
+				}
+			}
+			if err := scenario.VerifyExact(gw, ref); err != nil {
+				t.Errorf("the fleet differs from one clean server: %v", err)
+			}
+		})
 	}
 }
 

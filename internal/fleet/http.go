@@ -20,20 +20,17 @@ import (
 )
 
 // HTTPShard drives one remote bms.Server over its REST API — the shard
-// client real deployments put behind the gateway. Wire frames travel
-// over upgraded streams (stream.go); every other exchange goes through
-// transport's retrying JSON helpers. Both run under one retry policy,
-// so shard traffic gets the same capped-backoff behaviour as device
-// uplinks; health probes are deliberately one-shot so a dead shard is
-// detected on the first probe rather than after a retry budget.
+// client real deployments put behind the gateway. Reports travel as wire
+// frames over upgraded streams (stream.go) and in no other form; every
+// other exchange goes through transport's retrying JSON helpers. Both
+// run under one retry policy, so shard traffic gets the same
+// capped-backoff behaviour as device uplinks; health probes are
+// deliberately one-shot so a dead shard is detected on the first probe
+// rather than after a retry budget.
 type HTTPShard struct {
 	base   string
 	client *http.Client
 	retry  transport.RetryPolicy
-
-	// codec is the batch encoding toward the shard (SetCodec). Both ends
-	// of this leg are this repo, so it is configured, not negotiated.
-	codec transport.Codec
 
 	// stamped is what every write is sent under: the gateway leadership
 	// epoch (see Shard.StampEpoch) as the stream envelope carries it and
@@ -78,9 +75,10 @@ func NewHTTPShard(baseURL string, client *http.Client, retry transport.RetryPoli
 // Name implements Shard: the base URL is the stable ring identity.
 func (h *HTTPShard) Name() string { return h.base }
 
-// SetCodec selects the batch encoding toward the shard. Call at wiring
-// time, before traffic.
-func (h *HTTPShard) SetCodec(c transport.Codec) { h.codec = c }
+// SetCodec does nothing: the leg has one form, a wire frame on the
+// stream. It is kept for callers this repository cannot edit yet and is
+// to be deleted with them (ROADMAP item 3).
+func (h *HTTPShard) SetCodec(transport.Codec) {}
 
 // StampEpoch implements Shard: the stamp when one is set, no extra header
 // for unfenced clients.
@@ -116,51 +114,17 @@ func staleLeaderFrom(err error) error {
 	return err
 }
 
-// errReportRejected marks a batch this client refused before any
-// exchange: the reporting device's fault, so it must not count against
-// the shard's circuit (see breakerFailure).
-var errReportRejected = errors.New("fleet: report rejected")
-
-// IngestBatch implements Shard, in the configured codec. Retries
-// retransmit the identical payload, so the shard never sees a reordered
-// batch. An identity the binary codec cannot carry is one the shard's
-// JSON face rejects with the same parser, so it comes back as the client
-// error it is, without an exchange.
+// IngestBatch implements Shard: the reports as one frame over the
+// stream (see Shard.IngestBatch).
 func (h *HTTPShard) IngestBatch(reports []transport.Report) ([]string, error) {
-	if h.codec == transport.CodecBinary {
-		b := wire.GetBatch()
-		defer wire.PutBatch(b)
-		if err := transport.EncodeReports(b, reports); err != nil {
-			return nil, fmt.Errorf("%w: %v", errReportRejected, err)
-		}
-		buf := wire.GetBuf()
-		defer wire.PutBuf(buf)
-		*buf = wire.AppendFrame(*buf, b)
-		return h.IngestFrame(*buf, len(reports))
-	}
-	body, err := json.Marshal(reports)
-	if err != nil {
-		return nil, fmt.Errorf("fleet: marshal batch: %w", err)
-	}
-	payload, err := h.postWrite(transport.BatchPath, body)
-	if err != nil {
-		return nil, err
-	}
-	// A JSON request gets the JSON ack.
-	var resp struct {
-		Rooms []string `json:"rooms"`
-	}
-	if err := json.Unmarshal(payload, &resp); err != nil {
-		return nil, fmt.Errorf("%w: decode batch response: %v", ErrShardMisbehaved, err)
-	}
-	return resp.Rooms, nil
+	return ingestAsFrame(h, reports)
 }
 
 // IngestFrame implements FrameIngester: it sends one wire frame — the
-// pre-split forward path's verbatim device bytes, or IngestBatch's own
-// encoding — over a shard stream under the leadership stamp, and decodes
-// the ack — the run-length rooms column of wire.AppendRooms — into
-// interned strings; only the rooms slice itself is allocated. The
+// pre-split forward path's verbatim device bytes, or the frame the
+// gateway's split cut — over a shard stream under the leadership stamp,
+// and decodes the ack — the run-length rooms column of wire.AppendRooms
+// — into interned strings; only the rooms slice itself is allocated. The
 // exchange runs under the retry policy as a POST did: a shed admission
 // waits out the shard's hint, a connection that failed backs off, and
 // anything the shard answered on purpose — a fence, a rejection, a reply
@@ -464,10 +428,7 @@ func Handler(g *Gateway, opts HandlerOptions) http.Handler {
 		}
 		room, err := g.Ingest(rep)
 		if err != nil {
-			if opts.Lease != nil {
-				opts.Lease.ObserveStale(err)
-			}
-			fleetIngestError(w, err)
+			ingestFailed(opts, w, err)
 			return
 		}
 		fleetJSON(w, http.StatusOK, map[string]string{"room": room})
@@ -477,8 +438,9 @@ func Handler(g *Gateway, opts HandlerOptions) http.Handler {
 			handleWireBatch(g, opts, w, r)
 			return
 		}
-		var reports []transport.Report
-		if err := bms.DecodeJSON(http.MaxBytesReader(w, r.Body, wire.MaxBodyBytes), &reports); err != nil {
+		reports := getReports()
+		defer putReports(reports)
+		if err := bms.DecodeJSON(http.MaxBytesReader(w, r.Body, wire.MaxBodyBytes), reports); err != nil {
 			bms.WriteUploadError(w, "decode", err)
 			return
 		}
@@ -486,7 +448,16 @@ func Handler(g *Gateway, opts HandlerOptions) http.Handler {
 			fleetStandbyError(w, opts.Lease)
 			return
 		}
-		serveIngestBatch(g, opts, w, reports, false)
+		// A JSON request gets the JSON ack.
+		rooms, err := g.IngestBatch(*reports)
+		if err != nil {
+			ingestFailed(opts, w, err)
+			return
+		}
+		if rooms == nil {
+			rooms = []string{}
+		}
+		fleetJSON(w, http.StatusOK, map[string]any{"rooms": rooms})
 	})
 	mux.HandleFunc("GET /api/v1/ring", func(w http.ResponseWriter, r *http.Request) {
 		fleetJSON(w, http.StatusOK, g.RingInfo())
@@ -591,6 +562,43 @@ func Handler(g *Gateway, opts HandlerOptions) http.Handler {
 		})
 	}
 	return mux
+}
+
+// reportsPool holds the JSON batch route's decode targets. The decoder
+// grows a slice it is handed and reuses what capacity it finds, so a
+// warm target costs an upload neither the report slice nor each report's
+// Beacons growing 0 → 1 → 2 → 4 → 8. It also exposes whatever an element
+// last held: re-extending a slice does not zero it, and an object sets
+// only the fields it names. Hence the contract putReports keeps — every
+// report up to the slice's capacity, and every beacon up to each
+// Beacons' capacity, goes back zeroed, with only the capacity kept — and
+// the one it asks of the route: nothing may hold a Beacons slice past
+// the handler, which is so because IngestBatch has copied every report
+// into frame bytes before it returns.
+var reportsPool = sync.Pool{New: func() any { return new([]transport.Report) }}
+
+// pooledBeaconsMax bounds the Beacons capacity a pooled report keeps.
+const pooledBeaconsMax = 64
+
+func getReports() *[]transport.Report { return reportsPool.Get().(*[]transport.Report) }
+
+func putReports(p *[]transport.Report) {
+	// A null body leaves nothing to keep; a giant upload's slice is not
+	// kept.
+	all := (*p)[:cap(*p)]
+	if len(all) == 0 || len(all) > pooledUploadMax {
+		return
+	}
+	for i := range all {
+		beacons := all[i].Beacons[:cap(all[i].Beacons)]
+		if len(beacons) > pooledBeaconsMax {
+			beacons = nil
+		}
+		clear(beacons)
+		all[i] = transport.Report{Beacons: beacons[:0]}
+	}
+	*p = all[:0]
+	reportsPool.Put(p)
 }
 
 // ingestStatus maps a gateway ingest failure to the status a single

@@ -12,6 +12,7 @@ import (
 	"occusim/internal/occupancy"
 	"occusim/internal/store"
 	"occusim/internal/transport"
+	"occusim/internal/wire"
 )
 
 // Shard is one BMS ingest server as the gateway sees it: the report
@@ -22,8 +23,14 @@ type Shard interface {
 	// Name identifies the shard; it seeds the shard's virtual nodes on
 	// the hash ring, so it must be unique and stable across restarts.
 	Name() string
+	// FrameIngester is the report path: the gateway delivers a shard its
+	// share of every upload as one wire frame.
+	FrameIngester
 	// IngestBatch processes many reports (per-device order preserved)
-	// and returns the predicted room per report, in order.
+	// and returns the predicted room per report, in order. The gateway
+	// never calls it: both real shards render the reports into a frame
+	// and take IngestFrame. It stays declared for callers this
+	// repository cannot edit yet (ROADMAP item 3).
 	IngestBatch([]transport.Report) ([]string, error)
 	// InstallModel switches the shard to a distributed model snapshot.
 	InstallModel(bms.ModelSnapshot) error
@@ -97,13 +104,28 @@ func (l *LocalShard) Name() string { return l.name }
 
 // IngestBatch implements Shard.
 func (l *LocalShard) IngestBatch(reports []transport.Report) ([]string, error) {
-	return l.srv.IngestBatchFenced(l.epoch.Load(), reports)
+	return ingestAsFrame(l, reports)
 }
 
-// IngestFrame implements FrameIngester: the server decodes the
-// forwarded frame and runs its binary ingest path under the stamped
-// epoch — the in-process analogue of a shard receiving the device's
-// bytes verbatim (a durable server logs them as received).
+// ingestAsFrame is Shard.IngestBatch for both real shards: the reports
+// rendered into one wire frame and handed to IngestFrame. An identity
+// the frame cannot carry is the reporting client's error.
+func ingestAsFrame(s FrameIngester, reports []transport.Report) ([]string, error) {
+	b := wire.GetBatch()
+	defer wire.PutBatch(b)
+	if err := transport.EncodeReports(b, reports); err != nil {
+		return nil, fmt.Errorf("fleet: batch: %w", err)
+	}
+	buf := wire.GetBuf()
+	defer wire.PutBuf(buf)
+	*buf = wire.AppendFrame(*buf, b)
+	return s.IngestFrame(*buf, len(reports))
+}
+
+// IngestFrame implements FrameIngester: the server decodes the frame
+// and runs its binary ingest path under the stamped epoch — the
+// in-process analogue of a shard receiving the bytes over its stream (a
+// durable server logs them as received).
 func (l *LocalShard) IngestFrame(frame []byte, reports int) ([]string, error) {
 	return l.srv.IngestWireFrameFenced(l.epoch.Load(), frame)
 }

@@ -4,7 +4,7 @@ import (
 	"sync"
 	"time"
 
-	"occusim/internal/transport"
+	"occusim/internal/wire"
 )
 
 // skewTracker maps per-device report times onto the building-wide
@@ -49,47 +49,40 @@ func newSkewTracker(window time.Duration) *skewTracker {
 	return &skewTracker{window: window.Seconds(), offset: map[string]float64{}}
 }
 
-// correct returns the batch with every report's AtSeconds mapped onto
-// the building clock. The caller's slice is never mutated — retrying
-// uplinks resend the same backing array, and an in-place subtraction
-// would compound on every retransmit — so a copy is made lazily, only
-// when at least one report actually changes.
-func (s *skewTracker) correct(reports []transport.Report) []transport.Report {
+// correct maps every report time of the batch onto the building clock,
+// in place: the batch is the gateway's own pooled rendering of the
+// upload, never the caller's memory, so a retrying uplink that resends
+// its reports resends the raw times and corrects to the same ones.
+func (s *skewTracker) correct(b *wire.Batch) {
 	if s == nil {
-		return reports
+		return
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := reports
-	copied := false
-	for i := range reports {
-		r := &reports[i]
-		off, known := s.offset[r.Device]
+	for i, device := range b.Devices {
+		at := b.At[i]
+		off, known := s.offset[device]
 		if !known {
 			off = 0
-			if s.anchored && (r.AtSeconds-s.maxEff > s.window || s.maxEff-r.AtSeconds > s.window) {
+			if s.anchored && (at-s.maxEff > s.window || s.maxEff-at > s.window) {
 				// First contact from a device far outside the window, ahead
 				// or behind: snap this report to the building "now" and
 				// remember the frame shift.
-				off = r.AtSeconds - s.maxEff
+				off = at - s.maxEff
 			}
-			s.offset[r.Device] = off
+			s.offset[device] = off
 		}
-		eff := r.AtSeconds - off
+		eff := at - off
 		if s.anchored && eff-s.maxEff > s.window {
 			// The device's clock stepped forward mid-stream: fold the jump
 			// into its offset so this and all later reports stay anchored.
 			// (A retransmit of THIS report lands in the !step branch with
 			// the updated offset and corrects to the identical time.)
-			s.offset[r.Device] = off + (eff - s.maxEff)
+			s.offset[device] = off + (eff - s.maxEff)
 			eff = s.maxEff
 		}
-		if eff != r.AtSeconds {
-			if !copied {
-				out = append([]transport.Report(nil), reports...)
-				copied = true
-			}
-			out[i].AtSeconds = eff
+		if eff != at {
+			b.At[i] = eff
 			s.adjusted++
 		}
 		if eff > s.maxEff {
@@ -97,7 +90,6 @@ func (s *skewTracker) correct(reports []transport.Report) []transport.Report {
 		}
 		s.anchored = true
 	}
-	return out
 }
 
 // stats returns the lifetime corrected-report count.

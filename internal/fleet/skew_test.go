@@ -1,27 +1,34 @@
 package fleet
 
 import (
+	"slices"
 	"testing"
 	"time"
 
 	"occusim/internal/transport"
+	"occusim/internal/wire"
 )
 
 func rep(dev string, at float64) transport.Report {
 	return transport.Report{Device: dev, AtSeconds: at}
 }
 
+// corrected renders the reports into a batch, as every gateway door
+// does, runs the tracker over it and returns the batch's time column.
+func corrected(t *testing.T, s *skewTracker, reports ...transport.Report) []float64 {
+	t.Helper()
+	b := new(wire.Batch)
+	if err := transport.EncodeReports(b, reports); err != nil {
+		t.Fatal(err)
+	}
+	s.correct(b)
+	return b.At
+}
+
 func TestSkewHonestDevicesUntouched(t *testing.T) {
 	s := newSkewTracker(30 * time.Second)
-	in := []transport.Report{rep("a", 10), rep("b", 12), rep("a", 14)}
-	out := s.correct(in)
-	if &out[0] != &in[0] {
-		t.Fatal("untouched batch should be returned without copying")
-	}
-	for i := range in {
-		if out[i].AtSeconds != in[i].AtSeconds {
-			t.Fatalf("honest report %d changed: %v", i, out[i].AtSeconds)
-		}
+	if got, want := corrected(t, s, rep("a", 10), rep("b", 12), rep("a", 14)), []float64{10, 12, 14}; !slices.Equal(got, want) {
+		t.Fatalf("honest reports changed: %v, want %v", got, want)
 	}
 	if s.stats() != 0 {
 		t.Fatalf("adjusted = %d, want 0", s.stats())
@@ -32,21 +39,20 @@ func TestSkewHonestDevicesUntouched(t *testing.T) {
 // the building "now" on first contact and keeps its own deltas after.
 func TestSkewFutureDeviceSnapped(t *testing.T) {
 	s := newSkewTracker(30 * time.Second)
-	s.correct([]transport.Report{rep("honest", 10)})
+	corrected(t, s, rep("honest", 10))
 
 	in := []transport.Report{rep("skewed", 7210), rep("skewed", 7212)}
-	out := s.correct(in)
-	if out[0].AtSeconds != 10 || out[1].AtSeconds != 12 {
-		t.Fatalf("corrected times = %v, %v, want 10, 12", out[0].AtSeconds, out[1].AtSeconds)
+	if got := corrected(t, s, in...); got[0] != 10 || got[1] != 12 {
+		t.Fatalf("corrected times = %v, want 10, 12", got)
 	}
-	// The caller's slice must not be mutated (retrying uplinks resend it).
+	// The correction is made on the gateway's rendering of the upload; the
+	// caller's slice keeps its raw times (retrying uplinks resend it).
 	if in[0].AtSeconds != 7210 || in[1].AtSeconds != 7212 {
 		t.Fatalf("caller slice mutated: %v, %v", in[0].AtSeconds, in[1].AtSeconds)
 	}
 	// A whole-batch retransmit corrects to the identical times.
-	again := s.correct([]transport.Report{rep("skewed", 7210), rep("skewed", 7212)})
-	if again[0].AtSeconds != 10 || again[1].AtSeconds != 12 {
-		t.Fatalf("retransmit corrected to %v, %v — not idempotent", again[0].AtSeconds, again[1].AtSeconds)
+	if again := corrected(t, s, in...); again[0] != 10 || again[1] != 12 {
+		t.Fatalf("retransmit corrected to %v — not idempotent", again)
 	}
 	if s.stats() != 4 {
 		t.Fatalf("adjusted = %d, want 4", s.stats())
@@ -58,10 +64,9 @@ func TestSkewFutureDeviceSnapped(t *testing.T) {
 // forward on first contact.
 func TestSkewPastDeviceSnappedForward(t *testing.T) {
 	s := newSkewTracker(30 * time.Second)
-	s.correct([]transport.Report{rep("honest", 7200)})
-	out := s.correct([]transport.Report{rep("behind", 100), rep("behind", 104)})
-	if out[0].AtSeconds != 7200 || out[1].AtSeconds != 7204 {
-		t.Fatalf("corrected times = %v, %v, want 7200, 7204", out[0].AtSeconds, out[1].AtSeconds)
+	corrected(t, s, rep("honest", 7200))
+	if got := corrected(t, s, rep("behind", 100), rep("behind", 104)); got[0] != 7200 || got[1] != 7204 {
+		t.Fatalf("corrected times = %v, want 7200, 7204", got)
 	}
 }
 
@@ -69,21 +74,18 @@ func TestSkewPastDeviceSnappedForward(t *testing.T) {
 // mid-stream is re-anchored, and the jump report replays idempotently.
 func TestSkewStepReanchors(t *testing.T) {
 	s := newSkewTracker(30 * time.Second)
-	s.correct([]transport.Report{rep("d", 10), rep("other", 20)})
+	corrected(t, s, rep("d", 10), rep("other", 20))
 
-	out := s.correct([]transport.Report{rep("d", 3600)})
-	if out[0].AtSeconds != 20 {
-		t.Fatalf("stepped report corrected to %v, want the building now (20)", out[0].AtSeconds)
+	if got := corrected(t, s, rep("d", 3600)); got[0] != 20 {
+		t.Fatalf("stepped report corrected to %v, want the building now (20)", got[0])
 	}
 	// Retransmit of the jump report: identical correction.
-	again := s.correct([]transport.Report{rep("d", 3600)})
-	if again[0].AtSeconds != 20 {
-		t.Fatalf("retransmitted step corrected to %v, want 20", again[0].AtSeconds)
+	if again := corrected(t, s, rep("d", 3600)); again[0] != 20 {
+		t.Fatalf("retransmitted step corrected to %v, want 20", again[0])
 	}
 	// Later reports keep the device's own deltas in the new frame.
-	next := s.correct([]transport.Report{rep("d", 3605)})
-	if next[0].AtSeconds != 25 {
-		t.Fatalf("post-step report corrected to %v, want 25", next[0].AtSeconds)
+	if next := corrected(t, s, rep("d", 3605)); next[0] != 25 {
+		t.Fatalf("post-step report corrected to %v, want 25", next[0])
 	}
 }
 
@@ -92,10 +94,9 @@ func TestSkewStepReanchors(t *testing.T) {
 // per-device deltas, so it cancels.
 func TestSkewWithinWindowTolerated(t *testing.T) {
 	s := newSkewTracker(30 * time.Second)
-	s.correct([]transport.Report{rep("honest", 100)})
-	out := s.correct([]transport.Report{rep("slightly", 115)})
-	if out[0].AtSeconds != 115 {
-		t.Fatalf("within-window report corrected to %v, want untouched 115", out[0].AtSeconds)
+	corrected(t, s, rep("honest", 100))
+	if got := corrected(t, s, rep("slightly", 115)); got[0] != 115 {
+		t.Fatalf("within-window report corrected to %v, want untouched 115", got[0])
 	}
 }
 
@@ -104,22 +105,19 @@ func TestSkewWithinWindowTolerated(t *testing.T) {
 // after is relative to it, consistently.
 func TestSkewColdStartAnchorsFirstReporter(t *testing.T) {
 	s := newSkewTracker(30 * time.Second)
-	out := s.correct([]transport.Report{rep("first", 99999)})
-	if out[0].AtSeconds != 99999 {
-		t.Fatalf("cold-start report corrected to %v, want untouched", out[0].AtSeconds)
+	if got := corrected(t, s, rep("first", 99999)); got[0] != 99999 {
+		t.Fatalf("cold-start report corrected to %v, want untouched", got[0])
 	}
 	// A later honest-looking device far from that frame is snapped TO it.
-	out = s.correct([]transport.Report{rep("second", 5)})
-	if out[0].AtSeconds != 99999 {
-		t.Fatalf("second device corrected to %v, want the first reporter's frame", out[0].AtSeconds)
+	if got := corrected(t, s, rep("second", 5)); got[0] != 99999 {
+		t.Fatalf("second device corrected to %v, want the first reporter's frame", got[0])
 	}
 }
 
 func TestNilSkewTrackerPassthrough(t *testing.T) {
 	var s *skewTracker
-	in := []transport.Report{rep("a", 1)}
-	if out := s.correct(in); &out[0] != &in[0] {
-		t.Fatal("nil tracker should pass the batch through")
+	if got := corrected(t, s, rep("a", 1)); got[0] != 1 {
+		t.Fatalf("nil tracker corrected a report to %v", got[0])
 	}
 	if s.stats() != 0 {
 		t.Fatal("nil tracker stats should be 0")

@@ -1,0 +1,297 @@
+package fleet
+
+import (
+	"errors"
+	"fmt"
+	"math"
+	"slices"
+	"strings"
+	"sync"
+	"testing"
+
+	"occusim/internal/bms"
+	"occusim/internal/ibeacon"
+	"occusim/internal/rng"
+	"occusim/internal/transport"
+	"occusim/internal/wire"
+)
+
+// recordShard is a shard that keeps every frame it is delivered and
+// answers report j of it with "<name>#j", so a test can tell which shard
+// took a report and where in its frame the report sat. Only the ingest
+// path may touch it: the embedded Shard is nil.
+type recordShard struct {
+	Shard
+	name   string
+	frames [][]byte
+}
+
+func (s *recordShard) Name() string { return s.name }
+
+func (s *recordShard) IngestFrame(frame []byte, reports int) ([]string, error) {
+	s.frames = append(s.frames, slices.Clone(frame))
+	rooms := make([]string, reports)
+	for j := range rooms {
+		rooms[j] = fmt.Sprintf("%s#%d", s.name, j)
+	}
+	return rooms, nil
+}
+
+// FuzzSplitBatch holds the server-side split to its contract for an
+// arbitrary batch over an arbitrary ring: every shard is sent at most one
+// frame; the frames decode to exactly the input's reports, each in its
+// ring owner's frame and in input order there (so one device's reports
+// keep their order); the rooms come back in input order; and an upload
+// with a report no server would take reaches no shard at all.
+func FuzzSplitBatch(f *testing.F) {
+	src := rng.New(5)
+	for _, n := range []int{0, 1, 7, 64} {
+		b := new(wire.Batch)
+		for i := 0; i < n; i++ {
+			b.AddReport(fmt.Sprintf("dev-%d", src.Intn(n)), float64(i), 1, uint64(i+1))
+			for k := src.Intn(4); k > 0; k-- {
+				b.AddBeacon(wire.Beacon{ID: ibeacon.BeaconID{Major: uint16(k), Minor: uint16(i)}, Distance: float64(k), RSSI: -60})
+			}
+		}
+		f.Add(wire.AppendPayload(nil, b), uint8(n), uint8(3*n), uint8(n))
+	}
+	nameless := new(wire.Batch)
+	nameless.AddReport("a", 1, 0, 0)
+	nameless.AddReport("", 2, 0, 0)
+	f.Add(wire.AppendPayload(nil, nameless), uint8(3), uint8(9), uint8(0))
+
+	f.Fuzz(func(t *testing.T, payload []byte, nShards, replicas, downMask uint8) {
+		in := new(wire.Batch)
+		if wire.DecodePayload(payload, in) != nil {
+			return
+		}
+		shards := make([]*recordShard, 1+nShards%8)
+		ring := make([]Shard, len(shards))
+		for i := range shards {
+			shards[i] = &recordShard{name: fmt.Sprintf("s%d", i)}
+			ring[i] = shards[i]
+		}
+		g, err := New(ring, Config{Replicas: 1 + int(replicas%32)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		allDown := true
+		for i := range shards {
+			if downMask&(1<<i) != 0 {
+				g.MarkDown(i)
+			} else {
+				allDown = false
+			}
+		}
+		// The split works on the gateway's own copy of the upload: keep the
+		// input beside it.
+		b := new(wire.Batch)
+		if err := wire.DecodePayload(payload, b); err != nil {
+			t.Fatal(err)
+		}
+		sc := getUploadScratch()
+		defer sc.release()
+		err = g.split(b, sc)
+
+		sent := 0
+		for _, s := range shards {
+			sent += len(s.frames)
+		}
+		switch {
+		case in.Len() > 0 && slices.Contains(in.Devices, ""):
+			if err == nil || sent != 0 {
+				t.Fatalf("an upload with a nameless report: err %v, %d frames sent", err, sent)
+			}
+			return
+		case in.Len() > 0 && allDown:
+			if !errors.Is(err, ErrNoHealthyShards) || sent != 0 {
+				t.Fatalf("every shard down: err %v, %d frames sent", err, sent)
+			}
+			return
+		case err != nil:
+			t.Fatalf("split: %v", err)
+		}
+		if len(sc.flat) != in.Len() {
+			t.Fatalf("%d rooms for %d reports", len(sc.flat), in.Len())
+		}
+		got := make([]*wire.Batch, len(shards))
+		for s, shard := range shards {
+			if len(shard.frames) > 1 {
+				t.Fatalf("shard %d was sent %d frames for one upload", s, len(shard.frames))
+			}
+			got[s] = new(wire.Batch)
+			if len(shard.frames) == 1 {
+				if err := wire.DecodeFrame(shard.frames[0], got[s]); err != nil {
+					t.Fatalf("shard %d's frame: %v", s, err)
+				}
+				if got[s].Len() == 0 {
+					t.Fatalf("shard %d was sent an empty frame", s)
+				}
+			}
+		}
+		next := make([]int, len(shards))
+		for i, device := range in.Devices {
+			owner, err := g.ShardFor(device)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fb, j := got[owner], next[owner]
+			next[owner]++
+			if j >= fb.Len() {
+				t.Fatalf("report %d (%q) is missing from its owner shard %d's frame", i, device, owner)
+			}
+			if fb.Devices[j] != device || math.Float64bits(fb.At[j]) != math.Float64bits(in.At[i]) ||
+				fb.Epoch[j] != in.Epoch[i] || fb.Seq[j] != in.Seq[i] ||
+				!slices.EqualFunc(fb.ReportBeacons(j), in.ReportBeacons(i), sameBeacon) {
+				t.Fatalf("report %d (%q) is not report %d of shard %d's frame", i, device, j, owner)
+			}
+			if want := fmt.Sprintf("s%d#%d", owner, j); sc.flat[i] != want {
+				t.Fatalf("room %d is %q, want %q: the reassembly lost input order", i, sc.flat[i], want)
+			}
+		}
+		for s := range shards {
+			if next[s] != got[s].Len() {
+				t.Fatalf("shard %d's frame carries %d reports, %d are its own", s, got[s].Len(), next[s])
+			}
+		}
+	})
+}
+
+// sameBeacon compares bit for bit: a fuzzed distance may be NaN.
+func sameBeacon(a, b wire.Beacon) bool {
+	return a.ID == b.ID && math.Float64bits(a.Distance) == math.Float64bits(b.Distance) &&
+		math.Float64bits(a.RSSI) == math.Float64bits(b.RSSI)
+}
+
+// sameReports compares what a decode produced, taking an absent Beacons
+// and an empty one for the same thing: nothing downstream tells them
+// apart, and a recycled target has the second where a fresh one has the
+// first.
+func sameReports(a, b []transport.Report) bool {
+	return slices.EqualFunc(a, b, func(x, y transport.Report) bool {
+		return x.Device == y.Device && x.AtSeconds == y.AtSeconds && x.Epoch == y.Epoch && x.Seq == y.Seq &&
+			slices.Equal(x.Beacons, y.Beacons)
+	})
+}
+
+// randomBody writes a JSON batch body whose objects omit fields at
+// random, or one of the shapes that are not a batch at all.
+func randomBody(src *rng.Source) string {
+	switch src.Intn(12) {
+	case 0:
+		return "null"
+	case 1:
+		return "[]"
+	case 2:
+		return `[{"device":"torn","beacons":[{"id":"x"}]},{]` // a syntax error mid-array
+	}
+	var sb strings.Builder
+	sb.WriteByte('[')
+	for i, n := 0, 1+src.Intn(1+src.Intn(40)); i < n; i++ {
+		if i > 0 {
+			sb.WriteByte(',')
+		}
+		var fields []string
+		if src.Intn(4) > 0 {
+			fields = append(fields, fmt.Sprintf(`"device":"d%d"`, src.Intn(50)))
+		}
+		switch src.Intn(6) {
+		case 0:
+		case 1:
+			fields = append(fields, `"atSeconds":"soon"`) // a type error mid-array: decoding goes on
+		default:
+			fields = append(fields, fmt.Sprintf(`"atSeconds":%d`, src.Intn(1000)))
+		}
+		if src.Intn(2) == 0 {
+			fields = append(fields, fmt.Sprintf(`"epoch":%d,"seq":%d`, 1+src.Intn(3), 1+src.Intn(99)))
+		}
+		switch src.Intn(6) {
+		case 0:
+		case 1:
+			fields = append(fields, `"beacons":null`)
+		default:
+			var beacons []string
+			for k := src.Intn(12); k > 0; k-- {
+				var bf []string
+				if src.Intn(5) > 0 {
+					bf = append(bf, fmt.Sprintf(`"id":"b%d"`, src.Intn(9)))
+				}
+				if src.Intn(3) > 0 {
+					bf = append(bf, fmt.Sprintf(`"distance":%d`, src.Intn(30)))
+				}
+				if src.Intn(3) > 0 {
+					bf = append(bf, fmt.Sprintf(`"rssi":-%d`, 40+src.Intn(50)))
+				}
+				beacons = append(beacons, "{"+strings.Join(bf, ",")+"}")
+			}
+			fields = append(fields, `"beacons":[`+strings.Join(beacons, ",")+`]`)
+		}
+		sb.WriteString("{" + strings.Join(fields, ",") + "}")
+	}
+	sb.WriteByte(']')
+	return sb.String()
+}
+
+// TestPooledDecodeEqualsFreshDecode: the JSON door decodes into a
+// recycled slice whose elements a previous upload filled, and the decoder
+// neither zeroes an element it re-extends over nor touches a field the
+// object does not name. Whatever a target last held — a longer batch, a
+// batch that failed half way, nothing — what it decodes next must be what
+// a fresh target decodes, error included. Several goroutines share the
+// pool, as concurrent handlers do.
+func TestPooledDecodeEqualsFreshDecode(t *testing.T) {
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			src := rng.New(uint64(100 + w))
+			for i := 0; i < 400; i++ {
+				body := randomBody(src)
+				var fresh []transport.Report
+				freshErr := bms.DecodeJSON(strings.NewReader(body), &fresh)
+				pooled := getReports()
+				pooledErr := bms.DecodeJSON(strings.NewReader(body), pooled)
+				if (freshErr == nil) != (pooledErr == nil) || (freshErr != nil && freshErr.Error() != pooledErr.Error()) {
+					t.Errorf("body %s: a recycled target fails with %v, a fresh one with %v", body, pooledErr, freshErr)
+				}
+				if !sameReports(*pooled, fresh) {
+					t.Errorf("body %s:\nrecycled target: %+v\nfresh target:    %+v", body, *pooled, fresh)
+				}
+				putReports(pooled)
+			}
+		}(w)
+	}
+	wg.Wait()
+
+	// The contract itself: what goes back to the pool is zero to its
+	// capacity, capacity kept; what would pin memory does not go back.
+	p := getReports()
+	if err := bms.DecodeJSON(strings.NewReader(`[{"device":"a","atSeconds":1,"epoch":2,"seq":3,"beacons":[{"id":"x","distance":1,"rssi":-1},{"id":"y"}]},{"device":"b"}]`), p); err != nil {
+		t.Fatal(err)
+	}
+	kept := (*p)[:cap(*p)]
+	putReports(p)
+	for i, r := range kept {
+		if r.Device != "" || r.AtSeconds != 0 || r.Epoch != 0 || r.Seq != 0 || len(r.Beacons) != 0 {
+			t.Fatalf("report %d went back to the pool as %+v", i, r)
+		}
+		for k, bc := range r.Beacons[:cap(r.Beacons)] {
+			if bc != (transport.BeaconReport{}) {
+				t.Fatalf("report %d beacon %d went back to the pool as %+v", i, k, bc)
+			}
+		}
+	}
+	if cap(kept[0].Beacons) < 2 {
+		t.Fatalf("the first report kept a Beacons capacity of %d, it decoded 2", cap(kept[0].Beacons))
+	}
+	giant := make([]transport.Report, pooledUploadMax+1)
+	putReports(&giant)
+	null := []transport.Report(nil)
+	putReports(&null)
+	for i := 0; i < 64; i++ {
+		if got := getReports(); cap(*got) > pooledUploadMax {
+			t.Fatalf("the pool handed out a %d-report target", cap(*got))
+		}
+	}
+}

@@ -1,0 +1,389 @@
+package fleet_test
+
+import (
+	"bytes"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"testing"
+	"time"
+
+	"occusim/internal/building"
+	"occusim/internal/fleet"
+	"occusim/internal/obs"
+	"occusim/internal/raceflag"
+	"occusim/internal/store"
+	"occusim/internal/transport"
+	"occusim/internal/wire"
+)
+
+// plainFrame encodes reports as one wire frame, upload order.
+func plainFrame(t testing.TB, reports []transport.Report) []byte {
+	t.Helper()
+	wb := new(wire.Batch)
+	if err := transport.EncodeReports(wb, reports); err != nil {
+		t.Fatal(err)
+	}
+	return wire.AppendFrame(nil, wb)
+}
+
+func postJSONBatch(t testing.TB, h http.Handler, reports []transport.Report) *httptest.ResponseRecorder {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, batchRoute, bytes.NewReader(mustJSON(t, reports))))
+	return rec
+}
+
+// TestGatewayRejectsWholeUploadLikeOneServer: one clean server validates
+// a whole upload before it ingests any of it, so a 16-device upload with
+// one bad report is a 400 that changes nothing. A fleet must answer the
+// same and hold the same — nothing, on every shard — through each door
+// that reaches the server-side split. (Until PR 19 the bad report was
+// found by the one shard it was sent to, after the other shards had
+// committed their share of an upload the client was then told had
+// failed.)
+func TestGatewayRejectsWholeUploadLikeOneServer(t *testing.T) {
+	b := building.PaperHouse()
+	snap := trainSnapshot(t, b, 42)
+	clean := synthStream(b, 16, 1, 9)
+	stampStream(clean, 1)
+	faulty := func(fault string) []transport.Report {
+		reports := make([]transport.Report, len(clean))
+		copy(reports, clean)
+		bad := &reports[7]
+		switch fault {
+		case "unparseable beacon id":
+			bad.Beacons = append([]transport.BeaconReport(nil), bad.Beacons...)
+			bad.Beacons[1].ID = "not-a-beacon"
+		case "empty device":
+			bad.Device = ""
+		}
+		return reports
+	}
+
+	// A box is one server or a fleet behind its gateway, seen through the
+	// doors both have; send answers with the status the door gave (the
+	// in-process door's error is a 400 at either HTTP face).
+	type box struct {
+		face   http.Handler
+		ingest func([]transport.Report) ([]string, error)
+	}
+	doors := []struct {
+		name   string
+		faults []string
+		send   func(t *testing.T, to box, reports []transport.Report) int
+	}{
+		{"json door", []string{"unparseable beacon id", "empty device"},
+			func(t *testing.T, to box, reports []transport.Report) int {
+				return postJSONBatch(t, to.face, reports).Code
+			}},
+		// A frame carries identities in binary: only the device can be bad.
+		{"plain frame door", []string{"empty device"},
+			func(t *testing.T, to box, reports []transport.Report) int {
+				return postWire(t, to.face, plainFrame(t, reports), "").Code
+			}},
+		{"Gateway.IngestBatch", []string{"unparseable beacon id", "empty device"},
+			func(t *testing.T, to box, reports []transport.Report) int {
+				if _, err := to.ingest(reports); err != nil {
+					return http.StatusBadRequest
+				}
+				return http.StatusOK
+			}},
+	}
+	for _, door := range doors {
+		for _, fault := range door.faults {
+			t.Run(door.name+"/"+fault, func(t *testing.T) {
+				pool, err := fleet.NewLocalPool(b, 4, 2, 200)
+				if err != nil {
+					t.Fatal(err)
+				}
+				gw, err := fleet.New(pool.Shards, fleet.Config{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := gw.DistributeModel(snap); err != nil {
+					t.Fatal(err)
+				}
+				single := newServer(t, b)
+				if _, err := single.InstallModel(snap); err != nil {
+					t.Fatal(err)
+				}
+				one := box{single.Handler(), single.IngestBatch}
+				all := box{fleet.Handler(gw, fleet.HandlerOptions{}), gw.IngestBatch}
+
+				want := door.send(t, one, faulty(fault))
+				if want != http.StatusBadRequest || len(single.KnownDevices()) != 0 {
+					t.Fatalf("one server answered %d and knows %v: the reference is not what the test assumes", want, single.KnownDevices())
+				}
+				if got := door.send(t, all, faulty(fault)); got != want {
+					t.Errorf("the gateway answered %d, one server %d", got, want)
+				}
+				for i, srv := range pool.Servers {
+					if known := srv.KnownDevices(); len(known) != 0 {
+						t.Errorf("shard %d ingested %v from an upload the client was told had failed", i, known)
+					}
+				}
+				// Vacuity: the same upload without the fault is taken, and by
+				// more than one shard.
+				if got := door.send(t, all, clean); got != http.StatusOK {
+					t.Fatalf("the clean upload answered %d", got)
+				}
+				holding := 0
+				for _, srv := range pool.Servers {
+					if len(srv.KnownDevices()) > 0 {
+						holding++
+					}
+				}
+				if holding < 2 {
+					t.Fatalf("the clean upload landed on %d shard(s): the rejected one was never split", holding)
+				}
+			})
+		}
+	}
+}
+
+// TestServerSplitDoorsByteIdentity sends one stream into five fleets of
+// durable shards, each through a different door — JSON batches, plain
+// frames, pre-split sections under a stale digest, pre-split sections
+// into a gateway whose skew window turns the forward off, and pre-split
+// sections forwarded verbatim — and requires the doors to be
+// indistinguishable afterwards: the same occupancy, events and dwell,
+// and on every shard the same wal.log, byte for byte. The server-side
+// split must cut the frames a device's own split would have.
+func TestServerSplitDoorsByteIdentity(t *testing.T) {
+	b := building.PaperHouse()
+	snap := trainSnapshot(t, b, 42)
+	stream := synthStream(b, 12, 40, 9)
+	stampStream(stream, 1)
+	const chunk, shards = 36, 3
+	uploads := float64((len(stream) + chunk - 1) / chunk)
+
+	doors := []struct {
+		name    string
+		cfg     fleet.Config
+		send    func(t *testing.T, gw *fleet.Gateway, face http.Handler, batch []transport.Report) int
+		counter string // what must have counted every upload ("" for none)
+	}{
+		{"json", fleet.Config{}, func(t *testing.T, _ *fleet.Gateway, face http.Handler, batch []transport.Report) int {
+			return postJSONBatch(t, face, batch).Code
+		}, ""},
+		{"plain frame", fleet.Config{}, func(t *testing.T, _ *fleet.Gateway, face http.Handler, batch []transport.Report) int {
+			return postWire(t, face, plainFrame(t, batch), "").Code
+		}, ""},
+		{"stale digest", fleet.Config{}, func(t *testing.T, gw *fleet.Gateway, face http.Handler, batch []transport.Report) int {
+			body, _ := presplitBody(t, gw, batch)
+			return postWire(t, face, body, "stale-"+gw.RingDigest()).Code
+		}, "fleet_presplit_digest_miss_total"},
+		{"skew fallback", fleet.Config{SkewWindow: time.Hour}, func(t *testing.T, gw *fleet.Gateway, face http.Handler, batch []transport.Report) int {
+			body, _ := presplitBody(t, gw, batch)
+			return postWire(t, face, body, gw.RingDigest()).Code
+		}, "fleet_presplit_skew_fallback_total"},
+		{"pre-split", fleet.Config{}, func(t *testing.T, gw *fleet.Gateway, face http.Handler, batch []transport.Report) int {
+			body, _ := presplitBody(t, gw, batch)
+			return postWire(t, face, body, gw.RingDigest()).Code
+		}, "fleet_presplit_forwarded_total"},
+	}
+	type outcome struct {
+		occ, events, dwell []byte
+		logs               [shards][]byte
+	}
+	var first outcome
+	for n, door := range doors {
+		dir := t.TempDir()
+		pool, err := fleet.NewDurableLocalPool(b, shards, 2, 200, dir, store.FsyncOff)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer pool.Close()
+		gw, err := fleet.New(pool.Shards, door.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		met := obs.New()
+		gw.Instrument(met)
+		if err := gw.DistributeModel(snap); err != nil {
+			t.Fatal(err)
+		}
+		face := fleet.Handler(gw, fleet.HandlerOptions{})
+		for i := 0; i < len(stream); i += chunk {
+			if code := door.send(t, gw, face, stream[i:min(i+chunk, len(stream))]); code != http.StatusOK {
+				t.Fatalf("%s door: upload at %d answered %d", door.name, i, code)
+			}
+		}
+		counters := met.TakeSnapshot().Counters
+		if door.counter != "" && counters[door.counter] != uploads {
+			t.Fatalf("%s door: %s = %v after %v uploads — they did not take the door", door.name, door.counter, counters[door.counter], uploads)
+		}
+		if door.counter != "fleet_presplit_forwarded_total" && counters["fleet_presplit_forwarded_total"] != 0 {
+			t.Fatalf("%s door: %v uploads were forwarded verbatim", door.name, counters["fleet_presplit_forwarded_total"])
+		}
+		var got outcome
+		got.occ, got.events, got.dwell = fleetViews(t, gw)
+		for s := range got.logs {
+			if got.logs[s], err = os.ReadFile(filepath.Join(dir, pool.Shards[s].Name(), "wal.log")); err != nil {
+				t.Fatal(err)
+			}
+			if len(got.logs[s]) == 0 {
+				t.Fatalf("%s door: shard %d logged nothing", door.name, s)
+			}
+		}
+		if n == 0 {
+			first = got
+			continue
+		}
+		if !bytes.Equal(got.occ, first.occ) || !bytes.Equal(got.events, first.events) || !bytes.Equal(got.dwell, first.dwell) {
+			t.Errorf("the %s door's federated state differs from the %s door's", door.name, doors[0].name)
+		}
+		for s := range got.logs {
+			if !bytes.Equal(got.logs[s], first.logs[s]) {
+				t.Errorf("shard %d's wal.log differs between the %s door (%d bytes) and the %s door (%d bytes)",
+					s, door.name, len(got.logs[s]), doors[0].name, len(first.logs[s]))
+			}
+		}
+	}
+}
+
+// constShard answers every frame with the same rooms, allocating
+// nothing, and keeps the last frame it was sent: what a pin over it
+// counts is the gateway's own allocations. Only the ingest path may touch
+// it: the embedded Shard is nil.
+type constShard struct {
+	fleet.Shard
+	name  string
+	rooms []string
+	frame []byte
+}
+
+func (s *constShard) Name() string { return s.name }
+
+func (s *constShard) IngestFrame(frame []byte, reports int) ([]string, error) {
+	s.frame = append(s.frame[:0], frame...)
+	return s.rooms[:reports], nil
+}
+
+// TestAllocBudgetGatewaySplit: what the server-side split allocates does
+// not depend on how many reports it cuts — the rooms it hands back, the
+// fan-out's goroutines, and nothing per report: the batch, the map of the
+// cut and the per-shard frames are all pooled.
+func TestAllocBudgetGatewaySplit(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are pinned without the race detector")
+	}
+	b := building.PaperHouse()
+	stay := make([]string, 64)
+	for i := range stay {
+		stay[i] = "kitchen"
+	}
+	shards := make([]*constShard, 4)
+	ring := make([]fleet.Shard, len(shards))
+	for i := range shards {
+		shards[i] = &constShard{name: "shard-" + string(rune('0'+i)), rooms: stay}
+		ring[i] = shards[i]
+	}
+	gw, err := fleet.New(ring, fleet.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := synthStream(b, 64, 1, 9) // 64 devices, one report each
+	stampStream(batch, 1)
+	cost := func(n int) float64 {
+		return testing.AllocsPerRun(100, func() {
+			if rooms, err := gw.IngestBatch(batch[:n]); err != nil || len(rooms) != n {
+				t.Fatalf("IngestBatch = %d rooms, %v", len(rooms), err)
+			}
+		})
+	}
+	few, many := cost(8), cost(64)
+	taken := 0
+	for _, s := range shards {
+		wb := new(wire.Batch)
+		if len(s.frame) > 0 {
+			if err := wire.DecodeFrame(s.frame, wb); err != nil {
+				t.Fatal(err)
+			}
+			taken += wb.Len()
+		}
+	}
+	if taken != 64 {
+		t.Fatalf("vacuous: the stub shards' last frames carry %d of the upload's 64 reports", taken)
+	}
+	t.Logf("Gateway.IngestBatch over 4 stub shards: %v allocations for 8 reports, %v for 64", few, many)
+	// 56 more reports: anything allocated per report shows as 56 or more.
+	// (Not equality: the count is the process's, and an earlier test's
+	// connections may still be winding down beside the measurement.)
+	if many-few >= 8 {
+		t.Errorf("the split allocates %v times for 64 reports and %v for 8: something is allocated per report", many, few)
+	}
+	if many > 8 {
+		t.Errorf("the split allocates %v times per upload, ceiling 8", many)
+	}
+}
+
+// TestAllocBudgetResplitDoor: a plain frame is decoded into a pooled
+// batch and cut from it — no report slice, and no beacon identity
+// rendered back into its "UUID/major/minor" string (two allocations a
+// beacon, 176 an upload here, until PR 19) for the shard to parse again.
+func TestAllocBudgetResplitDoor(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are pinned without the race detector")
+	}
+	b := building.PaperHouse()
+	pool, err := fleet.NewLocalPool(b, 4, 2, 200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gw, err := fleet.New(pool.Shards, fleet.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := gw.DistributeModel(trainSnapshot(t, b, 42)); err != nil {
+		t.Fatal(err)
+	}
+	face := fleet.Handler(gw, fleet.HandlerOptions{})
+
+	// One device that stays put, 11 reports an upload, a fresh upload per
+	// measured call (a retransmission would be deduplicated).
+	const runs = 60
+	stream := synthStream(b, 1, 29, 9)[:11]
+	owner, err := gw.ShardFor(stream[0].Device)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bodies [][]byte
+	var batches []*wire.Batch
+	seq := transport.NewSequencer(1)
+	for i := 0; i < 2*(runs+1); i++ {
+		batch := make([]transport.Report, len(stream))
+		for k := range batch {
+			batch[k] = stream[k]
+			batch[k].AtSeconds += float64(60 * i)
+			seq.Stamp(&batch[k])
+		}
+		bodies = append(bodies, plainFrame(t, batch))
+		wb := new(wire.Batch)
+		if err := wire.DecodeFrame(bodies[i], wb); err != nil {
+			t.Fatal(err)
+		}
+		batches = append(batches, wb)
+	}
+	next := 0
+	ingest := testing.AllocsPerRun(runs, func() {
+		if _, err := pool.Servers[owner].IngestWireBatch(batches[next]); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	})
+	drain := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { _, _ = bytes.NewBuffer(nil).ReadFrom(r.Body) })
+	harness := testing.AllocsPerRun(runs, func() { postWire(t, drain, bodies[0], "") })
+	door := testing.AllocsPerRun(runs, func() {
+		if rec := postWire(t, face, bodies[next], ""); rec.Code != http.StatusOK {
+			t.Fatalf("gateway answered %d: %s", rec.Code, rec.Body)
+		}
+		next++
+	})
+	t.Logf("per 11-report plain-frame upload: shard ingest %v, gateway door %v above a harness of %v", ingest, door-harness, harness)
+	if above := door - harness - ingest; above > 8 {
+		t.Errorf("the plain-frame door allocates %v times per upload above the shard's ingest (%v) and the harness (%v), ceiling 8", above, ingest, harness)
+	}
+}

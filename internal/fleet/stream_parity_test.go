@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -36,13 +37,15 @@ func outcomeOf(err error) legOutcome {
 	}
 }
 
-// TestStreamOutcomesClassifyAsThePostDid drives one shard through both
-// of its doors — the JSON POST a CodecJSON client still makes, the stream
-// every wire frame now takes — into each way a delivery can fail, and
-// requires the gateway to draw the same conclusions from both: status at
-// its own face, breaker verdict, Retry-After and the leader headers. A
-// refused upgrade has no POST twin any more; it is held to what PR 15
-// fixed for a 415 (a fault: 502, breaker failure).
+// TestStreamOutcomesClassifyAsThePostDid drives one shard over the
+// stream into each way a delivery can fail, and requires the gateway to
+// draw from it the conclusions it drew from the JSON POST the leg made
+// until PR 19: status at its own face, breaker verdict, Retry-After and
+// the leader headers. The POST is gone, so the expected column is the
+// table it produced on PR 19's parent, written out. A refused upgrade
+// never had a POST twin; it is held to what PR 15 fixed for a 415 (a
+// fault: 502, breaker failure). SetCodec is called with both values on
+// the way: it changes nothing.
 func TestStreamOutcomesClassifyAsThePostDid(t *testing.T) {
 	b := building.PaperHouse()
 	st, err := store.New(200)
@@ -55,24 +58,23 @@ func TestStreamOutcomesClassifyAsThePostDid(t *testing.T) {
 	}
 	srv.SetAdmission(overload.Config{MaxInflight: 1, MaxQueue: 1, RetryAfter: 1500 * time.Millisecond})
 	var refuse bool
+	var batchPosts atomic.Int64
 	next := srv.Handler()
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if refuse && r.URL.Path == wire.StreamPath {
 			http.NotFound(w, r)
 			return
 		}
+		if r.URL.Path == transport.BatchPath {
+			batchPosts.Add(1)
+		}
 		next.ServeHTTP(w, r)
 	}))
 	defer srv.Close()
 
-	legs := map[string]*HTTPShard{}
-	for name, codec := range map[string]transport.Codec{"post": transport.CodecJSON, "stream": transport.CodecBinary} {
-		hs, err := NewHTTPShard(ts.URL, nil, transport.RetryPolicy{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		hs.SetCodec(codec)
-		legs[name] = hs
+	hs, err := NewHTTPShard(ts.URL, nil, transport.RetryPolicy{})
+	if err != nil {
+		t.Fatal(err)
 	}
 	report := func(device string) []transport.Report {
 		rep := transport.Report{Device: device, AtSeconds: 2, Epoch: 1, Seq: 1}
@@ -83,36 +85,32 @@ func TestStreamOutcomesClassifyAsThePostDid(t *testing.T) {
 	}
 	// tries is how often a delivery may succeed before it must fail: once,
 	// except where the failure is a race the test can only make likely.
-	both := func(t *testing.T, reports []transport.Report, tries int, want legOutcome) {
+	// The codec setter is flipped between tries and must not matter.
+	fails := func(t *testing.T, reports []transport.Report, tries int, want legOutcome) {
 		t.Helper()
-		for name, hs := range legs {
-			var err error
-			for try := 0; try < tries && err == nil; try++ {
-				_, err = hs.IngestBatch(reports)
-			}
-			if err == nil {
-				t.Fatalf("%s leg: the delivery succeeded", name)
-			}
-			if got := outcomeOf(err); got != want {
-				t.Errorf("%s leg: %+v, want %+v (%v)", name, got, want, err)
-			}
+		var err error
+		for try := 0; try < tries && err == nil; try++ {
+			hs.SetCodec(transport.Codec(try % 2))
+			_, err = hs.IngestBatch(reports)
+		}
+		if err == nil {
+			t.Fatal("the delivery succeeded")
+		}
+		if got := outcomeOf(err); got != want {
+			t.Errorf("%+v, want %+v (%v)", got, want, err)
 		}
 	}
 
 	t.Run("rejected", func(t *testing.T) {
-		both(t, report(""), 1, legOutcome{status: http.StatusBadRequest})
+		fails(t, report(""), 1, legOutcome{status: http.StatusBadRequest})
 	})
 	t.Run("stale", func(t *testing.T) {
 		if _, _, err := srv.GrantLease(9, "http://gw-b"); err != nil {
 			t.Fatal(err)
 		}
-		for _, hs := range legs {
-			hs.StampEpoch(4)
-		}
-		both(t, report("d1"), 1, legOutcome{status: http.StatusConflict, leaderEpoch: "9", leaderHint: "http://gw-b"})
-		for _, hs := range legs {
-			hs.StampEpoch(9)
-		}
+		hs.StampEpoch(4)
+		fails(t, report("d1"), 1, legOutcome{status: http.StatusConflict, leaderEpoch: "9", leaderHint: "http://gw-b"})
+		hs.StampEpoch(9)
 	})
 	t.Run("refused upgrade", func(t *testing.T) {
 		refuse = true
@@ -121,7 +119,6 @@ func TestStreamOutcomesClassifyAsThePostDid(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fresh.SetCodec(transport.CodecBinary)
 		if _, err = fresh.IngestBatch(report("d2")); err == nil {
 			t.Fatal("the delivery succeeded")
 		}
@@ -132,11 +129,16 @@ func TestStreamOutcomesClassifyAsThePostDid(t *testing.T) {
 	if occ := srv.Occupancy(); len(occ.Devices) != 0 {
 		t.Fatalf("failed deliveries left state behind: %v", occ.Devices)
 	}
-	// Vacuity: the same report, nothing in its way, lands through both.
-	for name, hs := range legs {
-		if rooms, err := hs.IngestBatch(report("ok-" + name)); err != nil || len(rooms) != 1 {
-			t.Fatalf("%s leg, nothing in the way: %q, %v", name, rooms, err)
+	// Vacuity: the same report, nothing in its way, lands — under either
+	// setting of the inert codec, and never by POST.
+	for _, codec := range []transport.Codec{transport.CodecJSON, transport.CodecBinary} {
+		hs.SetCodec(codec)
+		if rooms, err := hs.IngestBatch(report("ok-" + codec.String())); err != nil || len(rooms) != 1 {
+			t.Fatalf("nothing in the way, SetCodec(%s): %q, %v", codec, rooms, err)
 		}
+	}
+	if batchPosts.Load() != 0 {
+		t.Fatalf("the shard took %d batch POSTs: the leg has one form, a frame on the stream", batchPosts.Load())
 	}
 	t.Run("overload", func(t *testing.T) {
 		// One admission slot, one queue place, and a crowd contending for
@@ -159,13 +161,13 @@ func TestStreamOutcomesClassifyAsThePostDid(t *testing.T) {
 				}
 			}(c)
 		}
-		both(t, report("d1"), 5000, legOutcome{status: http.StatusTooManyRequests, retryAfter: "2"})
+		fails(t, report("d1"), 5000, legOutcome{status: http.StatusTooManyRequests, retryAfter: "2"})
 		close(stop)
 		crowd.Wait()
 	})
 	t.Run("shard down", func(t *testing.T) {
 		ts.Close()
 		srv.Close() // the test server does not own upgraded connections; the shard hangs them up
-		both(t, report("d3"), 1, legOutcome{status: http.StatusBadGateway, breaker: true})
+		fails(t, report("d3"), 1, legOutcome{status: http.StatusBadGateway, breaker: true})
 	})
 }

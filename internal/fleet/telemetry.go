@@ -15,7 +15,7 @@ import (
 type gatewayMetrics struct {
 	reg *obs.Metrics
 
-	sendLatency []*obs.Histogram // per shard: one sub-batch delivery
+	sendLatency []*obs.Histogram // per shard: one frame delivery
 	splitTime   *obs.Histogram   // routing + per-shard split of one batch
 	reassembly  *obs.Histogram   // room reassembly into input order
 	batchSize   *obs.Histogram   // reports per gateway batch
@@ -28,6 +28,7 @@ type gatewayMetrics struct {
 	presplitForwarded  *obs.Counter // device-split uploads forwarded verbatim
 	presplitDigestMiss *obs.Counter // pre-split uploads re-split server-side on a stale digest
 	presplitSkew       *obs.Counter // pre-split uploads re-split because skew correction is on
+	presplitMisroute   *obs.Counter // pre-split uploads re-split because a section was not its shard's share
 
 	rec *obs.Recorder
 }
@@ -52,6 +53,8 @@ func (g *Gateway) Instrument(m *obs.Metrics) {
 			"pre-split uploads whose ring digest was stale, re-split server-side"),
 		presplitSkew: m.Counter("fleet_presplit_skew_fallback_total",
 			"pre-split uploads re-split server-side because skew correction must see every timestamp"),
+		presplitMisroute: m.Counter("fleet_presplit_misroute_total",
+			"pre-split uploads under a fresh digest whose sections the gateway's own ring disowned, re-split server-side"),
 		rec: m.Recorder(),
 	}
 	if g.skew != nil {
@@ -68,7 +71,7 @@ func (g *Gateway) Instrument(m *obs.Metrics) {
 	gm.readErrors = make([]*obs.Counter, len(g.shards))
 	for i, s := range g.shards {
 		i, name := i, s.Name()
-		gm.sendLatency[i] = m.Timing("fleet_send_seconds", "one sub-batch delivery to the shard", obs.L("shard", name))
+		gm.sendLatency[i] = m.Timing("fleet_send_seconds", "one frame delivery to the shard", obs.L("shard", name))
 		gm.readErrors[i] = m.Counter("fleet_read_errors_total", "federated reads the shard failed", obs.L("shard", name))
 		if hs, ok := s.(*HTTPShard); ok {
 			hs.streams.dials = m.Counter("fleet_stream_dials_total", "shard streams upgraded", obs.L("shard", name))

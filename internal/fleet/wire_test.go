@@ -2,6 +2,9 @@ package fleet_test
 
 import (
 	"bytes"
+	"net/http"
+	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -9,8 +12,7 @@ import (
 	"occusim/internal/fleet"
 	"occusim/internal/obs"
 	"occusim/internal/transport"
-
-	"net/http/httptest"
+	"occusim/internal/wire"
 )
 
 // wireStack is a fleet served over its real HTTP face: an in-process
@@ -133,11 +135,12 @@ func TestFleetWireHTTPByteIdentity(t *testing.T) {
 	}
 }
 
-// TestFleetWireMixedModeByteIdentity interleaves JSON uplinks and
-// pre-splitting binary uplinks against ONE fleet — half the crowd
-// upgraded, half legacy — and requires the merged state to match a
-// single server fed everything once. Batches from the two populations
-// land through different ingest paths but the same dedup and debounce.
+// TestFleetWireMixedModeByteIdentity interleaves JSON uplinks,
+// pre-splitting binary uplinks and plain-frame binary uplinks against
+// ONE fleet — a crowd part legacy, part upgraded, part upgraded but
+// ringless — and requires the merged state to match a single server fed
+// everything once. Batches from the three populations enter through
+// different doors but the same split, dedup and debounce.
 func TestFleetWireMixedModeByteIdentity(t *testing.T) {
 	b := building.PaperHouse()
 	single := newServer(t, b)
@@ -145,8 +148,18 @@ func TestFleetWireMixedModeByteIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := newWireStack(t, b, 4, 42)
-	jsonUp := &transport.HTTPUplink{BaseURL: s.ts.URL, Retry: transport.DefaultRetry()}
-	binUp := &transport.ShardSplitter{BaseURL: s.ts.URL, Retry: transport.DefaultRetry()}
+	var plainFrames atomic.Int64
+	face := fleet.Handler(s.gw, fleet.HandlerOptions{})
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Header.Get("Content-Type") == wire.ContentType && r.Header.Get(wire.HeaderRingDigest) == "" {
+			plainFrames.Add(1)
+		}
+		face.ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+	jsonUp := &transport.HTTPUplink{BaseURL: ts.URL, Retry: transport.DefaultRetry()}
+	binUp := &transport.ShardSplitter{BaseURL: ts.URL, Retry: transport.DefaultRetry()}
+	plainUp := &transport.HTTPUplink{BaseURL: ts.URL, Retry: transport.DefaultRetry(), Codec: transport.CodecBinary}
 
 	stream := synthStream(b, 16, 60, 9)
 	stampStream(stream, 1)
@@ -156,16 +169,16 @@ func TestFleetWireMixedModeByteIdentity(t *testing.T) {
 		if _, err := single.IngestBatch(stream[i:j]); err != nil {
 			t.Fatal(err)
 		}
-		up := transport.BatchSender(jsonUp)
-		if n%2 == 1 {
-			up = binUp
-		}
+		up := []transport.BatchSender{jsonUp, binUp, plainUp}[n%3]
 		if err := up.SendBatch(stream[i:j]); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if fwd := s.counter("fleet_presplit_forwarded_total"); fwd == 0 {
 		t.Fatal("mixed mode never exercised the pre-split forward path")
+	}
+	if plainFrames.Load() == 0 {
+		t.Fatal("mixed mode never exercised the plain-frame door")
 	}
 
 	occ, events, dwell := fleetViews(t, s.gw)

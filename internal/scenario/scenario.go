@@ -28,12 +28,14 @@ package scenario
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
 	"occusim/internal/building"
 	"occusim/internal/experiments"
 	"occusim/internal/fleet"
+	"occusim/internal/fleet/fleettest"
 	"occusim/internal/overload"
 	"occusim/internal/transport"
 )
@@ -181,10 +183,12 @@ func Run(sc Scenario, cfg Config) (*Result, error) {
 		return nil, err
 	}
 	ring := pool.Shards
+	var slowed []*fleettest.SlowShard
 	if tr.ShardDelay > 0 {
 		ring = make([]fleet.Shard, len(pool.Shards))
 		for i, s := range pool.Shards {
-			ring[i] = &slowedShard{Shard: s, delay: tr.ShardDelay}
+			slowed = append(slowed, &fleettest.SlowShard{Shard: s, Delay: tr.ShardDelay})
+			ring[i] = slowed[i]
 		}
 	}
 	nGW := tr.Gateways
@@ -260,22 +264,13 @@ func Run(sc Scenario, cfg Config) (*Result, error) {
 		res.Shed += shed
 		res.SkewAdjusted += gw.SkewAdjusted()
 	}
+	if len(slowed) > 0 && !slices.ContainsFunc(slowed, func(s *fleettest.SlowShard) bool { return s.Slept() > 0 }) {
+		return nil, fmt.Errorf("scenario %s: vacuous: no delivery went through the slowed shards", sc.Name)
+	}
 	if err := verify(sc, b, gws[0], tr, cfg); err != nil {
 		return nil, fmt.Errorf("scenario %s: %w", sc.Name, err)
 	}
 	return res, nil
-}
-
-// slowedShard stretches every ingest call, standing in for a shard on
-// the far side of a congested path.
-type slowedShard struct {
-	fleet.Shard
-	delay time.Duration
-}
-
-func (s *slowedShard) IngestBatch(reports []transport.Report) ([]string, error) {
-	time.Sleep(s.delay)
-	return s.Shard.IngestBatch(reports)
 }
 
 // deliver sends one lane's batches in order, honouring shed hints the

@@ -67,8 +67,8 @@ func EncodeReports(b *wire.Batch, reports []Report) error {
 }
 
 // DecodeReports renders a decoded wire batch back into report form,
-// appending to dst — the gateway's re-split fallback and mixed-mode
-// tests use it; the zero-alloc ingest paths stay on wire.Batch.
+// appending to dst. No ingest path does this any more — every one stays
+// on wire.Batch — and only tests still call it (ROADMAP item 3).
 func DecodeReports(b *wire.Batch, dst []Report) []Report {
 	for i := 0; i < b.Len(); i++ {
 		span := b.ReportBeacons(i)

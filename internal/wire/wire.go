@@ -203,19 +203,33 @@ func (in Interner) Get(raw []byte) string {
 
 // AppendPayload appends the batch record (no frame header) to dst.
 func AppendPayload(dst []byte, b *Batch) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(b.Len()))
+	dst = BeginPayload(dst, b.Len())
 	for i := range b.Devices {
-		dev := b.Devices[i]
-		dst = binary.AppendUvarint(dst, uint64(len(dev)))
-		dst = append(dst, dev...)
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(b.At[i]))
-		dst = binary.AppendUvarint(dst, b.Epoch[i])
-		dst = binary.AppendUvarint(dst, b.Seq[i])
-		span := b.ReportBeacons(i)
-		dst = binary.AppendUvarint(dst, uint64(len(span)))
-		for _, bc := range span {
-			dst = AppendBeacon(dst, bc)
-		}
+		dst = AppendReport(dst, b, i)
+	}
+	return dst
+}
+
+// BeginPayload appends a batch record's head, its report count; the
+// caller appends that many reports with AppendReport. The pair writes a
+// record whose reports are picked one at a time — the gateway's
+// server-side split cuts one upload into a frame per shard this way.
+func BeginPayload(dst []byte, reports int) []byte {
+	return binary.LittleEndian.AppendUint32(dst, uint32(reports))
+}
+
+// AppendReport appends report i of b in the batch record's form.
+func AppendReport(dst []byte, b *Batch, i int) []byte {
+	dev := b.Devices[i]
+	dst = binary.AppendUvarint(dst, uint64(len(dev)))
+	dst = append(dst, dev...)
+	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(b.At[i]))
+	dst = binary.AppendUvarint(dst, b.Epoch[i])
+	dst = binary.AppendUvarint(dst, b.Seq[i])
+	span := b.ReportBeacons(i)
+	dst = binary.AppendUvarint(dst, uint64(len(span)))
+	for _, bc := range span {
+		dst = AppendBeacon(dst, bc)
 	}
 	return dst
 }
@@ -358,6 +372,13 @@ func zeroTail(frame []byte) bool {
 // first). Decoded device names are interned per Batch.
 func DecodePayload(payload []byte, b *Batch) error {
 	b.Reset()
+	return AppendDecoded(payload, b)
+}
+
+// AppendDecoded decodes one batch record onto the end of b — how the
+// sections of a pre-split upload become one batch again, in section
+// order. On an error b holds a partial record; the caller drops it.
+func AppendDecoded(payload []byte, b *Batch) error {
 	if b.intern == nil {
 		b.intern = make(Interner, 64)
 	}
