@@ -41,7 +41,12 @@ test-race:
 # split (PR 19: TestAllocBudgetGatewaySplit, the same count for 8 and for
 # 64 reports, so nothing is allocated per report; and
 # TestAllocBudgetResplitDoor, a plain frame re-split without one beacon
-# identity rendered back into a string). The counts are deterministic on any
+# identity rendered back into a string) — and of the JSON ingest routes
+# of both faces (PR 20: TestAllocBudgetJSONDoor in fleet and in bms, a
+# 64-report upload of 64 devices costs the door what an 8-report one
+# does, so no string is made per device name or beacon identity;
+# FuzzParseBeaconID's seeds pin the identity parse at 0 from a string and
+# from the decoder's bytes alike). The counts are deterministic on any
 # box, so a regression fails a PR here instead of hiding in timing
 # noise. Never under -race: the pins skip there, the detector allocates
 # on its own account.

@@ -294,8 +294,10 @@ func (s *Server) IngestBatch(reports []transport.Report) ([]string, error) {
 }
 
 // IngestBatchFenced is IngestBatch behind the leadership fence — the
-// JSON door: the reports are rendered into a pooled wire.Batch (the
-// strict identity parse every face shares) and take the core.
+// in-process door for reports held as structs: they are rendered into a
+// pooled wire.Batch (the strict identity parse every face shares) and
+// take the core. The HTTP JSON routes do not come through here; they
+// decode straight into the batch (handleJSONUpload).
 func (s *Server) IngestBatchFenced(gwEpoch uint64, reports []transport.Report) ([]string, error) {
 	b := wire.GetBatch()
 	defer wire.PutBatch(b)
@@ -770,17 +772,35 @@ func (s *Server) handleEnergy(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleObservation(w http.ResponseWriter, r *http.Request) {
-	var rep transport.Report
-	if err := DecodeJSON(http.MaxBytesReader(w, r.Body, wire.MaxBodyBytes), &rep); err != nil {
+	s.handleJSONUpload(w, r, false)
+}
+
+// handleJSONUpload serves both JSON ingest routes — batch says which: the
+// body decodes into a pooled upload target, is rendered into a pooled
+// wire.Batch (where a beacon identity that did not parse refuses the whole
+// upload) and takes the core on a pooled scratch; the ack is written from
+// the scratch's rooms. No []transport.Report, no string per identity.
+func (s *Server) handleJSONUpload(w http.ResponseWriter, r *http.Request, batch bool) {
+	u := transport.GetJSONUpload()
+	defer u.Release()
+	if err := ReadJSONUpload(w, r, u, batch); err != nil {
 		WriteUploadError(w, "decode", err)
 		return
 	}
-	rooms, err := s.IngestBatchFenced(gatewayEpochFrom(r), []transport.Report{rep})
+	b := wire.GetBatch()
+	defer wire.PutBatch(b)
+	if err := u.AppendTo(b); err != nil {
+		writeIngestError(w, fmt.Errorf("bms: batch: %w", err))
+		return
+	}
+	sc := getScratch()
+	defer sc.release()
+	rooms, err := s.ingest(gatewayEpochFrom(r), b, nil, sc)
 	if err != nil {
 		writeIngestError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"room": rooms[0]})
+	WriteJSONAck(w, rooms, batch)
 }
 
 // writeIngestError maps an ingest failure to its HTTP face: a shed
@@ -828,20 +848,7 @@ func (s *Server) handleObservationBatch(w http.ResponseWriter, r *http.Request) 
 		s.handleWireObservationBatch(w, r)
 		return
 	}
-	var reports []transport.Report
-	if err := DecodeJSON(http.MaxBytesReader(w, r.Body, wire.MaxBodyBytes), &reports); err != nil {
-		WriteUploadError(w, "decode", err)
-		return
-	}
-	rooms, err := s.IngestBatchFenced(gatewayEpochFrom(r), reports)
-	if err != nil {
-		writeIngestError(w, err)
-		return
-	}
-	if rooms == nil {
-		rooms = []string{}
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"rooms": rooms})
+	s.handleJSONUpload(w, r, true)
 }
 
 // fingerprintRequest is the POST /api/v1/fingerprints payload.
@@ -1067,10 +1074,25 @@ func putBuf(b *bytes.Buffer) {
 	}
 }
 
+// ReadJSONUpload reads an ingest route's body whole, under the size limit
+// every upload has, through a pooled buffer and decodes it into u: the
+// array of reports on a batch route, one report object otherwise. Both
+// faces' JSON ingest routes, this server's and the fleet gateway's, take a
+// body in here and nowhere else: they cannot disagree on what parses.
+func ReadJSONUpload(w http.ResponseWriter, r *http.Request, u *transport.JSONUpload, batch bool) error {
+	buf := getBuf()
+	defer putBuf(buf)
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, wire.MaxBodyBytes)); err != nil {
+		return err
+	}
+	if batch {
+		return u.UnmarshalBatch(buf.Bytes())
+	}
+	return u.UnmarshalReport(buf.Bytes())
+}
+
 // DecodeJSON reads the whole body through a pooled buffer and
 // unmarshals it into v, so anything after the first value is an error.
-// Every JSON request body of this face and of the fleet gateway's ingest
-// routes is decoded here: the two cannot disagree on what parses.
 func DecodeJSON(body io.Reader, v any) error {
 	buf := getBuf()
 	defer putBuf(buf)

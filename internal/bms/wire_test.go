@@ -300,3 +300,72 @@ func TestAllocBudgetIngestBatchJSON(t *testing.T) {
 		t.Errorf("IngestBatch allocates %v (1 report) and %v (64 reports) times above IngestWireBatch, budget 1", small, large)
 	}
 }
+
+// TestAllocBudgetJSONDoor: the JSON batch route is the wire route plus a
+// decode that makes no string — not a device name, not a beacon identity —
+// and an ack appended into a pooled buffer, so what it allocates above the
+// wire route for the same 64 devices' reports is what it allocates above
+// it for 8: encoding/json's own per-call state, and nothing per report.
+// (Until PR 20 the door built a []transport.Report: 7 strings a report,
+// 448 an upload here.)
+func TestAllocBudgetJSONDoor(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are pinned without the race detector")
+	}
+	s, b := newTestServer(t)
+	trainServer(t, s, b)
+	h := s.Handler()
+	const runs = 30
+	gap := func(size int) float64 {
+		// size devices, one report each, under fresh sequence numbers every
+		// upload (a retransmission would be deduplicated and skip the store).
+		// The first warm uploads carry every device's history past the
+		// store's retention (100), where it next grows a hundred uploads on:
+		// until then each doubling is size allocations in one upload, on
+		// whichever route happens to be measured at the time.
+		const warm = 130
+		var bodies, frames [][]byte
+		for i := 0; i < warm+2*(runs+1); i++ {
+			batch := make([]transport.Report, size)
+			for k := range batch {
+				seq := uint64(1 + i)
+				batch[k] = sequenced(reportNear(b, "door"+strconv.Itoa(size)+"-"+strconv.Itoa(k), 0, float64(2*seq)), seq)
+			}
+			body, err := json.Marshal(batch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wb := new(wire.Batch)
+			if err := transport.EncodeReports(wb, batch); err != nil {
+				t.Fatal(err)
+			}
+			bodies, frames = append(bodies, body), append(frames, wire.AppendFrame(nil, wb))
+		}
+		next := 0
+		for ; next < warm; next++ {
+			if rec := postBatch(h, wire.ContentType, bytes.NewReader(frames[next])); rec.Code != http.StatusOK {
+				t.Fatalf("warm-up upload answered %d: %s", rec.Code, rec.Body)
+			}
+		}
+		post := func(contentType string, uploads [][]byte) float64 {
+			return testing.AllocsPerRun(runs, func() {
+				if rec := postBatch(h, contentType, bytes.NewReader(uploads[next])); rec.Code != http.StatusOK {
+					t.Fatalf("%s upload answered %d: %s", contentType, rec.Code, rec.Body)
+				}
+				next++
+			})
+		}
+		viaWire := post(wire.ContentType, frames)
+		viaJSON := post("application/json", bodies)
+		t.Logf("%d-report upload: JSON route %v allocations, wire route %v", size, viaJSON, viaWire)
+		return viaJSON - viaWire
+	}
+	few, many := gap(8), gap(64)
+	// 56 more reports: anything allocated per report shows as 56 or more.
+	if many-few >= 8 {
+		t.Errorf("the JSON route allocates %v times above the wire route for 64 reports and %v for 8: something is allocated per report", many, few)
+	}
+	if many > 12 {
+		t.Errorf("the JSON route allocates %v times per upload above the wire route, ceiling 12", many)
+	}
+}

@@ -417,47 +417,14 @@ func Handler(g *Gateway, opts HandlerOptions) http.Handler {
 		fleetJSON(w, code, map[string]any{"status": status, "shards": len(statuses), "down": downCount})
 	})
 	mux.HandleFunc("POST /api/v1/observations", func(w http.ResponseWriter, r *http.Request) {
-		var rep transport.Report
-		if err := bms.DecodeJSON(http.MaxBytesReader(w, r.Body, wire.MaxBodyBytes), &rep); err != nil {
-			bms.WriteUploadError(w, "decode", err)
-			return
-		}
-		if opts.Lease != nil && !opts.Lease.Active() {
-			fleetStandbyError(w, opts.Lease)
-			return
-		}
-		room, err := g.Ingest(rep)
-		if err != nil {
-			ingestFailed(opts, w, err)
-			return
-		}
-		fleetJSON(w, http.StatusOK, map[string]string{"room": room})
+		handleJSONUpload(g, opts, w, r, false)
 	})
 	mux.HandleFunc("POST /api/v1/observations:batch", func(w http.ResponseWriter, r *http.Request) {
 		if wire.IsContentType(r.Header.Get("Content-Type")) {
 			handleWireBatch(g, opts, w, r)
-			return
+		} else {
+			handleJSONUpload(g, opts, w, r, true)
 		}
-		reports := getReports()
-		defer putReports(reports)
-		if err := bms.DecodeJSON(http.MaxBytesReader(w, r.Body, wire.MaxBodyBytes), reports); err != nil {
-			bms.WriteUploadError(w, "decode", err)
-			return
-		}
-		if opts.Lease != nil && !opts.Lease.Active() {
-			fleetStandbyError(w, opts.Lease)
-			return
-		}
-		// A JSON request gets the JSON ack.
-		rooms, err := g.IngestBatch(*reports)
-		if err != nil {
-			ingestFailed(opts, w, err)
-			return
-		}
-		if rooms == nil {
-			rooms = []string{}
-		}
-		fleetJSON(w, http.StatusOK, map[string]any{"rooms": rooms})
 	})
 	mux.HandleFunc("GET /api/v1/ring", func(w http.ResponseWriter, r *http.Request) {
 		fleetJSON(w, http.StatusOK, g.RingInfo())
@@ -562,43 +529,6 @@ func Handler(g *Gateway, opts HandlerOptions) http.Handler {
 		})
 	}
 	return mux
-}
-
-// reportsPool holds the JSON batch route's decode targets. The decoder
-// grows a slice it is handed and reuses what capacity it finds, so a
-// warm target costs an upload neither the report slice nor each report's
-// Beacons growing 0 → 1 → 2 → 4 → 8. It also exposes whatever an element
-// last held: re-extending a slice does not zero it, and an object sets
-// only the fields it names. Hence the contract putReports keeps — every
-// report up to the slice's capacity, and every beacon up to each
-// Beacons' capacity, goes back zeroed, with only the capacity kept — and
-// the one it asks of the route: nothing may hold a Beacons slice past
-// the handler, which is so because IngestBatch has copied every report
-// into frame bytes before it returns.
-var reportsPool = sync.Pool{New: func() any { return new([]transport.Report) }}
-
-// pooledBeaconsMax bounds the Beacons capacity a pooled report keeps.
-const pooledBeaconsMax = 64
-
-func getReports() *[]transport.Report { return reportsPool.Get().(*[]transport.Report) }
-
-func putReports(p *[]transport.Report) {
-	// A null body leaves nothing to keep; a giant upload's slice is not
-	// kept.
-	all := (*p)[:cap(*p)]
-	if len(all) == 0 || len(all) > pooledUploadMax {
-		return
-	}
-	for i := range all {
-		beacons := all[i].Beacons[:cap(all[i].Beacons)]
-		if len(beacons) > pooledBeaconsMax {
-			beacons = nil
-		}
-		clear(beacons)
-		all[i] = transport.Report{Beacons: beacons[:0]}
-	}
-	*p = all[:0]
-	reportsPool.Put(p)
 }
 
 // ingestStatus maps a gateway ingest failure to the status a single

@@ -253,6 +253,19 @@ func TestHTTPShardDeviceMigration(t *testing.T) {
 	}
 }
 
+// errorPhase names the step an ingest answer's error came from: "decode" —
+// the body never parsed —, "batch" — it parsed and the upload was refused
+// whole, whichever face says so —, or the error itself.
+func errorPhase(msg string) string {
+	switch {
+	case strings.HasPrefix(msg, "decode: "):
+		return "decode"
+	case strings.HasPrefix(msg, "bms: batch"), strings.HasPrefix(msg, "fleet: batch"):
+		return "batch"
+	}
+	return msg
+}
+
 // TestFleetHandlerStatusParity pins the API-parity contract for error
 // classes: an invalid report gets 400 through the fleet exactly as it
 // would from one bms.Server (so retrying uplinks don't hammer a doomed
@@ -282,22 +295,70 @@ func TestFleetHandlerStatusParity(t *testing.T) {
 		t.Fatalf("invalid report returned %s, want 400", resp.Status)
 	}
 
-	// A body with anything after its JSON value is rejected whole by one
-	// server; the gateway must not ingest the value and ignore the rest.
+	// Every body a JSON ingest route can refuse — or take as an upload of
+	// nothing — is answered alike by one server and by the gateway: the
+	// same status, from the same phase ("decode": the body never parsed;
+	// "batch": it parsed and the upload was refused whole). The table is
+	// literal, and it is the one the doors answered by when each decoded
+	// into its own []transport.Report. A standby gateway answers what
+	// parses with 409 whatever is in it — the lease gate stands between
+	// the decode and the identities.
 	one := httptest.NewServer(newServer(t, b).Handler())
 	defer one.Close()
-	for route, body := range map[string]string{
-		"/api/v1/observations":       `{"device":"d1","atSeconds":1,"beacons":[]} trailing-garbage`,
-		"/api/v1/observations:batch": `[{"device":"d1","atSeconds":1,"beacons":[]}] trailing-garbage`,
+	idle, err := fleet.New(pool.Shards, fleet.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	standby := httptest.NewServer(fleet.Handler(idle, fleet.HandlerOptions{Lease: controller(t, idle, "http://standby")}))
+	defer standby.Close()
+	const single, batch = "/api/v1/observations", "/api/v1/observations:batch"
+	const goodBeacon = `{"id":"B9407F30-F5F8-466E-AFF9-25556B57FE6D/1/2","distance":1,"rssi":-50}`
+	for _, c := range []struct {
+		name, route, body string
+		status            int
+		phase             string
+	}{
+		{"trailing garbage", batch, `[{"device":"d1","atSeconds":1,"beacons":[]}] trailing-garbage`, 400, "decode"},
+		{"trailing garbage", single, `{"device":"d1","atSeconds":1,"beacons":[]} trailing-garbage`, 400, "decode"},
+		{"syntax error mid-array", batch, `[{"device":"d1","atSeconds":1,"beacons":[]},{]`, 400, "decode"},
+		{"an object for the array", batch, `{"device":"d1","atSeconds":1,"beacons":[]}`, 400, "decode"},
+		{"an array for the object", single, `[{"device":"d1","atSeconds":1,"beacons":[]}]`, 400, "decode"},
+		{"a number for the device", batch, `[{"device":7,"atSeconds":1,"beacons":[]}]`, 400, "decode"},
+		{"a number for a beacon id", batch, `[{"device":"d1","atSeconds":1,"beacons":[{"id":8}]}]`, 400, "decode"},
+		{"a number for a beacon id", single, `{"device":"d1","atSeconds":1,"beacons":[{"id":8}]}`, 400, "decode"},
+		{"bad id, first report", batch, `[{"device":"d1","atSeconds":1,"beacons":[{"id":"nope"}]},{"device":"d2","atSeconds":1,"beacons":[` + goodBeacon + `]}]`, 400, "batch"},
+		{"bad id, last report", batch, `[{"device":"d1","atSeconds":1,"beacons":[` + goodBeacon + `]},{"device":"d2","atSeconds":1,"beacons":[` + goodBeacon + `,{"id":"B9407F30-F5F8-466E-AFF9-25556B57FE6D/1/70000"}]}]`, 400, "batch"},
+		{"bad id", single, `{"device":"d1","atSeconds":1,"beacons":[{"id":"nope"}]}`, 400, "batch"},
+		{"a beacon without id", batch, `[{"device":"d1","atSeconds":1,"beacons":[{"distance":1}]}]`, 400, "batch"},
+		{"empty device", batch, `[{"device":"d1","atSeconds":1,"beacons":[]},{"device":"","atSeconds":1,"beacons":[]}]`, 400, "batch"},
+		{"no device", single, `{"atSeconds":1,"beacons":[]}`, 400, "batch"},
+		{"null", single, `null`, 400, "batch"},
+		{"null", batch, `null`, 200, ""},
+		{"no reports", batch, `[]`, 200, ""},
 	} {
-		for face, base := range map[string]string{"one server": one.URL, "the gateway": ts.URL} {
-			resp, err := http.Post(base+route, "application/json", strings.NewReader(body))
+		for _, face := range []struct{ name, base string }{{"one server", one.URL}, {"the gateway", ts.URL}, {"a standby gateway", standby.URL}} {
+			wantStatus, wantPhase := c.status, c.phase
+			if face.base == standby.URL && c.phase != "decode" {
+				wantStatus, wantPhase = http.StatusConflict, "gateway is standby, not leading"
+			}
+			resp, err := http.Post(face.base+c.route, "application/json", strings.NewReader(c.body))
 			if err != nil {
 				t.Fatal(err)
 			}
+			var answer struct {
+				Error string   `json:"error"`
+				Rooms []string `json:"rooms"`
+			}
+			if err := json.NewDecoder(resp.Body).Decode(&answer); err != nil {
+				t.Fatalf("%s, %s on %s: undecodable answer: %v", face.name, c.name, c.route, err)
+			}
 			resp.Body.Close()
-			if resp.StatusCode != http.StatusBadRequest {
-				t.Errorf("%s answered %s to trailing garbage on %s, want 400", face, resp.Status, route)
+			if phase := errorPhase(answer.Error); resp.StatusCode != wantStatus || phase != wantPhase {
+				t.Errorf("%s answered %s on %s with %d from phase %q (%s), want %d from %q",
+					face.name, c.name, c.route, resp.StatusCode, phase, answer.Error, wantStatus, wantPhase)
+			}
+			if resp.StatusCode == http.StatusOK && answer.Rooms == nil {
+				t.Errorf("%s acknowledged %s without a rooms array", face.name, c.name)
 			}
 		}
 	}

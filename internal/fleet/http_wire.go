@@ -1,8 +1,8 @@
-// Binary HTTP face of the gateway: the wire-codec branch of the batch
-// ingest route. JSON stays the compatibility face — a request without
-// the wire content type is parsed as JSON and answered in JSON — but
-// behind either face an upload the gateway must cut itself takes the same
-// server-side split (Gateway.split).
+// The gateway's ingest routes. JSON stays the compatibility face — a
+// request without the wire content type is parsed as JSON and answered in
+// JSON — but behind either face an upload the gateway must cut itself is
+// decoded into a pooled wire.Batch and takes the same server-side split
+// (Gateway.split).
 package fleet
 
 import (
@@ -11,6 +11,7 @@ import (
 	"net/http"
 
 	"occusim/internal/bms"
+	"occusim/internal/transport"
 	"occusim/internal/wire"
 )
 
@@ -88,6 +89,41 @@ func handleWireBatch(g *Gateway, opts HandlerOptions, w http.ResponseWriter, r *
 		return
 	}
 	writeWireAck(w, buf, sc.flat)
+}
+
+// handleJSONUpload serves the JSON ingest routes, POST
+// /api/v1/observations (one report object) and, with batch set, POST
+// /api/v1/observations:batch (the array), in handleWireBatch's shape:
+// decode → lease gate → split → ack from the scratch's rooms. The body is
+// read and decoded exactly as one bms.Server does it, into the same pooled
+// target; a beacon identity that did not parse refuses the whole upload
+// where the batch is rendered, behind the lease gate and before any shard
+// hears of the upload.
+func handleJSONUpload(g *Gateway, opts HandlerOptions, w http.ResponseWriter, r *http.Request, batch bool) {
+	u := transport.GetJSONUpload()
+	defer u.Release()
+	if err := bms.ReadJSONUpload(w, r, u, batch); err != nil {
+		bms.WriteUploadError(w, "decode", err)
+		return
+	}
+	if opts.Lease != nil && !opts.Lease.Active() {
+		fleetStandbyError(w, opts.Lease)
+		return
+	}
+	b := wire.GetBatch()
+	defer wire.PutBatch(b)
+	if err := u.AppendTo(b); err != nil {
+		ingestFailed(opts, w, fmt.Errorf("fleet: batch: %w", err))
+		return
+	}
+	sc := getUploadScratch()
+	defer sc.release()
+	if err := g.split(b, sc); err != nil {
+		ingestFailed(opts, w, err)
+		return
+	}
+	// A JSON request gets the JSON ack.
+	bms.WriteJSONAck(w, sc.flat, batch)
 }
 
 // writeWireAck answers 200 with the rooms column, encoded into the

@@ -5,14 +5,10 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"strings"
-	"sync"
 	"testing"
 
-	"occusim/internal/bms"
 	"occusim/internal/ibeacon"
 	"occusim/internal/rng"
-	"occusim/internal/transport"
 	"occusim/internal/wire"
 )
 
@@ -161,137 +157,4 @@ func FuzzSplitBatch(f *testing.F) {
 func sameBeacon(a, b wire.Beacon) bool {
 	return a.ID == b.ID && math.Float64bits(a.Distance) == math.Float64bits(b.Distance) &&
 		math.Float64bits(a.RSSI) == math.Float64bits(b.RSSI)
-}
-
-// sameReports compares what a decode produced, taking an absent Beacons
-// and an empty one for the same thing: nothing downstream tells them
-// apart, and a recycled target has the second where a fresh one has the
-// first.
-func sameReports(a, b []transport.Report) bool {
-	return slices.EqualFunc(a, b, func(x, y transport.Report) bool {
-		return x.Device == y.Device && x.AtSeconds == y.AtSeconds && x.Epoch == y.Epoch && x.Seq == y.Seq &&
-			slices.Equal(x.Beacons, y.Beacons)
-	})
-}
-
-// randomBody writes a JSON batch body whose objects omit fields at
-// random, or one of the shapes that are not a batch at all.
-func randomBody(src *rng.Source) string {
-	switch src.Intn(12) {
-	case 0:
-		return "null"
-	case 1:
-		return "[]"
-	case 2:
-		return `[{"device":"torn","beacons":[{"id":"x"}]},{]` // a syntax error mid-array
-	}
-	var sb strings.Builder
-	sb.WriteByte('[')
-	for i, n := 0, 1+src.Intn(1+src.Intn(40)); i < n; i++ {
-		if i > 0 {
-			sb.WriteByte(',')
-		}
-		var fields []string
-		if src.Intn(4) > 0 {
-			fields = append(fields, fmt.Sprintf(`"device":"d%d"`, src.Intn(50)))
-		}
-		switch src.Intn(6) {
-		case 0:
-		case 1:
-			fields = append(fields, `"atSeconds":"soon"`) // a type error mid-array: decoding goes on
-		default:
-			fields = append(fields, fmt.Sprintf(`"atSeconds":%d`, src.Intn(1000)))
-		}
-		if src.Intn(2) == 0 {
-			fields = append(fields, fmt.Sprintf(`"epoch":%d,"seq":%d`, 1+src.Intn(3), 1+src.Intn(99)))
-		}
-		switch src.Intn(6) {
-		case 0:
-		case 1:
-			fields = append(fields, `"beacons":null`)
-		default:
-			var beacons []string
-			for k := src.Intn(12); k > 0; k-- {
-				var bf []string
-				if src.Intn(5) > 0 {
-					bf = append(bf, fmt.Sprintf(`"id":"b%d"`, src.Intn(9)))
-				}
-				if src.Intn(3) > 0 {
-					bf = append(bf, fmt.Sprintf(`"distance":%d`, src.Intn(30)))
-				}
-				if src.Intn(3) > 0 {
-					bf = append(bf, fmt.Sprintf(`"rssi":-%d`, 40+src.Intn(50)))
-				}
-				beacons = append(beacons, "{"+strings.Join(bf, ",")+"}")
-			}
-			fields = append(fields, `"beacons":[`+strings.Join(beacons, ",")+`]`)
-		}
-		sb.WriteString("{" + strings.Join(fields, ",") + "}")
-	}
-	sb.WriteByte(']')
-	return sb.String()
-}
-
-// TestPooledDecodeEqualsFreshDecode: the JSON door decodes into a
-// recycled slice whose elements a previous upload filled, and the decoder
-// neither zeroes an element it re-extends over nor touches a field the
-// object does not name. Whatever a target last held — a longer batch, a
-// batch that failed half way, nothing — what it decodes next must be what
-// a fresh target decodes, error included. Several goroutines share the
-// pool, as concurrent handlers do.
-func TestPooledDecodeEqualsFreshDecode(t *testing.T) {
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			src := rng.New(uint64(100 + w))
-			for i := 0; i < 400; i++ {
-				body := randomBody(src)
-				var fresh []transport.Report
-				freshErr := bms.DecodeJSON(strings.NewReader(body), &fresh)
-				pooled := getReports()
-				pooledErr := bms.DecodeJSON(strings.NewReader(body), pooled)
-				if (freshErr == nil) != (pooledErr == nil) || (freshErr != nil && freshErr.Error() != pooledErr.Error()) {
-					t.Errorf("body %s: a recycled target fails with %v, a fresh one with %v", body, pooledErr, freshErr)
-				}
-				if !sameReports(*pooled, fresh) {
-					t.Errorf("body %s:\nrecycled target: %+v\nfresh target:    %+v", body, *pooled, fresh)
-				}
-				putReports(pooled)
-			}
-		}(w)
-	}
-	wg.Wait()
-
-	// The contract itself: what goes back to the pool is zero to its
-	// capacity, capacity kept; what would pin memory does not go back.
-	p := getReports()
-	if err := bms.DecodeJSON(strings.NewReader(`[{"device":"a","atSeconds":1,"epoch":2,"seq":3,"beacons":[{"id":"x","distance":1,"rssi":-1},{"id":"y"}]},{"device":"b"}]`), p); err != nil {
-		t.Fatal(err)
-	}
-	kept := (*p)[:cap(*p)]
-	putReports(p)
-	for i, r := range kept {
-		if r.Device != "" || r.AtSeconds != 0 || r.Epoch != 0 || r.Seq != 0 || len(r.Beacons) != 0 {
-			t.Fatalf("report %d went back to the pool as %+v", i, r)
-		}
-		for k, bc := range r.Beacons[:cap(r.Beacons)] {
-			if bc != (transport.BeaconReport{}) {
-				t.Fatalf("report %d beacon %d went back to the pool as %+v", i, k, bc)
-			}
-		}
-	}
-	if cap(kept[0].Beacons) < 2 {
-		t.Fatalf("the first report kept a Beacons capacity of %d, it decoded 2", cap(kept[0].Beacons))
-	}
-	giant := make([]transport.Report, pooledUploadMax+1)
-	putReports(&giant)
-	null := []transport.Report(nil)
-	putReports(&null)
-	for i := 0; i < 64; i++ {
-		if got := getReports(); cap(*got) > pooledUploadMax {
-			t.Fatalf("the pool handed out a %d-report target", cap(*got))
-		}
-	}
 }

@@ -2,10 +2,13 @@ package fleet_test
 
 import (
 	"bytes"
+	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
@@ -49,22 +52,44 @@ func TestGatewayRejectsWholeUploadLikeOneServer(t *testing.T) {
 	clean := synthStream(b, 16, 1, 9)
 	stampStream(clean, 1)
 	faulty := func(fault string) []transport.Report {
-		reports := make([]transport.Report, len(clean))
-		copy(reports, clean)
-		bad := &reports[7]
+		reports := slices.Clone(clean)
+		badID := func(i int) {
+			reports[i].Beacons = slices.Clone(reports[i].Beacons)
+			reports[i].Beacons[1].ID = "not-a-beacon"
+		}
 		switch fault {
 		case "unparseable beacon id":
-			bad.Beacons = append([]transport.BeaconReport(nil), bad.Beacons...)
-			bad.Beacons[1].ID = "not-a-beacon"
+			badID(7)
+		case "bad id in the first report":
+			badID(0)
+		case "bad id in the last report":
+			badID(len(reports) - 1)
 		case "empty device":
-			bad.Device = ""
+			reports[7].Device = ""
 		}
 		return reports
+	}
+	identities := []string{"unparseable beacon id", "bad id in the first report", "bad id in the last report", "empty device"}
+	// answer reads an HTTP face's reply: its status, and the phase its
+	// error came from.
+	answer := func(t *testing.T, rec *httptest.ResponseRecorder) (int, string) {
+		var body struct {
+			Error string `json:"error"`
+		}
+		if rec.Code == http.StatusOK {
+			return rec.Code, ""
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+			t.Fatalf("undecodable answer %q: %v", rec.Body, err)
+		}
+		return rec.Code, errorPhase(body.Error)
 	}
 
 	// A box is one server or a fleet behind its gateway, seen through the
 	// doors both have; send answers with the status the door gave (the
-	// in-process door's error is a 400 at either HTTP face).
+	// in-process door's error is a 400 at either HTTP face) and the phase
+	// the refusal came from — every fault here parses, so "batch" at every
+	// door of either box.
 	type box struct {
 		face   http.Handler
 		ingest func([]transport.Report) ([]string, error)
@@ -72,23 +97,23 @@ func TestGatewayRejectsWholeUploadLikeOneServer(t *testing.T) {
 	doors := []struct {
 		name   string
 		faults []string
-		send   func(t *testing.T, to box, reports []transport.Report) int
+		send   func(t *testing.T, to box, reports []transport.Report) (int, string)
 	}{
-		{"json door", []string{"unparseable beacon id", "empty device"},
-			func(t *testing.T, to box, reports []transport.Report) int {
-				return postJSONBatch(t, to.face, reports).Code
+		{"json door", identities,
+			func(t *testing.T, to box, reports []transport.Report) (int, string) {
+				return answer(t, postJSONBatch(t, to.face, reports))
 			}},
 		// A frame carries identities in binary: only the device can be bad.
 		{"plain frame door", []string{"empty device"},
-			func(t *testing.T, to box, reports []transport.Report) int {
-				return postWire(t, to.face, plainFrame(t, reports), "").Code
+			func(t *testing.T, to box, reports []transport.Report) (int, string) {
+				return answer(t, postWire(t, to.face, plainFrame(t, reports), ""))
 			}},
-		{"Gateway.IngestBatch", []string{"unparseable beacon id", "empty device"},
-			func(t *testing.T, to box, reports []transport.Report) int {
+		{"Gateway.IngestBatch", identities,
+			func(t *testing.T, to box, reports []transport.Report) (int, string) {
 				if _, err := to.ingest(reports); err != nil {
-					return http.StatusBadRequest
+					return http.StatusBadRequest, errorPhase(err.Error())
 				}
-				return http.StatusOK
+				return http.StatusOK, ""
 			}},
 	}
 	for _, door := range doors {
@@ -112,12 +137,12 @@ func TestGatewayRejectsWholeUploadLikeOneServer(t *testing.T) {
 				one := box{single.Handler(), single.IngestBatch}
 				all := box{fleet.Handler(gw, fleet.HandlerOptions{}), gw.IngestBatch}
 
-				want := door.send(t, one, faulty(fault))
-				if want != http.StatusBadRequest || len(single.KnownDevices()) != 0 {
-					t.Fatalf("one server answered %d and knows %v: the reference is not what the test assumes", want, single.KnownDevices())
+				want, phase := door.send(t, one, faulty(fault))
+				if want != http.StatusBadRequest || phase != "batch" || len(single.KnownDevices()) != 0 {
+					t.Fatalf("one server answered %d from phase %q and knows %v: the reference is not what the test assumes", want, phase, single.KnownDevices())
 				}
-				if got := door.send(t, all, faulty(fault)); got != want {
-					t.Errorf("the gateway answered %d, one server %d", got, want)
+				if got, gotPhase := door.send(t, all, faulty(fault)); got != want || gotPhase != phase {
+					t.Errorf("the gateway answered %d from phase %q, one server %d from %q", got, gotPhase, want, phase)
 				}
 				for i, srv := range pool.Servers {
 					if known := srv.KnownDevices(); len(known) != 0 {
@@ -126,7 +151,7 @@ func TestGatewayRejectsWholeUploadLikeOneServer(t *testing.T) {
 				}
 				// Vacuity: the same upload without the fault is taken, and by
 				// more than one shard.
-				if got := door.send(t, all, clean); got != http.StatusOK {
+				if got, _ := door.send(t, all, clean); got != http.StatusOK {
 					t.Fatalf("the clean upload answered %d", got)
 				}
 				holding := 0
@@ -262,15 +287,9 @@ func (s *constShard) IngestFrame(frame []byte, reports int) ([]string, error) {
 	return s.rooms[:reports], nil
 }
 
-// TestAllocBudgetGatewaySplit: what the server-side split allocates does
-// not depend on how many reports it cuts — the rooms it hands back, the
-// fan-out's goroutines, and nothing per report: the batch, the map of the
-// cut and the per-shard frames are all pooled.
-func TestAllocBudgetGatewaySplit(t *testing.T) {
-	if raceflag.Enabled {
-		t.Skip("allocation counts are pinned without the race detector")
-	}
-	b := building.PaperHouse()
+// stubGateway is a gateway over four constShards.
+func stubGateway(t *testing.T) (*fleet.Gateway, []*constShard) {
+	t.Helper()
 	stay := make([]string, 64)
 	for i := range stay {
 		stay[i] = "kitchen"
@@ -285,16 +304,12 @@ func TestAllocBudgetGatewaySplit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch := synthStream(b, 64, 1, 9) // 64 devices, one report each
-	stampStream(batch, 1)
-	cost := func(n int) float64 {
-		return testing.AllocsPerRun(100, func() {
-			if rooms, err := gw.IngestBatch(batch[:n]); err != nil || len(rooms) != n {
-				t.Fatalf("IngestBatch = %d rooms, %v", len(rooms), err)
-			}
-		})
-	}
-	few, many := cost(8), cost(64)
+	return gw, shards
+}
+
+// reportsTaken counts the reports in the stub shards' last frames.
+func reportsTaken(t *testing.T, shards []*constShard) int {
+	t.Helper()
 	taken := 0
 	for _, s := range shards {
 		wb := new(wire.Batch)
@@ -305,7 +320,30 @@ func TestAllocBudgetGatewaySplit(t *testing.T) {
 			taken += wb.Len()
 		}
 	}
-	if taken != 64 {
+	return taken
+}
+
+// TestAllocBudgetGatewaySplit: what the server-side split allocates does
+// not depend on how many reports it cuts — the rooms it hands back, the
+// fan-out's goroutines, and nothing per report: the batch, the map of the
+// cut and the per-shard frames are all pooled.
+func TestAllocBudgetGatewaySplit(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are pinned without the race detector")
+	}
+	b := building.PaperHouse()
+	gw, shards := stubGateway(t)
+	batch := synthStream(b, 64, 1, 9) // 64 devices, one report each
+	stampStream(batch, 1)
+	cost := func(n int) float64 {
+		return testing.AllocsPerRun(100, func() {
+			if rooms, err := gw.IngestBatch(batch[:n]); err != nil || len(rooms) != n {
+				t.Fatalf("IngestBatch = %d rooms, %v", len(rooms), err)
+			}
+		})
+	}
+	few, many := cost(8), cost(64)
+	if taken := reportsTaken(t, shards); taken != 64 {
 		t.Fatalf("vacuous: the stub shards' last frames carry %d of the upload's 64 reports", taken)
 	}
 	t.Logf("Gateway.IngestBatch over 4 stub shards: %v allocations for 8 reports, %v for 64", few, many)
@@ -317,6 +355,57 @@ func TestAllocBudgetGatewaySplit(t *testing.T) {
 	}
 	if many > 8 {
 		t.Errorf("the split allocates %v times per upload, ceiling 8", many)
+	}
+}
+
+// TestAllocBudgetJSONDoor: a JSON upload is decoded into a pooled target
+// that makes no string — the device names are interned through the pooled
+// batch, the beacon identities parsed where the decoder holds them — cut
+// by the same split, and acknowledged from a pooled buffer: 64 reports of
+// 64 devices cost the door what 8 cost it. (Until PR 20 each report cost 7
+// strings: 448 allocations an upload here.)
+func TestAllocBudgetJSONDoor(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are pinned without the race detector")
+	}
+	gw, shards := stubGateway(t)
+	face := fleet.Handler(gw, fleet.HandlerOptions{})
+	batch := synthStream(building.PaperHouse(), 64, 1, 9) // 64 devices, one report each
+	stampStream(batch, 1)
+	post := func(h http.Handler, body []byte) int {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, batchRoute, bytes.NewReader(body)))
+		return rec.Code
+	}
+	// What the harness itself costs: the request, the recorder, and a
+	// handler that drains the body and writes an ack of the same size.
+	ack := bytes.Repeat([]byte(`"kitchen",`), 64)
+	drain := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		_, _ = io.Copy(io.Discard, r.Body)
+		_, _ = w.Write(ack)
+	})
+	cost := func(n int) float64 {
+		body := mustJSON(t, batch[:n])
+		ack = ack[:10*n]
+		harness := testing.AllocsPerRun(100, func() { post(drain, body) })
+		door := testing.AllocsPerRun(100, func() {
+			if code := post(face, body); code != http.StatusOK {
+				t.Fatalf("the gateway answered %d", code)
+			}
+		})
+		return door - harness
+	}
+	few, many := cost(8), cost(64)
+	if taken := reportsTaken(t, shards); taken != 64 {
+		t.Fatalf("vacuous: the stub shards' last frames carry %d of the upload's 64 reports", taken)
+	}
+	t.Logf("the JSON batch route over 4 stub shards, above the harness: %v allocations for 8 reports, %v for 64", few, many)
+	// 56 more reports: anything allocated per report shows as 56 or more.
+	if many-few >= 8 {
+		t.Errorf("the JSON door allocates %v times for 64 reports and %v for 8: something is allocated per report", many, few)
+	}
+	if many > 14 {
+		t.Errorf("the JSON door allocates %v times per upload, ceiling 14", many)
 	}
 }
 

@@ -25,7 +25,6 @@ import (
 	"fmt"
 	"math"
 	"strconv"
-	"strings"
 )
 
 // PacketLen is the total encoded length of an iBeacon advertisement.
@@ -54,7 +53,11 @@ func ParseUUID(s string) (UUID, error) {
 	return u, nil
 }
 
-func parseUUID(s string) (u UUID, ok bool) {
+// text is what an identity is parsed from: the string a caller holds, or
+// the bytes of one still sitting in a decode buffer.
+type text interface{ string | []byte }
+
+func parseUUID[S text](s S) (u UUID, ok bool) {
 	grouped := len(s) == 36
 	if grouped {
 		if s[8] != '-' || s[13] != '-' || s[18] != '-' || s[23] != '-' {
@@ -237,16 +240,18 @@ func (id BeaconID) Compare(other BeaconID) int {
 // the dataset files. The UUID is the grouped 36-character form; major and
 // minor are unsigned decimals up to 65535 (no sign, no blanks), so "+5"
 // or "-0" cannot alias a canonical identity. Like ParseUUID it allocates
-// nothing on the accept path.
-func ParseBeaconID(s string) (BeaconID, error) {
+// nothing on the accept path — and it takes the identity as a string or
+// as the bytes a decoder is still holding, so a JSON door parses in place
+// without making the string first.
+func ParseBeaconID[S text](s S) (BeaconID, error) {
 	id, ok := parseBeaconID(s)
 	if !ok {
-		return id, fmt.Errorf("ibeacon: bad beacon id %q (want UUID/major/minor, fields 0..65535)", s)
+		return id, fmt.Errorf("ibeacon: bad beacon id %q (want UUID/major/minor, fields 0..65535)", string(s))
 	}
 	return id, nil
 }
 
-func parseBeaconID(s string) (id BeaconID, ok bool) {
+func parseBeaconID[S text](s S) (id BeaconID, ok bool) {
 	if len(s) < 36+4 || s[36] != '/' { // grouped UUID plus "/M/m"
 		return id, false
 	}
@@ -254,8 +259,11 @@ func parseBeaconID(s string) (id BeaconID, ok bool) {
 		return id, false
 	}
 	rest := s[37:]
-	slash := strings.IndexByte(rest, '/')
-	if slash < 0 {
+	slash := 0
+	for slash < len(rest) && rest[slash] != '/' {
+		slash++
+	}
+	if slash == len(rest) {
 		return id, false
 	}
 	if id.Major, ok = parseField(rest[:slash]); !ok {
@@ -266,7 +274,7 @@ func parseBeaconID(s string) (id BeaconID, ok bool) {
 }
 
 // parseField parses one unsigned decimal major/minor field.
-func parseField(s string) (uint16, bool) {
+func parseField[S text](s S) (uint16, bool) {
 	if len(s) == 0 {
 		return 0, false
 	}

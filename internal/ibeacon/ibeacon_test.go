@@ -302,7 +302,8 @@ func TestParseBeaconID(t *testing.T) {
 // FuzzParseBeaconID holds the identity parser to its contract: whatever
 // it accepts round-trips through the canonical rendering, and accepting
 // allocates nothing (the device's encode path parses every beacon of
-// every report).
+// every report) — from a string or from the bytes a JSON door's decoder
+// holds, which are one parser and must give one answer.
 func FuzzParseBeaconID(f *testing.F) {
 	f.Add(exampleUUID + "/1/2")
 	f.Add(strings.ToLower(exampleUUID) + "/65535/0")
@@ -313,6 +314,11 @@ func FuzzParseBeaconID(f *testing.F) {
 	f.Add("")
 	f.Fuzz(func(t *testing.T, s string) {
 		id, err := ParseBeaconID(s)
+		raw := []byte(s)
+		fromBytes, bytesErr := ParseBeaconID(raw)
+		if fromBytes != id || (err == nil) != (bytesErr == nil) || (err != nil && err.Error() != bytesErr.Error()) {
+			t.Fatalf("ParseBeaconID(%q) = %v, %v from the string and %v, %v from its bytes", s, id, err, fromBytes, bytesErr)
+		}
 		if err != nil {
 			return
 		}
@@ -325,6 +331,9 @@ func FuzzParseBeaconID(f *testing.F) {
 		}
 		if n := testing.AllocsPerRun(10, func() { _, _ = ParseBeaconID(s) }); n != 0 {
 			t.Fatalf("ParseBeaconID(%q) allocates %v times on the accept path", s, n)
+		}
+		if n := testing.AllocsPerRun(10, func() { _, _ = ParseBeaconID(raw) }); n != 0 {
+			t.Fatalf("ParseBeaconID(%q) allocates %v times on the accept path from bytes", s, n)
 		}
 	})
 }

@@ -66,27 +66,6 @@ func EncodeReports(b *wire.Batch, reports []Report) error {
 	return nil
 }
 
-// DecodeReports renders a decoded wire batch back into report form,
-// appending to dst. No ingest path does this any more — every one stays
-// on wire.Batch — and only tests still call it (ROADMAP item 3).
-func DecodeReports(b *wire.Batch, dst []Report) []Report {
-	for i := 0; i < b.Len(); i++ {
-		span := b.ReportBeacons(i)
-		beacons := make([]BeaconReport, len(span))
-		for k, bc := range span {
-			beacons[k] = BeaconReport{ID: bc.ID.String(), Distance: bc.Distance, RSSI: bc.RSSI}
-		}
-		dst = append(dst, Report{
-			Device:    b.Devices[i],
-			AtSeconds: b.At[i],
-			Epoch:     b.Epoch[i],
-			Seq:       b.Seq[i],
-			Beacons:   beacons,
-		})
-	}
-	return dst
-}
-
 // pooledClient is the default client the nil-client paths share: one
 // tuned http.Transport so every uplink and shard exchange rides a
 // persistent connection instead of redialing. The stock

@@ -105,6 +105,18 @@ func TestHTTPUplinkSticky415Downgrade(t *testing.T) {
 	}
 }
 
+// reportsOf renders a decoded wire batch back into report form.
+func reportsOf(b *wire.Batch) []Report {
+	out := make([]Report, b.Len())
+	for i := range out {
+		out[i] = Report{Device: b.Devices[i], AtSeconds: b.At[i], Epoch: b.Epoch[i], Seq: b.Seq[i]}
+		for _, bc := range b.ReportBeacons(i) {
+			out[i].Beacons = append(out[i].Beacons, BeaconReport{ID: bc.ID.String(), Distance: bc.Distance, RSSI: bc.RSSI})
+		}
+	}
+	return out
+}
+
 func TestHTTPUplinkBinaryAgainstWireServer(t *testing.T) {
 	var decoded []Report
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -119,7 +131,7 @@ func TestHTTPUplinkBinaryAgainstWireServer(t *testing.T) {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		decoded = DecodeReports(b, decoded[:0])
+		decoded = reportsOf(b)
 		w.WriteHeader(http.StatusOK)
 	}))
 	defer srv.Close()

@@ -162,6 +162,16 @@ func (b *Batch) AddReport(device string, at float64, epoch, seq uint64) {
 	b.beaconOff = append(b.beaconOff, int32(len(b.Beacons)))
 }
 
+// Intern returns the batch's canonical string for a device name still
+// sitting in a decode buffer — a frame's, or a JSON door's — so a
+// recurring device costs a decode no string.
+func (b *Batch) Intern(device []byte) string {
+	if b.intern == nil {
+		b.intern = make(Interner, 64)
+	}
+	return b.intern.Get(device)
+}
+
 // AddBeacon appends one beacon to the most recently added report.
 func (b *Batch) AddBeacon(bc Beacon) {
 	b.Beacons = append(b.Beacons, bc)
@@ -379,9 +389,6 @@ func DecodePayload(payload []byte, b *Batch) error {
 // sections of a pre-split upload become one batch again, in section
 // order. On an error b holds a partial record; the caller drops it.
 func AppendDecoded(payload []byte, b *Batch) error {
-	if b.intern == nil {
-		b.intern = make(Interner, 64)
-	}
 	r := Reader{Buf: payload}
 	count, err := r.reportCount()
 	if err != nil {
@@ -392,7 +399,7 @@ func AppendDecoded(payload []byte, b *Batch) error {
 		if err != nil {
 			return err
 		}
-		b.AddReport(b.intern.Get(dev), at, epoch, seq)
+		b.AddReport(b.Intern(dev), at, epoch, seq)
 		for raw := r.Bytes(beacons * BeaconLen); len(raw) > 0; raw = raw[BeaconLen:] {
 			b.AddBeacon(BeaconAt(raw))
 		}
