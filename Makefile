@@ -6,7 +6,7 @@ PR ?= 10
 # DIFF_BASE is the previous snapshot bench-diff compares against.
 DIFF_BASE ?= BENCH_PR9.json
 
-.PHONY: all build vet test test-short test-race allocs bench bench-smoke bench-diff loadtest crashtest
+.PHONY: all build vet test test-short test-race allocs onepath bench bench-smoke bench-diff loadtest crashtest
 
 all: vet build test
 
@@ -53,6 +53,21 @@ test-race:
 allocs:
 	$(GO) test -count=1 -run 'TestAllocBudget|TestPredictSpanAllocatesNothing|TestSteadyStateDecodeAllocs|FuzzParseBeaconID' \
 		./internal/ibeacon/ ./internal/wire/ ./internal/classify/ ./internal/transport/ ./internal/bms/ ./internal/fleet/
+
+# onepath keeps the crowd harness (internal/scenario: spec → build →
+# drive → verify) the only one: it fails when a fleet-assembly call —
+# the gateway constructor, a pool constructor, the HTTP shard client, a
+# fleettest shard double — appears in more than one non-test file of the
+# directories that used to assemble fleets each their own way.
+ONEPATH_DIRS = internal/experiments internal/scenario cmd/loadgen
+onepath:
+	@fail=0; \
+	for pat in 'fleet\.New(' 'fleet\.New\(Durable\)\?LocalPool(' 'fleet\.NewHTTPShard(' 'fleettest\.\(Slow\|Flaky\)Shard{'; do \
+		files=$$(grep -rl --include='*.go' --exclude='*_test.go' -e "$$pat" $(ONEPATH_DIRS)); \
+		if [ $$(echo "$$files" | grep -c .) -gt 1 ]; then \
+			echo "onepath: $$pat is in more than one non-test file:"; echo "$$files"; fail=1; \
+		fi; \
+	done; exit $$fail
 
 # bench writes BENCH_PR$(PR).json — the per-PR performance snapshot of
 # every figure-regeneration benchmark (ns/op plus the custom metrics).

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"occusim/internal/experiments"
+	"occusim/internal/scenario"
 	"occusim/internal/store"
 	"occusim/internal/transport"
 )
@@ -251,18 +252,20 @@ func BenchmarkCounting(b *testing.B) {
 func benchCrowdFleet(b *testing.B, shards int) {
 	var fleet, onebox, shardMax, placement float64
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.CrowdFleet(64, shards, uint64(i)+11)
+		res, err := scenario.CrowdFleet(64, shards, uint64(i)+11)
 		if err != nil {
 			b.Fatal(err)
 		}
 		pct := 100 * res.FleetElapsed.Seconds() / res.TotalElapsed.Seconds()
 		place := 100 * res.PlacementAccuracy
+		fleetNow := float64(res.Reports) / res.FleetElapsed.Seconds()
+		oneboxNow := float64(res.Reports) / res.TotalElapsed.Seconds()
 		if i == 0 {
-			fleet, onebox, shardMax, placement = res.FleetThroughput, res.OneBoxThroughput, pct, place
+			fleet, onebox, shardMax, placement = fleetNow, oneboxNow, pct, place
 			continue
 		}
-		fleet = max(fleet, res.FleetThroughput)
-		onebox = max(onebox, res.OneBoxThroughput)
+		fleet = max(fleet, fleetNow)
+		onebox = max(onebox, oneboxNow)
 		shardMax = min(shardMax, pct)
 		placement = min(placement, place)
 	}
@@ -291,13 +294,13 @@ func BenchmarkCrowdFleet4Shards(b *testing.B) { benchCrowdFleet(b, 4) }
 // goodput for a bounded tail and a gateway that stays answerable.
 func benchCrowdFleetStorm(b *testing.B, shed bool) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.CrowdFleetStorm(32, 4, uint64(i)+11, 3, shed)
+		res, err := scenario.CrowdFleetStorm(32, 4, uint64(i)+11, 3, shed)
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(res.Goodput, "goodput_rep_per_s")
+		b.ReportMetric(float64(res.Unique)/res.Elapsed.Seconds(), "goodput_rep_per_s")
 		b.ReportMetric(float64(res.Shed), "shed_batches")
-		b.ReportMetric(res.P99ms, "p99_ms")
+		b.ReportMetric(res.LatencyMs(99), "p99_ms")
 		b.ReportMetric(float64(res.DevicesTracked), "devices_tracked")
 	}
 }
@@ -322,12 +325,12 @@ func BenchmarkCrowdFleetStormNoShed(b *testing.B) { benchCrowdFleetStorm(b, fals
 func benchCrowdFleetHTTP(b *testing.B, codec transport.Codec) {
 	var best, forwarded float64
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.CrowdFleetHTTP(64, 4, uint64(i)+11, codec)
+		res, err := scenario.CrowdFleetHTTP(64, 4, uint64(i)+11, codec)
 		if err != nil {
 			b.Fatal(err)
 		}
-		best = max(best, res.Throughput)
-		forwarded = max(forwarded, res.PresplitForwarded)
+		best = max(best, res.PerSecond())
+		forwarded = max(forwarded, res.Counters["fleet_presplit_forwarded_total"])
 	}
 	b.ReportMetric(best, "rep_per_s")
 	b.ReportMetric(forwarded, "presplit_fwd")
@@ -349,12 +352,12 @@ func BenchmarkCrowdFleetHTTPWireBinary(b *testing.B) { benchCrowdFleetHTTP(b, tr
 // the ingest throughput; placement_pct sanity-checks the outcome.
 func BenchmarkCrowdIngest(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.CrowdIngest(32, uint64(i)+11)
+		res, err := scenario.CrowdIngest(32, uint64(i)+11)
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(res.Throughput, "rep_per_s")
-		b.ReportMetric(float64(res.Reports), "reports")
+		b.ReportMetric(res.PerSecond(), "rep_per_s")
+		b.ReportMetric(float64(res.Acked), "reports")
 		b.ReportMetric(100*res.PlacementAccuracy, "placement_pct")
 	}
 }
@@ -366,29 +369,28 @@ func BenchmarkCrowdIngest(b *testing.B) {
 // (see PERF.md).
 func BenchmarkCrowdIngestMetrics(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.CrowdIngestInstrumented(32, uint64(i)+11)
+		res, err := scenario.CrowdIngestInstrumented(32, uint64(i)+11)
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(res.Throughput, "rep_per_s")
-		b.ReportMetric(float64(res.Reports), "reports")
+		b.ReportMetric(res.PerSecond(), "rep_per_s")
+		b.ReportMetric(float64(res.Acked), "reports")
 		b.ReportMetric(100*res.PlacementAccuracy, "placement_pct")
 	}
 }
 
-// BenchmarkCrowdIngestWAL is the same crowd with the per-stripe
-// write-ahead log in the loop at the batch fsync policy: every
-// observation batch is framed, checksummed and synced before the
-// in-memory apply. rep_per_s against BenchmarkCrowdIngest's is the
+// BenchmarkCrowdIngestWAL is the same crowd with the write-ahead log
+// in the loop at the batch fsync policy: every observation batch is
+// framed, checksummed and synced before the in-memory apply. rep_per_s against BenchmarkCrowdIngest's is the
 // durability tax the PR pins at ≤15%.
 func BenchmarkCrowdIngestWAL(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.CrowdIngestDurable(32, uint64(i)+11, b.TempDir(), store.FsyncBatch)
+		res, err := scenario.CrowdIngestDurable(32, uint64(i)+11, b.TempDir(), store.FsyncBatch)
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(res.Throughput, "rep_per_s")
-		b.ReportMetric(float64(res.Reports), "reports")
+		b.ReportMetric(res.PerSecond(), "rep_per_s")
+		b.ReportMetric(float64(res.Acked), "reports")
 		b.ReportMetric(100*res.PlacementAccuracy, "placement_pct")
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"strings"
 
 	"occusim/internal/experiments"
+	"occusim/internal/scenario"
 )
 
 type renderer interface{ Render() string }
@@ -51,7 +52,7 @@ func main() {
 		{"motiongate", func() (renderer, error) { return experiments.AblationMotionGating(*seed) }},
 		{"modelselect", func() (renderer, error) { return experiments.ModelSelection(*seed) }},
 		{"counting", func() (renderer, error) { return experiments.Counting(4, *seed) }},
-		{"crowdingest", func() (renderer, error) { return experiments.CrowdIngest(32, *seed) }},
+		{"crowdingest", func() (renderer, error) { return scenario.CrowdIngest(32, *seed) }},
 		{"devicesurvey", func() (renderer, error) { return experiments.DeviceSurvey(*seed) }},
 		{"pathloss", func() (renderer, error) { return experiments.PathLossValidation(*seed) }},
 	}

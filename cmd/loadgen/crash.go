@@ -27,9 +27,9 @@ import (
 	"time"
 
 	"occusim/internal/building"
-	"occusim/internal/experiments"
 	"occusim/internal/fleet"
 	"occusim/internal/obs"
+	"occusim/internal/scenario"
 	"occusim/internal/transport"
 )
 
@@ -76,15 +76,21 @@ type crashFleet struct {
 	fsync    string
 	bmsdPath string
 	procs    []*shardProc
-	gw       atomic.Pointer[fleet.Gateway]
+	// clients is the harness's fleet over the subprocesses' URLs; it
+	// builds every gateway and verifies the end state. The base URL is
+	// the ring identity and restarted shards rebind the same port, so
+	// routing is stable across every rebuild — and no health probe runs,
+	// so a killed shard's reports retransmit into its recovered WAL state
+	// instead of rebuilding, lossily, on a stand-in.
+	clients *scenario.Fleet
+	gw      atomic.Pointer[fleet.Gateway]
 	// met is the registry every gateway built over the pool reports into:
 	// a rebuilt gateway keeps counting on the same series, so the stream
 	// counters span the whole run.
 	met *obs.Metrics
 
 	// clock is the crash scheduler's view of run progress: the max
-	// AtSeconds of any report that has entered the funnel (stored as
-	// math.Float64bits would be cleaner; a mutex keeps it simple).
+	// AtSeconds of any report that has entered the funnel.
 	clockMu sync.Mutex
 	clock   float64
 
@@ -96,12 +102,13 @@ type crashFleet struct {
 }
 
 // startCrashFleet spawns one single-shard durable bmsd per shard,
-// waits for each to answer health, fronts them with a gateway of
-// HTTPShards, and trains + distributes the crowd model.
-func startCrashFleet(b *building.Building, plan string, shards int, bmsdPath, dataRoot, fsync string, seed uint64) (*crashFleet, error) {
-	if bmsdPath == "" {
+// waits for each to answer health, and has the harness front them with
+// a gateway of HTTPShards, trained and model-distributed.
+func startCrashFleet(b *building.Building, o options) (*crashFleet, error) {
+	if o.bmsdPath == "" {
 		return nil, fmt.Errorf("-kill needs -bmsd pointing at a built bmsd binary (make crashtest builds one)")
 	}
+	dataRoot := o.dataRoot
 	if dataRoot == "" {
 		dir, err := os.MkdirTemp("", "loadgen-crash-*")
 		if err != nil {
@@ -109,8 +116,9 @@ func startCrashFleet(b *building.Building, plan string, shards int, bmsdPath, da
 		}
 		dataRoot = dir
 	}
-	c := &crashFleet{plan: plan, fsync: fsync, bmsdPath: bmsdPath, met: obs.New()}
-	for i := 0; i < shards; i++ {
+	c := &crashFleet{plan: o.plan, fsync: o.fsync, bmsdPath: o.bmsdPath, met: obs.New()}
+	var urls []string
+	for i := 0; i < o.shards; i++ {
 		port, err := freePort()
 		if err != nil {
 			return nil, err
@@ -125,6 +133,7 @@ func startCrashFleet(b *building.Building, plan string, shards int, bmsdPath, da
 			return nil, err
 		}
 		c.procs = append(c.procs, p)
+		urls = append(urls, "http://"+p.addr)
 	}
 	for _, p := range c.procs {
 		if err := waitHealthy(p.addr, 15*time.Second); err != nil {
@@ -132,42 +141,13 @@ func startCrashFleet(b *building.Building, plan string, shards int, bmsdPath, da
 			return nil, fmt.Errorf("%s never became healthy: %w", p.name, err)
 		}
 	}
-	gw, err := c.newGateway()
-	if err != nil {
+	var err error
+	if c.clients, err = scenario.Build(b, scenario.Spec{ShardURLs: urls, Metrics: c.met}, o.seed); err != nil {
 		c.stop()
 		return nil, err
 	}
-	c.gw.Store(gw)
-	if len(b.Rooms) >= 2 {
-		if err := experiments.TrainAndDistribute(gw, b, seed); err != nil {
-			c.stop()
-			return nil, err
-		}
-	}
+	c.gw.Store(c.clients.Gateways[0])
 	return c, nil
-}
-
-// newGateway builds a fresh gateway over the subprocess shards. The
-// base URL is the ring identity, and restarted shards rebind the same
-// port, so routing is stable across every rebuild. Health probes are
-// never run in crash mode: routing must stay static so a killed
-// shard's reports retransmit into its recovered WAL state instead of
-// rebuilding (lossily) on a stand-in.
-func (c *crashFleet) newGateway() (*fleet.Gateway, error) {
-	ring := make([]fleet.Shard, len(c.procs))
-	for i, p := range c.procs {
-		hs, err := fleet.NewHTTPShard("http://"+p.addr, nil, transport.DefaultRetry())
-		if err != nil {
-			return nil, err
-		}
-		ring[i] = hs
-	}
-	gw, err := fleet.New(ring, fleet.Config{})
-	if err != nil {
-		return nil, err
-	}
-	gw.Instrument(c.met)
-	return gw, nil
 }
 
 // spawn starts (or restarts) one bmsd over its data directory.
@@ -340,18 +320,19 @@ func (c *crashFleet) streamCounter(family string, p *shardProc) float64 {
 	return c.met.TakeSnapshot().Counters[fmt.Sprintf("%s{shard=%q}", family, "http://"+p.addr)]
 }
 
+// newest returns the latest report time in reports (0 for none).
+func newest(reports []transport.Report) float64 {
+	at := 0.0
+	for i := range reports {
+		at = max(at, reports[i].AtSeconds)
+	}
+	return at
+}
+
 // advanceClock folds a batch's report times into the scheduler clock.
 func (c *crashFleet) advanceClock(reports []transport.Report) {
-	maxAt := 0.0
-	for i := range reports {
-		if reports[i].AtSeconds > maxAt {
-			maxAt = reports[i].AtSeconds
-		}
-	}
 	c.clockMu.Lock()
-	if maxAt > c.clock {
-		c.clock = maxAt
-	}
+	c.clock = max(c.clock, newest(reports))
 	c.clockMu.Unlock()
 }
 
@@ -361,27 +342,37 @@ func (c *crashFleet) now() float64 {
 	return c.clock
 }
 
-// runKiller fires the crash schedule: when the funnel's trace clock
-// passes each scheduled time it SIGKILLs one shard (rotating through
-// the pool so repeated kills spread over distinct processes) and — with
-// restartGateway — also discards and rebuilds the gateway, proving a
-// gateway restart mid-run is invisible too. Returns when the schedule
-// is exhausted or done closes; fired kills are counted in c.kills.
-func (c *crashFleet) runKiller(schedule []float64, restartGateway bool, done <-chan struct{}, errs chan<- error) {
+// runKiller fires a kill schedule: when the funnel's trace clock passes
+// each scheduled time it calls fire (killShard's, or the gateway
+// drill's killActive), which counts the kill in c.kills. Returns when
+// the schedule is exhausted, a kill fails, or stop closes.
+func (c *crashFleet) runKiller(schedule []float64, fire func(n int, t float64) error, stop <-chan struct{}) error {
 	for n, t := range schedule {
 		for c.now() < t {
 			select {
-			case <-done:
-				return
+			case <-stop:
+				return nil
 			case <-time.After(10 * time.Millisecond):
 			}
 		}
+		if err := fire(n, t); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// killShard is the shard drill's fire: it SIGKILLs one shard (rotating
+// through the pool so repeated kills spread over distinct processes)
+// and — with restartGateway — also discards and rebuilds the gateway,
+// proving a gateway restart mid-run is invisible too.
+func (c *crashFleet) killShard(restartGateway bool, stop <-chan struct{}) func(n int, t float64) error {
+	return func(n int, t float64) error {
 		p := c.procs[n%len(c.procs)]
 		fmt.Printf("crash: t=%.0fs SIGKILL %s (restart over %s)\n", t, p.name, p.dir)
 		resets := c.streamCounter("fleet_stream_resets_total", p)
 		if err := c.kill(p); err != nil {
-			errs <- err
-			return
+			return err
 		}
 		if restartGateway {
 			// The gateway restart belongs after the old gateway has run into
@@ -391,51 +382,56 @@ func (c *crashFleet) runKiller(schedule []float64, restartGateway bool, done <-c
 			deadline := time.Now().Add(10 * time.Second)
 			for c.streamCounter("fleet_stream_resets_total", p) == resets {
 				if time.Now().After(deadline) {
-					errs <- fmt.Errorf("no stream to %s was reset within 10s of its SIGKILL — no traffic ran into the kill; pace the run with -rate", p.name)
-					return
+					return fmt.Errorf("no stream to %s was reset within 10s of its SIGKILL — no traffic ran into the kill; pace the run with -rate", p.name)
 				}
 				select {
-				case <-done:
-					return
+				case <-stop:
+					return nil
 				case <-time.After(5 * time.Millisecond):
 				}
 			}
-			gw, err := c.newGateway()
+			gw, err := c.clients.NewGateway()
 			if err != nil {
-				errs <- err
-				return
+				return err
 			}
-			if n, err := gw.RebuildRegistry(); err != nil {
-				errs <- fmt.Errorf("registry rebuild: %w", err)
-				return
-			} else {
-				fmt.Printf("crash: gateway restarted, registry rebuilt from shards (%d devices)\n", n)
+			devices, err := gw.RebuildRegistry()
+			if err != nil {
+				return fmt.Errorf("registry rebuild: %w", err)
 			}
+			fmt.Printf("crash: gateway restarted, registry rebuilt from shards (%d devices)\n", devices)
 			c.gw.Store(gw)
 		}
 		if c.onKill != nil {
 			c.onKill(fmt.Sprintf("after shard kill %d", n+1))
 		}
+		return nil
 	}
 }
 
-// crashUplink is the funnel for crash runs: it advances the scheduler's
-// trace clock and sends through whatever gateway is current, so a
-// mid-run gateway swap is picked up by the very next exchange.
-type crashUplink struct{ c *crashFleet }
-
-func (u crashUplink) Name() string { return "crash-fleet-gateway" }
-
-func (u crashUplink) Send(r transport.Report) error {
-	u.c.advanceClock([]transport.Report{r})
-	_, err := u.c.gw.Load().Ingest(r)
-	return err
+// clockUplink is the sink of the kill drills: it advances the
+// scheduler's trace clock, then sends through whatever next returns
+// now.
+type clockUplink struct {
+	c    *crashFleet
+	next func() scenario.Sink
 }
 
-func (u crashUplink) SendBatch(reports []transport.Report) error {
+// uplink sends through whatever gateway is current, so a mid-run
+// gateway swap is picked up by the very next exchange.
+func (c *crashFleet) uplink() clockUplink {
+	return clockUplink{c: c, next: func() scenario.Sink { return fleet.GatewayUplink{Gateway: c.gw.Load()} }}
+}
+
+func (u clockUplink) Name() string { return u.next().Name() }
+
+func (u clockUplink) Send(r transport.Report) error {
+	u.c.advanceClock([]transport.Report{r})
+	return u.next().Send(r)
+}
+
+func (u clockUplink) SendBatch(reports []transport.Report) error {
 	u.c.advanceClock(reports)
-	_, err := u.c.gw.Load().IngestBatch(reports)
-	return err
+	return u.next().SendBatch(reports)
 }
 
 // freePort reserves an ephemeral port long enough to read its number.

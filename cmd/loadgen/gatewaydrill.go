@@ -21,11 +21,11 @@ import (
 	"os"
 	"os/exec"
 	"sync"
-	"sync/atomic"
 	"syscall"
 	"time"
 
 	"occusim/internal/building"
+	"occusim/internal/scenario"
 	"occusim/internal/transport"
 )
 
@@ -47,22 +47,17 @@ type gatewayProc struct {
 // subprocess pool (with its in-process verification gateway) plus the
 // active/standby gateway subprocess pair.
 type gatewayDrill struct {
-	fleet     *crashFleet // shard pool, trace clock, and the read-side gateway
+	fleet     *crashFleet // shard pool, trace clock, kill count, and the read-side gateway
 	gws       [2]*gatewayProc
 	shardURLs string
-	kills     atomic.Int64
-
-	// onKill, when set, closes a dashboard phase after each completed
-	// takeover (see dashboard.go).
-	onKill func(label string)
 }
 
 // startGatewayDrill brings up shards, trains and distributes the crowd
 // model (through the in-process gateway, before any lease exists, so
 // the writes are unfenced), spawns the HA pair, and waits until the
 // shards agree the active holds epoch 1.
-func startGatewayDrill(b *building.Building, plan string, shards int, bmsdPath, dataRoot, fsync string, seed uint64) (*gatewayDrill, error) {
-	c, err := startCrashFleet(b, plan, shards, bmsdPath, dataRoot, fsync, seed)
+func startGatewayDrill(b *building.Building, o options) (*gatewayDrill, error) {
+	c, err := startCrashFleet(b, o)
 	if err != nil {
 		return nil, err
 	}
@@ -166,11 +161,13 @@ func (d *gatewayDrill) waitLeader(want string, minEpoch uint64, timeout time.Dur
 	}
 }
 
-// killActive SIGKILLs whichever gateway the shards say is leading, no
-// drain — the standby must detect the silence and claim the next epoch
-// on its own. Once leadership has moved, the dead process is respawned
-// as the new standby, restoring the pair for the next kill.
-func (d *gatewayDrill) killActive() error {
+// killActive is the gateway drill's fire (see crashFleet.runKiller): it
+// SIGKILLs whichever gateway the shards say is leading, no drain — the
+// standby must detect the silence and claim the next epoch on its own.
+// Once leadership has moved, the dead process is respawned as the new
+// standby, restoring the pair for the next kill.
+func (d *gatewayDrill) killActive(n int, t float64) error {
+	fmt.Printf("gateway-kill: t=%.0fs SIGKILL the active gateway\n", t)
 	epoch, holder, err := d.leaseView()
 	if err != nil {
 		return fmt.Errorf("finding the active: %w", err)
@@ -191,7 +188,7 @@ func (d *gatewayDrill) killActive() error {
 		return fmt.Errorf("kill %s: %w", victim.name, err)
 	}
 	_ = cmd.Wait()
-	d.kills.Add(1)
+	d.fleet.kills.Add(1)
 	if err := d.waitLeader(survivor.self, epoch, 30*time.Second); err != nil {
 		return fmt.Errorf("%s never took over from the killed %s: %w", survivor.name, victim.name, err)
 	}
@@ -200,28 +197,45 @@ func (d *gatewayDrill) killActive() error {
 	if err := d.spawnGateway(victim, survivor, true); err != nil {
 		return err
 	}
-	return waitHealthy(victim.addr, 15*time.Second)
+	if err := waitHealthy(victim.addr, 15*time.Second); err != nil {
+		return err
+	}
+	if d.fleet.onKill != nil {
+		d.fleet.onKill(fmt.Sprintf("after gateway kill %d", n+1))
+	}
+	return nil
 }
 
-// runKiller fires the gateway-kill schedule against the trace clock.
-func (d *gatewayDrill) runKiller(schedule []float64, done <-chan struct{}, errs chan<- error) {
-	for n, t := range schedule {
-		for d.fleet.now() < t {
-			select {
-			case <-done:
-				return
-			case <-time.After(10 * time.Millisecond):
-			}
-		}
-		fmt.Printf("gateway-kill: t=%.0fs SIGKILL the active gateway\n", t)
-		if err := d.killActive(); err != nil {
-			errs <- err
-			return
-		}
-		if d.onKill != nil {
-			d.onKill(fmt.Sprintf("after gateway kill %d", n+1))
-		}
+// verify ends a drill whose schedule has run: the failover story from
+// the shards' telemetry, then the same ground-truth assertion as every
+// other drill, read through the in-process gateway.
+func (d *gatewayDrill) verify(failover *transport.FailoverUplink, streams [][]transport.Report) error {
+	kills, cgw := d.fleet.kills.Load(), d.fleet.gw.Load()
+	redirects, rotations := failover.Stats()
+	if redirects+rotations == 0 {
+		return fmt.Errorf("the uplink never failed over — the drill was vacuous")
 	}
+	if err := assertDrillTelemetry(d, int(kills)); err != nil {
+		return err
+	}
+	epoch, holder, err := d.leaseView()
+	if err != nil {
+		return err
+	}
+	// Read-side verification: a fresh registry rebuild over the
+	// shards, exactly what a newly promoted gateway does at boot.
+	n, err := cgw.RebuildRegistry()
+	if err != nil {
+		return fmt.Errorf("registry rebuild: %w", err)
+	}
+	fmt.Printf("verification gateway rebuilt its registry from the shards (%d devices)\n", n)
+	printRollup(cgw)
+	if err := d.fleet.clients.Verify(cgw, scenario.Exact, streams); err != nil {
+		return err
+	}
+	fmt.Printf("gateway-failover verified: %d active-gateway kill(s), %d leader-hint redirect(s) + %d rotation(s), leadership settled at epoch %d (%s), fleet state byte-identical to the clean ground truth\n",
+		kills, redirects, rotations, epoch, holder)
+	return nil
 }
 
 // stop tears the whole stack down: gateways first (SIGTERM, then
@@ -248,32 +262,4 @@ func (d *gatewayDrill) stop() {
 		}
 	}
 	d.fleet.stop()
-}
-
-// drillUplink is the -kill-gateway funnel: it advances the kill
-// scheduler's trace clock, then sends through the failover uplink so
-// leadership moves are followed mid-stream.
-type drillUplink struct {
-	d    *gatewayDrill
-	next transport.Uplink
-}
-
-func (u drillUplink) Name() string { return "ha-gateway-pair" }
-
-func (u drillUplink) Send(r transport.Report) error {
-	u.d.fleet.advanceClock([]transport.Report{r})
-	return u.next.Send(r)
-}
-
-func (u drillUplink) SendBatch(reports []transport.Report) error {
-	u.d.fleet.advanceClock(reports)
-	if bs, ok := u.next.(transport.BatchSender); ok {
-		return bs.SendBatch(reports)
-	}
-	for _, r := range reports {
-		if err := u.next.Send(r); err != nil {
-			return err
-		}
-	}
-	return nil
 }

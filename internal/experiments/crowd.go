@@ -2,84 +2,24 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
-	"sync"
 	"time"
 
 	"occusim/internal/bms"
 	"occusim/internal/building"
 	"occusim/internal/fingerprint"
+	"occusim/internal/fleet"
 	"occusim/internal/geom"
 	"occusim/internal/ibeacon"
-	"occusim/internal/obs"
 	"occusim/internal/rng"
 	"occusim/internal/store"
 	"occusim/internal/transport"
 )
 
-// eachDevice runs fn(d) on one goroutine per device and reports the
-// lowest-index error. It deliberately does NOT use par.ForEach: that
-// pool is sized to GOMAXPROCS for CPU-bound trials, while device
-// streams are independent sources whose blocking I/O must overlap.
-func eachDevice(devices int, fn func(d int) error) error {
-	errs := make([]error, devices)
-	var wg sync.WaitGroup
-	for d := 0; d < devices; d++ {
-		wg.Add(1)
-		go func(d int) {
-			defer wg.Done()
-			errs[d] = fn(d)
-		}(d)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// CrowdIngestResult measures the server-side scaling axis the ROADMAP
-// targets: one BMS ingesting the coalesced report streams of a crowd of
-// devices concurrently. Unlike the figure experiments it skips the radio
-// substrate — report generation is synthetic and deterministic — so the
-// measured time is purely the report path: transport batching, striped
-// store and tracker ingest, and scene-analysis classification.
-type CrowdIngestResult struct {
-	// Devices is the crowd size; Reports the total reports ingested.
-	Devices, Reports int
-	// Elapsed is the wall-clock time of the concurrent ingest phase and
-	// Throughput the resulting reports per second (machine-dependent;
-	// tracked per PR in the benchmark snapshots).
-	Elapsed    time.Duration
-	Throughput float64
-	// DevicesTracked counts devices the BMS tracker ended up knowing;
-	// PlacementAccuracy is the fraction of devices whose final committed
-	// room matches the schedule's final room.
-	DevicesTracked    int
-	PlacementAccuracy float64
-	// EventsCommitted counts occupancy transitions across the run.
-	EventsCommitted int
-}
-
-// Render prints the headline numbers.
-func (r *CrowdIngestResult) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "CrowdIngest: %d devices, %d reports in %v → %.0f reports/s\n",
-		r.Devices, r.Reports, r.Elapsed.Round(time.Millisecond), r.Throughput)
-	fmt.Fprintf(&b, "tracked %d devices, %d events, final placement %.1f%%\n",
-		r.DevicesTracked, r.EventsCommitted, 100*r.PlacementAccuracy)
-	return b.String()
-}
-
-// crowdReportPeriod and crowdWindow shape each device's stream: one
-// report per scan period over a five-minute window, moving rooms once a
-// minute.
+// CrowdReportPeriod and crowdRoomDwell shape each device's stream: one
+// report per scan period, moving rooms once a minute.
 const (
-	crowdReportPeriod = 2 * time.Second
+	CrowdReportPeriod = 2 * time.Second
 	crowdRoomDwell    = time.Minute
-	crowdWindow       = 5 * time.Minute
 )
 
 // TrainCrowdModel collects jittered survey fingerprints on the server
@@ -108,7 +48,7 @@ func TrainCrowdModel(server *bms.Server, b *building.Building, seed uint64) erro
 // SynthCrowdStreams synthesises reportsPer mobility-driven reports for
 // each of devices handsets: every crowdRoomDwell the device jumps to a
 // random room and reports jittered beacon distances from a random
-// position there each crowdReportPeriod. Device d's stream is a pure
+// position there each CrowdReportPeriod. Device d's stream is a pure
 // function of (seed, d) — rng.Split is position-independent — so crowd
 // workloads of different sizes share stream prefixes. Returns the
 // per-device streams, device names, and each device's final scheduled
@@ -125,8 +65,8 @@ func SynthCrowdStreams(b *building.Building, devices, reportsPer int, seed uint6
 		var room building.Room
 		var pos geom.Point
 		for i := 0; i < reportsPer; i++ {
-			at := time.Duration(i) * crowdReportPeriod
-			if i%int(crowdRoomDwell/crowdReportPeriod) == 0 {
+			at := time.Duration(i) * CrowdReportPeriod
+			if i%int(crowdRoomDwell/CrowdReportPeriod) == 0 {
 				room = b.Rooms[dsrc.Intn(len(b.Rooms))]
 				pos = geom.Pt(
 					dsrc.Uniform(room.Bounds.Min.X+0.3, room.Bounds.Max.X-0.3),
@@ -147,129 +87,26 @@ func SynthCrowdStreams(b *building.Building, devices, reportsPer int, seed uint6
 	return streams, names, finalRoom
 }
 
-// CrowdIngest trains a scene-analysis model on synthetic fingerprints,
-// synthesises per-device report streams, and ingests them concurrently
-// (one goroutine per device, each coalescing through a BatchingUplink)
-// into one BMS. devices defaults to 32; the occupancy outcome is
-// deterministic for a given seed regardless of scheduling, because
-// tracker state is per device and cross-device event order is
-// canonicalised by time.
-func CrowdIngest(devices int, seed uint64) (*CrowdIngestResult, error) {
-	b := building.PaperHouse()
-	st, err := store.New(1000)
+// TrainAndDistribute fits the crowd scene model on a scratch trainer
+// and pushes the snapshot through the gateway to every shard — the
+// deployment step of every crowd fleet (internal/scenario's Build).
+func TrainAndDistribute(gw *fleet.Gateway, b *building.Building, seed uint64) error {
+	tst, err := store.New(1000)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	server, err := bms.NewServer(b, st, 2)
+	trainer, err := bms.NewServer(b, tst, 2)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return runCrowdIngest(server, b, devices, seed)
-}
-
-// CrowdIngestInstrumented is CrowdIngest with the full telemetry
-// registry attached: every ingest is timed into the latency histogram
-// and counted, exactly the metrics path a production bmsd runs. Its
-// Throughput against CrowdIngest's prices the observability tax — the
-// PR pins it within 2%.
-func CrowdIngestInstrumented(devices int, seed uint64) (*CrowdIngestResult, error) {
-	b := building.PaperHouse()
-	st, err := store.New(1000)
-	if err != nil {
-		return nil, err
+	if err := TrainCrowdModel(trainer, b, seed); err != nil {
+		return err
 	}
-	server, err := bms.NewServer(b, st, 2)
-	if err != nil {
-		return nil, err
+	snap, ok := trainer.ModelSnapshot()
+	if !ok {
+		return fmt.Errorf("experiments: trainer produced no model snapshot")
 	}
-	server.Instrument(obs.New())
-	return runCrowdIngest(server, b, devices, seed)
-}
-
-// CrowdIngestDurable is CrowdIngest with the write-ahead log in the
-// loop: the same crowd streams into a durable server, so every
-// observation is framed, checksummed and (policy permitting) synced on
-// its way in. Its Throughput against CrowdIngest's prices the
-// durability tax — the PR pins it within 15% at FsyncBatch.
-func CrowdIngestDurable(devices int, seed uint64, dir string, policy store.FsyncPolicy) (*CrowdIngestResult, error) {
-	b := building.PaperHouse()
-	st, err := store.New(1000)
-	if err != nil {
-		return nil, err
-	}
-	server, err := bms.OpenDurableServer(b, st, 2, bms.DurableConfig{Dir: dir, Policy: policy})
-	if err != nil {
-		return nil, err
-	}
-	res, err := runCrowdIngest(server, b, devices, seed)
-	if cerr := server.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// runCrowdIngest trains, synthesises and runs the measured ingest phase
-// against an already-constructed server (volatile or durable).
-func runCrowdIngest(server *bms.Server, b *building.Building, devices int, seed uint64) (*CrowdIngestResult, error) {
-	if devices <= 0 {
-		devices = 32
-	}
-	if err := TrainCrowdModel(server, b, seed); err != nil {
-		return nil, err
-	}
-
-	// Per-device schedules and report streams, synthesised up front so
-	// the measured phase is ingest alone.
-	reportsPer := int(crowdWindow / crowdReportPeriod)
-	streams, names, finalRoom := SynthCrowdStreams(b, devices, reportsPer, seed)
-
-	// The measured phase: every device streams through its own
-	// coalescing uplink into the shared server, concurrently. The fan
-	// out is literally one goroutine per device (not a GOMAXPROCS-sized
-	// worker pool): a device blocked in a WAL fsync must not stall the
-	// other devices' streams, exactly as independent phones would not —
-	// and it is what lets a durable server group-commit concurrent
-	// batches under one fsync.
-	start := time.Now()
-	err := eachDevice(devices, func(d int) error {
-		uplink, err := transport.NewBatchingUplink(bms.DirectUplink{Server: server}, transport.BatchConfig{
-			FlushSeconds: 20,
-		})
-		if err != nil {
-			return err
-		}
-		for _, rep := range streams[d] {
-			if err := uplink.Send(rep); err != nil {
-				return err
-			}
-		}
-		return uplink.Flush()
-	})
-	if err != nil {
-		return nil, err
-	}
-	elapsed := time.Since(start)
-
-	res := &CrowdIngestResult{
-		Devices:    devices,
-		Reports:    devices * reportsPer,
-		Elapsed:    elapsed,
-		Throughput: float64(devices*reportsPer) / elapsed.Seconds(),
-	}
-	snap := server.Occupancy()
-	res.DevicesTracked = len(snap.Devices)
-	hits := 0
-	for d, name := range names {
-		if snap.Devices[name] == finalRoom[d] {
-			hits++
-		}
-	}
-	res.PlacementAccuracy = float64(hits) / float64(devices)
-	res.EventsCommitted = len(server.Events())
-	return res, nil
+	return gw.DistributeModel(snap)
 }
 
 // surveyPoint spreads k over the room on the shared survey grid.

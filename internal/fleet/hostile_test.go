@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"occusim/internal/building"
-	"occusim/internal/experiments"
 	"occusim/internal/fleet"
 	"occusim/internal/obs"
 	"occusim/internal/overload"
@@ -374,19 +373,12 @@ func TestPresplitSectionsAreChecked(t *testing.T) {
 	}
 	for name, forge := range hostile {
 		t.Run(name, func(t *testing.T) {
-			pool, err := fleet.NewLocalPool(b, 4, 2, 1000)
-			if err != nil {
-				t.Fatal(err)
-			}
-			gw, err := fleet.New(pool.Shards, fleet.Config{})
-			if err != nil {
-				t.Fatal(err)
-			}
 			met := obs.New()
-			gw.Instrument(met)
-			if err := experiments.TrainAndDistribute(gw, b, seed); err != nil {
+			f, err := scenario.Build(b, scenario.Spec{Shards: 4, Metrics: met}, seed)
+			if err != nil {
 				t.Fatal(err)
 			}
+			pool, gw := f.Pool, f.Gateways[0]
 			face := fleet.Handler(gw, fleet.HandlerOptions{})
 
 			// Two reports per device an upload, so a device's reports

@@ -10,11 +10,6 @@ import (
 	"occusim/internal/transport"
 )
 
-// reportPeriod mirrors experiments.SynthCrowdStreams' cadence: one
-// report every 2 s. Generators use it to convert report indices into
-// trace seconds when they size residue TTLs.
-const reportPeriod = 2 * time.Second
-
 // laneBatch chunks one device's stream into batches of at most size,
 // all aimed at gateway gw with the given repeat count.
 func laneBatch(stream []transport.Report, size, gw, repeat int) Lane {
@@ -30,15 +25,18 @@ func laneBatch(stream []transport.Report, size, gw, repeat int) Lane {
 	return lane
 }
 
-// plainLanes is the honest delivery plan: every device coalesces into
-// 16-report batches against gateway 0, sent once.
-func plainLanes(streams [][]transport.Report) []Lane {
+// Lanes is the honest delivery plan: every device hands its uplink size
+// reports at a time, against gateway 0, once.
+func Lanes(streams [][]transport.Report, size int) []Lane {
 	lanes := make([]Lane, len(streams))
 	for d, s := range streams {
-		lanes[d] = laneBatch(s, 16, 0, 1)
+		lanes[d] = laneBatch(s, size, 0, 1)
 	}
 	return lanes
 }
+
+// plainLanes is Lanes at the library's batch size, 16 reports.
+func plainLanes(streams [][]transport.Report) []Lane { return Lanes(streams, 16) }
 
 // Clean is the control scenario: the synthetic crowd delivered
 // faithfully. It pins the harness itself — if clean cannot verify
@@ -49,8 +47,8 @@ func Clean() Scenario {
 		Description: "faithful crowd delivery; control for the harness and oracle",
 		Oracle:      Exact,
 		Generate: func(b *building.Building, cfg Config) (*Traffic, error) {
-			streams, _, _ := experiments.SynthCrowdStreams(b, cfg.Devices, cfg.Reports, cfg.Seed)
-			return &Traffic{Lanes: plainLanes(streams), Honest: streams}, nil
+			streams, _, final := experiments.SynthCrowdStreams(b, cfg.Devices, cfg.Reports, cfg.Seed)
+			return &Traffic{Lanes: plainLanes(streams), Honest: streams, FinalRoom: final}, nil
 		},
 	}
 }
@@ -99,7 +97,7 @@ func Diurnal() Scenario {
 		Oracle:      ExactAfterSweep,
 		Generate: func(b *building.Building, cfg Config) (*Traffic, error) {
 			streams, _, _ := experiments.SynthCrowdStreams(b, cfg.Devices, cfg.Reports, cfg.Seed)
-			span := time.Duration(cfg.Reports) * reportPeriod
+			span := time.Duration(cfg.Reports) * experiments.CrowdReportPeriod
 			shift := span / time.Duration(cfg.Devices)
 			honest := make([][]transport.Report, len(streams))
 			for d, s := range streams {
@@ -115,7 +113,7 @@ func Diurnal() Scenario {
 			return &Traffic{
 				Lanes:  plainLanes(honest),
 				Honest: honest,
-				Fleet:  fleet.Config{ResidueTTL: span / 3},
+				Spec:   Spec{Fleet: fleet.Config{ResidueTTL: span / 3}},
 			}, nil
 		},
 	}
@@ -151,7 +149,7 @@ func Skew() Scenario {
 			return &Traffic{
 				Lanes:  plainLanes(hostile),
 				Honest: streams,
-				Fleet:  fleet.Config{SkewWindow: 30 * time.Second},
+				Spec:   Spec{Fleet: fleet.Config{SkewWindow: 30 * time.Second}},
 			}, nil
 		},
 	}
@@ -203,11 +201,11 @@ func AppKill() Scenario {
 					honest[d] = s[:2*len(s)/5]
 				}
 			}
-			span := time.Duration(cfg.Reports) * reportPeriod
+			span := time.Duration(cfg.Reports) * experiments.CrowdReportPeriod
 			return &Traffic{
 				Lanes:  plainLanes(honest),
 				Honest: honest,
-				Fleet:  fleet.Config{ResidueTTL: span / 3},
+				Spec:   Spec{Fleet: fleet.Config{ResidueTTL: span / 3}},
 			}, nil
 		},
 	}
@@ -225,18 +223,21 @@ func Storm() Scenario {
 		Description: "every batch retransmitted Repeat-fold above admission capacity; shed, retry, dedup",
 		Oracle:      Exact,
 		Generate: func(b *building.Building, cfg Config) (*Traffic, error) {
-			streams, _, _ := experiments.SynthCrowdStreams(b, cfg.Devices, cfg.Reports, cfg.Seed)
+			streams, _, final := experiments.SynthCrowdStreams(b, cfg.Devices, cfg.Reports, cfg.Seed)
 			lanes := make([]Lane, len(streams))
 			for d, s := range streams {
 				lanes[d] = laneBatch(s, 16, 0, cfg.Repeat)
 			}
 			return &Traffic{
-				Lanes:  lanes,
-				Honest: streams,
-				Fleet: fleet.Config{
-					Admission: overload.Config{MaxInflight: 1, MaxQueue: 1, RetryAfter: 10 * time.Millisecond},
+				Lanes:     lanes,
+				Honest:    streams,
+				FinalRoom: final,
+				Spec: Spec{
+					Fleet: fleet.Config{
+						Admission: overload.Config{MaxInflight: 1, MaxQueue: 1, RetryAfter: 10 * time.Millisecond},
+					},
+					Wrap: Slow(time.Millisecond),
 				},
-				ShardDelay: time.Millisecond,
 			}, nil
 		},
 	}
@@ -262,7 +263,7 @@ func Flap() Scenario {
 				}
 				lanes[d] = lane
 			}
-			return &Traffic{Lanes: lanes, Honest: streams, Gateways: 2}, nil
+			return &Traffic{Lanes: lanes, Honest: streams, Spec: Spec{Gateways: 2}}, nil
 		},
 	}
 }

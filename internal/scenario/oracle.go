@@ -19,15 +19,15 @@ import (
 // same seed and survey schedule as the fleet's shards (so it holds the
 // identical model) and fed the honest streams exactly once.
 func Reference(b *building.Building, honest [][]transport.Report, seed uint64) (*bms.Server, error) {
-	st, err := store.New(1000)
+	st, err := store.New(retain)
 	if err != nil {
 		return nil, err
 	}
-	ref, err := bms.NewServer(b, st, 2)
+	ref, err := bms.NewServer(b, st, debounce)
 	if err != nil {
 		return nil, err
 	}
-	if len(b.Rooms) >= 2 {
+	if classifies(b) {
 		if err := experiments.TrainCrowdModel(ref, b, seed); err != nil {
 			return nil, err
 		}
@@ -43,32 +43,38 @@ func Reference(b *building.Building, honest [][]transport.Report, seed uint64) (
 	return ref, nil
 }
 
-// verify dispatches to the scenario's oracle mode.
-func verify(sc Scenario, b *building.Building, gw *fleet.Gateway, tr *Traffic, cfg Config) error {
-	ref, err := Reference(b, tr.Honest, cfg.Seed)
+// Verify replays the honest streams once into a clean Reference and
+// holds gw's federated views to it as mode demands. It ends every
+// measured crowd: a throughput read off a fleet that lost or doubled a
+// report is not a measurement.
+func (f *Fleet) Verify(gw *fleet.Gateway, mode OracleMode, honest [][]transport.Report) error {
+	if f.Spec.Wrap != nil && f.Injected() == 0 {
+		return fmt.Errorf("vacuous: no delivery went through the shard doubles")
+	}
+	ref, err := Reference(f.Building, honest, f.seed)
 	if err != nil {
 		return err
 	}
-	switch sc.Oracle {
+	switch mode {
 	case Exact:
 		return VerifyExact(gw, ref)
 	case ExactAfterSweep:
-		if tr.Fleet.ResidueTTL <= 0 {
-			return fmt.Errorf("oracle exact-after-sweep needs a ResidueTTL in the traffic's fleet config")
+		if f.Spec.Fleet.ResidueTTL <= 0 {
+			return fmt.Errorf("oracle exact-after-sweep needs a ResidueTTL in the spec's fleet config")
 		}
 		// The same cutoff the gateway's sweep derives: the newest routed
 		// report minus the TTL. The honest streams carry identical times
 		// (sweep scenarios do not skew), so the float arithmetic matches
 		// bit for bit.
 		maxAt := 0.0
-		for _, stream := range tr.Honest {
+		for _, stream := range honest {
 			for i := range stream {
 				if stream[i].AtSeconds > maxAt {
 					maxAt = stream[i].AtSeconds
 				}
 			}
 		}
-		cutoff := time.Duration(maxAt*float64(time.Second)) - tr.Fleet.ResidueTTL
+		cutoff := time.Duration(maxAt*float64(time.Second)) - f.Spec.Fleet.ResidueTTL
 		swept := ref.ExpireBefore(cutoff)
 		if len(swept) == 0 {
 			return fmt.Errorf("oracle exact-after-sweep swept nothing from the reference — the scenario is vacuous")
@@ -79,7 +85,7 @@ func verify(sc Scenario, b *building.Building, gw *fleet.Gateway, tr *Traffic, c
 	case Explained:
 		return verifyExplained(gw, ref)
 	default:
-		return fmt.Errorf("unknown oracle mode %v", sc.Oracle)
+		return fmt.Errorf("unknown oracle mode %v", mode)
 	}
 }
 

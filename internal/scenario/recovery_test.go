@@ -35,22 +35,15 @@ func TestSnapshotPlusTailCrashRecoversExact(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	dir := t.TempDir()
+	spec := Spec{Shards: cfg.Shards, Dir: t.TempDir(), Policy: store.FsyncBatch}
 	open := func() (*fleet.LocalPool, *fleet.Gateway) {
-		pool, err := fleet.NewDurableLocalPool(b, cfg.Shards, 2, 1000, dir, store.FsyncBatch)
+		f, err := Build(b, spec, cfg.Seed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		gw, err := fleet.New(pool.Shards, fleet.Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return pool, gw
+		return f.Pool, f.Gateways[0]
 	}
 	pool, gw := open()
-	if err := experiments.TrainAndDistribute(gw, b, cfg.Seed); err != nil {
-		t.Fatal(err)
-	}
 	feed := func(from, to int) {
 		wb := &wire.Batch{}
 		for _, stream := range streams {

@@ -8,6 +8,12 @@
 // loadtest" runs the matrix; a scenario that cannot state what the
 // correct end state is does not belong here.
 //
+// It is also the one crowd harness: Build turns a Spec into a trained
+// fleet, Driver.Drive sends lanes into it, Fleet.Verify holds the end
+// state to the Reference. Run is those three after a generator; the
+// measured crowds (crowds.go) and cmd/loadgen's drills are the same
+// three around what only they have.
+//
 // Three oracle strictness levels cover the library:
 //
 //   - Exact: the fleet's federated occupancy, events and dwell must be
@@ -28,15 +34,9 @@ package scenario
 
 import (
 	"fmt"
-	"slices"
-	"sync"
-	"time"
+	"runtime"
 
 	"occusim/internal/building"
-	"occusim/internal/experiments"
-	"occusim/internal/fleet"
-	"occusim/internal/fleet/fleettest"
-	"occusim/internal/overload"
 	"occusim/internal/transport"
 )
 
@@ -114,18 +114,15 @@ type Lane struct {
 
 // Traffic is what a generator hands the harness: the hostile delivery
 // plan, the honest streams the oracle replays into the reference, and
-// the fleet configuration the scenario needs (admission limits, skew
-// window, residue TTL).
+// the fleet the scenario needs — admission limits, skew window, residue
+// TTL, a second gateway, slowed shards; the caller fills in the rest.
 type Traffic struct {
-	Lanes    []Lane
-	Honest   [][]transport.Report
-	Fleet    fleet.Config
-	Gateways int // gateways over the shared shard pool (default 1)
-	// ShardDelay slows every shard ingest call by this much — the slow
-	// backend that makes admission limits bite in-process. Without it a
-	// local shard answers in microseconds and a storm can never
-	// actually overload the gate.
-	ShardDelay time.Duration
+	Lanes  []Lane
+	Honest [][]transport.Report
+	Spec   Spec
+	// FinalRoom is the room each device's schedule ends in — the
+	// placement ground truth of generators that deliver whole streams.
+	FinalRoom []string
 }
 
 // Scenario is one adversarial workload plus its oracle.
@@ -137,17 +134,21 @@ type Scenario struct {
 	Generate    func(b *building.Building, cfg Config) (*Traffic, error)
 }
 
-// Result summarises a verified run.
+// Result summarises a verified run: what the drive measured, what the
+// gateways counted, and the end state the oracle accepted.
 type Result struct {
-	Scenario     string
-	Oracle       string
-	Devices      int
-	Unique       int    // distinct reports offered
-	Sent         int    // deliveries including Repeat duplicates (not shed retries)
+	Scenario string
+	Oracle   string
+	Devices  int
+	*Driven
 	Duplicates   int    // Sent - Unique
 	Admitted     uint64 // batches admitted across gateways
 	Shed         uint64 // batches shed with overload across gateways
 	SkewAdjusted uint64 // reports whose timestamps were re-anchored
+	Outcome
+	// Counters is the fleet registry's counters at the end of the run
+	// (empty when the spec carries no registry).
+	Counters map[string]float64
 }
 
 func (r *Result) String() string {
@@ -155,16 +156,17 @@ func (r *Result) String() string {
 		r.Scenario, r.Devices, r.Unique, r.Duplicates, r.Shed, r.SkewAdjusted, r.Oracle)
 }
 
-// maxAttempts bounds shed-retry loops; an in-process fleet that cannot
-// admit a batch in this many tries is wedged, not overloaded.
-const maxAttempts = 500
+// crowd is a scenario's traffic beside the fleet built for it.
+type crowd struct {
+	*Fleet
+	tr *Traffic
+}
 
-// Run builds the scenario's fleet, drives the hostile traffic through
-// it (retrying shed batches, as a compliant device would), and checks
-// the end state against the oracle. Any divergence is returned as an
-// error carrying both sides.
-func Run(sc Scenario, cfg Config) (*Result, error) {
-	cfg = cfg.withDefaults()
+// newCrowd generates sc's traffic on its floor plan and builds the
+// fleet it runs against: what the traffic needs, cfg.Shards wide, and
+// whatever lay says on top (transport, durability, registry, a measured
+// crowd's own admission gate).
+func newCrowd(sc Scenario, cfg Config, lay func(*Spec)) (*crowd, error) {
 	plan := sc.Plan
 	if plan == "" {
 		plan = "paper-house"
@@ -177,138 +179,92 @@ func Run(sc Scenario, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("scenario %s: %w", sc.Name, err)
 	}
-
-	pool, err := fleet.NewLocalPool(b, cfg.Shards, 2, 1000)
+	tr.Spec.Shards = cfg.Shards
+	if lay != nil {
+		lay(&tr.Spec)
+	}
+	f, err := Build(b, tr.Spec, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
-	ring := pool.Shards
-	var slowed []*fleettest.SlowShard
-	if tr.ShardDelay > 0 {
-		ring = make([]fleet.Shard, len(pool.Shards))
-		for i, s := range pool.Shards {
-			slowed = append(slowed, &fleettest.SlowShard{Shard: s, Delay: tr.ShardDelay})
-			ring[i] = slowed[i]
-		}
-	}
-	nGW := tr.Gateways
-	if nGW == 0 {
-		nGW = 1
-	}
-	gws := make([]*fleet.Gateway, nGW)
-	for i := range gws {
-		if gws[i], err = fleet.New(ring, tr.Fleet); err != nil {
-			return nil, err
-		}
-	}
-	if len(b.Rooms) >= 2 {
-		// Train once, distribute through any gateway: the shards are
-		// shared, so every gateway classifies with the same model.
-		if err := experiments.TrainAndDistribute(gws[0], b, cfg.Seed); err != nil {
-			return nil, err
-		}
-	}
+	return &crowd{f, tr}, nil
+}
 
-	// Stamp sequence numbers up front, in lane order, so retransmitted
-	// batches carry the exact bytes of the originals — the shards'
-	// dedup key.
-	seq := transport.NewSequencer(cfg.Epoch)
-	unique, sent := 0, 0
-	for li := range tr.Lanes {
-		for bi := range tr.Lanes[li].Batches {
-			bt := &tr.Lanes[li].Batches[bi]
-			if bt.Gateway < 0 || bt.Gateway >= nGW {
-				return nil, fmt.Errorf("scenario %s: batch targets gateway %d of %d", sc.Name, bt.Gateway, nGW)
-			}
-			for ri := range bt.Reports {
-				seq.Stamp(&bt.Reports[ri])
-			}
-			n := bt.Repeat
-			if n < 1 {
-				n = 1
-			}
-			unique += len(bt.Reports)
-			sent += n * len(bt.Reports)
-		}
-	}
+// Run is the harness end to end: generate the scenario's crowd, build
+// its fleet, drive the lanes through the gateways in process and check
+// the end state against the oracle. Any divergence is returned as an
+// error carrying both sides.
+func Run(sc Scenario, cfg Config) (*Result, error) {
+	return run(sc, cfg, nil, (*Fleet).Sinks)
+}
 
-	// The measured run: every lane is its own goroutine, like the crowd
-	// it models.
-	errs := make([]error, len(tr.Lanes))
-	var wg sync.WaitGroup
-	for li := range tr.Lanes {
-		wg.Add(1)
-		go func(li int) {
-			defer wg.Done()
-			errs[li] = deliver(gws, tr.Lanes[li])
-		}(li)
+// run is Run over a fleet lay has changed, into the sinks the caller
+// picks of it.
+func run(sc Scenario, cfg Config, lay func(*Spec), sinks func(*Fleet) []Sink) (*Result, error) {
+	cfg = cfg.withDefaults()
+	c, err := newCrowd(sc, cfg, lay)
+	if err != nil {
+		return nil, err
 	}
-	wg.Wait()
-	for li, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("scenario %s: lane %d: %w", sc.Name, li, err)
-		}
-	}
-
-	res := &Result{
-		Scenario:   sc.Name,
-		Oracle:     sc.Oracle.String(),
-		Devices:    cfg.Devices,
-		Unique:     unique,
-		Sent:       sent,
-		Duplicates: sent - unique,
-	}
-	for _, gw := range gws {
+	res := &Result{Scenario: sc.Name, Oracle: sc.Oracle.String(), Devices: cfg.Devices}
+	// Settle the build's GC debt before the driver's clock starts.
+	runtime.GC()
+	res.Driven, err = Driver{Epoch: cfg.Epoch}.Drive(c.tr.Lanes, sinks(c.Fleet)...)
+	res.Duplicates = res.Sent - res.Unique
+	for _, gw := range c.Gateways {
 		admitted, shed := gw.AdmissionStats()
 		res.Admitted += admitted
 		res.Shed += shed
 		res.SkewAdjusted += gw.SkewAdjusted()
 	}
-	if len(slowed) > 0 && !slices.ContainsFunc(slowed, func(s *fleettest.SlowShard) bool { return s.Slept() > 0 }) {
-		return nil, fmt.Errorf("scenario %s: vacuous: no delivery went through the slowed shards", sc.Name)
+	if err == nil {
+		res.Outcome, err = c.outcome(sc.Oracle)
 	}
-	if err := verify(sc, b, gws[0], tr, cfg); err != nil {
+	res.Counters = c.Spec.Metrics.TakeSnapshot().Counters
+	if cerr := c.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		return nil, fmt.Errorf("scenario %s: %w", sc.Name, err)
 	}
 	return res, nil
 }
 
-// deliver sends one lane's batches in order, honouring shed hints the
-// way a compliant handset does: back off for the advertised window and
-// retransmit the identical bytes.
-func deliver(gws []*fleet.Gateway, lane Lane) error {
-	for _, bt := range lane.Batches {
-		n := bt.Repeat
-		if n < 1 {
-			n = 1
-		}
-		for k := 0; k < n; k++ {
-			if err := sendWithRetry(gws[bt.Gateway], bt.Reports); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+// Outcome is the end state of a verified crowd: the devices the fleet
+// tracks, the transitions it committed, and — where the traffic knows
+// it — the share of devices whose committed room is the one their
+// schedule ends in.
+type Outcome struct {
+	DevicesTracked    int
+	EventsCommitted   int
+	PlacementAccuracy float64
 }
 
-func sendWithRetry(gw *fleet.Gateway, reports []transport.Report) error {
-	var err error
-	for attempt := 0; attempt < maxAttempts; attempt++ {
-		if _, err = gw.IngestBatch(reports); err == nil {
-			return nil
-		}
-		after, ok := overload.IsOverload(err)
-		if !ok {
-			return err
-		}
-		// In-process fleets drain in microseconds; cap the advertised
-		// wait so scenario runs stay CI-sized.
-		if after > 5*time.Millisecond {
-			after = 5 * time.Millisecond
-		}
-		time.Sleep(after)
+// outcome holds the fleet to the oracle and reads what it ended at.
+func (c *crowd) outcome(mode OracleMode) (out Outcome, err error) {
+	gw := c.Gateways[0]
+	if err := c.Verify(gw, mode, c.tr.Honest); err != nil {
+		return out, err
 	}
-	return fmt.Errorf("batch never admitted after %d attempts: %w", maxAttempts, err)
+	snap, err := gw.Occupancy()
+	if err != nil {
+		return out, err
+	}
+	events, err := gw.Events()
+	if err != nil {
+		return out, err
+	}
+	out = Outcome{DevicesTracked: len(snap.Devices), EventsCommitted: len(events)}
+	hits := 0
+	for d, room := range c.tr.FinalRoom {
+		if snap.Devices[c.tr.Honest[d][0].Device] == room {
+			hits++
+		}
+	}
+	if hits > 0 {
+		out.PlacementAccuracy = float64(hits) / float64(len(c.tr.FinalRoom))
+	}
+	return out, nil
 }
 
 // All returns the scenario library in matrix order.
