@@ -46,10 +46,14 @@ test-race:
 # 64-report upload of 64 devices costs the door what an 8-report one
 # does, so no string is made per device name or beacon identity;
 # FuzzParseBeaconID's seeds pin the identity parse at 0 from a string and
-# from the decoder's bytes alike). The counts are deterministic on any
-# box, so a regression fails a PR here instead of hiding in timing
-# noise. Never under -race: the pins skip there, the detector allocates
-# on its own account.
+# from the decoder's bytes alike) — and of the device uplink
+# (TestAllocBudgetUplinkSend: a warm send outside Client.Do costs ≤ 6
+# pre-split at 11 reports and at 64 reports of 64 devices, ≤ 3 as a plain
+# frame, ≤ 5 as 64-report JSON, and the same with a second, idle target
+# configured: following leadership costs nothing while nothing fails).
+# The counts are deterministic on any box, so a regression fails a PR
+# here instead of hiding in timing noise. Never under -race: the pins
+# skip there, the detector allocates on its own account.
 allocs:
 	$(GO) test -count=1 -run 'TestAllocBudget|TestPredictSpanAllocatesNothing|TestSteadyStateDecodeAllocs|FuzzParseBeaconID' \
 		./internal/ibeacon/ ./internal/wire/ ./internal/classify/ ./internal/transport/ ./internal/bms/ ./internal/fleet/
@@ -59,6 +63,10 @@ allocs:
 # the gateway constructor, a pool constructor, the HTTP shard client, a
 # fleettest shard double — appears in more than one non-test file of the
 # directories that used to assemble fleets each their own way.
+# The device leg is pinned the same way: internal/transport has one
+# device uplink (uplink.go), so in its non-test files the 415 that
+# negotiates the codec down is read at one call site and the ring digest
+# is stamped on an upload at one.
 ONEPATH_DIRS = internal/experiments internal/scenario cmd/loadgen
 onepath:
 	@fail=0; \
@@ -66,6 +74,12 @@ onepath:
 		files=$$(grep -rl --include='*.go' --exclude='*_test.go' -e "$$pat" $(ONEPATH_DIRS)); \
 		if [ $$(echo "$$files" | grep -c .) -gt 1 ]; then \
 			echo "onepath: $$pat is in more than one non-test file:"; echo "$$files"; fail=1; \
+		fi; \
+	done; \
+	for pat in 'isUnsupportedMedia(' 'wire\.HeaderRingDigest'; do \
+		sites=$$(grep -rn --include='*.go' --exclude='*_test.go' -e "$$pat" internal/transport | grep -v '^[^:]*:[0-9]*:\(func \|[[:space:]]*//\)'); \
+		if [ $$(echo "$$sites" | grep -c .) -ne 1 ]; then \
+			echo "onepath: $$pat has other than one site in internal/transport:"; echo "$$sites"; fail=1; \
 		fi; \
 	done; exit $$fail
 
@@ -130,11 +144,16 @@ loadtest:
 # exactly one successful lease claim on every shard, and the
 # stale-admit tripwire — a deposed gateway's write admitted past the
 # fence — stayed at zero. The gateway drill's devices upload in -wire
-# binary, so the failover happens under the framed codec on the device
-# leg too: in-flight binary batches must survive the kill the same as
-# JSON. (loadgen's -wire chooses the device leg's codec only; the
-# gateway → shard leg carries wire frames whatever the devices speak,
-# and the shard drill's devices are in process, so it runs once.) In the
+# binary through the one device uplink, so they pre-split against the
+# ring of whichever gateway leads and the verbatim forward crosses both
+# kills: in-flight sections must survive them the same as JSON, and the
+# drill fails as vacuous unless the devices' own count of pre-split
+# uploads grew before the first kill, between the kills and after the
+# last. (loadgen's -wire chooses the device leg's codec on every HTTP
+# sink — what a binary uplink then sends follows from what its target
+# publishes and answers; the gateway → shard leg carries wire frames
+# whatever the devices speak, and the shard drill's devices are in
+# process, so it runs once.) In the
 # shard drill the shards log each received frame's payload verbatim, so
 # kill -9 lands on those records through real processes —
 # and mid-exchange on the gateway → shard streams, where the drill

@@ -33,7 +33,7 @@ func main() {
 	seed := flag.Uint64("seed", 1, "random seed")
 	batch := flag.Float64("batch", 10, "coalesce each phone's reports for this many seconds before posting to the batch endpoint (0 posts per report)")
 	epoch := flag.Uint64("epoch", 1, "device epoch stamped on sequenced reports (bump after a counter-losing restart)")
-	wireCodec := flag.String("wire", "json", "batch encoding: json, or binary (wire frames; pre-splits per shard against a gateway's published ring, falls back to JSON on 415)")
+	wireCodec := flag.String("wire", "json", "batch encoding: json, or binary (wire frames: pre-split per shard where the server publishes a ring with a digest, one plain frame where it does not, JSON for good once it answers 415)")
 	flag.Parse()
 	codec, err := transport.ParseCodec(*wireCodec)
 	if err != nil {
@@ -48,15 +48,7 @@ func main() {
 	// Retransmit transient failures: with every report sequenced, the
 	// server dedupes a delivery whose response was lost, so the retry
 	// policy cannot double-count occupants.
-	var httpUplink transport.Uplink = &transport.HTTPUplink{
-		BaseURL: *serverURL, Retry: transport.DefaultRetry(), Codec: codec,
-	}
-	if codec == transport.CodecBinary {
-		// Binary mode pre-splits against the server's published ring when
-		// it has one (a fleet gateway); a single bms box just gets plain
-		// frames, and a JSON-only server downgrades us via 415.
-		httpUplink = &transport.ShardSplitter{BaseURL: *serverURL, Retry: transport.DefaultRetry()}
-	}
+	httpUplink := &transport.HTTPUplink{BaseURL: *serverURL, Retry: transport.DefaultRetry(), Codec: codec}
 	sequencer := transport.NewSequencer(*epoch)
 
 	src := rng.New(*seed)

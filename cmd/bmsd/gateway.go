@@ -13,8 +13,8 @@
 // on every write; the standby probes the active's /api/v1/health and
 // claims the next epoch after -lease-ttl of silence. A deposed active
 // keeps running but every write it forwards is fenced by the shards
-// (409 + leader hint), so clients running transport.FailoverUplink
-// follow leadership automatically and nothing lands twice.
+// (409 + leader hint), so clients whose transport.HTTPUplink lists both
+// gateways follow leadership automatically and nothing lands twice.
 package main
 
 import (

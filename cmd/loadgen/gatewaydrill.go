@@ -3,8 +3,8 @@ package main
 // Gateway-failover drill: loadgen spawns the shard pool as bmsd
 // subprocesses (reusing the crash-fleet machinery), fronts them with
 // TWO more bmsd subprocesses running -shard-urls gateway-HA mode — an
-// active and a warm -standby — and drives the trace through a
-// transport.FailoverUplink aimed at the pair. At each scheduled trace
+// active and a warm -standby — and drives the trace through one
+// transport.HTTPUplink aimed at the pair. At each scheduled trace
 // time the CURRENT active (found by asking the shards who holds the
 // lease) is SIGKILLed with no drain; the standby notices the silence,
 // claims the next epoch on the shard quorum, and takes over, while the
@@ -25,6 +25,7 @@ import (
 	"time"
 
 	"occusim/internal/building"
+	"occusim/internal/obs"
 	"occusim/internal/scenario"
 	"occusim/internal/transport"
 )
@@ -50,6 +51,17 @@ type gatewayDrill struct {
 	fleet     *crashFleet // shard pool, trace clock, kill count, and the read-side gateway
 	gws       [2]*gatewayProc
 	shardURLs string
+
+	// client is the devices' registry; presplitAt is its count of pre-split
+	// uploads at every SIGKILL, then at the end of the run.
+	client     *obs.Metrics
+	presplitAt []float64
+}
+
+// closePhase ends a phase of the drill — before the first kill, between
+// kills, after the last.
+func (d *gatewayDrill) closePhase() {
+	d.presplitAt = append(d.presplitAt, d.client.TakeSnapshot().Counters[`transport_wire_batches_total{codec="presplit"}`])
 }
 
 // startGatewayDrill brings up shards, trains and distributes the crowd
@@ -184,6 +196,7 @@ func (d *gatewayDrill) killActive(n int, t float64) error {
 	victim.mu.Lock()
 	cmd := victim.cmd
 	victim.mu.Unlock()
+	d.closePhase()
 	if err := cmd.Process.Signal(syscall.SIGKILL); err != nil {
 		return fmt.Errorf("kill %s: %w", victim.name, err)
 	}
@@ -209,11 +222,22 @@ func (d *gatewayDrill) killActive(n int, t float64) error {
 // verify ends a drill whose schedule has run: the failover story from
 // the shards' telemetry, then the same ground-truth assertion as every
 // other drill, read through the in-process gateway.
-func (d *gatewayDrill) verify(failover *transport.FailoverUplink, streams [][]transport.Report) error {
+func (d *gatewayDrill) verify(failover *transport.HTTPUplink, streams [][]transport.Report) error {
 	kills, cgw := d.fleet.kills.Load(), d.fleet.gw.Load()
 	redirects, rotations := failover.Stats()
 	if redirects+rotations == 0 {
 		return fmt.Errorf("the uplink never failed over — the drill was vacuous")
+	}
+	if d.closePhase(); failover.Codec == transport.CodecBinary {
+		prev := 0.0
+		for i, n := range d.presplitAt {
+			if n <= prev {
+				return fmt.Errorf("-wire binary: no upload was pre-split in phase %d of %d (the devices' count at each kill, then at the end: %v) — the verbatim forward never crossed that part of the drill",
+					i+1, len(d.presplitAt), d.presplitAt)
+			}
+			prev = n
+		}
+		fmt.Printf("pre-split assertions: the devices' pre-split upload count grew in every phase — before the first kill, between kills, after the last (at each kill, then at the end: %v)\n", d.presplitAt)
 	}
 	if err := assertDrillTelemetry(d, int(kills)); err != nil {
 		return err

@@ -103,7 +103,7 @@ func main() {
 	flag.BoolVar(&o.restartGateway, "restart-gateway", false, "with -kill: also discard and rebuild the gateway at each crash, proving a gateway restart is invisible")
 	flag.StringVar(&o.scenario, "scenario", "", "run a named adversarial scenario from internal/scenario against its ground-truth oracle (see -scenario list)")
 	flag.IntVar(&o.storm, "storm", 0, "shorthand for -scenario storm with each batch retransmitted k times")
-	wireFlag := flag.String("wire", "json", "batch encoding of the device leg, for HTTP sinks: json, or binary (wire frames with device-side pre-split against the gateway ring; JSON-only servers downgrade us via 415); the gateway → shard leg carries wire frames either way")
+	wireFlag := flag.String("wire", "json", "batch encoding of the device leg, on every HTTP sink (-target, -kill-gateway): json, or binary (wire frames: pre-split per shard where the target publishes a ring with a digest, one plain frame where it does not, JSON for good once a target answers 415); the gateway → shard leg carries wire frames either way")
 	flag.Parse()
 	var err error
 	if o.codec, err = transport.ParseCodec(*wireFlag); err != nil {
@@ -190,7 +190,7 @@ func run(o options) error {
 	var local *scenario.Fleet
 	var crashPool *crashFleet // the subprocess shards of every -bmsd mode
 	var drill *gatewayDrill
-	var failover *transport.FailoverUplink
+	var failover *transport.HTTPUplink
 	if len(gwSchedule) > 0 {
 		drill, err = startGatewayDrill(b, o)
 		if err != nil {
@@ -198,12 +198,8 @@ func run(o options) error {
 		}
 		defer drill.stop()
 		crashPool = drill.fleet
-		failover, err = transport.NewFailoverUplink(
-			[]string{drill.gws[0].self, drill.gws[1].self}, nil, transport.DefaultRetry())
-		if err != nil {
-			return err
-		}
-		failover.Codec = o.codec
+		failover = &transport.HTTPUplink{BaseURL: drill.gws[0].self, Peers: []string{drill.gws[1].self},
+			Retry: transport.DefaultRetry(), Codec: o.codec}
 		sink = clockUplink{c: crashPool, next: func() scenario.Sink { return failover }}
 		fmt.Printf("loadgen: %d devices, %d reports → active/standby HA gateway pair over %d bmsd shard(s), SIGKILL the active at trace t=%v (fsync=%s, wire=%s)\n",
 			o.devices, total, o.shards, gwSchedule, o.fsync, o.codec)
@@ -251,6 +247,9 @@ func run(o options) error {
 	// up the per-phase dashboard (marked again after every kill).
 	clientMet := obs.New()
 	transport.Instrument(clientMet)
+	if drill != nil {
+		drill.client = clientMet
+	}
 	scrapeTargets := map[string]string{}
 	sources := []snapshotSource{registrySource(clientMet)}
 	switch {

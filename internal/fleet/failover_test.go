@@ -14,6 +14,7 @@ import (
 	"occusim/internal/building"
 	"occusim/internal/experiments"
 	"occusim/internal/fleet"
+	"occusim/internal/obs"
 	"occusim/internal/scenario"
 	"occusim/internal/transport"
 )
@@ -75,7 +76,16 @@ func (p *pauseShard) IngestFrame(frame []byte, reports int) ([]string, error) {
 // Some sub-batches therefore arrive twice (once at epoch 1, once at
 // epoch 2) and one arrives fenced; the final fleet state must still be
 // byte-identical to a clean single server fed the stream exactly once.
+// Per device codec: under binary the uploads are pre-split, so the write
+// the zombie holds is a section it forwarded verbatim — the forward under
+// a deposed gateway — and the new leader must forward them verbatim too.
 func TestZombieGatewayFencedExactlyOnce(t *testing.T) {
+	for _, codec := range []transport.Codec{transport.CodecJSON, transport.CodecBinary} {
+		t.Run(codec.String(), func(t *testing.T) { zombieGatewayFencedExactlyOnce(t, codec) })
+	}
+}
+
+func zombieGatewayFencedExactlyOnce(t *testing.T, codec transport.Codec) {
 	const seed = 42
 	b := building.PaperHouse()
 
@@ -106,6 +116,11 @@ func TestZombieGatewayFencedExactlyOnce(t *testing.T) {
 	gwB, err := fleet.New(shardsB, fleet.Config{})
 	if err != nil {
 		t.Fatal(err)
+	}
+	met := obs.New()
+	gwB.Instrument(met)
+	for _, srv := range pool.Servers {
+		srv.Instrument(met)
 	}
 
 	// Same model the oracle's reference trains, installed once on the
@@ -158,15 +173,12 @@ func TestZombieGatewayFencedExactlyOnce(t *testing.T) {
 
 	// The device-side uplink: active first, standby second, no real
 	// sleeping.
-	uplink, err := transport.NewFailoverUplink([]string{tsA.URL, tsB.URL}, nil, transport.RetryPolicy{
+	uplink := &transport.HTTPUplink{BaseURL: tsA.URL, Peers: []string{tsB.URL}, Codec: codec, Retry: transport.RetryPolicy{
 		MaxAttempts: 3,
 		BaseDelay:   time.Millisecond,
 		MaxDelay:    2 * time.Millisecond,
 		Sleep:       func(time.Duration) {},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	}}
 
 	stream := synthStream(b, 12, 60, 11)
 	stampStream(stream, 1)
@@ -275,5 +287,12 @@ func TestZombieGatewayFencedExactlyOnce(t *testing.T) {
 	}
 	if err := scenario.VerifyExact(gwB, ref); err != nil {
 		t.Fatal(err)
+	}
+	counters := met.TakeSnapshot().Counters
+	if stale := counters["bms_lease_stale_admits_total"]; stale != 0 {
+		t.Fatalf("%v stale-epoch writes were admitted past the fence", stale)
+	}
+	if fwd := counters["fleet_presplit_forwarded_total"]; (fwd > 0) != (codec == transport.CodecBinary) {
+		t.Fatalf("the new leader forwarded %v pre-split uploads verbatim under the %s codec", fwd, codec)
 	}
 }

@@ -276,12 +276,19 @@ type RingInfo struct {
 	Down     []bool   `json:"down"`
 }
 
-// RingInfo snapshots the current routing inputs and digest.
+// RingInfo snapshots the current routing inputs and digest. A gateway
+// correcting skew must see every timestamp before it routes, so it
+// publishes no digest: a device then sends plain frames instead of paying
+// to cut sections forward would refuse.
 func (g *Gateway) RingInfo() RingInfo {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
+	digest := g.digest
+	if g.skew != nil {
+		digest = ""
+	}
 	return RingInfo{
-		Digest:   g.digest,
+		Digest:   digest,
 		Replicas: g.ring.Replicas(),
 		Shards:   g.ring.Names(),
 		Down:     append([]bool(nil), g.down...),

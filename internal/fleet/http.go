@@ -606,7 +606,7 @@ func fleetIngestError(w http.ResponseWriter, err error) {
 
 // fleetStandbyError answers a write sent to a non-leading gateway: 409
 // plus an X-Leader-Hint at wherever this gateway believes leadership
-// lives, so a FailoverUplink redirects without burning retry budget.
+// lives, so a device uplink redirects without burning retry budget.
 func fleetStandbyError(w http.ResponseWriter, lease *LeaseController) {
 	if hint := lease.LeaderHint(); hint != "" {
 		w.Header().Set(transport.HeaderLeaderHint, hint)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -89,7 +90,7 @@ func TestFleetWireHTTPByteIdentity(t *testing.T) {
 		{
 			name: "binary-presplit",
 			uplink: func(s *wireStack) transport.BatchSender {
-				return &transport.ShardSplitter{BaseURL: s.ts.URL, Retry: transport.DefaultRetry()}
+				return &transport.HTTPUplink{BaseURL: s.ts.URL, Retry: transport.DefaultRetry(), Codec: transport.CodecBinary}
 			},
 			verify: func(t *testing.T, s *wireStack) {
 				if fwd := s.counter("fleet_presplit_forwarded_total"); fwd == 0 {
@@ -136,7 +137,7 @@ func TestFleetWireHTTPByteIdentity(t *testing.T) {
 }
 
 // TestFleetWireMixedModeByteIdentity interleaves JSON uplinks,
-// pre-splitting binary uplinks and plain-frame binary uplinks against
+// pre-splitting binary uplinks and plain frames against
 // ONE fleet — a crowd part legacy, part upgraded, part upgraded but
 // ringless — and requires the merged state to match a single server fed
 // everything once. Batches from the three populations enter through
@@ -150,16 +151,16 @@ func TestFleetWireMixedModeByteIdentity(t *testing.T) {
 	s := newWireStack(t, b, 4, 42)
 	var plainFrames atomic.Int64
 	face := fleet.Handler(s.gw, fleet.HandlerOptions{})
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	counted := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Header.Get("Content-Type") == wire.ContentType && r.Header.Get(wire.HeaderRingDigest) == "" {
 			plainFrames.Add(1)
 		}
 		face.ServeHTTP(w, r)
-	}))
+	})
+	ts := httptest.NewServer(counted)
 	defer ts.Close()
 	jsonUp := &transport.HTTPUplink{BaseURL: ts.URL, Retry: transport.DefaultRetry()}
-	binUp := &transport.ShardSplitter{BaseURL: ts.URL, Retry: transport.DefaultRetry()}
-	plainUp := &transport.HTTPUplink{BaseURL: ts.URL, Retry: transport.DefaultRetry(), Codec: transport.CodecBinary}
+	binUp := &transport.HTTPUplink{BaseURL: ts.URL, Retry: transport.DefaultRetry(), Codec: transport.CodecBinary}
 
 	stream := synthStream(b, 16, 60, 9)
 	stampStream(stream, 1)
@@ -169,8 +170,11 @@ func TestFleetWireMixedModeByteIdentity(t *testing.T) {
 		if _, err := single.IngestBatch(stream[i:j]); err != nil {
 			t.Fatal(err)
 		}
-		up := []transport.BatchSender{jsonUp, binUp, plainUp}[n%3]
-		if err := up.SendBatch(stream[i:j]); err != nil {
+		if n%3 == 2 { // a device that knows no ring: one plain frame
+			if rec := postWire(t, counted, plainFrame(t, stream[i:j]), ""); rec.Code != http.StatusOK {
+				t.Fatalf("plain frame answered %d: %s", rec.Code, rec.Body)
+			}
+		} else if err := []transport.BatchSender{jsonUp, binUp}[n%3].SendBatch(stream[i:j]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -207,9 +211,25 @@ func TestFleetPresplitStaleRingFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := newWireStack(t, b, 4, 42)
-	// A refresh window far longer than the test: the splitter keeps
-	// pre-splitting against whatever ring it fetched first.
-	up := &transport.ShardSplitter{BaseURL: s.ts.URL, Retry: transport.DefaultRetry(), Refresh: time.Hour}
+	// The ring answer is frozen at the first one served: however often the
+	// uplink refreshes, it keeps pre-splitting against that ring.
+	face := fleet.Handler(s.gw, fleet.HandlerOptions{})
+	var freeze sync.Once
+	var first []byte
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/api/v1/ring" {
+			face.ServeHTTP(w, r)
+			return
+		}
+		freeze.Do(func() {
+			rec := httptest.NewRecorder()
+			face.ServeHTTP(rec, r)
+			first = rec.Body.Bytes()
+		})
+		w.Write(first)
+	}))
+	defer ts.Close()
+	up := &transport.HTTPUplink{BaseURL: ts.URL, Retry: transport.DefaultRetry(), Codec: transport.CodecBinary}
 
 	stream := synthStream(b, 16, 60, 9)
 	stampStream(stream, 1)
@@ -230,8 +250,8 @@ func TestFleetPresplitStaleRingFallback(t *testing.T) {
 	}
 
 	// Routing changes under the device: a shard goes down, devices
-	// migrate, the digest moves. The splitter's cached view is now
-	// stale for the rest of the run.
+	// migrate, the digest moves. The uplink's view is now stale for the
+	// rest of the run.
 	s.gw.MarkDown(2)
 
 	for i := half; i < len(stream); i += chunk {
@@ -269,10 +289,12 @@ func TestFleetPresplitStaleRingFallback(t *testing.T) {
 
 // TestSkewPresplitFallbackIsCounted: skew correction and the verbatim
 // forward do not compose — the gateway must see every timestamp before
-// routing — so under -skew-window every pre-split upload is re-split
-// server-side. That is not a digest miss and must not read as one: it
-// has its own counter, and the telemetry says once, up front, that the
-// forward is off. The state is what one clean server holds either way.
+// routing. By rule, not by fallback: such a gateway publishes its ring
+// without a digest, so a device uplink sends plain frames and pays for no
+// split. The refusal stays as the check: a device that pre-splits anyway is
+// re-split server-side and counted — not as a digest miss — and the
+// telemetry says once, up front, that the forward is off. The state is what
+// one clean server holds either way.
 func TestSkewPresplitFallbackIsCounted(t *testing.T) {
 	b := building.PaperHouse()
 	single := newServer(t, b)
@@ -285,11 +307,27 @@ func TestSkewPresplitFallbackIsCounted(t *testing.T) {
 	if _, err := single.IngestBatch(stream); err != nil {
 		t.Fatal(err)
 	}
-	sendChunks(t, &transport.ShardSplitter{BaseURL: s.ts.URL, Retry: transport.DefaultRetry()}, stream, 48)
+	half := len(stream) / 2 / 48 * 48
 
-	uploads := float64((len(stream) + 47) / 48)
-	if got := s.counter("fleet_presplit_skew_fallback_total"); got != uploads {
-		t.Errorf("fleet_presplit_skew_fallback_total = %v after %v pre-split uploads under a skew window", got, uploads)
+	// The uplink: plain frames, nothing refused.
+	client := obs.New()
+	transport.Instrument(client)
+	sendChunks(t, &transport.HTTPUplink{BaseURL: s.ts.URL, Retry: transport.DefaultRetry(), Codec: transport.CodecBinary}, stream[:half], 48)
+	sent := client.TakeSnapshot().Counters
+	if plain, cut := sent[`transport_wire_batches_total{codec="binary"}`], sent[`transport_wire_batches_total{codec="presplit"}`]; plain != float64(half/48) || cut != 0 {
+		t.Errorf("the uplink sent %v plain frames and %v pre-split uploads, want %d and 0", plain, cut, half/48)
+	}
+	if got := s.counter("fleet_presplit_skew_fallback_total"); got != 0 {
+		t.Errorf("fleet_presplit_skew_fallback_total = %v after plain frames only", got)
+	}
+
+	// A device that cuts sections anyway, under the gateway's real digest.
+	body, _ := presplitBody(t, s.gw, stream[half:])
+	if rec := postWire(t, fleet.Handler(s.gw, fleet.HandlerOptions{}), body, s.gw.RingDigest()); rec.Code != http.StatusOK {
+		t.Fatalf("a pre-split upload under a skew window answered %d: %s", rec.Code, rec.Body)
+	}
+	if got := s.counter("fleet_presplit_skew_fallback_total"); got != 1 {
+		t.Errorf("fleet_presplit_skew_fallback_total = %v after one pre-split upload under a skew window", got)
 	}
 	if miss, fwd := s.counter("fleet_presplit_digest_miss_total"), s.counter("fleet_presplit_forwarded_total"); miss != 0 || fwd != 0 {
 		t.Errorf("digest misses %v, forwards %v: the skew fallback is neither", miss, fwd)

@@ -44,14 +44,10 @@ func (r *Result) Render() string {
 		r.DevicesTracked, r.EventsCommitted, 100*r.PlacementAccuracy)
 }
 
-// DeviceUplink is a crowd's shared HTTP sink in the given device codec:
-// plain JSON uploads, or binary frames pre-split against the ring the
-// target publishes (a single bms box gets plain frames; a JSON-only
-// server downgrades the splitter via 415).
+// DeviceUplink is a crowd's shared HTTP sink in the given device codec
+// (transport.HTTPUplink: what a binary uplink sends follows from what the
+// target publishes and answers).
 func DeviceUplink(baseURL string, codec transport.Codec) Sink {
-	if codec == transport.CodecBinary {
-		return &transport.ShardSplitter{BaseURL: baseURL, Retry: transport.DefaultRetry()}
-	}
 	return &transport.HTTPUplink{BaseURL: baseURL, Retry: transport.DefaultRetry(), Codec: codec}
 }
 

@@ -15,7 +15,6 @@ package transport
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -35,7 +34,7 @@ import (
 
 // transportMetrics is the package's telemetry: retry counts, the
 // backoff waits those retries sleep through (previously invisible and
-// untimed), budget exhaustions, and the failover uplink's leader-hint
+// untimed), budget exhaustions, and the device uplink's leader-hint
 // redirects and target rotations. The transport layer is free
 // functions over a value RetryPolicy, so the handles live at package
 // level, installed once by Instrument; until then the pointer is nil
@@ -314,7 +313,7 @@ func (p RetryPolicy) sleep(d time.Duration) {
 // Leadership-fencing headers, shared by every layer that speaks them:
 // the fleet's shard client stamps writes with HeaderGatewayEpoch, the
 // BMS lease arbiter answers stale writes with 409 plus
-// HeaderLeaderEpoch/HeaderLeaderHint, and FailoverUplink follows the
+// HeaderLeaderEpoch/HeaderLeaderHint, and HTTPUplink follows the
 // hint. Defined here so producer and consumer cannot drift apart.
 const (
 	// HeaderGatewayEpoch stamps a write with the sending gateway's
@@ -415,9 +414,9 @@ func NewTarget(method, rawURL string, hdr http.Header) (Target, error) {
 // A 409 stale-leader rejection is permanent for THIS target but
 // immediately redirectable: like every non-429 4xx it fails on the
 // first answer without sleeping or spending retry budget, and the
-// error carries the shard's leader hint (LeaderHint/LeaderEpoch) so a
-// FailoverUplink can switch to the real leader at once instead of
-// burning backoff against a deposed gateway.
+// error carries the shard's leader hint (LeaderHint/LeaderEpoch) so an
+// HTTPUplink can switch to the real leader at once instead of burning
+// backoff against a deposed gateway.
 func (t Target) Do(client *http.Client, body []byte, policy RetryPolicy, dst *[]byte) ([]byte, error) {
 	var attemptTimeout time.Duration
 	if client == nil {
@@ -639,58 +638,6 @@ func PostJSON(client *http.Client, rawURL string, body []byte, policy RetryPolic
 // GetJSON fetches url and returns the response payload under the policy.
 func GetJSON(client *http.Client, rawURL string, policy RetryPolicy) ([]byte, error) {
 	return DoJSON(client, http.MethodGet, rawURL, nil, policy)
-}
-
-// HTTPUplink posts reports to the BMS observations endpoint — the Wi-Fi
-// path. With a Retry policy set, transient failures (connection resets,
-// 5xx) are retransmitted with capped exponential backoff; the zero
-// policy keeps the historical one-shot behaviour.
-type HTTPUplink struct {
-	// BaseURL is the server root, e.g. "http://127.0.0.1:8080".
-	BaseURL string
-	// Client defaults to a 5-second-timeout client when nil.
-	Client *http.Client
-	// Retry bounds retransmission of failed exchanges.
-	Retry RetryPolicy
-	// Codec picks the batch encoding: CodecJSON (the default) or
-	// CodecBinary (internal/wire frames, negotiated down to JSON on the
-	// first 415 — see jsonOnly).
-	Codec Codec
-
-	// jsonOnly latches after a 415: the target does not speak the
-	// binary codec, and asking again on every batch would waste a
-	// round trip per flush. Sticky for the uplink's lifetime.
-	jsonOnly atomic.Bool
-
-	batch batchEndpoint
-}
-
-// Name implements Uplink.
-func (u *HTTPUplink) Name() string { return "wifi-http" }
-
-// Send implements Uplink. In binary mode a single report rides a
-// one-report frame through the batch endpoint — the server treats a
-// batch of one identically to a single observation POST.
-func (u *HTTPUplink) Send(r Report) error {
-	if u.Codec == CodecBinary && !u.jsonOnly.Load() {
-		return u.sendBatchBinary([]Report{r})
-	}
-	body, err := json.Marshal(r)
-	if err != nil {
-		return fmt.Errorf("transport: marshal report: %w", err)
-	}
-	_, err = PostJSON(u.Client, u.BaseURL+"/api/v1/observations", body, u.Retry)
-	return err
-}
-
-// SendBatch implements BatchSender against the BMS batch-ingest
-// endpoint: one POST carries the whole slice, and a retried POST
-// carries the identical slice, so batch order survives retransmission.
-func (u *HTTPUplink) SendBatch(reports []Report) error {
-	if u.Codec == CodecBinary && !u.jsonOnly.Load() {
-		return u.sendBatchBinary(reports)
-	}
-	return u.sendBatchJSON(reports)
 }
 
 // SendFunc adapts a function to the Uplink interface, used to wire the
