@@ -50,12 +50,22 @@ test-race:
 # (TestAllocBudgetUplinkSend: a warm send outside Client.Do costs ≤ 6
 # pre-split at 11 reports and at 64 reports of 64 devices, ≤ 3 as a plain
 # frame, ≤ 5 as 64-report JSON, and the same with a second, idle target
-# configured: following leadership costs nothing while nothing fails).
+# configured: following leadership costs nothing while nothing fails)
+# — and of the batch coder, whose identity tables are fixed arrays in
+# the pooled batch and the gateway's pooled scratch
+# (TestSteadyStateEncodeAllocs beside the decode pin: a warm device
+# encode, and the encode and decode of a 300-identity batch, cost 0;
+# TestAllocBudgetCut: so does the gateway's cut of 64 reports into 4
+# interleaved frames), with the two size pins the byte metrics rest on
+# (TestFrameBytesPaperTraffic: the paper's 11 × 6 upload ≤ 1,450 bytes, a
+# 16-device relay cut ≤ 2,300) and TestEncodeManyIdentitiesIsLinear
+# (50,000 distinct identities encode within a small multiple of 50,000
+# repeated ones: a hash, never a scan of the table).
 # The counts are deterministic on any box, so a regression fails a PR
 # here instead of hiding in timing noise. Never under -race: the pins
 # skip there, the detector allocates on its own account.
 allocs:
-	$(GO) test -count=1 -run 'TestAllocBudget|TestPredictSpanAllocatesNothing|TestSteadyStateDecodeAllocs|FuzzParseBeaconID' \
+	$(GO) test -count=1 -run 'TestAllocBudget|TestPredictSpanAllocatesNothing|TestSteadyState(Decode|Encode)Allocs|TestFrameBytesPaperTraffic|TestEncodeManyIdentitiesIsLinear|FuzzParseBeaconID' \
 		./internal/ibeacon/ ./internal/wire/ ./internal/classify/ ./internal/transport/ ./internal/bms/ ./internal/fleet/
 
 # onepath keeps the crowd harness (internal/scenario: spec → build →

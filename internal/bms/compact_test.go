@@ -220,12 +220,12 @@ func awaitCompaction(s *Server) {
 // threshold stays what the caller said, however large the state.
 func TestCompactTriggerAmortises(t *testing.T) {
 	if testing.Short() {
-		t.Skip("writes a 12 MB snapshot and as much log, twice")
+		t.Skip("writes a 7 MB snapshot and as much log, twice")
 	}
 	b := building.PaperHouse()
 	id := b.Beacons[0].ID
 	var hist []store.Observation
-	for i := 0; i < 8700; i++ { // ≈ 1.45 KB each
+	for i := 0; i < 10000; i++ { // ≈ 0.7 KB each: one identity, 39 back references
 		o := store.Observation{Device: "long", At: time.Duration(i), Seq: uint64(i + 1)}
 		for k := 0; k < 40; k++ {
 			o.Beacons = append(o.Beacons, store.BeaconDistance{ID: id, Distance: float64(k)})
@@ -276,7 +276,7 @@ func TestCompactTriggerAmortises(t *testing.T) {
 	if size < DefaultCompactThreshold+(2<<20) {
 		t.Fatalf("vacuous: the snapshot is %d bytes, not well past the %d floor", size, DefaultCompactThreshold)
 	}
-	// Past 8 MiB nothing happens; one upload short of the snapshot's
+	// Past the floor nothing happens; one upload short of the snapshot's
 	// size still nothing; the upload that crosses it compacts.
 	frame := fill(s, m, 1, 1)
 	fill(s, m, DefaultCompactThreshold+frame, 1)
@@ -295,7 +295,7 @@ func TestCompactTriggerAmortises(t *testing.T) {
 	}
 
 	// Reopened, the size comes from the file: again no compaction at
-	// 8 MiB.
+	// the floor.
 	_, snap := newestSnapshot(t, dir)
 	s2, m2 := open(dir, 0)
 	if got := s2.LastCompaction().SnapshotBytes; got != int64(len(snap)) || got < size {
@@ -307,7 +307,7 @@ func TestCompactTriggerAmortises(t *testing.T) {
 	}
 
 	// An explicit threshold is not amortised: two uploads' worth of log
-	// compacts a 12 MB state.
+	// compacts a 7 MB state.
 	s3, m3 := open(dir, 2*frame)
 	fill(s3, m3, frame, 0)
 	if _, err := s3.IngestBatch(upload); err != nil {

@@ -41,8 +41,11 @@ import (
 
 // DefaultCompactThreshold is the least log growth since the last cut
 // that triggers a background compaction under the default configuration
-// (see durability.threshold).
-const DefaultCompactThreshold = 8 << 20
+// (see durability.threshold). It bounds what a restart replays, which
+// costs by the report, so it is sized in reports: some 32,000 of the
+// paper's six-beacon reports at the ≈ 131 bytes the record form takes
+// for each.
+const DefaultCompactThreshold = 4 << 20
 
 // durability is the WAL attachment of a durable Server.
 type durability struct {
@@ -268,8 +271,10 @@ type fpRecJSON struct {
 // carries the rooms predicted at ingest time, run-length coded —
 // (uvarint run, uvarint name length, name) until every report is
 // covered — because a device mostly stays where it is. JSON records
-// start with '{', so the tag can never open one.
-const recObsTag = 0x02
+// start with '{', so the tag can never open one. The tag moves with the
+// payload's form (it is wire.Version's twin): a record under any other
+// is refused by name at replay, never misread.
+const recObsTag = 0x03
 
 // reportTime converts a report's clock (seconds on the building clock)
 // into the store's form. Ingest and replay both go through it, so a
@@ -378,7 +383,7 @@ func (s *Server) recover(w *store.WAL) error {
 		err := s.restoreDurableSnapshot(r)
 		_ = r.Close()
 		if err != nil {
-			return err
+			return fmt.Errorf("%s: %w", r.Name(), err)
 		}
 	}
 	// One pooled batch, one rooms slice and one name table serve every
@@ -403,6 +408,9 @@ func (s *Server) recover(w *store.WAL) error {
 // replayCold applies one recovered JSON record through the normal
 // mutation paths.
 func (s *Server) replayCold(payload []byte) error {
+	if len(payload) > 0 && payload[0] != '{' {
+		return fmt.Errorf("bms: wal replay: record tag 0x%02x is neither an observation record (0x%02x) nor a JSON record", payload[0], recObsTag)
+	}
 	var rec walRecord
 	if err := json.Unmarshal(payload, &rec); err != nil {
 		return fmt.Errorf("bms: wal decode: %w", err)

@@ -39,6 +39,17 @@ func FuzzObsRecord(f *testing.F) {
 	f.Add(appendObsRecord(nil, &wire.Batch{}, nil, nil))
 	f.Add(real[:len(real)/2])
 	f.Add([]byte{recObsTag})
+	// More identities than the payload's table holds: the ones past it are
+	// spelled out at every sighting, and the record is still a fixed point.
+	crowded, sightings := &wire.Batch{}, make([]string, 60)
+	for i := range sightings {
+		crowded.AddReport("relay", float64(i), 1, uint64(i+1))
+		for k := 0; k < 10; k++ {
+			crowded.AddBeacon(wire.Beacon{ID: ibeacon.BeaconID{Minor: uint16((10*i + k) % 300)}, Distance: float64(k), RSSI: -60})
+		}
+		sightings[i] = "hall"
+	}
+	f.Add(appendObsRecord(nil, crowded, nil, sightings))
 	// Regression (from the previous codec, kept against this one): a
 	// beacon count of 2^62 must fail the length check, not wrap past it
 	// into a panicking make.

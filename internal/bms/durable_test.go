@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -462,4 +463,66 @@ func TestDurableOpensDrainedStripedDirectory(t *testing.T) {
 	if len(names) != 2 || filepath.Base(names[1]) != "wal.log" || filepath.Ext(names[0]) != ".snap" {
 		t.Fatalf("the directory holds %v, want one snapshot and wal.log", names)
 	}
+}
+
+// TestReplacedFormsRefusedByName: the observation record's tag and the
+// snapshot sections' frame version moved with the payload's form, and
+// nothing reads what they replaced. A data directory holding either — its
+// checksums intact — fails OpenDurableServer with the file and the tag or
+// version found: never skipped, never read as something else.
+func TestReplacedFormsRefusedByName(t *testing.T) {
+	open := func(dir string) error {
+		st, _ := store.New(100)
+		s, err := OpenDurableServer(building.PaperHouse(), st, 2, DurableConfig{Dir: dir, Policy: store.FsyncOff})
+		if err == nil {
+			s.Close()
+		}
+		return err
+	}
+	refused := func(what string, err error, wants ...string) {
+		t.Helper()
+		if err == nil {
+			t.Fatalf("%s: the server opened", what)
+		}
+		for _, want := range wants {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: the refusal %q does not name %q", what, err, want)
+			}
+		}
+	}
+
+	// A log whose one observation record carries the old tag.
+	b, rooms := obsRecordBatch()
+	rec := appendObsRecord(nil, b, nil, rooms)
+	rec[0] = 0x02
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "wal.log"), wire.AppendLogFrame(nil, 0, rec), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	refused("old record tag", open(dir), "wal.log", "record tag 0x02")
+
+	// A snapshot whose sections are framed under the old version.
+	src := t.TempDir()
+	s, house := openDurable(t, src, store.FsyncOff)
+	for i := 0; i < 5; i++ {
+		if _, err := s.Ingest(sequenced(reportNear(house, "phone", i%len(house.Beacons), float64(i)), uint64(i+1))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path, snap := newestSnapshot(t, src)
+	spans, kinds := snapshotSections(t, snap)
+	if !bytes.Contains(kinds, []byte{secDevice}) {
+		t.Fatalf("vacuous: sections %q hold no device section", kinds)
+	}
+	for _, span := range spans {
+		snap[span[0]] = 0x01
+	}
+	dir = t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, filepath.Base(path)), snap, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	refused("old section version", open(dir), filepath.Base(path), "version 0x01")
 }

@@ -12,7 +12,9 @@
 //	'D'  per device with retained observations, in header order: uvarint
 //	     name length + name, then observations to the end of the
 //	     section: i64 LE At in nanoseconds, uvarint Epoch, uvarint Seq,
-//	     uvarint beacon count, 36-byte wire beacons.
+//	     uvarint beacon count, and the beacons in the batch payload's form
+//	     (wire.Coder: an identity once, then one-byte back references),
+//	     the identity table starting empty with each section.
 //	'E'  the committed event history to the end of the section: i64 LE
 //	     At, uvarint-length device, uvarint kind, uvarint-length room.
 //
@@ -77,9 +79,10 @@ type snapDeviceJSON struct {
 // sectionWriter frames sections into one buffer and hands it to w in
 // large writes.
 type sectionWriter struct {
-	w    io.Writer
-	buf  []byte
-	head int // the open section's frame header
+	w     io.Writer
+	buf   []byte
+	head  int        // the open section's frame header
+	coder wire.Coder // a device section's beacon identities
 }
 
 func (sw *sectionWriter) begin(kind byte) {
@@ -111,6 +114,7 @@ func (sw *sectionWriter) flush(min int) error {
 func (sw *sectionWriter) device(name string, obs []store.Observation) {
 	for len(obs) > 0 {
 		sw.begin(secDevice)
+		sw.coder.Reset()
 		sw.str(name)
 		for len(obs) > 0 && !sw.full() {
 			o := &obs[0]
@@ -119,7 +123,7 @@ func (sw *sectionWriter) device(name string, obs []store.Observation) {
 			sw.buf = binary.AppendUvarint(sw.buf, o.Seq)
 			sw.buf = binary.AppendUvarint(sw.buf, uint64(len(o.Beacons)))
 			for _, bd := range o.Beacons {
-				sw.buf = wire.AppendBeacon(sw.buf, wire.Beacon(bd))
+				sw.buf = sw.coder.AppendBeacon(sw.buf, wire.Beacon(bd))
 			}
 			obs = obs[1:]
 		}
@@ -264,6 +268,7 @@ func (s *Server) restoreDurableSnapshot(r io.Reader) error {
 	}
 
 	names := wire.Interner{}
+	var coder wire.Coder // a device section's beacon identities
 	var events []occupancy.Event
 	var device string               // whose observations pending holds
 	var pending []store.Observation // one device's sections, gathered
@@ -287,6 +292,7 @@ func (s *Server) restoreDurableSnapshot(r io.Reader) error {
 		rd := wire.Reader{Buf: payload[1:]}
 		switch payload[0] {
 		case secDevice:
+			coder.Reset()
 			if name := rd.String(names); name != device {
 				restore()
 				device = name
@@ -297,14 +303,14 @@ func (s *Server) restoreDurableSnapshot(r io.Reader) error {
 				o.Epoch = rd.Uvarint()
 				o.Seq = rd.Uvarint()
 				n := rd.Uvarint()
-				if n > uint64(len(rd.Buf))/wire.BeaconLen {
+				if n > uint64(len(rd.Buf))/wire.MinBeaconLen {
 					rd.Short = true
 					break
 				}
-				if raw := rd.Bytes(n * wire.BeaconLen); n > 0 {
+				if n > 0 {
 					o.Beacons = make([]store.BeaconDistance, n)
 					for k := range o.Beacons {
-						o.Beacons[k] = store.BeaconDistance(wire.BeaconAt(raw[k*wire.BeaconLen:]))
+						o.Beacons[k] = store.BeaconDistance(coder.BeaconAt(&rd))
 					}
 				}
 				pending = append(pending, o)
@@ -322,7 +328,7 @@ func (s *Server) restoreDurableSnapshot(r io.Reader) error {
 			return fmt.Errorf("bms: snapshot: unknown section kind 0x%02x", payload[0])
 		}
 		if rd.Short {
-			return fmt.Errorf("bms: snapshot: truncated %c section", payload[0])
+			return fmt.Errorf("bms: snapshot: truncated or malformed %c section", payload[0])
 		}
 	}
 	restore()

@@ -338,27 +338,40 @@ func TestSnapshotDamageFailsLoud(t *testing.T) {
 }
 
 // TestSnapshotSplitsLongSections: a history or event list longer than
-// one section continues in the next and restores whole.
+// one section continues in the next and restores whole. A section's
+// identity table starts empty, so the continuation spells its identities
+// out again; a device that has sighted more identities than the table
+// holds — 300 here, over two sections — writes the ones past it literally
+// every time, and restores exactly all the same.
 func TestSnapshotSplitsLongSections(t *testing.T) {
 	id := building.PaperHouse().Beacons[0].ID
-	var hist []store.Observation
-	for i := 0; i < 3*snapSectionMax/(8+1+1+1+40*wire.BeaconLen)+1; i++ {
+	var hist, many []store.Observation
+	for i := 0; i < 3*snapSectionMax/(8+1+1+1+40*wire.MinBeaconLen)+1; i++ {
 		o := store.Observation{Device: "long", At: time.Duration(i), Seq: uint64(i + 1)}
 		for k := 0; k < 40; k++ {
 			o.Beacons = append(o.Beacons, store.BeaconDistance{ID: id, Distance: float64(k)})
 		}
 		hist = append(hist, o)
 	}
+	for i := 0; i < 6000; i++ { // ≈ 0.8 KB each: 45 of the 300 never enter the table
+		o := store.Observation{Device: "many", At: time.Duration(i), Seq: uint64(i + 1)}
+		for k := 0; k < 40; k++ {
+			o.Beacons = append(o.Beacons, store.BeaconDistance{ID: ibeacon.BeaconID{UUID: id.UUID, Minor: uint16((40*i + k) % 300)}, Distance: float64(k), RSSI: -float64(i)})
+		}
+		many = append(many, o)
+	}
 	dir := t.TempDir()
 	s1 := openDurableRetain(t, dir, len(hist), store.FsyncOff)
 	s1.st.RestoreObservations("long", hist)
 	s1.st.InstallSeqMark("long", 0, uint64(len(hist)))
+	s1.st.RestoreObservations("many", many)
+	s1.st.InstallSeqMark("many", 0, uint64(len(many)))
 	if err := s1.CompactWAL(); err != nil {
 		t.Fatal(err)
 	}
 	_, snap := newestSnapshot(t, dir)
-	if _, kinds := snapshotSections(t, snap); string(kinds) != "HDDDD" {
-		t.Fatalf("sections %q, want the history split over four", kinds)
+	if _, kinds := snapshotSections(t, snap); string(kinds) != "HDDDDDD" {
+		t.Fatalf("sections %q, want one history split over four and one over two", kinds)
 	}
 	s2 := openDurableRetain(t, dir, len(hist), store.FsyncOff)
 	defer s2.Close()
@@ -431,8 +444,8 @@ func TestCompactionCostPins(t *testing.T) {
 	if cw.writes > 64 {
 		t.Fatalf("the snapshot took %d Write calls for %d bytes, want ≤ 64", cw.writes, cw.bytes)
 	}
-	if perObs := float64(cw.bytes) / 64000; perObs > 240 {
-		t.Fatalf("the snapshot is %d bytes, %.0f an observation, want ≤ 240", cw.bytes, perObs)
+	if perObs := float64(cw.bytes) / 64000; perObs > 125 {
+		t.Fatalf("the snapshot is %d bytes, %.0f an observation, want ≤ 125 (six back-referenced beacons are 102)", cw.bytes, perObs)
 	}
 	t.Logf("snapshot: %d bytes in %d writes (smallest %d)", cw.bytes, cw.writes, cw.smallest)
 }

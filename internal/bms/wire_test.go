@@ -2,8 +2,10 @@ package bms
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -14,6 +16,7 @@ import (
 
 	"occusim/internal/building"
 	"occusim/internal/raceflag"
+	"occusim/internal/store"
 	"occusim/internal/transport"
 	"occusim/internal/wire"
 )
@@ -367,5 +370,77 @@ func TestAllocBudgetJSONDoor(t *testing.T) {
 	}
 	if many > 12 {
 		t.Errorf("the JSON route allocates %v times per upload above the wire route, ceiling 12", many)
+	}
+}
+
+// TestMalformedFrameRefusedWhole: a frame the batch grammar does not admit
+// — a beacon referring past its payload's identity table, forward or to
+// itself —, one whose first report has no name, and one under the version
+// byte this form replaced are each refused as a whole upload at both of
+// the shard's frame doors: 400 with the reason over HTTP, StreamRejected
+// on the stream, nothing applied and nothing logged.
+func TestMalformedFrameRefusedWhole(t *testing.T) {
+	s, b := openDurable(t, t.TempDir(), store.FsyncOff)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	defer s.Close()
+	_, good := deviceBatch(t, b, "phone-1", 1, 4)
+
+	// One report of "phone-1" with the given beacon bytes behind its head.
+	framed := func(name string, beacons int, body ...byte) []byte {
+		f := binary.LittleEndian.AppendUint32(wire.BeginFrame(nil), 1)
+		f = append(binary.AppendUvarint(f, uint64(len(name))), name...)
+		f = binary.LittleEndian.AppendUint64(f, math.Float64bits(2))
+		f = append(append(f, 1, 1, byte(beacons)), body...)
+		wire.EndFrame(f, 0)
+		return f
+	}
+	floats := make([]byte, 16)
+	literal := append(make([]byte, 1+20), floats...)
+	replaced := bytes.Clone(good)
+	replaced[0] = 0x01
+	cases := []struct {
+		name, reason string
+		frame        []byte
+	}{
+		{"a reference into an empty table", "beacon reference past", framed("phone-1", 1, append([]byte{1}, floats...)...)},
+		{"a reference to itself", "beacon reference past", framed("phone-1", 2, append(bytes.Clone(literal), append([]byte{2}, floats...)...)...)},
+		{"a forward reference", "beacon reference past", framed("phone-1", 2, append(append([]byte{2}, floats...), literal...)...)},
+		{"a first report without a name", "device", framed("", 0)},
+		{"the replaced frame version", "unknown frame version 0x01", replaced},
+	}
+
+	conn, br, resp := upgradeStream(t, ts)
+	if resp.StatusCode != http.StatusSwitchingProtocols {
+		t.Fatalf("upgrade answered %s", resp.Status)
+	}
+	defer conn.Close()
+	overStream := func(frame []byte) (byte, []byte) {
+		t.Helper()
+		if _, err := conn.Write(wire.AppendStreamRequest(nil, 0, frame)); err != nil {
+			t.Fatal(err)
+		}
+		var buf []byte
+		status, body, err := wire.ReadStreamReply(br, wire.MaxBodyBytes, &buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return status, bytes.Clone(body)
+	}
+	for _, c := range cases {
+		rec := postBatch(s.Handler(), wire.ContentType, bytes.NewReader(c.frame))
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), c.reason) {
+			t.Errorf("%s: the HTTP door answered %d %s, want 400 naming %q", c.name, rec.Code, rec.Body, c.reason)
+		}
+		if status, body := overStream(c.frame); status != wire.StreamRejected || !strings.Contains(string(body), c.reason) {
+			t.Errorf("%s: the stream answered status %d %q, want rejected naming %q", c.name, status, body, c.reason)
+		}
+		if known, logged := s.KnownDevices(), s.WALSize(); len(known) != 0 || logged != 0 {
+			t.Errorf("%s: a refused frame left devices %v and %d log bytes", c.name, known, logged)
+		}
+	}
+	// Vacuity: the doors take the frame the cases were cut from.
+	if status, body := overStream(good); status != wire.StreamOK || s.WALSize() == 0 || len(s.KnownDevices()) != 1 {
+		t.Fatalf("the well-formed frame got status %d %q, %d log bytes, devices %v", status, body, s.WALSize(), s.KnownDevices())
 	}
 }

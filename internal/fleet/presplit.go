@@ -78,9 +78,11 @@ type uploadScratch struct {
 	maxAt   float64
 	// The server-side split's cut: report i went to shard shardOf[i] as
 	// report posOf[i] of frames[shardOf[i]], which keeps its capacity
-	// from upload to upload.
+	// from upload to upload; coders[s] is frame s's back-reference state,
+	// since the cut writes the frames interleaved.
 	shardOf, posOf []int32
 	frames         [][]byte
+	coders         []wire.Coder
 	flat           []string // the rooms in upload order
 	// wg waits for dispatch's concurrent deliveries; kept here so a
 	// one-section upload allocates nothing for it.
@@ -143,14 +145,17 @@ func (sc *uploadScratch) cut(b *wire.Batch, shards int) {
 	for len(sc.frames) < shards {
 		sc.frames = append(sc.frames, nil)
 	}
+	if len(sc.coders) < shards {
+		sc.coders = make([]wire.Coder, shards)
+	}
 	for s := range sc.out {
 		if d := &sc.out[s]; d.n > 0 {
 			d.idx = s
-			sc.frames[s] = wire.BeginPayload(wire.BeginFrame(sc.frames[s][:0]), d.n)
+			sc.frames[s] = sc.coders[s].BeginPayload(wire.BeginFrame(sc.frames[s][:0]), d.n)
 		}
 	}
 	for i, s := range sc.shardOf {
-		sc.frames[s] = wire.AppendReport(sc.frames[s], b, i)
+		sc.frames[s] = sc.coders[s].AppendReport(sc.frames[s], b, i)
 	}
 	for s := range sc.out {
 		if d := &sc.out[s]; d.n > 0 {

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
@@ -8,6 +9,7 @@ import (
 	"testing"
 
 	"occusim/internal/ibeacon"
+	"occusim/internal/raceflag"
 	"occusim/internal/rng"
 	"occusim/internal/wire"
 )
@@ -37,8 +39,12 @@ func (s *recordShard) IngestFrame(frame []byte, reports int) ([]string, error) {
 // arbitrary batch over an arbitrary ring: every shard is sent at most one
 // frame; the frames decode to exactly the input's reports, each in its
 // ring owner's frame and in input order there (so one device's reports
-// keep their order); the rooms come back in input order; and an upload
-// with a report no server would take reaches no shard at all.
+// keep their order), and each frame is byte for byte what wire.AppendFrame
+// makes of that shard's own reports — the cut writes its frames
+// interleaved, each with its own identity table, and a device that split
+// the upload itself must have sent the same bytes; the rooms come back in
+// input order; and an upload with a report no server would take reaches
+// no shard at all.
 func FuzzSplitBatch(f *testing.F) {
 	src := rng.New(5)
 	for _, n := range []int{0, 1, 7, 64} {
@@ -51,6 +57,16 @@ func FuzzSplitBatch(f *testing.F) {
 		}
 		f.Add(wire.AppendPayload(nil, b), uint8(n), uint8(3*n), uint8(n))
 	}
+	// More identities than a frame's table holds, every one sighted by
+	// several devices: each shard's frame overflows on its own.
+	crowded := new(wire.Batch)
+	for i := 0; i < 120; i++ {
+		crowded.AddReport(fmt.Sprintf("dev-%d", i%7), float64(i), 1, uint64(i+1))
+		for k := 0; k < 10; k++ {
+			crowded.AddBeacon(wire.Beacon{ID: ibeacon.BeaconID{Major: uint16((10*i + k) % 300)}, Distance: float64(k), RSSI: -60})
+		}
+	}
+	f.Add(wire.AppendPayload(nil, crowded), uint8(3), uint8(9), uint8(0))
 	nameless := new(wire.Batch)
 	nameless.AddReport("a", 1, 0, 0)
 	nameless.AddReport("", 2, 0, 0)
@@ -126,10 +142,18 @@ func FuzzSplitBatch(f *testing.F) {
 			}
 		}
 		next := make([]int, len(shards))
+		own := make([]*wire.Batch, len(shards)) // each shard's reports, as its own batch
 		for i, device := range in.Devices {
 			owner, err := g.ShardFor(device)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if own[owner] == nil {
+				own[owner] = new(wire.Batch)
+			}
+			own[owner].AddReport(device, in.At[i], in.Epoch[i], in.Seq[i])
+			for _, bc := range in.ReportBeacons(i) {
+				own[owner].AddBeacon(bc)
 			}
 			fb, j := got[owner], next[owner]
 			next[owner]++
@@ -145,12 +169,42 @@ func FuzzSplitBatch(f *testing.F) {
 				t.Fatalf("room %d is %q, want %q: the reassembly lost input order", i, sc.flat[i], want)
 			}
 		}
-		for s := range shards {
+		for s, shard := range shards {
 			if next[s] != got[s].Len() {
 				t.Fatalf("shard %d's frame carries %d reports, %d are its own", s, got[s].Len(), next[s])
 			}
+			if own[s] != nil && !bytes.Equal(shard.frames[0], wire.AppendFrame(nil, own[s])) {
+				t.Fatalf("shard %d's frame is not the frame of its own %d reports", s, own[s].Len())
+			}
 		}
 	})
+}
+
+// TestAllocBudgetCut: the cut keeps one identity table per shard in the
+// pooled scratch, so cutting 64 reports into 4 interleaved frames
+// allocates nothing once warm — with the paper's six identities, and with
+// more than any table holds.
+func TestAllocBudgetCut(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are pinned without the race detector")
+	}
+	for _, distinct := range []int{6, 300} {
+		b := new(wire.Batch)
+		sc := getUploadScratch()
+		for i := 0; i < 64; i++ {
+			b.AddReport(fmt.Sprintf("dev-%d", i%16), float64(i), 1, uint64(i+1))
+			for k := 0; k < 6; k++ {
+				b.AddBeacon(wire.Beacon{ID: ibeacon.BeaconID{Major: uint16((6*i + k) % distinct)}, Distance: float64(k), RSSI: -60})
+			}
+			sc.shardOf = append(sc.shardOf, int32(i%16%4))
+		}
+		sc.cut(b, 4)
+		if allocs := testing.AllocsPerRun(100, func() { sc.cut(b, 4) }); allocs != 0 {
+			t.Errorf("%d identities: a warm cut of 64 reports over 4 shards allocates %.1f objects, want 0", distinct, allocs)
+		}
+		sc.shardOf = sc.shardOf[:0]
+		sc.release()
+	}
 }
 
 // sameBeacon compares bit for bit: a fuzzed distance may be NaN.

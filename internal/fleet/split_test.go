@@ -2,13 +2,16 @@ package fleet_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -93,6 +96,7 @@ func TestGatewayRejectsWholeUploadLikeOneServer(t *testing.T) {
 	type box struct {
 		face   http.Handler
 		ingest func([]transport.Report) ([]string, error)
+		gw     *fleet.Gateway // nil: one server, which takes no sections
 	}
 	doors := []struct {
 		name   string
@@ -107,6 +111,36 @@ func TestGatewayRejectsWholeUploadLikeOneServer(t *testing.T) {
 		{"plain frame door", []string{"empty device"},
 			func(t *testing.T, to box, reports []transport.Report) (int, string) {
 				return answer(t, postWire(t, to.face, plainFrame(t, reports), ""))
+			}},
+		// The pre-split door, under the gateway's own digest, with report 7
+		// filed second — not first — in a section of a shard that does not
+		// own it: a frame names a device once per run, so the forward pass
+		// must still see the second report's own name. Faulty, it is the
+		// nameless report and the upload is refused whole; clean, the
+		// ownership check finds the stray and the gateway splits the upload
+		// itself.
+		{"pre-split door, filed second in another shard's section", []string{"empty device"},
+			func(t *testing.T, to box, reports []transport.Report) (int, string) {
+				if to.gw == nil {
+					return answer(t, postWire(t, to.face, plainFrame(t, reports), ""))
+				}
+				secs := ringSections(t, to.gw, clean)
+				for k := range secs {
+					if at := slices.Index(secs[k].reports, 7); at >= 0 {
+						secs[k].reports = slices.Delete(slices.Clone(secs[k].reports), at, at+1)
+						other := &secs[(k+1)%len(secs)]
+						other.reports = slices.Insert(slices.Clone(other.reports), 1, 7)
+						break
+					}
+				}
+				body, _ := sectionsBody(t, reports, secs)
+				code, phase := answer(t, postWire(t, to.face, body, to.gw.RingDigest()))
+				// The forward pass refuses the nameless report itself, before
+				// any split; that it names this cause is the point here.
+				if strings.HasPrefix(phase, "fleet: pre-split section") && strings.HasSuffix(phase, ": report without device") {
+					phase = "batch"
+				}
+				return code, phase
 			}},
 		{"Gateway.IngestBatch", identities,
 			func(t *testing.T, to box, reports []transport.Report) (int, string) {
@@ -127,6 +161,8 @@ func TestGatewayRejectsWholeUploadLikeOneServer(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				met := obs.New()
+				gw.Instrument(met)
 				if err := gw.DistributeModel(snap); err != nil {
 					t.Fatal(err)
 				}
@@ -134,8 +170,8 @@ func TestGatewayRejectsWholeUploadLikeOneServer(t *testing.T) {
 				if _, err := single.InstallModel(snap); err != nil {
 					t.Fatal(err)
 				}
-				one := box{single.Handler(), single.IngestBatch}
-				all := box{fleet.Handler(gw, fleet.HandlerOptions{}), gw.IngestBatch}
+				one := box{single.Handler(), single.IngestBatch, nil}
+				all := box{fleet.Handler(gw, fleet.HandlerOptions{}), gw.IngestBatch, gw}
 
 				want, phase := door.send(t, one, faulty(fault))
 				if want != http.StatusBadRequest || phase != "batch" || len(single.KnownDevices()) != 0 {
@@ -162,6 +198,18 @@ func TestGatewayRejectsWholeUploadLikeOneServer(t *testing.T) {
 				}
 				if holding < 2 {
 					t.Fatalf("the clean upload landed on %d shard(s): the rejected one was never split", holding)
+				}
+				counters := met.TakeSnapshot().Counters
+				if strings.HasPrefix(door.name, "pre-split") && (counters["fleet_presplit_misroute_total"] != 1 || counters["fleet_presplit_forwarded_total"] != 0) {
+					t.Errorf("%v misroutes and %v forwards of a clean upload with one report in another shard's section, want 1 and 0",
+						counters["fleet_presplit_misroute_total"], counters["fleet_presplit_forwarded_total"])
+				}
+				for i, srv := range pool.Servers {
+					for _, dev := range srv.KnownDevices() {
+						if owner, err := gw.ShardFor(dev); err != nil || owner != i {
+							t.Errorf("shard %d holds state for %s, which shard %d owns (%v)", i, dev, owner, err)
+						}
+					}
 				}
 			})
 		}
@@ -474,5 +522,63 @@ func TestAllocBudgetResplitDoor(t *testing.T) {
 	t.Logf("per 11-report plain-frame upload: shard ingest %v, gateway door %v above a harness of %v", ingest, door-harness, harness)
 	if above := door - harness - ingest; above > 8 {
 		t.Errorf("the plain-frame door allocates %v times per upload above the shard's ingest (%v) and the harness (%v), ceiling 8", above, ingest, harness)
+	}
+}
+
+// TestPresplitBadRefRefusedWhole: the forward pass steps over beacons
+// without reading an identity, but it counts the table, so a section one
+// of whose beacons refers past it is refused with the whole upload before
+// any section is forwarded — not by the one shard it would have reached,
+// after the others had committed theirs. The plain frame door refuses the
+// same frame the same way.
+func TestPresplitBadRefRefusedWhole(t *testing.T) {
+	b := building.PaperHouse()
+	pool, err := fleet.NewLocalPool(b, 4, 2, 200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gw, err := fleet.New(pool.Shards, fleet.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := gw.DistributeModel(trainSnapshot(t, b, 42)); err != nil {
+		t.Fatal(err)
+	}
+	face := fleet.Handler(gw, fleet.HandlerOptions{})
+	clean := synthStream(b, 16, 1, 9)
+	stampStream(clean, 1)
+	secs := ringSections(t, gw, clean)
+	if len(secs) < 2 {
+		t.Fatalf("the upload has %d section(s); the test needs two", len(secs))
+	}
+	// The last section, rewritten: its first report, sighting one beacon by
+	// a reference into an empty table.
+	last := secs[len(secs)-1]
+	device := clean[last.reports[0]].Device
+	bad := binary.LittleEndian.AppendUint32(wire.BeginFrame(nil), 1)
+	bad = append(binary.AppendUvarint(bad, uint64(len(device))), device...)
+	bad = binary.LittleEndian.AppendUint64(bad, math.Float64bits(clean[last.reports[0]].AtSeconds))
+	bad = append(append(bad, 1, 1, 1, 1), make([]byte, 16)...)
+	wire.EndFrame(bad, 0)
+	body, _ := sectionsBody(t, clean, secs[:len(secs)-1])
+	body = append(wire.AppendSection(body, last.shard), bad...)
+
+	for door, rec := range map[string]*httptest.ResponseRecorder{
+		"pre-split": postWire(t, face, body, gw.RingDigest()),
+		"plain":     postWire(t, face, bad, ""),
+	} {
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "beacon reference past") {
+			t.Errorf("%s door answered %d %s, want 400 naming the reference", door, rec.Code, rec.Body)
+		}
+	}
+	for i, srv := range pool.Servers {
+		if known := srv.KnownDevices(); len(known) != 0 {
+			t.Errorf("shard %d ingested %v from an upload the client was told had failed", i, known)
+		}
+	}
+	// Vacuity: the same sections, the last one as the device sent it.
+	body, _ = sectionsBody(t, clean, secs)
+	if rec := postWire(t, face, body, gw.RingDigest()); rec.Code != http.StatusOK {
+		t.Fatalf("the clean upload answered %d: %s", rec.Code, rec.Body)
 	}
 }

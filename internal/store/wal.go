@@ -434,7 +434,7 @@ func (w *WAL) newestSnapshot() (gen uint64, path string, err error) {
 
 // Snapshot opens the newest snapshot for reading (ok=false when the
 // log has never been compacted).
-func (w *WAL) Snapshot() (r io.ReadCloser, ok bool, err error) {
+func (w *WAL) Snapshot() (r *os.File, ok bool, err error) {
 	_, path, err := w.newestSnapshot()
 	if err != nil || path == "" {
 		return nil, false, err

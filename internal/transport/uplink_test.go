@@ -513,6 +513,58 @@ func TestUplinkClientErrorIsNotRotated(t *testing.T) {
 	}
 }
 
+// TestUnknownFrameVersionIsNotADowngrade: a peer on another frame version
+// — a server that reads this uplink's frames as unknown, as this build
+// reads the 0x01 frames it replaced — answers 400 with the version it
+// found. That is a refusal, not a negotiation: the uplink returns it as
+// it is, posts nothing again as JSON, latches nothing and counts no
+// downgrade. Only a 415 says "speak JSON".
+func TestUnknownFrameVersionIsNotADowngrade(t *testing.T) {
+	var mu sync.Mutex
+	var posts []string
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != BatchPath {
+			http.NotFound(w, r) // no ring: the uplink sends plain frames
+			return
+		}
+		mu.Lock()
+		posts = append(posts, r.Header.Get("Content-Type"))
+		mu.Unlock()
+		body, _ := io.ReadAll(r.Body)
+		if len(body) == 0 || body[0] != wire.Version {
+			t.Errorf("the uplink sent version 0x%02x, want 0x%02x", body[:1], wire.Version)
+			return
+		}
+		body[0] = 0x01 // what the frame reads as on the other side of the version change
+		err := wire.DecodeFrame(body, new(wire.Batch))
+		w.WriteHeader(http.StatusBadRequest)
+		json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf("decode frame: %v", err)})
+	}))
+	defer ts.Close()
+	met := obs.New()
+	Instrument(met)
+	rec := &sleepRecorder{}
+	u := &HTTPUplink{BaseURL: ts.URL, Retry: retryPolicy(rec, 3), Codec: CodecBinary}
+	for i := 0; i < 2; i++ {
+		err := u.SendBatch(wireReports(4))
+		if code, ok := StatusCode(err); !ok || code != http.StatusBadRequest || !strings.Contains(err.Error(), "unknown frame version 0x01") {
+			t.Fatalf("send %d: %v, want the 400 naming the version", i, err)
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if want := []string{wire.ContentType, wire.ContentType}; !reflect.DeepEqual(posts, want) {
+		t.Errorf("the target was posted %q, want two frames and no JSON", posts)
+	}
+	if u.targets[0].jsonOnly.Load() || len(rec.delays) != 0 {
+		t.Errorf("JSON latch %v, %d backoff sleeps after a 400", u.targets[0].jsonOnly.Load(), len(rec.delays))
+	}
+	snap := met.TakeSnapshot().Counters
+	if d, j := snap["transport_wire_downgrades_total"], snap[`transport_wire_batches_total{codec="json"}`]; d != 0 || j != 0 {
+		t.Errorf("%v downgrades and %v JSON uploads, want none", d, j)
+	}
+}
+
 // TestRingRefreshDoesNotParkSenders: the refresh of a ring view is one
 // sender's errand. While it hangs — the target stopped answering — every
 // other sender sharing the uplink goes on with the view it holds.

@@ -14,15 +14,29 @@
 // both. One scanner, one checksum and one tail contract serve uploads,
 // the store's logs and its snapshot sections.
 //
-// The batch payload is a u32 LE report count, then per report a
-// uvarint-length device name, the 8 raw bits of the float64
-// report time (NaN/Inf-safe — no text round-trip), uvarint epoch and
-// sequence stamps, a uvarint beacon count, and per beacon a fixed
-// 36-byte record: 16-byte UUID, u16 LE major, u16 LE minor, and the
-// raw float64 bits of distance and RSSI. Beacon identities travel as
-// parsed binary, so the receiving side never re-parses the
-// "UUID/major/minor" string form — the single biggest per-report
-// allocation on the JSON path.
+// The batch payload is a u32 LE report count, then per report a device
+// name, the 8 raw bytes of the float64 report time (NaN/Inf-safe — no
+// text round-trip), uvarint epoch and sequence stamps, a uvarint beacon
+// count, and the beacons. A payload names each thing once (Coder):
+//
+//   - the first report's device name is uvarint(len) + bytes; every later
+//     report's is uvarint(len+1) + bytes, where 0 means "the device of the
+//     previous report of this payload";
+//   - a beacon opens with a one-byte ref: 0 means a 20-byte identity
+//     follows (16-byte UUID, u16 LE major, u16 LE minor) and, while the
+//     payload's table holds fewer than 255, becomes its next entry;
+//     r ≥ 1 means entry r of that table. The raw float64 bits of distance
+//     and RSSI follow either way, so a beacon is 17 or 37 bytes.
+//
+// Identities travel as parsed binary, so the receiving side never
+// re-parses the "UUID/major/minor" string form, and every float64 keeps
+// its bits. The encoder's bytes are a function of the report sequence
+// alone: a frame a device pre-split, one the gateway cut and one rendered
+// from the JSON door are byte-identical. A decoder accepts any stream the
+// grammar admits (a repeated literal, like a non-minimal uvarint, decodes
+// to the same batch); only the decoded batch is contract. The shard's
+// observation log record is this payload verbatim, and its snapshot's
+// device sections code their beacons through the same Coder.
 //
 // Decode fills a struct-of-arrays Batch (PR 3 ble-stage style) whose
 // slices are reused across frames via a sync.Pool; device names are
@@ -48,6 +62,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"hash/maphash"
 	"io"
 	"math"
 	"strings"
@@ -56,10 +71,11 @@ import (
 	"occusim/internal/ibeacon"
 )
 
-// Version is the upload frame's version byte. A decoder rejects frames
-// with an unknown version byte, which is how the format evolves: bump
-// the byte, teach the decoder both.
-const Version = 0x01
+// Version is the upload frame's version byte (0x02 is LogVersion). A
+// decoder rejects frames with any other version byte, which is how the
+// format evolves: the byte moves with the payload's form, and what it
+// replaced is refused by name, never misread.
+const Version = 0x03
 
 // LogVersion is the write-ahead-log frame's version byte: its header
 // carries the compaction generation between the checksum and the
@@ -97,15 +113,28 @@ const frameHeaderLen = 1 + 4 + 4
 // plus the generation word.
 const LogFrameHeaderLen = frameHeaderLen + 8
 
-// BeaconLen is the fixed per-beacon encoding: UUID + major + minor +
-// distance bits + RSSI bits.
-const BeaconLen = 16 + 2 + 2 + 8 + 8
+// identLen is a literal beacon identity: UUID + major + minor.
+const identLen = 16 + 2 + 2
 
-// minReportWire is the smallest possible per-report encoding (empty
-// device name, zero stamps, no beacons); the count guard divides by it.
+// MinBeaconLen is the smallest beacon encoding, a back reference: ref
+// byte + distance bits + RSSI bits. A literal is identLen longer. The
+// beacon count guards divide by it.
+const MinBeaconLen = 1 + 8 + 8
+
+// maxIdents bounds a payload's identity table: a ref is one byte and 0
+// is the literal.
+const maxIdents = 255
+
+// minReportWire is the smallest possible per-report encoding (a repeated
+// or empty device name, the time, zero stamps, no beacons); the count
+// guard divides by it.
 const minReportWire = 1 + 8 + 1 + 1 + 1
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
+
+// errBadRef rejects a payload one of whose beacons refers to an identity
+// the payload has not named yet.
+var errBadRef = errors.New("wire: beacon reference past the payload's identity table")
 
 // ErrShortFrame marks a frame truncated mid-payload — a torn tail the
 // scanner stops cleanly at, or a short HTTP body the ingest face 400s.
@@ -138,6 +167,12 @@ type Batch struct {
 	// of a recurring device population allocate no name strings. Survives
 	// Reset on purpose.
 	intern Interner
+
+	// coder is the back-reference state of the payload this batch is being
+	// decoded from or encoded into — fixed size, so neither costs a frame
+	// an allocation. Encoding therefore writes to the batch's scratch: one
+	// batch is not encoded from two goroutines at once.
+	coder Coder
 }
 
 // Len returns the report count.
@@ -213,53 +248,129 @@ func (in Interner) Get(raw []byte) string {
 
 // AppendPayload appends the batch record (no frame header) to dst.
 func AppendPayload(dst []byte, b *Batch) []byte {
-	dst = BeginPayload(dst, b.Len())
+	c := &b.coder
+	dst = c.BeginPayload(dst, b.Len())
 	for i := range b.Devices {
-		dst = AppendReport(dst, b, i)
+		dst = c.AppendReport(dst, b, i)
 	}
 	return dst
 }
 
-// BeginPayload appends a batch record's head, its report count; the
-// caller appends that many reports with AppendReport. The pair writes a
-// record whose reports are picked one at a time — the gateway's
-// server-side split cuts one upload into a frame per shard this way.
-func BeginPayload(dst []byte, reports int) []byte {
+// Coder is the back-reference state of one batch payload, or of one
+// snapshot section: the identities it has named so far, in the order it
+// named them, and on the encode side the device it named last. It is the
+// one place a beacon is written (AppendBeacon) and read (BeaconAt). The
+// table is a fixed array — never a map an upload could grow — and both
+// directions do O(1) work per beacon. The zero Coder is not ready: Reset
+// (or BeginPayload) it first. Not safe for concurrent use.
+type Coder struct {
+	n   int
+	ids [maxIdents]ibeacon.BeaconID
+
+	// Encode side only. slots finds an identity's entry without scanning
+	// the table: open addressing by seeded hash, a slot holding entry+1
+	// (0 free), twice the table's size so a probe stays short when the
+	// table is full. prev is the batch index of the report written last,
+	// -1 before the first.
+	slots [2 * (maxIdents + 1)]uint8
+	prev  int
+}
+
+// hashSeed keys Coder.slots per process, so no upload can be built to
+// collide in it. The encoded bytes do not depend on it: a ref is an
+// identity's rank by first appearance.
+var hashSeed = maphash.MakeSeed()
+
+// Reset empties the table: the next payload, or section, starts.
+func (c *Coder) Reset() {
+	c.n = 0
+	clear(c.slots[:])
+	c.prev = -1
+}
+
+// BeginPayload resets c and appends a batch record's head, its report
+// count; the caller appends that many reports of one batch with
+// AppendReport. The pair writes a record whose reports are picked one at
+// a time — the gateway's server-side split cuts one upload into a frame
+// per shard this way, one Coder per frame.
+func (c *Coder) BeginPayload(dst []byte, reports int) []byte {
+	c.Reset()
 	return binary.LittleEndian.AppendUint32(dst, uint32(reports))
 }
 
-// AppendReport appends report i of b in the batch record's form.
-func AppendReport(dst []byte, b *Batch, i int) []byte {
-	dev := b.Devices[i]
-	dst = binary.AppendUvarint(dst, uint64(len(dev)))
-	dst = append(dst, dev...)
+// AppendReport appends report i of b in the batch record's form. Every
+// report of one payload must come from the same batch.
+func (c *Coder) AppendReport(dst []byte, b *Batch, i int) []byte {
+	switch dev := b.Devices[i]; {
+	case c.prev < 0:
+		dst = append(binary.AppendUvarint(dst, uint64(len(dev))), dev...)
+	case dev == b.Devices[c.prev]:
+		dst = append(dst, 0)
+	default:
+		dst = append(binary.AppendUvarint(dst, uint64(len(dev))+1), dev...)
+	}
+	c.prev = i
 	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(b.At[i]))
 	dst = binary.AppendUvarint(dst, b.Epoch[i])
 	dst = binary.AppendUvarint(dst, b.Seq[i])
 	span := b.ReportBeacons(i)
 	dst = binary.AppendUvarint(dst, uint64(len(span)))
 	for _, bc := range span {
-		dst = AppendBeacon(dst, bc)
+		dst = c.AppendBeacon(dst, bc)
 	}
 	return dst
 }
 
-// AppendBeacon appends one beacon's fixed 36-byte encoding.
-func AppendBeacon(dst []byte, bc Beacon) []byte {
-	dst = append(dst, bc.ID.UUID[:]...)
-	dst = binary.LittleEndian.AppendUint16(dst, bc.ID.Major)
-	dst = binary.LittleEndian.AppendUint16(dst, bc.ID.Minor)
+// AppendBeacon appends one beacon: a back reference to its identity when
+// the table holds it, else the identity itself — which then becomes the
+// table's next entry, while there is room — and the raw bits of distance
+// and RSSI.
+func (c *Coder) AppendBeacon(dst []byte, bc Beacon) []byte {
+	var ident [identLen]byte
+	copy(ident[:], bc.ID.UUID[:])
+	binary.LittleEndian.PutUint16(ident[16:], bc.ID.Major)
+	binary.LittleEndian.PutUint16(ident[18:], bc.ID.Minor)
+	i := maphash.Bytes(hashSeed, ident[:]) % uint64(len(c.slots))
+	for c.slots[i] != 0 && c.ids[c.slots[i]-1] != bc.ID {
+		i = (i + 1) % uint64(len(c.slots))
+	}
+	if ref := c.slots[i]; ref != 0 {
+		dst = append(dst, ref)
+	} else {
+		// At most maxIdents slots are ever taken, so the probe above ends.
+		if c.n < maxIdents {
+			c.ids[c.n] = bc.ID
+			c.n++
+			c.slots[i] = uint8(c.n)
+		}
+		dst = append(append(dst, 0), ident[:]...)
+	}
 	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(bc.Distance))
 	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(bc.RSSI))
 }
 
-// BeaconAt decodes the beacon encoded in raw[:BeaconLen].
-func BeaconAt(raw []byte) (bc Beacon) {
-	copy(bc.ID.UUID[:], raw[:16])
-	bc.ID.Major = binary.LittleEndian.Uint16(raw[16:18])
-	bc.ID.Minor = binary.LittleEndian.Uint16(raw[18:20])
-	bc.Distance = math.Float64frombits(binary.LittleEndian.Uint64(raw[20:28]))
-	bc.RSSI = math.Float64frombits(binary.LittleEndian.Uint64(raw[28:36]))
+// BeaconAt decodes the beacon at r's cursor, resolving a back reference
+// in the table and entering a literal into it. A truncated beacon or a
+// reference past the table leaves r.Short set and returns zeros.
+func (c *Coder) BeaconAt(r *Reader) (bc Beacon) {
+	n := c.n
+	ref, raw := r.beacon(&c.n)
+	switch {
+	case raw == nil:
+		return bc
+	case ref > 0:
+		bc.ID = c.ids[ref-1]
+	default:
+		copy(bc.ID.UUID[:], raw)
+		bc.ID.Major = binary.LittleEndian.Uint16(raw[16:])
+		bc.ID.Minor = binary.LittleEndian.Uint16(raw[18:])
+		if c.n > n {
+			c.ids[n] = bc.ID
+		}
+		raw = raw[identLen:]
+	}
+	bc.Distance = math.Float64frombits(binary.LittleEndian.Uint64(raw))
+	bc.RSSI = math.Float64frombits(binary.LittleEndian.Uint64(raw[8:]))
 	return bc
 }
 
@@ -394,14 +505,20 @@ func AppendDecoded(payload []byte, b *Batch) error {
 	if err != nil {
 		return err
 	}
+	c := &b.coder
+	c.Reset()
+	var device string
 	for i := uint32(0); i < count; i++ {
-		dev, at, epoch, seq, beacons, err := r.reportHead()
+		dev, at, epoch, seq, beacons, err := r.reportHead(i == 0)
 		if err != nil {
 			return err
 		}
-		b.AddReport(b.Intern(dev), at, epoch, seq)
-		for raw := r.Bytes(beacons * BeaconLen); len(raw) > 0; raw = raw[BeaconLen:] {
-			b.AddBeacon(BeaconAt(raw))
+		if dev != nil {
+			device = b.Intern(dev)
+		}
+		b.AddReport(device, at, epoch, seq)
+		for ; beacons > 0 && !r.Short; beacons-- {
+			b.AddBeacon(c.BeaconAt(&r))
 		}
 	}
 	return r.end()
@@ -461,21 +578,35 @@ func ReadFrame(r io.Reader, buf *[]byte) ([]byte, error) {
 // ScanReports walks a batch payload's per-report metadata — device,
 // time, stamps — without decoding beacons, and returns the report
 // count. This is the gateway's pre-split forward pass: registration
-// and fencing need names and times, never beacon contents. The device
-// slice is a view into payload, valid only during fn.
+// and fencing need names and times, never beacon contents, so it steps
+// over each beacon by its ref byte, touching no identity and no float —
+// but counting the table, so a payload it passes is one DecodePayload
+// accepts. The device slice is a view into payload, valid only during
+// fn; a report that repeats its predecessor's device gets the
+// predecessor's view.
 func ScanReports(payload []byte, fn func(device []byte, at float64, epoch, seq uint64) error) (int, error) {
 	r := Reader{Buf: payload}
 	count, err := r.reportCount()
 	if err != nil {
 		return 0, err
 	}
+	var device []byte
+	idents := 0
 	for i := uint32(0); i < count; i++ {
-		dev, at, epoch, seq, beacons, err := r.reportHead()
+		dev, at, epoch, seq, beacons, err := r.reportHead(i == 0)
 		if err != nil {
 			return 0, err
 		}
-		r.Bytes(beacons * BeaconLen)
-		if err := fn(dev, at, epoch, seq); err != nil {
+		if dev != nil {
+			device = dev
+		}
+		for ; beacons > 0 && !r.Short; beacons-- {
+			r.beacon(&idents)
+		}
+		if r.Short {
+			return 0, r.end()
+		}
+		if err := fn(device, at, epoch, seq); err != nil {
 			return 0, err
 		}
 	}
@@ -626,6 +757,9 @@ func ReadBody(r io.Reader, size, limit int64, dst *[]byte) ([]byte, error) {
 type Reader struct {
 	Buf   []byte // what is left
 	Short bool
+	// badRef says why Short is set, when the bytes were there: a beacon
+	// referred past its payload's identity table.
+	badRef bool
 }
 
 // Bytes takes the next n bytes (a view into the payload).
@@ -716,23 +850,64 @@ func (r *Reader) reportCount() (uint32, error) {
 }
 
 // reportHead reads one report up to its beacons, and checks that the
-// beacons it announces are there.
-func (r *Reader) reportHead() (device []byte, at float64, epoch, seq, beacons uint64, err error) {
-	device = r.Bytes(r.Uvarint())
+// beacons it announces can be there. device is nil for a report that
+// repeats the device of the one before it — which the first cannot, so
+// its name length is coded as it is — and never nil otherwise: Bytes
+// returns a view of a payload that held at least a report count.
+func (r *Reader) reportHead(first bool) (device []byte, at float64, epoch, seq, beacons uint64, err error) {
+	switch code := r.Uvarint(); {
+	case first:
+		device = r.Bytes(code)
+	case code > 0:
+		device = r.Bytes(code - 1)
+	}
 	at = math.Float64frombits(r.U64())
 	epoch, seq, beacons = r.Uvarint(), r.Uvarint(), r.Uvarint()
 	switch {
 	case r.Short:
-		err = ErrShortFrame
-	case beacons > uint64(len(r.Buf))/BeaconLen:
+		err = r.end()
+	case beacons > uint64(len(r.Buf))/MinBeaconLen:
 		err = fmt.Errorf("wire: beacon count %d exceeds payload", beacons)
 	}
 	return device, at, epoch, seq, beacons, err
 }
 
-// end checks that the batch record used the payload up.
+// beacon takes one beacon's bytes past its ref byte — the identity, when
+// the ref is 0, then the distance and RSSI bits — against an identity
+// table of *n entries: a literal is counted into the table while it has
+// room, a reference past it sets badRef. The beacon coder's one reading
+// rule; Coder.BeaconAt resolves what ScanReports only steps over.
+func (r *Reader) beacon(n *int) (ref int, raw []byte) {
+	if r.Short || len(r.Buf) < MinBeaconLen {
+		r.Short = true
+		return 0, nil
+	}
+	ref, size := int(r.Buf[0]), MinBeaconLen
+	switch {
+	case ref > *n:
+		r.Short, r.badRef = true, true
+		return 0, nil
+	case ref == 0:
+		if size += identLen; len(r.Buf) < size {
+			r.Short = true
+			return 0, nil
+		}
+		if *n < maxIdents {
+			*n++
+		}
+	}
+	raw, r.Buf = r.Buf[1:size], r.Buf[size:]
+	return ref, raw
+}
+
+// end checks that the batch record parsed and used the payload up.
 func (r *Reader) end() error {
-	if len(r.Buf) != 0 {
+	switch {
+	case r.badRef:
+		return errBadRef
+	case r.Short:
+		return ErrShortFrame
+	case len(r.Buf) != 0:
 		return fmt.Errorf("wire: %d trailing bytes after batch record", len(r.Buf))
 	}
 	return nil

@@ -104,41 +104,74 @@ func FuzzWireFrame(f *testing.F) {
 	})
 }
 
-// FuzzWireBatchRoundTrip builds a batch from fuzzed report fields,
-// encodes it, and asserts the decode is bit-identical — floats compared
-// on their bits so NaN payloads and infinities survive.
+// FuzzWireBatchRoundTrip holds the batch codec to its contract from the
+// bytes' side. For any payload x the decoder and a naive reference decoder
+// (coder_test.go) agree — on whether x is a payload at all, and bit for
+// bit on the batch it is, floats compared on their bits so NaN payloads
+// and infinities survive — and so does the forward pass, which reads the
+// same grammar without the identities. For a payload that decodes to b,
+// encode(b) is the canonical form: never longer than x, decoding to b
+// again, and a fixed point of decode-then-encode — which is what lets a
+// frame cut anywhere from the same reports be compared byte for byte.
 func FuzzWireBatchRoundTrip(f *testing.F) {
-	f.Add("phone-1", 12.5, uint64(1), uint64(2), uint16(100), uint16(7), 0.5, -41.0, 3)
-	f.Add("", math.NaN(), uint64(0), uint64(0), uint16(0), uint16(0), math.Inf(1), math.Inf(-1), 0)
-	f.Add("device-with-a-long-name-\x00\xff", math.MaxFloat64, uint64(math.MaxUint64), uint64(math.MaxUint64),
-		uint16(65535), uint16(65535), -0.0, 1e-300, 17)
-	f.Fuzz(func(t *testing.T, device string, at float64, epoch, seq uint64,
-		major, minor uint16, dist, rssi float64, beacons int) {
-		if beacons < 0 || beacons > 64 {
-			return
-		}
-		want := &Batch{}
-		// Two reports sharing the device name exercise interning; the
-		// fuzzed one carries the beacon fan-out.
-		want.AddReport(device, at, epoch, seq)
-		for i := 0; i < beacons; i++ {
-			bc := mkBeacon(i, dist, rssi)
-			bc.ID.Major, bc.ID.Minor = major, minor
-			want.AddBeacon(bc)
-		}
-		want.AddReport(device, at+1, epoch, seq+1)
+	odd := &Batch{}
+	odd.AddReport("", math.NaN(), 0, 0) // an empty name, first and repeated
+	odd.AddBeacon(mkBeacon(1, math.Inf(1), math.Inf(-1)))
+	odd.AddReport("", math.MaxFloat64, math.MaxUint64, math.MaxUint64)
+	odd.AddBeacon(mkBeacon(1, math.Copysign(0, -1), math.NaN()))
+	odd.AddReport("device-with-a-long-name-\x00\xff", -0.0, 1, 2)
+	for _, b := range []*Batch{
+		sampleBatch(), odd,
+		identBatch(11, 6, 6, "phone-1"),            // one device throughout
+		identBatch(12, 6, 6, "phone-1", "phone-2"), // alternating: no run ever forms
+		identBatch(3, 0, 1, "a", "b"),              // 0 identities
+		identBatch(4, 2, 1, "a"),                   // 1
+		identBatch(100, 6, 255, "a"),               // the table exactly full
+		identBatch(100, 6, 256, "a"),               // one past it
+		identBatch(100, 6, 300, "a", "a", "b"),     // well past it
+	} {
+		f.Add(AppendPayload(nil, b))
+	}
+	id := mkBeacon(7, 0, 0).ID
+	f.Add(rawBeacon(rawBeacon(rawReport(rawHead(1), 1, "d", 2), 2, nil), 0, &id)) // a forward ref
+	f.Add(rawBeacon(rawBeacon(rawReport(rawHead(1), 1, "d", 2), 0, &id), 2, nil)) // a self ref
+	f.Add(rawBeacon(rawBeacon(rawReport(rawHead(1), 1, "d", 2), 0, &id), 0, &id)) // a repeated literal
 
-		frame := AppendFrame(nil, want)
+	f.Fuzz(func(t *testing.T, x []byte) {
 		got := &Batch{}
-		if err := DecodeFrame(frame, got); err != nil {
-			t.Fatalf("DecodeFrame of a freshly encoded batch: %v", err)
+		err := DecodePayload(x, got)
+		want, ok := naiveDecode(x)
+		if (err == nil) != ok {
+			t.Fatalf("DecodePayload says %v, the reference decoder ok=%v", err, ok)
+		}
+		i := 0
+		n, scanErr := ScanReports(x, func(device []byte, at float64, epoch, seq uint64) error {
+			if ok && (string(device) != want.Devices[i] || !sameFloat(at, want.At[i]) || epoch != want.Epoch[i] || seq != want.Seq[i]) {
+				t.Fatalf("ScanReports: report %d is (%q,%v,%d,%d), the batch says (%q,%v,%d,%d)",
+					i, device, at, epoch, seq, want.Devices[i], want.At[i], want.Epoch[i], want.Seq[i])
+			}
+			i++
+			return nil
+		})
+		if (scanErr == nil) != ok || (ok && (n != want.Len() || i != n)) {
+			t.Fatalf("ScanReports says %v after %d of %d reports, the reference decoder ok=%v", scanErr, i, n, ok)
+		}
+		if !ok {
+			return
 		}
 		assertBatchEqual(t, want, got)
 
-		// Encoding the decoded batch reproduces the same bytes — the
-		// codec is canonical, which the CRC forwarding path relies on.
-		if !bytes.Equal(AppendFrame(nil, got), frame) {
-			t.Fatal("re-encode of the decoded batch diverged from the original frame")
+		canon := AppendPayload(nil, got)
+		if len(canon) > len(x) {
+			t.Fatalf("the canonical form is %d bytes, longer than the %d it was decoded from", len(canon), len(x))
+		}
+		again := &Batch{}
+		if err := DecodePayload(canon, again); err != nil {
+			t.Fatalf("decoding the canonical form: %v", err)
+		}
+		assertBatchEqual(t, got, again)
+		if !bytes.Equal(AppendPayload(nil, again), canon) {
+			t.Fatal("re-encoding the decoded canonical form diverged from it")
 		}
 	})
 }
