@@ -28,42 +28,19 @@ test-short:
 test-race:
 	$(GO) test -race ./...
 
-# allocs runs the allocation-budget pins of the binary report path
-# (PERF.md "What changed (PR 13)"): identity parse, device encode, one
-# HTTP exchange, the gateway's forward, the shard's ingest core, span
-# prediction, frame decode — of the gateway → shard stream (PR 16: one
-# warm exchange costs the gateway ≤ 2 allocations and the shard's stream
-# loop none above ingestWireFrame) — of the federated rollup, whose count must
-# not move with the event history's length (PR 14) — of the JSON
-# ingest door, which must cost what the wire door costs at any batch
-# size (PR 15: TestAllocBudgetIngestBatchJSON, so the JSON face cannot
-# quietly grow its own path again) — and of the gateway's server-side
-# split (PR 19: TestAllocBudgetGatewaySplit, the same count for 8 and for
-# 64 reports, so nothing is allocated per report; and
-# TestAllocBudgetResplitDoor, a plain frame re-split without one beacon
-# identity rendered back into a string) — and of the JSON ingest routes
-# of both faces (PR 20: TestAllocBudgetJSONDoor in fleet and in bms, a
-# 64-report upload of 64 devices costs the door what an 8-report one
-# does, so no string is made per device name or beacon identity;
-# FuzzParseBeaconID's seeds pin the identity parse at 0 from a string and
-# from the decoder's bytes alike) — and of the device uplink
-# (TestAllocBudgetUplinkSend: a warm send outside Client.Do costs ≤ 6
-# pre-split at 11 reports and at 64 reports of 64 devices, ≤ 3 as a plain
-# frame, ≤ 5 as 64-report JSON, and the same with a second, idle target
-# configured: following leadership costs nothing while nothing fails)
-# — and of the batch coder, whose identity tables are fixed arrays in
-# the pooled batch and the gateway's pooled scratch
-# (TestSteadyStateEncodeAllocs beside the decode pin: a warm device
-# encode, and the encode and decode of a 300-identity batch, cost 0;
-# TestAllocBudgetCut: so does the gateway's cut of 64 reports into 4
-# interleaved frames), with the two size pins the byte metrics rest on
-# (TestFrameBytesPaperTraffic: the paper's 11 × 6 upload ≤ 1,450 bytes, a
-# 16-device relay cut ≤ 2,300) and TestEncodeManyIdentitiesIsLinear
-# (50,000 distinct identities encode within a small multiple of 50,000
-# repeated ones: a hash, never a scan of the table).
+# allocs runs the allocation-budget pins: AllocsPerRun counts of every
+# step of the report path — identity parse, device encode and uplink
+# send, one HTTP exchange, the gateway's split, cut and forward, a warm
+# stream exchange at both ends, the shard's ingest core, span prediction,
+# frame decode, both faces' JSON door — and of the federated rollup,
+# each held to a ceiling or to "the same at 8 reports as at 64", so
+# nothing is allocated per report, per identity or per event of history;
+# with them the two size pins the byte metrics rest on
+# (TestFrameBytesPaperTraffic) and TestEncodeManyIdentitiesIsLinear.
 # The counts are deterministic on any box, so a regression fails a PR
 # here instead of hiding in timing noise. Never under -race: the pins
-# skip there, the detector allocates on its own account.
+# skip there, the detector allocates on its own account. What each pin
+# was when it landed is CHANGES.md's and PERF.md's to say.
 allocs:
 	$(GO) test -count=1 -run 'TestAllocBudget|TestPredictSpanAllocatesNothing|TestSteadyState(Decode|Encode)Allocs|TestFrameBytesPaperTraffic|TestEncodeManyIdentitiesIsLinear|FuzzParseBeaconID' \
 		./internal/ibeacon/ ./internal/wire/ ./internal/classify/ ./internal/transport/ ./internal/bms/ ./internal/fleet/
@@ -76,22 +53,31 @@ allocs:
 # The device leg is pinned the same way: internal/transport has one
 # device uplink (uplink.go), so in its non-test files the 415 that
 # negotiates the codec down is read at one call site and the ring digest
-# is stamped on an upload at one.
+# is stamped on an upload at one. And so is the server process: cmd/bmsd
+# is one pipeline (open shards → pick the face → serve), so it builds a
+# gateway, dials shards, starts an http.Server and takes signals at one
+# site each.
 ONEPATH_DIRS = internal/experiments internal/scenario cmd/loadgen
 onepath:
 	@fail=0; \
-	for pat in 'fleet\.New(' 'fleet\.New\(Durable\)\?LocalPool(' 'fleet\.NewHTTPShard(' 'fleettest\.\(Slow\|Flaky\)Shard{'; do \
+	for pat in 'fleet\.New(' 'fleet\.\(New\|Open\)LocalPool(' 'fleet\.NewHTTPShard(' 'fleettest\.\(Slow\|Flaky\)Shard{'; do \
 		files=$$(grep -rl --include='*.go' --exclude='*_test.go' -e "$$pat" $(ONEPATH_DIRS)); \
 		if [ $$(echo "$$files" | grep -c .) -gt 1 ]; then \
 			echo "onepath: $$pat is in more than one non-test file:"; echo "$$files"; fail=1; \
 		fi; \
 	done; \
-	for pat in 'isUnsupportedMedia(' 'wire\.HeaderRingDigest'; do \
-		sites=$$(grep -rn --include='*.go' --exclude='*_test.go' -e "$$pat" internal/transport | grep -v '^[^:]*:[0-9]*:\(func \|[[:space:]]*//\)'); \
-		if [ $$(echo "$$sites" | grep -c .) -ne 1 ]; then \
-			echo "onepath: $$pat has other than one site in internal/transport:"; echo "$$sites"; fail=1; \
-		fi; \
-	done; exit $$fail
+	onesite() { \
+		dir=$$1; shift; \
+		for pat; do \
+			sites=$$(grep -rn --include='*.go' --exclude='*_test.go' -e "$$pat" $$dir | grep -v '^[^:]*:[0-9]*:\(func \|[[:space:]]*//\)'); \
+			if [ $$(echo "$$sites" | grep -c .) -ne 1 ]; then \
+				echo "onepath: $$pat has other than one site in $$dir:"; echo "$$sites"; fail=1; \
+			fi; \
+		done; \
+	}; \
+	onesite internal/transport 'isUnsupportedMedia(' 'wire\.HeaderRingDigest'; \
+	onesite cmd/bmsd 'fleet\.New(' '&http\.Server{' 'signal\.Notify(' 'fleet\.NewHTTPShard('; \
+	exit $$fail
 
 # bench writes BENCH_PR$(PR).json — the per-PR performance snapshot of
 # every figure-regeneration benchmark (ns/op plus the custom metrics).

@@ -2,68 +2,84 @@
 // service — the role the paper gives to the Flask/Tornado process on the
 // Raspberry Pi. It serves the REST API over a chosen floor plan:
 //
-//	go run ./cmd/bmsd -addr :8080 -plan paper-house -snapshot bms.json
+//	go run ./cmd/bmsd -addr :8080 -plan paper-house -data-dir /var/lib/bmsd
 //
-// With -shards N (N > 1) it instead serves a fleet gateway over N
-// in-process BMS shards: device reports are consistent-hash routed by
-// device id, occupancy queries answer from the federated merge, and
-// training (on the shard-0 store) distributes the model snapshot to
-// every shard. The API shape is identical either way, plus the
-// fleet-only /api/v1/shards view.
+// Every invocation is one pipeline — open shards → pick the face → serve —
+// and each flag belongs to one object that pipeline may build. A flag set
+// for an object this invocation does not build exits 2 naming it; nothing
+// is silently ignored.
 //
-// Endpoints:
+// The shards are in process (-plan, -shards, -debounce, -retain, and with
+// -data-dir a write-ahead log each, -fsync) or remote: -shard-urls names
+// running bmsd processes to front instead.
 //
-//	GET  /api/v1/health
-//	POST /api/v1/observations   device ranging reports
-//	POST /api/v1/fingerprints   labelled collection samples
-//	POST /api/v1/train          fit the scene-analysis SVM
-//	GET  /api/v1/occupancy      per-room head counts
-//	GET  /api/v1/events         committed enter/exit events
-//	GET  /api/v1/rooms          floor-plan inventory (single-server)
-//	GET  /api/v1/energy         demand-response comparison (single-server)
-//	GET  /api/v1/model          current serialised model (single-server)
-//	PUT  /api/v1/model          install/distribute a model snapshot
-//	GET  /api/v1/dwell          per-room dwell rollup
-//	GET  /api/v1/devices/{id}   latest report and room (single-server)
-//	GET  /api/v1/rollup         per-room occupancy rollup (a single server adds
-//	                            the device names and integer-ns dwell a gateway merges)
-//	GET  /api/v1/shards         shard health and routing (fleet)
-//	GET  /metrics               Prometheus text exposition
-//	GET  /api/v1/telemetry      JSON metrics + flight-recorder events
+// The face of one in-process shard is its own API. Anything else — -shards
+// above 1, -shard-urls, -self — is served by a fleet gateway (-skew-window,
+// -breaker-threshold, -breaker-cooldown, -residue-ttl): device reports are
+// consistent-hash routed by device id, reads answer from the federated
+// merge, and over in-process shards training runs on shard 0's store and
+// each fitted model is distributed to every shard.
 //
-// With -debug-addr, a second listener serves net/http/pprof — kept off
-// the API port so profiling is strictly opt-in.
+// The lease (-self, with -peer, -standby, -lease-ttl) makes the gateway one
+// of an active/standby pair with no coordinator beyond the shards:
+//
+//	bmsd -addr :9090 -shard-urls http://s1,http://s2,http://s3 -self http://gw1:9090 -peer http://gw2:9091
+//	bmsd -addr :9091 -shard-urls http://s1,http://s2,http://s3 -self http://gw2:9091 -peer http://gw1:9090 -standby
+//
+// The active claims a leadership epoch on a shard quorum and stamps it on
+// every write; the standby probes the active's /api/v1/health and claims
+// the next epoch after -lease-ttl of silence. A deposed active keeps
+// running but the shards fence every write it forwards (409 + leader
+// hint), so clients whose transport.HTTPUplink lists both gateways follow
+// leadership and nothing lands twice. The leader that routed the reports
+// owns the residue sweep, so -self and -residue-ttl exclude each other.
+//
+// The server takes -addr, -drain, the ingest admission gate of whichever
+// face serves (-admit-inflight, -admit-queue, -retry-after: excess load is
+// shed with 429 + Retry-After instead of queueing without bound, see
+// internal/overload) and -debug-addr, a second listener for net/http/pprof
+// — kept off the API port so profiling is strictly opt-in.
+//
+// Endpoints (gateway: what a fleet gateway serves too):
+//
+//	GET  /api/v1/health                                       gateway
+//	POST /api/v1/observations   device ranging reports        gateway
+//	POST /api/v1/fingerprints   labelled collection samples   gateway over in-process shards
+//	POST /api/v1/train          fit the scene-analysis SVM    gateway over in-process shards
+//	GET  /api/v1/occupancy      per-room head counts          gateway
+//	GET  /api/v1/events         committed enter/exit events   gateway
+//	GET  /api/v1/rooms          floor-plan inventory          one shard only
+//	GET  /api/v1/energy         demand-response comparison    one shard only
+//	GET  /api/v1/model          current serialised model      one shard only
+//	PUT  /api/v1/model          install/distribute a model    gateway
+//	GET  /api/v1/dwell          per-room dwell rollup         gateway
+//	GET  /api/v1/devices/{id}   latest report and room        one shard only
+//	GET  /api/v1/rollup         per-room occupancy rollup     gateway (one shard adds the device
+//	                            names and integer-ns dwell a gateway merges)
+//	GET  /api/v1/shards         shard health and routing      gateway only
+//	GET  /metrics               Prometheus text exposition    gateway
+//	GET  /api/v1/telemetry      JSON metrics + flight events  gateway
 //
 // On SIGINT/SIGTERM the server drains: the listener closes first so
 // loadgen runs see connection-refused rather than mid-flight resets,
-// in-flight ingest requests run to completion (bounded by -drain), the
-// upgraded gateway streams — which http.Server.Shutdown does not wait
-// for — are stopped between frames, and only then is training state
-// snapshotted, the durable state compacted, and the process exits.
-//
-// With -snapshot, training state (fingerprints and the fitted model) is
-// restored at boot and persisted after the drain, so a restarted server
-// keeps classifying without a fresh collection walk.
-//
-// With -admit-inflight/-admit-queue, ingest runs behind a bounded
-// admission gate: excess load is shed with 429 + Retry-After instead of
-// queueing without bound (see internal/overload). In fleet mode,
-// -skew-window re-anchors device clocks that report outside the window,
-// and -breaker-threshold/-breaker-cooldown trip a per-shard circuit
-// breaker on consecutive infrastructure failures so a black-holed shard
-// fails fast instead of eating a timeout per request.
+// in-flight requests run to completion (bounded by -drain), the upgraded
+// gateway streams — which http.Server.Shutdown does not wait for — are
+// stopped between frames, and only then is the durable state compacted
+// and the process exits.
 //
 // With -data-dir, every shard opens a write-ahead log under
 // <data-dir>/shard-<i>/ and recovers its full state — observations,
-// occupancy, dedup marks, model — at boot, so even a kill -9 loses
-// nothing that reached the log (see internal/store WAL docs). -fsync
-// picks the sync policy: "batch" syncs every append, "interval" syncs
-// on a 100ms ticker, "off" leaves flushing to the kernel (process
-// crashes still lose nothing; power loss can). A graceful shutdown
-// additionally compacts: state is snapshotted and the log behind the
-// snapshot reclaimed, so the next boot replays the snapshot alone. In fleet mode the
-// gateway itself persists nothing — at boot it rebuilds its device
-// registry by asking each recovered shard for its device set.
+// occupancy, dedup marks, fingerprints and the live model — at boot, so
+// even a kill -9 loses nothing that reached the log (see internal/store
+// WAL docs) and a restarted server classifies, at the model version it
+// was trained at, without a fresh collection walk. The log is the one
+// place training state persists. -fsync picks the sync policy: "batch"
+// syncs every append, "interval" syncs on a 100ms ticker, "off" leaves
+// flushing to the kernel (process crashes still lose nothing; power loss
+// can). A graceful shutdown additionally compacts: state is snapshotted
+// and the log behind the snapshot reclaimed, so the next boot replays the
+// snapshot alone. A gateway itself persists nothing — it rebuilds its
+// device registry by asking each shard for its device set.
 package main
 
 import (
@@ -71,11 +87,14 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
+	"net"
 	"net/http"
 	_ "net/http/pprof" // registers /debug/pprof on DefaultServeMux; served only via -debug-addr
 	"os"
 	"os/signal"
+	"strings"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -89,6 +108,116 @@ import (
 	"occusim/internal/wire"
 )
 
+// options is the parsed command line, grouped by the object each flag
+// configures.
+type options struct {
+	addr, debugAddr string
+	drain           time.Duration
+	admission       overload.Config
+
+	// In-process shards; building and policy are resolved from plan and
+	// fsync.
+	plan, dataDir, fsync     string
+	shards, debounce, retain int
+	building                 *building.Building
+	policy                   store.FsyncPolicy
+	// Remote shards, from -shard-urls.
+	urls []string
+
+	residueTTL, skewWindow, breakerCooldown time.Duration
+	breakerTrips                            int
+
+	self, peer string
+	standby    bool
+	leaseTTL   time.Duration
+}
+
+// gateway reports whether the face is a fleet gateway rather than one
+// in-process shard's own API.
+func (o *options) gateway() bool { return len(o.urls) > 0 || o.shards > 1 || o.self != "" }
+
+// parseFlags reads the command line and refuses what it cannot honour,
+// reporting on stderr: an unknown flag, a value out of range, and any
+// flag set explicitly for an object this invocation does not build.
+func parseFlags(args []string, stderr io.Writer) (*options, error) {
+	o := new(options)
+	var shardURLs string
+	fs := flag.NewFlagSet("bmsd", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.StringVar(&o.addr, "addr", ":8080", "listen address")
+	fs.StringVar(&o.plan, "plan", "paper-house", "floor plan: paper-house, office-floor, single-room, corridor, campus")
+	fs.IntVar(&o.shards, "shards", 1, "in-process BMS shard count (1: the shard serves its own API, >1: a fleet behind a gateway)")
+	fs.IntVar(&o.debounce, "debounce", 2, "occupancy tracker debounce (consecutive classifications)")
+	fs.IntVar(&o.retain, "retain", 1000, "observations retained per device")
+	fs.DurationVar(&o.drain, "drain", 15*time.Second, "shutdown grace for in-flight requests")
+	fs.DurationVar(&o.residueTTL, "residue-ttl", 10*time.Minute, "gateway: age out device state stranded on a shard that could not be migrated from (report-clock TTL, 0 disables)")
+	fs.StringVar(&o.dataDir, "data-dir", "", "directory for per-shard write-ahead logs and snapshots (empty: volatile)")
+	fs.StringVar(&o.fsync, "fsync", "batch", "WAL sync policy with -data-dir: batch, interval, off")
+	fs.IntVar(&o.admission.MaxInflight, "admit-inflight", 0, "ingest admission limit: concurrent ingest calls before queueing (0 disables overload protection)")
+	fs.IntVar(&o.admission.MaxQueue, "admit-queue", 0, "ingest admission queue beyond -admit-inflight; excess is shed with 429 + Retry-After (0: twice -admit-inflight)")
+	fs.DurationVar(&o.admission.RetryAfter, "retry-after", time.Second, "Retry-After hint advertised on shed ingest requests")
+	fs.DurationVar(&o.skewWindow, "skew-window", 0, "gateway: tolerated device clock skew; reports further out are re-anchored per device (0 disables)")
+	fs.IntVar(&o.breakerTrips, "breaker-threshold", 0, "gateway: consecutive shard infrastructure failures that trip its circuit breaker (0 disables)")
+	fs.DurationVar(&o.breakerCooldown, "breaker-cooldown", 5*time.Second, "gateway: open-circuit cooldown before a half-open probe")
+	fs.StringVar(&shardURLs, "shard-urls", "", "comma-separated base URLs of running bmsd shards: serve a gateway over them instead of in-process shards")
+	fs.StringVar(&o.self, "self", "", "lease: this gateway's advertised URL (the leader hint); makes it one of an active/standby pair")
+	fs.StringVar(&o.peer, "peer", "", "lease: the partner gateway's URL (probed by a standby)")
+	fs.BoolVar(&o.standby, "standby", false, "lease: start as warm standby instead of claiming leadership")
+	fs.DurationVar(&o.leaseTTL, "lease-ttl", 3*time.Second, "lease: leadership lease TTL (renew and probe at TTL/3)")
+	fs.StringVar(&o.debugAddr, "debug-addr", "", "separate listen address serving net/http/pprof (empty: no debug server)")
+	if err := fs.Parse(args); err != nil {
+		return nil, err // the flag set has already reported it
+	}
+	for _, u := range strings.Split(shardURLs, ",") {
+		if u = strings.TrimSpace(u); u != "" {
+			o.urls = append(o.urls, u)
+		}
+	}
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if err := o.check(set); err != nil {
+		fmt.Fprintln(stderr, "bmsd:", err)
+		return nil, err
+	}
+	return o, nil
+}
+
+// check is the one statement of which flags belong to which object: a
+// flag set explicitly while its object goes unbuilt is an error naming
+// both that flag and the one that decides. It then resolves the values
+// the in-process shards are built from.
+func (o *options) check(set map[string]bool) (err error) {
+	for _, rule := range []struct {
+		unbuilt      bool
+		flags, given string
+	}{
+		{len(o.urls) > 0, "plan shards debounce retain data-dir fsync", "in-process shards, and -shard-urls replaces them"},
+		{o.dataDir == "", "fsync", "the write-ahead log, which needs -data-dir"},
+		{!o.gateway(), "skew-window breaker-threshold breaker-cooldown residue-ttl", "the fleet gateway, which needs -shards above 1, -shard-urls or -self"},
+		{o.self == "", "peer standby lease-ttl", "the leadership lease, which needs -self"},
+		{o.self != "", "residue-ttl", "the residue sweep, which -self leaves to whichever gateway leads"},
+	} {
+		for _, name := range strings.Fields(rule.flags) {
+			if rule.unbuilt && set[name] {
+				return fmt.Errorf("-%s configures %s", name, rule.given)
+			}
+		}
+	}
+	switch {
+	case len(o.urls) > 0:
+		return nil
+	case set["shard-urls"]:
+		return errors.New("-shard-urls lists no shard URLs")
+	case o.shards < 1:
+		return errors.New("-shards must be at least 1")
+	}
+	if o.building, err = building.ByName(o.plan); err != nil {
+		return err
+	}
+	o.policy, err = store.ParseFsyncPolicy(o.fsync)
+	return err
+}
+
 // startDebugServer serves net/http/pprof on its own listener when addr
 // is set. Deliberately opt-in and separate from the API listener: the
 // profiler must never be reachable on the service port.
@@ -99,245 +228,165 @@ func startDebugServer(addr string) {
 	go func() {
 		log.Printf("bmsd: pprof debug server on %s", addr)
 		// DefaultServeMux carries only the pprof registrations above —
-		// every API route lives on the explicit muxes below.
+		// every API route lives on the faces' explicit muxes.
 		if err := http.ListenAndServe(addr, nil); err != nil {
 			log.Printf("bmsd: debug server: %v", err)
 		}
 	}()
 }
 
-func main() {
-	addr := flag.String("addr", ":8080", "listen address")
-	plan := flag.String("plan", "paper-house", "floor plan: paper-house, office-floor, single-room, corridor, campus")
-	shards := flag.Int("shards", 1, "BMS shard count (1: single server, >1: in-process fleet behind a gateway)")
-	debounce := flag.Int("debounce", 2, "occupancy tracker debounce (consecutive classifications)")
-	retain := flag.Int("retain", 1000, "observations retained per device")
-	snapshot := flag.String("snapshot", "", "path for persisted training state (load at boot, save on shutdown)")
-	drain := flag.Duration("drain", 15*time.Second, "shutdown grace for in-flight requests")
-	residueTTL := flag.Duration("residue-ttl", 10*time.Minute, "fleet mode: age out device state stranded on a shard that could not be migrated from (report-clock TTL, 0 disables)")
-	dataDir := flag.String("data-dir", "", "directory for per-shard write-ahead logs and snapshots (empty: volatile)")
-	fsync := flag.String("fsync", "batch", "WAL sync policy with -data-dir: batch, interval, off")
-	admitInflight := flag.Int("admit-inflight", 0, "ingest admission limit: concurrent ingest calls before queueing (0 disables overload protection)")
-	admitQueue := flag.Int("admit-queue", 0, "ingest admission queue beyond -admit-inflight; excess is shed with 429 + Retry-After (0: twice -admit-inflight)")
-	retryAfter := flag.Duration("retry-after", time.Second, "Retry-After hint advertised on shed ingest requests")
-	skewWindow := flag.Duration("skew-window", 0, "fleet mode: tolerated device clock skew; reports further out are re-anchored per device (0 disables)")
-	breakerTrips := flag.Int("breaker-threshold", 0, "fleet mode: consecutive shard infrastructure failures that trip its circuit breaker (0 disables)")
-	breakerCooldown := flag.Duration("breaker-cooldown", 5*time.Second, "fleet mode: open-circuit cooldown before a half-open probe")
-	shardURLs := flag.String("shard-urls", "", "comma-separated remote shard base URLs: serve an HA gateway over them instead of in-process shards (see gateway.go)")
-	selfURL := flag.String("self", "", "gateway-HA mode: this gateway's advertised URL (the leader hint; required with -shard-urls)")
-	peerURL := flag.String("peer", "", "gateway-HA mode: the partner gateway's URL (probed by a standby)")
-	standby := flag.Bool("standby", false, "gateway-HA mode: start as warm standby instead of claiming leadership")
-	leaseTTL := flag.Duration("lease-ttl", 3*time.Second, "gateway-HA mode: leadership lease TTL (renew and probe at TTL/3)")
-	debugAddr := flag.String("debug-addr", "", "separate listen address serving net/http/pprof (empty: no debug server)")
-	flag.Parse()
-
-	startDebugServer(*debugAddr)
-
-	if *shardURLs != "" {
-		runGatewayHA(gatewayHAConfig{
-			addr:      *addr,
-			shardURLs: *shardURLs,
-			self:      *selfURL,
-			peer:      *peerURL,
-			standby:   *standby,
-			leaseTTL:  *leaseTTL,
-			drain:     *drain,
-			// ResidueTTL stays off: the leader that routed the reports
-			// owns the sweep; a freshly promoted standby has no business
-			// expiring devices it has not yet seen report.
-			admission: overload.Config{
-				MaxInflight: *admitInflight,
-				MaxQueue:    *admitQueue,
-				RetryAfter:  *retryAfter,
-			},
-			skewWindow:      *skewWindow,
-			breakerTrips:    *breakerTrips,
-			breakerCooldown: *breakerCooldown,
-		})
-		return
-	}
-
-	b, err := building.ByName(*plan)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	if *shards < 1 {
-		fmt.Fprintln(os.Stderr, "bmsd: -shards must be at least 1")
-		os.Exit(2)
-	}
-	policy, err := store.ParseFsyncPolicy(*fsync)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "bmsd:", err)
-		os.Exit(2)
-	}
-
-	// Build the shard pool. The first server owns the training store
-	// (fingerprints, model snapshot persistence); with one shard it is
-	// simply the whole BMS. With -data-dir the pool is durable: each
-	// server recovers from its WAL before taking traffic.
-	var pool *fleet.LocalPool
-	if *dataDir != "" {
-		pool, err = fleet.NewDurableLocalPool(b, *shards, *debounce, *retain, *dataDir, policy)
-		if err == nil {
-			log.Printf("bmsd: recovered %d shard(s) from %s (fsync=%s)", *shards, *dataDir, policy)
+// openShards is the pipeline's first stage: the shards this process
+// fronts — HTTP clients for the bmsd processes -shard-urls names (and an
+// empty pool), or an in-process pool, durable over -data-dir, where every
+// server has recovered from its WAL before it takes traffic.
+func openShards(o *options) ([]fleet.Shard, *fleet.LocalPool, error) {
+	if len(o.urls) > 0 {
+		shards := make([]fleet.Shard, len(o.urls))
+		for i, u := range o.urls {
+			sh, err := fleet.NewHTTPShard(u, nil, transport.DefaultRetry())
+			if err != nil {
+				return nil, nil, err
+			}
+			shards[i] = sh
 		}
-	} else {
-		pool, err = fleet.NewLocalPool(b, *shards, *debounce, *retain)
+		return shards, new(fleet.LocalPool), nil
 	}
+	pool, err := fleet.OpenLocalPool(o.building, o.shards, o.debounce, o.retain, o.dataDir, o.policy)
 	if err != nil {
-		log.Fatal(err)
+		return nil, nil, err
 	}
-	trainer, trainerStore := pool.Servers[0], pool.Stores[0]
-	if *snapshot != "" {
-		if err := loadSnapshot(trainerStore, *snapshot); err != nil {
-			log.Fatal(err)
-		}
+	if o.dataDir != "" {
+		log.Printf("bmsd: recovered %d shard(s) from %s (fsync=%s)", o.shards, o.dataDir, o.policy)
 	}
+	return pool.Shards, pool, nil
+}
 
-	admission := overload.Config{
-		MaxInflight: *admitInflight,
-		MaxQueue:    *admitQueue,
-		RetryAfter:  *retryAfter,
-	}
-
-	// One process-wide registry feeds GET /metrics and
-	// GET /api/v1/telemetry. In fleet mode every in-process shard
-	// registers into it: identical series share handles, so the scrape
-	// shows pool-wide aggregates (per-shard breakdowns belong to the
-	// per-process shard deployments the crash drills run).
+// face is the second stage: the handler the shards are served through,
+// and a stop for whatever it runs beside them. A lone in-process shard
+// serves its own API with the admission gate directly on its ingest
+// path. Anything else gets the one gateway, with training iff the shards
+// are in process (shard 0 owns the training store), a leadership lease
+// iff -self is given, and the residue sweep iff no lease manages the
+// gateway: the leader that routed the reports owns the sweep, and a
+// freshly promoted standby has no business expiring devices it has not
+// yet seen report.
+func face(o *options, shards []fleet.Shard, pool *fleet.LocalPool) (handler http.Handler, stop func(), err error) {
+	// One process-wide registry feeds GET /metrics and GET
+	// /api/v1/telemetry. Every in-process shard registers into it:
+	// identical series share handles, so the scrape shows pool-wide
+	// aggregates (per-shard breakdowns belong to per-process shards).
 	met := obs.New()
 	transport.Instrument(met)
-
-	var handler http.Handler
-	var gateway *fleet.Gateway
-	if *shards == 1 {
-		// Single server: the admission gate sits directly on the BMS
-		// ingest path; shed requests answer 429 + Retry-After.
-		trainer.SetAdmission(admission)
-		trainer.Instrument(met)
-		handler = trainer.Handler()
-	} else {
-		// ProbeInterval keeps external health polling from fanning a
-		// probe per shard per request (and from flapping routing);
-		// ResidueTTL sweeps stranded per-device state out of the
-		// federated views when an unreachable shard's devices could not
-		// be migrated off it.
-		gateway, err = fleet.New(pool.Shards, fleet.Config{
-			ProbeInterval:    2 * time.Second,
-			ResidueTTL:       *residueTTL,
-			Admission:        admission,
-			SkewWindow:       *skewWindow,
-			BreakerThreshold: *breakerTrips,
-			BreakerCooldown:  *breakerCooldown,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		gateway.Instrument(met)
-		for _, srv := range pool.Servers {
-			srv.Instrument(met)
-		}
-		// A durable fleet's gateway persists nothing: after the shards
-		// recover, repopulate the migration registry from their device
-		// sets so rebalance and the TTL sweep see pre-crash devices.
-		if *dataDir != "" {
+	for _, srv := range pool.Servers {
+		srv.Instrument(met)
+	}
+	if !o.gateway() {
+		pool.Servers[0].SetAdmission(o.admission)
+		return pool.Servers[0].Handler(), func() {}, nil
+	}
+	// ProbeInterval keeps external health polling from fanning a probe
+	// per shard per request (and from flapping routing).
+	cfg := fleet.Config{
+		ProbeInterval:    2 * time.Second,
+		Admission:        o.admission,
+		SkewWindow:       o.skewWindow,
+		BreakerThreshold: o.breakerTrips,
+		BreakerCooldown:  o.breakerCooldown,
+	}
+	if o.self == "" {
+		cfg.ResidueTTL = o.residueTTL
+	}
+	gateway, err := fleet.New(shards, cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	gateway.Instrument(met)
+	var opts fleet.HandlerOptions
+	if len(pool.Servers) > 0 {
+		opts.Trainer = pool.Servers[0]
+	}
+	if o.self == "" {
+		// The gateway persists nothing: shards that outlived an earlier
+		// one — recovered from -data-dir, or remote — hold devices it
+		// never routed, so it learns them for rebalance and the sweep. A
+		// lease does the same whenever it wins a claim.
+		if len(o.urls) > 0 || o.dataDir != "" {
 			n, err := gateway.RebuildRegistry()
 			if err != nil {
 				log.Printf("bmsd: registry rebuild incomplete: %v", err)
 			}
 			log.Printf("bmsd: gateway registry rebuilt: %d device(s)", n)
 		}
-		handler = fleet.Handler(gateway, fleet.HandlerOptions{Trainer: trainer})
+		return fleet.Handler(gateway, opts), func() {}, nil
 	}
-
-	// A restored model blob needs retraining into the live classifier;
-	// retrain from restored fingerprints when present, and in fleet mode
-	// distribute the result to every shard.
-	if trainerStore.FingerprintCount() > 0 {
-		if res, err := trainer.Train(0, 0, 0); err != nil {
-			log.Printf("bmsd: could not retrain from snapshot: %v", err)
-		} else {
-			log.Printf("bmsd: retrained from snapshot: %d fingerprints, %d support vectors",
-				res.Samples, res.SupportVectors)
-			if gateway != nil {
-				if snap, ok := trainer.ModelSnapshot(); ok {
-					if err := gateway.DistributeModel(snap); err != nil {
-						log.Printf("bmsd: model distribution failed: %v", err)
-					} else {
-						log.Printf("bmsd: model v%d distributed to %d shards", snap.Version, gateway.Shards())
-					}
-				}
-			}
+	opts.Lease, err = fleet.NewLeaseController(gateway, fleet.LeaseConfig{Self: o.self, Peer: o.peer, TTL: o.leaseTTL})
+	if err != nil {
+		return nil, nil, err
+	}
+	// Active bootstrap: claim leadership before taking traffic. The
+	// shards may still be coming up, so retry briefly; if the claim keeps
+	// losing (the peer already leads), fall back to standby — the Run
+	// loop keeps probing and will claim when the peer dies.
+	for attempt := 0; !o.standby && !opts.Lease.Active() && attempt < 10; attempt++ {
+		if err := opts.Lease.Claim(); err != nil {
+			log.Printf("bmsd: lease claim: %v", err)
+			time.Sleep(300 * time.Millisecond)
 		}
 	}
+	log.Printf("bmsd: lease: leading=%t at epoch %d (self=%s peer=%s ttl=%s)", opts.Lease.Active(), opts.Lease.Epoch(), o.self, o.peer, o.leaseTTL)
+	done := make(chan struct{})
+	go opts.Lease.Run(done)
+	return fleet.Handler(gateway, opts), func() { close(done) }, nil
+}
 
-	// inflight counts requests between accept and handler return, so the
-	// drain log shows what Shutdown is actually waiting for. An upgraded
-	// gateway stream is not one of them: its handler returns when the
-	// stream ends, Shutdown does not wait for it, and the drain below
-	// stops it by name.
-	var inflight atomic.Int64
-	counted := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != wire.StreamPath {
-			inflight.Add(1)
-			defer inflight.Add(-1)
-		}
-		handler.ServeHTTP(w, r)
-	})
+// serve is the last stage: it answers on ln until a signal arrives, then
+// drains in the order the drills read from the log — listener, handlers,
+// streams stopped between frames, final compaction.
+func serve(o *options, ln net.Listener, handler http.Handler, pool *fleet.LocalPool, sig <-chan os.Signal) error {
 	openStreams := func() (n int) {
 		for _, srv := range pool.Servers {
 			n += srv.OpenStreams()
 		}
 		return n
 	}
-	httpServer := &http.Server{Addr: *addr, Handler: counted}
-
+	// inflight counts requests between accept and handler return, so the
+	// drain log shows what Shutdown is actually waiting for. An upgraded
+	// gateway stream is not one of them: its handler returns when the
+	// stream ends, Shutdown does not wait for it, and the drain below
+	// stops it by name.
+	var inflight atomic.Int64
+	httpServer := &http.Server{Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != wire.StreamPath {
+			inflight.Add(1)
+			defer inflight.Add(-1)
+		}
+		handler.ServeHTTP(w, r)
+	})}
 	serveErr := make(chan error, 1)
-	go func() {
-		serveErr <- httpServer.ListenAndServe()
-	}()
-
-	mode := "single server"
-	if *shards > 1 {
-		mode = fmt.Sprintf("%d-shard fleet", *shards)
-	}
-	log.Printf("bmsd: serving %q (%d rooms, %d beacons) as %s on %s",
-		b.Name, len(b.Rooms), len(b.Beacons), mode, *addr)
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	go func() { serveErr <- httpServer.Serve(ln) }()
 	select {
 	case err := <-serveErr:
-		if err != nil && !errors.Is(err, http.ErrServerClosed) {
-			log.Fatal(err)
-		}
-		return
+		return err
 	case s := <-sig:
 		log.Printf("bmsd: %v — draining %d in-flight request(s) and %d open stream(s), closing listener", s, inflight.Load(), openStreams())
 	}
 
 	// Shutdown closes the listener immediately, then waits for in-flight
 	// handlers: ingest requests already accepted run to completion.
-	ctx, cancel := context.WithTimeout(context.Background(), *drain)
+	ctx, cancel := context.WithTimeout(context.Background(), o.drain)
+	defer cancel()
 	if err := httpServer.Shutdown(ctx); err != nil {
 		// Shutdown returned early but the abandoned handlers are still
-		// running; give them a short grace so the snapshot below does
+		// running; give them a short grace so the compaction below does
 		// not race their writes, and say so if any remain.
 		deadline := time.Now().Add(5 * time.Second)
 		for inflight.Load() > 0 && time.Now().Before(deadline) {
 			time.Sleep(50 * time.Millisecond)
 		}
-		if n := inflight.Load(); n > 0 {
-			log.Printf("bmsd: drain cut short after %v: %v (%d request(s) still running; the saved snapshot may miss their writes)",
-				*drain, err, n)
-		} else {
-			log.Printf("bmsd: drain exceeded %v but all handlers finished", *drain)
-		}
+		log.Printf("bmsd: drain cut short after %v: %v (%d request(s) still running)", o.drain, err, inflight.Load())
 	} else {
 		log.Print("bmsd: drained cleanly")
 	}
-	cancel()
 
 	// The streams next: each finishes the frame it is in, acknowledges it
 	// and hangs up, so nothing is acknowledged once the state below is
@@ -347,55 +396,61 @@ func main() {
 	}
 	log.Printf("bmsd: streams stopped between frames: %d open stream(s)", openStreams())
 
-	// Persist training state only after the drain, so nothing lands in
-	// the store once the snapshot is cut.
-	if *snapshot != "" {
-		if err := saveSnapshot(trainerStore, *snapshot); err != nil {
-			log.Printf("bmsd: snapshot save failed: %v", err)
-		} else {
-			log.Printf("bmsd: training state saved to %s", *snapshot)
-		}
-	}
 	// Durable shards drain through a final compaction: snapshot the full
 	// state, reclaim the log behind it, close the file. The next boot
 	// replays the snapshot alone.
-	if *dataDir != "" {
+	if o.dataDir != "" {
 		if err := pool.Close(); err != nil {
-			log.Printf("bmsd: WAL close failed: %v", err)
-		} else {
-			for i, srv := range pool.Servers {
-				c := srv.LastCompaction()
-				log.Printf("bmsd: durable state compacted to %s/shard-%d: stall_ms=%.3f snapshot_bytes=%d log_bytes_sealed=%d",
-					*dataDir, i, float64(c.Stall)/float64(time.Millisecond), c.SnapshotBytes, c.LogBytesSealed)
-			}
+			return fmt.Errorf("WAL close failed: %w", err)
+		}
+		for i, srv := range pool.Servers {
+			c := srv.LastCompaction()
+			log.Printf("bmsd: durable state compacted to %s/shard-%d: stall_ms=%.3f snapshot_bytes=%d log_bytes_sealed=%d",
+				o.dataDir, i, float64(c.Stall)/float64(time.Millisecond), c.SnapshotBytes, c.LogBytesSealed)
 		}
 	}
-	<-serveErr
-}
-
-// loadSnapshot restores training state when the file exists; a missing
-// file is a fresh start, not an error.
-func loadSnapshot(st *store.Store, path string) error {
-	f, err := os.Open(path)
-	if errors.Is(err, os.ErrNotExist) {
-		log.Printf("bmsd: no snapshot at %s, starting fresh", path)
-		return nil
-	}
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := st.ReadSnapshot(f); err != nil {
-		return err
-	}
-	log.Printf("bmsd: restored %d fingerprints from %s", st.FingerprintCount(), path)
 	return nil
 }
 
-// saveSnapshot writes training state atomically and durably: temp file
-// in the same directory, fsync, rename over the target, fsync the
-// directory — a crash leaves either the old snapshot or the new one,
-// never a torn file, and the rename survives power loss.
-func saveSnapshot(st *store.Store, path string) error {
-	return store.WriteFileAtomic(path, st.WriteSnapshot)
+// run is bmsd: open shards → pick the face → serve, once.
+func run(o *options, sig <-chan os.Signal) error {
+	shards, pool, err := openShards(o)
+	if err != nil {
+		return err
+	}
+	handler, stop, err := face(o, shards, pool)
+	if err != nil {
+		return err
+	}
+	defer stop()
+	ln, err := net.Listen("tcp", o.addr)
+	if err != nil {
+		return err
+	}
+	log.Printf("bmsd: serving %d shard(s) on %s (gateway: %t)", len(shards), ln.Addr(), o.gateway())
+	return serve(o, ln, handler, pool, sig)
+}
+
+// realMain returns the exit status: 2 for a command line bmsd refuses,
+// 1 for a failure to come up or to drain.
+func realMain(args []string, stderr io.Writer, sig <-chan os.Signal) int {
+	o, err := parseFlags(args, stderr)
+	switch {
+	case errors.Is(err, flag.ErrHelp):
+		return 0
+	case err != nil:
+		return 2
+	}
+	startDebugServer(o.debugAddr)
+	if err := run(o, sig); err != nil {
+		log.Printf("bmsd: %v", err)
+		return 1
+	}
+	return 0
+}
+
+func main() {
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	os.Exit(realMain(os.Args[1:], os.Stderr, sig))
 }

@@ -86,11 +86,9 @@ func (d *durability) threshold() int64 {
 type DurableConfig struct {
 	// Dir is the WAL data directory (required).
 	Dir string
-	// Policy selects fsync eagerness (default FsyncBatch).
+	// Policy selects fsync eagerness (default FsyncBatch; FsyncInterval
+	// syncs every store.DefaultFsyncInterval).
 	Policy store.FsyncPolicy
-	// FsyncInterval spaces background syncs under FsyncInterval
-	// (0 takes the store default).
-	FsyncInterval time.Duration
 	// CompactThreshold is the log growth that triggers a background
 	// compaction: 0 takes the default rule (DefaultCompactThreshold, or
 	// the newest snapshot's size once that is larger), a positive value
@@ -113,7 +111,7 @@ func OpenDurableServer(b *building.Building, st *store.Store, debounce int, cfg 
 	if err != nil {
 		return nil, err
 	}
-	w, err := store.OpenWAL(cfg.Dir, store.ObsStripes, cfg.Policy, cfg.FsyncInterval)
+	w, err := store.OpenWAL(cfg.Dir, store.ObsStripes, cfg.Policy, 0)
 	if err != nil {
 		return nil, err
 	}

@@ -32,9 +32,35 @@ type Rollup struct {
 	Rooms map[string]RoomRollup `json:"rooms"`
 }
 
-// RenderRollup is the one renderer of the public rollup, shared by the
-// single-server route and the fleet gateway so the two faces cannot
+// RenderOccupancy is the head counts and device rooms of sum. Rooms
+// nobody is in are absent. The snapshot shares sum's device map. With
+// RenderDwell and RenderRollup it is one of the three renderings of an
+// occupancy.Summary, shared by the single server and the fleet gateway —
+// which renders its shards' merged summaries — so the two faces cannot
 // drift.
+func RenderOccupancy(sum occupancy.Summary) OccupancySnapshot {
+	snap := OccupancySnapshot{Rooms: make(map[string]int, len(sum.Rooms)), Devices: sum.Devices}
+	for room, r := range sum.Rooms {
+		if r.Occupants > 0 {
+			snap.Rooms[room] = r.Occupants
+		}
+	}
+	return snap
+}
+
+// RenderDwell is the per-room dwell of sum. Rooms nobody has dwelt in
+// are absent.
+func RenderDwell(sum occupancy.Summary) map[string]time.Duration {
+	out := make(map[string]time.Duration, len(sum.Rooms))
+	for room, r := range sum.Rooms {
+		if r.Dwell != 0 {
+			out[room] = r.Dwell
+		}
+	}
+	return out
+}
+
+// RenderRollup is the public rollup of sum.
 func RenderRollup(sum occupancy.Summary) Rollup {
 	out := Rollup{Devices: len(sum.Devices), Events: sum.Events, Rooms: make(map[string]RoomRollup, len(sum.Rooms))}
 	for room, r := range sum.Rooms {

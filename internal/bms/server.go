@@ -510,9 +510,9 @@ func (s *Server) InstallModel(snap ModelSnapshot) (int, error) {
 }
 
 // DwellTotals returns the accumulated per-room dwell time summed over
-// all devices — the rollup the fleet layer merges across shards.
+// all devices, out of the same summary pass Occupancy renders.
 func (s *Server) DwellTotals() map[string]time.Duration {
-	return s.tracker.DwellTotals()
+	return RenderDwell(s.tracker.Summary())
 }
 
 // DeviceState is the wire form of one device's migratable server
@@ -635,14 +635,7 @@ type OccupancySnapshot struct {
 // lock — so a device that moves during the read is counted in the room
 // it is listed in. Rooms nobody is in are absent.
 func (s *Server) Occupancy() OccupancySnapshot {
-	sum := s.tracker.Summary()
-	snap := OccupancySnapshot{Rooms: make(map[string]int, len(sum.Rooms)), Devices: sum.Devices}
-	for room, r := range sum.Rooms {
-		if r.Occupants > 0 {
-			snap.Rooms[room] = r.Occupants
-		}
-	}
-	return snap
+	return RenderOccupancy(s.tracker.Summary())
 }
 
 // Events returns all committed occupancy events so far, in nondecreasing
@@ -709,8 +702,9 @@ type EventJSON struct {
 	Room      string  `json:"room"`
 }
 
-func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	events := s.Events()
+// EventsBody is the GET /api/v1/events payload, as one server and a
+// fleet gateway both answer it.
+func EventsBody(events []occupancy.Event) map[string]any {
 	out := make([]EventJSON, 0, len(events))
 	for _, e := range events {
 		out = append(out, EventJSON{
@@ -720,7 +714,11 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			Room:      e.Room,
 		})
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"events": out})
+	return map[string]any{"events": out}
+}
+
+func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
+	writeJSON(w, http.StatusOK, EventsBody(s.Events()))
 }
 
 func (s *Server) handleRooms(w http.ResponseWriter, r *http.Request) {
@@ -935,13 +933,18 @@ func (s *Server) handleModelInstall(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]int{"version": version})
 }
 
-// handleDwell reports the per-room dwell rollup in seconds.
-func (s *Server) handleDwell(w http.ResponseWriter, r *http.Request) {
-	rooms := map[string]float64{}
-	for room, d := range s.DwellTotals() {
+// DwellBody is the GET /api/v1/dwell payload — the per-room dwell rollup
+// in seconds — as one server and a fleet gateway both answer it.
+func DwellBody(totals map[string]time.Duration) map[string]any {
+	rooms := make(map[string]float64, len(totals))
+	for room, d := range totals {
 		rooms[room] = d.Seconds()
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"rooms": rooms})
+	return map[string]any{"rooms": rooms}
+}
+
+func (s *Server) handleDwell(w http.ResponseWriter, r *http.Request) {
+	writeJSON(w, http.StatusOK, DwellBody(s.DwellTotals()))
 }
 
 // handleDeviceState answers the device's migratable state without

@@ -806,26 +806,32 @@ func gather[T any](g *Gateway, view readView, read func(Shard) (T, error)) ([]T,
 	return out, nil
 }
 
-// Occupancy merges the healthy shards' head counts and device rooms
-// into one building-level snapshot. Device partitions are disjoint, so
-// the merge is a union; a down shard's devices are simply absent until
-// it recovers or its keys report through their new owner.
-func (g *Gateway) Occupancy() (bms.OccupancySnapshot, error) {
+// render is the one state read behind Occupancy, DwellTotals and Rollup:
+// a summary gathered from every healthy shard, merged in shard order and
+// rendered by the renderer one bms.Server uses on its own summary, so
+// the three cannot disagree with each other or with a single box.
+// Devices is the union of the shards' device names, so a stale copy a
+// recovered shard still holds does not count a device twice; every other
+// field is a sum. A down shard's devices are simply absent until it
+// recovers or its keys report through their new owner. The cost
+// follows the fleet's current state — rooms and devices — not the length
+// of the event history. view labels the read's timing for its caller.
+func render[T any](g *Gateway, view readView, as func(occupancy.Summary) T) (out T, err error) {
 	g.maybeSweep()
-	snaps, err := gather(g, viewOccupancy, Shard.Occupancy)
+	sums, err := gather(g, view, Shard.Summary)
 	if err != nil {
-		return bms.OccupancySnapshot{}, err
+		return out, err
 	}
-	out := bms.OccupancySnapshot{Rooms: map[string]int{}, Devices: map[string]string{}}
-	for _, snap := range snaps {
-		for room, n := range snap.Rooms {
-			out.Rooms[room] += n
-		}
-		for dev, room := range snap.Devices {
-			out.Devices[dev] = room
-		}
+	merged := occupancy.NewSummary()
+	for _, sum := range sums {
+		merged.Merge(sum)
 	}
-	return out, nil
+	return as(merged), nil
+}
+
+// Occupancy is the building-level head counts and device rooms.
+func (g *Gateway) Occupancy() (bms.OccupancySnapshot, error) {
+	return render(g, viewOccupancy, bms.RenderOccupancy)
 }
 
 // Events merges the healthy shards' committed enter/exit streams into
@@ -850,20 +856,9 @@ func (g *Gateway) Events() ([]occupancy.Event, error) {
 	return all, nil
 }
 
-// DwellTotals sums the healthy shards' per-room dwell rollups.
+// DwellTotals is the building-level per-room dwell.
 func (g *Gateway) DwellTotals() (map[string]time.Duration, error) {
-	g.maybeSweep()
-	totals, err := gather(g, viewDwell, Shard.DwellTotals)
-	if err != nil {
-		return nil, err
-	}
-	out := map[string]time.Duration{}
-	for _, shard := range totals {
-		for room, d := range shard {
-			out[room] += d
-		}
-	}
-	return out, nil
+	return render(g, viewDwell, bms.RenderDwell)
 }
 
 // Rollup and RoomRollup are the building-level view and its per-room
@@ -874,23 +869,9 @@ type (
 	RoomRollup = bms.RoomRollup
 )
 
-// Rollup federates head counts, transition totals and dwell into one
-// building-level view from one summary read per shard. Its cost follows
-// the fleet's current state — rooms and devices — not the length of the
-// event history. Devices is the union of the shards' device names, so a
-// stale copy a recovered shard still holds does not count twice; every
-// other field is a sum.
+// Rollup is head counts, transition totals and dwell per room.
 func (g *Gateway) Rollup() (Rollup, error) {
-	g.maybeSweep()
-	sums, err := gather(g, viewRollup, Shard.Summary)
-	if err != nil {
-		return Rollup{}, err
-	}
-	merged := occupancy.NewSummary()
-	for _, sum := range sums {
-		merged.Merge(sum)
-	}
-	return bms.RenderRollup(merged), nil
+	return render(g, viewRollup, bms.RenderRollup)
 }
 
 // ShardStatus is one shard's state from the gateway's point of view.

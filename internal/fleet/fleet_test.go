@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"net/http/httptest"
 	"testing"
 	"time"
 
@@ -126,26 +127,47 @@ func mustJSON(t testing.TB, v any) []byte {
 // through a 4-shard gateway — with transient shard failures injected
 // (half of them after the shard committed, so the whole-batch
 // retransmit re-delivers committed sub-batches) and a shard
-// kill/restore schedule mid-run — yields byte-identical federated head
-// counts, enter/exit events and dwell rollups to one bms.Server fed
-// the same reports exactly once, and the same per-report room
-// predictions.
+// kill/restore schedule mid-run, so a MarkDown migration has moved
+// state between shards — yields byte-identical federated head counts,
+// enter/exit events, dwell and rollup to one bms.Server fed the same
+// reports exactly once, and the same per-report room predictions. It
+// holds over in-process shards and over HTTP shard clients alike: the
+// gateway renders occupancy, dwell and the rollup from one merged
+// summary, and that summary crosses the HTTP leg exactly.
 func TestFleetMatchesSingleServer(t *testing.T) {
 	b := building.PaperHouse()
 	snap := trainSnapshot(t, b, 42)
+	t.Run("LocalShards", func(t *testing.T) {
+		pool, err := fleet.NewLocalPool(b, 4, 2, 200)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fleetMatchesSingleServer(t, b, snap, pool.Shards)
+	})
+	t.Run("HTTPShards", func(t *testing.T) {
+		shards := make([]fleet.Shard, 4)
+		for i := range shards {
+			ts := httptest.NewServer(newServer(t, b).Handler())
+			t.Cleanup(ts.Close)
+			hs, err := fleet.NewHTTPShard(ts.URL, nil, transport.RetryPolicy{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			shards[i] = hs
+		}
+		fleetMatchesSingleServer(t, b, snap, shards)
+	})
+}
 
+func fleetMatchesSingleServer(t *testing.T, b *building.Building, snap bms.ModelSnapshot, real []fleet.Shard) {
 	single := newServer(t, b)
 	if _, err := single.InstallModel(snap); err != nil {
 		t.Fatal(err)
 	}
 
-	pool, err := fleet.NewLocalPool(b, 4, 2, 200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	flakies := make([]*fleettest.FlakyShard, len(pool.Shards))
-	shards := make([]fleet.Shard, len(pool.Shards))
-	for i, s := range pool.Shards {
+	flakies := make([]*fleettest.FlakyShard, len(real))
+	shards := make([]fleet.Shard, len(real))
+	for i, s := range real {
 		flakies[i] = &fleettest.FlakyShard{Shard: s, FailEvery: 4}
 		shards[i] = flakies[i]
 	}

@@ -157,25 +157,6 @@ func (h *HTTPShard) InstallModel(snap bms.ModelSnapshot) error {
 	return err
 }
 
-// Occupancy implements Shard.
-func (h *HTTPShard) Occupancy() (bms.OccupancySnapshot, error) {
-	payload, err := transport.GetJSON(h.client, h.base+"/api/v1/occupancy", h.retry)
-	if err != nil {
-		return bms.OccupancySnapshot{}, err
-	}
-	var snap bms.OccupancySnapshot
-	if err := json.Unmarshal(payload, &snap); err != nil {
-		return bms.OccupancySnapshot{}, fmt.Errorf("fleet: decode occupancy: %w", err)
-	}
-	if snap.Rooms == nil {
-		snap.Rooms = map[string]int{}
-	}
-	if snap.Devices == nil {
-		snap.Devices = map[string]string{}
-	}
-	return snap, nil
-}
-
 // Events implements Shard.
 func (h *HTTPShard) Events() ([]occupancy.Event, error) {
 	payload, err := transport.GetJSON(h.client, h.base+"/api/v1/events", h.retry)
@@ -212,28 +193,10 @@ func (h *HTTPShard) Events() ([]occupancy.Event, error) {
 	return out, nil
 }
 
-// DwellTotals implements Shard.
-func (h *HTTPShard) DwellTotals() (map[string]time.Duration, error) {
-	payload, err := transport.GetJSON(h.client, h.base+"/api/v1/dwell", h.retry)
-	if err != nil {
-		return nil, err
-	}
-	var resp struct {
-		Rooms map[string]float64 `json:"rooms"`
-	}
-	if err := json.Unmarshal(payload, &resp); err != nil {
-		return nil, fmt.Errorf("fleet: decode dwell: %w", err)
-	}
-	out := map[string]time.Duration{}
-	for room, secs := range resp.Rooms {
-		out[room] = time.Duration(math.Round(secs * float64(time.Second)))
-	}
-	return out, nil
-}
-
 // Summary implements Shard via GET /api/v1/rollup: one exchange whose
-// reply carries dwell as integer nanoseconds, so nothing is rounded on
-// the way to the gateway's sum.
+// reply carries dwell as integer nanoseconds — the only form dwell
+// crosses this leg in — so nothing is rounded on the way to the
+// gateway's sum.
 func (h *HTTPShard) Summary() (occupancy.Summary, error) {
 	payload, err := transport.GetJSON(h.client, h.base+"/api/v1/rollup", h.retry)
 	if err != nil {
@@ -429,50 +392,29 @@ func Handler(g *Gateway, opts HandlerOptions) http.Handler {
 	mux.HandleFunc("GET /api/v1/ring", func(w http.ResponseWriter, r *http.Request) {
 		fleetJSON(w, http.StatusOK, g.RingInfo())
 	})
-	mux.HandleFunc("GET /api/v1/occupancy", func(w http.ResponseWriter, r *http.Request) {
-		snap, err := g.Occupancy()
+	// The federated reads: a shard that cannot be read is a 502.
+	read := func(w http.ResponseWriter, body any, err error) {
 		if err != nil {
 			fleetError(w, http.StatusBadGateway, err)
 			return
 		}
-		fleetJSON(w, http.StatusOK, snap)
+		fleetJSON(w, http.StatusOK, body)
+	}
+	mux.HandleFunc("GET /api/v1/occupancy", func(w http.ResponseWriter, r *http.Request) {
+		snap, err := g.Occupancy()
+		read(w, snap, err)
 	})
 	mux.HandleFunc("GET /api/v1/events", func(w http.ResponseWriter, r *http.Request) {
 		events, err := g.Events()
-		if err != nil {
-			fleetError(w, http.StatusBadGateway, err)
-			return
-		}
-		out := make([]bms.EventJSON, 0, len(events))
-		for _, e := range events {
-			out = append(out, bms.EventJSON{
-				AtSeconds: e.At.Seconds(),
-				Device:    e.Device,
-				Kind:      e.Kind.String(),
-				Room:      e.Room,
-			})
-		}
-		fleetJSON(w, http.StatusOK, map[string]any{"events": out})
+		read(w, bms.EventsBody(events), err)
 	})
 	mux.HandleFunc("GET /api/v1/dwell", func(w http.ResponseWriter, r *http.Request) {
 		totals, err := g.DwellTotals()
-		if err != nil {
-			fleetError(w, http.StatusBadGateway, err)
-			return
-		}
-		rooms := map[string]float64{}
-		for room, d := range totals {
-			rooms[room] = d.Seconds()
-		}
-		fleetJSON(w, http.StatusOK, map[string]any{"rooms": rooms})
+		read(w, bms.DwellBody(totals), err)
 	})
 	mux.HandleFunc("GET /api/v1/rollup", func(w http.ResponseWriter, r *http.Request) {
 		rollup, err := g.Rollup()
-		if err != nil {
-			fleetError(w, http.StatusBadGateway, err)
-			return
-		}
-		fleetJSON(w, http.StatusOK, rollup)
+		read(w, rollup, err)
 	})
 	mux.HandleFunc("GET /api/v1/shards", func(w http.ResponseWriter, r *http.Request) {
 		fleetJSON(w, http.StatusOK, map[string]any{"shards": g.Statuses()})

@@ -115,20 +115,9 @@ func TestHTTPShardFleetEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// HTTP round-trips dwell through seconds-as-float; compare at
-	// millisecond resolution.
-	if len(hd) != len(ld) {
-		t.Fatalf("dwell rooms differ: %v vs %v", hd, ld)
-	}
-	for room, want := range ld {
-		got := hd[room]
-		diff := got - want
-		if diff < 0 {
-			diff = -diff
-		}
-		if diff.Milliseconds() > 1 {
-			t.Fatalf("dwell[%s] = %v over HTTP, want %v", room, got, want)
-		}
+	// Dwell crosses the shard leg as integer nanoseconds: exact.
+	if got, want := mustJSON(t, hd), mustJSON(t, ld); !bytes.Equal(got, want) {
+		t.Fatalf("dwell over HTTP differs:\n%s\nvs\n%s", got, want)
 	}
 }
 
@@ -213,19 +202,19 @@ func TestHTTPShardDeviceMigration(t *testing.T) {
 	if st.Device != device || st.Seq != uint64(len(stream)) || st.Epoch != 2 {
 		t.Fatalf("evicted state = %+v", st)
 	}
-	if occ, err := src.Occupancy(); err != nil || len(occ.Devices) != 0 {
-		t.Fatalf("source still tracks %v (err %v)", occ.Devices, err)
+	if sum, err := src.Summary(); err != nil || len(sum.Devices) != 0 {
+		t.Fatalf("source still tracks %v (err %v)", sum.Devices, err)
 	}
 
 	if err := dst.InstallDevice(st); err != nil {
 		t.Fatal(err)
 	}
-	occ, err := dst.Occupancy()
+	sum, err := dst.Summary()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, present := occ.Devices[device]; !present {
-		t.Fatalf("destination does not track the migrated device: %v", occ.Devices)
+	if _, present := sum.Devices[device]; !present {
+		t.Fatalf("destination does not track the migrated device: %v", sum.Devices)
 	}
 	// The migrated mark dedupes the device's in-flight retransmissions
 	// on the new owner.

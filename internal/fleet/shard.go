@@ -16,8 +16,9 @@ import (
 )
 
 // Shard is one BMS ingest server as the gateway sees it: the report
-// path, the model-distribution path, and the read views the federation
-// layer merges. LocalShard wraps an in-process bms.Server (tests,
+// path, the model-distribution path, and the two reads the federation
+// layer merges — the event history and the summary every other view is
+// rendered from. LocalShard wraps an in-process bms.Server (tests,
 // single-box fleets); HTTPShard drives a remote one over its REST API.
 type Shard interface {
 	// Name identifies the shard; it seeds the shard's virtual nodes on
@@ -34,16 +35,13 @@ type Shard interface {
 	IngestBatch([]transport.Report) ([]string, error)
 	// InstallModel switches the shard to a distributed model snapshot.
 	InstallModel(bms.ModelSnapshot) error
-	// Occupancy returns the shard's current head counts and device rooms.
-	Occupancy() (bms.OccupancySnapshot, error)
 	// Events returns the shard's committed enter/exit events in
 	// nondecreasing time order.
 	Events() ([]occupancy.Event, error)
-	// DwellTotals returns the shard's per-room dwell rollup.
-	DwellTotals() (map[string]time.Duration, error)
-	// Summary returns everything a rollup needs of the shard in one
-	// read — device rooms, event count, per-room head counts, transition
-	// tallies and dwell — sized by its current state, not its history.
+	// Summary returns the shard's state in one read — device rooms,
+	// event count, per-room head counts, transition tallies and dwell —
+	// sized by its current state, not its history. The gateway renders
+	// occupancy, dwell and the rollup from the merge of these.
 	Summary() (occupancy.Summary, error)
 	// EvictDevice removes and returns the shard's migratable state for
 	// the device (ok=false when the shard holds none) — the sending
@@ -96,9 +94,6 @@ func NewLocalShard(name string, srv *bms.Server) (*LocalShard, error) {
 	return &LocalShard{name: name, srv: srv}, nil
 }
 
-// Server exposes the wrapped server (training, snapshots).
-func (l *LocalShard) Server() *bms.Server { return l.srv }
-
 // Name implements Shard.
 func (l *LocalShard) Name() string { return l.name }
 
@@ -136,16 +131,8 @@ func (l *LocalShard) InstallModel(snap bms.ModelSnapshot) error {
 	return err
 }
 
-// Occupancy implements Shard.
-func (l *LocalShard) Occupancy() (bms.OccupancySnapshot, error) { return l.srv.Occupancy(), nil }
-
 // Events implements Shard.
 func (l *LocalShard) Events() ([]occupancy.Event, error) { return l.srv.Events(), nil }
-
-// DwellTotals implements Shard.
-func (l *LocalShard) DwellTotals() (map[string]time.Duration, error) {
-	return l.srv.DwellTotals(), nil
-}
 
 // Summary implements Shard.
 func (l *LocalShard) Summary() (occupancy.Summary, error) { return l.srv.Summary(), nil }
@@ -181,79 +168,53 @@ func (l *LocalShard) Claim(epoch uint64, leader string) (uint64, string, error) 
 // StampEpoch implements Shard.
 func (l *LocalShard) StampEpoch(epoch uint64) { l.epoch.Store(epoch) }
 
-// LocalPool is a set of in-process shards with their backing layers
-// exposed for training and persistence wiring: Shards[i] wraps
-// Servers[i], whose data layer is Stores[i].
+// LocalPool is a set of in-process shards with the servers behind them
+// exposed for training, telemetry and drain wiring: Shards[i] wraps
+// Servers[i].
 type LocalPool struct {
 	Shards  []Shard
 	Servers []*bms.Server
-	Stores  []*store.Store
 }
 
-// NewLocalPool builds n in-process shards over fresh servers of one
-// floor plan — the substrate for tests, cmd/loadgen and bmsd -shards.
-// Shard names are "shard-0" … "shard-<n-1>"; the name is ring identity,
-// so every consumer must construct pools through here.
+// NewLocalPool builds n volatile in-process shards over fresh servers of
+// one floor plan — OpenLocalPool without a data directory, the substrate
+// most tests run on.
 func NewLocalPool(b *building.Building, n, debounce, retain int) (*LocalPool, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("fleet: pool needs at least 1 shard, got %d", n)
-	}
-	pool := &LocalPool{
-		Shards:  make([]Shard, n),
-		Servers: make([]*bms.Server, n),
-		Stores:  make([]*store.Store, n),
-	}
-	for i := 0; i < n; i++ {
-		st, err := store.New(retain)
-		if err != nil {
-			return nil, err
-		}
-		srv, err := bms.NewServer(b, st, debounce)
-		if err != nil {
-			return nil, err
-		}
-		ls, err := NewLocalShard(fmt.Sprintf("shard-%d", i), srv)
-		if err != nil {
-			return nil, err
-		}
-		pool.Shards[i] = ls
-		pool.Servers[i] = srv
-		pool.Stores[i] = st
-	}
-	return pool, nil
+	return OpenLocalPool(b, n, debounce, retain, "", store.FsyncBatch)
 }
 
-// NewDurableLocalPool builds the pool as NewLocalPool does, but every
-// server opens a WAL under dataDir/shard-<i>/ — the durable
-// substrate bmsd -shards and the crashtest harness run on. Recovery is
-// implicit: a pool opened over a directory a previous (possibly
-// killed) pool wrote replays each shard back to its pre-crash state.
-// Close the pool (or each server) to drain through a final compaction.
-func NewDurableLocalPool(b *building.Building, n, debounce, retain int, dataDir string, policy store.FsyncPolicy) (*LocalPool, error) {
+// OpenLocalPool builds n in-process shards over servers of one floor
+// plan — the substrate for tests, internal/scenario and bmsd. Shard names
+// are "shard-0" … "shard-<n-1>"; the name is ring identity, so every
+// consumer must construct pools through here. With a data directory every
+// server opens a WAL under dataDir/shard-<i>/ with the given sync policy,
+// and recovery is implicit: a pool opened over a directory a previous
+// (possibly killed) pool wrote replays each shard back to its pre-crash
+// state. Without one the servers are volatile and policy is unused. Close
+// the pool (or each server) to drain through a final compaction.
+func OpenLocalPool(b *building.Building, n, debounce, retain int, dataDir string, policy store.FsyncPolicy) (*LocalPool, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("fleet: pool needs at least 1 shard, got %d", n)
 	}
-	if dataDir == "" {
-		return nil, fmt.Errorf("fleet: durable pool needs a data directory")
-	}
-	pool := &LocalPool{
-		Shards:  make([]Shard, n),
-		Servers: make([]*bms.Server, n),
-		Stores:  make([]*store.Store, n),
-	}
+	pool := &LocalPool{Shards: make([]Shard, n), Servers: make([]*bms.Server, n)}
 	for i := 0; i < n; i++ {
 		st, err := store.New(retain)
 		if err != nil {
 			return nil, err
 		}
 		name := fmt.Sprintf("shard-%d", i)
-		srv, err := bms.OpenDurableServer(b, st, debounce, bms.DurableConfig{
-			Dir:    filepath.Join(dataDir, name),
-			Policy: policy,
-		})
+		var srv *bms.Server
+		if dataDir == "" {
+			srv, err = bms.NewServer(b, st, debounce)
+		} else {
+			srv, err = bms.OpenDurableServer(b, st, debounce, bms.DurableConfig{
+				Dir:    filepath.Join(dataDir, name),
+				Policy: policy,
+			})
+		}
 		if err != nil {
 			pool.Close()
-			return nil, fmt.Errorf("fleet: open durable shard %s: %w", name, err)
+			return nil, fmt.Errorf("fleet: open shard %s: %w", name, err)
 		}
 		ls, err := NewLocalShard(name, srv)
 		if err != nil {
@@ -262,7 +223,6 @@ func NewDurableLocalPool(b *building.Building, n, debounce, retain int, dataDir 
 		}
 		pool.Shards[i] = ls
 		pool.Servers[i] = srv
-		pool.Stores[i] = st
 	}
 	return pool, nil
 }

@@ -264,7 +264,7 @@ func TestServerSplitDoorsByteIdentity(t *testing.T) {
 	var first outcome
 	for n, door := range doors {
 		dir := t.TempDir()
-		pool, err := fleet.NewDurableLocalPool(b, shards, 2, 200, dir, store.FsyncOff)
+		pool, err := fleet.OpenLocalPool(b, shards, 2, 200, dir, store.FsyncOff)
 		if err != nil {
 			t.Fatal(err)
 		}

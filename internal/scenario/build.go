@@ -90,15 +90,10 @@ func Build(b *building.Building, spec Spec, seed uint64) (*Fleet, error) {
 
 func (f *Fleet) build() (err error) {
 	spec := f.Spec
-	switch {
-	case spec.ShardURLs != nil:
-	case spec.Dir != "":
-		f.Pool, err = fleet.NewDurableLocalPool(f.Building, spec.Shards, debounce, retain, spec.Dir, spec.Policy)
-	default:
-		f.Pool, err = fleet.NewLocalPool(f.Building, spec.Shards, debounce, retain)
-	}
-	if err != nil {
-		return err
+	if spec.ShardURLs == nil {
+		if f.Pool, err = fleet.OpenLocalPool(f.Building, spec.Shards, debounce, retain, spec.Dir, spec.Policy); err != nil {
+			return err
+		}
 	}
 	if f.Pool != nil {
 		for _, srv := range f.Pool.Servers {
