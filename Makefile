@@ -56,7 +56,9 @@ allocs:
 # is stamped on an upload at one. And so is the server process: cmd/bmsd
 # is one pipeline (open shards → pick the face → serve), so it builds a
 # gateway, dials shards, starts an http.Server and takes signals at one
-# site each.
+# site each. So is the load generator: cmd/loadgen is one pipeline
+# (flags → rig → drive → verify), so it starts a subprocess, SIGKILLs one
+# and verifies against the ground truth at one site each.
 ONEPATH_DIRS = internal/experiments internal/scenario cmd/loadgen
 onepath:
 	@fail=0; \
@@ -77,6 +79,7 @@ onepath:
 	}; \
 	onesite internal/transport 'isUnsupportedMedia(' 'wire\.HeaderRingDigest'; \
 	onesite cmd/bmsd 'fleet\.New(' '&http\.Server{' 'signal\.Notify(' 'fleet\.NewHTTPShard('; \
+	onesite cmd/loadgen 'exec\.Command(' 'syscall\.SIGKILL' '\.Verify('; \
 	exit $$fail
 
 # bench writes BENCH_PR$(PR).json — the per-PR performance snapshot of
@@ -123,44 +126,18 @@ loadtest:
 	$(GO) build -o bin/bmsd ./cmd/bmsd
 	$(GO) run ./cmd/loadgen -shards 2 -devices 12 -reports 60 -seed 7 -bmsd bin/bmsd -fsync batch
 
-# crashtest is the durability pin, two drills over real bmsd
-# subprocesses with write-ahead logs. First the shard drill: two shards
-# are SIGKILLed at trace times 40s and 80s and restarted over their
-# data directories, with the gateway discarded and rebuilt at each
-# crash. Then the gateway-failover drill: an active/standby HA gateway
-# pair fronts the shards, the ACTIVE is SIGKILLed at t=40s (no drain),
-# the standby claims the next leadership epoch through the shard
-# quorum and takes over, the dead gateway respawns as the new standby —
-# and at t=80s the NEW active is killed too, failing leadership back.
-# Both runs exit nonzero unless the final fleet occupancy/events/dwell/rollup
-# are byte-identical to a clean single server fed the same streams
-# once, so kill -9 of any layer loses nothing and lands nothing twice.
-# The gateway drill additionally asserts the failover story from the
-# shards' own telemetry (/api/v1/telemetry): every kill produced
-# exactly one successful lease claim on every shard, and the
-# stale-admit tripwire — a deposed gateway's write admitted past the
-# fence — stayed at zero. The gateway drill's devices upload in -wire
-# binary through the one device uplink, so they pre-split against the
-# ring of whichever gateway leads and the verbatim forward crosses both
-# kills: in-flight sections must survive them the same as JSON, and the
-# drill fails as vacuous unless the devices' own count of pre-split
-# uploads grew before the first kill, between the kills and after the
-# last. (loadgen's -wire chooses the device leg's codec on every HTTP
-# sink — what a binary uplink then sends follows from what its target
-# publishes and answers; the gateway → shard leg carries wire frames
-# whatever the devices speak, and the shard drill's devices are in
-# process, so it runs once.) In the
-# shard drill the shards log each received frame's payload verbatim, so
-# kill -9 lands on those records through real processes —
-# and mid-exchange on the gateway → shard streams, where the drill
-# asserts from telemetry that every kill cost the killed shard's leg at
-# least one stream reset and one redial, and no other shard's any. The
-# shard drill also makes the loadtest's WAL assertions: one fsync covers
-# each acknowledged append (a restarted shard counts from its restart),
-# no append failed, and the drain leaves wal.log and one snapshot. The
-# shard drill is paced (-rate 400: ≈ 1.8 s of traffic) so both kills
-# land with traffic on either side of them; unpaced, the whole trace is
-# sent in less time than one shard takes to restart.
+# crashtest is the durability pin: two drills over durable bmsd
+# subprocesses, each failing unless the fleet's final occupancy, events,
+# dwell and rollup are byte-identical to a clean single server fed the
+# same streams once — kill -9 of a shard or of a gateway loses nothing
+# and lands nothing twice. The shard drill SIGKILLs a shard at trace
+# t=40s and t=80s, restarts it over its WAL and rebuilds the gateway; it
+# is paced (-rate 400) so both kills land with traffic on either side.
+# The gateway drill SIGKILLs the active of an active/standby bmsd pair
+# at the same times for the standby to take over through the shards'
+# lease, its devices pre-splitting in -wire binary. Both make loadtest's
+# shard assertions too (streams, WAL group commit, drain); cmd/loadgen's
+# package comment lists each drill's own.
 crashtest:
 	$(GO) build -o bin/bmsd ./cmd/bmsd
 	$(GO) run ./cmd/loadgen -shards 3 -devices 12 -reports 60 -seed 7 -rate 400 \

@@ -369,7 +369,7 @@ func TestFlagsAreToldNotIgnored(t *testing.T) {
 		}
 	}
 	for _, args := range []string{
-		// cmd/loadgen/crash.go spawn, cmd/loadgen/gatewaydrill.go spawnGateway.
+		// cmd/loadgen's shard and gateway procs (rig.go openProcs, openPair).
 		"-addr 127.0.0.1:0 -plan paper-house -shards 1 -debounce 2 -retain 1000 -data-dir d -fsync batch",
 		"-addr 127.0.0.1:0 -shard-urls http://s1,http://s2,http://s3 -self http://gw1 -peer http://gw2 -lease-ttl 900ms -standby",
 		"-shards 4 -skew-window 1h -breaker-threshold 3 -breaker-cooldown 1s -residue-ttl 1m",

@@ -1,14 +1,13 @@
 package main
 
-// The telemetry dashboard: loadgen scrapes the fleet's own metrics —
-// GET /api/v1/telemetry on subprocess shards, the in-process registry
-// otherwise — at phase boundaries (run start, after every scheduled
-// kill, run end) and prints what the load LOOKED LIKE FROM INSIDE:
+// The telemetry dashboard: loadgen reads the fleet's own metrics —
+// GET /api/v1/telemetry on live processes, the in-process registries
+// otherwise — at phase boundaries (run start, at every scheduled kill, run
+// end) and prints what the load LOOKED LIKE FROM INSIDE:
 // goodput and shed rate per phase, cumulative p99 by pipeline stage,
-// lease transitions, and the tail of the flight recorder. The same
-// scrape path validates the Prometheus exposition of every live
-// target, so a malformed /metrics line fails the run — this is the CI
-// loadtest's scrape check.
+// lease transitions, and the tail of the flight recorder. Every face's
+// Prometheus exposition is validated at the end, so a malformed /metrics
+// line fails the run — this is the CI loadtest's scrape check.
 
 import (
 	"bytes"
@@ -25,87 +24,105 @@ import (
 	"occusim/internal/transport"
 )
 
-// snapshotSource produces one merged telemetry snapshot per call.
-type snapshotSource func() (obs.Snapshot, error)
+// scrapeClient bounds every read of a live face.
+var scrapeClient = &http.Client{Timeout: 5 * time.Second}
 
-// registrySource reads an in-process registry directly — no HTTP.
-func registrySource(m *obs.Metrics) snapshotSource {
-	return func() (obs.Snapshot, error) { return m.TakeSnapshot(), nil }
+// face is one telemetry face the run reads: an in-process registry, or a
+// live process's JSON telemetry and /metrics exposition.
+type face struct {
+	name string
+	met  *obs.Metrics // in process; nil for a live process at url
+	url  string
 }
 
-// httpSource scrapes one live target's JSON telemetry face.
-func httpSource(base string) snapshotSource {
-	client := &http.Client{Timeout: 2 * time.Second}
-	return func() (obs.Snapshot, error) {
-		payload, err := transport.GetJSON(client, base+"/api/v1/telemetry", transport.RetryPolicy{})
-		if err != nil {
-			return obs.Snapshot{}, fmt.Errorf("scrape %s: %w", base, err)
-		}
-		return decodeSnapshot(payload)
+func (f face) snapshot() (obs.Snapshot, error) {
+	if f.met != nil {
+		return f.met.TakeSnapshot(), nil
 	}
-}
-
-func decodeSnapshot(payload []byte) (obs.Snapshot, error) {
 	var snap obs.Snapshot
-	if err := json.Unmarshal(payload, &snap); err != nil {
-		return obs.Snapshot{}, err
+	payload, err := transport.GetJSON(scrapeClient, f.url+"/api/v1/telemetry", transport.RetryPolicy{})
+	if err == nil {
+		err = json.Unmarshal(payload, &snap)
+	}
+	if err != nil {
+		return obs.Snapshot{}, fmt.Errorf("scrape %s: %w", f.name, err)
 	}
 	return snap, nil
 }
 
-// multiSource merges several sources into one fleet-wide view:
-// counters sum, gauges take the max, histograms sum their counts and
-// report the worst target's quantiles (a true cross-target quantile
-// would need the raw buckets; worst-shard p99 is the honest bound).
-func multiSource(sources ...snapshotSource) snapshotSource {
-	return func() (obs.Snapshot, error) {
-		merged := obs.Snapshot{
-			Counters:   map[string]float64{},
-			Gauges:     map[string]float64{},
-			Histograms: map[string]obs.HistogramJSON{},
-		}
-		for _, src := range sources {
-			snap, err := src()
-			if err != nil {
-				return obs.Snapshot{}, err
-			}
-			for k, v := range snap.Counters {
-				merged.Counters[k] += v
-			}
-			for k, v := range snap.Gauges {
-				if v > merged.Gauges[k] || merged.Gauges[k] == 0 {
-					merged.Gauges[k] = v
-				}
-			}
-			for k, h := range snap.Histograms {
-				prev := merged.Histograms[k]
-				prev.Count += h.Count
-				prev.Sum += h.Sum
-				if h.P50 > prev.P50 {
-					prev.P50 = h.P50
-				}
-				if h.P90 > prev.P90 {
-					prev.P90 = h.P90
-				}
-				if h.P99 > prev.P99 {
-					prev.P99 = h.P99
-				}
-				if h.Max > prev.Max {
-					prev.Max = h.Max
-				}
-				merged.Histograms[k] = prev
-			}
-			merged.Events = append(merged.Events, snap.Events...)
-			merged.EventTotal += snap.EventTotal
-		}
-		sort.Slice(merged.Events, func(i, j int) bool {
-			return merged.Events[i].AtNanos < merged.Events[j].AtNanos
-		})
-		return merged, nil
+func (f face) exposition() ([]byte, error) {
+	if f.met != nil {
+		var buf bytes.Buffer
+		err := f.met.WriteExposition(&buf)
+		return buf.Bytes(), err
 	}
+	resp, err := scrapeClient.Get(f.url + "/metrics")
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	payload, err := io.ReadAll(resp.Body)
+	if err == nil && resp.StatusCode != http.StatusOK {
+		err = fmt.Errorf("/metrics answered %d", resp.StatusCode)
+	}
+	return payload, err
 }
 
-// dashPhase is one snapshot with the boundary that produced it.
+// validateExposition runs the exposition validator over every face: one
+// malformed line fails the whole run.
+func validateExposition(w io.Writer, faces []face) error {
+	for _, f := range faces {
+		payload, err := f.exposition()
+		if err != nil {
+			return fmt.Errorf("scrape %s: %w", f.name, err)
+		}
+		if err := obs.ValidateExposition(payload); err != nil {
+			return fmt.Errorf("%s serves malformed exposition: %w", f.name, err)
+		}
+		fmt.Fprintf(w, "telemetry: %s /metrics validated (%d bytes of well-formed exposition)\n", f.name, len(payload))
+	}
+	return nil
+}
+
+// merge folds per-face snapshots into one fleet-wide view: counters sum,
+// gauges take the max, histograms sum their counts and report the worst
+// face's quantiles (a true cross-face quantile would need the raw
+// buckets; worst-shard p99 is the honest bound).
+func merge(snaps map[string]obs.Snapshot) obs.Snapshot {
+	merged := obs.Snapshot{
+		Counters:   map[string]float64{},
+		Gauges:     map[string]float64{},
+		Histograms: map[string]obs.HistogramJSON{},
+	}
+	for _, snap := range snaps {
+		for k, v := range snap.Counters {
+			merged.Counters[k] += v
+		}
+		for k, v := range snap.Gauges {
+			if v > merged.Gauges[k] || merged.Gauges[k] == 0 {
+				merged.Gauges[k] = v
+			}
+		}
+		for k, h := range snap.Histograms {
+			prev := merged.Histograms[k]
+			prev.Count += h.Count
+			prev.Sum += h.Sum
+			prev.P50 = max(prev.P50, h.P50)
+			prev.P90 = max(prev.P90, h.P90)
+			prev.P99 = max(prev.P99, h.P99)
+			prev.Max = max(prev.Max, h.Max)
+			merged.Histograms[k] = prev
+		}
+		merged.Events = append(merged.Events, snap.Events...)
+		merged.EventTotal += snap.EventTotal
+	}
+	sort.Slice(merged.Events, func(i, j int) bool {
+		return merged.Events[i].AtNanos < merged.Events[j].AtNanos
+	})
+	return merged
+}
+
+// dashPhase is one merged snapshot with the boundary that produced it.
 type dashPhase struct {
 	name string
 	at   time.Time
@@ -113,35 +130,44 @@ type dashPhase struct {
 }
 
 // dashboard accumulates phase snapshots during a run and renders the
-// per-phase report at the end. mark is called from the killer
+// per-phase report at the end. mark is called from the kill schedule's
 // goroutine as well as the main one.
 type dashboard struct {
-	source snapshotSource
+	scrape func() (map[string]obs.Snapshot, error)
 
 	mu     sync.Mutex
 	phases []dashPhase
 	errs   []error
 }
 
-func newDashboard(source snapshotSource) *dashboard {
-	return &dashboard{source: source}
+// mark scrapes every face and closes a phase. A scrape error is kept
+// (and reported) rather than failing mid-run: a shard mid-restart has no
+// telemetry to answer with, and that must not kill the drill.
+func (d *dashboard) mark(name string) {
+	snaps, err := d.scrape()
+	d.record(name, snaps, err)
 }
 
-// mark snapshots the source and closes a phase. Scrape errors are kept
-// (and reported) rather than failing mid-run: a shard mid-restart has
-// no /metrics to answer with, and that must not kill the drill.
-func (d *dashboard) mark(name string) {
-	if d == nil {
-		return
-	}
-	snap, err := d.source()
+// record closes a phase on snapshots already taken.
+func (d *dashboard) record(name string, snaps map[string]obs.Snapshot, err error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if err != nil {
 		d.errs = append(d.errs, fmt.Errorf("phase %q: %w", name, err))
 		return
 	}
-	d.phases = append(d.phases, dashPhase{name: name, at: time.Now(), snap: snap})
+	d.phases = append(d.phases, dashPhase{name: name, at: time.Now(), snap: merge(snaps)})
+}
+
+// counter is one counter's fleet-wide value at every phase boundary.
+func (d *dashboard) counter(name string) []float64 {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	at := make([]float64, len(d.phases))
+	for i, ph := range d.phases {
+		at[i] = ph.snap.Counters[name]
+	}
+	return at
 }
 
 // counterDelta is the per-phase increase of one counter (0 for the
@@ -217,21 +243,18 @@ func shedRate(prev, cur obs.Snapshot) (shed, admitted float64) {
 // print renders the whole dashboard: one line per phase (deltas
 // against the previous mark), the cumulative stage-p99 row, lease and
 // breaker transition totals, and the flight recorder's tail.
-func (d *dashboard) print() {
-	if d == nil {
-		return
-	}
+func (d *dashboard) print(w io.Writer) {
 	d.mu.Lock()
 	phases := append([]dashPhase(nil), d.phases...)
 	errs := append([]error(nil), d.errs...)
 	d.mu.Unlock()
 	for _, err := range errs {
-		fmt.Printf("telemetry: scrape skipped — %v\n", err)
+		fmt.Fprintf(w, "telemetry: scrape skipped — %v\n", err)
 	}
 	if len(phases) < 2 {
 		return
 	}
-	fmt.Println("telemetry dashboard (scraped from the fleet):")
+	fmt.Fprintln(w, "telemetry dashboard (scraped from the fleet):")
 	for i := 1; i < len(phases); i++ {
 		prev, cur := phases[i-1], phases[i]
 		secs := cur.at.Sub(prev.at).Seconds()
@@ -263,7 +286,7 @@ func (d *dashboard) print() {
 			{"transport_leader_redirects_total", "leader redirects"},
 			{`transport_wire_batches_total{codec="json"}`, "json batches"},
 			{`transport_wire_batches_total{codec="binary"}`, "binary batches"},
-			{`transport_wire_batches_total{codec="presplit"}`, "presplit batches"},
+			{presplitBatches, "presplit batches"},
 			{"transport_wire_downgrades_total", "415 downgrades"},
 			{"fleet_presplit_forwarded_total", "presplit forwards"},
 			{"fleet_presplit_digest_miss_total", "presplit re-splits"},
@@ -272,14 +295,14 @@ func (d *dashboard) print() {
 				line += fmt.Sprintf(", %s +%.0f", c.label, delta)
 			}
 		}
-		fmt.Println(line)
+		fmt.Fprintln(w, line)
 	}
 	final := phases[len(phases)-1].snap
 	if cells := stageP99s(final); len(cells) > 0 {
-		fmt.Printf("  stage p99 (cumulative): %s\n", strings.Join(cells, " | "))
+		fmt.Fprintf(w, "  stage p99 (cumulative): %s\n", strings.Join(cells, " | "))
 	}
 	if epoch := final.Gauges["bms_lease_epoch"]; epoch > 0 {
-		fmt.Printf("  lease epoch settled at %.0f\n", epoch)
+		fmt.Fprintf(w, "  lease epoch settled at %.0f\n", epoch)
 	}
 	if n := len(final.Events); n > 0 {
 		tail := final.Events
@@ -290,7 +313,7 @@ func (d *dashboard) print() {
 		for _, e := range tail {
 			parts = append(parts, formatEvent(e))
 		}
-		fmt.Printf("  flight recorder (%d events, last %d): %s\n",
+		fmt.Fprintf(w, "  flight recorder (%d events, last %d): %s\n",
 			final.EventTotal, len(tail), strings.Join(parts, "  "))
 	}
 }
@@ -317,75 +340,4 @@ func formatEvent(e obs.Event) string {
 	}
 	b.WriteByte('}')
 	return b.String()
-}
-
-// validateLiveMetrics curls GET /metrics on every live target and runs
-// the exposition validator: one malformed line fails the whole run.
-// This is the scrape-format gate the CI loadtest relies on.
-func validateLiveMetrics(targets map[string]string) error {
-	client := &http.Client{Timeout: 5 * time.Second}
-	names := make([]string, 0, len(targets))
-	for name := range targets {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		base := targets[name]
-		resp, err := client.Get(base + "/metrics")
-		if err != nil {
-			return fmt.Errorf("scrape %s (%s): %w", name, base, err)
-		}
-		payload, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			return fmt.Errorf("scrape %s: %w", name, err)
-		}
-		if resp.StatusCode != http.StatusOK {
-			return fmt.Errorf("scrape %s: /metrics answered %d", name, resp.StatusCode)
-		}
-		if err := obs.ValidateExposition(payload); err != nil {
-			return fmt.Errorf("%s serves malformed exposition: %w", name, err)
-		}
-		fmt.Printf("telemetry: %s /metrics validated (%d bytes of well-formed exposition)\n", name, len(payload))
-	}
-	return nil
-}
-
-// validateRegistry runs the exposition validator over an in-process
-// registry — the no-HTTP equivalent of validateLiveMetrics.
-func validateRegistry(m *obs.Metrics) error {
-	var buf bytes.Buffer
-	if err := m.WriteExposition(&buf); err != nil {
-		return err
-	}
-	if err := obs.ValidateExposition(buf.Bytes()); err != nil {
-		return fmt.Errorf("in-process registry serves malformed exposition: %w", err)
-	}
-	return nil
-}
-
-// assertDrillTelemetry reads every shard's telemetry after a gateway
-// drill and turns the failover contract into hard assertions: each
-// kill produced EXACTLY ONE successful lease claim on every shard
-// (plus the bootstrap claim), and the stale-admit tripwire never
-// fired — no deposed gateway's write was ever admitted past the fence.
-func assertDrillTelemetry(d *gatewayDrill, kills int) error {
-	want := float64(kills + 1) // bootstrap claim + one takeover per kill
-	for _, p := range d.fleet.procs {
-		snap, err := httpSource("http://" + p.addr)()
-		if err != nil {
-			return fmt.Errorf("%s telemetry: %w", p.name, err)
-		}
-		claims := snap.Counters["bms_lease_claims_total"]
-		if claims != want {
-			return fmt.Errorf("%s granted %.0f lease claims, want exactly %.0f (1 bootstrap + %d takeovers) — a takeover double-claimed or never landed",
-				p.name, claims, want, kills)
-		}
-		if stale := snap.Counters["bms_lease_stale_admits_total"]; stale != 0 {
-			return fmt.Errorf("%s admitted %.0f stale-epoch writes past the fence — zombie writes leaked", p.name, stale)
-		}
-	}
-	fmt.Printf("telemetry assertions: every shard granted exactly %.0f lease claims (1 bootstrap + %d takeovers) and admitted 0 stale-epoch writes\n",
-		want, kills)
-	return nil
 }

@@ -1,76 +1,80 @@
-// Command loadgen is the crowd-scale load generator: it replays trace
-// recordings or synthesises mobility-driven report streams for a
-// configurable device count and rate, drives them through coalescing
-// uplinks against a gateway, and reports ingest throughput and exchange
-// latency percentiles.
+// Command loadgen is the crowd-scale load generator: it drives a crowd of
+// simulated handsets, each with its own coalescing uplink, into a BMS
+// fleet, reports ingest throughput and exchange latency percentiles, and
+// ends by checking what it built.
 //
-// Two targets are supported:
+// Every run is one pipeline — parse the flags → open a rig → drive the
+// crowd → verify — and each flag belongs to one object that pipeline may
+// build. A flag set for an object this run does not build exits 2 naming
+// it and the flag that decides; nothing is silently ignored.
+//
+//	object                          built when                  its flags
+//	the crowd                       always                      -devices -seed -epoch -rate -batch -flush,
+//	                                                            -reports (synthetic) or -trace (replayed)
+//	an in-process fleet             neither -target nor -bmsd   -shards -plan -flaky
+//	a remote target                 -target                     -wire
+//	bmsd subprocess shards          -bmsd                       -shards -plan -fsync -data-root
+//	  the shard kill drill          -kill                       -restart-gateway
+//	  the HA gateway pair drill     -kill-gateway               -wire
+//	an adversarial scenario         -scenario or -storm         -devices -reports -shards -seed -epoch -storm
+//
+// -plan also shapes the synthetic crowd; with -trace and -target nothing
+// uses it (or -seed). A scenario builds its crowd and its fleet itself
+// (internal/scenario: a hostile delivery plan checked against its
+// ground-truth oracle; -scenario list prints the library).
 //
 //	go run ./cmd/loadgen -shards 4 -devices 64 -reports 150
-//	    self-contained: an in-process fleet.Gateway over N BMS shards
-//	    (trained and model-distributed before the measured run)
-//
-//	go run ./cmd/loadgen -target http://127.0.0.1:8080 -devices 32
-//	    an HTTP endpoint serving the BMS observation API — a single
-//	    bmsd, or a bmsd -shards N fleet gateway; transient failures are
-//	    retried with capped exponential backoff
+//	go run ./cmd/loadgen -target http://127.0.0.1:8080 -devices 32 -wire binary
+//	go run ./cmd/loadgen -shards 3 -rate 400 -kill 40,80 -restart-gateway -bmsd bin/bmsd
+//	go run ./cmd/loadgen -shards 3 -kill-gateway 40,80 -bmsd bin/bmsd -wire binary
 //
 // With -trace, the recording's scan cycles are replayed through the
 // paper's history filter and the resulting ranging reports are cloned
-// across the simulated devices (device names remapped), so real
-// captured mobility drives the load instead of the synthetic crowd.
+// across the devices (names remapped). Every report carries a per-device
+// sequence number, so shards deduplicate whatever the uplinks retransmit.
 //
-// With -flaky p (in-process fleets only), a fraction p of shard batch
-// calls fail — half of them after the shard already committed, the
-// lost-response case — and the devices' uplinks retransmit until
-// acknowledged. Every report carries a per-device sequence number, so
-// the shards deduplicate the retransmissions; after the run loadgen
-// asserts the federated occupancy, events, dwell and rollup are byte-identical
-// to a clean single server fed the same streams exactly once (the
-// synthetic ground truth) and exits nonzero otherwise.
+// -flaky p fails a fraction p of the in-process shards' deliveries, half
+// after the shard committed. -kill "t1,t2,..." SIGKILLs a bmsd shard at
+// each trace time and restarts it over its write-ahead log (and with
+// -restart-gateway rebuilds loadgen's gateway too); -kill-gateway
+// SIGKILLs the active gateway of a bmsd -self pair instead, for the
+// standby to take over.
 //
-// With -kill "t1,t2,..." (and -bmsd pointing at a built binary), the
-// shards are real bmsd subprocesses with write-ahead logs: at each
-// listed trace time a shard is SIGKILLed mid-run and restarted over
-// its data directory, -restart-gateway additionally rebuilds the
-// gateway from the shards' recovered device sets, and the run ends
-// with the same byte-identical ground-truth assertion — the crashtest
-// that proves kill -9 loses nothing (see make crashtest).
-//
-// Every run ends with a telemetry dashboard scraped from the fleet's
-// own /api/v1/telemetry faces (or read straight from the in-process
-// registry): per-phase goodput and shed rate, cumulative p99 by
-// pipeline stage, lease transitions, and the flight recorder's tail.
-// Live targets additionally have their /metrics exposition validated —
-// one malformed line fails the run. -bmsd WITHOUT a kill schedule runs
-// that check against real subprocess shards with no faults injected
-// (the CI loadtest mode), and -kill-gateway runs assert from shard
-// telemetry that every kill produced exactly one successful lease
-// claim and that no stale-epoch write was ever admitted.
+// The run ends with a telemetry dashboard and every assertion that applies
+// to what the rig built: each face's /metrics exposition well-formed; for
+// subprocess shards, frames taken over streams (a reset and a redial per
+// shard kill, none otherwise), one fsync per acknowledged append under
+// -fsync batch, and a SIGTERM drain that stops the streams before it
+// compacts into one snapshot beside one wal.log; for the gateway pair,
+// one lease claim per kill, no stale-epoch write admitted, and (-wire
+// binary) pre-split uploads in every phase; and wherever loadgen built
+// the fleet, federated occupancy, events, dwell and rollup byte-identical
+// to a clean single server fed the same streams exactly once. It exits 1
+// on the first that fails.
 package main
 
 import (
-	"encoding/json"
+	"cmp"
+	"errors"
 	"flag"
 	"fmt"
-	"math"
-	"net/http"
+	"io"
 	"os"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
 	"occusim/internal/building"
 	"occusim/internal/experiments"
 	"occusim/internal/filter"
-	"occusim/internal/fleet"
-	"occusim/internal/obs"
 	"occusim/internal/scenario"
+	"occusim/internal/store"
 	"occusim/internal/trace"
 	"occusim/internal/transport"
 )
 
-// options is the flag set.
+// options is the parsed command line.
 type options struct {
 	target, plan, tracePath, kill, killGateway, bmsdPath, dataRoot, fsync, scenario string
 
@@ -78,345 +82,199 @@ type options struct {
 	rate, flush, flaky                     float64
 	seed, epoch                            uint64
 	restartGateway                         bool
-	codec                                  transport.Codec
+
+	// Resolved by check: the floor plan, the device codec, and the kill
+	// schedule with the flag that set it.
+	building *building.Building
+	codec    transport.Codec
+	drill    string
+	schedule []float64
 }
 
-func main() {
-	var o options
-	flag.StringVar(&o.target, "target", "", "HTTP endpoint (empty: in-process fleet)")
-	flag.IntVar(&o.shards, "shards", 2, "in-process fleet shard count (with empty -target)")
-	flag.StringVar(&o.plan, "plan", "paper-house", "floor plan for stream synthesis and the in-process fleet")
-	flag.IntVar(&o.devices, "devices", 32, "simulated handset count")
-	flag.IntVar(&o.reports, "reports", 150, "reports per device (synthetic streams)")
-	flag.Float64Var(&o.rate, "rate", 0, "total reports/s pacing across the crowd (0: unpaced)")
-	flag.IntVar(&o.batch, "batch", 64, "max reports per coalesced batch")
-	flag.Float64Var(&o.flush, "flush", 20, "batch flush window in report-time seconds")
-	flag.StringVar(&o.tracePath, "trace", "", "trace JSON to replay as every device's stream")
-	flag.Uint64Var(&o.seed, "seed", 11, "stream synthesis seed")
-	flag.Float64Var(&o.flaky, "flaky", 0, "fraction of in-process shard batch calls to fail (half after commit); uplinks retry and the final state is asserted against ground truth")
-	flag.Uint64Var(&o.epoch, "epoch", 1, "device epoch stamped on sequenced reports")
-	flag.StringVar(&o.kill, "kill", "", "crash schedule \"t1,t2,...\" (trace seconds): SIGKILL a shard subprocess at each time, restart it, and assert the final state against ground truth")
-	flag.StringVar(&o.killGateway, "kill-gateway", "", "gateway-failover schedule \"t1,t2,...\" (trace seconds): SIGKILL the ACTIVE HA-gateway subprocess at each time, let the standby claim the lease and take over, and assert the final state against ground truth")
-	flag.StringVar(&o.bmsdPath, "bmsd", "", "path to a built bmsd binary (required with -kill/-kill-gateway; alone: live subprocess shards, no faults — the CI loadtest mode)")
-	flag.StringVar(&o.dataRoot, "data-root", "", "root directory for the crash shards' WALs (with -kill; empty: a temp dir)")
-	flag.StringVar(&o.fsync, "fsync", "batch", "WAL sync policy for the crash shards: batch, interval, off")
-	flag.BoolVar(&o.restartGateway, "restart-gateway", false, "with -kill: also discard and rebuild the gateway at each crash, proving a gateway restart is invisible")
-	flag.StringVar(&o.scenario, "scenario", "", "run a named adversarial scenario from internal/scenario against its ground-truth oracle (see -scenario list)")
-	flag.IntVar(&o.storm, "storm", 0, "shorthand for -scenario storm with each batch retransmitted k times")
-	wireFlag := flag.String("wire", "json", "batch encoding of the device leg, on every HTTP sink (-target, -kill-gateway): json, or binary (wire frames: pre-split per shard where the target publishes a ring with a digest, one plain frame where it does not, JSON for good once a target answers 415); the gateway → shard leg carries wire frames either way")
-	flag.Parse()
-	var err error
-	if o.codec, err = transport.ParseCodec(*wireFlag); err != nil {
-		fmt.Fprintln(os.Stderr, "loadgen:", err)
-		os.Exit(2)
+// parseFlags reads the command line and refuses what it cannot honour,
+// reporting on stderr: an unknown flag, a value out of range, and any
+// flag set explicitly for an object this run does not build.
+func parseFlags(args []string, stderr io.Writer) (*options, error) {
+	o := new(options)
+	var wire string
+	fs := flag.NewFlagSet("loadgen", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.StringVar(&o.target, "target", "", "drive a running BMS or fleet gateway at this URL instead of a fleet loadgen builds")
+	fs.IntVar(&o.shards, "shards", 2, "shard count of the fleet loadgen builds (in process, -bmsd, or the scenario's)")
+	fs.StringVar(&o.plan, "plan", "paper-house", "floor plan of the synthetic crowd and of the fleet loadgen builds")
+	fs.IntVar(&o.devices, "devices", 32, "simulated handset count")
+	fs.IntVar(&o.reports, "reports", 150, "reports per device of the synthetic crowd")
+	fs.Float64Var(&o.rate, "rate", 0, "total reports/s pacing across the crowd (0: unpaced)")
+	fs.IntVar(&o.batch, "batch", 64, "max reports per coalesced batch")
+	fs.Float64Var(&o.flush, "flush", 20, "batch flush window in report-time seconds")
+	fs.StringVar(&o.tracePath, "trace", "", "trace JSON to replay as every device's stream instead of the synthetic crowd")
+	fs.Uint64Var(&o.seed, "seed", 11, "synthesis and training seed")
+	fs.Float64Var(&o.flaky, "flaky", 0, "in-process fleet: fraction of shard deliveries to fail, half after commit")
+	fs.Uint64Var(&o.epoch, "epoch", 1, "device epoch stamped on sequenced reports")
+	fs.StringVar(&o.kill, "kill", "", "with -bmsd: SIGKILL a shard at each trace time \"t1,t2,...\" (seconds) and restart it over its WAL")
+	fs.StringVar(&o.killGateway, "kill-gateway", "", "with -bmsd: front the shards with an active/standby bmsd gateway pair and SIGKILL the active at each trace time \"t1,t2,...\"")
+	fs.StringVar(&o.bmsdPath, "bmsd", "", "path to a built bmsd binary: run the shards as durable bmsd subprocesses")
+	fs.StringVar(&o.dataRoot, "data-root", "", "with -bmsd: root of the shards' data directories (empty: a temp dir, removed at exit)")
+	fs.StringVar(&o.fsync, "fsync", "batch", "with -bmsd: the shards' WAL sync policy: batch, interval, off")
+	fs.BoolVar(&o.restartGateway, "restart-gateway", false, "with -kill: also discard and rebuild loadgen's gateway at each kill")
+	fs.StringVar(&o.scenario, "scenario", "", "run a named adversarial scenario from internal/scenario against its oracle (list: the library)")
+	fs.IntVar(&o.storm, "storm", 0, "shorthand for -scenario storm with each batch sent k times")
+	fs.StringVar(&wire, "wire", "json", "the devices' HTTP uplink codec (-target, -kill-gateway): json, or binary (pre-split per shard where the target publishes a ring, one plain frame where it does not, JSON for good after a 415)")
+	if err := fs.Parse(args); err != nil {
+		return nil, err // the flag set has already reported it
+	}
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if err := o.check(set, wire); err != nil {
+		fmt.Fprintln(stderr, "loadgen:", err)
+		return nil, err
+	}
+	return o, nil
+}
+
+// check is the one statement of which flags belong to which object: a
+// flag set explicitly while its object goes unbuilt is an error naming
+// both that flag and the one that decides. It then resolves the values
+// the rig is built from.
+func (o *options) check(set map[string]bool, wire string) (err error) {
+	for _, rule := range []struct {
+		unbuilt      bool
+		flags, given string
+	}{
+		{o.scenario != "" || o.storm > 0, "target bmsd kill kill-gateway flaky wire rate batch flush trace plan", "the driven crowd, and -scenario (or -storm) runs a scenario's crowd and fleet instead"},
+		{o.storm > 0 && o.scenario != "" && o.scenario != "storm", "storm", "the storm scenario, and -scenario names " + strconv.Quote(o.scenario)},
+		{o.target != "", "shards bmsd kill kill-gateway flaky", "a fleet loadgen builds, and -target drives one it did not"},
+		{o.target != "" && o.tracePath != "", "plan seed", "the synthetic crowd and the fleet loadgen trains, and -trace with -target builds neither"},
+		{o.bmsdPath == "", "kill kill-gateway fsync data-root", "the bmsd subprocess shards, which need -bmsd"},
+		{o.bmsdPath != "", "flaky", "the in-process shards, and -bmsd replaces them"},
+		{o.kill == "", "restart-gateway", "the shard kill drill, which needs -kill"},
+		{o.kill != "", "kill-gateway", "a second kill drill, and -kill already schedules the rig's one"},
+		{o.target == "" && o.killGateway == "", "wire", "the devices' HTTP uplink, which needs -target or -kill-gateway"},
+		{o.tracePath != "", "reports", "the synthetic crowd, and -trace replays a recording instead"},
+	} {
+		for _, name := range strings.Fields(rule.flags) {
+			if rule.unbuilt && set[name] {
+				return fmt.Errorf("-%s configures %s", name, rule.given)
+			}
+		}
 	}
 	if o.scenario != "" || o.storm > 0 {
-		err = runScenario(o)
-	} else {
-		err = run(o)
+		o.scenario = cmp.Or(o.scenario, "storm")
+		return nil
 	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "loadgen:", err)
-		os.Exit(1)
+	switch {
+	case o.devices < 1:
+		return errors.New("-devices must be at least 1")
+	case o.shards < 1:
+		return errors.New("-shards must be at least 1")
+	case o.flaky < 0 || o.flaky >= 1:
+		return fmt.Errorf("-flaky %v outside [0, 1)", o.flaky)
 	}
+	if o.building, err = building.ByName(o.plan); err != nil {
+		return fmt.Errorf("-plan: %w", err)
+	}
+	if o.codec, err = transport.ParseCodec(wire); err != nil {
+		return fmt.Errorf("-wire: %w", err)
+	}
+	if _, err = store.ParseFsyncPolicy(o.fsync); err != nil {
+		return fmt.Errorf("-fsync: %w", err)
+	}
+	o.drill = "-kill"
+	if o.killGateway != "" {
+		o.drill = "-kill-gateway"
+	}
+	o.schedule, err = parseKillSchedule(o.drill, o.kill+o.killGateway) // the rules above let one be set
+	return err
 }
 
-func run(o options) error {
-	if o.devices < 1 {
-		return fmt.Errorf("need at least 1 device")
+// parseKillSchedule parses "t1,t2,..." into sorted trace times (seconds
+// on the reports' own clock).
+func parseKillSchedule(flagName, s string) ([]float64, error) {
+	if s == "" {
+		return nil, nil
 	}
-	b, err := building.ByName(o.plan)
-	if err != nil {
-		return err
+	var out []float64
+	for _, part := range strings.Split(s, ",") {
+		t, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
+		if err != nil {
+			return nil, fmt.Errorf("%s %q: %w", flagName, s, err)
+		}
+		if t < 0 {
+			return nil, fmt.Errorf("%s time %v is negative", flagName, t)
+		}
+		out = append(out, t)
 	}
+	sort.Float64s(out)
+	return out, nil
+}
 
-	var streams [][]transport.Report
+// crowd is the run's streams, one per device: a replayed trace, or the
+// synthetic crowd.
+func (o *options) crowd() (streams [][]transport.Report, total int, err error) {
 	if o.tracePath != "" {
 		streams, err = traceStreams(o.tracePath, o.devices)
 	} else {
-		streams, _, _ = experiments.SynthCrowdStreams(b, o.devices, o.reports, o.seed)
+		streams, _, _ = experiments.SynthCrowdStreams(o.building, o.devices, o.reports, o.seed)
 	}
 	if err != nil {
-		return err
+		return nil, 0, err
 	}
-	total := 0
+	span := 0.0
 	for _, s := range streams {
 		total += len(s)
+		span = max(span, newest(s))
 	}
 	if total == 0 {
-		return fmt.Errorf("no reports to send")
+		return nil, 0, errors.New("no reports to send")
 	}
+	if n := len(o.schedule); n > 0 && o.schedule[n-1] > span {
+		return nil, 0, fmt.Errorf("%s time %v is beyond the streams' trace span (%.0fs) and would never fire; raise -reports", o.drill, o.schedule[n-1], span)
+	}
+	return streams, total, nil
+}
 
-	if o.flaky < 0 || o.flaky >= 1 {
-		return fmt.Errorf("-flaky %v outside [0, 1)", o.flaky)
-	}
-	if o.flaky > 0 && o.target != "" {
-		return fmt.Errorf("-flaky injects faults into in-process shards; it cannot be combined with -target")
-	}
-	killSchedule, err := parseKillSchedule(o.kill)
+// run is loadgen: open a rig → drive the crowd → verify, once.
+func run(o *options, stdout, stderr io.Writer) error {
+	streams, total, err := o.crowd()
 	if err != nil {
 		return err
 	}
-	if len(killSchedule) > 0 {
-		if o.target != "" {
-			return fmt.Errorf("-kill spawns its own shard subprocesses; it cannot be combined with -target")
-		}
-		if o.flaky > 0 {
-			return fmt.Errorf("-kill and -flaky are separate drills; run them one at a time")
-		}
-	}
-	gwSchedule, err := parseKillSchedule(o.killGateway)
+	r, err := open(o, stdout, stderr)
 	if err != nil {
 		return err
 	}
-	if len(gwSchedule) > 0 {
-		if o.target != "" {
-			return fmt.Errorf("-kill-gateway spawns its own gateway subprocesses; it cannot be combined with -target")
-		}
-		if o.flaky > 0 || len(killSchedule) > 0 {
-			return fmt.Errorf("-kill-gateway, -kill and -flaky are separate drills; run them one at a time")
-		}
-		if o.restartGateway {
-			return fmt.Errorf("-restart-gateway applies to -kill; -kill-gateway always restarts the killed gateway as a standby")
-		}
-		if o.bmsdPath == "" {
-			return fmt.Errorf("-kill-gateway needs -bmsd pointing at a built bmsd binary (make crashtest builds one)")
-		}
-	}
-
-	// Resolve the target: a remote HTTP gateway, subprocess crash
-	// shards, or an in-process fleet.
-	var sink scenario.Sink
-	var local *scenario.Fleet
-	var crashPool *crashFleet // the subprocess shards of every -bmsd mode
-	var drill *gatewayDrill
-	var failover *transport.HTTPUplink
-	if len(gwSchedule) > 0 {
-		drill, err = startGatewayDrill(b, o)
-		if err != nil {
-			return err
-		}
-		defer drill.stop()
-		crashPool = drill.fleet
-		failover = &transport.HTTPUplink{BaseURL: drill.gws[0].self, Peers: []string{drill.gws[1].self},
-			Retry: transport.DefaultRetry(), Codec: o.codec}
-		sink = clockUplink{c: crashPool, next: func() scenario.Sink { return failover }}
-		fmt.Printf("loadgen: %d devices, %d reports → active/standby HA gateway pair over %d bmsd shard(s), SIGKILL the active at trace t=%v (fsync=%s, wire=%s)\n",
-			o.devices, total, o.shards, gwSchedule, o.fsync, o.codec)
-	} else if len(killSchedule) > 0 || (o.target == "" && o.bmsdPath != "") {
-		// -bmsd with no kill schedule: live subprocess shards and no
-		// faults — the CI loadtest face. The run drives the real binary
-		// end to end, scrapes its telemetry for the dashboard, and
-		// fails if any shard's /metrics exposition is malformed.
-		crashPool, err = startCrashFleet(b, o)
-		if err != nil {
-			return err
-		}
-		defer crashPool.stop()
-		sink = crashPool.uplink()
-		if len(killSchedule) > 0 {
-			fmt.Printf("loadgen: %d devices, %d reports → %d bmsd subprocess shard(s), SIGKILL at trace t=%v (fsync=%s)\n",
-				o.devices, total, o.shards, killSchedule, o.fsync)
-		} else {
-			fmt.Printf("loadgen: %d devices, %d reports → %d live bmsd subprocess shard(s), no faults (fsync=%s)\n",
-				o.devices, total, o.shards, o.fsync)
-		}
-	} else if o.target != "" {
-		sink = scenario.DeviceUplink(o.target, o.codec)
-		fmt.Printf("loadgen: %d devices, %d reports → %s (wire=%s)\n", o.devices, total, o.target, o.codec)
-	} else {
-		// One shared registry for the gateway and every shard: identical
-		// series share handles, so the dashboard reads pool-wide aggregates.
-		spec := scenario.Spec{Shards: o.shards, Metrics: obs.New()}
-		if o.flaky > 0 {
-			spec.Wrap = scenario.Flaky(max(2, int(math.Round(1/o.flaky))))
-		}
-		if local, err = scenario.Build(b, spec, o.seed); err != nil {
-			return err
-		}
-		sink = local.Sinks()[0]
-		if o.flaky > 0 {
-			fmt.Printf("loadgen: %d devices, %d reports → in-process %d-shard fleet (flaky %.0f%% of batch calls)\n",
-				o.devices, total, o.shards, 100*o.flaky)
-		} else {
-			fmt.Printf("loadgen: %d devices, %d reports → in-process %d-shard fleet\n", o.devices, total, o.shards)
-		}
-	}
-	// Telemetry plumbing: instrument the client-side transport, pick the
-	// scrape targets for the dashboard and the exposition check, and set
-	// up the per-phase dashboard (marked again after every kill).
-	clientMet := obs.New()
-	transport.Instrument(clientMet)
-	if drill != nil {
-		drill.client = clientMet
-	}
-	scrapeTargets := map[string]string{}
-	sources := []snapshotSource{registrySource(clientMet)}
-	switch {
-	case crashPool != nil:
-		sources = append(sources, registrySource(crashPool.met))
-		for _, p := range crashPool.procs {
-			scrapeTargets[p.name] = "http://" + p.addr
-			sources = append(sources, httpSource("http://"+p.addr))
-		}
-		// The gateway pair is format-validated but not merged into the
-		// dashboard: a killed gateway restarts with a fresh registry,
-		// which would make cross-phase deltas jump.
-		if drill != nil {
-			for _, g := range drill.gws {
-				scrapeTargets[g.name] = g.self
-			}
-		}
-	case o.target != "":
-		scrapeTargets["target"] = o.target
-		sources = append(sources, httpSource(o.target))
-	default:
-		sources = append(sources, registrySource(local.Spec.Metrics))
-	}
-	dash := newDashboard(multiSource(sources...))
-	if crashPool != nil {
-		crashPool.onKill = dash.mark
-	}
-
-	// The crowd: each device hands its own coalescing uplink one report
-	// at a time; pacing (when requested) spreads them over wall time.
-	drive := scenario.Driver{
+	defer r.close()
+	fmt.Fprintf(stdout, "loadgen: %d devices, %d reports → %s\n", o.devices, total, r.name)
+	d := scenario.Driver{
 		Epoch:    o.epoch,
 		Coalesce: &transport.BatchConfig{FlushSeconds: o.flush, MaxBatch: o.batch},
 	}
 	if o.rate > 0 {
-		drive.Gap = time.Duration(float64(o.devices) / o.rate * float64(time.Second))
+		d.Gap = time.Duration(float64(o.devices) / o.rate * float64(time.Second))
 	}
-	if o.flaky > 0 {
-		drive.Faults = scenario.Budget{Attempts: 10}
-	}
-	schedule, flagName := killSchedule, "-kill"
-	if drill != nil {
-		schedule, flagName = gwSchedule, "-kill-gateway"
-	}
-	var killer chan error // the schedule's outcome, once it has run
-	if len(schedule) > 0 {
-		// A killed shard or gateway is down for its whole restart
-		// (recovery/takeover + rebind), so retransmission needs a real
-		// gap and a deep budget.
-		drive.Faults = scenario.Budget{Attempts: 300, Gap: 100 * time.Millisecond}
-		maxTrace := 0.0
-		for _, s := range streams {
-			maxTrace = max(maxTrace, newest(s))
-		}
-		if last := schedule[len(schedule)-1]; last > maxTrace {
-			return fmt.Errorf("%s time %v is beyond the streams' trace span (%.0fs) and would never fire; raise -reports", flagName, last, maxTrace)
-		}
-		stopKiller := make(chan struct{})
-		defer close(stopKiller)
-		fire := crashPool.killShard(o.restartGateway, stopKiller)
-		if drill != nil {
-			fire = drill.killActive
-		}
-		killer = make(chan error, 1)
-		go func() { killer <- crashPool.runKiller(schedule, fire, stopKiller) }()
-	}
-
-	dash.mark("start")
-	ran, err := drive.Drive(scenario.Lanes(streams, 1), sink)
+	ran, err := r.drive(d, streams)
 	if err != nil {
 		return err
 	}
-	printReport(total, ran)
-	if crashPool != nil {
-		if killer != nil {
-			// The last kill's restart or takeover can outlive the final
-			// batch (it lands through a survivor); wait for the schedule to
-			// finish before reading the shards.
-			select {
-			case err := <-killer:
-				if err != nil {
-					return err
-				}
-			case <-time.After(120 * time.Second):
-				return fmt.Errorf("%s schedule never completed — a restart or takeover stalled", flagName)
-			}
-			if got := crashPool.kills.Load(); got != int64(len(schedule)) {
-				return fmt.Errorf("%s fired %d of %d scheduled kills — the drill was vacuous", flagName, got, len(schedule))
-			}
-		}
-		dash.mark("end of run")
-		dash.print()
-		if err := validateLiveMetrics(scrapeTargets); err != nil {
-			return err
-		}
-		if drill != nil {
-			return drill.verify(failover, streams)
-		}
-		if err := crashPool.assertStreamTelemetry(); err != nil {
-			return err
-		}
-		if err := crashPool.assertWALTelemetry(); err != nil {
-			return err
-		}
-		cgw := crashPool.gw.Load()
-		printRollup(cgw)
-		if err := crashPool.clients.Verify(cgw, scenario.Exact, streams); err != nil {
-			return err
-		}
-		if err := crashPool.drain(); err != nil {
-			return err
-		}
-		if len(killSchedule) > 0 {
-			fmt.Printf("crash-recovery verified: %d kill -9 restart(s), recovered fleet state is byte-identical to the clean ground truth\n",
-				crashPool.kills.Load())
-		} else {
-			fmt.Println("live-shard run verified: state byte-identical to the clean ground truth, /metrics valid on every shard")
-		}
-		return nil
-	}
-	if local != nil {
-		// Before the final mark: the rollup's federated read is then a
-		// row of the dashboard's stage table.
-		printRollup(local.Gateways[0])
-	}
-	dash.mark("end of run")
-	dash.print()
-	if local == nil {
-		if err := validateLiveMetrics(scrapeTargets); err != nil {
-			return err
-		}
-		printRemoteOccupancy(o.target)
-		return nil
-	}
-	if err := validateRegistry(local.Spec.Metrics); err != nil {
-		return err
-	}
-	if o.flaky > 0 {
-		if err := local.Verify(local.Gateways[0], scenario.Exact, streams); err != nil {
-			return err
-		}
-		fmt.Printf("exactly-once verified: %d injected failures, flaky-run state is byte-identical to the clean ground truth\n", local.Injected())
-	}
-	return nil
+	printReport(stdout, total, ran)
+	return r.verify(streams)
 }
 
 // runScenario drives one adversarial scenario from internal/scenario
 // through an in-process fleet and its ground-truth oracle, and — for
 // the scenarios whose whole point is a hostile mechanism firing —
-// exits nonzero if the run was vacuous.
-func runScenario(o options) error {
+// fails if the run was vacuous.
+func runScenario(o *options, stdout io.Writer) error {
 	name := o.scenario
-	if name == "" {
-		name = "storm"
-	}
 	if name == "list" {
 		for _, sc := range scenario.All() {
-			fmt.Printf("%-8s %s (oracle: %s)\n", sc.Name, sc.Description, sc.Oracle)
+			fmt.Fprintf(stdout, "%-8s %s (oracle: %s)\n", sc.Name, sc.Description, sc.Oracle)
 		}
 		return nil
 	}
 	sc, err := scenario.ByName(name)
 	if err != nil {
 		return err
-	}
-	if o.storm > 0 && name != "storm" {
-		return fmt.Errorf("-storm only applies to the storm scenario, not %q", name)
 	}
 	res, err := scenario.Run(sc, scenario.Config{
 		Devices: o.devices,
@@ -429,18 +287,40 @@ func runScenario(o options) error {
 	if err != nil {
 		return err
 	}
-	switch name {
-	case "storm":
-		if res.Shed == 0 {
-			return fmt.Errorf("storm run shed nothing — the drill was vacuous; raise -storm or -devices")
-		}
-	case "skew":
-		if res.SkewAdjusted == 0 {
-			return fmt.Errorf("skew run re-anchored nothing — the drill was vacuous")
-		}
+	switch {
+	case name == "storm" && res.Shed == 0:
+		return errors.New("storm run shed nothing — the drill was vacuous; raise -storm or -devices")
+	case name == "skew" && res.SkewAdjusted == 0:
+		return errors.New("skew run re-anchored nothing — the drill was vacuous")
 	}
-	fmt.Println(res)
+	fmt.Fprintln(stdout, res)
 	return nil
+}
+
+// realMain returns the exit status: 2 for a command line loadgen refuses,
+// 1 for a run that fails.
+func realMain(args []string, stdout, stderr io.Writer) int {
+	o, err := parseFlags(args, stderr)
+	switch {
+	case errors.Is(err, flag.ErrHelp):
+		return 0
+	case err != nil:
+		return 2
+	}
+	if o.scenario != "" {
+		err = runScenario(o, stdout)
+	} else {
+		err = run(o, stdout, stderr)
+	}
+	if err != nil {
+		fmt.Fprintln(stderr, "loadgen:", err)
+		return 1
+	}
+	return 0
+}
+
+func main() {
+	os.Exit(realMain(os.Args[1:], os.Stdout, os.Stderr))
 }
 
 // traceStreams replays a recorded session through the paper's history
@@ -490,60 +370,13 @@ func traceStreams(path string, devices int) ([][]transport.Report, error) {
 
 // printReport prints what the driver measured. The mean batch is over
 // the exchanges that were acknowledged, as the reports it divides are.
-func printReport(total int, ran *scenario.Driven) {
-	fmt.Printf("sent %d reports in %v → %.0f reports/s (%d exchanges, mean batch %.1f)\n",
+func printReport(w io.Writer, total int, ran *scenario.Driven) {
+	fmt.Fprintf(w, "sent %d reports in %v → %.0f reports/s (%d exchanges, mean batch %.1f)\n",
 		ran.Acked, ran.Elapsed.Round(time.Millisecond), float64(ran.Acked)/ran.Elapsed.Seconds(),
 		ran.Exchanges, float64(ran.Acked)/float64(ran.AckedExchanges))
 	if total != ran.Acked {
-		fmt.Printf("WARNING: %d of %d reports unaccounted for\n", total-ran.Acked, total)
+		fmt.Fprintf(w, "WARNING: %d of %d reports unaccounted for\n", total-ran.Acked, total)
 	}
-	fmt.Printf("exchange latency ms: p50 %.2f  p90 %.2f  p99 %.2f  max %.2f\n",
+	fmt.Fprintf(w, "exchange latency ms: p50 %.2f  p90 %.2f  p99 %.2f  max %.2f\n",
 		ran.LatencyMs(50), ran.LatencyMs(90), ran.LatencyMs(99), ran.LatencyMs(100))
-}
-
-// roomCounts renders per-room head counts in room order.
-func roomCounts(rooms map[string]int) string {
-	names := make([]string, 0, len(rooms))
-	for room := range rooms {
-		names = append(names, room)
-	}
-	sort.Strings(names)
-	for i, room := range names {
-		names[i] = fmt.Sprintf("%s:%d", room, rooms[room])
-	}
-	return strings.Join(names, " ")
-}
-
-// printRollup renders the in-process fleet's federated occupancy view —
-// the payoff the load was generating for.
-func printRollup(gw *fleet.Gateway) {
-	rollup, err := gw.Rollup()
-	if err != nil {
-		fmt.Println("rollup unavailable:", err)
-		return
-	}
-	occupants := map[string]int{}
-	for room, r := range rollup.Rooms {
-		occupants[room] = r.Occupants
-	}
-	fmt.Printf("federated rollup: %d devices, %d events | %s\n", rollup.Devices, rollup.Events, roomCounts(occupants))
-	for _, s := range gw.Statuses() {
-		fmt.Printf("  %s: %d reports routed\n", s.Name, s.Routed)
-	}
-}
-
-// printRemoteOccupancy best-effort queries the target's occupancy view.
-func printRemoteOccupancy(target string) {
-	payload, err := transport.GetJSON(&http.Client{Timeout: 5 * time.Second},
-		target+"/api/v1/occupancy", transport.RetryPolicy{})
-	if err != nil {
-		return
-	}
-	var snap struct {
-		Rooms map[string]int `json:"rooms"`
-	}
-	if json.Unmarshal(payload, &snap) != nil {
-		return
-	}
-	fmt.Printf("remote occupancy: %s\n", roomCounts(snap.Rooms))
 }
