@@ -58,7 +58,12 @@ allocs:
 # gateway, dials shards, starts an http.Server and takes signals at one
 # site each. So is the load generator: cmd/loadgen is one pipeline
 # (flags → rig → drive → verify), so it starts a subprocess, SIGKILLs one
-# and verifies against the ground truth at one site each.
+# and verifies against the ground truth at one site each. And so is the
+# HTTP face: a box and a gateway are served by one route table
+# (bms.Routes), so in the non-test Go of internal/ and cmd/ the batch
+# upload route and /metrics are registered once, and no handler decodes a
+# request body with a json.Decoder of its own (bms.DecodeJSON reads every
+# JSON body under the size limit).
 ONEPATH_DIRS = internal/experiments internal/scenario cmd/loadgen
 onepath:
 	@fail=0; \
@@ -80,6 +85,10 @@ onepath:
 	onesite internal/transport 'isUnsupportedMedia(' 'wire\.HeaderRingDigest'; \
 	onesite cmd/bmsd 'fleet\.New(' '&http\.Server{' 'signal\.Notify(' 'fleet\.NewHTTPShard('; \
 	onesite cmd/loadgen 'exec\.Command(' 'syscall\.SIGKILL' '\.Verify('; \
+	onesite 'internal cmd' '"POST /api/v1/observations:batch"' '"GET /metrics"'; \
+	if grep -rn --include='*.go' --exclude='*_test.go' -e 'json\.NewDecoder(r\.Body)' internal cmd; then \
+		echo "onepath: a handler decodes a request body with its own json.Decoder; use bms.DecodeJSON"; fail=1; \
+	fi; \
 	exit $$fail
 
 # bench writes BENCH_PR$(PR).json — the per-PR performance snapshot of

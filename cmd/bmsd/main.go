@@ -40,7 +40,8 @@
 // internal/overload) and -debug-addr, a second listener for net/http/pprof
 // — kept off the API port so profiling is strictly opt-in.
 //
-// Endpoints (gateway: what a fleet gateway serves too):
+// Endpoints (gateway: a fleet gateway serves it too, through the same
+// route table, bms.Routes):
 //
 //	GET  /api/v1/health                                       gateway
 //	POST /api/v1/observations   device ranging reports        gateway
@@ -54,9 +55,9 @@
 //	PUT  /api/v1/model          install/distribute a model    gateway
 //	GET  /api/v1/dwell          per-room dwell rollup         gateway
 //	GET  /api/v1/devices/{id}   latest report and room        one shard only
-//	GET  /api/v1/rollup         per-room occupancy rollup     gateway (one shard adds the device
-//	                            names and integer-ns dwell a gateway merges)
+//	GET  /api/v1/rollup         per-room occupancy rollup     gateway
 //	GET  /api/v1/shards         shard health and routing      gateway only
+//	GET  /api/v1/ring           routing table for pre-split   gateway only
 //	GET  /metrics               Prometheus text exposition    gateway
 //	GET  /api/v1/telemetry      JSON metrics + flight events  gateway
 //

@@ -25,6 +25,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net/http"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -359,7 +360,7 @@ func (s *Server) logObservations(b *wire.Batch, payload []byte, rooms []string) 
 	buf := wire.GetBuf()
 	defer wire.PutBuf(buf)
 	*buf = appendObsRecord(*buf, b, payload, rooms)
-	return s.dur.wal.AppendMeta(*buf)
+	return logFailure(s.dur.wal.AppendMeta(*buf))
 }
 
 // logRecord appends one cold record. The caller holds the Begin guard.
@@ -368,7 +369,18 @@ func (s *Server) logRecord(rec walRecord) error {
 	if err != nil {
 		return fmt.Errorf("bms: wal encode: %w", err)
 	}
-	return s.dur.wal.AppendMeta(payload)
+	return logFailure(s.dur.wal.AppendMeta(payload))
+}
+
+// logFailure marks a failed append as the server's failure, not the
+// request's: ingest logs a batch before applying it, so nothing of a
+// batch the log refused landed and its sender may resend it — 503 with a
+// Retry-After over HTTP, a hang-up on the shard stream.
+func logFailure(err error) error {
+	if err == nil {
+		return nil
+	}
+	return &Error{Code: http.StatusServiceUnavailable, RetryAfter: time.Second, Err: err}
 }
 
 // --- recovery ---------------------------------------------------------

@@ -279,17 +279,6 @@ func gatewayEpochFrom(r *http.Request) uint64 {
 	return epoch
 }
 
-// writeStaleLeader answers 409 Conflict with the granted epoch and
-// leader hint in headers, so a deposed gateway (or a failover uplink)
-// can redirect to the real leader without guessing.
-func writeStaleLeader(w http.ResponseWriter, stale *StaleLeaderError) {
-	w.Header().Set(transport.HeaderLeaderEpoch, strconv.FormatUint(stale.Granted, 10))
-	if stale.Leader != "" {
-		w.Header().Set(transport.HeaderLeaderHint, stale.Leader)
-	}
-	writeError(w, http.StatusConflict, stale)
-}
-
 // leaseClaimRequest is the POST /api/v1/lease:claim payload.
 type leaseClaimRequest struct {
 	Epoch  uint64 `json:"epoch"`
@@ -297,28 +286,24 @@ type leaseClaimRequest struct {
 }
 
 // handleLeaseClaim is the lease arbiter's HTTP face: grant, renewal,
-// or 409 with the winning epoch and holder.
+// or 409 with the winning epoch and holder in the leader headers, so a
+// losing claimant learns what to outbid and where the leader is.
 func (s *Server) handleLeaseClaim(w http.ResponseWriter, r *http.Request) {
 	var req leaseClaimRequest
-	if err := DecodeJSON(r.Body, &req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decode: %w", err))
+	if err := DecodeJSON(r, &req); err != nil {
+		WriteUploadError(w, "decode", err)
 		return
 	}
 	granted, holder, err := s.GrantLease(req.Epoch, req.Leader)
 	if err != nil {
-		var stale *StaleLeaderError
-		if errors.As(err, &stale) {
-			writeStaleLeader(w, stale)
-			return
-		}
-		writeError(w, http.StatusBadRequest, err)
+		WriteFailure(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"granted": granted, "holder": holder})
+	WriteJSON(w, http.StatusOK, map[string]any{"granted": granted, "holder": holder})
 }
 
 // handleLease reports the current grant (observability; never 409s).
 func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 	epoch, holder := s.GrantedLease()
-	writeJSON(w, http.StatusOK, map[string]any{"granted": epoch, "holder": holder})
+	WriteJSON(w, http.StatusOK, map[string]any{"granted": epoch, "holder": holder})
 }

@@ -1,7 +1,6 @@
 package bms
 
 import (
-	"net/http"
 	"time"
 
 	"occusim/internal/occupancy"
@@ -74,7 +73,12 @@ func RenderRollup(sum occupancy.Summary) Rollup {
 	return out
 }
 
-// ShardRollup is the GET /api/v1/rollup payload of one server: the
+// ShardRollupPath is the shard-internal route a federating gateway reads
+// a shard's summary from (ShardRollup). Clients read the public rollup at
+// GET /api/v1/rollup, which a box and a gateway answer alike.
+const ShardRollupPath = "/api/v1/shard:rollup"
+
+// ShardRollup is the GET ShardRollupPath payload of one server: the
 // public rollup plus what a federating gateway needs to merge shards
 // exactly — the device names (so a device two shards both still track
 // counts once) and dwell as integer nanoseconds (so summing shards
@@ -121,8 +125,4 @@ func (sr ShardRollup) Summary() occupancy.Summary {
 // tallies and dwell.
 func (s *Server) Summary() occupancy.Summary {
 	return s.tracker.Summary()
-}
-
-func (s *Server) handleRollup(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, NewShardRollup(s.Summary()))
 }

@@ -106,9 +106,10 @@ func TestDurableRollupSurvivesKillAcrossCompaction(t *testing.T) {
 	}
 }
 
-// TestRollupRouteRoundTrips: GET /api/v1/rollup carries the summary
-// exactly — what the gateway's shard client rebuilds from the reply is
-// what the server read — and its public fields are the one renderer's.
+// TestRollupRouteRoundTrips: the shard-internal rollup route carries the
+// summary exactly — what the gateway's shard client rebuilds from the
+// reply is what the server read — its public fields are the one
+// renderer's, and GET /api/v1/rollup answers those fields alone.
 func TestRollupRouteRoundTrips(t *testing.T) {
 	s, b := newTestServer(t)
 	for i := 0; i < 9; i++ {
@@ -119,14 +120,20 @@ func TestRollupRouteRoundTrips(t *testing.T) {
 		}
 	}
 	s.EvictDevice("c") // history without state
-	rec := httptest.NewRecorder()
-	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/api/v1/rollup", nil))
-	if rec.Code != http.StatusOK {
-		t.Fatalf("GET /api/v1/rollup answered %d: %s", rec.Code, rec.Body)
+	get := func(path string) []byte {
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("GET %s answered %d: %s", path, rec.Code, rec.Body)
+		}
+		return rec.Body.Bytes()
 	}
 	var reply ShardRollup
-	if err := json.Unmarshal(rec.Body.Bytes(), &reply); err != nil {
+	if err := json.Unmarshal(get(ShardRollupPath), &reply); err != nil {
 		t.Fatal(err)
+	}
+	if public, err := json.Marshal(reply.Rollup); err != nil || string(get("/api/v1/rollup")) != string(public)+"\n" {
+		t.Fatalf("GET /api/v1/rollup answered %s, want the shard reply's public fields %s (%v)", get("/api/v1/rollup"), public, err)
 	}
 	sum := s.Summary()
 	if got := reply.Summary(); !reflect.DeepEqual(got, sum) {

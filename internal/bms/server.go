@@ -15,11 +15,8 @@
 package bms
 
 import (
-	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"slices"
 	"strconv"
@@ -297,7 +294,7 @@ func (s *Server) IngestBatch(reports []transport.Report) ([]string, error) {
 // in-process door for reports held as structs: they are rendered into a
 // pooled wire.Batch (the strict identity parse every face shares) and
 // take the core. The HTTP JSON routes do not come through here; they
-// decode straight into the batch (handleJSONUpload).
+// decode straight into the batch (box.UploadJSON).
 func (s *Server) IngestBatchFenced(gwEpoch uint64, reports []transport.Report) ([]string, error) {
 	b := wire.GetBatch()
 	defer wire.PutBatch(b)
@@ -364,11 +361,12 @@ type TrainResult struct {
 
 // Train fits the scene-analysis SVM on the stored fingerprints and
 // switches classification to it. C and gamma follow the paper's choice
-// of an RBF kernel; non-positive values select defaults.
+// of an RBF kernel; non-positive values select defaults. A fit the
+// collected samples cannot make is a conflict (409 over HTTP).
 func (s *Server) Train(c, gamma float64, seed uint64) (TrainResult, error) {
 	ds := s.st.FingerprintDataset()
 	if ds.Len() == 0 {
-		return TrainResult{}, fmt.Errorf("bms: no fingerprints collected")
+		return TrainResult{}, conflict(fmt.Errorf("bms: no fingerprints collected"))
 	}
 	if c <= 0 {
 		c = 10
@@ -382,7 +380,7 @@ func (s *Server) Train(c, gamma float64, seed uint64) (TrainResult, error) {
 		Seed:   seed,
 	})
 	if err != nil {
-		return TrainResult{}, err
+		return TrainResult{}, conflict(err)
 	}
 	blob, err := json.Marshal(scene.Model())
 	if err != nil {
@@ -644,30 +642,23 @@ func (s *Server) Events() []occupancy.Event {
 	return s.tracker.Events()
 }
 
-// Handler returns the REST API.
+// Handler returns the REST API: the one device-facing route table
+// (Routes) over this server, which is its own trainer, plus what only a
+// shard serves — the gateway stream, the summary a gateway merges, device
+// migration and expiry, the lease — and the reads only a box has: rooms,
+// energy, the model and a device's latest report.
 func (s *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /api/v1/health", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok", "building": s.bld.Name})
-	})
-	mux.HandleFunc("POST /api/v1/observations", s.handleObservation)
-	mux.HandleFunc("POST /api/v1/observations:batch", s.handleObservationBatch)
+	mux := Routes(box{s}, s)
 	mux.HandleFunc("GET "+wire.StreamPath, s.handleStream)
-	mux.HandleFunc("POST /api/v1/fingerprints", s.handleFingerprint)
-	mux.HandleFunc("POST /api/v1/train", s.handleTrain)
-	mux.HandleFunc("GET /api/v1/occupancy", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, s.Occupancy())
+	mux.HandleFunc("GET "+ShardRollupPath, func(w http.ResponseWriter, r *http.Request) {
+		WriteJSON(w, http.StatusOK, NewShardRollup(s.Summary()))
 	})
-	mux.HandleFunc("GET /api/v1/model", s.handleModel)
-	mux.HandleFunc("PUT /api/v1/model", s.handleModelInstall)
-	mux.HandleFunc("GET /api/v1/dwell", s.handleDwell)
-	mux.HandleFunc("GET /api/v1/rollup", s.handleRollup)
 	mux.HandleFunc("GET /api/v1/devices", func(w http.ResponseWriter, r *http.Request) {
 		devices := s.KnownDevices()
 		if devices == nil {
 			devices = []string{}
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"devices": devices})
+		WriteJSON(w, http.StatusOK, map[string]any{"devices": devices})
 	})
 	mux.HandleFunc("GET /api/v1/devices/{device}", s.handleDevice)
 	mux.HandleFunc("GET /api/v1/devices/{device}/state", s.handleDeviceState)
@@ -676,20 +667,55 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /api/v1/devices:expire", s.handleDeviceExpire)
 	mux.HandleFunc("POST /api/v1/lease:claim", s.handleLeaseClaim)
 	mux.HandleFunc("GET /api/v1/lease", s.handleLease)
-	mux.HandleFunc("GET /api/v1/events", s.handleEvents)
 	mux.HandleFunc("GET /api/v1/rooms", s.handleRooms)
 	mux.HandleFunc("GET /api/v1/energy", s.handleEnergy)
-	// Telemetry faces. Metrics() is nil before Instrument, and the obs
-	// handlers are nil-safe: an uninstrumented server serves an empty
-	// exposition and an empty snapshot rather than a 404, so scrapers
-	// need no special case.
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-		s.Metrics().ExpositionHandler()(w, r)
-	})
-	mux.HandleFunc("GET /api/v1/telemetry", func(w http.ResponseWriter, r *http.Request) {
-		s.Metrics().TelemetryHandler()(w, r)
-	})
+	mux.HandleFunc("GET /api/v1/model", s.handleModel)
 	return mux
+}
+
+// box is one server as the route table serves it.
+type box struct{ *Server }
+
+func (b box) Health() (any, bool) {
+	return map[string]string{"status": "ok", "building": b.bld.Name}, true
+}
+
+// UploadJSON renders the upload into a pooled batch — where a beacon
+// identity that did not parse refuses it whole — and takes the core on a
+// pooled scratch.
+func (b box) UploadJSON(r *http.Request, u *transport.JSONUpload, rooms []string) ([]string, error) {
+	wb := wire.GetBatch()
+	defer wire.PutBatch(wb)
+	if err := u.AppendTo(wb); err != nil {
+		return rooms, fmt.Errorf("bms: batch: %w", err)
+	}
+	sc := getScratch()
+	defer sc.release()
+	got, err := b.ingest(gatewayEpochFrom(r), wb, nil, sc)
+	return append(rooms, got...), err
+}
+
+// UploadFrame decodes the frame and takes the core with no intermediate
+// report slice; a durable server logs the frame's payload as received.
+func (b box) UploadFrame(r *http.Request, body []byte, rooms []string) ([]string, error) {
+	sc := getScratch()
+	defer sc.release()
+	got, err := b.ingestWireFrame(gatewayEpochFrom(r), body, sc)
+	return append(rooms, got...), err
+}
+
+func (b box) Occupancy() (OccupancySnapshot, error)          { return b.Server.Occupancy(), nil }
+func (b box) DwellTotals() (map[string]time.Duration, error) { return b.Server.DwellTotals(), nil }
+func (b box) Rollup() (Rollup, error)                        { return RenderRollup(b.Summary()), nil }
+func (b box) Events() ([]occupancy.Event, error)             { return b.Server.Events(), nil }
+func (b box) Trained(res TrainResult) (any, error)           { return res, nil }
+
+func (b box) PutModel(snap ModelSnapshot) (any, error) {
+	version, err := b.InstallModel(snap)
+	if err != nil {
+		return nil, err
+	}
+	return map[string]int{"version": version}, nil
 }
 
 // EventJSON is the wire form of an occupancy event, shared with the
@@ -700,25 +726,6 @@ type EventJSON struct {
 	Device    string  `json:"device"`
 	Kind      string  `json:"kind"`
 	Room      string  `json:"room"`
-}
-
-// EventsBody is the GET /api/v1/events payload, as one server and a
-// fleet gateway both answer it.
-func EventsBody(events []occupancy.Event) map[string]any {
-	out := make([]EventJSON, 0, len(events))
-	for _, e := range events {
-		out = append(out, EventJSON{
-			AtSeconds: e.At.Seconds(),
-			Device:    e.Device,
-			Kind:      e.Kind.String(),
-			Room:      e.Room,
-		})
-	}
-	return map[string]any{"events": out}
-}
-
-func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, EventsBody(s.Events()))
 }
 
 func (s *Server) handleRooms(w http.ResponseWriter, r *http.Request) {
@@ -733,7 +740,7 @@ func (s *Server) handleRooms(w http.ResponseWriter, r *http.Request) {
 			Beacons: len(s.bld.BeaconsInRoom(room.Name)),
 		})
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"building": s.bld.Name, "rooms": rooms})
+	WriteJSON(w, http.StatusOK, map[string]any{"building": s.bld.Name, "rooms": rooms})
 }
 
 // handleEnergy runs the demand-response comparison over the occupancy
@@ -761,148 +768,12 @@ func (s *Server) handleEnergy(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusConflict, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	WriteJSON(w, http.StatusOK, map[string]any{
 		"horizonSeconds": cmp.Horizon.Seconds(),
 		"baselineKWh":    cmp.BaselineKWh,
 		"demandKWh":      cmp.DemandKWh,
 		"savingFraction": cmp.SavingFraction,
 	})
-}
-
-func (s *Server) handleObservation(w http.ResponseWriter, r *http.Request) {
-	s.handleJSONUpload(w, r, false)
-}
-
-// handleJSONUpload serves both JSON ingest routes — batch says which: the
-// body decodes into a pooled upload target, is rendered into a pooled
-// wire.Batch (where a beacon identity that did not parse refuses the whole
-// upload) and takes the core on a pooled scratch; the ack is written from
-// the scratch's rooms. No []transport.Report, no string per identity.
-func (s *Server) handleJSONUpload(w http.ResponseWriter, r *http.Request, batch bool) {
-	u := transport.GetJSONUpload()
-	defer u.Release()
-	if err := ReadJSONUpload(w, r, u, batch); err != nil {
-		WriteUploadError(w, "decode", err)
-		return
-	}
-	b := wire.GetBatch()
-	defer wire.PutBatch(b)
-	if err := u.AppendTo(b); err != nil {
-		writeIngestError(w, fmt.Errorf("bms: batch: %w", err))
-		return
-	}
-	sc := getScratch()
-	defer sc.release()
-	rooms, err := s.ingest(gatewayEpochFrom(r), b, nil, sc)
-	if err != nil {
-		writeIngestError(w, err)
-		return
-	}
-	WriteJSONAck(w, rooms, batch)
-}
-
-// writeIngestError maps an ingest failure to its HTTP face: a shed
-// admission becomes 429 Too Many Requests with a Retry-After header
-// (integer seconds, rounded up per RFC 9110); a write from a deposed
-// gateway becomes 409 Conflict with the leader hint; anything else is
-// the client's fault and stays 400.
-func writeIngestError(w http.ResponseWriter, err error) {
-	if after, ok := overload.IsOverload(err); ok {
-		secs := int64((after + time.Second - 1) / time.Second)
-		if secs < 1 {
-			secs = 1
-		}
-		w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
-		writeError(w, http.StatusTooManyRequests, err)
-		return
-	}
-	var stale *StaleLeaderError
-	if errors.As(err, &stale) {
-		writeStaleLeader(w, stale)
-		return
-	}
-	writeError(w, http.StatusBadRequest, err)
-}
-
-// WriteUploadError answers an upload that could not be taken in (what
-// names the step that failed): 413 past the size limit — the wire
-// face's own, or the JSON face's MaxBytesReader — and 400 otherwise.
-// The fleet gateway's ingest routes answer through it too.
-func WriteUploadError(w http.ResponseWriter, what string, err error) {
-	code := http.StatusBadRequest
-	var tooLarge *http.MaxBytesError
-	if errors.Is(err, wire.ErrBodyTooLarge) || errors.As(err, &tooLarge) {
-		code = http.StatusRequestEntityTooLarge
-	}
-	writeError(w, code, fmt.Errorf("%s: %w", what, err))
-}
-
-// handleObservationBatch ingests a batch of reports in one pass and
-// returns the predicted room per report, in order. JSON is the
-// compatibility encoding; a body under the wire content type takes the
-// binary zero-intermediate path (see wire.go).
-func (s *Server) handleObservationBatch(w http.ResponseWriter, r *http.Request) {
-	if wire.IsContentType(r.Header.Get("Content-Type")) {
-		s.handleWireObservationBatch(w, r)
-		return
-	}
-	s.handleJSONUpload(w, r, true)
-}
-
-// fingerprintRequest is the POST /api/v1/fingerprints payload.
-type fingerprintRequest struct {
-	Room      string             `json:"room"`
-	AtSeconds float64            `json:"atSeconds"`
-	Distances map[string]float64 `json:"distances"`
-}
-
-func (s *Server) handleFingerprint(w http.ResponseWriter, r *http.Request) {
-	var req fingerprintRequest
-	if err := DecodeJSON(r.Body, &req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decode: %w", err))
-		return
-	}
-	sample := fingerprint.Sample{
-		Room:      req.Room,
-		At:        time.Duration(req.AtSeconds * float64(time.Second)),
-		Distances: map[ibeacon.BeaconID]float64{},
-	}
-	for key, d := range req.Distances {
-		id, err := ibeacon.ParseBeaconID(key)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		sample.Distances[id] = d
-	}
-	if err := s.AddFingerprint(sample); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]int{"stored": s.st.FingerprintCount()})
-}
-
-// trainRequest is the POST /api/v1/train payload.
-type trainRequest struct {
-	C     float64 `json:"c"`
-	Gamma float64 `json:"gamma"`
-	Seed  uint64  `json:"seed"`
-}
-
-func (s *Server) handleTrain(w http.ResponseWriter, r *http.Request) {
-	var req trainRequest
-	if r.ContentLength != 0 {
-		if err := DecodeJSON(r.Body, &req); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("decode: %w", err))
-			return
-		}
-	}
-	res, err := s.Train(req.C, req.Gamma, req.Seed)
-	if err != nil {
-		writeError(w, http.StatusConflict, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, res)
 }
 
 func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
@@ -911,40 +782,10 @@ func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, fmt.Errorf("no model trained"))
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	WriteJSON(w, http.StatusOK, map[string]any{
 		"version": version,
 		"model":   json.RawMessage(blob),
 	})
-}
-
-// handleModelInstall accepts a distributed model snapshot — the HTTP
-// face of InstallModel, used by the fleet gateway against remote shards.
-func (s *Server) handleModelInstall(w http.ResponseWriter, r *http.Request) {
-	var snap ModelSnapshot
-	if err := DecodeJSON(r.Body, &snap); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decode: %w", err))
-		return
-	}
-	version, err := s.InstallModel(snap)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]int{"version": version})
-}
-
-// DwellBody is the GET /api/v1/dwell payload — the per-room dwell rollup
-// in seconds — as one server and a fleet gateway both answer it.
-func DwellBody(totals map[string]time.Duration) map[string]any {
-	rooms := make(map[string]float64, len(totals))
-	for room, d := range totals {
-		rooms[room] = d.Seconds()
-	}
-	return map[string]any{"rooms": rooms}
-}
-
-func (s *Server) handleDwell(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, DwellBody(s.DwellTotals()))
 }
 
 // handleDeviceState answers the device's migratable state without
@@ -958,7 +799,7 @@ func (s *Server) handleDeviceState(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, fmt.Errorf("no state for device %q", device))
 		return
 	}
-	writeJSON(w, http.StatusOK, st)
+	WriteJSON(w, http.StatusOK, st)
 }
 
 // handleDeviceEvict removes and returns a device's migratable state —
@@ -967,8 +808,8 @@ func (s *Server) handleDeviceEvict(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Device string `json:"device"`
 	}
-	if err := DecodeJSON(r.Body, &req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decode: %w", err))
+	if err := DecodeJSON(r, &req); err != nil {
+		WriteUploadError(w, "decode", err)
 		return
 	}
 	if req.Device == "" {
@@ -977,40 +818,29 @@ func (s *Server) handleDeviceEvict(w http.ResponseWriter, r *http.Request) {
 	}
 	st, ok, err := s.EvictDeviceFenced(gatewayEpochFrom(r), req.Device)
 	if err != nil {
-		writeMigrationError(w, err)
+		WriteFailure(w, err)
 		return
 	}
 	if !ok {
 		writeError(w, http.StatusNotFound, fmt.Errorf("no state for device %q", req.Device))
 		return
 	}
-	writeJSON(w, http.StatusOK, st)
-}
-
-// writeMigrationError maps a fenced migration/expiry failure: stale
-// leadership is 409 with the leader hint, everything else 400.
-func writeMigrationError(w http.ResponseWriter, err error) {
-	var stale *StaleLeaderError
-	if errors.As(err, &stale) {
-		writeStaleLeader(w, stale)
-		return
-	}
-	writeError(w, http.StatusBadRequest, err)
+	WriteJSON(w, http.StatusOK, st)
 }
 
 // handleDeviceInstall accepts a migrated device's state — the
 // receiving half of fleet device migration over HTTP.
 func (s *Server) handleDeviceInstall(w http.ResponseWriter, r *http.Request) {
 	var st DeviceState
-	if err := DecodeJSON(r.Body, &st); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decode: %w", err))
+	if err := DecodeJSON(r, &st); err != nil {
+		WriteUploadError(w, "decode", err)
 		return
 	}
 	if err := s.InstallDeviceFenced(gatewayEpochFrom(r), st); err != nil {
-		writeMigrationError(w, err)
+		WriteFailure(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"installed": st.Device})
+	WriteJSON(w, http.StatusOK, map[string]string{"installed": st.Device})
 }
 
 // handleDeviceExpire runs the TTL sweep: devices last observed before
@@ -1019,19 +849,19 @@ func (s *Server) handleDeviceExpire(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		BeforeNanos int64 `json:"beforeNanos"`
 	}
-	if err := DecodeJSON(r.Body, &req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decode: %w", err))
+	if err := DecodeJSON(r, &req); err != nil {
+		WriteUploadError(w, "decode", err)
 		return
 	}
 	expired, err := s.ExpireBeforeFenced(gatewayEpochFrom(r), time.Duration(req.BeforeNanos))
 	if err != nil {
-		writeMigrationError(w, err)
+		WriteFailure(w, err)
 		return
 	}
 	if expired == nil {
 		expired = []string{}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"expired": expired})
+	WriteJSON(w, http.StatusOK, map[string]any{"expired": expired})
 }
 
 func (s *Server) handleDevice(w http.ResponseWriter, r *http.Request) {
@@ -1050,74 +880,10 @@ func (s *Server) handleDevice(w http.ResponseWriter, r *http.Request) {
 			RSSI:     b.RSSI,
 		})
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	WriteJSON(w, http.StatusOK, map[string]any{
 		"device":    device,
 		"room":      room,
 		"atSeconds": obs.At.Seconds(),
 		"beacons":   beacons,
 	})
-}
-
-// bufPool holds the scratch buffers the handlers decode request bodies
-// into and encode responses from, so a busy ingest endpoint does not
-// allocate a fresh buffer (and decoder state) per request.
-var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-// pooledBufMax keeps pathological one-off giants out of the pool.
-const pooledBufMax = 1 << 20
-
-func getBuf() *bytes.Buffer {
-	return bufPool.Get().(*bytes.Buffer)
-}
-
-func putBuf(b *bytes.Buffer) {
-	if b.Cap() <= pooledBufMax {
-		b.Reset()
-		bufPool.Put(b)
-	}
-}
-
-// ReadJSONUpload reads an ingest route's body whole, under the size limit
-// every upload has, through a pooled buffer and decodes it into u: the
-// array of reports on a batch route, one report object otherwise. Both
-// faces' JSON ingest routes, this server's and the fleet gateway's, take a
-// body in here and nowhere else: they cannot disagree on what parses.
-func ReadJSONUpload(w http.ResponseWriter, r *http.Request, u *transport.JSONUpload, batch bool) error {
-	buf := getBuf()
-	defer putBuf(buf)
-	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, wire.MaxBodyBytes)); err != nil {
-		return err
-	}
-	if batch {
-		return u.UnmarshalBatch(buf.Bytes())
-	}
-	return u.UnmarshalReport(buf.Bytes())
-}
-
-// DecodeJSON reads the whole body through a pooled buffer and
-// unmarshals it into v, so anything after the first value is an error.
-func DecodeJSON(body io.Reader, v any) error {
-	buf := getBuf()
-	defer putBuf(buf)
-	if _, err := buf.ReadFrom(body); err != nil {
-		return err
-	}
-	return json.Unmarshal(buf.Bytes(), v)
-}
-
-// writeJSON encodes v through a pooled buffer and writes it in one call.
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	buf := getBuf()
-	defer putBuf(buf)
-	if err := json.NewEncoder(buf).Encode(v); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_, _ = w.Write(buf.Bytes())
-}
-
-func writeError(w http.ResponseWriter, code int, err error) {
-	writeJSON(w, code, map[string]string{"error": err.Error()})
 }

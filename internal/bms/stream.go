@@ -18,7 +18,6 @@ import (
 	"sync"
 	"time"
 
-	"occusim/internal/overload"
 	"occusim/internal/wire"
 )
 
@@ -111,28 +110,27 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 // nothing of its own — the buffers live as long as the connection. It
 // returns on the first envelope it cannot read: the peer hung up, the
 // drain woke the read, or the bytes are not an envelope (there is no
-// resynchronising).
+// resynchronising); and it hangs up on a frame the server could not take
+// through no fault of the frame (see appendStreamReply).
 func (s *Server) serveStream(conn io.Writer, br *bufio.Reader) {
 	var in, out []byte
 	for {
 		epoch, frame, err := wire.ReadStreamRequest(br, &in)
 		if err != nil {
 			if errors.Is(err, wire.ErrBodyTooLarge) {
-				_, _ = conn.Write(appendStreamError(out[:0], err))
+				_, _ = conn.Write(appendStreamReply(out[:0], nil, err))
 			}
 			return
 		}
 		sc := getScratch()
 		rooms, err := s.ingestWireFrame(epoch, frame, sc)
-		if err != nil {
-			out = appendStreamError(out[:0], err)
-		} else {
-			out = wire.AppendRooms(wire.BeginStreamReply(out[:0], wire.StreamOK), rooms)
-			wire.EndStreamReply(out)
-		}
+		out = appendStreamReply(out[:0], rooms, err)
 		sc.release()
 		if sm := s.met; sm != nil {
 			sm.streamFrames.Inc()
+		}
+		if out == nil {
+			return
 		}
 		if _, err := conn.Write(out); err != nil {
 			return
@@ -140,22 +138,27 @@ func (s *Server) serveStream(conn io.Writer, br *bufio.Reader) {
 	}
 }
 
-// appendStreamError renders an ingest failure as its reply envelope —
-// writeIngestError's mapping, in the stream's statuses.
-func appendStreamError(dst []byte, err error) []byte {
-	var stale *StaleLeaderError
-	switch after, shed := overload.IsOverload(err); {
-	case shed:
-		dst = wire.BeginStreamReply(dst, wire.StreamOverload)
-		dst = binary.LittleEndian.AppendUint64(dst, uint64(after))
-	case errors.As(err, &stale):
-		dst = wire.BeginStreamReply(dst, wire.StreamStale)
-		dst = binary.LittleEndian.AppendUint64(dst, stale.Granted)
-		dst = append(dst, stale.Leader...)
-	case errors.Is(err, wire.ErrBodyTooLarge):
+// appendStreamReply renders a frame's outcome as its reply envelope, in
+// the stream's statuses for the status map's classes: the rooms, a shed
+// with its hint, a stale write with the grant it lost to, a frame too
+// large or rejected with the reason. An unavailable server — a log that
+// refused the append — renders nothing (nil): it hangs up as a dead one
+// would, so the gateway's retry policy and its 502 apply.
+func appendStreamReply(dst []byte, rooms []string, err error) []byte {
+	switch v := verdictOf(err); v.class {
+	case classOK:
+		dst = wire.AppendRooms(wire.BeginStreamReply(dst, wire.StreamOK), rooms)
+	case classShed:
+		dst = binary.LittleEndian.AppendUint64(wire.BeginStreamReply(dst, wire.StreamOverload), uint64(v.after))
+	case classStale:
+		dst = binary.LittleEndian.AppendUint64(wire.BeginStreamReply(dst, wire.StreamStale), v.stale.Granted)
+		dst = append(dst, v.stale.Leader...)
+	case classTooLarge:
 		dst = append(wire.BeginStreamReply(dst, wire.StreamTooLarge), err.Error()...)
-	default:
+	case classRejected:
 		dst = append(wire.BeginStreamReply(dst, wire.StreamRejected), err.Error()...)
+	default:
+		return nil
 	}
 	wire.EndStreamReply(dst)
 	return dst

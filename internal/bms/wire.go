@@ -5,7 +5,6 @@ package bms
 
 import (
 	"fmt"
-	"net/http"
 	"slices"
 
 	"occusim/internal/wire"
@@ -40,31 +39,4 @@ func (s *Server) IngestWireFrameFenced(gwEpoch uint64, frame []byte) ([]string, 
 	defer sc.release()
 	rooms, err := s.ingestWireFrame(gwEpoch, frame, sc)
 	return slices.Clone(rooms), err
-}
-
-// handleWireObservationBatch serves the binary branch of
-// POST /api/v1/observations:batch: one wire frame in, decoded into a
-// pooled batch and ingested with no intermediate report slice; the
-// run-length rooms column out (wire.AppendRooms) — a wire request gets a
-// wire ack. Errors keep their JSON bodies.
-func (s *Server) handleWireObservationBatch(w http.ResponseWriter, r *http.Request) {
-	buf := wire.GetBuf()
-	defer wire.PutBuf(buf)
-	body, err := wire.ReadBody(r.Body, r.ContentLength, wire.MaxBodyBytes, buf)
-	if err != nil {
-		WriteUploadError(w, "read body", err)
-		return
-	}
-	sc := getScratch()
-	defer sc.release()
-	rooms, err := s.ingestWireFrame(gatewayEpochFrom(r), body, sc)
-	if err != nil {
-		writeIngestError(w, err)
-		return
-	}
-	// The frame is applied (and logged, by copy): its buffer carries the
-	// ack back.
-	*buf = wire.AppendRooms((*buf)[:0], rooms)
-	w.Header()["Content-Type"] = wire.AckContentType
-	_, _ = w.Write(*buf)
 }

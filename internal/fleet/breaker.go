@@ -3,6 +3,7 @@ package fleet
 import (
 	"errors"
 	"fmt"
+	"net/http"
 	"sync"
 	"time"
 
@@ -17,9 +18,9 @@ import (
 // and the gateway is failing fast instead of stacking timeouts. Distinct
 // from MarkDown — the breaker never changes routing (the shard keeps its
 // keys and is probed again after a cooldown); MarkDown reassigns them.
-// The HTTP face maps it to 503 so upstream retry policies treat it as
+// It is 503 at the HTTP face, so upstream retry policies treat it as
 // transient.
-var ErrShardTripped = errors.New("fleet: shard circuit open")
+var ErrShardTripped error = &bms.Error{Code: http.StatusServiceUnavailable, Err: errors.New("fleet: shard circuit open")}
 
 type breakerState int
 

@@ -19,6 +19,7 @@ package fleet
 import (
 	"errors"
 	"fmt"
+	"net/http"
 	"slices"
 	"sort"
 	"sync"
@@ -89,14 +90,14 @@ type Config struct {
 }
 
 // ErrNoHealthyShards is returned when every shard is down — the
-// fleet's terminal routing failure (the HTTP handler maps it to 503).
-var ErrNoHealthyShards = errors.New("fleet: no healthy shards")
+// fleet's terminal routing failure, 503 at the HTTP face.
+var ErrNoHealthyShards error = &bms.Error{Code: http.StatusServiceUnavailable, Err: errors.New("fleet: no healthy shards")}
 
 // ErrShardMisbehaved wraps protocol violations by a shard (a 2xx
 // answer with the wrong shape, a short rooms slice): server-side
-// faults, never the reporting client's — the HTTP handler maps them to
-// 502 so upstream retry policies treat them as transient.
-var ErrShardMisbehaved = errors.New("fleet: shard protocol error")
+// faults, never the reporting client's — 502 at the HTTP face, so
+// upstream retry policies treat them as transient.
+var ErrShardMisbehaved error = &bms.Error{Code: http.StatusBadGateway, Err: errors.New("fleet: shard protocol error")}
 
 // Gateway fronts a pool of shards. It is safe for concurrent use.
 type Gateway struct {
@@ -759,7 +760,8 @@ var readViewNames = [...]string{"occupancy", "events", "dwell", "rollup"}
 // healthy shard concurrently, so a read costs the slowest shard's
 // latency rather than the sum of them, and returns the answers in
 // shard-index order, so every merge over them is deterministic. Any
-// shard's failure fails the read, reported as the first by shard order.
+// shard's failure fails the read, reported as the first by shard order —
+// a shard that cannot be read is the fleet's fault, 502 at the HTTP face.
 func gather[T any](g *Gateway, view readView, read func(Shard) (T, error)) ([]T, error) {
 	healthy := g.healthyShards()
 	gm := g.met
@@ -794,7 +796,7 @@ func gather[T any](g *Gateway, view readView, read func(Shard) (T, error)) ([]T,
 			gm.readErrors[healthy[k]].Inc()
 		}
 		if first == nil {
-			first = fmt.Errorf("fleet: shard %s: %w", g.shards[healthy[k]].Name(), err)
+			first = &bms.Error{Code: http.StatusBadGateway, Err: fmt.Errorf("fleet: shard %s: %w", g.shards[healthy[k]].Name(), err)}
 		}
 	}
 	if gm != nil {

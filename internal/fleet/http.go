@@ -193,12 +193,12 @@ func (h *HTTPShard) Events() ([]occupancy.Event, error) {
 	return out, nil
 }
 
-// Summary implements Shard via GET /api/v1/rollup: one exchange whose
-// reply carries dwell as integer nanoseconds — the only form dwell
-// crosses this leg in — so nothing is rounded on the way to the
-// gateway's sum.
+// Summary implements Shard via the shard-internal bms.ShardRollupPath:
+// one exchange whose reply carries dwell as integer nanoseconds — the
+// only form dwell crosses this leg in — so nothing is rounded on the way
+// to the gateway's sum.
 func (h *HTTPShard) Summary() (occupancy.Summary, error) {
-	payload, err := transport.GetJSON(h.client, h.base+"/api/v1/rollup", h.retry)
+	payload, err := transport.GetJSON(h.client, h.base+bms.ShardRollupPath, h.retry)
 	if err != nil {
 		return occupancy.Summary{}, err
 	}
@@ -313,255 +313,4 @@ func (h *HTTPShard) Claim(epoch uint64, leader string) (uint64, string, error) {
 		return 0, "", fmt.Errorf("%w: decode lease grant: %v", ErrShardMisbehaved, err)
 	}
 	return resp.Granted, resp.Holder, nil
-}
-
-// HandlerOptions tunes the gateway's HTTP face.
-type HandlerOptions struct {
-	// Trainer, when set, serves the training endpoints: fingerprints
-	// collect into the trainer's store, and POST /api/v1/train fits the
-	// model there and distributes the snapshot to every shard. Without
-	// it the gateway is ingest/query only and those endpoints 404.
-	Trainer *bms.Server
-	// Lease, when set, gates the write path on gateway leadership: a
-	// standby (or deposed) gateway answers ingest with 409 plus an
-	// X-Leader-Hint naming where leadership lives, instead of routing
-	// writes its shards would fence anyway. Reads stay open on a
-	// standby — they are merge-only and harmless.
-	Lease *LeaseController
-}
-
-// Handler exposes the gateway over HTTP with the same API shape as one
-// bms.Server, plus the fleet-only shard and ring views, so clients
-// (and cmd/loadgen) cannot tell a fleet from a single box:
-//
-//	GET  /api/v1/health             aggregate shard health (live probe)
-//	POST /api/v1/observations       route one report
-//	POST /api/v1/observations:batch split and route a batch
-//	GET  /api/v1/occupancy          federated head counts
-//	GET  /api/v1/events             federated enter/exit stream
-//	GET  /api/v1/dwell              federated dwell rollup
-//	GET  /api/v1/rollup             per-room occupancy rollup (bms.Rollup's fields,
-//	                                as one server answers it)
-//	GET  /api/v1/shards             routing and health per shard
-//	GET  /api/v1/ring               routing table for pre-split devices
-//	PUT  /api/v1/model              distribute a model snapshot
-//	POST /api/v1/fingerprints       (with Trainer) collect samples
-//	POST /api/v1/train              (with Trainer) train + distribute
-//	GET  /metrics                   Prometheus text exposition
-//	GET  /api/v1/telemetry          JSON metrics + flight-recorder events
-func Handler(g *Gateway, opts HandlerOptions) http.Handler {
-	mux := http.NewServeMux()
-	// Telemetry faces mirror the bms.Server routes: the obs handlers are
-	// nil-safe, so an uninstrumented gateway serves an empty exposition
-	// and snapshot rather than a 404.
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-		g.Metrics().ExpositionHandler()(w, r)
-	})
-	mux.HandleFunc("GET /api/v1/telemetry", func(w http.ResponseWriter, r *http.Request) {
-		g.Metrics().TelemetryHandler()(w, r)
-	})
-	mux.HandleFunc("GET /api/v1/health", func(w http.ResponseWriter, r *http.Request) {
-		statuses := g.CheckHealth()
-		downCount := 0
-		for _, s := range statuses {
-			if s.Down {
-				downCount++
-			}
-		}
-		status := "ok"
-		code := http.StatusOK
-		switch {
-		case downCount == len(statuses):
-			status = "down"
-			code = http.StatusServiceUnavailable
-		case downCount > 0:
-			status = "degraded"
-		}
-		fleetJSON(w, code, map[string]any{"status": status, "shards": len(statuses), "down": downCount})
-	})
-	mux.HandleFunc("POST /api/v1/observations", func(w http.ResponseWriter, r *http.Request) {
-		handleJSONUpload(g, opts, w, r, false)
-	})
-	mux.HandleFunc("POST /api/v1/observations:batch", func(w http.ResponseWriter, r *http.Request) {
-		if wire.IsContentType(r.Header.Get("Content-Type")) {
-			handleWireBatch(g, opts, w, r)
-		} else {
-			handleJSONUpload(g, opts, w, r, true)
-		}
-	})
-	mux.HandleFunc("GET /api/v1/ring", func(w http.ResponseWriter, r *http.Request) {
-		fleetJSON(w, http.StatusOK, g.RingInfo())
-	})
-	// The federated reads: a shard that cannot be read is a 502.
-	read := func(w http.ResponseWriter, body any, err error) {
-		if err != nil {
-			fleetError(w, http.StatusBadGateway, err)
-			return
-		}
-		fleetJSON(w, http.StatusOK, body)
-	}
-	mux.HandleFunc("GET /api/v1/occupancy", func(w http.ResponseWriter, r *http.Request) {
-		snap, err := g.Occupancy()
-		read(w, snap, err)
-	})
-	mux.HandleFunc("GET /api/v1/events", func(w http.ResponseWriter, r *http.Request) {
-		events, err := g.Events()
-		read(w, bms.EventsBody(events), err)
-	})
-	mux.HandleFunc("GET /api/v1/dwell", func(w http.ResponseWriter, r *http.Request) {
-		totals, err := g.DwellTotals()
-		read(w, bms.DwellBody(totals), err)
-	})
-	mux.HandleFunc("GET /api/v1/rollup", func(w http.ResponseWriter, r *http.Request) {
-		rollup, err := g.Rollup()
-		read(w, rollup, err)
-	})
-	mux.HandleFunc("GET /api/v1/shards", func(w http.ResponseWriter, r *http.Request) {
-		fleetJSON(w, http.StatusOK, map[string]any{"shards": g.Statuses()})
-	})
-	mux.HandleFunc("PUT /api/v1/model", func(w http.ResponseWriter, r *http.Request) {
-		var snap bms.ModelSnapshot
-		if err := json.NewDecoder(r.Body).Decode(&snap); err != nil {
-			fleetError(w, http.StatusBadRequest, fmt.Errorf("decode: %w", err))
-			return
-		}
-		if err := g.DistributeModel(snap); err != nil {
-			fleetError(w, http.StatusBadGateway, err)
-			return
-		}
-		fleetJSON(w, http.StatusOK, map[string]int{"version": snap.Version, "shards": g.Shards()})
-	})
-	if opts.Trainer != nil {
-		// Fingerprint collection goes straight to the trainer's own
-		// handler — same wire format, one authoritative training store.
-		mux.Handle("POST /api/v1/fingerprints", opts.Trainer.Handler())
-		mux.HandleFunc("POST /api/v1/train", func(w http.ResponseWriter, r *http.Request) {
-			var req struct {
-				C     float64 `json:"c"`
-				Gamma float64 `json:"gamma"`
-				Seed  uint64  `json:"seed"`
-			}
-			if r.ContentLength != 0 {
-				if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-					fleetError(w, http.StatusBadRequest, fmt.Errorf("decode: %w", err))
-					return
-				}
-			}
-			res, err := opts.Trainer.Train(req.C, req.Gamma, req.Seed)
-			if err != nil {
-				fleetError(w, http.StatusConflict, err)
-				return
-			}
-			snap, ok := opts.Trainer.ModelSnapshot()
-			if !ok {
-				fleetError(w, http.StatusInternalServerError, fmt.Errorf("trained model missing"))
-				return
-			}
-			if err := g.DistributeModel(snap); err != nil {
-				fleetError(w, http.StatusBadGateway, err)
-				return
-			}
-			fleetJSON(w, http.StatusOK, map[string]any{
-				"samples":        res.Samples,
-				"classes":        res.Classes,
-				"supportVectors": res.SupportVectors,
-				"modelVersion":   res.ModelVersion,
-				"shards":         g.Shards(),
-			})
-		})
-	}
-	return mux
-}
-
-// ingestStatus maps a gateway ingest failure to the status a single
-// bms.Server would have produced, keeping the "clients cannot tell a
-// fleet from a box" contract: a report the shard rejected as invalid is
-// the client's fault (400 — retrying is pointless), an overload shed —
-// the gateway's own gate or a shard's, in-process or over HTTP — is
-// 429, a tripped circuit and a fleet with no healthy shards are 503
-// (transient, retry later), and only connectivity failures and
-// upstream 5xx are 502.
-func ingestStatus(err error) int {
-	if _, ok := overload.IsOverload(err); ok {
-		return http.StatusTooManyRequests
-	}
-	// Ordered before the generic HTTP mapping: a shard's stale-leader
-	// rejection must surface as 409 (with the leader hint attached by
-	// fleetIngestError), not collapse into the 4xx→400 bucket.
-	if errors.Is(err, bms.ErrStaleLeader) {
-		return http.StatusConflict
-	}
-	if errors.Is(err, ErrNoHealthyShards) || errors.Is(err, ErrShardTripped) {
-		return http.StatusServiceUnavailable
-	}
-	if errors.Is(err, ErrShardMisbehaved) {
-		return http.StatusBadGateway
-	}
-	if code, ok := transport.StatusCode(err); ok {
-		if code == http.StatusTooManyRequests {
-			return http.StatusTooManyRequests
-		}
-		if code/100 == 4 {
-			return http.StatusBadRequest
-		}
-		return http.StatusBadGateway
-	}
-	var ue *url.Error
-	if errors.As(err, &ue) {
-		return http.StatusBadGateway
-	}
-	// What remains is report validation (in-process shards fail only on
-	// that) — a client error, exactly as bms answers it.
-	return http.StatusBadRequest
-}
-
-// fleetIngestError writes an ingest failure, attaching a Retry-After
-// header to 429 sheds — the gateway's own hint, or a downstream shard's
-// propagated verbatim, so the client backs off for whoever actually
-// shed. Seconds are rounded up per RFC 9110, minimum 1.
-func fleetIngestError(w http.ResponseWriter, err error) {
-	code := ingestStatus(err)
-	if code == http.StatusTooManyRequests {
-		after := time.Second
-		if d, ok := overload.IsOverload(err); ok {
-			after = d
-		} else if d, ok := transport.RetryAfter(err); ok {
-			after = d
-		}
-		secs := int64((after + time.Second - 1) / time.Second)
-		if secs < 1 {
-			secs = 1
-		}
-		w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
-	}
-	if code == http.StatusConflict {
-		var stale *bms.StaleLeaderError
-		if errors.As(err, &stale) {
-			w.Header().Set(transport.HeaderLeaderEpoch, strconv.FormatUint(stale.Granted, 10))
-			if stale.Leader != "" {
-				w.Header().Set(transport.HeaderLeaderHint, stale.Leader)
-			}
-		}
-	}
-	fleetError(w, code, err)
-}
-
-// fleetStandbyError answers a write sent to a non-leading gateway: 409
-// plus an X-Leader-Hint at wherever this gateway believes leadership
-// lives, so a device uplink redirects without burning retry budget.
-func fleetStandbyError(w http.ResponseWriter, lease *LeaseController) {
-	if hint := lease.LeaderHint(); hint != "" {
-		w.Header().Set(transport.HeaderLeaderHint, hint)
-	}
-	fleetError(w, http.StatusConflict, fmt.Errorf("gateway is standby, not leading"))
-}
-
-func fleetJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func fleetError(w http.ResponseWriter, code int, err error) {
-	fleetJSON(w, code, map[string]string{"error": err.Error()})
 }

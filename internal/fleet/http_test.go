@@ -12,6 +12,7 @@ import (
 	"occusim/internal/building"
 	"occusim/internal/fleet"
 	"occusim/internal/transport"
+	"occusim/internal/wire"
 )
 
 // newHTTPFleet spins n bms servers behind httptest and fronts them with
@@ -242,15 +243,18 @@ func TestHTTPShardDeviceMigration(t *testing.T) {
 	}
 }
 
-// errorPhase names the step an ingest answer's error came from: "decode" —
-// the body never parsed —, "batch" — it parsed and the upload was refused
-// whole, whichever face says so —, or the error itself.
+// errorPhase names the step an answer's error came from: "decode" — the
+// body never parsed —, "batch" — it parsed and the upload was refused
+// whole, whichever face says so —, "install" — a shard refused the model
+// snapshot —, or the error itself.
 func errorPhase(msg string) string {
 	switch {
 	case strings.HasPrefix(msg, "decode: "):
 		return "decode"
 	case strings.HasPrefix(msg, "bms: batch"), strings.HasPrefix(msg, "fleet: batch"):
 		return "batch"
+	case strings.Contains(msg, "bms: install: "):
+		return "install"
 	}
 	return msg
 }
@@ -269,7 +273,8 @@ func TestFleetHandlerStatusParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(fleet.Handler(gw, fleet.HandlerOptions{}))
+	gateway := fleet.Handler(gw, fleet.HandlerOptions{Trainer: newServer(t, b)})
+	ts := httptest.NewServer(gateway)
 	defer ts.Close()
 
 	// A report without a device is a client error on a single server;
@@ -284,24 +289,30 @@ func TestFleetHandlerStatusParity(t *testing.T) {
 		t.Fatalf("invalid report returned %s, want 400", resp.Status)
 	}
 
-	// Every body a JSON ingest route can refuse — or take as an upload of
-	// nothing — is answered alike by one server and by the gateway: the
-	// same status, from the same phase ("decode": the body never parsed;
-	// "batch": it parsed and the upload was refused whole). The table is
-	// literal, and it is the one the doors answered by when each decoded
-	// into its own []transport.Report. A standby gateway answers what
-	// parses with 409 whatever is in it — the lease gate stands between
-	// the decode and the identities.
-	one := httptest.NewServer(newServer(t, b).Handler())
-	defer one.Close()
+	// Every body a JSON route can refuse — or an ingest route take as an
+	// upload of nothing — is answered alike by one server and by the
+	// gateway: the same status, from the same phase ("decode": the body
+	// never parsed or went past the size limit; "batch": it parsed and the
+	// upload was refused whole; "install": the snapshot does not fit its
+	// model). The table is literal; its ingest rows are the ones the doors
+	// answered by when each decoded into its own []transport.Report. A
+	// standby gateway answers an upload that parses with 409 whatever is in
+	// it — the lease gate stands between the decode and the identities —
+	// and every other route as the leader does.
+	one := newServer(t, b).Handler()
 	idle, err := fleet.New(pool.Shards, fleet.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	standby := httptest.NewServer(fleet.Handler(idle, fleet.HandlerOptions{Lease: controller(t, idle, "http://standby")}))
-	defer standby.Close()
+	standby := fleet.Handler(idle, fleet.HandlerOptions{Trainer: newServer(t, b), Lease: controller(t, idle, "http://standby")})
 	const single, batch = "/api/v1/observations", "/api/v1/observations:batch"
+	const model, train, fingerprints = "/api/v1/model", "/api/v1/train", "/api/v1/fingerprints"
+	const oversized = "a body announced past the size limit"
 	const goodBeacon = `{"id":"B9407F30-F5F8-466E-AFF9-25556B57FE6D/1/2","distance":1,"rssi":-50}`
+	snap := trainSnapshot(t, b, 7)
+	goodSnap := string(mustJSON(t, snap))
+	snap.Beacons = snap.Beacons[1:]
+	shortSnap := string(mustJSON(t, snap))
 	for _, c := range []struct {
 		name, route, body string
 		status            int
@@ -324,35 +335,60 @@ func TestFleetHandlerStatusParity(t *testing.T) {
 		{"null", single, `null`, 400, "batch"},
 		{"null", batch, `null`, 200, ""},
 		{"no reports", batch, `[]`, 200, ""},
+		{"trailing garbage", model, goodSnap + ` trailing-garbage`, 400, "decode"},
+		{"a string for the beacons", model, `{"beacons":"b","model":{},"version":1}`, 400, "decode"},
+		{oversized, model, goodSnap, 413, "decode"},
+		{"a snapshot short of a beacon", model, shortSnap, 400, "install"},
+		{"trailing garbage", train, `{"c":10} trailing-garbage`, 400, "decode"},
+		{"a string for c", train, `{"c":"ten"}`, 400, "decode"},
+		{oversized, train, `{"c":10}`, 413, "decode"},
+		{"nothing to train on", train, `{"c":10}`, 409, "bms: no fingerprints collected"},
+		{"trailing garbage", fingerprints, `{"room":"kitchen","distances":{}} trailing-garbage`, 400, "decode"},
+		{"a number for the room", fingerprints, `{"room":7,"distances":{}}`, 400, "decode"},
+		{oversized, fingerprints, `{"room":"kitchen","distances":{}}`, 413, "decode"},
+		{"an unknown room", fingerprints, `{"room":"nowhere","distances":{}}`, 400, `bms: fingerprint labelled with unknown room "nowhere"`},
 	} {
-		for _, face := range []struct{ name, base string }{{"one server", one.URL}, {"the gateway", ts.URL}, {"a standby gateway", standby.URL}} {
+		for _, face := range []struct {
+			name string
+			h    http.Handler
+		}{{"one server", one}, {"the gateway", gateway}, {"a standby gateway", standby}} {
 			wantStatus, wantPhase := c.status, c.phase
-			if face.base == standby.URL && c.phase != "decode" {
+			if face.h == standby && (c.route == single || c.route == batch) && c.phase != "decode" {
 				wantStatus, wantPhase = http.StatusConflict, "gateway is standby, not leading"
 			}
-			resp, err := http.Post(face.base+c.route, "application/json", strings.NewReader(c.body))
-			if err != nil {
-				t.Fatal(err)
+			method := http.MethodPost
+			if c.route == model {
+				method = http.MethodPut
 			}
+			req := httptest.NewRequest(method, c.route, strings.NewReader(c.body))
+			if c.name == oversized {
+				req.ContentLength = wire.MaxBodyBytes + 1
+			}
+			rec := httptest.NewRecorder()
+			face.h.ServeHTTP(rec, req)
 			var answer struct {
 				Error string   `json:"error"`
 				Rooms []string `json:"rooms"`
 			}
-			if err := json.NewDecoder(resp.Body).Decode(&answer); err != nil {
+			if err := json.Unmarshal(rec.Body.Bytes(), &answer); err != nil {
 				t.Fatalf("%s, %s on %s: undecodable answer: %v", face.name, c.name, c.route, err)
 			}
-			resp.Body.Close()
-			if phase := errorPhase(answer.Error); resp.StatusCode != wantStatus || phase != wantPhase {
+			if phase := errorPhase(answer.Error); rec.Code != wantStatus || phase != wantPhase {
 				t.Errorf("%s answered %s on %s with %d from phase %q (%s), want %d from %q",
-					face.name, c.name, c.route, resp.StatusCode, phase, answer.Error, wantStatus, wantPhase)
+					face.name, c.name, c.route, rec.Code, phase, answer.Error, wantStatus, wantPhase)
 			}
-			if resp.StatusCode == http.StatusOK && answer.Rooms == nil {
+			if rec.Code == http.StatusOK && answer.Rooms == nil {
 				t.Errorf("%s acknowledged %s without a rooms array", face.name, c.name)
 			}
 		}
 	}
 	if occ, err := gw.Occupancy(); err != nil || len(occ.Devices) != 0 {
 		t.Fatalf("a rejected body was ingested: %v, %v", occ.Devices, err)
+	}
+	for i, srv := range pool.Servers {
+		if _, ok := srv.ModelSnapshot(); ok {
+			t.Fatalf("shard %d installed a snapshot the table refused", i)
+		}
 	}
 
 	gw.MarkDown(0)

@@ -28,9 +28,9 @@ type legOutcome struct {
 
 func outcomeOf(err error) legOutcome {
 	rec := httptest.NewRecorder()
-	fleetIngestError(rec, err)
+	bms.WriteFailure(rec, err)
 	return legOutcome{
-		status: ingestStatus(err), breaker: breakerFailure(err),
+		status: rec.Code, breaker: breakerFailure(err),
 		retryAfter:  rec.Header().Get("Retry-After"),
 		leaderEpoch: rec.Header().Get(transport.HeaderLeaderEpoch),
 		leaderHint:  rec.Header().Get(transport.HeaderLeaderHint),
