@@ -2,11 +2,8 @@
 # targets just name the common invocations (CI runs the same ones).
 
 GO ?= go
-PR ?= 10
-# DIFF_BASE is the previous snapshot bench-diff compares against.
-DIFF_BASE ?= BENCH_PR9.json
 
-.PHONY: all build vet test test-short test-race allocs onepath bench bench-smoke bench-diff loadtest crashtest
+.PHONY: all build vet test test-short test-race allocs onepath bench-smoke loadtest crashtest
 
 all: vet build test
 
@@ -91,19 +88,12 @@ onepath:
 	fi; \
 	exit $$fail
 
-# bench writes BENCH_PR$(PR).json — the per-PR performance snapshot of
-# every figure-regeneration benchmark (ns/op plus the custom metrics).
-bench:
-	$(GO) run ./cmd/bench -pr $(PR)
-
-# bench-smoke is the CI variant: every benchmark once, no snapshot file.
+# bench-smoke runs every benchmark once — the paper's figure
+# regenerations and the package microbenchmarks — so none of them rots.
+# It times nothing worth keeping: the system's performance is measured
+# by go run ./benchmark (benchmark/README.md).
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
-
-# bench-diff records BENCH_PR$(PR).json and prints the before/after
-# table against DIFF_BASE (ns/op, speedup, allocs).
-bench-diff:
-	$(GO) run ./cmd/bench -pr $(PR) -diff $(DIFF_BASE)
 
 # loadtest is the CI smoke of the fleet layer: a matrix of adversarial
 # crowds through an in-process fleet.Gateway, each checked against its

@@ -13,14 +13,13 @@ import (
 	"strings"
 
 	"occusim/internal/experiments"
-	"occusim/internal/scenario"
 )
 
 type renderer interface{ Render() string }
 
 func main() {
 	seed := flag.Uint64("seed", 11, "base random seed")
-	only := flag.String("only", "", "comma-separated experiment subset (fig4,fig5,fig6,fig7,fig8,fig9,fig10,fig11,sec5,losshold,distmodel,scanperiod,motiongate,modelselect,counting,crowdingest)")
+	only := flag.String("only", "", "comma-separated experiment subset (fig4,fig5,fig6,fig7,fig8,fig9,fig10,fig11,sec5,losshold,distmodel,scanperiod,motiongate,modelselect,counting)")
 	fig10Runs := flag.Int("fig10-runs", 10, "repetitions per uplink for Fig10 (the paper averages 10)")
 	flag.Parse()
 
@@ -52,7 +51,6 @@ func main() {
 		{"motiongate", func() (renderer, error) { return experiments.AblationMotionGating(*seed) }},
 		{"modelselect", func() (renderer, error) { return experiments.ModelSelection(*seed) }},
 		{"counting", func() (renderer, error) { return experiments.Counting(4, *seed) }},
-		{"crowdingest", func() (renderer, error) { return scenario.CrowdIngest(32, *seed) }},
 		{"devicesurvey", func() (renderer, error) { return experiments.DeviceSurvey(*seed) }},
 		{"pathloss", func() (renderer, error) { return experiments.PathLossValidation(*seed) }},
 	}

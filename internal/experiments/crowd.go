@@ -24,7 +24,7 @@ const (
 
 // TrainCrowdModel collects jittered survey fingerprints on the server
 // and fits the scene-analysis SVM — the shared training phase of the
-// crowd workloads (CrowdIngest, CrowdFleet, cmd/loadgen). Distances
+// crowd workloads (internal/scenario, cmd/loadgen). Distances
 // come from survey points with deterministic jitter standing in for the
 // radio pipeline.
 func TrainCrowdModel(server *bms.Server, b *building.Building, seed uint64) error {

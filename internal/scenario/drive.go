@@ -11,7 +11,7 @@ import (
 )
 
 // Sink is where a crowd's exchanges go: an uplink that takes a batch
-// whole (a gateway's in-process door, DeviceUplink over HTTP).
+// whole (a gateway's in-process door, a transport.HTTPUplink).
 type Sink interface {
 	transport.Uplink
 	transport.BatchSender

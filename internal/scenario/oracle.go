@@ -45,8 +45,7 @@ func Reference(b *building.Building, honest [][]transport.Report, seed uint64) (
 
 // Verify replays the honest streams once into a clean Reference and
 // holds gw's federated views to it as mode demands. It ends every
-// measured crowd: a throughput read off a fleet that lost or doubled a
-// report is not a measurement.
+// scenario run and every loadgen drill.
 func (f *Fleet) Verify(gw *fleet.Gateway, mode OracleMode, honest [][]transport.Report) error {
 	if f.Spec.Wrap != nil && f.Injected() == 0 {
 		return fmt.Errorf("vacuous: no delivery went through the shard doubles")

@@ -10,9 +10,8 @@
 //
 // It is also the one crowd harness: Build turns a Spec into a trained
 // fleet, Driver.Drive sends lanes into it, Fleet.Verify holds the end
-// state to the Reference. Run is those three after a generator; the
-// measured crowds (crowds.go) and cmd/loadgen's drills are the same
-// three around what only they have.
+// state to the Reference. Run is those three after a generator;
+// cmd/loadgen's drills are the same three around what only they have.
 //
 // Three oracle strictness levels cover the library:
 //
@@ -34,7 +33,6 @@ package scenario
 
 import (
 	"fmt"
-	"runtime"
 
 	"occusim/internal/building"
 	"occusim/internal/transport"
@@ -134,7 +132,7 @@ type Scenario struct {
 	Generate    func(b *building.Building, cfg Config) (*Traffic, error)
 }
 
-// Result summarises a verified run: what the drive measured, what the
+// Result summarises a verified run: what the drive counted, what the
 // gateways counted, and the end state the oracle accepted.
 type Result struct {
 	Scenario string
@@ -142,13 +140,9 @@ type Result struct {
 	Devices  int
 	*Driven
 	Duplicates   int    // Sent - Unique
-	Admitted     uint64 // batches admitted across gateways
 	Shed         uint64 // batches shed with overload across gateways
 	SkewAdjusted uint64 // reports whose timestamps were re-anchored
 	Outcome
-	// Counters is the fleet registry's counters at the end of the run
-	// (empty when the spec carries no registry).
-	Counters map[string]float64
 }
 
 func (r *Result) String() string {
@@ -163,10 +157,8 @@ type crowd struct {
 }
 
 // newCrowd generates sc's traffic on its floor plan and builds the
-// fleet it runs against: what the traffic needs, cfg.Shards wide, and
-// whatever lay says on top (transport, durability, registry, a measured
-// crowd's own admission gate).
-func newCrowd(sc Scenario, cfg Config, lay func(*Spec)) (*crowd, error) {
+// fleet it runs against: what the traffic needs, cfg.Shards wide.
+func newCrowd(sc Scenario, cfg Config) (*crowd, error) {
 	plan := sc.Plan
 	if plan == "" {
 		plan = "paper-house"
@@ -180,9 +172,6 @@ func newCrowd(sc Scenario, cfg Config, lay func(*Spec)) (*crowd, error) {
 		return nil, fmt.Errorf("scenario %s: %w", sc.Name, err)
 	}
 	tr.Spec.Shards = cfg.Shards
-	if lay != nil {
-		lay(&tr.Spec)
-	}
 	f, err := Build(b, tr.Spec, cfg.Seed)
 	if err != nil {
 		return nil, err
@@ -195,32 +184,22 @@ func newCrowd(sc Scenario, cfg Config, lay func(*Spec)) (*crowd, error) {
 // the end state against the oracle. Any divergence is returned as an
 // error carrying both sides.
 func Run(sc Scenario, cfg Config) (*Result, error) {
-	return run(sc, cfg, nil, (*Fleet).Sinks)
-}
-
-// run is Run over a fleet lay has changed, into the sinks the caller
-// picks of it.
-func run(sc Scenario, cfg Config, lay func(*Spec), sinks func(*Fleet) []Sink) (*Result, error) {
 	cfg = cfg.withDefaults()
-	c, err := newCrowd(sc, cfg, lay)
+	c, err := newCrowd(sc, cfg)
 	if err != nil {
 		return nil, err
 	}
 	res := &Result{Scenario: sc.Name, Oracle: sc.Oracle.String(), Devices: cfg.Devices}
-	// Settle the build's GC debt before the driver's clock starts.
-	runtime.GC()
-	res.Driven, err = Driver{Epoch: cfg.Epoch}.Drive(c.tr.Lanes, sinks(c.Fleet)...)
+	res.Driven, err = Driver{Epoch: cfg.Epoch}.Drive(c.tr.Lanes, c.Sinks()...)
 	res.Duplicates = res.Sent - res.Unique
 	for _, gw := range c.Gateways {
-		admitted, shed := gw.AdmissionStats()
-		res.Admitted += admitted
+		_, shed := gw.AdmissionStats()
 		res.Shed += shed
 		res.SkewAdjusted += gw.SkewAdjusted()
 	}
 	if err == nil {
 		res.Outcome, err = c.outcome(sc.Oracle)
 	}
-	res.Counters = c.Spec.Metrics.TakeSnapshot().Counters
 	if cerr := c.Close(); err == nil {
 		err = cerr
 	}

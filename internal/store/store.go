@@ -63,7 +63,7 @@ func (m seqMark) accepts(epoch, seq uint64) bool {
 
 // obsShards is the observation lock-stripe count (power of two). 16
 // stripes keep the per-stripe collision probability low for the crowd
-// sizes the CrowdIngest workload measures, at 16 mutexes of footprint.
+// sizes the benchmark's workloads drive, at 16 mutexes of footprint.
 const obsShards = 16
 
 // obsShard holds the observations of the devices hashing to one stripe,
