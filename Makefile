@@ -60,7 +60,10 @@ allocs:
 # (bms.Routes), so in the non-test Go of internal/ and cmd/ the batch
 # upload route and /metrics are registered once, and no handler decodes a
 # request body with a json.Decoder of its own (bms.DecodeJSON reads every
-# JSON body under the size limit).
+# JSON body under the size limit). And so is a shard's state: in
+# internal/bms every mutation is a logged record applied by one function
+# that replay and snapshot restore run too, so each store, tracker and
+# classifier write below it has one site.
 ONEPATH_DIRS = internal/experiments internal/scenario cmd/loadgen
 onepath:
 	@fail=0; \
@@ -83,6 +86,8 @@ onepath:
 	onesite cmd/bmsd 'fleet\.New(' '&http\.Server{' 'signal\.Notify(' 'fleet\.NewHTTPShard('; \
 	onesite cmd/loadgen 'exec\.Command(' 'syscall\.SIGKILL' '\.Verify('; \
 	onesite 'internal cmd' '"POST /api/v1/observations:batch"' '"GET /metrics"'; \
+	onesite internal/bms 's\.tracker\.ObserveBatch(' 's\.st\.AddObservationBatch(' 's\.tracker\.Install(' \
+		's\.st\.InstallModel(' 's\.classifier = ' 's\.st\.AddFingerprint('; \
 	if grep -rn --include='*.go' --exclude='*_test.go' -e 'json\.NewDecoder(r\.Body)' internal cmd; then \
 		echo "onepath: a handler decodes a request body with its own json.Decoder; use bms.DecodeJSON"; fail=1; \
 	fi; \

@@ -32,6 +32,26 @@ func newTestServer(t testing.TB) (*Server, *building.Building) {
 	return s, b
 }
 
+// evict runs an unfenced eviction and fails the test on an error.
+func evict(t testing.TB, s *Server, device string) (DeviceState, bool) {
+	t.Helper()
+	st, ok, err := s.EvictDevice(0, device)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st, ok
+}
+
+// expire runs an unfenced TTL sweep and fails the test on an error.
+func expire(t testing.TB, s *Server, cutoff time.Duration) []string {
+	t.Helper()
+	expired, err := s.ExpireBefore(0, cutoff)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return expired
+}
+
 // reportNear fabricates a report placing the device beside one beacon.
 func reportNear(b *building.Building, device string, beaconIdx int, atSeconds float64) transport.Report {
 	rep := transport.Report{Device: device, AtSeconds: atSeconds}

@@ -485,11 +485,11 @@ func TestCrashTableWithDeviceLifecycle(t *testing.T) {
 	var moved DeviceState
 	err := compactDuring(s1, func() {
 		report(s1, "stayer", 3, 1005, 5)
-		if expired := s1.ExpireBefore(500 * time.Second); len(expired) != 1 || expired[0] != "ghost" {
+		if expired := expire(t, s1, 500*time.Second); len(expired) != 1 || expired[0] != "ghost" {
 			t.Errorf("the sweep expired %v, want the ghost", expired)
 		}
 		var ok bool
-		if moved, ok = s1.EvictDevice("mover"); !ok {
+		if moved, ok = evict(t, s1, "mover"); !ok {
 			t.Error("the mover was not there to evict")
 		}
 		behindCut = copyDataDir(t, dir)
@@ -512,7 +512,7 @@ func TestCrashTableWithDeviceLifecycle(t *testing.T) {
 	for seq := uint64(4); seq <= 6; seq++ {
 		report(s2, "ghost", 4, 2000+float64(seq), seq)
 	}
-	if err := s2.InstallDevice(moved); err != nil {
+	if err := s2.InstallDevice(0, moved); err != nil {
 		t.Fatal(err)
 	}
 	for seq := uint64(4); seq <= 6; seq++ {
@@ -664,11 +664,21 @@ func TestCutViewsSurviveIngestUnderRace(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			if expired := s.ExpireBefore(500 * time.Second); len(expired) == 1 {
+			expired, err := s.ExpireBefore(0, 500*time.Second)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if len(expired) == 1 {
 				sweeps.Add(1)
 			}
-			if st, ok := s.EvictDevice("mover"); ok {
-				if err := s.InstallDevice(st); err != nil {
+			st, ok, err := s.EvictDevice(0, "mover")
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if ok {
+				if err := s.InstallDevice(0, st); err != nil {
 					t.Error(err)
 					return
 				}

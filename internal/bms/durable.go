@@ -2,22 +2,24 @@
 // carries opaque payloads; this file defines what those payloads are —
 // the received wire payload plus a rooms suffix for observation batches
 // (the hot path), JSON records for device installs/evicts, TTL
-// expiries, model snapshots and fingerprints — plus the boot-time
-// recovery that replays snapshot (snapshot.go) + log tail back through
-// the normal mutation paths.
+// expiries, model snapshots, fingerprints and lease grants — and the one
+// way each of them becomes state.
 //
-// Every durable mutation is log-then-apply: the record reaches the WAL
-// (and, per fsync policy, the disk) before the in-memory state moves,
-// under one wal.Begin guard so compaction can never cut a snapshot
-// between a record's append and its apply. Replay is idempotent
-// because observation records ride the same (Epoch, Seq) freshness
-// marks as live ingest: records the pre-crash process had already
-// committed replay as duplicates of themselves in per-device order.
+// Every durable mutation is a record that goes through one commit:
+// fence (admitEpoch), then log, then apply — the last two under one WAL
+// guard, so a compaction's cut falls before a record or after its
+// effect. A record the log refuses applies nothing. Recovery runs the
+// same apply on each record, whether it replays from the log (recover)
+// or restores from a snapshot (snapshot.go), so a recovered server is
+// the live one by construction, not by a second copy of each mutation
+// kept in step with the first.
 //
-// Observation records carry the room predicted at ingest time, so
-// replay reproduces the pre-crash tracker state exactly even if the
-// model changed between the observation and the crash — replay never
-// re-predicts.
+// Replay is idempotent because observation records ride the same (Epoch,
+// Seq) freshness marks as live ingest: records the pre-crash process had
+// already committed replay as duplicates of themselves in per-device
+// order. They carry the room predicted at ingest time, so replay never
+// re-predicts and reproduces the tracker even if the model changed
+// between the observation and the crash.
 package bms
 
 import (
@@ -36,7 +38,6 @@ import (
 	"occusim/internal/ibeacon"
 	"occusim/internal/occupancy"
 	"occusim/internal/store"
-	"occusim/internal/svm"
 	"occusim/internal/wire"
 )
 
@@ -230,8 +231,8 @@ const (
 	recLease   = "lease"   // a gateway leadership epoch was granted
 )
 
-// walRecord is the JSON envelope of every cold WAL payload. Field
-// presence follows T.
+// walRecord is one cold mutation: the JSON form it is logged in and what
+// apply takes, live and in recovery. Field presence follows T.
 type walRecord struct {
 	T       string         `json:"t"`
 	State   *DeviceState   `json:"state,omitempty"`
@@ -240,6 +241,10 @@ type walRecord struct {
 	Snap    *ModelSnapshot `json:"snap,omitempty"`
 	FP      *fpRecJSON     `json:"fp,omitempty"`
 	Lease   *leaseRecJSON  `json:"lease,omitempty"`
+
+	// scene is Snap parsed, when the live caller already holds it; apply
+	// parses Snap otherwise.
+	scene *classify.SceneSVM
 }
 
 // leaseRecJSON is a gateway leadership grant on disk — the cold
@@ -355,16 +360,24 @@ func decodeObsRecord(rec []byte, b *wire.Batch, rooms []string, names wire.Inter
 // under FsyncBatch one fsync, however many devices it interleaves, and
 // all of it or none of it on disk after a crash. payload, when non-nil,
 // is the received wire payload b was decoded from and is logged
-// verbatim. The caller holds the Begin guard.
+// verbatim. A volatile server has no log; the caller holds the guard
+// (hold).
 func (s *Server) logObservations(b *wire.Batch, payload []byte, rooms []string) error {
+	if s.dur == nil {
+		return nil
+	}
 	buf := wire.GetBuf()
 	defer wire.PutBuf(buf)
 	*buf = appendObsRecord(*buf, b, payload, rooms)
 	return logFailure(s.dur.wal.AppendMeta(*buf))
 }
 
-// logRecord appends one cold record. The caller holds the Begin guard.
-func (s *Server) logRecord(rec walRecord) error {
+// logRecord appends one cold record; a volatile server has no log. The
+// caller holds the guard (hold).
+func (s *Server) logRecord(rec *walRecord) error {
+	if s.dur == nil {
+		return nil
+	}
 	payload, err := json.Marshal(rec)
 	if err != nil {
 		return fmt.Errorf("bms: wal encode: %w", err)
@@ -373,9 +386,9 @@ func (s *Server) logRecord(rec walRecord) error {
 }
 
 // logFailure marks a failed append as the server's failure, not the
-// request's: ingest logs a batch before applying it, so nothing of a
-// batch the log refused landed and its sender may resend it — 503 with a
-// Retry-After over HTTP, a hang-up on the shard stream.
+// request's: nothing of a record the log refused was applied, so its
+// sender may send it again — 503 with a Retry-After over HTTP, a hang-up
+// on the shard stream.
 func logFailure(err error) error {
 	if err == nil {
 		return nil
@@ -383,9 +396,155 @@ func logFailure(err error) error {
 	return &Error{Code: http.StatusServiceUnavailable, RetryAfter: time.Second, Err: err}
 }
 
+// --- the one commit and the one apply ---------------------------------
+
+// hold opens the WAL guard a commit logs and applies under and returns
+// its end: shared, or exclusive for a record decided from the state it
+// sees (the TTL sweep). The guard comes before any lock the apply runs
+// under (s.lease.mu for a grant) — the order a compaction's cut takes
+// them in, holding the guard exclusively and then reading the lease; the
+// other way round, a grant holding the lease and waiting for the guard
+// would deadlock with a cut holding the guard and waiting for the lease.
+// A volatile server has no log to order against.
+func (s *Server) hold(exclusive bool) (end func()) {
+	switch {
+	case s.dur == nil:
+		return func() {}
+	case exclusive:
+		return s.dur.wal.BeginExclusive()
+	default:
+		return s.dur.wal.Begin()
+	}
+}
+
+// commit runs one cold mutation: fence, then log, then apply.
+func (s *Server) commit(gwEpoch uint64, rec *walRecord) (applied, error) {
+	if err := s.admitEpoch(gwEpoch); err != nil {
+		return applied{}, err
+	}
+	defer s.hold(false)()
+	return s.logApply(rec)
+}
+
+// logApply logs rec and applies it once the log holds it; a record the
+// log refuses applies nothing. The caller holds the guard.
+func (s *Server) logApply(rec *walRecord) (applied, error) {
+	if err := s.logRecord(rec); err != nil {
+		return applied{}, err
+	}
+	return s.apply(rec)
+}
+
+// applied is what an apply hands a live caller; recovery drops it.
+type applied struct {
+	state   DeviceState // evict: the state that left
+	held    bool        // evict: whether the server held any
+	version int         // model: the version live after it
+}
+
+// apply makes one cold record's change — the one place each kind
+// happens, whether the record was just logged or is being recovered.
+func (s *Server) apply(rec *walRecord) (out applied, err error) {
+	missing := func(what string) error { return fmt.Errorf("bms: %s record without %s", rec.T, what) }
+	switch rec.T {
+	case recInstall:
+		if rec.State == nil {
+			return out, missing("state")
+		}
+		s.tracker.Install(rec.State.DeviceState)
+		s.st.InstallSeqMark(rec.State.Device, rec.State.Epoch, rec.State.Seq)
+	case recEvict:
+		if rec.Device == "" {
+			return out, missing("device")
+		}
+		tr, ok := s.tracker.Evict(rec.Device)
+		epoch, seq := s.st.EvictDevice(rec.Device)
+		out.state, out.held = assembleDeviceState(rec.Device, tr, ok, epoch, seq)
+	case recExpire:
+		// Tracker state and retained observations go; the ingest
+		// high-water mark stays (ExpireBefore says why).
+		for _, device := range rec.Devices {
+			s.tracker.Evict(device)
+			s.st.ExpireDevice(device)
+		}
+	case recModel:
+		if rec.Snap == nil {
+			return out, missing("snapshot")
+		}
+		scene := rec.scene
+		if scene == nil {
+			if scene, err = sceneOf(*rec.Snap); err != nil {
+				return out, fmt.Errorf("bms: model record: %w", err)
+			}
+		}
+		// The store's version and the classifier move under one clsMu
+		// hold (clsMu before the store's lock, never the other way round),
+		// so no reader pairs one model's version with another's weights.
+		// The store installs only above its version, so a replayed model
+		// older than a restored one stays out.
+		s.clsMu.Lock()
+		defer s.clsMu.Unlock()
+		var installed bool
+		if out.version, installed = s.st.InstallModel(rec.Snap.Model, rec.Snap.Version); installed {
+			s.classifier = scene
+			s.modelSnap = *rec.Snap
+			s.modelSnap.Version = out.version
+		}
+	case recFP:
+		if rec.FP == nil {
+			return out, missing("sample")
+		}
+		sample := fingerprint.Sample{Room: rec.FP.Room, At: time.Duration(rec.FP.AtNanos), Distances: make(map[ibeacon.BeaconID]float64, len(rec.FP.Distances))}
+		for raw, d := range rec.FP.Distances {
+			id, err := ibeacon.ParseBeaconID(raw)
+			if err != nil {
+				return out, fmt.Errorf("bms: fp record: %w", err)
+			}
+			sample.Distances[id] = d
+		}
+		err = s.st.AddFingerprint(sample)
+	case recLease:
+		if rec.Lease == nil {
+			return out, missing("grant")
+		}
+		// The highest grant wins. A live caller holds s.lease.mu; recovery
+		// runs before anyone else can reach the server.
+		if rec.Lease.Epoch > s.lease.epoch {
+			s.lease.epoch, s.lease.holder = rec.Lease.Epoch, rec.Lease.Holder
+		}
+	default:
+		return out, fmt.Errorf("bms: unknown record type %q", rec.T)
+	}
+	return out, err
+}
+
+// applyObs is the apply of an observation record — the ingest core's
+// tail, and what replay runs on each recovered batch. sc holds the batch
+// in store form and the room of each report. The store decides freshness
+// against each device's (Epoch, Seq) mark, which is what makes a log
+// holding duplicates (every accepted report is logged, fresh or not)
+// replay to the committed state, and only fresh reports reach the
+// tracker, with their rooms. It returns how many reports were stale.
+func (s *Server) applyObs(sc *ingestScratch) (stale int, err error) {
+	fresh, err := s.st.AddObservationBatch(sc.obs)
+	if err != nil {
+		return 0, err
+	}
+	live := sc.track[:0]
+	for i := range sc.obs {
+		if fresh[i] {
+			o := &sc.obs[i]
+			live = append(live, occupancy.Classification{At: o.At, Device: o.Device, Room: sc.rooms[i]})
+		}
+	}
+	s.tracker.ObserveBatch(live)
+	return len(sc.obs) - len(live), nil
+}
+
 // --- recovery ---------------------------------------------------------
 
-// recover restores the newest snapshot and replays the log tail.
+// recover restores the newest snapshot and replays the log tail, each
+// record through the apply the live server ran.
 func (s *Server) recover(w *store.WAL) error {
 	if r, ok, err := w.Snapshot(); err != nil {
 		return err
@@ -396,149 +555,37 @@ func (s *Server) recover(w *store.WAL) error {
 			return fmt.Errorf("%s: %w", r.Name(), err)
 		}
 	}
-	// One pooled batch, one rooms slice and one name table serve every
-	// observation record of the replay.
+	// One pooled batch, one scratch, one rooms slice and one name table
+	// serve every observation record of the replay.
 	b := wire.GetBatch()
 	defer wire.PutBatch(b)
+	sc := getScratch()
+	defer sc.release()
 	var rooms []string
 	names := wire.Interner{}
 	replay := func(payload []byte) error {
-		if len(payload) == 0 || payload[0] != recObsTag {
-			return s.replayCold(payload)
-		}
-		var err error
-		if rooms, err = decodeObsRecord(payload, b, rooms, names); err != nil {
+		if len(payload) > 0 && payload[0] == recObsTag {
+			var err error
+			if rooms, err = decodeObsRecord(payload, b, rooms, names); err != nil {
+				return err
+			}
+			sc.size(b.Len())
+			wireObservations(b, sc.obs)
+			copy(sc.rooms, rooms)
+			_, err = s.applyObs(sc)
 			return err
 		}
-		return s.applyObsReplay(b, rooms)
+		if len(payload) > 0 && payload[0] != '{' {
+			return fmt.Errorf("bms: wal replay: record tag 0x%02x is neither an observation record (0x%02x) nor a JSON record", payload[0], recObsTag)
+		}
+		var rec walRecord
+		if err := json.Unmarshal(payload, &rec); err != nil {
+			return fmt.Errorf("bms: wal decode: %w", err)
+		}
+		_, err := s.apply(&rec)
+		return err
 	}
 	return w.Replay(replay, nil)
-}
-
-// replayCold applies one recovered JSON record through the normal
-// mutation paths.
-func (s *Server) replayCold(payload []byte) error {
-	if len(payload) > 0 && payload[0] != '{' {
-		return fmt.Errorf("bms: wal replay: record tag 0x%02x is neither an observation record (0x%02x) nor a JSON record", payload[0], recObsTag)
-	}
-	var rec walRecord
-	if err := json.Unmarshal(payload, &rec); err != nil {
-		return fmt.Errorf("bms: wal decode: %w", err)
-	}
-	switch rec.T {
-	case recInstall:
-		if rec.State == nil {
-			return fmt.Errorf("bms: wal replay: install record without state")
-		}
-		s.tracker.Install(rec.State.DeviceState)
-		s.st.InstallSeqMark(rec.State.Device, rec.State.Epoch, rec.State.Seq)
-	case recEvict:
-		if rec.Device == "" {
-			return fmt.Errorf("bms: wal replay: evict record without device")
-		}
-		s.tracker.Evict(rec.Device)
-		s.st.EvictDevice(rec.Device)
-	case recExpire:
-		for _, device := range rec.Devices {
-			// ExpireBefore semantics: drop tracker state and retained
-			// observations, keep the ingest high-water mark.
-			s.tracker.Evict(device)
-			s.st.ExpireDevice(device)
-		}
-	case recModel:
-		if rec.Snap == nil {
-			return fmt.Errorf("bms: wal replay: model record without snapshot")
-		}
-		if err := s.restoreModel(*rec.Snap); err != nil {
-			return err
-		}
-	case recLease:
-		if rec.Lease == nil {
-			return fmt.Errorf("bms: wal replay: lease record without grant")
-		}
-		s.installLease(rec.Lease.Epoch, rec.Lease.Holder)
-	case recFP:
-		if rec.FP == nil {
-			return fmt.Errorf("bms: wal replay: fingerprint record without sample")
-		}
-		sample := fingerprint.Sample{
-			Room:      rec.FP.Room,
-			At:        time.Duration(rec.FP.AtNanos),
-			Distances: map[ibeacon.BeaconID]float64{},
-		}
-		for raw, d := range rec.FP.Distances {
-			id, err := ibeacon.ParseBeaconID(raw)
-			if err != nil {
-				return fmt.Errorf("bms: wal replay: %w", err)
-			}
-			sample.Distances[id] = d
-		}
-		if err := s.st.AddFingerprint(sample); err != nil {
-			return fmt.Errorf("bms: wal replay: %w", err)
-		}
-	default:
-		return fmt.Errorf("bms: wal replay: unknown record type %q", rec.T)
-	}
-	return nil
-}
-
-// applyObsReplay feeds a recovered observation record through the
-// normal ingest mutations: the store decides freshness against the
-// recovered (Epoch, Seq) marks exactly as live ingest would — which is
-// what makes a log holding duplicates (every accepted report is logged,
-// fresh or not) replay to the committed state — and only fresh
-// observations reach the tracker, with their recorded rooms.
-func (s *Server) applyObsReplay(b *wire.Batch, rooms []string) error {
-	sc := getScratch()
-	defer sc.release()
-	sc.size(b.Len())
-	wireObservations(b, sc.obs)
-	fresh, err := s.st.AddObservationBatch(sc.obs)
-	if err != nil {
-		return fmt.Errorf("bms: wal replay: %w", err)
-	}
-	live := sc.track[:0]
-	for i, o := range sc.obs {
-		if fresh[i] {
-			live = append(live, occupancy.Classification{At: o.At, Device: o.Device, Room: rooms[i]})
-		}
-	}
-	s.tracker.ObserveBatch(live)
-	return nil
-}
-
-// restoreModel rebuilds the live classifier from a recovered model
-// snapshot, installing blob and version into the store through the
-// same version-monotonic gate as a live distribution (replaying an
-// older model over a snapshot-restored newer one must keep the newer).
-func (s *Server) restoreModel(snap ModelSnapshot) error {
-	beacons := make([]ibeacon.BeaconID, 0, len(snap.Beacons))
-	for _, raw := range snap.Beacons {
-		id, err := ibeacon.ParseBeaconID(raw)
-		if err != nil {
-			return fmt.Errorf("bms: wal replay: %w", err)
-		}
-		beacons = append(beacons, id)
-	}
-	model := new(svm.Model)
-	if err := json.Unmarshal(snap.Model, model); err != nil {
-		return fmt.Errorf("bms: wal replay: decode model: %w", err)
-	}
-	if got, want := len(beacons), model.NumFeatures(); got != want {
-		return fmt.Errorf("bms: wal replay: snapshot carries %d beacons but the model was trained on %d features", got, want)
-	}
-	scene := classify.NewSceneSVM(beacons, model)
-	s.clsMu.Lock()
-	defer s.clsMu.Unlock()
-	version, installed := s.st.InstallModel(snap.Model, snap.Version)
-	if !installed && version != snap.Version {
-		return nil
-	}
-	snap.Version = version
-	s.sceneSVM = scene
-	s.classifier = scene
-	s.modelSnap = snap
-	return nil
 }
 
 // KnownDevices returns every device this server holds durable or

@@ -165,15 +165,15 @@ func TestDurableDeviceLifecycleReplays(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st, ok := s1.EvictDevice("mover")
+	st, ok := evict(t, s1, "mover")
 	if !ok {
 		t.Fatal("evict found no state")
 	}
 	st.Room = "bedroom2" // pretend another shard advanced it
-	if err := s1.InstallDevice(st); err != nil {
+	if err := s1.InstallDevice(0, st); err != nil {
 		t.Fatal(err)
 	}
-	if got := s1.ExpireBefore(100 * time.Second); len(got) != 2 {
+	if got := expire(t, s1, 100*time.Second); len(got) != 2 {
 		t.Fatalf("expired %v", got)
 	}
 	want := viewsJSON(t, s1)
@@ -387,10 +387,10 @@ func TestDurableBatchIsAtomicInTheLog(t *testing.T) {
 	}
 }
 
-// TestDurableAppendFailureIsCounted: the TTL sweep applies, then logs,
-// and treats a failed log append as survivable — but not as invisible.
-// Against a closed log file the append fails: wal_append_errors_total
-// says so, and ExpireBefore still returns what it expired.
+// TestDurableAppendFailureIsCounted: against a closed log file every
+// append fails, wal_append_errors_total counts each, and the write that
+// asked for it fails whole — the TTL sweep like an upload: it expires
+// nothing and says why.
 func TestDurableAppendFailureIsCounted(t *testing.T) {
 	s := openDurableRetain(t, t.TempDir(), 100, store.FsyncOff)
 	m := obs.New()
@@ -407,8 +407,13 @@ func TestDurableAppendFailureIsCounted(t *testing.T) {
 	if err := s.dur.wal.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.ExpireBefore(100 * time.Second); !slices.Equal(got, []string{"early", "late"}) {
-		t.Fatalf("expired %v with the log closed, want both devices", got)
+	if got, err := s.ExpireBefore(0, 100*time.Second); err == nil || got != nil {
+		t.Fatalf("the sweep expired %v (%v) with the log closed, want nothing and the append's failure", got, err)
+	}
+	for _, device := range []string{"early", "late"} {
+		if st, ok := s.ExportDevice(device); !ok || !st.Seen || len(s.st.History(device)) != 1 {
+			t.Fatalf("a sweep the log refused moved %s: %+v (%v), %d observations", device, st, ok, len(s.st.History(device)))
+		}
 	}
 	if got := m.TakeSnapshot().Counters["wal_append_errors_total"]; got != 1 {
 		t.Fatalf("wal_append_errors_total = %v after one failed append, want 1", got)

@@ -94,7 +94,7 @@ func TestEvictInstallDeviceRoundTrip(t *testing.T) {
 	wantRoom := s1.tracker.RoomOf("p")
 	wantDwell := s1.tracker.Dwell("p")
 
-	st, ok := s1.EvictDevice("p")
+	st, ok := evict(t, s1, "p")
 	if !ok {
 		t.Fatal("evict found no state")
 	}
@@ -104,12 +104,12 @@ func TestEvictInstallDeviceRoundTrip(t *testing.T) {
 	if occ := s1.Occupancy(); len(occ.Devices) != 0 {
 		t.Fatalf("old owner still reports %v", occ.Devices)
 	}
-	if _, ok := s1.EvictDevice("p"); ok {
+	if _, ok := evict(t, s1, "p"); ok {
 		t.Fatal("second evict found state again")
 	}
 
 	s2, _ := newTestServer(t)
-	if err := s2.InstallDevice(st); err != nil {
+	if err := s2.InstallDevice(0, st); err != nil {
 		t.Fatal(err)
 	}
 	if got := s2.tracker.RoomOf("p"); got != wantRoom {

@@ -22,7 +22,6 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
-	"time"
 
 	"occusim/internal/obs"
 	"occusim/internal/transport"
@@ -84,7 +83,7 @@ func (s *Server) GrantLease(epoch uint64, holder string) (uint64, string, error)
 		return 0, "", fmt.Errorf("bms: lease claim at epoch 0 (epoch 0 means unfenced)")
 	}
 	sm := s.met
-	defer s.beginLease()()
+	defer s.hold(false)()
 	s.lease.mu.Lock()
 	defer s.lease.mu.Unlock()
 	switch {
@@ -116,12 +115,10 @@ func (s *Server) GrantLease(epoch uint64, holder string) (uint64, string, error)
 		}
 		return s.lease.epoch, s.lease.holder, nil
 	default:
-		if err := s.logLease(epoch, holder); err != nil {
+		prev := s.lease.epoch
+		if _, err := s.logApply(&walRecord{T: recLease, Lease: &leaseRecJSON{Epoch: epoch, Holder: holder}}); err != nil {
 			return s.lease.epoch, s.lease.holder, err
 		}
-		prev := s.lease.epoch
-		s.lease.epoch = epoch
-		s.lease.holder = holder
 		if sm != nil {
 			sm.leaseClaims.Inc()
 			sm.rec.Record(obs.EventLeaseClaim, map[string]any{
@@ -157,7 +154,7 @@ func (s *Server) admitEpoch(epoch uint64) error {
 		// The grant is about to advance: take the guard first, then the
 		// lease again — the checks below run on what is found then.
 		s.lease.mu.Unlock()
-		defer s.beginLease()()
+		defer s.hold(false)()
 		s.lease.mu.Lock()
 	}
 	defer s.lease.mu.Unlock()
@@ -170,17 +167,15 @@ func (s *Server) admitEpoch(epoch uint64) error {
 		}
 		return &StaleLeaderError{Granted: s.lease.epoch, Leader: s.lease.holder}
 	}
-	if epoch > s.lease.epoch {
-		if err := s.logLease(epoch, ""); err != nil {
+	if from := s.lease.epoch; epoch > from {
+		if _, err := s.logApply(&walRecord{T: recLease, Lease: &leaseRecJSON{Epoch: epoch}}); err != nil {
 			return err
 		}
 		if sm != nil {
 			sm.rec.Record(obs.EventLeaseAdvance, map[string]any{
-				"from": s.lease.epoch, "to": epoch,
+				"from": from, "to": epoch,
 			})
 		}
-		s.lease.epoch = epoch
-		s.lease.holder = ""
 	}
 	// Tripwire, compared independently of the fence above: if a write
 	// stamped below the grant is about to be admitted, the fence has a
@@ -189,78 +184,6 @@ func (s *Server) admitEpoch(epoch uint64) error {
 		sm.staleAdmits.Inc()
 	}
 	return nil
-}
-
-// beginLease opens the WAL guard a grant is logged and applied under (a
-// no-op on a volatile server) and returns its end. The guard comes
-// before s.lease.mu, the order a compaction's cut takes them in
-// (exclusive hold, then GrantedLease): the other way round, a grant
-// holding the lease and waiting for the guard would deadlock with a cut
-// holding the guard and waiting for the lease. Spanning the apply as
-// well keeps a cut from falling between a grant's record and its effect.
-func (s *Server) beginLease() (end func()) {
-	if s.dur == nil {
-		return func() {}
-	}
-	return s.dur.wal.Begin()
-}
-
-// logLease appends the grant record to the log. The caller holds the
-// beginLease guard and s.lease.mu; the record must be durable before
-// the grant is acknowledged, or a crashed shard could re-grant a
-// deposed epoch.
-func (s *Server) logLease(epoch uint64, holder string) error {
-	if s.dur == nil {
-		return nil
-	}
-	return s.logRecord(walRecord{T: recLease, Lease: &leaseRecJSON{Epoch: epoch, Holder: holder}})
-}
-
-// installLease applies a recovered grant (WAL replay or snapshot
-// restore): the highest record wins.
-func (s *Server) installLease(epoch uint64, holder string) {
-	s.lease.mu.Lock()
-	defer s.lease.mu.Unlock()
-	if epoch > s.lease.epoch {
-		s.lease.epoch = epoch
-		s.lease.holder = holder
-	}
-}
-
-// --- fenced write entry points ---------------------------------------
-//
-// The fleet's shard clients stamp every write with their gateway's
-// leadership epoch; these variants check the fence first and then run
-// the unfenced path. Epoch zero degenerates to the plain methods. (The
-// ingest core takes the epoch as an argument; see Server.ingest.)
-
-// EvictDeviceFenced is EvictDevice behind the leadership fence — a
-// deposed gateway must not be able to rip device state out of a shard
-// mid-migration.
-func (s *Server) EvictDeviceFenced(gwEpoch uint64, device string) (DeviceState, bool, error) {
-	if err := s.admitEpoch(gwEpoch); err != nil {
-		return DeviceState{}, false, err
-	}
-	st, ok := s.EvictDevice(device)
-	return st, ok, nil
-}
-
-// InstallDeviceFenced is InstallDevice behind the leadership fence.
-func (s *Server) InstallDeviceFenced(gwEpoch uint64, st DeviceState) error {
-	if err := s.admitEpoch(gwEpoch); err != nil {
-		return err
-	}
-	return s.InstallDevice(st)
-}
-
-// ExpireBeforeFenced is ExpireBefore behind the leadership fence — a
-// zombie's TTL sweep would otherwise evict devices the new leader is
-// actively serving.
-func (s *Server) ExpireBeforeFenced(gwEpoch uint64, cutoff time.Duration) ([]string, error) {
-	if err := s.admitEpoch(gwEpoch); err != nil {
-		return nil, err
-	}
-	return s.ExpireBefore(cutoff), nil
 }
 
 // --- HTTP face --------------------------------------------------------

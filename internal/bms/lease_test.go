@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"testing"
 
+	"occusim/internal/occupancy"
 	"occusim/internal/store"
 	"occusim/internal/transport"
 )
@@ -69,13 +70,13 @@ func TestFencedWritesRejectStaleEpoch(t *testing.T) {
 	if _, err := ingestFenced(s, 1, rep); !errors.Is(err, ErrStaleLeader) {
 		t.Fatalf("stale ingest: err=%v", err)
 	}
-	if _, _, err := s.EvictDeviceFenced(1, "phone"); !errors.Is(err, ErrStaleLeader) {
+	if _, _, err := s.EvictDevice(1, "phone"); !errors.Is(err, ErrStaleLeader) {
 		t.Fatalf("stale evict: err=%v", err)
 	}
-	if err := s.InstallDeviceFenced(1, DeviceState{Epoch: 1, Seq: 1}); !errors.Is(err, ErrStaleLeader) {
+	if err := s.InstallDevice(1, DeviceState{DeviceState: occupancy.DeviceState{Device: "phone"}, Epoch: 1, Seq: 1}); !errors.Is(err, ErrStaleLeader) {
 		t.Fatalf("stale install: err=%v", err)
 	}
-	if _, err := s.ExpireBeforeFenced(1, 0); !errors.Is(err, ErrStaleLeader) {
+	if _, err := s.ExpireBefore(1, 0); !errors.Is(err, ErrStaleLeader) {
 		t.Fatalf("stale expire: err=%v", err)
 	}
 	if _, err := s.IngestBatchFenced(1, []transport.Report{rep}); !errors.Is(err, ErrStaleLeader) {

@@ -68,18 +68,18 @@ func TestDurableRollupSurvivesKillAcrossCompaction(t *testing.T) {
 		}
 	}
 	walk(0, 12)
-	if _, ok := s1.EvictDevice("p1"); !ok {
+	if _, ok := evict(t, s1, "p1"); !ok {
 		t.Fatal("evict found no state for p1")
 	}
 	if err := s1.CompactWAL(); err != nil {
 		t.Fatal(err)
 	}
 	walk(12, 20)
-	if _, ok := s1.EvictDevice("p2"); !ok {
+	if _, ok := evict(t, s1, "p2"); !ok {
 		t.Fatal("evict found no state for p2")
 	}
 	walk(20, 24)
-	if got := s1.ExpireBefore(time.Duration(10*23+1) * time.Second); len(got) == 0 {
+	if got := expire(t, s1, time.Duration(10*23+1)*time.Second); len(got) == 0 {
 		t.Fatal("the sweep expired nothing")
 	}
 	want := NewShardRollup(s1.Summary())
@@ -119,7 +119,7 @@ func TestRollupRouteRoundTrips(t *testing.T) {
 			}
 		}
 	}
-	s.EvictDevice("c") // history without state
+	evict(t, s, "c") // history without state
 	get := func(path string) []byte {
 		rec := httptest.NewRecorder()
 		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))

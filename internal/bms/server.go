@@ -41,15 +41,18 @@ type Server struct {
 	bld *building.Building
 	st  *store.Store
 
-	// clsMu guards only the classifier identity: Train swaps the
-	// pointer, ingest takes a snapshot and predicts lock-free (trained
-	// models are immutable). modelSnap is the distributable form of the
-	// live model, kept under the same lock so a snapshot can never pair
-	// one training run's beacon order with another's weights.
+	// clsMu guards only the classifier identity: a model record's apply
+	// swaps the pointer, ingest takes a snapshot and predicts lock-free
+	// (trained models are immutable). modelSnap is the distributable form
+	// of the live model, kept under the same lock so a snapshot can never
+	// pair one training run's beacon order with another's weights.
 	clsMu      sync.RWMutex
 	classifier classify.Classifier
-	sceneSVM   *classify.SceneSVM
 	modelSnap  ModelSnapshot
+	// modelMu serialises model commits (Train, InstallModel): each
+	// decides its version against the live one, logs and applies as one
+	// step.
+	modelMu sync.Mutex
 
 	// tracker is striped per device; see occupancy.Sharded.
 	tracker *occupancy.Sharded
@@ -133,10 +136,11 @@ func (s *Server) classifierSnapshot() classify.Classifier {
 }
 
 // ingestScratch is the working memory of one ingest call, whichever
-// face it came in by: the classifier's rows, and the per-report columns
-// — store form, predicted room, tracker input — the faces fill in one
-// pass and apply in another. Pooled, and cleared on the way back so an
-// idle entry pins no device name, beacon slab or room.
+// face it came in by, and of one replayed observation record: the
+// classifier's rows, and the per-report columns — store form, room,
+// tracker input — filled in one pass and applied in another (applyObs).
+// Pooled, and cleared on the way back so an idle entry pins no device
+// name, beacon slab or room.
 type ingestScratch struct {
 	cls   classify.Scratch
 	obs   []store.Observation
@@ -177,12 +181,13 @@ func (sc *ingestScratch) release() {
 
 // ingest is the one way reports enter the server, whichever face they
 // came in by: fence → admission gate → validate → store form → classify
-// → log → store → tracker → count. gwEpoch is the gateway leadership
-// stamp (0 = unfenced, see admitEpoch). payload, when non-nil, is the
-// wire payload b was decoded from: a durable server logs those received,
-// already checksummed bytes instead of encoding b again. b is not
-// retained. The returned rooms — one per report, in batch order — are
-// sc's column, valid until its release.
+// → log → apply (store, then tracker: applyObs, which replay runs too) →
+// count. gwEpoch is the gateway leadership stamp (0 = unfenced, see
+// admitEpoch). payload, when non-nil, is the wire payload b was decoded
+// from: a durable server logs those received, already checksummed bytes
+// instead of encoding b again. b is not retained. The returned rooms —
+// one per report, in batch order — are sc's column, valid until its
+// release.
 //
 // Reports of one device must be ordered by time within the batch (the
 // coalescing uplink preserves send order); different devices may
@@ -225,40 +230,29 @@ func (s *Server) ingest(gwEpoch uint64, b *wire.Batch, payload []byte, sc *inges
 	// with its room before any state moves.
 	cls := s.classifierSnapshot()
 	for i := range sc.obs {
-		o := &sc.obs[i]
-		sc.rooms[i] = cls.PredictSpan(o.Beacons, &sc.cls)
-		sc.track[i] = occupancy.Classification{At: o.At, Device: o.Device, Room: sc.rooms[i]}
+		sc.rooms[i] = cls.PredictSpan(sc.obs[i].Beacons, &sc.cls)
 	}
+	// Log-then-apply: the whole batch (dups included — replay
+	// re-deduplicates against the recovered marks) reaches the WAL before
+	// any state moves, under one guard so a concurrent compaction cannot
+	// snapshot between the append and the apply.
 	if s.dur != nil {
-		// Log-then-apply: the whole batch (dups included — replay
-		// re-deduplicates against the recovered marks) reaches the WAL
-		// before any state moves, under one Begin guard so a concurrent
-		// compaction cannot snapshot between the append and the apply.
-		end := s.dur.wal.Begin()
-		defer s.maybeCompact() // after end(): it may wait for a compaction
-		defer end()
-		if err := s.logObservations(b, payload, sc.rooms); err != nil {
-			return nil, err
-		}
+		defer s.maybeCompact() // after the guard ends: it may wait for a compaction
 	}
-	// The store decides freshness against each device's high-water mark;
-	// stale retransmissions keep their predicted room in the response
+	defer s.hold(false)()
+	if err := s.logObservations(b, payload, sc.rooms); err != nil {
+		return nil, err
+	}
+	// Stale retransmissions keep their predicted room in the response
 	// (positional contract) but advance neither store nor tracker.
-	fresh, err := s.st.AddObservationBatch(sc.obs)
+	stale, err := s.applyObs(sc)
 	if err != nil {
 		return nil, err
 	}
-	live := sc.track[:0]
-	for i := range sc.track {
-		if fresh[i] {
-			live = append(live, sc.track[i])
-		}
-	}
-	s.tracker.ObserveBatch(live)
 	if sm != nil {
 		sm.reports.Add(uint64(n))
 		sm.batchSize.Observe(int64(n))
-		sm.dedupDrops.Add(uint64(n - len(live)))
+		sm.dedupDrops.Add(uint64(stale))
 		sm.ingestLatency.Since(start)
 	}
 	return sc.rooms, nil
@@ -337,18 +331,12 @@ func (s *Server) AddFingerprint(sample fingerprint.Sample) error {
 	if !valid {
 		return fmt.Errorf("bms: fingerprint labelled with unknown room %q", sample.Room)
 	}
-	if s.dur != nil {
-		end := s.dur.wal.Begin()
-		defer end()
-		fp := fpRecJSON{Room: sample.Room, AtNanos: int64(sample.At), Distances: map[string]float64{}}
-		for id, d := range sample.Distances {
-			fp.Distances[id.String()] = d
-		}
-		if err := s.logRecord(walRecord{T: recFP, FP: &fp}); err != nil {
-			return err
-		}
+	fp := fpRecJSON{Room: sample.Room, AtNanos: int64(sample.At), Distances: make(map[string]float64, len(sample.Distances))}
+	for id, d := range sample.Distances {
+		fp.Distances[id.String()] = d
 	}
-	return s.st.AddFingerprint(sample)
+	_, err := s.commit(0, &walRecord{T: recFP, FP: &fp})
+	return err
 }
 
 // TrainResult reports the outcome of a training run.
@@ -390,33 +378,10 @@ func (s *Server) Train(c, gamma float64, seed uint64) (TrainResult, error) {
 	for _, id := range scene.Beacons() {
 		snap.Beacons = append(snap.Beacons, id.String())
 	}
-
-	// The version decision and the classifier swap happen under one
-	// clsMu hold, so a concurrent InstallModel cannot interleave and
-	// leave the live classifier disagreeing with the stored version.
-	var end func()
-	if s.dur != nil {
-		end = s.dur.wal.Begin()
-		defer end()
+	version, err := s.commitModel(snap, scene)
+	if err != nil {
+		return TrainResult{}, err
 	}
-	s.clsMu.Lock()
-	version := s.st.SetModel(blob)
-	snap.Version = version
-	s.sceneSVM = scene
-	s.classifier = scene
-	s.modelSnap = snap
-	s.clsMu.Unlock()
-	if s.dur != nil {
-		// Apply-then-log, unlike ingest: the version is assigned inside
-		// the swap. A crash in the gap loses only the training run (the
-		// fingerprints that produced it are already logged; retraining
-		// is deterministic given the same seed). The Begin guard still
-		// spans both halves, so compaction cannot split them.
-		if err := s.logRecord(walRecord{T: recModel, Snap: &snap}); err != nil {
-			return TrainResult{}, err
-		}
-	}
-
 	return TrainResult{
 		Samples:        ds.Len(),
 		Classes:        scene.Model().Classes(),
@@ -449,62 +414,62 @@ func (s *Server) ModelSnapshot() (ModelSnapshot, bool) {
 
 // InstallModel switches classification to a model trained elsewhere —
 // the receiving half of fleet snapshot distribution — and returns the
-// stored model version. The snapshot's beacon order defines the
-// feature columns, exactly as on the trainer; a snapshot whose beacon
-// count disagrees with the model's trained feature dimension is
-// rejected before it can touch the live classifier (a mismatched
-// install would scramble every feature vector or index the scaler out
-// of range).
+// stored model version. A snapshot that does not parse, or whose beacon
+// count disagrees with the model's, is refused before anything is
+// logged (sceneOf).
 func (s *Server) InstallModel(snap ModelSnapshot) (int, error) {
+	scene, err := sceneOf(snap)
+	if err != nil {
+		return 0, fmt.Errorf("bms: install: %w", err)
+	}
+	return s.commitModel(snap, scene)
+}
+
+// sceneOf parses and checks a model snapshot. Its beacon order defines
+// the feature columns, exactly as on the trainer, so a snapshot whose
+// beacon count disagrees with the model's trained feature dimension is
+// refused (it would scramble every feature vector or index the scaler
+// out of range).
+func sceneOf(snap ModelSnapshot) (*classify.SceneSVM, error) {
 	if len(snap.Model) == 0 {
-		return 0, fmt.Errorf("bms: install: empty model")
+		return nil, fmt.Errorf("empty model")
 	}
 	beacons := make([]ibeacon.BeaconID, 0, len(snap.Beacons))
 	for _, raw := range snap.Beacons {
 		id, err := ibeacon.ParseBeaconID(raw)
 		if err != nil {
-			return 0, fmt.Errorf("bms: install: %w", err)
+			return nil, err
 		}
 		beacons = append(beacons, id)
 	}
 	model := new(svm.Model)
 	if err := json.Unmarshal(snap.Model, model); err != nil {
-		return 0, fmt.Errorf("bms: install: decode model: %w", err)
+		return nil, fmt.Errorf("decode model: %w", err)
 	}
 	if got, want := len(beacons), model.NumFeatures(); got != want {
-		return 0, fmt.Errorf("bms: install: snapshot carries %d beacons but the model was trained on %d features", got, want)
+		return nil, fmt.Errorf("snapshot carries %d beacons but the model was trained on %d features", got, want)
 	}
-	scene := classify.NewSceneSVM(beacons, model)
+	return classify.NewSceneSVM(beacons, model), nil
+}
 
-	// Version acceptance and the classifier swap are one critical
-	// section (clsMu is taken before the store's internal lock and
-	// never the other way round): two racing distributions cannot leave
-	// the store on one version and the live classifier on another.
-	var end func()
-	if s.dur != nil {
-		end = s.dur.wal.Begin()
-		defer end()
+// commitModel is the one commit of a model record, a training run's or
+// a distribution's. The version is decided against the live one under
+// modelMu: a snapshot without one (a training run) takes the next; one
+// at or below the live version is a stale or duplicate distribution —
+// the shard already runs that model or a newer one — and changes and
+// logs nothing.
+func (s *Server) commitModel(snap ModelSnapshot, scene *classify.SceneSVM) (int, error) {
+	s.modelMu.Lock()
+	defer s.modelMu.Unlock()
+	_, live := s.st.Model()
+	switch {
+	case snap.Version <= 0:
+		snap.Version = live + 1
+	case snap.Version <= live:
+		return live, nil
 	}
-	s.clsMu.Lock()
-	defer s.clsMu.Unlock()
-	version, installed := s.st.InstallModel(snap.Model, snap.Version)
-	if !installed {
-		// Stale or duplicate distribution: this shard already runs that
-		// version or a newer one; keep the live classifier.
-		return version, nil
-	}
-	snap.Version = version
-	s.sceneSVM = scene
-	s.classifier = scene
-	s.modelSnap = snap
-	if s.dur != nil {
-		// Logged only when accepted (a crash in the gap is healed by the
-		// gateway retrying the distribution).
-		if err := s.logRecord(walRecord{T: recModel, Snap: &snap}); err != nil {
-			return 0, err
-		}
-	}
-	return version, nil
+	out, err := s.commit(0, &walRecord{T: recModel, Snap: &snap, scene: scene})
+	return out.version, err
 }
 
 // DwellTotals returns the accumulated per-room dwell time summed over
@@ -553,45 +518,42 @@ func (s *Server) ExportDevice(device string) (DeviceState, bool) {
 // tracker state (committed room, pending debounce, dwell) and the
 // store's observations and high-water mark. After eviction the device
 // is absent from every occupancy view; its committed events remain,
-// as history. ok is false when the server held nothing.
-func (s *Server) EvictDevice(device string) (DeviceState, bool) {
-	if s.dur != nil {
-		end := s.dur.wal.Begin()
-		defer end()
-		// Logged unconditionally — evicting an unknown device replays as
-		// the same no-op it is live.
-		if err := s.logRecord(walRecord{T: recEvict, Device: device}); err != nil {
-			return DeviceState{}, false
-		}
-	}
-	tr, ok := s.tracker.Evict(device)
-	epoch, seq := s.st.EvictDevice(device)
-	return assembleDeviceState(device, tr, ok, epoch, seq)
+// as history. ok is false when the server held nothing. gwEpoch is the
+// gateway's leadership stamp (0 = unfenced, see admitEpoch): a deposed
+// gateway must not rip device state out of a shard mid-migration. The
+// eviction is logged whether or not the device is known — evicting an
+// unknown device replays as the same no-op it is live — and one the log
+// refuses leaves the device in place.
+func (s *Server) EvictDevice(gwEpoch uint64, device string) (DeviceState, bool, error) {
+	out, err := s.commit(gwEpoch, &walRecord{T: recEvict, Device: device})
+	return out.state, out.held, err
 }
 
-// InstallDevice installs a migrated device's state, overwriting any
-// stale copy this server holds (the migrated state is the newer
-// truth). Installing the same state twice is idempotent.
-func (s *Server) InstallDevice(st DeviceState) error {
+// InstallDevice installs a migrated device's state behind the
+// leadership fence, overwriting any stale copy this server holds (the
+// migrated state is the newer truth). Installing the same state twice
+// is idempotent.
+func (s *Server) InstallDevice(gwEpoch uint64, st DeviceState) error {
 	if st.Device == "" {
 		return fmt.Errorf("bms: install device: empty device name")
 	}
-	if s.dur != nil {
-		end := s.dur.wal.Begin()
-		defer end()
-		if err := s.logRecord(walRecord{T: recInstall, State: &st}); err != nil {
-			return err
-		}
-	}
-	s.tracker.Install(st.DeviceState)
-	s.st.InstallSeqMark(st.Device, st.Epoch, st.Seq)
-	return nil
+	_, err := s.commit(gwEpoch, &walRecord{T: recInstall, State: &st})
+	return err
 }
 
 // ExpireBefore evicts every device whose last observation predates
-// cutoff (tracker state and observation log) and returns the evicted
-// names — the TTL sweep that ages out residue on a shard that could
-// not be migrated from while unreachable.
+// cutoff (tracker state and retained observations) and returns the
+// evicted names — the TTL sweep that ages out residue on a shard that
+// could not be migrated from while unreachable. It is fenced like every
+// write: a zombie's sweep would evict devices the new leader serves.
+//
+// The sweep is the one record decided from the state it sees, and so
+// the one that does not commute with an upload: a device that resumes
+// between the choice and the apply would lose its fresh observation
+// live and be expired in replay. It runs under the log's exclusive hold,
+// the barrier a compaction's cut takes, so it names, logs and expires
+// its devices with no upload in flight. Sweeps come at most once per
+// TTL/4 of report clock.
 //
 // The ingest high-water mark is deliberately retained (and never even
 // transiently absent — store.ExpireDevice drops only the observation
@@ -601,25 +563,19 @@ func (s *Server) InstallDevice(st DeviceState) error {
 // window. A mark is two integers; a device that genuinely returns
 // after a long absence re-enters through the epoch bump its restart
 // declares.
-func (s *Server) ExpireBefore(cutoff time.Duration) []string {
-	var end func()
-	if s.dur != nil {
-		end = s.dur.wal.Begin()
-		defer end()
+func (s *Server) ExpireBefore(gwEpoch uint64, cutoff time.Duration) ([]string, error) {
+	if err := s.admitEpoch(gwEpoch); err != nil {
+		return nil, err
 	}
-	expired := s.tracker.ExpireBefore(cutoff)
-	for _, device := range expired {
-		s.st.ExpireDevice(device)
+	defer s.hold(true)()
+	rec := walRecord{T: recExpire, Devices: s.tracker.IdleBefore(cutoff)}
+	if len(rec.Devices) == 0 {
+		return nil, nil
 	}
-	if s.dur != nil && len(expired) > 0 {
-		// Apply-then-log: the sweep resolves the cutoff into concrete
-		// device names, and those are what must replay, at this point in
-		// the log. A crash in the gap — or a failed append, which the WAL
-		// counts (wal_append_errors_total) — merely resurrects residue the
-		// next sweep re-expires.
-		_ = s.logRecord(walRecord{T: recExpire, Devices: expired})
+	if _, err := s.logApply(&rec); err != nil {
+		return nil, err
 	}
-	return expired
+	return rec.Devices, nil
 }
 
 // OccupancySnapshot is the GET /api/v1/occupancy payload.
@@ -816,7 +772,7 @@ func (s *Server) handleDeviceEvict(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("evict without device"))
 		return
 	}
-	st, ok, err := s.EvictDeviceFenced(gatewayEpochFrom(r), req.Device)
+	st, ok, err := s.EvictDevice(gatewayEpochFrom(r), req.Device)
 	if err != nil {
 		WriteFailure(w, err)
 		return
@@ -836,7 +792,7 @@ func (s *Server) handleDeviceInstall(w http.ResponseWriter, r *http.Request) {
 		WriteUploadError(w, "decode", err)
 		return
 	}
-	if err := s.InstallDeviceFenced(gatewayEpochFrom(r), st); err != nil {
+	if err := s.InstallDevice(gatewayEpochFrom(r), st); err != nil {
 		WriteFailure(w, err)
 		return
 	}
@@ -853,7 +809,7 @@ func (s *Server) handleDeviceExpire(w http.ResponseWriter, r *http.Request) {
 		WriteUploadError(w, "decode", err)
 		return
 	}
-	expired, err := s.ExpireBeforeFenced(gatewayEpochFrom(r), time.Duration(req.BeforeNanos))
+	expired, err := s.ExpireBefore(gatewayEpochFrom(r), time.Duration(req.BeforeNanos))
 	if err != nil {
 		WriteFailure(w, err)
 		return

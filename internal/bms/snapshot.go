@@ -243,27 +243,37 @@ func (s *Server) restoreDurableSnapshot(r io.Reader) error {
 	if err := json.Unmarshal(payload[1:], &hdr); err != nil {
 		return fmt.Errorf("bms: snapshot decode: %w", err)
 	}
-	if len(hdr.Training) > 0 {
-		if err := s.st.ReadSnapshot(bytes.NewReader(hdr.Training)); err != nil {
-			return err
-		}
-	}
+	// The cold state is records, restored by the apply the live server
+	// ran: the model, the lease, and each device's tracker slice and
+	// ingest mark. The model goes before the training blob, which carries
+	// it again at the same version: installed over the blob it would be a
+	// duplicate, and the store would keep it out.
+	var recs []walRecord
 	if hdr.ModelSnap != nil {
-		if err := s.restoreModel(*hdr.ModelSnap); err != nil {
-			return err
-		}
+		recs = append(recs, walRecord{T: recModel, Snap: hdr.ModelSnap})
 	}
 	if hdr.Lease != nil {
-		s.installLease(hdr.Lease.Epoch, hdr.Lease.Holder)
+		recs = append(recs, walRecord{T: recLease, Lease: hdr.Lease})
 	}
 	missing := make(map[string]int, len(hdr.Devices)) // observations still to come
 	for _, ds := range hdr.Devices {
-		s.st.InstallSeqMark(ds.Device, ds.Epoch, ds.Seq)
+		st := DeviceState{DeviceState: occupancy.DeviceState{Device: ds.Device}, Epoch: ds.Epoch, Seq: ds.Seq}
 		if ds.Tracker != nil {
-			s.tracker.Install(*ds.Tracker)
+			st.DeviceState = *ds.Tracker
 		}
+		recs = append(recs, walRecord{T: recInstall, State: &st})
 		if ds.Obs != 0 {
 			missing[ds.Device] = ds.Obs
+		}
+	}
+	for i := range recs {
+		if _, err := s.apply(&recs[i]); err != nil {
+			return err
+		}
+	}
+	if len(hdr.Training) > 0 {
+		if err := s.st.ReadSnapshot(bytes.NewReader(hdr.Training)); err != nil {
+			return err
 		}
 	}
 

@@ -86,6 +86,7 @@ type serverState struct {
 	leaseHolder string
 	beacons     []ibeacon.BeaconID
 	classifier  string
+	model       ModelSnapshot
 }
 
 func stateOf(s *Server) serverState {
@@ -106,42 +107,51 @@ func stateOf(s *Server) serverState {
 		st.histories[device] = s.st.History(device)
 	}
 	st.leaseEpoch, st.leaseHolder = s.GrantedLease()
+	st.model, _ = s.ModelSnapshot()
 	return st
 }
 
 // requireState compares two captures view by view.
 func requireState(t *testing.T, got, want serverState) {
 	t.Helper()
+	if err := diffState(got, want); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// diffState names the first view in which two captures differ.
+func diffState(got, want serverState) error {
 	if !reflect.DeepEqual(got.occupancy, want.occupancy) {
-		t.Fatalf("occupancy\n got: %+v\nwant: %+v", got.occupancy, want.occupancy)
+		return fmt.Errorf("occupancy\n got: %+v\nwant: %+v", got.occupancy, want.occupancy)
 	}
 	for i := 0; i < len(got.events) || i < len(want.events); i++ {
 		if i >= len(got.events) || i >= len(want.events) || got.events[i] != want.events[i] {
-			t.Fatalf("events diverge at %d of %d (want %d)\n got: %+v\nwant: %+v", i, len(got.events), len(want.events), got.events[min(i, len(got.events)):min(i+3, len(got.events))], want.events[min(i, len(want.events)):min(i+3, len(want.events))])
+			return fmt.Errorf("events diverge at %d of %d (want %d)\n got: %+v\nwant: %+v", i, len(got.events), len(want.events), got.events[min(i, len(got.events)):min(i+3, len(got.events))], want.events[min(i, len(want.events)):min(i+3, len(want.events))])
 		}
 	}
 	if !reflect.DeepEqual(got.dwell, want.dwell) {
-		t.Fatalf("dwell\n got: %+v\nwant: %+v", got.dwell, want.dwell)
+		return fmt.Errorf("dwell\n got: %+v\nwant: %+v", got.dwell, want.dwell)
 	}
 	if !reflect.DeepEqual(got.devices, want.devices) {
-		t.Fatalf("devices\n got: %v\nwant: %v", got.devices, want.devices)
+		return fmt.Errorf("devices\n got: %v\nwant: %v", got.devices, want.devices)
 	}
 	for _, device := range want.devices {
 		g, gok := got.exports[device]
 		w, wok := want.exports[device]
 		if gok != wok || !reflect.DeepEqual(g, w) {
-			t.Fatalf("device %s state\n got: %+v (%v)\nwant: %+v (%v)", device, g, gok, w, wok)
+			return fmt.Errorf("device %s state\n got: %+v (%v)\nwant: %+v (%v)", device, g, gok, w, wok)
 		}
 		if !sameObservations(got.histories[device], want.histories[device]) {
-			t.Fatalf("device %s history\n got: %+v\nwant: %+v", device, got.histories[device], want.histories[device])
+			return fmt.Errorf("device %s history\n got: %+v\nwant: %+v", device, got.histories[device], want.histories[device])
 		}
 	}
 	if got.leaseEpoch != want.leaseEpoch || got.leaseHolder != want.leaseHolder {
-		t.Fatalf("lease (%d, %q), want (%d, %q)", got.leaseEpoch, got.leaseHolder, want.leaseEpoch, want.leaseHolder)
+		return fmt.Errorf("lease (%d, %q), want (%d, %q)", got.leaseEpoch, got.leaseHolder, want.leaseEpoch, want.leaseHolder)
 	}
-	if !reflect.DeepEqual(got.beacons, want.beacons) || got.classifier != want.classifier {
-		t.Fatalf("training state diverged: %s / %d beacons, want %s / %d", got.classifier, len(got.beacons), want.classifier, len(want.beacons))
+	if !reflect.DeepEqual(got.beacons, want.beacons) || got.classifier != want.classifier || !reflect.DeepEqual(got.model, want.model) {
+		return fmt.Errorf("training state diverged: %s / %d beacons / model version %d, want %s / %d / %d", got.classifier, len(got.beacons), got.model.Version, want.classifier, len(want.beacons), want.model.Version)
 	}
+	return nil
 }
 
 // requireSameState compares every view recovery must reproduce.
@@ -227,7 +237,7 @@ func randomState(t *testing.T, s *Server, rng *rand.Rand) {
 			t.Fatal(err)
 		}
 	}
-	if expired := s.ExpireBefore(500 * time.Second); !reflect.DeepEqual(expired, []string{"ghost"}) {
+	if expired := expire(t, s, 500*time.Second); !reflect.DeepEqual(expired, []string{"ghost"}) {
 		t.Fatalf("the sweep expired %v, want the ghost alone", expired)
 	}
 	if hist := s.st.History("ghost"); len(hist) != 0 {

@@ -277,7 +277,7 @@ func TestGatewayResidueTTLSweep(t *testing.T) {
 	// Its LastAt sits inside the current TTL window (the report clock is
 	// at ~88 s here), so it survives the next read and ages out once the
 	// clock passes LastAt + TTL.
-	pool.Servers[other].InstallDevice(bms.DeviceState{
+	pool.Servers[other].InstallDevice(0, bms.DeviceState{
 		DeviceState: occupancy.DeviceState{
 			Device: victim, Room: "bedroom-1", Seen: true, LastAt: 80 * time.Second,
 			Dwell: map[string]time.Duration{"bedroom-1": 2 * time.Second},

@@ -219,7 +219,7 @@ func TestRollupCountsResidueOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := pool.Servers[(owner+1)%3].InstallDevice(bms.DeviceState{
+	if err := pool.Servers[(owner+1)%3].InstallDevice(0, bms.DeviceState{
 		DeviceState: occupancy.DeviceState{
 			Device: victim, Room: "bedroom-1", Seen: true, LastAt: 80 * time.Second,
 			Dwell: map[string]time.Duration{"bedroom-1": 2 * time.Second},

@@ -139,17 +139,17 @@ func (l *LocalShard) Summary() (occupancy.Summary, error) { return l.srv.Summary
 
 // EvictDevice implements Shard.
 func (l *LocalShard) EvictDevice(device string) (bms.DeviceState, bool, error) {
-	return l.srv.EvictDeviceFenced(l.epoch.Load(), device)
+	return l.srv.EvictDevice(l.epoch.Load(), device)
 }
 
 // InstallDevice implements Shard.
 func (l *LocalShard) InstallDevice(st bms.DeviceState) error {
-	return l.srv.InstallDeviceFenced(l.epoch.Load(), st)
+	return l.srv.InstallDevice(l.epoch.Load(), st)
 }
 
 // ExpireBefore implements Shard.
 func (l *LocalShard) ExpireBefore(cutoff time.Duration) ([]string, error) {
-	return l.srv.ExpireBeforeFenced(l.epoch.Load(), cutoff)
+	return l.srv.ExpireBefore(l.epoch.Load(), cutoff)
 }
 
 // Devices implements Shard.

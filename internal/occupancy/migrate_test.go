@@ -140,9 +140,9 @@ func TestExpireBefore(t *testing.T) {
 }
 
 // TestShardedEvictObserveRace drives concurrent Observe, Export,
-// Evict, Install and ExpireBefore traffic through one Sharded tracker;
-// run under -race it pins that migration routes through the same
-// stripe locks as ingest (the CI race job executes this).
+// Evict, Install and sweep (IdleBefore, then Evict) traffic through one
+// Sharded tracker; run under -race it pins that migration routes through
+// the same stripe locks as ingest (the CI race job executes this).
 func TestShardedEvictObserveRace(t *testing.T) {
 	s, err := NewSharded(2)
 	if err != nil {
@@ -173,7 +173,9 @@ func TestShardedEvictObserveRace(t *testing.T) {
 				s.Install(st)
 			}
 			s.Export(name)
-			s.ExpireBefore(time.Duration(i) * time.Second / 10)
+			for _, idle := range s.IdleBefore(time.Duration(i) * time.Second / 10) {
+				s.Evict(idle)
+			}
 			s.Counts()
 		}
 	}()

@@ -449,12 +449,9 @@ func (t *Tracker) Install(st DeviceState) {
 	}
 }
 
-// ExpireBefore evicts every device whose last observation is older
-// than cutoff and returns their names, sorted — the TTL sweep that
-// ages out residue left by an owner that could not be migrated from.
-// Devices without an observation clock (installed state with
-// Seen=false) are kept.
-func (t *Tracker) ExpireBefore(cutoff time.Duration) []string {
+// IdleBefore returns, sorted, every device whose last observation is
+// older than cutoff — what ExpireBefore evicts — and changes nothing.
+func (t *Tracker) IdleBefore(cutoff time.Duration) []string {
 	var out []string
 	for device, last := range t.lastAt {
 		if last < cutoff {
@@ -462,6 +459,16 @@ func (t *Tracker) ExpireBefore(cutoff time.Duration) []string {
 		}
 	}
 	sort.Strings(out)
+	return out
+}
+
+// ExpireBefore evicts every device whose last observation is older
+// than cutoff and returns their names, sorted — the TTL sweep that
+// ages out residue left by an owner that could not be migrated from.
+// Devices without an observation clock (installed state with
+// Seen=false) are kept.
+func (t *Tracker) ExpireBefore(cutoff time.Duration) []string {
+	out := t.IdleBefore(cutoff)
 	for _, device := range out {
 		// Destructive delete, not Evict: nobody wants the exported
 		// state, so don't deep-copy a DeviceState per swept device

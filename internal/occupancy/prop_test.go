@@ -280,8 +280,14 @@ func TestSummaryMatchesEventLog(t *testing.T) {
 			case 2:
 				op = "ExpireBefore"
 				cutoff := c.At - time.Duration(src.Intn(20))*time.Second
-				single.ExpireBefore(cutoff)
-				sharded.ExpireBefore(cutoff)
+				want := single.ExpireBefore(cutoff)
+				got := sharded.IdleBefore(cutoff)
+				for _, device := range got {
+					sharded.Evict(device)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("step %d: the sharded sweep names %v, the single tracker expired %v", step, got, want)
+				}
 			case 3:
 				// A recovered snapshot's events: another device's history,
 				// canonical order, arriving in one call.

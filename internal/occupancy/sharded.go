@@ -118,14 +118,15 @@ func (s *Sharded) Install(st DeviceState) {
 	sh.tr.Install(st)
 }
 
-// ExpireBefore evicts devices last observed before cutoff across all
-// stripes, returning their names sorted.
-func (s *Sharded) ExpireBefore(cutoff time.Duration) []string {
+// IdleBefore returns, sorted, the devices last observed before cutoff
+// across all stripes (see Tracker.IdleBefore), evicting none of them: a
+// TTL sweep names its devices, logs them, then evicts each.
+func (s *Sharded) IdleBefore(cutoff time.Duration) []string {
 	var out []string
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		out = append(out, sh.tr.ExpireBefore(cutoff)...)
+		out = append(out, sh.tr.IdleBefore(cutoff)...)
 		sh.mu.Unlock()
 	}
 	sort.Strings(out)

@@ -74,7 +74,10 @@ func (f *Fleet) Verify(gw *fleet.Gateway, mode OracleMode, honest [][]transport.
 			}
 		}
 		cutoff := time.Duration(maxAt*float64(time.Second)) - f.Spec.Fleet.ResidueTTL
-		swept := ref.ExpireBefore(cutoff)
+		swept, err := ref.ExpireBefore(0, cutoff)
+		if err != nil {
+			return err
+		}
 		if len(swept) == 0 {
 			return fmt.Errorf("oracle exact-after-sweep swept nothing from the reference — the scenario is vacuous")
 		}

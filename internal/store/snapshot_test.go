@@ -33,7 +33,7 @@ func populatedStore(t *testing.T) *Store {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	s.SetModel([]byte(`{"fake":"model"}`))
+	s.InstallModel([]byte(`{"fake":"model"}`), 0)
 	return s
 }
 

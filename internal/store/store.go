@@ -460,16 +460,6 @@ func (s *Store) Beacons() []ibeacon.BeaconID {
 	return append([]ibeacon.BeaconID(nil), s.beaconOrder...)
 }
 
-// SetModel stores the serialised classification model and bumps the
-// version.
-func (s *Store) SetModel(blob []byte) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.model = append([]byte(nil), blob...)
-	s.modelVersion++
-	return s.modelVersion
-}
-
 // InstallModel stores a model blob distributed from elsewhere (the
 // fleet gateway pushing a trainer's snapshot), stamping the
 // distributor's version so every shard reports the same one. Stale and

@@ -114,8 +114,8 @@ func TestModelVersioning(t *testing.T) {
 	if blob, v := s.Model(); blob != nil || v != 0 {
 		t.Fatal("fresh store should have no model")
 	}
-	v1 := s.SetModel([]byte("model-1"))
-	v2 := s.SetModel([]byte("model-2"))
+	v1, _ := s.InstallModel([]byte("model-1"), 0)
+	v2, _ := s.InstallModel([]byte("model-2"), 0)
 	if v1 != 1 || v2 != 2 {
 		t.Fatalf("versions = %d, %d", v1, v2)
 	}

@@ -457,6 +457,16 @@ func (w *WAL) Begin() (end func()) {
 	return w.appendMu.RUnlock
 }
 
+// BeginExclusive is Begin for an operation that must not interleave with
+// any other: it waits out every open guard and holds new ones off until
+// its end — the barrier a compaction's cut takes. It is for a record
+// decided from the state it sees, which an operation in flight between
+// its append and its apply would change under it.
+func (w *WAL) BeginExclusive() (end func()) {
+	w.appendMu.Lock()
+	return w.appendMu.Unlock
+}
+
 // Append is AppendMeta behind a range check on stripeIdx. The index is
 // inert — there is one log, and nothing records it — and goes, with
 // Replay's second callback, when ROADMAP item 3 lets benchmark/ (the
