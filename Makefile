@@ -63,7 +63,11 @@ allocs:
 # JSON body under the size limit). And so is a shard's state: in
 # internal/bms every mutation is a logged record applied by one function
 # that replay and snapshot restore run too, so each store, tracker and
-# classifier write below it has one site.
+# classifier write below it has one site. And so is the gateway's control
+# leg: in internal/fleet every many-shard call is one gather round and
+# every HTTP shard verb one HTTPShard.call, so a control body is marshalled
+# and unmarshalled at one site each, and a goroutine starts only in
+# dispatch, gather and migrate.
 ONEPATH_DIRS = internal/experiments internal/scenario cmd/loadgen
 onepath:
 	@fail=0; \
@@ -88,6 +92,13 @@ onepath:
 	onesite 'internal cmd' '"POST /api/v1/observations:batch"' '"GET /metrics"'; \
 	onesite internal/bms 's\.tracker\.ObserveBatch(' 's\.st\.AddObservationBatch(' 's\.tracker\.Install(' \
 		's\.st\.InstallModel(' 's\.classifier = ' 's\.st\.AddFingerprint('; \
+	onesite internal/fleet 'json\.Marshal(' 'json\.Unmarshal('; \
+	gofuncs=$$(find internal/fleet -name '*.go' ! -name '*_test.go' | xargs awk ' \
+		/^func /{ f = $$0; sub(/^func (\([^)]*\) )?/, "", f); sub(/[[(].*/, "", f) } \
+		/^[[:space:]]*go func/{ print f }' | sort | tr '\n' ' '); \
+	if [ "$$gofuncs" != "dispatch gather migrate " ]; then \
+		echo "onepath: internal/fleet starts goroutines in [$$gofuncs], want one each in dispatch, gather and migrate"; fail=1; \
+	fi; \
 	if grep -rn --include='*.go' --exclude='*_test.go' -e 'json\.NewDecoder(r\.Body)' internal cmd; then \
 		echo "onepath: a handler decodes a request body with its own json.Decoder; use bms.DecodeJSON"; fail=1; \
 	fi; \

@@ -88,13 +88,13 @@ func Routes(f Face, trainer *Server) *http.ServeMux {
 		}
 		return map[string]any{"rooms": rooms}, err
 	})
-	read(mux, "/api/v1/events", func() (map[string]any, error) {
+	read(mux, "/api/v1/events", func() (EventsReply, error) {
 		events, err := f.Events()
-		out := make([]EventJSON, 0, len(events))
+		out := EventsReply{Events: make([]EventJSON, 0, len(events))}
 		for _, e := range events {
-			out = append(out, EventJSON{AtSeconds: e.At.Seconds(), Device: e.Device, Kind: e.Kind.String(), Room: e.Room})
+			out.Events = append(out.Events, eventJSON(e))
 		}
-		return map[string]any{"events": out}, err
+		return out, err
 	})
 	mux.HandleFunc("PUT /api/v1/model", func(w http.ResponseWriter, r *http.Request) {
 		var snap ModelSnapshot
@@ -137,6 +137,21 @@ func Routes(f Face, trainer *Server) *http.ServeMux {
 func read[T any](mux *http.ServeMux, path string, verb func() (T, error)) {
 	mux.HandleFunc("GET "+path, func(w http.ResponseWriter, r *http.Request) {
 		body, err := verb()
+		respond(w, body, err)
+	})
+}
+
+// write registers a POST whose JSON body decodes into In and is answered
+// by one verb, which is handed the write's leadership stamp: decode, then
+// verb, then respond.
+func write[In, Out any](mux *http.ServeMux, path string, verb func(epoch uint64, in In) (Out, error)) {
+	mux.HandleFunc("POST "+path, func(w http.ResponseWriter, r *http.Request) {
+		var in In
+		if err := DecodeJSON(r, &in); err != nil {
+			WriteUploadError(w, "decode", err)
+			return
+		}
+		body, err := verb(gatewayEpochFrom(r), in)
 		respond(w, body, err)
 	})
 }

@@ -201,32 +201,3 @@ func gatewayEpochFrom(r *http.Request) uint64 {
 	}
 	return epoch
 }
-
-// leaseClaimRequest is the POST /api/v1/lease:claim payload.
-type leaseClaimRequest struct {
-	Epoch  uint64 `json:"epoch"`
-	Leader string `json:"leader"`
-}
-
-// handleLeaseClaim is the lease arbiter's HTTP face: grant, renewal,
-// or 409 with the winning epoch and holder in the leader headers, so a
-// losing claimant learns what to outbid and where the leader is.
-func (s *Server) handleLeaseClaim(w http.ResponseWriter, r *http.Request) {
-	var req leaseClaimRequest
-	if err := DecodeJSON(r, &req); err != nil {
-		WriteUploadError(w, "decode", err)
-		return
-	}
-	granted, holder, err := s.GrantLease(req.Epoch, req.Leader)
-	if err != nil {
-		WriteFailure(w, err)
-		return
-	}
-	WriteJSON(w, http.StatusOK, map[string]any{"granted": granted, "holder": holder})
-}
-
-// handleLease reports the current grant (observability; never 409s).
-func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
-	epoch, holder := s.GrantedLease()
-	WriteJSON(w, http.StatusOK, map[string]any{"granted": epoch, "holder": holder})
-}

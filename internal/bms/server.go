@@ -16,7 +16,9 @@ package bms
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"slices"
 	"strconv"
@@ -606,28 +608,94 @@ func (s *Server) Events() []occupancy.Event {
 func (s *Server) Handler() http.Handler {
 	mux := Routes(box{s}, s)
 	mux.HandleFunc("GET "+wire.StreamPath, s.handleStream)
-	mux.HandleFunc("GET "+ShardRollupPath, func(w http.ResponseWriter, r *http.Request) {
-		WriteJSON(w, http.StatusOK, NewShardRollup(s.Summary()))
-	})
-	mux.HandleFunc("GET /api/v1/devices", func(w http.ResponseWriter, r *http.Request) {
-		devices := s.KnownDevices()
-		if devices == nil {
-			devices = []string{}
-		}
-		WriteJSON(w, http.StatusOK, map[string]any{"devices": devices})
+	read(mux, ShardRollupPath, func() (ShardRollup, error) { return NewShardRollup(s.Summary()), nil })
+	read(mux, "/api/v1/devices", func() (DevicesReply, error) {
+		return DevicesReply{Devices: orEmpty(s.KnownDevices())}, nil
 	})
 	mux.HandleFunc("GET /api/v1/devices/{device}", s.handleDevice)
 	mux.HandleFunc("GET /api/v1/devices/{device}/state", s.handleDeviceState)
-	mux.HandleFunc("POST /api/v1/devices:evict", s.handleDeviceEvict)
-	mux.HandleFunc("POST /api/v1/devices:install", s.handleDeviceInstall)
-	mux.HandleFunc("POST /api/v1/devices:expire", s.handleDeviceExpire)
-	mux.HandleFunc("POST /api/v1/lease:claim", s.handleLeaseClaim)
-	mux.HandleFunc("GET /api/v1/lease", s.handleLease)
+	// Device migration over HTTP: evict removes and returns the state, the
+	// sending half; install is the receiving half.
+	write(mux, "/api/v1/devices:evict", func(epoch uint64, req EvictRequest) (DeviceState, error) {
+		if req.Device == "" {
+			return DeviceState{}, &Error{Code: http.StatusBadRequest, Err: errors.New("evict without device")}
+		}
+		st, ok, err := s.EvictDevice(epoch, req.Device)
+		if err == nil && !ok {
+			err = &Error{Code: http.StatusNotFound, Err: fmt.Errorf("no state for device %q", req.Device)}
+		}
+		return st, err
+	})
+	write(mux, "/api/v1/devices:install", func(epoch uint64, st DeviceState) (map[string]string, error) {
+		return map[string]string{"installed": st.Device}, s.InstallDevice(epoch, st)
+	})
+	// The TTL sweep: devices last observed before the cutoff (report
+	// clock) are evicted and named.
+	write(mux, "/api/v1/devices:expire", func(epoch uint64, req ExpireRequest) (ExpireReply, error) {
+		expired, err := s.ExpireBefore(epoch, time.Duration(req.BeforeNanos))
+		return ExpireReply{Expired: orEmpty(expired)}, err
+	})
+	// The lease arbiter: grant, renewal, or 409 with the winning epoch and
+	// holder in the leader headers, so a losing claimant learns what to
+	// outbid and where the leader is. The claim itself is not fenced.
+	write(mux, "/api/v1/lease:claim", func(_ uint64, req LeaseClaim) (LeaseGrant, error) {
+		granted, holder, err := s.GrantLease(req.Epoch, req.Leader)
+		return LeaseGrant{Granted: granted, Holder: holder}, err
+	})
+	read(mux, "/api/v1/lease", func() (LeaseGrant, error) {
+		granted, holder := s.GrantedLease()
+		return LeaseGrant{Granted: granted, Holder: holder}, nil
+	})
 	mux.HandleFunc("GET /api/v1/rooms", s.handleRooms)
 	mux.HandleFunc("GET /api/v1/energy", s.handleEnergy)
 	mux.HandleFunc("GET /api/v1/model", s.handleModel)
 	return mux
 }
+
+// orEmpty answers a name list that is never JSON null.
+func orEmpty(names []string) []string {
+	if names == nil {
+		return []string{}
+	}
+	return names
+}
+
+// The shard-only control bodies — what a gateway sends and a shard
+// answers on device migration, the TTL sweep, the device registry and the
+// lease — declared once for both ends: the shard's handlers above and
+// fleet.HTTPShard. The evict reply and the install request are a
+// DeviceState.
+type (
+	// EvictRequest is the POST /api/v1/devices:evict body.
+	EvictRequest struct {
+		Device string `json:"device"`
+	}
+	// ExpireRequest is the POST /api/v1/devices:expire body: the cutoff on
+	// the report clock.
+	ExpireRequest struct {
+		BeforeNanos int64 `json:"beforeNanos"`
+	}
+	// ExpireReply names the devices a sweep evicted.
+	ExpireReply struct {
+		Expired []string `json:"expired"`
+	}
+	// DevicesReply is the GET /api/v1/devices body: every device the
+	// server knows, sorted.
+	DevicesReply struct {
+		Devices []string `json:"devices"`
+	}
+	// LeaseClaim is the POST /api/v1/lease:claim body.
+	LeaseClaim struct {
+		Epoch  uint64 `json:"epoch"`
+		Leader string `json:"leader"`
+	}
+	// LeaseGrant is the current grant: a claim's reply and the GET
+	// /api/v1/lease body.
+	LeaseGrant struct {
+		Granted uint64 `json:"granted"`
+		Holder  string `json:"holder"`
+	}
+)
 
 // box is one server as the route table serves it.
 type box struct{ *Server }
@@ -682,6 +750,33 @@ type EventJSON struct {
 	Device    string  `json:"device"`
 	Kind      string  `json:"kind"`
 	Room      string  `json:"room"`
+}
+
+// EventsReply is the GET /api/v1/events body.
+type EventsReply struct {
+	Events []EventJSON `json:"events"`
+}
+
+// eventJSON renders an event in its wire form.
+func eventJSON(e occupancy.Event) EventJSON {
+	return EventJSON{AtSeconds: e.At.Seconds(), Device: e.Device, Kind: e.Kind.String(), Room: e.Room}
+}
+
+// Event parses the wire form back. The time is rounded, not truncated:
+// the wire carries float seconds, and a federated merge sorts on exact
+// nanosecond times, so a 1 ns truncation would reorder events relative
+// to the shard that committed them.
+func (e EventJSON) Event() (occupancy.Event, error) {
+	ev := occupancy.Event{At: time.Duration(math.Round(e.AtSeconds * float64(time.Second))), Device: e.Device, Room: e.Room}
+	switch e.Kind {
+	case occupancy.Enter.String():
+		ev.Kind = occupancy.Enter
+	case occupancy.Exit.String():
+		ev.Kind = occupancy.Exit
+	default:
+		return ev, fmt.Errorf("bms: unknown event kind %q", e.Kind)
+	}
+	return ev, nil
 }
 
 func (s *Server) handleRooms(w http.ResponseWriter, r *http.Request) {
@@ -756,68 +851,6 @@ func (s *Server) handleDeviceState(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	WriteJSON(w, http.StatusOK, st)
-}
-
-// handleDeviceEvict removes and returns a device's migratable state —
-// the sending half of fleet device migration over HTTP.
-func (s *Server) handleDeviceEvict(w http.ResponseWriter, r *http.Request) {
-	var req struct {
-		Device string `json:"device"`
-	}
-	if err := DecodeJSON(r, &req); err != nil {
-		WriteUploadError(w, "decode", err)
-		return
-	}
-	if req.Device == "" {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("evict without device"))
-		return
-	}
-	st, ok, err := s.EvictDevice(gatewayEpochFrom(r), req.Device)
-	if err != nil {
-		WriteFailure(w, err)
-		return
-	}
-	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("no state for device %q", req.Device))
-		return
-	}
-	WriteJSON(w, http.StatusOK, st)
-}
-
-// handleDeviceInstall accepts a migrated device's state — the
-// receiving half of fleet device migration over HTTP.
-func (s *Server) handleDeviceInstall(w http.ResponseWriter, r *http.Request) {
-	var st DeviceState
-	if err := DecodeJSON(r, &st); err != nil {
-		WriteUploadError(w, "decode", err)
-		return
-	}
-	if err := s.InstallDevice(gatewayEpochFrom(r), st); err != nil {
-		WriteFailure(w, err)
-		return
-	}
-	WriteJSON(w, http.StatusOK, map[string]string{"installed": st.Device})
-}
-
-// handleDeviceExpire runs the TTL sweep: devices last observed before
-// beforeNanos (report clock) are evicted and their names returned.
-func (s *Server) handleDeviceExpire(w http.ResponseWriter, r *http.Request) {
-	var req struct {
-		BeforeNanos int64 `json:"beforeNanos"`
-	}
-	if err := DecodeJSON(r, &req); err != nil {
-		WriteUploadError(w, "decode", err)
-		return
-	}
-	expired, err := s.ExpireBefore(gatewayEpochFrom(r), time.Duration(req.BeforeNanos))
-	if err != nil {
-		WriteFailure(w, err)
-		return
-	}
-	if expired == nil {
-		expired = []string{}
-	}
-	WriteJSON(w, http.StatusOK, map[string]any{"expired": expired})
 }
 
 func (s *Server) handleDevice(w http.ResponseWriter, r *http.Request) {

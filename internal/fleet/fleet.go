@@ -122,8 +122,7 @@ type Gateway struct {
 	digest string
 
 	// routed counts reports delivered per shard (batch + single).
-	routedMu sync.Mutex
-	routed   []int64
+	routed []atomic.Int64
 
 	// devMu guards the device registry the rebalance migration and the
 	// TTL sweep work from: every device the gateway has delivered for,
@@ -214,7 +213,7 @@ func New(shards []Shard, cfg Config) (*Gateway, error) {
 		flight:     map[string]int{},
 		down:       make([]bool, len(shards)),
 		pinned:     make([]bool, len(shards)),
-		routed:     make([]int64, len(shards)),
+		routed:     make([]atomic.Int64, len(shards)),
 	}
 	g.flightCond = sync.NewCond(&g.devMu)
 	g.gate = overload.NewGate(cfg.Admission)
@@ -584,11 +583,7 @@ func (g *Gateway) SkewAdjusted() uint64 {
 }
 
 // note bumps the per-shard routed counter.
-func (g *Gateway) note(idx int, n int64) {
-	g.routedMu.Lock()
-	g.routed[idx] += n
-	g.routedMu.Unlock()
-}
+func (g *Gateway) note(idx int, n int64) { g.routed[idx].Add(n) }
 
 // DistributeModel pushes a trained model snapshot to every shard, so
 // classification stays identical fleet-wide. The snapshot must carry a
@@ -601,34 +596,34 @@ func (g *Gateway) DistributeModel(snap bms.ModelSnapshot) error {
 	if snap.Version <= 0 {
 		return fmt.Errorf("fleet: model snapshot must carry a positive version, got %d", snap.Version)
 	}
-	// Push concurrently: k slow or dead remote shards must cost one
-	// install timeout, not k of them in sequence.
-	errs := make([]error, len(g.shards))
-	var wg sync.WaitGroup
-	for i, s := range g.shards {
-		wg.Add(1)
-		go func(i int, s Shard) {
-			defer wg.Done()
-			if err := s.InstallModel(snap); err != nil {
-				errs[i] = fmt.Errorf("fleet: shard %s: %w", s.Name(), err)
-			}
-		}(i, s)
-	}
-	wg.Wait()
-	return errors.Join(errs...)
+	all := g.unmarked(nil)
+	_, errs := gather(g, all, func(s Shard) (struct{}, error) { return struct{}{}, s.InstallModel(snap) })
+	return g.joined(all, errs)
 }
 
-// healthyShards snapshots the indices currently taking traffic.
-func (g *Gateway) healthyShards() []int {
+// unmarked snapshots, under the routing lock, the indices of the shards
+// a routing flag — g.down for the healthy ones, g.pinned for those a
+// probe may reach — does not mark; nil marks none.
+func (g *Gateway) unmarked(flag []bool) []int {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
 	out := make([]int, 0, len(g.shards))
 	for i := range g.shards {
-		if !g.down[i] {
+		if flag == nil || !flag[i] {
 			out = append(out, i)
 		}
 	}
 	return out
+}
+
+// joined names each shard's failure in a round over idx and joins them.
+func (g *Gateway) joined(idx []int, errs []error) error {
+	for k, err := range errs {
+		if err != nil {
+			errs[k] = fmt.Errorf("fleet: shard %s: %w", g.shards[idx[k]].Name(), err)
+		}
+	}
+	return errors.Join(errs...)
 }
 
 // maybeSweep runs the residue TTL sweep when it is configured and the
@@ -702,20 +697,8 @@ func (g *Gateway) ExpireBefore(cutoff time.Duration) []string {
 // genuine departure) — expiring a residue copy off a non-owner must
 // not hide a still-active device from the next rebalance migration.
 func (g *Gateway) expireBefore(cutoff time.Duration) (expired []string, complete bool) {
-	// Fan out concurrently, as probeAll and DistributeModel do: k slow
-	// shards must cost one expiry timeout, not k in sequence.
-	healthy := g.healthyShards()
-	perShard := make([][]string, len(healthy))
-	errs := make([]error, len(healthy))
-	var wg sync.WaitGroup
-	for k, i := range healthy {
-		wg.Add(1)
-		go func(k, i int) {
-			defer wg.Done()
-			perShard[k], errs[k] = g.shards[i].ExpireBefore(cutoff)
-		}(k, i)
-	}
-	wg.Wait()
+	healthy := g.unmarked(g.down)
+	perShard, errs := gather(g, healthy, func(s Shard) ([]string, error) { return s.ExpireBefore(cutoff) })
 	seen := map[string]bool{}
 	ownerExpired := map[string]bool{}
 	complete = true
@@ -756,37 +739,44 @@ const (
 
 var readViewNames = [...]string{"occupancy", "events", "dwell", "rollup"}
 
-// gather is the one round every federated read makes: it asks each
-// healthy shard concurrently, so a read costs the slowest shard's
-// latency rather than the sum of them, and returns the answers in
-// shard-index order, so every merge over them is deterministic. Any
-// shard's failure fails the read, reported as the first by shard order —
-// a shard that cannot be read is the fleet's fault, 502 at the HTTP face.
-func gather[T any](g *Gateway, view readView, read func(Shard) (T, error)) ([]T, error) {
-	healthy := g.healthyShards()
+// gather is the one round every many-shard call makes — the federated
+// reads, model distribution, the TTL sweep, the health probe, the
+// registry rebuild and the lease claim: it calls the shards idx names all
+// at once, so a round costs the slowest shard's latency rather than the
+// sum of them, and returns the values and the errors in idx order, so
+// whatever each caller makes of them is deterministic. The caller's
+// goroutine takes the last shard itself: a one-shard round runs inline.
+func gather[T any](g *Gateway, idx []int, call func(Shard) (T, error)) ([]T, []error) {
+	out := make([]T, len(idx))
+	errs := make([]error, len(idx))
+	var wg sync.WaitGroup
+	for k, i := range idx {
+		if k == len(idx)-1 {
+			out[k], errs[k] = call(g.shards[i])
+			break
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			out[k], errs[k] = call(g.shards[i])
+		}()
+	}
+	wg.Wait()
+	return out, errs
+}
+
+// federate is a federated read's round: gather over the healthy shards,
+// timed under its view. Any shard's failure is counted against it and
+// fails the read, reported as the first by shard order — a shard that
+// cannot be read is the fleet's fault, 502 at the HTTP face.
+func federate[T any](g *Gateway, view readView, read func(Shard) (T, error)) ([]T, error) {
+	healthy := g.unmarked(g.down)
 	gm := g.met
 	var start time.Time
 	if gm != nil {
 		start = time.Now()
 	}
-	out := make([]T, len(healthy))
-	errs := make([]error, len(healthy))
-	ask := func(k int) { out[k], errs[k] = read(g.shards[healthy[k]]) }
-	// The caller's goroutine takes the last shard itself: a one-shard
-	// fleet reads inline.
-	last := len(healthy) - 1
-	var wg sync.WaitGroup
-	for k := 0; k < last; k++ {
-		wg.Add(1)
-		go func(k int) {
-			defer wg.Done()
-			ask(k)
-		}(k)
-	}
-	if last >= 0 {
-		ask(last)
-	}
-	wg.Wait()
+	out, errs := gather(g, healthy, read)
 	var first error
 	for k, err := range errs {
 		if err == nil {
@@ -820,7 +810,7 @@ func gather[T any](g *Gateway, view readView, read func(Shard) (T, error)) ([]T,
 // of the event history. view labels the read's timing for its caller.
 func render[T any](g *Gateway, view readView, as func(occupancy.Summary) T) (out T, err error) {
 	g.maybeSweep()
-	sums, err := gather(g, view, Shard.Summary)
+	sums, err := federate(g, view, Shard.Summary)
 	if err != nil {
 		return out, err
 	}
@@ -841,7 +831,7 @@ func (g *Gateway) Occupancy() (bms.OccupancySnapshot, error) {
 // merges its stripes: nondecreasing time, ties broken by device name,
 // one device's same-instant exit/enter pair keeping its in-shard order.
 func (g *Gateway) Events() ([]occupancy.Event, error) {
-	streams, err := gather(g, viewEvents, Shard.Events)
+	streams, err := federate(g, viewEvents, Shard.Events)
 	if err != nil {
 		return nil, err
 	}
@@ -891,21 +881,24 @@ type ShardStatus struct {
 	Trips   uint64 `json:"trips,omitempty"`
 }
 
-// breakerStatus annotates one status with its shard's circuit state.
-func (g *Gateway) breakerStatus(i int, st *ShardStatus) {
-	if g.breakers == nil {
-		return
+// status is shard i's ShardStatus under the down flag: its routed count,
+// its circuit when a breaker is armed and, from a probe, its failure.
+func (g *Gateway) status(i int, down bool, err error) ShardStatus {
+	st := ShardStatus{Name: g.shards[i].Name(), Down: down, Routed: g.routed[i].Load()}
+	if err != nil {
+		st.Err = err.Error()
 	}
-	state, trips := g.breakers[i].snapshot()
-	switch state {
-	case breakerOpen:
-		st.Breaker = "open"
-	case breakerHalfOpen:
-		st.Breaker = "half-open"
-	default:
-		st.Breaker = "closed"
+	if g.breakers != nil {
+		state, trips := g.breakers[i].snapshot()
+		st.Breaker, st.Trips = "closed", trips
+		switch state {
+		case breakerOpen:
+			st.Breaker = "open"
+		case breakerHalfOpen:
+			st.Breaker = "half-open"
+		}
 	}
-	st.Trips = trips
+	return st
 }
 
 // CheckHealth probes every shard and updates the routing table: a
@@ -935,29 +928,18 @@ func (g *Gateway) CheckHealth() []ShardStatus {
 }
 
 // probeAll performs one live health sweep and updates routing.
+// Operator-drained shards (MarkDown) are not probed and never
+// resurrected by a probe — only MarkUp returns them to routing.
 func (g *Gateway) probeAll() []ShardStatus {
-	// Probe concurrently: k dead remote shards must cost one probe
-	// timeout, not k of them in sequence. Operator-drained shards
-	// (MarkDown) are not probed and never resurrected by a probe — only
-	// MarkUp returns them to routing.
-	g.mu.RLock()
-	pinned := append([]bool(nil), g.pinned...)
-	g.mu.RUnlock()
+	probed := g.unmarked(g.pinned)
+	_, failed := gather(g, probed, func(s Shard) (struct{}, error) { return struct{}{}, s.Health() })
 	errs := make([]error, len(g.shards))
-	var wg sync.WaitGroup
-	for i, s := range g.shards {
-		if pinned[i] {
-			errs[i] = errors.New("drained by operator")
-			continue
-		}
-		wg.Add(1)
-		go func(i int, s Shard) {
-			defer wg.Done()
-			errs[i] = s.Health()
-		}(i, s)
+	for i := range errs {
+		errs[i] = errDrained
 	}
-	wg.Wait()
-	out := make([]ShardStatus, len(g.shards))
+	for k, i := range probed {
+		errs[i] = failed[k]
+	}
 	// The down-set flip and its fenced migration are one atomic step
 	// under migrateMu, for the same ordering reason as setDown.
 	g.migrateMu.Lock()
@@ -967,17 +949,15 @@ func (g *Gateway) probeAll() []ShardStatus {
 		}
 	})
 	g.migrateMu.Unlock()
-	g.routedMu.Lock()
-	routed := append([]int64(nil), g.routed...)
-	g.routedMu.Unlock()
-	for i, s := range g.shards {
-		out[i] = ShardStatus{Name: s.Name(), Down: down[i], Routed: routed[i]}
-		if errs[i] != nil {
-			out[i].Err = errs[i].Error()
-		}
+	out := make([]ShardStatus, len(g.shards))
+	for i := range out {
+		out[i] = g.status(i, down[i], errs[i])
 	}
 	return out
 }
+
+// errDrained is the probe status of a shard an operator drained.
+var errDrained = errors.New("drained by operator")
 
 // MarkDown drains the shard: it leaves routing immediately and stays
 // out across health probes until MarkUp — a probe must not resurrect a
@@ -1190,43 +1170,32 @@ func (g *Gateway) resume(moves []move) {
 // rebalance runs at a time.
 const migrateConcurrency = 16
 
-// RebuildRegistry repopulates the gateway's device registry (and its
-// report high-water mark) from the shards' own recovered device sets —
-// the restart path that lets the gateway itself persist nothing. A
-// fresh gateway over durable shards calls this once at boot; a device
-// any shard still holds state for is then visible to the next
-// rebalance migration and TTL sweep, exactly as if this gateway had
-// routed its reports. Down shards are skipped (their devices surface
-// when they recover or re-report through the new owner); per-shard
-// errors are joined but do not abort the rebuild — the registry is
-// additive, so a partial rebuild is strictly better than none.
+// RebuildRegistry repopulates the gateway's device registry — the names
+// only — from the shards' own recovered device sets: the restart path
+// that lets the gateway itself persist nothing. The report high-water
+// mark is not rebuilt; the next routed report sets it again. A fresh
+// gateway over durable shards calls this once at boot; a device any shard
+// still holds state for is then visible to the next rebalance migration
+// and TTL sweep, exactly as if this gateway had routed its reports. Down
+// shards are skipped (their devices surface when they recover or
+// re-report through the new owner); per-shard errors are joined but do
+// not abort the rebuild — the registry is additive, so a partial rebuild
+// is strictly better than none.
 func (g *Gateway) RebuildRegistry() (devices int, err error) {
-	healthy := g.healthyShards()
-	perShard := make([][]string, len(healthy))
-	errs := make([]error, len(healthy))
-	var wg sync.WaitGroup
-	for k, i := range healthy {
-		wg.Add(1)
-		go func(k, i int) {
-			defer wg.Done()
-			devs, derr := g.shards[i].Devices()
-			if derr != nil {
-				errs[k] = fmt.Errorf("fleet: shard %s: %w", g.shards[i].Name(), derr)
-				return
-			}
-			perShard[k] = devs
-		}(k, i)
-	}
-	wg.Wait()
+	healthy := g.unmarked(g.down)
+	perShard, errs := gather(g, healthy, Shard.Devices)
 	g.devMu.Lock()
-	for _, devs := range perShard {
+	for k, devs := range perShard {
+		if errs[k] != nil {
+			continue
+		}
 		for _, d := range devs {
 			g.known[d] = d
 		}
 	}
 	devices = len(g.known)
 	g.devMu.Unlock()
-	return devices, errors.Join(errs...)
+	return devices, g.joined(healthy, errs)
 }
 
 // Statuses returns the current routing view without probing.
@@ -1234,13 +1203,9 @@ func (g *Gateway) Statuses() []ShardStatus {
 	g.mu.RLock()
 	down := append([]bool(nil), g.down...)
 	g.mu.RUnlock()
-	g.routedMu.Lock()
-	routed := append([]int64(nil), g.routed...)
-	g.routedMu.Unlock()
 	out := make([]ShardStatus, len(g.shards))
-	for i, s := range g.shards {
-		out[i] = ShardStatus{Name: s.Name(), Down: down[i], Routed: routed[i]}
-		g.breakerStatus(i, &out[i])
+	for i := range out {
+		out[i] = g.status(i, down[i], nil)
 	}
 	return out
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -22,21 +21,21 @@ import (
 // HTTPShard drives one remote bms.Server over its REST API — the shard
 // client real deployments put behind the gateway. Reports travel as wire
 // frames over upgraded streams (stream.go) and in no other form; every
-// other exchange goes through transport's retrying JSON helpers. Both
-// run under one retry policy, so shard traffic gets the same
-// capped-backoff behaviour as device uplinks; health probes are
-// deliberately one-shot so a dead shard is detected on the first probe
-// rather than after a retry budget.
+// other exchange is one call, a JSON exchange through transport whose
+// bodies are bms's control schema. Both run under one retry policy, so
+// shard traffic gets the same capped-backoff behaviour as device uplinks;
+// health probes are deliberately one-shot so a dead shard is detected on
+// the first probe rather than after a retry budget.
 type HTTPShard struct {
 	base   string
 	client *http.Client
 	retry  transport.RetryPolicy
 
-	// stamped is what every write is sent under: the gateway leadership
-	// epoch (see Shard.StampEpoch) as the stream envelope carries it and
-	// as the JSON writes' X-Gateway-Epoch header set. Built at
-	// construction and again on each StampEpoch — a lease change, not a
-	// request — so the ingest path builds no header.
+	// stamped is what every exchange is sent under: the gateway
+	// leadership epoch (see Shard.StampEpoch) as the stream envelope
+	// carries it and as the X-Gateway-Epoch header set of every call.
+	// Built at construction and again on each StampEpoch — a lease
+	// change, not a request — so no exchange builds a header.
 	stamped atomic.Pointer[stampedWrites]
 
 	// streams carries every wire frame to the shard (stream.go);
@@ -90,28 +89,35 @@ func (h *HTTPShard) StampEpoch(epoch uint64) {
 	h.stamped.Store(w)
 }
 
-// postWrite posts a fenced write: the leadership stamp rides the
-// request headers, and a 409 stale-leader answer comes back as the
-// same typed error the in-process arbiter returns.
-func (h *HTTPShard) postWrite(path string, body []byte) ([]byte, error) {
-	payload, err := transport.DoJSONHeaders(h.client, http.MethodPost, h.base+path, body, h.stamped.Load().json, h.retry)
-	if err != nil {
-		return nil, staleLeaderFrom(err)
+// call is the one JSON exchange of every shard verb but the report path.
+// It marshals in as the body (nil sends none) and sends it under policy
+// with one header set, which always carries the leadership stamp; the
+// shard reads the stamp only on fenced writes. A 409 with lease headers
+// comes back as the *bms.StaleLeaderError the in-process arbiter returns.
+// A 2xx body is decoded into out (nil discards it), and a body that does
+// not decode is the shard's protocol fault.
+func (h *HTTPShard) call(method, path string, in, out any, policy transport.RetryPolicy) error {
+	var body []byte
+	if in != nil {
+		var err error
+		if body, err = json.Marshal(in); err != nil {
+			return fmt.Errorf("fleet: marshal %s: %w", path, err)
+		}
 	}
-	return payload, nil
-}
-
-// staleLeaderFrom converts a 409 carrying lease headers into
-// *bms.StaleLeaderError, so gateway logic handles a remote rejection
-// and an in-process one identically. Any other error passes through.
-func staleLeaderFrom(err error) error {
+	payload, err := transport.DoJSONHeaders(h.client, method, h.base+path, body, h.stamped.Load().json, policy)
 	if code, ok := transport.StatusCode(err); ok && code == http.StatusConflict {
 		if granted, ok := transport.LeaderEpoch(err); ok {
 			hint, _ := transport.LeaderHint(err)
 			return &bms.StaleLeaderError{Granted: granted, Leader: hint}
 		}
 	}
-	return err
+	if err != nil || out == nil {
+		return err
+	}
+	if err := json.Unmarshal(payload, out); err != nil {
+		return fmt.Errorf("%w: decode %s: %v", ErrShardMisbehaved, path, err)
+	}
+	return nil
 }
 
 // IngestBatch implements Shard: the reports as one frame over the
@@ -149,46 +155,21 @@ func (h *HTTPShard) IngestFrame(frame []byte, reports int) ([]string, error) {
 
 // InstallModel implements Shard via PUT /api/v1/model.
 func (h *HTTPShard) InstallModel(snap bms.ModelSnapshot) error {
-	body, err := json.Marshal(snap)
-	if err != nil {
-		return fmt.Errorf("fleet: marshal model snapshot: %w", err)
-	}
-	_, err = transport.DoJSON(h.client, http.MethodPut, h.base+"/api/v1/model", body, h.retry)
-	return err
+	return h.call(http.MethodPut, "/api/v1/model", snap, nil, h.retry)
 }
 
 // Events implements Shard.
 func (h *HTTPShard) Events() ([]occupancy.Event, error) {
-	payload, err := transport.GetJSON(h.client, h.base+"/api/v1/events", h.retry)
-	if err != nil {
+	var reply bms.EventsReply
+	if err := h.call(http.MethodGet, "/api/v1/events", nil, &reply, h.retry); err != nil {
 		return nil, err
 	}
-	var resp struct {
-		Events []bms.EventJSON `json:"events"`
-	}
-	if err := json.Unmarshal(payload, &resp); err != nil {
-		return nil, fmt.Errorf("fleet: decode events: %w", err)
-	}
-	out := make([]occupancy.Event, 0, len(resp.Events))
-	for _, e := range resp.Events {
-		var kind occupancy.EventKind
-		switch e.Kind {
-		case "enter":
-			kind = occupancy.Enter
-		case "exit":
-			kind = occupancy.Exit
-		default:
-			return nil, fmt.Errorf("fleet: unknown event kind %q", e.Kind)
+	out := make([]occupancy.Event, len(reply.Events))
+	for k, e := range reply.Events {
+		var err error
+		if out[k], err = e.Event(); err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrShardMisbehaved, err)
 		}
-		out = append(out, occupancy.Event{
-			// Round, don't truncate: the wire carries float seconds, and
-			// the federated merge sorts on exact nanosecond times — a 1 ns
-			// truncation error would reorder events relative to the shard.
-			At:     time.Duration(math.Round(e.AtSeconds * float64(time.Second))),
-			Device: e.Device,
-			Kind:   kind,
-			Room:   e.Room,
-		})
 	}
 	return out, nil
 }
@@ -198,13 +179,9 @@ func (h *HTTPShard) Events() ([]occupancy.Event, error) {
 // only form dwell crosses this leg in — so nothing is rounded on the way
 // to the gateway's sum.
 func (h *HTTPShard) Summary() (occupancy.Summary, error) {
-	payload, err := transport.GetJSON(h.client, h.base+bms.ShardRollupPath, h.retry)
-	if err != nil {
-		return occupancy.Summary{}, err
-	}
 	var reply bms.ShardRollup
-	if err := json.Unmarshal(payload, &reply); err != nil {
-		return occupancy.Summary{}, fmt.Errorf("fleet: decode rollup: %w", err)
+	if err := h.call(http.MethodGet, bms.ShardRollupPath, nil, &reply, h.retry); err != nil {
+		return occupancy.Summary{}, err
 	}
 	return reply.Summary(), nil
 }
@@ -217,20 +194,12 @@ func (h *HTTPShard) Summary() (occupancy.Summary, error) {
 // rather than migrated — the new owner then rebuilds from the stream,
 // which is the same degraded path as an unreachable old owner.
 func (h *HTTPShard) EvictDevice(device string) (bms.DeviceState, bool, error) {
-	body, err := json.Marshal(map[string]string{"device": device})
-	if err != nil {
-		return bms.DeviceState{}, false, fmt.Errorf("fleet: marshal evict: %w", err)
-	}
-	payload, err := h.postWrite("/api/v1/devices:evict", body)
-	if err != nil {
+	var st bms.DeviceState
+	if err := h.call(http.MethodPost, "/api/v1/devices:evict", bms.EvictRequest{Device: device}, &st, h.retry); err != nil {
 		if code, ok := transport.StatusCode(err); ok && code == http.StatusNotFound {
-			return bms.DeviceState{}, false, nil
+			err = nil
 		}
 		return bms.DeviceState{}, false, err
-	}
-	var st bms.DeviceState
-	if err := json.Unmarshal(payload, &st); err != nil {
-		return bms.DeviceState{}, false, fmt.Errorf("%w: decode device state: %v", ErrShardMisbehaved, err)
 	}
 	return st, true, nil
 }
@@ -239,78 +208,42 @@ func (h *HTTPShard) EvictDevice(device string) (bms.DeviceState, bool, error) {
 // Installing the same state twice is idempotent, so the retrying
 // transport is safe here.
 func (h *HTTPShard) InstallDevice(st bms.DeviceState) error {
-	body, err := json.Marshal(st)
-	if err != nil {
-		return fmt.Errorf("fleet: marshal device state: %w", err)
-	}
-	_, err = h.postWrite("/api/v1/devices:install", body)
-	return err
+	return h.call(http.MethodPost, "/api/v1/devices:install", st, nil, h.retry)
 }
 
 // ExpireBefore implements Shard via POST /api/v1/devices:expire.
 func (h *HTTPShard) ExpireBefore(cutoff time.Duration) ([]string, error) {
-	body, err := json.Marshal(map[string]int64{"beforeNanos": int64(cutoff)})
-	if err != nil {
-		return nil, fmt.Errorf("fleet: marshal expire: %w", err)
-	}
-	payload, err := h.postWrite("/api/v1/devices:expire", body)
-	if err != nil {
-		return nil, err
-	}
-	var resp struct {
-		Expired []string `json:"expired"`
-	}
-	if err := json.Unmarshal(payload, &resp); err != nil {
-		return nil, fmt.Errorf("%w: decode expire response: %v", ErrShardMisbehaved, err)
-	}
-	return resp.Expired, nil
+	var reply bms.ExpireReply
+	err := h.call(http.MethodPost, "/api/v1/devices:expire", bms.ExpireRequest{BeforeNanos: int64(cutoff)}, &reply, h.retry)
+	return reply.Expired, err
 }
 
 // Devices implements Shard via GET /api/v1/devices.
 func (h *HTTPShard) Devices() ([]string, error) {
-	payload, err := transport.GetJSON(h.client, h.base+"/api/v1/devices", h.retry)
-	if err != nil {
-		return nil, err
-	}
-	var resp struct {
-		Devices []string `json:"devices"`
-	}
-	if err := json.Unmarshal(payload, &resp); err != nil {
-		return nil, fmt.Errorf("%w: decode devices: %v", ErrShardMisbehaved, err)
-	}
-	return resp.Devices, nil
+	var reply bms.DevicesReply
+	err := h.call(http.MethodGet, "/api/v1/devices", nil, &reply, h.retry)
+	return reply.Devices, err
 }
 
 // Health implements Shard with a one-shot probe (no retries): routing
 // should notice a dead shard on the first check, not mask it behind a
 // backoff budget.
 func (h *HTTPShard) Health() error {
-	_, err := transport.GetJSON(h.client, h.base+"/api/v1/health", transport.RetryPolicy{})
-	return err
+	return h.call(http.MethodGet, "/api/v1/health", nil, nil, transport.RetryPolicy{})
 }
 
 // Claim implements Shard via POST /api/v1/lease:claim. A 409 — the
 // epoch was outbid — returns the winning grant alongside the typed
 // stale-leader error, matching the in-process arbiter.
 func (h *HTTPShard) Claim(epoch uint64, leader string) (uint64, string, error) {
-	body, err := json.Marshal(map[string]any{"epoch": epoch, "leader": leader})
-	if err != nil {
-		return 0, "", fmt.Errorf("fleet: marshal lease claim: %w", err)
+	var grant bms.LeaseGrant
+	err := h.call(http.MethodPost, "/api/v1/lease:claim", bms.LeaseClaim{Epoch: epoch, Leader: leader}, &grant, h.retry)
+	var stale *bms.StaleLeaderError
+	if errors.As(err, &stale) {
+		return stale.Granted, stale.Leader, stale
 	}
-	payload, err := transport.PostJSON(h.client, h.base+"/api/v1/lease:claim", body, h.retry)
 	if err != nil {
-		if stale := staleLeaderFrom(err); stale != err {
-			se := stale.(*bms.StaleLeaderError)
-			return se.Granted, se.Leader, se
-		}
 		return 0, "", err
 	}
-	var resp struct {
-		Granted uint64 `json:"granted"`
-		Holder  string `json:"holder"`
-	}
-	if err := json.Unmarshal(payload, &resp); err != nil {
-		return 0, "", fmt.Errorf("%w: decode lease grant: %v", ErrShardMisbehaved, err)
-	}
-	return resp.Granted, resp.Holder, nil
+	return grant.Granted, grant.Holder, nil
 }

@@ -135,32 +135,27 @@ func (c *LeaseController) LeaderHint() string {
 	return c.cfg.Peer
 }
 
-// claimRound bids epoch on every shard concurrently. granted counts
+// claimRound bids epoch on every shard in one round. granted counts
 // shards that granted exactly this epoch to us; maxSeen/holder report
-// the highest competing grant observed (for re-bidding above it).
+// the highest competing grant observed (for re-bidding above it) — a
+// grant to us is not a competing one, so a round short of quorum only
+// because shards are unreachable is not mistaken for being outbid.
 func (c *LeaseController) claimRound(epoch uint64) (granted int, maxSeen uint64, holder string) {
-	type outcome struct {
-		ok     bool
-		seen   uint64
+	type grant struct {
+		epoch  uint64
 		holder string
 	}
-	results := make(chan outcome, len(c.gw.shards))
-	for _, sh := range c.gw.shards {
-		go func(sh Shard) {
-			g, h, err := sh.Claim(epoch, c.cfg.Self)
-			// A stale rejection still reports the winning grant; any
-			// other error (shard down, decode) simply isn't a grant.
-			results <- outcome{ok: err == nil && g == epoch, seen: g, holder: h}
-		}(sh)
-	}
-	for range c.gw.shards {
-		r := <-results
-		if r.ok {
+	grants, errs := gather(c.gw, c.gw.unmarked(nil), func(s Shard) (grant, error) {
+		g, h, err := s.Claim(epoch, c.cfg.Self)
+		return grant{g, h}, err
+	})
+	for k, gr := range grants {
+		// A stale rejection still reports the winning grant; any other
+		// error (shard down, decode) simply isn't a grant.
+		if errs[k] == nil && gr.epoch == epoch {
 			granted++
-		}
-		if r.seen > maxSeen {
-			maxSeen = r.seen
-			holder = r.holder
+		} else if gr.epoch > maxSeen {
+			maxSeen, holder = gr.epoch, gr.holder
 		}
 	}
 	return granted, maxSeen, holder

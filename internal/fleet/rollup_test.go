@@ -237,60 +237,225 @@ func TestRollupCountsResidueOnce(t *testing.T) {
 	}
 }
 
-// barrierShard parks every summary read until all of the fleet's shards
-// are inside theirs.
+// barrier holds each round until n callers are inside it, then lets them
+// all through and re-arms for the next round.
+type barrier struct {
+	mu    sync.Mutex
+	n, in int
+	open  chan struct{}
+}
+
+func newBarrier(n int) *barrier { return &barrier{n: n, open: make(chan struct{})} }
+
+func (b *barrier) arrive() error {
+	b.mu.Lock()
+	open := b.open
+	if b.in++; b.in == b.n {
+		b.in, b.open = 0, make(chan struct{})
+		close(open)
+	}
+	b.mu.Unlock()
+	select {
+	case <-open:
+		return nil
+	case <-time.After(10 * time.Second):
+		return errors.New("the other shards' calls never started: the round is sequential")
+	}
+}
+
+// barrierShard parks every call a many-shard round makes — the reads,
+// model install, expiry, health, the device list and the lease claim —
+// until all of the fleet's shards are inside theirs, then fails it when
+// fail is set.
 type barrierShard struct {
 	fleet.Shard
-	arrived *sync.WaitGroup
-	fail    error
+	round *barrier
+	fail  error
+}
+
+func (s *barrierShard) enter() error {
+	if err := s.round.arrive(); err != nil {
+		return err
+	}
+	return s.fail
 }
 
 func (s *barrierShard) Summary() (occupancy.Summary, error) {
-	s.arrived.Done()
-	done := make(chan struct{})
-	go func() { s.arrived.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		return occupancy.Summary{}, errors.New("the other shards' reads never started: the round is sequential")
-	}
-	if s.fail != nil {
-		return occupancy.Summary{}, s.fail
+	if err := s.enter(); err != nil {
+		return occupancy.Summary{}, err
 	}
 	return s.Shard.Summary()
 }
 
-// TestFederatedReadIsOneConcurrentRound: every shard's read is in flight
-// at once — a read costs the slowest shard, not the sum — and when
-// several shards fail, the error reported is the first by shard order.
-func TestFederatedReadIsOneConcurrentRound(t *testing.T) {
-	b := building.PaperHouse()
-	pool, err := fleet.NewLocalPool(b, 4, 2, 50)
-	if err != nil {
-		t.Fatal(err)
+func (s *barrierShard) Events() ([]occupancy.Event, error) {
+	if err := s.enter(); err != nil {
+		return nil, err
 	}
-	var arrived sync.WaitGroup
-	barriers := make([]*barrierShard, len(pool.Shards))
-	ring := make([]fleet.Shard, len(pool.Shards))
-	for i, s := range pool.Shards {
-		barriers[i] = &barrierShard{Shard: s, arrived: &arrived}
-		ring[i] = barriers[i]
-	}
-	gw, err := fleet.New(ring, fleet.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	arrived.Add(len(ring))
-	if _, err := gw.Rollup(); err != nil {
-		t.Fatal(err)
-	}
+	return s.Shard.Events()
+}
 
-	barriers[3].fail = errors.New("disk on fire")
-	barriers[1].fail = errors.New("cable unplugged")
-	arrived.Add(len(ring))
-	_, err = gw.Rollup()
-	if err == nil || !strings.Contains(err.Error(), "shard-1") || !strings.Contains(err.Error(), "cable unplugged") {
-		t.Fatalf("rollup over two failing shards reported %v, want shard-1's failure", err)
+func (s *barrierShard) InstallModel(snap bms.ModelSnapshot) error {
+	if err := s.enter(); err != nil {
+		return err
+	}
+	return s.Shard.InstallModel(snap)
+}
+
+func (s *barrierShard) ExpireBefore(cutoff time.Duration) ([]string, error) {
+	if err := s.enter(); err != nil {
+		return nil, err
+	}
+	return s.Shard.ExpireBefore(cutoff)
+}
+
+func (s *barrierShard) Health() error {
+	if err := s.enter(); err != nil {
+		return err
+	}
+	return s.Shard.Health()
+}
+
+func (s *barrierShard) Devices() ([]string, error) {
+	if err := s.enter(); err != nil {
+		return nil, err
+	}
+	return s.Shard.Devices()
+}
+
+func (s *barrierShard) Claim(epoch uint64, leader string) (uint64, string, error) {
+	if err := s.enter(); err != nil {
+		return 0, "", err
+	}
+	return s.Shard.Claim(epoch, leader)
+}
+
+// TestManyShardCallsAreOneConcurrentRound: every call the gateway makes
+// to many shards has every shard's call in flight at once — it costs the
+// slowest shard, not the sum — and when shards 1 and 3 fail, each call
+// keeps its own rule: a read reports the first failure by shard order,
+// model distribution and the registry rebuild name both, the sweep keeps
+// what the others expired, the probe marks both down, and the lease claim
+// falls short of quorum.
+func TestManyShardCallsAreOneConcurrentRound(t *testing.T) {
+	b := building.PaperHouse()
+	snap := trainSnapshot(t, b, 7)
+	stream := synthStream(b, 12, 10, 3)
+	names := func(t *testing.T, err error, want ...string) {
+		t.Helper()
+		for _, w := range want {
+			if err == nil || !strings.Contains(err.Error(), w) {
+				t.Fatalf("the call over failing shards 1 and 3 reported %v, want it to name %q", err, w)
+			}
+		}
+	}
+	rows := []struct {
+		name string
+		// call makes the many-shard call; with shards 1 and 3 failing it
+		// checks the call's own rule, else that it succeeded.
+		call func(t *testing.T, gw *fleet.Gateway, failing bool)
+	}{
+		{"Rollup", func(t *testing.T, gw *fleet.Gateway, failing bool) {
+			_, err := gw.Rollup()
+			if !failing {
+				must(t, err)
+				return
+			}
+			names(t, err, "shard-1", "cable unplugged")
+			if strings.Contains(err.Error(), "shard-3") {
+				t.Fatalf("the read reported %v, want only the first failure by shard order", err)
+			}
+		}},
+		{"Events", func(t *testing.T, gw *fleet.Gateway, failing bool) {
+			_, err := gw.Events()
+			if !failing {
+				must(t, err)
+				return
+			}
+			names(t, err, "shard-1", "cable unplugged")
+		}},
+		{"DistributeModel", func(t *testing.T, gw *fleet.Gateway, failing bool) {
+			err := gw.DistributeModel(snap)
+			if !failing {
+				must(t, err)
+				return
+			}
+			names(t, err, "shard-1", "cable unplugged", "shard-3", "disk on fire")
+		}},
+		{"ExpireBefore", func(t *testing.T, gw *fleet.Gateway, failing bool) {
+			if !failing {
+				if got := gw.ExpireBefore(0); len(got) != 0 {
+					t.Fatalf("a sweep before any report expired %v", got)
+				}
+				return
+			}
+			var want []string
+			for d := 0; d < 12; d++ {
+				dev := fmt.Sprintf("crowd-%03d", d)
+				if owner, _ := gw.ShardFor(dev); owner == 0 || owner == 2 {
+					want = append(want, dev)
+				}
+			}
+			if got := gw.ExpireBefore(time.Hour); len(want) == 0 || strings.Join(got, ",") != strings.Join(want, ",") {
+				t.Fatalf("the sweep over failing shards 1 and 3 expired %v, want shards 0 and 2's %v", got, want)
+			}
+		}},
+		{"CheckHealth", func(t *testing.T, gw *fleet.Gateway, failing bool) {
+			for i, st := range gw.CheckHealth() {
+				bad := failing && i%2 == 1
+				if st.Down != bad || (st.Err != "") != bad {
+					t.Fatalf("shard %d after the probe: %+v, want down %v", i, st, bad)
+				}
+			}
+		}},
+		{"RebuildRegistry", func(t *testing.T, gw *fleet.Gateway, failing bool) {
+			_, err := gw.RebuildRegistry()
+			if !failing {
+				must(t, err)
+				return
+			}
+			names(t, err, "shard-1", "cable unplugged", "shard-3", "disk on fire")
+		}},
+		{"LeaseController.Claim", func(t *testing.T, gw *fleet.Gateway, failing bool) {
+			err := controller(t, gw, "http://gw").Claim()
+			if !failing {
+				must(t, err)
+				return
+			}
+			names(t, err, "won 2/4 shards (quorum 3)")
+		}},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			pool, err := fleet.NewLocalPool(b, 4, 2, 50)
+			if err != nil {
+				t.Fatal(err)
+			}
+			round := newBarrier(len(pool.Shards))
+			barriers := make([]*barrierShard, len(pool.Shards))
+			ring := make([]fleet.Shard, len(pool.Shards))
+			for i, s := range pool.Shards {
+				barriers[i] = &barrierShard{Shard: s, round: round}
+				ring[i] = barriers[i]
+			}
+			gw, err := fleet.New(ring, fleet.Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := gw.IngestBatch(stream); err != nil {
+				t.Fatal(err)
+			}
+			row.call(t, gw, false)
+			barriers[3].fail = errors.New("disk on fire")
+			barriers[1].fail = errors.New("cable unplugged")
+			row.call(t, gw, true)
+		})
+	}
+}
+
+func must(t *testing.T, err error) {
+	t.Helper()
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -430,33 +595,26 @@ func TestFederatedReadTelemetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var arrived sync.WaitGroup
-	broken := &barrierShard{Shard: pool.Shards[1], arrived: &arrived}
+	broken := &barrierShard{Shard: pool.Shards[1], round: newBarrier(1)}
 	gw, err := fleet.New([]fleet.Shard{pool.Shards[0], broken}, fleet.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	met := obs.New()
 	gw.Instrument(met)
-	// Occupancy, dwell and the rollup are summary reads: each passes the
-	// barrier once.
-	arrived.Add(1)
 	if _, err := gw.Occupancy(); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := gw.Events(); err != nil {
 		t.Fatal(err)
 	}
-	arrived.Add(1)
 	if _, err := gw.DwellTotals(); err != nil {
 		t.Fatal(err)
 	}
-	arrived.Add(1)
 	if _, err := gw.Rollup(); err != nil {
 		t.Fatal(err)
 	}
 	broken.fail = errors.New("unreachable")
-	arrived.Add(1)
 	if _, err := gw.Rollup(); err == nil {
 		t.Fatal("a rollup over a failing shard succeeded")
 	}

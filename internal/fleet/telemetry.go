@@ -79,9 +79,7 @@ func (g *Gateway) Instrument(m *obs.Metrics) {
 			hs.streams.rec = m.Recorder()
 		}
 		m.CounterFunc("fleet_routed_total", "reports delivered to the shard", func() float64 {
-			g.routedMu.Lock()
-			defer g.routedMu.Unlock()
-			return float64(g.routed[i])
+			return float64(g.routed[i].Load())
 		}, obs.L("shard", name))
 		if g.breakers != nil {
 			m.CounterFunc("fleet_breaker_trips_total", "times the shard's circuit opened", func() float64 {
