@@ -67,7 +67,10 @@ allocs:
 # leg: in internal/fleet every many-shard call is one gather round and
 # every HTTP shard verb one HTTPShard.call, so a control body is marshalled
 # and unmarshalled at one site each, and a goroutine starts only in
-# dispatch, gather and migrate.
+# dispatch, gather and migrate. And so is a failure's meaning: every site
+# decides by transport.Classify, so in the non-test Go of internal/ and
+# cmd/ a shed (IsOverload() and a status (StatusCode() are read only in
+# the classifier's file.
 ONEPATH_DIRS = internal/experiments internal/scenario cmd/loadgen
 onepath:
 	@fail=0; \
@@ -98,6 +101,11 @@ onepath:
 		/^[[:space:]]*go func/{ print f }' | sort | tr '\n' ' '); \
 	if [ "$$gofuncs" != "dispatch gather migrate " ]; then \
 		echo "onepath: internal/fleet starts goroutines in [$$gofuncs], want one each in dispatch, gather and migrate"; fail=1; \
+	fi; \
+	readers=$$(grep -rn --include='*.go' --exclude='*_test.go' -e 'IsOverload(' -e 'StatusCode(' internal cmd | \
+		grep -v '^[^:]*:[0-9]*:\(func \|[[:space:]]*//\)' | cut -d: -f1 | sort -u | grep -vx 'internal/transport/failure.go'); \
+	if [ -n "$$readers" ]; then \
+		echo "onepath: a failure is classified outside internal/transport/failure.go in:"; echo "$$readers"; fail=1; \
 	fi; \
 	if grep -rn --include='*.go' --exclude='*_test.go' -e 'json\.NewDecoder(r\.Body)' internal cmd; then \
 		echo "onepath: a handler decodes a request body with its own json.Decoder; use bms.DecodeJSON"; fail=1; \

@@ -14,6 +14,7 @@ import (
 	"occusim/internal/fingerprint"
 	"occusim/internal/ibeacon"
 	"occusim/internal/store"
+	"occusim/internal/transport"
 	"occusim/internal/wire"
 )
 
@@ -122,7 +123,7 @@ func TestReplayEqualsLive(t *testing.T) {
 			err = s.AddFingerprint(sample)
 		case k < 16:
 			kind = "train"
-			if _, err = s.Train(10, 0.2, uint64(op)); err != nil && verdictOf(err).status == 409 {
+			if _, err = s.Train(10, 0.2, uint64(op)); err != nil && transport.Classify(err).Status == 409 {
 				kind, err = "refused train", nil
 			}
 		case k < 17:
@@ -137,7 +138,7 @@ func TestReplayEqualsLive(t *testing.T) {
 			kind = "compaction"
 			err = s.CompactWAL()
 		}
-		if errors.Is(err, ErrStaleLeader) {
+		if errors.Is(err, transport.ErrStaleLeader) {
 			kind, err = "fenced", nil
 		}
 		if err != nil {

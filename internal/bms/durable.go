@@ -38,6 +38,7 @@ import (
 	"occusim/internal/ibeacon"
 	"occusim/internal/occupancy"
 	"occusim/internal/store"
+	"occusim/internal/transport"
 	"occusim/internal/wire"
 )
 
@@ -393,7 +394,7 @@ func logFailure(err error) error {
 	if err == nil {
 		return nil
 	}
-	return &Error{Code: http.StatusServiceUnavailable, RetryAfter: time.Second, Err: err}
+	return &transport.Error{Code: http.StatusServiceUnavailable, RetryAfter: time.Second, Err: err}
 }
 
 // --- the one commit and the one apply ---------------------------------

@@ -1,7 +1,7 @@
 // The device-facing HTTP face, once for a box and a fleet gateway: one
 // route table (Routes) over a small verb interface (Face), one status map
-// (verdictOf) rendered over HTTP (WriteFailure) and on the shard stream
-// (appendStreamReply), one JSON writer (WriteJSON) and one bounded body
+// (transport.Classify) rendered over HTTP (WriteFailure) and on the shard
+// stream (appendStreamReply), one JSON writer (WriteJSON) and one bounded body
 // reader (readBody). A client cannot tell a fleet from a box because there
 // is nothing else for the two to answer through.
 package bms
@@ -9,10 +9,8 @@ package bms
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
-	"net/url"
 	"strconv"
 	"sync"
 	"time"
@@ -21,7 +19,6 @@ import (
 	"occusim/internal/ibeacon"
 	"occusim/internal/obs"
 	"occusim/internal/occupancy"
-	"occusim/internal/overload"
 	"occusim/internal/transport"
 	"occusim/internal/wire"
 )
@@ -269,110 +266,27 @@ type trainRequest struct {
 
 // --- the status map ---------------------------------------------------
 
-// Error is a failure that names its own answer: the HTTP status — 503 for
-// a log that refused an append or a fleet with no healthy shard, 502 for a
-// shard that cannot be reached or answered out of protocol, 409 for a
-// request the server's state refuses —, the Retry-After to send when a
-// retry is worth it, and, for a standby gateway's refusal, where
-// leadership lives. A 5xx is unavailable, anything else rejected.
-type Error struct {
-	Code       int
-	RetryAfter time.Duration
-	Leader     string
-	Err        error
-}
-
-func (e *Error) Error() string { return e.Err.Error() }
-func (e *Error) Unwrap() error { return e.Err }
-
 // conflict marks err as a request the server's state refuses.
-func conflict(err error) error { return &Error{Code: http.StatusConflict, Err: err} }
+func conflict(err error) error { return &transport.Error{Code: http.StatusConflict, Err: err} }
 
-// class is what a failure tells the client that sent the request.
-type class uint8
-
-const (
-	classOK          class = iota
-	classShed              // come back after the hint: 429 + Retry-After
-	classStale             // take it to the leader: 409 + X-Leader-Epoch, X-Leader-Hint
-	classTooLarge          // send less: 413
-	classRejected          // do not resend it: 400, or the status its *Error names
-	classUnavailable       // the serving side failed: 503, 502 upstream
-)
-
-// verdict is a failure's class and what its renderings need: the HTTP
-// status, the wait a Retry-After carries, the grant a stale write lost to
-// and where leadership lives.
-type verdict struct {
-	class  class
-	status int
-	after  time.Duration
-	stale  *StaleLeaderError
-	leader string
-}
-
-// verdictOf is the one status map. Both faces answer every failure by it
-// — over HTTP through WriteFailure, on the shard stream through
-// appendStreamReply — so a fleet answers what one server would: a shed
-// admission (its own gate or a shard's) is 429 with the hint, a fenced
-// write 409 with the leader, a body past the limit 413, a failure of the
-// serving side (*Error with a 5xx, a shard that cannot be reached, a
-// shard's own 5xx) 503 or 502, and anything else the client's fault, 400.
-func verdictOf(err error) verdict {
-	if err == nil {
-		return verdict{class: classOK, status: http.StatusOK}
-	}
-	if after, ok := overload.IsOverload(err); ok {
-		return verdict{class: classShed, status: http.StatusTooManyRequests, after: after}
-	}
-	var stale *StaleLeaderError
-	if errors.As(err, &stale) {
-		return verdict{class: classStale, status: http.StatusConflict, stale: stale, leader: stale.Leader}
-	}
-	if errors.Is(err, wire.ErrBodyTooLarge) {
-		return verdict{class: classTooLarge, status: http.StatusRequestEntityTooLarge}
-	}
-	var named *Error
-	if errors.As(err, &named) {
-		v := verdict{class: classRejected, status: named.Code, after: named.RetryAfter, leader: named.Leader}
-		if named.Code >= 500 {
-			v.class = classUnavailable
-		}
-		return v
-	}
-	var down *url.Error
-	if errors.As(err, &down) {
-		return verdict{class: classUnavailable, status: http.StatusBadGateway}
-	}
-	if code, ok := transport.StatusCode(err); ok {
-		switch {
-		case code == http.StatusTooManyRequests:
-			after, _ := transport.RetryAfter(err)
-			return verdict{class: classShed, status: code, after: after}
-		case code/100 != 4:
-			return verdict{class: classUnavailable, status: http.StatusBadGateway}
-		}
-	}
-	return verdict{class: classRejected, status: http.StatusBadRequest}
-}
-
-// WriteFailure answers a failed request as verdictOf says: the status, a
-// Retry-After in whole seconds rounded up (at least 1) on a shed or where
-// the failure names one, the leader headers of a stale write or a
-// standby's refusal, and the error as the JSON body.
+// WriteFailure answers a failed request as transport.Classify says — the
+// status map of both faces, so a fleet answers what one server would: the
+// status, a Retry-After in whole seconds rounded up (at least 1) on a shed
+// or where a failure this process built names one, the leader headers of
+// a stale write or a standby's refusal, and the error as the JSON body.
 func WriteFailure(w http.ResponseWriter, err error) {
-	v := verdictOf(err)
+	v := transport.Classify(err)
 	h := w.Header()
-	if v.class == classShed || v.after > 0 {
-		h.Set("Retry-After", strconv.FormatInt(max(1, int64((v.after+time.Second-1)/time.Second)), 10))
+	if v.Class == transport.Shed || v.After > 0 && !v.Answered {
+		h.Set("Retry-After", strconv.FormatInt(max(1, int64((v.After+time.Second-1)/time.Second)), 10))
 	}
-	if v.stale != nil {
-		h.Set(transport.HeaderLeaderEpoch, strconv.FormatUint(v.stale.Granted, 10))
+	if v.Granted > 0 {
+		h.Set(transport.HeaderLeaderEpoch, strconv.FormatUint(v.Granted, 10))
 	}
-	if v.leader != "" {
-		h.Set(transport.HeaderLeaderHint, v.leader)
+	if v.Leader != "" {
+		h.Set(transport.HeaderLeaderHint, v.Leader)
 	}
-	writeError(w, v.status, err)
+	writeError(w, v.Status, err)
 }
 
 // WriteUploadError answers a body that could not be taken in (what names

@@ -6,8 +6,8 @@
 // gateway that wins epoch e+1 on a majority of shards is the leader; a
 // deposed "zombie" gateway — partitioned, paused mid-batch, or simply
 // slow to notice — finds all of its subsequent writes rejected with
-// ErrStaleLeader, so its retransmitted batches can only land through
-// the new leader, exactly once via the per-device seq marks.
+// transport.ErrStaleLeader, so its retransmitted batches can only land
+// through the new leader, exactly once via the per-device seq marks.
 //
 // Writes stamped with epoch zero are unfenced: single-server
 // deployments and fleets without HA never claim a lease, and their
@@ -17,7 +17,6 @@
 package bms
 
 import (
-	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -26,32 +25,6 @@ import (
 	"occusim/internal/obs"
 	"occusim/internal/transport"
 )
-
-// ErrStaleLeader is the sentinel every stale-epoch rejection matches
-// (errors.Is). The concrete error is *StaleLeaderError, which carries
-// the granted epoch and the leader hint for the HTTP 409 face.
-var ErrStaleLeader = errors.New("bms: stale gateway leadership epoch")
-
-// StaleLeaderError rejects a lease claim or a fenced write stamped
-// with an epoch below the highest this server has granted.
-type StaleLeaderError struct {
-	// Granted is the highest epoch this server has granted.
-	Granted uint64
-	// Leader is the advertised URL of the gateway holding Granted,
-	// "" when unknown (the grant advanced through a stamped write
-	// rather than an explicit claim).
-	Leader string
-}
-
-func (e *StaleLeaderError) Error() string {
-	if e.Leader != "" {
-		return fmt.Sprintf("bms: stale gateway epoch: shard granted epoch %d to %s", e.Granted, e.Leader)
-	}
-	return fmt.Sprintf("bms: stale gateway epoch: shard granted epoch %d", e.Granted)
-}
-
-// Is makes errors.Is(err, ErrStaleLeader) match.
-func (e *StaleLeaderError) Is(target error) bool { return target == ErrStaleLeader }
 
 // leaseState is the server's view of gateway leadership: the highest
 // epoch granted and who holds it.
@@ -75,9 +48,9 @@ type leaseState struct {
 //     the same epoch.
 //   - epoch below the current grant: rejected.
 //
-// Rejections return *StaleLeaderError carrying the current grant, so
-// a losing claimant learns which epoch to outbid and where the leader
-// is.
+// Rejections return *transport.StaleLeaderError carrying the current
+// grant, so a losing claimant learns which epoch to outbid and where the
+// leader is.
 func (s *Server) GrantLease(epoch uint64, holder string) (uint64, string, error) {
 	if epoch == 0 {
 		return 0, "", fmt.Errorf("bms: lease claim at epoch 0 (epoch 0 means unfenced)")
@@ -94,7 +67,7 @@ func (s *Server) GrantLease(epoch uint64, holder string) (uint64, string, error)
 				"epoch": epoch, "claimant": holder, "granted": s.lease.epoch, "holder": s.lease.holder,
 			})
 		}
-		return s.lease.epoch, s.lease.holder, &StaleLeaderError{Granted: s.lease.epoch, Leader: s.lease.holder}
+		return s.lease.epoch, s.lease.holder, &transport.StaleLeaderError{Granted: s.lease.epoch, Leader: s.lease.holder}
 	case epoch == s.lease.epoch:
 		if s.lease.holder != "" && s.lease.holder != holder {
 			if sm != nil {
@@ -103,7 +76,7 @@ func (s *Server) GrantLease(epoch uint64, holder string) (uint64, string, error)
 					"epoch": epoch, "claimant": holder, "granted": s.lease.epoch, "holder": s.lease.holder,
 				})
 			}
-			return s.lease.epoch, s.lease.holder, &StaleLeaderError{Granted: s.lease.epoch, Leader: s.lease.holder}
+			return s.lease.epoch, s.lease.holder, &transport.StaleLeaderError{Granted: s.lease.epoch, Leader: s.lease.holder}
 		}
 		// A renewal (or a holder filling in the hint a write-implied
 		// advance left empty). The epoch itself is already durable.
@@ -165,7 +138,7 @@ func (s *Server) admitEpoch(epoch uint64) error {
 				"epoch": epoch, "granted": s.lease.epoch, "holder": s.lease.holder,
 			})
 		}
-		return &StaleLeaderError{Granted: s.lease.epoch, Leader: s.lease.holder}
+		return &transport.StaleLeaderError{Granted: s.lease.epoch, Leader: s.lease.holder}
 	}
 	if from := s.lease.epoch; epoch > from {
 		if _, err := s.logApply(&walRecord{T: recLease, Lease: &leaseRecJSON{Epoch: epoch}}); err != nil {

@@ -33,7 +33,7 @@ func TestGrantLeaseRules(t *testing.T) {
 	// Same epoch, different holder: the epoch is already won — this
 	// shard must not count toward two quorums at one epoch.
 	granted, holder, err = s.GrantLease(1, "gwB")
-	if !errors.Is(err, ErrStaleLeader) {
+	if !errors.Is(err, transport.ErrStaleLeader) {
 		t.Fatalf("competing claim at same epoch: err=%v", err)
 	}
 	if granted != 1 || holder != "gwA" {
@@ -46,7 +46,7 @@ func TestGrantLeaseRules(t *testing.T) {
 	}
 
 	// Lower epoch is the zombie bidding below the grant.
-	var stale *StaleLeaderError
+	var stale *transport.StaleLeaderError
 	if _, _, err = s.GrantLease(2, "gwA"); !errors.As(err, &stale) {
 		t.Fatalf("stale claim: err=%v", err)
 	}
@@ -67,19 +67,19 @@ func TestFencedWritesRejectStaleEpoch(t *testing.T) {
 	}
 
 	rep := reportNear(b, "phone", 0, 1)
-	if _, err := ingestFenced(s, 1, rep); !errors.Is(err, ErrStaleLeader) {
+	if _, err := ingestFenced(s, 1, rep); !errors.Is(err, transport.ErrStaleLeader) {
 		t.Fatalf("stale ingest: err=%v", err)
 	}
-	if _, _, err := s.EvictDevice(1, "phone"); !errors.Is(err, ErrStaleLeader) {
+	if _, _, err := s.EvictDevice(1, "phone"); !errors.Is(err, transport.ErrStaleLeader) {
 		t.Fatalf("stale evict: err=%v", err)
 	}
-	if err := s.InstallDevice(1, DeviceState{DeviceState: occupancy.DeviceState{Device: "phone"}, Epoch: 1, Seq: 1}); !errors.Is(err, ErrStaleLeader) {
+	if err := s.InstallDevice(1, DeviceState{DeviceState: occupancy.DeviceState{Device: "phone"}, Epoch: 1, Seq: 1}); !errors.Is(err, transport.ErrStaleLeader) {
 		t.Fatalf("stale install: err=%v", err)
 	}
-	if _, err := s.ExpireBefore(1, 0); !errors.Is(err, ErrStaleLeader) {
+	if _, err := s.ExpireBefore(1, 0); !errors.Is(err, transport.ErrStaleLeader) {
 		t.Fatalf("stale expire: err=%v", err)
 	}
-	if _, err := s.IngestBatchFenced(1, []transport.Report{rep}); !errors.Is(err, ErrStaleLeader) {
+	if _, err := s.IngestBatchFenced(1, []transport.Report{rep}); !errors.Is(err, transport.ErrStaleLeader) {
 		t.Fatalf("stale batch: err=%v", err)
 	}
 	if snap := s.Occupancy(); len(snap.Devices) != 0 {
@@ -104,7 +104,7 @@ func TestFencedWritesRejectStaleEpoch(t *testing.T) {
 	if epoch, holder := s.GrantedLease(); epoch != 5 || holder != "" {
 		t.Fatalf("grant after write-implied advance = %d/%q", epoch, holder)
 	}
-	if _, err := ingestFenced(s, 2, rep); !errors.Is(err, ErrStaleLeader) {
+	if _, err := ingestFenced(s, 2, rep); !errors.Is(err, transport.ErrStaleLeader) {
 		t.Fatal("old epoch must be fenced after write-implied advance")
 	}
 }
@@ -124,7 +124,7 @@ func TestLeaseSurvivesKillAndCompaction(t *testing.T) {
 	if epoch, holder := s2.GrantedLease(); epoch != 7 || holder != "http://gwA" {
 		t.Fatalf("grant after kill = %d/%q", epoch, holder)
 	}
-	if _, err := ingestFenced(s2, 6, reportNear(b, "phone", 0, 1)); !errors.Is(err, ErrStaleLeader) {
+	if _, err := ingestFenced(s2, 6, reportNear(b, "phone", 0, 1)); !errors.Is(err, transport.ErrStaleLeader) {
 		t.Fatal("recovered shard must still fence deposed epochs")
 	}
 

@@ -618,11 +618,11 @@ func (s *Server) Handler() http.Handler {
 	// sending half; install is the receiving half.
 	write(mux, "/api/v1/devices:evict", func(epoch uint64, req EvictRequest) (DeviceState, error) {
 		if req.Device == "" {
-			return DeviceState{}, &Error{Code: http.StatusBadRequest, Err: errors.New("evict without device")}
+			return DeviceState{}, &transport.Error{Code: http.StatusBadRequest, Err: errors.New("evict without device")}
 		}
 		st, ok, err := s.EvictDevice(epoch, req.Device)
 		if err == nil && !ok {
-			err = &Error{Code: http.StatusNotFound, Err: fmt.Errorf("no state for device %q", req.Device)}
+			err = &transport.Error{Code: http.StatusNotFound, Err: fmt.Errorf("no state for device %q", req.Device)}
 		}
 		return st, err
 	})

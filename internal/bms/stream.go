@@ -18,6 +18,7 @@ import (
 	"sync"
 	"time"
 
+	"occusim/internal/transport"
 	"occusim/internal/wire"
 )
 
@@ -145,17 +146,17 @@ func (s *Server) serveStream(conn io.Writer, br *bufio.Reader) {
 // refused the append — renders nothing (nil): it hangs up as a dead one
 // would, so the gateway's retry policy and its 502 apply.
 func appendStreamReply(dst []byte, rooms []string, err error) []byte {
-	switch v := verdictOf(err); v.class {
-	case classOK:
+	switch v := transport.Classify(err); v.Class {
+	case transport.OK:
 		dst = wire.AppendRooms(wire.BeginStreamReply(dst, wire.StreamOK), rooms)
-	case classShed:
-		dst = binary.LittleEndian.AppendUint64(wire.BeginStreamReply(dst, wire.StreamOverload), uint64(v.after))
-	case classStale:
-		dst = binary.LittleEndian.AppendUint64(wire.BeginStreamReply(dst, wire.StreamStale), v.stale.Granted)
-		dst = append(dst, v.stale.Leader...)
-	case classTooLarge:
+	case transport.Shed:
+		dst = binary.LittleEndian.AppendUint64(wire.BeginStreamReply(dst, wire.StreamOverload), uint64(v.After))
+	case transport.Stale:
+		dst = binary.LittleEndian.AppendUint64(wire.BeginStreamReply(dst, wire.StreamStale), v.Granted)
+		dst = append(dst, v.Leader...)
+	case transport.TooLarge:
 		dst = append(wire.BeginStreamReply(dst, wire.StreamTooLarge), err.Error()...)
-	case classRejected:
+	case transport.Rejected:
 		dst = append(wire.BeginStreamReply(dst, wire.StreamRejected), err.Error()...)
 	default:
 		return nil

@@ -7,9 +7,7 @@ import (
 	"sync"
 	"time"
 
-	"occusim/internal/bms"
 	"occusim/internal/obs"
-	"occusim/internal/overload"
 	"occusim/internal/transport"
 )
 
@@ -20,7 +18,7 @@ import (
 // keys and is probed again after a cooldown); MarkDown reassigns them.
 // It is 503 at the HTTP face, so upstream retry policies treat it as
 // transient.
-var ErrShardTripped error = &bms.Error{Code: http.StatusServiceUnavailable, Err: errors.New("fleet: shard circuit open")}
+var ErrShardTripped error = &transport.Error{Code: http.StatusServiceUnavailable, Err: errors.New("fleet: shard circuit open")}
 
 type breakerState int
 
@@ -131,30 +129,6 @@ func (b *breaker) snapshot() (breakerState, uint64) {
 	return b.state, b.trips
 }
 
-// breakerFailure decides whether a shard delivery error counts against
-// the circuit. Only infrastructure trouble does: connection-level
-// failures, timeouts, 5xx answers and protocol violations. A 429 shed
-// or any other 4xx proves the shard is up and answering — an overloaded
-// shard must shed through its own gate, not get amputated by the
-// breaker on top of it.
-func breakerFailure(err error) bool {
-	if err == nil {
-		return false
-	}
-	if _, ok := overload.IsOverload(err); ok {
-		return false
-	}
-	// A stale-leader fence is the shard working correctly — it answered,
-	// and the fault is this gateway's deposed epoch, not shard health.
-	if errors.Is(err, bms.ErrStaleLeader) {
-		return false
-	}
-	if code, ok := transport.StatusCode(err); ok {
-		return code/100 == 5
-	}
-	return !errors.Is(err, ErrShardTripped)
-}
-
 // breakerAllow fails fast with ErrShardTripped when the shard's circuit
 // refuses the delivery; a gateway without breakers always allows.
 func (g *Gateway) breakerAllow(idx int) error {
@@ -169,13 +143,20 @@ func (g *Gateway) breakerAllow(idx int) error {
 
 // breakerObserve feeds a delivery outcome back into the shard's
 // circuit, recording genuine state transitions (trip, re-close) in the
-// flight recorder — steady-state deliveries record nothing.
+// flight recorder — steady-state deliveries record nothing. Only the
+// serving side's trouble counts: a failure classified unavailable (a 5xx,
+// a log that refused the append, a reply out of protocol) or unreachable,
+// except the circuit's own ErrShardTripped. A shed, a stale fence or a
+// rejection proves the shard is up and answering — an overloaded shard
+// must shed through its own gate, not get amputated by the breaker on top
+// of it.
 func (g *Gateway) breakerObserve(idx int, err error) {
 	if g.breakers == nil {
 		return
 	}
 	gm := g.met
-	if breakerFailure(err) {
+	v := transport.Classify(err)
+	if (v.Class == transport.Unavailable || v.Class == transport.Unreachable) && !errors.Is(err, ErrShardTripped) {
 		if g.breakers[idx].failure() && gm != nil {
 			gm.rec.Record(obs.EventBreakerTrip, map[string]any{
 				"shard": g.shards[idx].Name(), "cause": err.Error(),

@@ -1,16 +1,16 @@
 package fleet
 
 import (
-	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
-	"occusim/internal/bms"
 	"occusim/internal/overload"
 	"occusim/internal/transport"
 )
@@ -88,22 +88,31 @@ func TestBreakerStateMachine(t *testing.T) {
 	}
 }
 
+// breakerCounts reports whether the gateway's breaker counts err against
+// the shard: one failure opens a threshold-1 circuit.
+func breakerCounts(err error) bool {
+	b, _ := testBreaker(1, time.Hour)
+	(&Gateway{breakers: []*breaker{b}}).breakerObserve(0, err)
+	state, _ := b.snapshot()
+	return state == breakerOpen
+}
+
 // TestBreakerFailureClassification: only infrastructure trouble counts
 // — a shard that sheds 429 or rejects a bad report is alive.
 func TestBreakerFailureClassification(t *testing.T) {
-	if breakerFailure(nil) {
+	if breakerCounts(nil) {
 		t.Fatal("nil error counted as failure")
 	}
-	if breakerFailure(&overload.Error{RetryAfter: time.Second}) {
+	if breakerCounts(&overload.Error{RetryAfter: time.Second}) {
 		t.Fatal("overload shed counted as failure")
 	}
-	if breakerFailure(fmt.Errorf("fleet: shard x: %w", &overload.Error{RetryAfter: time.Second})) {
+	if breakerCounts(fmt.Errorf("fleet: shard x: %w", &overload.Error{RetryAfter: time.Second})) {
 		t.Fatal("wrapped overload shed counted as failure")
 	}
-	if !breakerFailure(errors.New("connection refused")) {
-		t.Fatal("plain connection error not counted as failure")
+	if !breakerCounts(&url.Error{Op: "Post", URL: "http://shard-0.test", Err: syscall.ECONNREFUSED}) {
+		t.Fatal("refused connection not counted as failure")
 	}
-	if breakerFailure(fmt.Errorf("wrap: %w", ErrShardTripped)) {
+	if breakerCounts(fmt.Errorf("wrap: %w", ErrShardTripped)) {
 		t.Fatal("a tripped-circuit error must not feed back into the breaker")
 	}
 
@@ -126,8 +135,8 @@ func TestBreakerFailureClassification(t *testing.T) {
 		if err == nil {
 			t.Fatalf("status %d should error", tc.code)
 		}
-		if got := breakerFailure(err); got != tc.failure {
-			t.Fatalf("breakerFailure(status %d) = %v, want %v", tc.code, got, tc.failure)
+		if got := breakerCounts(err); got != tc.failure {
+			t.Fatalf("breakerCounts(status %d) = %v, want %v", tc.code, got, tc.failure)
 		}
 	}
 }
@@ -210,10 +219,10 @@ func TestBreakerHalfOpenSingleProbe(t *testing.T) {
 // fenced, and tripping breakers on that would amputate healthy shards
 // from a gateway that may yet be re-elected.
 func TestBreakerIgnoresStaleLeaderFence(t *testing.T) {
-	if breakerFailure(&bms.StaleLeaderError{Granted: 4, Leader: "http://gwB"}) {
+	if breakerCounts(&transport.StaleLeaderError{Granted: 4, Leader: "http://gwB"}) {
 		t.Fatal("a stale-leader fence counted as an infrastructure failure")
 	}
-	if breakerFailure(fmt.Errorf("shard says: %w", &bms.StaleLeaderError{Granted: 4})) {
+	if breakerCounts(fmt.Errorf("shard says: %w", &transport.StaleLeaderError{Granted: 4})) {
 		t.Fatal("a wrapped stale-leader fence counted as an infrastructure failure")
 	}
 }

@@ -66,7 +66,7 @@ var errStandby = errors.New("gateway is standby, not leading")
 // without burning retry budget.
 func (f face) writable() error {
 	if l := f.opts.Lease; l != nil && !l.Active() {
-		return &bms.Error{Code: http.StatusConflict, Leader: l.LeaderHint(), Err: errStandby}
+		return &transport.Error{Code: http.StatusConflict, Leader: l.LeaderHint(), Err: errStandby}
 	}
 	return nil
 }
@@ -190,7 +190,7 @@ func (f face) PutModel(snap bms.ModelSnapshot) (any, error) {
 func (f face) Trained(res bms.TrainResult) (any, error) {
 	snap, ok := f.opts.Trainer.ModelSnapshot()
 	if !ok {
-		return nil, &bms.Error{Code: http.StatusInternalServerError, Err: errors.New("trained model missing")}
+		return nil, &transport.Error{Code: http.StatusInternalServerError, Err: errors.New("trained model missing")}
 	}
 	if err := f.DistributeModel(snap); err != nil {
 		return nil, err

@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"occusim/internal/bms"
 	"occusim/internal/building"
 	"occusim/internal/experiments"
 	"occusim/internal/fleet"
@@ -267,7 +266,7 @@ func zombieGatewayFencedExactlyOnce(t *testing.T, codec transport.Codec) {
 	}
 
 	// A deposed gateway's direct writes stay fenced forever.
-	if _, err := gwA.IngestBatch(zombie); !errors.Is(err, bms.ErrStaleLeader) {
+	if _, err := gwA.IngestBatch(zombie); !errors.Is(err, transport.ErrStaleLeader) {
 		t.Fatalf("deposed gateway write: err=%v", err)
 	}
 

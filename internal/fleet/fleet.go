@@ -91,13 +91,13 @@ type Config struct {
 
 // ErrNoHealthyShards is returned when every shard is down — the
 // fleet's terminal routing failure, 503 at the HTTP face.
-var ErrNoHealthyShards error = &bms.Error{Code: http.StatusServiceUnavailable, Err: errors.New("fleet: no healthy shards")}
+var ErrNoHealthyShards error = &transport.Error{Code: http.StatusServiceUnavailable, Err: errors.New("fleet: no healthy shards")}
 
 // ErrShardMisbehaved wraps protocol violations by a shard (a 2xx
 // answer with the wrong shape, a short rooms slice): server-side
 // faults, never the reporting client's — 502 at the HTTP face, so
 // upstream retry policies treat them as transient.
-var ErrShardMisbehaved error = &bms.Error{Code: http.StatusBadGateway, Err: errors.New("fleet: shard protocol error")}
+var ErrShardMisbehaved error = &transport.Error{Code: http.StatusBadGateway, Err: errors.New("fleet: shard protocol error")}
 
 // Gateway fronts a pool of shards. It is safe for concurrent use.
 type Gateway struct {
@@ -174,7 +174,7 @@ type Gateway struct {
 // SetEpoch stamps the gateway's leadership epoch onto every shard
 // client: all subsequent ingest, migration and expiry writes carry it,
 // so a shard that has granted a newer epoch fences them with
-// bms.ErrStaleLeader. The LeaseController calls this on every
+// transport.ErrStaleLeader. The LeaseController calls this on every
 // leadership transition; zero returns to unfenced legacy writes.
 func (g *Gateway) SetEpoch(epoch uint64) {
 	g.gwEpoch.Store(epoch)
@@ -786,7 +786,7 @@ func federate[T any](g *Gateway, view readView, read func(Shard) (T, error)) ([]
 			gm.readErrors[healthy[k]].Inc()
 		}
 		if first == nil {
-			first = &bms.Error{Code: http.StatusBadGateway, Err: fmt.Errorf("fleet: shard %s: %w", g.shards[healthy[k]].Name(), err)}
+			first = &transport.Error{Code: http.StatusBadGateway, Err: fmt.Errorf("fleet: shard %s: %w", g.shards[healthy[k]].Name(), err)}
 		}
 	}
 	if gm != nil {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -59,7 +60,7 @@ func (s *faultyShard) IngestFrame(frame []byte, reports int) ([]string, error) {
 	broken := s.broken
 	s.mu.Unlock()
 	if broken {
-		return nil, errors.New("simulated shard timeout")
+		return nil, &url.Error{Op: "stream", URL: s.Name(), Err: errors.New("simulated shard timeout")}
 	}
 	return s.Shard.IngestFrame(frame, reports)
 }

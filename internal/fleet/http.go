@@ -13,7 +13,6 @@ import (
 
 	"occusim/internal/bms"
 	"occusim/internal/occupancy"
-	"occusim/internal/overload"
 	"occusim/internal/transport"
 	"occusim/internal/wire"
 )
@@ -93,7 +92,7 @@ func (h *HTTPShard) StampEpoch(epoch uint64) {
 // It marshals in as the body (nil sends none) and sends it under policy
 // with one header set, which always carries the leadership stamp; the
 // shard reads the stamp only on fenced writes. A 409 with lease headers
-// comes back as the *bms.StaleLeaderError the in-process arbiter returns.
+// reads as the *transport.StaleLeaderError the in-process arbiter returns.
 // A 2xx body is decoded into out (nil discards it), and a body that does
 // not decode is the shard's protocol fault.
 func (h *HTTPShard) call(method, path string, in, out any, policy transport.RetryPolicy) error {
@@ -105,12 +104,6 @@ func (h *HTTPShard) call(method, path string, in, out any, policy transport.Retr
 		}
 	}
 	payload, err := transport.DoJSONHeaders(h.client, method, h.base+path, body, h.stamped.Load().json, policy)
-	if code, ok := transport.StatusCode(err); ok && code == http.StatusConflict {
-		if granted, ok := transport.LeaderEpoch(err); ok {
-			hint, _ := transport.LeaderHint(err)
-			return &bms.StaleLeaderError{Granted: granted, Leader: hint}
-		}
-	}
 	if err != nil || out == nil {
 		return err
 	}
@@ -142,12 +135,11 @@ func (h *HTTPShard) IngestFrame(frame []byte, reports int) ([]string, error) {
 		if err == nil {
 			return rooms, nil
 		}
-		hint, shed := overload.IsOverload(err)
-		var down *url.Error
-		if !shed && !errors.As(err, &down) {
+		v := transport.Classify(err)
+		if v.Class != transport.Shed && v.Class != transport.Unreachable {
 			return nil, err
 		}
-		if err = backoff.Wait(err, hint, shed); err != nil {
+		if err = backoff.Wait(err, v); err != nil {
 			return nil, err
 		}
 	}
@@ -196,7 +188,7 @@ func (h *HTTPShard) Summary() (occupancy.Summary, error) {
 func (h *HTTPShard) EvictDevice(device string) (bms.DeviceState, bool, error) {
 	var st bms.DeviceState
 	if err := h.call(http.MethodPost, "/api/v1/devices:evict", bms.EvictRequest{Device: device}, &st, h.retry); err != nil {
-		if code, ok := transport.StatusCode(err); ok && code == http.StatusNotFound {
+		if transport.Classify(err).Code == http.StatusNotFound {
 			err = nil
 		}
 		return bms.DeviceState{}, false, err
@@ -238,7 +230,7 @@ func (h *HTTPShard) Health() error {
 func (h *HTTPShard) Claim(epoch uint64, leader string) (uint64, string, error) {
 	var grant bms.LeaseGrant
 	err := h.call(http.MethodPost, "/api/v1/lease:claim", bms.LeaseClaim{Epoch: epoch, Leader: leader}, &grant, h.retry)
-	var stale *bms.StaleLeaderError
+	var stale *transport.StaleLeaderError
 	if errors.As(err, &stale) {
 		return stale.Granted, stale.Leader, stale
 	}

@@ -21,19 +21,17 @@
 //	          from the shards (the deposed leader's routing memory) and
 //	          start serving writes.
 //	depose  — a renewal that loses quorum, or any shard write fenced
-//	          with bms.ErrStaleLeader, steps this gateway down to
+//	          with transport.ErrStaleLeader, steps this gateway down to
 //	          standby. Its in-flight writes are already fenced shard-
 //	          side; stepping down just stops the futile dispatching.
 package fleet
 
 import (
-	"errors"
 	"fmt"
 	"net/http"
 	"sync"
 	"time"
 
-	"occusim/internal/bms"
 	"occusim/internal/transport"
 )
 
@@ -252,20 +250,17 @@ func (c *LeaseController) stepDown(seenEpoch uint64, holder string) {
 	c.mu.Unlock()
 }
 
-// ObserveStale inspects a dispatch error for shard-side fencing: a
-// bms.StaleLeaderError at a higher grant than ours means a new leader
-// has claimed, and this gateway is a zombie — step down and record the
-// winner as the hint. Any other error is ignored.
+// ObserveStale inspects a dispatch error for shard-side fencing: a stale
+// verdict at a higher grant than ours means a new leader has claimed, and
+// this gateway is a zombie — step down and record the winner as the hint.
+// Any other error grants nothing and is ignored.
 func (c *LeaseController) ObserveStale(err error) {
-	var stale *bms.StaleLeaderError
-	if !errors.As(err, &stale) {
-		return
-	}
+	v := transport.Classify(err)
 	c.mu.Lock()
-	deposed := c.active && stale.Granted > c.epoch
+	deposed := c.active && v.Granted > c.epoch
 	c.mu.Unlock()
 	if deposed {
-		c.stepDown(stale.Granted, stale.Leader)
+		c.stepDown(v.Granted, v.Leader)
 	}
 }
 

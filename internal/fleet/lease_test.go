@@ -6,9 +6,9 @@ import (
 	"testing"
 	"time"
 
-	"occusim/internal/bms"
 	"occusim/internal/building"
 	"occusim/internal/fleet"
+	"occusim/internal/transport"
 )
 
 // twinGateways builds two gateways over ONE set of shard servers, each
@@ -100,7 +100,7 @@ func TestLeaseClaimRenewDepose(t *testing.T) {
 	// And A's gateway is a zombie shard-side: every write fenced.
 	stream := synthStream(b, 2, 2, 5)
 	stampStream(stream, 1)
-	if _, err := gwA.IngestBatch(stream); !errors.Is(err, bms.ErrStaleLeader) {
+	if _, err := gwA.IngestBatch(stream); !errors.Is(err, transport.ErrStaleLeader) {
 		t.Fatalf("zombie batch: err=%v", err)
 	}
 	if _, err := gwB.IngestBatch(stream); err != nil {
@@ -129,7 +129,7 @@ func TestLeaseObserveStaleDeposesZombie(t *testing.T) {
 	stream := synthStream(b, 1, 1, 7)
 	stampStream(stream, 1)
 	_, err := gwA.Ingest(stream[0])
-	if !errors.Is(err, bms.ErrStaleLeader) {
+	if !errors.Is(err, transport.ErrStaleLeader) {
 		t.Fatalf("zombie ingest: err=%v", err)
 	}
 	ctlA.ObserveStale(err)
@@ -247,7 +247,7 @@ func TestLeaseRunStandbyTakeover(t *testing.T) {
 	// The deposed active's writes are now fenced.
 	stream := synthStream(b, 1, 1, 3)
 	stampStream(stream, 1)
-	if _, err := gwA.Ingest(stream[0]); !errors.Is(err, bms.ErrStaleLeader) {
+	if _, err := gwA.Ingest(stream[0]); !errors.Is(err, transport.ErrStaleLeader) {
 		t.Fatalf("deposed active's write: err=%v", err)
 	}
 }

@@ -62,16 +62,16 @@ type Shard interface {
 	// Claim asks the shard — the lease arbiter — to grant gateway
 	// leadership at epoch to the gateway advertised at leader. It
 	// returns the shard's current grant (epoch and holder); err is a
-	// *bms.StaleLeaderError (errors.Is bms.ErrStaleLeader) when the
-	// epoch was outbid. A gateway leads once a majority of shards
-	// grant the same epoch; see LeaseController.
+	// *transport.StaleLeaderError (errors.Is transport.ErrStaleLeader)
+	// when the epoch was outbid. A gateway leads once a majority of
+	// shards grant the same epoch; see LeaseController.
 	Claim(epoch uint64, leader string) (granted uint64, holder string, err error)
 	// StampEpoch sets the gateway leadership epoch this client stamps
 	// onto every subsequent write (ingest, migration, expiry). Zero —
 	// the default — sends unfenced writes; a nonzero stamp below a
-	// shard's grant is rejected with bms.ErrStaleLeader. Each gateway
-	// must own its shard clients: the stamp is the client's identity
-	// in the fencing protocol, not shared routing state.
+	// shard's grant is rejected with transport.ErrStaleLeader. Each
+	// gateway must own its shard clients: the stamp is the client's
+	// identity in the fencing protocol, not shared routing state.
 	StampEpoch(epoch uint64)
 }
 

@@ -22,7 +22,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"occusim/internal/bms"
 	"occusim/internal/obs"
 	"occusim/internal/overload"
 	"occusim/internal/transport"
@@ -227,16 +226,18 @@ func (h *HTTPShard) decodeReply(status byte, body []byte, reports int) ([]string
 		return rooms, nil
 	case wire.StreamStale:
 		if granted := rd.U64(); !rd.Short {
-			return nil, &bms.StaleLeaderError{Granted: granted, Leader: string(rd.Buf)}
+			return nil, &transport.StaleLeaderError{Granted: granted, Leader: string(rd.Buf)}
 		}
 	case wire.StreamOverload:
 		if after := rd.U64(); !rd.Short && len(rd.Buf) == 0 {
 			return nil, &overload.Error{RetryAfter: time.Duration(after)}
 		}
-	case wire.StreamRejected:
-		return nil, transport.StatusError(http.StatusBadRequest, string(body))
-	case wire.StreamTooLarge:
-		return nil, transport.StatusError(http.StatusRequestEntityTooLarge, string(body))
+	case wire.StreamRejected, wire.StreamTooLarge:
+		code := http.StatusBadRequest
+		if status == wire.StreamTooLarge {
+			code = http.StatusRequestEntityTooLarge
+		}
+		return nil, &transport.Error{Code: code, Answered: true, Err: fmt.Errorf("transport: server returned %d %s: %s", code, http.StatusText(code), body)}
 	}
 	return nil, fmt.Errorf("%w: malformed stream reply (status %d, %d bytes)", ErrShardMisbehaved, status, len(body))
 }

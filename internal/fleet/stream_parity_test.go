@@ -30,7 +30,7 @@ func outcomeOf(err error) legOutcome {
 	rec := httptest.NewRecorder()
 	bms.WriteFailure(rec, err)
 	return legOutcome{
-		status: rec.Code, breaker: breakerFailure(err),
+		status: rec.Code, breaker: breakerCounts(err),
 		retryAfter:  rec.Header().Get("Retry-After"),
 		leaderEpoch: rec.Header().Get(transport.HeaderLeaderEpoch),
 		leaderHint:  rec.Header().Get(transport.HeaderLeaderHint),
@@ -45,7 +45,9 @@ func outcomeOf(err error) legOutcome {
 // table it produced on PR 19's parent, written out. A refused upgrade
 // never had a POST twin; it is held to what PR 15 fixed for a 415 (a
 // fault: 502, breaker failure). SetCodec is called with both values on
-// the way: it changes nothing.
+// the way: it changes nothing. Where a failure has an in-process twin —
+// a rejection, a stale stamp, a shed — a LocalShard over the same server
+// is driven into it too, and must draw the same conclusions.
 func TestStreamOutcomesClassifyAsThePostDid(t *testing.T) {
 	b := building.PaperHouse()
 	st, err := store.New(200)
@@ -76,6 +78,11 @@ func TestStreamOutcomesClassifyAsThePostDid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	local, err := NewLocalShard("local", srv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	both := []Shard{hs, local}
 	report := func(device string) []transport.Report {
 		rep := transport.Report{Device: device, AtSeconds: 2, Epoch: 1, Seq: 1}
 		for _, bc := range b.Beacons {
@@ -86,31 +93,35 @@ func TestStreamOutcomesClassifyAsThePostDid(t *testing.T) {
 	// tries is how often a delivery may succeed before it must fail: once,
 	// except where the failure is a race the test can only make likely.
 	// The codec setter is flipped between tries and must not matter.
-	fails := func(t *testing.T, reports []transport.Report, tries int, want legOutcome) {
+	fails := func(t *testing.T, shards []Shard, reports []transport.Report, tries int, want legOutcome) {
 		t.Helper()
-		var err error
-		for try := 0; try < tries && err == nil; try++ {
-			hs.SetCodec(transport.Codec(try % 2))
-			_, err = hs.IngestBatch(reports)
-		}
-		if err == nil {
-			t.Fatal("the delivery succeeded")
-		}
-		if got := outcomeOf(err); got != want {
-			t.Errorf("%+v, want %+v (%v)", got, want, err)
+		for _, s := range shards {
+			var err error
+			for try := 0; try < tries && err == nil; try++ {
+				hs.SetCodec(transport.Codec(try % 2))
+				_, err = s.IngestBatch(reports)
+			}
+			if err == nil {
+				t.Fatalf("%T: the delivery succeeded", s)
+			}
+			if got := outcomeOf(err); got != want {
+				t.Errorf("%T: %+v, want %+v (%v)", s, got, want, err)
+			}
 		}
 	}
 
 	t.Run("rejected", func(t *testing.T) {
-		fails(t, report(""), 1, legOutcome{status: http.StatusBadRequest})
+		fails(t, both, report(""), 1, legOutcome{status: http.StatusBadRequest})
 	})
 	t.Run("stale", func(t *testing.T) {
 		if _, _, err := srv.GrantLease(9, "http://gw-b"); err != nil {
 			t.Fatal(err)
 		}
 		hs.StampEpoch(4)
-		fails(t, report("d1"), 1, legOutcome{status: http.StatusConflict, leaderEpoch: "9", leaderHint: "http://gw-b"})
+		local.StampEpoch(4)
+		fails(t, both, report("d1"), 1, legOutcome{status: http.StatusConflict, leaderEpoch: "9", leaderHint: "http://gw-b"})
 		hs.StampEpoch(9)
+		local.StampEpoch(9)
 	})
 	t.Run("refused upgrade", func(t *testing.T) {
 		refuse = true
@@ -161,13 +172,13 @@ func TestStreamOutcomesClassifyAsThePostDid(t *testing.T) {
 				}
 			}(c)
 		}
-		fails(t, report("d1"), 5000, legOutcome{status: http.StatusTooManyRequests, retryAfter: "2"})
+		fails(t, both, report("d1"), 5000, legOutcome{status: http.StatusTooManyRequests, retryAfter: "2"})
 		close(stop)
 		crowd.Wait()
 	})
 	t.Run("shard down", func(t *testing.T) {
 		ts.Close()
 		srv.Close() // the test server does not own upgraded connections; the shard hangs them up
-		fails(t, report("d3"), 1, legOutcome{status: http.StatusBadGateway, breaker: true})
+		fails(t, []Shard{hs}, report("d3"), 1, legOutcome{status: http.StatusBadGateway, breaker: true})
 	})
 }

@@ -18,7 +18,6 @@ import (
 	"testing"
 	"time"
 
-	"occusim/internal/bms"
 	"occusim/internal/building"
 	"occusim/internal/fleet"
 	"occusim/internal/obs"
@@ -110,7 +109,7 @@ func FuzzShardStream(f *testing.F) {
 			}
 			var down *url.Error
 			_, shed := overload.IsOverload(err)
-			code, rejected := transport.StatusCode(err)
+			v := transport.Classify(err)
 			switch {
 			case errors.Is(err, fleet.ErrShardMisbehaved), errors.As(err, &down):
 				// The stream is gone: this exchange, or the next, had to dial.
@@ -120,8 +119,8 @@ func FuzzShardStream(f *testing.F) {
 					}
 				}
 				return
-			case errors.Is(err, bms.ErrStaleLeader), shed:
-			case rejected && (code == http.StatusBadRequest || code == http.StatusRequestEntityTooLarge):
+			case errors.Is(err, transport.ErrStaleLeader), shed:
+			case v.Answered && (v.Code == http.StatusBadRequest || v.Code == http.StatusRequestEntityTooLarge):
 			default:
 				t.Fatalf("call %d: an error nothing classifies: %v", call, err)
 			}
@@ -250,7 +249,7 @@ func TestStreamsSurviveResetsUnderRace(t *testing.T) {
 					// A cut stream past the retry budget, or a stamp that
 					// moved on under the call: send it again.
 					var down *url.Error
-					if try > 200 || !(errors.As(err, &down) || errors.Is(err, bms.ErrStaleLeader)) {
+					if try > 200 || !(errors.As(err, &down) || errors.Is(err, transport.ErrStaleLeader)) {
 						t.Errorf("writer %d frame %d: %v", w, k, err)
 						return
 					}

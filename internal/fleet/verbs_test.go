@@ -109,7 +109,7 @@ func TestShardVerbsAnswerAsInProcess(t *testing.T) {
 	})
 	for _, s := range shards {
 		epoch, holder, err := s.Claim(1, "http://gw-b")
-		if epoch != 2 || holder != "http://gw-a" || !errors.Is(err, bms.ErrStaleLeader) {
+		if epoch != 2 || holder != "http://gw-a" || !errors.Is(err, transport.ErrStaleLeader) {
 			t.Fatalf("outbid claim through %T: (%d, %q, %v), want (2, gw-a, stale leader)", s, epoch, holder, err)
 		}
 	}
@@ -125,9 +125,9 @@ func TestShardVerbsAnswerAsInProcess(t *testing.T) {
 			"expire":  expireErr,
 			"ingest":  ingestErr,
 		} {
-			var stale *bms.StaleLeaderError
+			var stale *transport.StaleLeaderError
 			if !errors.As(err, &stale) || stale.Granted != 2 {
-				t.Fatalf("%s stamped below the grant through %T: %v, want *bms.StaleLeaderError at 2", what, s, err)
+				t.Fatalf("%s stamped below the grant through %T: %v, want *transport.StaleLeaderError at 2", what, s, err)
 			}
 		}
 	}

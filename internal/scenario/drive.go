@@ -5,7 +5,6 @@ import (
 	"sync"
 	"time"
 
-	"occusim/internal/overload"
 	"occusim/internal/stats"
 	"occusim/internal/transport"
 )
@@ -44,10 +43,11 @@ type Budget struct {
 	Gap      time.Duration
 }
 
-// A shed is always retransmitted, after the refusal's own Retry-After
-// hint capped at maxShedWait (an in-process fleet drains in
-// microseconds; the hint is sized for radios): a fleet that has not
-// admitted a batch in maxShedAttempts tries is wedged, not overloaded.
+// A shed — in process or an answered 429 — is always retransmitted,
+// after the refusal's own Retry-After hint capped at maxShedWait (an
+// in-process fleet drains in microseconds; the hint is sized for radios):
+// a fleet that has not admitted a batch in maxShedAttempts tries is
+// wedged, not overloaded.
 const (
 	maxShedWait     = 5 * time.Millisecond
 	maxShedAttempts = 500
@@ -57,8 +57,8 @@ const (
 // exchange (sheds counted) just failed with err is sent again — the
 // identical stamped reports — and after how long.
 func (b Budget) next(attempt int, err error) (wait time.Duration, again bool) {
-	if hint, shed := overload.IsOverload(err); shed {
-		return min(hint, maxShedWait), attempt < maxShedAttempts
+	if v := transport.Classify(err); v.Class == transport.Shed {
+		return min(v.After, maxShedWait), attempt < maxShedAttempts
 	}
 	return b.Gap, attempt < b.Attempts
 }

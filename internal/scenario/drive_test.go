@@ -157,3 +157,34 @@ func TestDriveOverlapsEveryLane(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestStormOverHTTPShedsAnswered429s drives the storm through the
+// gateway's HTTP face on uplinks that make one attempt and a driver with
+// no fault budget: every 429 the gateway answers reaches the driver, which
+// must retransmit it after its hint as it does an in-process shed, and the
+// fleet must end byte-identical to the reference.
+func TestStormOverHTTPShedsAnswered429s(t *testing.T) {
+	b := building.PaperHouse()
+	cfg := Config{Devices: 12, Reports: 60, Seed: 7, Repeat: 3}
+	tr, err := Storm().Generate(b, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.Spec.Shards, tr.Spec.Loopback = 2, true
+	f, err := Build(b, tr.Spec, cfg.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	sink := &transport.HTTPUplink{BaseURL: f.URL, Retry: transport.RetryPolicy{}}
+	ran, err := (Driver{}).Drive(tr.Lanes, sink)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Verify(f.Gateways[0], Exact, tr.Honest); err != nil {
+		t.Fatal(err)
+	}
+	if ran.Exchanges <= ran.AckedExchanges {
+		t.Fatalf("%d exchanges, %d acknowledged: no 429 reached the driver", ran.Exchanges, ran.AckedExchanges)
+	}
+}

@@ -82,14 +82,8 @@ func TestRetryResendsTheWholeBody(t *testing.T) {
 		header: http.Header{HeaderLeaderHint: {"http://gateway-b.test"}, HeaderLeaderEpoch: {"7"}}}
 	rec := &sleepRecorder{}
 	_, err := DoJSONHeaders(&http.Client{Transport: rt}, http.MethodPost, "http://gateway-a.test/x", frame, nil, retryPolicy(rec, 4))
-	if code, ok := StatusCode(err); !ok || code != http.StatusConflict {
-		t.Fatalf("409 came back as %v", err)
-	}
-	if hint, ok := LeaderHint(err); !ok || hint != "http://gateway-b.test" {
-		t.Fatalf("leader hint = %q, %v", hint, ok)
-	}
-	if epoch, ok := LeaderEpoch(err); !ok || epoch != 7 {
-		t.Fatalf("leader epoch = %d, %v", epoch, ok)
+	if v := Classify(err); v.Code != http.StatusConflict || v.Leader != "http://gateway-b.test" || v.Granted != 7 {
+		t.Fatalf("409 came back as %+v: %v", v, err)
 	}
 	if rt.calls != 1 || len(rec.delays) != 0 {
 		t.Fatalf("a 409 took %d attempts and %d sleeps; want 1 and 0", rt.calls, len(rec.delays))

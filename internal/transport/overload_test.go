@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -173,8 +172,8 @@ func TestRetryBudgetCapsSpend(t *testing.T) {
 	if !strings.Contains(err.Error(), "retry budget") {
 		t.Fatalf("err = %v, want a retry-budget failure wrapping the last error", err)
 	}
-	if code, ok := StatusCode(err); !ok || code != http.StatusServiceUnavailable {
-		t.Fatalf("budget error should wrap the last 503; StatusCode = (%d, %v)", code, ok)
+	if v := Classify(err); !v.Answered || v.Code != http.StatusServiceUnavailable {
+		t.Fatalf("budget error should wrap the last 503; verdict %+v", v)
 	}
 	if hits, _ := fs.stats(); hits != 3 {
 		t.Fatalf("server saw %d attempts, want 3 (10ms+20ms spent, 40ms over budget)", hits)
@@ -281,30 +280,5 @@ func TestSequencedBatchIdenticalAfterShed(t *testing.T) {
 		if !strings.Contains(bodies[len(bodies)-1], wantSeq) {
 			t.Fatalf("accepted payload missing %s: %s", wantSeq, bodies[0])
 		}
-	}
-}
-
-// TestRetryAfterAccessor covers the exported hint extraction.
-func TestRetryAfterAccessor(t *testing.T) {
-	if _, ok := RetryAfter(errors.New("plain")); ok {
-		t.Fatal("plain error should carry no Retry-After")
-	}
-	se := &statusError{code: 429, status: "429 Too Many Requests", retryAfter: 3 * time.Second, hasRetryAfter: true}
-	if d, ok := RetryAfter(se); !ok || d != 3*time.Second {
-		t.Fatalf("RetryAfter = (%v, %v), want (3s, true)", d, ok)
-	}
-	// Fractional header values parse leniently.
-	srv := &shedServer{sheds: 1, retryAfter: "0.5"}
-	ts := httptest.NewServer(http.HandlerFunc(srv.handler))
-	defer ts.Close()
-	_, err := PostJSON(nil, ts.URL+"/x", []byte(`{}`), RetryPolicy{})
-	if err == nil {
-		t.Fatal("one-shot policy should surface the 429")
-	}
-	if d, ok := RetryAfter(err); !ok || d != 500*time.Millisecond {
-		t.Fatalf("fractional Retry-After = (%v, %v), want (500ms, true)", d, ok)
-	}
-	if code, ok := StatusCode(err); !ok || code != http.StatusTooManyRequests {
-		t.Fatalf("StatusCode = (%d, %v), want 429", code, ok)
 	}
 }

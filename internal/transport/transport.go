@@ -327,31 +327,6 @@ const (
 	HeaderLeaderHint = "X-Leader-Hint"
 )
 
-// statusError is a non-2xx response; its code decides retryability and
-// its body snippet tells the operator why the server refused.
-type statusError struct {
-	code   int
-	status string
-	body   string
-	// retryAfter carries the server's Retry-After hint (429 sheds);
-	// hasRetryAfter distinguishes "no header" from "Retry-After: 0".
-	retryAfter    time.Duration
-	hasRetryAfter bool
-	// leaderHint and leaderEpoch carry a 409 stale-leader rejection's
-	// redirect: the current leaseholder's URL (may be empty) and the
-	// granted epoch that outbid the sender.
-	leaderHint     string
-	leaderEpoch    uint64
-	hasLeaderEpoch bool
-}
-
-func (e *statusError) Error() string {
-	if e.body != "" {
-		return "transport: server returned " + e.status + ": " + e.body
-	}
-	return "transport: server returned " + e.status
-}
-
 // DoJSON performs one JSON exchange under the retry policy and returns
 // the response payload. A nil client gets a 5-second deadline PER
 // ATTEMPT (a per-attempt request context, not http.Client.Timeout —
@@ -411,12 +386,12 @@ func NewTarget(method, rawURL string, hdr http.Header) (Target, error) {
 // or discard it before reusing the buffer; a nil dst gets a fresh buffer
 // sized for the announced length, which the caller owns.
 //
-// A 409 stale-leader rejection is permanent for THIS target but
-// immediately redirectable: like every non-429 4xx it fails on the
-// first answer without sleeping or spending retry budget, and the
-// error carries the shard's leader hint (LeaderHint/LeaderEpoch) so an
-// HTTPUplink can switch to the real leader at once instead of burning
-// backoff against a deposed gateway.
+// A failure is retried when Classify calls it a shed, unreachable or
+// unavailable (an answered 5xx); anything else fails on the first answer
+// without sleeping or spending retry budget — a 409 stale-leader
+// rejection among them, whose leader hint lets an HTTPUplink switch to
+// the real leader at once instead of burning backoff against a deposed
+// gateway.
 func (t Target) Do(client *http.Client, body []byte, policy RetryPolicy, dst *[]byte) ([]byte, error) {
 	var attemptTimeout time.Duration
 	if client == nil {
@@ -435,12 +410,11 @@ func (t Target) Do(client *http.Client, body []byte, policy RetryPolicy, dst *[]
 		if err == nil {
 			return payload, nil
 		}
-		var se *statusError
-		if errors.As(err, &se) && se.code/100 != 5 && se.code != http.StatusTooManyRequests {
-			return nil, err // permanent rejection: do not retry 4xx (429 sheds excepted)
+		v := Classify(err)
+		if v.Class != Shed && v.Class != Unreachable && v.Class != Unavailable {
+			return nil, err
 		}
-		hint, shed := RetryAfter(err)
-		if err = backoff.Wait(err, hint, shed); err != nil {
+		if err = backoff.Wait(err, v); err != nil {
 			return nil, err
 		}
 	}
@@ -459,20 +433,20 @@ type Backoff struct {
 // Start begins an exchange under the policy.
 func (p RetryPolicy) Start() Backoff { return Backoff{policy: p} }
 
-// Wait follows a failed attempt that may be retried. It sleeps the delay
-// before the next attempt — the capped exponential backoff, or, when the
-// server shed the attempt with a retry hint, that hint — and returns nil;
-// or it returns the error the exchange ends with: lastErr once the
-// attempts are spent, lastErr wrapped once the next sleep would pass the
-// budget.
-func (b *Backoff) Wait(lastErr error, hint time.Duration, shed bool) error {
+// Wait follows a failed attempt that may be retried, v its verdict. It
+// sleeps the delay before the next attempt — the capped exponential
+// backoff, or, when the failure carries a retry hint, that hint — and
+// returns nil; or it returns the error the exchange ends with: lastErr
+// once the attempts are spent, lastErr wrapped once the next sleep would
+// pass the budget.
+func (b *Backoff) Wait(lastErr error, v Verdict) error {
 	p := b.policy
 	if b.retries+1 >= p.attempts() {
 		return lastErr
 	}
 	d := p.backoff(b.retries)
-	if shed {
-		d = p.shedDelay(hint)
+	if v.Hinted {
+		d = p.shedDelay(v.After)
 	}
 	b.retries++
 	if p.Budget > 0 && b.spent+d > p.Budget {
@@ -555,79 +529,26 @@ func (t Target) doOnce(client *http.Client, body []byte, timeout time.Duration, 
 		if len(snippet) > 200 {
 			snippet = snippet[:200] + "…"
 		}
-		se := &statusError{code: resp.StatusCode, status: resp.Status, body: snippet}
+		if snippet != "" {
+			snippet = ": " + snippet
+		}
+		e := &Error{Code: resp.StatusCode, Answered: true, Leader: strings.TrimSpace(resp.Header.Get(HeaderLeaderHint)),
+			Err: errors.New("transport: server returned " + resp.Status + snippet)}
 		if ra := strings.TrimSpace(resp.Header.Get("Retry-After")); ra != "" {
 			// Integer seconds per RFC 9110; fractional accepted leniently.
 			if secs, perr := strconv.ParseFloat(ra, 64); perr == nil && secs >= 0 {
-				se.retryAfter = time.Duration(secs * float64(time.Second))
-				se.hasRetryAfter = true
+				e.RetryAfter, e.Hinted = time.Duration(secs*float64(time.Second)), true
 			}
 		}
-		se.leaderHint = strings.TrimSpace(resp.Header.Get(HeaderLeaderHint))
-		if le := strings.TrimSpace(resp.Header.Get(HeaderLeaderEpoch)); le != "" {
-			if epoch, perr := strconv.ParseUint(le, 10, 64); perr == nil {
-				se.leaderEpoch = epoch
-				se.hasLeaderEpoch = true
-			}
+		if e.Code == http.StatusConflict {
+			e.Granted, _ = strconv.ParseUint(strings.TrimSpace(resp.Header.Get(HeaderLeaderEpoch)), 10, 64)
 		}
-		return nil, se
+		return nil, e
 	}
 	if err != nil {
-		return nil, fmt.Errorf("transport: read response: %w", err)
+		return nil, noAnswer{fmt.Errorf("transport: read response: %w", err)}
 	}
 	return payload, nil
-}
-
-// StatusError is the rejection a server answering code would have
-// produced, for a leg that carries its statuses some other way than an
-// HTTP response (the fleet's shard stream): StatusCode and everything
-// that classifies by it read it as they read the real thing.
-func StatusError(code int, reason string) error {
-	return &statusError{code: code, status: strconv.Itoa(code) + " " + http.StatusText(code), body: reason}
-}
-
-// StatusCode extracts the HTTP status of a server rejection from err
-// (an error returned by DoJSON/PostJSON/GetJSON or anything wrapping
-// one). ok is false for connection-level failures, which carry no
-// status. Gateways use it to tell a client's 4xx — not worth retrying
-// or re-reporting as a server fault — from genuine upstream trouble.
-func StatusCode(err error) (int, bool) {
-	var se *statusError
-	if errors.As(err, &se) {
-		return se.code, true
-	}
-	return 0, false
-}
-
-// RetryAfter extracts the server's Retry-After hint from a rejection
-// error (typically a 429 shed). ok is false when the response carried
-// no parseable hint.
-func RetryAfter(err error) (time.Duration, bool) {
-	var se *statusError
-	if errors.As(err, &se) && se.hasRetryAfter {
-		return se.retryAfter, true
-	}
-	return 0, false
-}
-
-// LeaderHint extracts the leaseholder URL from a 409 stale-leader
-// rejection. ok is false when the response named no leader.
-func LeaderHint(err error) (string, bool) {
-	var se *statusError
-	if errors.As(err, &se) && se.leaderHint != "" {
-		return se.leaderHint, true
-	}
-	return "", false
-}
-
-// LeaderEpoch extracts the granted leadership epoch from a 409
-// stale-leader rejection — the epoch a losing claimant must outbid.
-func LeaderEpoch(err error) (uint64, bool) {
-	var se *statusError
-	if errors.As(err, &se) && se.hasLeaderEpoch {
-		return se.leaderEpoch, true
-	}
-	return 0, false
 }
 
 // PostJSON posts body and returns the response payload under the policy.

@@ -226,22 +226,21 @@ func (u *HTTPUplink) deliver(reports []Report, single bool) error {
 }
 
 // next decides what the hop-th failed exchange of a send, with t, means.
-// A 409 naming another leader goes there now — no backoff, no retry
-// budget spent: the hint comes from the shard quorum's own grant record —
-// and the URL is learned. A failure that says something about the target
-// — a connection-level error, a 5xx or 429 left over once Retry is spent,
-// a 409 without a hint, a base URL that does not parse — rotates to the
-// next target when there is one. Anything else (the server refused the
-// upload; there is nowhere else to go) is returned unwrapped, as from a
-// single target. Hops are bounded, so a deposed pair hinting at each other
-// cannot loop.
+// A stale failure naming another leader goes there now — no backoff, no
+// retry budget spent: the hint comes from the shard quorum's own grant
+// record — and the URL is learned. A rejected or too-large upload is
+// returned unwrapped, as from a single target: there is nowhere else to
+// go. Anything else says something about the target — unreachable, a 5xx
+// or 429 left over once Retry is spent, a 409 without a hint, a base URL
+// that does not parse — and rotates to the next target when there is one.
+// Hops are bounded, so a deposed pair hinting at each other cannot loop.
 func (u *HTTPUplink) next(t *uplinkTarget, err error, hop int) (*uplinkTarget, error) {
-	code, answered := StatusCode(err)
-	if answered && code/100 == 4 && code != http.StatusConflict && code != http.StatusTooManyRequests {
+	v := Classify(err)
+	if v.Class == Rejected || v.Class == TooLarge {
 		return nil, err
 	}
-	hint, hinted := LeaderHint(err)
-	redirect := code == http.StatusConflict && hinted && hint != t.base
+	hint := v.Leader
+	redirect := v.Class == Stale && hint != "" && hint != t.base
 	u.mu.Lock()
 	defer u.mu.Unlock()
 	n := len(u.targets)
@@ -384,8 +383,7 @@ func postDiscard(client *http.Client, t Target, body []byte, policy RetryPolicy)
 
 // isUnsupportedMedia reports whether err is a 415 rejection — the
 // negotiation signal that the target does not speak the binary codec.
-// Non-429 4xx are permanent, so it comes back after exactly one attempt.
+// A rejection is not retried, so it comes back after exactly one attempt.
 func isUnsupportedMedia(err error) bool {
-	code, ok := StatusCode(err)
-	return ok && code == http.StatusUnsupportedMediaType
+	return Classify(err).Code == http.StatusUnsupportedMediaType
 }

@@ -452,8 +452,9 @@ func TestDoJSON409FailsImmediately(t *testing.T) {
 
 	rec := &sleepRecorder{}
 	_, err := PostJSON(nil, deposed.ts.URL+"/api/v1/observations", []byte(`{}`), retryPolicy(rec, 5))
-	if code, ok := StatusCode(err); !ok || code != http.StatusConflict {
-		t.Fatalf("status = %v (%v)", code, err)
+	v := Classify(err)
+	if v.Code != http.StatusConflict {
+		t.Fatalf("status = %v (%v)", v.Code, err)
 	}
 	if hits := len(deposed.forms()); hits != 1 {
 		t.Fatalf("server saw %d attempts, want 1 (409 must not burn the retry budget)", hits)
@@ -461,11 +462,8 @@ func TestDoJSON409FailsImmediately(t *testing.T) {
 	if len(rec.delays) != 0 {
 		t.Fatalf("unexpected backoff before 409 failure: %v", rec.delays)
 	}
-	if hint, ok := LeaderHint(err); !ok || hint != "http://example.invalid" {
-		t.Fatalf("leader hint = %q, %v", hint, ok)
-	}
-	if epoch, ok := LeaderEpoch(err); !ok || epoch != 2 {
-		t.Fatalf("leader epoch = %d, %v", epoch, ok)
+	if v.Leader != "http://example.invalid" || v.Granted != 2 {
+		t.Fatalf("leader hint = %q, epoch %d", v.Leader, v.Granted)
 	}
 }
 
@@ -483,7 +481,7 @@ func TestUplinkClientErrorIsNotRotated(t *testing.T) {
 			rec := &sleepRecorder{}
 			u := &HTTPUplink{BaseURL: a.ts.URL, Peers: []string{b.ts.URL}, Retry: retryPolicy(rec, 3), Codec: codec}
 			err := u.SendBatch(wireReports(4))
-			if code, ok := StatusCode(err); !ok || code != status {
+			if v := Classify(err); !v.Answered || v.Code != status {
 				t.Fatalf("%s: a %d came back as %v", codec, status, err)
 			}
 			if strings.Contains(err.Error(), "all gateway targets") {
@@ -547,7 +545,7 @@ func TestUnknownFrameVersionIsNotADowngrade(t *testing.T) {
 	u := &HTTPUplink{BaseURL: ts.URL, Retry: retryPolicy(rec, 3), Codec: CodecBinary}
 	for i := 0; i < 2; i++ {
 		err := u.SendBatch(wireReports(4))
-		if code, ok := StatusCode(err); !ok || code != http.StatusBadRequest || !strings.Contains(err.Error(), "unknown frame version 0x01") {
+		if v := Classify(err); !v.Answered || v.Code != http.StatusBadRequest || !strings.Contains(err.Error(), "unknown frame version 0x01") {
 			t.Fatalf("send %d: %v, want the 400 naming the version", i, err)
 		}
 	}
