@@ -48,9 +48,11 @@ allocs:
 # fleettest shard double — appears in more than one non-test file of the
 # directories that used to assemble fleets each their own way.
 # The device leg is pinned the same way: internal/transport has one
-# device uplink (uplink.go), so in its non-test files the 415 that
-# negotiates the codec down is read at one call site and the ring digest
-# is stamped on an upload at one. And so is the server process: cmd/bmsd
+# device uplink (uplink.go), so in its non-test files the refused upgrade
+# that latches a target to JSON is read at one call site and the ring
+# digest is stamped on an upload's envelope at one; and one stream client
+# (stream.go) for both framed legs, so in the non-test Go of internal/ a
+# request envelope is built at one site. And so is the server process: cmd/bmsd
 # is one pipeline (open shards → pick the face → serve), so it builds a
 # gateway, dials shards, starts an http.Server and takes signals at one
 # site each. So is the load generator: cmd/loadgen is one pipeline
@@ -89,7 +91,8 @@ onepath:
 			fi; \
 		done; \
 	}; \
-	onesite internal/transport 'isUnsupportedMedia(' 'wire\.HeaderRingDigest'; \
+	onesite internal/transport 'refusesStream(' '= v\.digest'; \
+	onesite internal 'wire\.AppendStreamRequest('; \
 	onesite cmd/bmsd 'fleet\.New(' '&http\.Server{' 'signal\.Notify(' 'fleet\.NewHTTPShard('; \
 	onesite cmd/loadgen 'exec\.Command(' 'syscall\.SIGKILL' '\.Verify('; \
 	onesite 'internal cmd' '"POST /api/v1/observations:batch"' '"GET /metrics"'; \

@@ -33,7 +33,7 @@ func main() {
 	seed := flag.Uint64("seed", 1, "random seed")
 	batch := flag.Float64("batch", 10, "coalesce each phone's reports for this many seconds before posting to the batch endpoint (0 posts per report)")
 	epoch := flag.Uint64("epoch", 1, "device epoch stamped on sequenced reports (bump after a counter-losing restart)")
-	wireCodec := flag.String("wire", "json", "batch encoding: json, or binary (wire frames: pre-split per shard where the server publishes a ring with a digest, one plain frame where it does not, JSON for good once it answers 415)")
+	wireCodec := flag.String("wire", "json", "batch encoding: json, or binary (wire frames: pre-split per shard where the server publishes a ring with a digest, one plain frame where it does not, each upload one envelope on an upgraded stream; JSON for good once the server refuses the upgrade)")
 	flag.Parse()
 	codec, err := transport.ParseCodec(*wireCodec)
 	if err != nil {

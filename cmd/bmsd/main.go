@@ -45,6 +45,7 @@
 //
 //	GET  /api/v1/health                                       gateway
 //	POST /api/v1/observations   device ranging reports        gateway
+//	GET  /api/v1/observations:stream  binary uploads, upgraded  gateway
 //	POST /api/v1/fingerprints   labelled collection samples   gateway over in-process shards
 //	POST /api/v1/train          fit the scene-analysis SVM    gateway over in-process shards
 //	GET  /api/v1/occupancy      per-room head counts          gateway
@@ -64,9 +65,10 @@
 // On SIGINT/SIGTERM the server drains: the listener closes first so
 // loadgen runs see connection-refused rather than mid-flight resets,
 // in-flight requests run to completion (bounded by -drain), the upgraded
-// gateway streams — which http.Server.Shutdown does not wait for — are
-// stopped between frames, and only then is the durable state compacted
-// and the process exits.
+// streams — which http.Server.Shutdown does not wait for — are stopped
+// between frames, the devices' upload streams before the gateways' shard
+// streams, and only then is the durable state compacted and the process
+// exits.
 //
 // With -data-dir, every shard opens a write-ahead log under
 // <data-dir>/shard-<i>/ and recovers its full state — observations,
@@ -100,6 +102,7 @@ import (
 	"syscall"
 	"time"
 
+	"occusim/internal/bms"
 	"occusim/internal/building"
 	"occusim/internal/fleet"
 	"occusim/internal/obs"
@@ -263,7 +266,8 @@ func openShards(o *options) ([]fleet.Shard, *fleet.LocalPool, error) {
 }
 
 // face is the second stage: the handler the shards are served through,
-// and a stop for whatever it runs beside them. A lone in-process shard
+// where it tracks the devices' upload streams, and a stop for whatever it
+// runs beside them. A lone in-process shard
 // serves its own API with the admission gate directly on its ingest
 // path. Anything else gets the one gateway, with training iff the shards
 // are in process (shard 0 owns the training store), a leadership lease
@@ -271,7 +275,7 @@ func openShards(o *options) ([]fleet.Shard, *fleet.LocalPool, error) {
 // gateway: the leader that routed the reports owns the sweep, and a
 // freshly promoted standby has no business expiring devices it has not
 // yet seen report.
-func face(o *options, shards []fleet.Shard, pool *fleet.LocalPool) (handler http.Handler, stop func(), err error) {
+func face(o *options, shards []fleet.Shard, pool *fleet.LocalPool) (handler http.Handler, devices *bms.StreamSet, stop func(), err error) {
 	// One process-wide registry feeds GET /metrics and GET
 	// /api/v1/telemetry. Every in-process shard registers into it:
 	// identical series share handles, so the scrape shows pool-wide
@@ -283,7 +287,7 @@ func face(o *options, shards []fleet.Shard, pool *fleet.LocalPool) (handler http
 	}
 	if !o.gateway() {
 		pool.Servers[0].SetAdmission(o.admission)
-		return pool.Servers[0].Handler(), func() {}, nil
+		return pool.Servers[0].Handler(), pool.Servers[0].Streams(), func() {}, nil
 	}
 	// ProbeInterval keeps external health polling from fanning a probe
 	// per shard per request (and from flapping routing).
@@ -299,7 +303,7 @@ func face(o *options, shards []fleet.Shard, pool *fleet.LocalPool) (handler http
 	}
 	gateway, err := fleet.New(shards, cfg)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	gateway.Instrument(met)
 	var opts fleet.HandlerOptions
@@ -318,11 +322,11 @@ func face(o *options, shards []fleet.Shard, pool *fleet.LocalPool) (handler http
 			}
 			log.Printf("bmsd: gateway registry rebuilt: %d device(s)", n)
 		}
-		return fleet.Handler(gateway, opts), func() {}, nil
+		return fleet.Handler(gateway, opts), gateway.Streams(), func() {}, nil
 	}
 	opts.Lease, err = fleet.NewLeaseController(gateway, fleet.LeaseConfig{Self: o.self, Peer: o.peer, TTL: o.leaseTTL})
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	// Active bootstrap: claim leadership before taking traffic. The
 	// shards may still be coming up, so retry briefly; if the claim keeps
@@ -337,27 +341,35 @@ func face(o *options, shards []fleet.Shard, pool *fleet.LocalPool) (handler http
 	log.Printf("bmsd: lease: leading=%t at epoch %d (self=%s peer=%s ttl=%s)", opts.Lease.Active(), opts.Lease.Epoch(), o.self, o.peer, o.leaseTTL)
 	done := make(chan struct{})
 	go opts.Lease.Run(done)
-	return fleet.Handler(gateway, opts), func() { close(done) }, nil
+	return fleet.Handler(gateway, opts), gateway.Streams(), func() { close(done) }, nil
 }
 
 // serve is the last stage: it answers on ln until a signal arrives, then
 // drains in the order the drills read from the log — listener, handlers,
-// streams stopped between frames, final compaction.
-func serve(o *options, ln net.Listener, handler http.Handler, pool *fleet.LocalPool, sig <-chan os.Signal) error {
+// streams stopped between frames (the devices' first), final compaction.
+func serve(o *options, ln net.Listener, handler http.Handler, devices *bms.StreamSet, pool *fleet.LocalPool, sig <-chan os.Signal) error {
+	// The stream sets in drain order: the devices' upload streams, then
+	// every in-process shard's — a lone shard serves both kinds from one.
+	sets := []*bms.StreamSet{devices}
+	for _, srv := range pool.Servers {
+		if srv.Streams() != devices {
+			sets = append(sets, srv.Streams())
+		}
+	}
 	openStreams := func() (n int) {
-		for _, srv := range pool.Servers {
-			n += srv.OpenStreams()
+		for _, set := range sets {
+			n += set.Open()
 		}
 		return n
 	}
 	// inflight counts requests between accept and handler return, so the
 	// drain log shows what Shutdown is actually waiting for. An upgraded
-	// gateway stream is not one of them: its handler returns when the
-	// stream ends, Shutdown does not wait for it, and the drain below
+	// stream of either route is not one of them: its handler returns when
+	// the stream ends, Shutdown does not wait for it, and the drain below
 	// stops it by name.
 	var inflight atomic.Int64
 	httpServer := &http.Server{Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != wire.StreamPath {
+		if r.URL.Path != wire.StreamPath && r.URL.Path != wire.UplinkPath {
 			inflight.Add(1)
 			defer inflight.Add(-1)
 		}
@@ -389,11 +401,13 @@ func serve(o *options, ln net.Listener, handler http.Handler, pool *fleet.LocalP
 		log.Print("bmsd: drained cleanly")
 	}
 
-	// The streams next: each finishes the frame it is in, acknowledges it
-	// and hangs up, so nothing is acknowledged once the state below is
-	// cut. The loadgen drills read this line.
-	for _, srv := range pool.Servers {
-		srv.StopStreams()
+	// The streams next, the devices' before the shards' — a device frame
+	// in flight may still be on its way into a shard stream: each finishes
+	// the frame it is in, acknowledges it and hangs up, so nothing is
+	// acknowledged once the state below is cut. The loadgen drills read
+	// this line.
+	for _, set := range sets {
+		set.Stop()
 	}
 	log.Printf("bmsd: streams stopped between frames: %d open stream(s)", openStreams())
 
@@ -419,7 +433,7 @@ func run(o *options, sig <-chan os.Signal) error {
 	if err != nil {
 		return err
 	}
-	handler, stop, err := face(o, shards, pool)
+	handler, devices, stop, err := face(o, shards, pool)
 	if err != nil {
 		return err
 	}
@@ -429,7 +443,7 @@ func run(o *options, sig <-chan os.Signal) error {
 		return err
 	}
 	log.Printf("bmsd: serving %d shard(s) on %s (gateway: %t)", len(shards), ln.Addr(), o.gateway())
-	return serve(o, ln, handler, pool, sig)
+	return serve(o, ln, handler, devices, pool, sig)
 }
 
 // realMain returns the exit status: 2 for a command line bmsd refuses,

@@ -1,8 +1,10 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"log"
 	"net"
@@ -12,11 +14,15 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"occusim/internal/building"
+	"occusim/internal/experiments"
 	"occusim/internal/fleet"
 	"occusim/internal/geom"
+	"occusim/internal/scenario"
 	"occusim/internal/transport"
 	"occusim/internal/wire"
 )
@@ -61,6 +67,12 @@ type assembly struct {
 
 func boot(t *testing.T, args ...string) *assembly {
 	t.Helper()
+	return bootWrapped(t, nil, args...)
+}
+
+// bootWrapped is boot with the face's handler wrapped, when wrap is set.
+func bootWrapped(t *testing.T, wrap func(http.Handler) http.Handler, args ...string) *assembly {
+	t.Helper()
 	o, err := parseFlags(args, io.Discard)
 	if err != nil {
 		t.Fatalf("bmsd %v refused: %v", args, err)
@@ -69,16 +81,22 @@ func boot(t *testing.T, args ...string) *assembly {
 	if err != nil {
 		t.Fatal(err)
 	}
-	handler, stop, err := face(o, shards, pool)
+	handler, devices, stop, err := face(o, shards, pool)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if wrap != nil {
+		handler = wrap(handler)
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := &assembly{url: "http://" + ln.Addr().String(), pool: pool, sig: make(chan os.Signal, 1), done: make(chan error, 1), stop: stop}
-	go func() { a.done <- serve(o, ln, handler, pool, a.sig) }()
+	// serve gets the channel itself: term clears a.sig, maybe before this
+	// goroutine first runs.
+	sig := make(chan os.Signal, 1)
+	a := &assembly{url: "http://" + ln.Addr().String(), pool: pool, sig: sig, done: make(chan error, 1), stop: stop}
+	go func() { a.done <- serve(o, ln, handler, devices, pool, sig) }()
 	t.Cleanup(func() { a.term(t) })
 	return a
 }
@@ -275,7 +293,7 @@ func TestEveryAssemblyServes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		handler, _, err := face(o, shards, pool)
+		handler, _, _, err := face(o, shards, pool)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -380,4 +398,133 @@ func TestFlagsAreToldNotIgnored(t *testing.T) {
 			t.Errorf("bmsd %s refused: %v", args, err)
 		}
 	}
+}
+
+// TestDrainStopsDeviceStreams: a gateway over in-process durable shards
+// drains while a device uploads on its upload stream, which
+// http.Server.Shutdown does not wait for. The drain stops the stream
+// between frames before the shards' final compaction: no reply leaves
+// the gateway once it logged the streams stopped, and every report a
+// reply acknowledged — and nothing else — is in the state the shards
+// recover at the next boot.
+func TestDrainStopsDeviceStreams(t *testing.T) {
+	out := captureLog(t)
+	b := building.PaperHouse()
+	const seed = 7
+	args := []string{"-shards", "2", "-data-dir", t.TempDir(), "-fsync", "batch"}
+
+	// Every write on a hijacked connection — the upgrade's 101, then one
+	// reply per frame — is checked against the log as it happens.
+	var replies, late atomic.Int64
+	spy := func(next http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			next.ServeHTTP(&hijackSpy{ResponseWriter: w, write: func() {
+				replies.Add(1)
+				if strings.Contains(out.String(), "streams stopped between frames") {
+					late.Add(1)
+				}
+			}}, r)
+		})
+	}
+	a := bootWrapped(t, spy, args...)
+	for _, srv := range a.pool.Servers {
+		if err := experiments.TrainCrowdModel(srv, b, seed); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// Four-report uploads, one device after another, each acknowledged
+	// before the next is sent; the first that fails ends the device's run.
+	const reports = 4000 // per device: far more than the drain leaves time for
+	streams, _, _ := experiments.SynthCrowdStreams(b, 6, reports, seed)
+	seq := transport.NewSequencer(1)
+	var uploads [][]transport.Report
+	for from := 0; from < reports; from += 4 {
+		for d := range streams {
+			for i := from; i < from+4; i++ {
+				seq.Stamp(&streams[d][i])
+			}
+			uploads = append(uploads, streams[d][from:from+4])
+		}
+	}
+	up := &transport.HTTPUplink{BaseURL: a.url, Codec: transport.CodecBinary}
+	acked := make(chan int, 1)
+	var sent atomic.Int64
+	var last error
+	go func() {
+		n := 0
+		for ; n < len(uploads); n++ {
+			if last = up.SendBatch(uploads[n]); last != nil {
+				break
+			}
+			sent.Add(1)
+		}
+		acked <- n
+	}()
+	for sent.Load() < 40 {
+		select {
+		case n := <-acked:
+			t.Fatalf("the device stopped after %d uploads, before the drain: %v", n, last)
+		case <-time.After(time.Millisecond):
+		}
+	}
+	a.term(t)
+	n := <-acked
+	if n == len(uploads) {
+		t.Fatal("vacuous: every upload was acknowledged before the drain")
+	}
+	if late.Load() != 0 || replies.Load() < 40 {
+		t.Fatalf("%d of %d writes on the upload stream came after the streams were logged stopped", late.Load(), replies.Load())
+	}
+	logged := out.String()
+	var inflight, open int
+	if i := strings.Index(logged, "draining "); i < 0 {
+		t.Fatalf("no drain logged:\n%s", logged)
+	} else if _, err := fmt.Sscanf(logged[i:], "draining %d in-flight request(s) and %d open stream(s)", &inflight, &open); err != nil || open < 1 {
+		t.Fatalf("the drain began with %d open stream(s) (%v): vacuous\n%s", open, err, logged)
+	}
+	stopped, compacted := strings.Index(logged, "streams stopped between frames: 0 open stream(s)"), strings.Index(logged, "durable state compacted")
+	if stopped < 0 || compacted < stopped {
+		t.Fatalf("the drain did not stop the streams before it compacted:\n%s", logged)
+	}
+
+	// What the shards recover is exactly what was acknowledged.
+	a = boot(t, args...)
+	gw, err := fleet.New(a.pool.Shards, fleet.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	honest := make([][]transport.Report, len(streams))
+	for k, u := range uploads[:n] {
+		honest[k%len(streams)] = append(honest[k%len(streams)], u...)
+	}
+	ref, err := scenario.Reference(b, honest, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := scenario.VerifyExact(gw, ref); err != nil {
+		t.Fatalf("after %d acknowledged uploads: %v", n, err)
+	}
+}
+
+// hijackSpy calls write before every write on the connection a handler
+// hijacks through it.
+type hijackSpy struct {
+	http.ResponseWriter
+	write func()
+}
+
+func (h *hijackSpy) Hijack() (net.Conn, *bufio.ReadWriter, error) {
+	conn, brw, err := http.NewResponseController(h.ResponseWriter).Hijack()
+	return &spiedConn{Conn: conn, write: h.write}, brw, err
+}
+
+type spiedConn struct {
+	net.Conn
+	write func()
+}
+
+func (c *spiedConn) Write(p []byte) (int, error) {
+	c.write()
+	return c.Conn.Write(p)
 }

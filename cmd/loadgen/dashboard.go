@@ -287,7 +287,7 @@ func (d *dashboard) print(w io.Writer) {
 			{`transport_wire_batches_total{codec="json"}`, "json batches"},
 			{`transport_wire_batches_total{codec="binary"}`, "binary batches"},
 			{presplitBatches, "presplit batches"},
-			{"transport_wire_downgrades_total", "415 downgrades"},
+			{"transport_wire_downgrades_total", "JSON downgrades"},
 			{"fleet_presplit_forwarded_total", "presplit forwards"},
 			{"fleet_presplit_digest_miss_total", "presplit re-splits"},
 		} {

@@ -119,7 +119,7 @@ func parseFlags(args []string, stderr io.Writer) (*options, error) {
 	fs.BoolVar(&o.restartGateway, "restart-gateway", false, "with -kill: also discard and rebuild loadgen's gateway at each kill")
 	fs.StringVar(&o.scenario, "scenario", "", "run a named adversarial scenario from internal/scenario against its oracle (list: the library)")
 	fs.IntVar(&o.storm, "storm", 0, "shorthand for -scenario storm with each batch sent k times")
-	fs.StringVar(&wire, "wire", "json", "the devices' HTTP uplink codec (-target, -kill-gateway): json, or binary (pre-split per shard where the target publishes a ring, one plain frame where it does not, JSON for good after a 415)")
+	fs.StringVar(&wire, "wire", "json", "the devices' HTTP uplink codec (-target, -kill-gateway): json, or binary (pre-split per shard where the target publishes a ring, one plain frame where it does not, each upload one envelope on an upgraded stream; JSON for good where the upgrade is refused)")
 	if err := fs.Parse(args); err != nil {
 		return nil, err // the flag set has already reported it
 	}

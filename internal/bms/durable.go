@@ -138,14 +138,14 @@ func (s *Server) WALSize() int64 {
 	return s.dur.wal.Size()
 }
 
-// Close drains the server: it stops the gateway streams between frames
+// Close drains the server: it stops its streams between frames
 // and then, on a durable server, compacts the WAL (one final snapshot
 // beside an empty log) and closes it — in that order, so no stream
 // acknowledges a frame the closed log cannot hold. Close is the graceful
 // path; a killed process simply recovers from snapshot + log at the next
 // OpenDurableServer.
 func (s *Server) Close() error {
-	s.StopStreams()
+	s.streams.Stop()
 	if s.dur == nil {
 		return nil
 	}

@@ -1,15 +1,17 @@
 // The device-facing HTTP face, once for a box and a fleet gateway: one
 // route table (Routes) over a small verb interface (Face), one status map
-// (transport.Classify) rendered over HTTP (WriteFailure) and on the shard
-// stream (appendStreamReply), one JSON writer (WriteJSON) and one bounded body
+// (transport.Classify) rendered over HTTP (WriteFailure) and on both streams
+// (appendStreamReply), one JSON writer (WriteJSON) and one bounded body
 // reader (readBody). A client cannot tell a fleet from a box because there
 // is nothing else for the two to answer through.
 package bms
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -31,10 +33,10 @@ type Face interface {
 	// take traffic (false answers 503).
 	Health() (body any, up bool)
 	// UploadJSON takes a decoded JSON upload and UploadFrame a wire
-	// upload's body; each appends the predicted room per report, in upload
-	// order, to rooms.
-	UploadJSON(r *http.Request, u *transport.JSONUpload, rooms []string) ([]string, error)
-	UploadFrame(r *http.Request, body []byte, rooms []string) ([]string, error)
+	// upload's body, each under the stamp its door read; each appends the
+	// predicted room per report, in upload order, to rooms.
+	UploadJSON(st Stamp, u *transport.JSONUpload, rooms []string) ([]string, error)
+	UploadFrame(st Stamp, body []byte, rooms []string) ([]string, error)
 	// The reads: three renderings of one summary, and the event history.
 	Occupancy() (OccupancySnapshot, error)
 	DwellTotals() (map[string]time.Duration, error)
@@ -48,13 +50,31 @@ type Face interface {
 	// Metrics feeds GET /metrics and GET /api/v1/telemetry; nil serves an
 	// empty exposition and snapshot rather than a 404.
 	Metrics() *obs.Metrics
+	// Streams is where the devices' upgraded upload streams are tracked,
+	// for a drain to stop them.
+	Streams() *StreamSet
 }
 
-// Routes is the one device-facing route table: health, both upload routes,
-// occupancy, events, dwell, rollup, PUT model, /metrics and telemetry, and
-// — given the trainer, the server whose store collects fingerprints and
-// fits the model — fingerprints and train. The caller adds the routes only
-// its face has.
+// Stamp is what an upload is taken under besides its bytes: the sending
+// gateway's leadership epoch (0: unfenced, and always 0 from a device) and
+// the ring digest a pre-split upload's sections were cut under ("": a plain
+// frame, or JSON). The POST door reads it from the request's headers, the
+// upload stream from each envelope.
+type Stamp struct {
+	Epoch  uint64
+	Digest string
+}
+
+// stampOf is the POST door's stamp.
+func stampOf(r *http.Request) Stamp {
+	return Stamp{Epoch: gatewayEpochFrom(r), Digest: r.Header.Get(wire.HeaderRingDigest)}
+}
+
+// Routes is the one device-facing route table: health, both upload routes
+// and the upload stream, occupancy, events, dwell, rollup, PUT model,
+// /metrics and telemetry, and — given the trainer, the server whose store
+// collects fingerprints and fits the model — fingerprints and train. The
+// caller adds the routes only its face has.
 func Routes(f Face, trainer *Server) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /api/v1/health", func(w http.ResponseWriter, r *http.Request) {
@@ -74,6 +94,11 @@ func Routes(f Face, trainer *Server) *http.ServeMux {
 		} else {
 			uploadJSON(f, w, r, true)
 		}
+	})
+	mux.HandleFunc("GET "+wire.UplinkPath, func(w http.ResponseWriter, r *http.Request) {
+		serveUpgrade(w, r, wire.UplinkProtocol, f.Streams(), func(conn io.Writer, br *bufio.Reader) {
+			serveUplinkStream(f, conn, br)
+		})
 	})
 	read(mux, "/api/v1/occupancy", f.Occupancy)
 	read(mux, "/api/v1/rollup", f.Rollup)
@@ -180,7 +205,7 @@ func uploadJSON(f Face, w http.ResponseWriter, r *http.Request, batch bool) {
 	rooms := getRooms()
 	defer putRooms(rooms)
 	var err error
-	if *rooms, err = f.UploadJSON(r, u, *rooms); err != nil {
+	if *rooms, err = f.UploadJSON(stampOf(r), u, *rooms); err != nil {
 		WriteFailure(w, err)
 		return
 	}
@@ -201,7 +226,7 @@ func uploadFrame(f Face, w http.ResponseWriter, r *http.Request) {
 	}
 	rooms := getRooms()
 	defer putRooms(rooms)
-	if *rooms, err = f.UploadFrame(r, body, *rooms); err != nil {
+	if *rooms, err = f.UploadFrame(stampOf(r), body, *rooms); err != nil {
 		WriteFailure(w, err)
 		return
 	}
@@ -277,8 +302,8 @@ func conflict(err error) error { return &transport.Error{Code: http.StatusConfli
 func WriteFailure(w http.ResponseWriter, err error) {
 	v := transport.Classify(err)
 	h := w.Header()
-	if v.Class == transport.Shed || v.After > 0 && !v.Answered {
-		h.Set("Retry-After", strconv.FormatInt(max(1, int64((v.After+time.Second-1)/time.Second)), 10))
+	if after := transport.RetryAfter(v); after > 0 {
+		h.Set("Retry-After", strconv.FormatInt(int64(after/time.Second), 10))
 	}
 	if v.Granted > 0 {
 		h.Set(transport.HeaderLeaderEpoch, strconv.FormatUint(v.Granted, 10))

@@ -40,7 +40,7 @@ func TestLogFailureIsNotTheClientsFault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.StopStreams()
+	defer srv.Streams().Stop()
 	// What the cold writes would move: a resident device to evict and
 	// sweep, and fingerprints to train on — the ones a volatile twin fits
 	// the model the PUT distributes on.

@@ -80,9 +80,9 @@ type Server struct {
 	// lease.go.
 	lease leaseState
 
-	// streams are the upgraded gateway connections being served; see
-	// stream.go.
-	streams streamSet
+	// streams are the upgraded connections being served — gateways on
+	// the shard route, devices on the upload route; see stream.go.
+	streams StreamSet
 }
 
 // NewServer builds a BMS for the given building. Until a model is
@@ -607,7 +607,9 @@ func (s *Server) Events() []occupancy.Event {
 // energy, the model and a device's latest report.
 func (s *Server) Handler() http.Handler {
 	mux := Routes(box{s}, s)
-	mux.HandleFunc("GET "+wire.StreamPath, s.handleStream)
+	mux.HandleFunc("GET "+wire.StreamPath, func(w http.ResponseWriter, r *http.Request) {
+		serveUpgrade(w, r, wire.StreamProtocol, &s.streams, s.serveShardStream)
+	})
 	read(mux, ShardRollupPath, func() (ShardRollup, error) { return NewShardRollup(s.Summary()), nil })
 	read(mux, "/api/v1/devices", func() (DevicesReply, error) {
 		return DevicesReply{Devices: orEmpty(s.KnownDevices())}, nil
@@ -707,7 +709,7 @@ func (b box) Health() (any, bool) {
 // UploadJSON renders the upload into a pooled batch — where a beacon
 // identity that did not parse refuses it whole — and takes the core on a
 // pooled scratch.
-func (b box) UploadJSON(r *http.Request, u *transport.JSONUpload, rooms []string) ([]string, error) {
+func (b box) UploadJSON(st Stamp, u *transport.JSONUpload, rooms []string) ([]string, error) {
 	wb := wire.GetBatch()
 	defer wire.PutBatch(wb)
 	if err := u.AppendTo(wb); err != nil {
@@ -715,16 +717,16 @@ func (b box) UploadJSON(r *http.Request, u *transport.JSONUpload, rooms []string
 	}
 	sc := getScratch()
 	defer sc.release()
-	got, err := b.ingest(gatewayEpochFrom(r), wb, nil, sc)
+	got, err := b.ingest(st.Epoch, wb, nil, sc)
 	return append(rooms, got...), err
 }
 
 // UploadFrame decodes the frame and takes the core with no intermediate
 // report slice; a durable server logs the frame's payload as received.
-func (b box) UploadFrame(r *http.Request, body []byte, rooms []string) ([]string, error) {
+func (b box) UploadFrame(st Stamp, body []byte, rooms []string) ([]string, error) {
 	sc := getScratch()
 	defer sc.release()
-	got, err := b.ingestWireFrame(gatewayEpochFrom(r), body, sc)
+	got, err := b.ingestWireFrame(st.Epoch, body, sc)
 	return append(rooms, got...), err
 }
 
@@ -733,6 +735,7 @@ func (b box) DwellTotals() (map[string]time.Duration, error) { return b.Server.D
 func (b box) Rollup() (Rollup, error)                        { return RenderRollup(b.Summary()), nil }
 func (b box) Events() ([]occupancy.Event, error)             { return b.Server.Events(), nil }
 func (b box) Trained(res TrainResult) (any, error)           { return res, nil }
+func (b box) Streams() *StreamSet                            { return &b.streams }
 
 func (b box) PutModel(snap ModelSnapshot) (any, error) {
 	version, err := b.InstallModel(snap)

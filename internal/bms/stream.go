@@ -1,9 +1,14 @@
-// The shard end of the gateway → shard stream: GET /api/v1/shard:stream
-// upgrades the connection (wire.StreamProtocol), and from then on it
-// carries request envelopes in and reply envelopes out, one exchange at a
-// time, each frame through the same ingestWireFrame the POST door calls.
-// The server tracks its open streams so a drain can stop them between
-// frames before the log closes under them.
+// The server end of both upgraded streams (wire/stream.go has the
+// envelope, transport/stream.go the client end): GET
+// /api/v1/shard:stream upgrades a gateway onto a shard (wire.StreamProtocol),
+// and GET /api/v1/observations:stream upgrades a device onto a box or a
+// gateway (wire.UplinkProtocol). From then on a connection carries request
+// envelopes in and reply envelopes out, one exchange at a time, through
+// one loop (serveStream): a shard's frames through the same
+// ingestWireFrame the POST door calls, a device's through the face's
+// UploadFrame. Each face tracks its open streams in a StreamSet, so a
+// drain can stop them between frames before what an acknowledgement
+// promises is closed under them.
 package bms
 
 import (
@@ -14,6 +19,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -22,17 +28,16 @@ import (
 	"occusim/internal/wire"
 )
 
-// streamSet is the server's open streams.
-type streamSet struct {
+// StreamSet is a face's open streams. The zero value is ready.
+type StreamSet struct {
 	mu      sync.Mutex
 	open    map[net.Conn]struct{}
 	stopped bool
 	wg      sync.WaitGroup
 }
 
-// add registers a stream about to be served; false once the server is
-// draining.
-func (ss *streamSet) add(c net.Conn) bool {
+// add registers a stream about to be served; false once the set stopped.
+func (ss *StreamSet) add(c net.Conn) bool {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
 	if ss.stopped {
@@ -46,27 +51,27 @@ func (ss *streamSet) add(c net.Conn) bool {
 	return true
 }
 
-func (ss *streamSet) remove(c net.Conn) {
+func (ss *StreamSet) remove(c net.Conn) {
 	ss.mu.Lock()
 	delete(ss.open, c)
 	ss.mu.Unlock()
 	ss.wg.Done()
 }
 
-// OpenStreams is the number of gateway streams the server is serving.
-func (s *Server) OpenStreams() int {
-	s.streams.mu.Lock()
-	defer s.streams.mu.Unlock()
-	return len(s.streams.open)
+// Open is the number of streams being served.
+func (ss *StreamSet) Open() int {
+	ss.mu.Lock()
+	defer ss.mu.Unlock()
+	return len(ss.open)
 }
 
-// StopStreams ends every open stream between frames and refuses new ones:
-// an idle stream's read is woken, one mid-frame applies and acknowledges
-// that frame first. It returns once every stream loop has exited, so
-// nothing is acknowledged after it — call it before closing what an
-// acknowledgement promises (Close does).
-func (s *Server) StopStreams() {
-	ss := &s.streams
+// Stop ends every open stream between frames and refuses new ones: an
+// idle stream's read is woken, one mid-frame takes and acknowledges that
+// frame first. It returns once every stream loop has exited, so nothing
+// is acknowledged after it — call it before closing what an
+// acknowledgement promises. http.Server.Shutdown does not wait for a
+// stream: its connection was hijacked.
+func (ss *StreamSet) Stop() {
 	ss.mu.Lock()
 	ss.stopped = true
 	for c := range ss.open {
@@ -76,13 +81,19 @@ func (s *Server) StopStreams() {
 	ss.wg.Wait()
 }
 
-// handleStream upgrades the connection and serves the stream on it until
-// the gateway hangs up or the server drains. A request that does not ask
-// for exactly this protocol is refused as plain HTTP.
-func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
-	if !strings.EqualFold(r.Header.Get("Connection"), "upgrade") || r.Header.Get("Upgrade") != wire.StreamProtocol {
-		w.Header().Set("Upgrade", wire.StreamProtocol)
-		writeError(w, http.StatusUpgradeRequired, fmt.Errorf("this route speaks only %s", wire.StreamProtocol))
+// Streams is the server's open streams: the gateways' on the shard route,
+// and the devices' on the upload route when the server is a box. Close
+// stops them before the log closes.
+func (s *Server) Streams() *StreamSet { return &s.streams }
+
+// serveUpgrade upgrades the connection to protocol, registers it in set
+// and serves it until the peer hangs up or the set stops. A request that
+// does not ask for exactly this protocol is refused as plain HTTP, and a
+// stopped set answers 503.
+func serveUpgrade(w http.ResponseWriter, r *http.Request, protocol string, set *StreamSet, serve func(io.Writer, *bufio.Reader)) {
+	if !strings.EqualFold(r.Header.Get("Connection"), "upgrade") || r.Header.Get("Upgrade") != protocol {
+		w.Header().Set("Upgrade", protocol)
+		writeError(w, http.StatusUpgradeRequired, fmt.Errorf("this route speaks only %s", protocol))
 		return
 	}
 	conn, brw, err := http.NewResponseController(w).Hijack()
@@ -95,41 +106,40 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	// read or write timeout the http.Server armed for the request ends
 	// here, before the drain's wake-up deadline could be set.
 	_ = conn.SetDeadline(time.Time{})
-	if !s.streams.add(conn) {
+	if !set.add(conn) {
 		_, _ = conn.Write([]byte("HTTP/1.1 503 Service Unavailable\r\nConnection: close\r\nContent-Length: 0\r\n\r\n"))
 		return
 	}
-	defer s.streams.remove(conn)
-	if _, err := conn.Write([]byte("HTTP/1.1 101 Switching Protocols\r\nConnection: Upgrade\r\nUpgrade: " + wire.StreamProtocol + "\r\n\r\n")); err != nil {
+	defer set.remove(conn)
+	if _, err := conn.Write([]byte("HTTP/1.1 101 Switching Protocols\r\nConnection: Upgrade\r\nUpgrade: " + protocol + "\r\n\r\n")); err != nil {
 		return
 	}
-	s.serveStream(conn, brw.Reader)
+	serve(conn, brw.Reader)
 }
 
-// serveStream is the stream loop: read an envelope off br, ingest its
-// frame, write the reply to conn in one Write. Per frame it allocates
-// nothing of its own — the buffers live as long as the connection. It
-// returns on the first envelope it cannot read: the peer hung up, the
-// drain woke the read, or the bytes are not an envelope (there is no
-// resynchronising); and it hangs up on a frame the server could not take
-// through no fault of the frame (see appendStreamReply).
-func (s *Server) serveStream(conn io.Writer, br *bufio.Reader) {
+// serveStream is the stream loop of both routes: read an envelope off br,
+// hand its frame and stamp to take — which appends the rooms it predicts,
+// in report order — and write the reply to conn in one Write. Per frame
+// it allocates nothing of its own — the buffers live as long as the
+// connection. It returns on the first envelope it cannot read: the peer
+// hung up, the drain woke the read, or the bytes are not an envelope
+// (there is no resynchronising); and on the shard route (exact) it hangs
+// up on a frame the server could not take through no fault of the frame
+// (see appendStreamReply).
+func serveStream(conn io.Writer, br *bufio.Reader, exact bool, take func(stamp uint64, frame []byte, rooms []string) ([]string, error)) {
 	var in, out []byte
+	var rooms []string
 	for {
-		epoch, frame, err := wire.ReadStreamRequest(br, &in)
+		stamp, frame, err := wire.ReadStreamRequest(br, &in)
 		if err != nil {
 			if errors.Is(err, wire.ErrBodyTooLarge) {
-				_, _ = conn.Write(appendStreamReply(out[:0], nil, err))
+				_, _ = conn.Write(appendStreamReply(out[:0], nil, err, exact))
 			}
 			return
 		}
-		sc := getScratch()
-		rooms, err := s.ingestWireFrame(epoch, frame, sc)
-		out = appendStreamReply(out[:0], rooms, err)
-		sc.release()
-		if sm := s.met; sm != nil {
-			sm.streamFrames.Inc()
-		}
+		rooms, err = take(stamp, frame, rooms[:0])
+		out = appendStreamReply(out[:0], rooms, err, exact)
+		clear(rooms)
 		if out == nil {
 			return
 		}
@@ -139,18 +149,60 @@ func (s *Server) serveStream(conn io.Writer, br *bufio.Reader) {
 	}
 }
 
+// serveShardStream serves a gateway: each frame through ingestWireFrame
+// under the gateway's leadership epoch.
+func (s *Server) serveShardStream(conn io.Writer, br *bufio.Reader) {
+	serveStream(conn, br, true, func(epoch uint64, frame []byte, rooms []string) ([]string, error) {
+		sc := getScratch()
+		defer sc.release()
+		got, err := s.ingestWireFrame(epoch, frame, sc)
+		if sm := s.met; sm != nil {
+			sm.streamFrames.Inc()
+		}
+		return append(rooms, got...), err
+	})
+}
+
+// serveUplinkStream serves a device: each frame through the face's
+// UploadFrame, stamped with the digest its sections were cut under, in
+// the hex the ring publishes it in — formatted once per digest the device
+// splits by, not once per upload.
+func serveUplinkStream(f Face, conn io.Writer, br *bufio.Reader) {
+	var digest uint64
+	var st Stamp
+	serveStream(conn, br, false, func(stamp uint64, frame []byte, rooms []string) ([]string, error) {
+		if stamp != digest {
+			digest, st.Digest = stamp, ""
+			if stamp != 0 {
+				st.Digest = strconv.FormatUint(stamp, 16)
+			}
+		}
+		return f.UploadFrame(st, frame, rooms)
+	})
+}
+
 // appendStreamReply renders a frame's outcome as its reply envelope, in
 // the stream's statuses for the status map's classes: the rooms, a shed
-// with its hint, a stale write with the grant it lost to, a frame too
-// large or rejected with the reason. An unavailable server — a log that
-// refused the append — renders nothing (nil): it hangs up as a dead one
-// would, so the gateway's retry policy and its 502 apply.
-func appendStreamReply(dst []byte, rooms []string, err error) []byte {
-	switch v := transport.Classify(err); v.Class {
+// with its hint, a stale write with the grant it lost to and the leader,
+// a frame too large or rejected with the reason, and on the device route
+// the serving side's own failure with the status and hint the POST door
+// answers. On the device route (!exact) every hint is the Retry-After the
+// door answers (transport.RetryAfter), so the uplink reads the stream's
+// reply as it read the door's answer. On the shard route a shed carries
+// the shard's exact hint, and an unavailable shard — a log that refused
+// the append — renders nothing (nil): it hangs up as a dead one would,
+// so the gateway's retry policy and its 502 apply.
+func appendStreamReply(dst []byte, rooms []string, err error, exact bool) []byte {
+	v := transport.Classify(err)
+	after := v.After
+	if !exact {
+		after = transport.RetryAfter(v)
+	}
+	switch v.Class {
 	case transport.OK:
 		dst = wire.AppendRooms(wire.BeginStreamReply(dst, wire.StreamOK), rooms)
 	case transport.Shed:
-		dst = binary.LittleEndian.AppendUint64(wire.BeginStreamReply(dst, wire.StreamOverload), uint64(v.After))
+		dst = binary.LittleEndian.AppendUint64(wire.BeginStreamReply(dst, wire.StreamOverload), uint64(after))
 	case transport.Stale:
 		dst = binary.LittleEndian.AppendUint64(wire.BeginStreamReply(dst, wire.StreamStale), v.Granted)
 		dst = append(dst, v.Leader...)
@@ -159,7 +211,11 @@ func appendStreamReply(dst []byte, rooms []string, err error) []byte {
 	case transport.Rejected:
 		dst = append(wire.BeginStreamReply(dst, wire.StreamRejected), err.Error()...)
 	default:
-		return nil
+		if exact {
+			return nil
+		}
+		dst = binary.LittleEndian.AppendUint32(wire.BeginStreamReply(dst, wire.StreamUnavailable), uint32(v.Status))
+		dst = append(binary.LittleEndian.AppendUint64(dst, uint64(after)), err.Error()...)
 	}
 	wire.EndStreamReply(dst)
 	return dst

@@ -67,7 +67,7 @@ func FuzzShardStream(f *testing.F) {
 		var out bytes.Buffer
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		s.serveStream(&out, bufio.NewReader(bytes.NewReader(data)))
+		s.serveShardStream(&out, bufio.NewReader(bytes.NewReader(data)))
 		runtime.ReadMemStats(&after)
 		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20+64*uint64(len(data)) {
 			t.Fatalf("%d input bytes made the stream loop allocate %d", len(data), grew)
@@ -234,8 +234,8 @@ func TestStreamRouteRefusesPlainHTTP(t *testing.T) {
 			t.Errorf("%s: answered %d (Upgrade: %q) %s", name, rec.Code, rec.Header().Get("Upgrade"), rec.Body)
 		}
 	}
-	if s.OpenStreams() != 0 {
-		t.Fatalf("%d streams open after refusals", s.OpenStreams())
+	if s.Streams().Open() != 0 {
+		t.Fatalf("%d streams open after refusals", s.Streams().Open())
 	}
 }
 
@@ -264,18 +264,18 @@ func TestStopStreamsBetweenFrames(t *testing.T) {
 	if status, _, err := wire.ReadStreamReply(readers[0], wire.MaxBodyBytes, &buf); err != nil || status != wire.StreamOK {
 		t.Fatalf("status %d, %v", status, err)
 	}
-	if s.OpenStreams() != 3 {
-		t.Fatalf("%d streams open, want 3", s.OpenStreams())
+	if s.Streams().Open() != 3 {
+		t.Fatalf("%d streams open, want 3", s.Streams().Open())
 	}
 	stopped := make(chan struct{})
-	go func() { defer close(stopped); s.StopStreams() }()
+	go func() { defer close(stopped); s.Streams().Stop() }()
 	select {
 	case <-stopped:
 	case <-time.After(5 * time.Second):
-		t.Fatal("StopStreams did not return with every stream idle")
+		t.Fatal("Stop did not return with every stream idle")
 	}
-	if s.OpenStreams() != 0 {
-		t.Fatalf("%d streams open after the drain", s.OpenStreams())
+	if s.Streams().Open() != 0 {
+		t.Fatalf("%d streams open after the drain", s.Streams().Open())
 	}
 	for i, br := range readers {
 		if _, err := br.ReadByte(); err != io.EOF {
@@ -316,7 +316,7 @@ func TestAllocBudgetStreamLoop(t *testing.T) {
 	defer gw.Close()
 	go func() {
 		defer shard.Close()
-		s.serveStream(shard, bufio.NewReaderSize(shard, 4096))
+		s.serveShardStream(shard, bufio.NewReaderSize(shard, 4096))
 	}()
 	br := bufio.NewReaderSize(gw, 4096)
 	var reply []byte

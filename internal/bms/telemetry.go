@@ -54,8 +54,8 @@ func (s *Server) Instrument(m *obs.Metrics) {
 		epoch, _ := s.GrantedLease()
 		return float64(epoch)
 	})
-	m.GaugeFunc("bms_stream_open", "upgraded gateway streams being served", func() float64 {
-		return float64(s.OpenStreams())
+	m.GaugeFunc("bms_stream_open", "upgraded streams being served: gateways, and devices at a box", func() float64 {
+		return float64(s.streams.Open())
 	})
 	s.gate.Instrument(m, "bms_gate")
 	if s.dur != nil {

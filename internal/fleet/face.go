@@ -51,8 +51,9 @@ func Handler(g *Gateway, opts HandlerOptions) http.Handler {
 	return mux
 }
 
-// face is the gateway as the route table serves it: the reads, events and
-// metrics are the Gateway's own; the lease gates the uploads.
+// face is the gateway as the route table serves it: the reads, events,
+// metrics and device streams are the Gateway's own; the lease gates the
+// uploads.
 type face struct {
 	*Gateway
 	opts HandlerOptions
@@ -103,7 +104,7 @@ func (f face) Health() (any, bool) {
 // render → split. A beacon identity that did not parse refuses the whole
 // upload where the batch is rendered, behind the lease gate and before
 // any shard hears of it.
-func (f face) UploadJSON(r *http.Request, u *transport.JSONUpload, rooms []string) ([]string, error) {
+func (f face) UploadJSON(_ bms.Stamp, u *transport.JSONUpload, rooms []string) ([]string, error) {
 	if err := f.writable(); err != nil {
 		return rooms, err
 	}
@@ -120,12 +121,13 @@ func (f face) UploadJSON(r *http.Request, u *transport.JSONUpload, rooms []strin
 	return append(rooms, sc.flat...), nil
 }
 
-// UploadFrame takes a wire upload: a plain frame decodes and is split
-// server-side; sections under a matching ring digest forward verbatim,
-// and refused ones decode in section order into one batch and are split
-// the same way — the rooms column is the same either way, so the device
-// never learns (or cares) which path ran.
-func (f face) UploadFrame(r *http.Request, body []byte, rooms []string) ([]string, error) {
+// UploadFrame takes a wire upload, from the POST door or the upload
+// stream alike: a plain frame decodes and is split server-side; sections
+// under a matching ring digest forward verbatim, and refused ones decode
+// in section order into one batch and are split the same way — the rooms
+// column is the same either way, so the device never learns (or cares)
+// which path ran.
+func (f face) UploadFrame(st bms.Stamp, body []byte, rooms []string) ([]string, error) {
 	if err := f.writable(); err != nil {
 		return rooms, err
 	}
@@ -133,7 +135,7 @@ func (f face) UploadFrame(r *http.Request, body []byte, rooms []string) ([]strin
 	defer sc.release()
 	b := wire.GetBatch()
 	defer wire.PutBatch(b)
-	if digest := r.Header.Get(wire.HeaderRingDigest); digest == "" {
+	if st.Digest == "" {
 		if err := wire.DecodeFrame(body, b); err != nil {
 			return rooms, fmt.Errorf("decode frame: %w", err)
 		}
@@ -152,7 +154,7 @@ func (f face) UploadFrame(r *http.Request, body []byte, rooms []string) ([]strin
 		}); err != nil {
 			return rooms, fmt.Errorf("decode sections: %w", err)
 		}
-		err := f.forward(digest, sc.secs, sc)
+		err := f.forward(st.Digest, sc.secs, sc)
 		if err == nil {
 			for k := range sc.out {
 				rooms = append(rooms, sc.out[k].rooms...)

@@ -169,7 +169,16 @@ type Gateway struct {
 	// met is the telemetry handle bundle (nil until Instrument); see
 	// telemetry.go.
 	met *gatewayMetrics
+
+	// uplinks are the devices' upgraded upload streams the HTTP face
+	// serves (bms.Routes), tracked for the drain.
+	uplinks bms.StreamSet
 }
+
+// Streams is the devices' upload streams the gateway's HTTP face is
+// serving: a drain stops them between frames before it closes the
+// shards under them.
+func (g *Gateway) Streams() *bms.StreamSet { return &g.uplinks }
 
 // SetEpoch stamps the gateway's leadership epoch onto every shard
 // client: all subsequent ingest, migration and expiry writes carry it,

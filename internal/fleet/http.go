@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"net/url"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -19,7 +18,7 @@ import (
 
 // HTTPShard drives one remote bms.Server over its REST API — the shard
 // client real deployments put behind the gateway. Reports travel as wire
-// frames over upgraded streams (stream.go) and in no other form; every
+// frames over upgraded streams (transport.Stream) and in no other form; every
 // other exchange is one call, a JSON exchange through transport whose
 // bodies are bms's control schema. Both run under one retry policy, so
 // shard traffic gets the same capped-backoff behaviour as device uplinks;
@@ -37,10 +36,8 @@ type HTTPShard struct {
 	// change, not a request — so no exchange builds a header.
 	stamped atomic.Pointer[stampedWrites]
 
-	// streams carries every wire frame to the shard (stream.go);
-	// streamURL is where one is dialled.
-	streams   streamPool
-	streamURL string
+	// streams carries every wire frame to the shard.
+	streams *transport.Stream
 
 	// ackMu guards rooms, which canonicalises the room names the shard's
 	// wire acks repeat.
@@ -61,11 +58,11 @@ func NewHTTPShard(baseURL string, client *http.Client, retry transport.RetryPoli
 	if baseURL == "" {
 		return nil, fmt.Errorf("fleet: http shard needs a base URL")
 	}
-	streamURL := baseURL + wire.StreamPath
-	if _, err := url.Parse(streamURL); err != nil {
+	streams, err := transport.NewStream(baseURL, wire.StreamPath, wire.StreamProtocol, client)
+	if err != nil {
 		return nil, fmt.Errorf("fleet: http shard: %w", err)
 	}
-	h := &HTTPShard{base: baseURL, client: client, retry: retry, streamURL: streamURL, rooms: wire.Interner{}}
+	h := &HTTPShard{base: baseURL, client: client, retry: retry, streams: streams, rooms: wire.Interner{}}
 	h.StampEpoch(0)
 	return h, nil
 }
@@ -124,25 +121,28 @@ func (h *HTTPShard) IngestBatch(reports []transport.Report) ([]string, error) {
 // gateway's split cut — over a shard stream under the leadership stamp,
 // and decodes the ack — the run-length rooms column of wire.AppendRooms
 // — into interned strings; only the rooms slice itself is allocated. The
-// exchange runs under the retry policy as a POST did: a shed admission
-// waits out the shard's hint, a connection that failed backs off, and
-// anything the shard answered on purpose — a fence, a rejection, a reply
-// that is not one — is final.
+// exchange runs under the retry policy as a POST did (Stream.Exchange). A
+// reply that is not one, or a shard that refuses the upgrade, is the
+// shard misbehaving.
 func (h *HTTPShard) IngestFrame(frame []byte, reports int) ([]string, error) {
-	epoch := h.stamped.Load().epoch
-	for backoff := h.retry.Start(); ; {
-		rooms, err := h.exchange(epoch, frame, reports)
-		if err == nil {
-			return rooms, nil
+	var rooms []string
+	err := h.streams.Exchange(h.stamped.Load().epoch, frame, h.retry, func(ack []byte) error {
+		rd := wire.Reader{Buf: ack}
+		h.ackMu.Lock()
+		rooms = rd.Rooms(reports, make([]string, 0, reports), h.rooms)
+		h.ackMu.Unlock()
+		if rd.Short || len(rooms) != reports {
+			return fmt.Errorf("malformed rooms ack for %d reports", reports)
 		}
-		v := transport.Classify(err)
-		if v.Class != transport.Shed && v.Class != transport.Unreachable {
-			return nil, err
-		}
-		if err = backoff.Wait(err, v); err != nil {
-			return nil, err
-		}
+		return nil
+	})
+	if errors.Is(err, transport.ErrBadReply) || errors.Is(err, transport.ErrUpgradeRefused) {
+		return nil, fmt.Errorf("%w: shard %s: %v", ErrShardMisbehaved, h.base, err)
 	}
+	if err != nil {
+		return nil, err
+	}
+	return rooms, nil
 }
 
 // InstallModel implements Shard via PUT /api/v1/model.

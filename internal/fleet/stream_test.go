@@ -21,7 +21,6 @@ import (
 	"occusim/internal/building"
 	"occusim/internal/fleet"
 	"occusim/internal/obs"
-	"occusim/internal/overload"
 	"occusim/internal/transport"
 	"occusim/internal/wire"
 )
@@ -108,7 +107,6 @@ func FuzzShardStream(f *testing.F) {
 				continue
 			}
 			var down *url.Error
-			_, shed := overload.IsOverload(err)
 			v := transport.Classify(err)
 			switch {
 			case errors.Is(err, fleet.ErrShardMisbehaved), errors.As(err, &down):
@@ -119,7 +117,7 @@ func FuzzShardStream(f *testing.F) {
 					}
 				}
 				return
-			case errors.Is(err, transport.ErrStaleLeader), shed:
+			case v.Class == transport.Stale, v.Class == transport.Shed, v.Class == transport.Unavailable && v.Answered:
 			case v.Answered && (v.Code == http.StatusBadRequest || v.Code == http.StatusRequestEntityTooLarge):
 			default:
 				t.Fatalf("call %d: an error nothing classifies: %v", call, err)

@@ -74,9 +74,10 @@ func (g *Gateway) Instrument(m *obs.Metrics) {
 		gm.sendLatency[i] = m.Timing("fleet_send_seconds", "one frame delivery to the shard", obs.L("shard", name))
 		gm.readErrors[i] = m.Counter("fleet_read_errors_total", "federated reads the shard failed", obs.L("shard", name))
 		if hs, ok := s.(*HTTPShard); ok {
-			hs.streams.dials = m.Counter("fleet_stream_dials_total", "shard streams upgraded", obs.L("shard", name))
-			hs.streams.resets = m.Counter("fleet_stream_resets_total", "shard streams closed on an error or deadline", obs.L("shard", name))
-			hs.streams.rec = m.Recorder()
+			hs.streams.Instrument(
+				m.Counter("fleet_stream_dials_total", "shard streams upgraded", obs.L("shard", name)),
+				m.Counter("fleet_stream_resets_total", "shard streams closed on an error or deadline", obs.L("shard", name)),
+				m.Recorder())
 		}
 		m.CounterFunc("fleet_routed_total", "reports delivered to the shard", func() float64 {
 			return float64(g.routed[i].Load())

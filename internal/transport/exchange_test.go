@@ -12,6 +12,9 @@ import (
 	"occusim/internal/wire"
 )
 
+// wireHeader is the request header set of a frame POSTed to a wire door.
+var wireHeader = http.Header{"Content-Type": {wire.ContentType}}
+
 // scriptedRT is a RoundTripper that answers from a script of status
 // codes (the last one repeating), records every request body it was
 // handed in full, and serves a preallocated response so that it adds no

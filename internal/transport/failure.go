@@ -170,3 +170,21 @@ func Classify(err error) Verdict {
 	}
 	return v
 }
+
+// RetryAfter is the wait a face's Retry-After answers a failure with, 0
+// for none: on a shed, or where a failure this process built names a
+// hint, that hint in whole seconds rounded up, at least 1.
+func RetryAfter(v Verdict) time.Duration {
+	if v.Class != Shed && (v.After <= 0 || v.Answered) {
+		return 0
+	}
+	return max(time.Second, (v.After+time.Second-1)/time.Second*time.Second)
+}
+
+// retried reports whether an exchange retries a failure — a shed, a
+// request that got no answer, an answered 5xx — with the verdict its
+// wait reads. Target.Do and Stream.Exchange retry by it.
+func retried(err error) (Verdict, bool) {
+	v := Classify(err)
+	return v, v.Class == Shed || v.Class == Unreachable || v.Class == Unavailable && v.Answered
+}

@@ -14,6 +14,8 @@ import (
 	"occusim/internal/bms"
 	"occusim/internal/building"
 	"occusim/internal/fleet"
+	"occusim/internal/obs"
+	"occusim/internal/occupancy"
 	"occusim/internal/overload"
 	"occusim/internal/scenario"
 	"occusim/internal/transport"
@@ -35,7 +37,9 @@ type form struct {
 // face answers it over HTTP and on the shard stream, whether it counts
 // against the shard's breaker, whether the stream and the HTTP client
 // retry it and after what wait, where the device uplink goes next, what
-// the crowd driver makes of it and whether the lease steps down. "n/a"
+// the crowd driver makes of it and whether the lease steps down, and —
+// for a failure a face answers a device — what the uplink does with it
+// over the device stream, which must be what it does with the POST. "n/a"
 // marks a site the form never reaches.
 type decisions struct {
 	status                              int
@@ -44,6 +48,7 @@ type decisions struct {
 	streamRetry, httpRetry, uplink      string
 	driver                              string
 	stepDown                            bool
+	device                              string
 }
 
 func answering(code int, hdr ...string) http.HandlerFunc {
@@ -94,6 +99,7 @@ func TestOneFailureVocabulary(t *testing.T) {
 		{name: "standby's 409", value: &transport.Error{Code: 409, Leader: hint, Err: errors.New("gateway is standby, not leading")},
 			answer: answering(409, transport.HeaderLeaderHint, hint)},
 		{name: "409 with neither", answer: answering(409)},
+		{name: "state conflict", value: &transport.Error{Code: 409, Err: errors.New("bms: device state already installed")}},
 		{name: "body too large", value: fmt.Errorf("read body: %w", wire.ErrBodyTooLarge)},
 		{name: "413", answer: answering(413)},
 		{name: "stream too-large", reply: streamReply(wire.StreamTooLarge, []byte("wire: body exceeds size limit"))},
@@ -123,37 +129,40 @@ func TestOneFailureVocabulary(t *testing.T) {
 	}
 
 	want := map[string]decisions{
-		"in-process shed":               {429, "2", "", "", "overload", "spares", "retry", "n/a", "n/a", "shed", false},
-		"429 Retry-After 2":             {429, "2", "", "", "n/a", "spares", "n/a", "retry after 2s", "rotate", "shed", false},
-		"429 Retry-After 0.5":           {429, "1", "", "", "n/a", "spares", "n/a", "retry after 500ms", "rotate", "shed", false},
-		"429 Retry-After 0":             {429, "1", "", "", "n/a", "spares", "n/a", "retry after 0s", "rotate", "shed", false},
-		"429 without Retry-After":       {429, "1", "", "", "n/a", "spares", "n/a", "retry after 100ms", "rotate", "shed", false},
-		"in-process stale":              {409, "", "9", hint, "stale", "spares", "n/a", "n/a", "n/a", "fault", true},
-		"stream stale":                  {409, "", "9", hint, "n/a", "spares", "final", "n/a", "n/a", "fault", true},
-		"federated read around a shed":  {429, "2", "", "", "n/a", "spares", "n/a", "n/a", "n/a", "shed", false},
-		"federated read around a stale": {409, "", "9", hint, "n/a", "spares", "n/a", "n/a", "n/a", "fault", true},
+		"in-process shed":               {429, "2", "", "", "overload", "spares", "retry", "n/a", "n/a", "shed", false, "retry after 2s, rotate"},
+		"429 Retry-After 2":             {429, "2", "", "", "n/a", "spares", "n/a", "retry after 2s", "rotate", "shed", false, "n/a"},
+		"429 Retry-After 0.5":           {429, "1", "", "", "n/a", "spares", "n/a", "retry after 500ms", "rotate", "shed", false, "n/a"},
+		"429 Retry-After 0":             {429, "1", "", "", "n/a", "spares", "n/a", "retry after 0s", "rotate", "shed", false, "n/a"},
+		"429 without Retry-After":       {429, "1", "", "", "n/a", "spares", "n/a", "retry after 100ms", "rotate", "shed", false, "n/a"},
+		"in-process stale":              {409, "", "9", hint, "stale", "spares", "n/a", "n/a", "n/a", "fault", true, "redirect"},
+		"stream stale":                  {409, "", "9", hint, "n/a", "spares", "final", "n/a", "n/a", "fault", true, "n/a"},
+		"federated read around a shed":  {429, "2", "", "", "n/a", "spares", "n/a", "n/a", "n/a", "shed", false, "retry after 2s, rotate"},
+		"federated read around a stale": {409, "", "9", hint, "n/a", "spares", "n/a", "n/a", "n/a", "fault", true, "redirect"},
 		// A face and the lease meet this answer only through an
 		// HTTPShard, as the stale error it reads as.
-		"409 with X-Leader-Epoch": {409, "", "9", hint, "n/a", "spares", "n/a", "final", "redirect", "fault", true},
-		"standby's 409":           {409, "", "", hint, "n/a", "n/a", "n/a", "final", "redirect", "fault", false},
-		"409 with neither":        {0, "", "", "", "n/a", "spares", "n/a", "final", "rotate", "fault", false},
-		"body too large":          {413, "", "", "", "too-large", "n/a", "n/a", "n/a", "n/a", "fault", false},
-		"413":                     {400, "", "", "", "n/a", "spares", "n/a", "final", "give up", "fault", false},
-		"stream too-large":        {400, "", "", "", "n/a", "spares", "final", "n/a", "n/a", "fault", false},
-		"log refusal":             {503, "1", "", "", "hang-up", "counts", "n/a", "retry after 1s", "rotate", "fault", false},
-		"no healthy shards":       {503, "", "", "", "n/a", "counts", "n/a", "n/a", "n/a", "fault", false},
-		"shard misbehaved":        {502, "", "", "", "n/a", "counts", "final", "n/a", "n/a", "fault", false},
-		"shard tripped":           {503, "", "", "", "n/a", "spares", "n/a", "n/a", "n/a", "fault", false},
-		"answered 500":            {502, "", "", "", "n/a", "counts", "n/a", "retry after 100ms", "rotate", "fault", false},
-		"refused dial":            {502, "", "", "", "n/a", "counts", "retry", "retry after 100ms", "rotate", "fault", false},
-		"reset":                   {502, "", "", "", "n/a", "counts", "retry", "retry after 100ms", "rotate", "fault", false},
-		"deadline":                {502, "", "", "", "n/a", "counts", "n/a", "retry after 100ms", "rotate", "fault", false},
-		"body cut off":            {502, "", "", "", "n/a", "counts", "n/a", "retry after 100ms", "rotate", "fault", false},
-		"unparsable target":       {502, "", "", "", "n/a", "counts", "n/a", "final", "rotate", "fault", false},
-		"answered 400":            {400, "", "", "", "n/a", "spares", "final", "final", "give up", "fault", false},
-		"answered 404":            {400, "", "", "", "n/a", "spares", "n/a", "final", "give up", "fault", false},
-		"answered 415":            {400, "", "", "", "n/a", "spares", "n/a", "final", "latch JSON", "fault", false},
-		"plain error":             {400, "", "", "", "rejected", "spares", "n/a", "n/a", "n/a", "fault", false},
+		"409 with X-Leader-Epoch": {409, "", "9", hint, "n/a", "spares", "n/a", "final", "redirect", "fault", true, "n/a"},
+		// A standby's refusal names where leadership lives and no grant;
+		// a conflict with the server's state names neither.
+		"standby's 409":     {409, "", "", hint, "n/a", "n/a", "n/a", "final", "redirect", "fault", false, "redirect"},
+		"409 with neither":  {0, "", "", "", "n/a", "spares", "n/a", "final", "rotate", "fault", false, "n/a"},
+		"state conflict":    {409, "", "", "", "stale", "spares", "n/a", "n/a", "n/a", "fault", false, "rotate"},
+		"body too large":    {413, "", "", "", "too-large", "n/a", "n/a", "n/a", "n/a", "fault", false, "give up"},
+		"413":               {400, "", "", "", "n/a", "spares", "n/a", "final", "give up", "fault", false, "n/a"},
+		"stream too-large":  {400, "", "", "", "n/a", "spares", "final", "n/a", "n/a", "fault", false, "n/a"},
+		"log refusal":       {503, "1", "", "", "hang-up", "counts", "n/a", "retry after 1s", "rotate", "fault", false, "retry after 1s, rotate"},
+		"no healthy shards": {503, "", "", "", "n/a", "counts", "n/a", "n/a", "n/a", "fault", false, "retry after 100ms, rotate"},
+		"shard misbehaved":  {502, "", "", "", "n/a", "counts", "final", "n/a", "n/a", "fault", false, "retry after 100ms, rotate"},
+		"shard tripped":     {503, "", "", "", "n/a", "spares", "n/a", "n/a", "n/a", "fault", false, "retry after 100ms, rotate"},
+		"answered 500":      {502, "", "", "", "n/a", "counts", "n/a", "retry after 100ms", "rotate", "fault", false, "n/a"},
+		"refused dial":      {502, "", "", "", "n/a", "counts", "retry", "retry after 100ms", "rotate", "fault", false, "n/a"},
+		"reset":             {502, "", "", "", "n/a", "counts", "retry", "retry after 100ms", "rotate", "fault", false, "n/a"},
+		"deadline":          {502, "", "", "", "n/a", "counts", "n/a", "retry after 100ms", "rotate", "fault", false, "n/a"},
+		"body cut off":      {502, "", "", "", "n/a", "counts", "n/a", "retry after 100ms", "rotate", "fault", false, "n/a"},
+		"unparsable target": {502, "", "", "", "n/a", "counts", "n/a", "final", "rotate", "fault", false, "n/a"},
+		"answered 400":      {400, "", "", "", "n/a", "spares", "final", "final", "give up", "fault", false, "n/a"},
+		"answered 404":      {400, "", "", "", "n/a", "spares", "n/a", "final", "give up", "fault", false, "n/a"},
+		"answered 415":      {400, "", "", "", "n/a", "spares", "n/a", "final", "latch JSON", "fault", false, "n/a"},
+		"plain error":       {400, "", "", "", "rejected", "spares", "n/a", "n/a", "n/a", "fault", false, "give up"},
 	}
 
 	for _, f := range forms {
@@ -191,6 +200,10 @@ func decide(t *testing.T, f form, hint string) decisions {
 		}
 	} else {
 		d.httpRetry, d.uplink = "n/a", "n/a"
+	}
+	d.device = "n/a"
+	if f.value != nil {
+		d.device = deviceStream(t, f.value, hint)
 	}
 	d.streamRetry = "n/a"
 	if f.reply != nil {
@@ -262,8 +275,8 @@ func newClient() *http.Client {
 	return &http.Client{Transport: &http.Transport{}, Timeout: 100 * time.Millisecond}
 }
 
-// frameHeader posts as the device uplink's codec does, which the 415
-// form refuses.
+// frameHeader posts as the frame door's clients do, which the 415 form
+// refuses.
 var frameHeader = http.Header{"Content-Type": {wire.ContentType}}
 
 // httpRetry is what Target.Do does with the form: retry once it failed
@@ -448,3 +461,83 @@ func streamReplyOf(err error) string {
 	}
 	return "hang-up"
 }
+
+// deviceStream is what a device uplink does with a failure a face answers
+// it, on the upload stream and to the POST: the verdict of one exchange
+// of each, which must be the same, and where an uplink with a healthy peer
+// goes once the face failed its upload — retry and after what wait, then
+// redirect, rotate or give up — which must be the same too.
+func deviceStream(t *testing.T, err error, hint string) string {
+	url := serveFace(t, err)
+	frame := wire.GetBatch()
+	defer wire.PutBatch(frame)
+	if err := transport.EncodeReports(frame, []transport.Report{{Device: "d", AtSeconds: 1, Epoch: 1, Seq: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	_, postErr := transport.DoJSONHeaders(newClient(), http.MethodPost, url+transport.BatchPath, []byte(`[]`), nil, transport.RetryPolicy{})
+	st, serr := transport.NewStream(url, wire.UplinkPath, wire.UplinkProtocol, newClient())
+	if serr != nil {
+		t.Fatal(serr)
+	}
+	streamErr := st.Exchange(0, wire.AppendFrame(nil, frame), transport.RetryPolicy{}, nil)
+	if post, stream := transport.Classify(postErr), transport.Classify(streamErr); post != stream {
+		return fmt.Sprintf("verdicts differ: POST %+v, stream %+v", post, stream)
+	}
+	post, stream := uplinkGoes(url, hint, transport.CodecJSON), uplinkGoes(url, hint, transport.CodecBinary)
+	if post != stream {
+		return fmt.Sprintf("POST: %s; stream: %s", post, stream)
+	}
+	return post
+}
+
+// uplinkGoes sends one upload, in codec, through an uplink with the
+// face at url first and the healthy peer second, under a two-attempt
+// policy.
+func uplinkGoes(url, peer string, codec transport.Codec) string {
+	var waits []time.Duration
+	policy := transport.RetryPolicy{MaxAttempts: 2, Sleep: func(d time.Duration) { waits = append(waits, d) }}
+	up := &transport.HTTPUplink{BaseURL: url, Peers: []string{peer}, Client: newClient(), Retry: policy, Codec: codec}
+	err := up.SendBatch([]transport.Report{{Device: "d", AtSeconds: 1, Epoch: 1, Seq: 1}})
+	redirects, rotations := up.Stats()
+	hop := "give up"
+	switch {
+	case redirects > 0:
+		hop = "redirect"
+	case rotations > 0:
+		hop = "rotate"
+	case err == nil:
+		hop = "delivered"
+	}
+	if len(waits) > 0 {
+		return fmt.Sprintf("retry after %v, %s", waits[0], hop)
+	}
+	return hop
+}
+
+// serveFace serves the route table over a face that fails every upload
+// with err, and returns its URL.
+func serveFace(t *testing.T, err error) string {
+	ts := httptest.NewServer(bms.Routes(&failingFace{err: err}, nil))
+	t.Cleanup(ts.Close)
+	return ts.URL
+}
+
+// failingFace answers every upload with err.
+type failingFace struct {
+	err     error
+	streams bms.StreamSet
+}
+
+func (f *failingFace) UploadJSON(bms.Stamp, *transport.JSONUpload, []string) ([]string, error) {
+	return nil, f.err
+}
+func (f *failingFace) UploadFrame(bms.Stamp, []byte, []string) ([]string, error) { return nil, f.err }
+func (f *failingFace) Health() (any, bool)                                       { return nil, true }
+func (f *failingFace) Occupancy() (bms.OccupancySnapshot, error)                 { return bms.OccupancySnapshot{}, nil }
+func (f *failingFace) DwellTotals() (map[string]time.Duration, error)            { return nil, nil }
+func (f *failingFace) Rollup() (bms.Rollup, error)                               { return bms.Rollup{}, nil }
+func (f *failingFace) Events() ([]occupancy.Event, error)                        { return nil, nil }
+func (f *failingFace) PutModel(bms.ModelSnapshot) (any, error)                   { return nil, nil }
+func (f *failingFace) Trained(bms.TrainResult) (any, error)                      { return nil, nil }
+func (f *failingFace) Metrics() *obs.Metrics                                     { return nil }
+func (f *failingFace) Streams() *bms.StreamSet                                   { return &f.streams }

@@ -71,7 +71,7 @@ func Instrument(m *obs.Metrics) {
 		wireJSON:        m.Counter("transport_wire_batches_total", "report batches uploaded, by codec", obs.L("codec", "json")),
 		wireBinary:      m.Counter("transport_wire_batches_total", "report batches uploaded, by codec", obs.L("codec", "binary")),
 		wirePresplit:    m.Counter("transport_wire_batches_total", "report batches uploaded, by codec", obs.L("codec", "presplit")),
-		wireDowngrades:  m.Counter("transport_wire_downgrades_total", "sticky JSON downgrades after a 415 unsupported-media answer"),
+		wireDowngrades:  m.Counter("transport_wire_downgrades_total", "sticky JSON downgrades of a target that refused the upload stream's upgrade"),
 	})
 }
 
@@ -410,8 +410,8 @@ func (t Target) Do(client *http.Client, body []byte, policy RetryPolicy, dst *[]
 		if err == nil {
 			return payload, nil
 		}
-		v := Classify(err)
-		if v.Class != Shed && v.Class != Unreachable && v.Class != Unavailable {
+		v, again := retried(err)
+		if !again {
 			return nil, err
 		}
 		if err = backoff.Wait(err, v); err != nil {
@@ -421,8 +421,8 @@ func (t Target) Do(client *http.Client, body []byte, policy RetryPolicy, dst *[]
 }
 
 // Backoff is one exchange's progress through its RetryPolicy: attempts
-// made and backoff slept. Every retrying exchange — Target.Do, the
-// fleet's shard stream — loops "try; on a retryable failure, Wait", so
+// made and backoff slept. Every retrying exchange — Target.Do and
+// Stream.Exchange — loops "try; on a retryable failure, Wait", so
 // attempts, delays, the budget and the retry counters mean one thing.
 type Backoff struct {
 	policy  RetryPolicy
@@ -525,30 +525,37 @@ func (t Target) doOnce(client *http.Client, body []byte, timeout time.Duration, 
 	defer resp.Body.Close()
 	payload, err := wire.ReadBody(resp.Body, resp.ContentLength, math.MaxInt64, dst)
 	if resp.StatusCode/100 != 2 {
-		snippet := strings.TrimSpace(string(*dst))
-		if len(snippet) > 200 {
-			snippet = snippet[:200] + "…"
-		}
-		if snippet != "" {
-			snippet = ": " + snippet
-		}
-		e := &Error{Code: resp.StatusCode, Answered: true, Leader: strings.TrimSpace(resp.Header.Get(HeaderLeaderHint)),
-			Err: errors.New("transport: server returned " + resp.Status + snippet)}
-		if ra := strings.TrimSpace(resp.Header.Get("Retry-After")); ra != "" {
-			// Integer seconds per RFC 9110; fractional accepted leniently.
-			if secs, perr := strconv.ParseFloat(ra, 64); perr == nil && secs >= 0 {
-				e.RetryAfter, e.Hinted = time.Duration(secs*float64(time.Second)), true
-			}
-		}
-		if e.Code == http.StatusConflict {
-			e.Granted, _ = strconv.ParseUint(strings.TrimSpace(resp.Header.Get(HeaderLeaderEpoch)), 10, 64)
-		}
-		return nil, e
+		return nil, answered(resp, *dst)
 	}
 	if err != nil {
 		return nil, noAnswer{fmt.Errorf("transport: read response: %w", err)}
 	}
 	return payload, nil
+}
+
+// answered reads a failure answer as the *Error it is: the status, and the
+// Retry-After, leader hint and, on a 409, granted epoch its headers carry,
+// with the start of its body as the reason.
+func answered(resp *http.Response, body []byte) *Error {
+	snippet := strings.TrimSpace(string(body))
+	if len(snippet) > 200 {
+		snippet = snippet[:200] + "…"
+	}
+	if snippet != "" {
+		snippet = ": " + snippet
+	}
+	e := &Error{Code: resp.StatusCode, Answered: true, Leader: strings.TrimSpace(resp.Header.Get(HeaderLeaderHint)),
+		Err: errors.New("transport: server returned " + resp.Status + snippet)}
+	if ra := strings.TrimSpace(resp.Header.Get("Retry-After")); ra != "" {
+		// Integer seconds per RFC 9110; fractional accepted leniently.
+		if secs, perr := strconv.ParseFloat(ra, 64); perr == nil && secs >= 0 {
+			e.RetryAfter, e.Hinted = time.Duration(secs*float64(time.Second)), true
+		}
+	}
+	if e.Code == http.StatusConflict {
+		e.Granted, _ = strconv.ParseUint(strings.TrimSpace(resp.Header.Get(HeaderLeaderEpoch)), 10, 64)
+	}
+	return e
 }
 
 // PostJSON posts body and returns the response payload under the policy.

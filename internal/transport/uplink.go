@@ -1,17 +1,19 @@
 // The device uplink: the one hop of the paper's protocol — a handset
 // POSTs its ranging reports to the BMS over REST — with everything the
-// deployment adds to that hop composed on one type: the framed codec,
-// device-side pre-split against the ring the target publishes, the
-// sticky JSON downgrade for a server that predates the codec, and
-// following leadership across equivalent frontends. DESIGN.md "The
-// device uplink" is the prose form of deliver.
+// deployment adds to that hop composed on one type: the framed codec on an
+// upgraded stream (stream.go), device-side pre-split against the ring the
+// target publishes, the sticky JSON downgrade for a server that predates
+// the stream, and following leadership across equivalent frontends.
+// DESIGN.md "The framed legs" is the prose form of deliver.
 package transport
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"slices"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -38,7 +40,9 @@ type HTTPUplink struct {
 	Retry RetryPolicy
 	// Codec picks the encoding offered first: CodecJSON (the default), or
 	// CodecBinary — internal/wire frames, pre-split per shard where the
-	// target publishes a ring, negotiated down to JSON per target on a 415.
+	// target publishes a ring, each upload one envelope on a stream the
+	// target upgrades once; a target that refuses the upgrade is spoken
+	// JSON from then on.
 	Codec Codec
 
 	// cur is the target the next send tries first; nil until the first.
@@ -53,15 +57,18 @@ type HTTPUplink struct {
 type uplinkTarget struct {
 	base string
 
-	// The three prepared endpoints, on first use (the uplink is configured
-	// by struct literal, so there is no constructor to do it in).
-	once                 sync.Once
-	single, batch, frame Target // one JSON report; the batch route as JSON, and as one plain wire frame
-	err                  error
+	// The prepared endpoints, on first use (the uplink is configured by
+	// struct literal, so there is no constructor to do it in): one JSON
+	// report, the batch route as JSON, and the stream route.
+	once          sync.Once
+	single, batch Target
+	stream        *Stream
+	err           error
 
-	// jsonOnly latches after a 415: the target does not speak the codec and
-	// will not learn it mid-run, so asking again would waste a round trip a
-	// send. Per target — an old frontend does not cost its partner the codec.
+	// jsonOnly latches once the target refused the upgrade: it does not
+	// speak the codec and will not learn it mid-run, so asking again would
+	// waste a round trip a send. Per target — an old frontend does not cost
+	// its partner the codec.
 	jsonOnly atomic.Bool
 
 	// view is the ring the target published last; fetch serialises the
@@ -76,10 +83,11 @@ type uplinkTarget struct {
 // so publishes no digest: uploads then go as plain frames, which every
 // wire-speaking server ingests directly.
 type ringView struct {
-	at       time.Time
-	ring     *ring.Ring
-	down     []bool
-	sections Target // the batch route under the ring's digest
+	at     time.Time
+	ring   *ring.Ring
+	names  []string // the ring's members, as sections name them
+	down   []bool
+	digest uint64 // the ring's digest, stamped on each upload split by it
 }
 
 // ringRefresh is how long a ring view is used before it is fetched again:
@@ -163,37 +171,38 @@ func (u *HTTPUplink) start() *uplinkTarget {
 
 // deliver is the negotiation ladder, the only one. Against the sticky
 // target: JSON when that is the codec or the target is latched (the single
-// route for Send, the batch route for SendBatch); otherwise sections
-// pre-split under the digest of the ring the target published; otherwise
-// one plain frame. A 415 latches that target and resends as JSON at once.
-// Any other failure either says something about the target — next decides
-// where to go — or is returned as it came.
+// route for Send, the batch route for SendBatch); otherwise one envelope
+// on the target's stream — sections pre-split under the digest of the ring
+// the target published, or one plain frame. A refused upgrade latches that
+// target and resends as JSON at once. Any other failure either says
+// something about the target — next decides where to go — or is returned
+// as it came.
 func (u *HTTPUplink) deliver(reports []Report, single bool) error {
 	t := u.start()
 	buf := wire.GetBuf()
 	defer wire.PutBuf(buf)
 	for hop := 0; ; {
-		err := t.prepare()
+		err := t.prepare(u.Client)
 		if err == nil {
 			framed := u.Codec == CodecBinary && !t.jsonOnly.Load()
-			dest, body, counted := t.batch, []byte(nil), ""
+			counted, stamp, dest := "json", uint64(0), t.batch
+			var body []byte
 			switch {
 			case framed:
-				dest, counted = t.frame, "binary"
+				counted = "binary"
 				if v := t.ringView(u.Client, u.Retry); v.ring != nil {
-					dest, counted = v.sections, "presplit"
+					stamp, counted = v.digest, "presplit"
 					*buf, err = appendSections((*buf)[:0], v, reports)
 				} else {
 					*buf, err = appendFrame((*buf)[:0], reports)
 				}
 				body = *buf
 			case single:
-				dest = t.single
+				counted, dest = "", t.single
 				if body, err = json.Marshal(&reports[0]); err != nil {
 					err = fmt.Errorf("transport: marshal report: %w", err)
 				}
 			default:
-				counted = "json"
 				if body, err = json.Marshal(reports); err != nil {
 					err = fmt.Errorf("transport: marshal batch: %w", err)
 				}
@@ -201,7 +210,19 @@ func (u *HTTPUplink) deliver(reports []Report, single bool) error {
 			if err != nil {
 				return err // no target could take these reports
 			}
-			if err = postDiscard(u.Client, dest, body, u.Retry); err == nil {
+			if framed {
+				err = t.stream.Exchange(stamp, body, u.Retry, nil)
+				if refusesStream(err) {
+					// Senders refused together latch once, and count once.
+					if tm := pkgMet.Load(); !t.jsonOnly.Swap(true) && tm != nil {
+						tm.wireDowngrades.Inc()
+					}
+					continue
+				}
+			} else {
+				err = postDiscard(u.Client, dest, body, u.Retry)
+			}
+			if err == nil {
 				if counted != "" {
 					wireCount(counted)
 				}
@@ -210,19 +231,20 @@ func (u *HTTPUplink) deliver(reports []Report, single bool) error {
 				}
 				return nil
 			}
-			if framed && isUnsupportedMedia(err) {
-				t.jsonOnly.Store(true)
-				if tm := pkgMet.Load(); tm != nil {
-					tm.wireDowngrades.Inc()
-				}
-				continue
-			}
 		}
 		hop++
 		if t, err = u.next(t, err, hop); err != nil {
 			return err
 		}
 	}
+}
+
+// refusesStream reports whether err is a target refusing the stream
+// upgrade as a route it does not serve — a rejection, or an answer that is
+// no failure — rather than failing to serve it: the target does not speak
+// the codec.
+func refusesStream(err error) bool {
+	return errors.Is(err, ErrUpgradeRefused) && Classify(err).Class == Rejected
 }
 
 // next decides what the hop-th failed exchange of a send, with t, means.
@@ -275,7 +297,7 @@ func (u *HTTPUplink) next(t *uplinkTarget, err error, hop int) (*uplinkTarget, e
 	return to, nil
 }
 
-func (t *uplinkTarget) prepare() error {
+func (t *uplinkTarget) prepare(client *http.Client) error {
 	t.once.Do(func() {
 		if t.single, t.err = NewTarget(http.MethodPost, t.base+"/api/v1/observations", nil); t.err != nil {
 			return
@@ -283,7 +305,7 @@ func (t *uplinkTarget) prepare() error {
 		if t.batch, t.err = NewTarget(http.MethodPost, t.base+BatchPath, nil); t.err != nil {
 			return
 		}
-		t.frame, t.err = NewTarget(http.MethodPost, t.base+BatchPath, wireHeader)
+		t.stream, t.err = NewStream(t.base, wire.UplinkPath, wire.UplinkProtocol, client)
 	})
 	return t.err
 }
@@ -311,13 +333,12 @@ func (t *uplinkTarget) ringView(client *http.Client, policy RetryPolicy) *ringVi
 	v = &ringView{at: time.Now()}
 	var resp ringResponse
 	payload, err := GetJSON(client, t.base+"/api/v1/ring", policy)
-	if err == nil && json.Unmarshal(payload, &resp) == nil && resp.Digest != "" && len(resp.Shards) > 0 {
-		if r, err := ring.New(resp.Shards, resp.Replicas); err == nil {
-			hdr := http.Header{"Content-Type": {wire.ContentType}}
-			hdr.Set(wire.HeaderRingDigest, resp.Digest)
-			if v.sections, err = NewTarget(http.MethodPost, t.base+BatchPath, hdr); err == nil {
-				v.ring, v.down = r, resp.Down
-			}
+	if err == nil && json.Unmarshal(payload, &resp) == nil && len(resp.Shards) > 0 {
+		// The digest is ring.Digest's hex of a u64, which the envelope
+		// carries as the u64 itself; 0 would read as a plain frame.
+		digest, derr := strconv.ParseUint(resp.Digest, 16, 64)
+		if r, err := ring.New(resp.Shards, resp.Replicas); err == nil && derr == nil && digest != 0 {
+			v.ring, v.names, v.down, v.digest = r, resp.Shards, resp.Down, digest
 		}
 	}
 	t.view.Store(v)
@@ -337,39 +358,54 @@ func appendFrame(dst []byte, reports []Report) ([]byte, error) {
 // appendSections appends reports split by the view's ring owner, one
 // named section per shard. Section order is shard-first-appearance, and
 // each device's reports keep their order inside its section — the same
-// stable split the gateway itself performs.
+// stable split the gateway itself performs. The per-owner batches live in
+// pooled scratch, so a warm split allocates nothing.
 func appendSections(dst []byte, v *ringView, reports []Report) ([]byte, error) {
-	members := v.ring.Members()
-	per := make([]*wire.Batch, members)
-	order := make([]int, 0, members)
-	defer func() {
-		for _, b := range per {
-			if b != nil {
-				wire.PutBatch(b)
-			}
-		}
-	}()
+	sc := sectionPool.Get().(*sectionScratch)
+	defer sc.release()
+	if n := v.ring.Members(); cap(sc.per) < n {
+		sc.per = make([]*wire.Batch, n)
+	} else {
+		sc.per = sc.per[:n]
+	}
 	for i := range reports {
 		owner, err := v.ring.Owner(reports[i].Device, v.down)
 		if err != nil {
 			return dst, err
 		}
-		b := per[owner]
+		b := sc.per[owner]
 		if b == nil {
 			b = wire.GetBatch()
-			per[owner] = b
-			order = append(order, owner)
+			sc.per[owner] = b
+			sc.order = append(sc.order, owner)
 		}
 		if err := EncodeReports(b, reports[i:i+1]); err != nil {
 			return dst, err
 		}
 	}
-	names := v.ring.Names()
-	for _, owner := range order {
-		dst = wire.AppendSection(dst, names[owner])
-		dst = wire.AppendFrame(dst, per[owner])
+	for _, owner := range sc.order {
+		dst = wire.AppendSection(dst, v.names[owner])
+		dst = wire.AppendFrame(dst, sc.per[owner])
 	}
 	return dst, nil
+}
+
+// sectionScratch is one split's per-owner batches, indexed by ring
+// member, and the owners in first-appearance order.
+type sectionScratch struct {
+	per   []*wire.Batch
+	order []int
+}
+
+var sectionPool = sync.Pool{New: func() any { return new(sectionScratch) }}
+
+func (sc *sectionScratch) release() {
+	for _, owner := range sc.order {
+		wire.PutBatch(sc.per[owner])
+		sc.per[owner] = nil
+	}
+	sc.order = sc.order[:0]
+	sectionPool.Put(sc)
 }
 
 // postDiscard posts body and drops the ack, read through a pooled buffer:
@@ -379,11 +415,4 @@ func postDiscard(client *http.Client, t Target, body []byte, policy RetryPolicy)
 	defer wire.PutBuf(ack)
 	_, err := t.Do(client, body, policy, ack)
 	return err
-}
-
-// isUnsupportedMedia reports whether err is a 415 rejection — the
-// negotiation signal that the target does not speak the binary codec.
-// A rejection is not retried, so it comes back after exactly one attempt.
-func isUnsupportedMedia(err error) bool {
-	return Classify(err).Code == http.StatusUnsupportedMediaType
 }

@@ -18,9 +18,9 @@ type Codec int
 const (
 	// CodecJSON is the compatibility face every server accepts.
 	CodecJSON Codec = iota
-	// CodecBinary is the internal/wire frame format; a server that does
-	// not speak it answers 415 and the uplink downgrades to JSON once,
-	// stickily, per target.
+	// CodecBinary is the internal/wire frame format on an upgraded
+	// stream; a server that refuses the upgrade is spoken JSON from then
+	// on, stickily, per target.
 	CodecBinary
 )
 
@@ -98,6 +98,3 @@ func wireCount(codec string) {
 
 // BatchPath is the batch ingest route every server face shares.
 const BatchPath = "/api/v1/observations:batch"
-
-// wireHeader is the request header set of a plain binary upload.
-var wireHeader = http.Header{"Content-Type": {wire.ContentType}}

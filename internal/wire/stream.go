@@ -1,15 +1,23 @@
-// The shard stream envelope: the gateway → shard leg after its HTTP
-// Upgrade (GET StreamPath, "Upgrade: occusim-shard/1") is one long-lived
+// The stream envelope: a leg after its HTTP Upgrade is one long-lived
 // connection carrying one exchange at a time, little-endian like the
 // frames inside it:
 //
-//	request  [version u8][length u32][gateway epoch u64][wire frame, verbatim]
+//	request  [version u8][length u32][stamp u64][wire frame, verbatim]
 //	reply    [length u32][status u8][body]
 //
-// A request's length counts the epoch and the frame, a reply's the status
-// and the body. Neither side can resynchronise after a bad envelope, so
-// whoever reads one closes the connection. The version byte is where a
-// batch id goes when one exists.
+// A request's length counts the stamp and the frame, a reply's the status
+// and the body. Two legs ride it, each on its own route and Upgrade token,
+// and the stamp means what that leg needs beside the frame:
+//
+//	gateway → shard   GET StreamPath, "Upgrade: occusim-shard/1": the
+//	                  sending gateway's leadership epoch (0: unfenced)
+//	device → BMS      GET UplinkPath, "Upgrade: occusim-uplink/1": the
+//	                  ring digest the frame's sections were cut under, as
+//	                  the hex of ring.Digest names it (0: a plain frame)
+//
+// Neither side can resynchronise after a bad envelope, so whoever reads
+// one closes the connection. The version byte is where a batch id goes
+// when one exists.
 package wire
 
 import (
@@ -25,10 +33,14 @@ import (
 var ErrBadEnvelope = errors.New("wire: malformed stream envelope")
 
 const (
-	// StreamPath is the route a shard upgrades on.
-	StreamPath = "/api/v1/shard:stream"
-	// StreamProtocol is the Upgrade token both ends must name.
+	// StreamPath is the route a shard upgrades on, and StreamProtocol the
+	// Upgrade token both ends of the gateway → shard leg must name.
+	StreamPath     = "/api/v1/shard:stream"
 	StreamProtocol = "occusim-shard/1"
+	// UplinkPath is the route a box or a gateway upgrades a device on, and
+	// UplinkProtocol the Upgrade token of the device → BMS leg.
+	UplinkPath     = "/api/v1/observations:stream"
+	UplinkProtocol = "occusim-uplink/1"
 	// StreamVersion leads every request envelope.
 	StreamVersion = 0x01
 )
@@ -48,26 +60,32 @@ const (
 	// reason as text.
 	StreamRejected
 	// StreamTooLarge is a request announcing more than MaxBodyBytes
-	// (413), refused before it is buffered; the shard then closes.
+	// (413), refused before it is buffered; the server then closes.
 	StreamTooLarge
+	// StreamUnavailable is the serving side's own failure, as the POST
+	// door answers it: u32 HTTP status, u64 retry-after nanoseconds (0:
+	// none was given), then the reason as text. Only the device leg sends
+	// it; a shard that cannot take a frame through no fault of the frame
+	// hangs up instead, as a dead one would.
+	StreamUnavailable
 )
 
 // AppendStreamRequest appends one request envelope, so the caller sends
 // it in a single Write.
-func AppendStreamRequest(dst []byte, epoch uint64, frame []byte) []byte {
+func AppendStreamRequest(dst []byte, stamp uint64, frame []byte) []byte {
 	dst = append(dst, StreamVersion)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(8+len(frame)))
-	dst = binary.LittleEndian.AppendUint64(dst, epoch)
+	dst = binary.LittleEndian.AppendUint64(dst, stamp)
 	return append(dst, frame...)
 }
 
 // ReadStreamRequest reads one request envelope into *buf (reused, grown
-// as bytes arrive) and returns the epoch and the frame, a view of *buf
+// as bytes arrive) and returns the stamp and the frame, a view of *buf
 // the next call overwrites. io.EOF means the peer hung up between
 // envelopes; an announced length past MaxBodyBytes is ErrBodyTooLarge,
 // refused before any of it is buffered; anything else that is not an
 // envelope is ErrBadEnvelope.
-func ReadStreamRequest(br *bufio.Reader, buf *[]byte) (epoch uint64, frame []byte, err error) {
+func ReadStreamRequest(br *bufio.Reader, buf *[]byte) (stamp uint64, frame []byte, err error) {
 	head, err := readHead(br, 1+4)
 	if err != nil {
 		return 0, nil, err
@@ -79,7 +97,7 @@ func ReadStreamRequest(br *bufio.Reader, buf *[]byte) (epoch uint64, frame []byt
 	case n > MaxBodyBytes:
 		return 0, nil, ErrBodyTooLarge
 	case n < 8:
-		return 0, nil, fmt.Errorf("%w: request of %d bytes has no epoch", ErrBadEnvelope, n)
+		return 0, nil, fmt.Errorf("%w: request of %d bytes has no stamp", ErrBadEnvelope, n)
 	}
 	body, err := readExact(br, int(n), buf)
 	if err != nil {

@@ -82,8 +82,9 @@ const Version = 0x03
 // payload (see AppendLogFrame).
 const LogVersion = 0x02
 
-// ContentType negotiates the binary codec over HTTP. A server that
-// does not speak it answers 415 and the client downgrades to JSON.
+// ContentType marks a wire frame — or pre-split sections of frames — that
+// is POSTed to the batch route, and a wire ack. Devices send theirs on the
+// upload stream (UplinkPath) instead.
 const ContentType = "application/x-occusim-wire"
 
 // AckContentType is ContentType as a ready header value, shared by every
@@ -96,9 +97,8 @@ func IsContentType(header string) bool {
 	return header == ContentType || strings.HasPrefix(header, ContentType+";")
 }
 
-// HeaderRingDigest carries the ring digest a device pre-split against
-// (request) and the digest the gateway is currently routing with
-// (response), so a stale splitter refreshes without an extra probe.
+// HeaderRingDigest carries the ring digest a POSTed upload's sections were
+// split against — on the upload stream the envelope's stamp carries it.
 const HeaderRingDigest = "X-Ring-Digest"
 
 // MaxFramePayload bounds one frame's payload (64 MiB): far above any
