@@ -71,8 +71,11 @@ allocs:
 # and unmarshalled at one site each, and a goroutine starts only in
 # dispatch, gather and migrate. And so is a failure's meaning: every site
 # decides by transport.Classify, so in the non-test Go of internal/ and
-# cmd/ a shed (IsOverload() and a status (StatusCode() are read only in
-# the classifier's file.
+# cmd/ a shed (IsOverload()) and a status (StatusCode()) are read only in
+# the classifier's file. And the frozen instrument is fenced: a name that
+# exists only because benchmark/ compiles against it lives in its
+# package's frozen.go, and outside comments no Go file but benchmark/'s,
+# that frozen.go and its frozen_test.go names it.
 ONEPATH_DIRS = internal/experiments internal/scenario cmd/loadgen
 onepath:
 	@fail=0; \
@@ -113,6 +116,15 @@ onepath:
 	if grep -rn --include='*.go' --exclude='*_test.go' -e 'json\.NewDecoder(r\.Body)' internal cmd; then \
 		echo "onepath: a handler decodes a request body with its own json.Decoder; use bms.DecodeJSON"; fail=1; \
 	fi; \
+	for fence in 'internal/fleet NewLocalPool(' 'internal/fleet SetCodec(' 'internal/fleet ingestAsFrame(' \
+		'internal/fleet FrameIngester' 'internal/transport ShardSplitter' 'internal/store OpenWAL('; do \
+		set -- $$fence; \
+		sites=$$(grep -rn --include='*.go' -e "$$2" . | grep -v -e '^\./benchmark/' -e "^\./$$1/frozen\(_test\)\?\.go:" | \
+			grep -v '^[^:]*:[0-9]*:[[:space:]]*//'); \
+		if [ -n "$$sites" ]; then \
+			echo "onepath: $$2 is frozen: only benchmark/ and $$1/frozen.go (with its test) may name it:"; echo "$$sites"; fail=1; \
+		fi; \
+	done; \
 	exit $$fail
 
 # bench-smoke runs every benchmark once — the paper's figure

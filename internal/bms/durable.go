@@ -114,7 +114,7 @@ func OpenDurableServer(b *building.Building, st *store.Store, debounce int, cfg 
 	if err != nil {
 		return nil, err
 	}
-	w, err := store.OpenWAL(cfg.Dir, store.ObsStripes, cfg.Policy, 0)
+	w, err := store.OpenLog(cfg.Dir, cfg.Policy, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -125,9 +125,6 @@ func OpenDurableServer(b *building.Building, st *store.Store, debounce int, cfg 
 	s.dur = &durability{wal: w, compactThreshold: cfg.CompactThreshold}
 	return s, nil
 }
-
-// Durable reports whether the server runs over a WAL.
-func (s *Server) Durable() bool { return s.dur != nil }
 
 // WALSize returns the log bytes appended since the last compaction cut
 // (0 for a volatile server).
@@ -586,7 +583,7 @@ func (s *Server) recover(w *store.WAL) error {
 		_, err := s.apply(&rec)
 		return err
 	}
-	return w.Replay(replay, nil)
+	return w.ReplayLive(replay)
 }
 
 // KnownDevices returns every device this server holds durable or

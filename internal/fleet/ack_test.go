@@ -20,6 +20,7 @@ import (
 	"occusim/internal/obs"
 	"occusim/internal/raceflag"
 	"occusim/internal/ring"
+	"occusim/internal/store"
 	"occusim/internal/transport"
 	"occusim/internal/wire"
 )
@@ -33,9 +34,9 @@ type section struct {
 	reports []int
 }
 
-// ringSections splits reports by ring owner the way a ShardSplitter does:
-// sections in shard-first-appearance order, a device's reports in order
-// inside its section.
+// ringSections splits reports by ring owner the way a pre-splitting
+// binary HTTPUplink does: sections in shard-first-appearance order, a
+// device's reports in order inside its section.
 func ringSections(t testing.TB, gw *fleet.Gateway, reports []transport.Report) []section {
 	t.Helper()
 	info := gw.RingInfo()
@@ -76,7 +77,8 @@ func sectionsBody(t testing.TB, reports []transport.Report, secs []section) (bod
 	return body, order
 }
 
-// presplitBody is the upload an honest ShardSplitter sends for reports.
+// presplitBody is the upload an honest pre-splitting uplink sends for
+// reports.
 func presplitBody(t testing.TB, gw *fleet.Gateway, reports []transport.Report) (body []byte, order []int) {
 	t.Helper()
 	return sectionsBody(t, reports, ringSections(t, gw, reports))
@@ -349,7 +351,7 @@ func TestJSONUploadKeepsJSONAck(t *testing.T) {
 // past wire.MaxBodyBytes; nothing of it reaches a shard.
 func TestGatewayOversizedUploadIs413(t *testing.T) {
 	b := building.PaperHouse()
-	pool, err := fleet.NewLocalPool(b, 2, 2, 200)
+	pool, err := fleet.OpenLocalPool(b, 2, 2, 200, "", store.FsyncBatch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -416,7 +418,7 @@ func TestAllocBudgetForward(t *testing.T) {
 	}
 	b := building.PaperHouse()
 	snap := trainSnapshot(t, b, 42)
-	pool, err := fleet.NewLocalPool(b, 4, 2, 200)
+	pool, err := fleet.OpenLocalPool(b, 4, 2, 200, "", store.FsyncBatch)
 	if err != nil {
 		t.Fatal(err)
 	}

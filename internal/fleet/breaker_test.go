@@ -130,7 +130,7 @@ func TestBreakerFailureClassification(t *testing.T) {
 		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, "x", tc.code)
 		}))
-		_, err := transport.PostJSON(nil, ts.URL, []byte(`{}`), transport.RetryPolicy{})
+		_, err := transport.DoJSONHeaders(nil, http.MethodPost, ts.URL, []byte(`{}`), nil, transport.RetryPolicy{})
 		ts.Close()
 		if err == nil {
 			t.Fatalf("status %d should error", tc.code)

@@ -11,6 +11,7 @@ import (
 	"occusim/internal/fleet"
 	"occusim/internal/fleet/fleettest"
 	"occusim/internal/occupancy"
+	"occusim/internal/store"
 	"occusim/internal/transport"
 )
 
@@ -76,7 +77,7 @@ func TestFleetFlakyShardExactlyOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	pool, err := fleet.NewLocalPool(b, 4, 2, 200)
+	pool, err := fleet.OpenLocalPool(b, 4, 2, 200, "", store.FsyncBatch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +140,7 @@ func TestFleetFailBackNoStaleResidue(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	pool, err := fleet.NewLocalPool(b, 4, 2, 200)
+	pool, err := fleet.OpenLocalPool(b, 4, 2, 200, "", store.FsyncBatch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +247,7 @@ func TestFleetFailBackNoStaleResidue(t *testing.T) {
 func TestGatewayResidueTTLSweep(t *testing.T) {
 	b := building.PaperHouse()
 	snap := trainSnapshot(t, b, 42)
-	pool, err := fleet.NewLocalPool(b, 3, 2, 200)
+	pool, err := fleet.OpenLocalPool(b, 3, 2, 200, "", store.FsyncBatch)
 	if err != nil {
 		t.Fatal(err)
 	}

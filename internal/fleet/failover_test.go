@@ -15,6 +15,7 @@ import (
 	"occusim/internal/fleet"
 	"occusim/internal/obs"
 	"occusim/internal/scenario"
+	"occusim/internal/store"
 	"occusim/internal/transport"
 )
 
@@ -88,7 +89,7 @@ func zombieGatewayFencedExactlyOnce(t *testing.T, codec transport.Codec) {
 	const seed = 42
 	b := building.PaperHouse()
 
-	pool, err := fleet.NewLocalPool(b, 3, 2, 1000)
+	pool, err := fleet.OpenLocalPool(b, 3, 2, 1000, "", store.FsyncBatch)
 	if err != nil {
 		t.Fatal(err)
 	}

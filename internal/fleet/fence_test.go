@@ -7,6 +7,7 @@ import (
 	"occusim/internal/bms"
 	"occusim/internal/building"
 	"occusim/internal/fleet"
+	"occusim/internal/store"
 	"occusim/internal/transport"
 )
 
@@ -273,7 +274,7 @@ func TestFenceDrainsInFlightDelivery(t *testing.T) {
 // would have.
 func TestRebuildRegistry(t *testing.T) {
 	b := building.PaperHouse()
-	pool, err := fleet.NewLocalPool(b, 3, 2, 200)
+	pool, err := fleet.OpenLocalPool(b, 3, 2, 200, "", store.FsyncBatch)
 	if err != nil {
 		t.Fatal(err)
 	}

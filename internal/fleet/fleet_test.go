@@ -138,7 +138,7 @@ func TestFleetMatchesSingleServer(t *testing.T) {
 	b := building.PaperHouse()
 	snap := trainSnapshot(t, b, 42)
 	t.Run("LocalShards", func(t *testing.T) {
-		pool, err := fleet.NewLocalPool(b, 4, 2, 200)
+		pool, err := fleet.OpenLocalPool(b, 4, 2, 200, "", store.FsyncBatch)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -294,7 +294,7 @@ func TestInstallModelRejectsBeaconMismatch(t *testing.T) {
 // original assignment.
 func TestGatewayRoutingDeterministicRebalance(t *testing.T) {
 	b := building.PaperHouse()
-	pool, err := fleet.NewLocalPool(b, 4, 2, 100)
+	pool, err := fleet.OpenLocalPool(b, 4, 2, 100, "", store.FsyncBatch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,7 +369,7 @@ func TestGatewayRoutingDeterministicRebalance(t *testing.T) {
 // routing, even though the shard itself reports healthy.
 func TestMarkDownSurvivesHealthProbe(t *testing.T) {
 	b := building.PaperHouse()
-	pool, err := fleet.NewLocalPool(b, 3, 2, 100)
+	pool, err := fleet.OpenLocalPool(b, 3, 2, 100, "", store.FsyncBatch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -395,7 +395,7 @@ func TestMarkDownSurvivesHealthProbe(t *testing.T) {
 // TestGatewayAllShardsDown pins the terminal failure mode.
 func TestGatewayAllShardsDown(t *testing.T) {
 	b := building.PaperHouse()
-	pool, err := fleet.NewLocalPool(b, 2, 2, 100)
+	pool, err := fleet.OpenLocalPool(b, 2, 2, 100, "", store.FsyncBatch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -419,7 +419,7 @@ func TestGatewayAllShardsDown(t *testing.T) {
 func TestGatewayBatchMatchesSingleSends(t *testing.T) {
 	b := building.PaperHouse()
 	mk := func() *fleet.Gateway {
-		pool, err := fleet.NewLocalPool(b, 3, 2, 100)
+		pool, err := fleet.OpenLocalPool(b, 3, 2, 100, "", store.FsyncBatch)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -470,7 +470,7 @@ func TestGatewayBatchMatchesSingleSends(t *testing.T) {
 func TestDistributeModelReachesEveryShard(t *testing.T) {
 	b := building.PaperHouse()
 	snap := trainSnapshot(t, b, 99)
-	pool, err := fleet.NewLocalPool(b, 3, 2, 100)
+	pool, err := fleet.OpenLocalPool(b, 3, 2, 100, "", store.FsyncBatch)
 	if err != nil {
 		t.Fatal(err)
 	}

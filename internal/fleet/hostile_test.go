@@ -17,6 +17,7 @@ import (
 	"occusim/internal/obs"
 	"occusim/internal/overload"
 	"occusim/internal/scenario"
+	"occusim/internal/store"
 	"occusim/internal/transport"
 )
 
@@ -71,7 +72,7 @@ func (s *faultyShard) IngestFrame(frame []byte, reports int) ([]string, error) {
 // the gate drains, the identical sequenced batch lands exactly once.
 func TestGatewayAdmissionSheds429(t *testing.T) {
 	b := building.PaperHouse()
-	pool, err := fleet.NewLocalPool(b, 1, 2, 100)
+	pool, err := fleet.OpenLocalPool(b, 1, 2, 100, "", store.FsyncBatch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +158,7 @@ func TestGatewayAdmissionSheds429(t *testing.T) {
 // zero lost accepted reports.
 func TestGatewayBreakerTripsAndRecovers(t *testing.T) {
 	b := building.PaperHouse()
-	pool, err := fleet.NewLocalPool(b, 1, 2, 100)
+	pool, err := fleet.OpenLocalPool(b, 1, 2, 100, "", store.FsyncBatch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +244,7 @@ func TestGatewaySkewMatchesReferenceServer(t *testing.T) {
 	b := building.PaperHouse()
 	snap := trainSnapshot(t, b, 42)
 
-	pool, err := fleet.NewLocalPool(b, 2, 2, 200)
+	pool, err := fleet.OpenLocalPool(b, 2, 2, 200, "", store.FsyncBatch)
 	if err != nil {
 		t.Fatal(err)
 	}

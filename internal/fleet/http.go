@@ -70,11 +70,6 @@ func NewHTTPShard(baseURL string, client *http.Client, retry transport.RetryPoli
 // Name implements Shard: the base URL is the stable ring identity.
 func (h *HTTPShard) Name() string { return h.base }
 
-// SetCodec does nothing: the leg has one form, a wire frame on the
-// stream. It is kept for callers this repository cannot edit yet and is
-// to be deleted with them (ROADMAP item 3).
-func (h *HTTPShard) SetCodec(transport.Codec) {}
-
 // StampEpoch implements Shard: the stamp when one is set, no extra header
 // for unfenced clients.
 func (h *HTTPShard) StampEpoch(epoch uint64) {
@@ -110,13 +105,7 @@ func (h *HTTPShard) call(method, path string, in, out any, policy transport.Retr
 	return nil
 }
 
-// IngestBatch implements Shard: the reports as one frame over the
-// stream (see Shard.IngestBatch).
-func (h *HTTPShard) IngestBatch(reports []transport.Report) ([]string, error) {
-	return ingestAsFrame(h, reports)
-}
-
-// IngestFrame implements FrameIngester: it sends one wire frame — the
+// IngestFrame implements Shard: it sends one wire frame — the
 // pre-split forward path's verbatim device bytes, or the frame the
 // gateway's split cut — over a shard stream under the leadership stamp,
 // and decodes the ack — the run-length rooms column of wire.AppendRooms

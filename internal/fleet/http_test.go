@@ -11,6 +11,7 @@ import (
 
 	"occusim/internal/building"
 	"occusim/internal/fleet"
+	"occusim/internal/store"
 	"occusim/internal/transport"
 	"occusim/internal/wire"
 )
@@ -57,7 +58,7 @@ func TestHTTPShardFleetEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	pool, err := fleet.NewLocalPool(b, 3, 2, 200)
+	pool, err := fleet.OpenLocalPool(b, 3, 2, 200, "", store.FsyncBatch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +193,7 @@ func TestHTTPShardDeviceMigration(t *testing.T) {
 
 	stream := synthStream(b, 1, 6, 17)
 	stampStream(stream, 2)
-	if _, err := src.IngestBatch(stream); err != nil {
+	if _, err := ingestFrame(t, src, stream); err != nil {
 		t.Fatal(err)
 	}
 	device := stream[0].Device
@@ -223,7 +224,7 @@ func TestHTTPShardDeviceMigration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := dst.IngestBatch(stream); err != nil {
+	if _, err := ingestFrame(t, dst, stream); err != nil {
 		t.Fatal(err)
 	}
 	after, err := dst.Events()
@@ -265,7 +266,7 @@ func errorPhase(msg string) string {
 // request), and a fleet with no healthy shards answers 503.
 func TestFleetHandlerStatusParity(t *testing.T) {
 	b := building.PaperHouse()
-	pool, err := fleet.NewLocalPool(b, 2, 2, 100)
+	pool, err := fleet.OpenLocalPool(b, 2, 2, 100, "", store.FsyncBatch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,7 +410,7 @@ func TestFleetHandlerStatusParity(t *testing.T) {
 // embedded trainer.
 func TestFleetHandler(t *testing.T) {
 	b := building.PaperHouse()
-	pool, err := fleet.NewLocalPool(b, 2, 2, 100)
+	pool, err := fleet.OpenLocalPool(b, 2, 2, 100, "", store.FsyncBatch)
 	if err != nil {
 		t.Fatal(err)
 	}

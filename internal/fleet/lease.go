@@ -65,7 +65,7 @@ type LeaseConfig struct {
 
 // LeaseController drives one gateway's leadership claims, renewals and
 // standby probes against the gateway's own shard set. Safe for
-// concurrent use; Run owns the clock, but Claim/Renew/StepDown may also
+// concurrent use; Run owns the clock, but Claim and Renew may also
 // be called directly (tests, operator tooling).
 type LeaseController struct {
 	gw     *Gateway
@@ -233,9 +233,6 @@ func (c *LeaseController) Renew() error {
 	return fmt.Errorf("fleet: lease renewal at epoch %d held %d/%d shards (quorum %d); stepping down",
 		epoch, granted, len(c.gw.shards), c.quorum)
 }
-
-// StepDown drops to standby voluntarily (operator drain, shutdown).
-func (c *LeaseController) StepDown() { c.stepDown(0, "") }
 
 func (c *LeaseController) stepDown(seenEpoch uint64, holder string) {
 	c.mu.Lock()

@@ -8,6 +8,7 @@ import (
 
 	"occusim/internal/building"
 	"occusim/internal/fleet"
+	"occusim/internal/store"
 	"occusim/internal/transport"
 )
 
@@ -17,7 +18,7 @@ import (
 // clients.
 func twinGateways(t *testing.T, b *building.Building, n int) (*fleet.LocalPool, *fleet.Gateway, *fleet.Gateway) {
 	t.Helper()
-	pool, err := fleet.NewLocalPool(b, n, 2, 1000)
+	pool, err := fleet.OpenLocalPool(b, n, 2, 1000, "", store.FsyncBatch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +157,7 @@ func (d deafShard) Claim(epoch uint64, leader string) (uint64, string, error) {
 
 func TestLeaseClaimNeedsShardQuorum(t *testing.T) {
 	b := building.PaperHouse()
-	pool, err := fleet.NewLocalPool(b, 3, 2, 1000)
+	pool, err := fleet.OpenLocalPool(b, 3, 2, 1000, "", store.FsyncBatch)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,14 +26,6 @@ import (
 	"occusim/internal/wire"
 )
 
-// FrameIngester is the ingest half of a Shard: take one wire frame
-// carrying the given report count — the bytes a pre-splitting device
-// encoded, or the frame the gateway's own split cut — and return the
-// predicted room per report in frame order.
-type FrameIngester interface {
-	IngestFrame(frame []byte, reports int) ([]string, error)
-}
-
 // PresplitSection is one shard's slice of a device-split upload:
 // the shard name the device resolved and that shard's wire frame.
 // Frame and Payload alias the request body; IngestPresplit does not

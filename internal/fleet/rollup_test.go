@@ -20,6 +20,7 @@ import (
 	"occusim/internal/obs"
 	"occusim/internal/occupancy"
 	"occusim/internal/raceflag"
+	"occusim/internal/store"
 	"occusim/internal/transport"
 )
 
@@ -143,7 +144,7 @@ func deviceNames(prefix string, n int) []string {
 // every reply holds the identity.
 func TestRollupNeverTorn(t *testing.T) {
 	b := building.PaperHouse()
-	pool, err := fleet.NewLocalPool(b, 4, 1, 50)
+	pool, err := fleet.OpenLocalPool(b, 4, 1, 50, "", store.FsyncBatch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +199,7 @@ func TestRollupNeverTorn(t *testing.T) {
 // exactly as the event-walking rollup had it.
 func TestRollupCountsResidueOnce(t *testing.T) {
 	b := building.PaperHouse()
-	pool, err := fleet.NewLocalPool(b, 3, 2, 200)
+	pool, err := fleet.OpenLocalPool(b, 3, 2, 200, "", store.FsyncBatch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -426,7 +427,7 @@ func TestManyShardCallsAreOneConcurrentRound(t *testing.T) {
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
-			pool, err := fleet.NewLocalPool(b, 4, 2, 50)
+			pool, err := fleet.OpenLocalPool(b, 4, 2, 50, "", store.FsyncBatch)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -474,7 +475,7 @@ func TestAllocBudgetRollup(t *testing.T) {
 	// every device in the same room.
 	const shortLaps, longLaps = 64, 6400
 	grow := func(laps int) (*fleet.Gateway, *fleet.LocalPool) {
-		pool, err := fleet.NewLocalPool(b, 2, 1, 10)
+		pool, err := fleet.OpenLocalPool(b, 2, 1, 10, "", store.FsyncBatch)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -591,7 +592,7 @@ func TestRollupSingleBoxParity(t *testing.T) {
 // counted under its own name, and the exposition stays well-formed.
 func TestFederatedReadTelemetry(t *testing.T) {
 	b := building.PaperHouse()
-	pool, err := fleet.NewLocalPool(b, 2, 2, 50)
+	pool, err := fleet.OpenLocalPool(b, 2, 2, 50, "", store.FsyncBatch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -652,7 +653,7 @@ func TestFederatedReadTelemetry(t *testing.T) {
 // batch of one, on the gateway's histogram and on the owning shard's.
 func TestIngestTelemetryCountsSingleReportsAsBatches(t *testing.T) {
 	b := building.PaperHouse()
-	pool, err := fleet.NewLocalPool(b, 1, 2, 50)
+	pool, err := fleet.OpenLocalPool(b, 1, 2, 50, "", store.FsyncBatch)
 	if err != nil {
 		t.Fatal(err)
 	}

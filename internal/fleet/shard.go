@@ -12,7 +12,6 @@ import (
 	"occusim/internal/occupancy"
 	"occusim/internal/store"
 	"occusim/internal/transport"
-	"occusim/internal/wire"
 )
 
 // Shard is one BMS ingest server as the gateway sees it: the report
@@ -24,14 +23,15 @@ type Shard interface {
 	// Name identifies the shard; it seeds the shard's virtual nodes on
 	// the hash ring, so it must be unique and stable across restarts.
 	Name() string
-	// FrameIngester is the report path: the gateway delivers a shard its
-	// share of every upload as one wire frame.
-	FrameIngester
-	// IngestBatch processes many reports (per-device order preserved)
-	// and returns the predicted room per report, in order. The gateway
-	// never calls it: both real shards render the reports into a frame
-	// and take IngestFrame. It stays declared for callers this
-	// repository cannot edit yet (ROADMAP item 3).
+	// IngestFrame is the report path: the gateway delivers a shard its
+	// share of every upload as one wire frame carrying the given report
+	// count — the bytes a pre-splitting device encoded, or the frame the
+	// gateway's own split cut — and takes back the predicted room per
+	// report in frame order.
+	IngestFrame(frame []byte, reports int) ([]string, error)
+	// IngestBatch is IngestFrame on the reports rendered into one frame.
+	// The system never calls it; it is declared for the frozen
+	// instrument only (frozen.go).
 	IngestBatch([]transport.Report) ([]string, error)
 	// InstallModel switches the shard to a distributed model snapshot.
 	InstallModel(bms.ModelSnapshot) error
@@ -97,27 +97,7 @@ func NewLocalShard(name string, srv *bms.Server) (*LocalShard, error) {
 // Name implements Shard.
 func (l *LocalShard) Name() string { return l.name }
 
-// IngestBatch implements Shard.
-func (l *LocalShard) IngestBatch(reports []transport.Report) ([]string, error) {
-	return ingestAsFrame(l, reports)
-}
-
-// ingestAsFrame is Shard.IngestBatch for both real shards: the reports
-// rendered into one wire frame and handed to IngestFrame. An identity
-// the frame cannot carry is the reporting client's error.
-func ingestAsFrame(s FrameIngester, reports []transport.Report) ([]string, error) {
-	b := wire.GetBatch()
-	defer wire.PutBatch(b)
-	if err := transport.EncodeReports(b, reports); err != nil {
-		return nil, fmt.Errorf("fleet: batch: %w", err)
-	}
-	buf := wire.GetBuf()
-	defer wire.PutBuf(buf)
-	*buf = wire.AppendFrame(*buf, b)
-	return s.IngestFrame(*buf, len(reports))
-}
-
-// IngestFrame implements FrameIngester: the server decodes the frame
+// IngestFrame implements Shard: the server decodes the frame
 // and runs its binary ingest path under the stamped epoch — the
 // in-process analogue of a shard receiving the bytes over its stream (a
 // durable server logs them as received).
@@ -174,13 +154,6 @@ func (l *LocalShard) StampEpoch(epoch uint64) { l.epoch.Store(epoch) }
 type LocalPool struct {
 	Shards  []Shard
 	Servers []*bms.Server
-}
-
-// NewLocalPool builds n volatile in-process shards over fresh servers of
-// one floor plan — OpenLocalPool without a data directory, the substrate
-// most tests run on.
-func NewLocalPool(b *building.Building, n, debounce, retain int) (*LocalPool, error) {
-	return OpenLocalPool(b, n, debounce, retain, "", store.FsyncBatch)
 }
 
 // OpenLocalPool builds n in-process shards over servers of one floor

@@ -34,6 +34,13 @@ func plainFrame(t testing.TB, reports []transport.Report) []byte {
 	return wire.AppendFrame(nil, wb)
 }
 
+// ingestFrame delivers reports to a shard as the gateway does: rendered
+// into one wire frame.
+func ingestFrame(t testing.TB, s fleet.Shard, reports []transport.Report) ([]string, error) {
+	t.Helper()
+	return s.IngestFrame(plainFrame(t, reports), len(reports))
+}
+
 func postJSONBatch(t testing.TB, h http.Handler, reports []transport.Report) *httptest.ResponseRecorder {
 	t.Helper()
 	rec := httptest.NewRecorder()
@@ -153,7 +160,7 @@ func TestGatewayRejectsWholeUploadLikeOneServer(t *testing.T) {
 	for _, door := range doors {
 		for _, fault := range door.faults {
 			t.Run(door.name+"/"+fault, func(t *testing.T) {
-				pool, err := fleet.NewLocalPool(b, 4, 2, 200)
+				pool, err := fleet.OpenLocalPool(b, 4, 2, 200, "", store.FsyncBatch)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -466,7 +473,7 @@ func TestAllocBudgetResplitDoor(t *testing.T) {
 		t.Skip("allocation counts are pinned without the race detector")
 	}
 	b := building.PaperHouse()
-	pool, err := fleet.NewLocalPool(b, 4, 2, 200)
+	pool, err := fleet.OpenLocalPool(b, 4, 2, 200, "", store.FsyncBatch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -533,7 +540,7 @@ func TestAllocBudgetResplitDoor(t *testing.T) {
 // same frame the same way.
 func TestPresplitBadRefRefusedWhole(t *testing.T) {
 	b := building.PaperHouse()
-	pool, err := fleet.NewLocalPool(b, 4, 2, 200)
+	pool, err := fleet.OpenLocalPool(b, 4, 2, 200, "", store.FsyncBatch)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,8 +44,7 @@ func outcomeOf(err error) legOutcome {
 // the leader headers. The POST is gone, so the expected column is the
 // table it produced on PR 19's parent, written out. A refused upgrade
 // never had a POST twin; it is held to what PR 15 fixed for a 415 (a
-// fault: 502, breaker failure). SetCodec is called with both values on
-// the way: it changes nothing. Where a failure has an in-process twin —
+// fault: 502, breaker failure). Where a failure has an in-process twin —
 // a rejection, a stale stamp, a shed — a LocalShard over the same server
 // is driven into it too, and must draw the same conclusions.
 func TestStreamOutcomesClassifyAsThePostDid(t *testing.T) {
@@ -90,16 +89,24 @@ func TestStreamOutcomesClassifyAsThePostDid(t *testing.T) {
 		}
 		return []transport.Report{rep}
 	}
+	// frame renders reports as the gateway delivers them: one wire frame.
+	frame := func(t *testing.T, reports []transport.Report) []byte {
+		t.Helper()
+		wb := new(wire.Batch)
+		if err := transport.EncodeReports(wb, reports); err != nil {
+			t.Fatal(err)
+		}
+		return wire.AppendFrame(nil, wb)
+	}
 	// tries is how often a delivery may succeed before it must fail: once,
 	// except where the failure is a race the test can only make likely.
-	// The codec setter is flipped between tries and must not matter.
 	fails := func(t *testing.T, shards []Shard, reports []transport.Report, tries int, want legOutcome) {
 		t.Helper()
+		f := frame(t, reports)
 		for _, s := range shards {
 			var err error
 			for try := 0; try < tries && err == nil; try++ {
-				hs.SetCodec(transport.Codec(try % 2))
-				_, err = s.IngestBatch(reports)
+				_, err = s.IngestFrame(f, len(reports))
 			}
 			if err == nil {
 				t.Fatalf("%T: the delivery succeeded", s)
@@ -130,7 +137,7 @@ func TestStreamOutcomesClassifyAsThePostDid(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err = fresh.IngestBatch(report("d2")); err == nil {
+		if _, err = fresh.IngestFrame(frame(t, report("d2")), 1); err == nil {
 			t.Fatal("the delivery succeeded")
 		}
 		if got, want := outcomeOf(err), (legOutcome{status: http.StatusBadGateway, breaker: true}); got != want {
@@ -140,13 +147,10 @@ func TestStreamOutcomesClassifyAsThePostDid(t *testing.T) {
 	if occ := srv.Occupancy(); len(occ.Devices) != 0 {
 		t.Fatalf("failed deliveries left state behind: %v", occ.Devices)
 	}
-	// Vacuity: the same report, nothing in its way, lands — under either
-	// setting of the inert codec, and never by POST.
-	for _, codec := range []transport.Codec{transport.CodecJSON, transport.CodecBinary} {
-		hs.SetCodec(codec)
-		if rooms, err := hs.IngestBatch(report("ok-" + codec.String())); err != nil || len(rooms) != 1 {
-			t.Fatalf("nothing in the way, SetCodec(%s): %q, %v", codec, rooms, err)
-		}
+	// Vacuity: the same report, nothing in its way, lands — and never by
+	// POST.
+	if rooms, err := hs.IngestFrame(frame(t, report("ok")), 1); err != nil || len(rooms) != 1 {
+		t.Fatalf("nothing in the way: %q, %v", rooms, err)
 	}
 	if batchPosts.Load() != 0 {
 		t.Fatalf("the shard took %d batch POSTs: the leg has one form, a frame on the stream", batchPosts.Load())

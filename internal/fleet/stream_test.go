@@ -200,7 +200,7 @@ func TestStreamsSurviveResetsUnderRace(t *testing.T) {
 	// wrong room, and a frame that landed twice doubles a dwell. (One
 	// device per frame on purpose: a retry can overtake its own cut-off
 	// original inside the shard, and frames of one device do not commute
-	// in the tracker — ROADMAP item 4e, not this leg's to fix.)
+	// in the tracker, which is not this leg's to fix.)
 	const writers, frames = 4, 40
 	type sent struct {
 		frame []byte

@@ -45,10 +45,10 @@ func TestShardVerbsAnswerAsInProcess(t *testing.T) {
 		}
 	}
 	for _, s := range shards {
-		if _, err := s.IngestBatch(stream); err != nil {
+		if _, err := ingestFrame(t, s, stream); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.IngestBatch(tail); err != nil {
+		if _, err := ingestFrame(t, s, tail); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -118,7 +118,7 @@ func TestShardVerbsAnswerAsInProcess(t *testing.T) {
 		s.StampEpoch(1)
 		_, _, evictErr := s.EvictDevice("crowd-000")
 		_, expireErr := s.ExpireBefore(2 * time.Hour)
-		_, ingestErr := s.IngestBatch(tail)
+		_, ingestErr := ingestFrame(t, s, tail)
 		for what, err := range map[string]error{
 			"evict":   evictErr,
 			"install": s.InstallDevice(bms.DeviceState{DeviceState: occupancy.DeviceState{Device: "crowd-000"}}),

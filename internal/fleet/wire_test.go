@@ -12,6 +12,7 @@ import (
 	"occusim/internal/building"
 	"occusim/internal/fleet"
 	"occusim/internal/obs"
+	"occusim/internal/store"
 	"occusim/internal/transport"
 	"occusim/internal/wire"
 )
@@ -32,7 +33,7 @@ func newWireStack(t *testing.T, b *building.Building, shards int, snapSeed uint6
 
 func newWireStackConfig(t *testing.T, b *building.Building, shards int, snapSeed uint64, cfg fleet.Config) *wireStack {
 	t.Helper()
-	pool, err := fleet.NewLocalPool(b, shards, 2, 200)
+	pool, err := fleet.OpenLocalPool(b, shards, 2, 200, "", store.FsyncBatch)
 	if err != nil {
 		t.Fatal(err)
 	}

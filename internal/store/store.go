@@ -66,6 +66,13 @@ func (m seqMark) accepts(epoch, seq uint64) bool {
 // sizes the benchmark's workloads drive, at 16 mutexes of footprint.
 const obsShards = 16
 
+// ObsStripes is the store's observation lock-stripe count.
+const ObsStripes = obsShards
+
+// StripeFor maps a device name onto its observation stripe — the same
+// mapping AddObservationBatch coalesces runs with.
+func StripeFor(device string) int { return stripe.Index(device, obsShards) }
+
 // obsShard holds the observations of the devices hashing to one stripe,
 // plus their ingest high-water marks (same stripe, same lock: the
 // freshness decision and the append are one critical section).
@@ -105,7 +112,7 @@ func New(maxPerDevice int) (*Store, error) {
 
 // shardFor maps a device name onto its stripe.
 func (s *Store) shardFor(device string) *obsShard {
-	return &s.shards[stripe.Index(device, obsShards)]
+	return &s.shards[StripeFor(device)]
 }
 
 // AddObservation appends an observation for its device, evicting the

@@ -11,7 +11,7 @@
 // compaction and torn-tail recovery live here; record semantics (what
 // an observation batch or a device install looks like on disk) belong
 // to the owner (internal/bms), which writes records before mutating
-// in-memory state and replays them through Replay at boot.
+// in-memory state and replays them through ReplayLive at boot.
 //
 // Frames are the wire package's log frames (wire.AppendLogFrame):
 //
@@ -32,7 +32,7 @@
 // sealed file, a fresh wal.log opens and the generation moves on; the
 // snapshot is then written to snapshot-<gen+1> (atomically: temp file,
 // fsync, rename) beside live appends; once it has landed, the sealed
-// files and snapshots it covers are deleted. Replay reads the newest
+// files and snapshots it covers are deleted. ReplayLive reads the newest
 // snapshot's generation G, then every sealed file in generation order,
 // then wal.log, skipping frames stamped below G — so a crash at any
 // point recovers exactly: before the snapshot lands, from the old
@@ -55,7 +55,6 @@ import (
 	"time"
 
 	"occusim/internal/obs"
-	"occusim/internal/stripe"
 	"occusim/internal/wire"
 )
 
@@ -78,7 +77,7 @@ type walMetrics struct {
 }
 
 // Instrument registers the WAL's series on m and starts feeding them.
-// Torn-tail repairs found during a later Replay and failed compactions
+// Torn-tail repairs found during a later ReplayLive and failed compactions
 // also land in m's flight recorder. Every WAL instrumented on one
 // registry feeds the same series — wal_size_bytes is their sum — so an
 // in-process shard pool reads as one log. Safe to call while appends
@@ -153,13 +152,6 @@ func (p FsyncPolicy) String() string {
 	}
 }
 
-// ObsStripes is the store's observation lock-stripe count.
-const ObsStripes = obsShards
-
-// StripeFor maps a device name onto its observation stripe — the same
-// mapping AddObservationBatch coalesces runs with.
-func StripeFor(device string) int { return stripe.Index(device, obsShards) }
-
 // logName is the one log file of a data directory.
 const logName = "wal.log"
 
@@ -168,10 +160,11 @@ const logName = "wal.log"
 type WAL struct {
 	dir    string
 	policy FsyncPolicy
-	// stripes is the index range Append still checks; see Append.
+	// stripes is the index range the frozen Append checks, as the frozen
+	// OpenWAL recorded it (frozen.go); OpenLog leaves it 0.
 	stripes int
 
-	// compactMu serialises compactions (and Replay) among themselves, so
+	// compactMu serialises compactions (and ReplayLive) among themselves, so
 	// a snapshot being written never meets a second cut. Taken before
 	// appendMu, never while holding it.
 	compactMu sync.Mutex
@@ -262,16 +255,12 @@ func (w *WAL) syncUpTo(seq uint64) error {
 // DefaultFsyncInterval spaces background syncs under FsyncInterval.
 const DefaultFsyncInterval = 100 * time.Millisecond
 
-// OpenWAL opens (creating if needed) the log in dir. stripes bounds the
-// index Append accepts (use ObsStripes); interval configures the
-// FsyncInterval ticker (0 takes DefaultFsyncInterval). The returned WAL
-// has NOT been replayed: the owner restores the newest snapshot
-// (Snapshot), replays the tail (Replay), and only then starts
+// OpenLog opens (creating if needed) the log in dir. interval configures
+// the FsyncInterval ticker (0 takes DefaultFsyncInterval). The returned
+// WAL has NOT been replayed: the owner restores the newest snapshot
+// (Snapshot), replays the tail (ReplayLive), and only then starts
 // appending.
-func OpenWAL(dir string, stripes int, policy FsyncPolicy, interval time.Duration) (*WAL, error) {
-	if stripes < 1 {
-		return nil, fmt.Errorf("store: wal needs at least 1 stripe")
-	}
+func OpenLog(dir string, policy FsyncPolicy, interval time.Duration) (*WAL, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: wal dir: %w", err)
 	}
@@ -279,12 +268,11 @@ func OpenWAL(dir string, stripes int, policy FsyncPolicy, interval time.Duration
 		return nil, err
 	}
 	w := &WAL{
-		dir:     dir,
-		policy:  policy,
-		stripes: stripes,
-		path:    filepath.Join(dir, logName),
-		stop:    make(chan struct{}),
-		done:    make(chan struct{}),
+		dir:    dir,
+		policy: policy,
+		path:   filepath.Join(dir, logName),
+		stop:   make(chan struct{}),
+		done:   make(chan struct{}),
 	}
 	// A process killed while it wrote a snapshot left the temp file; no
 	// other writer can exist, so nothing still wants it.
@@ -321,7 +309,7 @@ func OpenWAL(dir string, stripes int, policy FsyncPolicy, interval time.Duration
 		last.SnapshotBytes = fi.Size()
 	}
 	w.last.Store(last)
-	if w.f, err = openLog(w.path); err != nil {
+	if w.f, err = openLogFile(w.path); err != nil {
 		return nil, err
 	}
 	if policy == FsyncInterval {
@@ -372,8 +360,8 @@ func (w *WAL) Dir() string { return w.dir }
 // snapshotName formats the generation-stamped snapshot filename.
 func snapshotName(gen uint64) string { return fmt.Sprintf("snapshot-%016d.snap", gen) }
 
-// openLog opens (creating if needed) a log file for appending.
-func openLog(path string) (*os.File, error) {
+// openLogFile opens (creating if needed) a log file for appending.
+func openLogFile(path string) (*os.File, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("store: wal: %w", err)
@@ -448,10 +436,10 @@ func (w *WAL) Snapshot() (r *os.File, ok bool, err error) {
 
 // Begin opens one log-then-apply operation and returns its end
 // function. The guard blocks compaction for the operation's duration;
-// every Append/AppendMeta call AND the in-memory apply of what it
+// every AppendMeta call AND the in-memory apply of what it
 // logged must happen between Begin and end. Operations run
 // concurrently with each other (the guard is shared); only Compact and
-// Replay exclude them.
+// ReplayLive exclude them.
 func (w *WAL) Begin() (end func()) {
 	w.appendMu.RLock()
 	return w.appendMu.RUnlock
@@ -465,17 +453,6 @@ func (w *WAL) Begin() (end func()) {
 func (w *WAL) BeginExclusive() (end func()) {
 	w.appendMu.Lock()
 	return w.appendMu.Unlock
-}
-
-// Append is AppendMeta behind a range check on stripeIdx. The index is
-// inert — there is one log, and nothing records it — and goes, with
-// Replay's second callback, when ROADMAP item 3 lets benchmark/ (the
-// one caller of both) change.
-func (w *WAL) Append(stripeIdx int, payload []byte) error {
-	if stripeIdx < 0 || stripeIdx >= w.stripes {
-		return fmt.Errorf("store: wal: stripe %d out of range", stripeIdx)
-	}
-	return w.AppendMeta(payload)
 }
 
 // AppendMeta frames payload and appends it to the log — any record,
@@ -523,7 +500,7 @@ func (w *WAL) AppendMeta(payload []byte) error {
 // owner's compaction trigger.
 func (w *WAL) Size() int64 { return w.size.Load() }
 
-// Replay hands every live frame's payload to apply, in the order the
+// ReplayLive hands every live frame's payload to apply, in the order the
 // records were appended: the sealed files a compaction has not
 // reclaimed yet, in generation order, then wal.log. Frames stamped below
 // the newest snapshot's generation are skipped: the snapshot already
@@ -531,11 +508,10 @@ func (w *WAL) Size() int64 { return w.size.Load() }
 // discarded and the file truncated to its valid prefix; any other
 // damage — corruption before valid data, or a sealed file that does not
 // end on a frame boundary (it was synced whole before it was sealed) —
-// sits inside committed history and fails loudly. Replay leaves the
+// sits inside committed history and fails loudly. ReplayLive leaves the
 // generation at the highest stamp it met, so new frames are never
-// stamped below frames already in the log. The second callback is never
-// called (see Append).
-func (w *WAL) Replay(apply func(payload []byte) error, _ func(idx int, payload []byte) error) error {
+// stamped below frames already in the log.
+func (w *WAL) ReplayLive(apply func(payload []byte) error) error {
 	w.compactMu.Lock()
 	defer w.compactMu.Unlock()
 	w.appendMu.Lock()
@@ -647,7 +623,7 @@ func (w *WAL) LastCompaction() Compaction { return *w.last.Load() }
 // (temp file, fsync, rename) while appends run.
 //
 // Reclaim: the sealed files and snapshots the new one covers are
-// deleted (best effort: leftovers are skipped by Replay and go with the
+// deleted (best effort: leftovers are skipped by ReplayLive and go with the
 // next compaction).
 //
 // A crash anywhere recovers exactly (see the package comment). A failed
@@ -775,7 +751,7 @@ func (w *WAL) seal() (fresh *os.File, err error) {
 	if err := os.Rename(w.path, sealed); err != nil {
 		return nil, err
 	}
-	if fresh, err = openLog(w.path); err != nil {
+	if fresh, err = openLogFile(w.path); err != nil {
 		// Appends go on into the descriptor still open: give the file its
 		// name back, so the next attempt finds it.
 		_ = os.Rename(sealed, w.path)

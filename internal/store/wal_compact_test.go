@@ -22,11 +22,11 @@ import (
 func TestOpenWALSweepsSnapshotTemps(t *testing.T) {
 	dir := t.TempDir()
 	w := openTestWAL(t, dir)
-	appendAll(t, w, 0, "pre")
+	appendAll(t, w, "pre")
 	if err := w.Compact(snapshotOf("KEPT")); err != nil {
 		t.Fatal(err)
 	}
-	appendAll(t, w, 0, "tail")
+	appendAll(t, w, "tail")
 	// Abandon w mid-"snapshot": the crash.
 	for _, name := range []string{snapshotName(2) + ".tmp-123456", snapshotName(7) + ".tmp-1"} {
 		if err := os.WriteFile(filepath.Join(dir, name), []byte("half a snapshot"), 0o644); err != nil {
@@ -149,13 +149,13 @@ func recoverRun(t *testing.T, dir string) (w *WAL, from, to int64) {
 		from = n
 	}
 	to = from
-	err := w.Replay(func(p []byte) error {
+	err := w.ReplayLive(func(p []byte) error {
 		if want := "r-" + strconv.FormatInt(to, 10); string(p) != want {
 			return fmt.Errorf("replayed %q where %s was due", p, want)
 		}
 		to++
 		return nil
-	}, nil)
+	})
 	if err != nil {
 		t.Fatalf("%s (holding %v): %v", dir, listDir(t, dir), err)
 	}
@@ -172,11 +172,11 @@ func (cc crashCopy) verify(t *testing.T, row string) {
 	if to < cc.lo || to > cc.hi {
 		t.Fatalf("%s: %v recovered r-%d … r-%d, but %d records were acknowledged before the copy and %d issued by its end", row, held, from, to-1, cc.lo, cc.hi)
 	}
-	appendAll(t, w, 0, "r-"+strconv.FormatInt(to, 10))
+	appendAll(t, w, "r-"+strconv.FormatInt(to, 10))
 	if err := w.Compact(snapshotOf(strconv.FormatInt(to+1, 10))); err != nil {
 		t.Fatalf("%s: %v", row, err)
 	}
-	appendAll(t, w, 0, "r-"+strconv.FormatInt(to+1, 10))
+	appendAll(t, w, "r-"+strconv.FormatInt(to+1, 10))
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +284,7 @@ func TestWALCrashTable(t *testing.T) {
 			t.Fatal(err)
 		}
 		w := openTestWAL(t, dir)
-		err = w.Replay(func([]byte) error { return nil }, nil)
+		err = w.ReplayLive(func([]byte) error { return nil })
 		w.Close()
 		if err == nil || !strings.Contains(err.Error(), filepath.Base(sealed[0])) {
 			t.Fatalf("%s in a sealed log replayed with %v, want a failure naming the file", name, err)

@@ -15,25 +15,24 @@ import (
 	"occusim/internal/wire"
 )
 
-// openTestWAL opens a WAL (accepting Append indices 0 and 1) with no
-// explicit syncing — the policy under which recovery guarantees are
-// weakest, so every pass here holds a fortiori for batch and interval.
+// openTestWAL opens a WAL with no explicit syncing — the policy under
+// which recovery guarantees are weakest, so every pass here holds a
+// fortiori for batch and interval.
 func openTestWAL(t *testing.T, dir string) *WAL {
 	t.Helper()
-	w, err := OpenWAL(dir, 2, FsyncOff, 0)
+	w, err := OpenLog(dir, FsyncOff, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return w
 }
 
-// appendAll logs each payload, through Append's index door, under its
-// own Begin guard.
-func appendAll(t *testing.T, w *WAL, stripe int, payloads ...string) {
+// appendAll logs each payload under its own Begin guard.
+func appendAll(t *testing.T, w *WAL, payloads ...string) {
 	t.Helper()
 	for _, p := range payloads {
 		end := w.Begin()
-		err := w.Append(stripe, []byte(p))
+		err := w.AppendMeta([]byte(p))
 		end()
 		if err != nil {
 			t.Fatal(err)
@@ -42,18 +41,11 @@ func appendAll(t *testing.T, w *WAL, stripe int, payloads ...string) {
 }
 
 // replayAll collects every live record, in replay order, joined by
-// commas. Everything arrives through the first callback.
+// commas.
 func replayAll(t *testing.T, w *WAL) string {
 	t.Helper()
 	var got []string
-	err := w.Replay(
-		func(p []byte) error { got = append(got, string(p)); return nil },
-		func(i int, p []byte) error {
-			t.Errorf("record %q replayed through the index callback (%d)", p, i)
-			return nil
-		},
-	)
-	if err != nil {
+	if err := w.ReplayLive(func(p []byte) error { got = append(got, string(p)); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	return strings.Join(got, ",")
@@ -148,7 +140,7 @@ func TestWALTornFinalRecord(t *testing.T) {
 		t.Run(fmt.Sprintf("cut@%d", cut), func(t *testing.T) {
 			dir := t.TempDir()
 			w := openTestWAL(t, dir)
-			appendAll(t, w, 0, payloads...)
+			appendAll(t, w, payloads...)
 			if err := w.Close(); err != nil {
 				t.Fatal(err)
 			}
@@ -167,7 +159,7 @@ func TestWALTornFinalRecord(t *testing.T) {
 				t.Fatalf("file not repaired: size %d, want %d (err %v)", fi.Size(), prefix, err)
 			}
 			// …and appends must continue from the clean boundary.
-			appendAll(t, w2, 0, "delta")
+			appendAll(t, w2, "delta")
 			if got := replayAll(t, w2); got != want+",delta" {
 				t.Fatalf("after repair+append recovered %v, want %v,delta", got, want)
 			}
@@ -181,7 +173,7 @@ func TestWALTornFinalRecord(t *testing.T) {
 func TestWALCorruptMiddleRecordFailsLoud(t *testing.T) {
 	dir := t.TempDir()
 	w := openTestWAL(t, dir)
-	appendAll(t, w, 0, "first", "second", "third")
+	appendAll(t, w, "first", "second", "third")
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -196,10 +188,7 @@ func TestWALCorruptMiddleRecordFailsLoud(t *testing.T) {
 	}
 	w2 := openTestWAL(t, dir)
 	defer w2.Close()
-	err = w2.Replay(
-		func([]byte) error { return nil },
-		func(int, []byte) error { return nil },
-	)
+	err = w2.ReplayLive(func([]byte) error { return nil })
 	if err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
 		t.Fatalf("corrupt middle record replayed without a loud failure: %v", err)
 	}
@@ -213,14 +202,14 @@ func TestWALCorruptMiddleRecordFailsLoud(t *testing.T) {
 func TestWALSnapshotBarrier(t *testing.T) {
 	dir := t.TempDir()
 	w := openTestWAL(t, dir)
-	appendAll(t, w, 0, "pre-1", "pre-2")
+	appendAll(t, w, "pre-1", "pre-2")
 	if err := w.Compact(snapshotOf("SNAPSHOT")); err != nil {
 		t.Fatal(err)
 	}
 	if got := strings.Join(listDir(t, dir), ","); got != snapshotName(1)+","+logName {
 		t.Fatalf("a compaction left %s, want one snapshot beside one log", got)
 	}
-	appendAll(t, w, 0, "post-1")
+	appendAll(t, w, "post-1")
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +230,7 @@ func TestWALSnapshotBarrier(t *testing.T) {
 	// snapshot next to a log full of old-generation records.
 	dir2 := t.TempDir()
 	w3 := openTestWAL(t, dir2)
-	appendAll(t, w3, 0, "stale-1", "stale-2")
+	appendAll(t, w3, "stale-1", "stale-2")
 	if err := w3.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +253,7 @@ func TestWALSnapshotBarrier(t *testing.T) {
 func TestWALRandomCrashPointReplay(t *testing.T) {
 	const records = 20
 	src := t.TempDir()
-	w, err := OpenWAL(src, 1, FsyncOff, 0)
+	w, err := OpenLog(src, FsyncOff, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +266,7 @@ func TestWALRandomCrashPointReplay(t *testing.T) {
 		total += frameLen(p)
 		bounds = append(bounds, total)
 	}
-	appendAll(t, w, 0, payloads...)
+	appendAll(t, w, payloads...)
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +289,7 @@ func TestWALRandomCrashPointReplay(t *testing.T) {
 		if err := os.WriteFile(filepath.Join(dir, logName), full[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		wc, err := OpenWAL(dir, 1, FsyncOff, 0)
+		wc, err := OpenLog(dir, FsyncOff, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -337,13 +326,13 @@ func TestWALCompactFailureIsCountedAndHarmless(t *testing.T) {
 	w := openTestWAL(t, dir)
 	m := obs.New()
 	w.Instrument(m)
-	appendAll(t, w, 0, "pre-1")
+	appendAll(t, w, "pre-1")
 	if err := w.Compact(snapshotOf("GOOD")); err != nil {
 		t.Fatal(err)
 	}
-	appendAll(t, w, 0, "post-1")
-	appendAll(t, w, 1, "other")
-	appendAll(t, w, 0, "post-2")
+	appendAll(t, w, "post-1")
+	appendAll(t, w, "other")
+	appendAll(t, w, "post-2")
 
 	boom := fmt.Errorf("disk full (injected)")
 	failing := func() func(io.Writer) error {
@@ -383,7 +372,7 @@ func TestWALCompactFailureIsCountedAndHarmless(t *testing.T) {
 			t.Fatalf("after %d failed attempts recovered snapshot %q and %q, want GOOD and %q", attempt, snap, records, want)
 		}
 		next := fmt.Sprintf("post-%d", attempt+2)
-		appendAll(t, w, 0, next)
+		appendAll(t, w, next)
 		want += "," + next
 		if snap, records := recovered(); snap != "GOOD" || records != want {
 			t.Fatalf("after %d failed attempts and an append recovered snapshot %q and %q, want GOOD and %q", attempt, snap, records, want)
@@ -407,11 +396,11 @@ func TestWALCompactFailureIsCountedAndHarmless(t *testing.T) {
 	if snap, records := readSnapshot(t, w2), replayAll(t, w2); snap != "GOOD" || records != want {
 		t.Fatalf("recovered snapshot %q and %q, want GOOD and %q", snap, records, want)
 	}
-	appendAll(t, w2, 0, "post-5")
+	appendAll(t, w2, "post-5")
 	if err := w2.Compact(snapshotOf("ALL")); err != nil {
 		t.Fatal(err)
 	}
-	appendAll(t, w2, 0, "post-6")
+	appendAll(t, w2, "post-6")
 	if got := strings.Join(listDir(t, dir), ","); got != snapshotName(4)+","+logName {
 		t.Fatalf("the compaction that landed left %s, want one snapshot beside one log", got)
 	}
@@ -429,11 +418,11 @@ func TestWALSizeGaugeSumsLogs(t *testing.T) {
 	defer a.Close()
 	b := openTestWAL(t, t.TempDir())
 	defer b.Close()
-	appendAll(t, a, 0, "logged before Instrument")
+	appendAll(t, a, "logged before Instrument")
 	a.Instrument(m)
 	b.Instrument(m)
-	appendAll(t, a, 1, "alpha")
-	appendAll(t, b, 0, "bravo", "charlie-charlie")
+	appendAll(t, a, "alpha")
+	appendAll(t, b, "bravo", "charlie-charlie")
 	if a.Size() == 0 || b.Size() == 0 || a.Size() == b.Size() {
 		t.Fatalf("want two distinct nonzero sizes, got %d and %d", a.Size(), b.Size())
 	}
@@ -450,37 +439,17 @@ func TestWALSizeGaugeSumsLogs(t *testing.T) {
 }
 
 // TestWALReplayIsAppendOrder: one log, so replay is the order records
-// were appended — AppendMeta and Append at any index interleaved as
-// they happened — including after a crash (no Close).
+// were appended, including after a crash (no Close).
 func TestWALReplayIsAppendOrder(t *testing.T) {
 	dir := t.TempDir()
-	w, err := OpenWAL(dir, 4, FsyncOff, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := openTestWAL(t, dir)
 	var want []string
 	for i := 0; i < 12; i++ {
-		p := fmt.Sprintf("rec-%02d", i)
-		want = append(want, p)
-		if i%3 == 0 {
-			end := w.Begin()
-			err := w.AppendMeta([]byte(p))
-			end()
-			if err != nil {
-				t.Fatal(err)
-			}
-			continue
-		}
-		appendAll(t, w, (7*i)%4, p)
+		want = append(want, fmt.Sprintf("rec-%02d", i))
 	}
-	end := w.Begin()
-	err = w.Append(4, []byte("beyond the range OpenWAL was given"))
-	end()
-	if err == nil {
-		t.Fatal("Append accepted an index outside the range")
-	}
+	appendAll(t, w, want...)
 	// Abandon w: the crash.
-	w2, err := OpenWAL(dir, 4, FsyncOff, 0)
+	w2, err := OpenLog(dir, FsyncOff, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -498,7 +467,7 @@ func TestWALReplayIsAppendOrder(t *testing.T) {
 func TestWALGroupCommitCoversEveryFrame(t *testing.T) {
 	const writers, each = 8, 40
 	dir := t.TempDir()
-	w, err := OpenWAL(dir, ObsStripes, FsyncBatch, 0)
+	w, err := OpenLog(dir, FsyncBatch, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -511,7 +480,7 @@ func TestWALGroupCommitCoversEveryFrame(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
 				end := w.Begin()
-				err := w.Append(g, []byte(fmt.Sprintf("writer-%d-frame-%02d", g, i)))
+				err := w.AppendMeta([]byte(fmt.Sprintf("writer-%d-frame-%02d", g, i)))
 				end()
 				if err != nil {
 					t.Error(err)
@@ -539,7 +508,7 @@ func TestWALGroupCommitCoversEveryFrame(t *testing.T) {
 
 	// Abandon w; per-writer order is append order, so each writer's
 	// frames must come back complete and ascending.
-	w2, err := OpenWAL(dir, ObsStripes, FsyncBatch, 0)
+	w2, err := OpenLog(dir, FsyncBatch, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -568,7 +537,7 @@ func TestWALSyncSharesTheGroupCommitPath(t *testing.T) {
 		hists := m.TakeSnapshot().Histograms
 		return hists["wal_fsync_seconds"].Count, hists["wal_group_commit_frames"].Sum
 	}
-	w, err := OpenWAL(t.TempDir(), 1, FsyncInterval, time.Hour) // the ticker never fires
+	w, err := OpenLog(t.TempDir(), FsyncInterval, time.Hour) // the ticker never fires
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -580,7 +549,7 @@ func TestWALSyncSharesTheGroupCommitPath(t *testing.T) {
 	if n, _ := fsyncs(m); n != 0 {
 		t.Fatalf("%d fsyncs of a log nothing was written to", n)
 	}
-	appendAll(t, w, 0, "a", "b", "c")
+	appendAll(t, w, "a", "b", "c")
 	for i := 0; i < 2; i++ { // the second finds the frontier covered
 		if err := w.Sync(); err != nil {
 			t.Fatal(err)
@@ -589,7 +558,7 @@ func TestWALSyncSharesTheGroupCommitPath(t *testing.T) {
 	if n, frames := fsyncs(m); n != 1 || frames != 3 {
 		t.Fatalf("%d fsyncs covering %d frames after 3 appends and 2 Syncs, want 1 covering 3", n, frames)
 	}
-	appendAll(t, w, 0, "d", "e")
+	appendAll(t, w, "d", "e")
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -597,14 +566,14 @@ func TestWALSyncSharesTheGroupCommitPath(t *testing.T) {
 		t.Fatalf("%d fsyncs covering %d frames after Close, want 2 covering 5", n, frames)
 	}
 
-	ticked, err := OpenWAL(t.TempDir(), 1, FsyncInterval, time.Millisecond)
+	ticked, err := OpenLog(t.TempDir(), FsyncInterval, time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ticked.Close()
 	tm := obs.New()
 	ticked.Instrument(tm)
-	appendAll(t, ticked, 0, "f")
+	appendAll(t, ticked, "f")
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
 		if n, frames := fsyncs(tm); n == 1 && frames == 1 {
 			break
@@ -630,7 +599,7 @@ func TestOpenWALRefusesStripedLayout(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	w, err := OpenWAL(dir, ObsStripes, FsyncOff, 0)
+	w, err := OpenLog(dir, FsyncOff, 0)
 	if err == nil {
 		w.Close()
 		t.Fatal("opened a directory holding a non-empty stripe-03.wal")

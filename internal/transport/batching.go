@@ -3,7 +3,6 @@ package transport
 import (
 	"fmt"
 	"sync"
-	"time"
 )
 
 // BatchingUplink coalesces per-cycle reports into batches before handing
@@ -175,26 +174,4 @@ func (b *BatchingUplink) Stats() (sent, dropped, flushes int) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.sent, b.dropped, b.flushes
-}
-
-// AutoFlush starts a wall-clock flusher for real-time clients whose
-// report stream can stall (leaving a tail below the batch bound). It
-// returns a stop function; errors from timed flushes are dropped — the
-// reports stay queued and are retried on the next tick.
-func (b *BatchingUplink) AutoFlush(every time.Duration) (stop func()) {
-	done := make(chan struct{})
-	go func() {
-		t := time.NewTicker(every)
-		defer t.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case <-t.C:
-				_ = b.Flush()
-			}
-		}
-	}()
-	var once sync.Once
-	return func() { once.Do(func() { close(done) }) }
 }

@@ -103,7 +103,7 @@ func TestMalformedURLFailsBeforeAnyAttempt(t *testing.T) {
 	rt := &scriptedRT{codes: []int{http.StatusOK}}
 	rec := &sleepRecorder{}
 	client := &http.Client{Transport: rt}
-	if _, err := PostJSON(client, "http://bad host/%zz", []byte(`{}`), retryPolicy(rec, 4)); err == nil {
+	if _, err := DoJSONHeaders(client, http.MethodPost, "http://bad host/%zz", []byte(`{}`), nil, retryPolicy(rec, 4)); err == nil {
 		t.Fatal("a malformed URL was accepted")
 	}
 	u := &HTTPUplink{BaseURL: "http://bad host/%zz", Client: client, Retry: retryPolicy(rec, 4), Codec: CodecBinary}

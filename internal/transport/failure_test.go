@@ -18,6 +18,7 @@ import (
 	"occusim/internal/occupancy"
 	"occusim/internal/overload"
 	"occusim/internal/scenario"
+	"occusim/internal/store"
 	"occusim/internal/transport"
 	"occusim/internal/wire"
 )
@@ -368,7 +369,7 @@ func (s *failOnce) IngestFrame(frame []byte, reports int) ([]string, error) {
 		s.failed = true
 		return nil, s.err
 	}
-	return s.Shard.(fleet.FrameIngester).IngestFrame(frame, reports)
+	return s.Shard.IngestFrame(frame, reports)
 }
 
 func report(b *building.Building) []transport.Report {
@@ -383,7 +384,7 @@ func report(b *building.Building) []transport.Report {
 // first failure refuses the next delivery after the shard failed with err.
 func breakerCounts(t *testing.T, err error) bool {
 	b := building.PaperHouse()
-	pool, perr := fleet.NewLocalPool(b, 1, 2, 100)
+	pool, perr := fleet.OpenLocalPool(b, 1, 2, 100, "", store.FsyncBatch)
 	if perr != nil {
 		t.Fatal(perr)
 	}
@@ -427,7 +428,7 @@ func (s *onceSink) SendBatch([]transport.Report) error {
 // leaseStepsDown reports whether a gateway leading at epoch 1 steps down
 // when a dispatch fails with err.
 func leaseStepsDown(t *testing.T, err error) bool {
-	pool, perr := fleet.NewLocalPool(building.PaperHouse(), 1, 2, 100)
+	pool, perr := fleet.OpenLocalPool(building.PaperHouse(), 1, 2, 100, "", store.FsyncBatch)
 	if perr != nil {
 		t.Fatal(perr)
 	}

@@ -187,7 +187,7 @@ func TestRetryBudgetCapsSpend(t *testing.T) {
 	}
 }
 
-// TestNilClientPerAttemptDeadline pins the DoJSON fix: with a nil
+// TestNilClientPerAttemptDeadline pins the per-attempt deadline: with a nil
 // client each attempt gets its OWN deadline — an attempt that stalls
 // past it is aborted and retried (not fatal to the exchange), and
 // backoff sleeps between attempts consume none of a later attempt's
@@ -227,7 +227,7 @@ func TestNilClientPerAttemptDeadline(t *testing.T) {
 	// count against any attempt's 150ms deadline.
 	p := RetryPolicy{MaxAttempts: 4, BaseDelay: 100 * time.Millisecond, MaxDelay: 100 * time.Millisecond}
 	start := time.Now()
-	if _, err := PostJSON(nil, ts.URL+"/x", []byte(`{}`), p); err != nil {
+	if _, err := DoJSONHeaders(nil, http.MethodPost, ts.URL+"/x", []byte(`{}`), nil, p); err != nil {
 		t.Fatalf("post with nil client: %v", err)
 	}
 	mu.Lock()

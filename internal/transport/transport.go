@@ -205,11 +205,11 @@ type RetryPolicy struct {
 	// asked it to.
 	Jitter bool
 	// Budget caps the total backoff this policy will sleep across one
-	// exchange (one DoJSON call). When the next computed delay would
-	// push the cumulative spend past the budget, the exchange fails with
-	// the last error instead of sleeping — bounding how long a device's
-	// uplink window can stall on a dead or shedding server. 0 means
-	// unbudgeted.
+	// exchange (one Target.Do or Stream.Exchange call). When the next
+	// computed delay would push the cumulative spend past the budget, the
+	// exchange fails with the last error instead of sleeping — bounding
+	// how long a device's uplink window can stall on a dead or shedding
+	// server. 0 means unbudgeted.
 	Budget time.Duration
 	// Sleep is the wait hook; nil means time.Sleep. Tests inject a
 	// recorder so backoff is observable without real waiting.
@@ -327,21 +327,16 @@ const (
 	HeaderLeaderHint = "X-Leader-Hint"
 )
 
-// DoJSON performs one JSON exchange under the retry policy and returns
-// the response payload. A nil client gets a 5-second deadline PER
-// ATTEMPT (a per-attempt request context, not http.Client.Timeout —
-// the client timeout would span every attempt and the backoff sleeps
-// between them, leaving the last attempt born dead). The fleet layer's
-// HTTP shard client shares this path with HTTPUplink, so both see
-// identical retry and error semantics.
-func DoJSON(client *http.Client, method, rawURL string, body []byte, policy RetryPolicy) ([]byte, error) {
-	return DoJSONHeaders(client, method, rawURL, body, nil, policy)
-}
-
-// DoJSONHeaders is DoJSON under the caller's complete request header
-// set (nil means plain JSON) — a wire Content-Type, the gateway
-// leadership stamp. hdr is only read and may be shared between calls.
-// Callers with a fixed endpoint prepare a Target once instead.
+// DoJSONHeaders performs one exchange under the retry policy and the
+// caller's complete request header set (nil means plain JSON) — a wire
+// Content-Type, the gateway leadership stamp — and returns the response
+// payload. hdr is only read and may be shared between calls. A nil
+// client gets a 5-second deadline PER ATTEMPT (a per-attempt request
+// context, not http.Client.Timeout — the client timeout would span every
+// attempt and the backoff sleeps between them, leaving the last attempt
+// born dead). The fleet layer's HTTP shard client shares this path with
+// HTTPUplink, so both see identical retry and error semantics. Callers
+// with a fixed endpoint prepare a Target once instead.
 func DoJSONHeaders(client *http.Client, method, rawURL string, body []byte, hdr http.Header, policy RetryPolicy) ([]byte, error) {
 	t, err := NewTarget(method, rawURL, hdr)
 	if err != nil {
@@ -468,7 +463,7 @@ func (b *Backoff) Wait(lastErr error, v Verdict) error {
 	return nil
 }
 
-// nilClientAttemptTimeout is the deadline DoJSON applies to EACH
+// nilClientAttemptTimeout is the deadline an exchange applies to EACH
 // attempt when handed a nil client. A var so tests can shrink the
 // window without waiting out real 5-second timeouts.
 var nilClientAttemptTimeout = 5 * time.Second
@@ -558,14 +553,9 @@ func answered(resp *http.Response, body []byte) *Error {
 	return e
 }
 
-// PostJSON posts body and returns the response payload under the policy.
-func PostJSON(client *http.Client, rawURL string, body []byte, policy RetryPolicy) ([]byte, error) {
-	return DoJSON(client, http.MethodPost, rawURL, body, policy)
-}
-
 // GetJSON fetches url and returns the response payload under the policy.
 func GetJSON(client *http.Client, rawURL string, policy RetryPolicy) ([]byte, error) {
-	return DoJSON(client, http.MethodGet, rawURL, nil, policy)
+	return DoJSONHeaders(client, http.MethodGet, rawURL, nil, nil, policy)
 }
 
 // SendFunc adapts a function to the Uplink interface, used to wire the

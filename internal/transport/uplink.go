@@ -104,26 +104,6 @@ type ringResponse struct {
 	Down     []bool   `json:"down"`
 }
 
-// ShardSplitter is &HTTPUplink{Codec: CodecBinary} under the name the
-// frozen benchmark/system.go constructs by literal; nothing else may.
-// ROADMAP item 3f deletes it.
-type ShardSplitter struct {
-	BaseURL string
-	Client  *http.Client
-	Retry   RetryPolicy
-
-	once sync.Once
-	up   HTTPUplink
-}
-
-func (s *ShardSplitter) uplink() *HTTPUplink {
-	s.once.Do(func() { s.up.BaseURL, s.up.Client, s.up.Retry, s.up.Codec = s.BaseURL, s.Client, s.Retry, CodecBinary })
-	return &s.up
-}
-func (s *ShardSplitter) Name() string                { return s.uplink().Name() }
-func (s *ShardSplitter) Send(r Report) error         { return s.uplink().Send(r) }
-func (s *ShardSplitter) SendBatch(rs []Report) error { return s.uplink().SendBatch(rs) }
-
 // Name implements Uplink.
 func (u *HTTPUplink) Name() string { return "wifi-http" }
 

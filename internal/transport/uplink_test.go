@@ -530,7 +530,7 @@ func TestDoJSON409FailsImmediately(t *testing.T) {
 	deposed.depose("http://example.invalid")
 
 	rec := &sleepRecorder{}
-	_, err := PostJSON(nil, deposed.ts.URL+"/api/v1/observations", []byte(`{}`), retryPolicy(rec, 5))
+	_, err := DoJSONHeaders(nil, http.MethodPost, deposed.ts.URL+"/api/v1/observations", []byte(`{}`), nil, retryPolicy(rec, 5))
 	v := Classify(err)
 	if v.Code != http.StatusConflict {
 		t.Fatalf("status = %v (%v)", v.Code, err)

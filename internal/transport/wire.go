@@ -69,18 +69,12 @@ func EncodeReports(b *wire.Batch, reports []Report) error {
 // fleet of concurrent device uplinks hammer the dialer; the ingest
 // fan-in is exactly the many-clients-one-host shape that cap punishes.
 // Per-attempt deadlines still come from the request context (see
-// DoJSON), so no Client.Timeout here.
+// DoJSONHeaders), so no Client.Timeout here.
 var pooledClient = &http.Client{Transport: &http.Transport{
 	MaxIdleConns:        1024,
 	MaxIdleConnsPerHost: 256,
 	IdleConnTimeout:     90 * time.Second,
 }}
-
-// PooledClient returns the shared keep-alive tuned HTTP client —
-// callers that construct uplinks with an explicit client (cmd/loadgen,
-// cmd/beacond) use it instead of per-uplink clients so the whole
-// process shares one connection pool.
-func PooledClient() *http.Client { return pooledClient }
 
 // wireCount bumps the per-codec batch counter.
 func wireCount(codec string) {
