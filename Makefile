@@ -29,10 +29,12 @@ test-race:
 # step of the report path — identity parse, device encode and uplink
 # send, one HTTP exchange, the gateway's split, cut and forward, a warm
 # stream exchange at both ends, the shard's ingest core, span prediction,
-# frame decode, both faces' JSON door — and of the federated rollup,
-# each held to a ceiling or to "the same at 8 reports as at 64", so
-# nothing is allocated per report, per identity or per event of history;
-# with them the two size pins the byte metrics rest on
+# frame decode, both faces' JSON door — and of the federated reads: the
+# rollup, and one read over HTTP shards at both ends of every exchange
+# (TestAllocBudgetFederatedRead). Each is held to a ceiling or to "the
+# same at 8 reports as at 64" (a read: at 256 devices within 64 of 16),
+# so nothing is allocated per report, per identity, per event of
+# history or per device a read names; with them the two size pins the byte metrics rest on
 # (TestFrameBytesPaperTraffic) and TestEncodeManyIdentitiesIsLinear.
 # The counts are deterministic on any box, so a regression fails a PR
 # here instead of hiding in timing noise. Never under -race: the pins

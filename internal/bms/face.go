@@ -102,13 +102,13 @@ func Routes(f Face, trainer *Server) *http.ServeMux {
 	})
 	read(mux, "/api/v1/occupancy", f.Occupancy)
 	read(mux, "/api/v1/rollup", f.Rollup)
-	read(mux, "/api/v1/dwell", func() (map[string]any, error) {
+	read(mux, "/api/v1/dwell", func() (DwellReply, error) {
 		totals, err := f.DwellTotals()
-		rooms := make(map[string]float64, len(totals))
+		out := DwellReply{Rooms: make(map[string]float64, len(totals))}
 		for room, d := range totals {
-			rooms[room] = d.Seconds()
+			out.Rooms[room] = d.Seconds()
 		}
-		return map[string]any{"rooms": rooms}, err
+		return out, err
 	})
 	read(mux, "/api/v1/events", func() (EventsReply, error) {
 		events, err := f.Events()

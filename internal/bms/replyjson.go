@@ -1,0 +1,367 @@
+// The summary's read replies without reflection: OccupancySnapshot,
+// Rollup, ShardRollup and DwellReply write themselves (MarshalJSON), and a
+// ShardRollup parses itself (UnmarshalJSON). The bytes are encoding/json's
+// own — its field order, its map keys in sorted byte order, its HTML-safe
+// strings (appendJSONString), its float format, null for a nil map — so
+// every writer, WriteJSON included, sends what it always sent, and
+// encoding/json is the oracle the fuzz targets in replyjson_test.go hold
+// both directions to. A read then costs allocations per room, not per
+// device: the keys are sorted in a pooled slice, and the gateway's parse
+// fills maps sized from the reply's counts with the names interned.
+package bms
+
+import (
+	"encoding/json"
+	"math"
+	"slices"
+	"strconv"
+	"sync"
+	"time"
+	"unicode/utf8"
+
+	"occusim/internal/wire"
+)
+
+// MarshalJSON writes {"rooms":…,"devices":…}.
+func (o OccupancySnapshot) MarshalJSON() ([]byte, error) {
+	return marshalReply(func(dst []byte) []byte {
+		dst = appendObject(append(dst, `{"rooms":`...), o.Rooms, appendInt)
+		dst = appendObject(append(dst, `,"devices":`...), o.Devices, appendJSONString)
+		return append(dst, '}')
+	})
+}
+
+// MarshalJSON writes {"devices":…,"events":…,"rooms":…}.
+func (r Rollup) MarshalJSON() ([]byte, error) {
+	return marshalReply(func(dst []byte) []byte {
+		return append(r.appendFields(append(dst, '{')), '}')
+	})
+}
+
+// MarshalJSON writes the embedded Rollup's fields, then deviceRooms and
+// dwellNanos. It must exist: without it Rollup's method is promoted and
+// the two maps a gateway merges by are silently dropped.
+func (sr ShardRollup) MarshalJSON() ([]byte, error) {
+	return marshalReply(func(dst []byte) []byte {
+		dst = sr.appendFields(append(dst, '{'))
+		dst = appendObject(append(dst, `,"deviceRooms":`...), sr.DeviceRooms, appendJSONString)
+		dst = appendObject(append(dst, `,"dwellNanos":`...), sr.DwellNanos, appendDuration)
+		return append(dst, '}')
+	})
+}
+
+// DwellReply is the GET /api/v1/dwell payload: each room's dwell in
+// seconds.
+type DwellReply struct {
+	Rooms map[string]float64 `json:"rooms"`
+}
+
+// MarshalJSON writes {"rooms":…}.
+func (d DwellReply) MarshalJSON() ([]byte, error) {
+	return marshalReply(func(dst []byte) []byte {
+		return append(appendObject(append(dst, `{"rooms":`...), d.Rooms, appendFloat), '}')
+	})
+}
+
+// marshalReply appends a reply into a pooled buffer and returns a copy of
+// exactly its length: one allocation a reply, whatever its size.
+func marshalReply(appendTo func([]byte) []byte) ([]byte, error) {
+	buf := wire.GetBuf()
+	defer wire.PutBuf(buf)
+	*buf = appendTo(*buf)
+	return slices.Clone(*buf), nil
+}
+
+// appendFields appends the rollup's fields without their braces, for its
+// own object and for the ShardRollup that embeds it.
+func (r Rollup) appendFields(dst []byte) []byte {
+	dst = appendInt(append(dst, `"devices":`...), r.Devices)
+	dst = appendInt(append(dst, `,"events":`...), r.Events)
+	return appendObject(append(dst, `,"rooms":`...), r.Rooms, appendRoomRollup)
+}
+
+func appendRoomRollup(dst []byte, r RoomRollup) []byte {
+	dst = appendInt(append(dst, `{"occupants":`...), r.Occupants)
+	dst = appendInt(append(dst, `,"enters":`...), r.Enters)
+	dst = appendInt(append(dst, `,"exits":`...), r.Exits)
+	return append(appendFloat(append(dst, `,"dwellSeconds":`...), r.DwellSeconds), '}')
+}
+
+func appendInt(dst []byte, n int) []byte { return strconv.AppendInt(dst, int64(n), 10) }
+
+func appendDuration(dst []byte, d time.Duration) []byte {
+	return strconv.AppendInt(dst, int64(d), 10)
+}
+
+// appendFloat appends f as encoding/json writes a float64: the shortest
+// 'f' form, or 'e' below 1e-6 and from 1e21 on, with a one-digit negative
+// exponent unpadded (1e-7, not 1e-07). A NaN or an infinity comes out as
+// a word that is not JSON, so the validator encoding/json runs over every
+// MarshalJSON result refuses it — an error, as encoding/json's own is.
+func appendFloat(dst []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	dst = strconv.AppendFloat(dst, f, format, -1, 64)
+	if format == 'e' {
+		if n := len(dst); n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+			dst[n-2] = dst[n-1]
+			dst = dst[:n-1]
+		}
+	}
+	return dst
+}
+
+// keysPool holds the slices map keys are sorted in.
+var keysPool = sync.Pool{New: func() any { return new([]string) }}
+
+// appendObject appends m as encoding/json writes a map with string keys:
+// null when nil, otherwise every entry in sorted key order.
+func appendObject[V any](dst []byte, m map[string]V, appendValue func([]byte, V) []byte) []byte {
+	if m == nil {
+		return append(dst, "null"...)
+	}
+	kp := keysPool.Get().(*[]string)
+	keys := (*kp)[:0]
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	dst = append(dst, '{')
+	for i, k := range keys {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = appendValue(append(appendJSONString(dst, k), ':'), m[k])
+	}
+	clear(keys)
+	*kp = keys[:0]
+	keysPool.Put(kp)
+	return append(dst, '}')
+}
+
+// shardRollupFields is ShardRollup without its UnmarshalJSON: what
+// encoding/json decodes a reply into when the parse below declines it.
+type shardRollupFields ShardRollup
+
+// internPool holds the interners a parse names devices and rooms
+// through, one per concurrent read, so a recurring population costs no
+// string per read.
+var internPool = sync.Pool{New: func() any { return wire.Interner{} }}
+
+// UnmarshalJSON decodes a shard's rollup reply to exactly the value
+// encoding/json decodes it to. The layout encoding/json writes — which is
+// what every shard sends — is parsed straight into maps sized from the
+// reply's device and room counts (the device count capped by what the
+// reply's length can hold, since a peer sent it), names interned. Any
+// other input — whitespace, other key order or case, unknown keys, an
+// escaped name, a receiver already holding maps — is decoded by
+// encoding/json itself.
+func (sr *ShardRollup) UnmarshalJSON(data []byte) error {
+	if sr.Rooms == nil && sr.DeviceRooms == nil && sr.DwellNanos == nil {
+		names := internPool.Get().(wire.Interner)
+		p := rollupParser{data: data, names: names}
+		out, ok := p.shardRollup()
+		internPool.Put(names)
+		if ok {
+			*sr = out
+			return nil
+		}
+	}
+	return json.Unmarshal(data, (*shardRollupFields)(sr))
+}
+
+// rollupParser reads the layout encoding/json writes for a ShardRollup:
+// no whitespace, the fields in declaration order, every string free of
+// escapes and valid UTF-8, every integer within int64. Each method
+// reports false at the first byte outside that layout; what it accepts is
+// valid JSON by construction and decodes to what encoding/json decodes
+// it to. Inside an object a key may repeat and come in any order — the
+// last entry wins, as it does for encoding/json.
+type rollupParser struct {
+	data  []byte
+	off   int
+	names wire.Interner
+}
+
+// minDeviceEntry is the shortest deviceRooms entry, `"":"",`: what bounds
+// the map a reply's device count may presize.
+const minDeviceEntry = 6
+
+func (p *rollupParser) shardRollup() (out ShardRollup, ok bool) {
+	devices, ok := p.key(`{"devices":`)
+	if !ok {
+		return out, false
+	}
+	events, ok := p.key(`,"events":`)
+	if !ok || !p.lit(`,"rooms":`) {
+		return out, false
+	}
+	out.Devices, out.Events = int(devices), int(events)
+	if out.Rooms, ok = parseObject(p, 0, (*rollupParser).roomRollup); !ok || !p.lit(`,"deviceRooms":`) {
+		return out, false
+	}
+	hint := min(max(out.Devices, 0), len(p.data)/minDeviceEntry)
+	if out.DeviceRooms, ok = parseObject(p, hint, (*rollupParser).name); !ok || !p.lit(`,"dwellNanos":`) {
+		return out, false
+	}
+	if out.DwellNanos, ok = parseObject(p, len(out.Rooms), (*rollupParser).duration); !ok || !p.lit(`}`) {
+		return out, false
+	}
+	return out, p.off == len(p.data)
+}
+
+// parseObject reads null (a nil map) or an object of entries into a map
+// presized by hint.
+func parseObject[V any](p *rollupParser, hint int, value func(*rollupParser) (V, bool)) (map[string]V, bool) {
+	if p.lit("null") {
+		return nil, true
+	}
+	if !p.lit("{") {
+		return nil, false
+	}
+	m := make(map[string]V, hint)
+	if p.lit("}") {
+		return m, true
+	}
+	for {
+		k, ok := p.name()
+		if !ok || !p.lit(":") {
+			return nil, false
+		}
+		v, ok := value(p)
+		if !ok {
+			return nil, false
+		}
+		m[k] = v
+		if p.lit("}") {
+			return m, true
+		}
+		if !p.lit(",") {
+			return nil, false
+		}
+	}
+}
+
+func (p *rollupParser) roomRollup() (r RoomRollup, ok bool) {
+	occupants, ok := p.key(`{"occupants":`)
+	if !ok {
+		return r, false
+	}
+	enters, ok := p.key(`,"enters":`)
+	if !ok {
+		return r, false
+	}
+	exits, ok := p.key(`,"exits":`)
+	if !ok || !p.lit(`,"dwellSeconds":`) {
+		return r, false
+	}
+	r = RoomRollup{Occupants: int(occupants), Enters: int(enters), Exits: int(exits)}
+	if r.DwellSeconds, ok = p.float(); !ok || !p.lit("}") {
+		return r, false
+	}
+	return r, true
+}
+
+// lit consumes s if the input continues with it.
+func (p *rollupParser) lit(s string) bool {
+	if len(p.data)-p.off < len(s) || string(p.data[p.off:p.off+len(s)]) != s {
+		return false
+	}
+	p.off += len(s)
+	return true
+}
+
+// key consumes prefix and the integer after it.
+func (p *rollupParser) key(prefix string) (int64, bool) {
+	if !p.lit(prefix) {
+		return 0, false
+	}
+	return p.int()
+}
+
+// int reads a JSON integer, -?(0|[1-9][0-9]*), that fits int64.
+func (p *rollupParser) int() (int64, bool) {
+	neg := p.lit("-")
+	start := p.off
+	var n uint64
+	for p.off < len(p.data) && '0' <= p.data[p.off] && p.data[p.off] <= '9' {
+		if n > (math.MaxInt64+1)/10 {
+			return 0, false
+		}
+		n = n*10 + uint64(p.data[p.off]-'0')
+		p.off++
+	}
+	digits := p.off - start
+	if digits == 0 || (digits > 1 && p.data[start] == '0') || n > math.MaxInt64+1 || (!neg && n > math.MaxInt64) {
+		return 0, false
+	}
+	if neg {
+		return int64(-n), true
+	}
+	return int64(n), true
+}
+
+func (p *rollupParser) duration() (time.Duration, bool) {
+	n, ok := p.int()
+	return time.Duration(n), ok
+}
+
+// float reads a JSON number that parses as a finite float64.
+func (p *rollupParser) float() (float64, bool) {
+	start := p.off
+	p.lit("-")
+	if !p.lit("0") && !p.digits() {
+		return 0, false
+	}
+	if p.lit(".") && !p.digits() {
+		return 0, false
+	}
+	if p.lit("e") || p.lit("E") {
+		if !p.lit("+") {
+			p.lit("-")
+		}
+		if !p.digits() {
+			return 0, false
+		}
+	}
+	f, err := strconv.ParseFloat(string(p.data[start:p.off]), 64)
+	return f, err == nil
+}
+
+// digits consumes one or more decimal digits.
+func (p *rollupParser) digits() bool {
+	start := p.off
+	for p.off < len(p.data) && '0' <= p.data[p.off] && p.data[p.off] <= '9' {
+		p.off++
+	}
+	return p.off > start
+}
+
+// name reads a string with no escapes and no control bytes that is valid
+// UTF-8 — the form every device and room name encoding/json writes takes
+// unless it needs escaping — through the interner.
+func (p *rollupParser) name() (string, bool) {
+	if !p.lit(`"`) {
+		return "", false
+	}
+	start := p.off
+	ascii := true
+	for ; p.off < len(p.data); p.off++ {
+		switch c := p.data[p.off]; {
+		case c == '"':
+			raw := p.data[start:p.off]
+			p.off++
+			if !ascii && !utf8.Valid(raw) {
+				return "", false
+			}
+			return p.names.Get(raw), true
+		case c < ' ' || c == '\\':
+			return "", false
+		case c >= utf8.RuneSelf:
+			ascii = false
+		}
+	}
+	return "", false
+}

@@ -21,7 +21,8 @@ type RoomRollup struct {
 // Rollup is the live building-level occupancy view the smart-building
 // controllers consume: who-is-where collapsed to per-room aggregates.
 // One server and a fleet gateway both answer GET /api/v1/rollup with
-// these fields, rendered by RenderRollup.
+// these fields, rendered by RenderRollup and written by its MarshalJSON
+// (replyjson.go).
 type Rollup struct {
 	// Devices is the tracked device count.
 	Devices int `json:"devices"`
@@ -83,7 +84,8 @@ const ShardRollupPath = "/api/v1/shard:rollup"
 // exactly — the device names (so a device two shards both still track
 // counts once) and dwell as integer nanoseconds (so summing shards
 // rounds nothing). Its size follows rooms + devices, whatever the
-// event history's length.
+// event history's length. It writes and parses itself (replyjson.go),
+// so a gateway's read allocates per room, not per device.
 type ShardRollup struct {
 	Rollup
 	DeviceRooms map[string]string        `json:"deviceRooms"`

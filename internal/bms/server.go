@@ -580,7 +580,8 @@ func (s *Server) ExpireBefore(gwEpoch uint64, cutoff time.Duration) ([]string, e
 	return rec.Devices, nil
 }
 
-// OccupancySnapshot is the GET /api/v1/occupancy payload.
+// OccupancySnapshot is the GET /api/v1/occupancy payload. It writes
+// itself (MarshalJSON, replyjson.go).
 type OccupancySnapshot struct {
 	Rooms   map[string]int    `json:"rooms"`
 	Devices map[string]string `json:"devices"`

@@ -823,7 +823,12 @@ func render[T any](g *Gateway, view readView, as func(occupancy.Summary) T) (out
 	if err != nil {
 		return out, err
 	}
-	merged := occupancy.NewSummary()
+	devices, rooms := 0, 0
+	for _, sum := range sums {
+		devices += len(sum.Devices)
+		rooms = max(rooms, len(sum.Rooms))
+	}
+	merged := occupancy.NewSummary(devices, rooms)
 	for _, sum := range sums {
 		merged.Merge(sum)
 	}

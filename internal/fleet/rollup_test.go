@@ -679,3 +679,74 @@ func TestIngestTelemetryCountsSingleReportsAsBatches(t *testing.T) {
 		}
 	}
 }
+
+// TestAllocBudgetFederatedRead pins what one federated read costs over
+// HTTP: Gateway.Occupancy and Gateway.Rollup over two httptest shards —
+// both ends of every exchange count, the shards serve in this process —
+// allocate per room and per exchange, not per device. The shards' replies
+// write themselves and the gateway parses them into maps sized from their
+// counts with the names interned, so 256 devices may cost at most 64
+// allocations more than 16, and neither count passes its ceiling.
+// `make allocs` runs it.
+func TestAllocBudgetFederatedRead(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are pinned without the race detector")
+	}
+	const (
+		ceiling        = 320
+		deviceSlack    = 64
+		small, crowded = 16, 256
+	)
+	b := building.PaperHouse()
+	near, far := hopBeacons(t, b)
+	measure := func(n int) (occupancy, rollup float64) {
+		gw, _ := newHTTPFleet(t, b, 2)
+		devices := deviceNames("dev", n)
+		batch := make([]transport.Report, n)
+		for lap := 0; lap < 3; lap++ {
+			for d, dev := range devices {
+				beacon := near
+				if d%2 == 1 {
+					beacon = far
+				}
+				batch[d] = hopReport(b, dev, beacon, float64(2*lap), uint64(lap+1))
+			}
+			if _, err := gw.IngestBatch(batch); err != nil {
+				t.Fatal(err)
+			}
+		}
+		snap, err := gw.Occupancy()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(snap.Devices) != n || len(snap.Rooms) != 2 {
+			t.Fatalf("vacuous: %d of %d devices placed in %d rooms", len(snap.Devices), n, len(snap.Rooms))
+		}
+		occupancy = testing.AllocsPerRun(50, func() {
+			if _, err := gw.Occupancy(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		rollup = testing.AllocsPerRun(50, func() {
+			if _, err := gw.Rollup(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		return occupancy, rollup
+	}
+	smallOcc, smallRollup := measure(small)
+	crowdedOcc, crowdedRollup := measure(crowded)
+	t.Logf("Gateway.Occupancy: %v allocations at %d devices, %v at %d", smallOcc, small, crowdedOcc, crowded)
+	t.Logf("Gateway.Rollup: %v allocations at %d devices, %v at %d", smallRollup, small, crowdedRollup, crowded)
+	for _, row := range []struct {
+		read             string
+		atSmall, atCrowd float64
+	}{{"Occupancy", smallOcc, crowdedOcc}, {"Rollup", smallRollup, crowdedRollup}} {
+		if row.atCrowd > row.atSmall+deviceSlack {
+			t.Errorf("Gateway.%s allocates %v times at %d devices and %v at %d: its cost follows the devices", row.read, row.atSmall, small, row.atCrowd, crowded)
+		}
+		if row.atSmall > ceiling || row.atCrowd > ceiling {
+			t.Errorf("Gateway.%s allocates %v / %v times at %d / %d devices, over the ceiling of %d", row.read, row.atSmall, row.atCrowd, small, crowded, ceiling)
+		}
+	}
+}

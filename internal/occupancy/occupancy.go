@@ -221,9 +221,11 @@ type Summary struct {
 	Rooms map[string]RoomSummary
 }
 
-// NewSummary returns an empty summary ready to merge into.
-func NewSummary() Summary {
-	return Summary{Devices: map[string]string{}, Rooms: map[string]RoomSummary{}}
+// NewSummary returns an empty summary ready to merge into, its maps
+// sized for the given numbers of devices and rooms, so filling it grows
+// nothing.
+func NewSummary(devices, rooms int) Summary {
+	return Summary{Devices: make(map[string]string, devices), Rooms: make(map[string]RoomSummary, rooms)}
 }
 
 // Merge folds o into s: devices by union (o wins a shared name), event
@@ -245,7 +247,7 @@ func (s *Summary) Merge(o Summary) {
 
 // Summary returns the tracker's rollup state.
 func (t *Tracker) Summary() Summary {
-	sum := NewSummary()
+	sum := NewSummary(len(t.current), len(t.tallies))
 	t.addTo(&sum)
 	return sum
 }

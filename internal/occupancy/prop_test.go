@@ -193,7 +193,7 @@ func TestExplicitPartitionMergeMatchesSingleTracker(t *testing.T) {
 // same state rebuilt the slow way, by walking the event log and the
 // per-view reads.
 func summaryFromViews(events []Event, counts map[string]int, dwell map[string]time.Duration, rooms func(device string) string, devices []string) Summary {
-	want := NewSummary()
+	want := NewSummary(0, 0)
 	for _, d := range devices {
 		want.Devices[d] = rooms(d)
 	}

@@ -168,9 +168,19 @@ func (s *Sharded) DwellTotals() map[string]time.Duration {
 // Summary returns the rollup state across all shards in one pass: each
 // stripe's occupants, tallies and dwell are read under that stripe's
 // lock once, so a device never shows in a room its enter event has not
-// been counted for.
+// been counted for. The maps are sized from a count taken first, stripe
+// by stripe, so filling them grows nothing unless ingest adds devices in
+// between.
 func (s *Sharded) Summary() Summary {
-	sum := NewSummary()
+	devices, rooms := 0, 0
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.mu.Lock()
+		devices += len(sh.tr.current)
+		rooms = max(rooms, len(sh.tr.tallies))
+		sh.mu.Unlock()
+	}
+	sum := NewSummary(devices, rooms)
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
