@@ -129,10 +129,10 @@ onepath:
 	done; \
 	exit $$fail
 
-# bench-smoke runs every benchmark once — the paper's figure
-# regenerations and the package microbenchmarks — so none of them rots.
-# It times nothing worth keeping: the system's performance is measured
-# by go run ./benchmark (benchmark/README.md).
+# bench-smoke runs every package microbenchmark once so none of them
+# rots. It times nothing worth keeping: the system's performance is
+# measured by go run ./benchmark (benchmark/README.md), and the paper's
+# figures are pinned by TestExperimentsTable.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 

@@ -1,6 +1,7 @@
 // Command experiments regenerates every figure of the paper's evaluation
 // plus the design ablations, printing each as an ASCII table or strip
-// chart. Use -only to select a subset and -seed to change the base seed.
+// chart. Use -only to select a subset and -seed to change the base seed;
+// a name it does not know exits 2.
 //
 //	go run ./cmd/experiments            # everything
 //	go run ./cmd/experiments -only fig9 # one experiment
@@ -9,67 +10,54 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 	"strings"
+	"unicode"
 
 	"occusim/internal/experiments"
 )
 
-type renderer interface{ Render() string }
+// realMain returns the exit status: 2 for a command line experiments
+// refuses, 1 for an experiment that fails.
+func realMain(args []string, stdout, stderr io.Writer) int {
+	var names []string
+	for _, e := range experiments.All(0, 0) { // a name does not depend on the seed
+		names = append(names, e.Name)
+	}
+	fs := flag.NewFlagSet("experiments", flag.ExitOnError)
+	fs.SetOutput(stderr)
+	seed := fs.Uint64("seed", experiments.CanonicalSeed, "base random seed")
+	only := fs.String("only", "", "comma-separated experiment subset ("+strings.Join(names, ",")+")")
+	fig10Runs := fs.Int("fig10-runs", experiments.Fig10Runs, "repetitions per uplink for Fig10 (the paper averages 10)")
+	fs.Parse(args)
+	want := map[string]bool{}
+	for _, name := range strings.FieldsFunc(strings.ToLower(*only), func(r rune) bool { return r == ',' || unicode.IsSpace(r) }) {
+		if !slices.Contains(names, name) {
+			fmt.Fprintf(stderr, "experiments: -only: unknown experiment %q (known: %s)\n", name, strings.Join(names, ","))
+			return 2
+		}
+		want[name] = true
+	}
+
+	status := 0
+	for _, e := range experiments.All(*seed, *fig10Runs) {
+		if len(want) > 0 && !want[e.Name] {
+			continue
+		}
+		fmt.Fprintf(stdout, "==== %s ====\n", e.Name)
+		res, err := e.Run()
+		if err != nil {
+			fmt.Fprintf(stderr, "%s failed: %v\n", e.Name, err)
+			status = 1
+			continue
+		}
+		fmt.Fprintln(stdout, res.Render())
+	}
+	return status
+}
 
 func main() {
-	seed := flag.Uint64("seed", 11, "base random seed")
-	only := flag.String("only", "", "comma-separated experiment subset (fig4,fig5,fig6,fig7,fig8,fig9,fig10,fig11,sec5,losshold,distmodel,scanperiod,motiongate,modelselect,counting)")
-	fig10Runs := flag.Int("fig10-runs", 10, "repetitions per uplink for Fig10 (the paper averages 10)")
-	flag.Parse()
-
-	want := map[string]bool{}
-	if *only != "" {
-		for _, name := range strings.Split(*only, ",") {
-			want[strings.TrimSpace(strings.ToLower(name))] = true
-		}
-	}
-	selected := func(name string) bool { return len(want) == 0 || want[name] }
-
-	type entry struct {
-		name string
-		run  func() (renderer, error)
-	}
-	entries := []entry{
-		{"fig4", func() (renderer, error) { return experiments.Fig4(*seed) }},
-		{"fig5", func() (renderer, error) { return experiments.Fig5(*seed) }},
-		{"fig6", func() (renderer, error) { return experiments.Fig6(*seed) }},
-		{"fig7", func() (renderer, error) { return experiments.Fig7(*seed) }},
-		{"fig8", func() (renderer, error) { return experiments.Fig8(*seed) }},
-		{"fig9", func() (renderer, error) { return experiments.Fig9(nil) }},
-		{"fig10", func() (renderer, error) { return experiments.Fig10(*fig10Runs, *seed) }},
-		{"fig11", func() (renderer, error) { return experiments.Fig11(*seed) }},
-		{"sec5", func() (renderer, error) { return experiments.Sec5SampleCounts(*seed) }},
-		{"losshold", func() (renderer, error) { return experiments.AblationLossHold(*seed) }},
-		{"distmodel", func() (renderer, error) { return experiments.AblationDistanceModel(*seed) }},
-		{"scanperiod", func() (renderer, error) { return experiments.AblationScanPeriod(*seed) }},
-		{"motiongate", func() (renderer, error) { return experiments.AblationMotionGating(*seed) }},
-		{"modelselect", func() (renderer, error) { return experiments.ModelSelection(*seed) }},
-		{"counting", func() (renderer, error) { return experiments.Counting(4, *seed) }},
-		{"devicesurvey", func() (renderer, error) { return experiments.DeviceSurvey(*seed) }},
-		{"pathloss", func() (renderer, error) { return experiments.PathLossValidation(*seed) }},
-	}
-
-	failed := false
-	for _, e := range entries {
-		if !selected(e.name) {
-			continue
-		}
-		fmt.Printf("==== %s ====\n", e.name)
-		res, err := e.run()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s failed: %v\n", e.name, err)
-			failed = true
-			continue
-		}
-		fmt.Println(res.Render())
-	}
-	if failed {
-		os.Exit(1)
-	}
+	os.Exit(realMain(os.Args[1:], os.Stdout, os.Stderr))
 }

@@ -82,8 +82,7 @@ func RunClassificationTrial(cfg TrialConfig) (*TrialResult, error) {
 	gamma := cfg.SVMGamma
 	if gamma == 0 {
 		// Grid-searched on held-out walks; wide kernels suit the
-		// metre-scale distance features (see BenchmarkFig09 and
-		// EXPERIMENTS.md).
+		// metre-scale distance features (see EXPERIMENTS.md).
 		gamma = 0.03
 	}
 	sceneSVM, err := classify.TrainSceneSVM(train, svm.TrainConfig{

@@ -1,20 +1,10 @@
 // Package experiments regenerates every figure of the paper's evaluation
-// (and the ablations DESIGN.md calls out) on top of the simulated
+// (and the ablations DESIGN.md §4 calls out) on top of the simulated
 // substrate. Each experiment is a pure function of its seed(s), returns a
-// structured result for tests and benchmarks, and renders a
-// human-readable report for cmd/experiments.
-//
-// Experiment index (see DESIGN.md §4):
-//
-//	Fig4  — raw distance estimates, 2 s scan period, D = 2 m
-//	Fig5  — the same stream through the history filter (c = 0.65)
-//	Fig6  — raw distance estimates, 5 s scan period
-//	Fig7  — filter-coefficient sweep on the dynamic walk
-//	Fig8  — dynamic walk with c = 0.65 (transmitter hand-off)
-//	Fig9  — classification accuracy + confusion matrix (SVM vs proximity)
-//	Fig10 — battery drain, Wi-Fi vs Bluetooth uplink
-//	Fig11 — per-handset RSSI offsets at equal distance
-//	Sec5SampleCounts — Android vs iOS samples per 10 s
+// structured result for tests, and renders a human-readable report.
+// All lists them once, in the order cmd/experiments prints them; the
+// root package's TestExperimentsTable pins EXPERIMENTS.md's numbers to
+// All's canonical run.
 package experiments
 
 import (
@@ -33,6 +23,45 @@ import (
 	"occusim/internal/rng"
 	"occusim/internal/scanner"
 )
+
+// CanonicalSeed is the base seed EXPERIMENTS.md's numbers are measured
+// at; Fig10Runs is the paper's repetition count per uplink.
+const CanonicalSeed, Fig10Runs = 11, 10
+
+// Renderer is an experiment's result: a report to print, and a
+// *…Result to read the numbers from.
+type Renderer interface{ Render() string }
+
+// Experiment is one named entry of the evaluation.
+type Experiment struct {
+	Name string
+	Run  func() (Renderer, error)
+}
+
+// All is the paper's evaluation — Figs 4–11, Sec V's sample counts —
+// then the ablations and surveys, in print order. fig9 always runs its
+// canonical 3311/3322/3333 trial family, whatever the seed.
+func All(seed uint64, fig10Runs int) []Experiment {
+	return []Experiment{
+		{"fig4", func() (Renderer, error) { return Fig4(seed) }},
+		{"fig5", func() (Renderer, error) { return Fig5(seed) }},
+		{"fig6", func() (Renderer, error) { return Fig6(seed) }},
+		{"fig7", func() (Renderer, error) { return Fig7(seed) }},
+		{"fig8", func() (Renderer, error) { return Fig8(seed) }},
+		{"fig9", func() (Renderer, error) { return Fig9(nil) }},
+		{"fig10", func() (Renderer, error) { return Fig10(fig10Runs, seed) }},
+		{"fig11", func() (Renderer, error) { return Fig11(seed) }},
+		{"sec5", func() (Renderer, error) { return Sec5SampleCounts(seed) }},
+		{"losshold", func() (Renderer, error) { return AblationLossHold(seed) }},
+		{"distmodel", func() (Renderer, error) { return AblationDistanceModel(seed) }},
+		{"scanperiod", func() (Renderer, error) { return AblationScanPeriod(seed) }},
+		{"motiongate", func() (Renderer, error) { return AblationMotionGating(seed) }},
+		{"modelselect", func() (Renderer, error) { return ModelSelection(seed) }},
+		{"counting", func() (Renderer, error) { return Counting(4, seed) }},
+		{"devicesurvey", func() (Renderer, error) { return DeviceSurvey(seed) }},
+		{"pathloss", func() (Renderer, error) { return PathLossValidation(seed) }},
+	}
+}
 
 // Point is one (t, value) sample of a time series.
 type Point struct {

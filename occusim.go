@@ -18,8 +18,9 @@
 //	fmt.Println(scn.Server().Occupancy())
 //
 // The experiment harness behind every figure of the paper lives in
-// cmd/experiments and the bench suite in bench_test.go; the runnable
-// walkthroughs live under examples/.
+// internal/experiments (printed by cmd/experiments, its published numbers
+// pinned by TestExperimentsTable); the runnable walkthroughs live under
+// examples/.
 package occusim
 
 import (
