@@ -156,7 +156,11 @@ bench-smoke:
 # (wal_group_commit_frames sums to wal_append_seconds' count), from each
 # shard's log that the SIGTERM drain stopped its streams — 0 left open —
 # before compacting, and from its data directory that the drain left
-# exactly wal.log and one snapshot.
+# exactly wal.log and one snapshot. The last run repeats it with the
+# phone crowd (-source phones: the paper's app pipeline on walking phones,
+# each reporting only the beacons it ranged), so reports shaped like a
+# real handset's cross real HTTP into real shards and are verified
+# byte-identical too.
 loadtest:
 	$(GO) run ./cmd/loadgen -shards 2 -devices 12 -reports 60 -seed 7
 	$(GO) run ./cmd/loadgen -shards 3 -devices 12 -reports 60 -seed 7 -flaky 0.2
@@ -165,6 +169,7 @@ loadtest:
 	$(GO) run ./cmd/loadgen -scenario diurnal -shards 2 -devices 12 -reports 60 -seed 7
 	$(GO) build -o bin/bmsd ./cmd/bmsd
 	$(GO) run ./cmd/loadgen -shards 2 -devices 12 -reports 60 -seed 7 -bmsd bin/bmsd -fsync batch
+	$(GO) run ./cmd/loadgen -source phones -shards 2 -devices 12 -reports 60 -seed 7 -bmsd bin/bmsd -fsync batch
 
 # crashtest is the durability pin: two drills over durable bmsd
 # subprocesses, each failing unless the fleet's final occupancy, events,

@@ -9,8 +9,8 @@
 // it and the flag that decides; nothing is silently ignored.
 //
 //	object                          built when                  its flags
-//	the crowd                       always                      -devices -seed -epoch -rate -batch -flush,
-//	                                                            -reports (synthetic) or -trace (replayed)
+//	the crowd                       always                      -source -devices -reports -seed -plan,
+//	                                                            -epoch -rate -batch -flush
 //	an in-process fleet             neither -target nor -bmsd   -shards -plan -flaky
 //	a remote target                 -target                     -wire
 //	bmsd subprocess shards          -bmsd                       -shards -plan -fsync -data-root
@@ -18,20 +18,22 @@
 //	  the HA gateway pair drill     -kill-gateway               -wire
 //	an adversarial scenario         -scenario or -storm         -devices -reports -shards -seed -epoch -storm
 //
-// -plan also shapes the synthetic crowd; with -trace and -target nothing
-// uses it (or -seed). A scenario builds its crowd and its fleet itself
-// (internal/scenario: a hostile delivery plan checked against its
-// ground-truth oracle; -scenario list prints the library).
+// A scenario builds its crowd and its fleet itself (internal/scenario: a
+// hostile delivery plan checked against its ground-truth oracle;
+// -scenario list prints the library).
 //
 //	go run ./cmd/loadgen -shards 4 -devices 64 -reports 150
 //	go run ./cmd/loadgen -target http://127.0.0.1:8080 -devices 32 -wire binary
+//	go run ./cmd/loadgen -source phones -target http://127.0.0.1:8080 -devices 3 -reports 60
 //	go run ./cmd/loadgen -shards 3 -rate 400 -kill 40,80 -restart-gateway -bmsd bin/bmsd
 //	go run ./cmd/loadgen -shards 3 -kill-gateway 40,80 -bmsd bin/bmsd -wire binary
 //
-// With -trace, the recording's scan cycles are replayed through the
-// paper's history filter and the resulting ranging reports are cloned
-// across the devices (names remapped). Every report carries a per-device
-// sequence number, so shards deduplicate whatever the uplinks retransmit.
+// The crowd is -source synthetic (one report of every beacon of the plan
+// per device each 2 s, jittered distances) or -source phones (the paper's
+// Android pipeline in simulation: -devices phones walk the plan's rooms for
+// -reports scan cycles of 2 s, and a device reports only the beacons it
+// ranged). Every report carries a per-device sequence number, so shards
+// deduplicate whatever the uplinks retransmit.
 //
 // -flaky p fails a fraction p of the in-process shards' deliveries, half
 // after the shard committed. -kill "t1,t2,..." SIGKILLs a bmsd shard at
@@ -67,16 +69,14 @@ import (
 
 	"occusim/internal/building"
 	"occusim/internal/experiments"
-	"occusim/internal/filter"
 	"occusim/internal/scenario"
 	"occusim/internal/store"
-	"occusim/internal/trace"
 	"occusim/internal/transport"
 )
 
 // options is the parsed command line.
 type options struct {
-	target, plan, tracePath, kill, killGateway, bmsdPath, dataRoot, fsync, scenario string
+	target, plan, source, kill, killGateway, bmsdPath, dataRoot, fsync, scenario string
 
 	shards, devices, reports, batch, storm int
 	rate, flush, flaky                     float64
@@ -101,13 +101,13 @@ func parseFlags(args []string, stderr io.Writer) (*options, error) {
 	fs.SetOutput(stderr)
 	fs.StringVar(&o.target, "target", "", "drive a running BMS or fleet gateway at this URL instead of a fleet loadgen builds")
 	fs.IntVar(&o.shards, "shards", 2, "shard count of the fleet loadgen builds (in process, -bmsd, or the scenario's)")
-	fs.StringVar(&o.plan, "plan", "paper-house", "floor plan of the synthetic crowd and of the fleet loadgen builds")
+	fs.StringVar(&o.plan, "plan", "paper-house", "floor plan of the crowd and of the fleet loadgen builds")
+	fs.StringVar(&o.source, "source", "synthetic", "the crowd: synthetic (every beacon of the plan in every report), or phones (the paper's app pipeline on walking phones)")
 	fs.IntVar(&o.devices, "devices", 32, "simulated handset count")
-	fs.IntVar(&o.reports, "reports", 150, "reports per device of the synthetic crowd")
+	fs.IntVar(&o.reports, "reports", 150, "reports per device of the synthetic crowd, scan cycles of the phones")
 	fs.Float64Var(&o.rate, "rate", 0, "total reports/s pacing across the crowd (0: unpaced)")
 	fs.IntVar(&o.batch, "batch", 64, "max reports per coalesced batch")
 	fs.Float64Var(&o.flush, "flush", 20, "batch flush window in report-time seconds")
-	fs.StringVar(&o.tracePath, "trace", "", "trace JSON to replay as every device's stream instead of the synthetic crowd")
 	fs.Uint64Var(&o.seed, "seed", 11, "synthesis and training seed")
 	fs.Float64Var(&o.flaky, "flaky", 0, "in-process fleet: fraction of shard deliveries to fail, half after commit")
 	fs.Uint64Var(&o.epoch, "epoch", 1, "device epoch stamped on sequenced reports")
@@ -141,16 +141,14 @@ func (o *options) check(set map[string]bool, wire string) (err error) {
 		unbuilt      bool
 		flags, given string
 	}{
-		{o.scenario != "" || o.storm > 0, "target bmsd kill kill-gateway flaky wire rate batch flush trace plan", "the driven crowd, and -scenario (or -storm) runs a scenario's crowd and fleet instead"},
+		{o.scenario != "" || o.storm > 0, "target bmsd kill kill-gateway flaky wire rate batch flush source plan", "the driven crowd, and -scenario (or -storm) runs a scenario's crowd and fleet instead"},
 		{o.storm > 0 && o.scenario != "" && o.scenario != "storm", "storm", "the storm scenario, and -scenario names " + strconv.Quote(o.scenario)},
 		{o.target != "", "shards bmsd kill kill-gateway flaky", "a fleet loadgen builds, and -target drives one it did not"},
-		{o.target != "" && o.tracePath != "", "plan seed", "the synthetic crowd and the fleet loadgen trains, and -trace with -target builds neither"},
 		{o.bmsdPath == "", "kill kill-gateway fsync data-root", "the bmsd subprocess shards, which need -bmsd"},
 		{o.bmsdPath != "", "flaky", "the in-process shards, and -bmsd replaces them"},
 		{o.kill == "", "restart-gateway", "the shard kill drill, which needs -kill"},
 		{o.kill != "", "kill-gateway", "a second kill drill, and -kill already schedules the rig's one"},
 		{o.target == "" && o.killGateway == "", "wire", "the devices' HTTP uplink, which needs -target or -kill-gateway"},
-		{o.tracePath != "", "reports", "the synthetic crowd, and -trace replays a recording instead"},
 	} {
 		for _, name := range strings.Fields(rule.flags) {
 			if rule.unbuilt && set[name] {
@@ -169,6 +167,8 @@ func (o *options) check(set map[string]bool, wire string) (err error) {
 		return errors.New("-shards must be at least 1")
 	case o.flaky < 0 || o.flaky >= 1:
 		return fmt.Errorf("-flaky %v outside [0, 1)", o.flaky)
+	case o.source != "synthetic" && o.source != "phones":
+		return fmt.Errorf("-source %q: want synthetic or phones", o.source)
 	}
 	if o.building, err = building.ByName(o.plan); err != nil {
 		return fmt.Errorf("-plan: %w", err)
@@ -208,11 +208,10 @@ func parseKillSchedule(flagName, s string) ([]float64, error) {
 	return out, nil
 }
 
-// crowd is the run's streams, one per device: a replayed trace, or the
-// synthetic crowd.
+// crowd is the run's streams, one per device, from the -source.
 func (o *options) crowd() (streams [][]transport.Report, total int, err error) {
-	if o.tracePath != "" {
-		streams, err = traceStreams(o.tracePath, o.devices)
+	if o.source == "phones" {
+		streams, err = experiments.PhoneCrowdStreams(o.building, o.devices, o.reports, o.seed)
 	} else {
 		streams, _, _ = experiments.SynthCrowdStreams(o.building, o.devices, o.reports, o.seed)
 	}
@@ -321,51 +320,6 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 
 func main() {
 	os.Exit(realMain(os.Args[1:], os.Stdout, os.Stderr))
-}
-
-// traceStreams replays a recorded session through the paper's history
-// filter and clones the resulting ranging reports across the devices.
-func traceStreams(path string, devices int) ([][]transport.Report, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	tr, err := trace.ReadJSON(f)
-	if err != nil {
-		return nil, err
-	}
-	hist, err := filter.NewHistory(filter.PaperConfig())
-	if err != nil {
-		return nil, err
-	}
-	estimates := tr.Replay(hist)
-	base := make([]transport.Report, 0, len(tr.Cycles))
-	for i, c := range tr.Cycles {
-		rep := transport.Report{AtSeconds: c.End.Seconds()}
-		for _, e := range estimates[i] {
-			rep.Beacons = append(rep.Beacons, transport.BeaconReport{
-				ID:       e.Beacon.String(),
-				Distance: e.Distance,
-				RSSI:     -60 - 2*e.Distance,
-			})
-		}
-		if len(rep.Beacons) > 0 {
-			base = append(base, rep)
-		}
-	}
-	if len(base) == 0 {
-		return nil, fmt.Errorf("trace %s yields no ranging reports", path)
-	}
-	streams := make([][]transport.Report, devices)
-	for d := range streams {
-		streams[d] = make([]transport.Report, len(base))
-		copy(streams[d], base)
-		for i := range streams[d] {
-			streams[d][i].Device = fmt.Sprintf("replay-%03d", d)
-		}
-	}
-	return streams, nil
 }
 
 // printReport prints what the driver measured. The mean batch is over

@@ -39,10 +39,6 @@ func TestFlagsAreToldNotIgnored(t *testing.T) {
 		{"-target http://t -shards 3", []string{"-shards", "-target"}},
 		{"-target http://t -bmsd bin/bmsd", []string{"-bmsd", "-target"}},
 		{"-target http://t -flaky 0.2", []string{"-flaky", "-target"}},
-		{"-target http://t -trace t.json -seed 3", []string{"-seed", "-trace", "-target"}},
-		{"-target http://t -trace t.json -plan campus", []string{"-plan", "-trace", "-target"}},
-		// -trace replaces the synthetic crowd.
-		{"-trace t.json -reports 10", []string{"-reports", "-trace"}},
 		// A scenario builds its own crowd and fleet.
 		{"-scenario storm -target http://nowhere -plan campus -wire binary -rate 5", []string{"-target", "-scenario"}},
 		{"-scenario storm -bmsd bin/bmsd", []string{"-bmsd", "-scenario"}},
@@ -53,7 +49,7 @@ func TestFlagsAreToldNotIgnored(t *testing.T) {
 		{"-scenario storm -rate 5", []string{"-rate", "-scenario"}},
 		{"-scenario storm -batch 8", []string{"-batch", "-scenario"}},
 		{"-scenario storm -flush 5", []string{"-flush", "-scenario"}},
-		{"-scenario storm -trace t.json", []string{"-trace", "-scenario"}},
+		{"-source phones -scenario storm", []string{"-source", "-scenario"}},
 		{"-scenario storm -plan campus", []string{"-plan", "-scenario"}},
 		{"-storm 3 -plan campus", []string{"-plan", "-storm"}},
 		{"-scenario skew -storm 3", []string{"-storm", "-scenario"}},
@@ -64,6 +60,7 @@ func TestFlagsAreToldNotIgnored(t *testing.T) {
 		{"-bmsd bin/bmsd -kill 40,x", []string{"-kill", "40,x"}},
 		{"-bmsd bin/bmsd -kill-gateway -1", []string{"-kill-gateway", "negative"}},
 		{"-plan atlantis", []string{"-plan", "atlantis"}},
+		{"-source bogus", []string{"-source", "bogus"}},
 		{"-flaky 1", []string{"-flaky"}},
 		{"-devices 0", []string{"-devices"}},
 		{"-shards 0", []string{"-shards"}},
@@ -97,15 +94,16 @@ func TestFlagsAreToldNotIgnored(t *testing.T) {
 			t.Errorf("the Makefile's loadgen %s is refused: %v", args, err)
 		}
 	}
-	if runs != 8 {
-		t.Errorf("found %d loadgen command lines in the Makefile, want 8", runs)
+	if runs != 9 {
+		t.Errorf("found %d loadgen command lines in the Makefile, want 9", runs)
 	}
 }
 
 // TestEveryInProcessRunVerifies drives each run that needs no bmsd binary
 // end to end and holds it to its success line: the in-process fleet, clean
-// and flaky, against the ground truth; a scenario against its oracle; and
-// a -target run in -wire binary, whose devices pre-split their uploads.
+// and flaky, against the ground truth, from either crowd source; a scenario
+// against its oracle; and a -target run in -wire binary, whose devices
+// pre-split their uploads.
 func TestEveryInProcessRunVerifies(t *testing.T) {
 	target, err := scenario.Build(building.PaperHouse(), scenario.Spec{Shards: 2, Loopback: true}, 7)
 	if err != nil {
@@ -118,6 +116,7 @@ func TestEveryInProcessRunVerifies(t *testing.T) {
 		want *regexp.Regexp
 	}{
 		{"-shards 2" + crowd, regexp.MustCompile(`(?m)^in-process run verified: fleet state byte-identical to the clean ground truth$`)},
+		{"-source phones -shards 3" + crowd, regexp.MustCompile(`(?m)^in-process run verified: fleet state byte-identical to the clean ground truth$`)},
 		{"-shards 3 -flaky 0.2" + crowd, regexp.MustCompile(`(?m)^exactly-once verified: [1-9]\d* injected failures, flaky-run state is byte-identical to the clean ground truth$`)},
 		{"-scenario storm -shards 2" + crowd, regexp.MustCompile(`(?m)^scenario storm: 12 devices, 720 reports .* — verified exact$`)},
 		{"-target " + target.URL + " -wire binary" + crowd, regexp.MustCompile(`(?ms)^  phase "end of run" .*, presplit batches \+[1-9]\d*$.*^remote run verified: `)},

@@ -88,7 +88,7 @@ func TestReplayEqualsLive(t *testing.T) {
 			if rng.Intn(2) == 0 {
 				_, err = s.IngestWireFrameFenced(stamp(), frame)
 			} else {
-				_, err = s.IngestBatchFenced(stamp(), reportsOf(wb))
+				_, err = s.ingestReports(stamp(), reportsOf(wb))
 			}
 		case k < 9:
 			kind = "retransmit"

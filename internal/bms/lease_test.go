@@ -57,7 +57,7 @@ func TestGrantLeaseRules(t *testing.T) {
 
 // ingestFenced sends one report as the fenced batch of one it is.
 func ingestFenced(s *Server, gwEpoch uint64, r transport.Report) ([]string, error) {
-	return s.IngestBatchFenced(gwEpoch, []transport.Report{r})
+	return s.ingestReports(gwEpoch, []transport.Report{r})
 }
 
 func TestFencedWritesRejectStaleEpoch(t *testing.T) {
@@ -79,7 +79,7 @@ func TestFencedWritesRejectStaleEpoch(t *testing.T) {
 	if _, err := s.ExpireBefore(1, 0); !errors.Is(err, transport.ErrStaleLeader) {
 		t.Fatalf("stale expire: err=%v", err)
 	}
-	if _, err := s.IngestBatchFenced(1, []transport.Report{rep}); !errors.Is(err, transport.ErrStaleLeader) {
+	if _, err := s.ingestReports(1, []transport.Report{rep}); !errors.Is(err, transport.ErrStaleLeader) {
 		t.Fatalf("stale batch: err=%v", err)
 	}
 	if snap := s.Occupancy(); len(snap.Devices) != 0 {

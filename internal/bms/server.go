@@ -283,15 +283,15 @@ func (s *Server) Ingest(r transport.Report) (string, error) {
 // IngestBatch processes many reports in one pass (see ingest) and
 // returns the predicted room per report, in order.
 func (s *Server) IngestBatch(reports []transport.Report) ([]string, error) {
-	return s.IngestBatchFenced(0, reports)
+	return s.ingestReports(0, reports)
 }
 
-// IngestBatchFenced is IngestBatch behind the leadership fence — the
+// ingestReports is IngestBatch behind the leadership fence — the
 // in-process door for reports held as structs: they are rendered into a
 // pooled wire.Batch (the strict identity parse every face shares) and
 // take the core. The HTTP JSON routes do not come through here; they
 // decode straight into the batch (box.UploadJSON).
-func (s *Server) IngestBatchFenced(gwEpoch uint64, reports []transport.Report) ([]string, error) {
+func (s *Server) ingestReports(gwEpoch uint64, reports []transport.Report) ([]string, error) {
 	b := wire.GetBatch()
 	defer wire.PutBatch(b)
 	if err := transport.EncodeReports(b, reports); err != nil {

@@ -6,10 +6,12 @@ import (
 
 	"occusim/internal/bms"
 	"occusim/internal/building"
+	"occusim/internal/core"
 	"occusim/internal/fingerprint"
 	"occusim/internal/fleet"
 	"occusim/internal/geom"
 	"occusim/internal/ibeacon"
+	"occusim/internal/mobility"
 	"occusim/internal/rng"
 	"occusim/internal/store"
 	"occusim/internal/transport"
@@ -85,6 +87,42 @@ func SynthCrowdStreams(b *building.Building, devices, reportsPer int, seed uint6
 		}
 	}
 	return streams, names, finalRoom
+}
+
+// PhoneCrowdStreams runs the paper's pipeline for phones handsets — BLE
+// world → radio → scanner → history filter → app, internal/core's — each
+// walking a mobility.NewTour over the plan's rooms for cycles scan periods
+// of CrowdReportPeriod, and returns the reports each app sent, one stream
+// per device. Unlike SynthCrowdStreams', a report names only the beacons
+// its phone ranged that cycle, and a phone outside the region sends none.
+func PhoneCrowdStreams(b *building.Building, phones, cycles int, seed uint64) ([][]transport.Report, error) {
+	scn, err := core.NewScenario(core.ScenarioConfig{Building: b, Seed: seed})
+	if err != nil {
+		return nil, err
+	}
+	duration := time.Duration(cycles) * CrowdReportPeriod
+	areas := make([]geom.Rect, 0, len(b.Rooms))
+	for _, r := range b.Rooms {
+		areas = append(areas, r.Bounds)
+	}
+	src := rng.New(seed)
+	streams := make([][]transport.Report, phones)
+	for i := range streams {
+		tour, err := mobility.NewTour(areas, mobility.DefaultWalk(), duration, src.Split(uint64(i)))
+		if err != nil {
+			return nil, err
+		}
+		name := fmt.Sprintf("phone-%03d", i)
+		capture := transport.SendFunc{Label: name, F: func(r transport.Report) error {
+			streams[i] = append(streams[i], r)
+			return nil
+		}}
+		if _, err := scn.AddPhone(name, tour, core.PhoneConfig{ScanPeriod: CrowdReportPeriod, Uplink: capture}); err != nil {
+			return nil, err
+		}
+	}
+	scn.Run(duration)
+	return streams, nil
 }
 
 // TrainAndDistribute fits the crowd scene model on a scratch trainer

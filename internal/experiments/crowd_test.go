@@ -4,10 +4,12 @@
 package experiments_test
 
 import (
+	"reflect"
 	"slices"
 	"testing"
 
 	"occusim/internal/building"
+	"occusim/internal/experiments"
 	"occusim/internal/scenario"
 )
 
@@ -74,5 +76,68 @@ func assertLandsWhole(t *testing.T, cfg scenario.Config) {
 	}
 	if res.PlacementAccuracy < 0.7 {
 		t.Fatalf("placement accuracy %.2f below 0.7", res.PlacementAccuracy)
+	}
+}
+
+// TestPhoneCrowdStreams holds the phone crowd to what a driver and an
+// oracle rely on: a seed reproduces it and another seed changes it, each
+// stream is one device's with strictly increasing report times, and every
+// beacon reported is one of the plan's — though not every one in every
+// report, since a phone reports only what it ranged.
+func TestPhoneCrowdStreams(t *testing.T) {
+	b := building.PaperHouse()
+	const phones, cycles = 6, 30
+	streams, err := experiments.PhoneCrowdStreams(b, phones, cycles, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := experiments.PhoneCrowdStreams(b, phones, cycles, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := experiments.PhoneCrowdStreams(b, phones, cycles, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(streams, again) {
+		t.Error("the same seed gave different streams")
+	}
+	if reflect.DeepEqual(streams, other) {
+		t.Error("seeds 7 and 8 gave identical streams")
+	}
+	if len(streams) != phones {
+		t.Fatalf("%d streams, want one per phone (%d)", len(streams), phones)
+	}
+	plan := map[string]bool{}
+	for _, bc := range b.Beacons {
+		plan[bc.ID.String()] = true
+	}
+	seen, partial := map[string]bool{}, false
+	for d, s := range streams {
+		if len(s) == 0 {
+			t.Errorf("stream %d is empty", d)
+			continue
+		}
+		for i, rep := range s {
+			if rep.Device != s[0].Device {
+				t.Errorf("stream %d names devices %q and %q", d, s[0].Device, rep.Device)
+			}
+			if i > 0 && rep.AtSeconds <= s[i-1].AtSeconds {
+				t.Errorf("stream %d: report %d at %vs does not follow %vs", d, i, rep.AtSeconds, s[i-1].AtSeconds)
+			}
+			for _, br := range rep.Beacons {
+				if !plan[br.ID] {
+					t.Errorf("stream %d reports beacon %s, which is not the plan's", d, br.ID)
+				}
+			}
+			partial = partial || len(rep.Beacons) < len(b.Beacons)
+		}
+		if seen[s[0].Device] {
+			t.Errorf("stream %d's device %q has another stream too", d, s[0].Device)
+		}
+		seen[s[0].Device] = true
+	}
+	if !partial {
+		t.Error("every report names every beacon of the plan — the phones' ranging is not in the streams")
 	}
 }
