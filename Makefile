@@ -29,8 +29,9 @@ test-race:
 # step of the report path — identity parse, device encode and uplink
 # send, one HTTP exchange, the gateway's split, cut and forward, a warm
 # stream exchange at both ends, the shard's ingest core, span prediction,
-# frame decode, both faces' JSON door — and of the federated reads: the
-# rollup, and one read over HTTP shards at both ends of every exchange
+# frame decode, both faces' JSON door and its layout parse — and of the
+# federated reads: the rollup, and one read over HTTP shards at both ends
+# of every exchange
 # (TestAllocBudgetFederatedRead). Each is held to a ceiling or to "the
 # same at 8 reports as at 64" (a read: at 256 devices within 64 of 16),
 # so nothing is allocated per report, per identity, per event of
@@ -74,7 +75,11 @@ allocs:
 # dispatch, gather and migrate. And so is a failure's meaning: every site
 # decides by transport.Classify, so in the non-test Go of internal/ and
 # cmd/ a shed (IsOverload()) and a status (StatusCode()) are read only in
-# the classifier's file. And the frozen instrument is fenced: a name that
+# the classifier's file. And so is reading JSON without reflection: the
+# JSON door's layout parse and the shard rollup's parse share one cursor
+# (wire.LayoutReader), so in the non-test Go of internal/ a string is
+# checked for valid UTF-8 at one site. And the frozen instrument is
+# fenced: a name that
 # exists only because benchmark/ compiles against it lives in its
 # package's frozen.go, and outside comments no Go file but benchmark/'s,
 # that frozen.go and its frozen_test.go names it.
@@ -97,7 +102,7 @@ onepath:
 		done; \
 	}; \
 	onesite internal/transport 'refusesStream(' '= v\.digest'; \
-	onesite internal 'wire\.AppendStreamRequest('; \
+	onesite internal 'wire\.AppendStreamRequest(' 'utf8\.Valid('; \
 	onesite cmd/bmsd 'fleet\.New(' '&http\.Server{' 'signal\.Notify(' 'fleet\.NewHTTPShard('; \
 	onesite cmd/loadgen 'exec\.Command(' 'syscall\.SIGKILL' '\.Verify('; \
 	onesite 'internal cmd' '"POST /api/v1/observations:batch"' '"GET /metrics"'; \

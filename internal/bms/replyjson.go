@@ -17,7 +17,6 @@ import (
 	"strconv"
 	"sync"
 	"time"
-	"unicode/utf8"
 
 	"occusim/internal/wire"
 )
@@ -161,7 +160,7 @@ var internPool = sync.Pool{New: func() any { return wire.Interner{} }}
 func (sr *ShardRollup) UnmarshalJSON(data []byte) error {
 	if sr.Rooms == nil && sr.DeviceRooms == nil && sr.DwellNanos == nil {
 		names := internPool.Get().(wire.Interner)
-		p := rollupParser{data: data, names: names}
+		p := rollupParser{LayoutReader: wire.LayoutReader{Buf: data}, names: names}
 		out, ok := p.shardRollup()
 		internPool.Put(names)
 		if ok {
@@ -172,16 +171,14 @@ func (sr *ShardRollup) UnmarshalJSON(data []byte) error {
 	return json.Unmarshal(data, (*shardRollupFields)(sr))
 }
 
-// rollupParser reads the layout encoding/json writes for a ShardRollup:
-// no whitespace, the fields in declaration order, every string free of
-// escapes and valid UTF-8, every integer within int64. Each method
-// reports false at the first byte outside that layout; what it accepts is
-// valid JSON by construction and decodes to what encoding/json decodes
-// it to. Inside an object a key may repeat and come in any order — the
-// last entry wins, as it does for encoding/json.
+// rollupParser reads the layout encoding/json writes for a ShardRollup,
+// on the cursor the JSON upload door reads its layout with: the fields in
+// declaration order and every integer within int64. Each method reports
+// false at the first byte outside that layout; what it accepts decodes to
+// what encoding/json decodes it to. Inside an object a key may repeat and
+// come in any order — the last entry wins, as it does for encoding/json.
 type rollupParser struct {
-	data  []byte
-	off   int
+	wire.LayoutReader
 	names wire.Interner
 }
 
@@ -195,39 +192,39 @@ func (p *rollupParser) shardRollup() (out ShardRollup, ok bool) {
 		return out, false
 	}
 	events, ok := p.key(`,"events":`)
-	if !ok || !p.lit(`,"rooms":`) {
+	if !ok || !p.Lit(`,"rooms":`) {
 		return out, false
 	}
 	out.Devices, out.Events = int(devices), int(events)
-	if out.Rooms, ok = parseObject(p, 0, (*rollupParser).roomRollup); !ok || !p.lit(`,"deviceRooms":`) {
+	if out.Rooms, ok = parseObject(p, 0, (*rollupParser).roomRollup); !ok || !p.Lit(`,"deviceRooms":`) {
 		return out, false
 	}
-	hint := min(max(out.Devices, 0), len(p.data)/minDeviceEntry)
-	if out.DeviceRooms, ok = parseObject(p, hint, (*rollupParser).name); !ok || !p.lit(`,"dwellNanos":`) {
+	hint := min(max(out.Devices, 0), len(p.Buf)/minDeviceEntry)
+	if out.DeviceRooms, ok = parseObject(p, hint, (*rollupParser).name); !ok || !p.Lit(`,"dwellNanos":`) {
 		return out, false
 	}
-	if out.DwellNanos, ok = parseObject(p, len(out.Rooms), (*rollupParser).duration); !ok || !p.lit(`}`) {
+	if out.DwellNanos, ok = parseObject(p, len(out.Rooms), (*rollupParser).duration); !ok || !p.Lit(`}`) {
 		return out, false
 	}
-	return out, p.off == len(p.data)
+	return out, len(p.Buf) == 0
 }
 
 // parseObject reads null (a nil map) or an object of entries into a map
 // presized by hint.
 func parseObject[V any](p *rollupParser, hint int, value func(*rollupParser) (V, bool)) (map[string]V, bool) {
-	if p.lit("null") {
+	if p.Lit("null") {
 		return nil, true
 	}
-	if !p.lit("{") {
+	if !p.Lit("{") {
 		return nil, false
 	}
 	m := make(map[string]V, hint)
-	if p.lit("}") {
+	if p.Lit("}") {
 		return m, true
 	}
 	for {
 		k, ok := p.name()
-		if !ok || !p.lit(":") {
+		if !ok || !p.Lit(":") {
 			return nil, false
 		}
 		v, ok := value(p)
@@ -235,10 +232,10 @@ func parseObject[V any](p *rollupParser, hint int, value func(*rollupParser) (V,
 			return nil, false
 		}
 		m[k] = v
-		if p.lit("}") {
+		if p.Lit("}") {
 			return m, true
 		}
-		if !p.lit(",") {
+		if !p.Lit(",") {
 			return nil, false
 		}
 	}
@@ -254,114 +251,34 @@ func (p *rollupParser) roomRollup() (r RoomRollup, ok bool) {
 		return r, false
 	}
 	exits, ok := p.key(`,"exits":`)
-	if !ok || !p.lit(`,"dwellSeconds":`) {
+	if !ok || !p.Lit(`,"dwellSeconds":`) {
 		return r, false
 	}
 	r = RoomRollup{Occupants: int(occupants), Enters: int(enters), Exits: int(exits)}
-	if r.DwellSeconds, ok = p.float(); !ok || !p.lit("}") {
+	if r.DwellSeconds, ok = p.Float(); !ok || !p.Lit("}") {
 		return r, false
 	}
 	return r, true
 }
 
-// lit consumes s if the input continues with it.
-func (p *rollupParser) lit(s string) bool {
-	if len(p.data)-p.off < len(s) || string(p.data[p.off:p.off+len(s)]) != s {
-		return false
-	}
-	p.off += len(s)
-	return true
-}
-
 // key consumes prefix and the integer after it.
 func (p *rollupParser) key(prefix string) (int64, bool) {
-	if !p.lit(prefix) {
+	if !p.Lit(prefix) {
 		return 0, false
 	}
-	return p.int()
-}
-
-// int reads a JSON integer, -?(0|[1-9][0-9]*), that fits int64.
-func (p *rollupParser) int() (int64, bool) {
-	neg := p.lit("-")
-	start := p.off
-	var n uint64
-	for p.off < len(p.data) && '0' <= p.data[p.off] && p.data[p.off] <= '9' {
-		if n > (math.MaxInt64+1)/10 {
-			return 0, false
-		}
-		n = n*10 + uint64(p.data[p.off]-'0')
-		p.off++
-	}
-	digits := p.off - start
-	if digits == 0 || (digits > 1 && p.data[start] == '0') || n > math.MaxInt64+1 || (!neg && n > math.MaxInt64) {
-		return 0, false
-	}
-	if neg {
-		return int64(-n), true
-	}
-	return int64(n), true
+	return p.Int()
 }
 
 func (p *rollupParser) duration() (time.Duration, bool) {
-	n, ok := p.int()
+	n, ok := p.Int()
 	return time.Duration(n), ok
 }
 
-// float reads a JSON number that parses as a finite float64.
-func (p *rollupParser) float() (float64, bool) {
-	start := p.off
-	p.lit("-")
-	if !p.lit("0") && !p.digits() {
-		return 0, false
-	}
-	if p.lit(".") && !p.digits() {
-		return 0, false
-	}
-	if p.lit("e") || p.lit("E") {
-		if !p.lit("+") {
-			p.lit("-")
-		}
-		if !p.digits() {
-			return 0, false
-		}
-	}
-	f, err := strconv.ParseFloat(string(p.data[start:p.off]), 64)
-	return f, err == nil
-}
-
-// digits consumes one or more decimal digits.
-func (p *rollupParser) digits() bool {
-	start := p.off
-	for p.off < len(p.data) && '0' <= p.data[p.off] && p.data[p.off] <= '9' {
-		p.off++
-	}
-	return p.off > start
-}
-
-// name reads a string with no escapes and no control bytes that is valid
-// UTF-8 — the form every device and room name encoding/json writes takes
-// unless it needs escaping — through the interner.
+// name reads a device or room name through the interner.
 func (p *rollupParser) name() (string, bool) {
-	if !p.lit(`"`) {
+	raw, ok := p.Str()
+	if !ok {
 		return "", false
 	}
-	start := p.off
-	ascii := true
-	for ; p.off < len(p.data); p.off++ {
-		switch c := p.data[p.off]; {
-		case c == '"':
-			raw := p.data[start:p.off]
-			p.off++
-			if !ascii && !utf8.Valid(raw) {
-				return "", false
-			}
-			return p.names.Get(raw), true
-		case c < ' ' || c == '\\':
-			return "", false
-		case c >= utf8.RuneSelf:
-			ascii = false
-		}
-	}
-	return "", false
+	return p.names.Get(raw), true
 }

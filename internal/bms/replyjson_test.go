@@ -166,7 +166,7 @@ func realShardReply(tb testing.TB) []byte {
 // method directly, without the validation json.Unmarshal runs first.
 func FuzzShardRollupDecode(f *testing.F) {
 	real := realShardReply(f)
-	if _, ok := (&rollupParser{data: real, names: wire.Interner{}}).shardRollup(); !ok {
+	if _, ok := (&rollupParser{LayoutReader: wire.LayoutReader{Buf: real}, names: wire.Interner{}}).shardRollup(); !ok {
 		f.Fatalf("the parse declines a real shard's reply, %s", real)
 	}
 	var indented bytes.Buffer

@@ -220,10 +220,8 @@ func (s *Server) ingest(gwEpoch uint64, b *wire.Batch, payload []byte, sc *inges
 		return nil, err
 	}
 	defer release()
-	for i, device := range b.Devices {
-		if device == "" {
-			return nil, fmt.Errorf("bms: batch report %d: report without device", i)
-		}
+	if err := b.Check(); err != nil {
+		return nil, fmt.Errorf("bms: batch %w", err)
 	}
 	sc.size(n)
 	wireObservations(b, sc.obs)

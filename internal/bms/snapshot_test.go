@@ -172,8 +172,32 @@ func reportsOf(b *wire.Batch) []transport.Report {
 	return out
 }
 
+// takeUnchecked lands wb as a log written before ingest refused
+// non-finite numbers holds it — classified, logged, then applied, as
+// ingest does past its check — since replay still takes such a log and
+// its snapshot must carry what it held.
+func takeUnchecked(t *testing.T, s *Server, wb *wire.Batch) {
+	t.Helper()
+	sc := getScratch()
+	defer sc.release()
+	sc.size(wb.Len())
+	wireObservations(wb, sc.obs)
+	cls := s.classifierSnapshot()
+	for i := range sc.obs {
+		sc.rooms[i] = cls.PredictSpan(sc.obs[i].Beacons, &sc.cls)
+	}
+	defer s.hold(false)()
+	if err := s.logObservations(wb, nil, sc.rooms); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.applyObs(sc); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // randomState drives a durable server into a state with every shape the
-// snapshot must carry: non-finite distances, beacon-less and
+// snapshot must carry: non-finite distances (from a log written before
+// ingest refused them), beacon-less and
 // unsequenced reports, histories past the retention bound, a device
 // expired down to its ingest mark, pending debounce progress, events,
 // a lease, and (sometimes) a trained model.
@@ -228,9 +252,12 @@ func randomState(t *testing.T, s *Server, rng *rand.Rand) {
 			}
 		}
 		var err error
-		if rng.Intn(2) == 0 {
+		switch framed := rng.Intn(2) == 0; {
+		case wb.Check() != nil:
+			takeUnchecked(t, s, wb)
+		case framed:
 			_, err = s.IngestWireFrameFenced(0, wire.AppendFrame(nil, wb))
-		} else {
+		default:
 			_, err = s.IngestBatch(reportsOf(wb))
 		}
 		if err != nil {

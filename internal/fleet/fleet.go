@@ -529,10 +529,8 @@ func (g *Gateway) split(b *wire.Batch, sc *uploadScratch) error {
 		splitStart = time.Now()
 		gm.batchSize.Observe(int64(n))
 	}
-	for i, device := range b.Devices {
-		if device == "" {
-			return fmt.Errorf("fleet: batch report %d: report without device", i)
-		}
+	if err := b.Check(); err != nil {
+		return fmt.Errorf("fleet: batch %w", err)
 	}
 	g.skew.correct(b)
 	// One entry per report: a device that repeats is registered and

@@ -12,26 +12,33 @@ import (
 	"occusim/internal/wire"
 )
 
-// JSONUpload is the decode target of the JSON ingest doors. Its element
-// types mirror Report's and BeaconReport's JSON shape field for field —
-// same keys, same Go kinds, so which keys match, what a duplicate key, a
-// null, an escape, invalid UTF-8 or a wrong-typed value does all stay
-// encoding/json's — except that the two identities take the decoder's
-// unquoted bytes as they are (encoding.TextUnmarshaler): a beacon id is
-// parsed where it lies, a device name is copied into capacity the element
-// keeps and becomes a string only through the batch's interner. What the
+// JSONUpload is the decode target of the JSON ingest doors. A body is
+// read first by a layout parse of the exact bytes json.Marshal writes for
+// a []Report or a Report — what every device and relay sends: no
+// whitespace; keys device, atSeconds, epoch and seq when not zero,
+// beacons, in that order, and id, distance, rssi; strings with no escape
+// or control byte that are valid UTF-8; numbers that parse finite, the
+// stamps integers within uint64; null or an array for beacons, null for a
+// whole batch. At the first byte outside that layout it zeroes what it
+// touched and hands the body to encoding/json, into element types that
+// mirror Report's and BeaconReport's JSON shape field for field, so which
+// keys match, what a duplicate key, a null, an escape, invalid UTF-8 or a
+// wrong-typed value does all stay encoding/json's. Either way a beacon id
+// is parsed where it lies, and a device name is copied into capacity the
+// element keeps and becomes a string only through the batch's interner
+// (for encoding/json, both through encoding.TextUnmarshaler). What the
 // upload holds is read once, by AppendTo.
 //
-// A JSONUpload is pooled (GetJSONUpload / Release) and recycled warm: the
-// decoder reuses the capacity it finds, so an upload costs neither the
+// A JSONUpload is pooled (GetJSONUpload / Release) and recycled warm: both
+// decodes reuse the capacity they find, so an upload costs neither the
 // report slice, nor each report's beacons growing 0 → 1 → 2 → 4 → 8, nor a
-// device buffer. It also exposes whatever an element last held — the
-// decoder does not zero a slice it re-extends, and an object sets only the
-// fields it names. Hence the contract Release keeps: every report up to
-// the slice's capacity goes back zero with its device buffer at length 0,
-// and every beacon up to each report's beacons' capacity goes back zero
-// (which reads as "no id": an object that omits "id" must be refused, not
-// inherit the last upload's), with only capacity kept.
+// device buffer. It also exposes whatever an element last held — neither
+// decode zeroes a slice it re-extends, and encoding/json sets only the
+// fields an object names. Hence the contract Release keeps: every report
+// up to the slice's capacity goes back zero with its device buffer at
+// length 0, and every beacon up to each report's beacons' capacity goes
+// back zero (which reads as "no id": an object that omits "id" must be
+// refused, not inherit the last upload's), with only capacity kept.
 type JSONUpload struct {
 	reports []jsonReport
 }
@@ -86,16 +93,127 @@ func (t *beaconIDText) UnmarshalText(text []byte) error {
 // UnmarshalBatch decodes a batch route's body, the JSON array of reports.
 // A null body is an upload of none.
 func (u *JSONUpload) UnmarshalBatch(body []byte) error {
+	if u.parseLayout(body, false) {
+		return nil
+	}
+	u.reset()
 	return json.Unmarshal(body, &u.reports)
 }
 
 // UnmarshalReport decodes a single-report route's body, one JSON object.
 func (u *JSONUpload) UnmarshalReport(body []byte) error {
-	if cap(u.reports) == 0 {
-		u.reports = make([]jsonReport, 1)
+	if u.parseLayout(body, true) {
+		return nil
 	}
-	u.reports = u.reports[:1]
+	u.reset()
+	u.reports = extend(u.reports)
 	return json.Unmarshal(body, &u.reports[0])
+}
+
+// parseLayout is the layout parse: it reads the bytes json.Marshal writes
+// for a []Report, or a Report when single, into the elements the capacity
+// keeps, and reports false at the first byte outside that layout, leaving
+// the elements it touched for reset to zero. (The two arrays are read by
+// two loops: handing the element parse to a shared one as a func value
+// would move the cursor to the heap.)
+func (u *JSONUpload) parseLayout(body []byte, single bool) bool {
+	l := wire.LayoutReader{Buf: body}
+	u.reports = u.reports[:0]
+	switch {
+	case single:
+		u.reports = extend(u.reports)
+		return u.reports[0].parse(&l) && len(l.Buf) == 0
+	case l.Lit("null"), l.Lit("[]"):
+	case !l.Lit("["):
+		return false
+	default:
+		for {
+			u.reports = extend(u.reports)
+			if !u.reports[len(u.reports)-1].parse(&l) {
+				return false
+			}
+			if l.Lit("]") {
+				break
+			}
+			if !l.Lit(",") {
+				return false
+			}
+		}
+	}
+	return len(l.Buf) == 0
+}
+
+// parse reads one report object in json.Marshal's layout.
+func (r *jsonReport) parse(l *wire.LayoutReader) bool {
+	if !l.Lit(`{"device":`) {
+		return false
+	}
+	name, ok := l.Str()
+	if !ok || !l.Lit(`,"atSeconds":`) {
+		return false
+	}
+	r.Device.name = append(r.Device.name[:0], name...)
+	if r.AtSeconds, ok = l.Float(); !ok {
+		return false
+	}
+	r.Epoch, r.Seq = 0, 0
+	if l.Lit(`,"epoch":`) {
+		if r.Epoch, ok = l.Uint(); !ok {
+			return false
+		}
+	}
+	if l.Lit(`,"seq":`) {
+		if r.Seq, ok = l.Uint(); !ok {
+			return false
+		}
+	}
+	r.Beacons = r.Beacons[:0]
+	switch {
+	case l.Lit(`,"beacons":null}`), l.Lit(`,"beacons":[]}`):
+		return true
+	case !l.Lit(`,"beacons":[`):
+		return false
+	}
+	for {
+		r.Beacons = extend(r.Beacons)
+		if !r.Beacons[len(r.Beacons)-1].parse(l) {
+			return false
+		}
+		if l.Lit("]}") {
+			return true
+		}
+		if !l.Lit(",") {
+			return false
+		}
+	}
+}
+
+// parse reads one beacon object in json.Marshal's layout.
+func (bc *jsonBeacon) parse(l *wire.LayoutReader) bool {
+	if !l.Lit(`{"id":`) {
+		return false
+	}
+	id, ok := l.Str()
+	if !ok || !l.Lit(`,"distance":`) {
+		return false
+	}
+	_ = bc.ID.UnmarshalText(id)
+	if bc.Distance, ok = l.Float(); !ok || !l.Lit(`,"rssi":`) {
+		return false
+	}
+	bc.RSSI, ok = l.Float()
+	return ok && l.Lit("}")
+}
+
+// extend lengthens s by one element, taking the next one the capacity
+// keeps — zero under Release's contract, with its own capacity kept —
+// before growing.
+func extend[T any](s []T) []T {
+	if len(s) < cap(s) {
+		return s[:len(s)+1]
+	}
+	var zero T
+	return append(s, zero)
 }
 
 // AppendTo appends the decoded upload to b — EncodeReports for an upload

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -9,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"occusim/internal/raceflag"
 	"occusim/internal/rng"
 	"occusim/internal/wire"
 )
@@ -142,6 +144,24 @@ func FuzzJSONDoorParity(f *testing.F) {
 		`[{"device":"short"}]`, // short after long
 		`[]`, `null`, `[null]`, `{}`, `[{"device":"torn"},{]`, `[{"device":"d"}] trailing`,
 		`{"device":"one","atSeconds":1,"beacons":[{"id":"` + goodID + `","distance":1,"rssi":-40}]}`,
+	}
+	// What json.Marshal itself writes, which the layout parse must take —
+	// exponents, -0, the extremes, omitted and maximal stamps, null and
+	// empty beacons, a name past ASCII — or, for the name it escapes,
+	// decline.
+	for _, v := range []any{
+		[]Report{{Device: "exp", AtSeconds: 1e-7, Beacons: []BeaconReport{{ID: goodID, Distance: 1e21, RSSI: -1e-7}}}},
+		[]Report{{Device: "zero", AtSeconds: math.Copysign(0, -1), Beacons: []BeaconReport{{ID: otherID, Distance: math.MaxFloat64, RSSI: -math.MaxFloat64}}}},
+		[]Report{{Device: "stamps", AtSeconds: 1, Epoch: math.MaxUint64, Seq: math.MaxUint64}, {Device: "none", Beacons: []BeaconReport{}}},
+		[]Report{{Device: "phöne-日本", AtSeconds: 2, Seq: 7, Beacons: []BeaconReport{{ID: goodID, Distance: 0.5, RSSI: -41}}}},
+		[]Report{{Device: "<relay>&co", AtSeconds: 3}},
+		Report{Device: "single", AtSeconds: 4, Epoch: 1, Beacons: []BeaconReport{{ID: "not-a-beacon"}}},
+	} {
+		body, err := json.Marshal(v)
+		if err != nil {
+			f.Fatal(err)
+		}
+		seeds = append(seeds, string(body))
 	}
 	for i, s := range seeds {
 		f.Add([]byte(s), []byte(seeds[(i+1)%len(seeds)]), false)
@@ -299,5 +319,253 @@ func TestPooledDecodeEqualsFreshDecode(t *testing.T) {
 	null := new(JSONUpload)
 	if giant.reset() || null.reset() || giant.reports != nil {
 		t.Fatalf("a %d-report target or a null one was kept", pooledReportsMax+1)
+	}
+}
+
+// randomMarshalBody is what json.Marshal writes for random reports: any
+// finite numbers, stamps omitted or not, every beacon of a scan, some of
+// them or none (nil or empty), device names past ASCII that json.Marshal
+// need not escape, and now and then a beacon id that does not parse.
+func randomMarshalBody(t *testing.T, src *rng.Source) (batch []byte, singles [][]byte) {
+	number := func() float64 {
+		switch src.Intn(5) {
+		case 0:
+			return []float64{0, math.Copysign(0, -1), 1e-7, 1e21, math.MaxFloat64, -math.SmallestNonzeroFloat64}[src.Intn(6)]
+		case 1:
+			for {
+				if f := math.Float64frombits(src.Uint64()); !math.IsNaN(f) && !math.IsInf(f, 0) {
+					return f
+				}
+			}
+		case 2:
+			return float64(src.Intn(2000) - 1000)
+		}
+		return src.Normal(0, 50)
+	}
+	stamp := func() uint64 {
+		switch src.Intn(3) {
+		case 0:
+			return 0
+		case 1:
+			return math.MaxUint64 - src.Uint64n(3)
+		}
+		return src.Uint64n(1000)
+	}
+	runes := []rune("abcXYZ019-_. /:éü日本☃")
+	var reports []Report
+	if src.Intn(10) > 0 {
+		reports = make([]Report, src.Intn(40))
+	}
+	for i := range reports {
+		name := make([]rune, 1+src.Intn(12))
+		for k := range name {
+			name[k] = runes[src.Intn(len(runes))]
+		}
+		r := Report{Device: string(name), AtSeconds: number(), Epoch: stamp(), Seq: stamp()}
+		switch src.Intn(4) {
+		case 0: // none: null
+		case 1:
+			r.Beacons = []BeaconReport{}
+		default:
+			all := src.Intn(2) == 0
+			for k := 0; k < 6; k++ {
+				if !all && src.Intn(2) == 0 {
+					continue
+				}
+				id := fmt.Sprintf("B9407F30-F5F8-466E-AFF9-25556B57FE6D/%d/%d", src.Intn(65536), k)
+				if src.Intn(50) == 0 {
+					id = "not-a-beacon"
+				}
+				r.Beacons = append(r.Beacons, BeaconReport{ID: id, Distance: number(), RSSI: number()})
+			}
+		}
+		reports[i] = r
+	}
+	marshal := func(v any) []byte {
+		body, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return body
+	}
+	for _, r := range reports {
+		singles = append(singles, marshal(r))
+	}
+	return marshal(reports), singles
+}
+
+// TestLayoutParseTakesWhatMarshalWrites is the layout parse's
+// non-vacuity: every body json.Marshal writes for reports — the only
+// bodies devices and relays send — is taken by it, not handed to
+// encoding/json, into a recycled target, and lands what the report
+// structs land.
+func TestLayoutParseTakesWhatMarshalWrites(t *testing.T) {
+	src := rng.New(40)
+	u, b := new(JSONUpload), new(wire.Batch)
+	take := func(body []byte, single bool) {
+		t.Helper()
+		if !u.parseLayout(body, single) {
+			t.Fatalf("the layout parse declined what json.Marshal wrote (single %v): %s", single, body)
+		}
+		got := doorOutcome{renderErr: u.AppendTo(b), b: b}
+		if d := diffOutcomes(got, oracleDoor(body, single), true); d != "" {
+			t.Fatalf("body %s (single %v): %s", body, single, d)
+		}
+		u.reset()
+		b.Reset()
+	}
+	taken := 0
+	for trial := 0; trial < 400; trial++ {
+		batch, singles := randomMarshalBody(t, src)
+		take(batch, false)
+		for _, body := range singles {
+			take(body, true)
+		}
+		taken += len(singles)
+	}
+	if taken < 4000 {
+		t.Fatalf("vacuous: %d reports in 400 bodies", taken)
+	}
+}
+
+// TestLayoutParseDeclinesNearMisses: a body one step outside the layout is
+// declined — each of these is valid or nearly valid JSON that json.Marshal
+// never writes — and the door, having zeroed what the parse touched,
+// answers exactly what encoding/json into report structs answers, into a
+// target a longer body just filled.
+func TestLayoutParseDeclinesNearMisses(t *testing.T) {
+	bc := `{"id":"` + goodID + `","distance":1,"rssi":-50}`
+	good := `{"device":"d","atSeconds":1,"epoch":2,"seq":3,"beacons":[` + bc + `]}`
+	batch := func(r string) string { return `[` + good + `,` + r + `]` }
+	for _, c := range []struct {
+		name, body string
+		single     bool
+	}{
+		{"whitespace after a colon", batch(`{"device": "d","atSeconds":1,"beacons":null}`), false},
+		{"whitespace between reports", `[` + good + `, ` + good + `]`, false},
+		{"reordered keys", batch(`{"atSeconds":1,"device":"d","beacons":null}`), false},
+		{`"Device"`, batch(`{"Device":"d","atSeconds":1,"beacons":null}`), false},
+		{`\/ in an id`, batch(`{"device":"d","atSeconds":1,"beacons":[{"id":"B9407F30-F5F8-466E-AFF9-25556B57FE6D\/1/2","distance":1,"rssi":-50}]}`), false},
+		{`\u0041 in a name`, batch(`{"device":"\u0041","atSeconds":1,"beacons":null}`), false},
+		{"<>& as json.Marshal escapes them", batch(`{"device":"\u003crelay\u003e\u0026co","atSeconds":1,"beacons":null}`), false},
+		{"invalid UTF-8", batch(`{"device":"` + "\xff" + `","atSeconds":1,"beacons":null}`), false},
+		{"1e400", batch(`{"device":"d","atSeconds":1e400,"beacons":null}`), false},
+		{`"seq":-1`, batch(`{"device":"d","atSeconds":1,"seq":-1,"beacons":null}`), false},
+		{`"seq":1.5`, batch(`{"device":"d","atSeconds":1,"seq":1.5,"beacons":null}`), false},
+		{`"epoch":01`, batch(`{"device":"d","atSeconds":1,"epoch":01,"beacons":null}`), false},
+		{"a stamp past uint64", batch(`{"device":"d","atSeconds":1,"seq":18446744073709551616,"beacons":null}`), false},
+		{"a duplicate key", batch(`{"device":"d","device":"e","atSeconds":1,"beacons":null}`), false},
+		{`"device":null`, batch(`{"device":null,"atSeconds":1,"beacons":null}`), false},
+		{"a beacon without rssi", batch(`{"device":"d","atSeconds":1,"beacons":[{"id":"` + goodID + `","distance":1}]}`), false},
+		{"beacons an object", batch(`{"device":"d","atSeconds":1,"beacons":` + bc + `}`), false},
+		{"[null]", `[null]`, false},
+		{"trailing bytes", `[` + good + `]]`, false},
+		{"a trailing newline", `[` + good + "]\n", false},
+		{"a single null", `null`, true},
+		{"a single report's trailing newline", good + "\n", true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			body := []byte(c.body)
+			if new(JSONUpload).parseLayout(body, c.single) {
+				t.Fatalf("the layout parse took %s", body)
+			}
+			u, b := new(JSONUpload), new(wire.Batch)
+			long := []byte(`[` + strings.Repeat(good+`,`, 9) + good + `]`)
+			if out := uploadDoor(u, b, long, false); out.decodeErr != nil || out.renderErr != nil || b.Len() != 10 {
+				t.Fatalf("the long body: %+v", out)
+			}
+			u.reset()
+			b.Reset()
+			if d := diffOutcomes(uploadDoor(u, b, body, c.single), oracleDoor(body, c.single), false); d != "" {
+				t.Fatalf("body %s: %s", body, d)
+			}
+		})
+	}
+}
+
+// relayBody is a relay's upload: 64 devices' reports of 6 beacons each,
+// as json.Marshal writes it.
+func relayBody(tb testing.TB) []byte {
+	reports := make([]Report, 64)
+	for i := range reports {
+		reports[i] = Report{Device: fmt.Sprintf("phone-%03d", i), AtSeconds: 1234.5 + float64(i)/7, Epoch: 1, Seq: uint64(100 + i)}
+		for k := 0; k < 6; k++ {
+			reports[i].Beacons = append(reports[i].Beacons, BeaconReport{
+				ID: fmt.Sprintf("b9407f30-f5f8-466e-aff9-25556b57fe6d/1/%d", k+1), Distance: 1.5 + float64(k)/3, RSSI: -60.25 - float64(k),
+			})
+		}
+	}
+	body, err := json.Marshal(reports)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return body
+}
+
+// TestAllocBudgetLayoutParse: a warm pooled target reads a relay's
+// 64-report body, and the batch takes it, without allocating — where
+// encoding/json's decode cost its per-call state.
+func TestAllocBudgetLayoutParse(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are pinned without the race detector")
+	}
+	body := relayBody(t)
+	single := []byte(`{"device":"d","atSeconds":1,"beacons":[{"id":"` + goodID + `","distance":1,"rssi":-50}]}`)
+	u, b := new(JSONUpload), new(wire.Batch)
+	read := func(decode func([]byte) error, body []byte) func() {
+		return func() {
+			if err := decode(body); err != nil {
+				t.Fatal(err)
+			}
+			if err := u.AppendTo(b); err != nil {
+				t.Fatal(err)
+			}
+			u.reset()
+			b.Reset()
+		}
+	}
+	for _, c := range []struct {
+		name string
+		run  func()
+	}{
+		{"64-report batch", read(u.UnmarshalBatch, body)},
+		{"single report", read(u.UnmarshalReport, single)},
+	} {
+		c.run() // grow the target and the batch, fill the interner
+		if n := testing.AllocsPerRun(100, c.run); n != 0 {
+			t.Errorf("a warm target reads a %s with %v allocations, budget 0", c.name, n)
+		}
+	}
+}
+
+// BenchmarkJSONDoor is the JSON door on a relay's body: decode, then
+// land it in the batch. layout is the body as json.Marshal writes it;
+// fallback the same reports indented, which the layout parse declines
+// at its first byte, so encoding/json decodes it.
+func BenchmarkJSONDoor(b *testing.B) {
+	compact := relayBody(b)
+	var indented bytes.Buffer
+	if err := json.Indent(&indented, compact, "", " "); err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		body []byte
+	}{{"layout", compact}, {"fallback", indented.Bytes()}} {
+		b.Run(c.name, func(b *testing.B) {
+			u, batch := new(JSONUpload), new(wire.Batch)
+			b.SetBytes(int64(len(c.body)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := u.UnmarshalBatch(c.body); err != nil {
+					b.Fatal(err)
+				}
+				if err := u.AppendTo(batch); err != nil {
+					b.Fatal(err)
+				}
+				u.reset()
+				batch.Reset()
+			}
+		})
 	}
 }

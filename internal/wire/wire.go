@@ -223,6 +223,47 @@ func (b *Batch) ReportBeacons(i int) []Beacon {
 	return b.Beacons[start:end]
 }
 
+// Check holds every report of an upload to what an ingest door takes
+// before it takes any of it: a device name, and a time, distances and
+// RSSIs that are finite numbers — JSON has no token for NaN or an
+// infinity, so a frame may not carry one either. The error names the
+// first report refused. A log's records were checked when they were
+// taken; replay does not check them again.
+func (b *Batch) Check() error {
+	for i, device := range b.Devices {
+		err := checkFinite("time", b.At[i])
+		if device == "" {
+			err = errors.New("report without device")
+		}
+		for _, bc := range b.ReportBeacons(i) {
+			if err != nil {
+				break
+			}
+			err = checkBeacon(bc.Distance, bc.RSSI)
+		}
+		if err != nil {
+			return fmt.Errorf("report %d: %w", i, err)
+		}
+	}
+	return nil
+}
+
+// checkFinite refuses a number that is NaN or infinite, naming what it is.
+func checkFinite(what string, f float64) error {
+	if f-f != 0 {
+		return fmt.Errorf("%s %v is not a finite number", what, f)
+	}
+	return nil
+}
+
+// checkBeacon refuses a beacon whose distance or RSSI is not finite.
+func checkBeacon(distance, rssi float64) error {
+	if err := checkFinite("beacon distance", distance); err != nil {
+		return err
+	}
+	return checkFinite("beacon rssi", rssi)
+}
+
 // Interner canonicalises the short strings a stream repeats — device
 // names in a Batch, room names in an ack or a log, both in a snapshot —
 // so decoding allocates each distinct one once. The map lookup with a
@@ -579,11 +620,12 @@ func ReadFrame(r io.Reader, buf *[]byte) ([]byte, error) {
 // time, stamps — without decoding beacons, and returns the report
 // count. This is the gateway's pre-split forward pass: registration
 // and fencing need names and times, never beacon contents, so it steps
-// over each beacon by its ref byte, touching no identity and no float —
-// but counting the table, so a payload it passes is one DecodePayload
-// accepts. The device slice is a view into payload, valid only during
-// fn; a report that repeats its predecessor's device gets the
-// predecessor's view.
+// over each beacon by its ref byte, touching no identity — but counting
+// the table, so a payload it passes is one DecodePayload accepts — and
+// reading its two floats only to refuse a report whose numbers Check
+// refuses, since a forwarded section reaches its shard undecoded. The
+// device slice is a view into payload, valid only during fn; a report
+// that repeats its predecessor's device gets the predecessor's view.
 func ScanReports(payload []byte, fn func(device []byte, at float64, epoch, seq uint64) error) (int, error) {
 	r := Reader{Buf: payload}
 	count, err := r.reportCount()
@@ -600,11 +642,19 @@ func ScanReports(payload []byte, fn func(device []byte, at float64, epoch, seq u
 		if dev != nil {
 			device = dev
 		}
+		numbers := checkFinite("time", at)
 		for ; beacons > 0 && !r.Short; beacons-- {
-			r.beacon(&idents)
+			if _, raw := r.beacon(&idents); raw != nil && numbers == nil {
+				raw = raw[len(raw)-16:]
+				numbers = checkBeacon(math.Float64frombits(binary.LittleEndian.Uint64(raw)),
+					math.Float64frombits(binary.LittleEndian.Uint64(raw[8:])))
+			}
 		}
 		if r.Short {
 			return 0, r.end()
+		}
+		if numbers != nil {
+			return 0, fmt.Errorf("report %d: %w", i, numbers)
 		}
 		if err := fn(device, at, epoch, seq); err != nil {
 			return 0, err

@@ -324,6 +324,15 @@ func flipped(data []byte, at int) []byte {
 
 func TestScanReportsMatchesDecode(t *testing.T) {
 	want := sampleBatch()
+	// The forward pass refuses what Check refuses of a report's numbers —
+	// the sample's second report is timed +Inf — so a forwarded section
+	// with one never reaches its shard.
+	_, err := ScanReports(AppendPayload(nil, want), func([]byte, float64, uint64, uint64) error { return nil })
+	if err == nil || err.Error() != "report 1: time +Inf is not a finite number" {
+		t.Fatalf("ScanReports of a report timed +Inf: %v", err)
+	}
+	want.At[1], want.At[2] = 13, 14
+	want.Beacons[2] = mkBeacon(3, 1.5, -60)
 	payload := AppendPayload(nil, want)
 	i := 0
 	n, err := ScanReports(payload, func(device []byte, at float64, epoch, seq uint64) error {
