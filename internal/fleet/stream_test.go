@@ -174,7 +174,19 @@ func counterSum(m *obs.Metrics, family string) (sum float64) {
 // dedup behind the retries the shard ends holding each frame exactly
 // once. Run under -race this is also the pool's and the stamp's
 // synchronisation test.
+//
+// The cuts must meet the exchanges, or the run proves nothing: each
+// writer, after its first frame, waits for the cutter's first cut, and
+// the cutter cuts until every writer is done. The held run starts the
+// cutter only once every writer is parked on that cut or gone: the
+// schedule of a starved cutter, under which a drive that leaves the
+// order to the scheduler cuts only streams nobody uses again.
 func TestStreamsSurviveResetsUnderRace(t *testing.T) {
+	t.Run("free", func(t *testing.T) { streamsSurviveResets(t, false) })
+	t.Run("held", func(t *testing.T) { streamsSurviveResets(t, true) })
+}
+
+func streamsSurviveResets(t *testing.T, held bool) {
 	b := building.PaperHouse()
 	srv, twin := newServer(t, b), newServer(t, b)
 	ts := httptest.NewUnstartedServer(srv.Handler())
@@ -230,12 +242,21 @@ func TestStreamsSurviveResetsUnderRace(t *testing.T) {
 	var wg sync.WaitGroup
 	var running atomic.Int32
 	running.Store(writers)
+	firstCut := make(chan struct{})
+	var settled sync.WaitGroup // each writer parked on the first cut, or gone
+	settled.Add(writers)
 	for w := range plan {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			defer running.Add(-1)
+			var park sync.Once
+			defer park.Do(settled.Done)
 			for k, s := range plan[w] {
+				if k == 1 {
+					park.Do(settled.Done)
+					<-firstCut
+				}
 				for try := 0; ; try++ {
 					rooms, err := hs.IngestFrame(s.frame, 11)
 					if err == nil {
@@ -255,15 +276,26 @@ func TestStreamsSurviveResetsUnderRace(t *testing.T) {
 			}
 		}(w)
 	}
+	if held {
+		settled.Wait()
+	}
 	resets := 0
-	for epoch := uint64(1); running.Load() > 0; epoch++ {
+	for epoch := uint64(1); ; epoch++ {
 		hs.StampEpoch(epoch)
 		resets += cut.reset()
+		if running.Load() == 0 {
+			break
+		}
 		if resets == 0 {
 			// No stream was open yet. Do not sleep through the whole run
 			// (a few ms) before the first cut: look again at once.
 			runtime.Gosched()
 			continue
+		}
+		select {
+		case <-firstCut:
+		default:
+			close(firstCut)
 		}
 		time.Sleep(500 * time.Microsecond)
 	}

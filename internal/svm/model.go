@@ -3,6 +3,7 @@ package svm
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
@@ -10,17 +11,26 @@ import (
 )
 
 // Model is a trained multi-class SVM: a one-vs-one ensemble of binary
-// machines with majority voting, plus the fitted feature scaler.
+// machines with majority voting, plus the fitted feature scaler. The
+// machines share their support vectors: the model keeps one table of
+// the distinct ones, and a prediction evaluates the kernel once per
+// distinct support vector, however many machines name it.
 type Model struct {
 	classes []string
 	pairs   []pair
+	svs     [][]float64 // the distinct support vectors, standardised
 	scaler  *Scaler
 	kernel  Kernel
 }
 
+// pair is one binary machine of the ensemble,
+// f(x) = bias + Σ coef[i]·K(svs[sv[i]], x), voting a on f ≥ 0 and b
+// otherwise.
 type pair struct {
-	a, b int // class indices; the binary machine votes a on +1, b on −1
-	m    *binary
+	a, b int       // class indices
+	sv   []int     // the machine's support vectors, as rows of Model.svs
+	coef []float64 // αᵢ·yᵢ per support vector
+	bias float64
 }
 
 // Train fits a one-vs-one multi-class SVM on the labelled rows. X and
@@ -68,7 +78,7 @@ func trainScaled(Xs [][]float64, labels []string, scaler *Scaler, norms []float6
 	if norms == nil {
 		norms = squaredNorms(Xs)
 	}
-	model := &Model{classes: classes, scaler: scaler, kernel: cfgDef.Kernel}
+	var machines []pairJSON
 	for a := 0; a < len(classes); a++ {
 		for b := a + 1; b < len(classes); b++ {
 			var px [][]float64
@@ -92,10 +102,63 @@ func trainScaled(Xs [][]float64, labels []string, scaler *Scaler, norms []float6
 			if err != nil {
 				return nil, fmt.Errorf("svm: pair (%s, %s): %w", classes[a], classes[b], err)
 			}
-			model.pairs = append(model.pairs, pair{a: a, b: b, m: bm})
+			machines = append(machines, pairJSON{A: a, B: b, Binary: bm})
 		}
 	}
-	return model, nil
+	return assemble(classes, cfgDef.Kernel, scaler, machines)
+}
+
+// assemble builds a model from its machines, sharing their support
+// vectors: each distinct row enters the table once, and each pair names
+// its rows by index. Rows are told apart by their float64 bits, because
+// a serialised model carries each machine's own copy of every row. A
+// model a prediction could not run is refused: fewer than 2 classes, a
+// pair outside them, a machine with other than one coefficient per
+// support vector, or a row or scaler statistic whose width is not the
+// scaler's.
+func assemble(classes []string, kernel Kernel, scaler *Scaler, machines []pairJSON) (*Model, error) {
+	if len(classes) < 2 {
+		return nil, fmt.Errorf("svm: need at least 2 classes, got %d", len(classes))
+	}
+	width := len(scaler.Mean)
+	if len(scaler.Std) != width {
+		return nil, fmt.Errorf("svm: scaler has %d means and %d deviations", width, len(scaler.Std))
+	}
+	m := &Model{classes: classes, scaler: scaler, kernel: kernel, pairs: make([]pair, len(machines))}
+	index := map[string]int{} // a row's float64 bits → its table index
+	key := make([]byte, 8*width)
+	for i, pj := range machines {
+		bm := pj.Binary
+		if bm == nil {
+			return nil, fmt.Errorf("svm: pair (%d,%d) has no machine", pj.A, pj.B)
+		}
+		if !(0 <= pj.A && pj.A < pj.B && pj.B < len(classes)) {
+			return nil, fmt.Errorf("svm: pair (%d,%d) is not two of %d classes", pj.A, pj.B, len(classes))
+		}
+		if len(bm.Coefficients) != len(bm.SupportVectors) {
+			return nil, fmt.Errorf("svm: pair (%d,%d) has %d coefficients for %d support vectors", pj.A, pj.B, len(bm.Coefficients), len(bm.SupportVectors))
+		}
+		p := pair{a: pj.A, b: pj.B, sv: make([]int, len(bm.SupportVectors)), coef: bm.Coefficients, bias: bm.Bias}
+		for j, row := range bm.SupportVectors {
+			if len(row) != width {
+				return nil, fmt.Errorf("svm: pair (%d,%d) has a support vector of %d features, the scaler %d", pj.A, pj.B, len(row), width)
+			}
+			for d, v := range row {
+				for bits, b := math.Float64bits(v), 0; b < 8; b++ {
+					key[8*d+b] = byte(bits >> (8 * b))
+				}
+			}
+			r, ok := index[string(key)]
+			if !ok {
+				r = len(m.svs)
+				index[string(key)] = r
+				m.svs = append(m.svs, row)
+			}
+			p.sv[j] = r
+		}
+		m.pairs[i] = p
+	}
+	return m, nil
 }
 
 // Classes returns the sorted class labels the model can predict.
@@ -111,11 +174,12 @@ func (m *Model) NumFeatures() int {
 }
 
 // NumSupportVectors returns the total support-vector count across all
-// pairwise machines, a rough model-complexity measure.
+// pairwise machines, a rough model-complexity measure. A vector two
+// machines share counts twice; the kernel is evaluated on it once.
 func (m *Model) NumSupportVectors() int {
 	n := 0
 	for _, p := range m.pairs {
-		n += len(p.m.SupportVectors)
+		n += len(p.sv)
 	}
 	return n
 }
@@ -128,34 +192,48 @@ func (m *Model) Predict(x []float64) string {
 }
 
 // Scratch is the working memory of one prediction: the standardised
-// row and the vote tally. A caller that predicts in a loop keeps one and
-// passes it to PredictScratch, which then allocates nothing once the
-// slices have grown to the model's size. Not safe for concurrent use.
+// row followed by one kernel value per distinct support vector (one
+// allocation), and the vote tally. A caller that predicts in a loop
+// keeps one and passes it to PredictScratch, which then allocates
+// nothing once the slices have grown to the model's size. Not safe for
+// concurrent use.
 type Scratch struct {
 	scaled []float64
 	votes  []int
 }
 
-// PredictScratch is Predict on caller-owned scratch — the same
-// arithmetic in the same order, so the two agree bit for bit.
-func (m *Model) PredictScratch(x []float64, sc *Scratch) string {
-	if cap(sc.scaled) < len(x) {
-		sc.scaled = make([]float64, len(x))
+// fit grows sc to m and splits it: width entries for a standardised
+// row, the kernel values and the votes.
+func (sc *Scratch) fit(width int, m *Model) (xs, k []float64, votes []int) {
+	n := width + len(m.svs)
+	if cap(sc.scaled) < n {
+		sc.scaled = make([]float64, n)
 	}
 	if cap(sc.votes) < len(m.classes) {
 		sc.votes = make([]int, len(m.classes))
 	}
-	return m.predictScaled(m.scaler.transformInto(sc.scaled, x), sc.votes[:len(m.classes)])
+	return sc.scaled[:width], sc.scaled[width:n], sc.votes[:len(m.classes)]
+}
+
+// PredictScratch is Predict on caller-owned scratch — the same
+// arithmetic in the same order, so the two agree bit for bit.
+func (m *Model) PredictScratch(x []float64, sc *Scratch) string {
+	xs, k, votes := sc.fit(len(x), m)
+	return m.predictScaled(m.scaler.transformInto(xs, x), k, votes)
 }
 
 // predictScaled is Predict for rows already standardised with the
 // model's scaler (the grid search pre-scales each fold's test rows
-// once). votes is scratch of len(m.classes); its contents are
-// overwritten.
-func (m *Model) predictScaled(xs []float64, votes []int) string {
+// once). k (one entry per distinct support vector) and votes (one per
+// class) are scratch; their contents are overwritten. Each machine sums
+// its terms in its own support-vector order (pair.decision), so its
+// decision value is the one a machine holding its own copies would
+// compute, bit for bit.
+func (m *Model) predictScaled(xs, k []float64, votes []int) string {
+	m.kernels(k, xs)
 	clear(votes)
-	for _, p := range m.pairs {
-		if p.m.decision(xs) >= 0 {
+	for i := range m.pairs {
+		if p := &m.pairs[i]; p.decision(k) >= 0 {
 			votes[p.a]++
 		} else {
 			votes[p.b]++
@@ -168,6 +246,37 @@ func (m *Model) predictScaled(xs []float64, votes []int) string {
 		}
 	}
 	return m.classes[best]
+}
+
+// decision is the machine's signed decision value, given k, the kernel
+// values of the model's support vectors at the row.
+func (p *pair) decision(k []float64) float64 {
+	s := p.bias
+	for j, r := range p.sv {
+		s += p.coef[j] * k[r]
+	}
+	return s
+}
+
+// kernels fills k with K(sv, x) for every distinct support vector sv.
+// RBF, the paper's kernel, runs inline with RBF.Compute's arithmetic.
+func (m *Model) kernels(k, x []float64) {
+	rbf, ok := m.kernel.(RBF)
+	if !ok {
+		for r, sv := range m.svs {
+			k[r] = m.kernel.Compute(sv, x)
+		}
+		return
+	}
+	for r, sv := range m.svs {
+		x := x[:len(sv)]
+		var d2 float64
+		for i := range sv {
+			d := sv[i] - x[i]
+			d2 += d * d
+		}
+		k[r] = math.Exp(-rbf.Gamma * d2)
+	}
 }
 
 // PredictBatch maps Predict over the rows of X.
@@ -213,12 +322,18 @@ func (m *Model) MarshalJSON() ([]byte, error) {
 	}
 	mj := modelJSON{Classes: m.classes, Kernel: kj, Scaler: m.scaler}
 	for _, p := range m.pairs {
-		mj.Pairs = append(mj.Pairs, pairJSON{A: p.a, B: p.b, Binary: p.m})
+		bm := &binary{Coefficients: p.coef, Bias: p.bias}
+		for _, r := range p.sv {
+			bm.SupportVectors = append(bm.SupportVectors, m.svs[r])
+		}
+		mj.Pairs = append(mj.Pairs, pairJSON{A: p.a, B: p.b, Binary: bm})
 	}
 	return json.Marshal(mj)
 }
 
-// UnmarshalJSON implements json.Unmarshaler.
+// UnmarshalJSON implements json.Unmarshaler. A model a prediction could
+// not run on is refused (assemble, checkKernel), and m is left as it
+// was.
 func (m *Model) UnmarshalJSON(data []byte) error {
 	var mj modelJSON
 	if err := json.Unmarshal(data, &mj); err != nil {
@@ -233,20 +348,17 @@ func (m *Model) UnmarshalJSON(data []byte) error {
 	default:
 		return fmt.Errorf("svm: unknown kernel type %q", mj.Kernel.Type)
 	}
+	if err := checkKernel(kernel); err != nil {
+		return err
+	}
 	if mj.Scaler == nil {
 		return fmt.Errorf("svm: serialised model missing scaler")
 	}
-	m.classes = mj.Classes
-	m.scaler = mj.Scaler
-	m.kernel = kernel
-	m.pairs = nil
-	for _, pj := range mj.Pairs {
-		if pj.Binary == nil {
-			return fmt.Errorf("svm: serialised pair (%d,%d) missing machine", pj.A, pj.B)
-		}
-		pj.Binary.kernel = kernel
-		m.pairs = append(m.pairs, pair{a: pj.A, b: pj.B, m: pj.Binary})
+	back, err := assemble(mj.Classes, kernel, mj.Scaler, mj.Pairs)
+	if err != nil {
+		return err
 	}
+	*m = *back
 	return nil
 }
 
@@ -334,14 +446,15 @@ func GridSearch(X [][]float64, labels []string, cs, gammas []float64, folds int,
 	err = par.ForEach(len(points), func(i int) error {
 		cfg := TrainConfig{C: cs[i/len(gammas)], Kernel: RBF{Gamma: gammas[i%len(gammas)]}, Seed: cfgSeed}
 		correct, total := 0, 0
+		var sc Scratch
 		for _, fd := range fds {
 			m, err := trainScaled(fd.trX, fd.trY, fd.scaler, fd.norms, cfg)
 			if err != nil {
 				return err
 			}
-			votes := make([]int, len(m.classes))
+			_, k, votes := sc.fit(0, m)
 			for j, x := range fd.teX {
-				if m.predictScaled(x, votes) == fd.teY[j] {
+				if m.predictScaled(x, k, votes) == fd.teY[j] {
 					correct++
 				}
 				total++

@@ -2,6 +2,7 @@ package svm
 
 import (
 	"fmt"
+	"math"
 
 	"occusim/internal/rng"
 )
@@ -49,26 +50,26 @@ func (c TrainConfig) Validate() error {
 	if c.Tol < 0 {
 		return fmt.Errorf("svm: Tol must be non-negative, got %v", c.Tol)
 	}
+	return checkKernel(c.Kernel)
+}
+
+// checkKernel refuses an RBF kernel whose γ is not a positive finite
+// number. Train and a model's decoding share it, so every model Train
+// makes decodes again.
+func checkKernel(k Kernel) error {
+	if rbf, ok := k.(RBF); ok && !(rbf.Gamma > 0 && !math.IsInf(rbf.Gamma, 1)) {
+		return fmt.Errorf("svm: RBF gamma must be positive and finite, got %v", rbf.Gamma)
+	}
 	return nil
 }
 
 // binary is a trained two-class machine: f(x) = Σ αᵢyᵢK(xᵢ,x) + b, with
-// only the support vectors (αᵢ > 0) retained.
+// only the support vectors (αᵢ > 0) retained. It is SMO's output and the
+// serialised form of one machine; a Model predicts from its pairs.
 type binary struct {
 	SupportVectors [][]float64 `json:"supportVectors"`
 	Coefficients   []float64   `json:"coefficients"` // αᵢ·yᵢ
 	Bias           float64     `json:"bias"`
-
-	kernel Kernel
-}
-
-// decision returns the signed decision value for x.
-func (m *binary) decision(x []float64) float64 {
-	s := m.Bias
-	for i, sv := range m.SupportVectors {
-		s += m.Coefficients[i] * m.kernel.Compute(sv, x)
-	}
-	return s
 }
 
 // trainBinary runs simplified SMO (Platt's algorithm with the randomised
@@ -170,7 +171,7 @@ func trainBinary(X [][]float64, y []float64, norms []float64, cfg TrainConfig) (
 		}
 	}
 
-	m := &binary{Bias: b, kernel: cfg.Kernel}
+	m := &binary{Bias: b}
 	for i, a := range alpha {
 		if a > 1e-9 {
 			sv := make([]float64, len(X[i]))

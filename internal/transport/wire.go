@@ -43,18 +43,44 @@ func (c Codec) String() string {
 	return "json"
 }
 
+// encodeMemo is how many parsed identities EncodeReports remembers per
+// call. A device hears a handful of beacons, so a batch names a few
+// identities many times; past the memo's size an identity is parsed
+// each time it appears, as it would be without the memo.
+const encodeMemo = 8
+
 // EncodeReports fills b from reports, parsing each beacon identity
-// into its binary form. An unparseable identity fails the whole batch,
-// and no other codec would carry it: the JSON door parses identities
-// with the same strict ParseBeaconID and refuses the whole upload.
+// into its binary form; the first encodeMemo distinct identities of a
+// call are parsed once and remembered on the stack. An unparseable
+// identity fails the whole batch, and no other codec would carry it:
+// the JSON door parses identities with the same strict ParseBeaconID
+// and refuses the whole upload.
 func EncodeReports(b *wire.Batch, reports []Report) error {
+	var memo [encodeMemo]struct {
+		text string
+		id   ibeacon.BeaconID
+	}
+	known := 0
 	for i := range reports {
 		r := &reports[i]
 		b.AddReport(r.Device, r.AtSeconds, r.Epoch, r.Seq)
 		for _, br := range r.Beacons {
-			id, err := ibeacon.ParseBeaconID(br.ID)
-			if err != nil {
-				return err
+			k := 0
+			for k < known && memo[k].text != br.ID {
+				k++
+			}
+			var id ibeacon.BeaconID
+			if k < known {
+				id = memo[k].id
+			} else {
+				var err error
+				if id, err = ibeacon.ParseBeaconID(br.ID); err != nil {
+					return err
+				}
+				if known < encodeMemo {
+					memo[known].text, memo[known].id = br.ID, id
+					known++
+				}
 			}
 			b.AddBeacon(wire.Beacon{ID: id, Distance: br.Distance, RSSI: br.RSSI})
 		}
