@@ -29,7 +29,8 @@ test-race:
 # step of the report path — identity parse, device encode and uplink
 # send, one HTTP exchange, the gateway's split, cut and forward, a warm
 # stream exchange at both ends, the shard's ingest core, span prediction,
-# frame decode, both faces' JSON door and its layout parse — and of the
+# frame decode, both faces' JSON door and its layout parse, the log
+# append under each fsync policy (TestAllocBudgetWALAppend) — and of the
 # federated reads: the rollup, and one read over HTTP shards at both ends
 # of every exchange
 # (TestAllocBudgetFederatedRead). Each is held to a ceiling or to "the
@@ -43,7 +44,7 @@ test-race:
 # was when it landed is CHANGES.md's and PERF.md's to say.
 allocs:
 	$(GO) test -count=1 -run 'TestAllocBudget|TestPredictSpanAllocatesNothing|TestSteadyState(Decode|Encode)Allocs|TestFrameBytesPaperTraffic|TestEncodeManyIdentitiesIsLinear|FuzzParseBeaconID' \
-		./internal/ibeacon/ ./internal/wire/ ./internal/classify/ ./internal/transport/ ./internal/bms/ ./internal/fleet/
+		./internal/ibeacon/ ./internal/wire/ ./internal/classify/ ./internal/transport/ ./internal/store/ ./internal/bms/ ./internal/fleet/
 
 # onepath keeps the crowd harness (internal/scenario: spec → build →
 # drive → verify) the only one: it fails when a fleet-assembly call —

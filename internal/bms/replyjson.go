@@ -196,49 +196,80 @@ func (p *rollupParser) shardRollup() (out ShardRollup, ok bool) {
 		return out, false
 	}
 	out.Devices, out.Events = int(devices), int(events)
-	if out.Rooms, ok = parseObject(p, 0, (*rollupParser).roomRollup); !ok || !p.Lit(`,"deviceRooms":`) {
+	// Each map is read by its own loop: handing the value parse to a
+	// shared one as a func value would move the parser to the heap.
+	if out.Rooms, ok = openObject[RoomRollup](p, 0); !ok {
+		return out, false
+	}
+	for i, more := 0, out.Rooms != nil; more; i++ {
+		var k string
+		if k, more, ok = p.entry(i); ok && more {
+			out.Rooms[k], ok = p.roomRollup()
+		}
+		if !ok {
+			return out, false
+		}
+	}
+	if !p.Lit(`,"deviceRooms":`) {
 		return out, false
 	}
 	hint := min(max(out.Devices, 0), len(p.Buf)/minDeviceEntry)
-	if out.DeviceRooms, ok = parseObject(p, hint, (*rollupParser).name); !ok || !p.Lit(`,"dwellNanos":`) {
+	if out.DeviceRooms, ok = openObject[string](p, hint); !ok {
 		return out, false
 	}
-	if out.DwellNanos, ok = parseObject(p, len(out.Rooms), (*rollupParser).duration); !ok || !p.Lit(`}`) {
+	for i, more := 0, out.DeviceRooms != nil; more; i++ {
+		var k string
+		if k, more, ok = p.entry(i); ok && more {
+			out.DeviceRooms[k], ok = p.name()
+		}
+		if !ok {
+			return out, false
+		}
+	}
+	if !p.Lit(`,"dwellNanos":`) {
 		return out, false
 	}
-	return out, len(p.Buf) == 0
+	if out.DwellNanos, ok = openObject[time.Duration](p, len(out.Rooms)); !ok {
+		return out, false
+	}
+	for i, more := 0, out.DwellNanos != nil; more; i++ {
+		var k string
+		if k, more, ok = p.entry(i); ok && more {
+			out.DwellNanos[k], ok = p.duration()
+		}
+		if !ok {
+			return out, false
+		}
+	}
+	return out, p.Lit(`}`) && len(p.Buf) == 0
 }
 
-// parseObject reads null (a nil map) or an object of entries into a map
-// presized by hint.
-func parseObject[V any](p *rollupParser, hint int, value func(*rollupParser) (V, bool)) (map[string]V, bool) {
+// openObject reads null (a nil map) or the brace that opens an object,
+// for a map presized by hint.
+func openObject[V any](p *rollupParser, hint int) (map[string]V, bool) {
 	if p.Lit("null") {
 		return nil, true
 	}
 	if !p.Lit("{") {
 		return nil, false
 	}
-	m := make(map[string]V, hint)
+	return make(map[string]V, hint), true
+}
+
+// entry reads what comes before an open object's i-th value: its closing
+// brace (more is false), or — after a comma unless it is the first — the
+// entry's name and colon.
+func (p *rollupParser) entry(i int) (name string, more, ok bool) {
 	if p.Lit("}") {
-		return m, true
+		return "", false, true
 	}
-	for {
-		k, ok := p.name()
-		if !ok || !p.Lit(":") {
-			return nil, false
-		}
-		v, ok := value(p)
-		if !ok {
-			return nil, false
-		}
-		m[k] = v
-		if p.Lit("}") {
-			return m, true
-		}
-		if !p.Lit(",") {
-			return nil, false
-		}
+	if i > 0 && !p.Lit(",") {
+		return "", false, false
 	}
+	if name, ok = p.name(); !ok || !p.Lit(":") {
+		return "", false, false
+	}
+	return name, true, true
 }
 
 func (p *rollupParser) roomRollup() (r RoomRollup, ok bool) {

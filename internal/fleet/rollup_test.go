@@ -693,7 +693,7 @@ func TestAllocBudgetFederatedRead(t *testing.T) {
 		t.Skip("allocation counts are pinned without the race detector")
 	}
 	const (
-		ceiling        = 320
+		ceiling        = 318
 		deviceSlack    = 64
 		small, crowded = 16, 256
 	)

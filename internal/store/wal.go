@@ -1,11 +1,9 @@
 // Write-ahead log: the store's crash-safety layer. A WAL is a data
 // directory holding one append-only log file, wal.log, and a compacting
-// snapshot. One file, not one per in-memory lock stripe: the write into
-// the page cache that a file mutex serialises takes microseconds, the
-// fsync a fraction of a millisecond, so concurrent appenders should meet
-// in one file where one fsync commits all of them (syncUpTo). Replay
-// order is append order, every kind of record interleaved as it
-// happened.
+// snapshot. One file, not one per in-memory lock stripe: concurrent
+// appenders meet in one file, where one write and one fsync commit all
+// of them. Replay order is append order, every kind of record
+// interleaved as it happened.
 //
 // The WAL carries opaque payloads: framing, checksums, fsync policy,
 // compaction and torn-tail recovery live here; record semantics (what
@@ -18,13 +16,24 @@
 //	[version 0x02][u32 payload length][u32 CRC32-C of gen+payload][u64 generation][payload]
 //
 // so one scanner (wire.Scan), one checksum and one tail contract serve
-// uploads and logs. Each frame is written with a single Write call, so
-// a killed process (SIGKILL, OOM) can never tear a record — the kernel
-// completes the write it accepted. Torn frames can still appear after
-// a power or kernel crash; recovery tolerates a torn or truncated FINAL
-// frame (the tail is discarded and the file repaired), while a
-// checksum-corrupted frame with valid data after it is silent damage
-// in the middle of committed history and fails loudly.
+// uploads and logs. An appender frames its record into one pending
+// buffer under the file mutex, which so covers a copy, not a syscall.
+// A group — every frame pending when a writer takes the buffer — goes to
+// the file in one Write: under FsyncBatch the sync leader writes its
+// group and then fsyncs it; under the other policies an appender writes
+// the group holding its frame before it returns, unless a concurrent
+// writer already did (syncUpTo, writeUpTo). A killed process or a power
+// or kernel crash can leave a short final write; recovery discards a
+// torn or truncated FINAL frame (the file is repaired), and no frame of
+// an unfinished write was acknowledged. A checksum-corrupted frame with
+// valid data after it is silent damage in the middle of committed
+// history and fails loudly.
+//
+// The log is fail-stop: the first failed write or sync stops it. Every
+// frame not yet durable fails, and so does every later append, so
+// nothing is ever written after the bytes a failed write may have left,
+// and a sync the kernel failed is never retried into a success.
+// Reopening — replay — is the recovery.
 //
 // The generation is the compaction barrier. A compaction is cut, land,
 // reclaim (Compact): under a brief exclusive hold the owner captures its
@@ -68,7 +77,7 @@ type walMetrics struct {
 	groupCommit    *obs.Histogram // frames newly covered per fsync
 	compactions    *obs.Counter   // successful compactions only
 	compactErrors  *obs.Counter
-	appendErrors   *obs.Counter   // failed writes and failed batch fsyncs
+	appendErrors   *obs.Counter   // appends the stopped log refused
 	compactLatency *obs.Histogram // a whole compaction: cut, land and reclaim
 	compactStall   *obs.Histogram // the cut alone: how long appenders were excluded
 	tornRepairs    *obs.Counter
@@ -97,7 +106,7 @@ func (w *WAL) Instrument(m *obs.Metrics) {
 		groupCommit:    m.Sizes("wal_group_commit_frames", "frames newly covered per completed fsync (one leader commits its followers' frames)"),
 		compactions:    m.Counter("wal_compactions_total", "compactions completed: snapshots landed"),
 		compactErrors:  m.Counter("wal_compact_errors_total", "compactions that failed before the snapshot landed (every log file is kept)"),
-		appendErrors:   m.Counter("wal_append_errors_total", "appends that failed at the write or, under the batch policy, the fsync"),
+		appendErrors:   m.Counter("wal_append_errors_total", "appends refused: a failed write or fsync stopped the log before they were durable"),
 		compactLatency: m.Timing("wal_compact_seconds", "duration of a whole compaction: cut, snapshot write, reclaim"),
 		compactStall:   m.Timing("wal_compact_stall_seconds", "the part of a compaction that excludes appenders: the in-memory cut and the log seal"),
 		tornRepairs:    m.Counter("wal_torn_tail_repairs_total", "torn or truncated final frames discarded during replay"),
@@ -178,21 +187,33 @@ type WAL struct {
 	// g+1 cut would otherwise be skipped at replay and lost.
 	appendMu sync.RWMutex
 
-	// mu orders writes to the log file and guards writeSeq. f is wal.log;
-	// a cut replaces it (under appendMu, syncMu and mu, all three), so
-	// readers hold any one of them.
-	mu   sync.Mutex
-	f    *os.File
+	// mu guards the frames appended and not yet written (pending, in
+	// writeSeq order), the count of frames appended (writeSeq) and the
+	// failure that stopped the log (err). An appender holds it for a
+	// copy.
+	mu       sync.Mutex
+	pending  []byte
+	writeSeq uint64
+	err      error
+
+	// wmu orders writes to the log file: its holder swaps pending for
+	// spare and writes the group in one Write (writePending). written is
+	// the highest writeSeq a completed Write covered.
+	wmu     sync.Mutex
+	spare   []byte
+	written atomic.Uint64
+
+	// f is wal.log; a cut replaces it under appendMu, syncMu, wmu and mu,
+	// so a user holds any one of them.
+	f    logFile
 	path string
 
-	// Group commit: writeSeq counts frames written (under mu); synced
-	// holds the highest writeSeq a completed fsync covered. Concurrent
-	// appenders whose frame was already on disk when an earlier leader's
-	// fsync returned skip their own — one fsync commits every frame
-	// written before it started.
-	writeSeq uint64
-	syncMu   sync.Mutex
-	synced   atomic.Uint64
+	// Group commit: synced holds the highest writeSeq a completed fsync
+	// covered. Appenders whose frame an earlier leader's fsync covered
+	// skip their own — one write and one fsync commit every frame
+	// appended before the leader took the group.
+	syncMu sync.Mutex
+	synced atomic.Uint64
 
 	// gen is the current compaction generation, stamped into every
 	// frame; guarded by appendMu (written only under the exclusive
@@ -219,10 +240,10 @@ type WAL struct {
 }
 
 // syncUpTo blocks until a completed fsync covers frame seq. The caller
-// either finds it already covered, or becomes the next leader: it reads
-// the current write frontier, fsyncs, and publishes the frontier so the
-// followers queued on syncMu return without syncing. mu is not held
-// across the fsync, so appenders keep writing behind it.
+// either finds it already covered, or becomes the next leader: it writes
+// every pending frame in one Write, fsyncs, and publishes the frontier
+// so the followers queued on syncMu return without syncing. mu is not
+// held across either syscall, so appenders keep appending behind it.
 func (w *WAL) syncUpTo(seq uint64) error {
 	if w.synced.Load() >= seq {
 		return nil
@@ -233,16 +254,19 @@ func (w *WAL) syncUpTo(seq uint64) error {
 	if prev >= seq {
 		return nil
 	}
-	w.mu.Lock()
-	covered := w.writeSeq
-	w.mu.Unlock()
+	w.wmu.Lock()
+	covered, err := w.writePending()
+	w.wmu.Unlock()
+	if err != nil {
+		return err
+	}
 	wm := w.met.Load()
 	var start time.Time
 	if wm != nil {
 		start = time.Now()
 	}
-	if err := syncFile(w.f); err != nil {
-		return err
+	if err := w.f.Sync(); err != nil {
+		return w.fail("sync", err)
 	}
 	if wm != nil {
 		wm.fsyncLatency.Since(start)
@@ -251,6 +275,80 @@ func (w *WAL) syncUpTo(seq uint64) error {
 	w.synced.Store(covered)
 	return nil
 }
+
+// writeUpTo blocks until a completed Write covers frame seq: a writer
+// before it took the frame, or it writes every pending frame itself.
+func (w *WAL) writeUpTo(seq uint64) error {
+	if w.written.Load() >= seq {
+		return nil
+	}
+	w.wmu.Lock()
+	defer w.wmu.Unlock()
+	if w.written.Load() >= seq {
+		return nil
+	}
+	_, err := w.writePending()
+	return err
+}
+
+// maxKeptGroup bounds the group buffer kept between writes: one that an
+// outsized record (a model snapshot) grew goes with that write.
+const maxKeptGroup = 1 << 20
+
+// writePending writes every frame appended so far in one Write and
+// returns the frontier it covers. The caller holds wmu. pending and
+// spare trade places, so appenders fill one buffer while the other is
+// written, and a warm log allocates neither.
+func (w *WAL) writePending() (covered uint64, err error) {
+	w.mu.Lock()
+	group, covered, err := w.pending, w.writeSeq, w.err
+	if err == nil {
+		w.pending = w.spare[:0]
+	}
+	w.mu.Unlock()
+	if err != nil {
+		return 0, err
+	}
+	if len(group) > 0 {
+		if _, err := w.f.Write(group); err != nil {
+			return 0, w.fail("write", err)
+		}
+		w.written.Store(covered)
+	}
+	if cap(group) > maxKeptGroup {
+		group = nil
+	}
+	w.spare = group[:0]
+	return covered, nil
+}
+
+// fail stops the log at its first failed write or sync and returns the
+// error every frame not yet durable, and every later append, fails with.
+func (w *WAL) fail(op string, err error) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.err == nil {
+		w.err = fmt.Errorf("the log stopped at a failed %s (reopen it to recover): %w", op, err)
+	}
+	return w.err
+}
+
+// logFile is the file half of the log's file-system seam: what the WAL
+// does to wal.log once it is open. osLogFile is the one implementation
+// outside tests, whose faulty files wrap it.
+type logFile interface {
+	Write(p []byte) (int, error)
+	// Sync makes every completed Write durable.
+	Sync() error
+	Truncate(size int64) error
+	Close() error
+}
+
+// osLogFile is a log file on the operating system's file system.
+type osLogFile struct{ *os.File }
+
+// Sync is syncFile: fdatasync where the platform has it.
+func (f osLogFile) Sync() error { return syncFile(f.File) }
 
 // DefaultFsyncInterval spaces background syncs under FsyncInterval.
 const DefaultFsyncInterval = 100 * time.Millisecond
@@ -361,12 +459,12 @@ func (w *WAL) Dir() string { return w.dir }
 func snapshotName(gen uint64) string { return fmt.Sprintf("snapshot-%016d.snap", gen) }
 
 // openLogFile opens (creating if needed) a log file for appending.
-func openLogFile(path string) (*os.File, error) {
+func openLogFile(path string) (logFile, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("store: wal: %w", err)
 	}
-	return f, nil
+	return osLogFile{f}, nil
 }
 
 // sealedName formats the name wal.log takes when a cut seals it under
@@ -458,7 +556,8 @@ func (w *WAL) BeginExclusive() (end func()) {
 // AppendMeta frames payload and appends it to the log — any record,
 // whatever its kind — syncing per policy. It returns once the frame is
 // written to the kernel (and, under FsyncBatch, to stable storage): the
-// caller may then apply the mutation to in-memory state. The caller
+// caller may then apply the mutation to in-memory state. An error means
+// the frame is not acknowledged and the log has stopped. The caller
 // must hold a Begin guard.
 func (w *WAL) AppendMeta(payload []byte) error {
 	wm := w.met.Load()
@@ -466,21 +565,21 @@ func (w *WAL) AppendMeta(payload []byte) error {
 	if wm != nil {
 		start = time.Now()
 	}
-	buf := wire.GetBuf()
-	defer wire.PutBuf(buf)
-	*buf = wire.AppendLogFrame(*buf, w.gen, payload)
-	frame := *buf
-
 	w.mu.Lock()
-	_, err := w.f.Write(frame)
+	err := w.err
 	var seq uint64
 	if err == nil {
+		w.pending = wire.AppendLogFrame(w.pending, w.gen, payload)
 		w.writeSeq++
 		seq = w.writeSeq
 	}
 	w.mu.Unlock()
-	if err == nil && w.policy == FsyncBatch {
-		err = w.syncUpTo(seq)
+	if err == nil {
+		if w.policy == FsyncBatch {
+			err = w.syncUpTo(seq)
+		} else {
+			err = w.writeUpTo(seq)
+		}
 	}
 	if err != nil {
 		if wm != nil {
@@ -488,9 +587,10 @@ func (w *WAL) AppendMeta(payload []byte) error {
 		}
 		return fmt.Errorf("store: wal append: %w", err)
 	}
-	w.size.Add(int64(len(frame)))
+	n := int64(wire.LogFrameHeaderLen + len(payload))
+	w.size.Add(n)
 	if wm != nil {
-		wm.size.Add(int64(len(frame)))
+		wm.size.Add(n)
 		wm.appendLatency.Since(start)
 	}
 	return nil
@@ -557,11 +657,9 @@ func (w *WAL) ReplayLive(apply func(payload []byte) error) error {
 	if off < len(data) {
 		// Discard the torn tail so future appends continue from a clean
 		// frame boundary.
+		// wal.log is opened O_APPEND: the next write lands at the new end.
 		if err := w.f.Truncate(int64(off)); err != nil {
 			return fmt.Errorf("store: wal %s: truncate torn tail: %w", w.path, err)
-		}
-		if _, err := w.f.Seek(int64(off), io.SeekStart); err != nil {
-			return fmt.Errorf("store: wal %s: %w", w.path, err)
 		}
 		if wm := w.met.Load(); wm != nil {
 			wm.tornRepairs.Inc()
@@ -732,10 +830,12 @@ func (w *WAL) cutAndSeal(cut func() func(io.Writer) error) (write func(io.Writer
 	// fsync off the descriptor while it is swapped and closed. writeSeq
 	// and synced carry over: they count frames, not bytes of one file.
 	w.syncMu.Lock()
+	w.wmu.Lock()
 	w.mu.Lock()
 	old := w.f
 	w.f = fresh
 	w.mu.Unlock()
+	w.wmu.Unlock()
 	w.syncMu.Unlock()
 	_ = old.Close() // synced above; nothing is left to lose
 	w.gen++
@@ -746,7 +846,7 @@ func (w *WAL) cutAndSeal(cut func() func(io.Writer) error) (write func(io.Writer
 // opens a fresh wal.log, making both directory changes durable when the
 // policy promises durability: a frame acknowledged into the fresh file
 // must not lose its directory entry to a power cut.
-func (w *WAL) seal() (fresh *os.File, err error) {
+func (w *WAL) seal() (fresh logFile, err error) {
 	sealed := filepath.Join(w.dir, sealedName(w.gen))
 	if err := os.Rename(w.path, sealed); err != nil {
 		return nil, err

@@ -462,17 +462,13 @@ func TestWALReplayIsAppendOrder(t *testing.T) {
 // TestWALGroupCommitCoversEveryFrame drives FsyncBatch from several
 // goroutines at once, so leaders do commit followers' frames: every
 // acknowledged frame must be covered by exactly one completed fsync
-// (the group sizes sum to the appends), no append may cost more than
-// one fsync, and all of it must be on disk.
+// (the group sizes sum to the appends), each group must be one write
+// and one fsync, no append may cost more than one of each, and all of
+// it must be on disk.
 func TestWALGroupCommitCoversEveryFrame(t *testing.T) {
 	const writers, each = 8, 40
 	dir := t.TempDir()
-	w, err := OpenLog(dir, FsyncBatch, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := obs.New()
-	w.Instrument(m)
+	w, ff, m := openFaulty(t, dir, FsyncBatch)
 	var wg sync.WaitGroup
 	for g := 0; g < writers; g++ {
 		wg.Add(1)
@@ -501,6 +497,9 @@ func TestWALGroupCommitCoversEveryFrame(t *testing.T) {
 	if fsyncs.Count != groups.Count || fsyncs.Count > writers*each {
 		t.Fatalf("%d fsyncs for %d groups and %d appends", fsyncs.Count, groups.Count, writers*each)
 	}
+	if writes := ff.writes.Load(); writes != int64(groups.Count) || ff.syncs.Load() != int64(fsyncs.Count) {
+		t.Fatalf("%d writes and %d syncs of the file for %d groups, want one of each a group", writes, ff.syncs.Load(), groups.Count)
+	}
 	if got := gaugeValue(t, m, "wal_append_errors_total"); got != 0 {
 		t.Fatalf("wal_append_errors_total = %v", got)
 	}
@@ -513,19 +512,7 @@ func TestWALGroupCommitCoversEveryFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w2.Close()
-	next := make([]int, writers)
-	for _, rec := range strings.Split(replayAll(t, w2), ",") {
-		var g, i int
-		if _, err := fmt.Sscanf(rec, "writer-%d-frame-%d", &g, &i); err != nil || i != next[g] {
-			t.Fatalf("replayed %q where writer %d's frame %d was due (%v)", rec, g, next[g], err)
-		}
-		next[g]++
-	}
-	for g, n := range next {
-		if n != each {
-			t.Fatalf("writer %d replayed %d of %d frames", g, n, each)
-		}
-	}
+	checkWriters(t, replayAll(t, w2), writers, each)
 }
 
 // TestWALSyncSharesTheGroupCommitPath: Sync — the interval ticker's and
