@@ -83,7 +83,10 @@ allocs:
 # fenced: a name that
 # exists only because benchmark/ compiles against it lives in its
 # package's frozen.go, and outside comments no Go file but benchmark/'s,
-# that frozen.go and its frozen_test.go names it.
+# that frozen.go and its frozen_test.go names it. And every entry point
+# runs under tier-1: a directory outside benchmark/ holding package main
+# has a _test.go file beside it, or it goes (the walkthroughs are
+# Example_* functions in the root package, checked by go test).
 ONEPATH_DIRS = internal/experiments internal/scenario cmd/loadgen
 onepath:
 	@fail=0; \
@@ -125,12 +128,18 @@ onepath:
 		echo "onepath: a handler decodes a request body with its own json.Decoder; use bms.DecodeJSON"; fail=1; \
 	fi; \
 	for fence in 'internal/fleet NewLocalPool(' 'internal/fleet SetCodec(' 'internal/fleet ingestAsFrame(' \
-		'internal/fleet FrameIngester' 'internal/transport ShardSplitter' 'internal/store OpenWAL('; do \
+		'internal/fleet FrameIngester' 'internal/transport ShardSplitter' 'internal/store OpenWAL(' \
+		'internal/store Begin('; do \
 		set -- $$fence; \
 		sites=$$(grep -rn --include='*.go' -e "$$2" . | grep -v -e '^\./benchmark/' -e "^\./$$1/frozen\(_test\)\?\.go:" | \
 			grep -v '^[^:]*:[0-9]*:[[:space:]]*//'); \
 		if [ -n "$$sites" ]; then \
 			echo "onepath: $$2 is frozen: only benchmark/ and $$1/frozen.go (with its test) may name it:"; echo "$$sites"; fail=1; \
+		fi; \
+	done; \
+	for dir in $$(grep -rl --include='*.go' --exclude='*_test.go' '^package main$$' . | grep -v '^\./benchmark/' | xargs -r -n1 dirname | sort -u); do \
+		if ! ls $$dir/*_test.go >/dev/null 2>&1; then \
+			echo "onepath: $$dir is an entry point (package main) with no _test.go: test it under go test or delete it"; fail=1; \
 		fi; \
 	done; \
 	exit $$fail

@@ -135,6 +135,17 @@ func (s *Server) WALSize() int64 {
 	return s.dur.wal.Size()
 }
 
+// LogErr returns the failure that stopped a durable server's log — its
+// first failed write or sync, after which every write is refused until
+// the server is reopened over its log — or nil. A volatile server has no
+// log to stop.
+func (s *Server) LogErr() error {
+	if s.dur == nil {
+		return nil
+	}
+	return s.dur.wal.Err()
+}
+
 // Close drains the server: it stops its streams between frames
 // and then, on a durable server, compacts the WAL (one final snapshot
 // beside an empty log) and closes it — in that order, so no stream
@@ -396,22 +407,23 @@ func logFailure(err error) error {
 
 // --- the one commit and the one apply ---------------------------------
 
-// hold opens the WAL guard a commit logs and applies under and returns
-// its end: shared, or exclusive for a record decided from the state it
+// hold opens the WAL guard a commit logs and applies under, and release
+// ends it: shared, or exclusive for a record decided from the state it
 // sees (the TTL sweep). The guard comes before any lock the apply runs
 // under (s.lease.mu for a grant) — the order a compaction's cut takes
 // them in, holding the guard exclusively and then reading the lease; the
 // other way round, a grant holding the lease and waiting for the guard
 // would deadlock with a cut holding the guard and waiting for the lease.
-// A volatile server has no log to order against.
-func (s *Server) hold(exclusive bool) (end func()) {
-	switch {
-	case s.dur == nil:
-		return func() {}
-	case exclusive:
-		return s.dur.wal.BeginExclusive()
-	default:
-		return s.dur.wal.Begin()
+// A volatile server has no log to order against. Neither allocates.
+func (s *Server) hold(exclusive bool) {
+	if s.dur != nil {
+		s.dur.wal.Hold(exclusive)
+	}
+}
+
+func (s *Server) release(exclusive bool) {
+	if s.dur != nil {
+		s.dur.wal.Release(exclusive)
 	}
 }
 
@@ -420,7 +432,8 @@ func (s *Server) commit(gwEpoch uint64, rec *walRecord) (applied, error) {
 	if err := s.admitEpoch(gwEpoch); err != nil {
 		return applied{}, err
 	}
-	defer s.hold(false)()
+	s.hold(false)
+	defer s.release(false)
 	return s.logApply(rec)
 }
 

@@ -56,7 +56,8 @@ func (s *Server) GrantLease(epoch uint64, holder string) (uint64, string, error)
 		return 0, "", fmt.Errorf("bms: lease claim at epoch 0 (epoch 0 means unfenced)")
 	}
 	sm := s.met
-	defer s.hold(false)()
+	s.hold(false)
+	defer s.release(false)
 	s.lease.mu.Lock()
 	defer s.lease.mu.Unlock()
 	switch {
@@ -127,7 +128,8 @@ func (s *Server) admitEpoch(epoch uint64) error {
 		// The grant is about to advance: take the guard first, then the
 		// lease again — the checks below run on what is found then.
 		s.lease.mu.Unlock()
-		defer s.hold(false)()
+		s.hold(false)
+		defer s.release(false)
 		s.lease.mu.Lock()
 	}
 	defer s.lease.mu.Unlock()

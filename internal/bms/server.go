@@ -239,7 +239,8 @@ func (s *Server) ingest(gwEpoch uint64, b *wire.Batch, payload []byte, sc *inges
 	if s.dur != nil {
 		defer s.maybeCompact() // after the guard ends: it may wait for a compaction
 	}
-	defer s.hold(false)()
+	s.hold(false)
+	defer s.release(false)
 	if err := s.logObservations(b, payload, sc.rooms); err != nil {
 		return nil, err
 	}
@@ -567,7 +568,8 @@ func (s *Server) ExpireBefore(gwEpoch uint64, cutoff time.Duration) ([]string, e
 	if err := s.admitEpoch(gwEpoch); err != nil {
 		return nil, err
 	}
-	defer s.hold(true)()
+	s.hold(true)
+	defer s.release(true)
 	rec := walRecord{T: recExpire, Devices: s.tracker.IdleBefore(cutoff)}
 	if len(rec.Devices) == 0 {
 		return nil, nil
@@ -701,7 +703,12 @@ type (
 // box is one server as the route table serves it.
 type box struct{ *Server }
 
+// Health is up until a durable server's log stops; then it names the
+// failure, since every write is refused with a 503 until a reopen.
 func (b box) Health() (any, bool) {
+	if err := b.LogErr(); err != nil {
+		return map[string]string{"status": "down", "building": b.bld.Name, "error": err.Error()}, false
+	}
 	return map[string]string{"status": "ok", "building": b.bld.Name}, true
 }
 

@@ -186,7 +186,8 @@ func takeUnchecked(t *testing.T, s *Server, wb *wire.Batch) {
 	for i := range sc.obs {
 		sc.rooms[i] = cls.PredictSpan(sc.obs[i].Beacons, &sc.cls)
 	}
-	defer s.hold(false)()
+	s.hold(false)
+	defer s.release(false)
 	if err := s.logObservations(wb, nil, sc.rooms); err != nil {
 		t.Fatal(err)
 	}

@@ -249,6 +249,20 @@ func TestAllocBudgetIngestWire(t *testing.T) {
 	if handler-harness > 9 {
 		t.Errorf("the wire handler allocates %v times per 11-report batch (harness %v), ceiling 9", handler-harness, harness)
 	}
+
+	// A durable server takes the WAL guard around every commit, shared
+	// for an upload and exclusive for a sweep; the guard adds nothing.
+	d, _ := openDurable(t, t.TempDir(), store.FsyncOff)
+	defer d.Close()
+	guard := testing.AllocsPerRun(runs, func() {
+		d.hold(false)
+		d.release(false)
+		d.hold(true)
+		d.release(true)
+	})
+	if guard != 0 {
+		t.Errorf("the durable WAL guard allocates %v times per commit, want 0", guard)
+	}
 }
 
 // TestAllocBudgetIngestBatchJSON: the JSON door is the core plus a

@@ -1,7 +1,6 @@
 package building
 
 import (
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -120,7 +119,7 @@ func TestWallWithDoor(t *testing.T) {
 	if len(segs) != 2 {
 		t.Fatalf("segments = %d", len(segs))
 	}
-	total := segs[0].Length() + segs[1].Length()
+	total := segs[0].A.Dist(segs[0].B) + segs[1].A.Dist(segs[1].B)
 	if total != 8 {
 		t.Errorf("wall length = %v, want 8", total)
 	}
@@ -235,32 +234,5 @@ func TestQuickRoomAtConsistent(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestRenderFloorPlan(t *testing.T) {
-	for _, b := range []*Building{PaperHouse(), OfficeFloor(), SingleRoom()} {
-		out := b.Render(2)
-		if out == "" {
-			t.Fatalf("%s: empty render", b.Name)
-		}
-		// Every room name appears (possibly truncated to its first rune).
-		for _, r := range b.Rooms {
-			if !strings.Contains(out, r.Name[:1]) {
-				t.Errorf("%s: room %q missing from render", b.Name, r.Name)
-			}
-		}
-		// Beacons are marked.
-		if !strings.Contains(out, "*") {
-			t.Errorf("%s: no beacon markers", b.Name)
-		}
-		// Walls appear.
-		if !strings.ContainsAny(out, "|-#") {
-			t.Errorf("%s: no walls drawn", b.Name)
-		}
-	}
-	var empty Building
-	if got := empty.Render(0); !strings.Contains(got, "empty") {
-		t.Errorf("empty plan render = %q", got)
 	}
 }

@@ -23,21 +23,3 @@ func BenchmarkHistoryUpdate(b *testing.B) {
 		h.Update(time.Duration(i)*time.Second, obs)
 	}
 }
-
-// BenchmarkKalmanUpdate measures the ablation filter on the same load.
-func BenchmarkKalmanUpdate(b *testing.B) {
-	k, err := NewKalman(0.05, 1.0, 2, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	obs := make([]Observation, 6)
-	for i := range obs {
-		id := beaconA
-		id.Minor = uint16(i + 1)
-		obs[i] = Observation{Beacon: id, RSSI: -65 - float64(i), MeasuredPower: -59}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		k.Update(time.Duration(i)*time.Second, obs)
-	}
-}

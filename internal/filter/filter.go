@@ -9,9 +9,6 @@
 // removes a beacon's state only after the second consecutive missed scan
 // ("we remove the beacon information only after the second consecutive
 // loss, otherwise its value is maintained").
-//
-// Median and one-dimensional Kalman alternatives are provided for the
-// ablation benches.
 package filter
 
 import (
@@ -45,21 +42,6 @@ type Estimate struct {
 	LastSeen time.Duration
 	// Misses counts consecutive scans that did not include the beacon.
 	Misses int
-}
-
-// DistanceFilter is the common interface of the filter variants.
-type DistanceFilter interface {
-	// Update consumes the observations of one scan cycle (empty when the
-	// cycle saw nothing) and returns the current estimates, sorted by
-	// beacon identity. Cycle timestamps must be strictly increasing, and
-	// the returned slice is only valid until the next Update —
-	// implementations may reuse the buffer (History does); callers that
-	// retain estimates across cycles must copy.
-	Update(at time.Duration, obs []Observation) []Estimate
-	// Snapshot returns the current estimates without consuming a cycle.
-	Snapshot() []Estimate
-	// Name identifies the filter in reports.
-	Name() string
 }
 
 // Config parameterises the history filter.
@@ -121,17 +103,13 @@ func NewHistory(cfg Config) (*History, error) {
 	}, nil
 }
 
-// Name implements DistanceFilter.
-func (h *History) Name() string {
-	return fmt.Sprintf("history(c=%.2f,misses=%d)", h.cfg.Coeff, h.cfg.MaxMisses)
-}
-
-// Update implements DistanceFilter. The returned slice is reused by the
-// next Update call — it runs every scan cycle, so it must not allocate
-// a fresh snapshot each time; callers that retain estimates across
-// cycles copy them (see trace.Run). Miss counting reads presence off
-// the per-beacon LastSeen stamp, which is why the interface requires
-// strictly increasing cycle timestamps.
+// Update consumes the observations of one scan cycle (empty when the
+// cycle saw nothing) and returns the current estimates, sorted by beacon
+// identity. The returned slice is reused by the next Update call — it
+// runs every scan cycle, so it must not allocate a fresh snapshot each
+// time; callers that retain estimates across cycles copy them. Miss
+// counting reads presence off the per-beacon LastSeen stamp, so cycle
+// timestamps must be strictly increasing.
 func (h *History) Update(at time.Duration, obs []Observation) []Estimate {
 	for _, o := range obs {
 		v := h.est.Estimate(o.RSSI, float64(o.MeasuredPower))
@@ -174,15 +152,12 @@ func (h *History) Update(at time.Duration, obs []Observation) []Estimate {
 	return out
 }
 
-// Snapshot implements DistanceFilter. Unlike Update's return value, the
-// snapshot is freshly allocated and safe to retain.
+// Snapshot returns the current estimates without consuming a cycle.
+// Unlike Update's return value, the snapshot is freshly allocated and
+// safe to retain.
 func (h *History) Snapshot() []Estimate {
-	return snapshot(h.state)
-}
-
-func snapshot(state map[ibeacon.BeaconID]*Estimate) []Estimate {
-	out := make([]Estimate, 0, len(state))
-	for _, s := range state {
+	out := make([]Estimate, 0, len(h.state))
+	for _, s := range h.state {
 		out = append(out, *s)
 	}
 	sortEstimates(out)

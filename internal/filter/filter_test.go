@@ -231,99 +231,6 @@ func TestHigherCoeffSmoothsMoreButLags(t *testing.T) {
 	}
 }
 
-func TestMedianFilter(t *testing.T) {
-	m, err := NewMedian(5, 2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Name() == "" {
-		t.Error("empty name")
-	}
-	// A single outlier among steady readings must not move the median.
-	var last []Estimate
-	seq := []float64{2, 2, 15, 2, 2}
-	for i, d := range seq {
-		last = m.Update(time.Duration(i)*time.Second, []Observation{obsAtDistance(beaconA, d)})
-	}
-	if math.Abs(last[0].Distance-2) > 0.05 {
-		t.Fatalf("median with outlier = %v, want ≈2", last[0].Distance)
-	}
-	// Loss-hold behaviour matches the history filter's.
-	m.Update(6*time.Second, nil)
-	if len(m.Snapshot()) != 1 {
-		t.Fatal("median should hold after one loss")
-	}
-	m.Update(7*time.Second, nil)
-	if len(m.Snapshot()) != 0 {
-		t.Fatal("median should drop after two losses")
-	}
-}
-
-func TestMedianErrors(t *testing.T) {
-	if _, err := NewMedian(0, 2, nil); err == nil {
-		t.Error("zero window should error")
-	}
-	if _, err := NewMedian(3, 0, nil); err == nil {
-		t.Error("zero misses should error")
-	}
-}
-
-func TestKalmanConvergesToSteadyValue(t *testing.T) {
-	k, err := NewKalman(0.05, 1.0, 2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k.Name() == "" {
-		t.Error("empty name")
-	}
-	var last []Estimate
-	for i := 0; i < 50; i++ {
-		last = k.Update(time.Duration(i)*time.Second, []Observation{obsAtDistance(beaconA, 4)})
-	}
-	if math.Abs(last[0].Distance-4) > 0.1 {
-		t.Fatalf("kalman steady estimate = %v, want ≈4", last[0].Distance)
-	}
-}
-
-func TestKalmanSmoothsNoise(t *testing.T) {
-	k, _ := NewKalman(0.02, 2.0, 2, nil)
-	var raw, smooth []float64
-	for i := 0; i < 200; i++ {
-		d := 3.0 + float64(i%2) // alternating 3, 4
-		es := k.Update(time.Duration(i)*time.Second, []Observation{obsAtDistance(beaconA, d)})
-		raw = append(raw, es[0].Raw)
-		smooth = append(smooth, es[0].Distance)
-	}
-	if variance(smooth[50:]) >= variance(raw[50:])/2 {
-		t.Fatal("kalman failed to smooth alternating noise")
-	}
-}
-
-func TestKalmanLossHold(t *testing.T) {
-	k, _ := NewKalman(0.05, 1.0, 2, nil)
-	k.Update(0, []Observation{obsAtDistance(beaconA, 3)})
-	k.Update(time.Second, nil)
-	if len(k.Snapshot()) != 1 {
-		t.Fatal("kalman should hold after one loss")
-	}
-	k.Update(2*time.Second, nil)
-	if len(k.Snapshot()) != 0 {
-		t.Fatal("kalman should drop after two losses")
-	}
-}
-
-func TestKalmanErrors(t *testing.T) {
-	if _, err := NewKalman(0, 1, 2, nil); err == nil {
-		t.Error("zero Q should error")
-	}
-	if _, err := NewKalman(1, 0, 2, nil); err == nil {
-		t.Error("zero R should error")
-	}
-	if _, err := NewKalman(1, 1, 0, nil); err == nil {
-		t.Error("zero misses should error")
-	}
-}
-
 func TestCustomEstimatorIsUsed(t *testing.T) {
 	cfg := PaperConfig()
 	cfg.Estimator = radio.RatioCurveEstimator{}

@@ -137,8 +137,9 @@ func (l *LocalShard) Devices() ([]string, error) {
 	return l.srv.KnownDevices(), nil
 }
 
-// Health implements Shard: an in-process server is always reachable.
-func (l *LocalShard) Health() error { return nil }
+// Health implements Shard: an in-process server is always reachable,
+// and down once its log has stopped.
+func (l *LocalShard) Health() error { return l.srv.LogErr() }
 
 // Claim implements Shard against the in-process lease arbiter.
 func (l *LocalShard) Claim(epoch uint64, leader string) (uint64, string, error) {

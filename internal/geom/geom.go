@@ -69,9 +69,6 @@ type Segment struct {
 // Seg is shorthand for Segment{a, b}.
 func Seg(a, b Point) Segment { return Segment{a, b} }
 
-// Length returns the segment length.
-func (s Segment) Length() float64 { return s.A.Dist(s.B) }
-
 // Midpoint returns the middle of the segment.
 func (s Segment) Midpoint() Point { return s.A.Lerp(s.B, 0.5) }
 

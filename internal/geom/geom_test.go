@@ -59,9 +59,6 @@ func TestUnit(t *testing.T) {
 
 func TestSegmentBasics(t *testing.T) {
 	s := Seg(Pt(0, 0), Pt(3, 4))
-	if s.Length() != 5 {
-		t.Errorf("Length = %v", s.Length())
-	}
 	if s.Midpoint() != Pt(1.5, 2) {
 		t.Errorf("Midpoint = %v", s.Midpoint())
 	}
@@ -147,7 +144,7 @@ func TestRectEdgesFormClosedLoop(t *testing.T) {
 	edges := r.Edges()
 	var total float64
 	for _, e := range edges {
-		total += e.Length()
+		total += e.A.Dist(e.B)
 	}
 	if total != 2*(3+2) {
 		t.Errorf("perimeter = %v", total)

@@ -179,7 +179,7 @@ type WAL struct {
 	compactMu sync.Mutex
 	closed    bool // guarded by compactMu: a closed log takes no compaction
 
-	// appendMu is the compaction barrier. Owners hold it shared (Begin)
+	// appendMu is the compaction barrier. Owners hold it shared (Hold)
 	// across one WHOLE log-then-apply operation — append plus the
 	// in-memory mutation — so a compaction's cut (exclusive) only ever
 	// observes quiesced owner state that includes every appended record.
@@ -458,8 +458,10 @@ func (w *WAL) Dir() string { return w.dir }
 // snapshotName formats the generation-stamped snapshot filename.
 func snapshotName(gen uint64) string { return fmt.Sprintf("snapshot-%016d.snap", gen) }
 
-// openLogFile opens (creating if needed) a log file for appending.
-func openLogFile(path string) (logFile, error) {
+// openLogFile opens (creating if needed) a log file for appending. It
+// is the open half of the file-system seam, a variable so that tests
+// can wrap the files it opens.
+var openLogFile = func(path string) (logFile, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("store: wal: %w", err)
@@ -532,25 +534,40 @@ func (w *WAL) Snapshot() (r *os.File, ok bool, err error) {
 	return f, true, nil
 }
 
-// Begin opens one log-then-apply operation and returns its end
-// function. The guard blocks compaction for the operation's duration;
-// every AppendMeta call AND the in-memory apply of what it
-// logged must happen between Begin and end. Operations run
-// concurrently with each other (the guard is shared); only Compact and
-// ReplayLive exclude them.
-func (w *WAL) Begin() (end func()) {
-	w.appendMu.RLock()
-	return w.appendMu.RUnlock
+// Hold opens one log-then-apply operation and Release(exclusive) ends
+// it. The guard blocks compaction for the operation's duration; every
+// AppendMeta call AND the in-memory apply of what it logged must happen
+// between the two. Operations run concurrently with each other (the
+// guard is shared); only Compact and ReplayLive exclude them. An
+// exclusive hold is for an operation that must not interleave with any
+// other: it waits out every open guard and holds new ones off until its
+// Release — the barrier a compaction's cut takes. It is for a record
+// decided from the state it sees, which an operation in flight between
+// its append and its apply would change under it. Neither call
+// allocates.
+func (w *WAL) Hold(exclusive bool) {
+	if exclusive {
+		w.appendMu.Lock()
+	} else {
+		w.appendMu.RLock()
+	}
 }
 
-// BeginExclusive is Begin for an operation that must not interleave with
-// any other: it waits out every open guard and holds new ones off until
-// its end — the barrier a compaction's cut takes. It is for a record
-// decided from the state it sees, which an operation in flight between
-// its append and its apply would change under it.
-func (w *WAL) BeginExclusive() (end func()) {
-	w.appendMu.Lock()
-	return w.appendMu.Unlock
+// Release ends the operation Hold(exclusive) opened.
+func (w *WAL) Release(exclusive bool) {
+	if exclusive {
+		w.appendMu.Unlock()
+	} else {
+		w.appendMu.RUnlock()
+	}
+}
+
+// Err returns the failure that stopped the log — its first failed write
+// or sync — or nil while it takes appends.
+func (w *WAL) Err() error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.err
 }
 
 // AppendMeta frames payload and appends it to the log — any record,
@@ -558,7 +575,7 @@ func (w *WAL) BeginExclusive() (end func()) {
 // written to the kernel (and, under FsyncBatch, to stable storage): the
 // caller may then apply the mutation to in-memory state. An error means
 // the frame is not acknowledged and the log has stopped. The caller
-// must hold a Begin guard.
+// must hold the guard (Hold).
 func (w *WAL) AppendMeta(payload []byte) error {
 	wm := w.met.Load()
 	var start time.Time

@@ -75,12 +75,12 @@ func startCrashTable(t *testing.T) *crashTable {
 			default:
 			}
 			c.issued.Add(1)
-			end := c.w.Begin()
+			c.w.Hold(false)
 			err := c.w.AppendMeta([]byte("r-" + strconv.FormatInt(i, 10)))
 			if err == nil {
 				c.applied.Add(1)
 			}
-			end()
+			c.w.Release(false)
 			if err != nil {
 				t.Errorf("append %d: %v", i, err)
 				return

@@ -66,13 +66,36 @@ func openFaulty(t *testing.T, dir string, policy FsyncPolicy) (*WAL, *faultFile,
 	return w, ff, m
 }
 
-// appendAsync logs payload under a Begin guard on its own goroutine and
+// FailLogSyncs wraps the wal.log of every log opened until t ends in a
+// faultFile whose syncs fail with EIO once the returned arm is called.
+// It is the seam for the tests above the store (package store_test),
+// which reach a log only through the server that opens it.
+func FailLogSyncs(t testing.TB) (arm func()) {
+	var armed atomic.Bool
+	open := openLogFile
+	openLogFile = func(path string) (logFile, error) {
+		f, err := open(path)
+		if err != nil {
+			return nil, err
+		}
+		return &faultFile{logFile: f, onSync: func(int64) error {
+			if armed.Load() {
+				return syscall.EIO
+			}
+			return nil
+		}}, nil
+	}
+	t.Cleanup(func() { openLogFile = open })
+	return func() { armed.Store(true) }
+}
+
+// appendAsync logs payload under a shared guard on its own goroutine and
 // delivers the result.
 func appendAsync(w *WAL, payload string) <-chan error {
 	done := make(chan error, 1)
 	go func() {
-		end := w.Begin()
-		defer end()
+		w.Hold(false)
+		defer w.Release(false)
 		done <- w.AppendMeta([]byte(payload))
 	}()
 	return done
@@ -226,9 +249,9 @@ func TestWALOffWritesBeforeReturning(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
 				rec := fmt.Sprintf("writer-%d-frame-%02d", g, i)
-				end := w.Begin()
+				w.Hold(false)
 				err := w.AppendMeta([]byte(rec))
-				end()
+				w.Release(false)
 				if err != nil {
 					t.Error(err)
 					return
@@ -276,8 +299,9 @@ func checkWriters(t *testing.T, replayed string, writers, each int) {
 	}
 }
 
-// TestAllocBudgetWALAppend pins a warm AppendMeta, instrumented, at 0
-// allocations under every policy: the frame goes into a pending buffer
+// TestAllocBudgetWALAppend pins a warm AppendMeta, instrumented and
+// under its own Hold/Release guard, at 0 allocations under every policy:
+// the guard takes no func value, the frame goes into a pending buffer
 // and two buffers trade places between writes. A buffer an outsized
 // record grew is not kept past its write. `make allocs` runs it.
 func TestAllocBudgetWALAppend(t *testing.T) {
@@ -297,9 +321,9 @@ func TestAllocBudgetWALAppend(t *testing.T) {
 				}
 			}()
 			w.Instrument(obs.New())
-			end := w.Begin() // the guard's own cost is not the append's
-			defer end()
 			appendOne := func(p []byte) {
+				w.Hold(false)
+				defer w.Release(false)
 				if err := w.AppendMeta(p); err != nil {
 					t.Fatal(err)
 				}

@@ -27,13 +27,13 @@ func openTestWAL(t *testing.T, dir string) *WAL {
 	return w
 }
 
-// appendAll logs each payload under its own Begin guard.
+// appendAll logs each payload under its own shared guard.
 func appendAll(t *testing.T, w *WAL, payloads ...string) {
 	t.Helper()
 	for _, p := range payloads {
-		end := w.Begin()
+		w.Hold(false)
 		err := w.AppendMeta([]byte(p))
-		end()
+		w.Release(false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -475,9 +475,9 @@ func TestWALGroupCommitCoversEveryFrame(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
-				end := w.Begin()
+				w.Hold(false)
 				err := w.AppendMeta([]byte(fmt.Sprintf("writer-%d-frame-%02d", g, i)))
-				end()
+				w.Release(false)
 				if err != nil {
 					t.Error(err)
 					return

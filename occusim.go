@@ -19,8 +19,9 @@
 //
 // The experiment harness behind every figure of the paper lives in
 // internal/experiments (printed by cmd/experiments, its published numbers
-// pinned by TestExperimentsTable); the runnable walkthroughs live under
-// examples/.
+// pinned by TestExperimentsTable); the walkthroughs are the Example_*
+// functions (quickstart, calibration, museum, office), their output
+// pinned by go test.
 package occusim
 
 import (
