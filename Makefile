@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short test-race allocs onepath bench-smoke loadtest crashtest
+.PHONY: all build vet test test-cpus test-short test-race allocs onepath bench-smoke loadtest crashtest
 
 all: vet build test
 
@@ -15,6 +15,14 @@ vet:
 
 test:
 	$(GO) test ./...
+
+# test-cpus runs the suite twice in one process per package, first on
+# one CPU and then on two. The one-CPU pass catches a test whose outcome
+# the scheduler decides (a race it expects to see that one CPU never
+# interleaves); the second pass catches state one run leaves behind for
+# the next, such as a pooled scratch returned dirty.
+test-cpus:
+	$(GO) test -count=1 -cpu 1,2 ./...
 
 test-short:
 	$(GO) test -short ./...
@@ -41,7 +49,7 @@ test-race:
 # The counts are deterministic on any box, so a regression fails a PR
 # here instead of hiding in timing noise. Never under -race: the pins
 # skip there, the detector allocates on its own account. What each pin
-# was when it landed is CHANGES.md's and PERF.md's to say.
+# was when it landed is CHANGES.md's to say.
 allocs:
 	$(GO) test -count=1 -run 'TestAllocBudget|TestPredictSpanAllocatesNothing|TestSteadyState(Decode|Encode)Allocs|TestFrameBytesPaperTraffic|TestEncodeManyIdentitiesIsLinear|FuzzParseBeaconID' \
 		./internal/ibeacon/ ./internal/wire/ ./internal/classify/ ./internal/transport/ ./internal/store/ ./internal/bms/ ./internal/fleet/

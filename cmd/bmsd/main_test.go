@@ -229,8 +229,8 @@ func TestTrainedModelSurvivesRestarts(t *testing.T) {
 
 	for n := 2; n <= 3; n++ {
 		a = boot(t, args...)
-		if got := a.pool.Servers[0].Classifier(); got != "scene-svm" {
-			t.Fatalf("boot %d classifies by %q before any /train", n, got)
+		if _, ok := a.pool.Servers[0].ModelSnapshot(); !ok {
+			t.Fatalf("boot %d classifies by proximity before any /train", n)
 		}
 		var model struct {
 			Version int `json:"version"`

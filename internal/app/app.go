@@ -52,12 +52,6 @@ func (s State) String() string {
 	}
 }
 
-// RegionEvent records a region enter/exit transition.
-type RegionEvent struct {
-	At      time.Duration
-	Entered bool
-}
-
 // Config parameterises one app instance.
 type Config struct {
 	// Profile is the handset model.
@@ -155,7 +149,6 @@ type App struct {
 	scn     *scanner.Scanner
 	state   State
 	lastPos geom.Point
-	events  []RegionEvent
 	stats   Stats
 
 	// idStrings memoises the wire form of each reported beacon identity.
@@ -297,11 +290,9 @@ func (a *App) onCycle(c scanner.Cycle) {
 	case inRegion && a.state != Ranging:
 		a.state = Ranging
 		a.stats.RegionEnters++
-		a.events = append(a.events, RegionEvent{At: c.End, Entered: true})
 	case !inRegion && a.state == Ranging:
 		a.state = Monitoring
 		a.stats.RegionExits++
-		a.events = append(a.events, RegionEvent{At: c.End, Entered: false})
 	}
 	if !inRegion {
 		return
@@ -368,9 +359,3 @@ func (a *App) BatteryLog() *energy.Logger { return a.logger }
 
 // Estimates returns the current ranging estimates.
 func (a *App) Estimates() []filter.Estimate { return a.filt.Snapshot() }
-
-// RegionEvents returns the region transitions seen so far.
-func (a *App) RegionEvents() []RegionEvent { return append([]RegionEvent(nil), a.events...) }
-
-// ScannerStats exposes the underlying scanner counters.
-func (a *App) ScannerStats() scanner.Stats { return a.scn.Stats() }

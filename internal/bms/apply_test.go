@@ -182,19 +182,27 @@ func TestSweepBesideAResumingDevice(t *testing.T) {
 			}
 		}
 		reportAll(base, 1)
-		// Silent past the cutoff, they resume while the sweeps run.
+		// Silent past the cutoff, they resume while the sweeps run. The
+		// resumes wait for the first sweep to complete, so every round
+		// has a sweep that finds them silent however the scheduler orders
+		// the two goroutines (on one CPU the resumes would otherwise all
+		// land first); the later sweeps race the resumes.
 		stop := make(chan struct{})
+		firstPass := make(chan struct{})
 		var wg sync.WaitGroup
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
+			for pass := 0; ; pass++ {
 				select {
 				case <-stop:
 					return
 				default:
 				}
 				expired, err := s.ExpireBefore(0, time.Duration(base+500)*time.Second)
+				if pass == 0 {
+					close(firstPass)
+				}
 				if err != nil {
 					t.Error(err)
 					return
@@ -202,6 +210,7 @@ func TestSweepBesideAResumingDevice(t *testing.T) {
 				swept.Add(int64(len(expired)))
 			}
 		}()
+		<-firstPass
 		reportAll(base+600, 2)
 		close(stop)
 		wg.Wait()

@@ -88,8 +88,8 @@ func TestDurableRecoverAfterKill(t *testing.T) {
 			if got := viewsJSON(t, s2); got != want {
 				t.Fatalf("recovered views diverge\n got: %s\nwant: %s", got, want)
 			}
-			if s2.Classifier() != "scene-svm" {
-				t.Fatalf("recovered classifier = %s", s2.Classifier())
+			if s2.classifierSnapshot().Name() != "scene-svm" {
+				t.Fatalf("recovered classifier = %s", s2.classifierSnapshot().Name())
 			}
 		})
 	}

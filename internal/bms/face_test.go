@@ -80,14 +80,13 @@ func TestLogFailureIsNotTheClientsFault(t *testing.T) {
 		t.Fatal(err)
 	}
 	type state struct {
-		devices    map[string]bms.DeviceState
-		classifier string
-		model      bms.ModelSnapshot
-		epoch      uint64
-		holder     string
+		devices map[string]bms.DeviceState
+		model   bms.ModelSnapshot
+		epoch   uint64
+		holder  string
 	}
 	capture := func() state {
-		s := state{devices: map[string]bms.DeviceState{}, classifier: srv.Classifier()}
+		s := state{devices: map[string]bms.DeviceState{}}
 		for _, device := range []string{"resident", "phone", "newcomer"} {
 			if ds, ok := srv.ExportDevice(device); ok {
 				s.devices[device] = ds

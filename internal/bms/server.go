@@ -124,11 +124,6 @@ func (s *Server) AdmissionStats() (admitted, shed uint64) {
 	return s.gate.Stats()
 }
 
-// Classifier returns the name of the classifier currently in use.
-func (s *Server) Classifier() string {
-	return s.classifierSnapshot().Name()
-}
-
 // classifierSnapshot returns the live classifier; predictions against it
 // are lock-free because trained models are immutable.
 func (s *Server) classifierSnapshot() classify.Classifier {

@@ -98,7 +98,7 @@ func stateOf(s *Server) serverState {
 		exports:    map[string]DeviceState{},
 		histories:  map[string][]store.Observation{},
 		beacons:    s.st.Beacons(),
-		classifier: s.Classifier(),
+		classifier: s.classifierSnapshot().Name(),
 	}
 	for _, device := range st.devices {
 		if ds, ok := s.ExportDevice(device); ok {

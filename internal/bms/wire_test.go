@@ -194,7 +194,7 @@ func TestIngestWireSlabIsPerDeviceRun(t *testing.T) {
 	}
 }
 
-// The allocation budget of the shard (PERF.md "What changed (PR 13)");
+// The allocation budget of the shard (CHANGES.md, the PR 13 line);
 // `make allocs` runs these.
 
 func TestAllocBudgetIngestWire(t *testing.T) {

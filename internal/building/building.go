@@ -123,16 +123,6 @@ func (b *Building) RoomByName(name string) (Room, bool) {
 	return Room{}, false
 }
 
-// BeaconByID returns the beacon with the given identity.
-func (b *Building) BeaconByID(id ibeacon.BeaconID) (Beacon, bool) {
-	for _, bc := range b.Beacons {
-		if bc.ID == id {
-			return bc, true
-		}
-	}
-	return Beacon{}, false
-}
-
 // BeaconsInRoom returns the beacons mounted in the named room.
 func (b *Building) BeaconsInRoom(room string) []Beacon {
 	var out []Beacon

@@ -76,13 +76,6 @@ func TestLookups(t *testing.T) {
 	if _, ok := h.RoomByName("garage"); ok {
 		t.Error("garage should not exist")
 	}
-	id := h.Beacons[0].ID
-	if bc, ok := h.BeaconByID(id); !ok || bc.ID != id {
-		t.Error("BeaconByID failed")
-	}
-	if _, ok := h.BeaconByID(ibeacon.BeaconID{Major: 99}); ok {
-		t.Error("unknown beacon found")
-	}
 	if got := h.BeaconsInRoom("kitchen"); len(got) != 1 {
 		t.Errorf("kitchen beacons = %d", len(got))
 	}
@@ -198,15 +191,6 @@ func TestCampusSpansTwoMajors(t *testing.T) {
 			t.Errorf("beacon %v: RoomAt(%v) = %q, want %q", bc.ID, bc.Pos, got, bc.Room)
 		}
 	}
-}
-
-func TestMustValidatePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	MustValidate(&Building{Rooms: []Room{{Name: ""}}})
 }
 
 // Property: RoomAt of any point inside a room's bounds returns either

@@ -256,15 +256,6 @@ func Campus() *Building {
 	return b
 }
 
-// MustValidate panics if the building is inconsistent; used by the plan
-// constructors' tests and the examples.
-func MustValidate(b *Building) *Building {
-	if err := b.Validate(); err != nil {
-		panic(fmt.Sprintf("building %q: %v", b.Name, err))
-	}
-	return b
-}
-
 // ByName resolves a pre-built floor plan by its CLI name — the one
 // switch every command shares, so adding a plan means adding it here
 // once.

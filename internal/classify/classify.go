@@ -323,28 +323,6 @@ func (m *ConfusionMatrix) RoomFalseNegatives(outsideLabel string) int {
 	return n
 }
 
-// PerClass returns precision and recall per label. Labels with no
-// predictions (or no truth samples) report 0.
-func (m *ConfusionMatrix) PerClass() (precision, recall map[string]float64) {
-	precision = map[string]float64{}
-	recall = map[string]float64{}
-	for k, label := range m.Labels {
-		var predicted, truth, correct int
-		for i := range m.Labels {
-			predicted += m.Counts[i][k]
-			truth += m.Counts[k][i]
-		}
-		correct = m.Counts[k][k]
-		if predicted > 0 {
-			precision[label] = float64(correct) / float64(predicted)
-		}
-		if truth > 0 {
-			recall[label] = float64(correct) / float64(truth)
-		}
-	}
-	return precision, recall
-}
-
 // Render draws the matrix as an aligned ASCII table, truths in rows and
 // predictions in columns.
 func (m *ConfusionMatrix) Render() string {

@@ -193,23 +193,6 @@ func TestConfusionMatrixBasics(t *testing.T) {
 	}
 }
 
-func TestConfusionMatrixPerClass(t *testing.T) {
-	m := NewConfusionMatrix([]string{"a", "b"})
-	_ = m.Add("a", "a")
-	_ = m.Add("a", "b")
-	_ = m.Add("b", "b")
-	precision, recall := m.PerClass()
-	if math.Abs(precision["b"]-0.5) > 1e-12 {
-		t.Errorf("precision[b] = %v", precision["b"])
-	}
-	if math.Abs(recall["a"]-0.5) > 1e-12 {
-		t.Errorf("recall[a] = %v", recall["a"])
-	}
-	if math.Abs(precision["a"]-1) > 1e-12 || math.Abs(recall["b"]-1) > 1e-12 {
-		t.Errorf("perfect classes wrong: %v %v", precision["a"], recall["b"])
-	}
-}
-
 func TestEmptyMatrixAccuracy(t *testing.T) {
 	m := NewConfusionMatrix([]string{"a"})
 	if m.Accuracy() != 0 {

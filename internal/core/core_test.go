@@ -88,7 +88,10 @@ func TestCollectFingerprintsLabelsAndCoverage(t *testing.T) {
 	if ds.Len() < 50 {
 		t.Fatalf("samples collected = %d", ds.Len())
 	}
-	counts := ds.CountByRoom()
+	counts := map[string]int{}
+	for _, s := range ds.Samples {
+		counts[s.Room]++
+	}
 	for _, room := range scn.Building().RoomNames() {
 		if counts[room] == 0 {
 			t.Errorf("no samples for room %q", room)

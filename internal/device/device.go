@@ -167,13 +167,3 @@ func MotoG() Profile {
 func Profiles() []Profile {
 	return []Profile{GalaxyS3Mini(), Nexus5(), IPhone5S(), GalaxyS4(), MotoG()}
 }
-
-// ByModel returns the built-in profile with the given model name.
-func ByModel(model string) (Profile, bool) {
-	for _, p := range Profiles() {
-		if p.Model == model {
-			return p, true
-		}
-	}
-	return Profile{}, false
-}

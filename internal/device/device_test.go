@@ -68,13 +68,3 @@ func TestNexus5ReadsHotterThanS3Mini(t *testing.T) {
 		t.Fatal("device offsets must differ to reproduce Figure 11")
 	}
 }
-
-func TestByModel(t *testing.T) {
-	p, ok := ByModel("LG Nexus 5")
-	if !ok || p.Model != "LG Nexus 5" {
-		t.Fatalf("ByModel = %+v, %v", p, ok)
-	}
-	if _, ok := ByModel("Nokia 3310"); ok {
-		t.Fatal("unexpected profile for unknown model")
-	}
-}

@@ -13,7 +13,6 @@ package energy
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"occusim/internal/device"
@@ -119,16 +118,6 @@ func (m *Meter) ByComponent() map[string]float64 {
 	for k, v := range m.byComponent {
 		out[k] = *v
 	}
-	return out
-}
-
-// Components returns the component names, sorted.
-func (m *Meter) Components() []string {
-	out := make([]string, 0, len(m.byComponent))
-	for k := range m.byComponent {
-		out = append(out, k)
-	}
-	sort.Strings(out)
 	return out
 }
 

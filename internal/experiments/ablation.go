@@ -9,7 +9,6 @@ import (
 	"occusim/internal/building"
 	"occusim/internal/core"
 	"occusim/internal/device"
-	"occusim/internal/energy"
 	"occusim/internal/filter"
 	"occusim/internal/geom"
 	"occusim/internal/mobility"
@@ -289,6 +288,3 @@ func AblationMotionGating(seed uint64) (*MotionGatingResult, error) {
 	}
 	return res, nil
 }
-
-// EnergyUplink re-exports the uplink type for cmd convenience.
-type EnergyUplink = energy.Uplink

@@ -56,9 +56,6 @@ func (r *Fig9Result) Render() string {
 	return b.String()
 }
 
-// Fig9Trials is the default repetition count.
-const Fig9Trials = 3
-
 // Fig9 runs the classification experiment. seeds selects the trials;
 // pass nil for the default three.
 //

@@ -175,18 +175,3 @@ func sortEstimates(es []Estimate) {
 		}
 	}
 }
-
-// Nearest returns the estimate with the smallest distance, the signal the
-// proximity technique keys on. ok is false when no beacon is tracked.
-func Nearest(es []Estimate) (Estimate, bool) {
-	if len(es) == 0 {
-		return Estimate{}, false
-	}
-	best := es[0]
-	for _, e := range es[1:] {
-		if e.Distance < best.Distance {
-			best = e
-		}
-	}
-	return best, true
-}

@@ -169,18 +169,6 @@ func TestEstimatesSorted(t *testing.T) {
 	}
 }
 
-func TestNearest(t *testing.T) {
-	h := mustHistory(t, PaperConfig())
-	es := h.Update(0, []Observation{obsAtDistance(beaconA, 4), obsAtDistance(beaconB, 2)})
-	n, ok := Nearest(es)
-	if !ok || n.Beacon != beaconB {
-		t.Fatalf("nearest = %+v, %v", n, ok)
-	}
-	if _, ok := Nearest(nil); ok {
-		t.Fatal("nearest of empty should be !ok")
-	}
-}
-
 func TestSmoothingReducesVariance(t *testing.T) {
 	// Feed a noisy oscillating distance; the filtered stream must have
 	// lower variance than the raw stream.

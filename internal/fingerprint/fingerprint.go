@@ -11,9 +11,7 @@
 package fingerprint
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"sort"
 	"time"
 
@@ -36,13 +34,6 @@ type Sample struct {
 	At time.Duration `json:"at"`
 	// Distances holds the filtered distance estimate per heard beacon.
 	Distances map[ibeacon.BeaconID]float64 `json:"-"`
-}
-
-// sampleJSON is the wire form of Sample; beacon IDs become strings.
-type sampleJSON struct {
-	Room      string             `json:"room"`
-	AtSeconds float64            `json:"atSeconds"`
-	Distances map[string]float64 `json:"distances"`
 }
 
 // FromEstimates builds a sample from the ranging filter's current
@@ -118,15 +109,6 @@ func (d *Dataset) Labels() []string {
 	return out
 }
 
-// CountByRoom returns the number of samples per label.
-func (d *Dataset) CountByRoom() map[string]int {
-	out := map[string]int{}
-	for _, s := range d.Samples {
-		out[s.Room]++
-	}
-	return out
-}
-
 // Split partitions the dataset into train and test subsets, keeping
 // trainFrac of the samples (rounded down, at least one sample in each
 // side when possible) after a deterministic shuffle. The paper does the
@@ -159,68 +141,4 @@ func (d *Dataset) Split(trainFrac float64, seed uint64) (train, test *Dataset, e
 		}
 	}
 	return train, test, nil
-}
-
-// datasetJSON is the serialised form of a Dataset.
-type datasetJSON struct {
-	Beacons []string     `json:"beacons"`
-	Samples []sampleJSON `json:"samples"`
-}
-
-// WriteJSON serialises the dataset.
-func (d *Dataset) WriteJSON(w io.Writer) error {
-	dj := datasetJSON{}
-	for _, b := range d.Beacons {
-		dj.Beacons = append(dj.Beacons, b.String())
-	}
-	for _, s := range d.Samples {
-		sj := sampleJSON{Room: s.Room, AtSeconds: s.At.Seconds(), Distances: map[string]float64{}}
-		for id, v := range s.Distances {
-			sj.Distances[id.String()] = v
-		}
-		dj.Samples = append(dj.Samples, sj)
-	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(dj)
-}
-
-// ReadJSON deserialises a dataset written by WriteJSON.
-func ReadJSON(r io.Reader) (*Dataset, error) {
-	var dj datasetJSON
-	if err := json.NewDecoder(r).Decode(&dj); err != nil {
-		return nil, fmt.Errorf("fingerprint: decode: %w", err)
-	}
-	d := &Dataset{}
-	for _, s := range dj.Beacons {
-		id, err := parseBeaconID(s)
-		if err != nil {
-			return nil, err
-		}
-		d.Beacons = append(d.Beacons, id)
-	}
-	for _, sj := range dj.Samples {
-		s := Sample{
-			Room:      sj.Room,
-			At:        time.Duration(sj.AtSeconds * float64(time.Second)),
-			Distances: map[ibeacon.BeaconID]float64{},
-		}
-		for key, v := range sj.Distances {
-			id, err := parseBeaconID(key)
-			if err != nil {
-				return nil, err
-			}
-			s.Distances[id] = v
-		}
-		d.Samples = append(d.Samples, s)
-	}
-	return d, nil
-}
-
-// parseBeaconID parses the "UUID/major/minor" form of BeaconID.String.
-func parseBeaconID(s string) (ibeacon.BeaconID, error) {
-	id, err := ibeacon.ParseBeaconID(s)
-	if err != nil {
-		return id, fmt.Errorf("fingerprint: %w", err)
-	}
-	return id, nil
 }

@@ -1,8 +1,6 @@
 package fingerprint
 
 import (
-	"bytes"
-	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -57,10 +55,6 @@ func TestMatrixAndLabels(t *testing.T) {
 	labels := d.Labels()
 	if len(labels) != 2 || labels[0] != "kitchen" || labels[1] != "living" {
 		t.Fatalf("labels = %v", labels)
-	}
-	counts := d.CountByRoom()
-	if counts["kitchen"] != 2 || counts["living"] != 1 {
-		t.Fatalf("counts = %v", counts)
 	}
 }
 
@@ -133,46 +127,6 @@ func TestSplitErrors(t *testing.T) {
 		if _, _, err := d.Split(frac, 1); err == nil {
 			t.Errorf("frac %v should fail", frac)
 		}
-	}
-}
-
-func TestJSONRoundTrip(t *testing.T) {
-	d := New([]ibeacon.BeaconID{idA, idB})
-	d.Add(Sample{Room: "kitchen", At: 3 * time.Second,
-		Distances: map[ibeacon.BeaconID]float64{idA: 1.25, idB: 4.5}})
-	d.Add(Sample{Room: "outside", At: 9 * time.Second,
-		Distances: map[ibeacon.BeaconID]float64{idB: 11}})
-
-	var buf bytes.Buffer
-	if err := d.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadJSON(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back.Beacons) != 2 || back.Beacons[0] != idA || back.Beacons[1] != idB {
-		t.Fatalf("beacons = %v", back.Beacons)
-	}
-	if back.Len() != 2 {
-		t.Fatalf("samples = %d", back.Len())
-	}
-	s := back.Samples[0]
-	if s.Room != "kitchen" || s.At != 3*time.Second || s.Distances[idA] != 1.25 {
-		t.Fatalf("sample 0 = %+v", s)
-	}
-}
-
-func TestReadJSONErrors(t *testing.T) {
-	if _, err := ReadJSON(strings.NewReader("{bad")); err == nil {
-		t.Error("bad json should fail")
-	}
-	if _, err := ReadJSON(strings.NewReader(`{"beacons":["nope"]}`)); err == nil {
-		t.Error("bad beacon id should fail")
-	}
-	long := `{"beacons":[],"samples":[{"room":"a","distances":{"zzz":1}}]}`
-	if _, err := ReadJSON(strings.NewReader(long)); err == nil {
-		t.Error("bad distance key should fail")
 	}
 }
 

@@ -409,8 +409,8 @@ type readerFunc func([]byte) (int, error)
 
 func (f readerFunc) Read(p []byte) (int, error) { return f(p) }
 
-// The allocation budget of the gateway (PERF.md "What changed
-// (PR 13)"); `make allocs` runs these.
+// The allocation budget of the gateway (CHANGES.md, the PR 13 line);
+// `make allocs` runs these.
 
 func TestAllocBudgetForward(t *testing.T) {
 	if raceflag.Enabled {

@@ -865,13 +865,9 @@ func (g *Gateway) DwellTotals() (map[string]time.Duration, error) {
 	return render(g, viewDwell, bms.RenderDwell)
 }
 
-// Rollup and RoomRollup are the building-level view and its per-room
-// slice; one server answers the same route with the same fields (see
-// bms.RenderRollup).
-type (
-	Rollup     = bms.Rollup
-	RoomRollup = bms.RoomRollup
-)
+// Rollup is the building-level view; one server answers the same route
+// with the same fields (see bms.RenderRollup).
+type Rollup = bms.Rollup
 
 // Rollup is head counts, transition totals and dwell per room.
 func (g *Gateway) Rollup() (Rollup, error) {

@@ -108,6 +108,7 @@ func (sc *uploadScratch) release() {
 	clear(sc.seen)
 	clear(sc.flat)
 	sc.secs, sc.out, sc.devices, sc.section, sc.counts, sc.flat = sc.secs[:0], sc.out[:0], sc.devices[:0], sc.section[:0], sc.counts[:0], sc.flat[:0]
+	sc.shardOf, sc.posOf = sc.shardOf[:0], sc.posOf[:0]
 	sc.maxAt = 0
 	uploadPool.Put(sc)
 }

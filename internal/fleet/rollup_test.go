@@ -42,7 +42,7 @@ func rollupFromViews(t *testing.T, gw *fleet.Gateway) fleet.Rollup {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := fleet.Rollup{Devices: len(snap.Devices), Events: len(events), Rooms: map[string]fleet.RoomRollup{}}
+	out := fleet.Rollup{Devices: len(snap.Devices), Events: len(events), Rooms: map[string]bms.RoomRollup{}}
 	for room, n := range snap.Rooms {
 		r := out.Rooms[room]
 		r.Occupants = n

@@ -30,9 +30,6 @@ func (p Point) Sub(q Point) Point { return Point{p.X - q.X, p.Y - q.Y} }
 // Scale returns p scaled by k.
 func (p Point) Scale(k float64) Point { return Point{p.X * k, p.Y * k} }
 
-// Dot returns the dot product of p and q viewed as vectors.
-func (p Point) Dot(q Point) float64 { return p.X*q.X + p.Y*q.Y }
-
 // Cross returns the z-component of the cross product p × q.
 func (p Point) Cross(q Point) float64 { return p.X*q.Y - p.Y*q.X }
 
@@ -68,9 +65,6 @@ type Segment struct {
 
 // Seg is shorthand for Segment{a, b}.
 func Seg(a, b Point) Segment { return Segment{a, b} }
-
-// Midpoint returns the middle of the segment.
-func (s Segment) Midpoint() Point { return s.A.Lerp(s.B, 0.5) }
 
 // orientation classifies the turn a→b→c: +1 counter-clockwise, -1
 // clockwise, 0 collinear (within eps).
@@ -119,18 +113,6 @@ func (s Segment) Intersects(t Segment) bool {
 	return false
 }
 
-// DistToPoint returns the shortest distance from point p to the segment.
-func (s Segment) DistToPoint(p Point) float64 {
-	ab := s.B.Sub(s.A)
-	denom := ab.Dot(ab)
-	if denom == 0 {
-		return p.Dist(s.A)
-	}
-	t := p.Sub(s.A).Dot(ab) / denom
-	t = math.Max(0, math.Min(1, t))
-	return p.Dist(s.A.Add(ab.Scale(t)))
-}
-
 // Rect is an axis-aligned rectangle, the footprint of a simple room.
 // Min is the south-west corner, Max the north-east corner.
 type Rect struct {
@@ -165,11 +147,6 @@ func (r Rect) Contains(p Point) bool {
 	return p.X >= r.Min.X && p.X <= r.Max.X && p.Y >= r.Min.Y && p.Y <= r.Max.Y
 }
 
-// ContainsStrict reports whether p lies strictly inside the rectangle.
-func (r Rect) ContainsStrict(p Point) bool {
-	return p.X > r.Min.X && p.X < r.Max.X && p.Y > r.Min.Y && p.Y < r.Max.Y
-}
-
 // Edges returns the four boundary segments in counter-clockwise order
 // starting from the bottom edge.
 func (r Rect) Edges() [4]Segment {
@@ -178,14 +155,6 @@ func (r Rect) Edges() [4]Segment {
 	tr := r.Max
 	tl := Point{r.Min.X, r.Max.Y}
 	return [4]Segment{Seg(bl, br), Seg(br, tr), Seg(tr, tl), Seg(tl, bl)}
-}
-
-// Clamp returns the closest point to p inside the rectangle.
-func (r Rect) Clamp(p Point) Point {
-	return Point{
-		X: math.Max(r.Min.X, math.Min(r.Max.X, p.X)),
-		Y: math.Max(r.Min.Y, math.Min(r.Max.Y, p.Y)),
-	}
 }
 
 // Intersects reports whether two rectangles overlap (borders touching

@@ -17,9 +17,6 @@ func TestPointArithmetic(t *testing.T) {
 	if got := p.Scale(2); got != Pt(2, 4) {
 		t.Errorf("Scale = %v", got)
 	}
-	if got := p.Dot(q); got != 3-8 {
-		t.Errorf("Dot = %v", got)
-	}
 	if got := p.Cross(q); got != -4-6 {
 		t.Errorf("Cross = %v", got)
 	}
@@ -57,13 +54,6 @@ func TestUnit(t *testing.T) {
 	}
 }
 
-func TestSegmentBasics(t *testing.T) {
-	s := Seg(Pt(0, 0), Pt(3, 4))
-	if s.Midpoint() != Pt(1.5, 2) {
-		t.Errorf("Midpoint = %v", s.Midpoint())
-	}
-}
-
 func TestSegmentIntersects(t *testing.T) {
 	cases := []struct {
 		s, u Segment
@@ -95,21 +85,6 @@ func TestSegmentIntersects(t *testing.T) {
 	}
 }
 
-func TestSegmentDistToPoint(t *testing.T) {
-	s := Seg(Pt(0, 0), Pt(10, 0))
-	if got := s.DistToPoint(Pt(5, 3)); got != 3 {
-		t.Errorf("perpendicular dist = %v", got)
-	}
-	if got := s.DistToPoint(Pt(-4, 3)); got != 5 {
-		t.Errorf("endpoint dist = %v", got)
-	}
-	// Degenerate segment.
-	d := Seg(Pt(1, 1), Pt(1, 1))
-	if got := d.DistToPoint(Pt(4, 5)); got != 5 {
-		t.Errorf("degenerate dist = %v", got)
-	}
-}
-
 func TestRectBasics(t *testing.T) {
 	r := NewRect(Pt(4, 6), Pt(1, 2)) // corners given out of order
 	if r.Min != Pt(1, 2) || r.Max != Pt(4, 6) {
@@ -131,12 +106,6 @@ func TestRectContains(t *testing.T) {
 	if r.Contains(Pt(2.1, 1)) {
 		t.Error("Contains accepted outside point")
 	}
-	if r.ContainsStrict(Pt(0, 1)) {
-		t.Error("ContainsStrict accepted border point")
-	}
-	if !r.ContainsStrict(Pt(1, 1)) {
-		t.Error("ContainsStrict rejected interior point")
-	}
 }
 
 func TestRectEdgesFormClosedLoop(t *testing.T) {
@@ -154,16 +123,6 @@ func TestRectEdgesFormClosedLoop(t *testing.T) {
 		if edges[i].B != next.A {
 			t.Errorf("edges %d and %d not chained", i, (i+1)%len(edges))
 		}
-	}
-}
-
-func TestRectClamp(t *testing.T) {
-	r := NewRect(Pt(0, 0), Pt(2, 2))
-	if got := r.Clamp(Pt(5, -1)); got != Pt(2, 0) {
-		t.Errorf("Clamp = %v", got)
-	}
-	if got := r.Clamp(Pt(1, 1)); got != Pt(1, 1) {
-		t.Errorf("Clamp of interior = %v", got)
 	}
 }
 
@@ -276,20 +235,6 @@ func TestQuickTriangleInequality(t *testing.T) {
 		}
 		a, b, c := Pt(ax, ay), Pt(bx, by), Pt(cx, cy)
 		return a.Dist(c) <= a.Dist(b)+b.Dist(c)+1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: Rect.Clamp output is always contained in the rect.
-func TestQuickClampContained(t *testing.T) {
-	f := func(ax, ay, bx, by, px, py float64) bool {
-		if anyBad(ax, ay, bx, by, px, py) {
-			return true
-		}
-		r := NewRect(Pt(ax, ay), Pt(bx, by))
-		return r.Contains(r.Clamp(Pt(px, py)))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

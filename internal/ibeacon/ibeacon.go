@@ -327,19 +327,6 @@ func NewRegion(uuid UUID) Region {
 	return Region{UUID: uuid, Major: Any, Minor: Any}
 }
 
-// WithMajor narrows the region to one major group.
-func (r Region) WithMajor(major uint16) Region {
-	r.Major = int32(major)
-	return r
-}
-
-// WithMinor narrows the region to one specific beacon. The major must
-// also be set for the region to be meaningful, mirroring the iOS API.
-func (r Region) WithMinor(minor uint16) Region {
-	r.Minor = int32(minor)
-	return r
-}
-
 // Validate reports ill-formed constraint combinations.
 func (r Region) Validate() error {
 	if r.Minor != Any && r.Major == Any {

@@ -165,10 +165,10 @@ func TestRegionMatching(t *testing.T) {
 	}{
 		{NewRegion(u), true},
 		{NewRegion(other), false},
-		{NewRegion(u).WithMajor(5), true},
-		{NewRegion(u).WithMajor(6), false},
-		{NewRegion(u).WithMajor(5).WithMinor(7), true},
-		{NewRegion(u).WithMajor(5).WithMinor(8), false},
+		{Region{UUID: u, Major: 5, Minor: Any}, true},
+		{Region{UUID: u, Major: 6, Minor: Any}, false},
+		{Region{UUID: u, Major: 5, Minor: 7}, true},
+		{Region{UUID: u, Major: 5, Minor: 8}, false},
 	}
 	for i, c := range cases {
 		if got := c.r.Matches(p); got != c.want {
@@ -182,7 +182,7 @@ func TestRegionValidate(t *testing.T) {
 	if err := NewRegion(u).Validate(); err != nil {
 		t.Errorf("wildcard region invalid: %v", err)
 	}
-	if err := NewRegion(u).WithMajor(1).WithMinor(2).Validate(); err != nil {
+	if err := (Region{UUID: u, Major: 1, Minor: 2}).Validate(); err != nil {
 		t.Errorf("full region invalid: %v", err)
 	}
 	// Minor without major is ill-formed (mirrors CLBeaconRegion).
@@ -200,7 +200,7 @@ func TestRegionValidate(t *testing.T) {
 
 func TestRegionString(t *testing.T) {
 	u := MustUUID(exampleUUID)
-	s := NewRegion(u).WithMajor(2).String()
+	s := Region{UUID: u, Major: 2, Minor: Any}.String()
 	if !strings.Contains(s, "2/*") {
 		t.Errorf("String = %s", s)
 	}
@@ -248,7 +248,7 @@ func TestQuickRegionConsistency(t *testing.T) {
 		if !NewRegion(p.UUID).Matches(p) {
 			return false
 		}
-		full := NewRegion(p.UUID).WithMajor(major).WithMinor(minor)
+		full := Region{UUID: p.UUID, Major: int32(major), Minor: int32(minor)}
 		return full.Matches(p)
 	}
 	if err := quick.Check(f, nil); err != nil {

@@ -96,12 +96,3 @@ func (c *Classifier) Predict(x []float64) string {
 	}
 	return best
 }
-
-// PredictBatch maps Predict over the rows of X.
-func (c *Classifier) PredictBatch(X [][]float64) []string {
-	out := make([]string, len(X))
-	for i, x := range X {
-		out[i] = c.Predict(x)
-	}
-	return out
-}

@@ -51,9 +51,8 @@ func TestPredictClusters(t *testing.T) {
 	if got := c.Predict([]float64{5.1, 4.9}); got != "b" {
 		t.Errorf("near cluster b predicted %q", got)
 	}
-	preds := c.PredictBatch(X)
-	for i := range preds {
-		if preds[i] != y[i] {
+	for i := range X {
+		if c.Predict(X[i]) != y[i] {
 			t.Fatalf("training point %d misclassified", i)
 		}
 	}

@@ -48,9 +48,6 @@ type Schedule struct {
 	legs []Leg
 }
 
-// Legs returns a copy of the schedule's legs.
-func (s *Schedule) Legs() []Leg { return append([]Leg(nil), s.legs...) }
-
 // End implements Model.
 func (s *Schedule) End() time.Duration {
 	if len(s.legs) == 0 {
@@ -276,18 +273,4 @@ func NewTour(areas []geom.Rect, cfg RandomWaypointConfig, duration time.Duration
 		cur = next
 	}
 	return s, nil
-}
-
-// Sample returns positions sampled every step from t = 0 through m.End()
-// (inclusive of the final point), useful for plotting trajectories and
-// for collecting labelled ground truth.
-func Sample(m Model, step time.Duration) []geom.Point {
-	if step <= 0 {
-		return nil
-	}
-	var pts []geom.Point
-	for t := time.Duration(0); t <= m.End(); t += step {
-		pts = append(pts, m.Position(t))
-	}
-	return pts
 }

@@ -171,7 +171,7 @@ func TestTourNeverRepeatsAreaImmediately(t *testing.T) {
 	// With two far-apart areas and no immediate repetition, consecutive
 	// dwell legs must alternate between the areas.
 	var dwellAreas []int
-	for _, leg := range s.Legs() {
+	for _, leg := range s.legs {
 		if leg.From == leg.To {
 			for i, a := range areas {
 				if a.Contains(leg.From) {
@@ -200,20 +200,6 @@ func TestTourErrors(t *testing.T) {
 	}
 	if _, err := NewTour(ok, RandomWaypointConfig{}, time.Minute, rng.New(1)); err == nil {
 		t.Error("bad config should error")
-	}
-}
-
-func TestSample(t *testing.T) {
-	p, _ := NewPath([]geom.Point{geom.Pt(0, 0), geom.Pt(4, 0)}, 1)
-	pts := Sample(p, time.Second)
-	if len(pts) != 5 { // t = 0..4 s inclusive
-		t.Fatalf("samples = %d", len(pts))
-	}
-	if pts[0] != geom.Pt(0, 0) || pts[4] != geom.Pt(4, 0) {
-		t.Fatalf("endpoints = %v, %v", pts[0], pts[4])
-	}
-	if Sample(p, 0) != nil {
-		t.Fatal("zero step should return nil")
 	}
 }
 

@@ -31,12 +31,11 @@ func TestCullMarginStatistical(t *testing.T) {
 	const packets = 2_000_000
 	decodes := 0
 	for i := 0; i < packets; i++ {
-		rssi := mean + ch.FadingDB(src)
+		rssi := mean + fadeDB(ch, src)
 		// Worst case for the tail: the stationary slow-fade distribution
 		// (a fresh link) plus full measurement noise.
-		n1, n2 := src.StdNormal2()
-		rssi += gen.SigmaDB*n1 + noiseSigma*n2
-		if ch.Received(rssi, src) {
+		rssi += gen.SigmaDB*src.StdNormal() + noiseSigma*src.StdNormal()
+		if ch.DecideReceived(rssi, src.Float64()) {
 			decodes++
 		}
 	}
@@ -62,30 +61,5 @@ func TestCullMarginGrowsWithNoise(t *testing.T) {
 			t.Fatalf("margin(%v) = %v < margin at smaller sigma %v", sigma, m, prev)
 		}
 		prev = m
-	}
-}
-
-// TestReceivedFastMatchesReceived pins that the lazily evaluated decode
-// decision agrees with the exact logistic draw across the whole RSSI
-// range on identical streams.
-func TestReceivedFastMatchesReceived(t *testing.T) {
-	ch, err := NewChannel(DefaultIndoor(), nil, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, rssi := range []float64{-150, -120, -107, -99, -95, -92, -89, -85, -78, -60, -20} {
-		a := rng.New(42)
-		b := rng.New(42)
-		for i := 0; i < 10_000; i++ {
-			got := ch.ReceivedFast(rssi, a)
-			want := ch.Received(rssi, b)
-			if got != want {
-				t.Fatalf("rssi %v draw %d: ReceivedFast = %v, Received = %v", rssi, i, got, want)
-			}
-			// Keep the streams aligned when consumption differs by
-			// construction (logistic rounded to exactly 0 or 1).
-			a.Seed(uint64(i) * 1315423911)
-			b.Seed(uint64(i) * 1315423911)
-		}
 	}
 }

@@ -15,7 +15,6 @@ import (
 	"math"
 
 	"occusim/internal/geom"
-	"occusim/internal/rng"
 )
 
 // Params configures the physical channel.
@@ -94,32 +93,17 @@ func (p Params) Validate() error {
 
 // SlowFade is a per-link Ornstein–Uhlenbeck process in dB: an AR(1)
 // random walk that reverts to zero with correlation time tau. Callers
-// keep one state value per link and advance it with Next at every
+// keep one state value per link and advance it with Step at every
 // packet.
 type SlowFade struct {
 	SigmaDB float64
 	Tau     float64 // seconds
 }
 
-// Init draws the stationary initial value.
-func (f SlowFade) Init(r *rng.Source) float64 {
-	if f.SigmaDB == 0 {
-		return 0
-	}
-	return r.Normal(0, f.SigmaDB)
-}
-
-// Next advances the process by dt seconds using the exact OU
-// discretisation: v' = ρ·v + σ·√(1−ρ²)·N(0,1) with ρ = exp(−dt/τ).
-func (f SlowFade) Next(v, dt float64, r *rng.Source) float64 {
-	if f.SigmaDB == 0 {
-		return 0
-	}
-	return f.Step(v, dt, r.StdNormal())
-}
-
-// Step is Next with a caller-supplied standard-normal innovation, for
-// hot paths that batch their normal draws (see rng.StdNormal2).
+// Step advances the process by dt seconds using the exact OU
+// discretisation: v' = ρ·v + σ·√(1−ρ²)·n with ρ = exp(−dt/τ) and n the
+// caller's standard-normal innovation, so hot paths can batch their
+// normal draws (see rng.FillStdNormal).
 func (f SlowFade) Step(v, dt, n float64) float64 {
 	if f.SigmaDB == 0 {
 		return 0
@@ -314,23 +298,11 @@ func (c *Channel) EnvironmentDB(mc *MeanCache, linkID uint64, txPos, rxPos geom.
 	return env
 }
 
-// SampleRSSI returns one per-packet RSSI observation: MeanRSSI plus a
-// fast-fading draw from r.
-func (c *Channel) SampleRSSI(txPowerAt1m float64, linkID uint64, txPos, rxPos geom.Point, r *rng.Source) float64 {
-	return c.MeanRSSI(txPowerAt1m, linkID, txPos, rxPos) + c.FadingDB(r)
-}
-
-// FadingDB draws the fast-fading term in dB. The envelope is Rician with
-// the configured K-factor, normalised to unit mean power, so the dB term
-// has (approximately) zero mean.
-func (c *Channel) FadingDB(r *rng.Source) float64 {
-	n1, n2 := r.StdNormal2()
-	return c.RicianFadeDB(n1, n2)
-}
-
-// RicianFadeDB is FadingDB with caller-supplied standard-normal
-// quadrature innovations, for hot paths that batch their draws (see
-// rng.FillStdNormal). Working on the squared envelope skips the
+// RicianFadeDB returns the fast-fading term in dB for the
+// standard-normal quadrature innovations n1 and n2, which hot paths draw
+// in batches (see rng.FillStdNormal). The envelope is Rician with the
+// configured K-factor, normalised to unit mean power, so the dB term has
+// (approximately) zero mean. Working on the squared envelope skips the
 // envelope root: 20·log10(√e²) = 10·log10(e²).
 func (c *Channel) RicianFadeDB(n1, n2 float64) float64 {
 	a := c.riceNu + c.riceSigma*n1
@@ -350,25 +322,8 @@ func (c *Channel) ReceptionProb(rssi float64) float64 {
 	return 1 / (1 + math.Exp(-x))
 }
 
-// Received draws whether a packet at the given RSSI is decoded.
-func (c *Channel) Received(rssi float64, r *rng.Source) bool {
-	return r.Bool(c.ReceptionProb(rssi))
-}
-
-// ReceivedFast is Received for hot paths: it takes the same decision on
-// the same rng stream but evaluates the logistic lazily. Far from the
-// sensitivity the outcome is decided by cheap probability bounds
-// (sigmoid(7) > 0.999, sigmoid(−7) < 0.001) and the exponential is only
-// paid when the uniform draw lands inside the 0.1% ambiguous band.
-// Stream consumption matches Received except for |x| so large that the
-// logistic rounds to exactly 0 or 1 — callers must not depend on draws
-// after this decision (the per-packet streams of the link layer do not).
-func (c *Channel) ReceivedFast(rssi float64, r *rng.Source) bool {
-	return c.DecideReceived(rssi, r.Float64())
-}
-
-// DecideReceived is the decode decision with a caller-supplied uniform
-// draw — the batched form of ReceivedFast for hot paths that fill their
+// DecideReceived is the decode decision for a packet at the given RSSI,
+// with a caller-supplied uniform draw u, for hot paths that fill their
 // uniforms in bulk. The decision is exactly "u < ReceptionProb(rssi)",
 // but the exponential is almost never paid: far from the sensitivity
 // the cheap logistic bounds decide (sigmoid(7) > 0.999, sigmoid(−7) <

@@ -174,7 +174,7 @@ func TestFadingApproxZeroMeanDB(t *testing.T) {
 	var sum float64
 	const n = 50000
 	for i := 0; i < n; i++ {
-		sum += c.FadingDB(r)
+		sum += fadeDB(c, r)
 	}
 	mean := sum / n
 	// Unit mean *power* means E[10^(f/10)] = 1; the dB mean is slightly
@@ -194,8 +194,8 @@ func TestFadingVarianceShrinksWithK(t *testing.T) {
 	rL, rH := rng.New(7), rng.New(7)
 	var lo, hi []float64
 	for i := 0; i < 20000; i++ {
-		lo = append(lo, cLow.FadingDB(rL))
-		hi = append(hi, cHigh.FadingDB(rH))
+		lo = append(lo, fadeDB(cLow, rL))
+		hi = append(hi, fadeDB(cHigh, rH))
 	}
 	if stats.Variance(hi) >= stats.Variance(lo) {
 		t.Fatalf("K=20 fading variance %v should be < K=0 variance %v",
@@ -225,7 +225,7 @@ func TestReceivedFrequencyMatchesProb(t *testing.T) {
 	hits := 0
 	const n = 50000
 	for i := 0; i < n; i++ {
-		if c.Received(rssi, r) {
+		if c.DecideReceived(rssi, r.Float64()) {
 			hits++
 		}
 	}

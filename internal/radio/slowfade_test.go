@@ -11,10 +11,10 @@ import (
 func TestSlowFadeStationaryVariance(t *testing.T) {
 	f := SlowFade{SigmaDB: 3, Tau: 2}
 	r := rng.New(1)
-	v := f.Init(r)
+	v := r.Normal(0, f.SigmaDB)
 	var vals []float64
 	for i := 0; i < 50000; i++ {
-		v = f.Next(v, 0.5, r)
+		v = f.Step(v, 0.5, r.StdNormal())
 		vals = append(vals, v)
 	}
 	if m := stats.Mean(vals); math.Abs(m) > 0.15 {
@@ -28,17 +28,17 @@ func TestSlowFadeStationaryVariance(t *testing.T) {
 func TestSlowFadeCorrelationDecays(t *testing.T) {
 	f := SlowFade{SigmaDB: 3, Tau: 2}
 	r := rng.New(2)
-	v := f.Init(r)
+	v := r.Normal(0, f.SigmaDB)
 	const dt = 0.1
 	var series []float64
 	for i := 0; i < 100000; i++ {
-		v = f.Next(v, dt, r)
+		v = f.Step(v, dt, r.StdNormal())
 		series = append(series, v)
 	}
 	// Lag-1 (0.1 s) autocorrelation ≈ exp(-0.1/2) ≈ 0.95; lag-40 (4 s)
 	// ≈ exp(-2) ≈ 0.135.
-	ac1 := stats.Autocorrelation(series, 1)
-	ac40 := stats.Autocorrelation(series, 40)
+	ac1 := autocorrelation(t, series, 1)
+	ac40 := autocorrelation(t, series, 40)
 	if ac1 < 0.9 {
 		t.Errorf("lag-0.1s autocorrelation = %v, want ≈0.95", ac1)
 	}
@@ -52,20 +52,15 @@ func TestSlowFadeCorrelationDecays(t *testing.T) {
 
 func TestSlowFadeZeroSigma(t *testing.T) {
 	f := SlowFade{SigmaDB: 0, Tau: 2}
-	r := rng.New(3)
-	if f.Init(r) != 0 {
-		t.Error("zero sigma init should be 0")
-	}
-	if f.Next(5, 1, r) != 0 {
-		t.Error("zero sigma next should be 0")
+	if f.Step(5, 1, 0.7) != 0 {
+		t.Error("zero sigma step should be 0")
 	}
 }
 
 func TestSlowFadeNegativeDtClamped(t *testing.T) {
 	f := SlowFade{SigmaDB: 3, Tau: 2}
-	r := rng.New(4)
 	// dt < 0 behaves like dt = 0: rho = 1, value unchanged.
-	if got := f.Next(1.5, -1, r); got != 1.5 {
+	if got := f.Step(1.5, -1, 0.7); got != 1.5 {
 		t.Errorf("negative dt changed value: %v", got)
 	}
 }
@@ -77,8 +72,8 @@ func TestSlowFadeLongGapDecorrelates(t *testing.T) {
 	r := rng.New(5)
 	var prods, olds, news []float64
 	for i := 0; i < 20000; i++ {
-		old := f.Init(r)
-		next := f.Next(old, 100, r) // 50 taus
+		old := r.Normal(0, f.SigmaDB)
+		next := f.Step(old, 100, r.StdNormal()) // 50 taus
 		prods = append(prods, old*next)
 		olds = append(olds, old)
 		news = append(news, next)
@@ -113,4 +108,15 @@ func TestValidateSlowFadeParams(t *testing.T) {
 	if err := p.Validate(); err == nil {
 		t.Error("zero tau with positive sigma should fail")
 	}
+}
+
+// autocorrelation estimates the lag-k autocorrelation of a stationary
+// series: the least-squares slope of xs[i+lag] on xs[i].
+func autocorrelation(t *testing.T, xs []float64, lag int) float64 {
+	t.Helper()
+	slope, _, err := stats.LinearFit(xs[:len(xs)-lag], xs[lag:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	return slope
 }

@@ -115,127 +115,6 @@ func TestStdNormalMoments(t *testing.T) {
 	}
 }
 
-func TestRayleighKS(t *testing.T) {
-	r := New(404)
-	const sigma = 1.3
-	samples := make([]float64, 200_000)
-	for i := range samples {
-		samples[i] = r.Rayleigh(sigma)
-	}
-	cdf := func(x float64) float64 {
-		if x <= 0 {
-			return 0
-		}
-		return 1 - math.Exp(-x*x/(2*sigma*sigma))
-	}
-	if d := ksStatistic(samples, cdf); d > ksBound {
-		t.Fatalf("Rayleigh KS statistic √n·D = %v, want < %v", d, ksBound)
-	}
-}
-
-func TestExponentialKS(t *testing.T) {
-	r := New(505)
-	const rate = 2.5
-	samples := make([]float64, 200_000)
-	for i := range samples {
-		samples[i] = r.Exponential(rate)
-	}
-	cdf := func(x float64) float64 {
-		if x <= 0 {
-			return 0
-		}
-		return 1 - math.Exp(-rate*x)
-	}
-	if d := ksStatistic(samples, cdf); d > ksBound {
-		t.Fatalf("Exponential KS statistic √n·D = %v, want < %v", d, ksBound)
-	}
-}
-
-// besselI0 is the modified Bessel function of the first kind, order
-// zero (Abramowitz & Stegun 9.8.1/9.8.2 polynomial approximations,
-// |ε| < 2e-7 — far below the chi-square resolution).
-func besselI0(x float64) float64 {
-	ax := math.Abs(x)
-	if ax < 3.75 {
-		t := x / 3.75
-		t *= t
-		return 1 + t*(3.5156229+t*(3.0899424+t*(1.2067492+
-			t*(0.2659732+t*(0.0360768+t*0.0045813)))))
-	}
-	t := 3.75 / ax
-	return math.Exp(ax) / math.Sqrt(ax) *
-		(0.39894228 + t*(0.01328592+t*(0.00225319+t*(-0.00157565+
-			t*(0.00916281+t*(-0.02057706+t*(0.02635537+
-				t*(-0.01647633+t*0.00392377))))))))
-}
-
-// ricianPDF is the analytic Rician density with LOS component nu and
-// scale sigma.
-func ricianPDF(x, nu, sigma float64) float64 {
-	if x < 0 {
-		return 0
-	}
-	s2 := sigma * sigma
-	return x / s2 * math.Exp(-(x*x+nu*nu)/(2*s2)) * besselI0(x*nu/s2)
-}
-
-// TestRicianChiSquare bins 300k Rician draws against probabilities
-// integrated from the analytic density (Simpson's rule per bin) and
-// asserts the chi-square bound. The channel model's K = 5 decomposition
-// (nu ≈ 0.913, sigma ≈ 0.289) is exercised alongside a wider shape.
-func TestRicianChiSquare(t *testing.T) {
-	cases := []struct {
-		name      string
-		nu, sigma float64
-	}{
-		{"K5-channel", math.Sqrt(5.0 / 6.0), math.Sqrt(1.0 / 12.0)},
-		{"wide", 1.0, 1.0},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			r := New(606)
-			const n = 300_000
-			const bins = 40
-			hi := tc.nu + 8*tc.sigma
-			width := hi / bins
-			counts := make([]int, bins+1) // last bin: overflow
-			for i := 0; i < n; i++ {
-				x := r.Rician(tc.nu, tc.sigma)
-				b := int(x / width)
-				if b > bins {
-					b = bins
-				}
-				counts[b]++
-			}
-			// Expected probability per bin via Simpson's rule on the pdf.
-			chi2 := 0.0
-			tailP := 1.0
-			for b := 0; b < bins; b++ {
-				lo, mid, up := float64(b)*width, (float64(b)+0.5)*width, (float64(b)+1)*width
-				p := width / 6 * (ricianPDF(lo, tc.nu, tc.sigma) +
-					4*ricianPDF(mid, tc.nu, tc.sigma) + ricianPDF(up, tc.nu, tc.sigma))
-				tailP -= p
-				e := p * n
-				if e < 1 {
-					continue // merged into the tail implicitly below
-				}
-				d := float64(counts[b]) - e
-				chi2 += d * d / e
-			}
-			if e := tailP * n; e > 1 {
-				d := float64(counts[bins]) - e
-				chi2 += d * d / e
-			}
-			// df ≈ 40; χ²₀.₉₉₉(40) ≈ 73.4. Assert a hair above so the
-			// fixed-seed value never flakes while real distribution bugs
-			// (which shift chi2 by orders of magnitude) still fail.
-			if chi2 > 80 {
-				t.Fatalf("Rician(ν=%.3f, σ=%.3f) chi-square = %v, want < 80", tc.nu, tc.sigma, chi2)
-			}
-		})
-	}
-}
-
 // TestUint64nUnbiased checks the Lemire bounded draw with a bound that
 // maximises modulo bias (just above 2⁶³, where the naive Uint64()%n
 // would hit the low half of the range twice as often): the fraction of

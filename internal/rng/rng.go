@@ -11,7 +11,6 @@
 package rng
 
 import (
-	"math"
 	"math/bits"
 )
 
@@ -164,48 +163,6 @@ func (r *Source) Normal(mean, sigma float64) float64 {
 	return mean + sigma*r.StdNormal()
 }
 
-// LogNormal returns exp(N(mu, sigma²)).
-func (r *Source) LogNormal(mu, sigma float64) float64 {
-	return math.Exp(r.Normal(mu, sigma))
-}
-
-// Exponential returns a draw from an exponential distribution with the
-// given rate (events per unit). rate must be > 0.
-func (r *Source) Exponential(rate float64) float64 {
-	if rate <= 0 {
-		panic("rng: Exponential called with non-positive rate")
-	}
-	u := r.Float64()
-	for u == 0 {
-		u = r.Float64()
-	}
-	return -math.Log(u) / rate
-}
-
-// Rayleigh returns a draw from a Rayleigh distribution with scale sigma.
-// The envelope of a non-line-of-sight multipath fading channel is Rayleigh
-// distributed, which is how the radio model uses it.
-func (r *Source) Rayleigh(sigma float64) float64 {
-	u := r.Float64()
-	for u == 0 {
-		u = r.Float64()
-	}
-	return sigma * math.Sqrt(-2*math.Log(u))
-}
-
-// Rician returns a draw from a Rician distribution with line-of-sight
-// component nu and scale sigma; nu = 0 degenerates to Rayleigh. Used for
-// rooms where the phone has line of sight to the beacon. The two
-// quadrature components are independent ziggurat normals.
-func (r *Source) Rician(nu, sigma float64) float64 {
-	n1, n2 := r.StdNormal2()
-	// The quadratures are unit-scale (nu, sigma ≤ O(1); the normals are
-	// a dozen sigma at the extreme), so the direct root needs none of
-	// math.Hypot's overflow rescaling and costs a fraction of it.
-	a, b := nu+sigma*n1, sigma*n2
-	return math.Sqrt(a*a + b*b)
-}
-
 // Perm returns a random permutation of [0, n).
 func (r *Source) Perm(n int) []int {
 	p := make([]int, n)
@@ -217,13 +174,4 @@ func (r *Source) Perm(n int) []int {
 		p[i], p[j] = p[j], p[i]
 	}
 	return p
-}
-
-// Shuffle pseudo-randomly swaps the elements of a slice of length n using
-// the provided swap function, in the manner of sort.Slice.
-func (r *Source) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
 }

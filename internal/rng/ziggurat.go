@@ -113,15 +113,6 @@ func (r *Source) nonZeroFloat64() float64 {
 	return u
 }
 
-// StdNormal2 returns two independent standard-normal draws. With the
-// ziggurat sampler these are simply two consecutive draws; the method
-// survives from the Box–Muller era because hot paths that need an
-// innovation pair per item (fast-fading quadratures, a slow-fade step
-// plus measurement noise) read better with one call.
-func (r *Source) StdNormal2() (float64, float64) {
-	return r.StdNormal(), r.StdNormal()
-}
-
 // FillStdNormal fills dst with independent standard-normal draws. The
 // ziggurat fast path is inlined into the loop, so bulk consumers (the
 // link layer's per-window fading buffers) pay one function call per

@@ -42,16 +42,6 @@ func Variance(xs []float64) float64 {
 // StdDev returns the population standard deviation of xs.
 func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
-// SampleVariance returns the unbiased (n-1) sample variance, or NaN when
-// fewer than two samples are available.
-func SampleVariance(xs []float64) float64 {
-	n := len(xs)
-	if n < 2 {
-		return math.NaN()
-	}
-	return Variance(xs) * float64(n) / float64(n-1)
-}
-
 // Min returns the smallest element of xs, or NaN for an empty slice.
 func Min(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -108,38 +98,6 @@ func Percentile(xs []float64, p float64) float64 {
 // Median returns the 50th percentile of xs.
 func Median(xs []float64) float64 { return Percentile(xs, 50) }
 
-// RMSE returns the root mean squared error between predictions and truth.
-// The slices must have equal non-zero length.
-func RMSE(pred, truth []float64) (float64, error) {
-	if len(pred) != len(truth) {
-		return 0, fmt.Errorf("stats: RMSE length mismatch %d vs %d", len(pred), len(truth))
-	}
-	if len(pred) == 0 {
-		return 0, fmt.Errorf("stats: RMSE of empty series")
-	}
-	var sum float64
-	for i := range pred {
-		d := pred[i] - truth[i]
-		sum += d * d
-	}
-	return math.Sqrt(sum / float64(len(pred))), nil
-}
-
-// MAE returns the mean absolute error between predictions and truth.
-func MAE(pred, truth []float64) (float64, error) {
-	if len(pred) != len(truth) {
-		return 0, fmt.Errorf("stats: MAE length mismatch %d vs %d", len(pred), len(truth))
-	}
-	if len(pred) == 0 {
-		return 0, fmt.Errorf("stats: MAE of empty series")
-	}
-	var sum float64
-	for i := range pred {
-		sum += math.Abs(pred[i] - truth[i])
-	}
-	return sum / float64(len(pred)), nil
-}
-
 // Summary holds the descriptive statistics of a sample, as printed in the
 // experiment tables.
 type Summary struct {
@@ -174,101 +132,6 @@ func Summarize(xs []float64) Summary {
 func (s Summary) String() string {
 	return fmt.Sprintf("n=%d mean=%.3f sd=%.3f min=%.3f p50=%.3f p95=%.3f max=%.3f",
 		s.N, s.Mean, s.StdDev, s.Min, s.Median, s.P95, s.Max)
-}
-
-// Histogram is a fixed-width binned histogram over [Lo, Hi).
-type Histogram struct {
-	Lo, Hi   float64
-	Counts   []int
-	Under    int // samples below Lo
-	Over     int // samples at or above Hi
-	binWidth float64
-}
-
-// NewHistogram creates a histogram with bins equal-width bins spanning
-// [lo, hi). bins must be > 0 and hi > lo.
-func NewHistogram(lo, hi float64, bins int) (*Histogram, error) {
-	if bins <= 0 {
-		return nil, fmt.Errorf("stats: histogram needs positive bin count, got %d", bins)
-	}
-	if hi <= lo {
-		return nil, fmt.Errorf("stats: histogram range [%v, %v) is empty", lo, hi)
-	}
-	return &Histogram{
-		Lo:       lo,
-		Hi:       hi,
-		Counts:   make([]int, bins),
-		binWidth: (hi - lo) / float64(bins),
-	}, nil
-}
-
-// Add records a sample.
-func (h *Histogram) Add(x float64) {
-	switch {
-	case x < h.Lo:
-		h.Under++
-	case x >= h.Hi:
-		h.Over++
-	default:
-		i := int((x - h.Lo) / h.binWidth)
-		if i >= len(h.Counts) { // guard against floating-point edge
-			i = len(h.Counts) - 1
-		}
-		h.Counts[i]++
-	}
-}
-
-// AddAll records every sample in xs.
-func (h *Histogram) AddAll(xs []float64) {
-	for _, x := range xs {
-		h.Add(x)
-	}
-}
-
-// Total returns the number of samples recorded, including out-of-range
-// ones.
-func (h *Histogram) Total() int {
-	n := h.Under + h.Over
-	for _, c := range h.Counts {
-		n += c
-	}
-	return n
-}
-
-// BinCenter returns the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	return h.Lo + (float64(i)+0.5)*h.binWidth
-}
-
-// Render draws the histogram as ASCII art with the given maximum bar
-// width, one bin per line.
-func (h *Histogram) Render(width int) string {
-	maxCount := 0
-	for _, c := range h.Counts {
-		if c > maxCount {
-			maxCount = c
-		}
-	}
-	out := ""
-	for i, c := range h.Counts {
-		bar := 0
-		if maxCount > 0 {
-			bar = c * width / maxCount
-		}
-		out += fmt.Sprintf("%8.2f | %-*s %d\n", h.BinCenter(i), width, repeat('#', bar), c)
-	}
-	return out
-}
-
-func repeat(ch byte, n int) string {
-	if n <= 0 {
-		return ""
-	}
-	b := make([]byte, n)
-	for i := range b {
-		b[i] = ch
-	}
-	return string(b)
 }
 
 // Welford implements numerically stable streaming mean/variance
@@ -309,29 +172,6 @@ func (w *Welford) Variance() float64 {
 
 // StdDev returns the running population standard deviation.
 func (w *Welford) StdDev() float64 { return math.Sqrt(w.Variance()) }
-
-// Autocorrelation returns the lag-k autocorrelation of xs, a measure of
-// how strongly consecutive samples are related. Used to verify that the
-// history filter actually smooths (raises lag-1 autocorrelation).
-func Autocorrelation(xs []float64, lag int) float64 {
-	n := len(xs)
-	if lag <= 0 || lag >= n {
-		return math.NaN()
-	}
-	m := Mean(xs)
-	var num, den float64
-	for i := 0; i < n; i++ {
-		d := xs[i] - m
-		den += d * d
-		if i+lag < n {
-			num += d * (xs[i+lag] - m)
-		}
-	}
-	if den == 0 {
-		return math.NaN()
-	}
-	return num / den
-}
 
 // LinearFit returns the slope and intercept of the least-squares line
 // through (xs, ys). The slices must be the same length with at least two

@@ -27,16 +27,6 @@ func TestVarianceAndStdDev(t *testing.T) {
 	}
 }
 
-func TestSampleVariance(t *testing.T) {
-	xs := []float64{1, 2, 3}
-	if got := SampleVariance(xs); !almostEq(got, 1, 1e-12) {
-		t.Fatalf("SampleVariance = %v, want 1", got)
-	}
-	if !math.IsNaN(SampleVariance([]float64{1})) {
-		t.Fatal("SampleVariance of single sample should be NaN")
-	}
-}
-
 func TestMinMax(t *testing.T) {
 	xs := []float64{3, -1, 7, 2}
 	if Min(xs) != -1 || Max(xs) != 7 {
@@ -71,31 +61,6 @@ func TestPercentileDoesNotMutate(t *testing.T) {
 	}
 }
 
-func TestRMSEAndMAE(t *testing.T) {
-	pred := []float64{1, 2, 3}
-	truth := []float64{1, 2, 5}
-	rmse, err := RMSE(pred, truth)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := math.Sqrt(4.0 / 3.0); !almostEq(rmse, want, 1e-12) {
-		t.Fatalf("RMSE = %v, want %v", rmse, want)
-	}
-	mae, err := MAE(pred, truth)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEq(mae, 2.0/3.0, 1e-12) {
-		t.Fatalf("MAE = %v", mae)
-	}
-	if _, err := RMSE([]float64{1}, []float64{1, 2}); err == nil {
-		t.Fatal("RMSE length mismatch should error")
-	}
-	if _, err := MAE(nil, nil); err == nil {
-		t.Fatal("MAE of empty should error")
-	}
-}
-
 func TestSummarize(t *testing.T) {
 	s := Summarize([]float64{1, 2, 3, 4, 5})
 	if s.N != 5 || s.Mean != 3 || s.Median != 3 || s.Min != 1 || s.Max != 5 {
@@ -103,47 +68,6 @@ func TestSummarize(t *testing.T) {
 	}
 	if s.String() == "" {
 		t.Fatal("empty summary string")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h, err := NewHistogram(0, 10, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.AddAll([]float64{-1, 0, 1.9, 2, 5, 9.99, 10, 42})
-	if h.Under != 1 {
-		t.Errorf("Under = %d, want 1", h.Under)
-	}
-	if h.Over != 2 {
-		t.Errorf("Over = %d, want 2", h.Over)
-	}
-	if h.Counts[0] != 2 { // 0 and 1.9
-		t.Errorf("bin0 = %d, want 2", h.Counts[0])
-	}
-	if h.Counts[1] != 1 { // 2
-		t.Errorf("bin1 = %d, want 1", h.Counts[1])
-	}
-	if h.Counts[4] != 1 { // 9.99
-		t.Errorf("bin4 = %d, want 1", h.Counts[4])
-	}
-	if h.Total() != 8 {
-		t.Errorf("Total = %d, want 8", h.Total())
-	}
-	if got := h.BinCenter(0); !almostEq(got, 1, 1e-12) {
-		t.Errorf("BinCenter(0) = %v, want 1", got)
-	}
-	if h.Render(20) == "" {
-		t.Error("empty render")
-	}
-}
-
-func TestHistogramErrors(t *testing.T) {
-	if _, err := NewHistogram(0, 10, 0); err == nil {
-		t.Error("zero bins should error")
-	}
-	if _, err := NewHistogram(5, 5, 3); err == nil {
-		t.Error("empty range should error")
 	}
 }
 
@@ -168,31 +92,6 @@ func TestWelfordEmpty(t *testing.T) {
 	var w Welford
 	if !math.IsNaN(w.Mean()) || !math.IsNaN(w.Variance()) {
 		t.Fatal("empty Welford should be NaN")
-	}
-}
-
-func TestAutocorrelation(t *testing.T) {
-	// A constant-increment ramp has high lag-1 autocorrelation.
-	ramp := make([]float64, 100)
-	for i := range ramp {
-		ramp[i] = float64(i)
-	}
-	if ac := Autocorrelation(ramp, 1); ac < 0.9 {
-		t.Errorf("ramp lag-1 autocorrelation = %v, want > 0.9", ac)
-	}
-	// Alternating series has strongly negative lag-1 autocorrelation.
-	alt := make([]float64, 100)
-	for i := range alt {
-		alt[i] = float64(i % 2)
-	}
-	if ac := Autocorrelation(alt, 1); ac > -0.9 {
-		t.Errorf("alternating lag-1 autocorrelation = %v, want < -0.9", ac)
-	}
-	if !math.IsNaN(Autocorrelation(ramp, 0)) {
-		t.Error("lag 0 should be NaN")
-	}
-	if !math.IsNaN(Autocorrelation(ramp, len(ramp))) {
-		t.Error("lag >= n should be NaN")
 	}
 }
 

@@ -32,7 +32,7 @@ func TestSeqHighWaterMark(t *testing.T) {
 		{4, false}, // late arrival below the mark
 	}
 	for i, c := range cases {
-		fresh, err := s.AddObservation(seqObs("p", time.Duration(i)*time.Second, 0, c.seq))
+		fresh, err := addOne(s, seqObs("p", time.Duration(i)*time.Second, 0, c.seq))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -55,7 +55,7 @@ func TestSeqHighWaterMark(t *testing.T) {
 func TestSeqZeroUnsequenced(t *testing.T) {
 	s, _ := New(10)
 	for i := 0; i < 3; i++ {
-		fresh, err := s.AddObservation(seqObs("p", time.Duration(i)*time.Second, 0, 0))
+		fresh, err := addOne(s, seqObs("p", time.Duration(i)*time.Second, 0, 0))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -63,10 +63,10 @@ func TestSeqZeroUnsequenced(t *testing.T) {
 			t.Fatalf("unsequenced observation %d was deduplicated", i)
 		}
 	}
-	if fresh, _ := s.AddObservation(seqObs("p", 3*time.Second, 0, 1)); !fresh {
+	if fresh, _ := addOne(s, seqObs("p", 3*time.Second, 0, 1)); !fresh {
 		t.Fatal("first sequenced report (seq 1) after unsequenced traffic must be fresh")
 	}
-	if fresh, _ := s.AddObservation(seqObs("p", 4*time.Second, 0, 0)); !fresh {
+	if fresh, _ := addOne(s, seqObs("p", 4*time.Second, 0, 0)); !fresh {
 		t.Fatal("unsequenced report after sequenced traffic must still be fresh")
 	}
 	if _, seq := s.SeqMark("p"); seq != 1 {
@@ -79,13 +79,13 @@ func TestSeqZeroUnsequenced(t *testing.T) {
 // — restarts must be declared through the epoch field.
 func TestSeqWraparoundRejected(t *testing.T) {
 	s, _ := New(10)
-	if fresh, _ := s.AddObservation(seqObs("p", time.Second, 7, math.MaxUint64)); !fresh {
+	if fresh, _ := addOne(s, seqObs("p", time.Second, 7, math.MaxUint64)); !fresh {
 		t.Fatal("mark setup failed")
 	}
-	if fresh, _ := s.AddObservation(seqObs("p", 2*time.Second, 7, 1)); fresh {
+	if fresh, _ := addOne(s, seqObs("p", 2*time.Second, 7, 1)); fresh {
 		t.Fatal("wrapped sequence number must be rejected within one epoch")
 	}
-	if fresh, _ := s.AddObservation(seqObs("p", 2*time.Second, 8, 1)); !fresh {
+	if fresh, _ := addOne(s, seqObs("p", 2*time.Second, 8, 1)); !fresh {
 		t.Fatal("a declared epoch bump must reopen the stream")
 	}
 }
@@ -95,16 +95,16 @@ func TestSeqWraparoundRejected(t *testing.T) {
 // afterwards.
 func TestSeqEpochReset(t *testing.T) {
 	s, _ := New(10)
-	if fresh, _ := s.AddObservation(seqObs("p", time.Second, 1, 5)); !fresh {
+	if fresh, _ := addOne(s, seqObs("p", time.Second, 1, 5)); !fresh {
 		t.Fatal("epoch 1 seq 5 should land")
 	}
 	// The device reboots, loses its counter, restarts at seq 1 under
 	// epoch 2.
-	if fresh, _ := s.AddObservation(seqObs("p", 2*time.Second, 2, 1)); !fresh {
+	if fresh, _ := addOne(s, seqObs("p", 2*time.Second, 2, 1)); !fresh {
 		t.Fatal("seq restart under a new epoch must be accepted")
 	}
 	// Pre-reboot stragglers are stale now.
-	if fresh, _ := s.AddObservation(seqObs("p", 3*time.Second, 1, 6)); fresh {
+	if fresh, _ := addOne(s, seqObs("p", 3*time.Second, 1, 6)); fresh {
 		t.Fatal("a report from a superseded epoch must be rejected")
 	}
 	epoch, seq := s.SeqMark("p")
@@ -168,7 +168,7 @@ func TestSeqBatchRetransmitIdempotent(t *testing.T) {
 // retransmissions.
 func TestSeqMarkMigration(t *testing.T) {
 	old, _ := New(10)
-	if _, err := old.AddObservation(seqObs("p", time.Second, 3, 9)); err != nil {
+	if _, err := addOne(old, seqObs("p", time.Second, 3, 9)); err != nil {
 		t.Fatal(err)
 	}
 	epoch, seq := old.EvictDevice("p")
@@ -184,10 +184,10 @@ func TestSeqMarkMigration(t *testing.T) {
 
 	next, _ := New(10)
 	next.InstallSeqMark("p", epoch, seq)
-	if fresh, _ := next.AddObservation(seqObs("p", time.Second, 3, 9)); fresh {
+	if fresh, _ := addOne(next, seqObs("p", time.Second, 3, 9)); fresh {
 		t.Fatal("retransmission below the migrated mark must be rejected")
 	}
-	if fresh, _ := next.AddObservation(seqObs("p", 2*time.Second, 3, 10)); !fresh {
+	if fresh, _ := addOne(next, seqObs("p", 2*time.Second, 3, 10)); !fresh {
 		t.Fatal("next report above the migrated mark must land")
 	}
 	// A retried (duplicate) migration must not roll the mark back.

@@ -26,11 +26,6 @@ type fpJSON struct {
 	Distances map[string]float64 `json:"distances"`
 }
 
-// WriteSnapshot persists the store's training state.
-func (s *Store) WriteSnapshot(w io.Writer) error {
-	return s.cutTraining().write(w)
-}
-
 // trainingCut is the training state at one instant, as views: the
 // fingerprint list and the beacon order only ever grow by append, and a
 // model blob is replaced by a fresh copy, never rewritten, so the
@@ -70,9 +65,9 @@ func (t trainingCut) write(w io.Writer) error {
 	return json.NewEncoder(w).Encode(snap)
 }
 
-// ReadSnapshot restores training state written by WriteSnapshot into a
-// fresh store. Restoring over existing fingerprints is rejected to avoid
-// silently merging two histories.
+// ReadSnapshot restores training state written by Cut.WriteTraining
+// into a fresh store. Restoring over existing fingerprints is rejected
+// to avoid silently merging two histories.
 func (s *Store) ReadSnapshot(r io.Reader) error {
 	var snap snapshotJSON
 	if err := json.NewDecoder(r).Decode(&snap); err != nil {

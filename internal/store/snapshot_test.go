@@ -40,7 +40,7 @@ func populatedStore(t *testing.T) *Store {
 func TestSnapshotRoundTrip(t *testing.T) {
 	orig := populatedStore(t)
 	var buf bytes.Buffer
-	if err := orig.WriteSnapshot(&buf); err != nil {
+	if err := orig.Cut().WriteTraining(&buf); err != nil {
 		t.Fatal(err)
 	}
 
@@ -77,7 +77,7 @@ func TestSnapshotWithoutModel(t *testing.T) {
 		Distances: map[ibeacon.BeaconID]float64{idA: 2},
 	})
 	var buf bytes.Buffer
-	if err := s.WriteSnapshot(&buf); err != nil {
+	if err := s.Cut().WriteTraining(&buf); err != nil {
 		t.Fatal(err)
 	}
 	fresh, _ := New(10)
@@ -92,7 +92,7 @@ func TestSnapshotWithoutModel(t *testing.T) {
 func TestSnapshotRefusesMerge(t *testing.T) {
 	orig := populatedStore(t)
 	var buf bytes.Buffer
-	if err := orig.WriteSnapshot(&buf); err != nil {
+	if err := orig.Cut().WriteTraining(&buf); err != nil {
 		t.Fatal(err)
 	}
 	target := populatedStore(t) // already has fingerprints
@@ -118,7 +118,7 @@ func TestSnapshotPreservesTrainingAcrossRestart(t *testing.T) {
 	// End-to-end restart story: snapshot, new store, dataset identical.
 	orig := populatedStore(t)
 	var buf bytes.Buffer
-	if err := orig.WriteSnapshot(&buf); err != nil {
+	if err := orig.Cut().WriteTraining(&buf); err != nil {
 		t.Fatal(err)
 	}
 	restarted, _ := New(10)

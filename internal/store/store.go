@@ -115,26 +115,6 @@ func (s *Store) shardFor(device string) *obsShard {
 	return &s.shards[StripeFor(device)]
 }
 
-// AddObservation appends an observation for its device, evicting the
-// oldest beyond the retention bound. Devices must be named. It returns
-// whether the observation was fresh: a sequenced observation at or
-// below the device's high-water mark is a duplicate or stale
-// retransmission and is acknowledged without being stored — the
-// caller must not advance occupancy state for it either.
-func (s *Store) AddObservation(o Observation) (bool, error) {
-	if o.Device == "" {
-		return false, fmt.Errorf("store: observation without device")
-	}
-	sh := s.shardFor(o.Device)
-	sh.mu.Lock()
-	fresh := s.appendLocked(sh, o)
-	sh.mu.Unlock()
-	if fresh {
-		s.noteBeacons(o.Beacons)
-	}
-	return fresh, nil
-}
-
 // AddObservationBatch appends many observations, taking each touched
 // stripe lock once per run of same-stripe devices rather than once per
 // report. Per-device arrival order is preserved. The batch is validated
@@ -327,8 +307,8 @@ type Cut struct {
 	training trainingCut
 }
 
-// WriteTraining serialises the training state as of the cut, in
-// WriteSnapshot's form.
+// WriteTraining serialises the training state as of the cut, in the
+// form ReadSnapshot restores.
 func (c *Cut) WriteTraining(w io.Writer) error { return c.training.write(w) }
 
 // Cut captures the store's durable state (see Cut).

@@ -16,6 +16,16 @@ var (
 	idB = ibeacon.BeaconID{UUID: ibeacon.MustUUID("C0FFEE00-BEEF-4A11-8000-000000000001"), Major: 1, Minor: 2}
 )
 
+// addOne lands one observation through AddObservationBatch and returns
+// whether it was fresh.
+func addOne(s *Store, o Observation) (bool, error) {
+	fresh, err := s.AddObservationBatch([]Observation{o})
+	if err != nil {
+		return false, err
+	}
+	return fresh[0], nil
+}
+
 func mkObs(device string, at time.Duration, ids ...ibeacon.BeaconID) Observation {
 	o := Observation{Device: device, At: at}
 	for _, id := range ids {
@@ -32,10 +42,10 @@ func TestNewValidation(t *testing.T) {
 
 func TestAddAndLatest(t *testing.T) {
 	s, _ := New(10)
-	if _, err := s.AddObservation(mkObs("p", time.Second, idA)); err != nil {
+	if _, err := addOne(s, mkObs("p", time.Second, idA)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.AddObservation(mkObs("p", 2*time.Second, idB)); err != nil {
+	if _, err := addOne(s, mkObs("p", 2*time.Second, idB)); err != nil {
 		t.Fatal(err)
 	}
 	latest, ok := s.Latest("p")
@@ -45,7 +55,7 @@ func TestAddAndLatest(t *testing.T) {
 	if _, ok := s.Latest("ghost"); ok {
 		t.Fatal("latest of unknown device")
 	}
-	if _, err := s.AddObservation(Observation{}); err == nil {
+	if _, err := addOne(s, Observation{}); err == nil {
 		t.Fatal("empty device should fail")
 	}
 }
@@ -53,7 +63,7 @@ func TestAddAndLatest(t *testing.T) {
 func TestRetentionEvictsOldest(t *testing.T) {
 	s, _ := New(3)
 	for i := 1; i <= 5; i++ {
-		_, _ = s.AddObservation(mkObs("p", time.Duration(i)*time.Second))
+		_, _ = addOne(s, mkObs("p", time.Duration(i)*time.Second))
 	}
 	h := s.History("p")
 	if len(h) != 3 {
@@ -66,8 +76,8 @@ func TestRetentionEvictsOldest(t *testing.T) {
 
 func TestDevices(t *testing.T) {
 	s, _ := New(5)
-	_, _ = s.AddObservation(mkObs("zed", time.Second))
-	_, _ = s.AddObservation(mkObs("amy", time.Second))
+	_, _ = addOne(s, mkObs("zed", time.Second))
+	_, _ = addOne(s, mkObs("amy", time.Second))
 	d := s.Devices()
 	if len(d) != 2 || d[0] != "amy" || d[1] != "zed" {
 		t.Fatalf("devices = %v", d)
@@ -101,8 +111,8 @@ func TestFingerprints(t *testing.T) {
 
 func TestBeaconOrderIsFirstSeen(t *testing.T) {
 	s, _ := New(5)
-	_, _ = s.AddObservation(mkObs("p", time.Second, idB))
-	_, _ = s.AddObservation(mkObs("p", 2*time.Second, idA, idB))
+	_, _ = addOne(s, mkObs("p", time.Second, idB))
+	_, _ = addOne(s, mkObs("p", 2*time.Second, idA, idB))
 	bs := s.Beacons()
 	if len(bs) != 2 || bs[0] != idB || bs[1] != idA {
 		t.Fatalf("beacon order = %v", bs)
@@ -140,7 +150,7 @@ func TestConcurrentAccess(t *testing.T) {
 			defer wg.Done()
 			dev := string(rune('a' + g))
 			for i := 0; i < 100; i++ {
-				_, _ = s.AddObservation(mkObs(dev, time.Duration(i)*time.Millisecond, idA))
+				_, _ = addOne(s, mkObs(dev, time.Duration(i)*time.Millisecond, idA))
 				s.Latest(dev)
 				s.Devices()
 				s.FingerprintDataset()
@@ -162,7 +172,7 @@ func TestQuickRetentionBound(t *testing.T) {
 			return false
 		}
 		for i := 0; i < int(n); i++ {
-			_, _ = s.AddObservation(mkObs("p", time.Duration(i)*time.Second))
+			_, _ = addOne(s, mkObs("p", time.Duration(i)*time.Second))
 		}
 		return len(s.History("p")) <= c
 	}
@@ -213,7 +223,7 @@ func TestCutHistoryViewsAreUnchanging(t *testing.T) {
 	add := func(dev string, i int) {
 		o := mkObs(dev, time.Duration(i)*time.Second, idA)
 		o.Epoch, o.Seq = 1, uint64(i+1)
-		if fresh, err := s.AddObservation(o); err != nil || !fresh {
+		if fresh, err := addOne(s, o); err != nil || !fresh {
 			t.Errorf("observation %d of %s: fresh=%v err=%v", i, dev, fresh, err)
 		}
 	}

@@ -279,15 +279,6 @@ func (m *Model) kernels(k, x []float64) {
 	}
 }
 
-// PredictBatch maps Predict over the rows of X.
-func (m *Model) PredictBatch(X [][]float64) []string {
-	out := make([]string, len(X))
-	for i, x := range X {
-		out[i] = m.Predict(x)
-	}
-	return out
-}
-
 // modelJSON is the serialised form of a Model.
 type modelJSON struct {
 	Classes []string   `json:"classes"`

@@ -207,10 +207,9 @@ func TestMulticlassBlobs(t *testing.T) {
 	if got := m.Classes(); len(got) != 3 || got[0] != "a" || got[2] != "c" {
 		t.Fatalf("classes = %v", got)
 	}
-	preds := m.PredictBatch(X)
 	correct := 0
-	for i := range preds {
-		if preds[i] == y[i] {
+	for i := range X {
+		if m.Predict(X[i]) == y[i] {
 			correct++
 		}
 	}

@@ -162,13 +162,6 @@ func (b *BatchingUplink) flushLocked() error {
 	return nil
 }
 
-// Pending returns the queued report count.
-func (b *BatchingUplink) Pending() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return len(b.pending)
-}
-
 // Stats returns lifetime (sent, dropped, flushes) counts.
 func (b *BatchingUplink) Stats() (sent, dropped, flushes int) {
 	b.mu.Lock()

@@ -12,6 +12,13 @@ type recordingUplink struct {
 	failN   int // fail the next N delivery attempts
 }
 
+// batchPending reads the batcher's queued report count under its lock.
+func batchPending(b *BatchingUplink) int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return len(b.pending)
+}
+
 func (r *recordingUplink) Name() string { return "recording" }
 
 func (r *recordingUplink) Send(rep Report) error {
@@ -66,7 +73,7 @@ func TestBatchingFlushesOnInterval(t *testing.T) {
 		if err := b.Send(rep("d", at)); err != nil {
 			t.Fatal(err)
 		}
-		if got := b.Pending(); got != i+1 {
+		if got := batchPending(b); got != i+1 {
 			t.Fatalf("pending after %v = %d", at, got)
 		}
 	}
@@ -84,8 +91,8 @@ func TestBatchingFlushesOnInterval(t *testing.T) {
 			t.Fatalf("delivery order broken: %v", rec.sent)
 		}
 	}
-	if b.Pending() != 0 {
-		t.Fatalf("pending after flush = %d", b.Pending())
+	if batchPending(b) != 0 {
+		t.Fatalf("pending after flush = %d", batchPending(b))
 	}
 }
 
@@ -104,8 +111,8 @@ func TestBatchingFlushesOnMaxBatch(t *testing.T) {
 	if len(rec.batches) != 2 {
 		t.Fatalf("batches = %d, want 2 full flushes", len(rec.batches))
 	}
-	if b.Pending() != 1 {
-		t.Fatalf("pending = %d, want the tail report", b.Pending())
+	if batchPending(b) != 1 {
+		t.Fatalf("pending = %d, want the tail report", batchPending(b))
 	}
 	if err := b.Flush(); err != nil {
 		t.Fatal(err)
@@ -152,8 +159,8 @@ func TestBatchingRetainsOnFailureAndRedelivers(t *testing.T) {
 	if err := b.Send(rep("b", 0)); err == nil {
 		t.Fatal("flush against failing uplink should report the error")
 	}
-	if b.Pending() != 2 {
-		t.Fatalf("pending after failed flush = %d, want 2", b.Pending())
+	if batchPending(b) != 2 {
+		t.Fatalf("pending after failed flush = %d, want 2", batchPending(b))
 	}
 	if err := b.Flush(); err != nil {
 		t.Fatal(err)
@@ -177,7 +184,7 @@ func TestBatchingBoundsPendingQueue(t *testing.T) {
 	}
 	for i := 0; i < 20; i++ {
 		_ = b.Send(rep(fmt.Sprintf("d%d", i), 0))
-		if p := b.Pending(); p > 6 {
+		if p := batchPending(b); p > 6 {
 			t.Fatalf("pending %d exceeds bound", p)
 		}
 	}
@@ -216,16 +223,16 @@ func TestQueueOverflowThenDrain(t *testing.T) {
 	if evictions != 7 {
 		t.Fatalf("evictions = %d, want 7", evictions)
 	}
-	if q.Pending() != 5 {
-		t.Fatalf("pending = %d, want capacity", q.Pending())
+	if len(q.pending) != 5 {
+		t.Fatalf("pending = %d, want capacity", len(q.pending))
 	}
 
 	// One failing flush burns one attempt per queued report.
 	if n := q.Flush(); n != 0 {
 		t.Fatalf("failing flush delivered %d", n)
 	}
-	if q.Pending() != 5 {
-		t.Fatalf("pending after failing flush = %d", q.Pending())
+	if len(q.pending) != 5 {
+		t.Fatalf("pending after failing flush = %d", len(q.pending))
 	}
 
 	// Recovery: everything drains in order.
@@ -233,8 +240,8 @@ func TestQueueOverflowThenDrain(t *testing.T) {
 	if n := q.Flush(); n != 5 {
 		t.Fatalf("drain delivered %d, want 5", n)
 	}
-	if q.Pending() != 0 {
-		t.Fatalf("pending after drain = %d", q.Pending())
+	if len(q.pending) != 0 {
+		t.Fatalf("pending after drain = %d", len(q.pending))
 	}
 	for i, r := range rec.sent {
 		if want := fmt.Sprintf("r%02d", 7+i); r.Device != want {
@@ -260,8 +267,8 @@ func TestQueueDropsAfterBudgetDuringDrain(t *testing.T) {
 	q.Enqueue(rep("b", 1))
 	q.Flush() // attempt 1 fails
 	q.Flush() // attempt 2 fails → budget exhausted, dropped
-	if q.Pending() != 0 {
-		t.Fatalf("pending = %d after budget exhaustion", q.Pending())
+	if len(q.pending) != 0 {
+		t.Fatalf("pending = %d after budget exhaustion", len(q.pending))
 	}
 	rec.failN = 0
 	if n := q.Flush(); n != 0 {

@@ -115,8 +115,8 @@ func TestMalformedURLFailsBeforeAnyAttempt(t *testing.T) {
 	}
 }
 
-// The allocation budget of the device side (PERF.md "What changed
-// (PR 13)"); `make allocs` runs these.
+// The allocation budget of the device side (CHANGES.md, the PR 13
+// line); `make allocs` runs these.
 
 // budgetBatch is the paper's upload: 11 reports of 6 beacons each.
 func budgetBatch() []Report {

@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"occusim/internal/rng"
 )
 
 // shedServer sheds the first `sheds` requests with 429 + Retry-After,
@@ -17,6 +19,14 @@ type shedServer struct {
 	retryAfter string // Retry-After header value; "" omits it
 	hits       int
 	bodies     []string
+}
+
+// seedBackoffJitter re-seeds the shared jitter source, making jittered
+// backoff deterministic.
+func seedBackoffJitter(seed uint64) {
+	backoffJitter.mu.Lock()
+	backoffJitter.src = rng.New(seed)
+	backoffJitter.mu.Unlock()
 }
 
 func (s *shedServer) handler(w http.ResponseWriter, r *http.Request) {
@@ -83,7 +93,7 @@ func TestRetryAfterHonored(t *testing.T) {
 // may grow (spreading the returning herd) but never drops below the
 // server's hint.
 func TestRetryAfterJitterStretchesNotShrinks(t *testing.T) {
-	SeedBackoffJitter(42)
+	seedBackoffJitter(42)
 	p := RetryPolicy{Jitter: true}
 	hint := time.Second
 	for i := 0; i < 100; i++ {
@@ -99,9 +109,9 @@ func TestRetryAfterJitterStretchesNotShrinks(t *testing.T) {
 
 // TestBackoffFullJitter pins the jitter satellite: with Jitter set,
 // delays are drawn uniformly from (0, d] of the deterministic envelope,
-// deterministic under SeedBackoffJitter, observable via the sleep hook.
+// deterministic under seedBackoffJitter, observable via the sleep hook.
 func TestBackoffFullJitter(t *testing.T) {
-	SeedBackoffJitter(7)
+	seedBackoffJitter(7)
 	p := RetryPolicy{
 		MaxAttempts: 4,
 		BaseDelay:   100 * time.Millisecond,
@@ -118,14 +128,14 @@ func TestBackoffFullJitter(t *testing.T) {
 		first = append(first, d)
 	}
 	// Re-seeding reproduces the exact stream.
-	SeedBackoffJitter(7)
+	seedBackoffJitter(7)
 	for n := range envelope {
 		if d := p.backoff(n); d != first[n] {
 			t.Fatalf("re-seeded backoff(%d) = %v, want %v (stream must be deterministic)", n, d, first[n])
 		}
 	}
 	// A different seed gives a different stream (vacuity check).
-	SeedBackoffJitter(8)
+	seedBackoffJitter(8)
 	same := true
 	for n := range envelope {
 		if p.backoff(n) != first[n] {

@@ -199,10 +199,9 @@ type RetryPolicy struct {
 	// failed together retries together — every backoff step re-delivers
 	// the same synchronized storm that caused the failure. Full jitter
 	// decorrelates the herd. Draws come from a seeded package-level
-	// source (SeedBackoffJitter pins it in tests, observable through the
-	// Sleep hook); a Retry-After hint is stretched by up to +50% instead
-	// of shrunk, so the jittered fleet never returns before the server
-	// asked it to.
+	// source (tests re-seed it, observable through the Sleep hook); a
+	// Retry-After hint is stretched by up to +50% instead of shrunk, so
+	// the jittered fleet never returns before the server asked it to.
 	Jitter bool
 	// Budget caps the total backoff this policy will sleep across one
 	// exchange (one Target.Do or Stream.Exchange call). When the next
@@ -241,14 +240,6 @@ var backoffJitter = struct {
 	mu  sync.Mutex
 	src *rng.Source
 }{src: rng.New(uint64(time.Now().UnixNano()))}
-
-// SeedBackoffJitter re-seeds the shared jitter source, making jittered
-// backoff deterministic for tests.
-func SeedBackoffJitter(seed uint64) {
-	backoffJitter.mu.Lock()
-	backoffJitter.src = rng.New(seed)
-	backoffJitter.mu.Unlock()
-}
 
 func jitterFloat() float64 {
 	backoffJitter.mu.Lock()
@@ -682,9 +673,6 @@ func (q *Queue) Flush() int {
 	q.pending = remaining
 	return delivered
 }
-
-// Pending returns the queued report count.
-func (q *Queue) Pending() int { return len(q.pending) }
 
 // Stats returns lifetime (sent, dropped) counts.
 func (q *Queue) Stats() (sent, dropped int) { return q.sent, q.dropped }

@@ -148,8 +148,8 @@ func TestQueueFlushDeliversInOrder(t *testing.T) {
 	if len(devices) != 3 || devices[0] != "a" || devices[2] != "c" {
 		t.Fatalf("order = %v", devices)
 	}
-	if q.Pending() != 0 {
-		t.Fatalf("pending = %d", q.Pending())
+	if len(q.pending) != 0 {
+		t.Fatalf("pending = %d", len(q.pending))
 	}
 }
 
@@ -168,7 +168,7 @@ func TestQueueRetriesFailuresUntilBudget(t *testing.T) {
 	if n := q.Flush(); n != 0 {
 		t.Fatalf("first flush delivered %d", n)
 	}
-	if q.Pending() != 1 {
+	if len(q.pending) != 1 {
 		t.Fatal("report should remain queued")
 	}
 	q.Flush() // second failure
@@ -187,7 +187,7 @@ func TestQueueDropsAfterMaxAttempts(t *testing.T) {
 	q.Enqueue(testReport())
 	q.Flush()
 	q.Flush()
-	if q.Pending() != 0 {
+	if len(q.pending) != 0 {
 		t.Fatal("report should be dropped after budget")
 	}
 	_, dropped := q.Stats()
@@ -208,7 +208,7 @@ func TestQueueEvictsOldestWhenFull(t *testing.T) {
 	if !q.Enqueue(r3) {
 		t.Fatal("eviction expected")
 	}
-	if q.Pending() != 2 {
-		t.Fatalf("pending = %d", q.Pending())
+	if len(q.pending) != 2 {
+		t.Fatalf("pending = %d", len(q.pending))
 	}
 }

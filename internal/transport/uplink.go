@@ -124,9 +124,6 @@ func (u *HTTPUplink) SendBatch(reports []Report) error {
 	return u.deliver(reports, false)
 }
 
-// Target returns the URL the next send will try first.
-func (u *HTTPUplink) Target() string { return u.start().base }
-
 // Stats returns lifetime (leader-hint redirects, target rotations).
 func (u *HTTPUplink) Stats() (redirects, rotations uint64) {
 	return u.redirects.Load(), u.rotations.Load()

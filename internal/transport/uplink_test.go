@@ -463,8 +463,8 @@ func TestUplinkLadder(t *testing.T) {
 			if len(rec.delays) != tc.sleeps {
 				t.Errorf("slept %v, want %d backoff sleep(s): a refused upgrade, a hinted 409 and a rotation cost none of their own", rec.delays, tc.sleeps)
 			}
-			if tc.err == "" && u.Target() != urls[tc.sticks] {
-				t.Errorf("the uplink sticks to %q, want frontend %d (%q)", u.Target(), tc.sticks, urls[tc.sticks])
+			if tc.err == "" && u.start().base != urls[tc.sticks] {
+				t.Errorf("the uplink sticks to %q, want frontend %d (%q)", u.start().base, tc.sticks, urls[tc.sticks])
 			}
 			snap := met.TakeSnapshot().Counters
 			for codec, series := range map[string]string{
@@ -514,8 +514,8 @@ func TestUplinkSharedAcrossLeadershipMove(t *testing.T) {
 	if err := u.SendBatch(wireReports(8)); err != nil {
 		t.Fatal(err)
 	}
-	if u.Target() != b.ts.URL {
-		t.Errorf("the uplink sticks to %q, want the new leader %q", u.Target(), b.ts.URL)
+	if u.start().base != b.ts.URL {
+		t.Errorf("the uplink sticks to %q, want the new leader %q", u.start().base, b.ts.URL)
 	}
 	if redirects, _ := u.Stats(); redirects == 0 {
 		t.Error("leadership moved and no sender followed a hint")
