@@ -3,9 +3,13 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-cpus test-short test-race allocs onepath bench-smoke loadtest crashtest
+.PHONY: all fmt-check build vet test test-cpus test-short test-race allocs onepath bench-smoke loadtest crashtest
 
-all: vet build test
+all: fmt-check vet build test
+
+# fmt-check fails when any Go file is not gofmt-formatted.
+fmt-check:
+	test -z "$$(gofmt -l .)"
 
 build:
 	$(GO) build ./...

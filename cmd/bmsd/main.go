@@ -52,7 +52,7 @@
 //	GET  /api/v1/events         committed enter/exit events   gateway
 //	GET  /api/v1/rooms          floor-plan inventory          one shard only
 //	GET  /api/v1/energy         demand-response comparison    one shard only
-//	GET  /api/v1/model          current serialised model      one shard only
+//	GET  /api/v1/model          current model snapshot        one shard only
 //	PUT  /api/v1/model          install/distribute a model    gateway
 //	GET  /api/v1/dwell          per-room dwell rollup         gateway
 //	GET  /api/v1/devices/{id}   latest report and room        one shard only

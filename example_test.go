@@ -24,24 +24,37 @@ func Example_quickstart() {
 		panic(err)
 	}
 
-	// A phone resting 2 m from the transmitter.
-	phone, err := scn.AddPhone("demo-phone", occusim.Static{P: occusim.Pt(2.5, 3)}, occusim.PhoneConfig{})
+	// A phone resting 2 m from the transmitter. Its reports pass through
+	// a tap on the way to the server, which keeps the latest one.
+	var last occusim.Report
+	up := scn.ServerUplink()
+	tap := occusim.SendFunc{Label: up.Name(), F: func(r occusim.Report) error {
+		last = r
+		return up.Send(r)
+	}}
+	phone, err := scn.AddPhone("demo-phone", occusim.Static{P: occusim.Pt(2.5, 3)}, occusim.PhoneConfig{Uplink: tap})
 	if err != nil {
 		panic(err)
 	}
 
 	scn.Run(2 * time.Minute)
 
-	fmt.Printf("app state: %s\n", phone.State())
-	for _, e := range phone.Estimates() {
-		fmt.Printf("ranged beacon %s: %.2f m (true distance 2.0 m)\n", e.Beacon, e.Distance)
+	// The app ranges while it is inside the region: it has entered more
+	// often than it has left.
+	st := phone.Stats()
+	state := "monitoring"
+	if st.RegionEnters > st.RegionExits {
+		state = "ranging"
+	}
+	fmt.Printf("app state: %s\n", state)
+	for _, b := range last.Beacons {
+		fmt.Printf("ranged beacon %s: %.2f m (true distance 2.0 m)\n", b.ID, b.Distance)
 	}
 
 	snap := scn.Server().Occupancy()
 	fmt.Printf("server occupancy: %v\n", snap.Rooms)
 	fmt.Printf("server placed %q in %q\n", "demo-phone", snap.Devices["demo-phone"])
 
-	st := phone.Stats()
 	fmt.Printf("scan cycles: %d, reports delivered: %d\n", st.Cycles, st.ReportsSent)
 	fmt.Printf("energy used in 2 min: %.1f J (battery at %.2f%%)\n",
 		phone.Meter().UsedJ(), 100*phone.Meter().Level())
@@ -127,6 +140,11 @@ func sampleRSSI(profile occusim.DeviceProfile, distance float64, seed uint64) []
 	return rssis
 }
 
+// centre returns the middle of a rectangle.
+func centre(r occusim.Rect) occusim.Point {
+	return occusim.Pt((r.Min.X+r.Max.X)/2, (r.Min.Y+r.Max.Y)/2)
+}
+
 func mean(xs []float64) float64 {
 	var sum float64
 	for _, x := range xs {
@@ -188,8 +206,19 @@ func Example_museum() {
 	if err != nil {
 		panic(err)
 	}
-	visitor, err := scn.AddPhone("visitor", walk, occusim.PhoneConfig{})
-	if err != nil {
+	// The app reports its ranging estimates every scan cycle; a tap on
+	// its uplink keeps the latest report's.
+	minorOf := map[string]uint16{}
+	for _, b := range gallery.Beacons {
+		minorOf[b.ID.String()] = b.ID.Minor
+	}
+	var ranged []occusim.BeaconReport
+	up := scn.ServerUplink()
+	tap := occusim.SendFunc{Label: up.Name(), F: func(r occusim.Report) error {
+		ranged = r.Beacons
+		return up.Send(r)
+	}}
+	if _, err := scn.AddPhone("visitor", walk, occusim.PhoneConfig{Uplink: tap}); err != nil {
 		panic(err)
 	}
 
@@ -200,14 +229,15 @@ func Example_museum() {
 	step := 2 * time.Second
 	for t := time.Duration(0); t < walk.End(); t += step {
 		scn.Run(step)
-		for _, e := range visitor.Estimates() {
-			name, known := exhibits[e.Beacon.Minor]
-			if !known || triggered[e.Beacon.Minor] || e.Distance > engageAt {
+		for _, b := range ranged {
+			minor := minorOf[b.ID]
+			name, known := exhibits[minor]
+			if !known || triggered[minor] || b.Distance > engageAt {
 				continue
 			}
-			triggered[e.Beacon.Minor] = true
+			triggered[minor] = true
 			fmt.Printf("%6.0fs  within %.1f m of beacon %d → showing \"%s\"\n",
-				scn.Now().Seconds(), e.Distance, e.Beacon.Minor, name)
+				scn.Now().Seconds(), b.Distance, minor, name)
 		}
 	}
 	fmt.Printf("tour complete: %d/%d exhibits engaged\n", len(triggered), len(exhibits))
@@ -256,11 +286,11 @@ func Example_office() {
 	for i := 0; i < 8; i++ {
 		office, _ := floor.RoomByName(fmt.Sprintf("office-%d", i%6+1))
 		stops := []occusim.Stop{
-			{P: office.Center(), Dwell: 12 * time.Minute},
+			{P: centre(office.Bounds), Dwell: 12 * time.Minute},
 			{P: occusim.Pt(8, 4), Dwell: 4 * time.Minute}, // open space
-			{P: office.Center(), Dwell: 10 * time.Minute},
+			{P: centre(office.Bounds), Dwell: 10 * time.Minute},
 			{P: occusim.Pt(20, 4), Dwell: 5 * time.Minute}, // meeting room
-			{P: office.Center(), Dwell: 10 * time.Minute},
+			{P: centre(office.Bounds), Dwell: 10 * time.Minute},
 		}
 		walk, err := occusim.NewStops(stops, 1.3)
 		if err != nil {

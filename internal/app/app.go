@@ -117,6 +117,9 @@ func (c Config) Validate() error {
 	if c.ScanPeriod <= 0 {
 		return fmt.Errorf("app: scan period must be positive, got %v", c.ScanPeriod)
 	}
+	if err := c.Region.Validate(); err != nil {
+		return err
+	}
 	if err := c.Filter.Validate(); err != nil {
 		return err
 	}
@@ -342,12 +345,6 @@ func rssiOf(samples []scanner.Sample, id ibeacon.BeaconID) float64 {
 	return 0
 }
 
-// Name returns the app's device name.
-func (a *App) Name() string { return a.name }
-
-// State returns the current lifecycle state.
-func (a *App) State() State { return a.state }
-
 // Stats returns activity counters.
 func (a *App) Stats() Stats { return a.stats }
 
@@ -356,6 +353,3 @@ func (a *App) Meter() *energy.Meter { return a.meter }
 
 // BatteryLog exposes the measurement logger.
 func (a *App) BatteryLog() *energy.Logger { return a.logger }
-
-// Estimates returns the current ranging estimates.
-func (a *App) Estimates() []filter.Estimate { return a.filt.Snapshot() }

@@ -101,6 +101,24 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// TestLaunchRefusesMalformedRegion: a region the monitoring API cannot
+// express would match no beacon, so the phone would never range; Launch
+// refuses it instead of running silent.
+func TestLaunchRefusesMalformedRegion(t *testing.T) {
+	w := testWorld(t, 1)
+	var reports []transport.Report
+	for _, region := range []ibeacon.Region{
+		{UUID: building.DeploymentUUID, Major: ibeacon.Any, Minor: 1}, // a minor needs a major
+		{UUID: building.DeploymentUUID, Major: 70000, Minor: ibeacon.Any},
+	} {
+		cfg := baseConfig(collectorUplink(&reports))
+		cfg.Region = region
+		if _, err := Launch(w, "p", mobility.Static{}, cfg, rng.New(1)); err == nil || !strings.Contains(err.Error(), "ibeacon: region") {
+			t.Errorf("Launch with region %+v: err = %v, want the region refused", region, err)
+		}
+	}
+}
+
 func TestLifecycleBootMonitorRange(t *testing.T) {
 	w := testWorld(t, 2)
 	var reports []transport.Report
@@ -108,12 +126,12 @@ func TestLifecycleBootMonitorRange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.State() != Booting {
-		t.Fatalf("initial state = %v", a.State())
+	if a.state != Booting {
+		t.Fatalf("initial state = %v", a.state)
 	}
 	w.Run(30 * time.Second)
-	if a.State() != Ranging {
-		t.Fatalf("state after 30 s beside a beacon = %v", a.State())
+	if a.state != Ranging {
+		t.Fatalf("state after 30 s beside a beacon = %v", a.state)
 	}
 	st := a.Stats()
 	if st.RegionEnters != 1 {
@@ -126,9 +144,6 @@ func TestLifecycleBootMonitorRange(t *testing.T) {
 	last := reports[len(reports)-1]
 	if last.Device != "phone" || len(last.Beacons) == 0 {
 		t.Fatalf("report = %+v", last)
-	}
-	if a.Name() != "phone" {
-		t.Fatalf("name = %q", a.Name())
 	}
 }
 
@@ -149,8 +164,8 @@ func TestRegionExitWhenOutOfRange(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.Run(60 * time.Second)
-	if a.State() != Monitoring {
-		t.Fatalf("state after leaving range = %v", a.State())
+	if a.state != Monitoring {
+		t.Fatalf("state after leaving range = %v", a.state)
 	}
 	// An exit is counted only on leaving Ranging, so it implies an
 	// earlier enter, and the final state shows the last transition was
@@ -296,7 +311,10 @@ func TestEstimatesExposed(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.Run(time.Minute)
-	es := a.Estimates()
+	if len(reports) == 0 {
+		t.Fatal("no reports")
+	}
+	es := reports[len(reports)-1].Beacons
 	if len(es) != 1 {
 		t.Fatalf("estimates = %d", len(es))
 	}

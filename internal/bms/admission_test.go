@@ -82,7 +82,7 @@ func TestIngestShedsWhenGateFull(t *testing.T) {
 	if occ := s.Occupancy(); len(occ.Devices) != 1 {
 		t.Fatalf("tracked devices after retransmit = %d, want 1", len(occ.Devices))
 	}
-	if _, shed := s.AdmissionStats(); shed < 3 {
+	if _, shed := s.gate.Stats(); shed < 3 {
 		t.Fatalf("shed count = %d, want ≥ 3 (Ingest + two HTTP)", shed)
 	}
 }

@@ -572,7 +572,7 @@ func TestCrashTableWithDeviceLifecycle(t *testing.T) {
 	if st, ok := s3.ExportDevice("mover"); !ok || st.Seq != 3 {
 		t.Fatalf("behind a torn eviction record the mover is %+v (%v)", st, ok)
 	}
-	if _, ok := s3.ExportDevice("ghost"); ok && len(s3.st.History("ghost")) != 0 {
+	if _, ok := s3.ExportDevice("ghost"); ok && len(history(s3.st, "ghost")) != 0 {
 		t.Fatal("the expiry before the torn record did not replay")
 	}
 	// A flipped byte in a sealed log is damage inside committed history.

@@ -411,8 +411,8 @@ func TestDurableAppendFailureIsCounted(t *testing.T) {
 		t.Fatalf("the sweep expired %v (%v) with the log closed, want nothing and the append's failure", got, err)
 	}
 	for _, device := range []string{"early", "late"} {
-		if st, ok := s.ExportDevice(device); !ok || !st.Seen || len(s.st.History(device)) != 1 {
-			t.Fatalf("a sweep the log refused moved %s: %+v (%v), %d observations", device, st, ok, len(s.st.History(device)))
+		if st, ok := s.ExportDevice(device); !ok || !st.Seen || len(history(s.st, device)) != 1 {
+			t.Fatalf("a sweep the log refused moved %s: %+v (%v), %d observations", device, st, ok, len(history(s.st, device)))
 		}
 	}
 	if got := m.TakeSnapshot().Counters["wal_append_errors_total"]; got != 1 {

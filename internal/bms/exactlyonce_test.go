@@ -42,7 +42,7 @@ func TestIngestDedupsRetransmission(t *testing.T) {
 	if got := len(s.Events()); got != events {
 		t.Fatalf("retransmission committed %d new events", got-events)
 	}
-	if got := len(s.st.History("p")); got != 1 {
+	if got := len(history(s.st, "p")); got != 1 {
 		t.Fatalf("retransmission stored a duplicate observation: history = %d", got)
 	}
 }
@@ -92,7 +92,8 @@ func TestEvictInstallDeviceRoundTrip(t *testing.T) {
 		}
 	}
 	wantRoom := s1.tracker.RoomOf("p")
-	wantDwell := s1.tracker.Dwell("p")
+	wantState, _ := s1.tracker.Export("p")
+	wantDwell := wantState.Dwell
 
 	st, ok := evict(t, s1, "p")
 	if !ok {
@@ -115,8 +116,8 @@ func TestEvictInstallDeviceRoundTrip(t *testing.T) {
 	if got := s2.tracker.RoomOf("p"); got != wantRoom {
 		t.Fatalf("migrated room = %q, want %q", got, wantRoom)
 	}
-	if got := s2.tracker.Dwell("p"); len(got) != len(wantDwell) {
-		t.Fatalf("migrated dwell = %v, want %v", got, wantDwell)
+	if got, _ := s2.tracker.Export("p"); len(got.Dwell) != len(wantDwell) {
+		t.Fatalf("migrated dwell = %v, want %v", got.Dwell, wantDwell)
 	}
 	// The mark travelled: the in-flight retransmission of seq 3 is a
 	// no-op on the new owner.

@@ -3,6 +3,8 @@ package bms
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -56,6 +58,57 @@ func malformedModels(t *testing.T, good ModelSnapshot) map[string]ModelSnapshot 
 		"mean wide":      edit(func(m map[string]any) { scaler(m)["Mean"] = append(scaler(m)["Mean"].([]any), 0.0) }),
 		"gamma zero":     edit(func(m map[string]any) { m["kernel"].(map[string]any)["gamma"] = 0 }),
 		"gamma negative": edit(func(m map[string]any) { m["kernel"].(map[string]any)["gamma"] = -0.5 }),
+	}
+}
+
+// TestModelGetInstallsByPut: the model GET /api/v1/model answers is the
+// snapshot PUT /api/v1/model takes, so a model read off a trained server
+// installs on a fresh one, which then classifies as the trainer does.
+func TestModelGetInstallsByPut(t *testing.T) {
+	trained, b := newTestServer(t)
+	trainServer(t, trained, b)
+	fresh, _ := newTestServer(t)
+	src, dst := httptest.NewServer(trained.Handler()), httptest.NewServer(fresh.Handler())
+	defer src.Close()
+	defer dst.Close()
+
+	resp, err := http.Get(src.URL + "/api/v1/model")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /api/v1/model: %s %v", resp.Status, err)
+	}
+	req, _ := http.NewRequest(http.MethodPut, dst.URL+"/api/v1/model", bytes.NewReader(body))
+	resp, err = http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reply, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("PUT of the GET body answered %s: %s", resp.Status, reply)
+	}
+	want, _ := trained.ModelSnapshot()
+	if got, ok := fresh.ModelSnapshot(); !ok || got.Version != want.Version || !bytes.Equal(got.Model, want.Model) {
+		t.Fatalf("installed snapshot %v, version %d, want version %d and the trainer's model", ok, got.Version, want.Version)
+	}
+	rooms := map[string]bool{}
+	for i := range b.Beacons {
+		rep := reportNear(b, fmt.Sprintf("probe-%d", i), i, 1)
+		want, err := trained.Ingest(rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := fresh.Ingest(rep); err != nil || got != want {
+			t.Fatalf("probe %d: the installed model places it in %q (%v), the trainer in %q", i, got, err, want)
+		}
+		rooms[want] = true
+	}
+	if len(rooms) < 2 {
+		t.Fatalf("vacuous: every probe landed in %v", rooms)
 	}
 }
 

@@ -118,12 +118,6 @@ func (s *Server) SetAdmission(cfg overload.Config) {
 	s.gate = overload.NewGate(cfg)
 }
 
-// AdmissionStats returns lifetime (admitted, shed) ingest counts;
-// zeros when no gate is installed.
-func (s *Server) AdmissionStats() (admitted, shed uint64) {
-	return s.gate.Stats()
-}
-
 // classifierSnapshot returns the live classifier; predictions against it
 // are lock-free because trained models are immutable.
 func (s *Server) classifierSnapshot() classify.Classifier {
@@ -390,7 +384,8 @@ func (s *Server) Train(c, gamma float64, seed uint64) (TrainResult, error) {
 // serialised SVM plus the beacon feature order it was trained with
 // (columns are positional, so the order must travel with the weights)
 // and the trainer's model version. The fleet gateway pushes snapshots to
-// every shard; PUT /api/v1/model accepts the same shape over HTTP.
+// every shard; PUT /api/v1/model accepts the same shape over HTTP and
+// GET /api/v1/model answers it.
 type ModelSnapshot struct {
 	Beacons []string        `json:"beacons"`
 	Model   json.RawMessage `json:"model"`
@@ -831,16 +826,16 @@ func (s *Server) handleEnergy(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// handleModel answers the live model snapshot, the shape PUT
+// /api/v1/model installs, so a model read off one server installs on
+// another.
 func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
-	blob, version := s.st.Model()
-	if blob == nil {
+	snap, ok := s.ModelSnapshot()
+	if !ok {
 		writeError(w, http.StatusNotFound, fmt.Errorf("no model trained"))
 		return
 	}
-	WriteJSON(w, http.StatusOK, map[string]any{
-		"version": version,
-		"model":   json.RawMessage(blob),
-	})
+	WriteJSON(w, http.StatusOK, snap)
 }
 
 // handleDeviceState answers the device's migratable state without

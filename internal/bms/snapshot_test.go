@@ -89,6 +89,17 @@ type serverState struct {
 	model       ModelSnapshot
 }
 
+// history copies the device's retained observations out of the store's
+// cut, the view a snapshot writer serialises.
+func history(st *store.Store, device string) []store.Observation {
+	for _, d := range st.Cut().Devices {
+		if d.Device == device {
+			return append([]store.Observation(nil), d.History...)
+		}
+	}
+	return nil
+}
+
 func stateOf(s *Server) serverState {
 	st := serverState{
 		occupancy:  s.Occupancy(),
@@ -97,14 +108,14 @@ func stateOf(s *Server) serverState {
 		devices:    s.KnownDevices(),
 		exports:    map[string]DeviceState{},
 		histories:  map[string][]store.Observation{},
-		beacons:    s.st.Beacons(),
+		beacons:    s.st.FingerprintDataset().Beacons,
 		classifier: s.classifierSnapshot().Name(),
 	}
 	for _, device := range st.devices {
 		if ds, ok := s.ExportDevice(device); ok {
 			st.exports[device] = ds
 		}
-		st.histories[device] = s.st.History(device)
+		st.histories[device] = history(s.st, device)
 	}
 	st.leaseEpoch, st.leaseHolder = s.GrantedLease()
 	st.model, _ = s.ModelSnapshot()
@@ -268,7 +279,7 @@ func randomState(t *testing.T, s *Server, rng *rand.Rand) {
 	if expired := expire(t, s, 500*time.Second); !reflect.DeepEqual(expired, []string{"ghost"}) {
 		t.Fatalf("the sweep expired %v, want the ghost alone", expired)
 	}
-	if hist := s.st.History("ghost"); len(hist) != 0 {
+	if hist := history(s.st, "ghost"); len(hist) != 0 {
 		t.Fatalf("ghost kept %d observations", len(hist))
 	}
 	if _, seq := s.st.SeqMark("ghost"); seq != 3 {
@@ -520,7 +531,7 @@ func TestDurableBatchAppendsOnce(t *testing.T) {
 	defer s2.Close()
 	requireSameState(t, s2, s1)
 	var id ibeacon.BeaconID
-	if hist := s2.st.History("relay-07"); len(hist) != 2 || hist[0].Seq != 1 || hist[1].Seq != 2 || hist[0].Beacons[0].ID == id {
+	if hist := history(s2.st, "relay-07"); len(hist) != 2 || hist[0].Seq != 1 || hist[1].Seq != 2 || hist[0].Beacons[0].ID == id {
 		t.Fatalf("relay-07 replayed as %+v", hist)
 	}
 }

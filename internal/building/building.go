@@ -29,9 +29,6 @@ type Room struct {
 // Contains reports whether p is inside the room.
 func (r Room) Contains(p geom.Point) bool { return r.Bounds.Contains(p) }
 
-// Center returns the room centroid.
-func (r Room) Center() geom.Point { return r.Bounds.Center() }
-
 // Beacon is an installed iBeacon transmitter: the Raspberry Pi + dongle
 // board of Section IV.A, reduced to the properties the client can
 // observe.

@@ -24,6 +24,26 @@ func houseIDs() (*building.Building, []ibeacon.BeaconID) {
 	return h, ids
 }
 
+// split partitions d into train and test after a seeded Fisher–Yates
+// shuffle, keeping trainFrac of the samples for training.
+func split(d *fingerprint.Dataset, trainFrac float64, seed uint64) (train, test *fingerprint.Dataset) {
+	samples := append([]fingerprint.Sample(nil), d.Samples...)
+	src := rng.New(seed)
+	for i := len(samples) - 1; i > 0; i-- {
+		j := src.Intn(i + 1)
+		samples[i], samples[j] = samples[j], samples[i]
+	}
+	cut := int(float64(len(samples)) * trainFrac)
+	train, test = fingerprint.New(d.Beacons), fingerprint.New(d.Beacons)
+	for _, s := range samples[:cut] {
+		train.Add(s)
+	}
+	for _, s := range samples[cut:] {
+		test.Add(s)
+	}
+	return train, test
+}
+
 // syntheticDataset fabricates fingerprints where each room's beacon is
 // near and all others far, with Gaussian jitter — an idealised version of
 // what ranging produces.
@@ -97,10 +117,7 @@ func TestProximityIgnoresUnknownBeacons(t *testing.T) {
 
 func TestSceneSVMOnSyntheticFingerprints(t *testing.T) {
 	_, data := syntheticDataset(30, 0.4, 1)
-	train, test, err := data.Split(0.7, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	train, test := split(data, 0.7, 2)
 	c, err := TrainSceneSVM(train, svm.TrainConfig{C: 10, Kernel: svm.RBF{Gamma: 0.2}, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -121,10 +138,7 @@ func TestSceneSVMOnSyntheticFingerprints(t *testing.T) {
 
 func TestSceneKNNOnSyntheticFingerprints(t *testing.T) {
 	_, data := syntheticDataset(30, 0.4, 4)
-	train, test, err := data.Split(0.7, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	train, test := split(data, 0.7, 5)
 	c, err := TrainSceneKNN(train, 5)
 	if err != nil {
 		t.Fatal(err)
@@ -202,10 +216,7 @@ func TestEmptyMatrixAccuracy(t *testing.T) {
 
 func TestEvaluateEndToEnd(t *testing.T) {
 	h, data := syntheticDataset(20, 0.4, 6)
-	train, test, err := data.Split(0.7, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
+	train, test := split(data, 0.7, 7)
 	svmC, err := TrainSceneSVM(train, svm.TrainConfig{C: 10, Kernel: svm.RBF{Gamma: 0.2}, Seed: 8})
 	if err != nil {
 		t.Fatal(err)
@@ -295,7 +306,7 @@ func TestPredictSpanMatchesMapPrediction(t *testing.T) {
 			c    Classifier
 			want string
 		}{
-			{scene, scene.model.Predict(row)},
+			{scene, scene.model.PredictScratch(row, new(svm.Scratch))},
 			{knn, knn.model.Predict(row)},
 			{prox, proximityByMap(prox, dists)},
 			{near, proximityByMap(near, dists)},
@@ -307,7 +318,7 @@ func TestPredictSpanMatchesMapPrediction(t *testing.T) {
 				t.Fatalf("trial %d, %s: Predict = %q, the map gives %q", trial, tc.c.Name(), got, tc.want)
 			}
 		}
-		rooms[scene.model.Predict(row)]++
+		rooms[scene.model.PredictScratch(row, new(svm.Scratch))]++
 	}
 	if len(rooms) < 3 {
 		t.Fatalf("the trials reached only rooms %v: the property was barely exercised", rooms)

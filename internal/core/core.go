@@ -65,13 +65,11 @@ func (c ScenarioConfig) withDefaults() ScenarioConfig {
 // Scenario is a running deployment: beacons advertising in a building,
 // an in-process BMS, and any number of phones.
 type Scenario struct {
-	cfg     ScenarioConfig
-	engine  *sim.Engine
-	channel *radio.Channel
-	world   *ble.World
-	store   *store.Store
-	server  *bms.Server
-	src     *rng.Source
+	cfg    ScenarioConfig
+	engine *sim.Engine
+	world  *ble.World
+	server *bms.Server
+	src    *rng.Source
 
 	phones int
 }
@@ -101,13 +99,11 @@ func NewScenario(cfg ScenarioConfig) (*Scenario, error) {
 		return nil, err
 	}
 	s := &Scenario{
-		cfg:     cfg,
-		engine:  engine,
-		channel: channel,
-		world:   world,
-		store:   st,
-		server:  server,
-		src:     rng.New(cfg.Seed ^ 0x5CE9A410),
+		cfg:    cfg,
+		engine: engine,
+		world:  world,
+		server: server,
+		src:    rng.New(cfg.Seed ^ 0x5CE9A410),
 	}
 	for _, bc := range cfg.Building.Beacons {
 		pkt := bc.Packet()
@@ -131,14 +127,8 @@ func (s *Scenario) Building() *building.Building { return s.cfg.Building }
 // World returns the BLE world.
 func (s *Scenario) World() *ble.World { return s.world }
 
-// Engine returns the event engine.
-func (s *Scenario) Engine() *sim.Engine { return s.engine }
-
 // Server returns the in-process BMS.
 func (s *Scenario) Server() *bms.Server { return s.server }
-
-// Store returns the BMS data store.
-func (s *Scenario) Store() *store.Store { return s.store }
 
 // Now returns the current simulated time.
 func (s *Scenario) Now() time.Duration { return s.engine.Now() }

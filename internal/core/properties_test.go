@@ -11,13 +11,18 @@ import (
 	"occusim/internal/rng"
 )
 
+// observe feeds tr one classification.
+func observe(tr *occupancy.Sharded, at time.Duration, device, room string) {
+	tr.ObserveBatch([]occupancy.Classification{{At: at, Device: device, Room: room}})
+}
+
 // Property: demand-response energy never exceeds the schedule baseline,
 // for arbitrary event streams generated by a tracker.
 func TestQuickDemandNeverExceedsBaseline(t *testing.T) {
 	rooms := building.PaperHouse().RoomNames()
 	f := func(seed uint64, nEvents uint8) bool {
 		src := rng.New(seed)
-		tracker, err := occupancy.NewTracker(1)
+		tracker, err := occupancy.NewSharded(1)
 		if err != nil {
 			return false
 		}
@@ -29,7 +34,7 @@ func TestQuickDemandNeverExceedsBaseline(t *testing.T) {
 			if src.Bool(0.2) {
 				room = building.Outside
 			}
-			tracker.Observe(at, dev, room)
+			observe(tracker, at, dev, room)
 		}
 		horizon := at + time.Hour
 		cmp, err := bms.CompareEnergy(rooms, tracker.Events(), horizon, bms.DefaultHVAC())
@@ -50,7 +55,7 @@ func TestQuickTrackerCountsConsistent(t *testing.T) {
 	rooms := append(building.PaperHouse().RoomNames(), building.Outside)
 	f := func(seed uint64, nObs uint8) bool {
 		src := rng.New(seed)
-		tracker, err := occupancy.NewTracker(1 + src.Intn(3))
+		tracker, err := occupancy.NewSharded(1 + src.Intn(3))
 		if err != nil {
 			return false
 		}
@@ -58,13 +63,14 @@ func TestQuickTrackerCountsConsistent(t *testing.T) {
 		at := time.Duration(0)
 		for i := 0; i < int(nObs); i++ {
 			at += time.Second
-			tracker.Observe(at, devices[src.Intn(len(devices))], rooms[src.Intn(len(rooms))])
+			observe(tracker, at, devices[src.Intn(len(devices))], rooms[src.Intn(len(rooms))])
 		}
 		total := 0
-		for _, c := range tracker.Counts() {
-			total += c
+		sum := tracker.Summary()
+		for _, r := range sum.Rooms {
+			total += r.Occupants
 		}
-		return total == len(tracker.Devices())
+		return total == len(sum.Devices)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
@@ -77,14 +83,14 @@ func TestQuickTrackerEventStreamWellFormed(t *testing.T) {
 	rooms := []string{"r1", "r2", "r3", building.Outside}
 	f := func(seed uint64, nObs uint8) bool {
 		src := rng.New(seed)
-		tracker, err := occupancy.NewTracker(1 + src.Intn(2))
+		tracker, err := occupancy.NewSharded(1 + src.Intn(2))
 		if err != nil {
 			return false
 		}
 		at := time.Duration(0)
 		for i := 0; i < int(nObs); i++ {
 			at += time.Second
-			tracker.Observe(at, "dev", rooms[src.Intn(len(rooms))])
+			observe(tracker, at, "dev", rooms[src.Intn(len(rooms))])
 		}
 		current := ""
 		for _, e := range tracker.Events() {

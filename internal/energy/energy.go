@@ -78,17 +78,6 @@ func (c Component) DrawEnergy(joules float64) error {
 	return nil
 }
 
-// Draw consumes powerMW for dur, attributed to component. Negative power
-// or duration is rejected.
-func (m *Meter) Draw(component string, powerMW float64, dur time.Duration) error {
-	return m.Component(component).Draw(powerMW, dur)
-}
-
-// DrawEnergy consumes a fixed energy in joules (e.g. one report burst).
-func (m *Meter) DrawEnergy(component string, joules float64) error {
-	return m.Component(component).DrawEnergy(joules)
-}
-
 // UsedJ returns the total energy consumed.
 func (m *Meter) UsedJ() float64 { return m.usedJ }
 

@@ -10,8 +10,8 @@ import (
 )
 
 func TestMeterDrawAccounting(t *testing.T) {
-	m := NewMeter(device.Battery{CapacitymAh: 1000, VoltageV: 3.7}) // 13320 J
-	if err := m.Draw("radio", 1000, time.Hour); err != nil {        // 1 W for 1 h = 3600 J
+	m := NewMeter(device.Battery{CapacitymAh: 1000, VoltageV: 3.7})    // 13320 J
+	if err := m.Component("radio").Draw(1000, time.Hour); err != nil { // 1 W for 1 h = 3600 J
 		t.Fatal(err)
 	}
 	if math.Abs(m.UsedJ()-3600) > 1e-9 {
@@ -20,7 +20,7 @@ func TestMeterDrawAccounting(t *testing.T) {
 	if math.Abs(m.Level()-(13320.0-3600.0)/13320.0) > 1e-12 {
 		t.Fatalf("level = %v", m.Level())
 	}
-	if err := m.DrawEnergy("cpu", 100); err != nil {
+	if err := m.Component("cpu").DrawEnergy(100); err != nil {
 		t.Fatal(err)
 	}
 	by := m.ByComponent()
@@ -31,13 +31,13 @@ func TestMeterDrawAccounting(t *testing.T) {
 
 func TestMeterErrors(t *testing.T) {
 	m := NewMeter(device.GalaxyS3Mini().Battery)
-	if err := m.Draw("x", -1, time.Second); err == nil {
+	if err := m.Component("x").Draw(-1, time.Second); err == nil {
 		t.Error("negative power should fail")
 	}
-	if err := m.Draw("x", 1, -time.Second); err == nil {
+	if err := m.Component("x").Draw(1, -time.Second); err == nil {
 		t.Error("negative duration should fail")
 	}
-	if err := m.DrawEnergy("x", -1); err == nil {
+	if err := m.Component("x").DrawEnergy(-1); err == nil {
 		t.Error("negative energy should fail")
 	}
 }
@@ -47,7 +47,7 @@ func TestMeterDepletion(t *testing.T) {
 	if m.Depleted() {
 		t.Fatal("fresh battery depleted")
 	}
-	_ = m.DrawEnergy("x", 10)
+	_ = m.Component("x").DrawEnergy(10)
 	if !m.Depleted() || m.RemainingJ() != 0 || m.Level() != 0 {
 		t.Fatalf("over-drain handling: remaining=%v level=%v", m.RemainingJ(), m.Level())
 	}
@@ -121,7 +121,7 @@ func TestLogger(t *testing.T) {
 	m := NewMeter(device.Battery{CapacitymAh: 1000, VoltageV: 3.6}) // 12960 J
 	l := NewLogger(m)
 	l.Sample(0)
-	_ = m.Draw("app", 3600, time.Hour) // burn 1/1th? 3.6W*3600s = 12960 J... burn exactly all
+	_ = m.Component("app").Draw(3600, time.Hour) // burn 1/1th? 3.6W*3600s = 12960 J... burn exactly all
 	l.Sample(time.Hour)
 	entries := l.Entries()
 	if len(entries) != 2 {
@@ -137,7 +137,7 @@ func TestLifetimeEstimate(t *testing.T) {
 	l := NewLogger(m)
 	l.Sample(0)
 	// Draw 10% over one hour → lifetime should extrapolate to 10 h.
-	_ = m.DrawEnergy("app", 1296)
+	_ = m.Component("app").DrawEnergy(1296)
 	l.Sample(time.Hour)
 	life, ok := l.LifetimeEstimate()
 	if !ok {

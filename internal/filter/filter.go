@@ -152,18 +152,6 @@ func (h *History) Update(at time.Duration, obs []Observation) []Estimate {
 	return out
 }
 
-// Snapshot returns the current estimates without consuming a cycle.
-// Unlike Update's return value, the snapshot is freshly allocated and
-// safe to retain.
-func (h *History) Snapshot() []Estimate {
-	out := make([]Estimate, 0, len(h.state))
-	for _, s := range h.state {
-		out = append(out, *s)
-	}
-	sortEstimates(out)
-	return out
-}
-
 // sortEstimates orders by beacon identity with a concrete insertion
 // sort: estimate sets are a handful of beacons and this runs every scan
 // cycle, where sort.Slice's reflection-based swaps dominate the actual

@@ -11,13 +11,10 @@
 package fingerprint
 
 import (
-	"fmt"
-	"sort"
 	"time"
 
 	"occusim/internal/filter"
 	"occusim/internal/ibeacon"
-	"occusim/internal/rng"
 )
 
 // MissingDistance is the feature value used for beacons absent from a
@@ -93,52 +90,4 @@ func (d *Dataset) Matrix() ([][]float64, []string) {
 		y[i] = s.Room
 	}
 	return X, y
-}
-
-// Labels returns the distinct room labels present, sorted.
-func (d *Dataset) Labels() []string {
-	set := map[string]bool{}
-	for _, s := range d.Samples {
-		set[s.Room] = true
-	}
-	out := make([]string, 0, len(set))
-	for l := range set {
-		out = append(out, l)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Split partitions the dataset into train and test subsets, keeping
-// trainFrac of the samples (rounded down, at least one sample in each
-// side when possible) after a deterministic shuffle. The paper does the
-// same: "Part of the collected data was then used to build the
-// aforementioned SVM model (training set), while another part was used to
-// test its behaviors (testing set)".
-func (d *Dataset) Split(trainFrac float64, seed uint64) (train, test *Dataset, err error) {
-	if trainFrac <= 0 || trainFrac >= 1 {
-		return nil, nil, fmt.Errorf("fingerprint: train fraction %v outside (0,1)", trainFrac)
-	}
-	n := len(d.Samples)
-	if n < 2 {
-		return nil, nil, fmt.Errorf("fingerprint: need at least 2 samples to split, have %d", n)
-	}
-	perm := rng.New(seed).Perm(n)
-	cut := int(float64(n) * trainFrac)
-	if cut < 1 {
-		cut = 1
-	}
-	if cut >= n {
-		cut = n - 1
-	}
-	train = New(d.Beacons)
-	test = New(d.Beacons)
-	for i, pi := range perm {
-		if i < cut {
-			train.Add(d.Samples[pi])
-		} else {
-			test.Add(d.Samples[pi])
-		}
-	}
-	return train, test, nil
 }

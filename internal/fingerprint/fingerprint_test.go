@@ -52,9 +52,8 @@ func TestMatrixAndLabels(t *testing.T) {
 	if len(X) != 3 || len(y) != 3 {
 		t.Fatalf("matrix = %d×, labels = %d", len(X), len(y))
 	}
-	labels := d.Labels()
-	if len(labels) != 2 || labels[0] != "kitchen" || labels[1] != "living" {
-		t.Fatalf("labels = %v", labels)
+	if y[0] != "kitchen" || y[1] != "living" || y[2] != "kitchen" {
+		t.Fatalf("labels = %v", y)
 	}
 }
 
@@ -69,64 +68,6 @@ func TestFromEstimates(t *testing.T) {
 	}
 	if s.Distances[idA] != 2.5 || s.Distances[idB] != 7.1 {
 		t.Fatalf("distances: %v", s.Distances)
-	}
-}
-
-func TestSplit(t *testing.T) {
-	d := New([]ibeacon.BeaconID{idA})
-	for i := 0; i < 100; i++ {
-		room := "a"
-		if i%2 == 1 {
-			room = "b"
-		}
-		d.Add(sample(room, map[ibeacon.BeaconID]float64{idA: float64(i)}))
-	}
-	train, test, err := d.Split(0.7, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if train.Len() != 70 || test.Len() != 30 {
-		t.Fatalf("split = %d / %d", train.Len(), test.Len())
-	}
-	// No sample lost or duplicated: distances are unique markers.
-	seen := map[float64]bool{}
-	for _, s := range append(train.Samples, test.Samples...) {
-		v := s.Distances[idA]
-		if seen[v] {
-			t.Fatalf("duplicate sample %v", v)
-		}
-		seen[v] = true
-	}
-	if len(seen) != 100 {
-		t.Fatalf("samples preserved = %d", len(seen))
-	}
-}
-
-func TestSplitDeterministic(t *testing.T) {
-	d := New([]ibeacon.BeaconID{idA})
-	for i := 0; i < 20; i++ {
-		d.Add(sample("a", map[ibeacon.BeaconID]float64{idA: float64(i)}))
-	}
-	t1, _, _ := d.Split(0.5, 9)
-	t2, _, _ := d.Split(0.5, 9)
-	for i := range t1.Samples {
-		if t1.Samples[i].Distances[idA] != t2.Samples[i].Distances[idA] {
-			t.Fatal("same-seed splits differ")
-		}
-	}
-}
-
-func TestSplitErrors(t *testing.T) {
-	d := New([]ibeacon.BeaconID{idA})
-	d.Add(sample("a", nil))
-	if _, _, err := d.Split(0.5, 1); err == nil {
-		t.Error("single sample split should fail")
-	}
-	d.Add(sample("b", nil))
-	for _, frac := range []float64{0, 1, -0.5, 1.5} {
-		if _, _, err := d.Split(frac, 1); err == nil {
-			t.Errorf("frac %v should fail", frac)
-		}
 	}
 }
 

@@ -689,15 +689,6 @@ func (g *Gateway) maybeSweep() {
 // sweepRetryBackoff spaces retries of a sweep some shard failed.
 const sweepRetryBackoff = 30 * time.Second
 
-// ExpireBefore evicts devices last observed before cutoff (report
-// clock) from every healthy shard and the gateway's registry,
-// returning the evicted names, sorted and deduplicated. Exposed for
-// operators; Occupancy/Rollup run it automatically via ResidueTTL.
-func (g *Gateway) ExpireBefore(cutoff time.Duration) []string {
-	out, _ := g.expireBefore(cutoff)
-	return out
-}
-
 // expireBefore fans the sweep to the healthy shards; complete is true
 // only if every one of them answered. A device leaves the gateway's
 // migration registry only when its CURRENT ring owner expired it (a

@@ -384,7 +384,7 @@ func TestManyShardCallsAreOneConcurrentRound(t *testing.T) {
 		}},
 		{"ExpireBefore", func(t *testing.T, gw *fleet.Gateway, failing bool) {
 			if !failing {
-				if got := gw.ExpireBefore(0); len(got) != 0 {
+				if got := fleet.ExpireBefore(gw, 0); len(got) != 0 {
 					t.Fatalf("a sweep before any report expired %v", got)
 				}
 				return
@@ -396,7 +396,7 @@ func TestManyShardCallsAreOneConcurrentRound(t *testing.T) {
 					want = append(want, dev)
 				}
 			}
-			if got := gw.ExpireBefore(time.Hour); len(want) == 0 || strings.Join(got, ",") != strings.Join(want, ",") {
+			if got := fleet.ExpireBefore(gw, time.Hour); len(want) == 0 || strings.Join(got, ",") != strings.Join(want, ",") {
 				t.Fatalf("the sweep over failing shards 1 and 3 expired %v, want shards 0 and 2's %v", got, want)
 			}
 		}},

@@ -180,7 +180,9 @@ func counterSum(m *obs.Metrics, family string) (sum float64) {
 // the cutter cuts until every writer is done. The held run starts the
 // cutter only once every writer is parked on that cut or gone: the
 // schedule of a starved cutter, under which a drive that leaves the
-// order to the scheduler cuts only streams nobody uses again.
+// order to the scheduler cuts only streams nobody uses again. A run not
+// done after two minutes fails, naming each writer's frame and try and
+// logging every goroutine's stack.
 func TestStreamsSurviveResetsUnderRace(t *testing.T) {
 	t.Run("free", func(t *testing.T) { streamsSurviveResets(t, false) })
 	t.Run("held", func(t *testing.T) { streamsSurviveResets(t, true) })
@@ -243,8 +245,33 @@ func streamsSurviveResets(t *testing.T, held bool) {
 	var running atomic.Int32
 	running.Store(writers)
 	firstCut := make(chan struct{})
+	var cutOnce sync.Once
+	cutFirst := func() { cutOnce.Do(func() { close(firstCut) }) }
 	var settled sync.WaitGroup // each writer parked on the first cut, or gone
 	settled.Add(writers)
+
+	// Where each writer stands, for the failure a stalled run ends in.
+	frameAt, tryAt := make([]atomic.Int64, writers), make([]atomic.Int64, writers)
+	var quit atomic.Bool
+	deadline := time.Now().Add(2 * time.Minute)
+	stalled := func(where string) {
+		quit.Store(true)
+		buf := make([]byte, 1<<20)
+		t.Logf("every goroutine at the deadline:\n%s", buf[:runtime.Stack(buf, true)])
+		var at []string
+		for w := range frameAt {
+			at = append(at, fmt.Sprintf("writer %d at frame %d try %d", w, frameAt[w].Load(), tryAt[w].Load()))
+		}
+		cutFirst()
+		done := make(chan struct{})
+		go func() { wg.Wait(); close(done) }()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+		}
+		t.Fatalf("%s: not done after two minutes; %s", where, strings.Join(at, ", "))
+	}
+
 	for w := range plan {
 		wg.Add(1)
 		go func(w int) {
@@ -253,11 +280,16 @@ func streamsSurviveResets(t *testing.T, held bool) {
 			var park sync.Once
 			defer park.Do(settled.Done)
 			for k, s := range plan[w] {
+				frameAt[w].Store(int64(k))
 				if k == 1 {
 					park.Do(settled.Done)
 					<-firstCut
 				}
 				for try := 0; ; try++ {
+					tryAt[w].Store(int64(try))
+					if quit.Load() {
+						return
+					}
 					rooms, err := hs.IngestFrame(s.frame, 11)
 					if err == nil {
 						if !reflect.DeepEqual(rooms, s.rooms) {
@@ -277,7 +309,13 @@ func streamsSurviveResets(t *testing.T, held bool) {
 		}(w)
 	}
 	if held {
-		settled.Wait()
+		parked := make(chan struct{})
+		go func() { settled.Wait(); close(parked) }()
+		select {
+		case <-parked:
+		case <-time.After(time.Until(deadline)):
+			stalled("the held run's writers never all parked on the first cut")
+		}
 	}
 	resets := 0
 	for epoch := uint64(1); ; epoch++ {
@@ -286,17 +324,16 @@ func streamsSurviveResets(t *testing.T, held bool) {
 		if running.Load() == 0 {
 			break
 		}
+		if time.Now().After(deadline) {
+			stalled(fmt.Sprintf("the cutter, %d streams cut", resets))
+		}
 		if resets == 0 {
 			// No stream was open yet. Do not sleep through the whole run
 			// (a few ms) before the first cut: look again at once.
 			runtime.Gosched()
 			continue
 		}
-		select {
-		case <-firstCut:
-		default:
-			close(firstCut)
-		}
+		cutFirst()
 		time.Sleep(500 * time.Microsecond)
 	}
 	wg.Wait()

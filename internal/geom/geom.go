@@ -21,14 +21,8 @@ type Point struct {
 // Pt is shorthand for Point{x, y}.
 func Pt(x, y float64) Point { return Point{x, y} }
 
-// Add returns p + q componentwise.
-func (p Point) Add(q Point) Point { return Point{p.X + q.X, p.Y + q.Y} }
-
 // Sub returns p - q componentwise.
 func (p Point) Sub(q Point) Point { return Point{p.X - q.X, p.Y - q.Y} }
-
-// Scale returns p scaled by k.
-func (p Point) Scale(k float64) Point { return Point{p.X * k, p.Y * k} }
 
 // Cross returns the z-component of the cross product p × q.
 func (p Point) Cross(q Point) float64 { return p.X*q.Y - p.Y*q.X }
@@ -42,16 +36,6 @@ func (p Point) Dist(q Point) float64 { return p.Sub(q).Norm() }
 // Lerp linearly interpolates from p to q; t = 0 gives p, t = 1 gives q.
 func (p Point) Lerp(q Point, t float64) Point {
 	return Point{p.X + (q.X-p.X)*t, p.Y + (q.Y-p.Y)*t}
-}
-
-// Unit returns the unit vector in the direction of p; the zero vector is
-// returned unchanged.
-func (p Point) Unit() Point {
-	n := p.Norm()
-	if n == 0 {
-		return p
-	}
-	return p.Scale(1 / n)
 }
 
 // String renders the point as "(x, y)".
@@ -137,11 +121,6 @@ func (r Rect) Height() float64 { return r.Max.Y - r.Min.Y }
 // Area returns the rectangle area.
 func (r Rect) Area() float64 { return r.Width() * r.Height() }
 
-// Center returns the centroid.
-func (r Rect) Center() Point {
-	return Point{(r.Min.X + r.Max.X) / 2, (r.Min.Y + r.Max.Y) / 2}
-}
-
 // Contains reports whether p lies inside the rectangle or on its border.
 func (r Rect) Contains(p Point) bool {
 	return p.X >= r.Min.X && p.X <= r.Max.X && p.Y >= r.Min.Y && p.Y <= r.Max.Y
@@ -155,68 +134,6 @@ func (r Rect) Edges() [4]Segment {
 	tr := r.Max
 	tl := Point{r.Min.X, r.Max.Y}
 	return [4]Segment{Seg(bl, br), Seg(br, tr), Seg(tr, tl), Seg(tl, bl)}
-}
-
-// Intersects reports whether two rectangles overlap (borders touching
-// counts as overlap).
-func (r Rect) Intersects(o Rect) bool {
-	return r.Min.X <= o.Max.X && o.Min.X <= r.Max.X &&
-		r.Min.Y <= o.Max.Y && o.Min.Y <= r.Max.Y
-}
-
-// Polygon is a simple polygon given by its vertices in order. The building
-// model uses polygons for non-rectangular rooms (e.g. an L-shaped living
-// room).
-type Polygon struct {
-	Vertices []Point
-}
-
-// Contains reports whether p is inside the polygon using the ray-casting
-// rule; points exactly on an edge may land on either side, which is fine
-// for the simulator (rooms abut wall centre-lines).
-func (pg Polygon) Contains(p Point) bool {
-	n := len(pg.Vertices)
-	if n < 3 {
-		return false
-	}
-	inside := false
-	for i, j := 0, n-1; i < n; j, i = i, i+1 {
-		vi, vj := pg.Vertices[i], pg.Vertices[j]
-		if (vi.Y > p.Y) != (vj.Y > p.Y) {
-			xCross := (vj.X-vi.X)*(p.Y-vi.Y)/(vj.Y-vi.Y) + vi.X
-			if p.X < xCross {
-				inside = !inside
-			}
-		}
-	}
-	return inside
-}
-
-// Area returns the absolute area of the polygon (shoelace formula).
-func (pg Polygon) Area() float64 {
-	n := len(pg.Vertices)
-	if n < 3 {
-		return 0
-	}
-	var sum float64
-	for i := 0; i < n; i++ {
-		j := (i + 1) % n
-		sum += pg.Vertices[i].Cross(pg.Vertices[j])
-	}
-	return math.Abs(sum) / 2
-}
-
-// Edges returns the boundary segments of the polygon.
-func (pg Polygon) Edges() []Segment {
-	n := len(pg.Vertices)
-	if n < 2 {
-		return nil
-	}
-	segs := make([]Segment, 0, n)
-	for i := 0; i < n; i++ {
-		segs = append(segs, Seg(pg.Vertices[i], pg.Vertices[(i+1)%n]))
-	}
-	return segs
 }
 
 // CrossingCount returns how many of the walls the segment from a to b

@@ -86,9 +86,6 @@ func (idx *SegmentIndex) cellOf(x, y float64) (int, int) {
 	return cx, cy
 }
 
-// Len returns the number of indexed segments.
-func (idx *SegmentIndex) Len() int { return len(idx.segs) }
-
 // CrossingCount returns how many indexed segments the segment from a to b
 // crosses. It is equivalent to geom.CrossingCount over the indexed set.
 func (idx *SegmentIndex) CrossingCount(a, b Point) int {

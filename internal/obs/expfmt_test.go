@@ -10,7 +10,7 @@ import (
 func registryForTest() *Metrics {
 	m := New()
 	m.Counter("bms_ingest_reports_total", "reports accepted").Add(42)
-	m.Gauge("bms_lease_epoch", "granted leadership epoch").Set(3)
+	m.Gauge("bms_lease_epoch", "granted leadership epoch").Add(3)
 	m.Counter("fleet_routed_total", "reports routed", L("shard", "s0")).Add(7)
 	m.Counter("fleet_routed_total", "reports routed", L("shard", "s1")).Add(9)
 	h := m.Timing("bms_ingest_seconds", "batch ingest latency")

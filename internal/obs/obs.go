@@ -59,14 +59,6 @@ func (c *Counter) Value() uint64 {
 // Gauge is an instantaneous atomic value.
 type Gauge struct{ v atomic.Int64 }
 
-// Set replaces the value.
-func (g *Gauge) Set(v int64) {
-	if g == nil {
-		return
-	}
-	g.v.Store(v)
-}
-
 // Add moves the value by d (negative to decrease).
 func (g *Gauge) Add(d int64) {
 	if g == nil {
@@ -296,23 +288,6 @@ func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(int64(d)) }
 
 // Since records the nanoseconds elapsed from start.
 func (h *Histogram) Since(start time.Time) { h.Observe(int64(time.Since(start))) }
-
-// Merge adds o's observations into h (shard → fleet rollups). Both
-// sides may be written concurrently: each bucket is read and added
-// atomically, so the merge is a consistent-enough monitoring view,
-// never a torn count.
-func (h *Histogram) Merge(o *Histogram) {
-	if h == nil || o == nil {
-		return
-	}
-	for i := range o.buckets {
-		if n := o.buckets[i].Load(); n > 0 {
-			h.buckets[i].Add(n)
-		}
-	}
-	h.count.Add(o.count.Load())
-	h.sum.Add(o.sum.Load())
-}
 
 // HistogramSnapshot is a point-in-time copy of a histogram.
 type HistogramSnapshot struct {

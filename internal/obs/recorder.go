@@ -21,9 +21,6 @@ type Event struct {
 	Fields  map[string]any `json:"fields,omitempty"`
 }
 
-// At returns the event's wall-clock time.
-func (e Event) At() time.Time { return time.Unix(0, e.AtNanos) }
-
 // Standard event kinds. Recorders accept any string; these name the
 // fleet's control-plane vocabulary in one place so dashboards and
 // tests never drift on spelling.

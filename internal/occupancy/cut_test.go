@@ -20,7 +20,7 @@ func TestCutIsAnUnchangingView(t *testing.T) {
 	}
 	rooms := []string{"kitchen", "hall", "study"}
 	observe := func(device string, step int) {
-		s.Observe(time.Duration(step)*time.Second, device, rooms[(step+len(device))%len(rooms)])
+		observeOne(s, time.Duration(step)*time.Second, device, rooms[(step+len(device))%len(rooms)])
 	}
 	devices := make([]string, 40)
 	for i := range devices {

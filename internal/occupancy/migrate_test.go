@@ -34,7 +34,7 @@ func TestEvictClearsPending(t *testing.T) {
 	if st.PendingRoom != "living" || st.PendingCount != 2 {
 		t.Fatalf("exported pending = (%q, %d), want (living, 2)", st.PendingRoom, st.PendingCount)
 	}
-	if tr.RoomOf("p") != "" || len(tr.Counts()) != 0 {
+	if tr.RoomOf("p") != "" || len(summary(tr).Devices) != 0 {
 		t.Fatal("evicted device still visible in tracker views")
 	}
 
@@ -78,15 +78,10 @@ func TestEvictInstallContinuity(t *testing.T) {
 	if !reflect.DeepEqual(goldenEvents, migratedEvents) {
 		t.Fatalf("migrated events differ:\n%v\nvs golden:\n%v", migratedEvents, goldenEvents)
 	}
-	merged := map[string]time.Duration{}
-	for room, d := range a.DwellTotals() {
-		merged[room] += d
-	}
-	for room, d := range b.DwellTotals() {
-		merged[room] += d
-	}
-	if !reflect.DeepEqual(merged, golden.DwellTotals()) {
-		t.Fatalf("migrated dwell %v differs from golden %v", merged, golden.DwellTotals())
+	merged := summary(a)
+	merged.Merge(summary(b))
+	if got, want := dwellTotals(merged), dwellTotals(summary(golden)); !reflect.DeepEqual(got, want) {
+		t.Fatalf("migrated dwell %v differs from golden %v", got, want)
 	}
 	if got, want := b.RoomOf("p"), golden.RoomOf("p"); got != want {
 		t.Fatalf("room after migration = %q, want %q", got, want)
@@ -106,35 +101,42 @@ func TestInstallOverwritesStaleCopy(t *testing.T) {
 	if tr.RoomOf("p") != "living" {
 		t.Fatalf("room = %q after install, want living", tr.RoomOf("p"))
 	}
-	if got := tr.Dwell("p")["living"]; got != 9*time.Second {
-		t.Fatalf("dwell = %v, want 9s", got)
+	if st, _ := tr.Export("p"); st.Dwell["living"] != 9*time.Second {
+		t.Fatalf("dwell = %v, want 9s", st.Dwell["living"])
 	}
-	if got := tr.Counts(); got["kitchen"] != 0 || got["living"] != 1 {
-		t.Fatalf("counts after overwrite = %v", got)
+	if got := summary(tr).Rooms; got["kitchen"].Occupants != 0 || got["living"].Occupants != 1 {
+		t.Fatalf("counts after overwrite = %+v", got)
 	}
 }
 
-// TestExpireBefore pins the TTL sweep: devices idle past the cutoff
-// are evicted wholesale, active ones are untouched.
+// TestExpireBefore pins the TTL sweep as a server runs it (IdleBefore
+// names the devices, then each is evicted): devices idle past the
+// cutoff are evicted wholesale, active ones are untouched.
 func TestExpireBefore(t *testing.T) {
-	tr, _ := NewTracker(1)
-	tr.Observe(1*time.Second, "stale-b", "kitchen")
-	tr.Observe(2*time.Second, "stale-a", "kitchen")
-	tr.Observe(60*time.Second, "live", "living")
+	s, _ := NewSharded(1)
+	observeOne(s, 1*time.Second, "stale-b", "kitchen")
+	observeOne(s, 2*time.Second, "stale-a", "kitchen")
+	observeOne(s, 60*time.Second, "live", "living")
 
-	expired := tr.ExpireBefore(30 * time.Second)
+	expired := s.IdleBefore(30 * time.Second)
 	if want := []string{"stale-a", "stale-b"}; !reflect.DeepEqual(expired, want) {
 		t.Fatalf("expired = %v, want %v", expired, want)
 	}
-	if got := tr.Devices(); len(got) != 1 || got[0] != "live" {
-		t.Fatalf("devices after sweep = %v", got)
+	for _, device := range expired {
+		s.Evict(device)
 	}
-	if got := tr.DwellTotals(); len(got) != 0 {
+	sum := s.Summary()
+	if want := map[string]string{"live": "living"}; !reflect.DeepEqual(sum.Devices, want) {
+		t.Fatalf("devices after sweep = %v", sum.Devices)
+	}
+	for room, r := range sum.Rooms {
 		// Neither stale device accrued dwell (single observation each),
 		// and live has none yet.
-		t.Fatalf("dwell after sweep = %v", got)
+		if r.Dwell != 0 {
+			t.Fatalf("%s dwell after sweep = %v", room, r.Dwell)
+		}
 	}
-	if more := tr.ExpireBefore(30 * time.Second); len(more) != 0 {
+	if more := s.IdleBefore(30 * time.Second); len(more) != 0 {
 		t.Fatalf("second sweep expired %v again", more)
 	}
 }
@@ -160,7 +162,7 @@ func TestShardedEvictObserveRace(t *testing.T) {
 				if i%3 == 0 {
 					room = "living"
 				}
-				s.Observe(time.Duration(i)*time.Second, name, room)
+				observeOne(s, time.Duration(i)*time.Second, name, room)
 			}
 		}(d)
 	}
@@ -176,7 +178,7 @@ func TestShardedEvictObserveRace(t *testing.T) {
 			for _, idle := range s.IdleBefore(time.Duration(i) * time.Second / 10) {
 				s.Evict(idle)
 			}
-			s.Counts()
+			s.Summary()
 		}
 	}()
 	wg.Wait()

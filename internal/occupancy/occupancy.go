@@ -151,52 +151,6 @@ func (t *Tracker) record(events []Event) {
 // RoomOf returns the committed room of the device ("" when unknown).
 func (t *Tracker) RoomOf(device string) string { return t.current[device] }
 
-// Occupants returns the devices committed to the room, sorted.
-func (t *Tracker) Occupants(room string) []string {
-	var out []string
-	for dev, r := range t.current {
-		if r == room {
-			out = append(out, dev)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Counts returns the head count per room.
-func (t *Tracker) Counts() map[string]int {
-	out := map[string]int{}
-	for _, r := range t.current {
-		out[r]++
-	}
-	return out
-}
-
-// Events returns a copy of all committed events in order.
-func (t *Tracker) Events() []Event { return append([]Event(nil), t.events...) }
-
-// Dwell returns how long the device has been accounted to each room.
-func (t *Tracker) Dwell(device string) map[string]time.Duration {
-	out := map[string]time.Duration{}
-	for room, d := range t.dwell[device] {
-		out[room] = d
-	}
-	return out
-}
-
-// DwellTotals returns the accumulated dwell time per room summed over
-// every device the tracker has seen — the building-level rollup the
-// fleet layer federates.
-func (t *Tracker) DwellTotals() map[string]time.Duration {
-	out := map[string]time.Duration{}
-	for _, rooms := range t.dwell {
-		for room, d := range rooms {
-			out[room] += d
-		}
-	}
-	return out
-}
-
 // RoomSummary is one room's slice of a Summary.
 type RoomSummary struct {
 	// Occupants is the current head count.
@@ -245,13 +199,6 @@ func (s *Summary) Merge(o Summary) {
 	}
 }
 
-// Summary returns the tracker's rollup state.
-func (t *Tracker) Summary() Summary {
-	sum := NewSummary(len(t.current), len(t.tallies))
-	t.addTo(&sum)
-	return sum
-}
-
 // addTo folds the tracker's state into sum in one pass.
 func (t *Tracker) addTo(sum *Summary) {
 	for dev, room := range t.current {
@@ -276,21 +223,11 @@ func (t *Tracker) addTo(sum *Summary) {
 	}
 }
 
-// Devices returns all known devices, sorted.
-func (t *Tracker) Devices() []string {
-	out := make([]string, 0, len(t.current))
-	for d := range t.current {
-		out = append(out, d)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // KnownDevices returns every device the tracker holds ANY state for —
 // committed room, pending debounce progress or an observation clock —
-// sorted. Devices() deliberately reports only committed devices (the
-// occupancy views build on it); recovery needs the wider set, because
-// a device mid-debounce at the crash must survive the restart.
+// sorted. The occupancy summary counts only committed devices; recovery
+// needs the wider set, because a device mid-debounce at the crash must
+// survive the restart.
 func (t *Tracker) KnownDevices() []string {
 	seen := make(map[string]bool, len(t.lastAt))
 	for d := range t.lastAt {
@@ -461,24 +398,5 @@ func (t *Tracker) IdleBefore(cutoff time.Duration) []string {
 		}
 	}
 	sort.Strings(out)
-	return out
-}
-
-// ExpireBefore evicts every device whose last observation is older
-// than cutoff and returns their names, sorted — the TTL sweep that
-// ages out residue left by an owner that could not be migrated from.
-// Devices without an observation clock (installed state with
-// Seen=false) are kept.
-func (t *Tracker) ExpireBefore(cutoff time.Duration) []string {
-	out := t.IdleBefore(cutoff)
-	for _, device := range out {
-		// Destructive delete, not Evict: nobody wants the exported
-		// state, so don't deep-copy a DeviceState per swept device
-		// inside the stripe lock.
-		delete(t.current, device)
-		delete(t.pending, device)
-		delete(t.lastAt, device)
-		delete(t.dwell, device)
-	}
 	return out
 }

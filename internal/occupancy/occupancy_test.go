@@ -1,12 +1,36 @@
 package occupancy
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 )
 
 func sec(n int) time.Duration { return time.Duration(n) * time.Second }
+
+// summary is the tracker's rollup as Sharded.Summary folds it.
+func summary(tr *Tracker) Summary {
+	sum := NewSummary(0, 0)
+	tr.addTo(&sum)
+	return sum
+}
+
+// dwellTotals is a summary's dwell per room, rooms without any left out.
+func dwellTotals(sum Summary) map[string]time.Duration {
+	out := map[string]time.Duration{}
+	for room, r := range sum.Rooms {
+		if r.Dwell != 0 {
+			out[room] = r.Dwell
+		}
+	}
+	return out
+}
+
+// observeOne feeds s one classification.
+func observeOne(s *Sharded, at time.Duration, device, room string) []Event {
+	return s.ObserveBatch([]Classification{{At: at, Device: device, Room: room}})
+}
 
 func TestNewTrackerValidation(t *testing.T) {
 	if _, err := NewTracker(0); err == nil {
@@ -78,17 +102,12 @@ func TestOccupantsAndCounts(t *testing.T) {
 	tr.Observe(sec(0), "bob", "kitchen")
 	tr.Observe(sec(0), "alice", "kitchen")
 	tr.Observe(sec(0), "carol", "living")
-	occ := tr.Occupants("kitchen")
-	if len(occ) != 2 || occ[0] != "alice" || occ[1] != "bob" {
-		t.Fatalf("occupants = %v", occ)
+	sum := summary(tr)
+	if want := map[string]string{"alice": "kitchen", "bob": "kitchen", "carol": "living"}; !reflect.DeepEqual(sum.Devices, want) {
+		t.Fatalf("occupants = %v, want %v", sum.Devices, want)
 	}
-	counts := tr.Counts()
-	if counts["kitchen"] != 2 || counts["living"] != 1 {
-		t.Fatalf("counts = %v", counts)
-	}
-	devices := tr.Devices()
-	if len(devices) != 3 || devices[0] != "alice" {
-		t.Fatalf("devices = %v", devices)
+	if sum.Rooms["kitchen"].Occupants != 2 || sum.Rooms["living"].Occupants != 1 {
+		t.Fatalf("counts = %+v", sum.Rooms)
 	}
 }
 
@@ -98,7 +117,8 @@ func TestDwellAccounting(t *testing.T) {
 	tr.Observe(sec(10), "p", "kitchen")
 	tr.Observe(sec(15), "p", "living")
 	tr.Observe(sec(25), "p", "living")
-	d := tr.Dwell("p")
+	st, _ := tr.Export("p")
+	d := st.Dwell
 	// 0→10 and 10→15 in kitchen (transition is charged to the room the
 	// device was committed to during the interval), 15→25 in living.
 	if d["kitchen"] != sec(15) {
@@ -114,14 +134,11 @@ func TestEventsAccumulate(t *testing.T) {
 	tr.Observe(sec(0), "p", "a")
 	tr.Observe(sec(1), "p", "b")
 	tr.Observe(sec(2), "p", "a")
-	events := tr.Events()
-	if len(events) != 5 { // enter a, exit a, enter b, exit b, enter a
-		t.Fatalf("events = %d: %+v", len(events), events)
+	if len(tr.events) != 5 { // enter a, exit a, enter b, exit b, enter a
+		t.Fatalf("events = %d: %+v", len(tr.events), tr.events)
 	}
-	// Events are returned by copy.
-	events[0].Device = "mutated"
-	if tr.Events()[0].Device != "p" {
-		t.Fatal("Events aliases internal state")
+	if sum := summary(tr); sum.Events != 5 || sum.Rooms["a"].Enters != 2 || sum.Rooms["a"].Exits != 1 {
+		t.Fatalf("summary = %+v", sum)
 	}
 }
 

@@ -68,8 +68,8 @@ func genInterleaving(src *rng.Source, devices, steps int, rooms []string) []Clas
 // TestShardedMergeMatchesSingleTracker is the satellite property test:
 // for randomized event interleavings, the federated merge of disjoint
 // device partitions (Sharded stripes devices across 16 trackers) must
-// equal the single-tracker ground truth in committed events, head
-// counts, per-device rooms and dwell accounting.
+// equal the single-tracker ground truth in committed events, the
+// summary (head counts, rooms, dwell) and every device's exported state.
 func TestShardedMergeMatchesSingleTracker(t *testing.T) {
 	rooms := []string{"kitchen", "living", "study", "bedroom"}
 	for trial := 0; trial < 25; trial++ {
@@ -96,7 +96,7 @@ func TestShardedMergeMatchesSingleTracker(t *testing.T) {
 		label := fmt.Sprintf("trial %d (seed %d, %d devices, %d steps, debounce %d)",
 			trial, seed, devices, steps, debounce)
 
-		want := canonEvents(single.Events())
+		want := canonEvents(single.events)
 		got := canonEvents(sharded.Events())
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: merged events diverge from ground truth:\n got %+v\nwant %+v", label, got, want)
@@ -106,19 +106,18 @@ func TestShardedMergeMatchesSingleTracker(t *testing.T) {
 		if raw := sharded.Events(); !reflect.DeepEqual(raw, got) {
 			t.Fatalf("%s: Sharded.Events not in canonical order", label)
 		}
-		if got, want := sharded.Counts(), single.Counts(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: counts diverge: got %v want %v", label, got, want)
-		}
-		if got, want := sharded.DwellTotals(), single.DwellTotals(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: dwell totals diverge: got %v want %v", label, got, want)
+		if got, want := sharded.Summary(), summary(single); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: summaries diverge: got %+v want %+v", label, got, want)
 		}
 		for d := 0; d < devices; d++ {
 			name := fmt.Sprintf("dev-%02d", d)
 			if got, want := sharded.RoomOf(name), single.RoomOf(name); got != want {
 				t.Fatalf("%s: RoomOf(%s) = %q, want %q", label, name, got, want)
 			}
-			if got, want := sharded.Dwell(name), single.Dwell(name); !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s: Dwell(%s) diverges: got %v want %v", label, name, got, want)
+			got, _ := sharded.Export(name)
+			want, _ := single.Export(name)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: Export(%s) diverges: got %+v want %+v", label, name, got, want)
 			}
 		}
 	}
@@ -161,7 +160,7 @@ func TestExplicitPartitionMergeMatchesSingleTracker(t *testing.T) {
 		}
 		for _, c := range stream {
 			single.Observe(c.At, c.Device, c.Room)
-			shards[partOf(c.Device)].Observe(c.At, c.Device, c.Room)
+			observeOne(shards[partOf(c.Device)], c.At, c.Device, c.Room)
 		}
 
 		var merged []Event
@@ -169,7 +168,7 @@ func TestExplicitPartitionMergeMatchesSingleTracker(t *testing.T) {
 			merged = append(merged, sh.Events()...)
 		}
 		merged = canonEvents(merged)
-		want := canonEvents(single.Events())
+		want := canonEvents(single.events)
 		gotJSON, _ := json.Marshal(merged)
 		wantJSON, _ := json.Marshal(want)
 		if string(gotJSON) != string(wantJSON) {
@@ -177,31 +176,35 @@ func TestExplicitPartitionMergeMatchesSingleTracker(t *testing.T) {
 				trial, seed, gotJSON, wantJSON)
 		}
 
-		counts := map[string]int{}
+		sum := NewSummary(0, 0)
 		for _, sh := range shards {
-			for room, n := range sh.Counts() {
-				counts[room] += n
-			}
+			sum.Merge(sh.Summary())
 		}
-		if want := single.Counts(); !reflect.DeepEqual(counts, want) {
-			t.Fatalf("trial %d: merged counts %v, want %v", trial, counts, want)
+		if want := summary(single); !reflect.DeepEqual(sum, want) {
+			t.Fatalf("trial %d: merged summary %+v, want %+v", trial, sum, want)
 		}
 	}
 }
 
-// summaryFromViews is the reference a Summary is checked against: the
-// same state rebuilt the slow way, by walking the event log and the
-// per-view reads.
-func summaryFromViews(events []Event, counts map[string]int, dwell map[string]time.Duration, rooms func(device string) string, devices []string) Summary {
+// summaryFromExports is the reference a Summary is checked against: the
+// same state rebuilt the slow way, by walking the event log and every
+// known device's exported state.
+func summaryFromExports(events []Event, devices []string, export func(device string) (DeviceState, bool)) Summary {
 	want := NewSummary(0, 0)
-	for _, d := range devices {
-		want.Devices[d] = rooms(d)
-	}
 	want.Events = len(events)
-	for room, n := range counts {
-		r := want.Rooms[room]
-		r.Occupants = n
-		want.Rooms[room] = r
+	for _, d := range devices {
+		st, _ := export(d)
+		if st.Room != "" {
+			want.Devices[d] = st.Room
+			r := want.Rooms[st.Room]
+			r.Occupants++
+			want.Rooms[st.Room] = r
+		}
+		for room, dwell := range st.Dwell {
+			r := want.Rooms[room]
+			r.Dwell += dwell
+			want.Rooms[room] = r
+		}
 	}
 	for _, e := range events {
 		r := want.Rooms[e.Room]
@@ -212,20 +215,15 @@ func summaryFromViews(events []Event, counts map[string]int, dwell map[string]ti
 		}
 		want.Rooms[e.Room] = r
 	}
-	for room, d := range dwell {
-		r := want.Rooms[room]
-		r.Dwell = d
-		want.Rooms[room] = r
-	}
 	return want
 }
 
 // TestSummaryMatchesEventLog: tallies are history, kept in step with the
 // event log and left alone by everything that moves per-device state.
-// Random Observe / Evict / Install / ExpireBefore / InstallEvents
+// Random Observe / Evict / Install / expiry sweep / InstallEvents
 // sequences, on a single Tracker and on a Sharded one, must leave the
-// one-pass Summary equal to the state rebuilt from Events(), Counts()
-// and DwellTotals() after every step.
+// one-pass Summary equal to the state rebuilt from the event log and
+// each known device's Export after every step.
 func TestSummaryMatchesEventLog(t *testing.T) {
 	rooms := []string{"kitchen", "living", "study", "bedroom"}
 	for trial := 0; trial < 20; trial++ {
@@ -245,11 +243,11 @@ func TestSummaryMatchesEventLog(t *testing.T) {
 		}
 		check := func(step int, op string) {
 			t.Helper()
-			want := summaryFromViews(single.Events(), single.Counts(), single.DwellTotals(), single.RoomOf, single.Devices())
-			if got := single.Summary(); !reflect.DeepEqual(got, want) {
-				t.Fatalf("trial %d (seed %d) step %d after %s: Tracker.Summary\n got %+v\nwant %+v", trial, seed, step, op, got, want)
+			want := summaryFromExports(single.events, single.KnownDevices(), single.Export)
+			if got := summary(single); !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d (seed %d) step %d after %s: the tracker's summary\n got %+v\nwant %+v", trial, seed, step, op, got, want)
 			}
-			want = summaryFromViews(sharded.Events(), sharded.Counts(), sharded.DwellTotals(), sharded.RoomOf, sharded.Devices())
+			want = summaryFromExports(sharded.Events(), sharded.KnownDevices(), sharded.Export)
 			if got := sharded.Summary(); !reflect.DeepEqual(got, want) {
 				t.Fatalf("trial %d (seed %d) step %d after %s: Sharded.Summary\n got %+v\nwant %+v", trial, seed, step, op, got, want)
 			}
@@ -257,7 +255,7 @@ func TestSummaryMatchesEventLog(t *testing.T) {
 		var parked []DeviceState // evicted states waiting to be installed back
 		for step, c := range stream {
 			single.Observe(c.At, c.Device, c.Room)
-			sharded.Observe(c.At, c.Device, c.Room)
+			observeOne(sharded, c.At, c.Device, c.Room)
 			op := "Observe"
 			switch src.Intn(12) {
 			case 0:
@@ -278,9 +276,12 @@ func TestSummaryMatchesEventLog(t *testing.T) {
 					sharded.Install(st)
 				}
 			case 2:
-				op = "ExpireBefore"
+				op = "expiry sweep"
 				cutoff := c.At - time.Duration(src.Intn(20))*time.Second
-				want := single.ExpireBefore(cutoff)
+				want := single.IdleBefore(cutoff)
+				for _, device := range want {
+					single.Evict(device)
+				}
 				got := sharded.IdleBefore(cutoff)
 				for _, device := range got {
 					sharded.Evict(device)

@@ -55,15 +55,6 @@ func (s *Sharded) shardFor(device string) *trackerShard {
 	return &s.shards[stripe.Index(device, trackerShards)]
 }
 
-// Observe records one classification, locking only the device's stripe.
-// It returns the committed events, as Tracker.Observe does.
-func (s *Sharded) Observe(at time.Duration, device, room string) []Event {
-	sh := s.shardFor(device)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.tr.Observe(at, device, room)
-}
-
 // ObserveBatch applies many classifications, taking each touched stripe
 // lock once per run of same-stripe devices. Input order is preserved
 // within a stripe, so per-device time ordering carries through. It
@@ -141,30 +132,6 @@ func (s *Sharded) RoomOf(device string) string {
 	return sh.tr.RoomOf(device)
 }
 
-// Dwell returns how long the device has been accounted to each room.
-func (s *Sharded) Dwell(device string) map[string]time.Duration {
-	sh := s.shardFor(device)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.tr.Dwell(device)
-}
-
-// DwellTotals returns the accumulated per-room dwell time summed over
-// all devices across all shards. Device partitions are disjoint, so the
-// merge is a plain sum.
-func (s *Sharded) DwellTotals() map[string]time.Duration {
-	out := map[string]time.Duration{}
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		for room, d := range sh.tr.DwellTotals() {
-			out[room] += d
-		}
-		sh.mu.Unlock()
-	}
-	return out
-}
-
 // Summary returns the rollup state across all shards in one pass: each
 // stripe's occupants, tallies and dwell are read under that stripe's
 // lock once, so a device never shows in a room its enter event has not
@@ -188,20 +155,6 @@ func (s *Sharded) Summary() Summary {
 		sh.mu.Unlock()
 	}
 	return sum
-}
-
-// Counts returns the head count per room across all shards.
-func (s *Sharded) Counts() map[string]int {
-	out := map[string]int{}
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		for room, n := range sh.tr.Counts() {
-			out[room] += n
-		}
-		sh.mu.Unlock()
-	}
-	return out
 }
 
 // KnownDevices returns every device any stripe holds state for, in the
@@ -234,32 +187,6 @@ func (s *Sharded) InstallEvents(events []Event) {
 		sh.mu.Unlock()
 		i = j
 	}
-}
-
-// Devices returns all known devices, sorted.
-func (s *Sharded) Devices() []string {
-	var out []string
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		out = append(out, sh.tr.Devices()...)
-		sh.mu.Unlock()
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Occupants returns the devices committed to the room, sorted.
-func (s *Sharded) Occupants(room string) []string {
-	var out []string
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		out = append(out, sh.tr.Occupants(room)...)
-		sh.mu.Unlock()
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Events returns all committed events merged across shards in

@@ -1,9 +1,6 @@
 package radio
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // DistanceEstimator converts an observed RSSI and the beacon's calibrated
 // measured power (RSSI at 1 m) into an estimated distance in metres. This
@@ -14,8 +11,6 @@ type DistanceEstimator interface {
 	// Estimate returns the distance in metres implied by rssi given the
 	// transmitter's calibrated power at 1 m.
 	Estimate(rssi, txPowerAt1m float64) float64
-	// Name identifies the estimator in experiment reports.
-	Name() string
 }
 
 // LogDistanceEstimator inverts the log-distance path-loss law:
@@ -28,11 +23,6 @@ type LogDistanceEstimator struct {
 	// MaxDistance clamps the estimate (20 m if zero); deep fades
 	// otherwise explode the estimate to physically silly values.
 	MaxDistance float64
-}
-
-// Name implements DistanceEstimator.
-func (e LogDistanceEstimator) Name() string {
-	return fmt.Sprintf("log-distance(n=%.1f)", e.exponent())
 }
 
 func (e LogDistanceEstimator) exponent() float64 {
@@ -73,9 +63,6 @@ type RatioCurveEstimator struct {
 	// MaxDistance clamps the estimate (20 m if zero).
 	MaxDistance float64
 }
-
-// Name implements DistanceEstimator.
-func (RatioCurveEstimator) Name() string { return "altbeacon-ratio-curve" }
 
 // Estimate implements DistanceEstimator.
 func (e RatioCurveEstimator) Estimate(rssi, txPowerAt1m float64) float64 {

@@ -139,7 +139,7 @@ type Channel struct {
 }
 
 // sigTabLen is the resolution of the logistic guide table; sigTabEps
-// bounds the linear-interpolation error over it (h²/8 · max|σ''| with
+// bounds the linear-interpolation error over it (h²/8 · max|σ″| with
 // h = 14/sigTabLen, padded well past the true ≈1.5e-4).
 const (
 	sigTabLen = 128
@@ -173,18 +173,9 @@ func NewChannel(params Params, walls []geom.Segment, seed uint64) (*Channel, err
 // Params returns the channel parameters.
 func (c *Channel) Params() Params { return c.params }
 
-// MeanRSSI returns the deterministic part of the received power: path
-// loss, wall attenuation and the frozen shadowing field, without fast
-// fading. txPowerAt1m is the calibrated iBeacon "measured power" (dBm at
-// 1 m); linkID isolates the shadowing field per transmitter so co-located
-// receivers see link-consistent shadowing.
-func (c *Channel) MeanRSSI(txPowerAt1m float64, linkID uint64, txPos, rxPos geom.Point) float64 {
-	return txPowerAt1m + c.meanEnvironment(linkID, txPos, rxPos)
-}
-
-// meanEnvironment is the transmit-power-independent part of MeanRSSI:
-// −pathLoss − wallLoss + shadow. It is a pure function of the link and
-// the two positions, which is what makes it memoisable.
+// meanEnvironment is the transmit-power-independent part of the mean
+// received power: −pathLoss − wallLoss + shadow. It is a pure function
+// of the link and the two positions, which is what makes it memoisable.
 func (c *Channel) meanEnvironment(linkID uint64, txPos, rxPos geom.Point) float64 {
 	d := txPos.Dist(rxPos)
 	if d < 0.1 {
@@ -196,13 +187,13 @@ func (c *Channel) meanEnvironment(linkID uint64, txPos, rxPos geom.Point) float6
 	return -pathLoss - wallLoss + shadow
 }
 
-// MeanCache memoises the deterministic environment term of MeanRSSI per
-// (link, transmitter position, receiver position). Dwell-heavy mobility
-// (static probes, operators standing at survey points, walkers pausing
-// for tens of seconds) revisits exactly the same receiver position for
-// many consecutive packets, so the path-loss logarithm, the wall
-// segment-intersection count and the shadow-field hashing are paid once
-// per dwell position instead of once per packet.
+// MeanCache memoises the deterministic environment term of the mean
+// received power per (link, transmitter position, receiver position).
+// Dwell-heavy mobility (static probes, operators standing at survey
+// points, walkers pausing for tens of seconds) revisits exactly the same
+// receiver position for many consecutive packets, so the path-loss
+// logarithm, the wall segment-intersection count and the shadow-field
+// hashing are paid once per dwell position instead of once per packet.
 //
 // The memo is a fixed-size direct-mapped table rather than a Go map: a
 // lookup is one multiplicative hash, one slot index and one key compare,
@@ -262,9 +253,9 @@ func (k *meanCacheKey) slotIndex(slots int) uint64 {
 }
 
 // EnvironmentDB returns the memoised environment term of the link:
-// −pathLoss − wallLoss + shadow. MeanRSSI is txPowerAt1m plus this;
-// results are bit-identical (the cache keys on the exact position bits,
-// so no quantisation error is introduced).
+// −pathLoss − wallLoss + shadow. The mean received power is
+// txPowerAt1m plus this; results are bit-identical (the cache keys on
+// the exact position bits, so no quantisation error is introduced).
 func (c *Channel) EnvironmentDB(mc *MeanCache, linkID uint64, txPos, rxPos geom.Point) float64 {
 	key := meanCacheKey{
 		linkID: linkID,

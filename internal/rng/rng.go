@@ -162,16 +162,3 @@ func (r *Source) Normal(mean, sigma float64) float64 {
 	}
 	return mean + sigma*r.StdNormal()
 }
-
-// Perm returns a random permutation of [0, n).
-func (r *Source) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}

@@ -158,24 +158,6 @@ func TestNormalZeroSigma(t *testing.T) {
 	}
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	r := New(14)
-	for trial := 0; trial < 50; trial++ {
-		n := 1 + r.Intn(30)
-		p := r.Perm(n)
-		if len(p) != n {
-			t.Fatalf("Perm(%d) has length %d", n, len(p))
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				t.Fatalf("Perm(%d) not a permutation: %v", n, p)
-			}
-			seen[v] = true
-		}
-	}
-}
-
 // Property: Float64 stays in range for arbitrary seeds.
 func TestQuickFloat64InRange(t *testing.T) {
 	f := func(seed uint64) bool {

@@ -3,7 +3,7 @@
 // models and the energy accounting.
 //
 // The engine is a classic event-heap design: events carry an absolute
-// timestamp and a callback; Run pops events in time order (ties broken by
+// timestamp and a callback; RunUntil pops events in time order (ties broken by
 // insertion order, so simulations are fully deterministic) and invokes the
 // callbacks, which may schedule further events.
 package sim
@@ -71,17 +71,16 @@ type Flow func(from, to time.Duration)
 // Engine is the simulation kernel. The zero value is not usable; create
 // one with NewEngine.
 type Engine struct {
-	now     time.Duration
-	queue   eventHeap
-	seq     uint64
-	stopped bool
+	now   time.Duration
+	queue eventHeap
+	seq   uint64
 
 	flows   []Flow
 	flushed time.Duration
 
 	// Horizon, when non-zero, is the hard end of simulated time: events
-	// scheduled past it are silently dropped and Run returns when the
-	// clock reaches it.
+	// scheduled past it are silently dropped and flows are not run past
+	// it.
 	Horizon time.Duration
 }
 
@@ -140,9 +139,6 @@ func (e *Engine) Cancel(ev *Event) {
 	ev.index = -1
 }
 
-// Stop makes Run return after the currently executing event completes.
-func (e *Engine) Stop() { e.stopped = true }
-
 // AddFlow registers a continuous process. Flows run in registration
 // order at every flush, keeping simulations deterministic.
 func (e *Engine) AddFlow(f Flow) {
@@ -170,27 +166,6 @@ func (e *Engine) flush(to time.Duration) {
 	for _, f := range e.flows {
 		f(from, to)
 	}
-}
-
-// Run processes events until the queue is empty, Stop is called, or the
-// clock passes the horizon (when set). It returns the number of events
-// executed.
-func (e *Engine) Run() int {
-	executed := 0
-	e.stopped = false
-	for len(e.queue) > 0 && !e.stopped {
-		ev := heap.Pop(&e.queue).(*Event)
-		if e.Horizon > 0 && ev.At > e.Horizon {
-			e.flush(e.Horizon)
-			e.now = e.Horizon
-			break
-		}
-		e.flush(ev.At)
-		e.now = ev.At
-		ev.Action(e)
-		executed++
-	}
-	return executed
 }
 
 // RunUntil processes events with timestamps <= deadline, advancing the

@@ -13,7 +13,7 @@ func TestEventsRunInTimeOrder(t *testing.T) {
 	e.Schedule(3*time.Second, func(*Engine) { order = append(order, 3) })
 	e.Schedule(1*time.Second, func(*Engine) { order = append(order, 1) })
 	e.Schedule(2*time.Second, func(*Engine) { order = append(order, 2) })
-	if n := e.Run(); n != 3 {
+	if n := e.RunUntil(3 * time.Second); n != 3 {
 		t.Fatalf("executed %d events", n)
 	}
 	want := []int{1, 2, 3}
@@ -34,7 +34,7 @@ func TestTiesBreakByInsertionOrder(t *testing.T) {
 		i := i
 		e.Schedule(time.Second, func(*Engine) { order = append(order, i) })
 	}
-	e.Run()
+	e.RunUntil(time.Second)
 	for i := range order {
 		if order[i] != i {
 			t.Fatalf("tie order = %v", order)
@@ -49,7 +49,7 @@ func TestScheduleFromCallback(t *testing.T) {
 		hits++
 		en.Schedule(time.Second, func(*Engine) { hits++ })
 	})
-	e.Run()
+	e.RunUntil(2 * time.Second)
 	if hits != 2 {
 		t.Fatalf("hits = %d", hits)
 	}
@@ -61,7 +61,7 @@ func TestScheduleFromCallback(t *testing.T) {
 func TestScheduleAtPastFails(t *testing.T) {
 	e := NewEngine()
 	e.Schedule(time.Second, func(*Engine) {})
-	e.Run()
+	e.RunUntil(time.Second)
 	if _, err := e.ScheduleAt(500*time.Millisecond, func(*Engine) {}); !errors.Is(err, ErrPastEvent) {
 		t.Fatalf("err = %v, want ErrPastEvent", err)
 	}
@@ -71,7 +71,7 @@ func TestNegativeDelayTreatedAsZero(t *testing.T) {
 	e := NewEngine()
 	ran := false
 	e.Schedule(-time.Second, func(*Engine) { ran = true })
-	e.Run()
+	e.RunUntil(0)
 	if !ran {
 		t.Fatal("event with negative delay did not run")
 	}
@@ -88,7 +88,7 @@ func TestCancel(t *testing.T) {
 	if !ev.Canceled() {
 		t.Fatal("event not marked cancelled")
 	}
-	e.Run()
+	e.RunUntil(2 * time.Second)
 	if ran {
 		t.Fatal("cancelled event ran")
 	}
@@ -103,28 +103,9 @@ func TestCancelFromCallback(t *testing.T) {
 	var victim *Event
 	e.Schedule(time.Second, func(en *Engine) { en.Cancel(victim) })
 	victim = e.Schedule(2*time.Second, func(*Engine) { ran = true })
-	e.Run()
+	e.RunUntil(2 * time.Second)
 	if ran {
 		t.Fatal("victim ran despite cancellation")
-	}
-}
-
-func TestStop(t *testing.T) {
-	e := NewEngine()
-	count := 0
-	for i := 1; i <= 5; i++ {
-		e.Schedule(time.Duration(i)*time.Second, func(en *Engine) {
-			count++
-			if count == 2 {
-				en.Stop()
-			}
-		})
-	}
-	if n := e.Run(); n != 2 {
-		t.Fatalf("executed %d events, want 2", n)
-	}
-	if e.Pending() != 3 {
-		t.Fatalf("pending = %d, want 3", e.Pending())
 	}
 }
 
@@ -140,12 +121,11 @@ func TestHorizonDropsLateEvents(t *testing.T) {
 		t.Fatal("event beyond horizon should be dropped")
 	}
 	e.Schedule(time.Second, func(*Engine) {})
-	e.Run()
+	if n := e.RunUntil(10 * time.Second); n != 1 {
+		t.Fatalf("executed %d events, want 1", n)
+	}
 	if late != 0 {
 		t.Fatal("late event executed")
-	}
-	if e.Now() != time.Second {
-		t.Fatalf("clock = %v", e.Now())
 	}
 }
 
@@ -154,7 +134,7 @@ func TestHorizonStopsRun(t *testing.T) {
 	e.Horizon = 3 * time.Second
 	ticks := 0
 	e.Ticker(time.Second, func(time.Duration) bool { ticks++; return true })
-	e.Run()
+	e.RunUntil(10 * time.Second)
 	if ticks != 3 {
 		t.Fatalf("ticks = %d, want 3", ticks)
 	}
@@ -170,6 +150,9 @@ func TestRunUntil(t *testing.T) {
 	n := e.RunUntil(3 * time.Second)
 	if n != 3 {
 		t.Fatalf("executed %d, want 3", n)
+	}
+	if e.Pending() != 2 {
+		t.Fatalf("pending = %d, want 2", e.Pending())
 	}
 	if e.Now() != 3*time.Second {
 		t.Fatalf("clock = %v", e.Now())
@@ -198,7 +181,7 @@ func TestTickerStopsWhenFnReturnsFalse(t *testing.T) {
 		ticks++
 		return ticks < 4
 	})
-	e.Run()
+	e.RunUntil(10 * time.Second)
 	if ticks != 4 {
 		t.Fatalf("ticks = %d, want 4", ticks)
 	}
@@ -224,7 +207,7 @@ func TestQuickTimeOrdering(t *testing.T) {
 				times = append(times, en.Now())
 			})
 		}
-		e.Run()
+		e.RunUntil(time.Hour)
 		for i := 1; i < len(times); i++ {
 			if times[i] < times[i-1] {
 				return false
@@ -256,7 +239,7 @@ func TestQuickClockMonotone(t *testing.T) {
 			}
 		}
 		e.Schedule(time.Millisecond, recurse)
-		e.Run()
+		e.RunUntil(time.Hour)
 		return ok
 	}
 	if err := quick.Check(f, nil); err != nil {

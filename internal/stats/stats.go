@@ -134,45 +134,6 @@ func (s Summary) String() string {
 		s.N, s.Mean, s.StdDev, s.Min, s.Median, s.P95, s.Max)
 }
 
-// Welford implements numerically stable streaming mean/variance
-// accumulation; it is used by long-running simulations that cannot afford
-// to retain every sample.
-type Welford struct {
-	n    int
-	mean float64
-	m2   float64
-}
-
-// Add incorporates one sample.
-func (w *Welford) Add(x float64) {
-	w.n++
-	d := x - w.mean
-	w.mean += d / float64(w.n)
-	w.m2 += d * (x - w.mean)
-}
-
-// N returns the number of samples seen.
-func (w *Welford) N() int { return w.n }
-
-// Mean returns the running mean (NaN when empty).
-func (w *Welford) Mean() float64 {
-	if w.n == 0 {
-		return math.NaN()
-	}
-	return w.mean
-}
-
-// Variance returns the running population variance (NaN when empty).
-func (w *Welford) Variance() float64 {
-	if w.n == 0 {
-		return math.NaN()
-	}
-	return w.m2 / float64(w.n)
-}
-
-// StdDev returns the running population standard deviation.
-func (w *Welford) StdDev() float64 { return math.Sqrt(w.Variance()) }
-
 // LinearFit returns the slope and intercept of the least-squares line
 // through (xs, ys). The slices must be the same length with at least two
 // points.

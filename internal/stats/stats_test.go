@@ -71,30 +71,6 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
-func TestWelfordMatchesBatch(t *testing.T) {
-	xs := []float64{4, 7, 13, 16, 1, 2, 3.5, -8}
-	var w Welford
-	for _, x := range xs {
-		w.Add(x)
-	}
-	if w.N() != len(xs) {
-		t.Fatalf("N = %d", w.N())
-	}
-	if !almostEq(w.Mean(), Mean(xs), 1e-9) {
-		t.Errorf("Welford mean %v vs batch %v", w.Mean(), Mean(xs))
-	}
-	if !almostEq(w.Variance(), Variance(xs), 1e-9) {
-		t.Errorf("Welford variance %v vs batch %v", w.Variance(), Variance(xs))
-	}
-}
-
-func TestWelfordEmpty(t *testing.T) {
-	var w Welford
-	if !math.IsNaN(w.Mean()) || !math.IsNaN(w.Variance()) {
-		t.Fatal("empty Welford should be NaN")
-	}
-}
-
 func TestLinearFit(t *testing.T) {
 	xs := []float64{0, 1, 2, 3}
 	ys := []float64{1, 3, 5, 7} // y = 2x + 1

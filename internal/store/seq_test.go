@@ -41,7 +41,7 @@ func TestSeqHighWaterMark(t *testing.T) {
 		}
 	}
 	// Only the fresh observations were retained.
-	if got := len(s.History("p")); got != 3 {
+	if got := len(history(s, "p")); got != 3 {
 		t.Fatalf("history holds %d observations, want 3", got)
 	}
 	if _, seq := s.SeqMark("p"); seq != 5 {
@@ -157,7 +157,7 @@ func TestSeqBatchRetransmitIdempotent(t *testing.T) {
 			t.Fatalf("retransmitted batch entry %d was ingested twice", i)
 		}
 	}
-	if got := len(s.History("p")); got != 2 {
+	if got := len(history(s, "p")); got != 2 {
 		t.Fatalf("p history = %d, want 2", got)
 	}
 }
@@ -178,7 +178,7 @@ func TestSeqMarkMigration(t *testing.T) {
 	if e, q := old.SeqMark("p"); e != 0 || q != 0 {
 		t.Fatalf("mark survives eviction: (%d, %d)", e, q)
 	}
-	if len(old.History("p")) != 0 {
+	if len(history(old, "p")) != 0 {
 		t.Fatal("observations survive eviction")
 	}
 

@@ -269,15 +269,6 @@ func (s *Store) Latest(device string) (Observation, bool) {
 	return obs[len(obs)-1], true
 }
 
-// History returns a copy of the device's retained observations in
-// arrival order.
-func (s *Store) History(device string) []Observation {
-	sh := s.shardFor(device)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	return append([]Observation(nil), sh.observations[device]...)
-}
-
 // DeviceCut is one device's share of a Cut: its ingest high-water mark
 // and its retained observations as they stood when the cut was taken.
 type DeviceCut struct {
@@ -328,21 +319,6 @@ func (s *Store) Cut() *Cut {
 		sh.mu.RUnlock()
 	}
 	return c
-}
-
-// Devices returns all device names, sorted.
-func (s *Store) Devices() []string {
-	var out []string
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		for d := range sh.observations {
-			out = append(out, d)
-		}
-		sh.mu.RUnlock()
-	}
-	sort.Strings(out)
-	return out
 }
 
 // KnownDevices returns every device the store holds any state for —
@@ -438,13 +414,6 @@ func (s *Store) FingerprintDataset() *fingerprint.Dataset {
 		d.Add(sample)
 	}
 	return d
-}
-
-// Beacons returns the beacons seen so far in first-seen order.
-func (s *Store) Beacons() []ibeacon.BeaconID {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return append([]ibeacon.BeaconID(nil), s.beaconOrder...)
 }
 
 // InstallModel stores a model blob distributed from elsewhere (the

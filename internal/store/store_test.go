@@ -18,6 +18,17 @@ var (
 
 // addOne lands one observation through AddObservationBatch and returns
 // whether it was fresh.
+// history copies the device's retained observations out of the store's
+// cut, the view a snapshot writer serialises.
+func history(s *Store, device string) []Observation {
+	for _, d := range s.Cut().Devices {
+		if d.Device == device {
+			return append([]Observation(nil), d.History...)
+		}
+	}
+	return nil
+}
+
 func addOne(s *Store, o Observation) (bool, error) {
 	fresh, err := s.AddObservationBatch([]Observation{o})
 	if err != nil {
@@ -65,7 +76,7 @@ func TestRetentionEvictsOldest(t *testing.T) {
 	for i := 1; i <= 5; i++ {
 		_, _ = addOne(s, mkObs("p", time.Duration(i)*time.Second))
 	}
-	h := s.History("p")
+	h := history(s, "p")
 	if len(h) != 3 {
 		t.Fatalf("history = %d", len(h))
 	}
@@ -78,7 +89,7 @@ func TestDevices(t *testing.T) {
 	s, _ := New(5)
 	_, _ = addOne(s, mkObs("zed", time.Second))
 	_, _ = addOne(s, mkObs("amy", time.Second))
-	d := s.Devices()
+	d := s.KnownDevices()
 	if len(d) != 2 || d[0] != "amy" || d[1] != "zed" {
 		t.Fatalf("devices = %v", d)
 	}
@@ -113,7 +124,7 @@ func TestBeaconOrderIsFirstSeen(t *testing.T) {
 	s, _ := New(5)
 	_, _ = addOne(s, mkObs("p", time.Second, idB))
 	_, _ = addOne(s, mkObs("p", 2*time.Second, idA, idB))
-	bs := s.Beacons()
+	bs := s.FingerprintDataset().Beacons
 	if len(bs) != 2 || bs[0] != idB || bs[1] != idA {
 		t.Fatalf("beacon order = %v", bs)
 	}
@@ -152,14 +163,14 @@ func TestConcurrentAccess(t *testing.T) {
 			for i := 0; i < 100; i++ {
 				_, _ = addOne(s, mkObs(dev, time.Duration(i)*time.Millisecond, idA))
 				s.Latest(dev)
-				s.Devices()
+				s.KnownDevices()
 				s.FingerprintDataset()
 			}
 		}(g)
 	}
 	wg.Wait()
-	if len(s.Devices()) != 8 {
-		t.Fatalf("devices = %d", len(s.Devices()))
+	if len(s.KnownDevices()) != 8 {
+		t.Fatalf("devices = %d", len(s.KnownDevices()))
 	}
 }
 
@@ -174,7 +185,7 @@ func TestQuickRetentionBound(t *testing.T) {
 		for i := 0; i < int(n); i++ {
 			_, _ = addOne(s, mkObs("p", time.Duration(i)*time.Second))
 		}
-		return len(s.History("p")) <= c
+		return len(history(s, "p")) <= c
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -238,7 +249,7 @@ func TestCutHistoryViewsAreUnchanging(t *testing.T) {
 	cut := s.Cut()
 	want := map[string][]Observation{}
 	for _, dev := range devices {
-		want[dev] = s.History(dev)
+		want[dev] = history(s, dev)
 	}
 	if len(cut.Devices) != len(devices) {
 		t.Fatalf("the cut holds %d devices, want %d", len(cut.Devices), len(devices))
@@ -269,7 +280,7 @@ func TestCutHistoryViewsAreUnchanging(t *testing.T) {
 	check()
 	wg.Wait()
 	check()
-	if got := s.History("a"); reflect.DeepEqual(got, want["a"]) || len(s.History("expired"))+len(s.History("evicted")) != 0 {
+	if got := history(s, "a"); reflect.DeepEqual(got, want["a"]) || len(history(s, "expired"))+len(history(s, "evicted")) != 0 {
 		t.Fatal("vacuous: the store did not move behind the cut")
 	}
 }

@@ -452,9 +452,6 @@ func clearStripedLayout(dir string) error {
 	return nil
 }
 
-// Dir returns the WAL's data directory.
-func (w *WAL) Dir() string { return w.dir }
-
 // snapshotName formats the generation-stamped snapshot filename.
 func snapshotName(gen uint64) string { return fmt.Sprintf("snapshot-%016d.snap", gen) }
 

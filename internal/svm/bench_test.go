@@ -29,7 +29,7 @@ func BenchmarkPredict(b *testing.B) {
 	probe := []float64{3, 2}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = m.Predict(probe)
+		_ = predict(m, probe)
 	}
 }
 

@@ -184,13 +184,6 @@ func (m *Model) NumSupportVectors() int {
 	return n
 }
 
-// Predict returns the majority-vote class for x. Vote ties break towards
-// the lexicographically smaller class label, deterministically.
-func (m *Model) Predict(x []float64) string {
-	var sc Scratch
-	return m.PredictScratch(x, &sc)
-}
-
 // Scratch is the working memory of one prediction: the standardised
 // row followed by one kernel value per distinct support vector (one
 // allocation), and the vote tally. A caller that predicts in a loop
@@ -215,14 +208,15 @@ func (sc *Scratch) fit(width int, m *Model) (xs, k []float64, votes []int) {
 	return sc.scaled[:width], sc.scaled[width:n], sc.votes[:len(m.classes)]
 }
 
-// PredictScratch is Predict on caller-owned scratch — the same
-// arithmetic in the same order, so the two agree bit for bit.
+// PredictScratch returns the majority-vote class for x, computed on
+// caller-owned scratch. Vote ties break towards the lexicographically
+// smaller class label, deterministically.
 func (m *Model) PredictScratch(x []float64, sc *Scratch) string {
 	xs, k, votes := sc.fit(len(x), m)
 	return m.predictScaled(m.scaler.transformInto(xs, x), k, votes)
 }
 
-// predictScaled is Predict for rows already standardised with the
+// predictScaled is PredictScratch for rows already standardised with the
 // model's scaler (the grid search pre-scales each fold's test rows
 // once). k (one entry per distinct support vector) and votes (one per
 // class) are scratch; their contents are overwritten. Each machine sums

@@ -123,8 +123,8 @@ func TestPredictSharesKernelsBitForBit(t *testing.T) {
 						best = i
 					}
 				}
-				if got, want := trained.Predict(x), ref.Classes[best]; got != want || back.Predict(x) != want {
-					t.Fatalf("row %d: predicted %q (decoded %q), the per-machine vote gives %q", n, got, back.Predict(x), want)
+				if got, want := predict(trained, x), ref.Classes[best]; got != want || predict(back, x) != want {
+					t.Fatalf("row %d: predicted %q (decoded %q), the per-machine vote gives %q", n, got, predict(back, x), want)
 				}
 			}
 		})

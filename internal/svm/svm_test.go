@@ -9,6 +9,9 @@ import (
 	"occusim/internal/rng"
 )
 
+// predict classifies x on fresh scratch.
+func predict(m *Model, x []float64) string { return m.PredictScratch(x, new(Scratch)) }
+
 func TestKernels(t *testing.T) {
 	a := []float64{1, 2}
 	b := []float64{3, -1}
@@ -209,7 +212,7 @@ func TestMulticlassBlobs(t *testing.T) {
 	}
 	correct := 0
 	for i := range X {
-		if m.Predict(X[i]) == y[i] {
+		if predict(m, X[i]) == y[i] {
 			correct++
 		}
 	}
@@ -244,9 +247,9 @@ func TestPredictDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	probe := []float64{3, 2}
-	first := m.Predict(probe)
+	first := predict(m, probe)
 	for i := 0; i < 10; i++ {
-		if got := m.Predict(probe); got != first {
+		if got := predict(m, probe); got != first {
 			t.Fatal("prediction changed between calls")
 		}
 	}
@@ -265,7 +268,7 @@ func TestTrainDeterministicGivenSeed(t *testing.T) {
 	src := rng.New(11)
 	for i := 0; i < 50; i++ {
 		p := []float64{src.Uniform(-2, 8), src.Uniform(-2, 7)}
-		if m1.Predict(p) != m2.Predict(p) {
+		if predict(m1, p) != predict(m2, p) {
 			t.Fatal("same-seed models disagree")
 		}
 	}
@@ -288,7 +291,7 @@ func TestModelJSONRoundTrip(t *testing.T) {
 	src := rng.New(12)
 	for i := 0; i < 100; i++ {
 		p := []float64{src.Uniform(-2, 8), src.Uniform(-2, 7)}
-		if m.Predict(p) != back.Predict(p) {
+		if predict(m, p) != predict(&back, p) {
 			t.Fatal("round-tripped model disagrees")
 		}
 	}
@@ -308,7 +311,7 @@ func TestModelJSONLinearKernel(t *testing.T) {
 	if err := json.Unmarshal(blob, &back); err != nil {
 		t.Fatal(err)
 	}
-	if back.Predict(X[0]) != m.Predict(X[0]) {
+	if predict(&back, X[0]) != predict(m, X[0]) {
 		t.Fatal("linear model round trip disagrees")
 	}
 }
@@ -378,7 +381,7 @@ func TestGridSearchMatchesNaiveCV(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i, x := range teX {
-				if m.Predict(x) == teY[i] {
+				if predict(m, x) == teY[i] {
 					correct++
 				}
 				total++

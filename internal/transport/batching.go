@@ -161,10 +161,3 @@ func (b *BatchingUplink) flushLocked() error {
 	b.flushes++
 	return nil
 }
-
-// Stats returns lifetime (sent, dropped, flushes) counts.
-func (b *BatchingUplink) Stats() (sent, dropped, flushes int) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.sent, b.dropped, b.flushes
-}

@@ -168,7 +168,7 @@ func TestBatchingRetainsOnFailureAndRedelivers(t *testing.T) {
 	if len(rec.sent) != 2 || rec.sent[0].Device != "a" || rec.sent[1].Device != "b" {
 		t.Fatalf("redelivery broken: %v", rec.sent)
 	}
-	sent, dropped, flushes := b.Stats()
+	sent, dropped, flushes := b.sent, b.dropped, b.flushes
 	if sent != 2 || dropped != 0 || flushes != 1 {
 		t.Fatalf("stats = (%d, %d, %d)", sent, dropped, flushes)
 	}
@@ -188,7 +188,7 @@ func TestBatchingBoundsPendingQueue(t *testing.T) {
 			t.Fatalf("pending %d exceeds bound", p)
 		}
 	}
-	_, dropped, _ := b.Stats()
+	dropped := b.dropped
 	if dropped == 0 {
 		t.Fatal("overflow dropped nothing")
 	}
@@ -248,7 +248,7 @@ func TestQueueOverflowThenDrain(t *testing.T) {
 			t.Fatalf("drain order: got %q at %d, want %q", r.Device, i, want)
 		}
 	}
-	sent, dropped := q.Stats()
+	sent, dropped := q.sent, q.dropped
 	if sent != 5 || dropped != 7 {
 		t.Fatalf("stats = (%d, %d), want (5, 7)", sent, dropped)
 	}
@@ -274,7 +274,7 @@ func TestQueueDropsAfterBudgetDuringDrain(t *testing.T) {
 	if n := q.Flush(); n != 0 {
 		t.Fatalf("empty queue delivered %d", n)
 	}
-	_, dropped := q.Stats()
+	dropped := q.dropped
 	if dropped != 2 {
 		t.Fatalf("dropped = %d, want 2", dropped)
 	}

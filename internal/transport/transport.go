@@ -605,9 +605,6 @@ func (b *BTRelay) Send(r Report) error {
 	return b.next.Send(r)
 }
 
-// Stats returns (attempts, drops) over the relay's lifetime.
-func (b *BTRelay) Stats() (attempts, drops int) { return b.attempts, b.drops }
-
 // Queue is a bounded store-and-forward retry queue in front of an
 // uplink: failed reports are retried on subsequent flushes until their
 // attempt budget is exhausted.
@@ -673,6 +670,3 @@ func (q *Queue) Flush() int {
 	q.pending = remaining
 	return delivered
 }
-
-// Stats returns lifetime (sent, dropped) counts.
-func (q *Queue) Stats() (sent, dropped int) { return q.sent, q.dropped }

@@ -111,7 +111,7 @@ func TestBTRelayDropsAtConfiguredRate(t *testing.T) {
 	if rate < 0.27 || rate > 0.33 {
 		t.Fatalf("drop rate = %v, want ≈0.3", rate)
 	}
-	attempts, drops := relay.Stats()
+	attempts, drops := relay.attempts, relay.drops
 	if attempts != n || drops != failures {
 		t.Fatalf("stats = %d/%d, want %d/%d", attempts, drops, n, failures)
 	}
@@ -175,7 +175,7 @@ func TestQueueRetriesFailuresUntilBudget(t *testing.T) {
 	if n := q.Flush(); n != 1 {
 		t.Fatalf("third flush delivered %d", n)
 	}
-	sent, dropped := q.Stats()
+	sent, dropped := q.sent, q.dropped
 	if sent != 1 || dropped != 0 {
 		t.Fatalf("stats = %d/%d", sent, dropped)
 	}
@@ -190,7 +190,7 @@ func TestQueueDropsAfterMaxAttempts(t *testing.T) {
 	if len(q.pending) != 0 {
 		t.Fatal("report should be dropped after budget")
 	}
-	_, dropped := q.Stats()
+	dropped := q.dropped
 	if dropped != 1 {
 		t.Fatalf("dropped = %d", dropped)
 	}

@@ -1,38 +1,25 @@
 package occusim_test
 
 import (
+	"errors"
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"path"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 	"testing"
 )
 
 // uncalledAllowed lists the exported names under internal/ that no
-// non-test Go file calls and that stay anyway. A key is pkg.Name for a
-// package-level name, pkg.Type.Method for a method, or a bare method
-// name for every method of that name.
+// non-test Go file uses and that stay anyway. A key is pkg.Name for a
+// package-level name or pkg.Type.Method for a method.
 var uncalledAllowed = map[string]string{
-	// Methods the standard library calls through an interface: encoding/json,
-	// errors, sort, container/heap and fmt reach them, no selector does.
-	"MarshalJSON":   "encoding/json.Marshaler",
-	"UnmarshalJSON": "encoding/json.Unmarshaler",
-	"Error":         "error",
-	"Unwrap":        "errors.Unwrap",
-	"Is":            "errors.Is",
-	"As":            "errors.As",
-	"Len":           "sort.Interface, heap.Interface",
-	"Less":          "sort.Interface, heap.Interface",
-	"Swap":          "sort.Interface, heap.Interface",
-	"Push":          "heap.Interface",
-	"Pop":           "heap.Interface",
-	"String":        "fmt.Stringer",
-
 	"raceflag.Enabled": "build-tag twin: race.go and norace.go each set it, and only tests read it",
 
 	"ble.World.SetCulling": "switches off culling for the exhaustive reference run cull_test compares against",
@@ -46,18 +33,84 @@ var uncalledAllowed = map[string]string{
 	"fleet.Gateway.MarkUp":   "the drills' failure hook until the fault shard of ROADMAP item 24",
 }
 
-// exportedDecl is one exported name declared in a non-test file under
-// internal/: a package-level name (recv empty) or a method.
-type exportedDecl struct {
-	pkgPath, pkg, recv, name string
-	pos                      token.Position
+// stdlibCallers declares the interfaces through which the standard
+// library calls module methods that no module code names: fmt, errors,
+// encoding/json, sort and container/heap reach them. Every method of
+// these interfaces counts as used.
+const stdlibCallers = `package callers
+
+import (
+	"container/heap"
+	"encoding"
+	"encoding/json"
+	"fmt"
+	"sort"
+)
+
+var (
+	_ error
+	_ fmt.Stringer
+	_ json.Marshaler
+	_ json.Unmarshaler
+	_ encoding.TextUnmarshaler // encoding/json
+	_ sort.Interface
+	_ heap.Interface
+	_ interface{ Unwrap() error } // errors.Unwrap, errors.Is, errors.As
+	_ interface{ Is(error) bool }  // errors.Is
+	_ interface{ As(any) bool }    // errors.As
+)
+`
+
+const module = "occusim"
+
+// modulePkg is one type-checked package of the module, its non-test
+// files only.
+type modulePkg struct {
+	pkg   *types.Package
+	files []*ast.File
+	info  *types.Info
 }
 
-func (d exportedDecl) key() string {
-	if d.recv == "" {
-		return d.pkg + "." + d.name
+// moduleImporter type-checks the module's packages from source and
+// hands the standard library to the compiler's export data, so every
+// package sees one object for each name.
+type moduleImporter struct {
+	fset *token.FileSet
+	std  types.Importer
+	dirs map[string]string // import path → directory
+	pkgs map[string]*modulePkg
+}
+
+func (m *moduleImporter) Import(p string) (*types.Package, error) {
+	if mp := m.pkgs[p]; mp != nil {
+		return mp.pkg, nil
 	}
-	return d.pkg + "." + d.recv + "." + d.name
+	dir, ok := m.dirs[p]
+	if !ok {
+		return m.std.Import(p)
+	}
+	bp, err := build.ImportDir(dir, 0)
+	if err != nil {
+		return nil, err
+	}
+	mp := &modulePkg{info: &types.Info{
+		Defs:       map[*ast.Ident]types.Object{},
+		Uses:       map[*ast.Ident]types.Object{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
+	}}
+	for _, name := range bp.GoFiles {
+		f, err := parser.ParseFile(m.fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		mp.files = append(mp.files, f)
+	}
+	conf := types.Config{Importer: m}
+	if mp.pkg, err = conf.Check(p, m.fset, mp.files, mp.info); err != nil {
+		return nil, err
+	}
+	m.pkgs[p] = mp
+	return mp.pkg, nil
 }
 
 // TestNoUncalledExportedNames keeps library names honest: an exported
@@ -66,264 +119,207 @@ func (d exportedDecl) key() string {
 // with its reason. A name only its own tests call is dead code with a
 // test attached; delete both.
 //
-// A package-level name is used by pkg.Name in a file that imports its
-// package, or by a bare Name in a non-test file of its own package; a
-// field key in a struct literal (Region{UUID: u}) is not a use. A
-// method is used by any .Name selector whose left side is not an
-// import name, since the scan has no types to tell receivers apart: a
-// field selector x.Name counts as a use of every method called Name.
+// The scan is typed. A name is used where a non-test file refers to
+// that exact object (a generic instance counts for its origin); the
+// name's own declaration and a method's receiver are not uses. A method
+// is also used when some type's method set holds it, promoted or not,
+// and that type implements an interface whose method of that name is
+// used, or one of stdlibCallers. An interface's methods are names too.
 func TestNoUncalledExportedNames(t *testing.T) {
-	const module = "occusim"
 	fset := token.NewFileSet()
-	type parsedFile struct {
-		f       *ast.File
-		pkgPath string
-	}
-	var files []parsedFile
+	imp := &moduleImporter{fset: fset, std: importer.Default(), dirs: map[string]string{}, pkgs: map[string]*modulePkg{}}
 	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
-		if err != nil {
+		if err != nil || !d.IsDir() {
 			return err
 		}
-		if d.IsDir() {
-			if n := d.Name(); p != "." && (strings.HasPrefix(n, ".") || strings.HasPrefix(n, "_") || n == "testdata") {
-				return filepath.SkipDir
+		if n := d.Name(); p != "." && (strings.HasPrefix(n, ".") || strings.HasPrefix(n, "_") || n == "testdata") {
+			return filepath.SkipDir
+		}
+		if _, err := build.ImportDir(p, 0); err != nil {
+			var none *build.NoGoError
+			if errors.As(err, &none) {
+				return nil
 			}
-			return nil
-		}
-		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
-		if err != nil {
 			return err
 		}
-		files = append(files, parsedFile{f, path.Join(module, filepath.ToSlash(filepath.Dir(p)))})
+		imp.dirs[path.Join(module, filepath.ToSlash(p))] = p
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	for p := range imp.dirs {
+		if _, err := imp.Import(p); err != nil {
+			t.Fatal(err)
+		}
+	}
 
-	structTypes := map[string]bool{} // pkgPath + "." + TypeName
-	for _, pf := range files {
-		for _, decl := range pf.f.Decls {
-			if decl, ok := decl.(*ast.GenDecl); ok {
-				for _, spec := range decl.Specs {
-					if spec, ok := spec.(*ast.TypeSpec); ok {
-						if _, ok := spec.Type.(*ast.StructType); ok {
-							structTypes[pf.pkgPath+"."+spec.Name.Name] = true
+	// A use does not count inside the name's own declaration or in a
+	// method's receiver.
+	type span struct{ pos, end token.Pos }
+	ownDecl := map[types.Object]span{}
+	receivers := map[*ast.Ident]bool{}
+	var typeNames []*types.TypeName
+	for _, mp := range imp.pkgs {
+		for _, f := range mp.files {
+			for _, decl := range f.Decls {
+				switch decl := decl.(type) {
+				case *ast.FuncDecl:
+					ownDecl[mp.info.Defs[decl.Name]] = span{decl.Pos(), decl.End()}
+					if decl.Recv != nil {
+						ast.Inspect(decl.Recv, func(n ast.Node) bool {
+							if id, ok := n.(*ast.Ident); ok {
+								receivers[id] = true
+							}
+							return true
+						})
+					}
+				case *ast.GenDecl:
+					for _, spec := range decl.Specs {
+						switch spec := spec.(type) {
+						case *ast.TypeSpec:
+							ownDecl[mp.info.Defs[spec.Name]] = span{spec.Pos(), spec.End()}
+						case *ast.ValueSpec:
+							for _, id := range spec.Names {
+								ownDecl[mp.info.Defs[id]] = span{spec.Pos(), spec.End()}
+							}
 						}
 					}
 				}
 			}
 		}
-	}
-	var decls []exportedDecl
-	usedPkgNames := map[string]bool{} // pkgPath + "." + Name
-	usedMethods := map[string]bool{}
-	for _, pf := range files {
-		if strings.HasPrefix(pf.pkgPath, module+"/internal/") {
-			decls = append(decls, exportedDecls(fset, pf.f, pf.pkgPath)...)
+		for _, obj := range mp.info.Defs {
+			if tn, ok := obj.(*types.TypeName); ok && !tn.IsAlias() {
+				typeNames = append(typeNames, tn)
+			}
 		}
-		recordUses(pf.f, pf.pkgPath, structTypes, usedPkgNames, usedMethods)
+	}
+	used := map[types.Object]bool{}
+	ifaceUsed := map[*types.Interface]map[string]bool{}
+	useIface := func(iface *types.Interface, name string) {
+		if ifaceUsed[iface] == nil {
+			ifaceUsed[iface] = map[string]bool{}
+		}
+		ifaceUsed[iface][name] = true
+	}
+	use := func(obj types.Object, pos token.Pos) {
+		if f, ok := obj.(*types.Func); ok {
+			obj = f.Origin()
+			if recv := f.Type().(*types.Signature).Recv(); recv != nil {
+				if iface, ok := recv.Type().Underlying().(*types.Interface); ok {
+					useIface(iface, f.Name())
+				}
+			}
+		}
+		if d, ok := ownDecl[obj]; ok && d.pos <= pos && pos < d.end {
+			return
+		}
+		used[obj] = true
+	}
+	for _, mp := range imp.pkgs {
+		for id, obj := range mp.info.Uses {
+			if !receivers[id] {
+				use(obj, id.Pos())
+			}
+		}
+		for sel, s := range mp.info.Selections {
+			use(s.Obj(), sel.Sel.Pos())
+		}
+	}
+	callers, err := parser.ParseFile(fset, "callers.go", stdlibCallers, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	callersInfo := &types.Info{Types: map[ast.Expr]types.TypeAndValue{}}
+	if _, err := (&types.Config{Importer: imp}).Check("callers", fset, []*ast.File{callers}, callersInfo); err != nil {
+		t.Fatal(err)
+	}
+	for _, tv := range callersInfo.Types {
+		if iface, ok := tv.Type.Underlying().(*types.Interface); ok && tv.IsType() {
+			for i := 0; i < iface.NumMethods(); i++ {
+				useIface(iface, iface.Method(i).Name())
+			}
+		}
+	}
+	for _, tn := range typeNames {
+		named, ok := tn.Type().(*types.Named)
+		if !ok || named.TypeParams() != nil {
+			continue
+		}
+		for _, v := range []types.Type{named, types.NewPointer(named)} {
+			for iface, names := range ifaceUsed {
+				if !types.Implements(v, iface) {
+					continue
+				}
+				for name := range names {
+					if obj, _, _ := types.LookupFieldOrMethod(v, true, tn.Pkg(), name); obj != nil {
+						used[obj.(*types.Func).Origin()] = true
+					}
+				}
+			}
+		}
+	}
+
+	// The names under internal/: every exported package-level name, and
+	// every exported method of a package-level type, an interface's own
+	// methods included.
+	type decl struct {
+		obj types.Object
+		key string
+	}
+	var decls []decl
+	for p, mp := range imp.pkgs {
+		if !strings.HasPrefix(p, module+"/internal/") {
+			continue
+		}
+		scope := mp.pkg.Scope()
+		for _, name := range scope.Names() {
+			obj := scope.Lookup(name)
+			if obj.Exported() {
+				decls = append(decls, decl{obj, mp.pkg.Name() + "." + name})
+			}
+			tn, ok := obj.(*types.TypeName)
+			if !ok || tn.IsAlias() {
+				continue
+			}
+			named := tn.Type().(*types.Named)
+			var methods []*types.Func
+			for i := 0; i < named.NumMethods(); i++ {
+				methods = append(methods, named.Method(i))
+			}
+			if iface, ok := named.Underlying().(*types.Interface); ok {
+				for i := 0; i < iface.NumExplicitMethods(); i++ {
+					methods = append(methods, iface.ExplicitMethod(i))
+				}
+			}
+			for _, m := range methods {
+				if m.Exported() {
+					decls = append(decls, decl{m, mp.pkg.Name() + "." + name + "." + m.Name()})
+				}
+			}
+		}
 	}
 
 	var uncalled []string
 	sheltered := map[string]bool{}
 	for _, d := range decls {
-		used := usedPkgNames[d.pkgPath+"."+d.name]
-		if d.recv != "" {
-			used = usedMethods[d.name]
-		}
 		switch {
-		case used:
-		case uncalledAllowed[d.key()] != "":
-			sheltered[d.key()] = true
-		case d.recv != "" && uncalledAllowed[d.name] != "":
+		case used[d.obj]:
+		case uncalledAllowed[d.key] != "":
+			sheltered[d.key] = true
 		default:
-			uncalled = append(uncalled, d.pos.String()+": "+d.key())
+			uncalled = append(uncalled, fset.Position(d.obj.Pos()).String()+": "+d.key)
 		}
 	}
 	sort.Strings(uncalled)
 	for _, u := range uncalled {
 		t.Errorf("%s is exported but no non-test Go file uses it: delete it with its tests, or allow it in uncalledAllowed with the reason", u)
 	}
-	// A qualified entry that shelters nothing is stale: its name went or
-	// found a caller, and the entry would hide whatever takes the name next.
+	// An entry that shelters nothing is stale: its name went or found a
+	// caller, and the entry would hide whatever takes the name next.
 	for key := range uncalledAllowed {
-		if strings.Contains(key, ".") && !sheltered[key] {
+		if !sheltered[key] {
 			t.Errorf("uncalledAllowed[%q] shelters no uncalled name: delete the entry", key)
 		}
 	}
-}
-
-// exportedDecls returns the exported package-level names and exported
-// methods f declares.
-func exportedDecls(fset *token.FileSet, f *ast.File, pkgPath string) []exportedDecl {
-	var out []exportedDecl
-	add := func(id *ast.Ident, recv string) {
-		if id.IsExported() {
-			out = append(out, exportedDecl{pkgPath: pkgPath, pkg: f.Name.Name, recv: recv, name: id.Name, pos: fset.Position(id.Pos())})
-		}
-	}
-	for _, decl := range f.Decls {
-		switch decl := decl.(type) {
-		case *ast.FuncDecl:
-			recv := ""
-			if decl.Recv != nil && len(decl.Recv.List) > 0 {
-				recv = receiverType(decl.Recv.List[0].Type)
-			}
-			add(decl.Name, recv)
-		case *ast.GenDecl:
-			for _, spec := range decl.Specs {
-				switch spec := spec.(type) {
-				case *ast.TypeSpec:
-					add(spec.Name, "")
-				case *ast.ValueSpec:
-					for _, id := range spec.Names {
-						add(id, "")
-					}
-				}
-			}
-		}
-	}
-	return out
-}
-
-// receiverType names a method's receiver type: T for T, *T, T[P] and *T[P].
-func receiverType(e ast.Expr) string {
-	for {
-		switch x := e.(type) {
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.IndexListExpr:
-			e = x.X
-		case *ast.Ident:
-			return x.Name
-		default:
-			return ""
-		}
-	}
-}
-
-// recordUses adds to usedPkgNames every pkg.Name and own-package bare
-// Name that f uses, and to usedMethods every other selector's name.
-// structTypes holds pkgPath.TypeName for every struct type the module
-// declares, to tell a struct literal's field keys from map and array keys.
-func recordUses(f *ast.File, pkgPath string, structTypes, usedPkgNames, usedMethods map[string]bool) {
-	imports := map[string]string{} // local name → import path
-	for _, spec := range f.Imports {
-		p, err := strconv.Unquote(spec.Path.Value)
-		if err != nil {
-			continue
-		}
-		name := path.Base(p)
-		if spec.Name != nil {
-			name = spec.Name.Name
-		}
-		imports[name] = p
-	}
-	// isStruct reports whether a composite literal of type typ is a struct
-	// literal, whose keys are field names. A type it cannot resolve
-	// (a named slice or map, a generic parameter) is not, so its keys
-	// still count as uses.
-	isStruct := func(typ ast.Expr) bool {
-		for {
-			switch x := typ.(type) {
-			case *ast.StructType:
-				return true
-			case *ast.StarExpr:
-				typ = x.X
-			case *ast.IndexExpr:
-				typ = x.X
-			case *ast.IndexListExpr:
-				typ = x.X
-			case *ast.Ident:
-				return structTypes[pkgPath+"."+x.Name]
-			case *ast.SelectorExpr:
-				pkg, ok := x.X.(*ast.Ident)
-				return ok && structTypes[imports[pkg.Name]+"."+x.Sel.Name]
-			default:
-				return false
-			}
-		}
-	}
-	// elided holds the type an enclosing slice, array or map literal gives
-	// an element (or map key) literal written without its type.
-	elided := map[*ast.CompositeLit]ast.Expr{}
-
-	// Declaring a name, a field or a parameter is not a use of it, and
-	// neither is the right side of a selector nor a struct literal's key.
-	skip := map[*ast.Ident]bool{}
-	for _, decl := range f.Decls {
-		switch decl := decl.(type) {
-		case *ast.FuncDecl:
-			skip[decl.Name] = true
-		case *ast.GenDecl:
-			for _, spec := range decl.Specs {
-				switch spec := spec.(type) {
-				case *ast.TypeSpec:
-					skip[spec.Name] = true
-				case *ast.ValueSpec:
-					for _, id := range spec.Names {
-						skip[id] = true
-					}
-				}
-			}
-		}
-	}
-	ast.Inspect(f, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.ImportSpec:
-			return false
-		case *ast.Field:
-			for _, id := range n.Names {
-				skip[id] = true
-			}
-		case *ast.CompositeLit:
-			typ := n.Type
-			if typ == nil {
-				typ = elided[n]
-			}
-			var key, elt ast.Expr
-			switch t := typ.(type) {
-			case *ast.ArrayType:
-				elt = t.Elt
-			case *ast.MapType:
-				key, elt = t.Key, t.Value
-			}
-			fields := isStruct(typ)
-			for _, e := range n.Elts {
-				if kv, ok := e.(*ast.KeyValueExpr); ok {
-					if id, ok := kv.Key.(*ast.Ident); ok && fields {
-						skip[id] = true
-					}
-					if lit, ok := kv.Key.(*ast.CompositeLit); ok && lit.Type == nil {
-						elided[lit] = key
-					}
-					e = kv.Value
-				}
-				if lit, ok := e.(*ast.CompositeLit); ok && lit.Type == nil {
-					elided[lit] = elt
-				}
-			}
-		case *ast.SelectorExpr:
-			skip[n.Sel] = true
-			if x, ok := n.X.(*ast.Ident); ok {
-				if p, ok := imports[x.Name]; ok {
-					usedPkgNames[p+"."+n.Sel.Name] = true
-					skip[x] = true
-					return true
-				}
-			}
-			usedMethods[n.Sel.Name] = true
-		case *ast.Ident:
-			if !skip[n] {
-				usedPkgNames[pkgPath+"."+n.Name] = true
-			}
-		}
-		return true
-	})
 }
