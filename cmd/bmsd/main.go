@@ -77,9 +77,8 @@
 // WAL docs) and a restarted server classifies, at the model version it
 // was trained at, without a fresh collection walk. The log is the one
 // place training state persists. -fsync picks the sync policy: "batch"
-// syncs every append, "interval" syncs on a 100ms ticker, "off" leaves
-// flushing to the kernel (process crashes still lose nothing; power loss
-// can). A graceful shutdown additionally compacts: state is snapshotted
+// syncs every append, "off" leaves flushing to the kernel (process
+// crashes still lose nothing; power loss can). A graceful shutdown additionally compacts: state is snapshotted
 // and the log behind the snapshot reclaimed, so the next boot replays the
 // snapshot alone. A gateway itself persists nothing — it rebuilds its
 // device registry by asking each shard for its device set.
@@ -156,7 +155,7 @@ func parseFlags(args []string, stderr io.Writer) (*options, error) {
 	fs.DurationVar(&o.drain, "drain", 15*time.Second, "shutdown grace for in-flight requests")
 	fs.DurationVar(&o.residueTTL, "residue-ttl", 10*time.Minute, "gateway: age out device state stranded on a shard that could not be migrated from (report-clock TTL, 0 disables)")
 	fs.StringVar(&o.dataDir, "data-dir", "", "directory for per-shard write-ahead logs and snapshots (empty: volatile)")
-	fs.StringVar(&o.fsync, "fsync", "batch", "WAL sync policy with -data-dir: batch, interval, off")
+	fs.StringVar(&o.fsync, "fsync", "batch", "WAL sync policy with -data-dir: batch or off")
 	fs.IntVar(&o.admission.MaxInflight, "admit-inflight", 0, "ingest admission limit: concurrent ingest calls before queueing (0 disables overload protection)")
 	fs.IntVar(&o.admission.MaxQueue, "admit-queue", 0, "ingest admission queue beyond -admit-inflight; excess is shed with 429 + Retry-After (0: twice -admit-inflight)")
 	fs.DurationVar(&o.admission.RetryAfter, "retry-after", time.Second, "Retry-After hint advertised on shed ingest requests")

@@ -115,7 +115,7 @@ func parseFlags(args []string, stderr io.Writer) (*options, error) {
 	fs.StringVar(&o.killGateway, "kill-gateway", "", "with -bmsd: front the shards with an active/standby bmsd gateway pair and SIGKILL the active at each trace time \"t1,t2,...\"")
 	fs.StringVar(&o.bmsdPath, "bmsd", "", "path to a built bmsd binary: run the shards as durable bmsd subprocesses")
 	fs.StringVar(&o.dataRoot, "data-root", "", "with -bmsd: root of the shards' data directories (empty: a temp dir, removed at exit)")
-	fs.StringVar(&o.fsync, "fsync", "batch", "with -bmsd: the shards' WAL sync policy: batch, interval, off")
+	fs.StringVar(&o.fsync, "fsync", "batch", "with -bmsd: the shards' WAL sync policy: batch or off")
 	fs.BoolVar(&o.restartGateway, "restart-gateway", false, "with -kill: also discard and rebuild loadgen's gateway at each kill")
 	fs.StringVar(&o.scenario, "scenario", "", "run a named adversarial scenario from internal/scenario against its oracle (list: the library)")
 	fs.IntVar(&o.storm, "storm", 0, "shorthand for -scenario storm with each batch sent k times")

@@ -70,41 +70,25 @@ type Config struct {
 	Uplink transport.Uplink
 	// UplinkKind selects the energy accounting of the channel.
 	UplinkKind energy.Uplink
-	// QueueLen and MaxAttempts bound the retry queue (defaults 16, 3).
-	QueueLen    int
-	MaxAttempts int
 	// MotionGate enables the Section VIII future-work optimisation: use
 	// the accelerometer to skip reporting (and duty-cycle sensing) while
 	// the user is stationary.
 	MotionGate bool
-	// MotionThreshold is the movement per cycle that counts as motion
-	// (default 0.5 m).
-	MotionThreshold float64
-	// BootDelay is the time from power-on to the background service
-	// starting (default 2 s).
-	BootDelay time.Duration
-	// BatteryLogPeriod is the measurement app's sampling period
-	// (default 1 min).
-	BatteryLogPeriod time.Duration
 }
 
-func (c *Config) applyDefaults() {
-	if c.QueueLen == 0 {
-		c.QueueLen = 16
-	}
-	if c.MaxAttempts == 0 {
-		c.MaxAttempts = 3
-	}
-	if c.MotionThreshold == 0 {
-		c.MotionThreshold = 0.5
-	}
-	if c.BootDelay == 0 {
-		c.BootDelay = 2 * time.Second
-	}
-	if c.BatteryLogPeriod == 0 {
-		c.BatteryLogPeriod = time.Minute
-	}
-}
+const (
+	// queueLen and maxAttempts bound the retry queue.
+	queueLen    = 16
+	maxAttempts = 3
+	// motionThreshold is the movement per cycle, in metres, that counts
+	// as motion.
+	motionThreshold = 0.5
+	// bootDelay is the time from power-on to the background service
+	// starting.
+	bootDelay = 2 * time.Second
+	// batteryLogPeriod is the measurement app's sampling period.
+	batteryLogPeriod = time.Minute
+)
 
 // Validate reports the first invalid field, or nil.
 func (c Config) Validate() error {
@@ -131,12 +115,11 @@ func (c Config) Validate() error {
 
 // Stats summarise an app's activity.
 type Stats struct {
-	Cycles         int
-	ReportsSent    int
-	ReportsSkipped int
-	SendFailures   int
-	RegionEnters   int
-	RegionExits    int
+	Cycles       int
+	ReportsSent  int
+	SendFailures int
+	RegionEnters int
+	RegionExits  int
 }
 
 // App is one running client instance.
@@ -149,7 +132,6 @@ type App struct {
 	meter   *energy.Meter
 	logger  *energy.Logger
 	moving  mobility.Model
-	scn     *scanner.Scanner
 	state   State
 	lastPos geom.Point
 	stats   Stats
@@ -169,7 +151,6 @@ type App struct {
 // after the boot delay (the boot handler listening for the boot-complete
 // event).
 func Launch(w *ble.World, name string, m mobility.Model, cfg Config, src *rng.Source) (*App, error) {
-	cfg.applyDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -213,13 +194,13 @@ func Launch(w *ble.World, name string, m mobility.Model, cfg Config, src *rng.So
 			return nil
 		},
 	}
-	a.queue, err = transport.NewQueue(charged, cfg.QueueLen, cfg.MaxAttempts)
+	a.queue, err = transport.NewQueue(charged, queueLen, maxAttempts)
 	if err != nil {
 		return nil, err
 	}
 
 	// The measurement app samples the battery level periodically.
-	w.Engine().Ticker(cfg.BatteryLogPeriod, func(now time.Duration) bool {
+	w.Engine().Ticker(batteryLogPeriod, func(now time.Duration) bool {
 		a.logger.Sample(now)
 		return !a.meter.Depleted()
 	})
@@ -227,21 +208,17 @@ func Launch(w *ble.World, name string, m mobility.Model, cfg Config, src *rng.So
 }
 
 // start wires the scanner. The scanner's cycle ticker begins at attach
-// time; cycles that complete before BootDelay are discarded in onCycle
+// time; cycles that complete before bootDelay are discarded in onCycle
 // (the boot handler has not yet started the background service), which
 // honours the boot sequence of Figure 3 without a second timer.
 func (a *App) start(w *ble.World, src *rng.Source) error {
-	scn, err := scanner.Attach(w, a.name, a.moving, scanner.Config{
+	_, err := scanner.Attach(w, a.name, a.moving, scanner.Config{
 		Period:  a.cfg.ScanPeriod,
 		Profile: a.cfg.Profile,
 		Region:  a.cfg.Region,
 		OnCycle: a.onCycle,
 	}, src)
-	if err != nil {
-		return err
-	}
-	a.scn = scn
-	return nil
+	return err
 }
 
 // onCycle processes one completed scan period.
@@ -249,7 +226,7 @@ func (a *App) onCycle(c scanner.Cycle) {
 	if a.meter.Depleted() {
 		return // the phone is dead
 	}
-	if c.End <= a.cfg.BootDelay {
+	if c.End <= bootDelay {
 		// Still booting: only the base phone load applies.
 		_ = a.cBase.Draw(a.cfg.Power.BasePhoneMW, c.End-c.Start)
 		return
@@ -260,7 +237,7 @@ func (a *App) onCycle(c scanner.Cycle) {
 	a.stats.Cycles++
 
 	pos := a.moving.Position(c.End)
-	moved := pos.Dist(a.lastPos) >= a.cfg.MotionThreshold
+	moved := pos.Dist(a.lastPos) >= motionThreshold
 	a.lastPos = pos
 
 	// Continuous power for the cycle. With the motion gate active and
@@ -304,7 +281,6 @@ func (a *App) onCycle(c scanner.Cycle) {
 	// Motion gate: a stationary user generates no new occupancy
 	// information (Section VIII).
 	if a.cfg.MotionGate && !moved {
-		a.stats.ReportsSkipped++
 		return
 	}
 

@@ -91,8 +91,8 @@ func TestNewServerValidation(t *testing.T) {
 
 func TestIngestClassifiesWithProximityByDefault(t *testing.T) {
 	s, b := newTestServer(t)
-	if s.classifierSnapshot().Name() != "proximity" {
-		t.Fatalf("default classifier = %s", s.classifierSnapshot().Name())
+	if fmt.Sprintf("%T", s.classifierSnapshot()) != "*classify.Proximity" {
+		t.Fatalf("default classifier = %s", fmt.Sprintf("%T", s.classifierSnapshot()))
 	}
 	room, err := s.Ingest(reportNear(b, "phone", 0, 1)) // beside kitchen beacon
 	if err != nil {
@@ -176,8 +176,8 @@ func TestTrainSwitchesToSceneSVM(t *testing.T) {
 	if res.Samples == 0 || res.SupportVectors == 0 || res.ModelVersion != 1 {
 		t.Fatalf("train result = %+v", res)
 	}
-	if s.classifierSnapshot().Name() != "scene-svm" {
-		t.Fatalf("classifier after training = %s", s.classifierSnapshot().Name())
+	if fmt.Sprintf("%T", s.classifierSnapshot()) != "*classify.SceneSVM" {
+		t.Fatalf("classifier after training = %s", fmt.Sprintf("%T", s.classifierSnapshot()))
 	}
 	// Ingest near the study beacon: the SVM should place it correctly.
 	room, err := s.Ingest(reportNear(b, "phone", 2, 5))

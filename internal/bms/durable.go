@@ -89,8 +89,7 @@ func (d *durability) threshold() int64 {
 type DurableConfig struct {
 	// Dir is the WAL data directory (required).
 	Dir string
-	// Policy selects fsync eagerness (default FsyncBatch; FsyncInterval
-	// syncs every store.DefaultFsyncInterval).
+	// Policy selects fsync eagerness (default FsyncBatch).
 	Policy store.FsyncPolicy
 	// CompactThreshold is the log growth that triggers a background
 	// compaction: 0 takes the default rule (DefaultCompactThreshold, or
@@ -114,7 +113,7 @@ func OpenDurableServer(b *building.Building, st *store.Store, debounce int, cfg 
 	if err != nil {
 		return nil, err
 	}
-	w, err := store.OpenLog(cfg.Dir, cfg.Policy, 0)
+	w, err := store.OpenLog(cfg.Dir, cfg.Policy)
 	if err != nil {
 		return nil, err
 	}

@@ -88,8 +88,8 @@ func TestDurableRecoverAfterKill(t *testing.T) {
 			if got := viewsJSON(t, s2); got != want {
 				t.Fatalf("recovered views diverge\n got: %s\nwant: %s", got, want)
 			}
-			if s2.classifierSnapshot().Name() != "scene-svm" {
-				t.Fatalf("recovered classifier = %s", s2.classifierSnapshot().Name())
+			if fmt.Sprintf("%T", s2.classifierSnapshot()) != "*classify.SceneSVM" {
+				t.Fatalf("recovered classifier = %s", fmt.Sprintf("%T", s2.classifierSnapshot()))
 			}
 		})
 	}

@@ -109,7 +109,7 @@ func stateOf(s *Server) serverState {
 		exports:    map[string]DeviceState{},
 		histories:  map[string][]store.Observation{},
 		beacons:    s.st.FingerprintDataset().Beacons,
-		classifier: s.classifierSnapshot().Name(),
+		classifier: fmt.Sprintf("%T", s.classifierSnapshot()),
 	}
 	for _, device := range st.devices {
 		if ds, ok := s.ExportDevice(device); ok {

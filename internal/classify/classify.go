@@ -37,8 +37,6 @@ type Classifier interface {
 	PredictSpan(span []wire.Beacon, sc *Scratch) string
 	// Predict is PredictSpan for a sample held as a map.
 	Predict(s fingerprint.Sample) string
-	// Name identifies the classifier in reports.
-	Name() string
 }
 
 // Scratch is the working memory of PredictSpan: the feature row and the
@@ -106,9 +104,6 @@ func NewProximity(b *building.Building, maxDistance float64) *Proximity {
 	return &Proximity{BeaconRoom: m, MaxDistance: maxDistance}
 }
 
-// Name implements Classifier.
-func (p *Proximity) Name() string { return "proximity" }
-
 // Predict implements Classifier.
 func (p *Proximity) Predict(s fingerprint.Sample) string {
 	var buf [sampleSpanStack]wire.Beacon
@@ -165,9 +160,6 @@ func NewSceneSVM(beacons []ibeacon.BeaconID, model *svm.Model) *SceneSVM {
 	return &SceneSVM{beacons: append([]ibeacon.BeaconID(nil), beacons...), model: model}
 }
 
-// Name implements Classifier.
-func (s *SceneSVM) Name() string { return "scene-svm" }
-
 // Model exposes the underlying SVM (for serialisation).
 func (s *SceneSVM) Model() *svm.Model { return s.model }
 
@@ -206,9 +198,6 @@ func TrainSceneKNN(d *fingerprint.Dataset, k int) (*SceneKNN, error) {
 	}
 	return &SceneKNN{beacons: append([]ibeacon.BeaconID(nil), d.Beacons...), model: m}, nil
 }
-
-// Name implements Classifier.
-func (s *SceneKNN) Name() string { return fmt.Sprintf("scene-knn(k=%d)", s.model.K()) }
 
 // Predict implements Classifier.
 func (s *SceneKNN) Predict(sample fingerprint.Sample) string {
@@ -350,9 +339,8 @@ func (m *ConfusionMatrix) Render() string {
 
 // Result is the outcome of evaluating a classifier on a labelled set.
 type Result struct {
-	Classifier string
-	Accuracy   float64
-	Matrix     *ConfusionMatrix
+	Accuracy float64
+	Matrix   *ConfusionMatrix
 	// FalsePositives/FalseNegatives use the paper's room-level reading
 	// (see RoomFalsePositives / RoomFalseNegatives).
 	FalsePositives int
@@ -372,7 +360,6 @@ func Evaluate(c Classifier, test *fingerprint.Dataset, labels []string, outsideL
 		}
 	}
 	return Result{
-		Classifier:     c.Name(),
 		Accuracy:       m.Accuracy(),
 		Matrix:         m,
 		FalsePositives: m.RoomFalsePositives(outsideLabel),

@@ -161,35 +161,28 @@ func (s *Scenario) BTRelayUplink(dropProb float64) (transport.Uplink, error) {
 type PhoneConfig struct {
 	// Profile defaults to the Galaxy S3 Mini.
 	Profile device.Profile
-	// ScanPeriod defaults to 2 s.
+	// ScanPeriod defaults to the paper's 2 s.
 	ScanPeriod time.Duration
-	// Filter defaults to the paper's configuration.
-	Filter filter.Config
 	// Uplink defaults to the in-process server uplink.
 	Uplink transport.Uplink
 	// UplinkKind defaults to Wi-Fi energy accounting.
 	UplinkKind energy.Uplink
-	// Power defaults to the calibrated app profile.
-	Power energy.AppProfile
 	// MotionGate enables the accelerometer optimisation.
 	MotionGate bool
 }
+
+// paperScanPeriod is the scan period of the paper's configuration.
+const paperScanPeriod = 2 * time.Second
 
 func (s *Scenario) phoneDefaults(pc PhoneConfig) PhoneConfig {
 	if pc.Profile.Model == "" {
 		pc.Profile = device.GalaxyS3Mini()
 	}
 	if pc.ScanPeriod == 0 {
-		pc.ScanPeriod = 2 * time.Second
-	}
-	if pc.Filter == (filter.Config{}) {
-		pc.Filter = filter.PaperConfig()
+		pc.ScanPeriod = paperScanPeriod
 	}
 	if pc.Uplink == nil {
 		pc.Uplink = s.ServerUplink()
-	}
-	if pc.Power == (energy.AppProfile{}) {
-		pc.Power = energy.DefaultAppProfile()
 	}
 	return pc
 }
@@ -200,10 +193,10 @@ func (s *Scenario) AddPhone(name string, m mobility.Model, pc PhoneConfig) (*app
 	s.phones++
 	return app.Launch(s.world, name, m, app.Config{
 		Profile:    pc.Profile,
-		Power:      pc.Power,
+		Power:      energy.DefaultAppProfile(),
 		ScanPeriod: pc.ScanPeriod,
 		Region:     ibeacon.NewRegion(deploymentUUID(s.cfg.Building)),
-		Filter:     pc.Filter,
+		Filter:     filter.PaperConfig(),
 		Uplink:     pc.Uplink,
 		UplinkKind: pc.UplinkKind,
 		MotionGate: pc.MotionGate,
@@ -229,14 +222,10 @@ func OutsideArea(b *building.Building) geom.Rect {
 	)
 }
 
-// CollectConfig parameterises the fingerprint collection walk.
+// CollectConfig parameterises the fingerprint collection walk. The
+// operator carries the paper's handset (a Galaxy S3 Mini scanning every
+// 2 s under the paper's filter) at walkingSpeed.
 type CollectConfig struct {
-	// Profile defaults to the Galaxy S3 Mini.
-	Profile device.Profile
-	// ScanPeriod defaults to 2 s.
-	ScanPeriod time.Duration
-	// Filter defaults to the paper's configuration.
-	Filter filter.Config
 	// PointsPerRoom is the number of survey points per room (default 6,
 	// max 9).
 	PointsPerRoom int
@@ -246,28 +235,17 @@ type CollectConfig struct {
 	// IncludeOutside adds survey points outside the entrance, labelled
 	// building.Outside.
 	IncludeOutside bool
-	// Speed is the operator walking speed (default 1.2 m/s).
-	Speed float64
 }
 
+// walkingSpeed is the operator's walking speed in m/s.
+const walkingSpeed = 1.2
+
 func (c CollectConfig) withDefaults() CollectConfig {
-	if c.Profile.Model == "" {
-		c.Profile = device.GalaxyS3Mini()
-	}
-	if c.ScanPeriod == 0 {
-		c.ScanPeriod = 2 * time.Second
-	}
-	if c.Filter == (filter.Config{}) {
-		c.Filter = filter.PaperConfig()
-	}
 	if c.PointsPerRoom == 0 {
 		c.PointsPerRoom = 6
 	}
 	if c.DwellPerPoint == 0 {
 		c.DwellPerPoint = 10 * time.Second
-	}
-	if c.Speed == 0 {
-		c.Speed = 1.2
 	}
 	return c
 }
@@ -319,14 +297,14 @@ func (s *Scenario) CollectFingerprints(cc CollectConfig) (*fingerprint.Dataset, 
 		}
 		stops = append(stops, surveyPoints(OutsideArea(b), n, cc.DwellPerPoint)...)
 	}
-	walk, err := mobility.NewStops(stops, cc.Speed)
+	walk, err := mobility.NewStops(stops, walkingSpeed)
 	if err != nil {
 		return nil, err
 	}
 
 	ids := beaconIDs(b)
 	ds := fingerprint.New(ids)
-	filt, err := filter.NewHistory(cc.Filter)
+	filt, err := filter.NewHistory(filter.PaperConfig())
 	if err != nil {
 		return nil, err
 	}
@@ -334,8 +312,8 @@ func (s *Scenario) CollectFingerprints(cc CollectConfig) (*fingerprint.Dataset, 
 	start := s.engine.Now()
 	s.phones++
 	scn, err := scanner.Attach(s.world, fmt.Sprintf("collector-%d", s.phones), offsetModel{walk, start}, scanner.Config{
-		Period:  cc.ScanPeriod,
-		Profile: cc.Profile,
+		Period:  paperScanPeriod,
+		Profile: device.GalaxyS3Mini(),
 		Region:  ibeacon.NewRegion(deploymentUUID(b)),
 		OnCycle: func(c scanner.Cycle) {
 			if !collecting {
@@ -356,7 +334,7 @@ func (s *Scenario) CollectFingerprints(cc CollectConfig) (*fingerprint.Dataset, 
 	if err != nil {
 		return nil, err
 	}
-	s.Run(walk.End() + cc.ScanPeriod)
+	s.Run(walk.End() + paperScanPeriod)
 	collecting = false
 	// The operator leaves with the survey handset; stop sampling its
 	// radio for the rest of the scenario.
@@ -364,45 +342,29 @@ func (s *Scenario) CollectFingerprints(cc CollectConfig) (*fingerprint.Dataset, 
 	return ds, nil
 }
 
-// WalkConfig parameterises the labelled test walk.
+// WalkConfig parameterises the labelled test walk. The subject carries
+// the paper's handset (a Galaxy S3 Mini scanning every 2 s under the
+// paper's filter) on subjectWalk.
 type WalkConfig struct {
-	// Profile defaults to the Galaxy S3 Mini.
-	Profile device.Profile
-	// ScanPeriod defaults to 2 s.
-	ScanPeriod time.Duration
-	// Filter defaults to the paper's configuration.
-	Filter filter.Config
 	// Duration is the walk length (default 15 min).
 	Duration time.Duration
-	// Walk is the movement parameterisation (default mobility.DefaultWalk).
-	Walk mobility.RandomWaypointConfig
 	// IncludeOutside adds the outside area to the tour.
 	IncludeOutside bool
 }
 
+// subjectWalk is the test subject's movement: they linger in each room
+// long enough for the ranging filter to settle, as a person reporting "I
+// am in the kitchen" does.
+var subjectWalk = mobility.RandomWaypointConfig{
+	SpeedMin: 1.0,
+	SpeedMax: 1.5,
+	PauseMin: 12 * time.Second,
+	PauseMax: 40 * time.Second,
+}
+
 func (c WalkConfig) withDefaults() WalkConfig {
-	if c.Profile.Model == "" {
-		c.Profile = device.GalaxyS3Mini()
-	}
-	if c.ScanPeriod == 0 {
-		c.ScanPeriod = 2 * time.Second
-	}
-	if c.Filter == (filter.Config{}) {
-		c.Filter = filter.PaperConfig()
-	}
 	if c.Duration == 0 {
 		c.Duration = 15 * time.Minute
-	}
-	if c.Walk == (mobility.RandomWaypointConfig{}) {
-		// The test subject lingers in each room long enough for the
-		// ranging filter to settle, as a person reporting "I am in the
-		// kitchen" does.
-		c.Walk = mobility.RandomWaypointConfig{
-			SpeedMin: 1.0,
-			SpeedMax: 1.5,
-			PauseMin: 12 * time.Second,
-			PauseMax: 40 * time.Second,
-		}
 	}
 	return c
 }
@@ -428,14 +390,14 @@ func (s *Scenario) RunLabelledWalk(wc WalkConfig) (*fingerprint.Dataset, error) 
 		areas = append(areas, OutsideArea(b))
 	}
 	s.phones++
-	tour, err := mobility.NewTour(areas, wc.Walk, wc.Duration, s.src.Split(uint64(200+s.phones)))
+	tour, err := mobility.NewTour(areas, subjectWalk, wc.Duration, s.src.Split(uint64(200+s.phones)))
 	if err != nil {
 		return nil, err
 	}
 	start := s.engine.Now()
 
 	ds := fingerprint.New(beaconIDs(b))
-	filt, err := filter.NewHistory(wc.Filter)
+	filt, err := filter.NewHistory(filter.PaperConfig())
 	if err != nil {
 		return nil, err
 	}
@@ -443,8 +405,8 @@ func (s *Scenario) RunLabelledWalk(wc WalkConfig) (*fingerprint.Dataset, error) 
 	lastRoom := ""
 	settle := 0
 	scn, err := scanner.Attach(s.world, fmt.Sprintf("subject-%d", s.phones), offsetModel{tour, start}, scanner.Config{
-		Period:  wc.ScanPeriod,
-		Profile: wc.Profile,
+		Period:  paperScanPeriod,
+		Profile: device.GalaxyS3Mini(),
 		Region:  ibeacon.NewRegion(deploymentUUID(b)),
 		OnCycle: func(c scanner.Cycle) {
 			if !walking {

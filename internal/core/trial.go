@@ -5,7 +5,6 @@ import (
 
 	"occusim/internal/building"
 	"occusim/internal/classify"
-	"occusim/internal/fingerprint"
 	"occusim/internal/svm"
 )
 
@@ -17,21 +16,18 @@ type TrialConfig struct {
 	Collect CollectConfig
 	// Walk configures the labelled test walk.
 	Walk WalkConfig
-	// SVMC and SVMGamma configure the RBF machine (defaults 10 and
-	// 1/(#beacons)).
-	SVMC     float64
-	SVMGamma float64
-	// KNNK configures the k-NN baseline (default 5).
-	KNNK int
 }
 
+// The trial's classifiers: the RBF machine's C and kernel width
+// (grid-searched on held-out walks; wide kernels suit the metre-scale
+// distance features, see EXPERIMENTS.md), and the k-NN baseline's k.
+const (
+	svmC     = 10
+	svmGamma = 0.03
+	knnK     = 5
+)
+
 func (c TrialConfig) withDefaults() TrialConfig {
-	if c.SVMC == 0 {
-		c.SVMC = 10
-	}
-	if c.KNNK == 0 {
-		c.KNNK = 5
-	}
 	if c.Collect.DwellPerPoint == 0 {
 		c.Collect.IncludeOutside = true
 	}
@@ -53,8 +49,6 @@ type TrialResult struct {
 	KNN classify.Result
 	// LinearSVM is the kernel ablation.
 	LinearSVM classify.Result
-	// Train and Test expose the datasets for further analysis.
-	Train, Test *fingerprint.Dataset
 }
 
 // RunClassificationTrial reproduces the Section VI experiment: collect
@@ -79,29 +73,23 @@ func RunClassificationTrial(cfg TrialConfig) (*TrialResult, error) {
 	}
 
 	b := scn.Building()
-	gamma := cfg.SVMGamma
-	if gamma == 0 {
-		// Grid-searched on held-out walks; wide kernels suit the
-		// metre-scale distance features (see EXPERIMENTS.md).
-		gamma = 0.03
-	}
 	sceneSVM, err := classify.TrainSceneSVM(train, svm.TrainConfig{
-		C:      cfg.SVMC,
-		Kernel: svm.RBF{Gamma: gamma},
+		C:      svmC,
+		Kernel: svm.RBF{Gamma: svmGamma},
 		Seed:   cfg.Scenario.Seed,
 	})
 	if err != nil {
 		return nil, err
 	}
 	linearSVM, err := classify.TrainSceneSVM(train, svm.TrainConfig{
-		C:      cfg.SVMC,
+		C:      svmC,
 		Kernel: svm.Linear{},
 		Seed:   cfg.Scenario.Seed,
 	})
 	if err != nil {
 		return nil, err
 	}
-	sceneKNN, err := classify.TrainSceneKNN(train, cfg.KNNK)
+	sceneKNN, err := classify.TrainSceneKNN(train, knnK)
 	if err != nil {
 		return nil, err
 	}
@@ -111,8 +99,6 @@ func RunClassificationTrial(cfg TrialConfig) (*TrialResult, error) {
 	res := &TrialResult{
 		TrainSamples: train.Len(),
 		TestSamples:  test.Len(),
-		Train:        train,
-		Test:         test,
 	}
 	if res.SVM, err = classify.Evaluate(sceneSVM, test, labels, building.Outside); err != nil {
 		return nil, err

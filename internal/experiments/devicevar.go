@@ -15,7 +15,6 @@ import (
 type DeviceSignal struct {
 	Model   string
 	Summary stats.Summary
-	RSSI    Series
 }
 
 // Fig11Result reproduces Figure 11: two handsets at the same distance
@@ -57,7 +56,6 @@ func Fig11(seed uint64) (*Fig11Result, error) {
 		res.Devices = append(res.Devices, DeviceSignal{
 			Model:   prof.Model,
 			Summary: stats.Summarize(run.rssi.Values()),
-			RSSI:    run.rssi,
 		})
 	}
 	res.MeanGapDB = res.Devices[1].Summary.Mean - res.Devices[0].Summary.Mean

@@ -21,7 +21,6 @@ import (
 // dynamicWalk is the Section V dynamic test: dwell next to transmitter
 // A, walk to transmitter B at the paper's 1–1.5 m/s, dwell there.
 type dynamicWalk struct {
-	scn       *core.Scenario
 	aID, bID  ibeacon.BeaconID
 	walkStart time.Duration // when movement begins
 	walkEnd   time.Duration // when the subject arrives at B
@@ -58,7 +57,6 @@ func runDynamic(coeff float64, scanPeriod time.Duration, seed uint64) (*dynamicW
 		return nil, nil, err
 	}
 	dw := &dynamicWalk{
-		scn:       scn,
 		aID:       b.Beacons[0].ID,
 		bID:       b.Beacons[1].ID,
 		walkStart: dynDwell,
@@ -72,10 +70,7 @@ func runDynamic(coeff float64, scanPeriod time.Duration, seed uint64) (*dynamicW
 	if err != nil {
 		return nil, nil, err
 	}
-	trace := &dynamicTrace{
-		distA: Series{Name: "beacon-A"},
-		distB: Series{Name: "beacon-B"},
-	}
+	trace := &dynamicTrace{}
 	_, err = scanner.Attach(scn.World(), "walker", walk, scanner.Config{
 		Period:  scanPeriod,
 		Profile: device.GalaxyS3Mini(),

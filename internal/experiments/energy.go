@@ -177,7 +177,7 @@ func Fig10(runs int, seed uint64) (*Fig10Result, error) {
 				sumComp[c] += j
 			}
 		}
-		s := Series{Name: kind.String()}
+		s := Series{}
 		for i, t := range times {
 			s.Points = append(s.Points, Point{T: t, V: sumLevels[i] / float64(runs)})
 		}

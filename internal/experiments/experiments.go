@@ -69,9 +69,8 @@ type Point struct {
 	V float64
 }
 
-// Series is a named time series with axis labels for rendering.
+// Series is a time series.
 type Series struct {
-	Name   string
 	Points []Point
 }
 
@@ -172,11 +171,7 @@ func runStaticRanging(cfg staticRangingConfig, seed uint64) (*staticRangingResul
 		return nil, err
 	}
 	rawEst := radio.LogDistanceEstimator{Exponent: cfg.radio.Exponent}
-	res := &staticRangingResult{
-		raw:      Series{Name: "raw"},
-		filtered: Series{Name: fmt.Sprintf("filtered(c=%.2f)", cfg.filter.Coeff)},
-		rssi:     Series{Name: "rssi"},
-	}
+	res := &staticRangingResult{}
 	res.scn, err = scanner.Attach(scn.World(), "probe", mobility.Static{P: pos}, scanner.Config{
 		Period:  cfg.scanPeriod,
 		Profile: cfg.profile,

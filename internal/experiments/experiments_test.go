@@ -285,7 +285,7 @@ func TestAblationMotionGating(t *testing.T) {
 }
 
 func TestRenderSeriesBounds(t *testing.T) {
-	s := Series{Name: "x", Points: []Point{
+	s := Series{Points: []Point{
 		{T: time.Second, V: -5}, {T: 2 * time.Second, V: 50},
 	}}
 	out := renderSeries(s, 0, 10, 20, 0)

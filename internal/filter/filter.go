@@ -34,9 +34,6 @@ type Estimate struct {
 	Beacon ibeacon.BeaconID
 	// Distance is the filtered distance in metres.
 	Distance float64
-	// Raw is the unfiltered distance implied by the latest observation
-	// (unchanged during held losses).
-	Raw float64
 	// LastSeen is the time of the last observation that included the
 	// beacon.
 	LastSeen time.Duration
@@ -120,13 +117,11 @@ func (h *History) Update(at time.Duration, obs []Observation) []Estimate {
 			h.state[o.Beacon] = &Estimate{
 				Beacon:   o.Beacon,
 				Distance: v,
-				Raw:      v,
 				LastSeen: at,
 			}
 			continue
 		}
 		s.Distance = h.cfg.Coeff*s.Distance + (1-h.cfg.Coeff)*v
-		s.Raw = v
 		s.LastSeen = at
 		s.Misses = 0
 	}

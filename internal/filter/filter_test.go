@@ -64,16 +64,23 @@ func TestFirstObservationSeedsEstimate(t *testing.T) {
 	}
 }
 
+// rawDistance is the unfiltered distance the history's estimator reads
+// off one observation.
+func rawDistance(h *History, o Observation) float64 {
+	return h.est.Estimate(o.RSSI, float64(o.MeasuredPower))
+}
+
 func TestRecursiveBlend(t *testing.T) {
 	h := mustHistory(t, Config{Coeff: 0.65, MaxMisses: 2})
 	h.Update(0, []Observation{obsAtDistance(beaconA, 2)})
-	es := h.Update(time.Second, []Observation{obsAtDistance(beaconA, 4)})
+	o := obsAtDistance(beaconA, 4)
+	es := h.Update(time.Second, []Observation{o})
 	// p = 0.65·2 + 0.35·4 = 2.7
 	if math.Abs(es[0].Distance-2.7) > 0.02 {
 		t.Fatalf("blended = %v, want 2.7", es[0].Distance)
 	}
-	if math.Abs(es[0].Raw-4) > 0.02 {
-		t.Fatalf("raw = %v, want 4", es[0].Raw)
+	if raw := rawDistance(h, o); math.Abs(raw-4) > 0.02 {
+		t.Fatalf("raw = %v, want 4", raw)
 	}
 }
 
@@ -165,8 +172,9 @@ func TestSmoothingReducesVariance(t *testing.T) {
 		if i%2 == 0 {
 			d = 3.5
 		}
-		es := h.Update(time.Duration(i)*time.Second, []Observation{obsAtDistance(beaconA, d)})
-		raw = append(raw, es[0].Raw)
+		o := obsAtDistance(beaconA, d)
+		es := h.Update(time.Duration(i)*time.Second, []Observation{o})
+		raw = append(raw, rawDistance(h, o))
 		smooth = append(smooth, es[0].Distance)
 	}
 	if variance(smooth) >= variance(raw)/2 {
@@ -236,8 +244,9 @@ func TestQuickEstimateWithinObservedRange(t *testing.T) {
 			if d > 19.9 {
 				d = 19.9
 			}
-			es := h.Update(time.Duration(i)*time.Second, []Observation{obsAtDistance(beaconA, d)})
-			v := es[0].Raw
+			o := obsAtDistance(beaconA, d)
+			es := h.Update(time.Duration(i)*time.Second, []Observation{o})
+			v := rawDistance(h, o)
 			if v < lo {
 				lo = v
 			}

@@ -37,10 +37,6 @@ import (
 
 // Config parameterises a Gateway; zero fields take defaults.
 type Config struct {
-	// Replicas is the number of virtual nodes per shard on the hash
-	// ring (default 64). More replicas smooth the key distribution at
-	// the cost of a larger ring.
-	Replicas int
 	// ProbeInterval rate-limits CheckHealth: calls within the interval
 	// of the last probe return the cached statuses instead of fanning a
 	// fresh probe to every shard. Gateways that expose CheckHealth on a
@@ -101,10 +97,9 @@ var ErrShardMisbehaved error = &transport.Error{Code: http.StatusBadGateway, Err
 
 // Gateway fronts a pool of shards. It is safe for concurrent use.
 type Gateway struct {
-	shards   []Shard
-	ring     *ring.Ring // shared routing function; see internal/ring
-	byName   map[string]int
-	replicas int
+	shards []Shard
+	ring   *ring.Ring // shared routing function; see internal/ring
+	byName map[string]int
 
 	// mu guards down, pinned, fenced and digest; routing takes it shared
 	// on every report. pinned marks shards an operator drained with
@@ -202,9 +197,6 @@ func New(shards []Shard, cfg Config) (*Gateway, error) {
 	if len(shards) == 0 {
 		return nil, fmt.Errorf("fleet: gateway needs at least one shard")
 	}
-	if cfg.Replicas <= 0 {
-		cfg.Replicas = ring.DefaultReplicas
-	}
 	names := make([]string, len(shards))
 	for i, s := range shards {
 		if s == nil || s.Name() == "" {
@@ -214,7 +206,6 @@ func New(shards []Shard, cfg Config) (*Gateway, error) {
 	}
 	g := &Gateway{
 		shards:     shards,
-		replicas:   cfg.Replicas,
 		probeEvery: cfg.ProbeInterval,
 		ttl:        cfg.ResidueTTL,
 		known:      map[string]string{},
@@ -235,7 +226,7 @@ func New(shards []Shard, cfg Config) (*Gateway, error) {
 			g.breakers[i] = newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown)
 		}
 	}
-	r, err := ring.New(names, cfg.Replicas)
+	r, err := ring.New(names, ring.DefaultReplicas)
 	if err != nil {
 		// ring.New only rejects duplicate/empty names; keep the fleet-
 		// flavoured error the callers and tests expect.

@@ -16,7 +16,7 @@
 //	          granted e+1. Losing to a higher grant re-bids above it.
 //	renew   — re-claim the SAME epoch before TTL elapses (shards treat
 //	          an equal-epoch claim by the same holder as a heartbeat).
-//	standby — probe the active peer; after MissedProbes consecutive
+//	standby — probe the active peer; after missedProbes consecutive
 //	          failures, claim. On winning, rebuild the device registry
 //	          from the shards (the deposed leader's routing memory) and
 //	          start serving writes.
@@ -41,6 +41,10 @@ import (
 // loop decide when to try again.
 const claimMaxRounds = 4
 
+// missedProbes is how many consecutive probe failures depose a silent
+// active.
+const missedProbes = 2
+
 // LeaseConfig parameterises a LeaseController.
 type LeaseConfig struct {
 	// Self is the URL this gateway advertises as leader hint (how
@@ -51,13 +55,10 @@ type LeaseConfig struct {
 	// that still wants fencing against its own earlier incarnations).
 	Peer string
 	// TTL is the leadership lease duration: the active renews (and a
-	// standby probes) every TTL/3, and a standby needs MissedProbes
+	// standby probes) every TTL/3, and a standby needs missedProbes
 	// consecutive probe failures — at least 2·TTL/3 of silence — before
 	// it claims. Default 3s.
 	TTL time.Duration
-	// MissedProbes is how many consecutive probe failures depose a
-	// silent active. Default 2.
-	MissedProbes int
 	// Probe overrides how a standby checks the active peer (tests). The
 	// default GETs Peer's /api/v1/health with a TTL/3 timeout.
 	Probe func() error
@@ -90,9 +91,6 @@ func NewLeaseController(gw *Gateway, cfg LeaseConfig) (*LeaseController, error) 
 	}
 	if cfg.TTL <= 0 {
 		cfg.TTL = 3 * time.Second
-	}
-	if cfg.MissedProbes <= 0 {
-		cfg.MissedProbes = 2
 	}
 	return &LeaseController{
 		gw:     gw,
@@ -288,7 +286,7 @@ func (c *LeaseController) Run(stop <-chan struct{}) {
 			}
 			c.mu.Lock()
 			c.misses++
-			claim := c.misses >= c.cfg.MissedProbes
+			claim := c.misses >= missedProbes
 			c.mu.Unlock()
 			if claim {
 				_ = c.Claim() // losing keeps us standby; next miss retries

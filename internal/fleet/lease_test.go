@@ -204,9 +204,8 @@ func TestLeaseRunStandbyTakeover(t *testing.T) {
 
 	var peerDown chan struct{} = make(chan struct{})
 	ctlB, err := fleet.NewLeaseController(gwB, fleet.LeaseConfig{
-		Self:         "http://gwB",
-		TTL:          90 * time.Millisecond,
-		MissedProbes: 2,
+		Self: "http://gwB",
+		TTL:  90 * time.Millisecond,
 		Probe: func() error {
 			select {
 			case <-peerDown:

@@ -55,7 +55,7 @@ func FuzzSplitBatch(f *testing.F) {
 				b.AddBeacon(wire.Beacon{ID: ibeacon.BeaconID{Major: uint16(k), Minor: uint16(i)}, Distance: float64(k), RSSI: -60})
 			}
 		}
-		f.Add(wire.AppendPayload(nil, b), uint8(n), uint8(3*n), uint8(n))
+		f.Add(wire.AppendPayload(nil, b), uint8(n), uint8(n))
 	}
 	// More identities than a frame's table holds, every one sighted by
 	// several devices: each shard's frame overflows on its own.
@@ -66,13 +66,13 @@ func FuzzSplitBatch(f *testing.F) {
 			crowded.AddBeacon(wire.Beacon{ID: ibeacon.BeaconID{Major: uint16((10*i + k) % 300)}, Distance: float64(k), RSSI: -60})
 		}
 	}
-	f.Add(wire.AppendPayload(nil, crowded), uint8(3), uint8(9), uint8(0))
+	f.Add(wire.AppendPayload(nil, crowded), uint8(3), uint8(0))
 	nameless := new(wire.Batch)
 	nameless.AddReport("a", 1, 0, 0)
 	nameless.AddReport("", 2, 0, 0)
-	f.Add(wire.AppendPayload(nil, nameless), uint8(3), uint8(9), uint8(0))
+	f.Add(wire.AppendPayload(nil, nameless), uint8(3), uint8(0))
 
-	f.Fuzz(func(t *testing.T, payload []byte, nShards, replicas, downMask uint8) {
+	f.Fuzz(func(t *testing.T, payload []byte, nShards, downMask uint8) {
 		in := new(wire.Batch)
 		if wire.DecodePayload(payload, in) != nil {
 			return
@@ -83,7 +83,7 @@ func FuzzSplitBatch(f *testing.F) {
 			shards[i] = &recordShard{name: fmt.Sprintf("s%d", i)}
 			ring[i] = shards[i]
 		}
-		g, err := New(ring, Config{Replicas: 1 + int(replicas%32)})
+		g, err := New(ring, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}

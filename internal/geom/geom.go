@@ -1,7 +1,7 @@
 // Package geom provides the 2-D geometry primitives used by the building
 // model, the mobility models and the radio propagation model: points,
-// segments, rectangles and polygons, with the operations the simulator
-// needs (distance, containment, segment intersection and wall-crossing
+// segments and rectangles, with the operations the simulator needs
+// (distance, containment, segment intersection and wall-crossing
 // counts).
 //
 // The coordinate system is metres on a single floor, x growing east and y

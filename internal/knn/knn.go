@@ -38,9 +38,6 @@ func Train(X [][]float64, labels []string, k int) (*Classifier, error) {
 	return c, nil
 }
 
-// K returns the neighbour count.
-func (c *Classifier) K() int { return c.k }
-
 // Predict returns the majority label among the k nearest training points
 // (Euclidean distance). Ties break towards the label of the closest
 // tied-vote neighbour, making predictions deterministic.

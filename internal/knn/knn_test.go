@@ -42,8 +42,8 @@ func TestPredictClusters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.K() != 3 {
-		t.Fatalf("K = %d", c.K())
+	if c.k != 3 {
+		t.Fatalf("k = %d", c.k)
 	}
 	if got := c.Predict([]float64{0.1, 0.1}); got != "a" {
 		t.Errorf("near cluster a predicted %q", got)

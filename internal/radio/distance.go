@@ -20,10 +20,11 @@ type DistanceEstimator interface {
 type LogDistanceEstimator struct {
 	// Exponent is the assumed path-loss exponent (2.0 if zero).
 	Exponent float64
-	// MaxDistance clamps the estimate (20 m if zero); deep fades
-	// otherwise explode the estimate to physically silly values.
-	MaxDistance float64
 }
+
+// maxDistance clamps both estimators' output, in metres: deep fades
+// otherwise explode the estimate to physically silly values.
+const maxDistance = 20
 
 func (e LogDistanceEstimator) exponent() float64 {
 	if e.Exponent <= 0 {
@@ -32,18 +33,11 @@ func (e LogDistanceEstimator) exponent() float64 {
 	return e.Exponent
 }
 
-func (e LogDistanceEstimator) maxDistance() float64 {
-	if e.MaxDistance <= 0 {
-		return 20
-	}
-	return e.MaxDistance
-}
-
 // Estimate implements DistanceEstimator.
 func (e LogDistanceEstimator) Estimate(rssi, txPowerAt1m float64) float64 {
 	d := math.Pow(10, (txPowerAt1m-rssi)/(10*e.exponent()))
-	if d > e.maxDistance() {
-		return e.maxDistance()
+	if d > maxDistance {
+		return maxDistance
 	}
 	if d < 0.01 {
 		return 0.01
@@ -59,19 +53,12 @@ func (e LogDistanceEstimator) Estimate(rssi, txPowerAt1m float64) float64 {
 //	d     = A·ratio^B + C                    otherwise
 //
 // with A = 0.89976, B = 7.7095, C = 0.111 fitted on a Nexus 4.
-type RatioCurveEstimator struct {
-	// MaxDistance clamps the estimate (20 m if zero).
-	MaxDistance float64
-}
+type RatioCurveEstimator struct{}
 
 // Estimate implements DistanceEstimator.
 func (e RatioCurveEstimator) Estimate(rssi, txPowerAt1m float64) float64 {
-	maxD := e.MaxDistance
-	if maxD <= 0 {
-		maxD = 20
-	}
 	if rssi == 0 || txPowerAt1m == 0 {
-		return maxD // no signal information
+		return maxDistance // no signal information
 	}
 	ratio := rssi / txPowerAt1m
 	var d float64
@@ -80,8 +67,8 @@ func (e RatioCurveEstimator) Estimate(rssi, txPowerAt1m float64) float64 {
 	} else {
 		d = 0.89976*math.Pow(ratio, 7.7095) + 0.111
 	}
-	if d > maxD {
-		return maxD
+	if d > maxDistance {
+		return maxDistance
 	}
 	if d < 0.01 {
 		return 0.01

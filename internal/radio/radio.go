@@ -125,7 +125,6 @@ func (c *Channel) SlowFade() SlowFade {
 // rng sources.
 type Channel struct {
 	params Params
-	walls  []geom.Segment
 	index  *geom.SegmentIndex
 	shadow *shadowField
 	// riceNu and riceSigma are the unit-mean-power Rician decomposition
@@ -156,7 +155,6 @@ func NewChannel(params Params, walls []geom.Segment, seed uint64) (*Channel, err
 	k := params.RiceK
 	c := &Channel{
 		params:    params,
-		walls:     walls,
 		index:     geom.NewSegmentIndex(walls, 2),
 		shadow:    newShadowField(params.ShadowSigmaDB, params.ShadowCorrLen, seed),
 		riceNu:    math.Sqrt(k / (k + 1)),

@@ -258,9 +258,9 @@ func TestLogDistanceEstimatorRoundTrip(t *testing.T) {
 }
 
 func TestLogDistanceEstimatorClamps(t *testing.T) {
-	est := LogDistanceEstimator{Exponent: 2.0, MaxDistance: 15}
-	if got := est.Estimate(-200, -59); got != 15 {
-		t.Errorf("deep fade estimate = %v, want clamp 15", got)
+	est := LogDistanceEstimator{Exponent: 2.0}
+	if got := est.Estimate(-200, -59); got != maxDistance {
+		t.Errorf("deep fade estimate = %v, want clamp %v", got, maxDistance)
 	}
 	if got := est.Estimate(0, -59); got != 0.01 {
 		t.Errorf("strong signal estimate = %v, want clamp 0.01", got)

@@ -8,9 +8,11 @@
 //     radio captures only a fraction of the packets on air (channel
 //     rotation and duty cycling), scans start with a short dead time, and
 //     the whole cycle is occasionally lost to a stack bug.
-//   - iOS: every received advertisement is delivered to the application,
-//     so a 2 s cycle at 30 advertisements/s yields ~60 raw samples where
-//     Android yields one.
+//   - iOS: the radio captures every advertisement on air and no cycle is
+//     lost, so a 2 s cycle at 30 advertisements/s decodes ~60 raw
+//     samples where Android delivers one. The model counts them
+//     (Stats.RawReceptions) and delivers the same per-cycle aggregate
+//     as on Android; it hands no single packet to the application.
 //
 // The per-cycle aggregated value is the mean RSSI of the advertisements
 // the stack decoded during the cycle, which is what the Radius Networks
@@ -42,23 +44,16 @@ const (
 // a scan cycle — the Android API's "single signal strength measurement
 // per scan".
 type Sample struct {
-	// At is the delivery time (end of the cycle).
-	At time.Duration
 	// Beacon identifies the transmitter.
 	Beacon ibeacon.BeaconID
 	// MeasuredPower is the calibrated 1 m RSSI carried by the packet.
 	MeasuredPower int8
 	// RSSI is the aggregated received strength for the cycle in dBm.
 	RSSI float64
-	// RawCount is the number of advertisements the stack decoded for
-	// this beacon during the cycle.
-	RawCount int
 }
 
 // Cycle is the result of one scan period.
 type Cycle struct {
-	// Index counts cycles from zero.
-	Index int
 	// Start and End delimit the cycle in simulated time.
 	Start, End time.Duration
 	// Samples holds one aggregated sample per beacon heard, sorted by
@@ -67,15 +62,6 @@ type Cycle struct {
 	Samples []Sample
 	// Dropped marks a cycle lost to the Android stack bug.
 	Dropped bool
-}
-
-// Advertisement is one raw decoded packet, the unit iOS delivers to apps.
-type Advertisement struct {
-	At     time.Duration
-	Beacon ibeacon.BeaconID
-	// MeasuredPower is the calibrated 1 m RSSI from the packet.
-	MeasuredPower int8
-	RSSI          float64
 }
 
 // Config parameterises a scanner.
@@ -90,37 +76,18 @@ type Config struct {
 	// monitoring configuration step: the app and transmitters must agree
 	// on the region UUID. A zero Region accepts everything.
 	Region ibeacon.Region
-	// CaptureProb overrides the OS default radio capture probability
-	// when non-zero.
-	CaptureProb float64
 	// OnCycle receives each completed cycle. Optional.
 	OnCycle func(Cycle)
-	// OnAdvertisement receives every decoded packet as it arrives (the
-	// iOS application experience; for Android profiles it exposes what
-	// the stack sees internally, which apps cannot observe). Optional.
-	// It runs inside the link layer's batched-delivery flow, where the
-	// engine clock may lag the packet time: accumulate here and react
-	// from OnCycle, do not schedule engine events (see ble.Listener).
-	OnAdvertisement func(Advertisement)
 }
 
 func (c Config) validate() error {
 	if c.Period <= 0 {
 		return fmt.Errorf("scanner: period must be positive, got %v", c.Period)
 	}
-	if err := c.Profile.Validate(); err != nil {
-		return err
-	}
-	if c.CaptureProb < 0 || c.CaptureProb > 1 {
-		return fmt.Errorf("scanner: capture probability %v outside [0,1]", c.CaptureProb)
-	}
-	return nil
+	return c.Profile.Validate()
 }
 
 func (c Config) captureProb() float64 {
-	if c.CaptureProb != 0 {
-		return c.CaptureProb
-	}
 	if c.Profile.OS == device.IOS {
 		return IOSCaptureProb
 	}
@@ -135,7 +102,6 @@ type Scanner struct {
 	listener   *ble.Listener
 	detached   bool
 	cycleStart time.Duration
-	cycleIdx   int
 	acc        map[ibeacon.BeaconID]*accum
 
 	// slots memoises the whole per-payload reception pipeline — the
@@ -156,10 +122,7 @@ type Scanner struct {
 	// same advertiser.
 	lastSlot int
 
-	totalRaw     int
-	totalSamples int
-	totalCycles  int
-	totalDropped int
+	totalRaw int
 }
 
 // payloadCacheMaxEntries bounds the payload-resolution memo. Deployments
@@ -259,14 +222,6 @@ func (s *Scanner) onReception(r ble.Reception) {
 	sl.acc.power = sl.power
 	sl.acc.rssis = append(sl.acc.rssis, r.RSSI)
 	s.totalRaw++
-	if s.cfg.OnAdvertisement != nil {
-		s.cfg.OnAdvertisement(Advertisement{
-			At:            r.At,
-			Beacon:        sl.id,
-			MeasuredPower: sl.power,
-			RSSI:          r.RSSI,
-		})
-	}
 }
 
 // resolvePayload returns the payload's memo slot, scanning the cache by
@@ -304,29 +259,21 @@ func (s *Scanner) resolvePayload(key *byte, payload []byte) *payloadSlot {
 
 // closeCycle finalises the current scan period and begins the next.
 func (s *Scanner) closeCycle(now time.Duration) {
-	c := Cycle{Index: s.cycleIdx, Start: s.cycleStart, End: now}
-	s.cycleIdx++
-	s.totalCycles++
-
-	dropped := s.cfg.Profile.OS == device.Android && s.src.Bool(s.cfg.Profile.ScanLossProb)
-	if dropped {
+	c := Cycle{Start: s.cycleStart, End: now}
+	if s.cfg.Profile.OS == device.Android && s.src.Bool(s.cfg.Profile.ScanLossProb) {
 		c.Dropped = true
-		s.totalDropped++
 	} else {
 		for id, a := range s.acc {
 			if len(a.rssis) == 0 {
 				continue // beacon heard in an earlier cycle only
 			}
 			c.Samples = append(c.Samples, Sample{
-				At:            now,
 				Beacon:        id,
 				MeasuredPower: a.power,
 				RSSI:          stats.Mean(a.rssis),
-				RawCount:      len(a.rssis),
 			})
 		}
 		sortSamples(c.Samples)
-		s.totalSamples += len(c.Samples)
 	}
 
 	// Keep the accumulator entries (the beacon population is small and
@@ -358,21 +305,9 @@ func sortSamples(samples []Sample) {
 type Stats struct {
 	// RawReceptions counts every packet the stack decoded.
 	RawReceptions int
-	// DeliveredSamples counts aggregated per-beacon samples handed to
-	// the app (one per beacon per non-dropped cycle).
-	DeliveredSamples int
-	// Cycles counts completed scan periods.
-	Cycles int
-	// DroppedCycles counts cycles lost to the stack bug.
-	DroppedCycles int
 }
 
 // Stats returns the scanner's counters.
 func (s *Scanner) Stats() Stats {
-	return Stats{
-		RawReceptions:    s.totalRaw,
-		DeliveredSamples: s.totalSamples,
-		Cycles:           s.totalCycles,
-		DroppedCycles:    s.totalDropped,
-	}
+	return Stats{RawReceptions: s.totalRaw}
 }

@@ -57,7 +57,6 @@ func TestConfigValidation(t *testing.T) {
 	bad := []Config{
 		{Period: 0, Profile: device.GalaxyS3Mini()},
 		{Period: time.Second}, // zero profile
-		{Period: time.Second, Profile: device.GalaxyS3Mini(), CaptureProb: 2},
 	}
 	for i, c := range bad {
 		if _, err := Attach(w, "p", mobility.Static{}, c, rng.New(1)); err == nil {
@@ -91,19 +90,16 @@ func TestAndroidDeliversOneSamplePerBeaconPerCycle(t *testing.T) {
 	if len(cycles) != 10 {
 		t.Fatalf("cycles = %d, want 10", len(cycles))
 	}
-	for _, c := range cycles {
+	for i, c := range cycles {
 		if len(c.Samples) > 2 {
-			t.Fatalf("cycle %d has %d samples for 2 beacons", c.Index, len(c.Samples))
+			t.Fatalf("cycle %d has %d samples for 2 beacons", i, len(c.Samples))
 		}
 		seen := map[ibeacon.BeaconID]bool{}
 		for _, s := range c.Samples {
 			if seen[s.Beacon] {
-				t.Fatalf("cycle %d delivered beacon %v twice", c.Index, s.Beacon)
+				t.Fatalf("cycle %d delivered beacon %v twice", i, s.Beacon)
 			}
 			seen[s.Beacon] = true
-			if s.RawCount < 1 {
-				t.Fatalf("sample with zero raw count")
-			}
 			if s.MeasuredPower != -59 {
 				t.Fatalf("measured power = %d", s.MeasuredPower)
 			}
@@ -114,24 +110,26 @@ func TestAndroidDeliversOneSamplePerBeaconPerCycle(t *testing.T) {
 func TestSampleCountAsymmetryAndroidVsIOS(t *testing.T) {
 	// Section V example: 10 s at 2 s scan period, ~30 adv/s. Android
 	// delivers ~5 aggregated samples; iOS sees hundreds of raw packets.
-	run := func(prof device.Profile) Stats {
+	run := func(prof device.Profile) (Stats, int) {
 		w := newWorld(t, 3)
 		addBeacon(t, w, 1, geom.Pt(0, 0))
 		prof.ScanLossProb = 0
+		delivered := 0
 		s, err := Attach(w, "phone", mobility.Static{P: geom.Pt(2, 0)}, Config{
 			Period:  2 * time.Second,
 			Profile: prof,
+			OnCycle: func(c Cycle) { delivered += len(c.Samples) },
 		}, rng.New(3))
 		if err != nil {
 			t.Fatal(err)
 		}
 		w.Run(10 * time.Second)
-		return s.Stats()
+		return s.Stats(), delivered
 	}
-	android := run(device.GalaxyS3Mini())
-	ios := run(device.IPhone5S())
-	if android.DeliveredSamples != 5 {
-		t.Fatalf("Android delivered %d samples in 10 s, want 5", android.DeliveredSamples)
+	android, delivered := run(device.GalaxyS3Mini())
+	ios, _ := run(device.IPhone5S())
+	if delivered != 5 {
+		t.Fatalf("Android delivered %d samples in 10 s, want 5", delivered)
 	}
 	if ios.RawReceptions < 200 {
 		t.Fatalf("iOS raw receptions = %d, want ≈300", ios.RawReceptions)
@@ -147,8 +145,8 @@ func TestStackBugDropsCycles(t *testing.T) {
 	addBeacon(t, w, 1, geom.Pt(0, 0))
 	prof := device.GalaxyS3Mini()
 	prof.ScanLossProb = 0.5
-	dropped, kept := 0, 0
-	s, err := Attach(w, "phone", mobility.Static{P: geom.Pt(1, 0)}, Config{
+	dropped := 0
+	_, err := Attach(w, "phone", mobility.Static{P: geom.Pt(1, 0)}, Config{
 		Period:  time.Second,
 		Profile: prof,
 		OnCycle: func(c Cycle) {
@@ -157,8 +155,6 @@ func TestStackBugDropsCycles(t *testing.T) {
 				if c.Samples != nil {
 					t.Fatal("dropped cycle has samples")
 				}
-			} else {
-				kept++
 			}
 		},
 	}, rng.New(4))
@@ -168,10 +164,6 @@ func TestStackBugDropsCycles(t *testing.T) {
 	w.Run(200 * time.Second)
 	if dropped < 60 || dropped > 140 {
 		t.Fatalf("dropped = %d of 200, want ≈100", dropped)
-	}
-	st := s.Stats()
-	if st.DroppedCycles != dropped || st.Cycles != dropped+kept {
-		t.Fatalf("stats mismatch: %+v vs dropped=%d kept=%d", st, dropped, kept)
 	}
 }
 
@@ -305,22 +297,17 @@ func TestLongerPeriodAggregatesMoreRawSamples(t *testing.T) {
 		addBeacon(t, w, 1, geom.Pt(0, 0))
 		prof := device.GalaxyS3Mini()
 		prof.ScanLossProb = 0
-		total, n := 0, 0
-		_, err := Attach(w, "phone", mobility.Static{P: geom.Pt(2, 0)}, Config{
+		n := 0
+		s, err := Attach(w, "phone", mobility.Static{P: geom.Pt(2, 0)}, Config{
 			Period:  period,
 			Profile: prof,
-			OnCycle: func(c Cycle) {
-				for _, s := range c.Samples {
-					total += s.RawCount
-					n++
-				}
-			},
+			OnCycle: func(c Cycle) { n += len(c.Samples) },
 		}, rng.New(9))
 		if err != nil {
 			t.Fatal(err)
 		}
 		w.Run(60 * time.Second)
-		return float64(total) / float64(n)
+		return float64(s.Stats().RawReceptions) / float64(n)
 	}
 	short := meanRaw(2 * time.Second)
 	long := meanRaw(5 * time.Second)

@@ -77,11 +77,6 @@ type Engine struct {
 
 	flows   []Flow
 	flushed time.Duration
-
-	// Horizon, when non-zero, is the hard end of simulated time: events
-	// scheduled past it are silently dropped and flows are not run past
-	// it.
-	Horizon time.Duration
 }
 
 // NewEngine returns an engine with the clock at zero.
@@ -100,14 +95,10 @@ var ErrPastEvent = errors.New("sim: event scheduled before current time")
 
 // ScheduleAt queues action to run at absolute simulated time at. It
 // returns the event handle (usable with Cancel) or ErrPastEvent if at is
-// before the current clock. Events beyond the configured Horizon are
-// dropped and a nil handle is returned.
+// before the current clock.
 func (e *Engine) ScheduleAt(at time.Duration, action func(*Engine)) (*Event, error) {
 	if at < e.now {
 		return nil, fmt.Errorf("%w: at=%v now=%v", ErrPastEvent, at, e.now)
-	}
-	if e.Horizon > 0 && at > e.Horizon {
-		return nil, nil
 	}
 	ev := &Event{At: at, Action: action, seq: e.seq}
 	e.seq++
@@ -148,21 +139,13 @@ func (e *Engine) AddFlow(f Flow) {
 	e.flows = append(e.flows, f)
 }
 
-// flush advances the flows to `to`, clamped to the horizon when one is
-// set. Intervals past the horizon are consumed without being delivered,
-// mirroring how events past the horizon are dropped.
+// flush advances the flows to `to`.
 func (e *Engine) flush(to time.Duration) {
 	if to <= e.flushed {
 		return
 	}
 	from := e.flushed
 	e.flushed = to
-	if e.Horizon > 0 && to > e.Horizon {
-		to = e.Horizon
-	}
-	if to <= from {
-		return
-	}
 	for _, f := range e.flows {
 		f(from, to)
 	}

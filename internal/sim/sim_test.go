@@ -109,37 +109,6 @@ func TestCancelFromCallback(t *testing.T) {
 	}
 }
 
-func TestHorizonDropsLateEvents(t *testing.T) {
-	e := NewEngine()
-	e.Horizon = 5 * time.Second
-	late := 0
-	ev, err := e.ScheduleAt(10*time.Second, func(*Engine) { late++ })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ev != nil {
-		t.Fatal("event beyond horizon should be dropped")
-	}
-	e.Schedule(time.Second, func(*Engine) {})
-	if n := e.RunUntil(10 * time.Second); n != 1 {
-		t.Fatalf("executed %d events, want 1", n)
-	}
-	if late != 0 {
-		t.Fatal("late event executed")
-	}
-}
-
-func TestHorizonStopsRun(t *testing.T) {
-	e := NewEngine()
-	e.Horizon = 3 * time.Second
-	ticks := 0
-	e.Ticker(time.Second, func(time.Duration) bool { ticks++; return true })
-	e.RunUntil(10 * time.Second)
-	if ticks != 3 {
-		t.Fatalf("ticks = %d, want 3", ticks)
-	}
-}
-
 func TestRunUntil(t *testing.T) {
 	e := NewEngine()
 	var times []time.Duration

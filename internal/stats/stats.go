@@ -1,6 +1,7 @@
 // Package stats provides the small statistical toolkit used by the
-// simulator and the experiment harness: moments, order statistics,
-// histograms, error metrics and time-series summaries.
+// simulator and the experiment harness: moments, order statistics, the
+// one-line Summary the experiment tables print, and a least-squares line
+// fit.
 //
 // All functions operate on plain []float64 so they compose with any
 // producer in the code base.
@@ -105,9 +106,7 @@ type Summary struct {
 	Mean   float64
 	StdDev float64
 	Min    float64
-	P25    float64
 	Median float64
-	P75    float64
 	P95    float64
 	Max    float64
 }
@@ -120,9 +119,7 @@ func Summarize(xs []float64) Summary {
 		Mean:   Mean(xs),
 		StdDev: StdDev(xs),
 		Min:    Min(xs),
-		P25:    Percentile(xs, 25),
 		Median: Median(xs),
-		P75:    Percentile(xs, 75),
 		P95:    Percentile(xs, 95),
 		Max:    Max(xs),
 	}

@@ -9,12 +9,13 @@ import (
 )
 
 // OpenWAL is OpenLog behind a stripe count of at least 1, which bounds
-// the index Append accepts. Only benchmark/ calls it.
-func OpenWAL(dir string, stripes int, policy FsyncPolicy, interval time.Duration) (*WAL, error) {
+// the index Append accepts. The interval paced a sync policy that is
+// gone and is ignored. Only benchmark/ calls it.
+func OpenWAL(dir string, stripes int, policy FsyncPolicy, _ time.Duration) (*WAL, error) {
 	if stripes < 1 {
 		return nil, fmt.Errorf("store: wal needs at least 1 stripe")
 	}
-	w, err := OpenLog(dir, policy, interval)
+	w, err := OpenLog(dir, policy)
 	if err != nil {
 		return nil, err
 	}

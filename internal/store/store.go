@@ -8,6 +8,11 @@
 // ingest from many devices does not serialise on one mutex; fingerprints
 // and the model keep their own lock (they are written rarely, during the
 // collection and training phases).
+//
+// The write-ahead log (wal.go) makes a server's state durable under one
+// of two fsync policies: FsyncBatch acknowledges an append once it is on
+// stable storage, FsyncOff once it is in the kernel's page cache, which
+// survives a killed process but not a power or kernel crash.
 package store
 
 import (

@@ -20,9 +20,9 @@
 // buffer under the file mutex, which so covers a copy, not a syscall.
 // A group — every frame pending when a writer takes the buffer — goes to
 // the file in one Write: under FsyncBatch the sync leader writes its
-// group and then fsyncs it; under the other policies an appender writes
-// the group holding its frame before it returns, unless a concurrent
-// writer already did (syncUpTo, writeUpTo). A killed process or a power
+// group and then fsyncs it; under FsyncOff an appender writes the group
+// holding its frame before it returns, unless a concurrent writer
+// already did (syncUpTo, writeUpTo). A killed process or a power
 // or kernel crash can leave a short final write; recovery discards a
 // torn or truncated FINAL frame (the file is repaired), and no frame of
 // an unfinished write was acknowledged. A checksum-corrupted frame with
@@ -124,10 +124,6 @@ const (
 	// FsyncBatch syncs after every appended frame: a committed batch
 	// survives power loss. The strongest and slowest policy.
 	FsyncBatch FsyncPolicy = iota
-	// FsyncInterval syncs on a background ticker (default 100 ms): at
-	// most one interval of committed-and-acknowledged records can be
-	// lost to a power or kernel crash. Process kills lose nothing.
-	FsyncInterval
 	// FsyncOff never syncs explicitly. Appends still reach the kernel
 	// page cache on every frame, so state survives kill -9 of the
 	// process; only a power or kernel crash can lose or tear the tail.
@@ -139,12 +135,10 @@ func ParseFsyncPolicy(s string) (FsyncPolicy, error) {
 	switch s {
 	case "batch":
 		return FsyncBatch, nil
-	case "interval":
-		return FsyncInterval, nil
 	case "off":
 		return FsyncOff, nil
 	}
-	return 0, fmt.Errorf("store: unknown fsync policy %q (want batch, interval or off)", s)
+	return 0, fmt.Errorf("store: unknown fsync policy %q (want batch or off)", s)
 }
 
 // String implements fmt.Stringer.
@@ -152,8 +146,6 @@ func (p FsyncPolicy) String() string {
 	switch p {
 	case FsyncBatch:
 		return "batch"
-	case FsyncInterval:
-		return "interval"
 	case FsyncOff:
 		return "off"
 	default:
@@ -231,10 +223,6 @@ type WAL struct {
 	// met holds the telemetry handles once Instrument ran; a nil load
 	// keeps the append path at one branch.
 	met atomic.Pointer[walMetrics]
-
-	// interval-policy syncer.
-	stop chan struct{}
-	done chan struct{}
 
 	closeOnce sync.Once
 }
@@ -350,15 +338,11 @@ type osLogFile struct{ *os.File }
 // Sync is syncFile: fdatasync where the platform has it.
 func (f osLogFile) Sync() error { return syncFile(f.File) }
 
-// DefaultFsyncInterval spaces background syncs under FsyncInterval.
-const DefaultFsyncInterval = 100 * time.Millisecond
-
-// OpenLog opens (creating if needed) the log in dir. interval configures
-// the FsyncInterval ticker (0 takes DefaultFsyncInterval). The returned
-// WAL has NOT been replayed: the owner restores the newest snapshot
+// OpenLog opens (creating if needed) the log in dir. The returned WAL
+// has NOT been replayed: the owner restores the newest snapshot
 // (Snapshot), replays the tail (ReplayLive), and only then starts
 // appending.
-func OpenLog(dir string, policy FsyncPolicy, interval time.Duration) (*WAL, error) {
+func OpenLog(dir string, policy FsyncPolicy) (*WAL, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: wal dir: %w", err)
 	}
@@ -369,8 +353,6 @@ func OpenLog(dir string, policy FsyncPolicy, interval time.Duration) (*WAL, erro
 		dir:    dir,
 		policy: policy,
 		path:   filepath.Join(dir, logName),
-		stop:   make(chan struct{}),
-		done:   make(chan struct{}),
 	}
 	// A process killed while it wrote a snapshot left the temp file; no
 	// other writer can exist, so nothing still wants it.
@@ -409,14 +391,6 @@ func OpenLog(dir string, policy FsyncPolicy, interval time.Duration) (*WAL, erro
 	w.last.Store(last)
 	if w.f, err = openLogFile(w.path); err != nil {
 		return nil, err
-	}
-	if policy == FsyncInterval {
-		if interval <= 0 {
-			interval = DefaultFsyncInterval
-		}
-		go w.syncLoop(interval)
-	} else {
-		close(w.done)
 	}
 	return w, nil
 }
@@ -840,8 +814,8 @@ func (w *WAL) cutAndSeal(cut func() func(io.Writer) error) (write func(io.Writer
 	if err != nil {
 		return nil, 0, err
 	}
-	// No appender is in flight and syncMu keeps the interval ticker's
-	// fsync off the descriptor while it is swapped and closed. writeSeq
+	// No appender is in flight and syncMu keeps a sync leader's fsync
+	// off the descriptor while it is swapped and closed. writeSeq
 	// and synced carry over: they count frames, not bytes of one file.
 	w.syncMu.Lock()
 	w.wmu.Lock()
@@ -899,33 +873,16 @@ func (w *WAL) Sync() error {
 	return w.syncUpTo(seq)
 }
 
-// syncLoop is the FsyncInterval background syncer.
-func (w *WAL) syncLoop(interval time.Duration) {
-	defer close(w.done)
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-t.C:
-			_ = w.Sync()
-		case <-w.stop:
-			return
-		}
-	}
-}
-
-// Close stops the background syncer, waits out a compaction in flight,
-// syncs once more, and closes the log file. The owner compacts before
+// Close waits out a compaction in flight, syncs once more under
+// FsyncBatch, and closes the log file. The owner compacts before
 // Close on a graceful drain; Close alone is the crash-adjacent path.
 func (w *WAL) Close() error {
 	var err error
 	w.closeOnce.Do(func() {
-		close(w.stop)
-		<-w.done
 		w.compactMu.Lock()
 		defer w.compactMu.Unlock()
 		w.closed = true
-		if w.policy != FsyncOff {
+		if w.policy == FsyncBatch {
 			err = w.Sync()
 		}
 		_ = w.f.Close()

@@ -55,7 +55,7 @@ func (f *faultFile) Sync() error {
 // instrumented on a fresh registry.
 func openFaulty(t *testing.T, dir string, policy FsyncPolicy) (*WAL, *faultFile, *obs.Metrics) {
 	t.Helper()
-	w, err := OpenLog(dir, policy, time.Hour)
+	w, err := OpenLog(dir, policy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,9 +309,9 @@ func TestAllocBudgetWALAppend(t *testing.T) {
 		t.Skip("allocation counts are pinned without the race detector")
 	}
 	payload := bytes.Repeat([]byte("r"), 1400) // an 11-report observation record
-	for _, policy := range []FsyncPolicy{FsyncBatch, FsyncInterval, FsyncOff} {
+	for _, policy := range []FsyncPolicy{FsyncBatch, FsyncOff} {
 		t.Run(policy.String(), func(t *testing.T) {
-			w, err := OpenLog(t.TempDir(), policy, time.Hour)
+			w, err := OpenLog(t.TempDir(), policy)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -9,7 +9,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"occusim/internal/obs"
 	"occusim/internal/wire"
@@ -17,10 +16,10 @@ import (
 
 // openTestWAL opens a WAL with no explicit syncing — the policy under
 // which recovery guarantees are weakest, so every pass here holds a
-// fortiori for batch and interval.
+// fortiori for batch.
 func openTestWAL(t *testing.T, dir string) *WAL {
 	t.Helper()
-	w, err := OpenLog(dir, FsyncOff, 0)
+	w, err := OpenLog(dir, FsyncOff)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +252,7 @@ func TestWALSnapshotBarrier(t *testing.T) {
 func TestWALRandomCrashPointReplay(t *testing.T) {
 	const records = 20
 	src := t.TempDir()
-	w, err := OpenLog(src, FsyncOff, 0)
+	w, err := OpenLog(src, FsyncOff)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +288,7 @@ func TestWALRandomCrashPointReplay(t *testing.T) {
 		if err := os.WriteFile(filepath.Join(dir, logName), full[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		wc, err := OpenLog(dir, FsyncOff, 0)
+		wc, err := OpenLog(dir, FsyncOff)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -449,7 +448,7 @@ func TestWALReplayIsAppendOrder(t *testing.T) {
 	}
 	appendAll(t, w, want...)
 	// Abandon w: the crash.
-	w2, err := OpenLog(dir, FsyncOff, 0)
+	w2, err := OpenLog(dir, FsyncOff)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -507,7 +506,7 @@ func TestWALGroupCommitCoversEveryFrame(t *testing.T) {
 
 	// Abandon w; per-writer order is append order, so each writer's
 	// frames must come back complete and ascending.
-	w2, err := OpenLog(dir, FsyncBatch, 0)
+	w2, err := OpenLog(dir, FsyncBatch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -515,19 +514,20 @@ func TestWALGroupCommitCoversEveryFrame(t *testing.T) {
 	checkWriters(t, replayAll(t, w2), writers, each)
 }
 
-// TestWALSyncSharesTheGroupCommitPath: Sync — the interval ticker's and
-// Close's flush — is a syncUpTo of the current frontier. A frontier
-// already covered costs no fsync, one fsync covers every frame written
-// since the last, and the ticker itself gets there unprompted.
+// TestWALSyncSharesTheGroupCommitPath: Sync — what a compaction's cut
+// and Close under FsyncBatch flush with — is a syncUpTo of the current
+// frontier. A frontier already covered costs no fsync, and one fsync
+// covers every frame written since the last.
 func TestWALSyncSharesTheGroupCommitPath(t *testing.T) {
 	fsyncs := func(m *obs.Metrics) (count uint64, frames int64) {
 		hists := m.TakeSnapshot().Histograms
 		return hists["wal_fsync_seconds"].Count, hists["wal_group_commit_frames"].Sum
 	}
-	w, err := OpenLog(t.TempDir(), FsyncInterval, time.Hour) // the ticker never fires
+	w, err := OpenLog(t.TempDir(), FsyncOff) // appends sync nothing themselves
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer w.Close()
 	m := obs.New()
 	w.Instrument(m)
 	if err := w.Sync(); err != nil {
@@ -546,28 +546,11 @@ func TestWALSyncSharesTheGroupCommitPath(t *testing.T) {
 		t.Fatalf("%d fsyncs covering %d frames after 3 appends and 2 Syncs, want 1 covering 3", n, frames)
 	}
 	appendAll(t, w, "d", "e")
-	if err := w.Close(); err != nil {
+	if err := w.Sync(); err != nil {
 		t.Fatal(err)
 	}
 	if n, frames := fsyncs(m); n != 2 || frames != 5 {
-		t.Fatalf("%d fsyncs covering %d frames after Close, want 2 covering 5", n, frames)
-	}
-
-	ticked, err := OpenLog(t.TempDir(), FsyncInterval, time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ticked.Close()
-	tm := obs.New()
-	ticked.Instrument(tm)
-	appendAll(t, ticked, "f")
-	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
-		if n, frames := fsyncs(tm); n == 1 && frames == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("the interval ticker never synced the appended frame")
-		}
+		t.Fatalf("%d fsyncs covering %d frames after 2 more appends and a Sync, want 2 covering 5", n, frames)
 	}
 }
 
@@ -586,7 +569,7 @@ func TestOpenWALRefusesStripedLayout(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	w, err := OpenLog(dir, FsyncOff, 0)
+	w, err := OpenLog(dir, FsyncOff)
 	if err == nil {
 		w.Close()
 		t.Fatal("opened a directory holding a non-empty stripe-03.wal")

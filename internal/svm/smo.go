@@ -14,30 +14,23 @@ type TrainConfig struct {
 	C float64
 	// Kernel defaults to RBF with gamma 1/dim when nil.
 	Kernel Kernel
-	// Tol is the KKT violation tolerance (default 1e-3).
-	Tol float64
-	// MaxPasses is the number of consecutive full sweeps without an
-	// alpha update before the solver declares convergence (default 5).
-	MaxPasses int
-	// MaxSweeps caps the total number of sweeps as a safety net
-	// (default 1000).
-	MaxSweeps int
 	// Seed drives the SMO second-index heuristic.
 	Seed uint64
 }
 
+const (
+	// tol is the KKT violation tolerance.
+	tol = 1e-3
+	// maxPasses is the number of consecutive full sweeps without an
+	// alpha update before the solver declares convergence.
+	maxPasses = 5
+	// maxSweeps caps the total number of sweeps as a safety net.
+	maxSweeps = 1000
+)
+
 func (c TrainConfig) withDefaults(dim int) TrainConfig {
 	if c.Kernel == nil {
 		c.Kernel = RBF{Gamma: 1 / float64(max(dim, 1))}
-	}
-	if c.Tol == 0 {
-		c.Tol = 1e-3
-	}
-	if c.MaxPasses == 0 {
-		c.MaxPasses = 5
-	}
-	if c.MaxSweeps == 0 {
-		c.MaxSweeps = 1000
 	}
 	return c
 }
@@ -46,9 +39,6 @@ func (c TrainConfig) withDefaults(dim int) TrainConfig {
 func (c TrainConfig) Validate() error {
 	if c.C <= 0 {
 		return fmt.Errorf("svm: C must be positive, got %v", c.C)
-	}
-	if c.Tol < 0 {
-		return fmt.Errorf("svm: Tol must be non-negative, got %v", c.Tol)
 	}
 	return checkKernel(c.Kernel)
 }
@@ -106,11 +96,11 @@ func trainBinary(X [][]float64, y []float64, norms []float64, cfg TrainConfig) (
 	fval := make([]float64, n)
 
 	passes := 0
-	for sweep := 0; passes < cfg.MaxPasses && sweep < cfg.MaxSweeps; sweep++ {
+	for sweep := 0; passes < maxPasses && sweep < maxSweeps; sweep++ {
 		changed := 0
 		for i := 0; i < n; i++ {
 			Ei := fval[i] + b - y[i]
-			if !((y[i]*Ei < -cfg.Tol && alpha[i] < cfg.C) || (y[i]*Ei > cfg.Tol && alpha[i] > 0)) {
+			if !((y[i]*Ei < -tol && alpha[i] < cfg.C) || (y[i]*Ei > tol && alpha[i] > 0)) {
 				continue
 			}
 			j := src.Intn(n - 1)

@@ -78,9 +78,6 @@ func TestTrainConfigValidate(t *testing.T) {
 	if err := (TrainConfig{C: 0}).Validate(); err == nil {
 		t.Error("C=0 should fail")
 	}
-	if err := (TrainConfig{C: 1, Tol: -1}).Validate(); err == nil {
-		t.Error("negative tol should fail")
-	}
 }
 
 // decision is a machine's decision value as a machine holding its own

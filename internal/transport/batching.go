@@ -17,7 +17,7 @@ import (
 // simulated and real time; real-time clients that can stall between
 // reports can additionally call Flush from a timer.
 //
-// The pending queue is bounded by MaxPending: when a slow or failing
+// The pending queue is bounded by 4 × MaxBatch: when a slow or failing
 // server lets the queue back up, the oldest reports are dropped first
 // (the newest observation is the valuable one for occupancy tracking).
 // Reports are always delivered in Send order. BatchingUplink is safe for
@@ -27,8 +27,8 @@ type BatchingUplink struct {
 
 	// FlushSeconds is the coalescing interval in report time (default 10).
 	// MaxBatch flushes earlier when that many reports are pending
-	// (default 64). MaxPending bounds the queue across failed flushes
-	// (default 4 × MaxBatch).
+	// (default 64). maxPending, 4 × MaxBatch, bounds the queue across
+	// failed flushes.
 	flushSeconds float64
 	maxBatch     int
 	maxPending   int
@@ -36,9 +36,6 @@ type BatchingUplink struct {
 
 	mu      sync.Mutex
 	pending []Report
-	sent    int
-	dropped int
-	flushes int
 }
 
 // BatchConfig parameterises NewBatchingUplink; zero fields take the
@@ -50,9 +47,6 @@ type BatchConfig struct {
 	// MaxBatch flushes as soon as this many reports are pending
 	// (default 64).
 	MaxBatch int
-	// MaxPending bounds the queue; the oldest reports are dropped beyond
-	// it (default 4 × MaxBatch).
-	MaxPending int
 	// Sequencer, when set, stamps every queued report with its device's
 	// next sequence number as it is accepted — before batching, so a
 	// failed flush retransmits identical (Epoch, Seq) identities and the
@@ -67,7 +61,7 @@ func NewBatchingUplink(next Uplink, cfg BatchConfig) (*BatchingUplink, error) {
 	if next == nil {
 		return nil, fmt.Errorf("transport: batching uplink needs an onward uplink")
 	}
-	if cfg.FlushSeconds < 0 || cfg.MaxBatch < 0 || cfg.MaxPending < 0 {
+	if cfg.FlushSeconds < 0 || cfg.MaxBatch < 0 {
 		return nil, fmt.Errorf("transport: batching bounds must be non-negative")
 	}
 	if cfg.FlushSeconds == 0 {
@@ -76,17 +70,11 @@ func NewBatchingUplink(next Uplink, cfg BatchConfig) (*BatchingUplink, error) {
 	if cfg.MaxBatch == 0 {
 		cfg.MaxBatch = 64
 	}
-	if cfg.MaxPending == 0 {
-		cfg.MaxPending = 4 * cfg.MaxBatch
-	}
-	if cfg.MaxPending < cfg.MaxBatch {
-		cfg.MaxPending = cfg.MaxBatch
-	}
 	return &BatchingUplink{
 		next:         next,
 		flushSeconds: cfg.FlushSeconds,
 		maxBatch:     cfg.MaxBatch,
-		maxPending:   cfg.MaxPending,
+		maxPending:   4 * cfg.MaxBatch,
 		seq:          cfg.Sequencer,
 	}, nil
 }
@@ -97,7 +85,7 @@ func (b *BatchingUplink) Name() string { return "batched(" + b.next.Name() + ")"
 // Send implements Uplink: the report is queued and the queue is flushed
 // when the batch bound or the flush interval is reached. A nil return
 // means the report was accepted for delivery, not yet delivered.
-// Nothing is dropped before the flush gets its chance: the MaxPending
+// Nothing is dropped before the flush gets its chance: the maxPending
 // clamp applies only to what a failed flush leaves behind, so a queue
 // that backed up during an outage drains loss-free the moment the
 // server recovers.
@@ -124,7 +112,7 @@ func (b *BatchingUplink) Flush() error {
 }
 
 // flushLocked delivers the pending batch; callers hold b.mu. On failure
-// the reports stay queued for the next flush, subject to the MaxPending
+// the reports stay queued for the next flush, subject to the maxPending
 // bound.
 func (b *BatchingUplink) flushLocked() error {
 	if len(b.pending) == 0 {
@@ -134,9 +122,6 @@ func (b *BatchingUplink) flushLocked() error {
 	var err error
 	if bs, ok := b.next.(BatchSender); ok {
 		err = bs.SendBatch(batch)
-		if err == nil {
-			b.sent += len(batch)
-		}
 	} else {
 		delivered := 0
 		for _, r := range batch {
@@ -145,19 +130,16 @@ func (b *BatchingUplink) flushLocked() error {
 			}
 			delivered++
 		}
-		b.sent += delivered
 		batch = batch[delivered:]
 	}
 	if err != nil {
 		// Keep the undelivered tail, clamped to the bound (oldest out).
 		if over := len(batch) - b.maxPending; over > 0 {
 			batch = batch[over:]
-			b.dropped += over
 		}
 		b.pending = append(b.pending[:0], batch...)
 		return fmt.Errorf("transport: batch flush: %w", err)
 	}
 	b.pending = b.pending[:0]
-	b.flushes++
 	return nil
 }

@@ -572,9 +572,6 @@ type BTRelay struct {
 	next     Uplink
 	dropProb float64
 	src      *rng.Source
-
-	attempts int
-	drops    int
 }
 
 // NewBTRelay wraps the board's onward uplink. dropProb ∈ [0, 1] is the
@@ -597,9 +594,7 @@ func (b *BTRelay) Name() string { return "bluetooth-relay" }
 
 // Send implements Uplink.
 func (b *BTRelay) Send(r Report) error {
-	b.attempts++
 	if b.src.Bool(b.dropProb) {
-		b.drops++
 		return fmt.Errorf("transport: BLE connection to beacon board failed")
 	}
 	return b.next.Send(r)
@@ -614,8 +609,6 @@ type Queue struct {
 	maxAttempts int
 
 	pending []queued
-	sent    int
-	dropped int
 }
 
 type queued struct {
@@ -641,7 +634,6 @@ func (q *Queue) Enqueue(r Report) bool {
 	evicted := false
 	if len(q.pending) >= q.maxLen {
 		q.pending = q.pending[1:]
-		q.dropped++
 		evicted = true
 	}
 	q.pending = append(q.pending, queued{report: r})
@@ -657,15 +649,12 @@ func (q *Queue) Flush() int {
 	for _, item := range q.pending {
 		item.attempts++
 		if err := q.uplink.Send(item.report); err != nil {
-			if item.attempts >= q.maxAttempts {
-				q.dropped++
-			} else {
+			if item.attempts < q.maxAttempts {
 				remaining = append(remaining, item)
 			}
 			continue
 		}
 		delivered++
-		q.sent++
 	}
 	q.pending = remaining
 	return delivered

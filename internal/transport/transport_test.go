@@ -111,10 +111,6 @@ func TestBTRelayDropsAtConfiguredRate(t *testing.T) {
 	if rate < 0.27 || rate > 0.33 {
 		t.Fatalf("drop rate = %v, want ≈0.3", rate)
 	}
-	attempts, drops := relay.attempts, relay.drops
-	if attempts != n || drops != failures {
-		t.Fatalf("stats = %d/%d, want %d/%d", attempts, drops, n, failures)
-	}
 	if delivered != n-failures {
 		t.Fatalf("delivered = %d", delivered)
 	}
@@ -175,14 +171,14 @@ func TestQueueRetriesFailuresUntilBudget(t *testing.T) {
 	if n := q.Flush(); n != 1 {
 		t.Fatalf("third flush delivered %d", n)
 	}
-	sent, dropped := q.sent, q.dropped
-	if sent != 1 || dropped != 0 {
-		t.Fatalf("stats = %d/%d", sent, dropped)
+	if len(q.pending) != 0 || attempts != 3 {
+		t.Fatalf("pending = %d after %d attempts, want 0 after 3", len(q.pending), attempts)
 	}
 }
 
 func TestQueueDropsAfterMaxAttempts(t *testing.T) {
-	next := SendFunc{F: func(Report) error { return errors.New("down") }, Label: "x"}
+	attempts := 0
+	next := SendFunc{F: func(Report) error { attempts++; return errors.New("down") }, Label: "x"}
 	q, _ := NewQueue(next, 10, 2)
 	q.Enqueue(testReport())
 	q.Flush()
@@ -190,9 +186,9 @@ func TestQueueDropsAfterMaxAttempts(t *testing.T) {
 	if len(q.pending) != 0 {
 		t.Fatal("report should be dropped after budget")
 	}
-	dropped := q.dropped
-	if dropped != 1 {
-		t.Fatalf("dropped = %d", dropped)
+	q.Flush()
+	if attempts != 2 {
+		t.Fatalf("attempts = %d, want the budget's 2", attempts)
 	}
 }
 

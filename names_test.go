@@ -13,12 +13,15 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
-// uncalledAllowed lists the exported names under internal/ that no
-// non-test Go file uses and that stay anyway. A key is pkg.Name for a
-// package-level name or pkg.Type.Method for a method.
+// uncalledAllowed lists what the two rules find and what stays anyway:
+// an exported name under internal/ that no non-test Go file uses, and a
+// struct field that none reads or, exported, none sets
+// (fields_test.go). A key is pkg.Name for a package-level name,
+// pkg.Type.Method for a method and pkg.Type.Field for a field.
 var uncalledAllowed = map[string]string{
 	"raceflag.Enabled": "build-tag twin: race.go and norace.go each set it, and only tests read it",
 
@@ -31,6 +34,34 @@ var uncalledAllowed = map[string]string{
 
 	"fleet.Gateway.MarkDown": "the drills' failure hook until the fault shard of ROADMAP item 24",
 	"fleet.Gateway.MarkUp":   "the drills' failure hook until the fault shard of ROADMAP item 24",
+
+	"app.Stats.Cycles":       "Example_quickstart prints it",
+	"app.Stats.RegionEnters": "Example_quickstart reads it for the app state it prints",
+	"app.Stats.RegionExits":  "Example_quickstart reads it for the app state it prints",
+	"app.Stats.SendFailures": "TestNetworkedBluetoothRelay reads it through the facade to see the BLE hop fail",
+
+	"ble.Reception.From": "the link-layer tests tell advertisers apart by it (TestMultipleAdvertisersDistinguishedByName, the cull and slow-fade references)",
+
+	"bms.EnergyComparison.PerRoom": "the per-room comfort misses of ROADMAP item 21 read it",
+	"bms.RoomUsage.Occupied":       "the per-room comfort misses of ROADMAP item 21 read it",
+
+	"core.PhoneConfig.Profile":            "the mixed-handset crowd of ROADMAP item 25 sets it",
+	"core.ScenarioConfig.TrackerDebounce": "Example_quickstart and the facade tests set it to 1",
+
+	"experiments.Fig8Result.FinalErrorB":  "TestExperimentsTable pins it in EXPERIMENTS.md",
+	"experiments.SignalResult.RawSummary": "TestExperimentsTable pins it in EXPERIMENTS.md",
+
+	"fleet.LeaseConfig.Probe":     "the lease tests' probe hook until the injected clock of ROADMAP item 24",
+	"transport.RetryPolicy.Sleep": "the retry tests' sleep hook until the injected clock of ROADMAP item 24",
+
+	"scenario.Spec.Dir":      "TestSnapshotPlusTailCrashRecoversExact builds a durable pool with it",
+	"scenario.Spec.Policy":   "TestSnapshotPlusTailCrashRecoversExact builds a durable pool with it",
+	"scenario.Spec.Loopback": "TestMisrouteCrowd and cmd/loadgen's -target test serve the fleet over HTTP with it",
+	"scenario.Fleet.URL":     "TestMisrouteCrowd and cmd/loadgen's -target test reach the loopback fleet at it",
+
+	"scenario.Outcome.DevicesTracked":    "TestCrowdIngest and TestCrowdFleet read it; it is where the score against truth of ROADMAP item 15 starts",
+	"scenario.Outcome.EventsCommitted":   "TestCrowdIngest and TestCrowdFleet read it; it is where the score against truth of ROADMAP item 15 starts",
+	"scenario.Outcome.PlacementAccuracy": "TestCrowdIngest and TestCrowdFleet read it; it is where the score against truth of ROADMAP item 15 starts",
 }
 
 // stdlibCallers declares the interfaces through which the standard
@@ -97,6 +128,7 @@ func (m *moduleImporter) Import(p string) (*types.Package, error) {
 		Defs:       map[*ast.Ident]types.Object{},
 		Uses:       map[*ast.Ident]types.Object{},
 		Selections: map[*ast.SelectorExpr]*types.Selection{},
+		Types:      map[ast.Expr]types.TypeAndValue{},
 	}}
 	for _, name := range bp.GoFiles {
 		f, err := parser.ParseFile(m.fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
@@ -113,21 +145,9 @@ func (m *moduleImporter) Import(p string) (*types.Package, error) {
 	return mp.pkg, nil
 }
 
-// TestNoUncalledExportedNames keeps library names honest: an exported
-// name under internal/ must be used by some non-test Go file of the
-// module (root, cmd/, benchmark/ or internal/), or be on uncalledAllowed
-// with its reason. A name only its own tests call is dead code with a
-// test attached; delete both.
-//
-// The scan is typed. A name is used where a non-test file refers to
-// that exact object (a generic instance counts for its origin); the
-// name's own declaration and a method's receiver are not uses. A method
-// is also used when some type's method set holds it, promoted or not,
-// and that type implements an interface whose method of that name is
-// used, or one of stdlibCallers. An interface's methods are names too.
-func TestNoUncalledExportedNames(t *testing.T) {
-	fset := token.NewFileSet()
-	imp := &moduleImporter{fset: fset, std: importer.Default(), dirs: map[string]string{}, pkgs: map[string]*modulePkg{}}
+// loadModule type-checks every non-test package of the module.
+func loadModule() (*moduleImporter, error) {
+	imp := &moduleImporter{fset: token.NewFileSet(), std: importer.Default(), dirs: map[string]string{}, pkgs: map[string]*modulePkg{}}
 	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
 		if err != nil || !d.IsDir() {
 			return err
@@ -146,14 +166,77 @@ func TestNoUncalledExportedNames(t *testing.T) {
 		return nil
 	})
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
 	for p := range imp.dirs {
 		if _, err := imp.Import(p); err != nil {
-			t.Fatal(err)
+			return nil, err
 		}
 	}
+	return imp, nil
+}
 
+// TestNoUncalledExportedNames keeps library names honest: an exported
+// name under internal/ must be used by some non-test Go file of the
+// module (root, cmd/, benchmark/ or internal/), or be on uncalledAllowed
+// with its reason. A name only its own tests call is dead code with a
+// test attached; delete both.
+//
+// The scan is typed. A name is used where a non-test file refers to
+// that exact object (a generic instance counts for its origin); the
+// name's own declaration and a method's receiver are not uses. A method
+// is also used when some type's method set holds it, promoted or not,
+// and that type implements an interface whose method of that name is
+// used, or one of stdlibCallers. An interface's methods are names too.
+func TestNoUncalledExportedNames(t *testing.T) {
+	s, err := scanModule()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, u := range s.uncalled {
+		t.Errorf("%s is exported but no non-test Go file uses it: delete it with its tests, or allow it in uncalledAllowed with the reason", u)
+	}
+	s.reportStale(t)
+}
+
+// moduleScan is what both rules found, and which allowlist entries
+// sheltered a finding of either.
+type moduleScan struct {
+	uncalled  []string // the name rule's findings
+	fields    []string // the field rule's findings
+	sheltered map[string]bool
+}
+
+// scanModule type-checks the module once and runs both rules over it,
+// for TestNoUncalledExportedNames and TestNoUnreadOrUnsetFields alike.
+var scanModule = sync.OnceValues(func() (*moduleScan, error) {
+	imp, err := loadModule()
+	if err != nil {
+		return nil, err
+	}
+	s := &moduleScan{sheltered: map[string]bool{}}
+	if err := s.scanNames(imp); err != nil {
+		return nil, err
+	}
+	s.scanFields(imp)
+	return s, nil
+})
+
+// reportStale fails on an allowlist entry that shelters nothing: its
+// name went or found a caller, and the entry would hide whatever takes
+// the name next.
+func (s *moduleScan) reportStale(t *testing.T) {
+	for key := range uncalledAllowed {
+		if !s.sheltered[key] {
+			t.Errorf("uncalledAllowed[%q] shelters nothing that either rule finds: delete the entry", key)
+		}
+	}
+}
+
+// scanNames finds the exported names under internal/ that no non-test
+// file uses.
+func (s *moduleScan) scanNames(imp *moduleImporter) error {
+	fset := imp.fset
 	// A use does not count inside the name's own declaration or in a
 	// method's receiver.
 	type span struct{ pos, end token.Pos }
@@ -228,11 +311,11 @@ func TestNoUncalledExportedNames(t *testing.T) {
 	}
 	callers, err := parser.ParseFile(fset, "callers.go", stdlibCallers, 0)
 	if err != nil {
-		t.Fatal(err)
+		return err
 	}
 	callersInfo := &types.Info{Types: map[ast.Expr]types.TypeAndValue{}}
 	if _, err := (&types.Config{Importer: imp}).Check("callers", fset, []*ast.File{callers}, callersInfo); err != nil {
-		t.Fatal(err)
+		return err
 	}
 	for _, tv := range callersInfo.Types {
 		if iface, ok := tv.Type.Underlying().(*types.Interface); ok && tv.IsType() {
@@ -300,26 +383,15 @@ func TestNoUncalledExportedNames(t *testing.T) {
 		}
 	}
 
-	var uncalled []string
-	sheltered := map[string]bool{}
 	for _, d := range decls {
 		switch {
 		case used[d.obj]:
 		case uncalledAllowed[d.key] != "":
-			sheltered[d.key] = true
+			s.sheltered[d.key] = true
 		default:
-			uncalled = append(uncalled, fset.Position(d.obj.Pos()).String()+": "+d.key)
+			s.uncalled = append(s.uncalled, fset.Position(d.obj.Pos()).String()+": "+d.key)
 		}
 	}
-	sort.Strings(uncalled)
-	for _, u := range uncalled {
-		t.Errorf("%s is exported but no non-test Go file uses it: delete it with its tests, or allow it in uncalledAllowed with the reason", u)
-	}
-	// An entry that shelters nothing is stale: its name went or found a
-	// caller, and the entry would hide whatever takes the name next.
-	for key := range uncalledAllowed {
-		if !sheltered[key] {
-			t.Errorf("uncalledAllowed[%q] shelters no uncalled name: delete the entry", key)
-		}
-	}
+	sort.Strings(s.uncalled)
+	return nil
 }
