@@ -61,8 +61,8 @@ test-race:
 # stream exchange at both ends, the shard's ingest core, span prediction,
 # frame decode, both faces' JSON door and its layout parse, the log
 # append under each fsync policy (TestAllocBudgetWALAppend) — and of the
-# federated reads: the rollup, and one read over HTTP shards at both ends
-# of every exchange
+# federated reads: the rollup, and one read whose shard summaries each
+# ride one stream exchange, counted at both ends
 # (TestAllocBudgetFederatedRead). Each is held to a ceiling or to "the
 # same at 8 reports as at 64" (a read: at 256 devices within 64 of 16),
 # so nothing is allocated per report, per identity, per event of

@@ -69,8 +69,6 @@ func (a *Advertiser) Validate() error {
 type Reception struct {
 	// At is the simulated reception time.
 	At time.Duration
-	// From names the advertiser.
-	From string
 	// Payload is the advertising payload as transmitted.
 	Payload []byte
 	// RSSI is the received signal strength indicator in dBm, including
@@ -555,7 +553,7 @@ func (w *World) sampleLink(advIdx int, a *Advertiser, l *Listener, ls *linkState
 		if !ch.DecideReceived(b.rssi[k]-bias, b.uni[uniPerPkt*k+1]) {
 			continue
 		}
-		l.Handler(Reception{At: b.at[k], From: a.Name, Payload: a.Payload, RSSI: b.rssi[k]})
+		l.Handler(Reception{At: b.at[k], Payload: a.Payload, RSSI: b.rssi[k]})
 	}
 }
 

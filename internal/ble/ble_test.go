@@ -25,20 +25,36 @@ func testChannel(t *testing.T) *radio.Channel {
 	return ch
 }
 
-func testPayload() []byte {
+// senders maps each test advertiser's payload back to its name: a
+// reception carries only what was transmitted, so the tests tell
+// advertisers apart by it.
+var senders = map[string]string{}
+
+// sender names the advertiser r came from.
+func sender(r Reception) string { return senders[string(r.Payload)] }
+
+// namedPayload is name's iBeacon packet: every name gets its own minor.
+func namedPayload(name string) []byte {
+	for p, n := range senders {
+		if n == name {
+			return []byte(p)
+		}
+	}
 	p := ibeacon.Packet{
 		UUID:          ibeacon.MustUUID("C0FFEE00-BEEF-4A11-8000-000000000001"),
 		Major:         1,
-		Minor:         1,
+		Minor:         uint16(1 + len(senders)),
 		MeasuredPower: -59,
 	}
-	return p.Marshal()
+	payload := p.Marshal()
+	senders[string(payload)] = name
+	return payload
 }
 
 func newAdvertiser(name string, pos geom.Point, interval time.Duration) *Advertiser {
 	return &Advertiser{
 		Name:         name,
-		Payload:      testPayload(),
+		Payload:      namedPayload(name),
 		LinkID:       1,
 		PowerAt1mDBm: -59,
 		Interval:     interval,
@@ -200,7 +216,7 @@ func TestMultipleAdvertisersDistinguishedByName(t *testing.T) {
 	_ = w.AddListener(&Listener{
 		Name:     "phone",
 		Mobility: mobility.Static{P: geom.Pt(2, 0)},
-		Handler:  func(r Reception) { byName[r.From]++ },
+		Handler:  func(r Reception) { byName[sender(r)]++ },
 	})
 	_ = w.AddAdvertiser(newAdvertiser("b1", geom.Pt(0, 0), 33*time.Millisecond))
 	_ = w.AddAdvertiser(newAdvertiser("b2", geom.Pt(4, 0), 33*time.Millisecond))
@@ -422,7 +438,7 @@ func TestWindowPartitionInvarianceMobileDutyCycled(t *testing.T) {
 			CaptureProb:  0.12,
 			NoiseSigmaDB: 1,
 			Handler: func(r Reception) {
-				recs["walker/"+r.From] = append(recs["walker/"+r.From], r)
+				recs["walker/"+sender(r)] = append(recs["walker/"+sender(r)], r)
 			},
 		}); err != nil {
 			t.Fatal(err)
@@ -431,7 +447,7 @@ func TestWindowPartitionInvarianceMobileDutyCycled(t *testing.T) {
 			Name:     "static",
 			Mobility: mobility.Static{P: geom.Pt(2, 1)},
 			Handler: func(r Reception) {
-				recs["static/"+r.From] = append(recs["static/"+r.From], r)
+				recs["static/"+sender(r)] = append(recs["static/"+sender(r)], r)
 			},
 		}); err != nil {
 			t.Fatal(err)

@@ -25,11 +25,11 @@ func cullWorld(t *testing.T, seed uint64, cull bool) (receptions []Reception, cu
 	w := NewWorld(sim.NewEngine(), ch, seed)
 	w.SetCulling(cull)
 	near := &Advertiser{
-		Name: "near", Payload: []byte{1}, LinkID: 1,
+		Name: "near", Payload: namedPayload("near"), LinkID: 1,
 		PowerAt1mDBm: -59, Interval: 30 * time.Millisecond, Pos: geom.Pt(0, 0),
 	}
 	far := &Advertiser{
-		Name: "far", Payload: []byte{2}, LinkID: 2,
+		Name: "far", Payload: namedPayload("far"), LinkID: 2,
 		PowerAt1mDBm: -59, Interval: 30 * time.Millisecond, Pos: geom.Pt(200, 0),
 	}
 	if err := w.AddAdvertiser(near); err != nil {
@@ -72,12 +72,12 @@ func TestCullingPreservesViableLinks(t *testing.T) {
 			t.Fatalf("seed %d: %d receptions with culling, %d without", seed, len(with), len(without))
 		}
 		for i := range with {
-			if with[i].At != without[i].At || with[i].From != without[i].From || with[i].RSSI != without[i].RSSI {
+			if with[i].At != without[i].At || sender(with[i]) != sender(without[i]) || with[i].RSSI != without[i].RSSI {
 				t.Fatalf("seed %d reception %d diverged: %+v vs %+v", seed, i, with[i], without[i])
 			}
 		}
 		for _, r := range without {
-			if r.From == "far" {
+			if sender(r) == "far" {
 				t.Fatalf("seed %d: hopeless link delivered a packet at RSSI %v", seed, r.RSSI)
 			}
 		}

@@ -105,8 +105,8 @@ func TestSlowFadingIndependentPerLink(t *testing.T) {
 		Name:     "probe",
 		Mobility: mobility.Static{P: geom.Pt(0, 0)},
 		Handler: func(r Reception) {
-			sums[r.From] += r.RSSI
-			counts[r.From]++
+			sums[sender(r)] += r.RSSI
+			counts[sender(r)]++
 		},
 	})
 	if err != nil {

@@ -41,12 +41,16 @@ func (r Rollup) MarshalJSON() ([]byte, error) {
 // dwellNanos. It must exist: without it Rollup's method is promoted and
 // the two maps a gateway merges by are silently dropped.
 func (sr ShardRollup) MarshalJSON() ([]byte, error) {
-	return marshalReply(func(dst []byte) []byte {
-		dst = sr.appendFields(append(dst, '{'))
-		dst = appendObject(append(dst, `,"deviceRooms":`...), sr.DeviceRooms, appendJSONString)
-		dst = appendObject(append(dst, `,"dwellNanos":`...), sr.DwellNanos, appendDuration)
-		return append(dst, '}')
-	})
+	return marshalReply(sr.appendJSON)
+}
+
+// appendJSON appends the bytes MarshalJSON returns: what a shard's
+// stream answers a rollup read with, written straight into the reply.
+func (sr ShardRollup) appendJSON(dst []byte) []byte {
+	dst = sr.appendFields(append(dst, '{'))
+	dst = appendObject(append(dst, `,"deviceRooms":`...), sr.DeviceRooms, appendJSONString)
+	dst = appendObject(append(dst, `,"dwellNanos":`...), sr.DwellNanos, appendDuration)
+	return append(dst, '}')
 }
 
 // DwellReply is the GET /api/v1/dwell payload: each room's dwell in

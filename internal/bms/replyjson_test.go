@@ -142,8 +142,8 @@ func FuzzReadRepliesAreEncodingJSON(f *testing.F) {
 	})
 }
 
-// realShardReply is what a shard writes for its ShardRollupPath reply
-// after a short history: three devices moving over the paper house.
+// realShardReply is what a shard answers a rollup read with after a
+// short history: three devices moving over the paper house.
 func realShardReply(tb testing.TB) []byte {
 	s, b := newTestServer(tb)
 	for i := 0; i < 9; i++ {

@@ -74,18 +74,14 @@ func RenderRollup(sum occupancy.Summary) Rollup {
 	return out
 }
 
-// ShardRollupPath is the shard-internal route a federating gateway reads
-// a shard's summary from (ShardRollup). Clients read the public rollup at
-// GET /api/v1/rollup, which a box and a gateway answer alike.
-const ShardRollupPath = "/api/v1/shard:rollup"
-
-// ShardRollup is the GET ShardRollupPath payload of one server: the
-// public rollup plus what a federating gateway needs to merge shards
-// exactly — the device names (so a device two shards both still track
-// counts once) and dwell as integer nanoseconds (so summing shards
-// rounds nothing). Its size follows rooms + devices, whatever the
-// event history's length. It writes and parses itself (replyjson.go),
-// so a gateway's read allocates per room, not per device.
+// ShardRollup is what a shard answers a gateway's rollup read
+// (wire.StreamRollup) with on the gateway's stream: the public rollup
+// plus what a federating gateway needs to merge shards exactly — the
+// device names (so a device two shards both still track counts once)
+// and dwell as integer nanoseconds (so summing shards rounds nothing).
+// Its size follows rooms + devices, whatever the event history's length.
+// It writes and parses itself (replyjson.go), so a gateway's read
+// allocates per room, not per device.
 type ShardRollup struct {
 	Rollup
 	DeviceRooms map[string]string        `json:"deviceRooms"`

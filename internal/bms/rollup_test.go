@@ -14,6 +14,7 @@ import (
 	"occusim/internal/occupancy"
 	"occusim/internal/store"
 	"occusim/internal/transport"
+	"occusim/internal/wire"
 )
 
 // rollupFromViews renders a server's rollup the way the gateway used to
@@ -106,8 +107,8 @@ func TestDurableRollupSurvivesKillAcrossCompaction(t *testing.T) {
 	}
 }
 
-// TestRollupRouteRoundTrips: the shard-internal rollup route carries the
-// summary exactly — what the gateway's shard client rebuilds from the
+// TestRollupRouteRoundTrips: a rollup read on the gateway stream carries
+// the summary exactly — what the gateway's shard client rebuilds from the
 // reply is what the server read — its public fields are the one
 // renderer's, and GET /api/v1/rollup answers those fields alone.
 func TestRollupRouteRoundTrips(t *testing.T) {
@@ -128,8 +129,22 @@ func TestRollupRouteRoundTrips(t *testing.T) {
 		}
 		return rec.Body.Bytes()
 	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	conn, br, resp := upgradeStream(t, ts)
+	if resp.StatusCode != http.StatusSwitchingProtocols {
+		t.Fatalf("upgrade answered %s", resp.Status)
+	}
+	if _, err := conn.Write(wire.AppendStreamRequest(nil, wire.StreamRollup, 0, nil)); err != nil {
+		t.Fatal(err)
+	}
+	var buf []byte
+	status, body, err := wire.ReadStreamReply(br, wire.MaxBodyBytes, &buf)
+	if err != nil || status != wire.StreamOK {
+		t.Fatalf("a rollup read got status %d, %v", status, err)
+	}
 	var reply ShardRollup
-	if err := json.Unmarshal(get(ShardRollupPath), &reply); err != nil {
+	if err := json.Unmarshal(body, &reply); err != nil {
 		t.Fatal(err)
 	}
 	if public, err := json.Marshal(reply.Rollup); err != nil || string(get("/api/v1/rollup")) != string(public)+"\n" {

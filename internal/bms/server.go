@@ -593,15 +593,15 @@ func (s *Server) Events() []occupancy.Event {
 
 // Handler returns the REST API: the one device-facing route table
 // (Routes) over this server, which is its own trainer, plus what only a
-// shard serves — the gateway stream, the summary a gateway merges, device
-// migration and expiry, the lease — and the reads only a box has: rooms,
+// shard serves — the gateway stream, which carries the frames and the
+// summary reads a gateway merges, device migration and expiry, the
+// lease — and the reads only a box has: rooms,
 // energy, the model and a device's latest report.
 func (s *Server) Handler() http.Handler {
 	mux := Routes(box{s}, s)
 	mux.HandleFunc("GET "+wire.StreamPath, func(w http.ResponseWriter, r *http.Request) {
 		serveUpgrade(w, r, wire.StreamProtocol, &s.streams, s.serveShardStream)
 	})
-	read(mux, ShardRollupPath, func() (ShardRollup, error) { return NewShardRollup(s.Summary()), nil })
 	read(mux, "/api/v1/devices", func() (DevicesReply, error) {
 		return DevicesReply{Devices: orEmpty(s.KnownDevices())}, nil
 	})

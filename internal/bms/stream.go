@@ -5,10 +5,11 @@
 // gateway (wire.UplinkProtocol). From then on a connection carries request
 // envelopes in and reply envelopes out, one exchange at a time, through
 // one loop (serveStream): a shard's frames through the same
-// ingestWireFrame the POST door calls, a device's through the face's
-// UploadFrame. Each face tracks its open streams in a StreamSet, so a
-// drain can stop them between frames before what an acknowledgement
-// promises is closed under them.
+// ingestWireFrame the POST door calls and its rollup reads through
+// Summary, a device's frames through the face's UploadFrame. Each face
+// tracks its open streams in a StreamSet, so a drain can stop them
+// between exchanges before what an acknowledgement promises is closed
+// under them.
 package bms
 
 import (
@@ -118,29 +119,29 @@ func serveUpgrade(w http.ResponseWriter, r *http.Request, protocol string, set *
 }
 
 // serveStream is the stream loop of both routes: read an envelope off br,
-// hand its frame and stamp to take — which appends the rooms it predicts,
-// in report order — and write the reply to conn in one Write. Per frame
-// it allocates nothing of its own — the buffers live as long as the
-// connection. It returns on the first envelope it cannot read: the peer
+// hand its kind, stamp and body to take — which appends an ok reply's
+// body (the rooms a frame predicts, in report order) to dst — and write
+// the reply, or the failure take returned, to conn in one Write. Per
+// exchange it allocates nothing of its own — the buffers live as long as
+// the connection. It returns on the first envelope it cannot read: the peer
 // hung up, the drain woke the read, or the bytes are not an envelope
 // (there is no resynchronising); and on the shard route (exact) it hangs
 // up on a frame the server could not take through no fault of the frame
 // (see appendStreamReply).
-func serveStream(conn io.Writer, br *bufio.Reader, exact bool, take func(stamp uint64, frame []byte, rooms []string) ([]string, error)) {
+func serveStream(conn io.Writer, br *bufio.Reader, exact bool, take func(kind byte, stamp uint64, body, dst []byte) ([]byte, error)) {
 	var in, out []byte
-	var rooms []string
 	for {
-		stamp, frame, err := wire.ReadStreamRequest(br, &in)
+		kind, stamp, body, err := wire.ReadStreamRequest(br, &in)
 		if err != nil {
 			if errors.Is(err, wire.ErrBodyTooLarge) {
-				_, _ = conn.Write(appendStreamReply(out[:0], nil, err, exact))
+				_, _ = conn.Write(appendStreamReply(out[:0], err, exact))
 			}
 			return
 		}
-		rooms, err = take(stamp, frame, rooms[:0])
-		out = appendStreamReply(out[:0], rooms, err, exact)
-		clear(rooms)
-		if out == nil {
+		out, err = take(kind, stamp, body, wire.BeginStreamReply(out[:0], wire.StreamOK))
+		if err == nil {
+			wire.EndStreamReply(out)
+		} else if out = appendStreamReply(out[:0], err, exact); out == nil {
 			return
 		}
 		if _, err := conn.Write(out); err != nil {
@@ -150,57 +151,67 @@ func serveStream(conn io.Writer, br *bufio.Reader, exact bool, take func(stamp u
 }
 
 // serveShardStream serves a gateway: each frame through ingestWireFrame
-// under the gateway's leadership epoch.
+// under the gateway's leadership epoch, each rollup read with the
+// ShardRollup JSON of one Summary pass, unfenced: it changes nothing.
 func (s *Server) serveShardStream(conn io.Writer, br *bufio.Reader) {
-	serveStream(conn, br, true, func(epoch uint64, frame []byte, rooms []string) ([]string, error) {
+	serveStream(conn, br, true, func(kind byte, epoch uint64, frame, dst []byte) ([]byte, error) {
+		if kind == wire.StreamRollup {
+			return NewShardRollup(s.Summary()).appendJSON(dst), nil
+		}
 		sc := getScratch()
 		defer sc.release()
-		got, err := s.ingestWireFrame(epoch, frame, sc)
+		rooms, err := s.ingestWireFrame(epoch, frame, sc)
 		if sm := s.met; sm != nil {
 			sm.streamFrames.Inc()
 		}
-		return append(rooms, got...), err
+		return wire.AppendRooms(dst, rooms), err
 	})
 }
 
 // serveUplinkStream serves a device: each frame through the face's
 // UploadFrame, stamped with the digest its sections were cut under, in
 // the hex the ring publishes it in — formatted once per digest the device
-// splits by, not once per upload.
+// splits by, not once per upload. A read is a rejected request there.
 func serveUplinkStream(f Face, conn io.Writer, br *bufio.Reader) {
 	var digest uint64
 	var st Stamp
-	serveStream(conn, br, false, func(stamp uint64, frame []byte, rooms []string) ([]string, error) {
+	var rooms []string
+	serveStream(conn, br, false, func(kind byte, stamp uint64, frame, dst []byte) ([]byte, error) {
+		if kind != wire.StreamFrame {
+			return dst, errors.New("bms: the upload stream carries no reads")
+		}
 		if stamp != digest {
 			digest, st.Digest = stamp, ""
 			if stamp != 0 {
 				st.Digest = strconv.FormatUint(stamp, 16)
 			}
 		}
-		return f.UploadFrame(st, frame, rooms)
+		var err error
+		rooms, err = f.UploadFrame(st, frame, rooms[:0])
+		dst = wire.AppendRooms(dst, rooms)
+		clear(rooms)
+		return dst, err
 	})
 }
 
-// appendStreamReply renders a frame's outcome as its reply envelope, in
-// the stream's statuses for the status map's classes: the rooms, a shed
-// with its hint, a stale write with the grant it lost to and the leader,
-// a frame too large or rejected with the reason, and on the device route
-// the serving side's own failure with the status and hint the POST door
+// appendStreamReply renders a failed exchange as its reply envelope, in
+// the stream's statuses for the status map's classes: a shed with its
+// hint, a stale write with the grant it lost to and the leader, a frame
+// too large or rejected with the reason, and on the device route the
+// serving side's own failure with the status and hint the POST door
 // answers. On the device route (!exact) every hint is the Retry-After the
 // door answers (transport.RetryAfter), so the uplink reads the stream's
 // reply as it read the door's answer. On the shard route a shed carries
 // the shard's exact hint, and an unavailable shard — a log that refused
 // the append — renders nothing (nil): it hangs up as a dead one would,
 // so the gateway's retry policy and its 502 apply.
-func appendStreamReply(dst []byte, rooms []string, err error, exact bool) []byte {
+func appendStreamReply(dst []byte, err error, exact bool) []byte {
 	v := transport.Classify(err)
 	after := v.After
 	if !exact {
 		after = transport.RetryAfter(v)
 	}
 	switch v.Class {
-	case transport.OK:
-		dst = wire.AppendRooms(wire.BeginStreamReply(dst, wire.StreamOK), rooms)
 	case transport.Shed:
 		dst = binary.LittleEndian.AppendUint64(wire.BeginStreamReply(dst, wire.StreamOverload), uint64(after))
 	case transport.Stale:

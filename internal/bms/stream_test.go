@@ -40,23 +40,32 @@ func streamReplies(t testing.TB, out []byte) (statuses []byte, bodies [][]byte) 
 // FuzzShardStream is the shard end under a hostile gateway: arbitrary
 // bytes where request envelopes belong. The loop must never panic, never
 // allocate from an announced length, answer every envelope it takes with
-// exactly one reply, and apply a frame if and only if it answered ok —
-// the state afterwards is what a twin reaches by ingesting, through the
-// in-process door, just the frames that were acknowledged.
+// exactly one reply, apply a frame if and only if it answered ok, and
+// apply nothing for a read, which it answers with the rollup of what it
+// holds — the state afterwards is what a twin reaches by ingesting,
+// through the in-process door, just the frames that were acknowledged,
+// and each read's reply is that twin's rollup at the read.
 func FuzzShardStream(f *testing.F) {
 	_, b := newTestServer(f)
 	_, frame := deviceBatch(f, b, "phone-1", 1, 4)
 	_, later := deviceBatch(f, b, "phone-2", 1, 2)
-	good := wire.AppendStreamRequest(nil, 0, frame)
+	good := wire.AppendStreamRequest(nil, wire.StreamFrame, 0, frame)
+	read := wire.AppendStreamRequest(nil, wire.StreamRollup, 0, nil)
 	f.Add(good)
-	f.Add(wire.AppendStreamRequest(good, 3, later)) // two exchanges, the second stamped
-	f.Add(wire.AppendStreamRequest(wire.AppendStreamRequest(nil, 5, frame), 4, later))
+	f.Add(wire.AppendStreamRequest(good, wire.StreamFrame, 3, later)) // two exchanges, the second stamped
+	f.Add(wire.AppendStreamRequest(wire.AppendStreamRequest(nil, wire.StreamFrame, 5, frame), wire.StreamFrame, 4, later))
 	f.Add(good[:len(good)/2])                               // truncated mid-frame
 	f.Add(append(good[:len(good):len(good)], "garbage"...)) // garbage after a valid frame
-	f.Add(append([]byte{wire.StreamVersion + 1}, good[1:]...))
-	f.Add(binary.LittleEndian.AppendUint32([]byte{wire.StreamVersion}, wire.MaxBodyBytes+1)) // over the limit
-	f.Add(binary.LittleEndian.AppendUint32([]byte{wire.StreamVersion}, wire.MaxBodyBytes))   // announces 64 MiB, sends none
-	f.Add(binary.LittleEndian.AppendUint32([]byte{wire.StreamVersion}, 3))                   // no room for the epoch
+	f.Add(read)
+	f.Add(append(append(bytes.Clone(read), good...), read...))                              // a read on each side of a frame
+	f.Add(wire.AppendStreamRequest(read, wire.StreamRollup, 7, nil))                        // a stamped read
+	f.Add(append([]byte{wire.StreamRollup}, good[1:]...))                                   // a read with a body
+	f.Add(append([]byte{wire.StreamRollup + 1}, good[1:]...))                               // an unknown kind
+	f.Add(append(bytes.Clone(read), append([]byte{0}, read[1:]...)...))                     // a read, then kind 0
+	f.Add(binary.LittleEndian.AppendUint32([]byte{wire.StreamFrame}, wire.MaxBodyBytes+1))  // over the limit
+	f.Add(binary.LittleEndian.AppendUint32([]byte{wire.StreamRollup}, wire.MaxBodyBytes+1)) // a read over the limit
+	f.Add(binary.LittleEndian.AppendUint32([]byte{wire.StreamFrame}, wire.MaxBodyBytes))    // announces 64 MiB, sends none
+	f.Add(binary.LittleEndian.AppendUint32([]byte{wire.StreamFrame}, 3))                    // no room for the epoch
 	flipped := bytes.Clone(good)
 	flipped[len(flipped)-1] ^= 0xff // fails the frame checksum
 	f.Add(flipped)
@@ -78,7 +87,7 @@ func FuzzShardStream(f *testing.F) {
 		var buf []byte
 		hungUp := false // on an announcement over the limit, whatever follows it
 		for i, status := range statuses {
-			epoch, frame, err := wire.ReadStreamRequest(br, &buf)
+			kind, epoch, frame, err := wire.ReadStreamRequest(br, &buf)
 			if status == wire.StreamTooLarge {
 				if err != wire.ErrBodyTooLarge || i != len(statuses)-1 {
 					t.Fatalf("reply %d of %d is too-large, the envelope read gives %v", i, len(statuses), err)
@@ -89,6 +98,13 @@ func FuzzShardStream(f *testing.F) {
 			if err != nil {
 				t.Fatalf("reply %d answers an envelope that does not read: %v", i, err)
 			}
+			if kind == wire.StreamRollup {
+				want, err := json.Marshal(NewShardRollup(twin.Summary()))
+				if err != nil || status != wire.StreamOK || !bytes.Equal(bodies[i], want) {
+					t.Fatalf("reply %d to a read has status %d %s, the twin's rollup is %s (%v)", i, status, bodies[i], want, err)
+				}
+				continue
+			}
 			rooms, err := twin.IngestWireFrameFenced(epoch, frame)
 			if (status == wire.StreamOK) != (err == nil) {
 				t.Fatalf("reply %d has status %d; the in-process door says %v", i, status, err)
@@ -97,7 +113,7 @@ func FuzzShardStream(f *testing.F) {
 				t.Fatalf("reply %d acks % x, the in-process door answers %q", i, bodies[i], rooms)
 			}
 		}
-		if _, _, err := wire.ReadStreamRequest(br, &buf); err == nil && !hungUp {
+		if _, _, _, err := wire.ReadStreamRequest(br, &buf); err == nil && !hungUp {
 			t.Fatalf("the loop stopped after %d replies with a whole envelope unread", len(statuses))
 		}
 		if got, want := s.Occupancy(), twin.Occupancy(); !reflect.DeepEqual(got, want) || !reflect.DeepEqual(s.Events(), twin.Events()) {
@@ -144,7 +160,7 @@ func TestStreamDoorStatuses(t *testing.T) {
 	}
 	exchange := func(epoch uint64, frame []byte) (byte, []byte) {
 		t.Helper()
-		if _, err := conn.Write(wire.AppendStreamRequest(nil, epoch, frame)); err != nil {
+		if _, err := conn.Write(wire.AppendStreamRequest(nil, wire.StreamFrame, epoch, frame)); err != nil {
 			t.Fatal(err)
 		}
 		var buf []byte
@@ -199,7 +215,7 @@ func TestStreamDoorStatuses(t *testing.T) {
 	}
 
 	// Over the limit: answered before a byte of it is read, then hung up on.
-	if _, err := conn.Write(binary.LittleEndian.AppendUint32([]byte{wire.StreamVersion}, wire.MaxBodyBytes+1)); err != nil {
+	if _, err := conn.Write(binary.LittleEndian.AppendUint32([]byte{wire.StreamFrame}, wire.MaxBodyBytes+1)); err != nil {
 		t.Fatal(err)
 	}
 	var buf []byte
@@ -239,7 +255,8 @@ func TestStreamRouteRefusesPlainHTTP(t *testing.T) {
 	}
 }
 
-// TestStopStreamsBetweenFrames: a drain wakes idle streams, returns only
+// TestStopStreamsBetweenFrames: a drain wakes idle streams — one that
+// took a frame, one that answered a read, one never used — returns only
 // once every loop has exited, and leaves the route refusing new streams —
 // so nothing can be acknowledged after it.
 func TestStopStreamsBetweenFrames(t *testing.T) {
@@ -256,13 +273,20 @@ func TestStopStreamsBetweenFrames(t *testing.T) {
 		}
 		conns, readers = append(conns, conn), append(readers, br)
 	}
-	// One frame through the first, so it is a used stream that went idle.
-	if _, err := conns[0].Write(wire.AppendStreamRequest(nil, 0, frame)); err != nil {
-		t.Fatal(err)
-	}
-	var buf []byte
-	if status, _, err := wire.ReadStreamReply(readers[0], wire.MaxBodyBytes, &buf); err != nil || status != wire.StreamOK {
-		t.Fatalf("status %d, %v", status, err)
+	// A frame through the first and a read through the second, so both
+	// are used streams that went idle.
+	for i, kind := range []byte{wire.StreamFrame, wire.StreamRollup} {
+		body := frame
+		if kind == wire.StreamRollup {
+			body = nil
+		}
+		if _, err := conns[i].Write(wire.AppendStreamRequest(nil, kind, 0, body)); err != nil {
+			t.Fatal(err)
+		}
+		var buf []byte
+		if status, _, err := wire.ReadStreamReply(readers[i], wire.MaxBodyBytes, &buf); err != nil || status != wire.StreamOK {
+			t.Fatalf("stream %d: status %d, %v", i, status, err)
+		}
 	}
 	if s.Streams().Open() != 3 {
 		t.Fatalf("%d streams open, want 3", s.Streams().Open())
@@ -300,7 +324,7 @@ func TestAllocBudgetStreamLoop(t *testing.T) {
 	var frames, envelopes [][]byte
 	for i := 0; i < 2*(runs+1); i++ {
 		_, frame := deviceBatch(t, b, "phone-1", uint64(1+11*i), 1<<20)
-		frames, envelopes = append(frames, frame), append(envelopes, wire.AppendStreamRequest(nil, 0, frame))
+		frames, envelopes = append(frames, frame), append(envelopes, wire.AppendStreamRequest(nil, wire.StreamFrame, 0, frame))
 	}
 	next := 0
 	sc := getScratch()

@@ -430,7 +430,7 @@ func TestMalformedFrameRefusedWhole(t *testing.T) {
 	defer conn.Close()
 	overStream := func(frame []byte) (byte, []byte) {
 		t.Helper()
-		if _, err := conn.Write(wire.AppendStreamRequest(nil, 0, frame)); err != nil {
+		if _, err := conn.Write(wire.AppendStreamRequest(nil, wire.StreamFrame, 0, frame)); err != nil {
 			t.Fatal(err)
 		}
 		var buf []byte

@@ -175,11 +175,12 @@ func uploadPath(t testing.TB, gw *fleet.Gateway, batch []transport.Report, n int
 // that predates the route, say — is a deployment fault: every gateway
 // path — verbatim forward, stale-digest re-split, plain frame, JSON batch
 // — answers 502 (ErrShardMisbehaved), and the shard is never quietly sent
-// the batch by POST instead.
+// the batch by POST instead. A read rides the same stream and fails the
+// same way.
 func TestRefusedUpgradeIsAFaultNotADowngrade(t *testing.T) {
 	b := building.PaperHouse()
 	var upgradeOffers, batchPosts atomic.Int64
-	gw, _ := httpFleet(t, b, trainSnapshot(t, b, 42), 2,
+	gw, servers := httpFleet(t, b, trainSnapshot(t, b, 42), 2,
 		func(_ int, next http.Handler) http.Handler {
 			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 				switch r.URL.Path {
@@ -217,8 +218,14 @@ func TestRefusedUpgradeIsAFaultNotADowngrade(t *testing.T) {
 	if batchPosts.Load() != 0 {
 		t.Fatalf("a shard that refused the stream was sent %d batches by POST", batchPosts.Load())
 	}
-	if occ, err := gw.Occupancy(); err != nil || len(occ.Devices) != 0 {
-		t.Fatalf("refused uploads left state behind: %v, %v", occ.Devices, err)
+	// The shards are read in process: a read rides the refused stream too.
+	if _, err := gw.Occupancy(); !errors.Is(err, fleet.ErrShardMisbehaved) {
+		t.Fatalf("a read over a shard that refuses the upgrade: %v, want ErrShardMisbehaved", err)
+	}
+	for i, srv := range servers {
+		if occ := srv.Occupancy(); len(occ.Devices) != 0 {
+			t.Fatalf("refused uploads left state behind on shard %d: %v", i, occ.Devices)
+		}
 	}
 }
 
@@ -519,7 +526,7 @@ func (rt *stubShardRT) RoundTrip(req *http.Request) (*http.Response, error) {
 		br := bufio.NewReaderSize(shard, 4096)
 		var buf []byte
 		for {
-			if _, _, err := wire.ReadStreamRequest(br, &buf); err != nil {
+			if _, _, _, err := wire.ReadStreamRequest(br, &buf); err != nil {
 				return
 			}
 			if _, err := shard.Write(rt.reply); err != nil {

@@ -18,12 +18,13 @@ import (
 
 // HTTPShard drives one remote bms.Server over its REST API — the shard
 // client real deployments put behind the gateway. Reports travel as wire
-// frames over upgraded streams (transport.Stream) and in no other form; every
-// other exchange is one call, a JSON exchange through transport whose
-// bodies are bms's control schema. Both run under one retry policy, so
-// shard traffic gets the same capped-backoff behaviour as device uplinks;
-// health probes are deliberately one-shot so a dead shard is detected on
-// the first probe rather than after a retry budget.
+// frames over upgraded streams (transport.Stream), which also carry the
+// summary reads; every other exchange is one call, a JSON exchange
+// through transport whose bodies are bms's control schema. Both run under
+// one retry policy, so shard traffic gets the same capped-backoff
+// behaviour as device uplinks; health probes are deliberately one-shot so
+// a dead shard is detected on the first probe rather than after a retry
+// budget.
 type HTTPShard struct {
 	base   string
 	client *http.Client
@@ -36,7 +37,7 @@ type HTTPShard struct {
 	// change, not a request — so no exchange builds a header.
 	stamped atomic.Pointer[stampedWrites]
 
-	// streams carries every wire frame to the shard.
+	// streams carries every wire frame and summary read to the shard.
 	streams *transport.Stream
 
 	// ackMu guards rooms, which canonicalises the room names the shard's
@@ -115,7 +116,7 @@ func (h *HTTPShard) call(method, path string, in, out any, policy transport.Retr
 // shard misbehaving.
 func (h *HTTPShard) IngestFrame(frame []byte, reports int) ([]string, error) {
 	var rooms []string
-	err := h.streams.Exchange(h.stamped.Load().epoch, frame, h.retry, func(ack []byte) error {
+	err := h.exchange(wire.StreamFrame, h.stamped.Load().epoch, frame, func(ack []byte) error {
 		rd := wire.Reader{Buf: ack}
 		h.ackMu.Lock()
 		rooms = rd.Rooms(reports, make([]string, 0, reports), h.rooms)
@@ -125,13 +126,21 @@ func (h *HTTPShard) IngestFrame(frame []byte, reports int) ([]string, error) {
 		}
 		return nil
 	})
-	if errors.Is(err, transport.ErrBadReply) || errors.Is(err, transport.ErrUpgradeRefused) {
-		return nil, fmt.Errorf("%w: shard %s: %v", ErrShardMisbehaved, h.base, err)
-	}
 	if err != nil {
 		return nil, err
 	}
 	return rooms, nil
+}
+
+// exchange is one request of kind on the shard's streams under the retry
+// policy. A reply that is not one, or a shard that refuses the upgrade,
+// is the shard misbehaving.
+func (h *HTTPShard) exchange(kind byte, stamp uint64, body []byte, ack func([]byte) error) error {
+	err := h.streams.Exchange(kind, stamp, body, h.retry, ack)
+	if errors.Is(err, transport.ErrBadReply) || errors.Is(err, transport.ErrUpgradeRefused) {
+		return fmt.Errorf("%w: shard %s: %v", ErrShardMisbehaved, h.base, err)
+	}
+	return err
 }
 
 // InstallModel implements Shard via PUT /api/v1/model.
@@ -155,13 +164,13 @@ func (h *HTTPShard) Events() ([]occupancy.Event, error) {
 	return out, nil
 }
 
-// Summary implements Shard via the shard-internal bms.ShardRollupPath:
-// one exchange whose reply carries dwell as integer nanoseconds — the
-// only form dwell crosses this leg in — so nothing is rounded on the way
-// to the gateway's sum.
+// Summary implements Shard with one unfenced rollup read on the shard's
+// streams: a bms.ShardRollup, which carries dwell as integer nanoseconds
+// — the only form dwell crosses this leg in — so nothing is rounded on
+// the way to the gateway's sum.
 func (h *HTTPShard) Summary() (occupancy.Summary, error) {
 	var reply bms.ShardRollup
-	if err := h.call(http.MethodGet, bms.ShardRollupPath, nil, &reply, h.retry); err != nil {
+	if err := h.exchange(wire.StreamRollup, 0, nil, reply.UnmarshalJSON); err != nil {
 		return occupancy.Summary{}, err
 	}
 	return reply.Summary(), nil

@@ -278,7 +278,7 @@ func TestNonFiniteReportRefused(t *testing.T) {
 			return answer(t, postWire(t, to.face, plainFrame(t, reports), ""))
 		}},
 		{"upload stream", func(t *testing.T, to box, reports []transport.Report) (int, string) {
-			status, reason := streamFrame(t, to.face, plainFrame(t, reports))
+			status, reason := streamExchange(t, to.face, wire.UplinkPath, wire.UplinkProtocol, wire.StreamFrame, plainFrame(t, reports))
 			switch status {
 			case wire.StreamOK:
 				return http.StatusOK, ""
@@ -364,9 +364,9 @@ func TestNonFiniteReportRefused(t *testing.T) {
 	}
 }
 
-// streamFrame sends frame as the one envelope of a device upload stream
-// to h and returns the reply's status and body.
-func streamFrame(t *testing.T, h http.Handler, frame []byte) (byte, string) {
+// streamExchange sends one request of kind, body as its body, on a stream
+// h upgrades at path to protocol, and returns the reply's status and body.
+func streamExchange(t *testing.T, h http.Handler, path, protocol string, kind byte, body []byte) (byte, string) {
 	t.Helper()
 	ts := httptest.NewServer(h)
 	defer ts.Close()
@@ -375,9 +375,9 @@ func streamFrame(t *testing.T, h http.Handler, frame []byte) (byte, string) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	req, _ := http.NewRequest(http.MethodGet, ts.URL+wire.UplinkPath, nil)
+	req, _ := http.NewRequest(http.MethodGet, ts.URL+path, nil)
 	req.Header.Set("Connection", "Upgrade")
-	req.Header.Set("Upgrade", wire.UplinkProtocol)
+	req.Header.Set("Upgrade", protocol)
 	if err := req.Write(conn); err != nil {
 		t.Fatal(err)
 	}
@@ -386,15 +386,15 @@ func streamFrame(t *testing.T, h http.Handler, frame []byte) (byte, string) {
 	if err != nil || resp.StatusCode != http.StatusSwitchingProtocols {
 		t.Fatalf("the upgrade answered %v, %v", resp, err)
 	}
-	if _, err := conn.Write(wire.AppendStreamRequest(nil, 0, frame)); err != nil {
+	if _, err := conn.Write(wire.AppendStreamRequest(nil, kind, 0, body)); err != nil {
 		t.Fatal(err)
 	}
 	var buf []byte
-	status, body, err := wire.ReadStreamReply(br, wire.MaxBodyBytes, &buf)
+	status, reply, err := wire.ReadStreamReply(br, wire.MaxBodyBytes, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return status, string(body)
+	return status, string(reply)
 }
 
 // TestServerSplitDoorsByteIdentity sends one stream into five fleets of

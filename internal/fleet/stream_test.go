@@ -1,6 +1,7 @@
 package fleet_test
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -21,6 +22,7 @@ import (
 	"occusim/internal/building"
 	"occusim/internal/fleet"
 	"occusim/internal/obs"
+	"occusim/internal/occupancy"
 	"occusim/internal/transport"
 	"occusim/internal/wire"
 )
@@ -59,11 +61,12 @@ func streamReply(status byte, body []byte) []byte {
 }
 
 // FuzzShardStream is the gateway end under a hostile shard: arbitrary
-// bytes where reply envelopes belong. IngestFrame must never panic, never
-// allocate from an announced length, hand back either exactly the rooms
-// asked for or an error the gateway knows how to classify, and never
-// reuse a stream whose bytes it could not read as a reply — the next
-// exchange dials.
+// bytes where reply envelopes belong, to frames and to rollup reads (bit
+// i of reads makes call i a read). IngestFrame and Summary must never
+// panic, never allocate from an announced length, hand back either
+// exactly the rooms asked for or a summary, or an error the gateway knows
+// how to classify, and never reuse a stream whose bytes they could not
+// read as a reply — the next exchange dials.
 func FuzzShardStream(f *testing.F) {
 	const reports = 11
 	stay := make([]string, reports)
@@ -71,39 +74,58 @@ func FuzzShardStream(f *testing.F) {
 		stay[i] = "kitchen"
 	}
 	ok := streamReply(wire.StreamOK, wire.AppendRooms(nil, stay))
-	f.Add(ok)
-	f.Add(append(bytes.Clone(ok), ok...))
-	f.Add(append(bytes.Clone(ok), "garbage after a valid reply"...))
-	f.Add(ok[:len(ok)/2])
-	f.Add(streamReply(wire.StreamOK, wire.AppendRooms(nil, stay[:3]))) // too few rooms
-	f.Add(streamReply(wire.StreamOK, []byte{200, 1, 'x'}))             // a run past the report count
-	f.Add(streamReply(wire.StreamStale, append(binary.LittleEndian.AppendUint64(nil, 9), "http://gw-b"...)))
-	f.Add(streamReply(wire.StreamStale, []byte{9})) // no room for the epoch
-	f.Add(streamReply(wire.StreamOverload, binary.LittleEndian.AppendUint64(nil, uint64(1500*time.Millisecond))))
-	f.Add(streamReply(wire.StreamOverload, nil))
-	f.Add(streamReply(wire.StreamRejected, []byte("decode frame: wire: truncated frame")))
-	f.Add(streamReply(wire.StreamTooLarge, []byte("wire: body exceeds size limit")))
-	f.Add(streamReply(9, nil))                                        // unknown status
-	f.Add([]byte{0, 0, 0, 0})                                         // no status at all
-	f.Add(binary.LittleEndian.AppendUint32(nil, wire.MaxBodyBytes+2)) // longer than its bound
-	f.Add(binary.LittleEndian.AppendUint32(nil, wire.MaxBodyBytes))   // announces 64 MiB, sends none
+	const frames, readFirst, readSecond = 0, 1, 2
+	f.Add(byte(frames), ok)
+	f.Add(byte(frames), append(bytes.Clone(ok), ok...))
+	f.Add(byte(frames), append(bytes.Clone(ok), "garbage after a valid reply"...))
+	f.Add(byte(frames), ok[:len(ok)/2])
+	f.Add(byte(frames), streamReply(wire.StreamOK, wire.AppendRooms(nil, stay[:3]))) // too few rooms
+	f.Add(byte(frames), streamReply(wire.StreamOK, []byte{200, 1, 'x'}))             // a run past the report count
+	f.Add(byte(frames), streamReply(wire.StreamStale, append(binary.LittleEndian.AppendUint64(nil, 9), "http://gw-b"...)))
+	f.Add(byte(frames), streamReply(wire.StreamStale, []byte{9})) // no room for the epoch
+	f.Add(byte(frames), streamReply(wire.StreamOverload, binary.LittleEndian.AppendUint64(nil, uint64(1500*time.Millisecond))))
+	f.Add(byte(frames), streamReply(wire.StreamOverload, nil))
+	f.Add(byte(frames), streamReply(wire.StreamRejected, []byte("decode frame: wire: truncated frame")))
+	f.Add(byte(frames), streamReply(wire.StreamTooLarge, []byte("wire: body exceeds size limit")))
+	f.Add(byte(frames), streamReply(9, nil))                                        // unknown status
+	f.Add(byte(frames), []byte{0, 0, 0, 0})                                         // no status at all
+	f.Add(byte(frames), binary.LittleEndian.AppendUint32(nil, wire.MaxBodyBytes+2)) // longer than its bound
+	f.Add(byte(frames), binary.LittleEndian.AppendUint32(nil, wire.MaxBodyBytes))   // announces 64 MiB, sends none
+	rollup := streamReply(wire.StreamOK, []byte(`{"devices":1,"events":2,"rooms":{"kitchen":{"occupants":1,"enters":1,"exits":0,"dwellSeconds":1.5}},"deviceRooms":{"d1":"kitchen"},"dwellNanos":{"kitchen":1500000000}}`))
+	f.Add(byte(readFirst), rollup)
+	f.Add(byte(readFirst), append(bytes.Clone(rollup), ok...))  // a read, then a frame
+	f.Add(byte(readSecond), append(bytes.Clone(ok), rollup...)) // a frame, then a read
+	f.Add(byte(readFirst), ok)                                  // a frame's ack to a read
+	f.Add(byte(readFirst), streamReply(wire.StreamOK, []byte("{")))
+	f.Add(byte(readFirst), streamReply(wire.StreamOK, []byte(`{"devices":1099511627776,"events":0,"rooms":{},"deviceRooms":{},"dwellNanos":{}}`)))
+	f.Add(byte(readFirst), streamReply(wire.StreamOverload, binary.LittleEndian.AppendUint64(nil, 1)))
+	f.Add(byte(readFirst), streamReply(9, []byte("{}")))
+	f.Add(byte(readFirst), rollup[:len(rollup)/2])
 
 	frame := bytes.Repeat([]byte{0xab}, 600)
-	f.Fuzz(func(t *testing.T, script []byte) {
+	f.Fuzz(func(t *testing.T, reads byte, script []byte) {
 		rt := &hostileShardRT{script: script}
 		hs, err := fleet.NewHTTPShard("http://shard-0.test", &http.Client{Transport: rt}, transport.RetryPolicy{})
 		if err != nil {
 			t.Fatal(err)
 		}
+		exchange := func(call int) error {
+			if reads>>call&1 == 1 {
+				_, err := hs.Summary()
+				return err
+			}
+			rooms, err := hs.IngestFrame(frame, reports)
+			if err == nil && len(rooms) != reports {
+				t.Fatalf("call %d: %d rooms for %d reports and no error", call, len(rooms), reports)
+			}
+			return err
+		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		for call := 0; call < 4; call++ {
 			dialled := rt.dials
-			rooms, err := hs.IngestFrame(frame, reports)
+			err := exchange(call)
 			if err == nil {
-				if len(rooms) != reports {
-					t.Fatalf("call %d: %d rooms for %d reports and no error", call, len(rooms), reports)
-				}
 				continue
 			}
 			var down *url.Error
@@ -112,7 +134,7 @@ func FuzzShardStream(f *testing.F) {
 			case errors.Is(err, fleet.ErrShardMisbehaved), errors.As(err, &down):
 				// The stream is gone: this exchange, or the next, had to dial.
 				if rt.dials == dialled {
-					if _, err := hs.IngestFrame(frame, reports); rt.dials == dialled {
+					if err := exchange(call + 1); rt.dials == dialled {
 						t.Fatalf("call %d: the stream was reused after %v", call, err)
 					}
 				}
@@ -420,5 +442,157 @@ func TestStreamDeadlineClosesTheStream(t *testing.T) {
 	}
 	if upgrades.Load() != 2 {
 		t.Fatalf("%d upgrades: the stream that timed out must be replaced, and only it", upgrades.Load())
+	}
+}
+
+// heldConn holds the first reply its shard writes after the upgrade
+// until release closes, so that exchange stays in flight inside the
+// shard: the frame applied, its acknowledgement not yet sent.
+type heldConn struct {
+	net.Conn
+	writes           int
+	holding, release chan struct{}
+}
+
+func (c *heldConn) Write(p []byte) (int, error) {
+	if c.writes++; c.writes == 2 { // the first is the 101
+		close(c.holding)
+		<-c.release
+	}
+	return c.Conn.Write(p)
+}
+
+// holdFirstStream hands the first stream the shard upgrades a heldConn.
+type holdFirstStream struct {
+	http.ResponseWriter
+	conn *heldConn
+}
+
+func (w holdFirstStream) Hijack() (net.Conn, *bufio.ReadWriter, error) {
+	conn, brw, err := http.NewResponseController(w.ResponseWriter).Hijack()
+	w.conn.Conn = conn
+	return w.conn, brw, err
+}
+
+// TestReadNeverWaitsBehindAFrame: a federated read on an HTTPShard whose
+// one stream is mid-exchange inside the shard is answered meanwhile, on
+// a stream of its own, and reads the frame the held exchange applied.
+func TestReadNeverWaitsBehindAFrame(t *testing.T) {
+	b := building.PaperHouse()
+	srv := newServer(t, b)
+	held := &heldConn{holding: make(chan struct{}), release: make(chan struct{})}
+	var upgrades atomic.Int64
+	next := srv.Handler()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == wire.StreamPath && upgrades.Add(1) == 1 {
+			w = holdFirstStream{w, held}
+		}
+		next.ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+	defer srv.Close()
+	var once sync.Once
+	release := func() { once.Do(func() { close(held.release) }) }
+	defer release()
+	hs, err := fleet.NewHTTPShard(ts.URL, nil, transport.RetryPolicy{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Two reports from one beacon: enough for the tracker to place d1.
+	frame := plainFrame(t, []transport.Report{hopReport(b, "d1", 0, 2, 1), hopReport(b, "d1", 0, 4, 2)})
+	ingested := make(chan error, 1)
+	go func() {
+		_, err := hs.IngestFrame(frame, 2)
+		ingested <- err
+	}()
+	<-held.holding
+
+	read := make(chan error, 1)
+	var sum occupancy.Summary
+	go func() {
+		var err error
+		sum, err = hs.Summary()
+		read <- err
+	}()
+	select {
+	case err := <-read:
+		if err != nil || len(sum.Devices) != 1 {
+			t.Fatalf("a read beside the held frame: %v devices, %v", sum.Devices, err)
+		}
+		select {
+		case err := <-ingested:
+			t.Fatalf("the read returned only after the held frame's exchange ended (%v)", err)
+		default:
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the read waited behind the frame held inside the shard")
+	}
+	release()
+	if err := <-ingested; err != nil {
+		t.Fatalf("the held frame, released: %v", err)
+	}
+	if upgrades.Load() != 2 {
+		t.Fatalf("%d upgrades, want 2: the frame's stream and the read's", upgrades.Load())
+	}
+}
+
+// TestReadRedialsAStreamClosedIdle: a read whose pooled stream the shard
+// closed while it idled redials once, without spending retry budget (it
+// has none here), and is answered.
+func TestReadRedialsAStreamClosedIdle(t *testing.T) {
+	b := building.PaperHouse()
+	srv := newServer(t, b)
+	var upgrades atomic.Int64
+	next := srv.Handler()
+	ts := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == wire.StreamPath {
+			upgrades.Add(1)
+		}
+		next.ServeHTTP(w, r)
+	}))
+	var cut hijacked
+	ts.Config.ConnState = cut.hook
+	ts.Start()
+	defer ts.Close()
+	defer srv.Close()
+	hs, err := fleet.NewHTTPShard(ts.URL, nil, transport.RetryPolicy{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ingestFrame(t, hs, []transport.Report{hopReport(b, "d1", 0, 2, 1), hopReport(b, "d1", 0, 4, 2)}); err != nil {
+		t.Fatal(err)
+	}
+	if n := cut.reset(); n != 1 {
+		t.Fatalf("the shard closed %d idle streams, want the one", n)
+	}
+	sum, err := hs.Summary()
+	if err != nil || len(sum.Devices) != 1 {
+		t.Fatalf("a read after the idle stream closed: %v devices, %v", sum.Devices, err)
+	}
+	if upgrades.Load() != 2 {
+		t.Fatalf("%d upgrades, want 2: the closed stream and one redial", upgrades.Load())
+	}
+}
+
+// TestUploadStreamRefusesReads: a device's upload stream, at a box and at
+// a gateway, carries frames only; a rollup read there is a rejected
+// request, answered, not a hang-up.
+func TestUploadStreamRefusesReads(t *testing.T) {
+	b := building.PaperHouse()
+	srv := newServer(t, b)
+	defer srv.Close()
+	shard, err := fleet.NewLocalShard("only", srv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gw, err := fleet.New([]fleet.Shard{shard}, fleet.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, h := range map[string]http.Handler{"box": srv.Handler(), "gateway": fleet.Handler(gw, fleet.HandlerOptions{})} {
+		status, reason := streamExchange(t, h, wire.UplinkPath, wire.UplinkProtocol, wire.StreamRollup, nil)
+		if status != wire.StreamRejected || !strings.Contains(reason, "no reads") {
+			t.Errorf("%s: a read on the upload stream got status %d %q, want rejected", name, status, reason)
+		}
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"occusim/internal/fleet"
 	"occusim/internal/occupancy"
 	"occusim/internal/transport"
+	"occusim/internal/wire"
 )
 
 // TestShardVerbsAnswerAsInProcess: every Shard verb answers alike through
@@ -137,6 +138,9 @@ func TestShardVerbsAnswerAsInProcess(t *testing.T) {
 // TestMalformedControlReplyIsMisbehaviour: a 2xx control reply that does
 // not decode is the shard's protocol fault on every verb that decodes
 // one — ErrShardMisbehaved, 502 at the HTTP face — never a plain error.
+// The summary's reply rides the shard stream: there an ok reply whose
+// body does not decode, or a status the stream does not know, is the
+// same fault.
 func TestMalformedControlReplyIsMisbehaviour(t *testing.T) {
 	rows := []struct {
 		name, route, body string
@@ -146,7 +150,6 @@ func TestMalformedControlReplyIsMisbehaviour(t *testing.T) {
 		{"event of unknown kind", "GET /api/v1/events",
 			`{"events":[{"atSeconds":1,"device":"d","kind":"teleport","room":"r"}]}`,
 			func(h *fleet.HTTPShard) error { _, err := h.Events(); return err }},
-		{"summary", "GET " + bms.ShardRollupPath, "{", func(h *fleet.HTTPShard) error { _, err := h.Summary(); return err }},
 		{"devices", "GET /api/v1/devices", "{", func(h *fleet.HTTPShard) error { _, err := h.Devices(); return err }},
 		{"expire", "POST /api/v1/devices:expire", "{", func(h *fleet.HTTPShard) error { _, err := h.ExpireBefore(time.Second); return err }},
 		{"evict", "POST /api/v1/devices:evict", "{", func(h *fleet.HTTPShard) error { _, _, err := h.EvictDevice("d"); return err }},
@@ -166,6 +169,20 @@ func TestMalformedControlReplyIsMisbehaviour(t *testing.T) {
 				t.Fatal(err)
 			}
 			if err := row.call(h); !errors.Is(err, fleet.ErrShardMisbehaved) {
+				t.Fatalf("a reply that does not decode gave %v, want ErrShardMisbehaved", err)
+			}
+		})
+	}
+	for name, script := range map[string][]byte{
+		"summary":                   streamReply(wire.StreamOK, []byte("{")),
+		"summary of unknown status": streamReply(9, []byte("{}")),
+	} {
+		t.Run(name, func(t *testing.T) {
+			h, err := fleet.NewHTTPShard("http://shard-0.test", &http.Client{Transport: &hostileShardRT{script: script}}, transport.RetryPolicy{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := h.Summary(); !errors.Is(err, fleet.ErrShardMisbehaved) {
 				t.Fatalf("a reply that does not decode gave %v, want ErrShardMisbehaved", err)
 			}
 		})

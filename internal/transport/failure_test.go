@@ -480,7 +480,7 @@ func deviceStream(t *testing.T, err error, hint string) string {
 	if serr != nil {
 		t.Fatal(serr)
 	}
-	streamErr := st.Exchange(0, wire.AppendFrame(nil, frame), transport.RetryPolicy{}, nil)
+	streamErr := st.Exchange(wire.StreamFrame, 0, wire.AppendFrame(nil, frame), transport.RetryPolicy{}, nil)
 	if post, stream := transport.Classify(postErr), transport.Classify(streamErr); post != stream {
 		return fmt.Sprintf("verdicts differ: POST %+v, stream %+v", post, stream)
 	}

@@ -1,6 +1,7 @@
 // The client end of an upgraded stream (wire/stream.go has the envelope),
-// the one both legs that carry frames use: the gateway's shard client and
-// the device uplink's binary codec. A stream is dialled by HTTP Upgrade
+// the one both legs that carry frames use: the gateway's shard client
+// (which reads rollups on it too) and the device uplink's binary codec.
+// A stream is dialled by HTTP Upgrade
 // through the client's own RoundTripper — so TLS, a custom dialer or a
 // wrapping RoundTripper keep deciding how the peer is reached, and the
 // upgraded connection leaves the transport's per-host count — and then
@@ -65,11 +66,11 @@ func (s *streamConn) expire() {
 // roundTrip is one exchange. The reply body aliases s.in. ok reports
 // whether the stream may carry another exchange; a reply that arrived as
 // the deadline fired is still the reply, on a stream that is now closed.
-func (s *streamConn) roundTrip(stamp uint64, frame []byte, timeout time.Duration) (status byte, body []byte, ok bool, err error) {
+func (s *streamConn) roundTrip(kind byte, stamp uint64, frame []byte, timeout time.Duration) (status byte, body []byte, ok bool, err error) {
 	if s.timer != nil {
 		s.timer.Reset(timeout)
 	}
-	s.out = wire.AppendStreamRequest(s.out[:0], stamp, frame)
+	s.out = wire.AppendStreamRequest(s.out[:0], kind, stamp, frame)
 	if _, err = s.conn.Write(s.out); err == nil {
 		status, body, err = wire.ReadStreamReply(s.br, wire.MaxBodyBytes, &s.in)
 	}
@@ -111,21 +112,23 @@ func (p *Stream) Instrument(dials, resets *obs.Counter, rec *obs.Recorder) {
 	p.dials, p.resets, p.rec = dials, resets, rec
 }
 
-// Exchange sends frame under stamp and reads the peer's reply, under the
-// retry policy: a shed waits out the peer's hint, an exchange that got no
-// answer or an answered 5xx backs off — what Target.Do retries, with the
-// same Backoff —, anything else the peer answered on purpose is final. A
-// resent frame is the same bytes under the same stamp, so a shard
-// deduplicates whatever landed twice. A pooled stream that turns out to
-// have died idle is replaced by one immediate redial without spending
-// budget — net/http's rule for a kept-alive connection, and as safe.
+// Exchange sends a request of kind, frame its body, under stamp and reads
+// the peer's reply, under the retry policy: a shed waits out the peer's
+// hint, an exchange that got no answer or an answered 5xx backs off —
+// what Target.Do retries, with the same Backoff —, anything else the peer
+// answered on purpose is final. A resent frame is the same bytes under
+// the same stamp, so a shard deduplicates whatever landed twice. A pooled
+// stream that turns out to have died idle is replaced by one immediate
+// redial without spending budget — net/http's rule for a kept-alive
+// connection, and as safe. No exchange waits behind another: what the
+// pool cannot supply is dialled.
 //
 // An ok reply's body is handed to ack (nil: discarded) before the stream
 // goes back to the pool; an error from ack is the peer's protocol fault.
 // Every other status comes back as the *Error its HTTP answer was.
-func (p *Stream) Exchange(stamp uint64, frame []byte, policy RetryPolicy, ack func(body []byte) error) error {
+func (p *Stream) Exchange(kind byte, stamp uint64, frame []byte, policy RetryPolicy, ack func(body []byte) error) error {
 	for backoff := policy.Start(); ; {
-		err := p.exchange(stamp, frame, ack)
+		err := p.exchange(kind, stamp, frame, ack)
 		if err == nil {
 			return nil
 		}
@@ -140,7 +143,7 @@ func (p *Stream) Exchange(stamp uint64, frame []byte, policy RetryPolicy, ack fu
 }
 
 // exchange is one attempt.
-func (p *Stream) exchange(stamp uint64, frame []byte, ack func([]byte) error) error {
+func (p *Stream) exchange(kind byte, stamp uint64, frame []byte, ack func([]byte) error) error {
 	timeout := AttemptTimeout(p.client)
 	s := p.get()
 	pooled := s != nil
@@ -151,7 +154,7 @@ func (p *Stream) exchange(stamp uint64, frame []byte, ack func([]byte) error) er
 				return err
 			}
 		}
-		status, body, ok, err := s.roundTrip(stamp, frame, timeout)
+		status, body, ok, err := s.roundTrip(kind, stamp, frame, timeout)
 		if err != nil {
 			p.reset(s, err)
 			if errors.Is(err, wire.ErrBadEnvelope) {

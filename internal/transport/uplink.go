@@ -188,7 +188,7 @@ func (u *HTTPUplink) deliver(reports []Report, single bool) error {
 				return err // no target could take these reports
 			}
 			if framed {
-				err = t.stream.Exchange(stamp, body, u.Retry, nil)
+				err = t.stream.Exchange(wire.StreamFrame, stamp, body, u.Retry, nil)
 				if refusesStream(err) {
 					// Senders refused together latch once, and count once.
 					if tm := pkgMet.Load(); !t.jsonOnly.Swap(true) && tm != nil {

@@ -246,7 +246,7 @@ func serveUplink(t *testing.T, w http.ResponseWriter, r *http.Request, take func
 	}
 	var buf []byte
 	for {
-		stamp, frame, err := wire.ReadStreamRequest(brw.Reader, &buf)
+		_, stamp, frame, err := wire.ReadStreamRequest(brw.Reader, &buf)
 		if err != nil {
 			return
 		}

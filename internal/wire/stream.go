@@ -2,22 +2,25 @@
 // connection carrying one exchange at a time, little-endian like the
 // frames inside it:
 //
-//	request  [version u8][length u32][stamp u64][wire frame, verbatim]
+//	request  [kind u8][length u32][stamp u64][body]
 //	reply    [length u32][status u8][body]
 //
-// A request's length counts the stamp and the frame, a reply's the status
-// and the body. Two legs ride it, each on its own route and Upgrade token,
-// and the stamp means what that leg needs beside the frame:
+// A request's length counts the stamp and the body, a reply's the status
+// and the body. The kind names the request: a StreamFrame carries a wire
+// frame verbatim, acknowledged with the rooms of AppendRooms; a
+// StreamRollup carries no body and reads a shard's rollup JSON
+// (bms.ShardRollup). Two legs ride it, each on its own route and Upgrade
+// token, and the stamp means what that leg needs beside the frame:
 //
 //	gateway → shard   GET StreamPath, "Upgrade: occusim-shard/1": the
-//	                  sending gateway's leadership epoch (0: unfenced)
+//	                  sending gateway's leadership epoch (0: unfenced, as
+//	                  a read is); frames and rollup reads
 //	device → BMS      GET UplinkPath, "Upgrade: occusim-uplink/1": the
 //	                  ring digest the frame's sections were cut under, as
 //	                  the hex of ring.Digest names it (0: a plain frame)
 //
-// Neither side can resynchronise after a bad envelope, so whoever reads
-// one closes the connection. The version byte is where a batch id goes
-// when one exists.
+// Neither side can resynchronise after a bad envelope, an unknown kind
+// included, so whoever reads one closes the connection.
 package wire
 
 import (
@@ -41,14 +44,15 @@ const (
 	// UplinkProtocol the Upgrade token of the device → BMS leg.
 	UplinkPath     = "/api/v1/observations:stream"
 	UplinkProtocol = "occusim-uplink/1"
-	// StreamVersion leads every request envelope.
-	StreamVersion = 0x01
+	// StreamFrame and StreamRollup are the request kinds, the byte that
+	// leads every request envelope.
+	StreamFrame, StreamRollup byte = 0x01, 0x02
 )
 
 // Reply statuses. What the HTTP door said with a status code and headers,
 // the stream says with one byte and a body.
 const (
-	// StreamOK carries the rooms ack of AppendRooms.
+	// StreamOK carries a frame's rooms ack or a read's rollup.
 	StreamOK byte = iota
 	// StreamStale is the leadership fence (the POST door's 409): u64
 	// granted epoch, then the leader hint to the end of the body.
@@ -70,40 +74,43 @@ const (
 	StreamUnavailable
 )
 
-// AppendStreamRequest appends one request envelope, so the caller sends
-// it in a single Write.
-func AppendStreamRequest(dst []byte, stamp uint64, frame []byte) []byte {
-	dst = append(dst, StreamVersion)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(8+len(frame)))
+// AppendStreamRequest appends one request envelope of kind, so the
+// caller sends it in a single Write.
+func AppendStreamRequest(dst []byte, kind byte, stamp uint64, body []byte) []byte {
+	dst = append(dst, kind)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(8+len(body)))
 	dst = binary.LittleEndian.AppendUint64(dst, stamp)
-	return append(dst, frame...)
+	return append(dst, body...)
 }
 
 // ReadStreamRequest reads one request envelope into *buf (reused, grown
-// as bytes arrive) and returns the stamp and the frame, a view of *buf
+// as bytes arrive) and returns its kind, stamp and body, a view of *buf
 // the next call overwrites. io.EOF means the peer hung up between
 // envelopes; an announced length past MaxBodyBytes is ErrBodyTooLarge,
 // refused before any of it is buffered; anything else that is not an
-// envelope is ErrBadEnvelope.
-func ReadStreamRequest(br *bufio.Reader, buf *[]byte) (stamp uint64, frame []byte, err error) {
+// envelope — an unknown kind, a rollup read with a body — is
+// ErrBadEnvelope.
+func ReadStreamRequest(br *bufio.Reader, buf *[]byte) (kind byte, stamp uint64, body []byte, err error) {
 	head, err := readHead(br, 1+4)
 	if err != nil {
-		return 0, nil, err
+		return 0, 0, nil, err
 	}
-	version, n := head[0], binary.LittleEndian.Uint32(head[1:])
+	kind, n := head[0], binary.LittleEndian.Uint32(head[1:])
 	switch {
-	case version != StreamVersion:
-		return 0, nil, fmt.Errorf("%w: request version 0x%02x", ErrBadEnvelope, version)
+	case kind != StreamFrame && kind != StreamRollup:
+		return 0, 0, nil, fmt.Errorf("%w: request kind 0x%02x", ErrBadEnvelope, kind)
 	case n > MaxBodyBytes:
-		return 0, nil, ErrBodyTooLarge
+		return 0, 0, nil, ErrBodyTooLarge
 	case n < 8:
-		return 0, nil, fmt.Errorf("%w: request of %d bytes has no stamp", ErrBadEnvelope, n)
+		return 0, 0, nil, fmt.Errorf("%w: request of %d bytes has no stamp", ErrBadEnvelope, n)
+	case kind == StreamRollup && n != 8:
+		return 0, 0, nil, fmt.Errorf("%w: rollup request with a %d-byte body", ErrBadEnvelope, n-8)
 	}
-	body, err := readExact(br, int(n), buf)
+	body, err = readExact(br, int(n), buf)
 	if err != nil {
-		return 0, nil, err
+		return 0, 0, nil, err
 	}
-	return binary.LittleEndian.Uint64(body), body[8:], nil
+	return kind, binary.LittleEndian.Uint64(body), body[8:], nil
 }
 
 // BeginStreamReply starts a reply envelope in dst: the caller appends the

@@ -40,8 +40,6 @@ var uncalledAllowed = map[string]string{
 	"app.Stats.RegionExits":  "Example_quickstart reads it for the app state it prints",
 	"app.Stats.SendFailures": "TestNetworkedBluetoothRelay reads it through the facade to see the BLE hop fail",
 
-	"ble.Reception.From": "the link-layer tests tell advertisers apart by it (TestMultipleAdvertisersDistinguishedByName, the cull and slow-fade references)",
-
 	"bms.EnergyComparison.PerRoom": "the per-room comfort misses of ROADMAP item 21 read it",
 	"bms.RoomUsage.Occupied":       "the per-room comfort misses of ROADMAP item 21 read it",
 
