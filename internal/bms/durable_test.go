@@ -34,8 +34,8 @@ func openDurable(t *testing.T, dir string, policy store.FsyncPolicy) (*Server, *
 }
 
 // viewsJSON serialises every externally observable view the crashtest
-// compares: occupancy, events, dwell, the shard rollup read, known
-// devices, model version.
+// compares: occupancy, events, dwell, the summary a rollup read carries,
+// known devices, model version.
 func viewsJSON(t *testing.T, s *Server) string {
 	t.Helper()
 	_, version := s.st.Model()
@@ -43,7 +43,7 @@ func viewsJSON(t *testing.T, s *Server) string {
 		"occupancy": s.Occupancy(),
 		"events":    s.Events(),
 		"dwell":     s.DwellTotals(),
-		"rollup":    NewShardRollup(s.Summary()),
+		"rollup":    s.Summary(),
 		"devices":   s.KnownDevices(),
 		"version":   version,
 	})

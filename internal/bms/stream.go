@@ -151,12 +151,12 @@ func serveStream(conn io.Writer, br *bufio.Reader, exact bool, take func(kind by
 }
 
 // serveShardStream serves a gateway: each frame through ingestWireFrame
-// under the gateway's leadership epoch, each rollup read with the
-// ShardRollup JSON of one Summary pass, unfenced: it changes nothing.
+// under the gateway's leadership epoch, each rollup read with one
+// Summary pass in binary (AppendSummary), unfenced: it changes nothing.
 func (s *Server) serveShardStream(conn io.Writer, br *bufio.Reader) {
 	serveStream(conn, br, true, func(kind byte, epoch uint64, frame, dst []byte) ([]byte, error) {
 		if kind == wire.StreamRollup {
-			return NewShardRollup(s.Summary()).appendJSON(dst), nil
+			return AppendSummary(dst, s.Summary()), nil
 		}
 		sc := getScratch()
 		defer sc.release()

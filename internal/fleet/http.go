@@ -165,15 +165,15 @@ func (h *HTTPShard) Events() ([]occupancy.Event, error) {
 }
 
 // Summary implements Shard with one unfenced rollup read on the shard's
-// streams: a bms.ShardRollup, which carries dwell as integer nanoseconds
-// — the only form dwell crosses this leg in — so nothing is rounded on
-// the way to the gateway's sum.
-func (h *HTTPShard) Summary() (occupancy.Summary, error) {
-	var reply bms.ShardRollup
-	if err := h.exchange(wire.StreamRollup, 0, nil, reply.UnmarshalJSON); err != nil {
-		return occupancy.Summary{}, err
-	}
-	return reply.Summary(), nil
+// streams, answered with the shard's summary in binary (bms.ParseSummary
+// reads it): dwell crosses as integer nanoseconds, so nothing is rounded
+// on the way to the gateway's sum.
+func (h *HTTPShard) Summary() (sum occupancy.Summary, err error) {
+	err = h.exchange(wire.StreamRollup, 0, nil, func(body []byte) (err error) {
+		sum, err = bms.ParseSummary(body)
+		return err
+	})
+	return sum, err
 }
 
 // EvictDevice implements Shard via POST /api/v1/devices:evict. A 404 —

@@ -19,6 +19,7 @@ import (
 	"testing"
 	"time"
 
+	"occusim/internal/bms"
 	"occusim/internal/building"
 	"occusim/internal/fleet"
 	"occusim/internal/obs"
@@ -91,16 +92,22 @@ func FuzzShardStream(f *testing.F) {
 	f.Add(byte(frames), []byte{0, 0, 0, 0})                                         // no status at all
 	f.Add(byte(frames), binary.LittleEndian.AppendUint32(nil, wire.MaxBodyBytes+2)) // longer than its bound
 	f.Add(byte(frames), binary.LittleEndian.AppendUint32(nil, wire.MaxBodyBytes))   // announces 64 MiB, sends none
-	rollup := streamReply(wire.StreamOK, []byte(`{"devices":1,"events":2,"rooms":{"kitchen":{"occupants":1,"enters":1,"exits":0,"dwellSeconds":1.5}},"deviceRooms":{"d1":"kitchen"},"dwellNanos":{"kitchen":1500000000}}`))
+	summary := bms.AppendSummary(nil, occupancy.Summary{
+		Devices: map[string]string{"d1": "kitchen"},
+		Events:  2,
+		Rooms:   map[string]occupancy.RoomSummary{"kitchen": {Occupants: 1, Tally: occupancy.Tally{Enters: 1}, Dwell: 1500 * time.Millisecond}},
+	})
+	rollup := streamReply(wire.StreamOK, summary)
 	f.Add(byte(readFirst), rollup)
 	f.Add(byte(readFirst), append(bytes.Clone(rollup), ok...))  // a read, then a frame
 	f.Add(byte(readSecond), append(bytes.Clone(ok), rollup...)) // a frame, then a read
 	f.Add(byte(readFirst), ok)                                  // a frame's ack to a read
 	f.Add(byte(readFirst), streamReply(wire.StreamOK, []byte("{")))
-	f.Add(byte(readFirst), streamReply(wire.StreamOK, []byte(`{"devices":1099511627776,"events":0,"rooms":{},"deviceRooms":{},"dwellNanos":{}}`)))
+	f.Add(byte(readFirst), streamReply(wire.StreamOK, binary.AppendUvarint([]byte{0, 0}, 1<<40))) // 2^40 devices, none sent
 	f.Add(byte(readFirst), streamReply(wire.StreamOverload, binary.LittleEndian.AppendUint64(nil, 1)))
 	f.Add(byte(readFirst), streamReply(9, []byte("{}")))
-	f.Add(byte(readFirst), rollup[:len(rollup)/2])
+	f.Add(byte(readFirst), streamReply(wire.StreamOK, summary[:len(summary)/2])) // a summary cut in half
+	f.Add(byte(readFirst), rollup[:len(rollup)/2])                               // its envelope cut in half
 
 	frame := bytes.Repeat([]byte{0xab}, 600)
 	f.Fuzz(func(t *testing.T, reads byte, script []byte) {

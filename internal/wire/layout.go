@@ -8,10 +8,11 @@ import (
 
 // LayoutReader is a cursor over JSON in the one layout encoding/json
 // writes: no whitespace, keys in a fixed order, strings that need no
-// escape. A parser built on it reads that layout without reflection and
-// declines the first byte outside it, so its caller can hand the input to
-// encoding/json: each method reports false there, and nothing it accepts
-// is anything but valid JSON that encoding/json decodes to the same value.
+// escape. The JSON upload door (transport.JSONUpload), the one JSON the
+// system parses by hand, reads an upload on it without reflection and
+// declines the first byte outside that layout to encoding/json: each
+// method reports false there, and nothing it accepts is anything but
+// valid JSON that encoding/json decodes to the same value.
 type LayoutReader struct {
 	Buf []byte // what is left
 }
@@ -42,16 +43,6 @@ func (l *LayoutReader) Uint() (uint64, bool) {
 	}
 	l.Buf = l.Buf[i:]
 	return n, true
-}
-
-// Int reads a JSON integer that fits an int64.
-func (l *LayoutReader) Int() (int64, bool) {
-	neg := l.Lit("-")
-	n, ok := l.Uint()
-	if neg {
-		return int64(-n), ok && n <= math.MaxInt64+1
-	}
-	return int64(n), ok && n <= math.MaxInt64
 }
 
 // Float reads a JSON number that parses as a finite float64 — by the

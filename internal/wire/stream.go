@@ -8,11 +8,12 @@
 // A request's length counts the stamp and the body, a reply's the status
 // and the body. The kind names the request: a StreamFrame carries a wire
 // frame verbatim, acknowledged with the rooms of AppendRooms; a
-// StreamRollup carries no body and reads a shard's rollup JSON
-// (bms.ShardRollup). Two legs ride it, each on its own route and Upgrade
-// token, and the stamp means what that leg needs beside the frame:
+// StreamRollup carries no body and reads a shard's summary in binary
+// (bms.AppendSummary). Two legs ride it, each on its own route and
+// Upgrade token, and the stamp means what that leg needs beside the
+// frame:
 //
-//	gateway → shard   GET StreamPath, "Upgrade: occusim-shard/1": the
+//	gateway → shard   GET StreamPath, "Upgrade: occusim-shard/2": the
 //	                  sending gateway's leadership epoch (0: unfenced, as
 //	                  a read is); frames and rollup reads
 //	device → BMS      GET UplinkPath, "Upgrade: occusim-uplink/1": the
@@ -39,7 +40,7 @@ const (
 	// StreamPath is the route a shard upgrades on, and StreamProtocol the
 	// Upgrade token both ends of the gateway → shard leg must name.
 	StreamPath     = "/api/v1/shard:stream"
-	StreamProtocol = "occusim-shard/1"
+	StreamProtocol = "occusim-shard/2"
 	// UplinkPath is the route a box or a gateway upgrades a device on, and
 	// UplinkProtocol the Upgrade token of the device → BMS leg.
 	UplinkPath     = "/api/v1/observations:stream"
@@ -52,7 +53,7 @@ const (
 // Reply statuses. What the HTTP door said with a status code and headers,
 // the stream says with one byte and a body.
 const (
-	// StreamOK carries a frame's rooms ack or a read's rollup.
+	// StreamOK carries a frame's rooms ack or a read's summary.
 	StreamOK byte = iota
 	// StreamStale is the leadership fence (the POST door's 409): u64
 	// granted epoch, then the leader hint to the end of the body.
