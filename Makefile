@@ -35,6 +35,7 @@ test-cpus:
 # or CI — and green twice running before 18b's floors count as mended.
 STRESS_FILES = internal/bms/compact_test.go internal/bms/apply_test.go \
 	internal/fleet/hostile_test.go internal/fleet/stream_test.go \
+	internal/fleet/stream_parity_test.go \
 	internal/fleet/failover_test.go internal/fleet/rollup_test.go \
 	internal/store/wal_compact_test.go cmd/bmsd/main_test.go
 stress:
@@ -101,8 +102,9 @@ allocs:
 # that replay and snapshot restore run too, so each store, tracker and
 # classifier write below it has one site. And so is the gateway's control
 # leg: in internal/fleet every many-shard call is one gather round and
-# every HTTP shard verb one HTTPShard.call, so a control body is marshalled
-# and unmarshalled at one site each, and a goroutine starts only in
+# every HTTP shard verb one exchange on the shard's stream, so a JSON
+# control body is marshalled (exchangeJSON) and unmarshalled (jsonReply)
+# at one site each, and a goroutine starts only in
 # dispatch, gather and migrate. And so is a failure's meaning: every site
 # decides by transport.Classify, so in the non-test Go of internal/ and
 # cmd/ a shed (IsOverload()) and a status (StatusCode()) are read only in

@@ -41,7 +41,8 @@
 // — kept off the API port so profiling is strictly opt-in.
 //
 // Endpoints (gateway: a fleet gateway serves it too, through the same
-// route table, bms.Routes):
+// route table, bms.Routes; one shard only: a shard serves it, a gateway
+// does not):
 //
 //	GET  /api/v1/health                                       gateway
 //	POST /api/v1/observations   device ranging reports        gateway
@@ -56,6 +57,9 @@
 //	PUT  /api/v1/model          install/distribute a model    gateway
 //	GET  /api/v1/dwell          per-room dwell rollup         gateway
 //	GET  /api/v1/devices/{id}   latest report and room        one shard only
+//	GET  /api/v1/devices/{id}/state  migratable device state  one shard only
+//	GET  /api/v1/lease          the gateway lease grant       one shard only
+//	GET  /api/v1/shard:stream   every gateway verb, upgraded  one shard only
 //	GET  /api/v1/rollup         per-room occupancy rollup     gateway
 //	GET  /api/v1/shards         shard health and routing      gateway only
 //	GET  /api/v1/ring           routing table for pre-split   gateway only

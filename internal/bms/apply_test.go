@@ -190,6 +190,10 @@ func TestSweepBesideAResumingDevice(t *testing.T) {
 		stop := make(chan struct{})
 		firstPass := make(chan struct{})
 		var wg sync.WaitGroup
+		// halt stops the sweeper however the round ends: a Fatal must
+		// not leave it sweeping.
+		halt := sync.OnceFunc(func() { close(stop); wg.Wait() })
+		defer halt()
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -212,8 +216,7 @@ func TestSweepBesideAResumingDevice(t *testing.T) {
 		}()
 		<-firstPass
 		reportAll(base+600, 2)
-		close(stop)
-		wg.Wait()
+		halt()
 
 		var why []string
 		resumed := time.Duration(base+600) * time.Second

@@ -138,7 +138,7 @@ func TestAddFingerprintValidatesRoom(t *testing.T) {
 
 // trainServer populates fingerprints placing each room's beacon near and
 // trains the model.
-func trainServer(t *testing.T, s *Server, b *building.Building) TrainResult {
+func trainServer(t testing.TB, s *Server, b *building.Building) TrainResult {
 	t.Helper()
 	src := rng.New(1)
 	for round := 0; round < 25; round++ {

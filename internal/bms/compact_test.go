@@ -620,6 +620,10 @@ func TestCutViewsSurviveIngestUnderRace(t *testing.T) {
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
+	// halt stops the goroutines below however the test ends: a Fatal
+	// must not leave them writing.
+	halt := sync.OnceFunc(func() { close(stop); wg.Wait() })
+	defer halt()
 	var uploads, sweeps, moves atomic.Int64
 	running := func() bool {
 		select {
@@ -721,8 +725,7 @@ func TestCutViewsSurviveIngestUnderRace(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	close(stop)
-	wg.Wait()
+	halt()
 	if sweeps.Load() == 0 || moves.Load() == 0 {
 		t.Fatalf("vacuous: %d expiries and %d evict/install pairs beside the compactions", sweeps.Load(), moves.Load())
 	}

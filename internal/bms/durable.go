@@ -600,7 +600,8 @@ func (s *Server) recover(w *store.WAL) error {
 
 // KnownDevices returns every device this server holds durable or
 // tracker state for, sorted — the recovered device set a restarted
-// gateway rebuilds its registry from (GET /api/v1/devices).
+// gateway rebuilds its registry from (a registry read on the shard
+// stream, wire.StreamDevices).
 func (s *Server) KnownDevices() []string {
 	seen := map[string]bool{}
 	for _, d := range s.st.KnownDevices() {

@@ -2,6 +2,7 @@ package bms
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -11,6 +12,7 @@ import (
 	"occusim/internal/building"
 	"occusim/internal/store"
 	"occusim/internal/transport"
+	"occusim/internal/wire"
 )
 
 // seqReport fabricates a sequenced report beside one beacon.
@@ -162,60 +164,51 @@ func TestDeviceMigrationEndpoints(t *testing.T) {
 		t.Fatal("read-only state view mutated the server")
 	}
 
-	// Unknown device evicts to 404.
-	resp, err := http.Post(ts1.URL+"/api/v1/devices:evict", "application/json",
-		bytes.NewReader([]byte(`{"device":"ghost"}`)))
-	if err != nil {
-		t.Fatal(err)
+	// Migration rides the shard stream. An unknown device evicts to an
+	// empty ok reply.
+	conn1, br1, _ := upgradeStream(t, ts1)
+	conn2, br2, _ := upgradeStream(t, ts2)
+	evict := func(id uint64, device string) (byte, []byte) {
+		return shardCall(t, conn1, br1, wire.StreamEvict, 0, append(binary.AppendUvarint(nil, id), device...))
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("evict of unknown device returned %s, want 404", resp.Status)
+	if status, reply := evict(1, "ghost"); status != wire.StreamOK || len(reply) != 0 {
+		t.Fatalf("evict of unknown device answered status %d %q, want ok and empty", status, reply)
 	}
 
-	// Evict p over HTTP and install it on the second server.
-	resp, err = http.Post(ts1.URL+"/api/v1/devices:evict", "application/json",
-		bytes.NewReader([]byte(`{"device":"p"}`)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Evict p and install it on the second server. A retry of the evict —
+	// the same request id — is answered with the same state, as its lost
+	// first reply would have been; another request finds nothing held.
+	status, reply := evict(2, "p")
 	var st DeviceState
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
+	if err := json.Unmarshal(reply, &st); status != wire.StreamOK || err != nil {
+		t.Fatalf("evict answered status %d %q (%v)", status, reply, err)
 	}
-	resp.Body.Close()
 	if st.Device != "p" || st.Seq != 1 {
 		t.Fatalf("evicted state = %+v", st)
 	}
-	body, _ := json.Marshal(st)
-	resp, err = http.Post(ts2.URL+"/api/v1/devices:install", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
+	if status, again := evict(2, "p"); status != wire.StreamOK || !bytes.Equal(again, reply) {
+		t.Fatalf("the retried evict answered status %d %q, want the first answer %q", status, again, reply)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("install returned %s", resp.Status)
+	if status, other := evict(3, "p"); status != wire.StreamOK || len(other) != 0 {
+		t.Fatalf("a new evict of the evicted device answered status %d %q, want ok and empty", status, other)
+	}
+	if status, reason := shardCall(t, conn1, br1, wire.StreamEvict, 0, binary.AppendUvarint(nil, 4)); status != wire.StreamRejected {
+		t.Fatalf("an evict without a device answered status %d %q, want rejected", status, reason)
+	}
+	body, _ := json.Marshal(st)
+	if status, reply := shardCall(t, conn2, br2, wire.StreamInstall, 0, body); status != wire.StreamOK || len(reply) != 0 {
+		t.Fatalf("install answered status %d %q", status, reply)
 	}
 	if got := s2.tracker.RoomOf("p"); got == "" {
 		t.Fatal("installed device unknown on the second server")
 	}
 
 	// Expire sweeps it back out (cutoff after its only observation).
-	cutoff := int64(10 * time.Second)
-	resp, err = http.Post(ts2.URL+"/api/v1/devices:expire", "application/json",
-		bytes.NewReader([]byte(`{"beforeNanos":`+jsonInt(cutoff)+`}`)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sweep struct {
-		Expired []string `json:"expired"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&sweep); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if len(sweep.Expired) != 1 || sweep.Expired[0] != "p" {
-		t.Fatalf("expired = %v, want [p]", sweep.Expired)
+	cutoff := binary.LittleEndian.AppendUint64(nil, uint64(10*time.Second))
+	status, reply = shardCall(t, conn2, br2, wire.StreamExpire, 0, cutoff)
+	rd := wire.Reader{Buf: reply}
+	if expired := rd.Rooms(len(reply), nil, wire.Interner{}); status != wire.StreamOK || rd.Short || len(expired) != 1 || expired[0] != "p" {
+		t.Fatalf("expire answered status %d, % x, want [p]", status, reply)
 	}
 	if occ := s2.Occupancy(); len(occ.Devices) != 0 {
 		t.Fatalf("expired device still tracked: %v", occ.Devices)
@@ -241,10 +234,4 @@ func TestDeviceMigrationEndpoints(t *testing.T) {
 	if occ := s2.Occupancy(); len(occ.Devices) != 1 {
 		t.Fatalf("epoch-bumped restart did not re-enter: %v", occ.Devices)
 	}
-}
-
-// jsonInt renders an int64 for a hand-rolled JSON body.
-func jsonInt(v int64) string {
-	b, _ := json.Marshal(v)
-	return string(b)
 }

@@ -33,10 +33,11 @@ type Face interface {
 	// take traffic (false answers 503).
 	Health() (body any, up bool)
 	// UploadJSON takes a decoded JSON upload and UploadFrame a wire
-	// upload's body, each under the stamp its door read; each appends the
-	// predicted room per report, in upload order, to rooms.
-	UploadJSON(st Stamp, u *transport.JSONUpload, rooms []string) ([]string, error)
-	UploadFrame(st Stamp, body []byte, rooms []string) ([]string, error)
+	// upload's body under the ring digest its sections were cut under
+	// ("": a plain frame); each appends the predicted room per report, in
+	// upload order, to rooms.
+	UploadJSON(u *transport.JSONUpload, rooms []string) ([]string, error)
+	UploadFrame(digest string, body []byte, rooms []string) ([]string, error)
 	// The reads: three renderings of one summary, and the event history.
 	Occupancy() (OccupancySnapshot, error)
 	DwellTotals() (map[string]time.Duration, error)
@@ -53,21 +54,6 @@ type Face interface {
 	// Streams is where the devices' upgraded upload streams are tracked,
 	// for a drain to stop them.
 	Streams() *StreamSet
-}
-
-// Stamp is what an upload is taken under besides its bytes: the sending
-// gateway's leadership epoch (0: unfenced, and always 0 from a device) and
-// the ring digest a pre-split upload's sections were cut under ("": a plain
-// frame, or JSON). The POST door reads it from the request's headers, the
-// upload stream from each envelope.
-type Stamp struct {
-	Epoch  uint64
-	Digest string
-}
-
-// stampOf is the POST door's stamp.
-func stampOf(r *http.Request) Stamp {
-	return Stamp{Epoch: gatewayEpochFrom(r), Digest: r.Header.Get(wire.HeaderRingDigest)}
 }
 
 // Routes is the one device-facing route table: health, both upload routes
@@ -112,11 +98,7 @@ func Routes(f Face, trainer *Server) *http.ServeMux {
 	})
 	read(mux, "/api/v1/events", func() (EventsReply, error) {
 		events, err := f.Events()
-		out := EventsReply{Events: make([]EventJSON, 0, len(events))}
-		for _, e := range events {
-			out.Events = append(out.Events, eventJSON(e))
-		}
-		return out, err
+		return eventsReply(events), err
 	})
 	mux.HandleFunc("PUT /api/v1/model", func(w http.ResponseWriter, r *http.Request) {
 		var snap ModelSnapshot
@@ -163,21 +145,6 @@ func read[T any](mux *http.ServeMux, path string, verb func() (T, error)) {
 	})
 }
 
-// write registers a POST whose JSON body decodes into In and is answered
-// by one verb, which is handed the write's leadership stamp: decode, then
-// verb, then respond.
-func write[In, Out any](mux *http.ServeMux, path string, verb func(epoch uint64, in In) (Out, error)) {
-	mux.HandleFunc("POST "+path, func(w http.ResponseWriter, r *http.Request) {
-		var in In
-		if err := DecodeJSON(r, &in); err != nil {
-			WriteUploadError(w, "decode", err)
-			return
-		}
-		body, err := verb(gatewayEpochFrom(r), in)
-		respond(w, body, err)
-	})
-}
-
 // respond answers 200 with body, or the failure.
 func respond(w http.ResponseWriter, body any, err error) {
 	if err != nil {
@@ -205,7 +172,7 @@ func uploadJSON(f Face, w http.ResponseWriter, r *http.Request, batch bool) {
 	rooms := getRooms()
 	defer putRooms(rooms)
 	var err error
-	if *rooms, err = f.UploadJSON(stampOf(r), u, *rooms); err != nil {
+	if *rooms, err = f.UploadJSON(u, *rooms); err != nil {
 		WriteFailure(w, err)
 		return
 	}
@@ -226,7 +193,7 @@ func uploadFrame(f Face, w http.ResponseWriter, r *http.Request) {
 	}
 	rooms := getRooms()
 	defer putRooms(rooms)
-	if *rooms, err = f.UploadFrame(stampOf(r), body, *rooms); err != nil {
+	if *rooms, err = f.UploadFrame(r.Header.Get(wire.HeaderRingDigest), body, *rooms); err != nil {
 		WriteFailure(w, err)
 		return
 	}

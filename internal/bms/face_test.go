@@ -10,6 +10,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"occusim/internal/bms"
 	"occusim/internal/building"
@@ -168,13 +169,9 @@ func TestLogFailureIsNotTheClientsFault(t *testing.T) {
 	}
 	fp := fmt.Sprintf(`{"room":%q,"distances":{%q:1.5}}`, b.Beacons[0].Room, b.Beacons[0].ID.String())
 	for _, write := range []struct{ name, method, path, body string }{
-		{"evict", http.MethodPost, "/api/v1/devices:evict", `{"device":"resident"}`},
-		{"install", http.MethodPost, "/api/v1/devices:install", `{"device":"newcomer","room":"kitchen","seen":true,"lastAtNanos":5,"epoch":1,"seq":1}`},
-		{"expire", http.MethodPost, "/api/v1/devices:expire", `{"beforeNanos":1000000000000}`},
 		{"model", http.MethodPut, "/api/v1/model", string(modelBody)},
 		{"fingerprint", http.MethodPost, "/api/v1/fingerprints", fp},
 		{"train", http.MethodPost, "/api/v1/train", `{}`},
-		{"lease claim", http.MethodPost, "/api/v1/lease:claim", `{"epoch":1,"leader":"http://gw"}`},
 	} {
 		req, err := http.NewRequest(write.method, box.URL+write.path, strings.NewReader(write.body))
 		if err != nil {
@@ -189,6 +186,31 @@ func TestLogFailureIsNotTheClientsFault(t *testing.T) {
 		if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") != "1" {
 			t.Errorf("the box answered the %s the log refused with %d, Retry-After %q (%s); want 503, Retry-After \"1\"",
 				write.name, resp.StatusCode, resp.Header.Get("Retry-After"), bytes.TrimSpace(body))
+		}
+		if got := capture(); !reflect.DeepEqual(got, before) {
+			t.Errorf("the %s the log refused moved state:\n got: %+v\nwant: %+v", write.name, got, before)
+			before = got
+		}
+	}
+	// A gateway's cold writes ride the shard stream, where a log that
+	// refuses the append hangs up, as it does for a frame: the gateway
+	// reads a dead shard, which its retry policy and its 502 apply to.
+	var newcomer bms.DeviceState
+	if err := json.Unmarshal([]byte(`{"device":"newcomer","room":"kitchen","seen":true,"lastAtNanos":5,"epoch":1,"seq":1}`), &newcomer); err != nil {
+		t.Fatal(err)
+	}
+	for _, write := range []struct {
+		name string
+		verb func() error
+	}{
+		{"evict", func() error { _, _, err := remote.EvictDevice("resident"); return err }},
+		{"install", func() error { return remote.InstallDevice(newcomer) }},
+		{"expire", func() error { _, err := remote.ExpireBefore(1000 * time.Second); return err }},
+		{"model", func() error { return remote.InstallModel(model) }},
+		{"lease claim", func() error { _, _, err := remote.Claim(1, "http://gw"); return err }},
+	} {
+		if err := write.verb(); transport.Classify(err).Class != transport.Unreachable {
+			t.Errorf("the shard answered the %s the log refused with %v; want a hang-up", write.name, err)
 		}
 		if got := capture(); !reflect.DeepEqual(got, before) {
 			t.Errorf("the %s the log refused moved state:\n got: %+v\nwant: %+v", write.name, got, before)

@@ -18,8 +18,6 @@ package bms
 
 import (
 	"fmt"
-	"net/http"
-	"strconv"
 	"sync"
 
 	"occusim/internal/obs"
@@ -61,7 +59,7 @@ func (s *Server) GrantLease(epoch uint64, holder string) (uint64, string, error)
 	s.lease.mu.Lock()
 	defer s.lease.mu.Unlock()
 	switch {
-	case epoch < s.lease.epoch:
+	case epoch < s.lease.epoch, epoch == s.lease.epoch && s.lease.holder != "" && s.lease.holder != holder:
 		if sm != nil {
 			sm.leaseRejects.Inc()
 			sm.rec.Record(obs.EventLeaseReject, map[string]any{
@@ -70,15 +68,6 @@ func (s *Server) GrantLease(epoch uint64, holder string) (uint64, string, error)
 		}
 		return s.lease.epoch, s.lease.holder, &transport.StaleLeaderError{Granted: s.lease.epoch, Leader: s.lease.holder}
 	case epoch == s.lease.epoch:
-		if s.lease.holder != "" && s.lease.holder != holder {
-			if sm != nil {
-				sm.leaseRejects.Inc()
-				sm.rec.Record(obs.EventLeaseReject, map[string]any{
-					"epoch": epoch, "claimant": holder, "granted": s.lease.epoch, "holder": s.lease.holder,
-				})
-			}
-			return s.lease.epoch, s.lease.holder, &transport.StaleLeaderError{Granted: s.lease.epoch, Leader: s.lease.holder}
-		}
 		// A renewal (or a holder filling in the hint a write-implied
 		// advance left empty). The epoch itself is already durable.
 		// Renewals are counted but NOT recorded: a TTL/3 heartbeat per
@@ -159,20 +148,4 @@ func (s *Server) admitEpoch(epoch uint64) error {
 		sm.staleAdmits.Inc()
 	}
 	return nil
-}
-
-// --- HTTP face --------------------------------------------------------
-
-// gatewayEpochFrom reads the write's leadership stamp; absent or
-// malformed means unfenced (epoch zero), matching pre-HA clients.
-func gatewayEpochFrom(r *http.Request) uint64 {
-	v := r.Header.Get(transport.HeaderGatewayEpoch)
-	if v == "" {
-		return 0
-	}
-	epoch, err := strconv.ParseUint(v, 10, 64)
-	if err != nil {
-		return 0
-	}
-	return epoch
 }

@@ -2,6 +2,7 @@ package bms
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"net/http"
@@ -11,6 +12,7 @@ import (
 	"occusim/internal/occupancy"
 	"occusim/internal/store"
 	"occusim/internal/transport"
+	"occusim/internal/wire"
 )
 
 func TestGrantLeaseRules(t *testing.T) {
@@ -147,74 +149,38 @@ func TestLeaseHTTPFace(t *testing.T) {
 	s, b := newTestServer(t)
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
-
-	claim := func(epoch uint64, leader string) *http.Response {
+	conn, br, _ := upgradeStream(t, srv)
+	claim := func(epoch uint64, leader string) (byte, []byte) {
 		t.Helper()
-		body, _ := json.Marshal(map[string]any{"epoch": epoch, "leader": leader})
-		resp, err := http.Post(srv.URL+"/api/v1/lease:claim", "application/json", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return resp
+		return shardCall(t, conn, br, wire.StreamClaim, 0, append(binary.AppendUvarint(nil, epoch), leader...))
 	}
 
-	resp := claim(1, "http://gwA")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("claim status = %d", resp.StatusCode)
-	}
-	var grant struct {
-		Granted uint64 `json:"granted"`
-		Holder  string `json:"holder"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&grant); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if grant.Granted != 1 || grant.Holder != "http://gwA" {
-		t.Fatalf("grant = %+v", grant)
+	status, reply := claim(1, "http://gwA")
+	granted, n := binary.Uvarint(reply)
+	if status != wire.StreamOK || n <= 0 || granted != 1 || string(reply[n:]) != "http://gwA" {
+		t.Fatalf("claim answered status %d % x, want ok with grant 1 to gwA", status, reply)
 	}
 
-	// A competing claim answers 409 with the lease headers the failover
-	// uplink follows.
-	resp = claim(1, "http://gwB")
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusConflict {
-		t.Fatalf("competing claim status = %d", resp.StatusCode)
-	}
-	if got := resp.Header.Get(transport.HeaderLeaderEpoch); got != "1" {
-		t.Fatalf("X-Leader-Epoch = %q", got)
-	}
-	if got := resp.Header.Get(transport.HeaderLeaderHint); got != "http://gwA" {
-		t.Fatalf("X-Leader-Hint = %q", got)
+	// A competing claim answers stale with the grant it lost to and the
+	// holder, which the gateway reads as the 409's lease headers.
+	status, reply = claim(1, "http://gwB")
+	if status != wire.StreamStale || binary.LittleEndian.Uint64(reply) != 1 || string(reply[8:]) != "http://gwA" {
+		t.Fatalf("competing claim answered status %d % x, want stale with grant 1 and gwA", status, reply)
 	}
 
-	// A stale-stamped observation bounces with the same headers; an
-	// unstamped one (legacy client) flows.
+	// The POST door takes no leadership stamp: devices never sent one, and
+	// a gateway's writes ride the stream.
 	if _, _, err := s.GrantLease(3, "http://gwB"); err != nil {
 		t.Fatal(err)
 	}
 	obs, _ := json.Marshal(reportNear(b, "phone", 0, 1))
-	req, _ := http.NewRequest(http.MethodPost, srv.URL+"/api/v1/observations", bytes.NewReader(obs))
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(transport.HeaderGatewayEpoch, "2")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusConflict {
-		t.Fatalf("stale observation status = %d", resp.StatusCode)
-	}
-	if got := resp.Header.Get(transport.HeaderLeaderHint); got != "http://gwB" {
-		t.Fatalf("stale observation hint = %q", got)
-	}
-	resp, err = http.Post(srv.URL+"/api/v1/observations", "application/json", bytes.NewReader(obs))
+	resp, err := http.Post(srv.URL+"/api/v1/observations", "application/json", bytes.NewReader(obs))
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("unstamped observation status = %d", resp.StatusCode)
+		t.Fatalf("observation status = %d", resp.StatusCode)
 	}
 
 	// GET /api/v1/lease reports the grant.
@@ -222,10 +188,10 @@ func TestLeaseHTTPFace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	grant = struct {
+	var grant struct {
 		Granted uint64 `json:"granted"`
 		Holder  string `json:"holder"`
-	}{}
+	}
 	if err := json.NewDecoder(resp.Body).Decode(&grant); err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,6 @@ package bms
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"math"
 	"net/http"
@@ -83,6 +82,9 @@ type Server struct {
 	// streams are the upgraded connections being served — gateways on
 	// the shard route, devices on the upload route; see stream.go.
 	streams StreamSet
+
+	// evicted answers retried evicts (evictOnce, stream.go).
+	evicted evictMemo
 }
 
 // NewServer builds a BMS for the given building. Until a model is
@@ -593,102 +595,25 @@ func (s *Server) Events() []occupancy.Event {
 
 // Handler returns the REST API: the one device-facing route table
 // (Routes) over this server, which is its own trainer, plus what only a
-// shard serves — the gateway stream, which carries the frames and the
-// summary reads a gateway merges, device migration and expiry, the
-// lease — and the reads only a box has: rooms,
-// energy, the model and a device's latest report.
+// shard serves — the gateway stream, which carries every verb a gateway
+// has, and the lease read — and the reads only a box has: rooms, energy,
+// the model and a device's latest report.
 func (s *Server) Handler() http.Handler {
 	mux := Routes(box{s}, s)
 	mux.HandleFunc("GET "+wire.StreamPath, func(w http.ResponseWriter, r *http.Request) {
 		serveUpgrade(w, r, wire.StreamProtocol, &s.streams, s.serveShardStream)
 	})
-	read(mux, "/api/v1/devices", func() (DevicesReply, error) {
-		return DevicesReply{Devices: orEmpty(s.KnownDevices())}, nil
-	})
 	mux.HandleFunc("GET /api/v1/devices/{device}", s.handleDevice)
 	mux.HandleFunc("GET /api/v1/devices/{device}/state", s.handleDeviceState)
-	// Device migration over HTTP: evict removes and returns the state, the
-	// sending half; install is the receiving half.
-	write(mux, "/api/v1/devices:evict", func(epoch uint64, req EvictRequest) (DeviceState, error) {
-		if req.Device == "" {
-			return DeviceState{}, &transport.Error{Code: http.StatusBadRequest, Err: errors.New("evict without device")}
-		}
-		st, ok, err := s.EvictDevice(epoch, req.Device)
-		if err == nil && !ok {
-			err = &transport.Error{Code: http.StatusNotFound, Err: fmt.Errorf("no state for device %q", req.Device)}
-		}
-		return st, err
-	})
-	write(mux, "/api/v1/devices:install", func(epoch uint64, st DeviceState) (map[string]string, error) {
-		return map[string]string{"installed": st.Device}, s.InstallDevice(epoch, st)
-	})
-	// The TTL sweep: devices last observed before the cutoff (report
-	// clock) are evicted and named.
-	write(mux, "/api/v1/devices:expire", func(epoch uint64, req ExpireRequest) (ExpireReply, error) {
-		expired, err := s.ExpireBefore(epoch, time.Duration(req.BeforeNanos))
-		return ExpireReply{Expired: orEmpty(expired)}, err
-	})
-	// The lease arbiter: grant, renewal, or 409 with the winning epoch and
-	// holder in the leader headers, so a losing claimant learns what to
-	// outbid and where the leader is. The claim itself is not fenced.
-	write(mux, "/api/v1/lease:claim", func(_ uint64, req LeaseClaim) (LeaseGrant, error) {
-		granted, holder, err := s.GrantLease(req.Epoch, req.Leader)
-		return LeaseGrant{Granted: granted, Holder: holder}, err
-	})
-	read(mux, "/api/v1/lease", func() (LeaseGrant, error) {
+	read(mux, "/api/v1/lease", func() (map[string]any, error) {
 		granted, holder := s.GrantedLease()
-		return LeaseGrant{Granted: granted, Holder: holder}, nil
+		return map[string]any{"granted": granted, "holder": holder}, nil
 	})
 	mux.HandleFunc("GET /api/v1/rooms", s.handleRooms)
 	mux.HandleFunc("GET /api/v1/energy", s.handleEnergy)
 	mux.HandleFunc("GET /api/v1/model", s.handleModel)
 	return mux
 }
-
-// orEmpty answers a name list that is never JSON null.
-func orEmpty(names []string) []string {
-	if names == nil {
-		return []string{}
-	}
-	return names
-}
-
-// The shard-only control bodies — what a gateway sends and a shard
-// answers on device migration, the TTL sweep, the device registry and the
-// lease — declared once for both ends: the shard's handlers above and
-// fleet.HTTPShard. The evict reply and the install request are a
-// DeviceState.
-type (
-	// EvictRequest is the POST /api/v1/devices:evict body.
-	EvictRequest struct {
-		Device string `json:"device"`
-	}
-	// ExpireRequest is the POST /api/v1/devices:expire body: the cutoff on
-	// the report clock.
-	ExpireRequest struct {
-		BeforeNanos int64 `json:"beforeNanos"`
-	}
-	// ExpireReply names the devices a sweep evicted.
-	ExpireReply struct {
-		Expired []string `json:"expired"`
-	}
-	// DevicesReply is the GET /api/v1/devices body: every device the
-	// server knows, sorted.
-	DevicesReply struct {
-		Devices []string `json:"devices"`
-	}
-	// LeaseClaim is the POST /api/v1/lease:claim body.
-	LeaseClaim struct {
-		Epoch  uint64 `json:"epoch"`
-		Leader string `json:"leader"`
-	}
-	// LeaseGrant is the current grant: a claim's reply and the GET
-	// /api/v1/lease body.
-	LeaseGrant struct {
-		Granted uint64 `json:"granted"`
-		Holder  string `json:"holder"`
-	}
-)
 
 // box is one server as the route table serves it.
 type box struct{ *Server }
@@ -705,7 +630,7 @@ func (b box) Health() (any, bool) {
 // UploadJSON renders the upload into a pooled batch — where a beacon
 // identity that did not parse refuses it whole — and takes the core on a
 // pooled scratch.
-func (b box) UploadJSON(st Stamp, u *transport.JSONUpload, rooms []string) ([]string, error) {
+func (b box) UploadJSON(u *transport.JSONUpload, rooms []string) ([]string, error) {
 	wb := wire.GetBatch()
 	defer wire.PutBatch(wb)
 	if err := u.AppendTo(wb); err != nil {
@@ -713,16 +638,17 @@ func (b box) UploadJSON(st Stamp, u *transport.JSONUpload, rooms []string) ([]st
 	}
 	sc := getScratch()
 	defer sc.release()
-	got, err := b.ingest(st.Epoch, wb, nil, sc)
+	got, err := b.ingest(0, wb, nil, sc)
 	return append(rooms, got...), err
 }
 
 // UploadFrame decodes the frame and takes the core with no intermediate
 // report slice; a durable server logs the frame's payload as received.
-func (b box) UploadFrame(st Stamp, body []byte, rooms []string) ([]string, error) {
+// A box splits nothing, so it reads no ring digest.
+func (b box) UploadFrame(_ string, body []byte, rooms []string) ([]string, error) {
 	sc := getScratch()
 	defer sc.release()
-	got, err := b.ingestWireFrame(st.Epoch, body, sc)
+	got, err := b.ingestWireFrame(0, body, sc)
 	return append(rooms, got...), err
 }
 
@@ -751,14 +677,19 @@ type EventJSON struct {
 	Room      string  `json:"room"`
 }
 
-// EventsReply is the GET /api/v1/events body.
+// EventsReply is the GET /api/v1/events body, and a shard's answer to a
+// gateway's events read (wire.StreamEvents).
 type EventsReply struct {
 	Events []EventJSON `json:"events"`
 }
 
-// eventJSON renders an event in its wire form.
-func eventJSON(e occupancy.Event) EventJSON {
-	return EventJSON{AtSeconds: e.At.Seconds(), Device: e.Device, Kind: e.Kind.String(), Room: e.Room}
+// eventsReply renders an event history in its wire form.
+func eventsReply(events []occupancy.Event) EventsReply {
+	out := EventsReply{Events: make([]EventJSON, 0, len(events))}
+	for _, e := range events {
+		out.Events = append(out.Events, EventJSON{AtSeconds: e.At.Seconds(), Device: e.Device, Kind: e.Kind.String(), Room: e.Room})
+	}
+	return out
 }
 
 // Event parses the wire form back. The time is rounded, not truncated:

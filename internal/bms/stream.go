@@ -4,17 +4,18 @@
 // and GET /api/v1/observations:stream upgrades a device onto a box or a
 // gateway (wire.UplinkProtocol). From then on a connection carries request
 // envelopes in and reply envelopes out, one exchange at a time, through
-// one loop (serveStream): a shard's frames through the same
-// ingestWireFrame the POST door calls and its rollup reads through
-// Summary, a device's frames through the face's UploadFrame. Each face
-// tracks its open streams in a StreamSet, so a drain can stop them
-// between exchanges before what an acknowledgement promises is closed
-// under them.
+// one loop (serveStream): on a shard every verb a gateway has — its
+// frames through the same ingestWireFrame the POST door calls, its
+// summary reads, and the cold verbs (shardVerb) — and on the device route
+// a device's frames through the face's UploadFrame. Each face tracks its
+// open streams in a StreamSet, so a drain can stop them between exchanges
+// before what an acknowledgement promises is closed under them.
 package bms
 
 import (
 	"bufio"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -123,7 +124,8 @@ func serveUpgrade(w http.ResponseWriter, r *http.Request, protocol string, set *
 // body (the rooms a frame predicts, in report order) to dst — and write
 // the reply, or the failure take returned, to conn in one Write. Per
 // exchange it allocates nothing of its own — the buffers live as long as
-// the connection. It returns on the first envelope it cannot read: the peer
+// the connection, unless an exchange grew one past the pool's cap
+// (wire.KeepBuf). It returns on the first envelope it cannot read: the peer
 // hung up, the drain woke the read, or the bytes are not an envelope
 // (there is no resynchronising); and on the shard route (exact) it hangs
 // up on a frame the server could not take through no fault of the frame
@@ -147,47 +149,159 @@ func serveStream(conn io.Writer, br *bufio.Reader, exact bool, take func(kind by
 		if _, err := conn.Write(out); err != nil {
 			return
 		}
+		in, out = wire.KeepBuf(in), wire.KeepBuf(out)
 	}
 }
 
 // serveShardStream serves a gateway: each frame through ingestWireFrame
 // under the gateway's leadership epoch, each rollup read with one
-// Summary pass in binary (AppendSummary), unfenced: it changes nothing.
+// Summary pass in binary (AppendSummary), unfenced: it changes nothing,
+// and every other kind through shardVerb.
 func (s *Server) serveShardStream(conn io.Writer, br *bufio.Reader) {
-	serveStream(conn, br, true, func(kind byte, epoch uint64, frame, dst []byte) ([]byte, error) {
-		if kind == wire.StreamRollup {
+	serveStream(conn, br, true, func(kind byte, epoch uint64, body, dst []byte) ([]byte, error) {
+		switch kind {
+		case wire.StreamFrame:
+			sc := getScratch()
+			defer sc.release()
+			rooms, err := s.ingestWireFrame(epoch, body, sc)
+			if sm := s.met; sm != nil {
+				sm.streamFrames.Inc()
+			}
+			return wire.AppendRooms(dst, rooms), err
+		case wire.StreamRollup:
 			return AppendSummary(dst, s.Summary()), nil
 		}
-		sc := getScratch()
-		defer sc.release()
-		rooms, err := s.ingestWireFrame(epoch, frame, sc)
-		if sm := s.met; sm != nil {
-			sm.streamFrames.Inc()
-		}
-		return wire.AppendRooms(dst, rooms), err
+		return s.shardVerb(kind, epoch, body, dst)
 	})
+}
+
+// shardVerb answers one of a gateway's cold verbs. Request and ok reply
+// bodies, by kind:
+//
+//	events   none; EventsReply JSON
+//	devices  none; the known devices as a rooms column (wire.AppendRooms)
+//	model    ModelSnapshot JSON; none
+//	evict    uvarint request id, device name; DeviceState JSON, or none
+//	install  DeviceState JSON; none
+//	expire   u64 cutoff, report-clock ns; the expired devices, as devices
+//	claim    uvarint epoch, claimant URL; uvarint grant, holder URL
+//
+// Evict, install and expire are fenced by the envelope's epoch; the rest
+// are not. A body that does not read is a rejection.
+func (s *Server) shardVerb(kind byte, epoch uint64, body, dst []byte) ([]byte, error) {
+	rd := wire.Reader{Buf: body}
+	switch kind {
+	case wire.StreamEvents:
+		return appendJSON(dst, eventsReply(s.Events()))
+	case wire.StreamDevices:
+		return wire.AppendRooms(dst, s.KnownDevices()), nil
+	case wire.StreamModel:
+		var snap ModelSnapshot
+		if err := json.Unmarshal(body, &snap); err != nil {
+			return dst, fmt.Errorf("bms: model: %w", err)
+		}
+		_, err := s.InstallModel(snap)
+		return dst, err
+	case wire.StreamEvict:
+		if id := rd.Uvarint(); !rd.Short && len(rd.Buf) > 0 {
+			st, held, err := s.evictOnce(epoch, id, string(rd.Buf))
+			if err != nil || !held {
+				return dst, err
+			}
+			return appendJSON(dst, st)
+		}
+		return dst, errors.New("bms: evict without device")
+	case wire.StreamInstall:
+		var st DeviceState
+		if err := json.Unmarshal(body, &st); err != nil {
+			return dst, fmt.Errorf("bms: install device: %w", err)
+		}
+		return dst, s.InstallDevice(epoch, st)
+	case wire.StreamExpire:
+		if cutoff := rd.U64(); !rd.Short && len(rd.Buf) == 0 {
+			expired, err := s.ExpireBefore(epoch, time.Duration(cutoff))
+			return wire.AppendRooms(dst, expired), err
+		}
+		return dst, fmt.Errorf("bms: expire with a %d-byte body, want the 8-byte cutoff", len(body))
+	case wire.StreamClaim:
+		if claim := rd.Uvarint(); !rd.Short {
+			granted, holder, err := s.GrantLease(claim, string(rd.Buf))
+			return append(binary.AppendUvarint(dst, granted), holder...), err
+		}
+		return dst, errors.New("bms: lease claim without epoch")
+	}
+	return dst, fmt.Errorf("bms: the shard stream has no request kind 0x%02x", kind)
+}
+
+// appendJSON appends v's JSON to dst.
+func appendJSON(dst []byte, v any) ([]byte, error) {
+	b, err := json.Marshal(v)
+	return append(dst, b...), err
+}
+
+// evictMemo is the answers to the last 256 evicts that moved state, by
+// request id — far more than a rebalance sends one shard (16 at a time)
+// during a retry's backoff. It is not state: nothing of it is logged.
+type evictMemo struct {
+	mu      sync.Mutex
+	answers [256]struct {
+		id     uint64
+		device string
+		state  DeviceState
+	}
+	next int
+}
+
+// evictOnce is EvictDevice for a request the gateway numbered: a retry of
+// an evict the shard committed but whose reply was lost — the same id
+// for the same device, past the same fence — answers the state that left
+// rather than "nothing held", so the state still reaches the new owner
+// (after the memo forgot it, the new owner rebuilds from the reports).
+func (s *Server) evictOnce(epoch, id uint64, device string) (DeviceState, bool, error) {
+	if err := s.admitEpoch(epoch); err != nil {
+		return DeviceState{}, false, err
+	}
+	m := &s.evicted
+	m.mu.Lock()
+	for _, a := range m.answers {
+		if a.id == id && a.device == device {
+			m.mu.Unlock()
+			return a.state, true, nil
+		}
+	}
+	m.mu.Unlock() // not held across the log's commit
+	st, held, err := s.EvictDevice(epoch, device)
+	if held {
+		m.mu.Lock()
+		a := &m.answers[m.next]
+		a.id, a.device, a.state = id, device, st
+		m.next = (m.next + 1) % len(m.answers)
+		m.mu.Unlock()
+	}
+	return st, held, err
 }
 
 // serveUplinkStream serves a device: each frame through the face's
 // UploadFrame, stamped with the digest its sections were cut under, in
 // the hex the ring publishes it in — formatted once per digest the device
-// splits by, not once per upload. A read is a rejected request there.
+// splits by, not once per upload. Any other kind is a rejected request
+// there.
 func serveUplinkStream(f Face, conn io.Writer, br *bufio.Reader) {
-	var digest uint64
-	var st Stamp
+	var stamped uint64
+	var digest string
 	var rooms []string
 	serveStream(conn, br, false, func(kind byte, stamp uint64, frame, dst []byte) ([]byte, error) {
 		if kind != wire.StreamFrame {
-			return dst, errors.New("bms: the upload stream carries no reads")
+			return dst, errors.New("bms: the upload stream carries frames only")
 		}
-		if stamp != digest {
-			digest, st.Digest = stamp, ""
+		if stamp != stamped {
+			stamped, digest = stamp, ""
 			if stamp != 0 {
-				st.Digest = strconv.FormatUint(stamp, 16)
+				digest = strconv.FormatUint(stamp, 16)
 			}
 		}
 		var err error
-		rooms, err = f.UploadFrame(st, frame, rooms[:0])
+		rooms, err = f.UploadFrame(digest, frame, rooms[:0])
 		dst = wire.AppendRooms(dst, rooms)
 		clear(rooms)
 		return dst, err

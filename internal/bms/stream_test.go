@@ -5,6 +5,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -14,8 +16,10 @@ import (
 	"testing"
 	"time"
 
+	"occusim/internal/occupancy"
 	"occusim/internal/overload"
 	"occusim/internal/raceflag"
+	"occusim/internal/transport"
 	"occusim/internal/wire"
 )
 
@@ -40,18 +44,51 @@ func streamReplies(t testing.TB, out []byte) (statuses []byte, bodies [][]byte) 
 // FuzzShardStream is the shard end under a hostile gateway: arbitrary
 // bytes where request envelopes belong. The loop must never panic, never
 // allocate from an announced length, answer every envelope it takes with
-// exactly one reply, apply a frame if and only if it answered ok, and
-// apply nothing for a read, which it answers with the summary of what it
-// holds — the state afterwards is what a twin reaches by ingesting,
-// through the in-process door, just the frames that were acknowledged,
-// and each read's reply reads as that twin's summary at the read (as a
-// value: map order is not part of the form).
+// exactly one reply, apply a frame or a cold verb if and only if it
+// answered ok, and apply nothing for a read, which it answers with what
+// it holds — the state afterwards is what a twin reaches by taking,
+// through the in-process doors, just the requests that were acknowledged,
+// each reply is the twin's answer to the same request (a summary as a
+// value: map order is not part of the form), and each refusal is the
+// twin's: stale where the twin's fence refuses, rejected where the twin
+// refuses otherwise or the body does not read.
 func FuzzShardStream(f *testing.F) {
-	_, b := newTestServer(f)
+	trainer, b := newTestServer(f)
 	_, frame := deviceBatch(f, b, "phone-1", 1, 4)
 	_, later := deviceBatch(f, b, "phone-2", 1, 2)
 	good := wire.AppendStreamRequest(nil, wire.StreamFrame, 0, frame)
 	read := wire.AppendStreamRequest(nil, wire.StreamRollup, 0, nil)
+	request := func(kind byte, epoch uint64, body []byte) []byte {
+		return wire.AppendStreamRequest(bytes.Clone(good), kind, epoch, body)
+	}
+	evict := func(id uint64, device string) []byte { return append(binary.AppendUvarint(nil, id), device...) }
+	claim := func(epoch uint64, leader string) []byte { return append(binary.AppendUvarint(nil, epoch), leader...) }
+	trainServer(f, trainer, b)
+	snap, _ := trainer.ModelSnapshot()
+	model, _ := json.Marshal(snap)
+	state, _ := json.Marshal(DeviceState{DeviceState: occupancy.DeviceState{Device: "phone-9", Room: "kitchen", Seen: true}, Epoch: 1, Seq: 4})
+	cutoff := binary.LittleEndian.AppendUint64(nil, uint64(time.Hour))
+	f.Add(request(wire.StreamEvents, 0, nil))
+	f.Add(request(wire.StreamDevices, 0, nil))
+	f.Add(request(wire.StreamEvents, 0, []byte("x")))                                                // events with a body
+	f.Add(wire.AppendStreamRequest(nil, wire.StreamDevices, 0, []byte{0}))                           // devices with a body
+	f.Add(wire.AppendStreamRequest(request(wire.StreamModel, 0, model), wire.StreamFrame, 0, later)) // a model, then a frame it classifies
+	f.Add(request(wire.StreamModel, 0, []byte("{")))
+	f.Add(wire.AppendStreamRequest(request(wire.StreamEvict, 0, evict(1, "phone-1")), wire.StreamEvict, 0, evict(1, "phone-1"))) // an evict and its retry
+	f.Add(wire.AppendStreamRequest(request(wire.StreamEvict, 0, evict(1, "phone-1")), wire.StreamEvict, 0, evict(2, "phone-1"))) // an evict, then another
+	f.Add(request(wire.StreamEvict, 0, evict(1, "nobody")))                                                                      // an evict of nothing held
+	f.Add(request(wire.StreamEvict, 0, binary.AppendUvarint(nil, 1)))                                                            // an evict without a device
+	f.Add(wire.AppendStreamRequest(request(wire.StreamInstall, 0, state), wire.StreamDevices, 0, nil))
+	f.Add(request(wire.StreamInstall, 0, []byte(`{"device":""}`)))
+	f.Add(request(wire.StreamExpire, 0, cutoff))
+	f.Add(request(wire.StreamExpire, 0, cutoff[:7]))
+	f.Add(wire.AppendStreamRequest(request(wire.StreamClaim, 0, claim(3, "http://gw-a")), wire.StreamClaim, 0, claim(2, "http://gw-b")))
+	f.Add(wire.AppendStreamRequest(request(wire.StreamClaim, 0, claim(3, "http://gw-a")), wire.StreamEvict, 2, evict(1, "phone-1"))) // a stale stamp
+	f.Add(wire.AppendStreamRequest(request(wire.StreamClaim, 0, claim(3, "http://gw-a")), wire.StreamExpire, 2, cutoff))             // a stale stamp
+	f.Add(wire.AppendStreamRequest(request(wire.StreamClaim, 0, claim(3, "http://gw-a")), wire.StreamInstall, 2, state))             // a stale stamp
+	f.Add(wire.AppendStreamRequest(request(wire.StreamEvict, 4, evict(1, "phone-1")), wire.StreamEvict, 3, evict(1, "phone-1")))     // a retry past the fence
+	f.Add(request(wire.StreamClaim, 0, []byte{0x80}))
+	f.Add(request(wire.StreamClaim, 0, claim(0, "http://gw-a")))
 	f.Add(good)
 	f.Add(wire.AppendStreamRequest(good, wire.StreamFrame, 3, later)) // two exchanges, the second stamped
 	f.Add(wire.AppendStreamRequest(wire.AppendStreamRequest(nil, wire.StreamFrame, 5, frame), wire.StreamFrame, 4, later))
@@ -61,7 +98,7 @@ func FuzzShardStream(f *testing.F) {
 	f.Add(append(append(bytes.Clone(read), good...), read...))                              // a read on each side of a frame
 	f.Add(wire.AppendStreamRequest(read, wire.StreamRollup, 7, nil))                        // a stamped read
 	f.Add(append([]byte{wire.StreamRollup}, good[1:]...))                                   // a read with a body
-	f.Add(append([]byte{wire.StreamRollup + 1}, good[1:]...))                               // an unknown kind
+	f.Add(append([]byte{wire.StreamClaim + 1}, good[1:]...))                                // an unknown kind
 	f.Add(append(bytes.Clone(read), append([]byte{0}, read[1:]...)...))                     // a read, then kind 0
 	f.Add(binary.LittleEndian.AppendUint32([]byte{wire.StreamFrame}, wire.MaxBodyBytes+1))  // over the limit
 	f.Add(binary.LittleEndian.AppendUint32([]byte{wire.StreamRollup}, wire.MaxBodyBytes+1)) // a read over the limit
@@ -74,6 +111,7 @@ func FuzzShardStream(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, _ := newTestServer(t)
 		twin, _ := newTestServer(t)
+		var oracle coldOracle
 		var out bytes.Buffer
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -99,19 +137,34 @@ func FuzzShardStream(f *testing.F) {
 			if err != nil {
 				t.Fatalf("reply %d answers an envelope that does not read: %v", i, err)
 			}
-			if kind == wire.StreamRollup {
+			switch kind {
+			case wire.StreamRollup:
 				got, err := ParseSummary(bodies[i])
 				if want := twin.Summary(); err != nil || status != wire.StreamOK || !reflect.DeepEqual(got, want) {
 					t.Fatalf("reply %d to a read has status %d and reads as %+v (%v), the twin's summary is %+v", i, status, got, err, want)
 				}
 				continue
+			case wire.StreamFrame:
+				rooms, err := twin.IngestWireFrameFenced(epoch, frame)
+				if (status == wire.StreamOK) != (err == nil) {
+					t.Fatalf("reply %d has status %d; the in-process door says %v", i, status, err)
+				}
+				if err == nil && !bytes.Equal(bodies[i], wire.AppendRooms(nil, rooms)) {
+					t.Fatalf("reply %d acks % x, the in-process door answers %q", i, bodies[i], rooms)
+				}
+				continue
 			}
-			rooms, err := twin.IngestWireFrameFenced(epoch, frame)
-			if (status == wire.StreamOK) != (err == nil) {
-				t.Fatalf("reply %d has status %d; the in-process door says %v", i, status, err)
+			want, err := oracle.answer(twin, kind, epoch, frame)
+			wantStatus := byte(wire.StreamOK)
+			switch {
+			case err == nil:
+			case transport.Classify(err).Class == transport.Stale:
+				wantStatus = wire.StreamStale
+			default:
+				wantStatus = wire.StreamRejected
 			}
-			if err == nil && !bytes.Equal(bodies[i], wire.AppendRooms(nil, rooms)) {
-				t.Fatalf("reply %d acks % x, the in-process door answers %q", i, bodies[i], rooms)
+			if status != wantStatus || err == nil && !bytes.Equal(bodies[i], want) {
+				t.Fatalf("reply %d to kind 0x%02x has status %d %q; the twin answers %q (%v)", i, kind, status, bodies[i], want, err)
 			}
 		}
 		if _, _, _, err := wire.ReadStreamRequest(br, &buf); err == nil && !hungUp {
@@ -121,6 +174,68 @@ func FuzzShardStream(f *testing.F) {
 			t.Fatalf("state after the stream differs from the acknowledged frames' alone:\n%v\nvs\n%v", got, want)
 		}
 	})
+}
+
+// coldOracle answers a gateway's cold verbs through the in-process doors
+// of a twin server, the reply body each answer should come back as. It
+// remembers what each numbered evict answered, as the stream promises a
+// retry of it.
+type coldOracle struct{ evicted map[string][]byte }
+
+func (o *coldOracle) answer(twin *Server, kind byte, epoch uint64, body []byte) ([]byte, error) {
+	rd := wire.Reader{Buf: body}
+	switch kind {
+	case wire.StreamEvents:
+		return json.Marshal(eventsReply(twin.Events()))
+	case wire.StreamDevices:
+		return wire.AppendRooms(nil, twin.KnownDevices()), nil
+	case wire.StreamModel:
+		var snap ModelSnapshot
+		if err := json.Unmarshal(body, &snap); err != nil {
+			return nil, err
+		}
+		_, err := twin.InstallModel(snap)
+		return nil, err
+	case wire.StreamEvict:
+		id := rd.Uvarint()
+		if rd.Short || len(rd.Buf) == 0 {
+			return nil, errors.New("no device")
+		}
+		key := fmt.Sprint(id, string(rd.Buf))
+		st, held, err := twin.EvictDevice(epoch, string(rd.Buf))
+		switch {
+		case err != nil:
+			return nil, err
+		case held:
+			reply, err := json.Marshal(st)
+			if o.evicted == nil {
+				o.evicted = map[string][]byte{}
+			}
+			o.evicted[key] = reply
+			return reply, err
+		}
+		return o.evicted[key], nil
+	case wire.StreamInstall:
+		var st DeviceState
+		if err := json.Unmarshal(body, &st); err != nil {
+			return nil, err
+		}
+		return nil, twin.InstallDevice(epoch, st)
+	case wire.StreamExpire:
+		if len(body) != 8 {
+			return nil, errors.New("no cutoff")
+		}
+		expired, err := twin.ExpireBefore(epoch, time.Duration(rd.U64()))
+		return wire.AppendRooms(nil, expired), err
+	case wire.StreamClaim:
+		claim := rd.Uvarint()
+		if rd.Short {
+			return nil, errors.New("no epoch")
+		}
+		granted, holder, err := twin.GrantLease(claim, string(rd.Buf))
+		return append(binary.AppendUvarint(nil, granted), holder...), err
+	}
+	return nil, fmt.Errorf("kind 0x%02x", kind)
 }
 
 // upgradeStream dials ts and upgrades the connection by hand.
@@ -143,6 +258,21 @@ func upgradeStream(t *testing.T, ts *httptest.Server) (net.Conn, *bufio.Reader, 
 		t.Fatal(err)
 	}
 	return conn, br, resp
+}
+
+// shardCall sends one request of kind on an upgraded shard stream and
+// reads its reply.
+func shardCall(t *testing.T, conn net.Conn, br *bufio.Reader, kind byte, epoch uint64, body []byte) (byte, []byte) {
+	t.Helper()
+	if _, err := conn.Write(wire.AppendStreamRequest(nil, kind, epoch, body)); err != nil {
+		t.Fatal(err)
+	}
+	var buf []byte
+	status, reply, err := wire.ReadStreamReply(br, wire.MaxBodyBytes, &buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return status, reply
 }
 
 // TestStreamDoorStatuses: every way the POST door refuses a frame has its

@@ -110,9 +110,10 @@ func ackRooms(t testing.TB, rec *httptest.ResponseRecorder, n int) []string {
 	return rooms
 }
 
-// httpFleet fronts n fresh servers — each on its own registry — with an
-// HTTPShard each, behind one gateway running snap. wrap, when non-nil,
-// sits in front of shard i's handler.
+// httpFleet fronts n fresh servers — each on its own registry, each
+// running snap, installed in process so that setting up dials no stream —
+// with an HTTPShard each, behind one gateway. wrap, when non-nil, sits in
+// front of shard i's handler.
 func httpFleet(t *testing.T, b *building.Building, snap bms.ModelSnapshot, n int,
 	wrap func(i int, next http.Handler) http.Handler) (*fleet.Gateway, []*bms.Server) {
 	t.Helper()
@@ -122,6 +123,9 @@ func httpFleet(t *testing.T, b *building.Building, snap bms.ModelSnapshot, n int
 		servers[i] = newServer(t, b)
 		servers[i].Instrument(obs.New())
 		t.Cleanup(func() { servers[i].Close() })
+		if _, err := servers[i].InstallModel(snap); err != nil {
+			t.Fatal(err)
+		}
 		h := servers[i].Handler()
 		if wrap != nil {
 			h = wrap(i, h)
@@ -136,9 +140,6 @@ func httpFleet(t *testing.T, b *building.Building, snap bms.ModelSnapshot, n int
 	}
 	gw, err := fleet.New(shards, fleet.Config{})
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := gw.DistributeModel(snap); err != nil {
 		t.Fatal(err)
 	}
 	return gw, servers

@@ -104,7 +104,7 @@ func (f face) Health() (any, bool) {
 // render → split. A beacon identity that did not parse refuses the whole
 // upload where the batch is rendered, behind the lease gate and before
 // any shard hears of it.
-func (f face) UploadJSON(_ bms.Stamp, u *transport.JSONUpload, rooms []string) ([]string, error) {
+func (f face) UploadJSON(u *transport.JSONUpload, rooms []string) ([]string, error) {
 	if err := f.writable(); err != nil {
 		return rooms, err
 	}
@@ -127,7 +127,7 @@ func (f face) UploadJSON(_ bms.Stamp, u *transport.JSONUpload, rooms []string) (
 // in section order into one batch and are split the same way — the rooms
 // column is the same either way, so the device never learns (or cares)
 // which path ran.
-func (f face) UploadFrame(st bms.Stamp, body []byte, rooms []string) ([]string, error) {
+func (f face) UploadFrame(digest string, body []byte, rooms []string) ([]string, error) {
 	if err := f.writable(); err != nil {
 		return rooms, err
 	}
@@ -135,7 +135,7 @@ func (f face) UploadFrame(st bms.Stamp, body []byte, rooms []string) ([]string, 
 	defer sc.release()
 	b := wire.GetBatch()
 	defer wire.PutBatch(b)
-	if st.Digest == "" {
+	if digest == "" {
 		if err := wire.DecodeFrame(body, b); err != nil {
 			return rooms, fmt.Errorf("decode frame: %w", err)
 		}
@@ -154,7 +154,7 @@ func (f face) UploadFrame(st bms.Stamp, body []byte, rooms []string) ([]string, 
 		}); err != nil {
 			return rooms, fmt.Errorf("decode sections: %w", err)
 		}
-		err := f.forward(st.Digest, sc.secs, sc)
+		err := f.forward(digest, sc.secs, sc)
 		if err == nil {
 			for k := range sc.out {
 				rooms = append(rooms, sc.out[k].rooms...)

@@ -1,11 +1,12 @@
 package fleet
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"net/http"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -16,28 +17,24 @@ import (
 	"occusim/internal/wire"
 )
 
-// HTTPShard drives one remote bms.Server over its REST API — the shard
-// client real deployments put behind the gateway. Reports travel as wire
-// frames over upgraded streams (transport.Stream), which also carry the
-// summary reads; every other exchange is one call, a JSON exchange
-// through transport whose bodies are bms's control schema. Both run under
-// one retry policy, so shard traffic gets the same capped-backoff
-// behaviour as device uplinks; health probes are deliberately one-shot so
-// a dead shard is detected on the first probe rather than after a retry
-// budget.
+// HTTPShard drives one remote bms.Server — the shard client real
+// deployments put behind the gateway. Every verb but Health is one
+// exchange on the shard's upgraded streams (transport.Stream), under one
+// retry policy, so shard traffic gets the same capped-backoff behaviour
+// as device uplinks.
 type HTTPShard struct {
 	base   string
 	client *http.Client
 	retry  transport.RetryPolicy
 
-	// stamped is what every exchange is sent under: the gateway
-	// leadership epoch (see Shard.StampEpoch) as the stream envelope
-	// carries it and as the X-Gateway-Epoch header set of every call.
-	// Built at construction and again on each StampEpoch — a lease
-	// change, not a request — so no exchange builds a header.
-	stamped atomic.Pointer[stampedWrites]
+	// epoch is the leadership stamp (Shard.StampEpoch) of the fenced
+	// exchanges: frames, evicts, installs, sweeps.
+	epoch atomic.Uint64
+	// evicts numbers evicts from a random start, so no two clients (nor
+	// a client and its restart) are likely to share numbers.
+	evicts atomic.Uint64
 
-	// streams carries every wire frame and summary read to the shard.
+	// streams carries every exchange to the shard.
 	streams *transport.Stream
 
 	// ackMu guards rooms, which canonicalises the room names the shard's
@@ -46,15 +43,9 @@ type HTTPShard struct {
 	rooms wire.Interner
 }
 
-// stampedWrites is one leadership epoch's prepared stamp.
-type stampedWrites struct {
-	epoch uint64
-	json  http.Header
-}
-
 // NewHTTPShard points a shard client at a bms server root, e.g.
 // "http://10.0.0.7:8080". A nil client gets transport's default
-// timeout; retry bounds retransmission of ingest and read calls.
+// timeout; retry bounds retransmission of every exchange but Health.
 func NewHTTPShard(baseURL string, client *http.Client, retry transport.RetryPolicy) (*HTTPShard, error) {
 	if baseURL == "" {
 		return nil, fmt.Errorf("fleet: http shard needs a base URL")
@@ -64,59 +55,23 @@ func NewHTTPShard(baseURL string, client *http.Client, retry transport.RetryPoli
 		return nil, fmt.Errorf("fleet: http shard: %w", err)
 	}
 	h := &HTTPShard{base: baseURL, client: client, retry: retry, streams: streams, rooms: wire.Interner{}}
-	h.StampEpoch(0)
+	h.evicts.Store(rand.Uint64())
 	return h, nil
 }
 
 // Name implements Shard: the base URL is the stable ring identity.
 func (h *HTTPShard) Name() string { return h.base }
 
-// StampEpoch implements Shard: the stamp when one is set, no extra header
-// for unfenced clients.
-func (h *HTTPShard) StampEpoch(epoch uint64) {
-	w := &stampedWrites{epoch: epoch, json: http.Header{"Content-Type": {"application/json"}}}
-	if epoch != 0 {
-		w.json.Set(transport.HeaderGatewayEpoch, strconv.FormatUint(epoch, 10))
-	}
-	h.stamped.Store(w)
-}
+// StampEpoch implements Shard.
+func (h *HTTPShard) StampEpoch(epoch uint64) { h.epoch.Store(epoch) }
 
-// call is the one JSON exchange of every shard verb but the report path.
-// It marshals in as the body (nil sends none) and sends it under policy
-// with one header set, which always carries the leadership stamp; the
-// shard reads the stamp only on fenced writes. A 409 with lease headers
-// reads as the *transport.StaleLeaderError the in-process arbiter returns.
-// A 2xx body is decoded into out (nil discards it), and a body that does
-// not decode is the shard's protocol fault.
-func (h *HTTPShard) call(method, path string, in, out any, policy transport.RetryPolicy) error {
-	var body []byte
-	if in != nil {
-		var err error
-		if body, err = json.Marshal(in); err != nil {
-			return fmt.Errorf("fleet: marshal %s: %w", path, err)
-		}
-	}
-	payload, err := transport.DoJSONHeaders(h.client, method, h.base+path, body, h.stamped.Load().json, policy)
-	if err != nil || out == nil {
-		return err
-	}
-	if err := json.Unmarshal(payload, out); err != nil {
-		return fmt.Errorf("%w: decode %s: %v", ErrShardMisbehaved, path, err)
-	}
-	return nil
-}
-
-// IngestFrame implements Shard: it sends one wire frame — the
-// pre-split forward path's verbatim device bytes, or the frame the
-// gateway's split cut — over a shard stream under the leadership stamp,
-// and decodes the ack — the run-length rooms column of wire.AppendRooms
-// — into interned strings; only the rooms slice itself is allocated. The
-// exchange runs under the retry policy as a POST did (Stream.Exchange). A
-// reply that is not one, or a shard that refuses the upgrade, is the
-// shard misbehaving.
+// IngestFrame implements Shard: one wire frame — a pre-split device's
+// bytes, or the frame the gateway's split cut — under the leadership
+// stamp, its ack (wire.AppendRooms) decoded into interned strings; only
+// the rooms slice itself is allocated.
 func (h *HTTPShard) IngestFrame(frame []byte, reports int) ([]string, error) {
 	var rooms []string
-	err := h.exchange(wire.StreamFrame, h.stamped.Load().epoch, frame, func(ack []byte) error {
+	err := h.exchange(wire.StreamFrame, h.epoch.Load(), frame, func(ack []byte) error {
 		rd := wire.Reader{Buf: ack}
 		h.ackMu.Lock()
 		rooms = rd.Rooms(reports, make([]string, 0, reports), h.rooms)
@@ -143,15 +98,30 @@ func (h *HTTPShard) exchange(kind byte, stamp uint64, body []byte, ack func([]by
 	return err
 }
 
-// InstallModel implements Shard via PUT /api/v1/model.
-func (h *HTTPShard) InstallModel(snap bms.ModelSnapshot) error {
-	return h.call(http.MethodPut, "/api/v1/model", snap, nil, h.retry)
+// exchangeJSON is one exchange of kind whose body is v's JSON.
+func (h *HTTPShard) exchangeJSON(kind byte, stamp uint64, v any) error {
+	body, err := json.Marshal(v)
+	if err != nil {
+		return fmt.Errorf("fleet: marshal request kind 0x%02x: %w", kind, err)
+	}
+	return h.exchange(kind, stamp, body, nil)
 }
 
-// Events implements Shard.
+// jsonReply is an ack that decodes an ok reply's JSON into v.
+func jsonReply(v any) func([]byte) error {
+	return func(body []byte) error { return json.Unmarshal(body, v) }
+}
+
+// InstallModel implements Shard: the snapshot's JSON, unfenced.
+func (h *HTTPShard) InstallModel(snap bms.ModelSnapshot) error {
+	return h.exchangeJSON(wire.StreamModel, 0, snap)
+}
+
+// Events implements Shard with one unfenced events read, answered with
+// the shard's bms.EventsReply.
 func (h *HTTPShard) Events() ([]occupancy.Event, error) {
 	var reply bms.EventsReply
-	if err := h.call(http.MethodGet, "/api/v1/events", nil, &reply, h.retry); err != nil {
+	if err := h.exchange(wire.StreamEvents, 0, nil, jsonReply(&reply)); err != nil {
 		return nil, err
 	}
 	out := make([]occupancy.Event, len(reply.Events))
@@ -176,58 +146,77 @@ func (h *HTTPShard) Summary() (sum occupancy.Summary, err error) {
 	return sum, err
 }
 
-// EvictDevice implements Shard via POST /api/v1/devices:evict. A 404 —
-// the shard holds no state for the device — is (zero, false, nil), not
-// an error: rebalance treats it as nothing to migrate. Note the retry
-// caveat: if the first attempt's response is lost after the server
-// evicted, the retried POST answers 404 and the state is dropped
-// rather than migrated — the new owner then rebuilds from the stream,
-// which is the same degraded path as an unreachable old owner.
-func (h *HTTPShard) EvictDevice(device string) (bms.DeviceState, bool, error) {
-	var st bms.DeviceState
-	if err := h.call(http.MethodPost, "/api/v1/devices:evict", bms.EvictRequest{Device: device}, &st, h.retry); err != nil {
-		if transport.Classify(err).Code == http.StatusNotFound {
-			err = nil
+// EvictDevice implements Shard under the leadership stamp. An empty
+// reply — the shard holds no state for the device — is (zero, false,
+// nil): nothing to migrate. A retry resends the evict's number, so if
+// the first reply was lost after the shard evicted, the retry is
+// answered with the state that left, and it still migrates.
+func (h *HTTPShard) EvictDevice(device string) (st bms.DeviceState, held bool, err error) {
+	body := append(binary.AppendUvarint(nil, h.evicts.Add(1)), device...)
+	err = h.exchange(wire.StreamEvict, h.epoch.Load(), body, func(reply []byte) error {
+		if held = len(reply) > 0; !held {
+			return nil
 		}
+		return jsonReply(&st)(reply)
+	})
+	if err != nil {
 		return bms.DeviceState{}, false, err
 	}
-	return st, true, nil
+	return st, held, nil
 }
 
-// InstallDevice implements Shard via POST /api/v1/devices:install.
-// Installing the same state twice is idempotent, so the retrying
-// transport is safe here.
+// InstallDevice implements Shard under the leadership stamp. Installing
+// the same state twice is idempotent, so the retry policy is safe here.
 func (h *HTTPShard) InstallDevice(st bms.DeviceState) error {
-	return h.call(http.MethodPost, "/api/v1/devices:install", st, nil, h.retry)
+	return h.exchangeJSON(wire.StreamInstall, h.epoch.Load(), st)
 }
 
-// ExpireBefore implements Shard via POST /api/v1/devices:expire.
-func (h *HTTPShard) ExpireBefore(cutoff time.Duration) ([]string, error) {
-	var reply bms.ExpireReply
-	err := h.call(http.MethodPost, "/api/v1/devices:expire", bms.ExpireRequest{BeforeNanos: int64(cutoff)}, &reply, h.retry)
-	return reply.Expired, err
+// ExpireBefore implements Shard under the leadership stamp: the cutoff's
+// nanoseconds out, the expired devices back.
+func (h *HTTPShard) ExpireBefore(cutoff time.Duration) (expired []string, err error) {
+	err = h.exchange(wire.StreamExpire, h.epoch.Load(), binary.LittleEndian.AppendUint64(nil, uint64(cutoff)), nameList(&expired))
+	return expired, err
 }
 
-// Devices implements Shard via GET /api/v1/devices.
-func (h *HTTPShard) Devices() ([]string, error) {
-	var reply bms.DevicesReply
-	err := h.call(http.MethodGet, "/api/v1/devices", nil, &reply, h.retry)
-	return reply.Devices, err
+// Devices implements Shard with one unfenced registry read.
+func (h *HTTPShard) Devices() (devices []string, err error) {
+	err = h.exchange(wire.StreamDevices, 0, nil, nameList(&devices))
+	return devices, err
 }
 
-// Health implements Shard with a one-shot probe (no retries): routing
-// should notice a dead shard on the first check, not mask it behind a
-// backoff budget.
+// nameList is an ack that reads a list of device names, written in the
+// rooms column's form (wire.AppendRooms), into *names.
+func nameList(names *[]string) func([]byte) error {
+	return func(reply []byte) error {
+		rd := wire.Reader{Buf: reply}
+		if *names = rd.Rooms(len(reply), nil, wire.Interner{}); rd.Short {
+			return errors.New("malformed name list")
+		}
+		return nil
+	}
+}
+
+// Health implements Shard with a one-shot GET /api/v1/health (no
+// retries): routing should notice a dead shard on the first check, not
+// mask it behind a backoff budget.
 func (h *HTTPShard) Health() error {
-	return h.call(http.MethodGet, "/api/v1/health", nil, nil, transport.RetryPolicy{})
+	_, err := transport.GetJSON(h.client, h.base+"/api/v1/health", transport.RetryPolicy{})
+	return err
 }
 
-// Claim implements Shard via POST /api/v1/lease:claim. A 409 — the
-// epoch was outbid — returns the winning grant alongside the typed
-// stale-leader error, matching the in-process arbiter.
-func (h *HTTPShard) Claim(epoch uint64, leader string) (uint64, string, error) {
-	var grant bms.LeaseGrant
-	err := h.call(http.MethodPost, "/api/v1/lease:claim", bms.LeaseClaim{Epoch: epoch, Leader: leader}, &grant, h.retry)
+// Claim implements Shard with one unfenced claim. An outbid claim
+// returns the winning grant alongside the typed stale-leader error,
+// matching the in-process arbiter.
+func (h *HTTPShard) Claim(epoch uint64, leader string) (granted uint64, holder string, err error) {
+	body := append(binary.AppendUvarint(nil, epoch), leader...)
+	err = h.exchange(wire.StreamClaim, 0, body, func(reply []byte) error {
+		rd := wire.Reader{Buf: reply}
+		if granted = rd.Uvarint(); rd.Short {
+			return errors.New("lease grant without epoch")
+		}
+		holder = string(rd.Buf)
+		return nil
+	})
 	var stale *transport.StaleLeaderError
 	if errors.As(err, &stale) {
 		return stale.Granted, stale.Leader, stale
@@ -235,5 +224,5 @@ func (h *HTTPShard) Claim(epoch uint64, leader string) (uint64, string, error) {
 	if err != nil {
 		return 0, "", err
 	}
-	return grant.Granted, grant.Holder, nil
+	return granted, holder, nil
 }

@@ -17,8 +17,8 @@ import (
 // Shard is one BMS ingest server as the gateway sees it: the report
 // path, the model-distribution path, and the two reads the federation
 // layer merges — the event history and the summary every other view is
-// rendered from. LocalShard wraps an in-process bms.Server (tests,
-// single-box fleets); HTTPShard drives a remote one over its REST API.
+// rendered from —, migration, the sweep and the lease. LocalShard wraps
+// an in-process bms.Server; HTTPShard drives a remote one on its stream.
 type Shard interface {
 	// Name identifies the shard; it seeds the shard's virtual nodes on
 	// the hash ring, so it must be unique and stable across restarts.

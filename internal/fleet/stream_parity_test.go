@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -11,6 +12,7 @@ import (
 
 	"occusim/internal/bms"
 	"occusim/internal/building"
+	"occusim/internal/obs"
 	"occusim/internal/overload"
 	"occusim/internal/store"
 	"occusim/internal/transport"
@@ -58,6 +60,8 @@ func TestStreamOutcomesClassifyAsThePostDid(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv.SetAdmission(overload.Config{MaxInflight: 1, MaxQueue: 1, RetryAfter: 1500 * time.Millisecond})
+	met := obs.New()
+	srv.Instrument(met)
 	var refuse bool
 	var batchPosts atomic.Int64
 	next := srv.Handler()
@@ -99,13 +103,17 @@ func TestStreamOutcomesClassifyAsThePostDid(t *testing.T) {
 		return wire.AppendFrame(nil, wb)
 	}
 	// tries is how often a delivery may succeed before it must fail: once,
-	// except where the failure is a race the test can only make likely.
-	fails := func(t *testing.T, shards []Shard, reports []transport.Report, tries int, want legOutcome) {
+	// except where the failure is a race the test can only make likely;
+	// ready, when set, holds each try until the race stands to be lost.
+	fails := func(t *testing.T, shards []Shard, reports []transport.Report, tries int, ready func(), want legOutcome) {
 		t.Helper()
 		f := frame(t, reports)
 		for _, s := range shards {
 			var err error
 			for try := 0; try < tries && err == nil; try++ {
+				if ready != nil {
+					ready()
+				}
 				_, err = s.IngestFrame(f, len(reports))
 			}
 			if err == nil {
@@ -118,7 +126,7 @@ func TestStreamOutcomesClassifyAsThePostDid(t *testing.T) {
 	}
 
 	t.Run("rejected", func(t *testing.T) {
-		fails(t, both, report(""), 1, legOutcome{status: http.StatusBadRequest})
+		fails(t, both, report(""), 1, nil, legOutcome{status: http.StatusBadRequest})
 	})
 	t.Run("stale", func(t *testing.T) {
 		if _, _, err := srv.GrantLease(9, "http://gw-b"); err != nil {
@@ -126,7 +134,7 @@ func TestStreamOutcomesClassifyAsThePostDid(t *testing.T) {
 		}
 		hs.StampEpoch(4)
 		local.StampEpoch(4)
-		fails(t, both, report("d1"), 1, legOutcome{status: http.StatusConflict, leaderEpoch: "9", leaderHint: "http://gw-b"})
+		fails(t, both, report("d1"), 1, nil, legOutcome{status: http.StatusConflict, leaderEpoch: "9", leaderHint: "http://gw-b"})
 		hs.StampEpoch(9)
 		local.StampEpoch(9)
 	})
@@ -157,10 +165,15 @@ func TestStreamOutcomesClassifyAsThePostDid(t *testing.T) {
 	}
 	t.Run("overload", func(t *testing.T) {
 		// One admission slot, one queue place, and a crowd contending for
-		// them from inside the process: a delivery is shed within a few
-		// tries.
+		// them from inside the process: each try waits until the crowd
+		// holds the slot and the queue place, so a delivery is shed within
+		// a few tries. The crowd stops however the subtest ends.
 		stop := make(chan struct{})
 		var crowd sync.WaitGroup
+		defer func() {
+			close(stop)
+			crowd.Wait()
+		}()
 		for c := 0; c < 8; c++ {
 			crowd.Add(1)
 			go func(c int) {
@@ -176,13 +189,23 @@ func TestStreamOutcomesClassifyAsThePostDid(t *testing.T) {
 				}
 			}(c)
 		}
-		fails(t, both, report("d1"), 5000, legOutcome{status: http.StatusTooManyRequests, retryAfter: "2"})
-		close(stop)
-		crowd.Wait()
+		full := func() {
+			for deadline := time.Now().Add(10 * time.Second); ; {
+				gauges := met.TakeSnapshot().Gauges
+				if gauges["bms_gate_inflight"] >= 1 && gauges["bms_gate_queue_depth"] >= 1 {
+					return
+				}
+				if time.Now().After(deadline) {
+					t.Fatal("the crowd never held the admission slot and the queue place")
+				}
+				runtime.Gosched()
+			}
+		}
+		fails(t, both, report("d1"), 5000, full, legOutcome{status: http.StatusTooManyRequests, retryAfter: "2"})
 	})
 	t.Run("shard down", func(t *testing.T) {
 		ts.Close()
 		srv.Close() // the test server does not own upgraded connections; the shard hangs them up
-		fails(t, []Shard{hs}, report("d3"), 1, legOutcome{status: http.StatusBadGateway, breaker: true})
+		fails(t, []Shard{hs}, report("d3"), 1, nil, legOutcome{status: http.StatusBadGateway, breaker: true})
 	})
 }

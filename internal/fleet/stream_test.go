@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -62,12 +63,14 @@ func streamReply(status byte, body []byte) []byte {
 }
 
 // FuzzShardStream is the gateway end under a hostile shard: arbitrary
-// bytes where reply envelopes belong, to frames and to rollup reads (bit
-// i of reads makes call i a read). IngestFrame and Summary must never
-// panic, never allocate from an announced length, hand back either
-// exactly the rooms asked for or a summary, or an error the gateway knows
-// how to classify, and never reuse a stream whose bytes they could not
-// read as a reply — the next exchange dials.
+// bytes where reply envelopes belong, to each verb the gateway sends on
+// the stream (the i-th nibble of plan picks call i's verb: a frame, a
+// summary read, an events read, a registry read, a model, an evict, an
+// install, an expiry or a lease claim). No verb may panic, allocate from
+// an announced length, hand back a frame's rooms other than exactly the
+// rooms asked for, or fail with an error the gateway does not know how
+// to classify; and none may reuse a stream whose bytes it could not read
+// as a reply — the next exchange dials.
 func FuzzShardStream(f *testing.F) {
 	const reports = 11
 	stay := make([]string, reports)
@@ -75,55 +78,118 @@ func FuzzShardStream(f *testing.F) {
 		stay[i] = "kitchen"
 	}
 	ok := streamReply(wire.StreamOK, wire.AppendRooms(nil, stay))
-	const frames, readFirst, readSecond = 0, 1, 2
-	f.Add(byte(frames), ok)
-	f.Add(byte(frames), append(bytes.Clone(ok), ok...))
-	f.Add(byte(frames), append(bytes.Clone(ok), "garbage after a valid reply"...))
-	f.Add(byte(frames), ok[:len(ok)/2])
-	f.Add(byte(frames), streamReply(wire.StreamOK, wire.AppendRooms(nil, stay[:3]))) // too few rooms
-	f.Add(byte(frames), streamReply(wire.StreamOK, []byte{200, 1, 'x'}))             // a run past the report count
-	f.Add(byte(frames), streamReply(wire.StreamStale, append(binary.LittleEndian.AppendUint64(nil, 9), "http://gw-b"...)))
-	f.Add(byte(frames), streamReply(wire.StreamStale, []byte{9})) // no room for the epoch
-	f.Add(byte(frames), streamReply(wire.StreamOverload, binary.LittleEndian.AppendUint64(nil, uint64(1500*time.Millisecond))))
-	f.Add(byte(frames), streamReply(wire.StreamOverload, nil))
-	f.Add(byte(frames), streamReply(wire.StreamRejected, []byte("decode frame: wire: truncated frame")))
-	f.Add(byte(frames), streamReply(wire.StreamTooLarge, []byte("wire: body exceeds size limit")))
-	f.Add(byte(frames), streamReply(9, nil))                                        // unknown status
-	f.Add(byte(frames), []byte{0, 0, 0, 0})                                         // no status at all
-	f.Add(byte(frames), binary.LittleEndian.AppendUint32(nil, wire.MaxBodyBytes+2)) // longer than its bound
-	f.Add(byte(frames), binary.LittleEndian.AppendUint32(nil, wire.MaxBodyBytes))   // announces 64 MiB, sends none
-	summary := bms.AppendSummary(nil, occupancy.Summary{
+	const (
+		frames = iota
+		summary
+		events
+		devices
+		model
+		evict
+		install
+		expire
+		claim
+		verbs
+	)
+	first := func(verb int) uint32 { return uint32(verb) }
+	f.Add(first(frames), ok)
+	f.Add(first(frames), append(bytes.Clone(ok), ok...))
+	f.Add(first(frames), append(bytes.Clone(ok), "garbage after a valid reply"...))
+	f.Add(first(frames), ok[:len(ok)/2])
+	f.Add(first(frames), streamReply(wire.StreamOK, wire.AppendRooms(nil, stay[:3]))) // too few rooms
+	f.Add(first(frames), streamReply(wire.StreamOK, []byte{200, 1, 'x'}))             // a run past the report count
+	f.Add(first(frames), streamReply(wire.StreamStale, append(binary.LittleEndian.AppendUint64(nil, 9), "http://gw-b"...)))
+	f.Add(first(frames), streamReply(wire.StreamStale, []byte{9})) // no room for the epoch
+	f.Add(first(frames), streamReply(wire.StreamOverload, binary.LittleEndian.AppendUint64(nil, uint64(1500*time.Millisecond))))
+	f.Add(first(frames), streamReply(wire.StreamOverload, nil))
+	f.Add(first(frames), streamReply(wire.StreamRejected, []byte("decode frame: wire: truncated frame")))
+	f.Add(first(frames), streamReply(wire.StreamTooLarge, []byte("wire: body exceeds size limit")))
+	f.Add(first(frames), streamReply(9, nil))                                        // unknown status
+	f.Add(first(frames), []byte{0, 0, 0, 0})                                         // no status at all
+	f.Add(first(frames), binary.LittleEndian.AppendUint32(nil, wire.MaxBodyBytes+2)) // past the request bound, none sent
+	f.Add(first(frames), binary.LittleEndian.AppendUint32(nil, wire.MaxBodyBytes))   // announces 64 MiB, sends none
+	sum := bms.AppendSummary(nil, occupancy.Summary{
 		Devices: map[string]string{"d1": "kitchen"},
 		Events:  2,
 		Rooms:   map[string]occupancy.RoomSummary{"kitchen": {Occupants: 1, Tally: occupancy.Tally{Enters: 1}, Dwell: 1500 * time.Millisecond}},
 	})
-	rollup := streamReply(wire.StreamOK, summary)
-	f.Add(byte(readFirst), rollup)
-	f.Add(byte(readFirst), append(bytes.Clone(rollup), ok...))  // a read, then a frame
-	f.Add(byte(readSecond), append(bytes.Clone(ok), rollup...)) // a frame, then a read
-	f.Add(byte(readFirst), ok)                                  // a frame's ack to a read
-	f.Add(byte(readFirst), streamReply(wire.StreamOK, []byte("{")))
-	f.Add(byte(readFirst), streamReply(wire.StreamOK, binary.AppendUvarint([]byte{0, 0}, 1<<40))) // 2^40 devices, none sent
-	f.Add(byte(readFirst), streamReply(wire.StreamOverload, binary.LittleEndian.AppendUint64(nil, 1)))
-	f.Add(byte(readFirst), streamReply(9, []byte("{}")))
-	f.Add(byte(readFirst), streamReply(wire.StreamOK, summary[:len(summary)/2])) // a summary cut in half
-	f.Add(byte(readFirst), rollup[:len(rollup)/2])                               // its envelope cut in half
+	rollup := streamReply(wire.StreamOK, sum)
+	f.Add(first(summary), rollup)
+	f.Add(first(summary), append(bytes.Clone(rollup), ok...))     // a read, then a frame
+	f.Add(uint32(summary<<4), append(bytes.Clone(ok), rollup...)) // a frame, then a read
+	f.Add(first(summary), ok)                                     // a frame's ack to a read
+	f.Add(first(summary), streamReply(wire.StreamOK, []byte("{")))
+	f.Add(first(summary), streamReply(wire.StreamOK, binary.AppendUvarint([]byte{0, 0}, 1<<40))) // 2^40 devices, none sent
+	f.Add(first(summary), streamReply(wire.StreamOverload, binary.LittleEndian.AppendUint64(nil, 1)))
+	f.Add(first(summary), streamReply(9, []byte("{}")))
+	f.Add(first(summary), streamReply(wire.StreamOK, sum[:len(sum)/2])) // a summary cut in half
+	f.Add(first(summary), rollup[:len(rollup)/2])                       // its envelope cut in half
+	history := []byte(`{"events":[{"atSeconds":1,"device":"d1","kind":"enter","room":"kitchen"}]}`)
+	names := wire.AppendRooms(nil, []string{"d1", "d2"})
+	state := []byte(`{"device":"d1","room":"kitchen","seen":true,"epoch":1,"seq":4}`)
+	grant := append(binary.AppendUvarint(nil, 3), "http://gw-a"...)
+	for _, v := range []struct {
+		verb  int
+		reply []byte
+	}{
+		{events, history},
+		{devices, names},
+		{expire, names},
+		{evict, state},
+		{evict, nil}, // nothing held
+		{claim, grant},
+		{model, nil},
+		{install, nil},
+	} {
+		good := streamReply(wire.StreamOK, v.reply)
+		f.Add(first(v.verb), good)
+		f.Add(first(v.verb), append(bytes.Clone(good), ok...)) // the verb, then a frame
+		f.Add(first(v.verb), good[:len(good)-1])               // its envelope cut short
+		if len(v.reply) > 1 {
+			f.Add(first(v.verb), streamReply(wire.StreamOK, v.reply[:len(v.reply)/2])) // its body cut in half
+		}
+	}
+	f.Add(first(events), streamReply(wire.StreamOK, []byte(`{"events":[{"atSeconds":1,"device":"d","kind":"teleport","room":"r"}]}`)))
+	f.Add(first(devices), streamReply(wire.StreamOK, binary.AppendUvarint(nil, 1<<40))) // 2^40 names, none sent
+	f.Add(first(expire), streamReply(wire.StreamOK, binary.AppendUvarint(nil, 1<<40)))  // 2^40 names, none sent
+	f.Add(first(devices), streamReply(wire.StreamOK, append(bytes.Clone(names), 0)))    // a trailing byte
+	f.Add(first(claim), streamReply(wire.StreamOK, bytes.Repeat([]byte{0xff}, 11)))     // a grant past 64 bits
+	f.Add(first(claim), streamReply(wire.StreamStale, append(binary.LittleEndian.AppendUint64(nil, 9), "http://gw-b"...)))
+	f.Add(first(evict), streamReply(wire.StreamStale, binary.LittleEndian.AppendUint64(nil, 9)))
+	f.Add(first(evict), streamReply(wire.StreamRejected, []byte("bms: evict without device")))
 
 	frame := bytes.Repeat([]byte{0xab}, 600)
-	f.Fuzz(func(t *testing.T, reads byte, script []byte) {
+	snap := bms.ModelSnapshot{Beacons: []string{"b"}, Model: json.RawMessage(`{}`), Version: 1}
+	f.Fuzz(func(t *testing.T, plan uint32, script []byte) {
 		rt := &hostileShardRT{script: script}
 		hs, err := fleet.NewHTTPShard("http://shard-0.test", &http.Client{Transport: rt}, transport.RetryPolicy{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		exchange := func(call int) error {
-			if reads>>call&1 == 1 {
-				_, err := hs.Summary()
-				return err
-			}
-			rooms, err := hs.IngestFrame(frame, reports)
-			if err == nil && len(rooms) != reports {
-				t.Fatalf("call %d: %d rooms for %d reports and no error", call, len(rooms), reports)
+			var err error
+			switch plan >> (4 * call) & 0xf % verbs {
+			case frames:
+				var rooms []string
+				rooms, err = hs.IngestFrame(frame, reports)
+				if err == nil && len(rooms) != reports {
+					t.Fatalf("call %d: %d rooms for %d reports and no error", call, len(rooms), reports)
+				}
+			case summary:
+				_, err = hs.Summary()
+			case events:
+				_, err = hs.Events()
+			case devices:
+				_, err = hs.Devices()
+			case model:
+				err = hs.InstallModel(snap)
+			case evict:
+				_, _, err = hs.EvictDevice("d1")
+			case install:
+				err = hs.InstallDevice(bms.DeviceState{DeviceState: occupancy.DeviceState{Device: "d1"}})
+			case expire:
+				_, err = hs.ExpireBefore(time.Hour)
+			case claim:
+				_, _, err = hs.Claim(3, "http://gw-a")
 			}
 			return err
 		}
@@ -147,7 +213,7 @@ func FuzzShardStream(f *testing.F) {
 				}
 				return
 			case v.Class == transport.Stale, v.Class == transport.Shed, v.Class == transport.Unavailable && v.Answered:
-			case v.Answered && (v.Code == http.StatusBadRequest || v.Code == http.StatusRequestEntityTooLarge):
+			case v.Answered && (v.Class == transport.Rejected || v.Class == transport.TooLarge):
 			default:
 				t.Fatalf("call %d: an error nothing classifies: %v", call, err)
 			}
@@ -211,7 +277,8 @@ func counterSum(m *obs.Metrics, family string) (sum float64) {
 // schedule of a starved cutter, under which a drive that leaves the
 // order to the scheduler cuts only streams nobody uses again. A run not
 // done after two minutes fails, naming each writer's frame and try and
-// logging every goroutine's stack.
+// logging every goroutine's stack; so does a writer still waiting for the
+// first cut then.
 func TestStreamsSurviveResetsUnderRace(t *testing.T) {
 	t.Run("free", func(t *testing.T) { streamsSurviveResets(t, false) })
 	t.Run("held", func(t *testing.T) { streamsSurviveResets(t, true) })
@@ -312,7 +379,13 @@ func streamsSurviveResets(t *testing.T, held bool) {
 				frameAt[w].Store(int64(k))
 				if k == 1 {
 					park.Do(settled.Done)
-					<-firstCut
+					select {
+					case <-firstCut:
+					case <-time.After(time.Until(deadline)):
+						buf := make([]byte, 1<<20)
+						t.Errorf("writer %d: no stream was cut in two minutes; every goroutine:\n%s", w, buf[:runtime.Stack(buf, true)])
+						return
+					}
 				}
 				for try := 0; ; try++ {
 					tryAt[w].Store(int64(try))
@@ -598,7 +671,7 @@ func TestUploadStreamRefusesReads(t *testing.T) {
 	}
 	for name, h := range map[string]http.Handler{"box": srv.Handler(), "gateway": fleet.Handler(gw, fleet.HandlerOptions{})} {
 		status, reason := streamExchange(t, h, wire.UplinkPath, wire.UplinkProtocol, wire.StreamRollup, nil)
-		if status != wire.StreamRejected || !strings.Contains(reason, "no reads") {
+		if status != wire.StreamRejected || !strings.Contains(reason, "frames only") {
 			t.Errorf("%s: a read on the upload stream got status %d %q, want rejected", name, status, reason)
 		}
 	}

@@ -135,54 +135,34 @@ func TestShardVerbsAnswerAsInProcess(t *testing.T) {
 	reads()
 }
 
-// TestMalformedControlReplyIsMisbehaviour: a 2xx control reply that does
-// not decode is the shard's protocol fault on every verb that decodes
-// one — ErrShardMisbehaved, 502 at the HTTP face — never a plain error.
-// The summary's reply rides the shard stream: there an ok reply whose
-// body does not decode, or a status the stream does not know, is the
-// same fault.
+// TestMalformedControlReplyIsMisbehaviour: an ok reply on the shard
+// stream that does not decode is the shard's protocol fault on every verb
+// that decodes one — ErrShardMisbehaved, 502 at the HTTP face — never a
+// plain error; so is a status the stream does not know.
 func TestMalformedControlReplyIsMisbehaviour(t *testing.T) {
 	rows := []struct {
-		name, route, body string
-		call              func(*fleet.HTTPShard) error
+		name   string
+		script []byte
+		call   func(*fleet.HTTPShard) error
 	}{
-		{"events", "GET /api/v1/events", "{", func(h *fleet.HTTPShard) error { _, err := h.Events(); return err }},
-		{"event of unknown kind", "GET /api/v1/events",
-			`{"events":[{"atSeconds":1,"device":"d","kind":"teleport","room":"r"}]}`,
+		{"events", streamReply(wire.StreamOK, []byte("{")), func(h *fleet.HTTPShard) error { _, err := h.Events(); return err }},
+		{"event of unknown kind", streamReply(wire.StreamOK,
+			[]byte(`{"events":[{"atSeconds":1,"device":"d","kind":"teleport","room":"r"}]}`)),
 			func(h *fleet.HTTPShard) error { _, err := h.Events(); return err }},
-		{"devices", "GET /api/v1/devices", "{", func(h *fleet.HTTPShard) error { _, err := h.Devices(); return err }},
-		{"expire", "POST /api/v1/devices:expire", "{", func(h *fleet.HTTPShard) error { _, err := h.ExpireBefore(time.Second); return err }},
-		{"evict", "POST /api/v1/devices:evict", "{", func(h *fleet.HTTPShard) error { _, _, err := h.EvictDevice("d"); return err }},
-		{"claim", "POST /api/v1/lease:claim", "{", func(h *fleet.HTTPShard) error { _, _, err := h.Claim(1, "gw"); return err }},
+		{"devices", streamReply(wire.StreamOK, []byte("{")), func(h *fleet.HTTPShard) error { _, err := h.Devices(); return err }},
+		{"expire", streamReply(wire.StreamOK, []byte("{")), func(h *fleet.HTTPShard) error { _, err := h.ExpireBefore(time.Second); return err }},
+		{"evict", streamReply(wire.StreamOK, []byte("{")), func(h *fleet.HTTPShard) error { _, _, err := h.EvictDevice("d"); return err }},
+		{"claim", streamReply(wire.StreamOK, []byte{0x80}), func(h *fleet.HTTPShard) error { _, _, err := h.Claim(1, "gw"); return err }},
+		{"summary", streamReply(wire.StreamOK, []byte("{")), func(h *fleet.HTTPShard) error { _, err := h.Summary(); return err }},
+		{"summary of unknown status", streamReply(9, []byte("{}")), func(h *fleet.HTTPShard) error { _, err := h.Summary(); return err }},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
-			mux := http.NewServeMux()
-			mux.HandleFunc(row.route, func(w http.ResponseWriter, r *http.Request) {
-				w.Header().Set("Content-Type", "application/json")
-				_, _ = w.Write([]byte(row.body))
-			})
-			ts := httptest.NewServer(mux)
-			defer ts.Close()
-			h, err := fleet.NewHTTPShard(ts.URL, nil, transport.RetryPolicy{})
+			h, err := fleet.NewHTTPShard("http://shard-0.test", &http.Client{Transport: &hostileShardRT{script: row.script}}, transport.RetryPolicy{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if err := row.call(h); !errors.Is(err, fleet.ErrShardMisbehaved) {
-				t.Fatalf("a reply that does not decode gave %v, want ErrShardMisbehaved", err)
-			}
-		})
-	}
-	for name, script := range map[string][]byte{
-		"summary":                   streamReply(wire.StreamOK, []byte("{")),
-		"summary of unknown status": streamReply(9, []byte("{}")),
-	} {
-		t.Run(name, func(t *testing.T) {
-			h, err := fleet.NewHTTPShard("http://shard-0.test", &http.Client{Transport: &hostileShardRT{script: script}}, transport.RetryPolicy{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := h.Summary(); !errors.Is(err, fleet.ErrShardMisbehaved) {
 				t.Fatalf("a reply that does not decode gave %v, want ErrShardMisbehaved", err)
 			}
 		})

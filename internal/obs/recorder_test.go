@@ -91,6 +91,10 @@ func TestRecorderSnapshotWhileWriting(t *testing.T) {
 	r := NewRecorder(32)
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
+	defer func() { // a Fatal must not leave the writer storming
+		close(stop)
+		wg.Wait()
+	}()
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -119,8 +123,6 @@ func TestRecorderSnapshotWhileWriting(t *testing.T) {
 			}
 		}
 	}
-	close(stop)
-	wg.Wait()
 }
 
 func TestRecorderMinimumCapacity(t *testing.T) {

@@ -3,6 +3,7 @@ package scenario
 import (
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"net/http"
@@ -114,7 +115,8 @@ func (f *badRefForger) SendBatch(reports []transport.Report) error {
 	wire.EndFrame(body, head)
 	f.forged.Add(1)
 	_, err = transport.DoJSONHeaders(nil, http.MethodPost, f.url+transport.BatchPath, body, hdr, transport.RetryPolicy{})
-	if v := transport.Classify(err); v.Class != transport.Rejected || v.Code != http.StatusBadRequest ||
+	var answer *transport.Error
+	if !errors.As(err, &answer) || transport.Classify(err).Class != transport.Rejected || answer.Code != http.StatusBadRequest ||
 		!strings.Contains(err.Error(), "pre-split section") {
 		return fmt.Errorf("a forged back-reference was answered %v, want the gateway's own 400", err)
 	}

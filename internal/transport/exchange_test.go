@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -85,7 +86,7 @@ func TestRetryResendsTheWholeBody(t *testing.T) {
 		header: http.Header{HeaderLeaderHint: {"http://gateway-b.test"}, HeaderLeaderEpoch: {"7"}}}
 	rec := &sleepRecorder{}
 	_, err := DoJSONHeaders(&http.Client{Transport: rt}, http.MethodPost, "http://gateway-a.test/x", frame, nil, retryPolicy(rec, 4))
-	if v := Classify(err); v.Code != http.StatusConflict || v.Leader != "http://gateway-b.test" || v.Granted != 7 {
+	if v := Classify(err); codeOf(err) != http.StatusConflict || v.Leader != "http://gateway-b.test" || v.Granted != 7 {
 		t.Fatalf("409 came back as %+v: %v", v, err)
 	}
 	if rt.calls != 1 || len(rec.delays) != 0 {
@@ -203,4 +204,50 @@ func TestAllocBudgetExchange(t *testing.T) {
 	if ours := general - clientDo; ours > 5 {
 		t.Errorf("DoJSONHeaders allocates %v times outside Client.Do (%v with it), budget 5", ours, general)
 	}
+}
+
+// upgradeRT upgrades every dial onto conn.
+type upgradeRT struct{ conn io.ReadWriteCloser }
+
+func (rt upgradeRT) RoundTrip(req *http.Request) (*http.Response, error) {
+	return &http.Response{
+		StatusCode: http.StatusSwitchingProtocols, Status: "101 Switching Protocols",
+		Header: http.Header{"Upgrade": {wire.StreamProtocol}}, Body: rt.conn, Request: req,
+	}, nil
+}
+
+// TestStreamDropsOversizedBuffers: a stream checked back in after an
+// exchange whose request or reply grew its buffers past the pool's cap —
+// a model sent, an event history read — holds neither buffer for the
+// rest of its life; one that stayed under the cap keeps both for the
+// next exchange.
+func TestStreamDropsOversizedBuffers(t *testing.T) {
+	conn := &ackConn{}
+	p, err := NewStream("http://shard.test", wire.StreamPath, wire.StreamProtocol, &http.Client{Transport: upgradeRT{conn}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, size := range []int{4 << 10, 2 << 20, 4 << 10} {
+		conn.ack = reply(wire.StreamOK, make([]byte, size))
+		if err := p.Exchange(wire.StreamModel, 0, make([]byte, size), RetryPolicy{}, nil); err != nil {
+			t.Fatal(err)
+		}
+		if len(p.idle) != 1 {
+			t.Fatalf("%d idle streams after an exchange, want the one", len(p.idle))
+		}
+		in, out := cap(p.idle[0].in), cap(p.idle[0].out)
+		if kept := in > 0 && out > 0; kept != (size < 1<<20) || in > 1<<20 || out > 1<<20 {
+			t.Fatalf("after a %d-byte exchange the idle stream holds %d and %d bytes of buffer", size, in, out)
+		}
+	}
+}
+
+// codeOf is the status err's *Error names or was answered with, 0 for
+// none.
+func codeOf(err error) int {
+	var e *Error
+	if errors.As(err, &e) {
+		return e.Code
+	}
+	return 0
 }

@@ -104,9 +104,8 @@ const (
 // Verdict is a failure's class and what the sites read off it.
 type Verdict struct {
 	Class Class
-	// Status is what a face answers; Code the status the failure names or
-	// was answered with (0 for none).
-	Status, Code int
+	// Status is what a face answers.
+	Status int
 	// After is the failure's Retry-After, and Hinted whether it gave one.
 	After  time.Duration
 	Hinted bool
@@ -131,14 +130,14 @@ func Classify(err error) Verdict {
 		return Verdict{Class: OK, Status: http.StatusOK}
 	}
 	if after, ok := overload.IsOverload(err); ok {
-		return Verdict{Class: Shed, Status: http.StatusTooManyRequests, Code: http.StatusTooManyRequests, After: after, Hinted: true}
+		return Verdict{Class: Shed, Status: http.StatusTooManyRequests, After: after, Hinted: true}
 	}
 	var stale *StaleLeaderError
 	if errors.As(err, &stale) {
-		return Verdict{Class: Stale, Status: http.StatusConflict, Code: http.StatusConflict, Granted: stale.Granted, Leader: stale.Leader}
+		return Verdict{Class: Stale, Status: http.StatusConflict, Granted: stale.Granted, Leader: stale.Leader}
 	}
 	if errors.Is(err, wire.ErrBodyTooLarge) {
-		return Verdict{Class: TooLarge, Status: http.StatusRequestEntityTooLarge, Code: http.StatusRequestEntityTooLarge}
+		return Verdict{Class: TooLarge, Status: http.StatusRequestEntityTooLarge}
 	}
 	var e *Error
 	named := errors.As(err, &e)
@@ -151,7 +150,7 @@ func Classify(err error) Verdict {
 			return Verdict{Class: Rejected, Status: http.StatusBadRequest}
 		}
 	}
-	v := Verdict{Status: e.Code, Code: e.Code, After: e.RetryAfter, Hinted: e.Hinted, Answered: e.Answered, Leader: e.Leader}
+	v := Verdict{Status: e.Code, After: e.RetryAfter, Hinted: e.Hinted, Answered: e.Answered, Leader: e.Leader}
 	switch {
 	case e.Code == http.StatusTooManyRequests:
 		v.Class = Shed

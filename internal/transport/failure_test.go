@@ -529,16 +529,16 @@ type failingFace struct {
 	streams bms.StreamSet
 }
 
-func (f *failingFace) UploadJSON(bms.Stamp, *transport.JSONUpload, []string) ([]string, error) {
+func (f *failingFace) UploadJSON(*transport.JSONUpload, []string) ([]string, error) {
 	return nil, f.err
 }
-func (f *failingFace) UploadFrame(bms.Stamp, []byte, []string) ([]string, error) { return nil, f.err }
-func (f *failingFace) Health() (any, bool)                                       { return nil, true }
-func (f *failingFace) Occupancy() (bms.OccupancySnapshot, error)                 { return bms.OccupancySnapshot{}, nil }
-func (f *failingFace) DwellTotals() (map[string]time.Duration, error)            { return nil, nil }
-func (f *failingFace) Rollup() (bms.Rollup, error)                               { return bms.Rollup{}, nil }
-func (f *failingFace) Events() ([]occupancy.Event, error)                        { return nil, nil }
-func (f *failingFace) PutModel(bms.ModelSnapshot) (any, error)                   { return nil, nil }
-func (f *failingFace) Trained(bms.TrainResult) (any, error)                      { return nil, nil }
-func (f *failingFace) Metrics() *obs.Metrics                                     { return nil }
-func (f *failingFace) Streams() *bms.StreamSet                                   { return &f.streams }
+func (f *failingFace) UploadFrame(string, []byte, []string) ([]string, error) { return nil, f.err }
+func (f *failingFace) Health() (any, bool)                                    { return nil, true }
+func (f *failingFace) Occupancy() (bms.OccupancySnapshot, error)              { return bms.OccupancySnapshot{}, nil }
+func (f *failingFace) DwellTotals() (map[string]time.Duration, error)         { return nil, nil }
+func (f *failingFace) Rollup() (bms.Rollup, error)                            { return bms.Rollup{}, nil }
+func (f *failingFace) Events() ([]occupancy.Event, error)                     { return nil, nil }
+func (f *failingFace) PutModel(bms.ModelSnapshot) (any, error)                { return nil, nil }
+func (f *failingFace) Trained(bms.TrainResult) (any, error)                   { return nil, nil }
+func (f *failingFace) Metrics() *obs.Metrics                                  { return nil }
+func (f *failingFace) Streams() *bms.StreamSet                                { return &f.streams }

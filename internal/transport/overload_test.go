@@ -182,7 +182,7 @@ func TestRetryBudgetCapsSpend(t *testing.T) {
 	if !strings.Contains(err.Error(), "retry budget") {
 		t.Fatalf("err = %v, want a retry-budget failure wrapping the last error", err)
 	}
-	if v := Classify(err); !v.Answered || v.Code != http.StatusServiceUnavailable {
+	if v := Classify(err); !v.Answered || codeOf(err) != http.StatusServiceUnavailable {
 		t.Fatalf("budget error should wrap the last 503; verdict %+v", v)
 	}
 	if hits, _ := fs.stats(); hits != 3 {

@@ -1,7 +1,7 @@
 // The client end of an upgraded stream (wire/stream.go has the envelope),
 // the one both legs that carry frames use: the gateway's shard client
-// (which reads rollups on it too) and the device uplink's binary codec.
-// A stream is dialled by HTTP Upgrade
+// (which sends every other shard verb on it too) and the device uplink's
+// binary codec. A stream is dialled by HTTP Upgrade
 // through the client's own RoundTripper — so TLS, a custom dialer or a
 // wrapping RoundTripper keep deciding how the peer is reached, and the
 // upgraded connection leaves the transport's per-host count — and then
@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/url"
 	"os"
@@ -66,13 +67,15 @@ func (s *streamConn) expire() {
 // roundTrip is one exchange. The reply body aliases s.in. ok reports
 // whether the stream may carry another exchange; a reply that arrived as
 // the deadline fired is still the reply, on a stream that is now closed.
+// A reply is not held to the request bound: an event history may pass
+// it, and a reply costs only the bytes that arrive.
 func (s *streamConn) roundTrip(kind byte, stamp uint64, frame []byte, timeout time.Duration) (status byte, body []byte, ok bool, err error) {
 	if s.timer != nil {
 		s.timer.Reset(timeout)
 	}
 	s.out = wire.AppendStreamRequest(s.out[:0], kind, stamp, frame)
 	if _, err = s.conn.Write(s.out); err == nil {
-		status, body, err = wire.ReadStreamReply(s.br, wire.MaxBodyBytes, &s.in)
+		status, body, err = wire.ReadStreamReply(s.br, math.MaxInt32, &s.in)
 	}
 	ok = err == nil && (s.timer == nil || s.timer.Stop())
 	if err != nil && s.expired.Load() {
@@ -240,7 +243,10 @@ func (p *Stream) get() *streamConn {
 	return s
 }
 
+// put checks a stream back in, without a buffer an oversized exchange
+// grew (wire.KeepBuf).
 func (p *Stream) put(s *streamConn) {
+	s.in, s.out = wire.KeepBuf(s.in), wire.KeepBuf(s.out)
 	p.mu.Lock()
 	if len(p.idle) < maxIdleStreams {
 		p.idle = append(p.idle, s)

@@ -301,15 +301,11 @@ func (p RetryPolicy) sleep(d time.Duration) {
 	time.Sleep(d)
 }
 
-// Leadership-fencing headers, shared by every layer that speaks them:
-// the fleet's shard client stamps writes with HeaderGatewayEpoch, the
-// BMS lease arbiter answers stale writes with 409 plus
-// HeaderLeaderEpoch/HeaderLeaderHint, and HTTPUplink follows the
-// hint. Defined here so producer and consumer cannot drift apart.
+// Leadership headers, shared by every layer that speaks them: a face
+// answers a stale write or a standby's refusal with 409 plus
+// HeaderLeaderEpoch/HeaderLeaderHint, and HTTPUplink follows the hint.
+// Defined here so producer and consumer cannot drift apart.
 const (
-	// HeaderGatewayEpoch stamps a write with the sending gateway's
-	// leadership epoch; absent or zero means unfenced.
-	HeaderGatewayEpoch = "X-Gateway-Epoch"
 	// HeaderLeaderEpoch is the highest epoch the answering shard has
 	// granted, on a 409 stale-leader rejection.
 	HeaderLeaderEpoch = "X-Leader-Epoch"
@@ -319,15 +315,13 @@ const (
 )
 
 // DoJSONHeaders performs one exchange under the retry policy and the
-// caller's complete request header set (nil means plain JSON) — a wire
-// Content-Type, the gateway leadership stamp — and returns the response
-// payload. hdr is only read and may be shared between calls. A nil
-// client gets a 5-second deadline PER ATTEMPT (a per-attempt request
-// context, not http.Client.Timeout — the client timeout would span every
-// attempt and the backoff sleeps between them, leaving the last attempt
-// born dead). The fleet layer's HTTP shard client shares this path with
-// HTTPUplink, so both see identical retry and error semantics. Callers
-// with a fixed endpoint prepare a Target once instead.
+// caller's complete request header set (nil means plain JSON), and
+// returns the response payload. hdr is only read and may be shared
+// between calls. A nil client gets a 5-second deadline PER ATTEMPT (a
+// per-attempt request context, not http.Client.Timeout — the client
+// timeout would span every attempt and the backoff sleeps between them,
+// leaving the last attempt born dead). Callers with a fixed endpoint
+// prepare a Target once instead.
 func DoJSONHeaders(client *http.Client, method, rawURL string, body []byte, hdr http.Header, policy RetryPolicy) ([]byte, error) {
 	t, err := NewTarget(method, rawURL, hdr)
 	if err != nil {

@@ -532,8 +532,8 @@ func TestDoJSON409FailsImmediately(t *testing.T) {
 	rec := &sleepRecorder{}
 	_, err := DoJSONHeaders(nil, http.MethodPost, deposed.ts.URL+"/api/v1/observations", []byte(`{}`), nil, retryPolicy(rec, 5))
 	v := Classify(err)
-	if v.Code != http.StatusConflict {
-		t.Fatalf("status = %v (%v)", v.Code, err)
+	if codeOf(err) != http.StatusConflict {
+		t.Fatalf("status = %v (%v)", codeOf(err), err)
 	}
 	if hits := len(deposed.forms()); hits != 1 {
 		t.Fatalf("server saw %d attempts, want 1 (409 must not burn the retry budget)", hits)
@@ -560,7 +560,7 @@ func TestUplinkClientErrorIsNotRotated(t *testing.T) {
 			rec := &sleepRecorder{}
 			u := &HTTPUplink{BaseURL: a.ts.URL, Peers: []string{b.ts.URL}, Retry: retryPolicy(rec, 3), Codec: codec}
 			err := u.SendBatch(wireReports(4))
-			if v := Classify(err); !v.Answered || v.Code != status {
+			if v := Classify(err); !v.Answered || codeOf(err) != status {
 				t.Fatalf("%s: a %d came back as %v", codec, status, err)
 			}
 			if strings.Contains(err.Error(), "all gateway targets") {
@@ -631,7 +631,7 @@ func TestUnknownFrameVersionIsNotADowngrade(t *testing.T) {
 	u := &HTTPUplink{BaseURL: ts.URL, Retry: retryPolicy(rec, 3), Codec: CodecBinary}
 	for i := 0; i < 2; i++ {
 		err := u.SendBatch(wireReports(4))
-		if v := Classify(err); !v.Answered || v.Code != http.StatusBadRequest || !strings.Contains(err.Error(), "unknown frame version 0x01") {
+		if v := Classify(err); !v.Answered || codeOf(err) != http.StatusBadRequest || !strings.Contains(err.Error(), "unknown frame version 0x01") {
 			t.Fatalf("send %d: %v, want the 400 naming the version", i, err)
 		}
 	}
@@ -716,7 +716,7 @@ func TestRefusedUpgradeLatchesJSON(t *testing.T) {
 	rec := &sleepRecorder{}
 	u = &HTTPUplink{BaseURL: draining.URL, Retry: retryPolicy(rec, 2), Codec: CodecBinary}
 	err := u.SendBatch(wireReports(4))
-	if v := Classify(err); v.Class != Unavailable || v.Code != http.StatusServiceUnavailable || !errors.Is(err, ErrUpgradeRefused) {
+	if v := Classify(err); v.Class != Unavailable || codeOf(err) != http.StatusServiceUnavailable || !errors.Is(err, ErrUpgradeRefused) {
 		t.Fatalf("an upgrade answered 503: %v (%+v)", err, v)
 	}
 	if u.targets[0].jsonOnly.Load() || len(rec.delays) != 1 {

@@ -7,21 +7,26 @@
 //
 // A request's length counts the stamp and the body, a reply's the status
 // and the body. The kind names the request: a StreamFrame carries a wire
-// frame verbatim, acknowledged with the rooms of AppendRooms; a
-// StreamRollup carries no body and reads a shard's summary in binary
-// (bms.AppendSummary). Two legs ride it, each on its own route and
-// Upgrade token, and the stamp means what that leg needs beside the
-// frame:
+// frame verbatim, acknowledged with the rooms of AppendRooms; every other
+// kind is one of a gateway's verbs on a shard, its body and reply in
+// forms package bms already writes (bms/stream.go, shardVerb). A rollup,
+// events or devices read carries no body.
 //
-//	gateway → shard   GET StreamPath, "Upgrade: occusim-shard/2": the
-//	                  sending gateway's leadership epoch (0: unfenced, as
-//	                  a read is); frames and rollup reads
-//	device → BMS      GET UplinkPath, "Upgrade: occusim-uplink/1": the
-//	                  ring digest the frame's sections were cut under, as
-//	                  the hex of ring.Digest names it (0: a plain frame)
+// Two legs ride the envelope, each on its own route and Upgrade token,
+// and the stamp means what that leg needs beside the body:
+//
+//	gateway → shard   GET StreamPath, "Upgrade: occusim-shard/3": the
+//	                  sending gateway's leadership epoch on a frame, an
+//	                  evict, an install and an expiry (0: unfenced); 0 on
+//	                  every other kind, which the shard does not fence
+//	device → BMS      GET UplinkPath, "Upgrade: occusim-uplink/1": frames
+//	                  only, stamped with the ring digest the frame's
+//	                  sections were cut under, as the hex of ring.Digest
+//	                  names it (0: a plain frame)
 //
 // Neither side can resynchronise after a bad envelope, an unknown kind
-// included, so whoever reads one closes the connection.
+// or a bodiless kind with a body included, so whoever reads one closes
+// the connection.
 package wire
 
 import (
@@ -40,20 +45,24 @@ const (
 	// StreamPath is the route a shard upgrades on, and StreamProtocol the
 	// Upgrade token both ends of the gateway → shard leg must name.
 	StreamPath     = "/api/v1/shard:stream"
-	StreamProtocol = "occusim-shard/2"
+	StreamProtocol = "occusim-shard/3"
 	// UplinkPath is the route a box or a gateway upgrades a device on, and
 	// UplinkProtocol the Upgrade token of the device → BMS leg.
 	UplinkPath     = "/api/v1/observations:stream"
 	UplinkProtocol = "occusim-uplink/1"
-	// StreamFrame and StreamRollup are the request kinds, the byte that
-	// leads every request envelope.
-	StreamFrame, StreamRollup byte = 0x01, 0x02
+)
+
+// The request kinds, the byte that leads every request envelope.
+const (
+	StreamFrame, StreamRollup, StreamEvents, StreamDevices, StreamModel byte = 0x01, 0x02, 0x03, 0x04, 0x05
+	StreamEvict, StreamInstall, StreamExpire, StreamClaim               byte = 0x06, 0x07, 0x08, 0x09
 )
 
 // Reply statuses. What the HTTP door said with a status code and headers,
 // the stream says with one byte and a body.
 const (
-	// StreamOK carries a frame's rooms ack or a read's summary.
+	// StreamOK carries the request's answer: a frame's rooms ack, a
+	// read's reply, a verb's result (empty where there is none).
 	StreamOK byte = iota
 	// StreamStale is the leadership fence (the POST door's 409): u64
 	// granted epoch, then the leader hint to the end of the body.
@@ -61,7 +70,7 @@ const (
 	// StreamOverload is a shed admission (429): u64 retry-after
 	// nanoseconds.
 	StreamOverload
-	// StreamRejected is a frame the shard would not apply (400): the
+	// StreamRejected is a request the shard would not apply (400): the
 	// reason as text.
 	StreamRejected
 	// StreamTooLarge is a request announcing more than MaxBodyBytes
@@ -89,7 +98,7 @@ func AppendStreamRequest(dst []byte, kind byte, stamp uint64, body []byte) []byt
 // the next call overwrites. io.EOF means the peer hung up between
 // envelopes; an announced length past MaxBodyBytes is ErrBodyTooLarge,
 // refused before any of it is buffered; anything else that is not an
-// envelope — an unknown kind, a rollup read with a body — is
+// envelope — an unknown kind, a bodiless kind with a body — is
 // ErrBadEnvelope.
 func ReadStreamRequest(br *bufio.Reader, buf *[]byte) (kind byte, stamp uint64, body []byte, err error) {
 	head, err := readHead(br, 1+4)
@@ -98,14 +107,14 @@ func ReadStreamRequest(br *bufio.Reader, buf *[]byte) (kind byte, stamp uint64, 
 	}
 	kind, n := head[0], binary.LittleEndian.Uint32(head[1:])
 	switch {
-	case kind != StreamFrame && kind != StreamRollup:
+	case kind < StreamFrame || kind > StreamClaim:
 		return 0, 0, nil, fmt.Errorf("%w: request kind 0x%02x", ErrBadEnvelope, kind)
 	case n > MaxBodyBytes:
 		return 0, 0, nil, ErrBodyTooLarge
 	case n < 8:
 		return 0, 0, nil, fmt.Errorf("%w: request of %d bytes has no stamp", ErrBadEnvelope, n)
-	case kind == StreamRollup && n != 8:
-		return 0, 0, nil, fmt.Errorf("%w: rollup request with a %d-byte body", ErrBadEnvelope, n-8)
+	case n != 8 && (kind == StreamRollup || kind == StreamEvents || kind == StreamDevices):
+		return 0, 0, nil, fmt.Errorf("%w: bodiless request kind 0x%02x with a %d-byte body", ErrBadEnvelope, kind, n-8)
 	}
 	body, err = readExact(br, int(n), buf)
 	if err != nil {
@@ -146,6 +155,17 @@ func ReadStreamReply(br *bufio.Reader, limit int, buf *[]byte) (status byte, bod
 		return 0, nil, err
 	}
 	return reply[0], reply[1:], nil
+}
+
+// KeepBuf is buf emptied for a stream's next exchange, or nil once an
+// exchange grew it past the buffer pool's cap: a long-lived connection
+// does not hold what one large exchange — an event history, a model —
+// needed for the rest of its life.
+func KeepBuf(buf []byte) []byte {
+	if cap(buf) > pooledBufMax {
+		return nil
+	}
+	return buf[:0]
 }
 
 // readHead takes an envelope's fixed-size head off br, as a view of br's
