@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -168,17 +171,19 @@ func TestDeviceMigrationEndpoints(t *testing.T) {
 	// empty ok reply.
 	conn1, br1, _ := upgradeStream(t, ts1)
 	conn2, br2, _ := upgradeStream(t, ts2)
-	evict := func(id uint64, device string) (byte, []byte) {
-		return shardCall(t, conn1, br1, wire.StreamEvict, 0, append(binary.AppendUvarint(nil, id), device...))
+	evict := func(id, floor uint64, device string) (byte, []byte) {
+		body := binary.AppendUvarint(binary.AppendUvarint(binary.AppendUvarint(nil, 1), id), floor)
+		return shardCall(t, conn1, br1, wire.StreamEvict, 0, append(body, device...))
 	}
-	if status, reply := evict(1, "ghost"); status != wire.StreamOK || len(reply) != 0 {
+	if status, reply := evict(1, 1, "ghost"); status != wire.StreamOK || len(reply) != 0 {
 		t.Fatalf("evict of unknown device answered status %d %q, want ok and empty", status, reply)
 	}
 
 	// Evict p and install it on the second server. A retry of the evict —
-	// the same request id — is answered with the same state, as its lost
-	// first reply would have been; another request finds nothing held.
-	status, reply := evict(2, "p")
+	// the same number — is answered with the same state, as its lost
+	// first reply would have been, for as long as the session's floor
+	// keeps it; another request finds nothing held.
+	status, reply := evict(2, 2, "p")
 	var st DeviceState
 	if err := json.Unmarshal(reply, &st); status != wire.StreamOK || err != nil {
 		t.Fatalf("evict answered status %d %q (%v)", status, reply, err)
@@ -186,11 +191,20 @@ func TestDeviceMigrationEndpoints(t *testing.T) {
 	if st.Device != "p" || st.Seq != 1 {
 		t.Fatalf("evicted state = %+v", st)
 	}
-	if status, again := evict(2, "p"); status != wire.StreamOK || !bytes.Equal(again, reply) {
+	if status, again := evict(2, 2, "p"); status != wire.StreamOK || !bytes.Equal(again, reply) {
 		t.Fatalf("the retried evict answered status %d %q, want the first answer %q", status, again, reply)
 	}
-	if status, other := evict(3, "p"); status != wire.StreamOK || len(other) != 0 {
+	if status, other := evict(3, 2, "p"); status != wire.StreamOK || len(other) != 0 {
 		t.Fatalf("a new evict of the evicted device answered status %d %q, want ok and empty", status, other)
+	}
+	if status, again := evict(2, 2, "p"); status != wire.StreamOK || !bytes.Equal(again, reply) {
+		t.Fatalf("a retry the floor keeps answered status %d %q, want the first answer %q", status, again, reply)
+	}
+	if status, _ := evict(4, 4, "ghost"); status != wire.StreamOK {
+		t.Fatalf("an evict raising the floor answered status %d", status)
+	}
+	if status, again := evict(2, 2, "p"); status != wire.StreamOK || len(again) != 0 {
+		t.Fatalf("a number the floor passed answered status %d %q, want it forgotten: ok and empty", status, again)
 	}
 	if status, reason := shardCall(t, conn1, br1, wire.StreamEvict, 0, binary.AppendUvarint(nil, 4)); status != wire.StreamRejected {
 		t.Fatalf("an evict without a device answered status %d %q, want rejected", status, reason)
@@ -233,5 +247,191 @@ func TestDeviceMigrationEndpoints(t *testing.T) {
 	}
 	if occ := s2.Occupancy(); len(occ.Devices) != 1 {
 		t.Fatalf("epoch-bumped restart did not re-enter: %v", occ.Devices)
+	}
+}
+
+// evictSpy is a listener whose connections report each evict request
+// as it arrives: a read that starts with the envelope of one (a stream
+// carries one exchange at a time, so a request's first bytes lead a
+// read).
+type evictSpy struct {
+	net.Listener
+	evicts chan struct{}
+}
+
+func (l evictSpy) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return spiedConn{c, l.evicts}, nil
+}
+
+type spiedConn struct {
+	net.Conn
+	evicts chan struct{}
+}
+
+func (c spiedConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	if n > 5 && p[0] == wire.StreamEvict {
+		c.evicts <- struct{}{}
+	}
+	return n, err
+}
+
+// TestEvictMemoAnswersOnce: a retry that arrives while the first
+// attempt's evict still runs waits for it and answers its state, without
+// evicting again; a retry of a first attempt that failed evicts anew; and
+// an answer is forgotten once its session's floor or a newer epoch
+// passes it.
+func TestEvictMemoAnswersOnce(t *testing.T) {
+	var m evictMemo
+	key := evictKey{session: 1, id: 1, device: "p"}
+	var calls atomic.Int32
+	running, release := make(chan struct{}), make(chan struct{})
+	type outcome struct {
+		st   DeviceState
+		held bool
+		err  error
+	}
+	first, retry := make(chan outcome, 1), make(chan outcome, 1)
+	go func() {
+		st, held, err := m.do(key, 3, 1, func() (DeviceState, bool, error) {
+			calls.Add(1)
+			close(running)
+			<-release
+			return DeviceState{Seq: 4}, true, nil
+		})
+		first <- outcome{st, held, err}
+	}()
+	<-running
+	go func() {
+		st, held, err := m.do(key, 3, 1, func() (DeviceState, bool, error) {
+			calls.Add(1)
+			return DeviceState{}, false, nil
+		})
+		retry <- outcome{st, held, err}
+	}()
+	select {
+	case o := <-retry:
+		close(release)
+		t.Fatalf("the retry answered %+v while the first attempt's evict ran", o)
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(release)
+	for _, ch := range []chan outcome{first, retry} {
+		if o := <-ch; o.err != nil || !o.held || o.st.Seq != 4 {
+			t.Fatalf("an attempt answered %+v, want the state the first evicted", o)
+		}
+	}
+	if n := calls.Load(); n != 1 {
+		t.Fatalf("the device was evicted %d times, want once", n)
+	}
+
+	failed := evictKey{session: 1, id: 2, device: "q"}
+	if _, _, err := m.do(failed, 3, 1, func() (DeviceState, bool, error) { return DeviceState{}, false, errors.New("log refused") }); err == nil {
+		t.Fatal("a failed evict answered no error")
+	}
+	if _, held, err := m.do(failed, 3, 1, func() (DeviceState, bool, error) { return DeviceState{Seq: 1}, true, nil }); err != nil || !held {
+		t.Fatalf("the retry of a failed evict answered (%v, %v), want its own eviction", held, err)
+	}
+
+	other := evictKey{session: 2, id: 1, device: "r"}
+	if _, _, err := m.do(other, 3, 1, func() (DeviceState, bool, error) { return DeviceState{}, false, nil }); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := m.do(evictKey{session: 1, id: 3, device: "s"}, 3, 3, func() (DeviceState, bool, error) { return DeviceState{}, false, nil }); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := m.answers[key]; ok {
+		t.Fatal("the floor passed an answer the memo kept")
+	}
+	if _, ok := m.answers[other]; !ok {
+		t.Fatal("one session's floor dropped another's answer")
+	}
+	if _, _, err := m.do(evictKey{session: 3, id: 1, device: "t"}, 4, 1, func() (DeviceState, bool, error) { return DeviceState{}, false, nil }); err != nil {
+		t.Fatal(err)
+	}
+	if len(m.answers) != 1 {
+		t.Fatalf("a newer epoch left %d answers, want only its own", len(m.answers))
+	}
+}
+
+// TestEvictRetryWaitsOutASlowCommit: an evict whose commit outlasts the
+// client's attempt timeout is retried over a new stream while the shard
+// still commits it, and the client gets the state that moved out. Each
+// round stalls one device's first commit behind the log's exclusive
+// guard until its retry has arrived. (Which of two stalled commits the
+// guard lets through first is the scheduler's choice, so the order that
+// loses the state without the memo is pinned by TestEvictMemoAnswersOnce.)
+func TestEvictRetryWaitsOutASlowCommit(t *testing.T) {
+	b := building.PaperHouse()
+	st, err := store.New(100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := OpenDurableServer(b, st, 2, DurableConfig{Dir: t.TempDir(), Policy: store.FsyncOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewUnstartedServer(s.Handler())
+	// Room for every attempt of a round (the policy makes at most 10), so
+	// the spy never blocks a server read; each round drains it.
+	spy := evictSpy{Listener: ts.Listener, evicts: make(chan struct{}, 64)}
+	ts.Listener = spy
+	ts.Start()
+	defer s.Close()
+	defer ts.Close()
+	defer s.Streams().Stop()
+	stream, err := transport.NewStream(ts.URL, wire.StreamPath, wire.StreamProtocol, &http.Client{Timeout: 200 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	policy := transport.RetryPolicy{MaxAttempts: 10, BaseDelay: time.Millisecond, MaxDelay: time.Millisecond}
+
+	for round, device := range []string{"p", "q"} {
+		if _, err := s.Ingest(seqReport(b, device, 0, 1, 1)); err != nil {
+			t.Fatal(err)
+		}
+		body := binary.AppendUvarint(binary.AppendUvarint(binary.AppendUvarint(nil, 1), uint64(round+1)), uint64(round+1))
+		var reply []byte
+		done := make(chan error, 1)
+		func() {
+			s.hold(true)
+			defer s.release(true)
+			go func() {
+				done <- stream.Exchange(wire.StreamEvict, 0, append(body, device...), policy, func(b []byte) error {
+					reply = bytes.Clone(b)
+					return nil
+				})
+			}()
+			for range 2 { // the first attempt, then its retry
+				select {
+				case <-spy.evicts:
+				case <-time.After(10 * time.Second):
+					t.Errorf("round %d: the evict was not retried", round)
+					return
+				}
+			}
+			// The retry's read is seen; give it the moment it takes to
+			// reach the memo, where it waits for the stalled first. (A
+			// retry that arrives later finds the answer committed, which
+			// the test accepts too.)
+			time.Sleep(50 * time.Millisecond)
+		}()
+		if err := <-done; err != nil {
+			t.Fatalf("round %d: the evict failed: %v", round, err)
+		}
+		var got DeviceState
+		if err := json.Unmarshal(reply, &got); err != nil || got.Device != device {
+			t.Fatalf("round %d: the retried evict answered %q (%v), want %s's state", round, reply, err, device)
+		}
+		for len(spy.evicts) > 0 { // attempts past the retry
+			<-spy.evicts
+		}
+	}
+	if known := s.KnownDevices(); len(known) != 0 {
+		t.Fatalf("the shard still holds %v", known)
 	}
 }

@@ -140,7 +140,7 @@ func TestRollupRouteRoundTrips(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf []byte
-	status, body, err := wire.ReadStreamReply(br, wire.MaxBodyBytes, &buf)
+	status, body, err := wire.ReadStreamReply(br, &buf)
 	if err != nil || status != wire.StreamOK {
 		t.Fatalf("a rollup read got status %d, %v", status, err)
 	}

@@ -83,7 +83,7 @@ type Server struct {
 	// the shard route, devices on the upload route; see stream.go.
 	streams StreamSet
 
-	// evicted answers retried evicts (evictOnce, stream.go).
+	// evicted answers retried evicts (evictMemo, stream.go).
 	evicted evictMemo
 }
 

@@ -181,7 +181,8 @@ func (s *Server) serveShardStream(conn io.Writer, br *bufio.Reader) {
 //	events   none; EventsReply JSON
 //	devices  none; the known devices as a rooms column (wire.AppendRooms)
 //	model    ModelSnapshot JSON; none
-//	evict    uvarint request id, device name; DeviceState JSON, or none
+//	evict    uvarint session, number and floor (evictMemo), device name;
+//	         DeviceState JSON, or none
 //	install  DeviceState JSON; none
 //	expire   u64 cutoff, report-clock ns; the expired devices, as devices
 //	claim    uvarint epoch, claimant URL; uvarint grant, holder URL
@@ -203,14 +204,18 @@ func (s *Server) shardVerb(kind byte, epoch uint64, body, dst []byte) ([]byte, e
 		_, err := s.InstallModel(snap)
 		return dst, err
 	case wire.StreamEvict:
-		if id := rd.Uvarint(); !rd.Short && len(rd.Buf) > 0 {
-			st, held, err := s.evictOnce(epoch, id, string(rd.Buf))
-			if err != nil || !held {
-				return dst, err
-			}
-			return appendJSON(dst, st)
+		key, floor := evictKey{session: rd.Uvarint(), id: rd.Uvarint()}, rd.Uvarint()
+		if key.device = string(rd.Buf); rd.Short || key.device == "" {
+			return dst, errors.New("bms: evict without device")
 		}
-		return dst, errors.New("bms: evict without device")
+		if err := s.admitEpoch(epoch); err != nil {
+			return dst, err
+		}
+		st, held, err := s.evicted.do(key, epoch, floor, func() (DeviceState, bool, error) { return s.EvictDevice(epoch, key.device) })
+		if err != nil || !held {
+			return dst, err
+		}
+		return appendJSON(dst, st)
 	case wire.StreamInstall:
 		var st DeviceState
 		if err := json.Unmarshal(body, &st); err != nil {
@@ -239,46 +244,69 @@ func appendJSON(dst []byte, v any) ([]byte, error) {
 	return append(dst, b...), err
 }
 
-// evictMemo is the answers to the last 256 evicts that moved state, by
-// request id — far more than a rebalance sends one shard (16 at a time)
-// during a retry's backoff. It is not state: nothing of it is logged.
+// evictMemo answers retried evicts. An evict names its client's session,
+// its number there and the session's floor: the least number whose
+// exchange the client has not finished, so none below it is resent. An
+// answer lives until the floor passes it — an evict still open at the
+// client keeps those sent after it, for as long as its retry policy lets
+// it run — or until a newer leadership epoch fences its own, past which
+// no retry of it is admitted; a client that died unfenced leaves its
+// answers from its floor up. Nothing of it is logged: a restarted shard
+// answers a retry "nothing held", and the new owner rebuilds from the
+// reports.
 type evictMemo struct {
 	mu      sync.Mutex
-	answers [256]struct {
-		id     uint64
-		device string
-		state  DeviceState
-	}
-	next int
+	answers map[evictKey]*evictAnswer
 }
 
-// evictOnce is EvictDevice for a request the gateway numbered: a retry of
-// an evict the shard committed but whose reply was lost — the same id
-// for the same device, past the same fence — answers the state that left
-// rather than "nothing held", so the state still reaches the new owner
-// (after the memo forgot it, the new owner rebuilds from the reports).
-func (s *Server) evictOnce(epoch, id uint64, device string) (DeviceState, bool, error) {
-	if err := s.admitEpoch(epoch); err != nil {
-		return DeviceState{}, false, err
-	}
-	m := &s.evicted
+type evictKey struct {
+	session, id uint64
+	device      string
+}
+
+// evictAnswer is one evict's outcome, set before done closes.
+type evictAnswer struct {
+	epoch uint64
+	done  chan struct{}
+	state DeviceState
+	held  bool
+	err   error
+}
+
+// do answers the evict key names, admitted under epoch, with evict's
+// outcome, running evict once while the answer lives: a retry answers
+// what the first attempt answered, waiting for it if it still commits;
+// the retry of a first attempt that failed evicts anew.
+func (m *evictMemo) do(key evictKey, epoch, floor uint64, evict func() (DeviceState, bool, error)) (DeviceState, bool, error) {
 	m.mu.Lock()
-	for _, a := range m.answers {
-		if a.id == id && a.device == device {
-			m.mu.Unlock()
-			return a.state, true, nil
+	for {
+		for k, a := range m.answers {
+			if k.session == key.session && k.id < floor || a.epoch != 0 && a.epoch < epoch {
+				delete(m.answers, k)
+			}
+		}
+		a, ok := m.answers[key]
+		if !ok {
+			break
+		}
+		m.mu.Unlock()
+		if <-a.done; a.err == nil {
+			return a.state, a.held, nil
+		}
+		m.mu.Lock()
+		if m.answers[key] == a {
+			delete(m.answers, key)
 		}
 	}
-	m.mu.Unlock() // not held across the log's commit
-	st, held, err := s.EvictDevice(epoch, device)
-	if held {
-		m.mu.Lock()
-		a := &m.answers[m.next]
-		a.id, a.device, a.state = id, device, st
-		m.next = (m.next + 1) % len(m.answers)
-		m.mu.Unlock()
+	if m.answers == nil {
+		m.answers = map[evictKey]*evictAnswer{}
 	}
-	return st, held, err
+	a := &evictAnswer{epoch: epoch, done: make(chan struct{})}
+	m.answers[key] = a
+	m.mu.Unlock() // not held across the log's commit
+	a.state, a.held, a.err = evict()
+	close(a.done)
+	return a.state, a.held, a.err
 }
 
 // serveUplinkStream serves a device: each frame through the face's

@@ -30,7 +30,7 @@ func streamReplies(t testing.TB, out []byte) (statuses []byte, bodies [][]byte) 
 	br := bufio.NewReader(bytes.NewReader(out))
 	for {
 		var buf []byte
-		status, body, err := wire.ReadStreamReply(br, wire.MaxBodyBytes, &buf)
+		status, body, err := wire.ReadStreamReply(br, &buf)
 		if err == io.EOF {
 			return statuses, bodies
 		}
@@ -61,7 +61,9 @@ func FuzzShardStream(f *testing.F) {
 	request := func(kind byte, epoch uint64, body []byte) []byte {
 		return wire.AppendStreamRequest(bytes.Clone(good), kind, epoch, body)
 	}
-	evict := func(id uint64, device string) []byte { return append(binary.AppendUvarint(nil, id), device...) }
+	evict := func(session, id, floor uint64, device string) []byte {
+		return append(binary.AppendUvarint(binary.AppendUvarint(binary.AppendUvarint(nil, session), id), floor), device...)
+	}
 	claim := func(epoch uint64, leader string) []byte { return append(binary.AppendUvarint(nil, epoch), leader...) }
 	trainServer(f, trainer, b)
 	snap, _ := trainer.ModelSnapshot()
@@ -74,19 +76,26 @@ func FuzzShardStream(f *testing.F) {
 	f.Add(wire.AppendStreamRequest(nil, wire.StreamDevices, 0, []byte{0}))                           // devices with a body
 	f.Add(wire.AppendStreamRequest(request(wire.StreamModel, 0, model), wire.StreamFrame, 0, later)) // a model, then a frame it classifies
 	f.Add(request(wire.StreamModel, 0, []byte("{")))
-	f.Add(wire.AppendStreamRequest(request(wire.StreamEvict, 0, evict(1, "phone-1")), wire.StreamEvict, 0, evict(1, "phone-1"))) // an evict and its retry
-	f.Add(wire.AppendStreamRequest(request(wire.StreamEvict, 0, evict(1, "phone-1")), wire.StreamEvict, 0, evict(2, "phone-1"))) // an evict, then another
-	f.Add(request(wire.StreamEvict, 0, evict(1, "nobody")))                                                                      // an evict of nothing held
-	f.Add(request(wire.StreamEvict, 0, binary.AppendUvarint(nil, 1)))                                                            // an evict without a device
+	f.Add(wire.AppendStreamRequest(request(wire.StreamEvict, 0, evict(7, 1, 1, "phone-1")), wire.StreamEvict, 0, evict(7, 1, 1, "phone-1"))) // an evict and its retry
+	f.Add(wire.AppendStreamRequest(request(wire.StreamEvict, 0, evict(7, 1, 1, "phone-1")), wire.StreamEvict, 0, evict(7, 2, 2, "phone-1"))) // an evict, then another
+	f.Add(wire.AppendStreamRequest(wire.AppendStreamRequest(request(wire.StreamEvict, 0, evict(7, 1, 1, "phone-1")),                         // a retry the floor let go
+		wire.StreamEvict, 0, evict(7, 2, 2, "phone-2")), wire.StreamEvict, 0, evict(7, 1, 1, "phone-1")))
+	f.Add(wire.AppendStreamRequest(wire.AppendStreamRequest(request(wire.StreamEvict, 0, evict(7, 1, 1, "phone-1")), // a retry the floor kept
+		wire.StreamEvict, 0, evict(7, 2, 1, "phone-2")), wire.StreamEvict, 0, evict(7, 1, 1, "phone-1")))
+	f.Add(wire.AppendStreamRequest(request(wire.StreamEvict, 0, evict(7, 1, 1, "phone-1")), wire.StreamEvict, 0, evict(8, 1, 1, "phone-1"))) // another session's number
+	f.Add(request(wire.StreamEvict, 0, evict(7, 1, 1, "nobody")))                                                                            // an evict of nothing held
+	f.Add(request(wire.StreamEvict, 0, evict(7, 1, 1, "")))                                                                                  // an evict without a device
+	f.Add(request(wire.StreamEvict, 0, binary.AppendUvarint(nil, 7)))                                                                        // an evict without its number
 	f.Add(wire.AppendStreamRequest(request(wire.StreamInstall, 0, state), wire.StreamDevices, 0, nil))
 	f.Add(request(wire.StreamInstall, 0, []byte(`{"device":""}`)))
 	f.Add(request(wire.StreamExpire, 0, cutoff))
 	f.Add(request(wire.StreamExpire, 0, cutoff[:7]))
 	f.Add(wire.AppendStreamRequest(request(wire.StreamClaim, 0, claim(3, "http://gw-a")), wire.StreamClaim, 0, claim(2, "http://gw-b")))
-	f.Add(wire.AppendStreamRequest(request(wire.StreamClaim, 0, claim(3, "http://gw-a")), wire.StreamEvict, 2, evict(1, "phone-1"))) // a stale stamp
-	f.Add(wire.AppendStreamRequest(request(wire.StreamClaim, 0, claim(3, "http://gw-a")), wire.StreamExpire, 2, cutoff))             // a stale stamp
-	f.Add(wire.AppendStreamRequest(request(wire.StreamClaim, 0, claim(3, "http://gw-a")), wire.StreamInstall, 2, state))             // a stale stamp
-	f.Add(wire.AppendStreamRequest(request(wire.StreamEvict, 4, evict(1, "phone-1")), wire.StreamEvict, 3, evict(1, "phone-1")))     // a retry past the fence
+	f.Add(wire.AppendStreamRequest(request(wire.StreamClaim, 0, claim(3, "http://gw-a")), wire.StreamEvict, 2, evict(7, 1, 1, "phone-1")))   // a stale stamp
+	f.Add(wire.AppendStreamRequest(request(wire.StreamClaim, 0, claim(3, "http://gw-a")), wire.StreamExpire, 2, cutoff))                     // a stale stamp
+	f.Add(wire.AppendStreamRequest(request(wire.StreamClaim, 0, claim(3, "http://gw-a")), wire.StreamInstall, 2, state))                     // a stale stamp
+	f.Add(wire.AppendStreamRequest(request(wire.StreamEvict, 4, evict(7, 1, 1, "phone-1")), wire.StreamEvict, 3, evict(7, 1, 1, "phone-1"))) // a retry past the fence
+	f.Add(wire.AppendStreamRequest(request(wire.StreamEvict, 4, evict(7, 1, 1, "phone-1")), wire.StreamEvict, 5, evict(8, 1, 1, "phone-2"))) // a newer epoch fences the first
 	f.Add(request(wire.StreamClaim, 0, []byte{0x80}))
 	f.Add(request(wire.StreamClaim, 0, claim(0, "http://gw-a")))
 	f.Add(good)
@@ -178,9 +187,15 @@ func FuzzShardStream(f *testing.F) {
 
 // coldOracle answers a gateway's cold verbs through the in-process doors
 // of a twin server, the reply body each answer should come back as. It
-// remembers what each numbered evict answered, as the stream promises a
-// retry of it.
-type coldOracle struct{ evicted map[string][]byte }
+// keeps each numbered evict's answer for as long as the stream promises
+// a retry of it: until its session's floor passes it, or a newer epoch
+// fences it.
+type coldOracle struct{ evicted map[evictKey]oracleEvict }
+
+type oracleEvict struct {
+	epoch uint64
+	reply []byte
+}
 
 func (o *coldOracle) answer(twin *Server, kind byte, epoch uint64, body []byte) ([]byte, error) {
 	rd := wire.Reader{Buf: body}
@@ -197,24 +212,35 @@ func (o *coldOracle) answer(twin *Server, kind byte, epoch uint64, body []byte) 
 		_, err := twin.InstallModel(snap)
 		return nil, err
 	case wire.StreamEvict:
-		id := rd.Uvarint()
+		key, floor := evictKey{session: rd.Uvarint(), id: rd.Uvarint()}, rd.Uvarint()
 		if rd.Short || len(rd.Buf) == 0 {
 			return nil, errors.New("no device")
 		}
-		key := fmt.Sprint(id, string(rd.Buf))
-		st, held, err := twin.EvictDevice(epoch, string(rd.Buf))
-		switch {
-		case err != nil:
+		if err := twin.admitEpoch(epoch); err != nil {
 			return nil, err
-		case held:
-			reply, err := json.Marshal(st)
-			if o.evicted == nil {
-				o.evicted = map[string][]byte{}
-			}
-			o.evicted[key] = reply
-			return reply, err
 		}
-		return o.evicted[key], nil
+		key.device = string(rd.Buf)
+		for k, a := range o.evicted {
+			if k.session == key.session && k.id < floor || a.epoch != 0 && a.epoch < epoch {
+				delete(o.evicted, k)
+			}
+		}
+		if a, ok := o.evicted[key]; ok {
+			return a.reply, nil
+		}
+		st, held, err := twin.EvictDevice(epoch, key.device)
+		var reply []byte
+		if err == nil && held {
+			reply, err = json.Marshal(st)
+		}
+		if err != nil {
+			return nil, err
+		}
+		if o.evicted == nil {
+			o.evicted = map[evictKey]oracleEvict{}
+		}
+		o.evicted[key] = oracleEvict{epoch, reply}
+		return reply, nil
 	case wire.StreamInstall:
 		var st DeviceState
 		if err := json.Unmarshal(body, &st); err != nil {
@@ -268,7 +294,7 @@ func shardCall(t *testing.T, conn net.Conn, br *bufio.Reader, kind byte, epoch u
 		t.Fatal(err)
 	}
 	var buf []byte
-	status, reply, err := wire.ReadStreamReply(br, wire.MaxBodyBytes, &buf)
+	status, reply, err := wire.ReadStreamReply(br, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +321,7 @@ func TestStreamDoorStatuses(t *testing.T) {
 			t.Fatal(err)
 		}
 		var buf []byte
-		status, body, err := wire.ReadStreamReply(br, wire.MaxBodyBytes, &buf)
+		status, body, err := wire.ReadStreamReply(br, &buf)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -350,7 +376,7 @@ func TestStreamDoorStatuses(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf []byte
-	status, _, err = wire.ReadStreamReply(br, wire.MaxBodyBytes, &buf)
+	status, _, err = wire.ReadStreamReply(br, &buf)
 	if err != nil || status != wire.StreamTooLarge {
 		t.Fatalf("an oversized announcement got status %d, %v, want too-large", status, err)
 	}
@@ -415,7 +441,7 @@ func TestStopStreamsBetweenFrames(t *testing.T) {
 			t.Fatal(err)
 		}
 		var buf []byte
-		if status, _, err := wire.ReadStreamReply(readers[i], wire.MaxBodyBytes, &buf); err != nil || status != wire.StreamOK {
+		if status, _, err := wire.ReadStreamReply(readers[i], &buf); err != nil || status != wire.StreamOK {
 			t.Fatalf("stream %d: status %d, %v", i, status, err)
 		}
 	}
@@ -479,7 +505,7 @@ func TestAllocBudgetStreamLoop(t *testing.T) {
 		if _, err := gw.Write(envelopes[next]); err != nil {
 			t.Fatal(err)
 		}
-		if status, _, err := wire.ReadStreamReply(br, wire.MaxBodyBytes, &reply); err != nil || status != wire.StreamOK {
+		if status, _, err := wire.ReadStreamReply(br, &reply); err != nil || status != wire.StreamOK {
 			t.Fatalf("status %d, %v", status, err)
 		}
 		next++

@@ -434,7 +434,7 @@ func TestMalformedFrameRefusedWhole(t *testing.T) {
 			t.Fatal(err)
 		}
 		var buf []byte
-		status, body, err := wire.ReadStreamReply(br, wire.MaxBodyBytes, &buf)
+		status, body, err := wire.ReadStreamReply(br, &buf)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"net/http"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -30,9 +31,14 @@ type HTTPShard struct {
 	// epoch is the leadership stamp (Shard.StampEpoch) of the fenced
 	// exchanges: frames, evicts, installs, sweeps.
 	epoch atomic.Uint64
-	// evicts numbers evicts from a random start, so no two clients (nor
-	// a client and its restart) are likely to share numbers.
-	evicts atomic.Uint64
+	// evicts numbers this client's evicts in a session drawn at random
+	// and keeps, in order, the numbers whose exchange has not finished:
+	// the first is the floor each evict sends (bms evictMemo).
+	evicts struct {
+		sync.Mutex
+		session, last uint64
+		open          []uint64
+	}
 
 	// streams carries every exchange to the shard.
 	streams *transport.Stream
@@ -55,7 +61,7 @@ func NewHTTPShard(baseURL string, client *http.Client, retry transport.RetryPoli
 		return nil, fmt.Errorf("fleet: http shard: %w", err)
 	}
 	h := &HTTPShard{base: baseURL, client: client, retry: retry, streams: streams, rooms: wire.Interner{}}
-	h.evicts.Store(rand.Uint64())
+	h.evicts.session = rand.Uint64()
 	return h, nil
 }
 
@@ -149,11 +155,23 @@ func (h *HTTPShard) Summary() (sum occupancy.Summary, err error) {
 // EvictDevice implements Shard under the leadership stamp. An empty
 // reply — the shard holds no state for the device — is (zero, false,
 // nil): nothing to migrate. A retry resends the evict's number, so if
-// the first reply was lost after the shard evicted, the retry is
-// answered with the state that left, and it still migrates.
+// the first reply was lost, or the first attempt timed out while the
+// shard committed, the retry is answered with the state that left, and
+// it still migrates.
 func (h *HTTPShard) EvictDevice(device string) (st bms.DeviceState, held bool, err error) {
-	body := append(binary.AppendUvarint(nil, h.evicts.Add(1)), device...)
-	err = h.exchange(wire.StreamEvict, h.epoch.Load(), body, func(reply []byte) error {
+	e := &h.evicts
+	e.Lock()
+	e.last++
+	id := e.last
+	e.open = append(e.open, id)
+	body := binary.AppendUvarint(binary.AppendUvarint(binary.AppendUvarint(nil, e.session), id), e.open[0])
+	e.Unlock()
+	defer func() {
+		e.Lock()
+		e.open = slices.DeleteFunc(e.open, func(o uint64) bool { return o == id })
+		e.Unlock()
+	}()
+	err = h.exchange(wire.StreamEvict, h.epoch.Load(), append(body, device...), func(reply []byte) error {
 		if held = len(reply) > 0; !held {
 			return nil
 		}

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"occusim/internal/building"
 	"occusim/internal/fleet"
@@ -18,11 +19,13 @@ import (
 // replyLosingListener hands out connections that, once armed, hang up
 // instead of answering the first request isEvictRequest recognises: the
 // request reaches the server whole and the server acts on it, but its
-// reply never leaves. The client then sees a connection that died under
+// reply never leaves. The reply is held until until reports true (or ten
+// seconds pass), and the client then sees a connection that died under
 // an exchange, which it retries.
 type replyLosingListener struct {
 	net.Listener
 	armed, fired atomic.Bool
+	until        func() bool // set before armed
 }
 
 func (l *replyLosingListener) Accept() (net.Conn, error) {
@@ -55,6 +58,9 @@ func (c *replyLosingConn) Write(p []byte) (int, error) {
 	lose := c.lose
 	c.mu.Unlock()
 	if lose {
+		for deadline := time.Now().Add(10 * time.Second); !c.l.until() && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
 		_ = c.Conn.Close()
 		return 0, net.ErrClosed
 	}
@@ -72,6 +78,10 @@ func isEvictRequest(read []byte) bool {
 // is lost on the connection, and the gateway's retry must still carry the
 // device's state to its new owner — the run answers byte for byte what
 // one clean server answers, the committed-but-unanswered evict included.
+// The lost reply is held until the drain has evicted every other device
+// of the shard — hundreds of them — so the retry comes after every
+// answer a memo sized by count rather than by the client's open evicts
+// would have kept.
 func TestLostEvictReplyStillMigrates(t *testing.T) {
 	const seed = 31
 	b := building.PaperHouse()
@@ -101,7 +111,7 @@ func TestLostEvictReplyStillMigrates(t *testing.T) {
 	t.Cleanup(func() { _ = f.Close() })
 	gw := f.Gateways[0]
 
-	stream := synthStream(b, 12, 60, seed)
+	stream := synthStream(b, 900, 12, seed)
 	stampStream(stream, 1)
 	ref, err := scenario.Reference(b, [][]transport.Report{stream}, seed)
 	if err != nil {
@@ -112,16 +122,17 @@ func TestLostEvictReplyStillMigrates(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Drain the shard holding the most devices; the first evict it
-	// answers loses its reply.
+	// answers loses its reply once the shard holds no device.
 	drained, most := 0, 0
 	for i, srv := range pool.Servers {
 		if n := len(srv.KnownDevices()); n > most {
 			drained, most = i, n
 		}
 	}
-	if most == 0 {
-		t.Fatal("vacuous: no shard holds a device")
+	if most < 300 {
+		t.Fatalf("vacuous: the drained shard holds %d devices, want hundreds", most)
 	}
+	lossy[drained].until = func() bool { return len(pool.Servers[drained].KnownDevices()) == 0 }
 	lossy[drained].armed.Store(true)
 	gw.MarkDown(drained)
 	if !lossy[drained].fired.Load() {

@@ -390,7 +390,7 @@ func streamExchange(t *testing.T, h http.Handler, path, protocol string, kind by
 		t.Fatal(err)
 	}
 	var buf []byte
-	status, reply, err := wire.ReadStreamReply(br, wire.MaxBodyBytes, &buf)
+	status, reply, err := wire.ReadStreamReply(br, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"occusim/internal/building"
 	"occusim/internal/fleet"
@@ -42,7 +43,7 @@ func (f *forger) SendBatch(reports []transport.Report) error {
 	}
 	body := wire.AppendSection(nil, r.Names()[(owner+1)%r.Members()])
 	body = wire.AppendFrame(body, b)
-	if _, err := transport.DoJSONHeaders(nil, http.MethodPost, f.url+transport.BatchPath, body, hdr, transport.RetryPolicy{}); err != nil {
+	if err := postSplit(f.url, body, hdr); err != nil {
 		return err
 	}
 	f.forged.Add(1)
@@ -68,6 +69,23 @@ func currentRing(url, device string) (r *ring.Ring, owner int, hdr http.Header, 
 		return nil, 0, nil, err
 	}
 	return r, owner, http.Header{"Content-Type": {wire.ContentType}, wire.HeaderRingDigest: {info.Digest}}, nil
+}
+
+// postSplit posts a pre-split upload to the gateway at url as a device
+// does, under hdr: the wire content type and the digest it split
+// against, which the client's transport sets on the JSON exchange.
+func postSplit(url string, body []byte, hdr http.Header) error {
+	client := &http.Client{Transport: withHeader{hdr}, Timeout: 5 * time.Second}
+	_, err := transport.DoJSON(client, http.MethodPost, url+transport.BatchPath, body, transport.RetryPolicy{})
+	return err
+}
+
+type withHeader struct{ hdr http.Header }
+
+func (w withHeader) RoundTrip(req *http.Request) (*http.Response, error) {
+	req = req.Clone(req.Context())
+	req.Header = w.hdr
+	return http.DefaultTransport.RoundTrip(req)
 }
 
 // badRefForger is a device that pre-splits each binary upload honestly
@@ -114,7 +132,7 @@ func (f *badRefForger) SendBatch(reports []transport.Report) error {
 	body = append(body, make([]byte, 16)...)
 	wire.EndFrame(body, head)
 	f.forged.Add(1)
-	_, err = transport.DoJSONHeaders(nil, http.MethodPost, f.url+transport.BatchPath, body, hdr, transport.RetryPolicy{})
+	err = postSplit(f.url, body, hdr)
 	var answer *transport.Error
 	if !errors.As(err, &answer) || transport.Classify(err).Class != transport.Rejected || answer.Code != http.StatusBadRequest ||
 		!strings.Contains(err.Error(), "pre-split section") {
@@ -123,8 +141,7 @@ func (f *badRefForger) SendBatch(reports []transport.Report) error {
 	f.refused.Add(1)
 
 	honest := wire.AppendFrame(wire.AppendSection(nil, r.Names()[owner]), b)
-	_, err = transport.DoJSONHeaders(nil, http.MethodPost, f.url+transport.BatchPath, honest, hdr, transport.RetryPolicy{})
-	return err
+	return postSplit(f.url, honest, hdr)
 }
 
 // TestMisrouteCrowd: every fourth device forges its binary uploads — a

@@ -13,9 +13,6 @@ import (
 	"occusim/internal/wire"
 )
 
-// wireHeader is the request header set of a frame POSTed to a wire door.
-var wireHeader = http.Header{"Content-Type": {wire.ContentType}}
-
 // scriptedRT is a RoundTripper that answers from a script of status
 // codes (the last one repeating), records every request body it was
 // handed in full, and serves a preallocated response so that it adds no
@@ -67,8 +64,8 @@ func TestRetryResendsTheWholeBody(t *testing.T) {
 	for _, first := range []int{http.StatusServiceUnavailable, http.StatusTooManyRequests} {
 		rt := &scriptedRT{codes: []int{first, http.StatusOK}, header: http.Header{"Retry-After": {"0"}}, ack: []byte("ack")}
 		rec := &sleepRecorder{}
-		payload, err := DoJSONHeaders(&http.Client{Transport: rt}, http.MethodPost, "http://shard.test/api/v1/observations:batch",
-			frame, wireHeader, retryPolicy(rec, 3))
+		payload, err := DoJSON(&http.Client{Transport: rt}, http.MethodPost, "http://shard.test/api/v1/observations:batch",
+			frame, retryPolicy(rec, 3))
 		if err != nil || string(payload) != "ack" {
 			t.Fatalf("after a %d: payload %q, err %v", first, payload, err)
 		}
@@ -85,7 +82,7 @@ func TestRetryResendsTheWholeBody(t *testing.T) {
 	rt := &scriptedRT{codes: []int{http.StatusConflict}, ack: []byte(`{"error":"stale leader"}`),
 		header: http.Header{HeaderLeaderHint: {"http://gateway-b.test"}, HeaderLeaderEpoch: {"7"}}}
 	rec := &sleepRecorder{}
-	_, err := DoJSONHeaders(&http.Client{Transport: rt}, http.MethodPost, "http://gateway-a.test/x", frame, nil, retryPolicy(rec, 4))
+	_, err := DoJSON(&http.Client{Transport: rt}, http.MethodPost, "http://gateway-a.test/x", frame, retryPolicy(rec, 4))
 	if v := Classify(err); codeOf(err) != http.StatusConflict || v.Leader != "http://gateway-b.test" || v.Granted != 7 {
 		t.Fatalf("409 came back as %+v: %v", v, err)
 	}
@@ -104,7 +101,7 @@ func TestMalformedURLFailsBeforeAnyAttempt(t *testing.T) {
 	rt := &scriptedRT{codes: []int{http.StatusOK}}
 	rec := &sleepRecorder{}
 	client := &http.Client{Transport: rt}
-	if _, err := DoJSONHeaders(client, http.MethodPost, "http://bad host/%zz", []byte(`{}`), nil, retryPolicy(rec, 4)); err == nil {
+	if _, err := DoJSON(client, http.MethodPost, "http://bad host/%zz", []byte(`{}`), retryPolicy(rec, 4)); err == nil {
 		t.Fatal("a malformed URL was accepted")
 	}
 	u := &HTTPUplink{BaseURL: "http://bad host/%zz", Client: client, Retry: retryPolicy(rec, 4), Codec: CodecBinary}
@@ -159,7 +156,7 @@ func TestAllocBudgetExchange(t *testing.T) {
 	rt := &scriptedRT{codes: []int{http.StatusOK}, ack: []byte("\x0b\x07kitchen"), quiet: true}
 	client := &http.Client{Transport: rt}
 	frame := bytes.Repeat([]byte{0xab}, 2600)
-	target, err := NewTarget(http.MethodPost, "http://shard.test/api/v1/observations:batch", wireHeader)
+	target, err := NewTarget(http.MethodPost, "http://shard.test/api/v1/observations:batch")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +169,7 @@ func TestAllocBudgetExchange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	req.Header, req.Body, req.ContentLength = wireHeader, io.NopCloser(&rd), int64(len(frame))
+	req.Header, req.Body, req.ContentLength = jsonHeader, io.NopCloser(&rd), int64(len(frame))
 	clientDo := testing.AllocsPerRun(100, func() {
 		rd.Reset(frame)
 		resp, err := client.Do(req)
@@ -197,12 +194,12 @@ func TestAllocBudgetExchange(t *testing.T) {
 	// The general entry point parses its URL and returns a payload the
 	// caller owns.
 	general := testing.AllocsPerRun(100, func() {
-		if _, err := DoJSONHeaders(client, http.MethodPost, "http://shard.test/api/v1/observations:batch", frame, wireHeader, RetryPolicy{}); err != nil {
+		if _, err := DoJSON(client, http.MethodPost, "http://shard.test/api/v1/observations:batch", frame, RetryPolicy{}); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if ours := general - clientDo; ours > 5 {
-		t.Errorf("DoJSONHeaders allocates %v times outside Client.Do (%v with it), budget 5", ours, general)
+		t.Errorf("DoJSON allocates %v times outside Client.Do (%v with it), budget 5", ours, general)
 	}
 }
 

@@ -197,7 +197,7 @@ func decide(t *testing.T, f form, hint string) decisions {
 		d.httpRetry = httpRetry(t, url)
 		d.uplink = uplinkHop(url, hint)
 		if err == nil {
-			_, err = transport.DoJSONHeaders(newClient(), http.MethodPost, url, []byte(`{}`), frameHeader, transport.RetryPolicy{})
+			_, err = transport.DoJSON(frameClient(), http.MethodPost, url, []byte(`{}`), transport.RetryPolicy{})
 		}
 	} else {
 		d.httpRetry, d.uplink = "n/a", "n/a"
@@ -276,16 +276,29 @@ func newClient() *http.Client {
 	return &http.Client{Transport: &http.Transport{}, Timeout: 100 * time.Millisecond}
 }
 
-// frameHeader posts as the frame door's clients do, which the 415 form
-// refuses.
-var frameHeader = http.Header{"Content-Type": {wire.ContentType}}
+// frameClient is newClient posting as the frame door's clients do, which
+// the 415 form refuses: each request goes out under the wire content
+// type.
+func frameClient() *http.Client {
+	c := newClient()
+	c.Transport = wireContentType{c.Transport}
+	return c
+}
+
+type wireContentType struct{ rt http.RoundTripper }
+
+func (w wireContentType) RoundTrip(req *http.Request) (*http.Response, error) {
+	req = req.Clone(req.Context())
+	req.Header.Set("Content-Type", wire.ContentType)
+	return w.rt.RoundTrip(req)
+}
 
 // httpRetry is what Target.Do does with the form: retry once it failed
 // (under a two-attempt policy), and after what wait.
 func httpRetry(t *testing.T, url string) string {
 	var waits []time.Duration
 	policy := transport.RetryPolicy{MaxAttempts: 2, Sleep: func(d time.Duration) { waits = append(waits, d) }}
-	if _, err := transport.DoJSONHeaders(newClient(), http.MethodPost, url, []byte(`{}`), frameHeader, policy); err == nil {
+	if _, err := transport.DoJSON(frameClient(), http.MethodPost, url, []byte(`{}`), policy); err == nil {
 		t.Fatal("the exchange succeeded")
 	}
 	if len(waits) == 0 {
@@ -475,7 +488,7 @@ func deviceStream(t *testing.T, err error, hint string) string {
 	if err := transport.EncodeReports(frame, []transport.Report{{Device: "d", AtSeconds: 1, Epoch: 1, Seq: 1}}); err != nil {
 		t.Fatal(err)
 	}
-	_, postErr := transport.DoJSONHeaders(newClient(), http.MethodPost, url+transport.BatchPath, []byte(`[]`), nil, transport.RetryPolicy{})
+	_, postErr := transport.DoJSON(newClient(), http.MethodPost, url+transport.BatchPath, []byte(`[]`), transport.RetryPolicy{})
 	st, serr := transport.NewStream(url, wire.UplinkPath, wire.UplinkProtocol, newClient())
 	if serr != nil {
 		t.Fatal(serr)

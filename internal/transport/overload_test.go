@@ -237,7 +237,7 @@ func TestNilClientPerAttemptDeadline(t *testing.T) {
 	// count against any attempt's 150ms deadline.
 	p := RetryPolicy{MaxAttempts: 4, BaseDelay: 100 * time.Millisecond, MaxDelay: 100 * time.Millisecond}
 	start := time.Now()
-	if _, err := DoJSONHeaders(nil, http.MethodPost, ts.URL+"/x", []byte(`{}`), nil, p); err != nil {
+	if _, err := DoJSON(nil, http.MethodPost, ts.URL+"/x", []byte(`{}`), p); err != nil {
 		t.Fatalf("post with nil client: %v", err)
 	}
 	mu.Lock()

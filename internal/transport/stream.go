@@ -18,7 +18,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"net/url"
 	"os"
@@ -67,15 +66,13 @@ func (s *streamConn) expire() {
 // roundTrip is one exchange. The reply body aliases s.in. ok reports
 // whether the stream may carry another exchange; a reply that arrived as
 // the deadline fired is still the reply, on a stream that is now closed.
-// A reply is not held to the request bound: an event history may pass
-// it, and a reply costs only the bytes that arrive.
 func (s *streamConn) roundTrip(kind byte, stamp uint64, frame []byte, timeout time.Duration) (status byte, body []byte, ok bool, err error) {
 	if s.timer != nil {
 		s.timer.Reset(timeout)
 	}
 	s.out = wire.AppendStreamRequest(s.out[:0], kind, stamp, frame)
 	if _, err = s.conn.Write(s.out); err == nil {
-		status, body, err = wire.ReadStreamReply(s.br, math.MaxInt32, &s.in)
+		status, body, err = wire.ReadStreamReply(s.br, &s.in)
 	}
 	ok = err == nil && (s.timer == nil || s.timer.Stop())
 	if err != nil && s.expired.Load() {

@@ -314,50 +314,42 @@ const (
 	HeaderLeaderHint = "X-Leader-Hint"
 )
 
-// DoJSONHeaders performs one exchange under the retry policy and the
-// caller's complete request header set (nil means plain JSON), and
-// returns the response payload. hdr is only read and may be shared
-// between calls. A nil client gets a 5-second deadline PER ATTEMPT (a
-// per-attempt request context, not http.Client.Timeout — the client
-// timeout would span every attempt and the backoff sleeps between them,
-// leaving the last attempt born dead). Callers with a fixed endpoint
-// prepare a Target once instead.
-func DoJSONHeaders(client *http.Client, method, rawURL string, body []byte, hdr http.Header, policy RetryPolicy) ([]byte, error) {
-	t, err := NewTarget(method, rawURL, hdr)
+// DoJSON performs one JSON exchange under the retry policy and returns
+// the response payload. A nil client gets a 5-second deadline PER
+// ATTEMPT (a per-attempt request context, not http.Client.Timeout — the
+// client timeout would span every attempt and the backoff sleeps between
+// them, leaving the last attempt born dead). Callers with a fixed
+// endpoint prepare a Target once instead.
+func DoJSON(client *http.Client, method, rawURL string, body []byte, policy RetryPolicy) ([]byte, error) {
+	t, err := NewTarget(method, rawURL)
 	if err != nil {
 		return nil, err
 	}
 	return t.Do(client, body, policy, nil)
 }
 
-// jsonHeader is the request header set of a plain JSON exchange.
+// jsonHeader is the request header set of every exchange: plain JSON.
 var jsonHeader = http.Header{"Content-Type": {"application/json"}}
 
-// Target is one prepared exchange endpoint: the method, the URL parsed
-// once, and the complete request header set built once — an uplink or a
-// shard client keeps one per endpoint it posts to, so an exchange
-// constructs nothing but its request. Read-only after NewTarget, and
-// safe for concurrent use: net/http reads a request's URL and header
-// values, it never writes to them (a client with a cookie jar would; no
-// caller installs one).
+// Target is one prepared JSON exchange endpoint: the method and the URL
+// parsed once — an uplink keeps one per endpoint it posts to, so an
+// exchange constructs nothing but its request. Read-only after
+// NewTarget, and safe for concurrent use: net/http reads a request's URL
+// and header values, it never writes to them (a client with a cookie
+// jar would; no caller installs one).
 type Target struct {
 	method string
 	url    *url.URL
-	hdr    http.Header
 }
 
-// NewTarget prepares an endpoint; nil hdr means plain JSON. A URL that
-// does not parse fails here, once, before any exchange could burn
-// backoff on it.
-func NewTarget(method, rawURL string, hdr http.Header) (Target, error) {
+// NewTarget prepares an endpoint. A URL that does not parse fails here,
+// once, before any exchange could burn backoff on it.
+func NewTarget(method, rawURL string) (Target, error) {
 	u, err := url.Parse(rawURL)
 	if err != nil {
 		return Target{}, fmt.Errorf("transport: request: %w", err)
 	}
-	if hdr == nil {
-		hdr = jsonHeader
-	}
-	return Target{method: method, url: u, hdr: hdr}, nil
+	return Target{method: method, url: u}, nil
 }
 
 // Do performs one exchange with the target under the retry policy and
@@ -482,7 +474,7 @@ func (a *attempt) rewind() (io.ReadCloser, error) {
 // attempt via the request context.
 func (t Target) doOnce(client *http.Client, body []byte, timeout time.Duration, dst *[]byte) ([]byte, error) {
 	a := &attempt{payload: body, req: http.Request{
-		Method: t.method, URL: t.url, Host: t.url.Host, Header: t.hdr,
+		Method: t.method, URL: t.url, Host: t.url.Host, Header: jsonHeader,
 		Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1,
 	}}
 	req := &a.req
@@ -540,7 +532,7 @@ func answered(resp *http.Response, body []byte) *Error {
 
 // GetJSON fetches url and returns the response payload under the policy.
 func GetJSON(client *http.Client, rawURL string, policy RetryPolicy) ([]byte, error) {
-	return DoJSONHeaders(client, http.MethodGet, rawURL, nil, nil, policy)
+	return DoJSON(client, http.MethodGet, rawURL, nil, policy)
 }
 
 // SendFunc adapts a function to the Uplink interface, used to wire the

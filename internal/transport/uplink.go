@@ -276,10 +276,10 @@ func (u *HTTPUplink) next(t *uplinkTarget, err error, hop int) (*uplinkTarget, e
 
 func (t *uplinkTarget) prepare(client *http.Client) error {
 	t.once.Do(func() {
-		if t.single, t.err = NewTarget(http.MethodPost, t.base+"/api/v1/observations", nil); t.err != nil {
+		if t.single, t.err = NewTarget(http.MethodPost, t.base+"/api/v1/observations"); t.err != nil {
 			return
 		}
-		if t.batch, t.err = NewTarget(http.MethodPost, t.base+BatchPath, nil); t.err != nil {
+		if t.batch, t.err = NewTarget(http.MethodPost, t.base+BatchPath); t.err != nil {
 			return
 		}
 		t.stream, t.err = NewStream(t.base, wire.UplinkPath, wire.UplinkProtocol, client)

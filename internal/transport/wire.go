@@ -95,7 +95,7 @@ func EncodeReports(b *wire.Batch, reports []Report) error {
 // fleet of concurrent device uplinks hammer the dialer; the ingest
 // fan-in is exactly the many-clients-one-host shape that cap punishes.
 // Per-attempt deadlines still come from the request context (see
-// DoJSONHeaders), so no Client.Timeout here.
+// DoJSON), so no Client.Timeout here.
 var pooledClient = &http.Client{Transport: &http.Transport{
 	MaxIdleConns:        1024,
 	MaxIdleConnsPerHost: 256,

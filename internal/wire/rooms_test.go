@@ -1,7 +1,9 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math/rand"
@@ -173,3 +175,23 @@ func TestReadBody(t *testing.T) {
 type zeros struct{}
 
 func (zeros) Read(p []byte) (int, error) { clear(p); return len(p), nil }
+
+// TestStreamReplyBound: a reply is held to the request bound. One that
+// announces a body past MaxBodyBytes — by one byte, or by the most a
+// length can say — is refused on the announcement, before any of it is
+// buffered.
+func TestStreamReplyBound(t *testing.T) {
+	for _, n := range []uint32{MaxBodyBytes + 2, 1<<32 - 1} {
+		var buf []byte
+		envelope := binary.LittleEndian.AppendUint32(nil, n)
+		if _, _, err := ReadStreamReply(bufio.NewReader(bytes.NewReader(append(envelope, StreamOK))), &buf); !errors.Is(err, ErrBadEnvelope) || cap(buf) != 0 {
+			t.Fatalf("a reply of %d bytes read as %v, buffering %d", n, err, cap(buf))
+		}
+	}
+	var buf []byte
+	reply := append(BeginStreamReply(nil, StreamOK), "ack"...)
+	EndStreamReply(reply)
+	if status, body, err := ReadStreamReply(bufio.NewReader(bytes.NewReader(reply)), &buf); err != nil || status != StreamOK || string(body) != "ack" {
+		t.Fatalf("a small reply read as (%d, %q, %v)", status, body, err)
+	}
+}

@@ -10,7 +10,8 @@
 // frame verbatim, acknowledged with the rooms of AppendRooms; every other
 // kind is one of a gateway's verbs on a shard, its body and reply in
 // forms package bms already writes (bms/stream.go, shardVerb). A rollup,
-// events or devices read carries no body.
+// events or devices read carries no body. Neither end takes a body past
+// MaxBodyBytes.
 //
 // Two legs ride the envelope, each on its own route and Upgrade token,
 // and the stamp means what that leg needs beside the body:
@@ -136,9 +137,10 @@ func EndStreamReply(dst []byte) {
 }
 
 // ReadStreamReply reads one reply envelope into *buf and returns its
-// status and body, a view of *buf the next call overwrites. A reply whose
-// body is longer than limit is refused before it is buffered.
-func ReadStreamReply(br *bufio.Reader, limit int, buf *[]byte) (status byte, body []byte, err error) {
+// status and body, a view of *buf the next call overwrites. A reply is
+// held to the request bound: a body past MaxBodyBytes is refused before
+// it is buffered.
+func ReadStreamReply(br *bufio.Reader, buf *[]byte) (status byte, body []byte, err error) {
 	head, err := readHead(br, 4)
 	if err != nil {
 		return 0, nil, err
@@ -147,8 +149,8 @@ func ReadStreamReply(br *bufio.Reader, limit int, buf *[]byte) (status byte, bod
 	switch {
 	case n == 0:
 		return 0, nil, fmt.Errorf("%w: reply without a status", ErrBadEnvelope)
-	case int64(n) > int64(limit)+1:
-		return 0, nil, fmt.Errorf("%w: reply of %d bytes, limit %d", ErrBadEnvelope, n-1, limit)
+	case n-1 > MaxBodyBytes:
+		return 0, nil, fmt.Errorf("%w: reply of %d bytes, limit %d", ErrBadEnvelope, n-1, MaxBodyBytes)
 	}
 	reply, err := readExact(br, int(n), buf)
 	if err != nil {
