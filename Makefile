@@ -35,7 +35,7 @@ test-cpus:
 # or CI — and green twice running before 18b's floors count as mended.
 STRESS_FILES = internal/bms/compact_test.go internal/bms/apply_test.go \
 	internal/fleet/hostile_test.go internal/fleet/stream_test.go \
-	internal/fleet/stream_parity_test.go \
+	internal/fleet/stream_parity_test.go internal/fleet/lostevict_test.go \
 	internal/fleet/failover_test.go internal/fleet/rollup_test.go \
 	internal/store/wal_compact_test.go cmd/bmsd/main_test.go
 stress:

@@ -97,9 +97,9 @@ func TestReplayEqualsLive(t *testing.T) {
 			}
 		case k < 11:
 			kind = "evict"
-			var st DeviceState
-			var ok bool
-			if st, ok, err = s.EvictDevice(stamp(), devices[rng.Intn(len(devices))]); ok {
+			device := devices[rng.Intn(len(devices))]
+			st, ok := s.ExportDevice(device)
+			if err = s.EvictDevice(stamp(), device); err == nil && ok {
 				evicted = append(evicted, st)
 			}
 		case k < 12:

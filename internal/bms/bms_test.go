@@ -32,11 +32,12 @@ func newTestServer(t testing.TB) (*Server, *building.Building) {
 	return s, b
 }
 
-// evict runs an unfenced eviction and fails the test on an error.
+// evict exports the device's state, then runs an unfenced eviction,
+// failing the test on an error: the state that left, as a move takes it.
 func evict(t testing.TB, s *Server, device string) (DeviceState, bool) {
 	t.Helper()
-	st, ok, err := s.EvictDevice(0, device)
-	if err != nil {
+	st, ok := s.ExportDevice(device)
+	if err := s.EvictDevice(0, device); err != nil {
 		t.Fatal(err)
 	}
 	return st, ok

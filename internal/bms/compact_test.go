@@ -676,8 +676,8 @@ func TestCutViewsSurviveIngestUnderRace(t *testing.T) {
 			if len(expired) == 1 {
 				sweeps.Add(1)
 			}
-			st, ok, err := s.EvictDevice(0, "mover")
-			if err != nil {
+			st, ok := s.ExportDevice("mover")
+			if err := s.EvictDevice(0, "mover"); err != nil {
 				t.Error(err)
 				return
 			}

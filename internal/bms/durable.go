@@ -447,9 +447,7 @@ func (s *Server) logApply(rec *walRecord) (applied, error) {
 
 // applied is what an apply hands a live caller; recovery drops it.
 type applied struct {
-	state   DeviceState // evict: the state that left
-	held    bool        // evict: whether the server held any
-	version int         // model: the version live after it
+	version int // model: the version live after it
 }
 
 // apply makes one cold record's change — the one place each kind
@@ -467,9 +465,8 @@ func (s *Server) apply(rec *walRecord) (out applied, err error) {
 		if rec.Device == "" {
 			return out, missing("device")
 		}
-		tr, ok := s.tracker.Evict(rec.Device)
-		epoch, seq := s.st.EvictDevice(rec.Device)
-		out.state, out.held = assembleDeviceState(rec.Device, tr, ok, epoch, seq)
+		s.tracker.Evict(rec.Device)
+		s.st.EvictDevice(rec.Device)
 	case recExpire:
 		// Tracker state and retained observations go; the ingest
 		// high-water mark stays (ExpireBefore says why).

@@ -203,7 +203,7 @@ func TestLogFailureIsNotTheClientsFault(t *testing.T) {
 		name string
 		verb func() error
 	}{
-		{"evict", func() error { _, _, err := remote.EvictDevice("resident"); return err }},
+		{"evict", func() error { return remote.EvictDevice("resident") }},
 		{"install", func() error { return remote.InstallDevice(newcomer) }},
 		{"expire", func() error { _, err := remote.ExpireBefore(1000 * time.Second); return err }},
 		{"model", func() error { return remote.InstallModel(model) }},

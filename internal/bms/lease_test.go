@@ -72,7 +72,7 @@ func TestFencedWritesRejectStaleEpoch(t *testing.T) {
 	if _, err := ingestFenced(s, 1, rep); !errors.Is(err, transport.ErrStaleLeader) {
 		t.Fatalf("stale ingest: err=%v", err)
 	}
-	if _, _, err := s.EvictDevice(1, "phone"); !errors.Is(err, transport.ErrStaleLeader) {
+	if err := s.EvictDevice(1, "phone"); !errors.Is(err, transport.ErrStaleLeader) {
 		t.Fatalf("stale evict: err=%v", err)
 	}
 	if err := s.InstallDevice(1, DeviceState{DeviceState: occupancy.DeviceState{Device: "phone"}, Epoch: 1, Seq: 1}); !errors.Is(err, transport.ErrStaleLeader) {

@@ -82,9 +82,6 @@ type Server struct {
 	// streams are the upgraded connections being served — gateways on
 	// the shard route, devices on the upload route; see stream.go.
 	streams StreamSet
-
-	// evicted answers retried evicts (evictMemo, stream.go).
-	evicted evictMemo
 }
 
 // NewServer builds a BMS for the given building. Until a model is
@@ -484,12 +481,13 @@ type DeviceState struct {
 	Seq   uint64 `json:"seq,omitempty"`
 }
 
-// assembleDeviceState combines a tracker slice (ok=false when the
-// tracker held nothing) with the store's high-water mark into the wire
-// state — the shared tail of ExportDevice and EvictDevice, so the
-// "known device" rule (tracker state OR a non-zero mark) cannot drift
-// between the read and the migrate paths.
-func assembleDeviceState(device string, tr occupancy.DeviceState, ok bool, epoch, seq uint64) (DeviceState, bool) {
+// ExportDevice copies the device's migratable state without removing
+// it: tracker state (committed room, pending debounce, dwell) and the
+// store's high-water mark. ok is false when the server holds neither —
+// a device is known by its tracker state or a non-zero mark.
+func (s *Server) ExportDevice(device string) (DeviceState, bool) {
+	tr, ok := s.tracker.Export(device)
+	epoch, seq := s.st.SeqMark(device)
 	if !ok && epoch == 0 && seq == 0 {
 		return DeviceState{}, false
 	}
@@ -499,27 +497,18 @@ func assembleDeviceState(device string, tr occupancy.DeviceState, ok bool, epoch
 	return DeviceState{DeviceState: tr, Epoch: epoch, Seq: seq}, true
 }
 
-// ExportDevice copies the device's migratable state without removing
-// it (ok=false when the server holds none).
-func (s *Server) ExportDevice(device string) (DeviceState, bool) {
-	tr, ok := s.tracker.Export(device)
-	epoch, seq := s.st.SeqMark(device)
-	return assembleDeviceState(device, tr, ok, epoch, seq)
-}
-
-// EvictDevice removes and returns the device's migratable state:
-// tracker state (committed room, pending debounce, dwell) and the
-// store's observations and high-water mark. After eviction the device
-// is absent from every occupancy view; its committed events remain,
-// as history. ok is false when the server held nothing. gwEpoch is the
-// gateway's leadership stamp (0 = unfenced, see admitEpoch): a deposed
-// gateway must not rip device state out of a shard mid-migration. The
-// eviction is logged whether or not the device is known — evicting an
-// unknown device replays as the same no-op it is live — and one the log
-// refuses leaves the device in place.
-func (s *Server) EvictDevice(gwEpoch uint64, device string) (DeviceState, bool, error) {
-	out, err := s.commit(gwEpoch, &walRecord{T: recEvict, Device: device})
-	return out.state, out.held, err
+// EvictDevice removes the device's migratable state — what ExportDevice
+// copies, and the store's observations — the last step of a move, once
+// the new owner holds the copy. After eviction the device is absent from
+// every occupancy view; its committed events remain, as history. gwEpoch
+// is the gateway's leadership stamp (0 = unfenced, see admitEpoch): a
+// deposed gateway must not rip device state out of a shard mid-migration.
+// The eviction is logged whether or not the device is known — evicting
+// an unknown device replays as the same no-op it is live, and a retried
+// evict is one — and one the log refuses leaves the device in place.
+func (s *Server) EvictDevice(gwEpoch uint64, device string) error {
+	_, err := s.commit(gwEpoch, &walRecord{T: recEvict, Device: device})
+	return err
 }
 
 // InstallDevice installs a migrated device's state behind the
@@ -770,9 +759,9 @@ func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleDeviceState answers the device's migratable state without
-// removing it — the read-only face of ExportDevice, for operators
-// inspecting what a migration would move (the migration itself uses
-// the evict/install pair).
+// removing it — ExportDevice over HTTP, for operators inspecting what a
+// migration would move (the migration itself exports on the shard
+// stream).
 func (s *Server) handleDeviceState(w http.ResponseWriter, r *http.Request) {
 	device := r.PathValue("device")
 	st, ok := s.ExportDevice(device)

@@ -181,14 +181,17 @@ func (s *Server) serveShardStream(conn io.Writer, br *bufio.Reader) {
 //	events   none; EventsReply JSON
 //	devices  none; the known devices as a rooms column (wire.AppendRooms)
 //	model    ModelSnapshot JSON; none
-//	evict    uvarint session, number and floor (evictMemo), device name;
-//	         DeviceState JSON, or none
+//	export   device name; DeviceState JSON, or none when nothing is held
+//	evict    device name; none
 //	install  DeviceState JSON; none
 //	expire   u64 cutoff, report-clock ns; the expired devices, as devices
 //	claim    uvarint epoch, claimant URL; uvarint grant, holder URL
 //
 // Evict, install and expire are fenced by the envelope's epoch; the rest
-// are not. A body that does not read is a rejection.
+// are not. A body that does not read is a rejection. A move is export,
+// install on the new owner, then evict, each safe to retry on its own: an
+// export changes nothing, an install overwrites, and an evict answers
+// nothing, so its retry finds nothing held and is the same empty ok.
 func (s *Server) shardVerb(kind byte, epoch uint64, body, dst []byte) ([]byte, error) {
 	rd := wire.Reader{Buf: body}
 	switch kind {
@@ -203,19 +206,19 @@ func (s *Server) shardVerb(kind byte, epoch uint64, body, dst []byte) ([]byte, e
 		}
 		_, err := s.InstallModel(snap)
 		return dst, err
+	case wire.StreamExport:
+		if len(body) == 0 {
+			return dst, errors.New("bms: export without device")
+		}
+		if st, held := s.ExportDevice(string(body)); held {
+			return appendJSON(dst, st)
+		}
+		return dst, nil
 	case wire.StreamEvict:
-		key, floor := evictKey{session: rd.Uvarint(), id: rd.Uvarint()}, rd.Uvarint()
-		if key.device = string(rd.Buf); rd.Short || key.device == "" {
+		if len(body) == 0 {
 			return dst, errors.New("bms: evict without device")
 		}
-		if err := s.admitEpoch(epoch); err != nil {
-			return dst, err
-		}
-		st, held, err := s.evicted.do(key, epoch, floor, func() (DeviceState, bool, error) { return s.EvictDevice(epoch, key.device) })
-		if err != nil || !held {
-			return dst, err
-		}
-		return appendJSON(dst, st)
+		return dst, s.EvictDevice(epoch, string(body))
 	case wire.StreamInstall:
 		var st DeviceState
 		if err := json.Unmarshal(body, &st); err != nil {
@@ -242,71 +245,6 @@ func (s *Server) shardVerb(kind byte, epoch uint64, body, dst []byte) ([]byte, e
 func appendJSON(dst []byte, v any) ([]byte, error) {
 	b, err := json.Marshal(v)
 	return append(dst, b...), err
-}
-
-// evictMemo answers retried evicts. An evict names its client's session,
-// its number there and the session's floor: the least number whose
-// exchange the client has not finished, so none below it is resent. An
-// answer lives until the floor passes it — an evict still open at the
-// client keeps those sent after it, for as long as its retry policy lets
-// it run — or until a newer leadership epoch fences its own, past which
-// no retry of it is admitted; a client that died unfenced leaves its
-// answers from its floor up. Nothing of it is logged: a restarted shard
-// answers a retry "nothing held", and the new owner rebuilds from the
-// reports.
-type evictMemo struct {
-	mu      sync.Mutex
-	answers map[evictKey]*evictAnswer
-}
-
-type evictKey struct {
-	session, id uint64
-	device      string
-}
-
-// evictAnswer is one evict's outcome, set before done closes.
-type evictAnswer struct {
-	epoch uint64
-	done  chan struct{}
-	state DeviceState
-	held  bool
-	err   error
-}
-
-// do answers the evict key names, admitted under epoch, with evict's
-// outcome, running evict once while the answer lives: a retry answers
-// what the first attempt answered, waiting for it if it still commits;
-// the retry of a first attempt that failed evicts anew.
-func (m *evictMemo) do(key evictKey, epoch, floor uint64, evict func() (DeviceState, bool, error)) (DeviceState, bool, error) {
-	m.mu.Lock()
-	for {
-		for k, a := range m.answers {
-			if k.session == key.session && k.id < floor || a.epoch != 0 && a.epoch < epoch {
-				delete(m.answers, k)
-			}
-		}
-		a, ok := m.answers[key]
-		if !ok {
-			break
-		}
-		m.mu.Unlock()
-		if <-a.done; a.err == nil {
-			return a.state, a.held, nil
-		}
-		m.mu.Lock()
-		if m.answers[key] == a {
-			delete(m.answers, key)
-		}
-	}
-	if m.answers == nil {
-		m.answers = map[evictKey]*evictAnswer{}
-	}
-	a := &evictAnswer{epoch: epoch, done: make(chan struct{})}
-	m.answers[key] = a
-	m.mu.Unlock() // not held across the log's commit
-	a.state, a.held, a.err = evict()
-	close(a.done)
-	return a.state, a.held, a.err
 }
 
 // serveUplinkStream serves a device: each frame through the face's

@@ -61,9 +61,6 @@ func FuzzShardStream(f *testing.F) {
 	request := func(kind byte, epoch uint64, body []byte) []byte {
 		return wire.AppendStreamRequest(bytes.Clone(good), kind, epoch, body)
 	}
-	evict := func(session, id, floor uint64, device string) []byte {
-		return append(binary.AppendUvarint(binary.AppendUvarint(binary.AppendUvarint(nil, session), id), floor), device...)
-	}
 	claim := func(epoch uint64, leader string) []byte { return append(binary.AppendUvarint(nil, epoch), leader...) }
 	trainServer(f, trainer, b)
 	snap, _ := trainer.ModelSnapshot()
@@ -76,26 +73,25 @@ func FuzzShardStream(f *testing.F) {
 	f.Add(wire.AppendStreamRequest(nil, wire.StreamDevices, 0, []byte{0}))                           // devices with a body
 	f.Add(wire.AppendStreamRequest(request(wire.StreamModel, 0, model), wire.StreamFrame, 0, later)) // a model, then a frame it classifies
 	f.Add(request(wire.StreamModel, 0, []byte("{")))
-	f.Add(wire.AppendStreamRequest(request(wire.StreamEvict, 0, evict(7, 1, 1, "phone-1")), wire.StreamEvict, 0, evict(7, 1, 1, "phone-1"))) // an evict and its retry
-	f.Add(wire.AppendStreamRequest(request(wire.StreamEvict, 0, evict(7, 1, 1, "phone-1")), wire.StreamEvict, 0, evict(7, 2, 2, "phone-1"))) // an evict, then another
-	f.Add(wire.AppendStreamRequest(wire.AppendStreamRequest(request(wire.StreamEvict, 0, evict(7, 1, 1, "phone-1")),                         // a retry the floor let go
-		wire.StreamEvict, 0, evict(7, 2, 2, "phone-2")), wire.StreamEvict, 0, evict(7, 1, 1, "phone-1")))
-	f.Add(wire.AppendStreamRequest(wire.AppendStreamRequest(request(wire.StreamEvict, 0, evict(7, 1, 1, "phone-1")), // a retry the floor kept
-		wire.StreamEvict, 0, evict(7, 2, 1, "phone-2")), wire.StreamEvict, 0, evict(7, 1, 1, "phone-1")))
-	f.Add(wire.AppendStreamRequest(request(wire.StreamEvict, 0, evict(7, 1, 1, "phone-1")), wire.StreamEvict, 0, evict(8, 1, 1, "phone-1"))) // another session's number
-	f.Add(request(wire.StreamEvict, 0, evict(7, 1, 1, "nobody")))                                                                            // an evict of nothing held
-	f.Add(request(wire.StreamEvict, 0, evict(7, 1, 1, "")))                                                                                  // an evict without a device
-	f.Add(request(wire.StreamEvict, 0, binary.AppendUvarint(nil, 7)))                                                                        // an evict without its number
+	f.Add(wire.AppendStreamRequest(request(wire.StreamEvict, 0, []byte("phone-1")), wire.StreamEvict, 0, []byte("phone-1"))) // an evict and its retry
+	moved := wire.AppendStreamRequest(request(wire.StreamExport, 0, []byte("phone-1")), wire.StreamEvict, 0, []byte("phone-1"))
+	f.Add(wire.AppendStreamRequest(moved, wire.StreamExport, 0, []byte("phone-1")))                                            // a move's export and evict, then an export of what left
+	f.Add(request(wire.StreamExport, 0, []byte("phone-1")))                                                                    // an export of a held device
+	f.Add(wire.AppendStreamRequest(request(wire.StreamExport, 0, []byte("phone-1")), wire.StreamExport, 0, []byte("phone-1"))) // an export and its retry
+	f.Add(request(wire.StreamExport, 0, []byte("nobody")))                                                                     // an export of an unknown device
+	f.Add(request(wire.StreamExport, 0, nil))                                                                                  // an export without a device
+	f.Add(request(wire.StreamEvict, 0, []byte("nobody")))                                                                      // an evict of nothing held
+	f.Add(request(wire.StreamEvict, 0, nil))                                                                                   // an evict without a device
 	f.Add(wire.AppendStreamRequest(request(wire.StreamInstall, 0, state), wire.StreamDevices, 0, nil))
 	f.Add(request(wire.StreamInstall, 0, []byte(`{"device":""}`)))
 	f.Add(request(wire.StreamExpire, 0, cutoff))
 	f.Add(request(wire.StreamExpire, 0, cutoff[:7]))
 	f.Add(wire.AppendStreamRequest(request(wire.StreamClaim, 0, claim(3, "http://gw-a")), wire.StreamClaim, 0, claim(2, "http://gw-b")))
-	f.Add(wire.AppendStreamRequest(request(wire.StreamClaim, 0, claim(3, "http://gw-a")), wire.StreamEvict, 2, evict(7, 1, 1, "phone-1")))   // a stale stamp
-	f.Add(wire.AppendStreamRequest(request(wire.StreamClaim, 0, claim(3, "http://gw-a")), wire.StreamExpire, 2, cutoff))                     // a stale stamp
-	f.Add(wire.AppendStreamRequest(request(wire.StreamClaim, 0, claim(3, "http://gw-a")), wire.StreamInstall, 2, state))                     // a stale stamp
-	f.Add(wire.AppendStreamRequest(request(wire.StreamEvict, 4, evict(7, 1, 1, "phone-1")), wire.StreamEvict, 3, evict(7, 1, 1, "phone-1"))) // a retry past the fence
-	f.Add(wire.AppendStreamRequest(request(wire.StreamEvict, 4, evict(7, 1, 1, "phone-1")), wire.StreamEvict, 5, evict(8, 1, 1, "phone-2"))) // a newer epoch fences the first
+	f.Add(wire.AppendStreamRequest(request(wire.StreamClaim, 0, claim(3, "http://gw-a")), wire.StreamEvict, 2, []byte("phone-1")))  // a stale stamp
+	f.Add(wire.AppendStreamRequest(request(wire.StreamClaim, 0, claim(3, "http://gw-a")), wire.StreamExport, 2, []byte("phone-1"))) // unfenced
+	f.Add(wire.AppendStreamRequest(request(wire.StreamClaim, 0, claim(3, "http://gw-a")), wire.StreamExpire, 2, cutoff))            // a stale stamp
+	f.Add(wire.AppendStreamRequest(request(wire.StreamClaim, 0, claim(3, "http://gw-a")), wire.StreamInstall, 2, state))            // a stale stamp
+	f.Add(wire.AppendStreamRequest(request(wire.StreamEvict, 4, []byte("phone-1")), wire.StreamEvict, 3, []byte("phone-1")))        // a retry past the fence
 	f.Add(request(wire.StreamClaim, 0, []byte{0x80}))
 	f.Add(request(wire.StreamClaim, 0, claim(0, "http://gw-a")))
 	f.Add(good)
@@ -107,7 +103,7 @@ func FuzzShardStream(f *testing.F) {
 	f.Add(append(append(bytes.Clone(read), good...), read...))                              // a read on each side of a frame
 	f.Add(wire.AppendStreamRequest(read, wire.StreamRollup, 7, nil))                        // a stamped read
 	f.Add(append([]byte{wire.StreamRollup}, good[1:]...))                                   // a read with a body
-	f.Add(append([]byte{wire.StreamClaim + 1}, good[1:]...))                                // an unknown kind
+	f.Add(append([]byte{wire.StreamExport + 1}, good[1:]...))                               // an unknown kind
 	f.Add(append(bytes.Clone(read), append([]byte{0}, read[1:]...)...))                     // a read, then kind 0
 	f.Add(binary.LittleEndian.AppendUint32([]byte{wire.StreamFrame}, wire.MaxBodyBytes+1))  // over the limit
 	f.Add(binary.LittleEndian.AppendUint32([]byte{wire.StreamRollup}, wire.MaxBodyBytes+1)) // a read over the limit
@@ -120,7 +116,6 @@ func FuzzShardStream(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, _ := newTestServer(t)
 		twin, _ := newTestServer(t)
-		var oracle coldOracle
 		var out bytes.Buffer
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -163,7 +158,7 @@ func FuzzShardStream(f *testing.F) {
 				}
 				continue
 			}
-			want, err := oracle.answer(twin, kind, epoch, frame)
+			want, err := coldOracle(twin, kind, epoch, frame)
 			wantStatus := byte(wire.StreamOK)
 			switch {
 			case err == nil:
@@ -185,19 +180,9 @@ func FuzzShardStream(f *testing.F) {
 	})
 }
 
-// coldOracle answers a gateway's cold verbs through the in-process doors
-// of a twin server, the reply body each answer should come back as. It
-// keeps each numbered evict's answer for as long as the stream promises
-// a retry of it: until its session's floor passes it, or a newer epoch
-// fences it.
-type coldOracle struct{ evicted map[evictKey]oracleEvict }
-
-type oracleEvict struct {
-	epoch uint64
-	reply []byte
-}
-
-func (o *coldOracle) answer(twin *Server, kind byte, epoch uint64, body []byte) ([]byte, error) {
+// coldOracle answers a gateway's cold verb through the in-process doors
+// of a twin server, the reply body the answer should come back as.
+func coldOracle(twin *Server, kind byte, epoch uint64, body []byte) ([]byte, error) {
 	rd := wire.Reader{Buf: body}
 	switch kind {
 	case wire.StreamEvents:
@@ -211,36 +196,19 @@ func (o *coldOracle) answer(twin *Server, kind byte, epoch uint64, body []byte) 
 		}
 		_, err := twin.InstallModel(snap)
 		return nil, err
-	case wire.StreamEvict:
-		key, floor := evictKey{session: rd.Uvarint(), id: rd.Uvarint()}, rd.Uvarint()
-		if rd.Short || len(rd.Buf) == 0 {
+	case wire.StreamExport:
+		if len(body) == 0 {
 			return nil, errors.New("no device")
 		}
-		if err := twin.admitEpoch(epoch); err != nil {
-			return nil, err
+		if st, held := twin.ExportDevice(string(body)); held {
+			return json.Marshal(st)
 		}
-		key.device = string(rd.Buf)
-		for k, a := range o.evicted {
-			if k.session == key.session && k.id < floor || a.epoch != 0 && a.epoch < epoch {
-				delete(o.evicted, k)
-			}
+		return nil, nil
+	case wire.StreamEvict:
+		if len(body) == 0 {
+			return nil, errors.New("no device")
 		}
-		if a, ok := o.evicted[key]; ok {
-			return a.reply, nil
-		}
-		st, held, err := twin.EvictDevice(epoch, key.device)
-		var reply []byte
-		if err == nil && held {
-			reply, err = json.Marshal(st)
-		}
-		if err != nil {
-			return nil, err
-		}
-		if o.evicted == nil {
-			o.evicted = map[evictKey]oracleEvict{}
-		}
-		o.evicted[key] = oracleEvict{epoch, reply}
-		return reply, nil
+		return nil, twin.EvictDevice(epoch, string(body))
 	case wire.StreamInstall:
 		var st DeviceState
 		if err := json.Unmarshal(body, &st); err != nil {

@@ -12,23 +12,23 @@ import (
 )
 
 // hookShard wraps a shard with gates on the calls the fenced-handover
-// protocol must order: a migration's EvictDevice and an in-flight
-// IngestFrame can each be held open so the test can assert what is —
-// and is not — allowed to proceed meanwhile.
+// protocol must order: a migration's ExportDevice (a move's first call)
+// and an in-flight IngestFrame can each be held open so the test can
+// assert what is — and is not — allowed to proceed meanwhile.
 type hookShard struct {
 	fleet.Shard
-	evictEntered chan string
-	evictGate    chan struct{}
-	batchEntered chan int
-	batchGate    chan struct{}
+	exportEntered chan string
+	exportGate    chan struct{}
+	batchEntered  chan int
+	batchGate     chan struct{}
 }
 
-func (h *hookShard) EvictDevice(dev string) (bms.DeviceState, bool, error) {
-	if h.evictEntered != nil {
-		h.evictEntered <- dev
-		<-h.evictGate
+func (h *hookShard) ExportDevice(dev string) (bms.DeviceState, bool, error) {
+	if h.exportEntered != nil {
+		h.exportEntered <- dev
+		<-h.exportGate
 	}
-	return h.Shard.EvictDevice(dev)
+	return h.Shard.ExportDevice(dev)
 }
 
 func (h *hookShard) IngestFrame(frame []byte, reports int) ([]string, error) {
@@ -129,7 +129,7 @@ func await(t *testing.T, what string, ch <-chan struct{}) {
 
 // TestFenceBlocksIngestDuringMove pins the first half of the fenced
 // handover: while a device's state is mid-migration (the old owner's
-// evict held open), a new report for that device must wait on the
+// export held open), a new report for that device must wait on the
 // fence — under the unfenced protocol it would race to the new owner
 // and be overwritten by the later install. After the fence lifts, the
 // report lands on the new owner and the federated views stay
@@ -145,10 +145,10 @@ func TestFenceBlocksIngestDuringMove(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	evictEntered := make(chan string, 1)
-	evictGate := make(chan struct{})
+	exportEntered := make(chan string, 1)
+	exportGate := make(chan struct{})
 	for _, h := range f.hooks {
-		h.evictEntered, h.evictGate = evictEntered, evictGate
+		h.exportEntered, h.exportGate = exportEntered, exportGate
 	}
 
 	markDone := make(chan struct{})
@@ -157,12 +157,12 @@ func TestFenceBlocksIngestDuringMove(t *testing.T) {
 		close(markDone)
 	}()
 	select {
-	case got := <-evictEntered:
+	case got := <-exportEntered:
 		if got != dev {
-			t.Errorf("migration evicting %q, expected %q", got, dev)
+			t.Errorf("migration exporting %q, expected %q", got, dev)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("migration never reached the old owner's evict")
+		t.Fatal("migration never reached the old owner's export")
 	}
 
 	// The move is open: an ingest for the moving device must be fenced.
@@ -179,7 +179,7 @@ func TestFenceBlocksIngestDuringMove(t *testing.T) {
 	case <-time.After(100 * time.Millisecond):
 	}
 
-	close(evictGate)
+	close(exportGate)
 	await(t, "migration", markDone)
 	await(t, "fenced ingest", ingestDone)
 	if _, err := f.ref.Ingest(seqReport(f.b, dev, 30, 4)); err != nil {
@@ -193,7 +193,7 @@ func TestFenceBlocksIngestDuringMove(t *testing.T) {
 	// on the shard that committed them — the federation is only complete
 	// with every event-holding shard healthy), then pin byte-equality.
 	for _, h := range f.hooks {
-		h.evictEntered, h.evictGate = nil, nil
+		h.exportEntered, h.exportGate = nil, nil
 	}
 	f.gw.MarkUp(owner)
 	f.assertMatchesReference(t)
@@ -202,8 +202,8 @@ func TestFenceBlocksIngestDuringMove(t *testing.T) {
 // TestFenceDrainsInFlightDelivery pins the second half: a delivery
 // already in flight to the old owner when the routing flips must be
 // drained to completion before the state moves — under the unfenced
-// protocol its report would land between eviction's two halves and rot
-// as residue on the old owner.
+// protocol its report would land between the move's export and its evict
+// and be lost with the old owner's state.
 func TestFenceDrainsInFlightDelivery(t *testing.T) {
 	f := newFenceFixture(t)
 	const dev = "mover"

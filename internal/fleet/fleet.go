@@ -1107,12 +1107,15 @@ func (g *Gateway) drainMoves(moves []move) {
 	g.devMu.Unlock()
 }
 
-// migrate executes the evict→install pairs. Each device's pair stays
-// sequential (the mark must leave before it lands), but devices move
+// migrate moves each device as export → install → evict: the old owner's
+// state is copied, installed on the new owner, then deleted from the old.
+// Each step is safe to retry on its own, so no step needs an answer
+// remembered. A device's steps stay sequential, but devices move
 // concurrently under a bounded pool: a remote-shard rebalance costs
 // O(moves/width × RTT), not one round trip per device in sequence.
-// Devices are disjoint and ingest for each is fenced, so the
-// concurrent execution is deterministic in effect.
+// Devices are disjoint and ingest for each is fenced and drained, so
+// nothing writes a device's state between its export and its evict, and
+// the concurrent execution is deterministic in effect.
 func (g *Gateway) migrate(moves []move) {
 	width := migrateConcurrency
 	if width > len(moves) {
@@ -1125,14 +1128,17 @@ func (g *Gateway) migrate(moves []move) {
 		go func() {
 			defer wg.Done()
 			for m := range next {
-				st, ok, err := g.shards[m.from].EvictDevice(m.dev)
+				from := g.shards[m.from]
+				st, ok, err := from.ExportDevice(m.dev)
 				if err != nil || !ok {
 					continue // nothing to hand over; the new owner rebuilds
 				}
 				// A failed install drops the state too — the new owner
 				// then rebuilds from the stream, the same degraded path
-				// as an unreachable old owner.
+				// as an unreachable old owner — but the evict still runs,
+				// so the old owner keeps no residue.
 				_ = g.shards[m.to].InstallDevice(st)
+				_ = from.EvictDevice(m.dev)
 			}
 		}()
 	}
@@ -1156,8 +1162,7 @@ func (g *Gateway) resume(moves []move) {
 	g.mu.Unlock()
 }
 
-// migrateConcurrency bounds the parallel evict/install pairs one
-// rebalance runs at a time.
+// migrateConcurrency bounds the devices one rebalance moves at a time.
 const migrateConcurrency = 16
 
 // RebuildRegistry repopulates the gateway's device registry — the names

@@ -5,9 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math/rand/v2"
 	"net/http"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -31,14 +29,6 @@ type HTTPShard struct {
 	// epoch is the leadership stamp (Shard.StampEpoch) of the fenced
 	// exchanges: frames, evicts, installs, sweeps.
 	epoch atomic.Uint64
-	// evicts numbers this client's evicts in a session drawn at random
-	// and keeps, in order, the numbers whose exchange has not finished:
-	// the first is the floor each evict sends (bms evictMemo).
-	evicts struct {
-		sync.Mutex
-		session, last uint64
-		open          []uint64
-	}
 
 	// streams carries every exchange to the shard.
 	streams *transport.Stream
@@ -60,9 +50,7 @@ func NewHTTPShard(baseURL string, client *http.Client, retry transport.RetryPoli
 	if err != nil {
 		return nil, fmt.Errorf("fleet: http shard: %w", err)
 	}
-	h := &HTTPShard{base: baseURL, client: client, retry: retry, streams: streams, rooms: wire.Interner{}}
-	h.evicts.session = rand.Uint64()
-	return h, nil
+	return &HTTPShard{base: baseURL, client: client, retry: retry, streams: streams, rooms: wire.Interner{}}, nil
 }
 
 // Name implements Shard: the base URL is the stable ring identity.
@@ -152,26 +140,12 @@ func (h *HTTPShard) Summary() (sum occupancy.Summary, err error) {
 	return sum, err
 }
 
-// EvictDevice implements Shard under the leadership stamp. An empty
-// reply — the shard holds no state for the device — is (zero, false,
-// nil): nothing to migrate. A retry resends the evict's number, so if
-// the first reply was lost, or the first attempt timed out while the
-// shard committed, the retry is answered with the state that left, and
-// it still migrates.
-func (h *HTTPShard) EvictDevice(device string) (st bms.DeviceState, held bool, err error) {
-	e := &h.evicts
-	e.Lock()
-	e.last++
-	id := e.last
-	e.open = append(e.open, id)
-	body := binary.AppendUvarint(binary.AppendUvarint(binary.AppendUvarint(nil, e.session), id), e.open[0])
-	e.Unlock()
-	defer func() {
-		e.Lock()
-		e.open = slices.DeleteFunc(e.open, func(o uint64) bool { return o == id })
-		e.Unlock()
-	}()
-	err = h.exchange(wire.StreamEvict, h.epoch.Load(), append(body, device...), func(reply []byte) error {
+// ExportDevice implements Shard with one unfenced export: the shard's
+// DeviceState JSON, or an empty reply — the shard holds no state for the
+// device — as (zero, false, nil). It changes nothing, so a retry reads
+// the same state.
+func (h *HTTPShard) ExportDevice(device string) (st bms.DeviceState, held bool, err error) {
+	err = h.exchange(wire.StreamExport, 0, []byte(device), func(reply []byte) error {
 		if held = len(reply) > 0; !held {
 			return nil
 		}
@@ -181,6 +155,19 @@ func (h *HTTPShard) EvictDevice(device string) (st bms.DeviceState, held bool, e
 		return bms.DeviceState{}, false, err
 	}
 	return st, held, nil
+}
+
+// EvictDevice implements Shard under the leadership stamp. The ok reply
+// is empty, so a retry — the first reply lost, or the first attempt
+// timed out while the shard committed — finds nothing held and answers
+// the same.
+func (h *HTTPShard) EvictDevice(device string) error {
+	return h.exchange(wire.StreamEvict, h.epoch.Load(), []byte(device), func(reply []byte) error {
+		if len(reply) > 0 {
+			return fmt.Errorf("evict answered a %d-byte body", len(reply))
+		}
+		return nil
+	})
 }
 
 // InstallDevice implements Shard under the leadership stamp. Installing

@@ -167,9 +167,10 @@ func TestHTTPFleetShardFailureReroutes(t *testing.T) {
 }
 
 // TestHTTPShardDeviceMigration drives the migration surface over real
-// HTTP: evict from one remote shard, install on another, expire by
-// TTL — with the 404 of an unknown device mapped to (no state, no
-// error), which is what the gateway's rebalance expects.
+// HTTP: export from one remote shard, evict it there, install on
+// another, expire by TTL — with the empty export of an unknown device
+// read as (no state, no error), which is what the gateway's rebalance
+// expects.
 func TestHTTPShardDeviceMigration(t *testing.T) {
 	b := building.PaperHouse()
 	srcSrv := newServer(t, b)
@@ -187,8 +188,11 @@ func TestHTTPShardDeviceMigration(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, ok, err := src.EvictDevice("ghost"); err != nil || ok {
-		t.Fatalf("evict of unknown device = (ok=%v, err=%v), want (false, nil)", ok, err)
+	if _, ok, err := src.ExportDevice("ghost"); err != nil || ok {
+		t.Fatalf("export of unknown device = (ok=%v, err=%v), want (false, nil)", ok, err)
+	}
+	if err := src.EvictDevice("ghost"); err != nil {
+		t.Fatalf("evict of unknown device: %v", err)
 	}
 
 	stream := synthStream(b, 1, 6, 17)
@@ -197,12 +201,15 @@ func TestHTTPShardDeviceMigration(t *testing.T) {
 		t.Fatal(err)
 	}
 	device := stream[0].Device
-	st, ok, err := src.EvictDevice(device)
+	st, ok, err := src.ExportDevice(device)
 	if err != nil || !ok {
-		t.Fatalf("evict = (ok=%v, err=%v)", ok, err)
+		t.Fatalf("export = (ok=%v, err=%v)", ok, err)
 	}
 	if st.Device != device || st.Seq != uint64(len(stream)) || st.Epoch != 2 {
-		t.Fatalf("evicted state = %+v", st)
+		t.Fatalf("exported state = %+v", st)
+	}
+	if err := src.EvictDevice(device); err != nil {
+		t.Fatal(err)
 	}
 	if sum, err := src.Summary(); err != nil || len(sum.Devices) != 0 {
 		t.Fatalf("source still tracks %v (err %v)", sum.Devices, err)

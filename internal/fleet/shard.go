@@ -43,13 +43,18 @@ type Shard interface {
 	// sized by its current state, not its history. The gateway renders
 	// occupancy, dwell and the rollup from the merge of these.
 	Summary() (occupancy.Summary, error)
-	// EvictDevice removes and returns the shard's migratable state for
-	// the device (ok=false when the shard holds none) — the sending
-	// half of rebalance state migration.
-	EvictDevice(device string) (st bms.DeviceState, ok bool, err error)
+	// ExportDevice copies the shard's migratable state for the device
+	// without removing it (ok=false when the shard holds none) — the
+	// first step of a rebalance move.
+	ExportDevice(device string) (st bms.DeviceState, ok bool, err error)
 	// InstallDevice installs a migrated device's state, overwriting any
-	// stale copy the shard holds.
+	// stale copy the shard holds — a move's second step, on the new
+	// owner.
 	InstallDevice(bms.DeviceState) error
+	// EvictDevice removes the shard's migratable state for the device —
+	// a move's last step, once the new owner holds the copy. Evicting a
+	// device the shard does not hold is a no-op, so a retry is one.
+	EvictDevice(device string) error
 	// ExpireBefore evicts devices last observed before cutoff (on the
 	// reports' own clock) and returns their names — the TTL sweep.
 	ExpireBefore(cutoff time.Duration) ([]string, error)
@@ -117,8 +122,14 @@ func (l *LocalShard) Events() ([]occupancy.Event, error) { return l.srv.Events()
 // Summary implements Shard.
 func (l *LocalShard) Summary() (occupancy.Summary, error) { return l.srv.Summary(), nil }
 
+// ExportDevice implements Shard.
+func (l *LocalShard) ExportDevice(device string) (bms.DeviceState, bool, error) {
+	st, ok := l.srv.ExportDevice(device)
+	return st, ok, nil
+}
+
 // EvictDevice implements Shard.
-func (l *LocalShard) EvictDevice(device string) (bms.DeviceState, bool, error) {
+func (l *LocalShard) EvictDevice(device string) error {
 	return l.srv.EvictDevice(l.epoch.Load(), device)
 }
 

@@ -66,11 +66,11 @@ func streamReply(status byte, body []byte) []byte {
 // bytes where reply envelopes belong, to each verb the gateway sends on
 // the stream (the i-th nibble of plan picks call i's verb: a frame, a
 // summary read, an events read, a registry read, a model, an evict, an
-// install, an expiry or a lease claim). No verb may panic, allocate from
-// an announced length, hand back a frame's rooms other than exactly the
-// rooms asked for, or fail with an error the gateway does not know how
-// to classify; and none may reuse a stream whose bytes it could not read
-// as a reply — the next exchange dials.
+// install, an expiry, a lease claim or an export). No verb may panic,
+// allocate from an announced length, hand back a frame's rooms other
+// than exactly the rooms asked for, or fail with an error the gateway
+// does not know how to classify; and none may reuse a stream whose bytes
+// it could not read as a reply — the next exchange dials.
 func FuzzShardStream(f *testing.F) {
 	const reports = 11
 	stay := make([]string, reports)
@@ -88,6 +88,7 @@ func FuzzShardStream(f *testing.F) {
 		install
 		expire
 		claim
+		export
 		verbs
 	)
 	first := func(verb int) uint32 { return uint32(verb) }
@@ -134,8 +135,10 @@ func FuzzShardStream(f *testing.F) {
 		{events, history},
 		{devices, names},
 		{expire, names},
-		{evict, state},
-		{evict, nil}, // nothing held
+		{export, state},
+		{export, nil}, // nothing held
+		{evict, nil},
+		{evict, state}, // a body an evict does not answer
 		{claim, grant},
 		{model, nil},
 		{install, nil},
@@ -182,8 +185,10 @@ func FuzzShardStream(f *testing.F) {
 				_, err = hs.Devices()
 			case model:
 				err = hs.InstallModel(snap)
+			case export:
+				_, _, err = hs.ExportDevice("d1")
 			case evict:
-				_, _, err = hs.EvictDevice("d1")
+				err = hs.EvictDevice("d1")
 			case install:
 				err = hs.InstallDevice(bms.DeviceState{DeviceState: occupancy.DeviceState{Device: "d1"}})
 			case expire:

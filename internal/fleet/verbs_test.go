@@ -80,15 +80,24 @@ func TestShardVerbsAnswerAsInProcess(t *testing.T) {
 	}
 
 	for _, s := range shards {
-		st, ok, err := s.EvictDevice("nobody")
+		st, ok, err := s.ExportDevice("nobody")
 		if err != nil || ok || !reflect.DeepEqual(st, bms.DeviceState{}) {
-			t.Fatalf("evict of an unknown device through %T: (%+v, %v, %v), want (zero, false, nil)", s, st, ok, err)
+			t.Fatalf("export of an unknown device through %T: (%+v, %v, %v), want (zero, false, nil)", s, st, ok, err)
+		}
+		if err := s.EvictDevice("nobody"); err != nil {
+			t.Fatalf("evict of an unknown device through %T: %v", s, err)
 		}
 	}
-	same("evict/install round trip", func(s fleet.Shard) (any, error) {
-		st, ok, err := s.EvictDevice("crowd-004")
+	same("export/evict/install round trip", func(s fleet.Shard) (any, error) {
+		st, ok, err := s.ExportDevice("crowd-004")
 		if err != nil || !ok {
-			return nil, errors.Join(err, errors.New("nothing evicted"))
+			return nil, errors.Join(err, errors.New("nothing exported"))
+		}
+		if err := s.EvictDevice("crowd-004"); err != nil {
+			return nil, err
+		}
+		if _, held, err := s.ExportDevice("crowd-004"); err != nil || held {
+			return nil, errors.Join(err, errors.New("the evicted device still exports"))
 		}
 		return st, s.InstallDevice(st)
 	})
@@ -117,11 +126,13 @@ func TestShardVerbsAnswerAsInProcess(t *testing.T) {
 
 	for _, s := range shards {
 		s.StampEpoch(1)
-		_, _, evictErr := s.EvictDevice("crowd-000")
+		if _, ok, err := s.ExportDevice("crowd-000"); err != nil || !ok {
+			t.Fatalf("export stamped below the grant through %T: (%v, %v), want the state: an export is unfenced", s, ok, err)
+		}
 		_, expireErr := s.ExpireBefore(2 * time.Hour)
 		_, ingestErr := ingestFrame(t, s, tail)
 		for what, err := range map[string]error{
-			"evict":   evictErr,
+			"evict":   s.EvictDevice("crowd-000"),
 			"install": s.InstallDevice(bms.DeviceState{DeviceState: occupancy.DeviceState{Device: "crowd-000"}}),
 			"expire":  expireErr,
 			"ingest":  ingestErr,
@@ -138,7 +149,8 @@ func TestShardVerbsAnswerAsInProcess(t *testing.T) {
 // TestMalformedControlReplyIsMisbehaviour: an ok reply on the shard
 // stream that does not decode is the shard's protocol fault on every verb
 // that decodes one — ErrShardMisbehaved, 502 at the HTTP face — never a
-// plain error; so is a status the stream does not know.
+// plain error; so is a body on an evict, whose ok reply is empty, and a
+// status the stream does not know.
 func TestMalformedControlReplyIsMisbehaviour(t *testing.T) {
 	rows := []struct {
 		name   string
@@ -151,7 +163,8 @@ func TestMalformedControlReplyIsMisbehaviour(t *testing.T) {
 			func(h *fleet.HTTPShard) error { _, err := h.Events(); return err }},
 		{"devices", streamReply(wire.StreamOK, []byte("{")), func(h *fleet.HTTPShard) error { _, err := h.Devices(); return err }},
 		{"expire", streamReply(wire.StreamOK, []byte("{")), func(h *fleet.HTTPShard) error { _, err := h.ExpireBefore(time.Second); return err }},
-		{"evict", streamReply(wire.StreamOK, []byte("{")), func(h *fleet.HTTPShard) error { _, _, err := h.EvictDevice("d"); return err }},
+		{"export", streamReply(wire.StreamOK, []byte("{")), func(h *fleet.HTTPShard) error { _, _, err := h.ExportDevice("d"); return err }},
+		{"evict", streamReply(wire.StreamOK, []byte("{")), func(h *fleet.HTTPShard) error { return h.EvictDevice("d") }},
 		{"claim", streamReply(wire.StreamOK, []byte{0x80}), func(h *fleet.HTTPShard) error { _, _, err := h.Claim(1, "gw"); return err }},
 		{"summary", streamReply(wire.StreamOK, []byte("{")), func(h *fleet.HTTPShard) error { _, err := h.Summary(); return err }},
 		{"summary of unknown status", streamReply(9, []byte("{}")), func(h *fleet.HTTPShard) error { _, err := h.Summary(); return err }},

@@ -16,10 +16,11 @@
 // Two legs ride the envelope, each on its own route and Upgrade token,
 // and the stamp means what that leg needs beside the body:
 //
-//	gateway → shard   GET StreamPath, "Upgrade: occusim-shard/3": the
+//	gateway → shard   GET StreamPath, "Upgrade: occusim-shard/4": the
 //	                  sending gateway's leadership epoch on a frame, an
 //	                  evict, an install and an expiry (0: unfenced); 0 on
-//	                  every other kind, which the shard does not fence
+//	                  every other kind — the reads, the export, the model
+//	                  and the claim —, which the shard does not fence
 //	device → BMS      GET UplinkPath, "Upgrade: occusim-uplink/1": frames
 //	                  only, stamped with the ring digest the frame's
 //	                  sections were cut under, as the hex of ring.Digest
@@ -46,7 +47,7 @@ const (
 	// StreamPath is the route a shard upgrades on, and StreamProtocol the
 	// Upgrade token both ends of the gateway → shard leg must name.
 	StreamPath     = "/api/v1/shard:stream"
-	StreamProtocol = "occusim-shard/3"
+	StreamProtocol = "occusim-shard/4"
 	// UplinkPath is the route a box or a gateway upgrades a device on, and
 	// UplinkProtocol the Upgrade token of the device → BMS leg.
 	UplinkPath     = "/api/v1/observations:stream"
@@ -56,7 +57,7 @@ const (
 // The request kinds, the byte that leads every request envelope.
 const (
 	StreamFrame, StreamRollup, StreamEvents, StreamDevices, StreamModel byte = 0x01, 0x02, 0x03, 0x04, 0x05
-	StreamEvict, StreamInstall, StreamExpire, StreamClaim               byte = 0x06, 0x07, 0x08, 0x09
+	StreamEvict, StreamInstall, StreamExpire, StreamClaim, StreamExport byte = 0x06, 0x07, 0x08, 0x09, 0x0a
 )
 
 // Reply statuses. What the HTTP door said with a status code and headers,
@@ -108,7 +109,7 @@ func ReadStreamRequest(br *bufio.Reader, buf *[]byte) (kind byte, stamp uint64, 
 	}
 	kind, n := head[0], binary.LittleEndian.Uint32(head[1:])
 	switch {
-	case kind < StreamFrame || kind > StreamClaim:
+	case kind < StreamFrame || kind > StreamExport:
 		return 0, 0, nil, fmt.Errorf("%w: request kind 0x%02x", ErrBadEnvelope, kind)
 	case n > MaxBodyBytes:
 		return 0, 0, nil, ErrBodyTooLarge
