@@ -15,10 +15,10 @@
 //
 // The face of one in-process shard is its own API. Anything else — -shards
 // above 1, -shard-urls, -self — is served by a fleet gateway (-skew-window,
-// -breaker-threshold, -breaker-cooldown, -residue-ttl): device reports are
-// consistent-hash routed by device id, reads answer from the federated
-// merge, and over in-process shards training runs on shard 0's store and
-// each fitted model is distributed to every shard.
+// -residue-ttl): device reports are consistent-hash routed by device id,
+// reads answer from the federated merge, and over in-process shards
+// training runs on shard 0's store and each fitted model is distributed to
+// every shard.
 //
 // The lease (-self, with -peer, -standby, -lease-ttl) makes the gateway one
 // of an active/standby pair with no coordinator beyond the shards:
@@ -131,8 +131,7 @@ type options struct {
 	// Remote shards, from -shard-urls.
 	urls []string
 
-	residueTTL, skewWindow, breakerCooldown time.Duration
-	breakerTrips                            int
+	residueTTL, skewWindow time.Duration
 
 	self, peer string
 	standby    bool
@@ -164,8 +163,6 @@ func parseFlags(args []string, stderr io.Writer) (*options, error) {
 	fs.IntVar(&o.admission.MaxQueue, "admit-queue", 0, "ingest admission queue beyond -admit-inflight; excess is shed with 429 + Retry-After (0: twice -admit-inflight)")
 	fs.DurationVar(&o.admission.RetryAfter, "retry-after", time.Second, "Retry-After hint advertised on shed ingest requests")
 	fs.DurationVar(&o.skewWindow, "skew-window", 0, "gateway: tolerated device clock skew; reports further out are re-anchored per device (0 disables)")
-	fs.IntVar(&o.breakerTrips, "breaker-threshold", 0, "gateway: consecutive shard infrastructure failures that trip its circuit breaker (0 disables)")
-	fs.DurationVar(&o.breakerCooldown, "breaker-cooldown", 5*time.Second, "gateway: open-circuit cooldown before a half-open probe")
 	fs.StringVar(&shardURLs, "shard-urls", "", "comma-separated base URLs of running bmsd shards: serve a gateway over them instead of in-process shards")
 	fs.StringVar(&o.self, "self", "", "lease: this gateway's advertised URL (the leader hint); makes it one of an active/standby pair")
 	fs.StringVar(&o.peer, "peer", "", "lease: the partner gateway's URL (probed by a standby)")
@@ -200,7 +197,7 @@ func (o *options) check(set map[string]bool) (err error) {
 	}{
 		{len(o.urls) > 0, "plan shards debounce retain data-dir fsync", "in-process shards, and -shard-urls replaces them"},
 		{o.dataDir == "", "fsync", "the write-ahead log, which needs -data-dir"},
-		{!o.gateway(), "skew-window breaker-threshold breaker-cooldown residue-ttl", "the fleet gateway, which needs -shards above 1, -shard-urls or -self"},
+		{!o.gateway(), "skew-window residue-ttl", "the fleet gateway, which needs -shards above 1, -shard-urls or -self"},
 		{o.self == "", "peer standby lease-ttl", "the leadership lease, which needs -self"},
 		{o.self != "", "residue-ttl", "the residue sweep, which -self leaves to whichever gateway leads"},
 	} {
@@ -295,11 +292,9 @@ func face(o *options, shards []fleet.Shard, pool *fleet.LocalPool) (handler http
 	// ProbeInterval keeps external health polling from fanning a probe
 	// per shard per request (and from flapping routing).
 	cfg := fleet.Config{
-		ProbeInterval:    2 * time.Second,
-		Admission:        o.admission,
-		SkewWindow:       o.skewWindow,
-		BreakerThreshold: o.breakerTrips,
-		BreakerCooldown:  o.breakerCooldown,
+		ProbeInterval: 2 * time.Second,
+		Admission:     o.admission,
+		SkewWindow:    o.skewWindow,
 	}
 	if o.self == "" {
 		cfg.ResidueTTL = o.residueTTL

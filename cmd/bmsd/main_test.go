@@ -353,17 +353,18 @@ func TestEveryAssemblyServes(t *testing.T) {
 }
 
 // TestFlagsAreToldNotIgnored: a flag set for an object the invocation
-// does not build exits 2 naming that flag and the one that decides; the
-// invocations cmd/loadgen spawns are accepted.
+// does not build exits 2 naming that flag and the one that decides, a
+// flag bmsd no longer has exits 2 naming it; the invocations cmd/loadgen
+// spawns are accepted.
 func TestFlagsAreToldNotIgnored(t *testing.T) {
 	for _, tc := range []struct {
 		args  string
 		names []string
 	}{
 		{"-skew-window 1s", []string{"-skew-window", "-shards"}},
-		{"-shards 1 -breaker-threshold 3", []string{"-breaker-threshold", "-shard-urls"}},
-		{"-breaker-cooldown 1s", []string{"-breaker-cooldown", "-self"}},
-		{"-residue-ttl 1m", []string{"-residue-ttl", "-shards"}},
+		{"-shards 1 -skew-window 3s", []string{"-skew-window", "-shard-urls"}},
+		{"-residue-ttl 1m", []string{"-residue-ttl", "-shards", "-self"}},
+		{"-shards 4 -breaker-threshold 3", []string{"-breaker-threshold"}},
 		{"-shard-urls http://s1 -plan campus", []string{"-plan", "-shard-urls"}},
 		{"-shard-urls http://s1 -shards 2", []string{"-shards", "-shard-urls"}},
 		{"-shard-urls http://s1 -debounce 3", []string{"-debounce", "-shard-urls"}},
@@ -390,7 +391,7 @@ func TestFlagsAreToldNotIgnored(t *testing.T) {
 		// cmd/loadgen's shard and gateway procs (rig.go openProcs, openPair).
 		"-addr 127.0.0.1:0 -plan paper-house -shards 1 -debounce 2 -retain 1000 -data-dir d -fsync batch",
 		"-addr 127.0.0.1:0 -shard-urls http://s1,http://s2,http://s3 -self http://gw1 -peer http://gw2 -lease-ttl 900ms -standby",
-		"-shards 4 -skew-window 1h -breaker-threshold 3 -breaker-cooldown 1s -residue-ttl 1m",
+		"-shards 4 -skew-window 1h -residue-ttl 1m",
 		"-shard-urls http://s1 -residue-ttl 1m",
 		"-shards 2 -self http://gw1 -peer http://gw2",
 	} {

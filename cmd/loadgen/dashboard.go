@@ -242,7 +242,7 @@ func shedRate(prev, cur obs.Snapshot) (shed, admitted float64) {
 
 // print renders the whole dashboard: one line per phase (deltas
 // against the previous mark), the cumulative stage-p99 row, lease and
-// breaker transition totals, and the flight recorder's tail.
+// fencing totals, and the flight recorder's tail.
 func (d *dashboard) print(w io.Writer) {
 	d.mu.Lock()
 	phases := append([]dashPhase(nil), d.phases...)
@@ -280,7 +280,6 @@ func (d *dashboard) print(w io.Writer) {
 			{"bms_lease_claims_total", "lease claims"},
 			{"bms_lease_rejects_total", "lease rejects"},
 			{"bms_lease_stale_writes_total", "fenced writes"},
-			{"fleet_breaker_trips_total", "breaker trips"},
 			{"wal_torn_tail_repairs_total", "WAL repairs"},
 			{"transport_retries_total", "client retries"},
 			{"transport_leader_redirects_total", "leader redirects"},

@@ -74,15 +74,6 @@ type Config struct {
 	// ResidueTTL sweep or the federated timeline (see skewTracker). 0
 	// trusts device clocks, the historical behaviour.
 	SkewWindow time.Duration
-	// BreakerThreshold arms a per-shard circuit breaker on the ingest
-	// dispatch path: after that many CONSECUTIVE infrastructure
-	// failures (timeouts, connection errors, 5xx — never 4xx/429) the
-	// shard's circuit opens and deliveries to it fail fast with
-	// ErrShardTripped until BreakerCooldown (default 5s) elapses, then
-	// one half-open probe decides re-close vs re-open. Distinct from
-	// MarkDown: the breaker never reassigns keys. 0 disables.
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
 }
 
 // ErrNoHealthyShards is returned when every shard is down — the
@@ -150,12 +141,10 @@ type Gateway struct {
 	lastStatuses []ShardStatus
 
 	// gate bounds concurrent ingest admissions (nil admits all); skew
-	// re-anchors hostile device clocks (nil trusts them); breakers hold
-	// one circuit per shard on the dispatch path (nil disables). All
-	// three are fixed at New and internally synchronized.
-	gate     *overload.Gate
-	skew     *skewTracker
-	breakers []*breaker
+	// re-anchors hostile device clocks (nil trusts them). Both are fixed
+	// at New and internally synchronized.
+	gate *overload.Gate
+	skew *skewTracker
 
 	// gwEpoch is the leadership epoch stamped on every shard write; see
 	// SetEpoch. Zero (the default) writes unfenced.
@@ -220,12 +209,6 @@ func New(shards []Shard, cfg Config) (*Gateway, error) {
 	if cfg.SkewWindow > 0 {
 		g.skew = newSkewTracker(cfg.SkewWindow)
 	}
-	if cfg.BreakerThreshold > 0 {
-		g.breakers = make([]*breaker, len(shards))
-		for i := range g.breakers {
-			g.breakers[i] = newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown)
-		}
-	}
 	r, err := ring.New(names, ring.DefaultReplicas)
 	if err != nil {
 		// ring.New only rejects duplicate/empty names; keep the fleet-
@@ -264,30 +247,19 @@ func (g *Gateway) ownerWith(down []bool, h uint64) (int, error) {
 	return idx, nil
 }
 
-// RingInfo is the routing table a pre-splitting device needs: the
-// inputs of the ring function plus their canonical digest. Served on
-// GET /api/v1/ring (see http.go); a device that splits against this
-// view stamps the digest on its upload and the gateway forwards the
-// pre-split sections only while the digest still matches its own.
-type RingInfo struct {
-	Digest   string   `json:"digest"`
-	Replicas int      `json:"replicas"`
-	Shards   []string `json:"shards"`
-	Down     []bool   `json:"down"`
-}
-
-// RingInfo snapshots the current routing inputs and digest. A gateway
-// correcting skew must see every timestamp before it routes, so it
-// publishes no digest: a device then sends plain frames instead of paying
-// to cut sections forward would refuse.
-func (g *Gateway) RingInfo() RingInfo {
+// RingInfo snapshots the current routing inputs and digest, served on
+// GET /api/v1/ring (see face.go). A gateway correcting skew must see
+// every timestamp before it routes, so it publishes no digest: a device
+// then sends plain frames instead of paying to cut sections forward
+// would refuse.
+func (g *Gateway) RingInfo() transport.RingInfo {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
 	digest := g.digest
 	if g.skew != nil {
 		digest = ""
 	}
-	return RingInfo{
+	return transport.RingInfo{
 		Digest:   digest,
 		Replicas: g.ring.Replicas(),
 		Shards:   g.ring.Names(),
@@ -394,13 +366,10 @@ type delivery struct {
 	err    error
 }
 
-// deliver sends one shard its frame and checks the answer: breaker
-// allow → timed send → breaker observe → rooms-length check → note.
+// deliver sends one shard its frame and checks the answer: timed send
+// → rooms-length check → note.
 func (g *Gateway) deliver(d *delivery) {
 	shard := g.shards[d.idx]
-	if d.err = g.breakerAllow(d.idx); d.err != nil {
-		return
-	}
 	gm := g.met
 	var sendStart time.Time
 	if gm != nil {
@@ -410,7 +379,6 @@ func (g *Gateway) deliver(d *delivery) {
 	if gm != nil {
 		gm.sendLatency[d.idx].Since(sendStart)
 	}
-	g.breakerObserve(d.idx, err)
 	if err != nil {
 		d.err = fmt.Errorf("fleet: shard %s: %w", shard.Name(), err)
 		return
@@ -471,9 +439,8 @@ func (g *Gateway) Ingest(r transport.Report) (string, error) {
 // into input order. The whole batch is validated before any shard hears
 // of it and routed against one consistent view of shard health. With
 // Admission configured the call may shed (an overload error the HTTP
-// face maps to 429 + Retry-After); with a breaker armed and an owner's
-// circuit open it fails fast with ErrShardTripped. reports is not
-// retained or written to.
+// face maps to 429 + Retry-After). reports is not retained or written
+// to.
 func (g *Gateway) IngestBatch(reports []transport.Report) ([]string, error) {
 	if len(reports) == 0 {
 		return nil, nil
@@ -821,25 +788,14 @@ func (g *Gateway) Occupancy() (bms.OccupancySnapshot, error) {
 }
 
 // Events merges the healthy shards' committed enter/exit streams into
-// the fleet-wide event log, time-canonical exactly as occupancy.Sharded
-// merges its stripes: nondecreasing time, ties broken by device name,
-// one device's same-instant exit/enter pair keeping its in-shard order.
+// the fleet-wide event log, in the order occupancy.Sharded merges its
+// stripes (occupancy.MergeEvents).
 func (g *Gateway) Events() ([]occupancy.Event, error) {
 	streams, err := federate(g, viewEvents, Shard.Events)
 	if err != nil {
 		return nil, err
 	}
-	var all []occupancy.Event
-	for _, evs := range streams {
-		all = append(all, evs...)
-	}
-	sort.SliceStable(all, func(i, j int) bool {
-		if all[i].At != all[j].At {
-			return all[i].At < all[j].At
-		}
-		return all[i].Device < all[j].Device
-	})
-	return all, nil
+	return occupancy.MergeEvents(streams...), nil
 }
 
 // DwellTotals is the building-level per-room dwell.
@@ -864,29 +820,14 @@ type ShardStatus struct {
 	Routed int64 `json:"routed"`
 	// Err is the last health-check failure ("" when healthy).
 	Err string `json:"err,omitempty"`
-	// Breaker is the shard's circuit state ("closed", "open",
-	// "half-open"); empty when no breaker is armed. Trips counts how
-	// often the circuit has opened.
-	Breaker string `json:"breaker,omitempty"`
-	Trips   uint64 `json:"trips,omitempty"`
 }
 
-// status is shard i's ShardStatus under the down flag: its routed count,
-// its circuit when a breaker is armed and, from a probe, its failure.
+// status is shard i's ShardStatus under the down flag: its routed count
+// and, from a probe, its failure.
 func (g *Gateway) status(i int, down bool, err error) ShardStatus {
 	st := ShardStatus{Name: g.shards[i].Name(), Down: down, Routed: g.routed[i].Load()}
 	if err != nil {
 		st.Err = err.Error()
-	}
-	if g.breakers != nil {
-		state, trips := g.breakers[i].snapshot()
-		st.Breaker, st.Trips = "closed", trips
-		switch state {
-		case breakerOpen:
-			st.Breaker = "open"
-		case breakerHalfOpen:
-			st.Breaker = "half-open"
-		}
 	}
 	return st
 }

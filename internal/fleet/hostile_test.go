@@ -152,21 +152,19 @@ func TestGatewayAdmissionSheds429(t *testing.T) {
 	}
 }
 
-// TestGatewayBreakerTripsAndRecovers: consecutive shard failures open
-// the circuit (fail-fast without touching the shard), the cooldown
-// half-opens it, a successful probe closes it, and ingest resumes with
-// zero lost accepted reports.
-func TestGatewayBreakerTripsAndRecovers(t *testing.T) {
+// TestGatewayFailingShardAndRecovery: the gateway has one dispatch path.
+// Consecutive uploads to a failing shard each reach it — nothing fails
+// fast — and each fails with the shard's own class, which the HTTP face
+// answers (502 for an unreachable shard). Once the shard recovers, the
+// same stamped batch lands with no accepted report lost.
+func TestGatewayFailingShardAndRecovery(t *testing.T) {
 	b := building.PaperHouse()
 	pool, err := fleet.OpenLocalPool(b, 1, 2, 100, "", store.FsyncBatch)
 	if err != nil {
 		t.Fatal(err)
 	}
 	faulty := &faultyShard{Shard: pool.Shards[0]}
-	gw, err := fleet.New([]fleet.Shard{faulty}, fleet.Config{
-		BreakerThreshold: 3,
-		BreakerCooldown:  50 * time.Millisecond,
-	})
+	gw, err := fleet.New([]fleet.Shard{faulty}, fleet.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,25 +179,18 @@ func TestGatewayBreakerTripsAndRecovers(t *testing.T) {
 	}
 
 	faulty.setBroken(true)
-	for i := 0; i < 3; i++ {
-		if _, err := gw.IngestBatch(stream); err == nil {
+	for i := 1; i <= 3; i++ {
+		_, err := gw.IngestBatch(stream)
+		if err == nil {
 			t.Fatalf("broken shard ingest %d should fail", i)
-		} else if errors.Is(err, fleet.ErrShardTripped) {
-			t.Fatalf("ingest %d tripped before the threshold", i)
+		}
+		if v := transport.Classify(err); v.Class != transport.Unreachable {
+			t.Fatalf("ingest %d: %v classified %+v, want the shard's own unreachable", i, err, v)
+		}
+		if calls := faulty.ingestCalls(); calls != i {
+			t.Fatalf("ingest %d: the shard was asked %d times, want %d — a delivery failed without reaching it", i, calls, i)
 		}
 	}
-	calls := faulty.ingestCalls()
-	if calls != 3 {
-		t.Fatalf("vacuous: the broken shard was asked %d times in 3 ingests — the failures are not the double's", calls)
-	}
-	// Circuit open: fails fast, shard untouched.
-	if _, err := gw.IngestBatch(stream); !errors.Is(err, fleet.ErrShardTripped) {
-		t.Fatalf("post-threshold err = %v, want ErrShardTripped", err)
-	}
-	if faulty.ingestCalls() != calls {
-		t.Fatal("open circuit still delivered to the shard")
-	}
-	// The HTTP face maps a tripped circuit to 503.
 	ts := httptest.NewServer(fleet.Handler(gw, fleet.HandlerOptions{}))
 	defer ts.Close()
 	resp, err := http.Post(ts.URL+"/api/v1/observations:batch", "application/json", bytes.NewReader(mustJSON(t, stream)))
@@ -207,24 +198,16 @@ func TestGatewayBreakerTripsAndRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("tripped status = %d, want 503", resp.StatusCode)
+	if resp.StatusCode != http.StatusBadGateway {
+		t.Fatalf("failing shard answered %d at the face, want 502", resp.StatusCode)
 	}
-	// Statuses expose the circuit.
-	sts := gw.Statuses()
-	if sts[0].Breaker != "open" || sts[0].Trips != 1 {
-		t.Fatalf("status breaker = %q trips = %d, want open/1", sts[0].Breaker, sts[0].Trips)
+	if calls := faulty.ingestCalls(); calls != 4 {
+		t.Fatalf("the face's upload reached the shard %d times in all, want 4", calls)
 	}
 
-	// Shard recovers; after the cooldown one probe closes the circuit
-	// and the same sequenced batch finally lands.
 	faulty.setBroken(false)
-	time.Sleep(60 * time.Millisecond)
 	if _, err := gw.IngestBatch(stream); err != nil {
-		t.Fatalf("half-open probe ingest: %v", err)
-	}
-	if sts := gw.Statuses(); sts[0].Breaker != "closed" {
-		t.Fatalf("breaker after recovery = %q, want closed", sts[0].Breaker)
+		t.Fatalf("ingest after recovery: %v", err)
 	}
 	snap, err := gw.Occupancy()
 	if err != nil {

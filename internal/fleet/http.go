@@ -92,13 +92,23 @@ func (h *HTTPShard) exchange(kind byte, stamp uint64, body []byte, ack func([]by
 	return err
 }
 
-// exchangeJSON is one exchange of kind whose body is v's JSON.
+// exchangeJSON is one exchange of kind whose body is v's JSON and whose
+// ok reply is empty.
 func (h *HTTPShard) exchangeJSON(kind byte, stamp uint64, v any) error {
 	body, err := json.Marshal(v)
 	if err != nil {
 		return fmt.Errorf("fleet: marshal request kind 0x%02x: %w", kind, err)
 	}
-	return h.exchange(kind, stamp, body, nil)
+	return h.exchange(kind, stamp, body, emptyReply)
+}
+
+// emptyReply is the ack of a verb whose ok reply carries nothing: a body
+// is out of protocol.
+func emptyReply(reply []byte) error {
+	if len(reply) > 0 {
+		return fmt.Errorf("ok reply carries a %d-byte body, want none", len(reply))
+	}
+	return nil
 }
 
 // jsonReply is an ack that decodes an ok reply's JSON into v.
@@ -162,12 +172,7 @@ func (h *HTTPShard) ExportDevice(device string) (st bms.DeviceState, held bool, 
 // timed out while the shard committed — finds nothing held and answers
 // the same.
 func (h *HTTPShard) EvictDevice(device string) error {
-	return h.exchange(wire.StreamEvict, h.epoch.Load(), []byte(device), func(reply []byte) error {
-		if len(reply) > 0 {
-			return fmt.Errorf("evict answered a %d-byte body", len(reply))
-		}
-		return nil
-	})
+	return h.exchange(wire.StreamEvict, h.epoch.Load(), []byte(device), emptyReply)
 }
 
 // InstallDevice implements Shard under the leadership stamp. Installing

@@ -8,12 +8,12 @@
 // device encoded are the bytes the shard decodes. Everything the
 // gateway normally guarantees is preserved: admission control, the
 // migration fence pause, device registration for rebalance and TTL
-// sweeps, per-shard breakers and telemetry, and the misbehaving-shard
-// rooms check. A stale digest (routing flipped since the device
-// fetched the ring), or a section that is not its shard's share by the
-// gateway's own ring, rejects with ErrPresplitMismatch and the HTTP face
-// falls back to decode + the server-side split — correctness never
-// depends on the device's freshness or honesty.
+// sweeps, telemetry, and the misbehaving-shard rooms check. A stale
+// digest (routing flipped since the device fetched the ring), or a
+// section that is not its shard's share by the gateway's own ring,
+// rejects with ErrPresplitMismatch and the HTTP face falls back to
+// decode + the server-side split — correctness never depends on the
+// device's freshness or honesty.
 package fleet
 
 import (
@@ -161,7 +161,7 @@ func (sc *uploadScratch) cut(b *wire.Batch, shards int) {
 // IngestPresplit forwards a device-split upload, one frame per shard,
 // without decoding the beacon payloads. Returns the rooms per section
 // (section order, report order within). Admission, fences, device
-// registration, breakers and telemetry behave exactly as IngestBatch.
+// registration and telemetry behave exactly as IngestBatch.
 func (g *Gateway) IngestPresplit(digest string, sections []PresplitSection) ([][]string, error) {
 	sc := getUploadScratch()
 	defer sc.release()

@@ -20,11 +20,10 @@ import (
 )
 
 // legOutcome is everything the gateway derives from a shard delivery
-// error: the status its face answers, whether the breaker counts it, and
-// the headers that steer the client.
+// error: the status its face answers and the headers that steer the
+// client.
 type legOutcome struct {
 	status                              int
-	breaker                             bool
 	retryAfter, leaderEpoch, leaderHint string
 }
 
@@ -32,7 +31,7 @@ func outcomeOf(err error) legOutcome {
 	rec := httptest.NewRecorder()
 	bms.WriteFailure(rec, err)
 	return legOutcome{
-		status: rec.Code, breaker: breakerCounts(err),
+		status:      rec.Code,
 		retryAfter:  rec.Header().Get("Retry-After"),
 		leaderEpoch: rec.Header().Get(transport.HeaderLeaderEpoch),
 		leaderHint:  rec.Header().Get(transport.HeaderLeaderHint),
@@ -42,13 +41,13 @@ func outcomeOf(err error) legOutcome {
 // TestStreamOutcomesClassifyAsThePostDid drives one shard over the
 // stream into each way a delivery can fail, and requires the gateway to
 // draw from it the conclusions it drew from the JSON POST the leg made
-// until PR 19: status at its own face, breaker verdict, Retry-After and
-// the leader headers. The POST is gone, so the expected column is the
-// table it produced on PR 19's parent, written out. A refused upgrade
-// never had a POST twin; it is held to what PR 15 fixed for a 415 (a
-// fault: 502, breaker failure). Where a failure has an in-process twin —
-// a rejection, a stale stamp, a shed — a LocalShard over the same server
-// is driven into it too, and must draw the same conclusions.
+// before the stream: status at its own face, Retry-After and the leader
+// headers. The POST is gone, so the expected column is the table it
+// produced, written out. A refused upgrade never had a POST twin; it is
+// held to what a refused 415 gets (a fault: 502). Where a failure has an
+// in-process twin — a rejection, a stale stamp, a shed — a LocalShard
+// over the same server is driven into it too, and must draw the same
+// conclusions.
 func TestStreamOutcomesClassifyAsThePostDid(t *testing.T) {
 	b := building.PaperHouse()
 	st, err := store.New(200)
@@ -148,7 +147,7 @@ func TestStreamOutcomesClassifyAsThePostDid(t *testing.T) {
 		if _, err = fresh.IngestFrame(frame(t, report("d2")), 1); err == nil {
 			t.Fatal("the delivery succeeded")
 		}
-		if got, want := outcomeOf(err), (legOutcome{status: http.StatusBadGateway, breaker: true}); got != want {
+		if got, want := outcomeOf(err), (legOutcome{status: http.StatusBadGateway}); got != want {
 			t.Errorf("%+v, want %+v (%v)", got, want, err)
 		}
 	})
@@ -206,6 +205,6 @@ func TestStreamOutcomesClassifyAsThePostDid(t *testing.T) {
 	t.Run("shard down", func(t *testing.T) {
 		ts.Close()
 		srv.Close() // the test server does not own upgraded connections; the shard hangs them up
-		fails(t, []Shard{hs}, report("d3"), 1, nil, legOutcome{status: http.StatusBadGateway, breaker: true})
+		fails(t, []Shard{hs}, report("d3"), 1, nil, legOutcome{status: http.StatusBadGateway})
 	})
 }

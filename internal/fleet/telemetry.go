@@ -1,9 +1,9 @@
 // Gateway telemetry: per-shard send latency, batch split/reassembly
-// timing, migration and breaker activity, and the leadership epoch —
-// the fleet-side half of the flight-recorder story (the shards record
-// their own grants and fences in internal/bms). Routed counts, breaker
-// trips and gate occupancy are func-backed: the gateway already keeps
-// them, so scrapes read them and the dispatch path stays untouched.
+// timing, migration activity, and the leadership epoch — the fleet-side
+// half of the flight-recorder story (the shards record their own grants
+// and fences in internal/bms). Routed counts and gate occupancy are
+// func-backed: the gateway already keeps them, so scrapes read them and
+// the dispatch path stays untouched.
 package fleet
 
 import (
@@ -82,23 +82,6 @@ func (g *Gateway) Instrument(m *obs.Metrics) {
 		m.CounterFunc("fleet_routed_total", "reports delivered to the shard", func() float64 {
 			return float64(g.routed[i].Load())
 		}, obs.L("shard", name))
-		if g.breakers != nil {
-			m.CounterFunc("fleet_breaker_trips_total", "times the shard's circuit opened", func() float64 {
-				_, trips := g.breakers[i].snapshot()
-				return float64(trips)
-			}, obs.L("shard", name))
-			m.GaugeFunc("fleet_breaker_state", "shard circuit state: 0 closed, 1 half-open, 2 open", func() float64 {
-				state, _ := g.breakers[i].snapshot()
-				switch state {
-				case breakerOpen:
-					return 2
-				case breakerHalfOpen:
-					return 1
-				default:
-					return 0
-				}
-			}, obs.L("shard", name))
-		}
 	}
 	m.GaugeFunc("fleet_epoch", "gateway leadership epoch stamped on shard writes (0 = unfenced)", func() float64 {
 		return float64(g.Epoch())

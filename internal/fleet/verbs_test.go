@@ -149,8 +149,9 @@ func TestShardVerbsAnswerAsInProcess(t *testing.T) {
 // TestMalformedControlReplyIsMisbehaviour: an ok reply on the shard
 // stream that does not decode is the shard's protocol fault on every verb
 // that decodes one — ErrShardMisbehaved, 502 at the HTTP face — never a
-// plain error; so is a body on an evict, whose ok reply is empty, and a
-// status the stream does not know.
+// plain error; so is a body on an evict, a device install or a model
+// install, whose ok replies are empty, and a status the stream does not
+// know.
 func TestMalformedControlReplyIsMisbehaviour(t *testing.T) {
 	rows := []struct {
 		name   string
@@ -165,6 +166,8 @@ func TestMalformedControlReplyIsMisbehaviour(t *testing.T) {
 		{"expire", streamReply(wire.StreamOK, []byte("{")), func(h *fleet.HTTPShard) error { _, err := h.ExpireBefore(time.Second); return err }},
 		{"export", streamReply(wire.StreamOK, []byte("{")), func(h *fleet.HTTPShard) error { _, _, err := h.ExportDevice("d"); return err }},
 		{"evict", streamReply(wire.StreamOK, []byte("{")), func(h *fleet.HTTPShard) error { return h.EvictDevice("d") }},
+		{"install", streamReply(wire.StreamOK, []byte{0}), func(h *fleet.HTTPShard) error { return h.InstallDevice(bms.DeviceState{}) }},
+		{"model", streamReply(wire.StreamOK, []byte{0}), func(h *fleet.HTTPShard) error { return h.InstallModel(bms.ModelSnapshot{}) }},
 		{"claim", streamReply(wire.StreamOK, []byte{0x80}), func(h *fleet.HTTPShard) error { _, _, err := h.Claim(1, "gw"); return err }},
 		{"summary", streamReply(wire.StreamOK, []byte("{")), func(h *fleet.HTTPShard) error { _, err := h.Summary(); return err }},
 		{"summary of unknown status", streamReply(9, []byte("{}")), func(h *fleet.HTTPShard) error { _, err := h.Summary(); return err }},

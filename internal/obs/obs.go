@@ -1,8 +1,8 @@
 // Package obs is the fleet's zero-dependency telemetry core: atomic
 // counters and gauges, lock-free power-of-two-bucket latency
 // histograms, and a bounded ring-buffer "flight recorder" for discrete
-// control-plane events (lease transitions, fenced writes, breaker
-// trips, migrations, WAL repairs).
+// control-plane events (lease transitions, fenced writes, shard
+// up/down, migrations, WAL repairs).
 //
 // Everything is nil-safe: a nil *Metrics hands out nil handles, and
 // every method on a nil handle is a no-op returning zeros. Hot paths

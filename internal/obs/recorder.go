@@ -1,7 +1,7 @@
 // The flight recorder: a bounded ring buffer of discrete control-plane
 // events. Metrics answer "how much, how fast"; the recorder answers
 // "what happened, in what order" — which lease claim deposed which
-// epoch, which breaker tripped before which migration — the last N
+// epoch, which shard went down before which migration — the last N
 // events of the story, always resident, never allocating past the ring.
 package obs
 
@@ -29,8 +29,6 @@ const (
 	EventLeaseReject  = "lease_reject"      // a claim lost to a higher/foreign grant
 	EventFencedWrite  = "fenced_write"      // a stale-epoch write was rejected
 	EventLeaseAdvance = "lease_advance"     // a fenced write carried a newer epoch; grant advanced
-	EventBreakerTrip  = "breaker_trip"      // a shard breaker opened
-	EventBreakerClose = "breaker_close"     // a shard breaker re-closed after probe success
 	EventMigration    = "migration"         // device state moved between shards
 	EventWALRepair    = "wal_repair"        // a torn WAL tail was truncated at recovery
 	EventCompactError = "wal_compact_error" // a WAL compaction failed; the log was kept
@@ -43,7 +41,7 @@ const (
 
 // Recorder is the bounded ring. A nil *Recorder drops every Record —
 // the same nil-safety contract as the metric handles. Writers contend
-// on one mutex; control-plane events are rare (claims, trips, repairs),
+// on one mutex; control-plane events are rare (claims, moves, repairs),
 // so the lock is never on a data path.
 type Recorder struct {
 	mu    sync.Mutex

@@ -27,10 +27,11 @@ func TestEvictClearsPending(t *testing.T) {
 	tr.Observe(3*time.Second, "p", "living")
 	tr.Observe(4*time.Second, "p", "living")
 
-	st, ok := tr.Evict("p")
+	st, ok := tr.Export("p")
 	if !ok {
-		t.Fatal("evict of a known device reported no state")
+		t.Fatal("export of a known device reported no state")
 	}
+	tr.Evict("p")
 	if st.PendingRoom != "living" || st.PendingCount != 2 {
 		t.Fatalf("exported pending = (%q, %d), want (living, 2)", st.PendingRoom, st.PendingCount)
 	}
@@ -66,10 +67,11 @@ func TestEvictInstallContinuity(t *testing.T) {
 	for i := 0; i < cut; i++ {
 		migratedEvents = append(migratedEvents, a.Observe(time.Duration(i)*time.Second, "p", rooms[i])...)
 	}
-	st, ok := a.Evict("p")
+	st, ok := a.Export("p")
 	if !ok {
 		t.Fatal("nothing exported")
 	}
+	a.Evict("p")
 	b.Install(st)
 	for i := cut; i < len(rooms); i++ {
 		migratedEvents = append(migratedEvents, b.Observe(time.Duration(i)*time.Second, "p", rooms[i])...)
@@ -171,7 +173,8 @@ func TestShardedEvictObserveRace(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < 100; i++ {
 			name := fmt.Sprintf("dev-%02d", i%devices)
-			if st, ok := s.Evict(name); ok {
+			if st, ok := s.Export(name); ok {
+				s.Evict(name)
 				s.Install(st)
 			}
 			s.Export(name)

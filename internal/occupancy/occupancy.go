@@ -337,21 +337,16 @@ func (t *Tracker) exportAll(dst []DeviceState) []DeviceState {
 	return dst
 }
 
-// Evict exports the device's state and removes every trace of it —
-// committed room, pending debounce progress, observation clock and
-// dwell accounting — so the shard no longer reports the device in any
-// view. Committed events stay: they are history, not state. ok is
-// false when the device is unknown.
-func (t *Tracker) Evict(device string) (DeviceState, bool) {
-	st, ok := t.Export(device)
-	if !ok {
-		return DeviceState{}, false
-	}
+// Evict removes every trace of the device — committed room, pending
+// debounce progress, observation clock and dwell accounting — so the
+// shard no longer reports it in any view. Committed events stay: they
+// are history, not state. An unknown device is a no-op; a caller that
+// moves the state reads it with Export first.
+func (t *Tracker) Evict(device string) {
 	delete(t.current, device)
 	delete(t.pending, device)
 	delete(t.lastAt, device)
 	delete(t.dwell, device)
-	return st, true
 }
 
 // Install replaces the device's state with a migrated one, overwriting

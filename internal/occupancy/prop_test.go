@@ -260,10 +260,12 @@ func TestSummaryMatchesEventLog(t *testing.T) {
 			switch src.Intn(12) {
 			case 0:
 				op = "Evict"
-				st, ok := single.Evict(c.Device)
-				if _, ok2 := sharded.Evict(c.Device); ok != ok2 {
-					t.Fatalf("trial %d step %d: Evict(%s) ok=%v on the tracker, %v sharded", trial, step, c.Device, ok, ok2)
+				st, ok := single.Export(c.Device)
+				if _, ok2 := sharded.Export(c.Device); ok != ok2 {
+					t.Fatalf("trial %d step %d: Export(%s) ok=%v on the tracker, %v sharded", trial, step, c.Device, ok, ok2)
 				}
+				single.Evict(c.Device)
+				sharded.Evict(c.Device)
 				if ok {
 					parked = append(parked, st)
 				}

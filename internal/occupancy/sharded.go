@@ -88,13 +88,13 @@ func (s *Sharded) Export(device string) (DeviceState, bool) {
 	return sh.tr.Export(device)
 }
 
-// Evict exports and removes the device's state (see Tracker.Evict),
-// locking the device's ingest stripe.
-func (s *Sharded) Evict(device string) (DeviceState, bool) {
+// Evict removes the device's state (see Tracker.Evict), locking the
+// device's ingest stripe.
+func (s *Sharded) Evict(device string) {
 	sh := s.shardFor(device)
 	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.tr.Evict(device)
+	sh.tr.Evict(device)
+	sh.mu.Unlock()
 }
 
 // Install replaces the device's state with a migrated one (see
@@ -201,11 +201,15 @@ func (s *Sharded) Events() []Event {
 		views[i] = sh.tr.events // append-only (Tracker.record): a stable view
 		sh.mu.Unlock()
 	}
-	return mergeEvents(&views)
+	return MergeEvents(views[:]...)
 }
 
-// mergeEvents copies the stripes' logs into one list in Events' order.
-func mergeEvents(views *[trackerShards][]Event) []Event {
+// MergeEvents copies event logs — a tracker's stripes, or a fleet's
+// shards — into one list in the canonical order: nondecreasing time,
+// ties broken by device name, one device's same-instant exit/enter pair
+// keeping its order within its log. It returns nil when every log is
+// empty.
+func MergeEvents(views ...[]Event) []Event {
 	n := 0
 	for _, v := range views {
 		n += len(v)
@@ -253,4 +257,4 @@ func (s *Sharded) Cut() *Cut {
 
 // Events returns the event history as of the cut, in Sharded.Events'
 // order.
-func (c *Cut) Events() []Event { return mergeEvents(&c.events) }
+func (c *Cut) Events() []Event { return MergeEvents(c.events[:]...) }

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"occusim/internal/building"
-	"occusim/internal/fleet"
 	"occusim/internal/obs"
 	"occusim/internal/ring"
 	"occusim/internal/transport"
@@ -58,7 +57,7 @@ func currentRing(url, device string) (r *ring.Ring, owner int, hdr http.Header, 
 	if err != nil {
 		return nil, 0, nil, err
 	}
-	var info fleet.RingInfo
+	var info transport.RingInfo
 	if err := json.Unmarshal(payload, &info); err != nil {
 		return nil, 0, nil, err
 	}

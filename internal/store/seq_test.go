@@ -163,18 +163,19 @@ func TestSeqBatchRetransmitIdempotent(t *testing.T) {
 }
 
 // TestSeqMarkMigration pins the mark's travel across shard stores:
-// EvictDevice hands it out, InstallSeqMark seeds it forward-only, and
-// the receiving store keeps deduplicating the device's in-flight
-// retransmissions.
+// SeqMark reads it out, EvictDevice drops it, InstallSeqMark seeds it
+// forward-only, and the receiving store keeps deduplicating the device's
+// in-flight retransmissions.
 func TestSeqMarkMigration(t *testing.T) {
 	old, _ := New(10)
 	if _, err := addOne(old, seqObs("p", time.Second, 3, 9)); err != nil {
 		t.Fatal(err)
 	}
-	epoch, seq := old.EvictDevice("p")
+	epoch, seq := old.SeqMark("p")
 	if epoch != 3 || seq != 9 {
-		t.Fatalf("evicted mark = (%d, %d), want (3, 9)", epoch, seq)
+		t.Fatalf("exported mark = (%d, %d), want (3, 9)", epoch, seq)
 	}
+	old.EvictDevice("p")
 	if e, q := old.SeqMark("p"); e != 0 || q != 0 {
 		t.Fatalf("mark survives eviction: (%d, %d)", e, q)
 	}

@@ -209,8 +209,8 @@ func (s *Store) InstallSeqMark(device string, epoch, seq uint64) {
 // ExpireDevice drops the device's retained observations but keeps its
 // ingest high-water mark — the TTL-sweep eviction. One critical
 // section: the mark is never absent, so a retransmission racing the
-// sweep can never slip in as fresh (EvictDevice, by contrast, hands
-// the mark away because migration carries it to the new owner).
+// sweep can never slip in as fresh (EvictDevice, by contrast, drops
+// the mark because migration has carried it to the new owner).
 func (s *Store) ExpireDevice(device string) {
 	sh := s.shardFor(device)
 	sh.mu.Lock()
@@ -219,17 +219,16 @@ func (s *Store) ExpireDevice(device string) {
 }
 
 // EvictDevice removes the device's retained observations and its
-// high-water mark, returning the mark — the sending half of
-// shard-to-shard device migration (the mark travels with the device so
-// the new owner keeps deduplicating its retransmissions).
-func (s *Store) EvictDevice(device string) (epoch, seq uint64) {
+// high-water mark — the last step of shard-to-shard device migration,
+// after SeqMark has read the mark for the new owner (the mark travels
+// with the device so the new owner keeps deduplicating its
+// retransmissions).
+func (s *Store) EvictDevice(device string) {
 	sh := s.shardFor(device)
 	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	m := sh.marks[device]
 	delete(sh.marks, device)
 	delete(sh.observations, device)
-	return m.epoch, m.seq
+	sh.mu.Unlock()
 }
 
 // noteBeacons records first sight of each beacon. The read-locked

@@ -5,9 +5,9 @@
 // that is Answered), or no answer at all; Classify gives it one class,
 // and every site that decides something about a failure reads the
 // verdict: how the faces answer it over HTTP and on the shard stream,
-// whether the shard's breaker counts it, whether the stream and the HTTP
-// client retry it and after what wait, where the device uplink goes
-// next, what the crowd driver does and whether the lease steps down.
+// whether the stream and the HTTP client retry it and after what wait,
+// where the device uplink goes next, what the crowd driver does and
+// whether the lease steps down.
 package transport
 
 import (

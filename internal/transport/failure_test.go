@@ -35,9 +35,8 @@ type form struct {
 }
 
 // decisions is everything the system decides about one failure: how a
-// face answers it over HTTP and on the shard stream, whether it counts
-// against the shard's breaker, whether the stream and the HTTP client
-// retry it and after what wait, where the device uplink goes next, what
+// face answers it over HTTP and on the shard stream, whether the stream
+// and the HTTP client retry it and after what wait, where the device uplink goes next, what
 // the crowd driver makes of it and whether the lease steps down, and —
 // for a failure a face answers a device — what the uplink does with it
 // over the device stream, which must be what it does with the POST. "n/a"
@@ -45,7 +44,7 @@ type form struct {
 type decisions struct {
 	status                              int
 	retryAfter, leaderEpoch, leaderHint string
-	stream, breaker                     string
+	stream                              string
 	streamRetry, httpRetry, uplink      string
 	driver                              string
 	stepDown                            bool
@@ -70,10 +69,9 @@ func streamReply(status byte, body []byte) []byte {
 // TestOneFailureVocabulary is the whole table: each failure form against
 // every site that decides something about a failure. The expected cells
 // are the decisions each site made when it read failures on its own,
-// written out, except three that disagreed with the rest of their row: a
-// plain error — a LocalShard's rejection — does not count against the
-// breaker, an answered 429 is a shed to the crowd driver as the
-// in-process one is, and a body cut off mid-read is answered 502.
+// written out, except two that disagreed with the rest of their row: an
+// answered 429 is a shed to the crowd driver as the in-process one is,
+// and a body cut off mid-read is answered 502.
 func TestOneFailureVocabulary(t *testing.T) {
 	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		io.Copy(io.Discard, r.Body)
@@ -109,7 +107,6 @@ func TestOneFailureVocabulary(t *testing.T) {
 		{name: "no healthy shards", value: fleet.ErrNoHealthyShards},
 		{name: "shard misbehaved", value: fmt.Errorf("%w: malformed rooms ack", fleet.ErrShardMisbehaved),
 			reply: streamReply(9, nil)},
-		{name: "shard tripped", value: fmt.Errorf("%w: shard x", fleet.ErrShardTripped)},
 		{name: "answered 500", answer: answering(500)},
 		{name: "refused dial", fault: "refused", reply: []byte("refused")},
 		{name: "reset", fault: "reset", reply: staleReply[:5]},
@@ -130,40 +127,39 @@ func TestOneFailureVocabulary(t *testing.T) {
 	}
 
 	want := map[string]decisions{
-		"in-process shed":               {429, "2", "", "", "overload", "spares", "retry", "n/a", "n/a", "shed", false, "retry after 2s, rotate"},
-		"429 Retry-After 2":             {429, "2", "", "", "n/a", "spares", "n/a", "retry after 2s", "rotate", "shed", false, "n/a"},
-		"429 Retry-After 0.5":           {429, "1", "", "", "n/a", "spares", "n/a", "retry after 500ms", "rotate", "shed", false, "n/a"},
-		"429 Retry-After 0":             {429, "1", "", "", "n/a", "spares", "n/a", "retry after 0s", "rotate", "shed", false, "n/a"},
-		"429 without Retry-After":       {429, "1", "", "", "n/a", "spares", "n/a", "retry after 100ms", "rotate", "shed", false, "n/a"},
-		"in-process stale":              {409, "", "9", hint, "stale", "spares", "n/a", "n/a", "n/a", "fault", true, "redirect"},
-		"stream stale":                  {409, "", "9", hint, "n/a", "spares", "final", "n/a", "n/a", "fault", true, "n/a"},
-		"federated read around a shed":  {429, "2", "", "", "n/a", "spares", "n/a", "n/a", "n/a", "shed", false, "retry after 2s, rotate"},
-		"federated read around a stale": {409, "", "9", hint, "n/a", "spares", "n/a", "n/a", "n/a", "fault", true, "redirect"},
+		"in-process shed":               {429, "2", "", "", "overload", "retry", "n/a", "n/a", "shed", false, "retry after 2s, rotate"},
+		"429 Retry-After 2":             {429, "2", "", "", "n/a", "n/a", "retry after 2s", "rotate", "shed", false, "n/a"},
+		"429 Retry-After 0.5":           {429, "1", "", "", "n/a", "n/a", "retry after 500ms", "rotate", "shed", false, "n/a"},
+		"429 Retry-After 0":             {429, "1", "", "", "n/a", "n/a", "retry after 0s", "rotate", "shed", false, "n/a"},
+		"429 without Retry-After":       {429, "1", "", "", "n/a", "n/a", "retry after 100ms", "rotate", "shed", false, "n/a"},
+		"in-process stale":              {409, "", "9", hint, "stale", "n/a", "n/a", "n/a", "fault", true, "redirect"},
+		"stream stale":                  {409, "", "9", hint, "n/a", "final", "n/a", "n/a", "fault", true, "n/a"},
+		"federated read around a shed":  {429, "2", "", "", "n/a", "n/a", "n/a", "n/a", "shed", false, "retry after 2s, rotate"},
+		"federated read around a stale": {409, "", "9", hint, "n/a", "n/a", "n/a", "n/a", "fault", true, "redirect"},
 		// A face and the lease meet this answer only through an
 		// HTTPShard, as the stale error it reads as.
-		"409 with X-Leader-Epoch": {409, "", "9", hint, "n/a", "spares", "n/a", "final", "redirect", "fault", true, "n/a"},
+		"409 with X-Leader-Epoch": {409, "", "9", hint, "n/a", "n/a", "final", "redirect", "fault", true, "n/a"},
 		// A standby's refusal names where leadership lives and no grant;
 		// a conflict with the server's state names neither.
-		"standby's 409":     {409, "", "", hint, "n/a", "n/a", "n/a", "final", "redirect", "fault", false, "redirect"},
-		"409 with neither":  {0, "", "", "", "n/a", "spares", "n/a", "final", "rotate", "fault", false, "n/a"},
-		"state conflict":    {409, "", "", "", "stale", "spares", "n/a", "n/a", "n/a", "fault", false, "rotate"},
-		"body too large":    {413, "", "", "", "too-large", "n/a", "n/a", "n/a", "n/a", "fault", false, "give up"},
-		"413":               {400, "", "", "", "n/a", "spares", "n/a", "final", "give up", "fault", false, "n/a"},
-		"stream too-large":  {400, "", "", "", "n/a", "spares", "final", "n/a", "n/a", "fault", false, "n/a"},
-		"log refusal":       {503, "1", "", "", "hang-up", "counts", "n/a", "retry after 1s", "rotate", "fault", false, "retry after 1s, rotate"},
-		"no healthy shards": {503, "", "", "", "n/a", "counts", "n/a", "n/a", "n/a", "fault", false, "retry after 100ms, rotate"},
-		"shard misbehaved":  {502, "", "", "", "n/a", "counts", "final", "n/a", "n/a", "fault", false, "retry after 100ms, rotate"},
-		"shard tripped":     {503, "", "", "", "n/a", "spares", "n/a", "n/a", "n/a", "fault", false, "retry after 100ms, rotate"},
-		"answered 500":      {502, "", "", "", "n/a", "counts", "n/a", "retry after 100ms", "rotate", "fault", false, "n/a"},
-		"refused dial":      {502, "", "", "", "n/a", "counts", "retry", "retry after 100ms", "rotate", "fault", false, "n/a"},
-		"reset":             {502, "", "", "", "n/a", "counts", "retry", "retry after 100ms", "rotate", "fault", false, "n/a"},
-		"deadline":          {502, "", "", "", "n/a", "counts", "n/a", "retry after 100ms", "rotate", "fault", false, "n/a"},
-		"body cut off":      {502, "", "", "", "n/a", "counts", "n/a", "retry after 100ms", "rotate", "fault", false, "n/a"},
-		"unparsable target": {502, "", "", "", "n/a", "counts", "n/a", "final", "rotate", "fault", false, "n/a"},
-		"answered 400":      {400, "", "", "", "n/a", "spares", "final", "final", "give up", "fault", false, "n/a"},
-		"answered 404":      {400, "", "", "", "n/a", "spares", "n/a", "final", "give up", "fault", false, "n/a"},
-		"answered 415":      {400, "", "", "", "n/a", "spares", "n/a", "final", "latch JSON", "fault", false, "n/a"},
-		"plain error":       {400, "", "", "", "rejected", "spares", "n/a", "n/a", "n/a", "fault", false, "give up"},
+		"standby's 409":     {409, "", "", hint, "n/a", "n/a", "final", "redirect", "fault", false, "redirect"},
+		"409 with neither":  {0, "", "", "", "n/a", "n/a", "final", "rotate", "fault", false, "n/a"},
+		"state conflict":    {409, "", "", "", "stale", "n/a", "n/a", "n/a", "fault", false, "rotate"},
+		"body too large":    {413, "", "", "", "too-large", "n/a", "n/a", "n/a", "fault", false, "give up"},
+		"413":               {400, "", "", "", "n/a", "n/a", "final", "give up", "fault", false, "n/a"},
+		"stream too-large":  {400, "", "", "", "n/a", "final", "n/a", "n/a", "fault", false, "n/a"},
+		"log refusal":       {503, "1", "", "", "hang-up", "n/a", "retry after 1s", "rotate", "fault", false, "retry after 1s, rotate"},
+		"no healthy shards": {503, "", "", "", "n/a", "n/a", "n/a", "n/a", "fault", false, "retry after 100ms, rotate"},
+		"shard misbehaved":  {502, "", "", "", "n/a", "final", "n/a", "n/a", "fault", false, "retry after 100ms, rotate"},
+		"answered 500":      {502, "", "", "", "n/a", "n/a", "retry after 100ms", "rotate", "fault", false, "n/a"},
+		"refused dial":      {502, "", "", "", "n/a", "retry", "retry after 100ms", "rotate", "fault", false, "n/a"},
+		"reset":             {502, "", "", "", "n/a", "retry", "retry after 100ms", "rotate", "fault", false, "n/a"},
+		"deadline":          {502, "", "", "", "n/a", "n/a", "retry after 100ms", "rotate", "fault", false, "n/a"},
+		"body cut off":      {502, "", "", "", "n/a", "n/a", "retry after 100ms", "rotate", "fault", false, "n/a"},
+		"unparsable target": {502, "", "", "", "n/a", "n/a", "final", "rotate", "fault", false, "n/a"},
+		"answered 400":      {400, "", "", "", "n/a", "final", "final", "give up", "fault", false, "n/a"},
+		"answered 404":      {400, "", "", "", "n/a", "n/a", "final", "give up", "fault", false, "n/a"},
+		"answered 415":      {400, "", "", "", "n/a", "n/a", "final", "latch JSON", "fault", false, "n/a"},
+		"plain error":       {400, "", "", "", "rejected", "n/a", "n/a", "n/a", "fault", false, "give up"},
 	}
 
 	for _, f := range forms {
@@ -176,10 +172,8 @@ func TestOneFailureVocabulary(t *testing.T) {
 			if w.status == 0 { // the HTTP answer of a form no face renders
 				got.status, got.retryAfter, got.leaderEpoch, got.leaderHint = 0, "", "", ""
 			}
-			for _, c := range [][2]*string{{&got.stream, &w.stream}, {&got.breaker, &w.breaker}} {
-				if *c[1] == "n/a" {
-					*c[0] = "n/a"
-				}
+			if w.stream == "n/a" {
+				got.stream = "n/a"
 			}
 			if got != w {
 				t.Errorf("\n got %#v\nwant %#v", got, w)
@@ -224,10 +218,6 @@ func decide(t *testing.T, f form, hint string) decisions {
 	d.leaderEpoch = rec.Header().Get(transport.HeaderLeaderEpoch)
 	d.leaderHint = rec.Header().Get(transport.HeaderLeaderHint)
 	d.stream = streamReplyOf(err)
-	d.breaker = "spares"
-	if breakerCounts(t, err) {
-		d.breaker = "counts"
-	}
 	d.driver = driverTakes(t, err)
 	d.stepDown = leaseStepsDown(t, err)
 	return d
@@ -368,48 +358,6 @@ func streamRetry(t *testing.T, reply []byte) (string, error) {
 		return "retry", err
 	}
 	return "final", err
-}
-
-// failOnce fails its first delivery with err.
-type failOnce struct {
-	fleet.Shard
-	err    error
-	failed bool
-}
-
-func (s *failOnce) IngestFrame(frame []byte, reports int) ([]string, error) {
-	if !s.failed {
-		s.failed = true
-		return nil, s.err
-	}
-	return s.Shard.IngestFrame(frame, reports)
-}
-
-func report(b *building.Building) []transport.Report {
-	rep := transport.Report{Device: "d", AtSeconds: 1}
-	for _, bc := range b.Beacons {
-		rep.Beacons = append(rep.Beacons, transport.BeaconReport{ID: bc.ID.String(), Distance: 3, RSSI: -63})
-	}
-	return []transport.Report{rep}
-}
-
-// breakerCounts reports whether a gateway whose breaker trips on the
-// first failure refuses the next delivery after the shard failed with err.
-func breakerCounts(t *testing.T, err error) bool {
-	b := building.PaperHouse()
-	pool, perr := fleet.OpenLocalPool(b, 1, 2, 100, "", store.FsyncBatch)
-	if perr != nil {
-		t.Fatal(perr)
-	}
-	gw, gerr := fleet.New([]fleet.Shard{&failOnce{Shard: pool.Shards[0], err: err}}, fleet.Config{BreakerThreshold: 1, BreakerCooldown: time.Hour})
-	if gerr != nil {
-		t.Fatal(gerr)
-	}
-	if _, err := gw.IngestBatch(report(b)); err == nil {
-		t.Fatal("the failing delivery succeeded")
-	}
-	_, next := gw.IngestBatch(report(b))
-	return errors.Is(next, fleet.ErrShardTripped)
 }
 
 // driverTakes is what the crowd driver, with no fault budget, makes of an

@@ -96,8 +96,13 @@ type ringView struct {
 // the in-package tests can shorten it.
 var ringRefresh = 2 * time.Second
 
-// ringResponse is the GET /api/v1/ring payload (see fleet's handler).
-type ringResponse struct {
+// RingInfo is the routing table a pre-splitting device needs, the
+// GET /api/v1/ring payload a fleet gateway serves: the inputs of the
+// ring function plus their canonical digest. A device that splits
+// against this view stamps the digest on its upload, and the gateway
+// forwards the pre-split sections only while the digest still matches
+// its own.
+type RingInfo struct {
 	Digest   string   `json:"digest"`
 	Replicas int      `json:"replicas"`
 	Shards   []string `json:"shards"`
@@ -308,7 +313,7 @@ func (t *uplinkTarget) ringView(client *http.Client, policy RetryPolicy) *ringVi
 		return cur // fetched while this sender waited
 	}
 	v = &ringView{at: time.Now()}
-	var resp ringResponse
+	var resp RingInfo
 	payload, err := GetJSON(client, t.base+"/api/v1/ring", policy)
 	if err == nil && json.Unmarshal(payload, &resp) == nil && len(resp.Shards) > 0 {
 		// The digest is ring.Digest's hex of a u64, which the envelope

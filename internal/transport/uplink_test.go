@@ -124,7 +124,7 @@ func (f *frontend) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			http.NotFound(w, r)
 			return
 		}
-		json.NewEncoder(w).Encode(ringResponse{Digest: testDigest, Replicas: testRing.Replicas(), Shards: testShards})
+		json.NewEncoder(w).Encode(RingInfo{Digest: testDigest, Replicas: testRing.Replicas(), Shards: testShards})
 		return
 	}
 	if r.URL.Path == wire.UplinkPath {
@@ -809,7 +809,7 @@ func TestAllocBudgetUplinkSend(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation counts are pinned without the race detector")
 	}
-	ringBody, err := json.Marshal(ringResponse{Digest: testDigest, Replicas: testRing.Replicas(), Shards: testShards})
+	ringBody, err := json.Marshal(RingInfo{Digest: testDigest, Replicas: testRing.Replicas(), Shards: testShards})
 	if err != nil {
 		t.Fatal(err)
 	}
